@@ -1,11 +1,12 @@
 // Command dpsync-analyst runs the analyst of the three-party model: it
-// connects to a dpsync-server and evaluates the paper's queries over the
-// outsourced (and possibly still-synchronizing) data.
+// connects to a dpsync-server and evaluates the paper's queries over one
+// owner's outsourced (and possibly still-synchronizing) data; -owner names
+// that owner's namespace, as passed to dpsync-owner.
 //
 // Usage:
 //
-//	dpsync-analyst -server 127.0.0.1:7700 -key-file shared.key -query q1
-//	dpsync-analyst -query q2 -watch 2s     # re-poll as the owner syncs
+//	dpsync-analyst -server 127.0.0.1:7700 -key-file shared.key -owner alice -query q1
+//	dpsync-analyst -owner alice -query q2 -watch 2s     # re-poll as the owner syncs
 package main
 
 import (
@@ -25,6 +26,7 @@ func main() {
 	var (
 		serverAddr = flag.String("server", "127.0.0.1:7700", "dpsync-server address")
 		keyFile    = flag.String("key-file", "dpsync.key", "hex-encoded shared data key")
+		ownerID    = flag.String("owner", "owner", "owner namespace on the server")
 		queryName  = flag.String("query", "q1", "q1|q2|q3")
 		watch      = flag.Duration("watch", 0, "re-run every interval (0 = once)")
 		topN       = flag.Int("top", 5, "for q2: show the N busiest zones")
@@ -35,11 +37,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("dpsync-analyst: %v", err)
 	}
-	cl, err := client.Dial(*serverAddr, key)
+	conn, err := client.DialGateway(*serverAddr, key)
 	if err != nil {
 		log.Fatalf("dpsync-analyst: %v", err)
 	}
-	defer cl.Close()
+	defer conn.Close()
+	cl := conn.Owner(*ownerID)
 
 	q, err := pickQuery(*queryName)
 	if err != nil {

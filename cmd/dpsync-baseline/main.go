@@ -52,13 +52,13 @@ type Baseline struct {
 	// 384-bit keys), mirroring BenchmarkMicroRealAHE.
 	RealAHESeconds float64 `json:"real_ahe_seconds"`
 	// Gateway serving-layer measurements (internal/loadgen): GatewayOwners
-	// × GatewayTicks driven through an in-process multi-tenant gateway over
-	// the binary codec. cmd/dpsync-loadgen -baseline merges the same keys,
-	// so a standalone load run can refresh them without re-measuring the
-	// crypto micro-ops.
+	// × GatewayTicks driven through an in-process multi-tenant gateway.
+	// cmd/dpsync-loadgen -baseline merges the same keys, so a standalone
+	// load run can refresh them without re-measuring the crypto micro-ops.
+	// (gateway_codec, in baselines written before the JSON codec was
+	// deleted, is a retired key: no longer emitted, never reused.)
 	GatewayOwners       int     `json:"gateway_owners"`
 	GatewayTicks        int     `json:"gateway_ticks"`
-	GatewayCodec        string  `json:"gateway_codec"`
 	GatewaySyncs        int64   `json:"gateway_syncs"`
 	GatewaySyncsPerSec  float64 `json:"gateway_syncs_per_sec"`
 	GatewayP50Ms        float64 `json:"gateway_p50_ms"`
@@ -350,7 +350,6 @@ func main() {
 	}
 	b.GatewayOwners = rep.Owners
 	b.GatewayTicks = rep.Ticks
-	b.GatewayCodec = rep.Codec
 	b.GatewaySyncs = rep.Syncs
 	b.GatewaySyncsPerSec = rep.SyncsPerSec
 	b.GatewayP50Ms = rep.P50Ms

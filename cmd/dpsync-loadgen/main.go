@@ -88,7 +88,6 @@ import (
 
 	"dpsync/internal/loadgen"
 	"dpsync/internal/telemetry"
-	"dpsync/internal/wire"
 )
 
 func main() {
@@ -99,7 +98,6 @@ func main() {
 		keyFile  = flag.String("key-file", "", "hex-encoded shared data key (required with -addr)")
 		conns    = flag.Int("conns", 4, "multiplexed TCP connections to spread owners over")
 		window   = flag.Int("window", 0, "per-connection in-flight window (0: default)")
-		codec    = flag.String("codec", "binary", "wire codec: binary or json")
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		workers  = flag.Int("workers", 0, "concurrent owner drivers (0: default)")
 		shards   = flag.Int("shards", 0, "in-process gateway shards (0: GOMAXPROCS)")
@@ -156,7 +154,7 @@ func main() {
 		case *storeDir != "":
 			fatal(fmt.Errorf("-read-replica uses fresh temp stores; drop -store"))
 		}
-		runReplica(*owners, *ticks, *queryMix, *conns, *codec, *shards, *syncEps, *seed, *leaseTTL, *quick, *baseline)
+		runReplica(*owners, *ticks, *queryMix, *conns, *shards, *syncEps, *seed, *leaseTTL, *quick, *baseline)
 		return
 	}
 
@@ -206,14 +204,6 @@ func main() {
 			fatal(err)
 		}
 		cfg.Logger = telemetry.NewLogger(os.Stderr, lvl)
-	}
-	switch strings.ToLower(*codec) {
-	case "binary":
-		cfg.Codec = wire.CodecBinary
-	case "json":
-		cfg.Codec = wire.CodecJSON
-	default:
-		fatal(fmt.Errorf("unknown codec %q", *codec))
 	}
 	if *keyFile != "" {
 		raw, err := os.ReadFile(*keyFile)
@@ -349,18 +339,10 @@ func runFailover(owners, ticks, seeds int, seed uint64, shards int, syncEps floa
 // runReplica drives the two-node read-replica harness, reports the drive
 // plus the follower's read-plane counters, and (with -baseline) merges the
 // replica read-throughput metrics.
-func runReplica(owners, ticks, queryMix, conns int, codec string, shards int, syncEps float64, seed uint64, leaseTTL time.Duration, quick bool, baseline string) {
+func runReplica(owners, ticks, queryMix, conns, shards int, syncEps float64, seed uint64, leaseTTL time.Duration, quick bool, baseline string) {
 	cfg := loadgen.ReplicaConfig{
 		Owners: owners, Ticks: ticks, QueryMix: queryMix, Conns: conns,
 		Shards: shards, SyncEpsilon: syncEps, Seed: seed, LeaseTTL: leaseTTL,
-	}
-	switch strings.ToLower(codec) {
-	case "binary":
-		cfg.Codec = wire.CodecBinary
-	case "json":
-		cfg.Codec = wire.CodecJSON
-	default:
-		fatal(fmt.Errorf("unknown codec %q", codec))
 	}
 	rep, err := loadgen.RunReplica(cfg)
 	if err != nil {
@@ -463,7 +445,6 @@ func mergeBaseline(path string, rep loadgen.Report) error {
 	} else {
 		doc["gateway_owners"] = rep.Owners
 		doc["gateway_ticks"] = rep.Ticks
-		doc["gateway_codec"] = rep.Codec
 		doc["gateway_syncs"] = rep.Syncs
 		doc["gateway_syncs_per_sec"] = rep.SyncsPerSec
 		doc["gateway_p50_ms"] = rep.P50Ms

@@ -1,11 +1,13 @@
 // Command dpsync-owner runs the data-owner half of the three-party model:
 // it replays a synthetic taxi trace (or a live stdin feed) against a remote
 // dpsync-server, synchronizing under a chosen strategy. Records are sealed
-// locally; the server sees only ciphertext counts and times.
+// locally; the server sees only ciphertext counts and times. -owner names
+// the namespace this owner's data lives in on the (multi-tenant) server;
+// analysts pass the same name.
 //
 // Usage:
 //
-//	dpsync-owner -server 127.0.0.1:7700 -key-file shared.key \
+//	dpsync-owner -server 127.0.0.1:7700 -key-file shared.key -owner alice \
 //	    -strategy dp-timer -epsilon 0.5 -period 30 -ticks 2000 -tick-ms 10
 //
 // Each tick is one time unit; -tick-ms compresses simulated minutes into
@@ -33,6 +35,7 @@ func main() {
 	var (
 		serverAddr = flag.String("server", "127.0.0.1:7700", "dpsync-server address")
 		keyFile    = flag.String("key-file", "dpsync.key", "hex-encoded shared data key")
+		ownerID    = flag.String("owner", "owner", "owner namespace on the server")
 		stratName  = flag.String("strategy", "dp-timer", "sur|oto|set|dp-timer|dp-ant")
 		epsilon    = flag.Float64("epsilon", 0.5, "update-pattern privacy budget (DP strategies)")
 		period     = flag.Int64("period", 30, "DP-Timer period T")
@@ -50,11 +53,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("dpsync-owner: %v", err)
 	}
-	cl, err := client.Dial(*serverAddr, key)
+	conn, err := client.DialGateway(*serverAddr, key)
 	if err != nil {
 		log.Fatalf("dpsync-owner: %v", err)
 	}
-	defer cl.Close()
+	defer conn.Close()
+	cl := conn.Owner(*ownerID)
 
 	strat, err := buildStrategy(*stratName, *epsilon, *period, *threshold, *flushEvery, *flushSize, *seed)
 	if err != nil {

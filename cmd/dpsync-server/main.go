@@ -1,23 +1,25 @@
-// Command dpsync-server runs the cloud half of the three-party model: a TCP
-// storage server backed by the ObliDB enclave simulator. It stores sealed
-// ciphertexts, answers analyst queries, and logs the update-pattern
-// transcript — everything an honest-but-curious operator would see.
+// Command dpsync-server runs the cloud half of the three-party model: the
+// multi-tenant gateway (internal/gateway) over ObliDB enclave simulators.
+// It stores sealed ciphertexts, answers analyst queries, and keeps each
+// owner's update-pattern transcript — everything an honest-but-curious
+// operator would see. Many owners, each in its own namespace, share it over
+// pipelined multiplexed connections; a single-owner deployment is the same
+// server with one tenant (cmd/dpsync-owner and cmd/dpsync-analyst name the
+// namespace with -owner; cmd/dpsync-loadgen -addr drives a fleet).
 //
 // Usage:
 //
-//	dpsync-server -listen 127.0.0.1:7700 -key-file shared.key [-gen-key]
-//	dpsync-server -multi -listen 127.0.0.1:7701 -key-file shared.key [-shards 8]
+//	dpsync-server -listen 127.0.0.1:7700 -key-file shared.key [-gen-key] [-shards 8]
 //
 // With -gen-key the server creates the shared data key and writes it to
 // -key-file (hex); owners and analysts load the same file, standing in for
 // enclave attestation and key provisioning.
 //
-// With -multi it serves the multi-tenant gateway protocol instead of the
-// single-owner one: many owners, each in its own namespace, over pipelined
-// multiplexed connections (see internal/gateway; drive it with
-// cmd/dpsync-loadgen -addr).
+// -multi is accepted and ignored: the gateway protocol is the only one
+// served (the flag once selected it over a single-owner protocol, and
+// existing launch scripts still pass it).
 //
-// With -store DIR (gateway mode only) tenant state is durable: per-shard
+// With -store DIR tenant state is durable: per-shard
 // write-ahead logs and snapshots under DIR carry every namespace's sealed
 // store, update-pattern transcript, logical clock, and ε ledger across
 // restarts — the server opens with crash recovery and SIGINT/SIGTERM drain
@@ -26,10 +28,10 @@
 // batches spill to history segments under DIR, snapshots reference them by
 // manifest, and server RSS stops growing with total bytes ever ingested:
 //
-//	dpsync-server -multi -store /var/lib/dpsync -fsync -history-window 64 -listen 127.0.0.1:7701 -key-file shared.key
+//	dpsync-server -store /var/lib/dpsync -fsync -history-window 64 -listen 127.0.0.1:7701 -key-file shared.key
 //
 // With -cluster the server joins a replicated gateway cluster (requires
-// -multi and -store): the nodes elect one primary through a shared lease
+// -store): the nodes elect one primary through a shared lease
 // file (-lease-file, on storage every node sees — each node keeps its own
 // private -store, so the lease must live elsewhere); the primary streams
 // every committed WAL entry to the followers; a follower refuses clients
@@ -39,8 +41,8 @@
 // as a permanent standby tailing ADDR: it never campaigns and never
 // promotes. Two-node example on one machine:
 //
-//	dpsync-server -multi -cluster -node-id a -store /var/lib/dpsync-a -lease-file /var/lib/dpsync.lease -listen 127.0.0.1:7701 -key-file shared.key
-//	dpsync-server -multi -cluster -node-id b -store /var/lib/dpsync-b -lease-file /var/lib/dpsync.lease -listen 127.0.0.1:7702 -key-file shared.key
+//	dpsync-server -cluster -node-id a -store /var/lib/dpsync-a -lease-file /var/lib/dpsync.lease -listen 127.0.0.1:7701 -key-file shared.key
+//	dpsync-server -cluster -node-id b -store /var/lib/dpsync-b -lease-file /var/lib/dpsync.lease -listen 127.0.0.1:7702 -key-file shared.key
 //
 // Clients list both addresses; failover is their address rotation landing
 // on whichever node holds the lease.
@@ -66,7 +68,6 @@ import (
 	"dpsync/internal/cluster"
 	"dpsync/internal/gateway"
 	"dpsync/internal/seal"
-	"dpsync/internal/server"
 	"dpsync/internal/telemetry"
 )
 
@@ -75,20 +76,20 @@ func main() {
 		listen    = flag.String("listen", "127.0.0.1:7700", "listen address")
 		keyFile   = flag.String("key-file", "dpsync.key", "hex-encoded shared data key")
 		genKey    = flag.Bool("gen-key", false, "generate a fresh key and write it to -key-file")
-		multi     = flag.Bool("multi", false, "serve the multi-tenant gateway protocol")
-		shards    = flag.Int("shards", 0, "gateway shard workers (0: GOMAXPROCS; -multi only)")
-		storeDir  = flag.String("store", "", "durability directory: WAL + snapshots, open with crash recovery (-multi only)")
+		_         = flag.Bool("multi", false, "accepted and ignored: the gateway protocol is the only one served")
+		shards    = flag.Int("shards", 0, "gateway shard workers (0: GOMAXPROCS)")
+		storeDir  = flag.String("store", "", "durability directory: WAL + snapshots, open with crash recovery")
 		fsync     = flag.Bool("fsync", false, "fsync every durable group commit (with -store)")
 		snapN     = flag.Int("snapshot-every", 0, "per-shard WAL entries between snapshots (0: default; with -store)")
 		syncEps   = flag.Float64("sync-epsilon", 0, "epsilon charged to a tenant's ledger per sync (with -store)")
 		histWin   = flag.Int("history-window", 0, "per-tenant in-RAM history batches before spilling to history segments (0: keep all in RAM; with -store)")
-		maxInFl   = flag.Int("max-inflight", 0, "per-connection admitted-request cap before typed backpressure sheds (0: default; -multi only)")
-		drainTO   = flag.Duration("drain-timeout", 0, "graceful-close drain deadline before live connections are severed (0: default, negative: wait forever; -multi only)")
-		clustered = flag.Bool("cluster", false, "join a replicated gateway cluster: elect through -lease-file, replicate WAL commits, fail over (-multi -store only)")
+		maxInFl   = flag.Int("max-inflight", 0, "per-connection admitted-request cap before typed backpressure sheds (0: default)")
+		drainTO   = flag.Duration("drain-timeout", 0, "graceful-close drain deadline before live connections are severed (0: default, negative: wait forever)")
+		clustered = flag.Bool("cluster", false, "join a replicated gateway cluster: elect through -lease-file, replicate WAL commits, fail over (-store only)")
 		nodeID    = flag.String("node-id", "", "this node's name to the cluster (default: hostname:listen)")
 		leaseFile = flag.String("lease-file", "", "shared lease file the cluster elects through; must live on storage every node sees (required with -cluster)")
 		leaseTTL  = flag.Duration("lease-ttl", 0, "election lease duration, the failover fencing window (0: default)")
-		replicaOf = flag.String("replica-of", "", "pin this node as a permanent standby tailing ADDR; never campaigns, never promotes (-multi -store only)")
+		replicaOf = flag.String("replica-of", "", "pin this node as a permanent standby tailing ADDR; never campaigns, never promotes (-store only)")
 		adminAddr = flag.String("admin", "", "admin plane listen address: /metrics (Prometheus), /varz (JSON), /statusz, /tracez, /healthz, /debug/pprof (empty: disabled)")
 		debugTen  = flag.Bool("debug-tenant-metrics", false, "expose per-owner clock/epsilon series (hashed labels) on the admin plane — republishes the update-pattern detail the privacy budget hides; debugging only")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
@@ -122,14 +123,8 @@ func main() {
 		return a
 	}
 
-	if *storeDir != "" && !*multi {
-		log.Fatalf("dpsync-server: -store requires -multi (the single-owner server keeps no durable tenant state)")
-	}
-
 	if *clustered || *replicaOf != "" {
 		switch {
-		case !*multi:
-			log.Fatalf("dpsync-server: cluster modes serve the gateway protocol; add -multi")
 		case *storeDir == "":
 			log.Fatalf("dpsync-server: cluster modes replicate WAL commits; add -store DIR")
 		case *clustered && *replicaOf != "":
@@ -183,103 +178,79 @@ func main() {
 		return
 	}
 
-	if *multi {
-		gw, err := gateway.New(*listen, gateway.Config{
-			Key: key, Shards: *shards, Logger: logger, Telemetry: reg,
-			DebugTenantMetrics: *debugTen, Tracer: tracer,
-			StoreDir: *storeDir, Fsync: *fsync, SnapshotEvery: *snapN, SyncEpsilon: *syncEps,
-			HistoryWindow: *histWin,
-			MaxInFlight:   *maxInFl, DrainTimeout: *drainTO,
-		})
-		if err != nil {
-			log.Fatalf("dpsync-server: %v", err)
-		}
-		admin := serveAdmin(telemetry.StatusFuncs{
-			Text: func() string {
-				var b strings.Builder
-				conns, repl := gw.Live()
-				fmt.Fprintf(&b, "role: standalone gateway\naddr: %s\nowners: %d  conns: %d  repl: %d  sheds: %d\n",
-					gw.Addr(), gw.Owners(), conns, repl, gw.Sheds())
-				var ages []time.Duration
-				if st := gw.Store(); st != nil {
-					if st.Healthy() {
-						b.WriteString("store: healthy\n")
-					} else {
-						b.WriteString("store: UNHEALTHY (group commit error latched; affected tenants suspended until restart)\n")
-					}
-					ages = st.SnapshotAges()
-				}
-				for _, ss := range gw.ShardStatuses() {
-					fmt.Fprintf(&b, "shard %d: committed=%d pending_wal=%d", ss.Shard, ss.Committed, ss.PendingWAL)
-					if ss.Shard < len(ages) {
-						if ages[ss.Shard] < 0 {
-							b.WriteString(" last_snapshot=never")
-						} else {
-							fmt.Fprintf(&b, " last_snapshot=%s ago", ages[ss.Shard].Round(time.Millisecond))
-						}
-					}
-					b.WriteString("\n")
-				}
-				return b.String()
-			},
-			ReadyFn: func() (bool, string) {
-				if st := gw.Store(); st != nil && !st.Healthy() {
-					return false, "WAL writer reported a commit error"
-				}
-				return true, "serving"
-			},
-		})
-		if *storeDir != "" {
-			info := gw.Recovery()
-			logger.Info("durable store recovered", "dir", *storeDir,
-				"owners", info.Owners, "snapshots", info.Snapshots, "entries", info.Entries)
-		}
-		logger.Info("gateway listening", "addr", gw.Addr())
-		closed := make(chan struct{})
-		go func() {
-			defer close(closed)
-			<-done
-			logger.Info("draining", "owners", gw.Owners())
-			// Close waits for in-flight connections and shard work, then
-			// flushes and closes the WAL — the graceful-drain contract the
-			// in-process gateway regression test pins.
-			if err := gw.Close(); err != nil {
-				logger.Error("shutdown error", "err", err)
-			}
-			if m, ok := gw.StoreMetrics(); ok {
-				logger.Info("WAL flushed", "entries", m.Appends, "commits", m.Commits, "rotations", m.Snapshots)
-			}
-			if n := gw.Sheds(); n > 0 {
-				logger.Info("backpressure sheds", "count", n)
-			}
-		}()
-		if err := gw.Serve(); err != nil {
-			log.Fatalf("dpsync-server: serve: %v", err)
-		}
-		<-closed
-		if admin != nil {
-			_ = admin.Close()
-		}
-		return
-	}
-
-	srv, err := server.New(*listen, key, logger)
+	gw, err := gateway.New(*listen, gateway.Config{
+		Key: key, Shards: *shards, Logger: logger, Telemetry: reg,
+		DebugTenantMetrics: *debugTen, Tracer: tracer,
+		StoreDir: *storeDir, Fsync: *fsync, SnapshotEvery: *snapN, SyncEpsilon: *syncEps,
+		HistoryWindow: *histWin,
+		MaxInFlight:   *maxInFl, DrainTimeout: *drainTO,
+	})
 	if err != nil {
 		log.Fatalf("dpsync-server: %v", err)
 	}
 	admin := serveAdmin(telemetry.StatusFuncs{
-		Text: func() string { return fmt.Sprintf("role: single-owner server\naddr: %s\n", srv.Addr()) },
+		Text: func() string {
+			var b strings.Builder
+			conns, repl := gw.Live()
+			fmt.Fprintf(&b, "role: standalone gateway\naddr: %s\nowners: %d  conns: %d  repl: %d  sheds: %d\n",
+				gw.Addr(), gw.Owners(), conns, repl, gw.Sheds())
+			var ages []time.Duration
+			if st := gw.Store(); st != nil {
+				if st.Healthy() {
+					b.WriteString("store: healthy\n")
+				} else {
+					b.WriteString("store: UNHEALTHY (group commit error latched; affected tenants suspended until restart)\n")
+				}
+				ages = st.SnapshotAges()
+			}
+			for _, ss := range gw.ShardStatuses() {
+				fmt.Fprintf(&b, "shard %d: committed=%d pending_wal=%d", ss.Shard, ss.Committed, ss.PendingWAL)
+				if ss.Shard < len(ages) {
+					if ages[ss.Shard] < 0 {
+						b.WriteString(" last_snapshot=never")
+					} else {
+						fmt.Fprintf(&b, " last_snapshot=%s ago", ages[ss.Shard].Round(time.Millisecond))
+					}
+				}
+				b.WriteString("\n")
+			}
+			return b.String()
+		},
+		ReadyFn: func() (bool, string) {
+			if st := gw.Store(); st != nil && !st.Healthy() {
+				return false, "WAL writer reported a commit error"
+			}
+			return true, "serving"
+		},
 	})
-	logger.Info("listening", "addr", srv.Addr())
+	if *storeDir != "" {
+		info := gw.Recovery()
+		logger.Info("durable store recovered", "dir", *storeDir,
+			"owners", info.Owners, "snapshots", info.Snapshots, "entries", info.Entries)
+	}
+	logger.Info("gateway listening", "addr", gw.Addr())
+	closed := make(chan struct{})
 	go func() {
+		defer close(closed)
 		<-done
-		pat := srv.ObservedPattern()
-		logger.Info("shutting down", "observed_pattern", pat.String())
-		_ = srv.Close()
+		logger.Info("draining", "owners", gw.Owners())
+		// Close waits for in-flight connections and shard work, then
+		// flushes and closes the WAL — the graceful-drain contract the
+		// in-process gateway regression test pins.
+		if err := gw.Close(); err != nil {
+			logger.Error("shutdown error", "err", err)
+		}
+		if m, ok := gw.StoreMetrics(); ok {
+			logger.Info("WAL flushed", "entries", m.Appends, "commits", m.Commits, "rotations", m.Snapshots)
+		}
+		if n := gw.Sheds(); n > 0 {
+			logger.Info("backpressure sheds", "count", n)
+		}
 	}()
-	if err := srv.Serve(); err != nil {
+	if err := gw.Serve(); err != nil {
 		log.Fatalf("dpsync-server: serve: %v", err)
 	}
+	<-closed
 	if admin != nil {
 		_ = admin.Close()
 	}

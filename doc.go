@@ -126,33 +126,37 @@
 //
 // # Serving architecture
 //
-// The networked deployment has two servers. internal/server is the
-// single-owner demo: one ObliDB store, JSON frames, one request per round
-// trip. internal/gateway is the multi-tenant serving layer: one TCP
-// endpoint hosting thousands of owners, each in its own namespace with its
-// own encrypted store, update-pattern transcript, and logical clock. Three
-// rules define it:
+// The networked deployment has one server, one client, and one codec.
+// internal/gateway is the serving layer: one TCP endpoint hosting thousands
+// of owners, each in its own namespace with its own encrypted store,
+// update-pattern transcript, and logical clock; the paper's single-owner
+// deployment is that gateway with one tenant (cmd/dpsync-owner and
+// cmd/dpsync-analyst name the namespace with -owner). The single-owner
+// stack survives only as internal/refdb, the transport-free oracle the
+// differential tests compare against. Three rules define the gateway:
 //
 // Shard by owner. Owner IDs hash onto a fixed set of shard workers (bounded
 // by GOMAXPROCS) and each worker owns its tenants' state outright — one
 // owner's requests always execute on one goroutine, so per-owner operations
 // are serialized without a tenant lock and unrelated owners never contend.
 //
-// Negotiate the codec. Connections open with a version byte: the JSON codec
-// stays as the debug/compat encoding, the binary codec (length-prefixed
-// fields, no base64 expansion of sealed ciphertexts) carries the hot path.
-// Frames are multiplexed envelopes — request ID plus owner namespace — and
-// the pipelined client (client.DialGateway) keeps a window of requests in
-// flight per connection, matching responses by ID with per-owner FIFO
-// ordering, so one connection carries many owners' sync batches. Both
-// substrates serve unchanged behind the gateway: enclave-style backends
-// ingest sealed ciphertexts verbatim, aggregation-service backends (Cryptε,
-// including true-crypto WithRealAHE instances) receive records through the
-// gateway's ingress sealer.
+// One binary codec. Connections open with a hello — protocol magic plus a
+// version byte — and every payload is the binary codec's (length-prefixed
+// fields, no base64 expansion of sealed ciphertexts; its field primitives
+// are internal/binfmt, shared with the on-disk formats). A hello proposing
+// any other codec byte is acked with the binary one; there is nothing to
+// negotiate down to. Frames are multiplexed envelopes — request ID plus
+// owner namespace — and the pipelined client (client.DialGateway) keeps a
+// window of requests in flight per connection, matching responses by ID
+// with per-owner FIFO ordering, so one connection carries many owners' sync
+// batches. Both substrates serve unchanged behind the gateway: enclave-style
+// backends ingest sealed ciphertexts verbatim, aggregation-service backends
+// (Cryptε, including true-crypto WithRealAHE instances) receive records
+// through the gateway's ingress sealer.
 //
 // Per-owner transcripts are isolated. Each tenant's observed update pattern
-// is bit-identical to what the single-owner server would have recorded for
-// that owner's request stream alone — a differential test pins this — so
+// is bit-identical to what the single-owner reference records for that
+// owner's request stream alone — a differential test pins this — so
 // per-owner DP accounting survives multi-tenancy: the operator sees a union
 // of transcripts, each independently carrying its owner's ε guarantee.
 // cmd/dpsync-loadgen drives N owners × T ticks against a live gateway and
@@ -167,7 +171,7 @@
 // re-applies syncs double-spends it and re-emits transcript events —
 // distorting the very update pattern the mechanism hides. internal/store
 // makes tenant state durable and crash-consistent; gateway.Config.StoreDir
-// (cmd/dpsync-server -multi -store) turns it on.
+// (cmd/dpsync-server -store) turns it on.
 //
 // Spend before sync. Every sync writes one WAL entry — the sealed
 // ciphertexts, the owner's upload tick, and the ledger charge, together —
@@ -270,9 +274,10 @@
 // Reply queues are sized so a shard worker can always deliver a response
 // without blocking: a slow or dead tenant sheds its own load and an
 // unrelated tenant on the same shard keeps bounded latency (pinned by a
-// fairness regression test). Writes carry deadlines on both server paths
-// (binary and JSON), and Gateway.Close severs connections that outlive the
-// drain deadline instead of waiting on them forever.
+// fairness regression test). Every response write carries a deadline
+// (gateway.Config.WriteTimeout: a peer that stops reading is severed, not
+// waited on), and Gateway.Close severs connections that outlive the drain
+// deadline instead of waiting on them forever.
 //
 // Fault injection. internal/faultnet wraps net.Conn in seeded,
 // deterministic fault schedules — connection resets, torn mid-frame writes,
@@ -295,7 +300,8 @@
 // The primary serves and ships. Exactly one node — the holder of an
 // election lease — runs the full gateway; a replication hub taps its
 // durable commit stream and ships every committed WAL entry, in commit
-// order, over a negotiated wire codec to connected followers, each entry
+// order, to connected followers (one replication protocol version; a
+// follower proposing another is refused, not negotiated down), each entry
 // tagged with a per-shard stream offset (the shard's committed entry
 // count). Followers resume from their last applied offset cursor; a
 // follower whose cursor has fallen off the primary's bounded catch-up ring
@@ -405,9 +411,9 @@
 // the gateway root; queue-wait and apply on the shard worker; wal-flush
 // (one shared span per group commit) with a wal-commit child per entry;
 // repl-ship on the replication sender; follower-apply on the far node,
-// which joins the same trace through the trace ID and parent span the
-// negotiated v2 replication codec carries (v1 peers negotiate the traced
-// frames away, so mixed-version clusters keep replicating untraced). The
+// which joins the same trace through the trace ID and parent span a sampled
+// entry's replication frame carries (the hub frames each entry once: the
+// traced kind if its sync was sampled, the plain kind otherwise). The
 // sampling rule is one atomic add per admitted request — 1 in
 // -trace-sample (default 64) requests record spans, an unsampled request
 // allocates nothing — and any sync crossing the slow threshold (50ms) is

@@ -1,3 +1,9 @@
+// Package client provides the owner- and analyst-side network client. An
+// OwnerSession implements edb.Database over the wire protocol, so the whole
+// DP-Sync stack (core.Owner, strategies, cache) runs unchanged against a
+// remote gateway: records are sealed locally before transmission, and the
+// session keeps the true real/dummy storage accounting that the server, by
+// design, cannot.
 package client
 
 import (
@@ -49,12 +55,14 @@ const (
 // cannot heal and fails loudly instead of silently forking history.
 const DefaultResyncWindow = 256
 
+// codec is the one payload encoding the client proposes and speaks.
+const codec = wire.CodecBinary
+
 // GatewayConn is a pipelined, multiplexed connection to a multi-tenant
-// gateway. Unlike Client (one request per round trip under one mutex), many
-// goroutines — and many owners — share one GatewayConn concurrently: each
-// request carries a fresh ID, responses are matched back by ID, and frame
-// writes are serialized so the gateway observes each owner's requests in
-// send order (per-owner FIFO).
+// gateway. Many goroutines — and many owners — share one GatewayConn
+// concurrently: each request carries a fresh ID, responses are matched back
+// by ID, and frame writes are serialized so the gateway observes each
+// owner's requests in send order (per-owner FIFO).
 //
 // With WithReconnect, a lost transport is redialed automatically (capped
 // exponential backoff + jitter) and every in-flight request is replayed in
@@ -70,7 +78,6 @@ type GatewayConn struct {
 	addrs       []string // rotation order; addrs[addrIdx] is the last good one
 	addrIdx     int      // touched only by the single dialing goroutine
 	dialer      func(addr string) (net.Conn, error)
-	proposed    wire.Codec
 	reconnect   bool
 	maxAttempts int
 	resyncWin   int
@@ -82,7 +89,6 @@ type GatewayConn struct {
 
 	mu           sync.Mutex
 	conn         net.Conn
-	codec        wire.Codec    // negotiated for the current transport
 	epoch        uint64        // increments per successful (re)dial; stale failures are ignored
 	gate         chan struct{} // closed = sends may proceed; replaced while reconnecting
 	reconnecting bool
@@ -100,10 +106,9 @@ type GatewayConn struct {
 	// replay — reads are side-effect free, so on ANY replica trouble the
 	// caller just falls back to the primary). Lazy-dialed on first replica
 	// read, redialed on the next read after a failure.
-	rmu    sync.Mutex
-	rconn  net.Conn
-	rcodec wire.Codec
-	rid    uint64 // replica request IDs, independent of the primary stream
+	rmu   sync.Mutex
+	rconn net.Conn
+	rid   uint64 // replica request IDs, independent of the primary stream
 
 	replicaServed    atomic.Int64
 	replicaStale     atomic.Int64
@@ -122,7 +127,6 @@ type pendingReq struct {
 type GatewayOption func(*gatewayOpts)
 
 type gatewayOpts struct {
-	codec       wire.Codec
 	window      int
 	reconnect   bool
 	maxAttempts int
@@ -130,12 +134,6 @@ type gatewayOpts struct {
 	addrs       []string
 	resyncWin   int
 	readAddr    string
-}
-
-// WithCodec proposes a payload codec (default: binary). The gateway may
-// downgrade; Codec reports the negotiated result.
-func WithCodec(c wire.Codec) GatewayOption {
-	return func(o *gatewayOpts) { o.codec = c }
 }
 
 // WithWindow sets the in-flight request window (default DefaultWindow).
@@ -197,10 +195,10 @@ func WithResyncWindow(n int) GatewayOption {
 	}
 }
 
-// DialGateway connects to a gateway, negotiates the codec, and starts the
+// DialGateway connects to a gateway, runs the hello exchange, and starts the
 // demultiplexing reader.
 func DialGateway(addr string, key []byte, opts ...GatewayOption) (*GatewayConn, error) {
-	o := gatewayOpts{codec: wire.CodecBinary, window: DefaultWindow, maxAttempts: DefaultReconnectAttempts, resyncWin: DefaultResyncWindow}
+	o := gatewayOpts{window: DefaultWindow, maxAttempts: DefaultReconnectAttempts, resyncWin: DefaultResyncWindow}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -215,7 +213,6 @@ func DialGateway(addr string, key []byte, opts ...GatewayOption) (*GatewayConn, 
 		sealer:      s,
 		addrs:       append([]string{addr}, o.addrs...),
 		dialer:      o.dialer,
-		proposed:    o.codec,
 		reconnect:   o.reconnect,
 		maxAttempts: o.maxAttempts,
 		resyncWin:   o.resyncWin,
@@ -224,12 +221,12 @@ func DialGateway(addr string, key []byte, opts ...GatewayOption) (*GatewayConn, 
 		gate:        closedGate(),
 		pending:     map[uint64]*pendingReq{},
 	}
-	conn, codec, err := c.dialTransport()
+	conn, err := c.dialTransport()
 	if err != nil {
 		return nil, err
 	}
-	c.conn, c.codec, c.epoch = conn, codec, 1
-	go c.readLoop(conn, codec, 1)
+	c.conn, c.epoch = conn, 1
+	go c.readLoop(conn, 1)
 	return c, nil
 }
 
@@ -242,50 +239,44 @@ func closedGate() chan struct{} {
 // dialTransport finds a serving gateway: it tries the address list starting
 // from the last good entry, skipping nodes that are unreachable or refuse
 // the hello (wire.ErrNotPrimary — a cluster follower). Shared by
-// DialGateway and the reconnect path so negotiation cannot diverge between
+// DialGateway and the reconnect path so the handshake cannot diverge between
 // them; called from one goroutine at a time (init, then the single redial),
 // which is what lets addrIdx go unlocked.
-func (c *GatewayConn) dialTransport() (net.Conn, wire.Codec, error) {
+func (c *GatewayConn) dialTransport() (net.Conn, error) {
 	var lastErr error
 	for i := range c.addrs {
 		idx := (c.addrIdx + i) % len(c.addrs)
-		conn, codec, err := c.dialOne(c.addrs[idx])
+		conn, err := c.dialOne(c.addrs[idx])
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		c.addrIdx = idx
-		return conn, codec, nil
+		return conn, nil
 	}
-	return nil, 0, lastErr
+	return nil, lastErr
 }
 
 // dialOne dials a single address and runs the hello exchange under a
 // deadline, so one wedged node cannot stall the rotation.
-func (c *GatewayConn) dialOne(addr string) (net.Conn, wire.Codec, error) {
+func (c *GatewayConn) dialOne(addr string) (net.Conn, error) {
 	conn, err := c.dialer(addr)
 	if err != nil {
-		return nil, 0, fmt.Errorf("client: dial gateway %s: %w", addr, err)
+		return nil, fmt.Errorf("client: dial gateway %s: %w", addr, err)
 	}
 	_ = conn.SetDeadline(time.Now().Add(helloTimeout))
-	if err := wire.WriteHello(conn, c.proposed); err != nil {
+	if err := wire.WriteHello(conn, codec); err != nil {
 		conn.Close()
-		return nil, 0, err
+		return nil, err
 	}
-	accepted, err := wire.ReadHelloAck(conn)
-	if err != nil {
+	// Any ack but the codec proposed is an error: there is nothing to
+	// negotiate down to.
+	if _, err := wire.ReadHelloAck(conn); err != nil {
 		conn.Close()
-		return nil, 0, fmt.Errorf("client: gateway hello %s: %w", addr, err)
+		return nil, fmt.Errorf("client: gateway hello %s: %w", addr, err)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	return conn, accepted, nil
-}
-
-// Codec returns the currently negotiated payload codec.
-func (c *GatewayConn) Codec() wire.Codec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.codec
+	return conn, nil
 }
 
 // Close terminates the connection; in-flight requests fail and no reconnect
@@ -365,21 +356,20 @@ func (c *GatewayConn) replicaRoundTrip(owner string, req wire.Request) (wire.Res
 			return wire.Response{}, fmt.Errorf("client: dial read replica %s: %w", c.readAddr, err)
 		}
 		_ = conn.SetDeadline(time.Now().Add(helloTimeout))
-		if err := wire.WriteReadHello(conn, c.proposed); err != nil {
+		if err := wire.WriteReadHello(conn, codec); err != nil {
 			conn.Close()
 			return wire.Response{}, err
 		}
-		accepted, err := wire.ReadHelloAck(conn)
-		if err != nil {
+		if _, err := wire.ReadHelloAck(conn); err != nil {
 			conn.Close()
 			return wire.Response{}, fmt.Errorf("client: replica hello %s: %w", c.readAddr, err)
 		}
 		_ = conn.SetDeadline(time.Time{})
-		c.rconn, c.rcodec = conn, accepted
+		c.rconn = conn
 	}
 	c.rid++
 	id := c.rid
-	payload, err := c.rcodec.EncodeGatewayRequest(wire.GatewayRequest{ID: id, Owner: owner, Req: req})
+	payload, err := codec.EncodeGatewayRequest(wire.GatewayRequest{ID: id, Owner: owner, Req: req})
 	if err != nil {
 		return wire.Response{}, err
 	}
@@ -397,7 +387,7 @@ func (c *GatewayConn) replicaRoundTrip(owner string, req wire.Request) (wire.Res
 		return sever(fmt.Errorf("client: replica read: %w", err))
 	}
 	c.bytesIn.Add(int64(len(in)) + 4)
-	gr, err := c.rcodec.DecodeGatewayResponse(in)
+	gr, err := codec.DecodeGatewayResponse(in)
 	if err != nil {
 		return sever(err)
 	}
@@ -412,7 +402,7 @@ func (c *GatewayConn) replicaRoundTrip(owner string, req wire.Request) (wire.Res
 
 // readLoop demultiplexes responses to their waiting senders by request ID.
 // One readLoop runs per transport epoch; a stale epoch's failure is ignored.
-func (c *GatewayConn) readLoop(conn net.Conn, codec wire.Codec, epoch uint64) {
+func (c *GatewayConn) readLoop(conn net.Conn, epoch uint64) {
 	for {
 		payload, err := wire.ReadFrame(conn)
 		if err != nil {
@@ -490,7 +480,7 @@ func (c *GatewayConn) redial(cause error) {
 		if dead {
 			return
 		}
-		conn, codec, err := c.dialTransport()
+		conn, err := c.dialTransport()
 		if err != nil {
 			lastErr = err
 			continue
@@ -504,7 +494,7 @@ func (c *GatewayConn) redial(cause error) {
 			conn.Close()
 			return
 		}
-		c.conn, c.codec = conn, codec
+		c.conn = conn
 		c.epoch++
 		epoch := c.epoch
 		ids := make([]uint64, 0, len(c.pending))
@@ -519,16 +509,23 @@ func (c *GatewayConn) redial(cause error) {
 		}
 		c.mu.Unlock()
 
-		if err := c.writeAll(conn, codec, replay); err != nil {
+		if err := c.writeAll(conn, replay); err != nil {
 			lastErr = err
 			conn.Close()
 			continue
 		}
-		go c.readLoop(conn, codec, epoch)
 		c.mu.Lock()
+		if c.closed || c.err != nil {
+			// Close won the race while the replay was being written: it has
+			// already failed the waiters and opened the gate.
+			c.mu.Unlock()
+			conn.Close()
+			return
+		}
 		c.reconnecting = false
 		close(c.gate)
 		c.mu.Unlock()
+		go c.readLoop(conn, epoch)
 		c.reconnects.Add(1)
 		c.reconnectNs.Add(time.Since(start).Nanoseconds())
 		return
@@ -536,7 +533,7 @@ func (c *GatewayConn) redial(cause error) {
 }
 
 // writeAll replays the given requests in order under the write lock.
-func (c *GatewayConn) writeAll(conn net.Conn, codec wire.Codec, reqs []wire.GatewayRequest) error {
+func (c *GatewayConn) writeAll(conn net.Conn, reqs []wire.GatewayRequest) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	for _, greq := range reqs {
@@ -604,7 +601,7 @@ func (c *GatewayConn) send(owner string, req wire.Request) (ch <-chan wire.Respo
 		id := c.nextID.Add(1)
 		rch := make(chan wire.Response, 1)
 		c.pending[id] = &pendingReq{owner: owner, req: req, ch: rch}
-		conn, codec, epoch := c.conn, c.codec, c.epoch
+		conn, epoch := c.conn, c.epoch
 		c.mu.Unlock()
 
 		forget := func() {
@@ -831,10 +828,12 @@ func (s *OwnerSession) info() (scheme string, leak edb.LeakageClass, width int64
 	return scheme, leak, width
 }
 
+// obliBlockBytes mirrors oblidb.BlockBytes; the client mirrors the widths
+// rather than importing server-side packages.
+const obliBlockBytes = 1024
+
 // outsourcedWidth maps a backend scheme to its per-record outsourced width
-// for owner-side storage accounting (see edb.StorageStats). Mirrored
-// constants, like obliBlockBytes, to keep the client free of server-side
-// imports.
+// for owner-side storage accounting (see edb.StorageStats).
 func outsourcedWidth(scheme string) int64 {
 	switch scheme {
 	case "ObliDB":

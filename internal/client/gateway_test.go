@@ -291,8 +291,8 @@ func TestGatewayConnFailurePropagates(t *testing.T) {
 	_ = gw
 }
 
-// TestGatewayConnSurvivesServerError mirrors the single-owner client test:
-// an application-level error must not poison the multiplexed connection.
+// TestGatewayConnSurvivesServerError pins that an application-level error is
+// surfaced to the caller without poisoning the multiplexed connection.
 func TestGatewayConnSurvivesServerError(t *testing.T) {
 	gw, key := startGateway(t, gateway.Config{})
 	conn, err := DialGateway(gw.Addr(), key)
@@ -307,5 +307,20 @@ func TestGatewayConnSurvivesServerError(t *testing.T) {
 	if err := own.Setup(nil); err != nil {
 		t.Fatalf("connection unusable after server error: %v", err)
 	}
+	if err := own.Setup(nil); err == nil {
+		t.Error("double setup accepted")
+	}
+	if err := own.Update([]record.Record{{PickupTime: 1, PickupID: 1, Provider: record.YellowCab}}); err != nil {
+		t.Fatalf("connection unusable after refused setup: %v", err)
+	}
 	_ = gw
+}
+
+func TestDialGatewayErrors(t *testing.T) {
+	if _, err := DialGateway("127.0.0.1:1", make([]byte, 32)); err == nil {
+		t.Error("dial to dead port succeeded")
+	}
+	if _, err := DialGateway("127.0.0.1:0", []byte("short")); err == nil {
+		t.Error("bad key accepted")
+	}
 }

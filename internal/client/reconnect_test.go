@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -113,5 +114,57 @@ func TestReconnectExhaustionFailsFast(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("post-exhaustion failure took %v, want immediate", elapsed)
+	}
+}
+
+// hookConn runs onWrite before every write after the hello (the hello is the
+// first write of a transport); a true return swallows the write as if the
+// kernel had buffered it.
+type hookConn struct {
+	net.Conn
+	writes  int
+	onWrite func() (swallow bool)
+}
+
+func (h *hookConn) Write(p []byte) (int, error) {
+	h.writes++
+	if h.writes > 1 && h.onWrite() {
+		return len(p), nil
+	}
+	return h.Conn.Write(p)
+}
+
+// TestCloseDuringReplay pins Close racing the tail of a reconnect: the
+// caller closes the connection after the redial has snapshotted its replay
+// set and while the replay is being written. Close has then already opened
+// the send gate, so the redial must stand down instead of opening it again
+// (which used to panic the process with "close of closed channel").
+func TestCloseDuringReplay(t *testing.T) {
+	gw, key := startGateway(t, gateway.Config{})
+	var conn *GatewayConn
+	dials := 0
+	dial := func(addr string) (net.Conn, error) {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		dials++
+		if dials == 1 {
+			// First transport: die on the first request, leaving it pending.
+			return &hookConn{Conn: nc, onWrite: func() bool { nc.Close(); return false }}, nil
+		}
+		// Redialed transport: the caller closes mid-replay, and the replay
+		// write still "succeeds".
+		return &hookConn{Conn: nc, onWrite: func() bool { conn.Close(); return true }}, nil
+	}
+	conn, err := DialGateway(gw.Addr(), key, WithReconnect(0), WithDialer(dial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Owner("owner-race").Setup(nil); err == nil {
+		t.Fatal("setup succeeded on a connection closed mid-replay")
+	}
+	if n, _ := conn.ReconnectStats(); n != 0 {
+		t.Fatalf("%d reconnects recorded; the closed connection must not come back", n)
 	}
 }

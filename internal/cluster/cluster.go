@@ -712,7 +712,7 @@ func (n *Node) refuseLoop(stop, done chan struct{}) {
 		go func() {
 			defer conn.Close()
 			_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-			kind, proposed, err := wire.ReadAnyHello(conn)
+			kind, _, err := wire.ReadAnyHello(conn)
 			if err != nil {
 				return
 			}
@@ -725,7 +725,7 @@ func (n *Node) refuseLoop(stop, done chan struct{}) {
 				n.mu.Unlock()
 				if plane != nil {
 					_ = conn.SetDeadline(time.Time{})
-					plane.serve(conn, proposed)
+					plane.serve(conn)
 					return
 				}
 			}

@@ -15,8 +15,8 @@ import (
 	"dpsync/internal/faultnet"
 	"dpsync/internal/gateway"
 	"dpsync/internal/record"
+	"dpsync/internal/refdb"
 	"dpsync/internal/seal"
-	"dpsync/internal/server"
 	"dpsync/internal/strategy"
 )
 
@@ -200,7 +200,7 @@ func TestClusterReplicationAndPromotionSmoke(t *testing.T) {
 // the client and replication paths; a follower promotes, the surviving
 // clients finish the trace against it, and every owner's transcript and
 // ε ledger must end bit-identical to an uninterrupted single-owner
-// internal/server run — no lost committed sync, no double-charged ε, no
+// internal/refdb run — no lost committed sync, no double-charged ε, no
 // phantom transcript event.
 func TestClusterFailoverDifferential(t *testing.T) {
 	key, err := seal.NewRandomKey()
@@ -215,16 +215,11 @@ func TestClusterFailoverDifferential(t *testing.T) {
 	wantPatterns := map[string]string{}
 	wantLedgers := map[string]*dp.Budget{}
 	for i, spec := range specs {
-		srv, err := server.New("127.0.0.1:0", key, nil)
+		ref, err := refdb.New(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		go func() { _ = srv.Serve() }()
-		cl, err := client.Dial(srv.Addr(), key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		owner, err := core.New(core.Config{Strategy: spec.mk(), Database: cl})
+		owner, err := core.New(core.Config{Strategy: spec.mk(), Database: ref})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +237,7 @@ func TestClusterFailoverDifferential(t *testing.T) {
 				t.Fatal(terr)
 			}
 		}
-		pat := srv.ObservedPattern()
+		pat := ref.ObservedPattern()
 		wantPatterns[spec.name] = pat.String()
 		ledger := dp.NewBudget()
 		if err := ledger.Charge("m_setup", failoverSyncEps, dp.Sequential); err != nil {
@@ -254,8 +249,6 @@ func TestClusterFailoverDifferential(t *testing.T) {
 			}
 		}
 		wantLedgers[spec.name] = ledger
-		cl.Close()
-		srv.Close()
 	}
 
 	for _, seed := range []int64{1, 2, 3} {

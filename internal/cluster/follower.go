@@ -70,7 +70,7 @@ type followerCore struct {
 	window    int
 	snapEvery int
 	// tracer records follower-apply fragments for traces the primary
-	// propagated over the traced codec; nil disables (spans are dropped,
+	// propagated in traced entry frames; nil disables (spans are dropped,
 	// frames apply identically).
 	tracer *telemetry.Tracer
 
@@ -139,7 +139,7 @@ func (f *followerCore) tail(conn net.Conn, node string, readTO time.Duration) er
 	if err := wire.WriteReplHello(conn, wire.ReplVersion); err != nil {
 		return err
 	}
-	if _, err := wire.ReadReplHelloAck(conn); err != nil {
+	if err := wire.ReadReplHelloAck(conn); err != nil {
 		return err // wire.ErrNotPrimary passes through typed
 	}
 	cursors := make([]wire.ReplCursor, f.shards)

@@ -82,18 +82,16 @@ type HubStats struct {
 	Snapshots uint64
 }
 
-// replRing is one shard's catch-up buffer: frames[i] is the encoded stream
-// frame for offset head-len(frames)+1+i, and times[i] is that frame's
-// CommitNs — kept parallel so the lag collector can turn a follower's owed
-// suffix into milliseconds without decoding frames. For the sparse sampled
-// entries, traced[i] is the same entry's trace-propagating (v2) encoding and
-// meta[i] the ship-span completion state; both stay nil for unsampled
-// entries, so tracing costs the ring two nil slots per frame.
+// replRing is one shard's catch-up buffer: frames[i] is the one encoded
+// stream frame for offset head-len(frames)+1+i — a ReplEntryTraced frame if
+// the entry's sync was sampled, a ReplEntry frame otherwise — and times[i]
+// is that frame's CommitNs, kept parallel so the lag collector can turn a
+// follower's owed suffix into milliseconds without decoding frames. meta[i]
+// is the ship-span completion state of a sampled entry, nil otherwise.
 type replRing struct {
 	head   uint64
 	frames [][]byte
 	times  []int64
-	traced [][]byte
 	meta   []*shipMeta
 }
 
@@ -116,7 +114,6 @@ func (r *replRing) oldest() uint64 { return r.head - uint64(len(r.frames)) + 1 }
 type hubSub struct {
 	conn    net.Conn
 	node    string // follower's self-reported node ID (labels its lag series)
-	version byte   // negotiated replication codec version
 	cursors []uint64
 	wake    chan struct{} // capacity 1; Committed nudges idle senders
 	dead    chan struct{} // closed when the conn dies (read watchdog)
@@ -301,11 +298,10 @@ func (h *Hub) Followers() []FollowerStatus {
 // entry, on its shard's worker, in commit order. It encodes the stream
 // frame, appends it to the shard's ring, and nudges idle senders — never
 // blocking: a follower that cannot keep up falls off the ring and is healed
-// by a snapshot transfer, not by stalling the commit path. For sampled
-// entries (tc carries a trace, positioned at the wal-commit span) it also
+// by a snapshot transfer, not by stalling the commit path. For a sampled
+// entry (tc carries a trace, positioned at the wal-commit span) it also
 // Allocs the repl-ship span — whose ID crosses the wire as the parent the
-// follower's apply span joins under — and encodes a trace-propagating (v2)
-// sibling frame for followers that negotiated the traced codec.
+// follower's apply span joins under — and the frame is the traced kind.
 func (h *Hub) Committed(sid int, e store.Entry, tc telemetry.TraceContext) {
 	raw, err := store.EncodeEntryFrame(e)
 	if err != nil {
@@ -322,42 +318,28 @@ func (h *Hub) Committed(sid int, e store.Entry, tc telemetry.TraceContext) {
 	}
 	r := &h.rings[sid]
 	commitNs := h.cfg.Clock().UnixNano()
-	payload, err := wire.EncodeReplFrame(wire.ReplFrame{
+	fr := wire.ReplFrame{
 		Kind:     wire.ReplEntry,
 		Shard:    uint32(sid),
 		Offset:   r.head + 1,
 		CommitNs: commitNs,
 		Entry:    raw,
-	})
+	}
+	var meta *shipMeta
+	if id := tc.TraceID(); id != 0 {
+		ship := tc.Alloc()
+		meta = &shipMeta{tc: tc, ship: ship, start: h.cfg.Clock()}
+		fr.Kind, fr.TraceID, fr.ParentSpan = wire.ReplEntryTraced, id, ship
+	}
+	payload, err := wire.EncodeReplFrame(fr)
 	if err != nil {
 		h.mu.Unlock()
 		h.log.Error("cannot frame committed entry", "shard", sid, "err", err)
 		return
 	}
-	var tracedPayload []byte
-	var meta *shipMeta
-	if tc.Sampled() {
-		ship := tc.Alloc()
-		meta = &shipMeta{tc: tc, ship: ship, start: h.cfg.Clock()}
-		tracedPayload, err = wire.EncodeReplFrame(wire.ReplFrame{
-			Kind:       wire.ReplEntryTraced,
-			Shard:      uint32(sid),
-			Offset:     r.head + 1,
-			CommitNs:   commitNs,
-			TraceID:    tc.TraceID(),
-			ParentSpan: ship,
-			Entry:      raw,
-		})
-		if err != nil {
-			// The legacy frame already encoded; ship without the trace.
-			h.log.Warn("cannot frame traced entry; shipping untraced", "shard", sid, "err", err)
-			tracedPayload, meta = nil, nil
-		}
-	}
 	r.head++
 	r.frames = append(r.frames, payload)
 	r.times = append(r.times, commitNs)
-	r.traced = append(r.traced, tracedPayload)
 	r.meta = append(r.meta, meta)
 	if len(r.frames) > h.cfg.RingSize {
 		// Trim from the front; re-copy so the backing array does not pin
@@ -369,9 +351,6 @@ func (h *Hub) Committed(sid int, e store.Entry, tc telemetry.TraceContext) {
 		times := make([]int64, h.cfg.RingSize)
 		copy(times, r.times[drop:])
 		r.times = times
-		traced := make([][]byte, h.cfg.RingSize)
-		copy(traced, r.traced[drop:])
-		r.traced = traced
 		meta := make([]*shipMeta, h.cfg.RingSize)
 		copy(meta, r.meta[drop:])
 		r.meta = meta
@@ -392,17 +371,15 @@ func (h *Hub) ServeConn(conn net.Conn, version byte) {
 	h.mu.Lock()
 	gw, ready := h.gw, !h.closed && h.rings != nil
 	h.mu.Unlock()
-	// Version negotiation: the ack carries min(proposed, ours), so a legacy
-	// follower keeps its v1 stream and a newer one is capped at what this
-	// primary speaks. Version 0 is not a protocol.
-	negotiated := wire.NegotiateReplVersion(version)
-	if !ready || negotiated == 0 {
+	// No negotiation: a follower on any other replication version is
+	// refused, the same answer a non-primary gives.
+	if !ready || version != wire.ReplVersion {
 		_ = conn.SetWriteDeadline(time.Now().Add(replHandshakeTimeout))
 		_ = wire.WriteHelloRefused(conn)
 		return
 	}
 	_ = conn.SetWriteDeadline(time.Now().Add(replHandshakeTimeout))
-	if err := wire.WriteReplHelloAck(conn, negotiated); err != nil {
+	if err := wire.WriteReplHelloAck(conn, wire.ReplVersion); err != nil {
 		return
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(replHandshakeTimeout))
@@ -439,7 +416,7 @@ func (h *Hub) ServeConn(conn net.Conn, version byte) {
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 
-	sub := &hubSub{conn: conn, node: join.Node, version: negotiated, cursors: cursors, wake: make(chan struct{}, 1), dead: make(chan struct{})}
+	sub := &hubSub{conn: conn, node: join.Node, cursors: cursors, wake: make(chan struct{}, 1), dead: make(chan struct{})}
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
@@ -481,11 +458,10 @@ func (h *Hub) needsSnapshotLocked(sid int, cursor uint64) bool {
 }
 
 // collect gathers up to senderBatch ring frames the follower is owed and
-// advances its cursors. Followers on the traced codec get the trace-
-// propagating encoding for sampled entries; metas are the ship spans the
-// sender must complete once the frames are on the wire. resnap reports any
-// shard that has meanwhile fallen off the ring (the caller runs a snapshot
-// pass before waiting).
+// advances its cursors; metas are the ship spans of the sampled entries
+// among them, which the sender completes once the frames are on the wire.
+// resnap reports any shard that has meanwhile fallen off the ring (the
+// caller runs a snapshot pass before waiting).
 func (h *Hub) collect(sub *hubSub) (frames [][]byte, metas []*shipMeta, resnap bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -507,13 +483,9 @@ func (h *Hub) collect(sub *hubSub) (frames [][]byte, metas []*shipMeta, resnap b
 		if room := senderBatch - len(frames); take > room {
 			take = room
 		}
-		for i := first; i < first+take; i++ {
-			fr := r.frames[i]
-			if sub.version >= wire.ReplVersionTraced && r.traced[i] != nil {
-				fr = r.traced[i]
-			}
-			frames = append(frames, fr)
-			if m := r.meta[i]; m != nil {
+		frames = append(frames, r.frames[first:first+take]...)
+		for _, m := range r.meta[first : first+take] {
+			if m != nil {
 				metas = append(metas, m)
 			}
 		}

@@ -135,11 +135,11 @@ func newReadPlane(cfg Config, fol *followerCore, lg *slog.Logger) (*readPlane, e
 	return p, nil
 }
 
-// serve runs one read-only session: ack the codec (downgrading unknown
-// proposals to the compat codec, like the primary), then answer frames
-// sequentially until the link dies or the plane shuts down. Runs on the
-// per-connection goroutine the follower's accept loop spawned.
-func (p *readPlane) serve(conn net.Conn, proposed byte) {
+// serve runs one read-only session: ack the hello with the one codec this
+// build speaks (like the primary, whatever byte was proposed), then answer
+// frames sequentially until the link dies or the plane shuts down. Runs on
+// the per-connection goroutine the follower's accept loop spawned.
+func (p *readPlane) serve(conn net.Conn) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -156,10 +156,7 @@ func (p *readPlane) serve(conn net.Conn, proposed byte) {
 		p.wg.Done()
 	}()
 
-	codec := wire.Codec(proposed)
-	if !codec.Valid() {
-		codec = wire.CodecJSON
-	}
+	const codec = wire.CodecBinary
 	_ = conn.SetWriteDeadline(time.Now().Add(readPlaneWriteTimeout))
 	if err := wire.WriteHelloAck(conn, codec); err != nil {
 		return
@@ -289,6 +286,15 @@ func (p *readPlane) materialize(st *store.OwnerState) (*readTenant, error) {
 		tn.sealed = si
 	} else if p.sealer == nil {
 		return nil, fmt.Errorf("cluster: read plane: backend %q has no sealed-ingest path and no ingress key is configured", db.Name())
+	}
+	if len(st.Spilled) > 0 {
+		// A ref issued since the shard's last rotation may name bytes still
+		// in the history writer's buffer; StreamHistory reads the segment
+		// files, so push them out first (the hub does the same before a
+		// snapshot transfer).
+		if err := p.fol.st.FlushHistory(store.ShardFor(st.Owner, p.fol.shards)); err != nil {
+			return nil, fmt.Errorf("cluster: read plane: flushing spilled history for owner %q: %w", st.Owner, err)
+		}
 	}
 	if err := p.fol.st.StreamHistory(st, func(bt store.Batch) error {
 		cts := make([]seal.Sealed, len(bt.Sealed))

@@ -14,8 +14,8 @@ import (
 	"dpsync/internal/edb"
 	"dpsync/internal/query"
 	"dpsync/internal/record"
+	"dpsync/internal/refdb"
 	"dpsync/internal/seal"
-	"dpsync/internal/server"
 	"dpsync/internal/wire"
 )
 
@@ -177,7 +177,7 @@ func TestReadPlaneDifferential(t *testing.T) {
 	// Deterministic trace; every update lands in Q1's 50–100 range so the
 	// range count distinguishes each committed prefix.
 	setup := []record.Record{yellow(0, 60), yellow(0, 70)}
-	update := func(i int) []record.Record { return []record.Record{yellow(i, uint16(50 + i))} }
+	update := func(i int) []record.Record { return []record.Record{yellow(i, uint16(50+i))} }
 	if err := wOwn.Setup(setup); err != nil {
 		t.Fatal(err)
 	}
@@ -195,19 +195,12 @@ func TestReadPlaneDifferential(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Single-owner reference: the same batches through the paper's
-	// single-owner server stack.
-	srv, err := server.New("127.0.0.1:0", key, nil)
+	// Single-owner reference: the same batches through the in-process
+	// single-owner stack.
+	ref, err := refdb.New(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = srv.Serve() }()
-	t.Cleanup(func() { _ = srv.Close() })
-	ref, err := client.Dial(srv.Addr(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
 	if err := ref.Setup(setup); err != nil {
 		t.Fatal(err)
 	}
@@ -344,6 +337,77 @@ func TestReadPlaneDifferential(t *testing.T) {
 	}
 	if rp := b.Stats().ReadPlane; rp.Queries == 0 || rp.Stale == 0 {
 		t.Fatalf("read-plane counters unmoved: %+v", rp)
+	}
+}
+
+// TestReadPlaneServesSpilledHistory pins the tiered-follower read path: once
+// an owner's replicated history has spilled past the follower's in-RAM
+// window, a rebuild streams refs whose bytes may still sit in the history
+// writer's buffer (no rotation since the spill). The read plane must flush
+// before streaming — every replica read is served by the follower, none
+// falls back to the primary, and the answer matches the primary's.
+func TestReadPlaneServesSpilledHistory(t *testing.T) {
+	key, err := seal.NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease := cluster.NewMemLease(nil)
+	a := startNode(t, "node-sa", lease, key, failoverTTL, nil)
+	b := startNode(t, "node-sb", lease, key, failoverTTL, nil)
+	if a.Role() != cluster.RolePrimary || b.Role() != cluster.RoleFollower {
+		t.Fatalf("roles: a=%v b=%v", a.Role(), b.Role())
+	}
+	const owner = "owner-spill"
+	conn, err := client.DialGateway(a.Addr(), key, client.WithReadReplica(b.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	own := conn.Owner(owner)
+	if err := own.Setup([]record.Record{yellow(0, 60)}); err != nil {
+		t.Fatal(err)
+	}
+	// startNode's window is 8 and its rotation cadence 16: the replica
+	// spills at this owner's 16th and 24th sync and rotates (flushing the
+	// spill) only at the 16th and 32nd, so after 27 syncs the second spill's
+	// bytes have been referenced but never flushed by a rotation.
+	const syncs = 27
+	for i := 1; i < syncs; i++ {
+		if err := own.Update([]record.Record{yellow(i, uint16(50+i%40))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for b.Stats().Follower.Applied < syncs {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica stuck at %+v", b.Stats().Follower)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	pconn, err := client.DialGateway(a.Addr(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pconn.Close()
+	kinds := []query.Query{query.Q1(), query.Q2(), query.Q3(), query.Q4()}
+	for _, q := range kinds {
+		rAns, rCost, err := own.QueryAt(q, syncs)
+		if err != nil {
+			t.Fatalf("%v via replica: %v", q.Kind, err)
+		}
+		pAns, pCost, err := pconn.Owner(owner).Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := readFingerprint(rAns, rCost), readFingerprint(pAns, pCost); got != want {
+			t.Fatalf("%v: replica diverged from primary:\n got: %s\nwant: %s", q.Kind, got, want)
+		}
+	}
+	served, stale, fallbacks := conn.ReplicaStats()
+	if served != int64(len(kinds)) || stale != 0 || fallbacks != 0 {
+		t.Fatalf("replica stats = served %d stale %d fallbacks %d; every read over spilled history must be follower-served",
+			served, stale, fallbacks)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 	"dpsync/internal/gateway"
 	"dpsync/internal/query"
 	"dpsync/internal/record"
+	"dpsync/internal/refdb"
 	"dpsync/internal/seal"
-	"dpsync/internal/server"
 	"dpsync/internal/strategy"
 	"dpsync/internal/wire"
 )
@@ -71,9 +71,9 @@ func durableOwnerSpecs(t *testing.T) []struct {
 // durability subsystem: the gateway is killed mid-run (no flush, no drain —
 // a crash), restarted from disk, and driven to completion; every tenant's
 // post-recovery transcript must be bit-identical to an uninterrupted
-// single-owner internal/server run of the same trace, and the recovered
-// ε ledger must equal the uninterrupted ledger — no event lost, none
-// re-emitted, no charge double-spent.
+// single-owner reference (internal/refdb) run of the same trace, and the
+// recovered ε ledger must equal the uninterrupted ledger — no event lost,
+// none re-emitted, no charge double-spent.
 func TestDurableCrashDifferential(t *testing.T) {
 	key, err := seal.NewRandomKey()
 	if err != nil {
@@ -102,21 +102,16 @@ func TestDurableCrashDifferential(t *testing.T) {
 	}
 
 	// Uninterrupted reference: each owner alone against the single-owner
-	// server; the expected ledger is one m_setup plus one m_update per
+	// reference; the expected ledger is one m_setup plus one m_update per
 	// observed update event.
 	wantPatterns := map[string]string{}
 	wantLedgers := map[string]*dp.Budget{}
 	for i, spec := range specs {
-		srv, err := server.New("127.0.0.1:0", key, nil)
+		ref, err := refdb.New(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		go func() { _ = srv.Serve() }()
-		cl, err := client.Dial(srv.Addr(), key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		owner, err := core.New(core.Config{Strategy: spec.mk(), Database: cl})
+		owner, err := core.New(core.Config{Strategy: spec.mk(), Database: ref})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +119,7 @@ func TestDurableCrashDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		drive(t, owner, 1, ticks, i)
-		pat := srv.ObservedPattern()
+		pat := ref.ObservedPattern()
 		wantPatterns[spec.name] = pat.String()
 		ledger := dp.NewBudget()
 		if err := ledger.Charge("m_setup", syncEps, dp.Sequential); err != nil {
@@ -136,8 +131,6 @@ func TestDurableCrashDifferential(t *testing.T) {
 			}
 		}
 		wantLedgers[spec.name] = ledger
-		cl.Close()
-		srv.Close()
 	}
 
 	// Crash run: same traces through one durable gateway, interleaved
@@ -248,7 +241,8 @@ func TestDurableCrashDifferential(t *testing.T) {
 // on almost every commit), and a production-shaped window=64 — and every
 // cell must recover by *streaming* whatever history was spilled (recovery
 // never materializes the cold tier) to a per-owner transcript and ε ledger
-// bit-identical to an uninterrupted single-owner internal/server run.
+// bit-identical to an uninterrupted single-owner reference (internal/refdb)
+// run.
 func TestDurableCrashMatrixDifferential(t *testing.T) {
 	key, err := seal.NewRandomKey()
 	if err != nil {
@@ -270,16 +264,11 @@ func TestDurableCrashMatrixDifferential(t *testing.T) {
 	wantPatterns := map[string]string{}
 	wantLedgers := map[string]*dp.Budget{}
 	for i, spec := range specs {
-		srv, err := server.New("127.0.0.1:0", key, nil)
+		ref, err := refdb.New(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		go func() { _ = srv.Serve() }()
-		cl, err := client.Dial(srv.Addr(), key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		owner, err := core.New(core.Config{Strategy: spec.mk(), Database: cl})
+		owner, err := core.New(core.Config{Strategy: spec.mk(), Database: ref})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +286,7 @@ func TestDurableCrashMatrixDifferential(t *testing.T) {
 				t.Fatal(terr)
 			}
 		}
-		pat := srv.ObservedPattern()
+		pat := ref.ObservedPattern()
 		wantPatterns[spec.name] = pat.String()
 		ledger := dp.NewBudget()
 		if err := ledger.Charge("m_setup", syncEps, dp.Sequential); err != nil {
@@ -309,8 +298,6 @@ func TestDurableCrashMatrixDifferential(t *testing.T) {
 			}
 		}
 		wantLedgers[spec.name] = ledger
-		cl.Close()
-		srv.Close()
 	}
 
 	rng := rand.New(rand.NewSource(0xD5717C))
@@ -601,7 +588,7 @@ func TestDurableReadsWaitForCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	codec := wire.CodecJSON
+	codec := wire.CodecBinary
 	if err := wire.WriteHello(conn, codec); err != nil {
 		t.Fatal(err)
 	}

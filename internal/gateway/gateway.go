@@ -20,14 +20,15 @@
 //
 // # Isolation invariant
 //
-// Each tenant's update-pattern transcript is exactly what the single-owner
-// internal/server would have observed for that owner's request stream: the
+// Each tenant's update-pattern transcript is exactly what a server hosting
+// that owner alone would have observed for the owner's request stream: the
 // per-owner logical clock advances only on that owner's uploads, and no
 // other tenant's traffic can perturb it. The differential test in this
-// package pins the transcripts bit-identical. This is the property that
-// makes per-owner DP accounting meaningful on shared infrastructure — the
-// adversary (the gateway operator) sees the union of per-owner transcripts,
-// and each one independently carries its owner's ε guarantee.
+// package pins the transcripts bit-identical to the in-process single-owner
+// reference (internal/refdb). This is the property that makes per-owner DP
+// accounting meaningful on shared infrastructure — the adversary (the
+// gateway operator) sees the union of per-owner transcripts, and each one
+// independently carries its owner's ε guarantee.
 //
 // # Substrates
 //
@@ -63,8 +64,7 @@ import (
 	"dpsync/internal/wire"
 )
 
-// Defaults mirroring internal/server's connection hardening, plus the
-// gateway-specific knobs.
+// Connection-hardening and flow-control defaults.
 const (
 	// DefaultMaxOwners bounds distinct tenant namespaces so a hostile
 	// client cannot allocate unbounded backend state.
@@ -984,12 +984,9 @@ func (g *Gateway) handle(conn net.Conn) {
 	// the typed not-primary refusal so a misrouted writer fails loudly
 	// instead of mutating state over a connection negotiated as read-only.
 	readOnly := kind == wire.HelloRead
-	codec := wire.Codec(versionByte)
-	if !codec.Valid() {
-		// Unknown proposal: downgrade to the compat codec rather than
-		// refusing a newer client.
-		codec = wire.CodecJSON
-	}
+	// Whatever codec byte the hello proposed, the ack names the one codec
+	// this build speaks; a client that cannot speak it hangs up.
+	const codec = wire.CodecBinary
 	if err := wire.WriteHelloAck(conn, codec); err != nil {
 		return
 	}

@@ -16,8 +16,8 @@ import (
 	"dpsync/internal/gateway"
 	"dpsync/internal/query"
 	"dpsync/internal/record"
+	"dpsync/internal/refdb"
 	"dpsync/internal/seal"
-	"dpsync/internal/server"
 	"dpsync/internal/strategy"
 	"dpsync/internal/wire"
 )
@@ -46,62 +46,55 @@ func yellow(tick int, id uint16) record.Record {
 	return record.Record{PickupTime: record.Tick(tick), PickupID: id, Provider: record.YellowCab}
 }
 
-func TestGatewayEndToEndBothCodecs(t *testing.T) {
-	for _, codec := range []wire.Codec{wire.CodecJSON, wire.CodecBinary} {
-		t.Run(codec.String(), func(t *testing.T) {
-			gw, key := startGateway(t, gateway.Config{})
-			conn, err := client.DialGateway(gw.Addr(), key, client.WithCodec(codec))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			if conn.Codec() != codec {
-				t.Fatalf("negotiated %v, want %v", conn.Codec(), codec)
-			}
-			own := conn.Owner("owner-1")
-			if err := own.Setup([]record.Record{yellow(0, 60), yellow(0, 70)}); err != nil {
-				t.Fatal(err)
-			}
-			if err := own.Update([]record.Record{yellow(1, 80), record.NewDummy(record.YellowCab)}); err != nil {
-				t.Fatal(err)
-			}
-			ans, cost, err := own.Query(query.Q1())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ans.Scalar != 3 {
-				t.Errorf("Q1 = %v, want 3", ans.Scalar)
-			}
-			if cost.RecordsScanned != 4 {
-				t.Errorf("scanned = %d, want full store", cost.RecordsScanned)
-			}
-			// Owner-side stats know the split; the gateway's view cannot.
-			if st := own.Stats(); st.RealRecords != 3 || st.DummyRecords != 1 {
-				t.Errorf("owner stats = %+v", st)
-			}
-			remote, err := own.RemoteStats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if remote.Records != 4 || remote.Scheme != "ObliDB" {
-				t.Errorf("remote stats = %+v", remote)
-			}
-			if own.Name() != "ObliDB-gateway" || own.Leakage() != edb.L0 {
-				t.Errorf("identity = %q/%v", own.Name(), own.Leakage())
-			}
-			pat := gw.ObservedPattern("owner-1")
-			if pat.Updates() != 2 || pat.Events[1].Volume != 2 {
-				t.Errorf("observed pattern = %s", pat.String())
-			}
-		})
+func TestGatewayEndToEnd(t *testing.T) {
+	gw, key := startGateway(t, gateway.Config{})
+	conn, err := client.DialGateway(gw.Addr(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	own := conn.Owner("owner-1")
+	if err := own.Setup([]record.Record{yellow(0, 60), yellow(0, 70)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := own.Update([]record.Record{yellow(1, 80), record.NewDummy(record.YellowCab)}); err != nil {
+		t.Fatal(err)
+	}
+	ans, cost, err := own.Query(query.Q1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Scalar != 3 {
+		t.Errorf("Q1 = %v, want 3", ans.Scalar)
+	}
+	if cost.RecordsScanned != 4 {
+		t.Errorf("scanned = %d, want full store", cost.RecordsScanned)
+	}
+	// Owner-side stats know the split; the gateway's view cannot.
+	if st := own.Stats(); st.RealRecords != 3 || st.DummyRecords != 1 || st.Bytes != 4*1024 || st.Updates != 2 {
+		t.Errorf("owner stats = %+v", st)
+	}
+	remote, err := own.RemoteStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if remote.Records != 4 || remote.Scheme != "ObliDB" {
+		t.Errorf("remote stats = %+v", remote)
+	}
+	if own.Name() != "ObliDB-gateway" || own.Leakage() != edb.L0 {
+		t.Errorf("identity = %q/%v", own.Name(), own.Leakage())
+	}
+	pat := gw.ObservedPattern("owner-1")
+	if pat.Updates() != 2 || pat.Events[1].Volume != 2 {
+		t.Errorf("observed pattern = %s", pat.String())
 	}
 }
 
 // TestTranscriptDifferential is the acceptance-criteria differential test:
 // for the same owner trace, the transcript each gateway tenant accumulates
-// must be bit-identical to the transcript the single-owner internal/server
-// observes — multi-tenancy must add nothing to and remove nothing from the
-// per-owner leakage.
+// must be bit-identical to the transcript the in-process single-owner
+// reference (internal/refdb) observes — multi-tenancy must add nothing to
+// and remove nothing from the per-owner leakage.
 func TestTranscriptDifferential(t *testing.T) {
 	key, err := seal.NewRandomKey()
 	if err != nil {
@@ -161,22 +154,15 @@ func TestTranscriptDifferential(t *testing.T) {
 		return owner
 	}
 
-	// Reference: each owner alone against the single-owner server.
+	// Reference: each owner alone against the single-owner reference.
 	wantPatterns := map[string]string{}
 	for i, spec := range specs {
-		srv, err := server.New("127.0.0.1:0", key, nil)
+		ref, err := refdb.New(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		go func() { _ = srv.Serve() }()
-		cl, err := client.Dial(srv.Addr(), key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drive(t, cl, spec.mk(), i)
-		wantPatterns[spec.name] = srv.ObservedPattern().String()
-		cl.Close()
-		srv.Close()
+		drive(t, ref, spec.mk(), i)
+		wantPatterns[spec.name] = ref.ObservedPattern().String()
 	}
 
 	// Same traces through one shared gateway over one multiplexed
@@ -222,7 +208,7 @@ func TestTranscriptDifferential(t *testing.T) {
 		}
 		// And the gateway transcript carries the owner's full upload-volume
 		// sequence (the server indexes events by update sequence, not by
-		// owner tick — it has no tick source; same as internal/server).
+		// owner tick — it has no tick source; same as the reference).
 		want := owners[i].Pattern()
 		if got.Updates() != want.Updates() {
 			t.Errorf("%s: gateway saw %d updates, owner posted %d", spec.name, got.Updates(), want.Updates())
@@ -358,7 +344,7 @@ func TestGatewayOwnerIsolation(t *testing.T) {
 		t.Errorf("cross-tenant bleed: a=%v b=%v", ansA.Total(), ansB.Total())
 	}
 	// Transcripts are per-owner; the refused pre-setup update was never
-	// observed (it mirrors the single-owner server: observe after success).
+	// observed (it mirrors the single-owner reference: observe after success).
 	pa, pb := gw.ObservedPattern("owner-a"), gw.ObservedPattern("owner-b")
 	if pa.Updates() != 1 || pa.Events[0].Volume != 1 {
 		t.Errorf("owner-a pattern: %s", pa.String())
@@ -543,28 +529,33 @@ func TestGatewayRejectsBadHello(t *testing.T) {
 	}
 }
 
-func TestGatewayDowngradesUnknownCodec(t *testing.T) {
+// TestGatewayAcksUnknownCodecWithBinary pins the hello contract: whatever
+// codec byte a valid hello proposes — an unassigned one, or the retired JSON
+// codec's — the ack names the one codec this build speaks.
+func TestGatewayAcksUnknownCodecWithBinary(t *testing.T) {
 	gw, _ := startGateway(t, gateway.Config{})
-	conn, err := net.Dial("tcp", gw.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WriteHello(conn, wire.Codec(99)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := wire.ReadHelloAck(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != wire.CodecJSON {
-		t.Errorf("downgrade target = %v, want JSON", got)
+	for _, proposed := range []wire.Codec{99, 1} {
+		conn, err := net.Dial("tcp", gw.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := wire.WriteHello(conn, proposed); err != nil {
+			t.Fatal(err)
+		}
+		got, err := wire.ReadHelloAck(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != wire.CodecBinary {
+			t.Errorf("proposed %d: ack = %v, want binary", byte(proposed), got)
+		}
 	}
 }
 
 func TestGatewayMissingOwnerRejected(t *testing.T) {
 	gw, key := startGateway(t, gateway.Config{})
-	conn, err := client.DialGateway(gw.Addr(), key, client.WithCodec(wire.CodecJSON))
+	conn, err := client.DialGateway(gw.Addr(), key)
 	if err != nil {
 		t.Fatal(err)
 	}

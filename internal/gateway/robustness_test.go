@@ -1,8 +1,11 @@
 package gateway_test
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,9 +16,10 @@ import (
 	"dpsync/internal/edb"
 	"dpsync/internal/faultnet"
 	"dpsync/internal/gateway"
+	"dpsync/internal/query"
 	"dpsync/internal/record"
+	"dpsync/internal/refdb"
 	"dpsync/internal/seal"
-	"dpsync/internal/server"
 	"dpsync/internal/strategy"
 	"dpsync/internal/wire"
 )
@@ -62,8 +66,9 @@ func fleetSpecs(t *testing.T, seed int64) []struct {
 // duplicated frame delivery) plus connection churn, every owner's transcript
 // AND ε ledger must come out bit-identical to an uninterrupted run — the
 // reconnect/replay/resume machinery must be invisible to the privacy
-// accounting. The transcript reference is the single-owner internal/server;
-// the ledger reference is a clean gateway run of the same traces.
+// accounting. The transcript reference is the in-process single-owner
+// internal/refdb; the ledger reference is a clean gateway run of the same
+// traces.
 func TestFaultMatrixDifferential(t *testing.T) {
 	const ticks = 150
 	for _, seed := range []int64{1, 7, 23} {
@@ -95,24 +100,17 @@ func TestFaultMatrixDifferential(t *testing.T) {
 				}
 			}
 
-			// Reference 1: each owner alone against the single-owner server —
-			// the transcript ground truth.
+			// Reference 1: each owner alone against the single-owner reference
+			// — the transcript ground truth.
 			specs := fleetSpecs(t, seed)
 			wantPatterns := map[string]string{}
 			for i, spec := range specs {
-				srv, err := server.New("127.0.0.1:0", key, nil)
+				ref, err := refdb.New(key)
 				if err != nil {
 					t.Fatal(err)
 				}
-				go func() { _ = srv.Serve() }()
-				cl, err := client.Dial(srv.Addr(), key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				drive(t, cl, spec.mk(), i)
-				wantPatterns[spec.name] = srv.ObservedPattern().String()
-				cl.Close()
-				srv.Close()
+				drive(t, ref, spec.mk(), i)
+				wantPatterns[spec.name] = ref.ObservedPattern().String()
 			}
 
 			// Reference 2: the same traces through a clean (fault-free)
@@ -130,7 +128,7 @@ func TestFaultMatrixDifferential(t *testing.T) {
 			wantLedgers := map[string]string{}
 			for _, spec := range specs {
 				if got := refGW.ObservedPattern(spec.name).String(); got != wantPatterns[spec.name] {
-					t.Fatalf("clean gateway reference diverged from single-owner server for %s", spec.name)
+					t.Fatalf("clean gateway reference diverged from single-owner reference for %s", spec.name)
 				}
 				b, err := refGW.ObservedLedger(spec.name).MarshalBinary()
 				if err != nil {
@@ -420,5 +418,114 @@ func TestCloseDrainDeadline(t *testing.T) {
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := wire.ReadFrame(conn); err == nil {
 		t.Fatalf("straggler connection still alive after Close")
+	}
+}
+
+// TestMalformedFrameFloodSevered pins the bounded handling of protocol
+// violations: every malformed frame — a zero-length one included — is
+// answered with its own error response, and at Config.MaxFrameErrors the
+// gateway hangs up instead of serving the peer forever. Other clients are
+// unaffected throughout.
+func TestMalformedFrameFloodSevered(t *testing.T) {
+	gw, key := startGateway(t, gateway.Config{MaxFrameErrors: 3})
+	conn := rawGatewayConn(t, gw.Addr())
+	for i, frame := range [][]byte{[]byte("{garbage"), nil, {0xFF}} {
+		resp := roundTripRaw(t, conn, frame)
+		if resp.Resp.OK || resp.Resp.Error == "" {
+			t.Fatalf("frame %d: expected an error response, got %+v", i, resp.Resp)
+		}
+		if frame == nil && !strings.Contains(resp.Resp.Error, "empty gateway request frame") {
+			t.Errorf("zero-length frame: error = %q", resp.Resp.Error)
+		}
+	}
+	// The bound is reached: the gateway must now have closed the connection.
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := wire.ReadFrame(conn); err == nil {
+		t.Fatal("connection still serving after the malformed-frame bound")
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("gateway kept the flooding connection open")
+	}
+	good, err := client.DialGateway(gw.Addr(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	if err := good.Owner("bystander").Setup(nil); err != nil {
+		t.Fatalf("gateway unusable after a malformed-frame flood: %v", err)
+	}
+}
+
+// TestWriteStallSevered pins the write-stall hardening: a peer that sends
+// requests but never reads a response backs the gateway's writes up until
+// one blocks; Config.WriteTimeout must then sever the connection, and Close
+// must return promptly instead of waiting behind the dead peer. The stall
+// comes from the gateway's write deadline alone — the peer sets no deadline
+// of its own, and its burst stays under the in-flight cap (asserted: no shed
+// ever happens), so nothing else can end the connection. Severance is
+// observed on the gateway (its live-connection count), not inferred from
+// how the kernel reports the reset to the peer.
+func TestWriteStallSevered(t *testing.T) {
+	key, err := seal.NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const burst = 8192
+	gw, err := gateway.New("127.0.0.1:0", gateway.Config{
+		Key: key, Shards: 1, WriteTimeout: 200 * time.Millisecond, MaxInFlight: 2 * burst,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = gw.Serve() }()
+	defer gw.Close()
+
+	setup, err := client.DialGateway(gw.Addr(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := setup.Owner("staller").Setup([]record.Record{yellow(0, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	setup.Close()
+
+	conn := rawGatewayConn(t, gw.Addr())
+	// A group-count answer is ~2 KiB, so the burst owes ~16 MiB of responses:
+	// several times what the kernel buffers for a peer that never reads
+	// (the send buffer's autotuning cap, ~4 MiB), well inside the in-flight
+	// cap. The peer's socket options stay untouched: shrinking its receive
+	// buffer mid-connection shrinks an already advertised window, after
+	// which it discards the gateway's ACKs as out of window and the request
+	// direction wedges before the burst is delivered.
+	spec := wire.FromQuery(query.Q2())
+	req, err := wire.CodecBinary.EncodeGatewayRequest(wire.GatewayRequest{
+		ID: 1, Owner: "staller", Req: wire.Request{Type: wire.MsgQuery, Query: &spec},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		// Ends on its own, or when the cleanup closes conn under it.
+		for i := 0; i < burst && wire.WriteFrame(conn, req) == nil; i++ {
+		}
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if conns, _ := gw.Live(); conns == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("gateway never severed a peer that stopped reading responses")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := gw.Sheds(); n != 0 {
+		t.Fatalf("%d backpressure sheds: the in-flight cap, not the write deadline, ended the connection", n)
+	}
+	start := time.Now()
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Close took %v behind a stalled writer", d)
 	}
 }

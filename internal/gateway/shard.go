@@ -19,7 +19,7 @@ import (
 // task is one unit of shard work: resolve the owner's tenant and run the
 // closure on the shard worker goroutine. Tasks for one owner execute in the
 // order they were enqueued — the shard worker is the serialization point
-// that replaces the single-owner server's global mutex.
+// for an owner's state; no tenant lock exists.
 type task struct {
 	owner string
 	// peek makes tenant resolution non-creating. Everything except the
@@ -78,8 +78,8 @@ type tenant struct {
 	// advance only when the sync's WAL entry has group-committed — the
 	// sync-observable half of the spend-before-sync invariant. Without a
 	// store they advance at apply time, exactly like the single-owner
-	// server (the differential test pins the two transcripts bit-identical
-	// either way).
+	// reference (the differential test pins the two transcripts
+	// bit-identical either way).
 	observed leakage.Pattern
 	ticks    int
 	// seq is the apply-time upload counter: it assigns each ingest its
@@ -406,7 +406,7 @@ func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request
 		tn.seq++
 		tick, volume := tn.seq, len(cts)
 		if g.store == nil {
-			// In-memory mode: commit is immediate, like internal/server.
+			// In-memory mode: commit is immediate.
 			tn.ticks = int(tick)
 			g.invalidateCache(tn)
 			tn.observed.Record(record.Tick(tick), volume, false)

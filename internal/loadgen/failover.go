@@ -111,12 +111,14 @@ func (p *failoverProbe) Update(rs []record.Record) error {
 }
 
 // failoverFleet is the cluster run's client side: every owner multiplexed
-// over one failover-aware connection (address rotation + unbounded resync),
-// so a single healed sync re-uploads every owner's unreplicated tail.
+// over one failover-aware connection (address rotation + unbounded resync).
+// Resync is per session: an owner's unreplicated tail is re-uploaded by that
+// owner's own resume handshake, which its next sync — or resumeAll — runs.
 type failoverFleet struct {
-	owners []*core.Owner
-	conn   *client.GatewayConn
-	timer  *failoverTimer
+	owners   []*core.Owner
+	sessions []*client.OwnerSession
+	conn     *client.GatewayConn
+	timer    *failoverTimer
 }
 
 func (f *failoverFleet) dial(primary, standby string, key []byte, ticks int) error {
@@ -134,12 +136,14 @@ func (f *failoverFleet) dial(primary, standby string, key []byte, ticks int) err
 
 func (f *failoverFleet) setup(n int, seed uint64) error {
 	f.owners = make([]*core.Owner, n)
+	f.sessions = make([]*client.OwnerSession, n)
 	for i := 0; i < n; i++ {
 		strat, err := ownerStrategy(i, seed)
 		if err != nil {
 			return err
 		}
-		probe := &failoverProbe{Database: f.conn.Owner(ownerName(i)), timer: f.timer}
+		f.sessions[i] = f.conn.Owner(ownerName(i))
+		probe := &failoverProbe{Database: f.sessions[i], timer: f.timer}
 		owner, err := core.New(core.Config{Strategy: strat, Database: probe})
 		if err != nil {
 			return err
@@ -173,6 +177,20 @@ func (f *failoverFleet) drive(from, to int) error {
 			if err != nil {
 				return fmt.Errorf("owner %d tick %d: %w", i, t, err)
 			}
+		}
+	}
+	return nil
+}
+
+// resumeAll runs every owner's resume handshake against whichever node is
+// serving. An owner whose strategy posts no sync in the few post-kill ticks
+// would otherwise never learn the promoted node is missing its acked tail
+// (the syncs the dead primary committed but had not shipped), and the
+// harness would compare a transcript nobody had yet been asked to heal.
+func (f *failoverFleet) resumeAll() error {
+	for i, s := range f.sessions {
+		if err := s.Resume(); err != nil {
+			return fmt.Errorf("owner %d resume: %w", i, err)
 		}
 	}
 	return nil
@@ -318,6 +336,17 @@ func runFailoverSeed(cfg FailoverConfig, seed uint64) (FailoverRun, error) {
 	if err != nil {
 		return FailoverRun{}, err
 	}
+	// The short pre-kill drive can finish before the follower's tail
+	// goroutine is even scheduled. A kill then still heals (purely from the
+	// clients' resync windows) but promotes an empty image and leaves
+	// replication lag and replica throughput unmeasured — so the kill waits
+	// for the first replicated entry, as the load waited for the attach.
+	for deadline := time.Now().Add(5 * time.Second); b.Stats().Follower.Applied == 0; {
+		if time.Now().After(deadline) {
+			return FailoverRun{}, fmt.Errorf("follower applied nothing before the kill")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	liveElapsed := time.Since(driveStart)
 	appliedAtKill := b.Stats().Follower.Applied
 
@@ -337,6 +366,9 @@ func runFailoverSeed(cfg FailoverConfig, seed uint64) (FailoverRun, error) {
 	first := timer.firstAfter.Load()
 	if first == 0 {
 		return FailoverRun{}, fmt.Errorf("no sync completed after the kill (failover unmeasured)")
+	}
+	if err := fleet.resumeAll(); err != nil {
+		return FailoverRun{}, err
 	}
 
 	// Continuity: every owner's transcript and ledger on the promoted node

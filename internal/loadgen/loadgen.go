@@ -32,7 +32,6 @@ import (
 	"dpsync/internal/seal"
 	"dpsync/internal/strategy"
 	"dpsync/internal/telemetry"
-	"dpsync/internal/wire"
 )
 
 // Config parameterizes a load run.
@@ -48,10 +47,9 @@ type Config struct {
 	Key  []byte
 	// Conns is how many multiplexed TCP connections the owners share
 	// (default 4, capped at Owners). Window is the per-connection in-flight
-	// cap (default client.DefaultWindow). Codec defaults to binary.
+	// cap (default client.DefaultWindow).
 	Conns  int
 	Window int
-	Codec  wire.Codec
 	// Workers bounds concurrent owner drivers (default 4×GOMAXPROCS,
 	// clamped to [8, 64]: drivers spend their time blocked on round trips,
 	// so oversubscribing cores is the point).
@@ -136,11 +134,10 @@ type Config struct {
 
 // Report is the measurement result.
 type Report struct {
-	Owners  int    `json:"owners"`
-	Ticks   int    `json:"ticks"`
-	Conns   int    `json:"conns"`
-	Workers int    `json:"workers"`
-	Codec   string `json:"codec"`
+	Owners  int `json:"owners"`
+	Ticks   int `json:"ticks"`
+	Conns   int `json:"conns"`
+	Workers int `json:"workers"`
 	// Syncs counts EDB update-protocol runs (setup + strategy-driven
 	// uploads) across all owners; SyncRecords the sealed records they
 	// carried (real + dummy).
@@ -275,9 +272,6 @@ func Run(cfg Config) (Report, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = client.DefaultWindow
 	}
-	if !cfg.Codec.Valid() {
-		cfg.Codec = wire.CodecBinary
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4 * runtime.GOMAXPROCS(0)
 		if cfg.Workers < 8 {
@@ -347,7 +341,7 @@ func Run(cfg Config) (Report, error) {
 		return Report{}, fmt.Errorf("loadgen: -verify races replica lag (drop -replica-addr)")
 	}
 
-	dialOpts := []client.GatewayOption{client.WithCodec(cfg.Codec), client.WithWindow(cfg.Window)}
+	dialOpts := []client.GatewayOption{client.WithWindow(cfg.Window)}
 	if cfg.ReplicaAddr != "" {
 		dialOpts = append(dialOpts, client.WithReadReplica(cfg.ReplicaAddr))
 	}
@@ -584,7 +578,6 @@ func Run(cfg Config) (Report, error) {
 		Ticks:       cfg.Ticks,
 		Conns:       cfg.Conns,
 		Workers:     cfg.Workers,
-		Codec:       cfg.Codec.String(),
 		Syncs:       syncs,
 		SyncRecords: syncRecords,
 		Elapsed:     elapsed.Seconds(),

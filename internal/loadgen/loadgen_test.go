@@ -3,8 +3,6 @@ package loadgen
 import (
 	"testing"
 	"time"
-
-	"dpsync/internal/wire"
 )
 
 func TestRunSmallLoad(t *testing.T) {
@@ -27,22 +25,6 @@ func TestRunSmallLoad(t *testing.T) {
 	}
 	if rep.BytesPerSync <= 0 || rep.BytesOut <= 0 || rep.BytesIn <= 0 {
 		t.Errorf("bytes: per-sync=%v out=%d in=%d", rep.BytesPerSync, rep.BytesOut, rep.BytesIn)
-	}
-	if rep.Codec != "binary" {
-		t.Errorf("codec = %q", rep.Codec)
-	}
-}
-
-func TestRunJSONCodec(t *testing.T) {
-	rep, err := Run(Config{Owners: 3, Ticks: 15, Codec: wire.CodecJSON, Seed: 2, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Codec != "json" {
-		t.Errorf("codec = %q", rep.Codec)
-	}
-	if rep.Syncs < 3 {
-		t.Errorf("syncs = %d", rep.Syncs)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"dpsync/internal/gateway"
 	"dpsync/internal/seal"
 	"dpsync/internal/telemetry"
-	"dpsync/internal/wire"
 )
 
 // ReplicaConfig parameterizes the read-replica harness: a two-node cluster
@@ -25,9 +24,8 @@ type ReplicaConfig struct {
 	// QueryMix is the analyst queries per owner per tick (default 4 — one
 	// full Q1–Q4 cycle).
 	QueryMix int
-	// Conns / Codec pass through to the drive (defaults as in Config).
+	// Conns passes through to the drive (default as in Config).
 	Conns int
-	Codec wire.Codec
 	// Shards configures both nodes' gateways (0 = GOMAXPROCS).
 	Shards int
 	// SyncEpsilon is the per-sync ledger charge on both nodes.
@@ -125,7 +123,7 @@ func RunReplica(cfg ReplicaConfig) (ReplicaReport, error) {
 	rep, err := Run(Config{
 		Owners: cfg.Owners, Ticks: cfg.Ticks,
 		Addr: a.Addr(), Key: key, ReplicaAddr: b.Addr(),
-		QueryMix: cfg.QueryMix, Conns: cfg.Conns, Codec: cfg.Codec,
+		QueryMix: cfg.QueryMix, Conns: cfg.Conns,
 		Seed: cfg.Seed, SyncEpsilon: cfg.SyncEpsilon,
 	})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"sort"
 
+	"dpsync/internal/binfmt"
 	"dpsync/internal/dp"
 	"dpsync/internal/leakage"
 	"dpsync/internal/record"
@@ -153,91 +154,6 @@ const (
 	batchFlagFlush
 )
 
-// binReader is the bounds-checked cursor over a frame payload, mirroring
-// internal/wire: the first failed read latches err, subsequent reads return
-// zero values, decoders check once.
-type binReader struct {
-	b   []byte
-	err error
-}
-
-func (r *binReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated %s", ErrCorruptSegment, what)
-	}
-}
-
-func (r *binReader) u8(what string) byte {
-	if r.err != nil || len(r.b) < 1 {
-		r.fail(what)
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *binReader) u16(what string) uint16 {
-	if r.err != nil || len(r.b) < 2 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.b)
-	r.b = r.b[2:]
-	return v
-}
-
-func (r *binReader) u32(what string) uint32 {
-	if r.err != nil || len(r.b) < 4 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *binReader) u64(what string) uint64 {
-	if r.err != nil || len(r.b) < 8 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *binReader) f64(what string) float64 { return math.Float64frombits(r.u64(what)) }
-
-func (r *binReader) bytes(n int, what string) []byte {
-	if r.err != nil || n < 0 || len(r.b) < n {
-		r.fail(what)
-		return nil
-	}
-	v := r.b[:n:n]
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *binReader) remaining() int { return len(r.b) }
-
-func (r *binReader) done(what string) error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after %s", ErrCorruptSegment, len(r.b), what)
-	}
-	return nil
-}
-
-func appendU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
-func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-func appendF64(b []byte, v float64) []byte {
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(v))
-}
-
 // appendBatch serializes a batch (shared by entries and snapshots).
 func appendBatch(b []byte, bt Batch) ([]byte, error) {
 	if len(bt.Charge.Name) > math.MaxUint16 {
@@ -250,53 +166,53 @@ func appendBatch(b []byte, bt Batch) ([]byte, error) {
 	if bt.Flush {
 		flags |= batchFlagFlush
 	}
-	b = appendU64(b, bt.Tick)
+	b = binfmt.AppendU64(b, bt.Tick)
 	b = append(b, flags)
-	b = appendU16(b, uint16(len(bt.Charge.Name)))
+	b = binfmt.AppendU16(b, uint16(len(bt.Charge.Name)))
 	b = append(b, bt.Charge.Name...)
-	b = appendF64(b, bt.Charge.Eps)
+	b = binfmt.AppendF64(b, bt.Charge.Eps)
 	b = append(b, byte(bt.Charge.Rule))
-	b = appendU32(b, uint32(len(bt.Sealed)))
+	b = binfmt.AppendU32(b, uint32(len(bt.Sealed)))
 	for _, ct := range bt.Sealed {
-		b = appendU32(b, uint32(len(ct)))
+		b = binfmt.AppendU32(b, uint32(len(ct)))
 		b = append(b, ct...)
 	}
 	return b, nil
 }
 
-func readBatch(r *binReader) Batch {
+func readBatch(r *binfmt.Reader) Batch {
 	var bt Batch
-	bt.Tick = r.u64("batch tick")
-	flags := r.u8("batch flags")
-	if r.err == nil && flags&^(batchFlagSetup|batchFlagFlush) != 0 {
-		r.err = fmt.Errorf("%w: unknown batch flag bits %#x", ErrCorruptSegment, flags)
+	bt.Tick = r.U64("batch tick")
+	flags := r.U8("batch flags")
+	if flags&^(batchFlagSetup|batchFlagFlush) != 0 {
+		r.Reject("unknown batch flag bits %#x", flags)
 	}
 	bt.Setup = flags&batchFlagSetup != 0
 	bt.Flush = flags&batchFlagFlush != 0
-	nameLen := int(r.u16("charge name length"))
-	bt.Charge.Name = string(r.bytes(nameLen, "charge name"))
-	bt.Charge.Eps = r.f64("charge epsilon")
-	if r.err == nil && (!(bt.Charge.Eps >= 0) || math.IsInf(bt.Charge.Eps, 1)) {
+	nameLen := int(r.U16("charge name length"))
+	bt.Charge.Name = string(r.Bytes(nameLen, "charge name"))
+	bt.Charge.Eps = r.F64("charge epsilon")
+	if !(bt.Charge.Eps >= 0) || math.IsInf(bt.Charge.Eps, 1) {
 		// A charge the ledger would refuse is corruption, not data: reject
 		// here so recovery never fails halfway through a replay.
-		r.err = fmt.Errorf("%w: invalid charge epsilon", ErrCorruptSegment)
+		r.Reject("invalid charge epsilon")
 	}
-	bt.Charge.Rule = dp.CompositionRule(r.u8("charge rule"))
-	if r.err == nil && bt.Charge.Rule != dp.Sequential && bt.Charge.Rule != dp.Parallel {
-		r.err = fmt.Errorf("%w: unknown composition rule %d", ErrCorruptSegment, int(bt.Charge.Rule))
+	bt.Charge.Rule = dp.CompositionRule(r.U8("charge rule"))
+	if bt.Charge.Rule != dp.Sequential && bt.Charge.Rule != dp.Parallel {
+		r.Reject("unknown composition rule %d", int(bt.Charge.Rule))
 	}
-	n := int(r.u32("sealed count"))
+	n := int(r.U32("sealed count"))
 	// Each ciphertext costs at least its 4-byte length prefix: a claimed
 	// count larger than remaining/4 is a lie — reject before allocating.
-	if n > r.remaining()/4 {
-		r.fail("sealed count")
+	if n > r.Remaining()/4 {
+		r.Fail("sealed count")
 		return bt
 	}
 	if n > 0 {
 		bt.Sealed = make([][]byte, n)
 		for i := 0; i < n; i++ {
-			ctLen := int(r.u32("ciphertext length"))
-			bt.Sealed[i] = r.bytes(ctLen, "ciphertext")
+			ctLen := int(r.U32("ciphertext length"))
+			bt.Sealed[i] = r.Bytes(ctLen, "ciphertext")
 		}
 	}
 	return bt
@@ -324,8 +240,8 @@ func encodeEntryFrame(e Entry) ([]byte, error) {
 		return nil, fmt.Errorf("store: entry payload %d bytes exceeds %d", len(payload), maxEntrySize)
 	}
 	frame := make([]byte, 0, 8+len(payload))
-	frame = appendU32(frame, uint32(len(payload)))
-	frame = appendU32(frame, crc32.Checksum(payload, crcTable))
+	frame = binfmt.AppendU32(frame, uint32(len(payload)))
+	frame = binfmt.AppendU32(frame, crc32.Checksum(payload, crcTable))
 	return append(frame, payload...), nil
 }
 
@@ -372,16 +288,16 @@ func decodeEntry(payload []byte) (Entry, error) {
 	if len(payload) == 0 {
 		return Entry{}, fmt.Errorf("%w: empty entry payload", ErrCorruptSegment)
 	}
-	r := &binReader{b: payload}
-	kind := r.u8("entry kind")
-	if r.err == nil && kind != entryKindSync {
+	r := binfmt.NewReader(payload, ErrCorruptSegment)
+	kind := r.U8("entry kind")
+	if r.Err() == nil && kind != entryKindSync {
 		return Entry{}, fmt.Errorf("%w: unknown entry kind %d", ErrCorruptSegment, kind)
 	}
 	var e Entry
-	ownerLen := int(r.u8("owner length"))
-	e.Owner = string(r.bytes(ownerLen, "owner id"))
-	e.Batch = readBatch(r)
-	if err := r.done("wal entry"); err != nil {
+	ownerLen := int(r.U8("owner length"))
+	e.Owner = string(r.Bytes(ownerLen, "owner id"))
+	e.Batch = readBatch(&r)
+	if err := r.Done("wal entry"); err != nil {
 		return Entry{}, err
 	}
 	if e.Owner == "" {
@@ -516,7 +432,7 @@ func encodeSnapshot(owners []OwnerState) ([]byte, error) {
 	copy(sorted, owners)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Owner < sorted[j].Owner })
 	payload := make([]byte, 0, 1024)
-	payload = appendU32(payload, uint32(len(sorted)))
+	payload = binfmt.AppendU32(payload, uint32(len(sorted)))
 	for i := range sorted {
 		st := &sorted[i]
 		if len(st.Owner) == 0 || len(st.Owner) > maxOwnerLen {
@@ -527,7 +443,7 @@ func encodeSnapshot(owners []OwnerState) ([]byte, error) {
 		}
 		payload = append(payload, byte(len(st.Owner)))
 		payload = append(payload, st.Owner...)
-		payload = appendU64(payload, st.Clock)
+		payload = binfmt.AppendU64(payload, st.Clock)
 		budget := st.Budget
 		if budget == nil {
 			budget = dp.NewBudget()
@@ -536,28 +452,28 @@ func encodeSnapshot(owners []OwnerState) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: snapshot ledger for %q: %w", st.Owner, err)
 		}
-		payload = appendU32(payload, uint32(len(ledger)))
+		payload = binfmt.AppendU32(payload, uint32(len(ledger)))
 		payload = append(payload, ledger...)
-		payload = appendU32(payload, uint32(len(st.Events)))
+		payload = binfmt.AppendU32(payload, uint32(len(st.Events)))
 		for _, ev := range st.Events {
-			payload = appendU64(payload, uint64(ev.Tick))
-			payload = appendU32(payload, uint32(ev.Volume))
+			payload = binfmt.AppendU64(payload, uint64(ev.Tick))
+			payload = binfmt.AppendU32(payload, uint32(ev.Volume))
 			var f byte
 			if ev.Flush {
 				f = 1
 			}
 			payload = append(payload, f)
 		}
-		payload = appendU32(payload, uint32(len(st.Spilled)))
+		payload = binfmt.AppendU32(payload, uint32(len(st.Spilled)))
 		for _, ref := range st.Spilled {
-			payload = appendU64(payload, ref.Seg)
-			payload = appendU64(payload, ref.Off)
-			payload = appendU32(payload, ref.Len)
-			payload = appendU32(payload, ref.CRC)
-			payload = appendU64(payload, ref.FirstTick)
-			payload = appendU32(payload, ref.Count)
+			payload = binfmt.AppendU64(payload, ref.Seg)
+			payload = binfmt.AppendU64(payload, ref.Off)
+			payload = binfmt.AppendU32(payload, ref.Len)
+			payload = binfmt.AppendU32(payload, ref.CRC)
+			payload = binfmt.AppendU64(payload, ref.FirstTick)
+			payload = binfmt.AppendU32(payload, ref.Count)
 		}
-		payload = appendU32(payload, uint32(len(st.Tail)))
+		payload = binfmt.AppendU32(payload, uint32(len(st.Tail)))
 		for _, bt := range st.Tail {
 			payload, err = appendBatch(payload, bt)
 			if err != nil {
@@ -571,8 +487,8 @@ func encodeSnapshot(owners []OwnerState) ([]byte, error) {
 	out := make([]byte, 0, 13+len(payload))
 	out = append(out, snapMagic[:]...)
 	out = append(out, snapVersion)
-	out = appendU32(out, uint32(len(payload)))
-	out = appendU32(out, crc32.Checksum(payload, crcTable))
+	out = binfmt.AppendU32(out, uint32(len(payload)))
+	out = binfmt.AppendU32(out, crc32.Checksum(payload, crcTable))
 	return append(out, payload...), nil
 }
 
@@ -604,31 +520,31 @@ func decodeSnapshot(data []byte) ([]OwnerState, error) {
 	if crc32.Checksum(payload, crcTable) != crc {
 		return nil, fmt.Errorf("%w: snapshot CRC mismatch", ErrCorruptSegment)
 	}
-	r := &binReader{b: payload}
-	count := int(r.u32("owner count"))
+	r := binfmt.NewReader(payload, ErrCorruptSegment)
+	count := int(r.U32("owner count"))
 	// Each owner costs ≥ 22 bytes (v1) / 26 bytes (v2): lengths + clock +
 	// empty sections.
 	minOwner := 26
 	if version == snapVersionV1 {
 		minOwner = 22
 	}
-	if count > r.remaining()/minOwner {
+	if count > r.Remaining()/minOwner {
 		return nil, fmt.Errorf("%w: owner count %d exceeds snapshot", ErrCorruptSegment, count)
 	}
 	out := make([]OwnerState, 0, count)
 	for i := 0; i < count; i++ {
 		var st OwnerState
-		ownerLen := int(r.u8("owner length"))
-		st.Owner = string(r.bytes(ownerLen, "owner id"))
-		st.Clock = r.u64("owner clock")
-		ledgerLen := int(r.u32("ledger length"))
-		ledger := r.bytes(ledgerLen, "ledger")
-		nEvents := int(r.u32("event count"))
-		if nEvents > r.remaining()/13 {
-			r.fail("event count")
+		ownerLen := int(r.U8("owner length"))
+		st.Owner = string(r.Bytes(ownerLen, "owner id"))
+		st.Clock = r.U64("owner clock")
+		ledgerLen := int(r.U32("ledger length"))
+		ledger := r.Bytes(ledgerLen, "ledger")
+		nEvents := int(r.U32("event count"))
+		if nEvents > r.Remaining()/13 {
+			r.Fail("event count")
 		}
-		if r.err != nil {
-			return nil, r.err
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		st.Budget = dp.NewBudget()
 		if err := st.Budget.UnmarshalBinary(ledger); err != nil {
@@ -638,49 +554,49 @@ func decodeSnapshot(data []byte) ([]OwnerState, error) {
 			st.Events = make([]leakage.Event, nEvents)
 			for j := range st.Events {
 				st.Events[j] = leakage.Event{
-					Tick:   record.Tick(r.u64("event tick")),
-					Volume: int(r.u32("event volume")),
-					Flush:  r.u8("event flush") != 0,
+					Tick:   record.Tick(r.U64("event tick")),
+					Volume: int(r.U32("event volume")),
+					Flush:  r.U8("event flush") != 0,
 				}
 			}
 		}
 		if version >= snapVersion {
-			nRefs := int(r.u32("segment ref count"))
-			if nRefs > r.remaining()/segmentRefSize {
-				r.fail("segment ref count")
+			nRefs := int(r.U32("segment ref count"))
+			if nRefs > r.Remaining()/segmentRefSize {
+				r.Fail("segment ref count")
 			}
-			if r.err != nil {
-				return nil, r.err
+			if r.Err() != nil {
+				return nil, r.Err()
 			}
 			if nRefs > 0 {
 				st.Spilled = make([]SegmentRef, nRefs)
 				for j := range st.Spilled {
 					st.Spilled[j] = SegmentRef{
-						Seg:       r.u64("ref segment"),
-						Off:       r.u64("ref offset"),
-						Len:       r.u32("ref length"),
-						CRC:       r.u32("ref crc"),
-						FirstTick: r.u64("ref first tick"),
-						Count:     r.u32("ref batch count"),
+						Seg:       r.U64("ref segment"),
+						Off:       r.U64("ref offset"),
+						Len:       r.U32("ref length"),
+						CRC:       r.U32("ref crc"),
+						FirstTick: r.U64("ref first tick"),
+						Count:     r.U32("ref batch count"),
 					}
 				}
 			}
 		}
-		nTail := int(r.u32("tail batch count"))
-		if nTail > r.remaining()/18 {
-			r.fail("tail batch count")
+		nTail := int(r.U32("tail batch count"))
+		if nTail > r.Remaining()/18 {
+			r.Fail("tail batch count")
 		}
-		if r.err != nil {
-			return nil, r.err
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		if nTail > 0 {
 			st.Tail = make([]Batch, nTail)
 			for j := range st.Tail {
-				st.Tail[j] = readBatch(r)
+				st.Tail[j] = readBatch(&r)
 			}
 		}
-		if r.err != nil {
-			return nil, r.err
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		if st.Owner == "" {
 			return nil, fmt.Errorf("%w: empty owner id in snapshot", ErrCorruptSegment)
@@ -690,7 +606,7 @@ func decodeSnapshot(data []byte) ([]OwnerState, error) {
 		}
 		out = append(out, st)
 	}
-	if err := r.done("snapshot"); err != nil {
+	if err := r.Done("snapshot"); err != nil {
 		return nil, err
 	}
 	return out, nil

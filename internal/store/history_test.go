@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dpsync/internal/binfmt"
 	"dpsync/internal/dp"
 )
 
@@ -352,28 +353,28 @@ func TestStreamDetectsSegmentDamage(t *testing.T) {
 // tier, the whole history inline. Used to pin the upgrade path.
 func encodeSnapshotV1(t testing.TB, owners []OwnerState) []byte {
 	t.Helper()
-	payload := appendU32(nil, uint32(len(owners)))
+	payload := binfmt.AppendU32(nil, uint32(len(owners)))
 	for _, st := range owners {
 		payload = append(payload, byte(len(st.Owner)))
 		payload = append(payload, st.Owner...)
-		payload = appendU64(payload, st.Clock)
+		payload = binfmt.AppendU64(payload, st.Clock)
 		ledger, err := st.Budget.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload = appendU32(payload, uint32(len(ledger)))
+		payload = binfmt.AppendU32(payload, uint32(len(ledger)))
 		payload = append(payload, ledger...)
-		payload = appendU32(payload, uint32(len(st.Events)))
+		payload = binfmt.AppendU32(payload, uint32(len(st.Events)))
 		for _, ev := range st.Events {
-			payload = appendU64(payload, uint64(ev.Tick))
-			payload = appendU32(payload, uint32(ev.Volume))
+			payload = binfmt.AppendU64(payload, uint64(ev.Tick))
+			payload = binfmt.AppendU32(payload, uint32(ev.Volume))
 			var f byte
 			if ev.Flush {
 				f = 1
 			}
 			payload = append(payload, f)
 		}
-		payload = appendU32(payload, uint32(len(st.Tail)))
+		payload = binfmt.AppendU32(payload, uint32(len(st.Tail)))
 		for _, bt := range st.Tail {
 			payload, err = appendBatch(payload, bt)
 			if err != nil {
@@ -382,8 +383,8 @@ func encodeSnapshotV1(t testing.TB, owners []OwnerState) []byte {
 		}
 	}
 	out := append(append([]byte(nil), snapMagic[:]...), snapVersionV1)
-	out = appendU32(out, uint32(len(payload)))
-	out = appendU32(out, crc32Of(payload))
+	out = binfmt.AppendU32(out, uint32(len(payload)))
+	out = binfmt.AppendU32(out, crc32Of(payload))
 	return append(out, payload...)
 }
 

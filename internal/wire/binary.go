@@ -1,40 +1,31 @@
 package wire
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+
+	"dpsync/internal/binfmt"
 )
 
-// Codec identifies a frame-payload encoding, negotiated per connection by
-// the hello exchange. The value doubles as the protocol version byte.
+// Codec identifies a frame-payload encoding by the version byte the hello
+// exchange carries. This build speaks exactly one.
 type Codec byte
 
-const (
-	// CodecJSON is the original debug/compat encoding: human-readable,
-	// schema-tolerant, slow. Version byte 1.
-	CodecJSON Codec = 1
-	// CodecBinary is the hot-path encoding: hand-rolled length-prefixed
-	// fields, no reflection, no base64 expansion of sealed ciphertexts.
-	// Version byte 2.
-	CodecBinary Codec = 2
-)
+// CodecBinary is the payload encoding: hand-rolled length-prefixed fields,
+// no reflection, no base64 expansion of sealed ciphertexts. Version byte 2
+// (1 was a JSON encoding, retired; the byte is never reused).
+const CodecBinary Codec = 2
 
-// Valid reports whether c names a codec this build understands.
-func (c Codec) Valid() bool { return c == CodecJSON || c == CodecBinary }
+// Valid reports whether c names the codec this build speaks.
+func (c Codec) Valid() bool { return c == CodecBinary }
 
 // String implements fmt.Stringer.
 func (c Codec) String() string {
-	switch c {
-	case CodecJSON:
-		return "json"
-	case CodecBinary:
+	if c == CodecBinary {
 		return "binary"
-	default:
-		return fmt.Sprintf("Codec(%d)", byte(c))
 	}
+	return fmt.Sprintf("Codec(%d)", byte(c))
 }
 
 // MaxOwnerLen bounds an owner-namespace identifier. Owner IDs are routing
@@ -42,10 +33,9 @@ func (c Codec) String() string {
 // header fixed-cost.
 const MaxOwnerLen = 255
 
-// helloMagic opens every gateway connection. The single-owner server's
-// legacy protocol has no hello (it is implicitly JSON), so the magic lets a
-// gateway reject a legacy client with a clear error instead of misparsing
-// its first frame.
+// helloMagic opens every read-write client connection; a peer speaking
+// anything else is rejected on its first five bytes instead of having them
+// misparsed as a frame header.
 var helloMagic = [4]byte{'D', 'P', 'S', 'G'}
 
 // WriteHello sends the 5-byte client hello: magic then the proposed codec
@@ -62,9 +52,8 @@ func WriteHello(w io.Writer, proposed Codec) error {
 
 // ReadHello consumes a client hello and returns the proposed codec. A bad
 // magic is a protocol violation (ErrBadFrame); an unknown codec byte is NOT
-// an error — the server downgrades, so a newer client proposing a codec this
-// build lacks still gets a connection (the returned codec is what was
-// proposed; callers check Valid and pick their answer).
+// an error — the server acks with the one codec it speaks (CodecBinary) and
+// the client decides whether it can live with that.
 func ReadHello(r io.Reader) (Codec, error) {
 	var buf [5]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
@@ -109,15 +98,15 @@ func ReadHelloAck(r io.Reader) (Codec, error) {
 // order; the client matches them by ID) and the owner namespace the request
 // targets.
 type GatewayRequest struct {
-	ID    uint64  `json:"id"`
-	Owner string  `json:"owner"`
-	Req   Request `json:"req"`
+	ID    uint64
+	Owner string
+	Req   Request
 }
 
 // GatewayResponse is the gateway→client envelope.
 type GatewayResponse struct {
-	ID   uint64   `json:"id"`
-	Resp Response `json:"resp"`
+	ID   uint64
+	Resp Response
 }
 
 // Binary message-type bytes. 0 is deliberately unused so an all-zero frame
@@ -181,110 +170,11 @@ const (
 	flagStale
 )
 
-// binReader is a bounds-checked cursor over a frame payload. The first
-// failed read latches err; subsequent reads return zero values, so decoders
-// read a whole struct and check err once.
-type binReader struct {
-	b   []byte
-	err error
-}
-
-func (r *binReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated %s", ErrBadFrame, what)
-	}
-}
-
-func (r *binReader) u8(what string) byte {
-	if r.err != nil || len(r.b) < 1 {
-		r.fail(what)
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *binReader) u16(what string) uint16 {
-	if r.err != nil || len(r.b) < 2 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.b)
-	r.b = r.b[2:]
-	return v
-}
-
-func (r *binReader) u32(what string) uint32 {
-	if r.err != nil || len(r.b) < 4 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *binReader) u64(what string) uint64 {
-	if r.err != nil || len(r.b) < 8 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *binReader) f64(what string) float64 { return math.Float64frombits(r.u64(what)) }
-
-func (r *binReader) bytes(n int, what string) []byte {
-	if r.err != nil || n < 0 || len(r.b) < n {
-		r.fail(what)
-		return nil
-	}
-	v := r.b[:n:n]
-	r.b = r.b[n:]
-	return v
-}
-
-// remaining returns how many bytes are left — decoders use it to sanity-
-// check claimed element counts before allocating.
-func (r *binReader) remaining() int { return len(r.b) }
-
-func (r *binReader) done(what string) error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after %s", ErrBadFrame, len(r.b), what)
-	}
-	return nil
-}
-
-func appendU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
-func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-func appendF64(b []byte, v float64) []byte {
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(v))
-}
-
 // EncodeGatewayRequest serializes the envelope under codec c.
 func (c Codec) EncodeGatewayRequest(g GatewayRequest) ([]byte, error) {
-	switch c {
-	case CodecJSON:
-		b, err := json.Marshal(g)
-		if err != nil {
-			return nil, fmt.Errorf("wire: encode gateway request: %w", err)
-		}
-		return b, nil
-	case CodecBinary:
-		return encodeGatewayRequestBinary(g)
-	default:
+	if c != CodecBinary {
 		return nil, fmt.Errorf("wire: encode with unknown codec %d", byte(c))
 	}
-}
-
-func encodeGatewayRequestBinary(g GatewayRequest) ([]byte, error) {
 	if len(g.Owner) > MaxOwnerLen {
 		return nil, fmt.Errorf("wire: owner id %d bytes exceeds %d", len(g.Owner), MaxOwnerLen)
 	}
@@ -300,16 +190,16 @@ func encodeGatewayRequestBinary(g GatewayRequest) ([]byte, error) {
 		size += 4 + len(ct)
 	}
 	b := make([]byte, 0, size+16)
-	b = appendU64(b, g.ID)
+	b = binfmt.AppendU64(b, g.ID)
 	b = append(b, byte(len(g.Owner)))
 	b = append(b, g.Owner...)
 	b = append(b, t)
 	switch t {
 	case binSetup, binUpdate:
-		b = appendU64(b, g.Req.Seq)
-		b = appendU32(b, uint32(len(g.Req.Sealed)))
+		b = binfmt.AppendU64(b, g.Req.Seq)
+		b = binfmt.AppendU32(b, uint32(len(g.Req.Sealed)))
 		for _, ct := range g.Req.Sealed {
-			b = appendU32(b, uint32(len(ct)))
+			b = binfmt.AppendU32(b, uint32(len(ct)))
 			b = append(b, ct...)
 		}
 	case binQuery, binQueryAt:
@@ -321,10 +211,10 @@ func encodeGatewayRequestBinary(g GatewayRequest) ([]byte, error) {
 			return nil, fmt.Errorf("wire: query kind %d outside binary range", q.Kind)
 		}
 		b = append(b, byte(q.Kind), q.Provider, q.JoinWith)
-		b = appendU16(b, q.Lo)
-		b = appendU16(b, q.Hi)
+		b = binfmt.AppendU16(b, q.Lo)
+		b = binfmt.AppendU16(b, q.Hi)
 		if t == binQueryAt {
-			b = appendU64(b, g.Req.MinOffset)
+			b = binfmt.AppendU64(b, g.Req.MinOffset)
 		}
 	case binStats:
 	}
@@ -338,29 +228,17 @@ func (c Codec) DecodeGatewayRequest(b []byte) (GatewayRequest, error) {
 	if len(b) == 0 {
 		return GatewayRequest{}, fmt.Errorf("%w: empty gateway request frame", ErrBadFrame)
 	}
-	switch c {
-	case CodecJSON:
-		var g GatewayRequest
-		if err := json.Unmarshal(b, &g); err != nil {
-			return GatewayRequest{}, fmt.Errorf("%w: decode gateway request: %v", ErrBadFrame, err)
-		}
-		return g, nil
-	case CodecBinary:
-		return decodeGatewayRequestBinary(b)
-	default:
+	if c != CodecBinary {
 		return GatewayRequest{}, fmt.Errorf("wire: decode with unknown codec %d", byte(c))
 	}
-}
-
-func decodeGatewayRequestBinary(b []byte) (GatewayRequest, error) {
-	r := &binReader{b: b}
+	r := binfmt.NewReader(b, ErrBadFrame)
 	var g GatewayRequest
-	g.ID = r.u64("request id")
-	ownerLen := int(r.u8("owner length"))
-	g.Owner = string(r.bytes(ownerLen, "owner id"))
-	t := r.u8("message type")
-	if r.err != nil {
-		return GatewayRequest{}, r.err
+	g.ID = r.U64("request id")
+	ownerLen := int(r.U8("owner length"))
+	g.Owner = string(r.Bytes(ownerLen, "owner id"))
+	t := r.U8("message type")
+	if r.Err() != nil {
+		return GatewayRequest{}, r.Err()
 	}
 	mt, err := msgTypeFromByte(t)
 	if err != nil {
@@ -369,36 +247,36 @@ func decodeGatewayRequestBinary(b []byte) (GatewayRequest, error) {
 	g.Req.Type = mt
 	switch t {
 	case binSetup, binUpdate:
-		g.Req.Seq = r.u64("sync seq")
-		n := int(r.u32("sealed count"))
+		g.Req.Seq = r.U64("sync seq")
+		n := int(r.U32("sealed count"))
 		// Each entry costs at least its 4-byte length prefix: a claimed
 		// count larger than remaining/4 is a lie, reject before allocating.
-		if n > r.remaining()/4 {
+		if n > r.Remaining()/4 {
 			return GatewayRequest{}, fmt.Errorf("%w: sealed count %d exceeds frame", ErrBadFrame, n)
 		}
 		if n > 0 {
 			g.Req.Sealed = make([][]byte, n)
 			for i := 0; i < n; i++ {
-				ctLen := int(r.u32("ciphertext length"))
-				g.Req.Sealed[i] = r.bytes(ctLen, "ciphertext")
+				ctLen := int(r.U32("ciphertext length"))
+				g.Req.Sealed[i] = r.Bytes(ctLen, "ciphertext")
 			}
 		}
 	case binQuery, binQueryAt:
 		var q QuerySpec
-		q.Kind = int(r.u8("query kind"))
-		q.Provider = r.u8("query provider")
-		q.JoinWith = r.u8("query join table")
-		q.Lo = r.u16("query lo")
-		q.Hi = r.u16("query hi")
+		q.Kind = int(r.U8("query kind"))
+		q.Provider = r.U8("query provider")
+		q.JoinWith = r.U8("query join table")
+		q.Lo = r.U16("query lo")
+		q.Hi = r.U16("query hi")
 		g.Req.Query = &q
 		if t == binQueryAt {
-			g.Req.MinOffset = r.u64("query min offset")
-			if r.err == nil && g.Req.MinOffset == 0 {
+			g.Req.MinOffset = r.U64("query min offset")
+			if r.Err() == nil && g.Req.MinOffset == 0 {
 				return GatewayRequest{}, fmt.Errorf("%w: freshness-bound query with zero bound", ErrBadFrame)
 			}
 		}
 	}
-	if err := r.done("gateway request"); err != nil {
+	if err := r.Done("gateway request"); err != nil {
 		return GatewayRequest{}, err
 	}
 	return g, nil
@@ -406,21 +284,9 @@ func decodeGatewayRequestBinary(b []byte) (GatewayRequest, error) {
 
 // EncodeGatewayResponse serializes the envelope under codec c.
 func (c Codec) EncodeGatewayResponse(g GatewayResponse) ([]byte, error) {
-	switch c {
-	case CodecJSON:
-		b, err := json.Marshal(g)
-		if err != nil {
-			return nil, fmt.Errorf("wire: encode gateway response: %w", err)
-		}
-		return b, nil
-	case CodecBinary:
-		return encodeGatewayResponseBinary(g)
-	default:
+	if c != CodecBinary {
 		return nil, fmt.Errorf("wire: encode with unknown codec %d", byte(c))
 	}
-}
-
-func encodeGatewayResponseBinary(g GatewayResponse) ([]byte, error) {
 	var flags byte
 	resp := g.Resp
 	if resp.OK {
@@ -448,32 +314,32 @@ func encodeGatewayResponseBinary(g GatewayResponse) ([]byte, error) {
 		flags |= flagStale
 	}
 	b := make([]byte, 0, 64)
-	b = appendU64(b, g.ID)
+	b = binfmt.AppendU64(b, g.ID)
 	b = append(b, flags)
 	if flags&flagError != 0 {
 		if len(resp.Error) > math.MaxUint16 {
 			resp.Error = resp.Error[:math.MaxUint16]
 		}
-		b = appendU16(b, uint16(len(resp.Error)))
+		b = binfmt.AppendU16(b, uint16(len(resp.Error)))
 		b = append(b, resp.Error...)
 	}
 	if flags&flagAnswer != 0 {
-		b = appendF64(b, resp.Answer.Scalar)
-		b = appendU32(b, uint32(len(resp.Answer.Groups)))
+		b = binfmt.AppendF64(b, resp.Answer.Scalar)
+		b = binfmt.AppendU32(b, uint32(len(resp.Answer.Groups)))
 		for _, v := range resp.Answer.Groups {
-			b = appendF64(b, v)
+			b = binfmt.AppendF64(b, v)
 		}
 	}
 	if flags&flagCost != 0 {
-		b = appendF64(b, resp.Cost.Seconds)
-		b = appendU64(b, uint64(resp.Cost.RecordsScanned))
-		b = appendU64(b, uint64(resp.Cost.PairsCompared))
+		b = binfmt.AppendF64(b, resp.Cost.Seconds)
+		b = binfmt.AppendU64(b, uint64(resp.Cost.RecordsScanned))
+		b = binfmt.AppendU64(b, uint64(resp.Cost.PairsCompared))
 	}
 	if flags&flagStats != 0 {
 		st := resp.Stats
-		b = appendU32(b, uint32(st.Records))
-		b = appendU64(b, uint64(st.Bytes))
-		b = appendU32(b, uint32(st.Updates))
+		b = binfmt.AppendU32(b, uint32(st.Records))
+		b = binfmt.AppendU64(b, uint64(st.Bytes))
+		b = binfmt.AppendU32(b, uint32(st.Updates))
 		scheme := st.Scheme
 		if len(scheme) > MaxOwnerLen {
 			scheme = scheme[:MaxOwnerLen]
@@ -483,10 +349,10 @@ func encodeGatewayResponseBinary(g GatewayResponse) ([]byte, error) {
 		b = append(b, byte(st.Leakage))
 	}
 	if flags&flagResume != 0 {
-		b = appendU64(b, resp.Resume.Clock)
+		b = binfmt.AppendU64(b, resp.Resume.Clock)
 	}
 	if flags&flagStale != 0 {
-		b = appendU64(b, resp.Stale.Offset)
+		b = binfmt.AppendU64(b, resp.Stale.Offset)
 	}
 	return b, nil
 }
@@ -497,70 +363,58 @@ func (c Codec) DecodeGatewayResponse(b []byte) (GatewayResponse, error) {
 	if len(b) == 0 {
 		return GatewayResponse{}, fmt.Errorf("%w: empty gateway response frame", ErrBadFrame)
 	}
-	switch c {
-	case CodecJSON:
-		var g GatewayResponse
-		if err := json.Unmarshal(b, &g); err != nil {
-			return GatewayResponse{}, fmt.Errorf("%w: decode gateway response: %v", ErrBadFrame, err)
-		}
-		return g, nil
-	case CodecBinary:
-		return decodeGatewayResponseBinary(b)
-	default:
+	if c != CodecBinary {
 		return GatewayResponse{}, fmt.Errorf("wire: decode with unknown codec %d", byte(c))
 	}
-}
-
-func decodeGatewayResponseBinary(b []byte) (GatewayResponse, error) {
-	r := &binReader{b: b}
+	r := binfmt.NewReader(b, ErrBadFrame)
 	var g GatewayResponse
-	g.ID = r.u64("response id")
-	flags := r.u8("response flags")
+	g.ID = r.U64("response id")
+	flags := r.U8("response flags")
 	g.Resp.OK = flags&flagOK != 0
 	if flags&flagError != 0 {
-		n := int(r.u16("error length"))
-		g.Resp.Error = string(r.bytes(n, "error text"))
+		n := int(r.U16("error length"))
+		g.Resp.Error = string(r.Bytes(n, "error text"))
 	}
 	if flags&flagAnswer != 0 {
 		var a AnswerSpec
-		a.Scalar = r.f64("answer scalar")
-		n := int(r.u32("group count"))
-		if n > r.remaining()/8 {
+		a.Scalar = r.F64("answer scalar")
+		n := int(r.U32("group count"))
+		if n > r.Remaining()/8 {
 			return GatewayResponse{}, fmt.Errorf("%w: group count %d exceeds frame", ErrBadFrame, n)
 		}
 		if n > 0 {
 			a.Groups = make([]float64, n)
 			for i := range a.Groups {
-				a.Groups[i] = r.f64("group value")
+				a.Groups[i] = r.F64("group value")
 			}
 		}
 		g.Resp.Answer = &a
 	}
 	if flags&flagCost != 0 {
 		var cs CostSpec
-		cs.Seconds = r.f64("cost seconds")
-		cs.RecordsScanned = int64(r.u64("cost records"))
-		cs.PairsCompared = int64(r.u64("cost pairs"))
+		cs.Seconds = r.F64("cost seconds")
+		cs.RecordsScanned = int64(r.U64("cost records"))
+		cs.PairsCompared = int64(r.U64("cost pairs"))
 		g.Resp.Cost = &cs
 	}
 	if flags&flagStats != 0 {
 		var st StatsSpec
-		st.Records = int(r.u32("stats records"))
-		st.Bytes = int64(r.u64("stats bytes"))
-		st.Updates = int(r.u32("stats updates"))
-		n := int(r.u8("scheme length"))
-		st.Scheme = string(r.bytes(n, "scheme"))
-		st.Leakage = int(r.u8("leakage class"))
+		st.Records = int(r.U32("stats records"))
+		st.Bytes = int64(r.U64("stats bytes"))
+		st.Updates = int(r.U32("stats updates"))
+		n := int(r.U8("scheme length"))
+		st.Scheme = string(r.Bytes(n, "scheme"))
+		st.Leakage = int(r.U8("leakage class"))
 		g.Resp.Stats = &st
 	}
 	if flags&flagResume != 0 {
-		g.Resp.Resume = &ResumeSpec{Clock: r.u64("resume clock")}
+		g.Resp.Resume = &ResumeSpec{Clock: r.U64("resume clock")}
 	}
 	if flags&flagStale != 0 {
-		g.Resp.Stale = &StaleSpec{Offset: r.u64("stale offset")}
+		g.Resp.Stale = &StaleSpec{Offset: r.U64("stale offset")}
 	}
 	g.Resp.Backpressure = flags&flagBackpressure != 0
-	if err := r.done("gateway response"); err != nil {
+	if err := r.Done("gateway response"); err != nil {
 		return GatewayResponse{}, err
 	}
 	return g, nil

@@ -34,86 +34,44 @@ func sampleResponses() []GatewayResponse {
 	}
 }
 
-func TestGatewayRequestRoundTripBothCodecs(t *testing.T) {
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		for _, g := range sampleRequests() {
-			b, err := codec.EncodeGatewayRequest(g)
-			if err != nil {
-				t.Fatalf("%v encode %+v: %v", codec, g, err)
-			}
-			got, err := codec.DecodeGatewayRequest(b)
-			if err != nil {
-				t.Fatalf("%v decode: %v", codec, err)
-			}
-			// JSON decodes empty ciphertexts to nil slices; normalize before
-			// comparing (the sealed bytes themselves are what matters).
-			if !reflect.DeepEqual(normalizeReq(got), normalizeReq(g)) {
-				t.Errorf("%v round trip: got %+v want %+v", codec, got, g)
-			}
+func TestGatewayRequestRoundTrip(t *testing.T) {
+	for _, g := range sampleRequests() {
+		b, err := CodecBinary.EncodeGatewayRequest(g)
+		if err != nil {
+			t.Fatalf("encode %+v: %v", g, err)
+		}
+		got, err := CodecBinary.DecodeGatewayRequest(b)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !reflect.DeepEqual(got, g) {
+			t.Errorf("round trip: got %+v want %+v", got, g)
 		}
 	}
 }
 
-func normalizeReq(g GatewayRequest) GatewayRequest {
-	for i, ct := range g.Req.Sealed {
-		if len(ct) == 0 {
-			g.Req.Sealed[i] = nil
+func TestGatewayResponseRoundTrip(t *testing.T) {
+	for _, g := range sampleResponses() {
+		b, err := CodecBinary.EncodeGatewayResponse(g)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
 		}
-	}
-	return g
-}
-
-func TestGatewayResponseRoundTripBothCodecs(t *testing.T) {
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		for _, g := range sampleResponses() {
-			b, err := codec.EncodeGatewayResponse(g)
-			if err != nil {
-				t.Fatalf("%v encode: %v", codec, err)
-			}
-			got, err := codec.DecodeGatewayResponse(b)
-			if err != nil {
-				t.Fatalf("%v decode: %v", codec, err)
-			}
-			if !reflect.DeepEqual(got, g) {
-				t.Errorf("%v round trip: got %+v want %+v", codec, got, g)
-			}
+		got, err := CodecBinary.DecodeGatewayResponse(b)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
 		}
-	}
-}
-
-func TestBinarySmallerThanJSONForSealedBatches(t *testing.T) {
-	// The point of the binary codec: no base64 expansion of ciphertexts.
-	ct := bytes.Repeat([]byte{0xAB}, 600)
-	g := GatewayRequest{ID: 7, Owner: "owner-1", Req: Request{
-		Type: MsgUpdate, Sealed: [][]byte{ct, ct, ct},
-	}}
-	jb, err := CodecJSON.EncodeGatewayRequest(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := CodecBinary.EncodeGatewayRequest(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bb) >= len(jb) {
-		t.Errorf("binary frame (%d bytes) not smaller than JSON (%d bytes)", len(bb), len(jb))
+		if !reflect.DeepEqual(got, g) {
+			t.Errorf("round trip: got %+v want %+v", got, g)
+		}
 	}
 }
 
 func TestDecodeRejectsZeroLengthFrames(t *testing.T) {
-	if _, err := DecodeRequest(nil); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("DecodeRequest(nil) = %v, want ErrBadFrame", err)
+	if _, err := CodecBinary.DecodeGatewayRequest(nil); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("DecodeGatewayRequest(nil) = %v, want ErrBadFrame", err)
 	}
-	if _, err := DecodeResponse(nil); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("DecodeResponse(nil) = %v, want ErrBadFrame", err)
-	}
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		if _, err := codec.DecodeGatewayRequest(nil); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%v DecodeGatewayRequest(nil) = %v, want ErrBadFrame", codec, err)
-		}
-		if _, err := codec.DecodeGatewayResponse(nil); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%v DecodeGatewayResponse(nil) = %v, want ErrBadFrame", codec, err)
-		}
+	if _, err := CodecBinary.DecodeGatewayResponse(nil); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("DecodeGatewayResponse(nil) = %v, want ErrBadFrame", err)
 	}
 }
 
@@ -165,6 +123,15 @@ func TestEncodeGuards(t *testing.T) {
 	}}); err == nil {
 		t.Error("out-of-range kind encoded")
 	}
+	// Byte 1 was the JSON codec; it names no codec now, and nothing encodes
+	// or decodes under it.
+	retired := Codec(1)
+	if _, err := retired.EncodeGatewayRequest(sampleRequests()[0]); err == nil {
+		t.Error("request encoded under the retired codec byte")
+	}
+	if _, err := retired.DecodeGatewayResponse([]byte{0, 0, 0, 0, 0, 0, 0, 1, flagOK}); err == nil {
+		t.Error("response decoded under the retired codec byte")
+	}
 }
 
 func TestHelloNegotiation(t *testing.T) {
@@ -179,7 +146,7 @@ func TestHelloNegotiation(t *testing.T) {
 	if got != CodecBinary {
 		t.Errorf("hello codec = %v", got)
 	}
-	// Unknown codec byte passes through ReadHello (the server downgrades).
+	// Unknown codec byte passes through ReadHello (the server acks binary).
 	buf.Reset()
 	_ = WriteHello(&buf, Codec(77))
 	got, err = ReadHello(&buf)
@@ -195,13 +162,15 @@ func TestHelloNegotiation(t *testing.T) {
 	}
 	// Ack round trip; invalid ack rejected.
 	buf.Reset()
-	if err := WriteHelloAck(&buf, CodecJSON); err != nil {
+	if err := WriteHelloAck(&buf, CodecBinary); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := ReadHelloAck(&buf); err != nil || got != CodecJSON {
+	if got, err := ReadHelloAck(&buf); err != nil || got != CodecBinary {
 		t.Errorf("ack = %v, %v", got, err)
 	}
-	if _, err := ReadHelloAck(bytes.NewReader([]byte{0x7F})); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("invalid ack: err = %v, want ErrBadFrame", err)
+	for _, b := range []byte{0x7F, 1} { // 1: the retired JSON codec's byte
+		if _, err := ReadHelloAck(bytes.NewReader([]byte{b})); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("invalid ack %#x: err = %v, want ErrBadFrame", b, err)
+		}
 	}
 }

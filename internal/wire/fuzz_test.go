@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// codec is the one payload encoding the fuzzers exercise.
+const codec = CodecBinary
+
 // FuzzReadFrame throws arbitrary bytes at the frame reader: it must never
 // panic or over-allocate (the MaxFrame guard), and everything it accepts
 // must round-trip through WriteFrame.
@@ -30,28 +33,14 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRequest must never panic on malformed JSON.
-func FuzzDecodeRequest(f *testing.F) {
-	ok, _ := Encode(Request{Type: MsgStats})
-	f.Add(ok)
-	f.Add([]byte(`{"type":"query","query":{"kind":2}}`))
-	f.Add([]byte(`{`))
-	f.Add([]byte(`[]`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeRequest(data)
-		if err != nil {
-			return
-		}
-		if req.Query != nil {
-			_ = req.Query.ToQuery() // conversion must not panic either
-		}
-	})
-}
+// Each decoder fuzzer below also seeds with envelopes as a peer on the
+// retired JSON codec (version byte 1) would send them: to the binary decoder
+// they are garbage that must be refused as malformed, never panic.
 
-// FuzzDecodeGatewayRequest throws arbitrary bytes at both codecs' envelope
-// decoders: they must never panic or over-allocate, and whatever they accept
-// must survive an encode→decode round trip unchanged (the binary decoder is
-// strict, so acceptance means every byte was accounted for).
+// FuzzDecodeGatewayRequest throws arbitrary bytes at the envelope decoder:
+// it must never panic or over-allocate, and whatever it accepts must survive
+// an encode→decode round trip unchanged (the decoder is strict, so
+// acceptance means every byte was accounted for).
 func FuzzDecodeGatewayRequest(f *testing.F) {
 	for _, g := range []GatewayRequest{
 		{ID: 1, Owner: "owner-a", Req: Request{Type: MsgSetup, Sealed: [][]byte{{1, 2, 3}}}},
@@ -62,19 +51,24 @@ func FuzzDecodeGatewayRequest(f *testing.F) {
 		{ID: 6, Owner: "f", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1}, MinOffset: 42}},
 		{ID: 7, Owner: "f", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 2, Lo: 50, Hi: 100}, MinOffset: 1<<64 - 1}},
 	} {
-		for _, codec := range []Codec{CodecJSON, CodecBinary} {
-			if b, err := codec.EncodeGatewayRequest(g); err == nil {
-				f.Add(byte(codec), b)
-			}
+		if b, err := codec.EncodeGatewayRequest(g); err == nil {
+			f.Add(b)
 		}
 	}
-	f.Add(byte(CodecBinary), []byte{0, 0, 0, 0, 0, 0, 0, 1, 0, binSetup, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add(byte(CodecBinary), []byte{})
-	f.Fuzz(func(t *testing.T, codecByte byte, data []byte) {
-		codec := Codec(codecByte)
-		if !codec.Valid() {
-			codec = CodecBinary
-		}
+	for _, retired := range []string{
+		`{"id":1,"owner":"owner-a","req":{"type":"setup","sealed":["AQID"]}}`,
+		`{"id":2,"owner":"o","req":{"type":"query","query":{"kind":2,"provider":1}}}`,
+		`{"id":3,"owner":"s","req":{"type":"stats"}}`,
+		`{"id":4,"owner":"r","req":{"type":"resume"}}`,
+		`{"id":5,"owner":"u","req":{"type":"update","sealed":["Bw=="],"seq":9}}`,
+		`{"id":6,"owner":"f","req":{"type":"query","query":{"kind":1,"provider":0},"minOffset":42}}`,
+		`{"id":7,"owner":"f","req":{"type":"query","query":{"kind":2,"provider":0,"lo":50,"hi":100},"minOffset":18446744073709551615}}`,
+	} {
+		f.Add([]byte(retired))
+	}
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, binSetup, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := codec.DecodeGatewayRequest(data)
 		if err != nil {
 			return
@@ -109,18 +103,24 @@ func FuzzDecodeGatewayResponse(f *testing.F) {
 		{ID: 7, Resp: Response{Error: "replica behind freshness bound", Stale: &StaleSpec{Offset: 99}}},
 		{ID: 8, Resp: Response{Error: "stale", Stale: &StaleSpec{Offset: 0}}},
 	} {
-		for _, codec := range []Codec{CodecJSON, CodecBinary} {
-			if b, err := codec.EncodeGatewayResponse(g); err == nil {
-				f.Add(byte(codec), b)
-			}
+		if b, err := codec.EncodeGatewayResponse(g); err == nil {
+			f.Add(b)
 		}
 	}
-	f.Add(byte(CodecBinary), []byte{0, 0, 0, 0, 0, 0, 0, 9, flagOK | flagAnswer, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, codecByte byte, data []byte) {
-		codec := Codec(codecByte)
-		if !codec.Valid() {
-			codec = CodecBinary
-		}
+	for _, retired := range []string{
+		`{"id":1,"resp":{"ok":true}}`,
+		`{"id":2,"resp":{"ok":false,"error":"boom"}}`,
+		`{"id":3,"resp":{"ok":true,"answer":{"scalar":4,"groups":[1,2]},"cost":{"seconds":1,"recordsScanned":2}}}`,
+		`{"id":4,"resp":{"ok":true,"stats":{"records":5,"bytes":0,"updates":0,"scheme":"ObliDB"}}}`,
+		`{"id":5,"resp":{"ok":true,"resume":{"clock":17}}}`,
+		`{"id":6,"resp":{"ok":false,"error":"shed","backpressure":true}}`,
+		`{"id":7,"resp":{"ok":false,"error":"replica behind freshness bound","stale":{"offset":99}}}`,
+		`{"id":8,"resp":{"ok":false,"error":"stale","stale":{"offset":0}}}`,
+	} {
+		f.Add([]byte(retired))
+	}
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 9, flagOK | flagAnswer, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := codec.DecodeGatewayResponse(data)
 		if err != nil {
 			return
@@ -145,10 +145,10 @@ func FuzzDecodeGatewayResponse(f *testing.F) {
 
 // FuzzResumeHandshake targets the reconnect handshake specifically: the
 // MsgResume request (no payload beyond the envelope) and the ResumeSpec /
-// Backpressure response bits, under both codecs. Both decode directions run
-// on every input — whatever either accepts must round-trip with the resume
-// fields intact, since a clock silently corrupted in flight would make a
-// reconnecting client replay from the wrong tick.
+// Backpressure response bits. Both decode directions run on every input —
+// whatever either accepts must round-trip with the resume fields intact,
+// since a clock silently corrupted in flight would make a reconnecting
+// client replay from the wrong tick.
 func FuzzResumeHandshake(f *testing.F) {
 	reqs := []GatewayRequest{
 		{ID: 1, Owner: "owner-a", Req: Request{Type: MsgResume}},
@@ -159,25 +159,28 @@ func FuzzResumeHandshake(f *testing.F) {
 		{ID: 2, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 1<<64 - 1}}},
 		{ID: 3, Resp: Response{Error: "in-flight cap exceeded", Backpressure: true}},
 	}
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		for _, g := range reqs {
-			if b, err := codec.EncodeGatewayRequest(g); err == nil {
-				f.Add(byte(codec), b)
-			}
-		}
-		for _, g := range resps {
-			if b, err := codec.EncodeGatewayResponse(g); err == nil {
-				f.Add(byte(codec), b)
-			}
+	for _, g := range reqs {
+		if b, err := codec.EncodeGatewayRequest(g); err == nil {
+			f.Add(b)
 		}
 	}
-	f.Add(byte(CodecBinary), []byte{0, 0, 0, 0, 0, 0, 0, 1, 0, binResume, 0xEE})
-	f.Add(byte(CodecBinary), []byte{0, 0, 0, 0, 0, 0, 0, 2, flagOK | flagResume, 1, 2, 3})
-	f.Fuzz(func(t *testing.T, codecByte byte, data []byte) {
-		codec := Codec(codecByte)
-		if !codec.Valid() {
-			codec = CodecBinary
+	for _, g := range resps {
+		if b, err := codec.EncodeGatewayResponse(g); err == nil {
+			f.Add(b)
 		}
+	}
+	for _, retired := range []string{
+		`{"id":1,"owner":"owner-a","req":{"type":"resume"}}`,
+		`{"id":1125899906842624,"owner":"","req":{"type":"resume"}}`,
+		`{"id":1,"resp":{"ok":true,"resume":{"clock":0}}}`,
+		`{"id":2,"resp":{"ok":true,"resume":{"clock":18446744073709551615}}}`,
+		`{"id":3,"resp":{"ok":false,"error":"in-flight cap exceeded","backpressure":true}}`,
+	} {
+		f.Add([]byte(retired))
+	}
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, binResume, 0xEE})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 2, flagOK | flagResume, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
 		if g, err := codec.DecodeGatewayRequest(data); err == nil && g.Req.Type == MsgResume {
 			reenc, err := codec.EncodeGatewayRequest(g)
 			if err != nil {
@@ -208,21 +211,19 @@ func FuzzResumeHandshake(f *testing.F) {
 
 // FuzzReadHandshake targets the read-plane surface a follower exposes to
 // untrusted dialers: the "DPSQ" read-only hello and its 1-byte ack, the
-// MinOffset-carrying query envelope (binQueryAt under the binary codec),
-// and the typed staleness refusal (Response.Stale) the client trusts for
-// fallback decisions. Both decode directions run on every input — a
+// MinOffset-carrying query envelope (binQueryAt), and the typed staleness
+// refusal (Response.Stale) the client trusts for fallback decisions. Both
+// decode directions run on every input — a
 // MinOffset corrupted in flight would let a replica serve an answer staler
 // than the caller demanded, and a corrupted Stale.Offset would misdirect
 // the client's catch-up arithmetic.
 func FuzzReadHandshake(f *testing.F) {
 	var hello bytes.Buffer
-	_ = WriteReadHello(&hello, CodecBinary)
-	f.Add(byte(CodecBinary), hello.Bytes())
-	hello.Reset()
-	_ = WriteReadHello(&hello, CodecJSON)
-	f.Add(byte(CodecJSON), hello.Bytes())
-	f.Add(byte(CodecBinary), []byte("DPSQ\xFF"))
-	f.Add(byte(CodecBinary), []byte{HelloRefused})
+	_ = WriteReadHello(&hello, codec)
+	f.Add(hello.Bytes())
+	f.Add([]byte("DPSQ\x01")) // proposes the retired JSON codec's byte
+	f.Add([]byte("DPSQ\xFF"))
+	f.Add([]byte{HelloRefused})
 	reqs := []GatewayRequest{
 		{ID: 1, Owner: "owner-a", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 2, Provider: 1, Lo: 50, Hi: 100}, MinOffset: 17}},
 		{ID: 2, Owner: "o", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1}, MinOffset: 1<<64 - 1}},
@@ -233,28 +234,32 @@ func FuzzReadHandshake(f *testing.F) {
 		{ID: 2, Resp: Response{Error: "stale", Stale: &StaleSpec{Offset: 1<<64 - 1}}},
 		{ID: 3, Resp: Response{Error: "wire: node is not the cluster primary"}},
 	}
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		for _, g := range reqs {
-			if b, err := codec.EncodeGatewayRequest(g); err == nil {
-				f.Add(byte(codec), b)
-			}
+	for _, g := range reqs {
+		if b, err := codec.EncodeGatewayRequest(g); err == nil {
+			f.Add(b)
 		}
-		for _, g := range resps {
-			if b, err := codec.EncodeGatewayResponse(g); err == nil {
-				f.Add(byte(codec), b)
-			}
+	}
+	for _, g := range resps {
+		if b, err := codec.EncodeGatewayResponse(g); err == nil {
+			f.Add(b)
 		}
+	}
+	for _, retired := range []string{
+		`{"id":1,"owner":"owner-a","req":{"type":"query","query":{"kind":2,"provider":1,"lo":50,"hi":100},"minOffset":17}}`,
+		`{"id":2,"owner":"o","req":{"type":"query","query":{"kind":1,"provider":0},"minOffset":18446744073709551615}}`,
+		`{"id":3,"owner":"s","req":{"type":"stats"}}`,
+		`{"id":1,"resp":{"ok":false,"error":"wire: replica behind requested offset","stale":{"offset":16}}}`,
+		`{"id":2,"resp":{"ok":false,"error":"stale","stale":{"offset":18446744073709551615}}}`,
+		`{"id":3,"resp":{"ok":false,"error":"wire: node is not the cluster primary"}}`,
+	} {
+		f.Add([]byte(retired))
 	}
 	// Truncated/corrupt binQueryAt frames: bound claimed but bytes missing,
 	// and a binQueryAt claiming bound zero (the decoder must reject it — a
 	// re-encode would silently change the frame type to binQuery).
-	f.Add(byte(CodecBinary), []byte{0, 0, 0, 0, 0, 0, 0, 1, 1, 'a', binQueryAt, 2, 1, 0})
-	f.Add(byte(CodecBinary), []byte{0, 0, 0, 0, 0, 0, 0, 1, 1, 'a', binQueryAt, 2, 1, 0, 0, 50, 0, 100, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, codecByte byte, data []byte) {
-		codec := Codec(codecByte)
-		if !codec.Valid() {
-			codec = CodecBinary
-		}
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 1, 'a', binQueryAt, 2, 1, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 1, 'a', binQueryAt, 2, 1, 0, 0, 50, 0, 100, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
 		if kind, v, err := ReadAnyHello(bytes.NewReader(data)); err == nil && kind == HelloRead {
 			var out bytes.Buffer
 			_ = WriteReadHello(&out, Codec(v))
@@ -294,7 +299,7 @@ func FuzzReadHandshake(f *testing.F) {
 	})
 }
 
-// FuzzReadHello exercises the version-negotiation byte parsing: arbitrary
+// FuzzReadHello exercises the hello's version-byte parsing: arbitrary
 // prefixes must never panic, and an accepted hello must round-trip.
 func FuzzReadHello(f *testing.F) {
 	var buf bytes.Buffer

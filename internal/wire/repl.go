@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"dpsync/internal/binfmt"
 )
 
 // Replication protocol: a follower node dials the primary gateway on the
@@ -36,18 +38,13 @@ var replMagic = [4]byte{'D', 'P', 'S', 'R'}
 // exactly like the client hello.
 var readMagic = [4]byte{'D', 'P', 'S', 'Q'}
 
-// ReplVersion is the newest replication protocol version this build speaks.
-// Version 2 adds the traced-entry frame (ReplEntryTraced), carrying the
-// optional trace-context extension — a trace ID and parent span ID — so a
-// sampled sync's span tree crosses the replication link. The handshake
-// negotiates down: the primary acks min(proposed, own), so a v1 peer on
-// either side yields a v1 stream and traced entries ship as plain
-// ReplEntry frames with the trace context stripped.
+// ReplVersion is the one replication protocol version this build speaks:
+// streams carry ReplEntry frames, and ReplEntryTraced frames for sampled
+// syncs (the trace-context extension — a trace ID and parent span ID — that
+// lets a span tree cross the replication link). There is no negotiation: a
+// primary refuses a hello proposing any other version, and a follower
+// refuses an ack naming one.
 const ReplVersion = 2
-
-// ReplVersionTraced is the first version whose streams may carry
-// ReplEntryTraced frames.
-const ReplVersionTraced = 2
 
 // HelloRefused is the hello-ack byte a non-primary node answers to any
 // hello, client or replication: this node cannot serve you, try another
@@ -100,9 +97,10 @@ func WriteReplHello(w io.Writer, version byte) error {
 
 // ReadAnyHello consumes one 5-byte hello and reports which protocol it
 // opens: HelloClient with the proposed codec, or HelloRepl with the proposed
-// replication version. A magic matching neither protocol is a violation
+// replication version. A magic matching no protocol is a violation
 // (ErrBadFrame). Like ReadHello, an unknown codec/version byte is not an
-// error — the server answers with a downgrade or a refusal.
+// error here — the server answers an unknown codec with the one it speaks
+// and an unknown replication version with a refusal.
 func ReadAnyHello(r io.Reader) (HelloKind, byte, error) {
 	var buf [5]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
@@ -138,32 +136,21 @@ func WriteReplHelloAck(w io.Writer, version byte) error {
 	return nil
 }
 
-// ReadReplHelloAck consumes the primary's answer: the negotiated stream
-// version, at most what the follower proposed. A refusal byte means the
-// dialed node is not primary (ErrNotPrimary — redial elsewhere); any version
-// this build does not speak — zero, or newer than its own — is a hard error.
-func ReadReplHelloAck(r io.Reader) (byte, error) {
+// ReadReplHelloAck consumes the primary's answer. A refusal byte means the
+// dialed node cannot serve the stream (ErrNotPrimary — redial elsewhere);
+// anything but ReplVersion is a hard error.
+func ReadReplHelloAck(r io.Reader) error {
 	var buf [1]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("wire: reading repl hello ack: %w", err)
+		return fmt.Errorf("wire: reading repl hello ack: %w", err)
 	}
 	if buf[0] == HelloRefused {
-		return 0, ErrNotPrimary
+		return ErrNotPrimary
 	}
-	if buf[0] == 0 || buf[0] > ReplVersion {
-		return 0, fmt.Errorf("%w: primary speaks repl version %d, want 1..%d", ErrBadFrame, buf[0], ReplVersion)
+	if buf[0] != ReplVersion {
+		return fmt.Errorf("%w: primary speaks repl version %d, want %d", ErrBadFrame, buf[0], ReplVersion)
 	}
-	return buf[0], nil
-}
-
-// NegotiateReplVersion is the primary's side of the version handshake: the
-// stream speaks the older of the two builds. A proposal of zero is invalid
-// (the caller refuses the hello).
-func NegotiateReplVersion(proposed byte) byte {
-	if proposed > ReplVersion {
-		return ReplVersion
-	}
-	return proposed
+	return nil
 }
 
 // MaxNodeLen bounds a cluster node identifier, mirroring MaxOwnerLen.
@@ -195,10 +182,10 @@ func EncodeReplJoin(j ReplJoin) ([]byte, error) {
 	b := make([]byte, 0, 2+len(j.Node)+4+12*len(j.Cursors))
 	b = append(b, byte(len(j.Node)))
 	b = append(b, j.Node...)
-	b = appendU32(b, uint32(len(j.Cursors)))
+	b = binfmt.AppendU32(b, uint32(len(j.Cursors)))
 	for _, c := range j.Cursors {
-		b = appendU32(b, c.Shard)
-		b = appendU64(b, c.Offset)
+		b = binfmt.AppendU32(b, c.Shard)
+		b = binfmt.AppendU64(b, c.Offset)
 	}
 	return b, nil
 }
@@ -209,23 +196,23 @@ func DecodeReplJoin(b []byte) (ReplJoin, error) {
 	if len(b) == 0 {
 		return ReplJoin{}, fmt.Errorf("%w: empty repl join frame", ErrBadFrame)
 	}
-	r := &binReader{b: b}
+	r := binfmt.NewReader(b, ErrBadFrame)
 	var j ReplJoin
-	nodeLen := int(r.u8("node length"))
-	j.Node = string(r.bytes(nodeLen, "node id"))
-	n := int(r.u32("cursor count"))
+	nodeLen := int(r.U8("node length"))
+	j.Node = string(r.Bytes(nodeLen, "node id"))
+	n := int(r.U32("cursor count"))
 	// Each cursor costs 12 bytes; a larger claim is a lie.
-	if n > r.remaining()/12 {
+	if n > r.Remaining()/12 {
 		return ReplJoin{}, fmt.Errorf("%w: cursor count %d exceeds frame", ErrBadFrame, n)
 	}
 	if n > 0 {
 		j.Cursors = make([]ReplCursor, n)
 		for i := range j.Cursors {
-			j.Cursors[i].Shard = r.u32("cursor shard")
-			j.Cursors[i].Offset = r.u64("cursor offset")
+			j.Cursors[i].Shard = r.U32("cursor shard")
+			j.Cursors[i].Offset = r.U64("cursor offset")
 		}
 	}
-	if err := r.done("repl join"); err != nil {
+	if err := r.Done("repl join"); err != nil {
 		return ReplJoin{}, err
 	}
 	if j.Node == "" {
@@ -249,7 +236,7 @@ type ReplJoinAck struct {
 // EncodeReplJoinAck serializes a join-ack frame payload.
 func EncodeReplJoinAck(a ReplJoinAck) []byte {
 	b := make([]byte, 0, 5)
-	b = appendU32(b, a.Shards)
+	b = binfmt.AppendU32(b, a.Shards)
 	var flags byte
 	if a.Snapshot {
 		flags |= replJoinFlagSnapshot
@@ -262,15 +249,15 @@ func DecodeReplJoinAck(b []byte) (ReplJoinAck, error) {
 	if len(b) == 0 {
 		return ReplJoinAck{}, fmt.Errorf("%w: empty repl join ack frame", ErrBadFrame)
 	}
-	r := &binReader{b: b}
+	r := binfmt.NewReader(b, ErrBadFrame)
 	var a ReplJoinAck
-	a.Shards = r.u32("shard count")
-	flags := r.u8("join ack flags")
-	if r.err == nil && flags&^byte(replJoinFlagSnapshot) != 0 {
+	a.Shards = r.U32("shard count")
+	flags := r.U8("join ack flags")
+	if r.Err() == nil && flags&^byte(replJoinFlagSnapshot) != 0 {
 		return ReplJoinAck{}, fmt.Errorf("%w: unknown join ack flag bits %#x", ErrBadFrame, flags)
 	}
 	a.Snapshot = flags&replJoinFlagSnapshot != 0
-	if err := r.done("repl join ack"); err != nil {
+	if err := r.Done("repl join ack"); err != nil {
 		return ReplJoinAck{}, err
 	}
 	if a.Shards == 0 {
@@ -300,7 +287,6 @@ const (
 	// ReplEntryTraced is a ReplEntry carrying the trace-context extension:
 	// the trace ID of the sampled sync that committed the entry and the
 	// primary-side parent span ID the follower's apply span hangs under.
-	// Valid only on streams negotiated at ReplVersionTraced or newer.
 	ReplEntryTraced = 5
 )
 
@@ -329,10 +315,10 @@ func EncodeReplFrame(f ReplFrame) ([]byte, error) {
 		}
 		b := make([]byte, 0, 1+4+8+8+4+len(f.Entry))
 		b = append(b, ReplEntry)
-		b = appendU32(b, f.Shard)
-		b = appendU64(b, f.Offset)
-		b = appendU64(b, uint64(f.CommitNs))
-		b = appendU32(b, uint32(len(f.Entry)))
+		b = binfmt.AppendU32(b, f.Shard)
+		b = binfmt.AppendU64(b, f.Offset)
+		b = binfmt.AppendU64(b, uint64(f.CommitNs))
+		b = binfmt.AppendU32(b, uint32(len(f.Entry)))
 		return append(b, f.Entry...), nil
 	case ReplEntryTraced:
 		if len(f.Entry) == 0 {
@@ -343,26 +329,26 @@ func EncodeReplFrame(f ReplFrame) ([]byte, error) {
 		}
 		b := make([]byte, 0, 1+4+8+8+8+4+4+len(f.Entry))
 		b = append(b, ReplEntryTraced)
-		b = appendU32(b, f.Shard)
-		b = appendU64(b, f.Offset)
-		b = appendU64(b, uint64(f.CommitNs))
-		b = appendU64(b, f.TraceID)
-		b = appendU32(b, f.ParentSpan)
-		b = appendU32(b, uint32(len(f.Entry)))
+		b = binfmt.AppendU32(b, f.Shard)
+		b = binfmt.AppendU64(b, f.Offset)
+		b = binfmt.AppendU64(b, uint64(f.CommitNs))
+		b = binfmt.AppendU64(b, f.TraceID)
+		b = binfmt.AppendU32(b, f.ParentSpan)
+		b = binfmt.AppendU32(b, uint32(len(f.Entry)))
 		return append(b, f.Entry...), nil
 	case ReplSnapBegin:
 		b := make([]byte, 0, 1+4+8)
 		b = append(b, ReplSnapBegin)
-		b = appendU32(b, f.Shard)
-		return appendU64(b, f.Offset), nil
+		b = binfmt.AppendU32(b, f.Shard)
+		return binfmt.AppendU64(b, f.Offset), nil
 	case ReplSnapEnd:
 		b := make([]byte, 0, 1+4)
 		b = append(b, ReplSnapEnd)
-		return appendU32(b, f.Shard), nil
+		return binfmt.AppendU32(b, f.Shard), nil
 	case ReplHeartbeat:
 		b := make([]byte, 0, 1+8)
 		b = append(b, ReplHeartbeat)
-		return appendU64(b, uint64(f.CommitNs)), nil
+		return binfmt.AppendU64(b, uint64(f.CommitNs)), nil
 	default:
 		return nil, fmt.Errorf("wire: unknown repl frame kind %d", f.Kind)
 	}
@@ -374,44 +360,44 @@ func DecodeReplFrame(b []byte) (ReplFrame, error) {
 	if len(b) == 0 {
 		return ReplFrame{}, fmt.Errorf("%w: empty repl frame", ErrBadFrame)
 	}
-	r := &binReader{b: b}
+	r := binfmt.NewReader(b, ErrBadFrame)
 	var f ReplFrame
-	f.Kind = r.u8("repl frame kind")
+	f.Kind = r.U8("repl frame kind")
 	switch f.Kind {
 	case ReplEntry:
-		f.Shard = r.u32("repl shard")
-		f.Offset = r.u64("repl offset")
-		f.CommitNs = int64(r.u64("repl commit ns"))
-		n := int(r.u32("repl entry length"))
-		f.Entry = r.bytes(n, "repl entry bytes")
-		if r.err == nil && len(f.Entry) == 0 {
+		f.Shard = r.U32("repl shard")
+		f.Offset = r.U64("repl offset")
+		f.CommitNs = int64(r.U64("repl commit ns"))
+		n := int(r.U32("repl entry length"))
+		f.Entry = r.Bytes(n, "repl entry bytes")
+		if r.Err() == nil && len(f.Entry) == 0 {
 			return ReplFrame{}, fmt.Errorf("%w: repl entry frame without entry bytes", ErrBadFrame)
 		}
 	case ReplEntryTraced:
-		f.Shard = r.u32("repl shard")
-		f.Offset = r.u64("repl offset")
-		f.CommitNs = int64(r.u64("repl commit ns"))
-		f.TraceID = r.u64("repl trace id")
-		f.ParentSpan = r.u32("repl parent span")
-		n := int(r.u32("repl entry length"))
-		f.Entry = r.bytes(n, "repl entry bytes")
-		if r.err == nil && len(f.Entry) == 0 {
+		f.Shard = r.U32("repl shard")
+		f.Offset = r.U64("repl offset")
+		f.CommitNs = int64(r.U64("repl commit ns"))
+		f.TraceID = r.U64("repl trace id")
+		f.ParentSpan = r.U32("repl parent span")
+		n := int(r.U32("repl entry length"))
+		f.Entry = r.Bytes(n, "repl entry bytes")
+		if r.Err() == nil && len(f.Entry) == 0 {
 			return ReplFrame{}, fmt.Errorf("%w: repl traced entry frame without entry bytes", ErrBadFrame)
 		}
-		if r.err == nil && f.TraceID == 0 {
+		if r.Err() == nil && f.TraceID == 0 {
 			return ReplFrame{}, fmt.Errorf("%w: repl traced entry frame without trace ID", ErrBadFrame)
 		}
 	case ReplSnapBegin:
-		f.Shard = r.u32("repl shard")
-		f.Offset = r.u64("repl snapshot basis")
+		f.Shard = r.U32("repl shard")
+		f.Offset = r.U64("repl snapshot basis")
 	case ReplSnapEnd:
-		f.Shard = r.u32("repl shard")
+		f.Shard = r.U32("repl shard")
 	case ReplHeartbeat:
-		f.CommitNs = int64(r.u64("repl commit ns"))
+		f.CommitNs = int64(r.U64("repl commit ns"))
 	default:
 		return ReplFrame{}, fmt.Errorf("%w: unknown repl frame kind %d", ErrBadFrame, f.Kind)
 	}
-	if err := r.done("repl frame"); err != nil {
+	if err := r.Done("repl frame"); err != nil {
 		return ReplFrame{}, err
 	}
 	return f, nil

@@ -36,19 +36,22 @@ func TestHelloRefusal(t *testing.T) {
 	if _, err := ReadHelloAck(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrNotPrimary) {
 		t.Fatalf("client ack: err=%v, want ErrNotPrimary", err)
 	}
-	if _, err := ReadReplHelloAck(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrNotPrimary) {
+	if err := ReadReplHelloAck(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrNotPrimary) {
 		t.Fatalf("repl ack: err=%v, want ErrNotPrimary", err)
 	}
 	buf.Reset()
 	if err := WriteReplHelloAck(&buf, ReplVersion); err != nil {
 		t.Fatal(err)
 	}
-	v, err := ReadReplHelloAck(&buf)
-	if err != nil || v != ReplVersion {
-		t.Fatalf("repl ack: v=%d err=%v", v, err)
+	if err := ReadReplHelloAck(&buf); err != nil {
+		t.Fatalf("repl ack: err=%v", err)
 	}
-	if _, err := ReadReplHelloAck(bytes.NewReader([]byte{99})); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("unknown version: err=%v, want ErrBadFrame", err)
+	// No negotiation: an ack naming any version but ours — the old v1
+	// included — is a hard error.
+	for _, v := range []byte{0, 1, ReplVersion + 1, 99} {
+		if err := ReadReplHelloAck(bytes.NewReader([]byte{v})); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("version %d: err=%v, want ErrBadFrame", v, err)
+		}
 	}
 }
 
@@ -164,7 +167,7 @@ func FuzzReplHandshake(f *testing.F) {
 				t.Fatal("hello round trip changed bytes")
 			}
 		}
-		_, _ = ReadReplHelloAck(bytes.NewReader(data))
+		_ = ReadReplHelloAck(bytes.NewReader(data))
 		if j, err := DecodeReplJoin(data); err == nil {
 			reenc, err := EncodeReplJoin(j)
 			if err != nil {
@@ -253,42 +256,6 @@ func FuzzDecodeReplTracedFrame(f *testing.F) {
 		}
 		if !bytes.Equal(reenc, data) {
 			t.Fatal("traced repl frame round trip changed bytes")
-		}
-	})
-}
-
-// FuzzReplVersionNegotiation pins the version handshake's invariants for
-// every possible proposal byte: the primary never acks above its own
-// version or above the proposal, a legacy v1 proposal always yields a v1
-// stream, and every ack the primary can emit for a valid proposal is one
-// the follower-side decoder accepts.
-func FuzzReplVersionNegotiation(f *testing.F) {
-	f.Add(byte(1))
-	f.Add(byte(ReplVersion))
-	f.Add(byte(ReplVersion + 1))
-	f.Add(byte(0))
-	f.Add(byte(0xFE))
-	f.Fuzz(func(t *testing.T, proposed byte) {
-		got := NegotiateReplVersion(proposed)
-		if got > ReplVersion {
-			t.Fatalf("negotiated %d above own version %d", got, ReplVersion)
-		}
-		if proposed >= 1 && proposed <= ReplVersion && got != proposed {
-			t.Fatalf("proposal %d within range renegotiated to %d", proposed, got)
-		}
-		if proposed > ReplVersion && got != ReplVersion {
-			t.Fatalf("newer proposal %d should cap at %d, got %d", proposed, ReplVersion, got)
-		}
-		if proposed == 0 {
-			return // caller refuses the hello; the ack is never written
-		}
-		var buf bytes.Buffer
-		if err := WriteReplHelloAck(&buf, got); err != nil {
-			t.Fatal(err)
-		}
-		v, err := ReadReplHelloAck(&buf)
-		if err != nil || v != got {
-			t.Fatalf("negotiated ack %d rejected by follower: v=%d err=%v", got, v, err)
 		}
 	})
 }

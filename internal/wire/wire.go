@@ -2,13 +2,13 @@
 // three-party deployment: length-prefixed frames over TCP carrying the EDB
 // protocol messages (setup, update, query, stats).
 //
-// Two payload codecs share the framing. The original JSON codec remains the
-// debug/compat encoding; the binary codec (binary.go) is the hot-path
-// encoding used by the multi-tenant gateway, where each frame additionally
-// carries a request ID and an owner namespace (GatewayRequest /
-// GatewayResponse) so one connection can multiplex many owners' pipelined
-// sync batches. Which codec a connection speaks is negotiated by a version
-// byte in the connection hello (WriteHello / ReadHello).
+// There is one payload codec, the binary one (binary.go): each frame carries
+// a request ID and an owner namespace (GatewayRequest / GatewayResponse)
+// around the EDB message, so one connection can multiplex many owners'
+// pipelined sync batches. A connection opens with a 5-byte hello — magic
+// plus a version byte (WriteHello / ReadAnyHello) — that says which
+// protocol it speaks: read-write client, read-only client, or replication
+// (repl.go).
 //
 // Records cross the wire only as sealed ciphertexts — the owner encrypts
 // locally and the server never sees plaintexts or the real/dummy split. The
@@ -18,7 +18,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -37,8 +36,8 @@ const MaxFrame = 16 << 20
 var ErrFrameTooLarge = errors.New("wire: frame exceeds limit")
 
 // ErrBadFrame is the typed error wrapping every payload-decoding failure:
-// zero-length frames where a message is required, malformed JSON, truncated
-// or trailing bytes in the binary codec. Servers match it with errors.Is to
+// zero-length frames where a message is required, truncated or trailing
+// bytes, counts that exceed the frame. Servers match it with errors.Is to
 // tell protocol violations (count them, hang up after a bound) apart from
 // application errors (report them, keep serving).
 var ErrBadFrame = errors.New("wire: malformed frame")
@@ -110,11 +109,11 @@ const (
 
 // Request is a client→server message.
 type Request struct {
-	Type MsgType `json:"type"`
-	// Sealed carries ciphertexts for setup/update (JSON base64-encodes it).
-	Sealed [][]byte `json:"sealed,omitempty"`
+	Type MsgType
+	// Sealed carries ciphertexts for setup/update.
+	Sealed [][]byte
 	// Query describes the analyst request for MsgQuery.
-	Query *QuerySpec `json:"query,omitempty"`
+	Query *QuerySpec
 	// Seq is the owner's sync sequence number for setup/update requests:
 	// the logical tick this sync claims (setup is 1, the first update 2,
 	// ...). The gateway applies syncs tick-ordered and idempotently — a
@@ -122,23 +121,23 @@ type Request struct {
 	// without re-ingesting or re-charging the ε ledger, which is what makes
 	// reconnect replay a privacy-safe operation. 0 means unsequenced (the
 	// legacy single-shot behavior: the gateway assigns the next tick).
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 	// MinOffset is the freshness bound for MsgQuery/MsgStats on a read-only
 	// (replica) connection: the minimum per-shard replication offset the
 	// answering node must have committed. 0 means "any" — serve whatever
 	// committed prefix the replica holds. A primary ignores it (the primary
 	// is always fresh); a follower behind the bound refuses with
 	// Response.Stale instead of answering.
-	MinOffset uint64 `json:"minOffset,omitempty"`
+	MinOffset uint64
 }
 
 // QuerySpec is the wire form of query.Query.
 type QuerySpec struct {
-	Kind     int    `json:"kind"`
-	Provider uint8  `json:"provider"`
-	JoinWith uint8  `json:"joinWith,omitempty"`
-	Lo       uint16 `json:"lo,omitempty"`
-	Hi       uint16 `json:"hi,omitempty"`
+	Kind     int
+	Provider uint8
+	JoinWith uint8
+	Lo       uint16
+	Hi       uint16
 }
 
 // ToQuery converts the wire form back to a query.Query.
@@ -165,30 +164,30 @@ func FromQuery(q query.Query) QuerySpec {
 
 // Response is a server→client message.
 type Response struct {
-	OK     bool        `json:"ok"`
-	Error  string      `json:"error,omitempty"`
-	Answer *AnswerSpec `json:"answer,omitempty"`
-	Cost   *CostSpec   `json:"cost,omitempty"`
-	Stats  *StatsSpec  `json:"stats,omitempty"`
+	OK     bool
+	Error  string
+	Answer *AnswerSpec
+	Cost   *CostSpec
+	Stats  *StatsSpec
 	// Resume answers a MsgResume handshake (see ResumeSpec).
-	Resume *ResumeSpec `json:"resume,omitempty"`
+	Resume *ResumeSpec
 	// Backpressure marks a load-shed refusal: the connection exceeded its
 	// in-flight cap and the gateway refused the request without touching
 	// tenant state. Typed (not just an error string) so clients can tell
 	// "slow down and retry" apart from application failures.
-	Backpressure bool `json:"backpressure,omitempty"`
+	Backpressure bool
 	// Stale marks a freshness refusal from a read replica: the follower's
 	// committed replication cursor has not reached the query's MinOffset.
 	// Typed (not just an error string) so clients can retry on the primary
 	// with errors.Is(err, ErrStale) — and it carries the cursor the replica
 	// does hold, so the caller can see how far behind it is.
-	Stale *StaleSpec `json:"stale,omitempty"`
+	Stale *StaleSpec
 }
 
 // StaleSpec carries the refusing replica's current committed replication
 // offset for the queried owner's shard (see Response.Stale).
 type StaleSpec struct {
-	Offset uint64 `json:"offset"`
+	Offset uint64
 }
 
 // ResumeSpec is the gateway's answer to a resume handshake: the owner's
@@ -197,13 +196,13 @@ type StaleSpec struct {
 // it sent past Clock and skips anything at or below it; the gateway's
 // tick-ordered idempotent apply makes the replay safe either way.
 type ResumeSpec struct {
-	Clock uint64 `json:"clock"`
+	Clock uint64
 }
 
 // AnswerSpec is the wire form of query.Answer.
 type AnswerSpec struct {
-	Scalar float64   `json:"scalar"`
-	Groups []float64 `json:"groups,omitempty"`
+	Scalar float64
+	Groups []float64
 }
 
 // ToAnswer converts back to a query.Answer.
@@ -213,9 +212,9 @@ func (a AnswerSpec) ToAnswer() query.Answer {
 
 // CostSpec is the wire form of edb.Cost.
 type CostSpec struct {
-	Seconds        float64 `json:"seconds"`
-	RecordsScanned int64   `json:"recordsScanned"`
-	PairsCompared  int64   `json:"pairsCompared,omitempty"`
+	Seconds        float64
+	RecordsScanned int64
+	PairsCompared  int64
 }
 
 // ToCost converts back to an edb.Cost.
@@ -224,21 +223,20 @@ func (c CostSpec) ToCost() edb.Cost {
 }
 
 // StatsSpec is the wire form of edb.StorageStats (server view: no split).
-// The gateway additionally fills Scheme and Leakage so a remote owner
-// session can report its backend's identity and §6 leakage class without a
-// dedicated info message; the single-owner server leaves them zero.
+// Scheme and Leakage let a remote owner session report its backend's
+// identity and §6 leakage class without a dedicated info message.
 type StatsSpec struct {
-	Records int   `json:"records"`
-	Bytes   int64 `json:"bytes"`
-	Updates int   `json:"updates"`
+	Records int
+	Bytes   int64
+	Updates int
 	// Scheme is the backend's edb.Database Name ("ObliDB", "Crypteps", ...).
-	Scheme string `json:"scheme,omitempty"`
+	Scheme string
 	// Leakage is the backend's edb.LeakageClass as an int.
-	Leakage int `json:"leakage,omitempty"`
+	Leakage int
 }
 
 // NewQueryResponse builds the success response for a query evaluation —
-// shared by the single-owner server and the gateway so the answer/cost wire
+// shared by the gateway and the follower read plane so the answer/cost wire
 // shape cannot diverge between them.
 func NewQueryResponse(ans query.Answer, cost edb.Cost) Response {
 	return Response{
@@ -254,47 +252,10 @@ func NewQueryResponse(ans query.Answer, cost edb.Cost) Response {
 
 // NewStatsResponse builds the success response for a stats request (the
 // server view: record/byte/update totals, never the real/dummy split).
-// scheme and leakage identify the backend; the single-owner server passes
-// zero values.
+// scheme and leakage identify the backend.
 func NewStatsResponse(st edb.StorageStats, scheme string, leakage int) Response {
 	return Response{OK: true, Stats: &StatsSpec{
 		Records: st.Records, Bytes: st.Bytes, Updates: st.Updates,
 		Scheme: scheme, Leakage: leakage,
 	}}
-}
-
-// Encode serializes any protocol message to a frame payload.
-func Encode(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("wire: encode: %w", err)
-	}
-	return b, nil
-}
-
-// DecodeRequest parses a request frame. A zero-length frame is rejected: the
-// framing layer permits empty payloads, but every slot where a request is
-// expected requires an actual message.
-func DecodeRequest(b []byte) (Request, error) {
-	if len(b) == 0 {
-		return Request{}, fmt.Errorf("%w: empty request frame", ErrBadFrame)
-	}
-	var req Request
-	if err := json.Unmarshal(b, &req); err != nil {
-		return Request{}, fmt.Errorf("%w: decode request: %v", ErrBadFrame, err)
-	}
-	return req, nil
-}
-
-// DecodeResponse parses a response frame (zero-length rejected, see
-// DecodeRequest).
-func DecodeResponse(b []byte) (Response, error) {
-	if len(b) == 0 {
-		return Response{}, fmt.Errorf("%w: empty response frame", ErrBadFrame)
-	}
-	var resp Response
-	if err := json.Unmarshal(b, &resp); err != nil {
-		return Response{}, fmt.Errorf("%w: decode response: %v", ErrBadFrame, err)
-	}
-	return resp, nil
 }

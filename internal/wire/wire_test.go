@@ -66,25 +66,32 @@ func TestQuerySpecRoundTrip(t *testing.T) {
 	}
 }
 
+// roundTripRequest pushes req through the gateway envelope and back.
+func roundTripRequest(t *testing.T, req Request) Request {
+	t.Helper()
+	b, err := CodecBinary.EncodeGatewayRequest(GatewayRequest{ID: 1, Owner: "o", Req: req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CodecBinary.DecodeGatewayRequest(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got.Req
+}
+
 func TestRequestEncodeDecode(t *testing.T) {
 	spec := FromQuery(query.Q3())
-	req := Request{Type: MsgQuery, Query: &spec, Sealed: [][]byte{{1, 2}, {3}}}
-	b, err := Encode(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeRequest(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := roundTripRequest(t, Request{Type: MsgQuery, Query: &spec})
 	if got.Type != MsgQuery || got.Query == nil || got.Query.ToQuery() != query.Q3() {
 		t.Errorf("decoded = %+v", got)
 	}
+	got = roundTripRequest(t, Request{Type: MsgUpdate, Seq: 2, Sealed: [][]byte{{1, 2}, {3}}})
 	if len(got.Sealed) != 2 || !bytes.Equal(got.Sealed[0], []byte{1, 2}) {
 		t.Error("sealed payloads corrupted")
 	}
-	if _, err := DecodeRequest([]byte("{bad")); err == nil {
-		t.Error("malformed request accepted")
+	if _, err := CodecBinary.DecodeGatewayRequest([]byte("{bad")); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("malformed request: err = %v, want ErrBadFrame", err)
 	}
 }
 
@@ -95,14 +102,15 @@ func TestResponseEncodeDecode(t *testing.T) {
 		Cost:   &CostSpec{Seconds: 1.5, RecordsScanned: 10, PairsCompared: 4},
 		Stats:  &StatsSpec{Records: 7, Bytes: 7168, Updates: 2},
 	}
-	b, err := Encode(resp)
+	b, err := CodecBinary.EncodeGatewayResponse(GatewayResponse{ID: 1, Resp: resp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeResponse(b)
+	env, err := CodecBinary.DecodeGatewayResponse(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := env.Resp
 	if !got.OK || got.Answer.Scalar != 42 || got.Cost.Seconds != 1.5 || got.Stats.Records != 7 {
 		t.Errorf("decoded = %+v", got)
 	}
@@ -114,8 +122,8 @@ func TestResponseEncodeDecode(t *testing.T) {
 	if cost.PairsCompared != 4 {
 		t.Errorf("cost = %+v", cost)
 	}
-	if _, err := DecodeResponse([]byte("[]")); err == nil {
-		t.Error("wrong JSON shape accepted")
+	if _, err := CodecBinary.DecodeGatewayResponse([]byte("[]")); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("short response: err = %v, want ErrBadFrame", err)
 	}
 }
 
