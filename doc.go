@@ -133,7 +133,7 @@
 // deployment is that gateway with one tenant (cmd/dpsync-owner and
 // cmd/dpsync-analyst name the namespace with -owner). The single-owner
 // stack survives only as internal/refdb, the transport-free oracle the
-// differential tests compare against. Three rules define the gateway:
+// differential tests compare against. Four rules define the gateway:
 //
 // Shard by owner. Owner IDs hash onto a fixed set of shard workers (bounded
 // by GOMAXPROCS) and each worker owns its tenants' state outright — one
@@ -153,6 +153,28 @@
 // backends ingest sealed ciphertexts verbatim, aggregation-service backends
 // (Cryptε, including true-crypto WithRealAHE instances) receive records
 // through the gateway's ingress sealer.
+//
+// One frame connection. After the hello, every connection loop — the
+// gateway's handler, the pipelined client, the follower's read plane and its
+// replication tail, the hub's sender — moves frames through one type,
+// wire.Conn. Its read half fills a buffer with one socket read and yields
+// every complete frame already in it; its write half builds each frame in
+// place behind a reserved header (the codec's Append encoders) and reaches
+// the socket only on Flush or when the buffer fills. The flush rule is
+// flush-on-idle: the gateway's per-connection writer flushes when its
+// response queue is empty, and the client's per-transport flusher yields to
+// the scheduler once — so every sender already runnable appends first — and
+// then flushes. This is not Nagle's algorithm and has none of its latency:
+// nothing waits for a timer, for an ACK, or for a later frame. A frame with
+// nothing queued behind it is on the socket at once (a lone sync costs
+// exactly one write each way, pinned by test); only frames that were
+// already waiting share a write. DP-Sync's strategies make syncs small and
+// frequent, so under load the cost of a sync is the cost of moving its
+// frame: coalescing took a round trip from eight socket calls, both ends
+// counted, to under one at eight requests in flight on a connection
+// (BenchmarkPipelinedRoundTrip; CHANGES.md, PR 13). Deadlines ride
+// the same type: the idle read deadline is armed only before a read that
+// can block, the write-stall deadline before every socket write.
 //
 // Per-owner transcripts are isolated. Each tenant's observed update pattern
 // is bit-identical to what the single-owner reference records for that
@@ -387,7 +409,10 @@
 // instead of double-counting on the hot path.
 //
 // The instrumented surfaces: gateway shard workers decompose per-sync
-// latency into queue-wait / apply / WAL-commit / ack stage histograms; the
+// latency into queue-wait / apply / WAL-commit / ack stage histograms (the
+// ack stage, and the client-admit root span, end after the flush that put
+// the response's bytes on the socket — a response that shared a write is
+// still observed once, when that write returns); the
 // store's group-commit writer records group size and flush+fsync latency
 // plus WAL, snapshot, and spill counters; the replication hub exports
 // per-follower cursor lag in both entries and milliseconds; the cluster node

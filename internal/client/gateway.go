@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,6 +65,14 @@ const codec = wire.CodecBinary
 // by ID, and frame writes are serialized so the gateway observes each
 // owner's requests in send order (per-owner FIFO).
 //
+// Senders do not write to the socket. Each appends its frame to the
+// transport's buffer and kicks the transport's flusher, which yields to the
+// scheduler once and then writes the buffer: every sender that was already
+// runnable — the callers one batch of responses just woke — gets its frame
+// into the same write, and a lone sender's frame is written as soon as the
+// scheduler returns to the flusher. No timer is involved, so an idle
+// connection never adds latency to coalesce.
+//
 // With WithReconnect, a lost transport is redialed automatically (capped
 // exponential backoff + jitter) and every in-flight request is replayed in
 // ID order on the new connection. Replay is safe because sequenced syncs
@@ -83,13 +92,12 @@ type GatewayConn struct {
 	resyncWin   int
 	readAddr    string // read-replica address ("" = reads go to the primary)
 
-	wmu    sync.Mutex    // serializes frame writes; write order = gateway arrival order
+	wmu    sync.Mutex    // serializes frame appends and flushes; append order = gateway arrival order
 	window chan struct{} // in-flight cap (backpressure)
 	nextID atomic.Uint64
 
 	mu           sync.Mutex
-	conn         net.Conn
-	epoch        uint64        // increments per successful (re)dial; stale failures are ignored
+	tr           *transport    // the current epoch's transport
 	gate         chan struct{} // closed = sends may proceed; replaced while reconnecting
 	reconnecting bool
 	pending      map[uint64]*pendingReq
@@ -107,13 +115,33 @@ type GatewayConn struct {
 	// caller just falls back to the primary). Lazy-dialed on first replica
 	// read, redialed on the next read after a failure.
 	rmu   sync.Mutex
-	rconn net.Conn
+	rconn *wire.Conn
+	rbuf  []byte // replica response payloads, reused (response decode copies)
 	rid   uint64 // replica request IDs, independent of the primary stream
 
 	replicaServed    atomic.Int64
 	replicaStale     atomic.Int64
 	replicaFallbacks atomic.Int64
 }
+
+// transport is one epoch's connection: the buffered frame connection senders
+// append to under wmu, and the flusher that puts their frames on the socket.
+// The epoch increments per successful (re)dial; a failure reported for a
+// stale epoch is ignored.
+type transport struct {
+	fc    *wire.Conn
+	epoch uint64
+	kick  chan struct{} // capacity 1: frames are waiting in fc's buffer
+	stop  chan struct{} // closed when the epoch is retired; its flusher exits
+	once  sync.Once
+}
+
+func newTransport(conn net.Conn, epoch uint64) *transport {
+	return &transport{fc: wire.NewConn(conn), epoch: epoch, kick: make(chan struct{}, 1), stop: make(chan struct{})}
+}
+
+// retire stops the transport's flusher. The epoch is over: lost, or closed.
+func (t *transport) retire() { t.once.Do(func() { close(t.stop) }) }
 
 // pendingReq is one in-flight request, retained in full (not just its
 // response channel) so a reconnect can replay it verbatim.
@@ -225,9 +253,17 @@ func DialGateway(addr string, key []byte, opts ...GatewayOption) (*GatewayConn, 
 	if err != nil {
 		return nil, err
 	}
-	c.conn, c.epoch = conn, 1
-	go c.readLoop(conn, 1)
+	c.tr = newTransport(conn, 1)
+	c.start(c.tr)
 	return c, nil
+}
+
+// start launches a transport's two goroutines. Both end with the epoch: the
+// reader when the connection dies (connLost and Close close it), the flusher
+// when the transport is retired.
+func (c *GatewayConn) start(t *transport) {
+	go c.readLoop(t)
+	go c.flushLoop(t)
 }
 
 func closedGate() chan struct{} {
@@ -284,7 +320,7 @@ func (c *GatewayConn) dialOne(addr string) (net.Conn, error) {
 func (c *GatewayConn) Close() error {
 	c.mu.Lock()
 	c.closed = true
-	conn := c.conn
+	tr := c.tr
 	c.mu.Unlock()
 	c.rmu.Lock()
 	if c.rconn != nil {
@@ -292,10 +328,7 @@ func (c *GatewayConn) Close() error {
 		c.rconn = nil
 	}
 	c.rmu.Unlock()
-	var err error
-	if conn != nil {
-		err = conn.Close()
-	}
+	err := tr.fc.Close()
 	c.fail(errors.New("client: gateway connection closed"))
 	return err
 }
@@ -306,11 +339,9 @@ func (c *GatewayConn) Close() error {
 // it fails like any other transport loss. The churn harness's hook.
 func (c *GatewayConn) Drop() {
 	c.mu.Lock()
-	conn := c.conn
+	tr := c.tr
 	c.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
+	tr.fc.Close()
 }
 
 // BytesOut and BytesIn report total frame bytes (including the 4-byte
@@ -365,11 +396,11 @@ func (c *GatewayConn) replicaRoundTrip(owner string, req wire.Request) (wire.Res
 			return wire.Response{}, fmt.Errorf("client: replica hello %s: %w", c.readAddr, err)
 		}
 		_ = conn.SetDeadline(time.Time{})
-		c.rconn = conn
+		c.rconn = wire.NewConn(conn)
 	}
 	c.rid++
 	id := c.rid
-	payload, err := codec.EncodeGatewayRequest(wire.GatewayRequest{ID: id, Owner: owner, Req: req})
+	b, err := wire.AppendGatewayRequest(c.rconn.BeginFrame(), wire.GatewayRequest{ID: id, Owner: owner, Req: req})
 	if err != nil {
 		return wire.Response{}, err
 	}
@@ -378,16 +409,20 @@ func (c *GatewayConn) replicaRoundTrip(owner string, req wire.Request) (wire.Res
 		c.rconn = nil
 		return wire.Response{}, err
 	}
-	if err := wire.WriteFrame(c.rconn, payload); err != nil {
+	n, err := c.rconn.EndFrame(b)
+	if err == nil {
+		err = c.rconn.Flush()
+	}
+	if err != nil {
 		return sever(fmt.Errorf("client: replica write: %w", err))
 	}
-	c.bytesOut.Add(int64(len(payload)) + 4)
-	in, err := wire.ReadFrame(c.rconn)
+	c.bytesOut.Add(int64(n))
+	c.rbuf, err = c.rconn.ReadFrame(c.rbuf)
 	if err != nil {
 		return sever(fmt.Errorf("client: replica read: %w", err))
 	}
-	c.bytesIn.Add(int64(len(in)) + 4)
-	gr, err := codec.DecodeGatewayResponse(in)
+	c.bytesIn.Add(int64(len(c.rbuf)) + 4)
+	gr, err := codec.DecodeGatewayResponse(c.rbuf)
 	if err != nil {
 		return sever(err)
 	}
@@ -402,11 +437,13 @@ func (c *GatewayConn) replicaRoundTrip(owner string, req wire.Request) (wire.Res
 
 // readLoop demultiplexes responses to their waiting senders by request ID.
 // One readLoop runs per transport epoch; a stale epoch's failure is ignored.
-func (c *GatewayConn) readLoop(conn net.Conn, epoch uint64) {
+func (c *GatewayConn) readLoop(t *transport) {
+	var payload []byte // reused across frames: response decode copies what it keeps
 	for {
-		payload, err := wire.ReadFrame(conn)
+		var err error
+		payload, err = t.fc.ReadFrame(payload)
 		if err != nil {
-			c.connLost(epoch, fmt.Errorf("client: gateway read: %w", err))
+			c.connLost(t.epoch, fmt.Errorf("client: gateway read: %w", err))
 			return
 		}
 		c.bytesIn.Add(int64(len(payload)) + 4)
@@ -414,8 +451,8 @@ func (c *GatewayConn) readLoop(conn net.Conn, epoch uint64) {
 		if err != nil {
 			// A framing-level lie from the server: the stream can no longer
 			// be trusted to demultiplex correctly.
-			conn.Close()
-			c.connLost(epoch, err)
+			t.fc.Close()
+			c.connLost(t.epoch, err)
 			return
 		}
 		c.mu.Lock()
@@ -434,12 +471,34 @@ func (c *GatewayConn) readLoop(conn net.Conn, epoch uint64) {
 	}
 }
 
+// flushLoop is a transport's flusher: each kick means frames are waiting in
+// the transport's buffer. It yields once before writing so that every sender
+// already runnable appends first (see GatewayConn), then flushes under wmu.
+// A flush error ends the epoch the same way a read error does.
+func (c *GatewayConn) flushLoop(t *transport) {
+	for {
+		select {
+		case <-t.kick:
+		case <-t.stop:
+			return
+		}
+		runtime.Gosched()
+		c.wmu.Lock()
+		err := t.fc.Flush()
+		c.wmu.Unlock()
+		if err != nil {
+			c.connLost(t.epoch, err)
+			return
+		}
+	}
+}
+
 // connLost handles a transport failure for the given epoch: permanent
 // failure without reconnect, redial with it. Stale epochs (a reconnect
 // already superseded the transport) are ignored.
 func (c *GatewayConn) connLost(epoch uint64, err error) {
 	c.mu.Lock()
-	if c.closed || c.err != nil || c.epoch != epoch || c.reconnecting {
+	if c.closed || c.err != nil || c.tr.epoch != epoch || c.reconnecting {
 		c.mu.Unlock()
 		return
 	}
@@ -450,16 +509,18 @@ func (c *GatewayConn) connLost(epoch uint64, err error) {
 	}
 	c.reconnecting = true
 	c.gate = make(chan struct{}) // block new sends until replay completes
-	conn := c.conn
+	tr := c.tr
 	c.mu.Unlock()
-	conn.Close()
+	tr.fc.Close()
+	tr.retire()
 	go c.redial(err)
 }
 
 // redial re-establishes the transport with capped exponential backoff +
-// jitter, then replays every pending request in ID order before reopening
-// the send gate. The new epoch's read loop starts only after replay — so no
-// failure for the new transport can race the replay itself; a write error
+// jitter, then replays every pending request in ID order — appended to the
+// new transport's buffer and flushed synchronously — before reopening the
+// send gate. The new epoch's reader and flusher start only after replay — so
+// no failure for the new transport can race the replay itself; a write error
 // mid-replay just burns the attempt and loops.
 func (c *GatewayConn) redial(cause error) {
 	start := time.Now()
@@ -494,9 +555,8 @@ func (c *GatewayConn) redial(cause error) {
 			conn.Close()
 			return
 		}
-		c.conn = conn
-		c.epoch++
-		epoch := c.epoch
+		tr := newTransport(conn, c.tr.epoch+1)
+		c.tr = tr
 		ids := make([]uint64, 0, len(c.pending))
 		for id := range c.pending {
 			ids = append(ids, id)
@@ -509,7 +569,7 @@ func (c *GatewayConn) redial(cause error) {
 		}
 		c.mu.Unlock()
 
-		if err := c.writeAll(conn, replay); err != nil {
+		if err := c.writeAll(tr, replay); err != nil {
 			lastErr = err
 			conn.Close()
 			continue
@@ -525,28 +585,42 @@ func (c *GatewayConn) redial(cause error) {
 		c.reconnecting = false
 		close(c.gate)
 		c.mu.Unlock()
-		go c.readLoop(conn, epoch)
+		c.start(tr)
 		c.reconnects.Add(1)
 		c.reconnectNs.Add(time.Since(start).Nanoseconds())
 		return
 	}
 }
 
-// writeAll replays the given requests in order under the write lock.
-func (c *GatewayConn) writeAll(conn net.Conn, reqs []wire.GatewayRequest) error {
+// writeAll replays the given requests in order under the write lock and
+// returns once they are on the socket.
+func (c *GatewayConn) writeAll(t *transport, reqs []wire.GatewayRequest) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	for _, greq := range reqs {
-		payload, err := codec.EncodeGatewayRequest(greq)
-		if err != nil {
+		if encErr, err := c.appendLocked(t, greq); encErr != nil {
+			return encErr
+		} else if err != nil {
 			return err
 		}
-		if err := wire.WriteFrame(conn, payload); err != nil {
-			return err
-		}
-		c.bytesOut.Add(int64(len(payload)) + 4)
 	}
-	return nil
+	return t.fc.Flush()
+}
+
+// appendLocked appends one request frame to t's buffer and counts its bytes.
+// encErr says the request itself cannot be framed (nothing was appended);
+// err is the socket's, from the flush a full buffer forces. Caller holds wmu.
+func (c *GatewayConn) appendLocked(t *transport, greq wire.GatewayRequest) (encErr, err error) {
+	b, encErr := wire.AppendGatewayRequest(t.fc.BeginFrame(), greq)
+	if encErr != nil {
+		return encErr, nil
+	}
+	n, err := t.fc.EndFrame(b)
+	if errors.Is(err, wire.ErrFrameTooLarge) {
+		return err, nil
+	}
+	c.bytesOut.Add(int64(n))
+	return nil, err
 }
 
 // fail latches the first permanent failure, releases every waiter, and
@@ -560,6 +634,7 @@ func (c *GatewayConn) fail(err error) {
 		close(p.ch)
 		delete(c.pending, id)
 	}
+	c.tr.retire()
 	select {
 	case <-c.gate:
 	default:
@@ -569,11 +644,12 @@ func (c *GatewayConn) fail(err error) {
 }
 
 // send transmits one request without waiting for its response: it acquires
-// a window slot, registers the request ID, and writes the frame. The
-// returned channel yields the response (or closes on permanent connection
-// failure); release must be called after the response is consumed to free
-// the window slot. With reconnect enabled, a write onto a dying transport
-// is not an error — the request stays pending and the replay delivers it.
+// a window slot, registers the request ID, appends the frame to the
+// transport's buffer, and kicks the flusher. The returned channel yields the
+// response (or closes on permanent connection failure); release must be
+// called after the response is consumed to free the window slot. A dying
+// transport is not send's error: the request stays pending, and the reconnect
+// replay delivers it or the permanent failure closes its channel.
 // roundTrip composes send+receive; tests use send directly to pin
 // pipelining semantics.
 func (c *GatewayConn) send(owner string, req wire.Request) (ch <-chan wire.Response, release func(), err error) {
@@ -601,37 +677,30 @@ func (c *GatewayConn) send(owner string, req wire.Request) (ch <-chan wire.Respo
 		id := c.nextID.Add(1)
 		rch := make(chan wire.Response, 1)
 		c.pending[id] = &pendingReq{owner: owner, req: req, ch: rch}
-		conn, epoch := c.conn, c.epoch
+		tr := c.tr
 		c.mu.Unlock()
 
-		forget := func() {
+		c.wmu.Lock()
+		encErr, err := c.appendLocked(tr, wire.GatewayRequest{ID: id, Owner: owner, Req: req})
+		c.wmu.Unlock()
+		if encErr != nil {
 			c.mu.Lock()
 			delete(c.pending, id)
 			c.mu.Unlock()
-		}
-		payload, err := codec.EncodeGatewayRequest(wire.GatewayRequest{ID: id, Owner: owner, Req: req})
-		if err != nil {
-			forget()
 			release()
-			return nil, nil, err
+			return nil, nil, encErr
 		}
-		c.wmu.Lock()
-		err = wire.WriteFrame(conn, payload)
-		c.wmu.Unlock()
 		if err != nil {
-			if c.reconnect {
-				// The transport died under us. The request is registered, so
-				// the reconnect replay (triggered here if the read loop has
-				// not already) will re-send it; the caller just waits.
-				c.connLost(epoch, err)
-				return rch, release, nil
-			}
-			forget()
-			release()
-			c.fail(err)
-			return nil, nil, err
+			// The transport died under the flush a full buffer forced. The
+			// request is registered: the reconnect replay re-sends it, or the
+			// permanent failure closes rch; the caller just waits.
+			c.connLost(tr.epoch, err)
+			return rch, release, nil
 		}
-		c.bytesOut.Add(int64(len(payload)) + 4)
+		select {
+		case tr.kick <- struct{}{}:
+		default: // a kick is already pending; that flush carries this frame too
+		}
 		return rch, release, nil
 	}
 }
@@ -709,7 +778,10 @@ type OwnerSession struct {
 	// never received the tail of our acked history — the missing syncs are
 	// re-uploaded from here verbatim, so the owner's durable history (and
 	// with it the transcript and ε ledger) is reconstructed bit-identical.
-	acked []ackedSync
+	// Once a bounded window is full it is a ring: the oldest entry sits at
+	// ackedStart and each new ack overwrites it.
+	acked      []ackedSync
+	ackedStart int
 
 	mu       sync.Mutex
 	stats    edb.StorageStats
@@ -765,16 +837,22 @@ type ackedSync struct {
 	sealed [][]byte
 }
 
-// recordAcked appends one acked upload to the resync window and enforces
-// its bound. Caller holds upMu.
+// recordAcked adds one acked upload to the resync window; at the window's
+// bound it replaces the oldest, whose payload becomes collectable. Caller
+// holds upMu.
 func (s *OwnerSession) recordAcked(seq uint64, typ wire.MsgType, sealed [][]byte) {
-	s.acked = append(s.acked, ackedSync{seq: seq, typ: typ, sealed: sealed})
-	if w := s.conn.resyncWin; w > 0 && len(s.acked) > w {
-		drop := len(s.acked) - w
-		kept := make([]ackedSync, w)
-		copy(kept, s.acked[drop:])
-		s.acked = kept
+	a := ackedSync{seq: seq, typ: typ, sealed: sealed}
+	if w := s.conn.resyncWin; w > 0 && len(s.acked) == w {
+		s.acked[s.ackedStart] = a
+		s.ackedStart = (s.ackedStart + 1) % w
+		return
 	}
+	s.acked = append(s.acked, a)
+}
+
+// ackedAt returns the i-th oldest retained upload. Caller holds upMu.
+func (s *OwnerSession) ackedAt(i int) ackedSync {
+	return s.acked[(s.ackedStart+i)%len(s.acked)]
 }
 
 // resyncLocked re-uploads the acked syncs in (clock, s.seq] after a
@@ -789,7 +867,8 @@ func (s *OwnerSession) resyncLocked(clock uint64) error {
 		return fmt.Errorf("client: owner %q: promoted gateway lost %d acked syncs but resync window holds %d",
 			s.owner, need, len(s.acked))
 	}
-	for _, a := range s.acked[uint64(len(s.acked))-need:] {
+	for i := len(s.acked) - int(need); i < len(s.acked); i++ {
+		a := s.ackedAt(i)
 		if _, err := s.conn.roundTrip(s.owner, wire.Request{Type: a.typ, Sealed: a.sealed, Seq: a.seq}); err != nil {
 			return fmt.Errorf("client: owner %q: resync of seq %d: %w", s.owner, a.seq, err)
 		}
@@ -912,7 +991,7 @@ func (s *OwnerSession) upload(t wire.MsgType, rs []record.Record) error {
 	if s.seq < seq {
 		s.seq = seq
 	}
-	if len(s.acked) == 0 || s.acked[len(s.acked)-1].seq+1 == seq {
+	if len(s.acked) == 0 || s.ackedAt(len(s.acked)-1).seq+1 == seq {
 		s.recordAcked(seq, t, raw)
 	}
 	// Identity is fetched after the first successful upload (the namespace

@@ -324,3 +324,31 @@ func TestDialGatewayErrors(t *testing.T) {
 		t.Error("bad key accepted")
 	}
 }
+
+// TestResyncWindowIsARing pins the bounded resync window past its bound: it
+// retains exactly the newest acked uploads, contiguous and in seq order
+// through ackedAt, which is all resync reads it through.
+func TestResyncWindowIsARing(t *testing.T) {
+	const window, uploads = 4, 11
+	s := &OwnerSession{conn: &GatewayConn{resyncWin: window}}
+	for seq := uint64(1); seq <= uploads; seq++ {
+		s.recordAcked(seq, wire.MsgUpdate, [][]byte{{byte(seq)}})
+	}
+	if len(s.acked) != window {
+		t.Fatalf("window holds %d uploads, want %d", len(s.acked), window)
+	}
+	for i := 0; i < window; i++ {
+		want := uint64(uploads - window + 1 + i)
+		if a := s.ackedAt(i); a.seq != want || a.sealed[0][0] != byte(want) {
+			t.Fatalf("ackedAt(%d) = seq %d payload %v, want seq %d", i, a.seq, a.sealed, want)
+		}
+	}
+	// Unbounded (negative) windows just grow.
+	u := &OwnerSession{conn: &GatewayConn{resyncWin: -1}}
+	for seq := uint64(1); seq <= uploads; seq++ {
+		u.recordAcked(seq, wire.MsgUpdate, nil)
+	}
+	if len(u.acked) != uploads || u.ackedAt(0).seq != 1 || u.ackedAt(uploads-1).seq != uploads {
+		t.Fatalf("unbounded window: %d uploads, first %d, last %d", len(u.acked), u.ackedAt(0).seq, u.ackedAt(uploads-1).seq)
+	}
+}

@@ -3,11 +3,14 @@ package client
 import (
 	"errors"
 	"net"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dpsync/internal/gateway"
 	"dpsync/internal/record"
+	"dpsync/internal/wire"
 )
 
 func yellowAt(tick int, id uint16) record.Record {
@@ -166,5 +169,146 @@ func TestCloseDuringReplay(t *testing.T) {
 	}
 	if n, _ := conn.ReconnectStats(); n != 0 {
 		t.Fatalf("%d reconnects recorded; the closed connection must not come back", n)
+	}
+}
+
+// doomedConn counts writes and, once doomed, dies on the next one — the
+// transport failing under a flush.
+type doomedConn struct {
+	net.Conn
+	writes atomic.Int64
+	doomed atomic.Bool
+}
+
+func (d *doomedConn) Write(p []byte) (int, error) {
+	d.writes.Add(1)
+	if d.doomed.Load() {
+		d.Conn.Close()
+		return 0, errors.New("doomedConn: transport died")
+	}
+	return d.Conn.Write(p)
+}
+
+// TestReconnectReplaysUnflushedOutbox pins reconnect against the send
+// buffer: a pipeline of syncs whose frames are all still sitting unflushed in
+// the transport's buffer when the transport dies is replayed whole — every
+// sync lands exactly once, and the owner's transcript and ε ledger equal an
+// undisturbed run's. One scheduler thread makes "still unflushed" exact: the
+// flusher cannot run until the sending goroutine blocks.
+func TestReconnectReplaysUnflushedOutbox(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	gw, key := startGateway(t, gateway.Config{SyncEpsilon: 0.25})
+	var first *doomedConn
+	dial := func(addr string) (net.Conn, error) {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil || first != nil {
+			return nc, err
+		}
+		first = &doomedConn{Conn: nc}
+		return first, nil
+	}
+	conn, err := DialGateway(gw.Addr(), key, WithReconnect(0), WithDialer(dial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	const pipeline = 16
+	batch := func(i int) []record.Record { return []record.Record{yellowAt(i, uint16(i+1))} }
+	if err := conn.Owner("owner-outbox").Setup(batch(0)); err != nil {
+		t.Fatal(err)
+	}
+	flushed := first.writes.Load()
+	type flight struct {
+		ch      <-chan wire.Response
+		release func()
+	}
+	var flights []flight
+	for i := 1; i <= pipeline; i++ {
+		cts, err := conn.sealer.SealAll(batch(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, release, err := conn.send("owner-outbox", wire.Request{Type: wire.MsgUpdate, Seq: uint64(i + 1), Sealed: [][]byte{cts[0]}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flights = append(flights, flight{ch, release})
+	}
+	if got := first.writes.Load(); got != flushed {
+		t.Fatalf("%d socket writes during the pipeline: the frames were not left sitting in the buffer", got-flushed)
+	}
+	first.doomed.Store(true) // the flush that would carry all sixteen fails
+	for i, f := range flights {
+		resp, ok := <-f.ch
+		f.release()
+		if !ok || !resp.OK {
+			t.Fatalf("sync %d after the transport died: ok=%v %+v", i+1, ok, resp)
+		}
+	}
+	if n, _ := conn.ReconnectStats(); n != 1 {
+		t.Fatalf("%d reconnects, want the one that replayed the buffer", n)
+	}
+
+	ref := conn.Owner("owner-calm")
+	for i := 0; i <= pipeline; i++ {
+		up := ref.Update
+		if i == 0 {
+			up = ref.Setup
+		}
+		if err := up(batch(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := gw.ObservedPattern("owner-outbox").String(), gw.ObservedPattern("owner-calm").String(); got != want {
+		t.Fatalf("transcript after replaying the buffer:\n got: %s\nwant: %s", got, want)
+	}
+	got, err := gw.ObservedLedger("owner-outbox").MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := gw.ObservedLedger("owner-calm").MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatal("ε ledger after replaying the buffer differs from the undisturbed run's")
+	}
+}
+
+// TestReconnectLeaksNoGoroutines pins the transport's lifetime: every epoch
+// starts a reader and a flusher, and both must end with it. Across fifty
+// forced reconnects the process's goroutine count returns to where it was —
+// the gateway's handlers for the dead connections included.
+func TestReconnectLeaksNoGoroutines(t *testing.T) {
+	gw, key := startGateway(t, gateway.Config{})
+	conn, err := DialGateway(gw.Addr(), key, WithReconnect(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	sess := conn.Owner("owner-churn")
+	if err := sess.Setup([]record.Record{yellowAt(0, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	// Goroutines still winding down from earlier tests only make base an
+	// overestimate that the final count settles below.
+	base := runtime.NumGoroutine()
+	const drops = 50
+	for i := 1; i <= drops; i++ {
+		conn.Drop()
+		if err := sess.Update([]record.Record{yellowAt(i, uint16(i))}); err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+	}
+	if n, _ := conn.ReconnectStats(); n != drops {
+		t.Fatalf("%d reconnects for %d drops", n, drops)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after %d reconnects, %d before: an epoch's reader or flusher outlived it", n, drops, base)
 	}
 }

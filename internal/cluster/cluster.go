@@ -650,13 +650,24 @@ func (n *Node) runFollower() {
 			}
 			continue
 		}
+		// Publish the conn and check for shutdown under one lock: Close and
+		// Kill sample tailConn under the same lock as they set closed, so a
+		// conn dialed across their sample is either seen there or seen
+		// closed here — never left for nobody to close while tail reads a
+		// healthy primary forever.
 		n.mu.Lock()
-		fol := n.fol
-		n.tailConn = conn
+		fol, closed := n.fol, n.closed
+		if !closed {
+			n.tailConn = conn
+		}
 		n.mu.Unlock()
-		if fol == nil { // Kill raced the dial; the replica is gone
+		if closed {
 			conn.Close()
-			return
+			if fol == nil { // Kill: the replica is already gone
+				return
+			}
+			<-n.quit // Close: seal at the top of the loop
+			continue
 		}
 		start := time.Now()
 		err = fol.tail(conn, n.cfg.NodeID, readTO)

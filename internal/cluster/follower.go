@@ -156,10 +156,17 @@ func (f *followerCore) tail(conn net.Conn, node string, readTO time.Duration) er
 	if err != nil {
 		return err
 	}
-	if err := wire.WriteFrame(conn, jb); err != nil {
+	// The hello exchange is over; frames from here on move through the
+	// buffered connection. Its read timeout stays unset through the join, which
+	// runs under the handshake deadline armed above.
+	fc := wire.NewConn(conn)
+	if err := fc.WriteFrame(jb); err != nil {
 		return err
 	}
-	payload, err := wire.ReadFrame(conn)
+	if err := fc.Flush(); err != nil {
+		return err
+	}
+	payload, err := fc.ReadFrame(nil)
 	if err != nil {
 		return err
 	}
@@ -176,9 +183,11 @@ func (f *followerCore) tail(conn net.Conn, node string, readTO time.Duration) er
 	for sid := range f.inSnap {
 		f.inSnap[sid] = false
 	}
+	fc.ReadTimeout = readTO
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(readTO))
-		payload, err := wire.ReadFrame(conn)
+		// A fresh payload per frame: a folded entry's ciphertexts alias it and
+		// live on in the owner's history tail.
+		payload, err := fc.ReadFrame(nil)
 		if err != nil {
 			return err
 		}

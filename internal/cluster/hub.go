@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"fmt"
 	"log/slog"
 	"net"
@@ -82,17 +81,40 @@ type HubStats struct {
 	Snapshots uint64
 }
 
-// replRing is one shard's catch-up buffer: frames[i] is the one encoded
-// stream frame for offset head-len(frames)+1+i — a ReplEntryTraced frame if
-// the entry's sync was sampled, a ReplEntry frame otherwise — and times[i]
-// is that frame's CommitNs, kept parallel so the lag collector can turn a
-// follower's owed suffix into milliseconds without decoding frames. meta[i]
-// is the ship-span completion state of a sampled entry, nil otherwise.
+// replRing is one shard's catch-up buffer: a circular window of the last
+// len(slots) committed frames, ending at stream offset head. Pushing onto a
+// full ring overwrites the oldest slot in place — no copy, and the frame it
+// held becomes collectable.
 type replRing struct {
-	head   uint64
-	frames [][]byte
-	times  []int64
-	meta   []*shipMeta
+	head  uint64
+	slots []ringSlot // RingSize of them, allocated at Bind
+	start int        // index of the oldest buffered slot
+	n     int        // buffered slots
+}
+
+// ringSlot is one buffered offset: the one encoded stream frame for it — a
+// ReplEntryTraced frame if the entry's sync was sampled, a ReplEntry frame
+// otherwise — its CommitNs, kept beside it so the lag collector can turn a
+// follower's owed suffix into milliseconds without decoding frames, and the
+// ship-span completion state of a sampled entry (nil otherwise).
+type ringSlot struct {
+	frame    []byte
+	commitNs int64
+	meta     *shipMeta
+}
+
+// at returns the i-th oldest buffered slot.
+func (r *replRing) at(i int) *ringSlot { return &r.slots[(r.start+i)%len(r.slots)] }
+
+// push buffers the frame for offset head+1.
+func (r *replRing) push(s ringSlot) {
+	r.head++
+	if r.n < len(r.slots) {
+		r.n++
+	} else {
+		r.start = (r.start + 1) % len(r.slots)
+	}
+	*r.at(r.n - 1) = s
 }
 
 // shipMeta completes one sampled entry's repl-ship span. The span's ID was
@@ -106,8 +128,8 @@ type shipMeta struct {
 	once  sync.Once
 }
 
-// oldest is the lowest offset still buffered; callers check len(frames)>0.
-func (r *replRing) oldest() uint64 { return r.head - uint64(len(r.frames)) + 1 }
+// oldest is the lowest offset still buffered; callers check n > 0.
+func (r *replRing) oldest() uint64 { return r.head - uint64(r.n) + 1 }
 
 // hubSub is one connected follower: its conn, its per-shard cursors (owned
 // by its sender goroutine), and the channels that wake or kill the sender.
@@ -199,8 +221,8 @@ func (h *Hub) lagLocked(sub *hubSub, nowNs int64) (entries int64, ms float64) {
 			continue
 		}
 		entries += int64(r.head - c)
-		if len(r.times) > 0 && c+1 >= r.oldest() {
-			if ts := r.times[c+1-r.oldest()]; oldest == 0 || ts < oldest {
+		if r.n > 0 && c+1 >= r.oldest() {
+			if ts := r.at(int(c + 1 - r.oldest())).commitNs; oldest == 0 || ts < oldest {
 				oldest = ts
 			}
 		}
@@ -232,6 +254,7 @@ func (h *Hub) Bind(gw *gateway.Gateway) error {
 			return fmt.Errorf("cluster: gateway shut down during hub bind")
 		}
 		rings[sid].head = head
+		rings[sid].slots = make([]ringSlot, h.cfg.RingSize)
 	}
 	h.mu.Lock()
 	h.gw = gw
@@ -337,24 +360,7 @@ func (h *Hub) Committed(sid int, e store.Entry, tc telemetry.TraceContext) {
 		h.log.Error("cannot frame committed entry", "shard", sid, "err", err)
 		return
 	}
-	r.head++
-	r.frames = append(r.frames, payload)
-	r.times = append(r.times, commitNs)
-	r.meta = append(r.meta, meta)
-	if len(r.frames) > h.cfg.RingSize {
-		// Trim from the front; re-copy so the backing array does not pin
-		// every frame ever shipped.
-		drop := len(r.frames) - h.cfg.RingSize
-		kept := make([][]byte, h.cfg.RingSize)
-		copy(kept, r.frames[drop:])
-		r.frames = kept
-		times := make([]int64, h.cfg.RingSize)
-		copy(times, r.times[drop:])
-		r.times = times
-		meta := make([]*shipMeta, h.cfg.RingSize)
-		copy(meta, r.meta[drop:])
-		r.meta = meta
-	}
+	r.push(ringSlot{frame: payload, commitNs: commitNs, meta: meta})
 	for sub := range h.subs {
 		select {
 		case sub.wake <- struct{}{}:
@@ -454,7 +460,7 @@ func (h *Hub) needsSnapshotLocked(sid int, cursor uint64) bool {
 	if cursor == r.head {
 		return false
 	}
-	return len(r.frames) == 0 || cursor+1 < r.oldest()
+	return r.n == 0 || cursor+1 < r.oldest()
 }
 
 // collect gathers up to senderBatch ring frames the follower is owed and
@@ -479,14 +485,12 @@ func (h *Hub) collect(sub *hubSub) (frames [][]byte, metas []*shipMeta, resnap b
 			continue
 		}
 		first := int(c + 1 - r.oldest())
-		take := len(r.frames) - first
-		if room := senderBatch - len(frames); take > room {
-			take = room
-		}
-		frames = append(frames, r.frames[first:first+take]...)
-		for _, m := range r.meta[first : first+take] {
-			if m != nil {
-				metas = append(metas, m)
+		take := min(r.n-first, senderBatch-len(frames))
+		for i := first; i < first+take; i++ {
+			s := r.at(i)
+			frames = append(frames, s.frame)
+			if s.meta != nil {
+				metas = append(metas, s.meta)
 			}
 		}
 		sub.cursors[sid] = c + uint64(take)
@@ -542,14 +546,17 @@ func (h *Hub) Flush(timeout time.Duration) {
 // runSender is one follower's stream loop: snapshot transfers for shards the
 // ring cannot serve, then ring frames as they commit, heartbeats when idle.
 func (h *Hub) runSender(gw *gateway.Gateway, sub *hubSub, node string) {
-	bw := bufio.NewWriter(sub.conn)
+	// Every socket write gets replWriteTimeout; a follower that stalls longer
+	// sheds itself.
+	fc := wire.NewConn(sub.conn)
+	fc.WriteTimeout = replWriteTimeout
 	for {
 		for sid := range sub.cursors {
 			h.mu.Lock()
 			need := h.needsSnapshotLocked(sid, sub.cursors[sid])
 			h.mu.Unlock()
 			if need {
-				if err := h.sendSnapshot(gw, sub, sid, bw); err != nil {
+				if err := h.sendSnapshot(gw, sub, sid, fc); err != nil {
 					h.log.Warn("snapshot transfer failed", "follower", node, "shard", sid, "err", err)
 					return
 				}
@@ -557,13 +564,12 @@ func (h *Hub) runSender(gw *gateway.Gateway, sub *hubSub, node string) {
 		}
 		frames, metas, resnap := h.collect(sub)
 		if len(frames) > 0 {
-			_ = sub.conn.SetWriteDeadline(time.Now().Add(replWriteTimeout))
 			for _, fr := range frames {
-				if err := wire.WriteFrame(bw, fr); err != nil {
+				if err := fc.WriteFrame(fr); err != nil {
 					return
 				}
 			}
-			if err := bw.Flush(); err != nil {
+			if err := fc.Flush(); err != nil {
 				return
 			}
 			// The entries are on a wire: complete their repl-ship spans. Once
@@ -586,9 +592,6 @@ func (h *Hub) runSender(gw *gateway.Gateway, sub *hubSub, node string) {
 		if resnap {
 			continue
 		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
 		select {
 		case <-sub.wake:
 		case <-sub.dead:
@@ -600,8 +603,7 @@ func (h *Hub) runSender(gw *gateway.Gateway, sub *hubSub, node string) {
 			if err != nil {
 				return
 			}
-			_ = sub.conn.SetWriteDeadline(time.Now().Add(replWriteTimeout))
-			if wire.WriteFrame(bw, hb) != nil || bw.Flush() != nil {
+			if fc.WriteFrame(hb) != nil || fc.Flush() != nil {
 				return
 			}
 		}
@@ -615,7 +617,7 @@ func (h *Hub) runSender(gw *gateway.Gateway, sub *hubSub, node string) {
 // flushed, and each owner's full batch history is streamed off the
 // primary's own segments as bootstrap entries the follower folds by tick.
 // The follower's cursor resumes from the basis.
-func (h *Hub) sendSnapshot(gw *gateway.Gateway, sub *hubSub, sid int, bw *bufio.Writer) error {
+func (h *Hub) sendSnapshot(gw *gateway.Gateway, sub *hubSub, sid int, fc *wire.Conn) error {
 	var basis uint64
 	var states []store.OwnerState
 	if ok := gw.OwnerCut(sid, func(sts []store.OwnerState) {
@@ -634,8 +636,7 @@ func (h *Hub) sendSnapshot(gw *gateway.Gateway, sub *hubSub, sid int, bw *bufio.
 	if err != nil {
 		return err
 	}
-	_ = sub.conn.SetWriteDeadline(time.Now().Add(replWriteTimeout))
-	if err := wire.WriteFrame(bw, begin); err != nil {
+	if err := fc.WriteFrame(begin); err != nil {
 		return err
 	}
 	for i := range states {
@@ -651,8 +652,7 @@ func (h *Hub) sendSnapshot(gw *gateway.Gateway, sub *hubSub, sid int, bw *bufio.
 			if err != nil {
 				return err
 			}
-			_ = sub.conn.SetWriteDeadline(time.Now().Add(replWriteTimeout))
-			return wire.WriteFrame(bw, payload)
+			return fc.WriteFrame(payload)
 		})
 		if err != nil {
 			return fmt.Errorf("owner %q: %w", owner, err)
@@ -662,11 +662,10 @@ func (h *Hub) sendSnapshot(gw *gateway.Gateway, sub *hubSub, sid int, bw *bufio.
 	if err != nil {
 		return err
 	}
-	_ = sub.conn.SetWriteDeadline(time.Now().Add(replWriteTimeout))
-	if err := wire.WriteFrame(bw, end); err != nil {
+	if err := fc.WriteFrame(end); err != nil {
 		return err
 	}
-	if err := bw.Flush(); err != nil {
+	if err := fc.Flush(); err != nil {
 		return err
 	}
 	// Under h.mu: the telemetry collector and Followers read cursors from

@@ -16,13 +16,16 @@ import (
 )
 
 // startHub runs a one-shard durable gateway with a bound hub.
-func startHub(t *testing.T) (*Hub, *gateway.Gateway) {
+func startHub(t *testing.T) (*Hub, *gateway.Gateway) { return startHubRing(t, 0) }
+
+// startHubRing is startHub with the catch-up ring's size chosen (0 = default).
+func startHubRing(t *testing.T, ring int) (*Hub, *gateway.Gateway) {
 	t.Helper()
 	key, err := seal.NewRandomKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := NewHub(HubConfig{})
+	hub := NewHub(HubConfig{RingSize: ring})
 	gw, err := gateway.New("127.0.0.1:0", gateway.Config{Key: key, Shards: 1, StoreDir: t.TempDir(), Replicator: hub})
 	if err != nil {
 		t.Fatal(err)
@@ -43,6 +46,17 @@ func startHub(t *testing.T) (*Hub, *gateway.Gateway) {
 // first stream frame.
 func joinRaw(t *testing.T, addr, node string) net.Conn {
 	t.Helper()
+	conn, snapshot := joinRawAt(t, addr, node, 0)
+	if snapshot {
+		t.Fatal("join from offset zero answered with a snapshot transfer")
+	}
+	return conn
+}
+
+// joinRawAt is joinRaw from a chosen cursor; it also reports whether the
+// primary answered that the cursor needs a snapshot transfer.
+func joinRawAt(t *testing.T, addr, node string, cursor uint64) (net.Conn, bool) {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +69,7 @@ func joinRaw(t *testing.T, addr, node string) net.Conn {
 	if err := wire.ReadReplHelloAck(conn); err != nil {
 		t.Fatal(err)
 	}
-	jb, err := wire.EncodeReplJoin(wire.ReplJoin{Node: node, Cursors: []wire.ReplCursor{{Shard: 0}}})
+	jb, err := wire.EncodeReplJoin(wire.ReplJoin{Node: node, Cursors: []wire.ReplCursor{{Shard: 0, Offset: cursor}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +80,11 @@ func joinRaw(t *testing.T, addr, node string) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack, err := wire.DecodeReplJoinAck(payload); err != nil || ack.Snapshot {
-		t.Fatalf("join ack = %+v, %v", ack, err)
+	ack, err := wire.DecodeReplJoinAck(payload)
+	if err != nil {
+		t.Fatalf("join ack: %v", err)
 	}
-	return conn
+	return conn, ack.Snapshot
 }
 
 // readEntries reads stream frames until n entry frames have arrived
@@ -138,16 +153,16 @@ func TestHubShipsOneEncodingPerEntry(t *testing.T) {
 	hub.mu.Lock()
 	r := hub.rings[0]
 	hub.mu.Unlock()
-	if r.head != entries || len(r.frames) != entries || len(r.times) != entries || len(r.meta) != entries {
-		t.Fatalf("ring: head %d, %d frames, %d times, %d metas; want %d of each",
-			r.head, len(r.frames), len(r.times), len(r.meta), entries)
+	if r.head != entries || r.n != entries {
+		t.Fatalf("ring: head %d, %d slots buffered; want %d of each", r.head, r.n, entries)
 	}
-	for i, payload := range r.frames {
-		if !bytes.Equal(payload, got[0][i]) {
+	for i := 0; i < r.n; i++ {
+		slot := r.at(i)
+		if !bytes.Equal(slot.frame, got[0][i]) {
 			t.Fatalf("offset %d: ring payload differs from what was shipped", i+1)
 		}
-		if traced := payload[0] == wire.ReplEntryTraced; traced != (r.meta[i] != nil) {
-			t.Fatalf("offset %d: traced=%v but ship meta present=%v", i+1, traced, r.meta[i] != nil)
+		if traced := slot.frame[0] == wire.ReplEntryTraced; traced != (slot.meta != nil) {
+			t.Fatalf("offset %d: traced=%v but ship meta present=%v", i+1, traced, slot.meta != nil)
 		}
 	}
 
@@ -171,6 +186,48 @@ func TestHubShipsOneEncodingPerEntry(t *testing.T) {
 		}
 		if ships != 1 {
 			t.Errorf("trace %s: %d repl-ship spans, want 1", tr.TraceID, ships)
+		}
+	}
+}
+
+// TestHubRingWraps pins the circular catch-up ring past its capacity: it
+// holds exactly the newest RingSize frames in offset order, the overwritten
+// ones are gone (a cursor behind them is told to take a snapshot), and a
+// follower joining from a cursor still inside the window is served the
+// suffix across the wrap point, in order.
+func TestHubRingWraps(t *testing.T) {
+	const ring, entries = 4, 11
+	hub, gw := startHubRing(t, ring)
+	for i := 1; i <= entries; i++ {
+		hub.Committed(0, store.Entry{Owner: "o", Batch: store.Batch{
+			Tick: uint64(i), Setup: i == 1, Sealed: [][]byte{{byte(i)}},
+			Charge: store.Charge{Name: "m", Eps: 0.1, Rule: dp.Sequential},
+		}}, telemetry.TraceContext{})
+	}
+	hub.mu.Lock()
+	r := hub.rings[0]
+	hub.mu.Unlock()
+	if r.head != entries || r.n != ring || len(r.slots) != ring || r.oldest() != entries-ring+1 {
+		t.Fatalf("ring after %d commits: head %d, %d of %d slots, oldest %d", entries, r.head, r.n, len(r.slots), r.oldest())
+	}
+	for i := 0; i < r.n; i++ {
+		fr, err := wire.DecodeReplFrame(r.at(i).frame)
+		if err != nil || fr.Offset != r.oldest()+uint64(i) {
+			t.Fatalf("slot %d holds offset %d (%v), want %d", i, fr.Offset, err, r.oldest()+uint64(i))
+		}
+	}
+
+	if _, snapshot := joinRawAt(t, gw.Addr(), "behind", entries-ring-1); !snapshot {
+		t.Fatal("a cursor behind the ring's oldest frame was not sent to a snapshot transfer")
+	}
+	conn, snapshot := joinRawAt(t, gw.Addr(), "inside", entries-ring+1)
+	if snapshot {
+		t.Fatal("a cursor inside the ring was sent to a snapshot transfer")
+	}
+	for i, payload := range readEntries(t, conn, ring-1) {
+		fr, err := wire.DecodeReplFrame(payload)
+		if want := uint64(entries - ring + 2 + i); err != nil || fr.Offset != want {
+			t.Fatalf("catch-up frame %d: offset %d (%v), want %d", i, fr.Offset, err, want)
 		}
 	}
 }

@@ -161,9 +161,10 @@ func (p *readPlane) serve(conn net.Conn) {
 	if err := wire.WriteHelloAck(conn, codec); err != nil {
 		return
 	}
+	fc := wire.NewConn(conn)
+	fc.ReadTimeout, fc.WriteTimeout = readPlaneReadTimeout, readPlaneWriteTimeout
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(readPlaneReadTimeout))
-		payload, err := wire.ReadFrame(conn)
+		payload, err := fc.ReadFrame(nil)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, os.ErrDeadlineExceeded) {
 				p.log.Debug("read-plane connection closed", "err", err)
@@ -180,13 +181,17 @@ func (p *readPlane) serve(conn net.Conn) {
 		default:
 			resp = p.serveRequest(greq.Owner, greq.Req)
 		}
-		out, err := codec.EncodeGatewayResponse(wire.GatewayResponse{ID: greq.ID, Resp: resp})
+		out, err := wire.AppendGatewayResponse(fc.BeginFrame(), wire.GatewayResponse{ID: greq.ID, Resp: resp})
 		if err != nil {
 			p.log.Warn("read-plane response encoding failed; severing", "err", err)
 			return
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(readPlaneWriteTimeout))
-		if err := wire.WriteFrame(conn, out); err != nil {
+		// Requests are answered one at a time, so nothing can be waiting
+		// behind this response: it goes out now.
+		if _, err := fc.EndFrame(out); err != nil {
+			return
+		}
+		if err := fc.Flush(); err != nil {
 			return
 		}
 	}

@@ -33,9 +33,13 @@ func readFingerprint(ans query.Answer, cost edb.Cost) string {
 }
 
 // replGate pauses a follower's replication stream on demand: while paused,
-// every gated connection's Read blocks before touching the socket, so the
-// follower's applied cursor freezes at a known offset — a deterministic
-// network partition the test can open and heal.
+// every gated connection's Read holds whatever it read off the socket until
+// the gate reopens, so the follower's applied cursor freezes at a known
+// offset — a deterministic network partition the test can open and heal.
+// Holding after the socket read (not before it) is what makes the freeze
+// independent of how many bytes the follower asks for per read: a Read
+// already parked in the socket when the gate closes delivers nothing that
+// arrives afterwards.
 type replGate struct {
 	mu     sync.Mutex
 	paused chan struct{}
@@ -73,8 +77,9 @@ type gatedConn struct {
 }
 
 func (c *gatedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
 	c.g.wait()
-	return c.Conn.Read(p)
+	return n, err
 }
 
 // dialReadPlane opens a raw read-only connection to a node: the "DPSQ"

@@ -92,6 +92,36 @@ func TestHelloPassthroughAndDuplicate(t *testing.T) {
 	}
 }
 
+// TestCoalescedWriteFaultsPerFrame pins frame awareness against a buffered
+// writer: one Write carrying several whole frames and the head of another —
+// what a flushed wire.Conn hands the transport — is cut back into frames, the
+// schedule decides each frame's fate on its own (here: every one duplicated),
+// and the torn tail waits for the bytes that complete it.
+func TestCoalescedWriteFaultsPerFrame(t *testing.T) {
+	in := New(Config{Seed: 1, Duplicate: 1.0})
+	s := &sink{}
+	c := in.Wrap(s)
+	a, b, d := frame(3, 0xA1), frame(0, 0), frame(5, 0xD4)
+	burst := append(append(append(append([]byte(nil), hello...), a...), b...), d[:6]...)
+	if n, err := c.Write(burst); err != nil || n != len(burst) {
+		t.Fatalf("coalesced write = %d, %v", n, err)
+	}
+	want := append(append(append(append(append([]byte(nil), hello...), a...), a...), b...), b...)
+	if got := s.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("after the burst:\n got %x\nwant %x", got, want)
+	}
+	if _, err := c.Write(d[6:]); err != nil {
+		t.Fatal(err)
+	}
+	want = append(append(want, d...), d...)
+	if got := s.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("after the torn frame completed:\n got %x\nwant %x", got, want)
+	}
+	if n := in.Counts().Duplicates; n != 3 {
+		t.Fatalf("Duplicates = %d, want one per frame (3)", n)
+	}
+}
+
 // TestTruncationSevers pins that a truncation ships a strict prefix of the
 // frame and then latches the connection dead with ErrInjected.
 func TestTruncationSevers(t *testing.T) {

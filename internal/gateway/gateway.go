@@ -978,96 +978,27 @@ func (g *Gateway) handle(conn net.Conn) {
 		g.cfg.Replicator.ServeConn(conn, versionByte)
 		return
 	}
-	// A read-only hello ("DPSQ") on a primary is served from the same path
-	// as a full client — the primary is trivially fresh, so MinOffset never
-	// refuses here — but its write half is disabled: syncs and resumes get
-	// the typed not-primary refusal so a misrouted writer fails loudly
-	// instead of mutating state over a connection negotiated as read-only.
-	readOnly := kind == wire.HelloRead
 	// Whatever codec byte the hello proposed, the ack names the one codec
 	// this build speaks; a client that cannot speak it hangs up.
-	const codec = wire.CodecBinary
-	if err := wire.WriteHelloAck(conn, codec); err != nil {
+	if err := wire.WriteHelloAck(conn, wire.CodecBinary); err != nil {
 		return
 	}
 
-	// The writer goroutine serializes responses onto the connection.
-	// Responses arrive from shard workers out of order (that is the point
-	// of pipelining); request IDs let the client re-match them. Once a
-	// write fails or times out — the write-stall deadline — the writer
-	// turns into a drain AND severs the connection, so the reader stops
-	// admitting work for a peer that has stopped consuming responses.
-	//
-	// Flow control invariant: inflight counts every admitted request and
-	// every reader-originated reply (errors, sheds) from admission until
-	// the writer dequeues its response. Admission stops at MaxInFlight
-	// (typed backpressure), and even refusals stop at MaxInFlight +
-	// shedHeadroom (the connection is severed instead). respCh's capacity
-	// is that same bound, so a shard worker's reply can NEVER block on a
-	// slow connection — the slow tenant sheds its own load while unrelated
-	// tenants on the same shard keep their latency.
-	maxInFlight := g.cfg.MaxInFlight
-	respCh := make(chan timedResponse, maxInFlight+shedHeadroom)
-	var inflight atomic.Int64
+	fc := wire.NewConn(conn)
+	fc.ReadTimeout, fc.WriteTimeout = g.cfg.ReadTimeout, g.cfg.WriteTimeout
+	cc := &clientConn{
+		g: g, readOnly: kind == wire.HelloRead, logf: logf,
+		respCh: make(chan timedResponse, g.cfg.MaxInFlight+shedHeadroom),
+	}
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		dead := false
-		for r := range respCh {
-			if !dead {
-				out, err := codec.EncodeGatewayResponse(r.resp)
-				if err != nil {
-					g.log.Error("encoding response failed; severing connection",
-						"conn", conn.RemoteAddr().String(), "err", err)
-					dead = true
-				} else {
-					_ = conn.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout))
-					if err := wire.WriteFrame(conn, out); err != nil {
-						dead = true
-					} else {
-						if r.enq != 0 {
-							g.tm.ack.ObserveEx(float64(time.Now().UnixNano()-r.enq)/1e3, r.tc.TraceID())
-						}
-						// The frame is on the wire: the request's trace ends
-						// here (root span client-admit = admission → ack
-						// written). Unsampled-but-slow syncs are captured by
-						// the same call.
-						g.cfg.Tracer.Finish(r.tc, "client-admit")
-					}
-				}
-				if dead {
-					// Sever: the peer stalled past the write deadline (or the
-					// stream is unencodable). Closing the conn breaks the
-					// reader out of its blocking ReadFrame, so the connection
-					// winds down instead of half-living as a request sink.
-					g.severed.Add(1)
-					conn.Close()
-				}
-			}
-			inflight.Add(-1)
-		}
+		cc.writeLoop(fc, conn)
 	}()
-
-	var pending sync.WaitGroup
-	reply := func(r wire.GatewayResponse, tc telemetry.TraceContext) {
-		tr := timedResponse{resp: r, tc: tc}
-		if g.tm.on {
-			tr.enq = time.Now().UnixNano()
-		}
-		respCh <- tr
-		pending.Done()
-	}
-	// admit reserves an inflight slot for one response. Reader-side replies
-	// get a slot unconditionally up to the severance bound; shard-bound
-	// requests stop at the cap.
-	admit := func() { inflight.Add(1); pending.Add(1) }
-
-	frameErrs := 0
 	for {
-		if g.cfg.ReadTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(g.cfg.ReadTimeout))
-		}
-		payload, err := wire.ReadFrame(conn)
+		// A fresh payload per frame: the decoded request's Sealed aliases it
+		// and outlives this loop iteration (backend, WAL, history tail).
+		payload, err := fc.ReadFrame(nil)
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				if errors.Is(err, os.ErrDeadlineExceeded) {
@@ -1078,91 +1009,216 @@ func (g *Gateway) handle(conn net.Conn) {
 			}
 			break
 		}
-		if int(inflight.Load()) >= maxInFlight+shedHeadroom {
-			// The peer ignored its window AND shedHeadroom refusals in a
-			// row: the grace window is spent. Sever rather than shed again —
-			// every further frame is free hostility.
-			logf("severing connection: %d unanswered requests exceed in-flight cap %d + grace %d",
-				inflight.Load(), maxInFlight, shedHeadroom)
-			g.severed.Add(1)
+		if !cc.admitFrame(payload) {
 			break
-		}
-		greq, err := codec.DecodeGatewayRequest(payload)
-		if err != nil {
-			frameErrs++
-			logf("malformed frame (%d/%d): %v", frameErrs, g.cfg.MaxFrameErrors, err)
-			admit()
-			reply(wire.GatewayResponse{ID: greq.ID, Resp: wire.Response{Error: err.Error()}}, telemetry.TraceContext{})
-			if frameErrs >= g.cfg.MaxFrameErrors {
-				logf("closing connection after %d malformed frames", frameErrs)
-				break
-			}
-			continue
-		}
-		if greq.Owner == "" {
-			admit()
-			reply(wire.GatewayResponse{ID: greq.ID, Resp: wire.Response{Error: "gateway: missing owner id"}}, telemetry.TraceContext{})
-			continue
-		}
-		if readOnly {
-			switch greq.Req.Type {
-			case wire.MsgSetup, wire.MsgUpdate, wire.MsgResume:
-				admit()
-				reply(wire.GatewayResponse{ID: greq.ID, Resp: wire.Response{Error: wire.ErrNotPrimary.Error()}}, telemetry.TraceContext{})
-				continue
-			}
-		}
-		if int(inflight.Load()) >= maxInFlight {
-			// Load shed: refuse without touching tenant state. The refusal
-			// is typed so the client can back off and retry — application
-			// state (clock, ledger, transcript) is untouched, which is what
-			// keeps a shed privacy-neutral.
-			g.sheds.Add(1)
-			admit()
-			reply(wire.GatewayResponse{ID: greq.ID, Resp: wire.Response{
-				Error: wire.ErrBackpressure.Error(), Backpressure: true,
-			}}, telemetry.TraceContext{})
-			continue
-		}
-		admit()
-		id, req, owner := greq.ID, greq.Req, greq.Owner
-		sh := g.shardFor(owner)
-		// Trace admission: one atomic add decides sampling; the admission
-		// timestamp doubles as the queue-wait stage's start, so tracing and
-		// telemetry share a single clock read.
-		var tc telemetry.TraceContext
-		var at int64
-		if g.tm.on || g.cfg.Tracer != nil {
-			now := time.Now()
-			at = now.UnixNano()
-			tc = g.cfg.Tracer.Admit("client-admit", now)
-			if tc.Sampled() && g.cfg.DebugTenantMetrics {
-				// Tenant identity on a trace only behind the same debug gate
-				// as per-tenant metrics, and only as the owner hash.
-				tc.SetAttr("owner_hash=" + telemetry.OwnerHash(owner))
-			}
-		}
-		// Only the setup protocol creates a namespace (peek otherwise):
-		// queries, updates, resumes, and stats probes against unknown owners
-		// must not let a read-only request stream allocate backend state.
-		t := task{owner: owner, peek: req.Type != wire.MsgSetup, at: at, tc: tc, run: func(tn *tenant, terr error) {
-			if terr != nil {
-				reply(wire.GatewayResponse{ID: id, Resp: wire.Response{Error: terr.Error()}}, tc)
-				return
-			}
-			g.dispatch(sh, tn, owner, req, tc, func(resp wire.Response) {
-				reply(wire.GatewayResponse{ID: id, Resp: resp}, tc)
-			})
-		}}
-		select {
-		case sh.tasks <- t:
-		case <-g.quit:
-			reply(wire.GatewayResponse{ID: id, Resp: wire.Response{Error: "gateway: shutting down"}}, tc)
 		}
 	}
 	// In-flight tasks still owe responses; wait for them before tearing the
 	// response channel down, then let the writer flush.
-	pending.Wait()
-	close(respCh)
+	cc.pending.Wait()
+	close(cc.respCh)
 	<-writerDone
+}
+
+// clientConn is one client connection's serving state: what its reader
+// (handle), its writer goroutine, and the shard workers answering its
+// requests share.
+//
+// Flow control invariant: inflight counts every admitted request and every
+// reader-originated reply (errors, sheds) from admission until the writer
+// dequeues its response. Admission stops at MaxInFlight (typed
+// backpressure), and even refusals stop at MaxInFlight + shedHeadroom (the
+// connection is severed instead). respCh's capacity is that same bound, so a
+// shard worker's reply can NEVER block on a slow connection — the slow
+// tenant sheds its own load while unrelated tenants on the same shard keep
+// their latency.
+type clientConn struct {
+	g *Gateway
+	// readOnly marks a connection opened with the read-only hello ("DPSQ").
+	// A primary serves it from the same path as a full client — it is
+	// trivially fresh, so MinOffset never refuses here — but its write half
+	// is disabled: syncs and resumes get the typed not-primary refusal so a
+	// misrouted writer fails loudly instead of mutating state over a
+	// connection negotiated as read-only.
+	readOnly bool
+	logf     func(format string, args ...any) // the handler's bounded logger; reader goroutine only
+	// respCh carries responses to the writer; inflight is the flow-control
+	// count and pending the reader's wait for owed replies.
+	respCh    chan timedResponse
+	inflight  atomic.Int64
+	pending   sync.WaitGroup
+	frameErrs int // malformed frames so far; reader goroutine only
+}
+
+// admit reserves an inflight slot for one response. Reader-side replies
+// get a slot unconditionally up to the severance bound; shard-bound
+// requests stop at the cap.
+func (c *clientConn) admit() { c.inflight.Add(1); c.pending.Add(1) }
+
+// reply queues one response for the writer. It never blocks: respCh holds
+// every response admit has reserved a slot for.
+func (c *clientConn) reply(id uint64, resp wire.Response, tc telemetry.TraceContext) {
+	tr := timedResponse{resp: wire.GatewayResponse{ID: id, Resp: resp}, tc: tc}
+	if c.g.tm.on {
+		tr.enq = time.Now().UnixNano()
+	}
+	c.respCh <- tr
+	c.pending.Done()
+}
+
+// refuse answers a frame from the reader, without a shard.
+func (c *clientConn) refuse(id uint64, resp wire.Response) {
+	c.admit()
+	c.reply(id, resp, telemetry.TraceContext{})
+}
+
+// admitFrame is the reader's work for one frame: decode it, refuse it here
+// (malformed, ownerless, a write on a read-only connection, over the
+// in-flight cap) or hand it to the owner's shard as a task. It reports
+// whether the connection keeps being served.
+func (c *clientConn) admitFrame(payload []byte) bool {
+	g := c.g
+	maxInFlight := g.cfg.MaxInFlight
+	if int(c.inflight.Load()) >= maxInFlight+shedHeadroom {
+		// The peer ignored its window AND shedHeadroom refusals in a
+		// row: the grace window is spent. Sever rather than shed again —
+		// every further frame is free hostility.
+		c.logf("severing connection: %d unanswered requests exceed in-flight cap %d + grace %d",
+			c.inflight.Load(), maxInFlight, shedHeadroom)
+		g.severed.Add(1)
+		return false
+	}
+	greq, err := wire.CodecBinary.DecodeGatewayRequest(payload)
+	if err != nil {
+		c.frameErrs++
+		c.logf("malformed frame (%d/%d): %v", c.frameErrs, g.cfg.MaxFrameErrors, err)
+		c.refuse(greq.ID, wire.Response{Error: err.Error()})
+		if c.frameErrs >= g.cfg.MaxFrameErrors {
+			c.logf("closing connection after %d malformed frames", c.frameErrs)
+			return false
+		}
+		return true
+	}
+	if greq.Owner == "" {
+		c.refuse(greq.ID, wire.Response{Error: "gateway: missing owner id"})
+		return true
+	}
+	if c.readOnly {
+		switch greq.Req.Type {
+		case wire.MsgSetup, wire.MsgUpdate, wire.MsgResume:
+			c.refuse(greq.ID, wire.Response{Error: wire.ErrNotPrimary.Error()})
+			return true
+		}
+	}
+	if int(c.inflight.Load()) >= maxInFlight {
+		// Load shed: refuse without touching tenant state. The refusal
+		// is typed so the client can back off and retry — application
+		// state (clock, ledger, transcript) is untouched, which is what
+		// keeps a shed privacy-neutral.
+		g.sheds.Add(1)
+		c.refuse(greq.ID, wire.Response{Error: wire.ErrBackpressure.Error(), Backpressure: true})
+		return true
+	}
+	c.admit()
+	// Trace admission: one atomic add decides sampling; the admission
+	// timestamp doubles as the queue-wait stage's start, so tracing and
+	// telemetry share a single clock read.
+	var tc telemetry.TraceContext
+	var at int64
+	if g.tm.on || g.cfg.Tracer != nil {
+		now := time.Now()
+		at = now.UnixNano()
+		tc = g.cfg.Tracer.Admit("client-admit", now)
+		if tc.Sampled() && g.cfg.DebugTenantMetrics {
+			// Tenant identity on a trace only behind the same debug gate
+			// as per-tenant metrics, and only as the owner hash.
+			tc.SetAttr("owner_hash=" + telemetry.OwnerHash(greq.Owner))
+		}
+	}
+	// Only the setup protocol creates a namespace (peek otherwise):
+	// queries, updates, resumes, and stats probes against unknown owners
+	// must not let a read-only request stream allocate backend state.
+	t := task{
+		owner: greq.Owner, peek: greq.Req.Type != wire.MsgSetup, at: at,
+		req: greq.Req, reply: replyTo{conn: c, id: greq.ID, tc: tc},
+	}
+	select {
+	case g.shardFor(greq.Owner).tasks <- t:
+	case <-g.quit:
+		t.reply.send(wire.Response{Error: "gateway: shutting down"})
+	}
+	return true
+}
+
+// writeLoop is the connection's writer goroutine: it serializes responses
+// onto fc until respCh closes. Responses arrive from shard workers out of
+// order (that is the point of pipelining); request IDs let the client
+// re-match them. Each dequeued response is encoded into fc's buffer, and the
+// buffer goes to the socket when respCh is empty — so a response with
+// nothing queued behind it is written at once, and responses that were
+// already waiting share one write. Nothing is ever held back for a timer or
+// for a later frame. Once a write fails or times out — the write-stall
+// deadline, armed by fc before every socket write — the writer turns into a
+// drain AND severs the connection, so the reader stops admitting work for a
+// peer that has stopped consuming responses.
+func (c *clientConn) writeLoop(fc *wire.Conn, conn net.Conn) {
+	g := c.g
+	timed := g.tm.on || g.cfg.Tracer != nil
+	// unflushed are the responses encoded since the last flush: their ack
+	// stage and their traces end when their bytes are on the wire, not when
+	// they are encoded.
+	var unflushed []timedResponse
+	dead := false
+	for r := range c.respCh {
+		// The slot frees at dequeue, flushed or not: the response has left
+		// the queue a shard worker could block on.
+		c.inflight.Add(-1)
+		if dead {
+			continue
+		}
+		b, err := wire.AppendGatewayResponse(fc.BeginFrame(), r.resp)
+		if err != nil {
+			g.log.Error("encoding response failed; severing connection",
+				"conn", conn.RemoteAddr().String(), "err", err)
+		} else if _, err = fc.EndFrame(b); err == nil {
+			if timed {
+				r.resp = wire.GatewayResponse{}
+				unflushed = append(unflushed, r)
+			}
+			if len(c.respCh) == 0 {
+				if err = fc.Flush(); err == nil {
+					c.acked(unflushed)
+					unflushed = unflushed[:0]
+				}
+			}
+		}
+		if err != nil {
+			// Sever: the peer stalled past the write deadline (or the
+			// stream is unencodable). Closing the conn breaks the
+			// reader out of its blocking read, so the connection
+			// winds down instead of half-living as a request sink.
+			dead = true
+			g.severed.Add(1)
+			conn.Close()
+		}
+	}
+}
+
+// acked ends the ack stage and the trace of every response a flush just put
+// on the wire, and drops the batch's trace records.
+func (c *clientConn) acked(batch []timedResponse) {
+	if len(batch) == 0 {
+		return
+	}
+	now := time.Now().UnixNano()
+	for _, r := range batch {
+		if r.enq != 0 {
+			c.g.tm.ack.ObserveEx(float64(now-r.enq)/1e3, r.tc.TraceID())
+		}
+		// The request's trace ends here (root span client-admit = admission
+		// → ack written). Unsampled-but-slow syncs are captured by the same
+		// call.
+		c.g.cfg.Tracer.Finish(r.tc, "client-admit")
+	}
+	clear(batch)
 }

@@ -16,10 +16,12 @@ import (
 	"dpsync/internal/wire"
 )
 
-// task is one unit of shard work: resolve the owner's tenant and run the
-// closure on the shard worker goroutine. Tasks for one owner execute in the
-// order they were enqueued — the shard worker is the serialization point
-// for an owner's state; no tenant lock exists.
+// task is one unit of shard work, executed on the shard worker goroutine
+// against the owner's resolved tenant: a client request (req, answered
+// through reply) dispatched directly, or — for the gateway's own peeks and
+// cuts — the run closure. Tasks for one owner execute in the order they were
+// enqueued — the shard worker is the serialization point for an owner's
+// state; no tenant lock exists.
 type task struct {
 	owner string
 	// peek makes tenant resolution non-creating. Everything except the
@@ -28,14 +30,30 @@ type task struct {
 	// setup (MaxOwners bounds *established* tenants, and a hostile
 	// read-only request stream must not be able to reach it).
 	peek bool
-	run  func(tn *tenant, err error)
+	// req and reply are a client request and where its one response goes.
+	// They ride in the task by value, so admitting a request allocates no
+	// closure; run is nil then.
+	req   wire.Request
+	reply replyTo
+	run   func(tn *tenant, err error)
 	// at is the enqueue timestamp (UnixNano; 0 when telemetry and tracing are
 	// both off) — the shard worker observes queue wait at dequeue.
 	at int64
-	// tc is the request's trace context (zero when unsampled): the shard
-	// worker records the queue-wait and apply spans under its root.
-	tc telemetry.TraceContext
 }
+
+// replyTo addresses one request's response: the connection that asked, the
+// request ID the client matches on, and the request's trace context (zero
+// when unsampled) under whose root the shard worker records the queue-wait
+// and apply spans. A reply deferred behind a commit captures it in a closure;
+// every other reply is a direct send.
+type replyTo struct {
+	conn *clientConn
+	id   uint64
+	tc   telemetry.TraceContext
+}
+
+// send delivers the request's one response.
+func (r replyTo) send(resp wire.Response) { r.conn.reply(r.id, resp, r.tc) }
 
 // shard is one worker's state: its task queue, its commit-completion queue,
 // and the tenants hashed onto it. owners and the WAL bookkeeping fields are
@@ -178,11 +196,18 @@ func (g *Gateway) runShard(sh *shard) {
 	serve := func(t task) {
 		if t.at != 0 {
 			now := time.Now()
-			g.tm.qwait.ObserveEx(float64(now.UnixNano()-t.at)/1e3, t.tc.TraceID())
-			t.tc.Record("queue-wait", time.Unix(0, t.at), now)
+			g.tm.qwait.ObserveEx(float64(now.UnixNano()-t.at)/1e3, t.reply.tc.TraceID())
+			t.reply.tc.Record("queue-wait", time.Unix(0, t.at), now)
 		}
 		tn, err := g.tenantFor(sh, t.owner, t.peek)
-		t.run(tn, err)
+		switch {
+		case t.run != nil:
+			t.run(tn, err)
+		case err != nil:
+			t.reply.send(wire.Response{Error: err.Error()})
+		default:
+			g.dispatch(sh, tn, t.owner, t.req, t.reply)
+		}
 	}
 	for {
 		if sh.snapWanted && sh.pendingWAL == 0 {
@@ -319,24 +344,25 @@ func (g *Gateway) chargeFor(setup bool) store.Charge {
 }
 
 // dispatch executes one EDB protocol message against a tenant and delivers
-// the response through respond — synchronously for queries, stats, and
+// the response through reply — synchronously for queries, stats, and
 // in-memory syncs; deferred to the WAL group commit for durable syncs
 // (spend-before-sync: the charge and the entry are durable before the ack
-// and the transcript event exist). respond is invoked exactly once. tn is
+// and the transcript event exist). reply.send is invoked exactly once. tn is
 // nil for owners that never ran setup (see task.peek); those requests are
-// answered without materializing the namespace. tc is the request's trace
-// context (zero when unsampled): stage spans land under its root, and durable
-// syncs thread it through the WAL to the replication hub.
-func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request, tc telemetry.TraceContext, respond func(wire.Response)) {
+// answered without materializing the namespace. Stage spans land under the
+// root of reply.tc, and durable syncs thread it through the WAL to the
+// replication hub.
+func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request, reply replyTo) {
+	tc := reply.tc
 	if tn == nil {
-		respond(g.dispatchUnknown(owner, req))
+		reply.send(g.dispatchUnknown(owner, req))
 		return
 	}
 	if tn.failed {
 		// The tenant's backend may hold a batch whose durability is
 		// indeterminate; serving *anything* from it (queries and stats
 		// included) would expose state a restart may not reconstruct.
-		respond(wire.Response{Error: "gateway: a durable sync failed for this owner; restart to recover"})
+		reply.send(wire.Response{Error: "gateway: a durable sync failed for this owner; restart to recover"})
 		return
 	}
 	switch req.Type {
@@ -348,7 +374,7 @@ func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request
 		// parks their acks on the original commits, so resume can never
 		// promise more than recovery could prove.
 		g.tm.resumes.Inc()
-		respond(wire.Response{OK: true, Resume: &wire.ResumeSpec{Clock: uint64(tn.ticks)}})
+		reply.send(wire.Response{OK: true, Resume: &wire.ResumeSpec{Clock: uint64(tn.ticks)}})
 
 	case wire.MsgSetup, wire.MsgUpdate:
 		setup := req.Type == wire.MsgSetup
@@ -367,11 +393,11 @@ func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request
 		// Seq 0 is the legacy single-shot behavior: assign the next tick.
 		if req.Seq != 0 {
 			if req.Seq <= tn.seq {
-				g.serveDuplicateAck(tn, req.Seq, respond)
+				g.serveDuplicateAck(tn, req.Seq, reply)
 				return
 			}
 			if req.Seq != tn.seq+1 {
-				respond(wire.Response{Error: fmt.Sprintf(
+				reply.send(wire.Response{Error: fmt.Sprintf(
 					"gateway: sync gap: got seq %d, expected %d", req.Seq, tn.seq+1)})
 				return
 			}
@@ -384,7 +410,7 @@ func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request
 		// spend-with-sync-record before observability.
 		charge := g.chargeFor(setup)
 		if err := tn.budget.CanCharge(charge.Name, charge.Eps, charge.Rule); err != nil {
-			respond(wire.Response{Error: err.Error()})
+			reply.send(wire.Response{Error: err.Error()})
 			return
 		}
 		cts := make([]seal.Sealed, len(req.Sealed))
@@ -396,7 +422,7 @@ func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request
 			applyStart = time.Now()
 		}
 		if err := g.ingest(tn, setup, cts); err != nil {
-			respond(wire.Response{Error: err.Error()})
+			reply.send(wire.Response{Error: err.Error()})
 			return
 		}
 		if !applyStart.IsZero() {
@@ -415,7 +441,7 @@ func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request
 					"owner_hash", telemetry.OwnerHash(owner), "tick", tick, "err", err)
 			}
 			g.commitTelemetry(sh, tn, charge)
-			respond(wire.Response{OK: true})
+			reply.send(wire.Response{OK: true})
 			return
 		}
 		entry := store.Entry{Owner: owner, Batch: store.Batch{
@@ -458,7 +484,7 @@ func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request
 					if werr == nil {
 						werr = fmt.Errorf("an earlier sync's durability is unknown")
 					}
-					respond(wire.Response{Error: fmt.Sprintf("gateway: durable sync failed; restart to recover (%v)", werr)})
+					reply.send(wire.Response{Error: fmt.Sprintf("gateway: durable sync failed; restart to recover (%v)", werr)})
 					tn.flushDeferred()
 					return
 				}
@@ -486,7 +512,7 @@ func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request
 					// on this worker is exactly consistent with the stream.
 					g.cfg.Replicator.Committed(sh.id, entry, walTC)
 				}
-				respond(wire.Response{OK: true})
+				reply.send(wire.Response{OK: true})
 				// Reads parked behind this sync can answer now.
 				tn.flushDeferred()
 			}
@@ -500,58 +526,23 @@ func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request
 			sh.pendingAtomic.Store(int64(sh.pendingWAL))
 			sh.sinceSnap--
 			tn.failed = true
-			respond(wire.Response{Error: fmt.Sprintf("gateway: durable sync: %v", err)})
+			reply.send(wire.Response{Error: fmt.Sprintf("gateway: durable sync: %v", err)})
 			tn.flushDeferred()
 		}
 
 	case wire.MsgQuery:
 		if req.Query == nil {
-			respond(wire.Response{Error: "query missing"})
+			reply.send(wire.Response{Error: "query missing"})
 			return
 		}
 		g.tm.queries.Inc()
-		spec := *req.Query
-		g.serveRead(tn, respond, func() wire.Response {
-			// Noise-reuse answer cache. The exec closure runs only against
-			// committed state (immediately when seq == ticks, or from the
-			// commit completion after flushDeferred) and invalidation happens
-			// where ticks advances, so a hit can only re-serve bytes the
-			// current committed state would recompute identically — and
-			// re-serving a released DP answer spends zero additional ε.
-			var start time.Time
-			if g.tm.on {
-				start = time.Now()
-			}
-			if tn.qc != nil {
-				if resp, ok := tn.qc.Get(spec); ok {
-					g.tm.qcHits.Inc()
-					if !start.IsZero() {
-						g.tm.qcServe.ObserveSince(start)
-					}
-					return resp
-				}
-				g.tm.qcMiss.Inc()
-			}
-			ans, cost, err := tn.db.Query(spec.ToQuery())
-			if err != nil {
-				return wire.Response{Error: err.Error()}
-			}
-			resp := wire.NewQueryResponse(ans, cost)
-			if tn.qc != nil {
-				if tn.qc.Put(spec, resp) {
-					g.tm.qcEvict.Inc()
-				}
-			}
-			return resp
-		})
+		g.serveRead(tn, req, reply)
 
 	case wire.MsgStats:
-		g.serveRead(tn, respond, func() wire.Response {
-			return wire.NewStatsResponse(tn.db.Stats(), tn.db.Name(), int(tn.db.Leakage()))
-		})
+		g.serveRead(tn, req, reply)
 
 	default:
-		respond(wire.Response{Error: fmt.Sprintf("unknown message type %q", req.Type)})
+		reply.send(wire.Response{Error: fmt.Sprintf("unknown message type %q", req.Type)})
 	}
 }
 
@@ -578,17 +569,17 @@ func (g *Gateway) commitTelemetry(sh *shard, tn *tenant, charge store.Charge) {
 // uncommitted seqs park on the original sync's commit (same machinery as
 // deferred reads), so the retransmit's ack carries exactly the durability
 // the original's would have.
-func (g *Gateway) serveDuplicateAck(tn *tenant, seq uint64, respond func(wire.Response)) {
+func (g *Gateway) serveDuplicateAck(tn *tenant, seq uint64, reply replyTo) {
 	if seq <= uint64(tn.ticks) {
-		respond(wire.Response{OK: true})
+		reply.send(wire.Response{OK: true})
 		return
 	}
 	tn.deferred = append(tn.deferred, deferredRead{waitSeq: seq, run: func(failed bool) {
 		if failed {
-			respond(wire.Response{Error: "gateway: a durable sync failed for this owner; restart to recover"})
+			reply.send(wire.Response{Error: "gateway: a durable sync failed for this owner; restart to recover"})
 			return
 		}
-		respond(wire.Response{OK: true})
+		reply.send(wire.Response{OK: true})
 	}})
 }
 
@@ -598,18 +589,57 @@ func (g *Gateway) serveDuplicateAck(tn *tenant, seq uint64, respond func(wire.Re
 // applied-but-uncommitted state (which a crash could make unrecoverable)
 // and preserves per-owner FIFO: a pipelined read's response never overtakes
 // the ack of a sync sent before it.
-func (g *Gateway) serveRead(tn *tenant, respond func(wire.Response), exec func() wire.Response) {
+func (g *Gateway) serveRead(tn *tenant, req wire.Request, reply replyTo) {
 	if g.store == nil || tn.seq == uint64(tn.ticks) {
-		respond(exec())
+		reply.send(g.execRead(tn, req))
 		return
 	}
 	tn.deferred = append(tn.deferred, deferredRead{waitSeq: tn.seq, run: func(failed bool) {
 		if failed {
-			respond(wire.Response{Error: "gateway: a durable sync failed for this owner; restart to recover"})
+			reply.send(wire.Response{Error: "gateway: a durable sync failed for this owner; restart to recover"})
 			return
 		}
-		respond(exec())
+		reply.send(g.execRead(tn, req))
 	}})
+}
+
+// execRead evaluates a stats probe or a query (req.Query non-nil) against
+// the tenant's committed state, the query through the noise-reuse answer
+// cache. serveRead calls it only when the backend holds no uncommitted sync
+// (immediately when seq == ticks, or from the commit completion after
+// flushDeferred) and invalidation happens where ticks advances, so a hit can
+// only re-serve bytes the current committed state would recompute
+// identically — and re-serving a released DP answer spends zero additional ε.
+func (g *Gateway) execRead(tn *tenant, req wire.Request) wire.Response {
+	if req.Type == wire.MsgStats {
+		return wire.NewStatsResponse(tn.db.Stats(), tn.db.Name(), int(tn.db.Leakage()))
+	}
+	spec := *req.Query
+	var start time.Time
+	if g.tm.on {
+		start = time.Now()
+	}
+	if tn.qc != nil {
+		if resp, ok := tn.qc.Get(spec); ok {
+			g.tm.qcHits.Inc()
+			if !start.IsZero() {
+				g.tm.qcServe.ObserveSince(start)
+			}
+			return resp
+		}
+		g.tm.qcMiss.Inc()
+	}
+	ans, cost, err := tn.db.Query(spec.ToQuery())
+	if err != nil {
+		return wire.Response{Error: err.Error()}
+	}
+	resp := wire.NewQueryResponse(ans, cost)
+	if tn.qc != nil {
+		if tn.qc.Put(spec, resp) {
+			g.tm.qcEvict.Inc()
+		}
+	}
+	return resp
 }
 
 // invalidateCache drops the tenant's noise-reuse answer cache. Called at

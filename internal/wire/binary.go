@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"dpsync/internal/binfmt"
 )
@@ -175,21 +176,29 @@ func (c Codec) EncodeGatewayRequest(g GatewayRequest) ([]byte, error) {
 	if c != CodecBinary {
 		return nil, fmt.Errorf("wire: encode with unknown codec %d", byte(c))
 	}
+	return AppendGatewayRequest(nil, g)
+}
+
+// AppendGatewayRequest appends the request envelope's binary encoding to dst
+// — how a frame is built in place behind its header (Conn.BeginFrame). dst
+// grows at most once (the size is computed first), and not at all when its
+// capacity already suffices. On error dst is returned unextended.
+func AppendGatewayRequest(dst []byte, g GatewayRequest) ([]byte, error) {
 	if len(g.Owner) > MaxOwnerLen {
-		return nil, fmt.Errorf("wire: owner id %d bytes exceeds %d", len(g.Owner), MaxOwnerLen)
+		return dst, fmt.Errorf("wire: owner id %d bytes exceeds %d", len(g.Owner), MaxOwnerLen)
 	}
 	t, err := msgTypeByte(g.Req.Type)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if t == binQuery && g.Req.MinOffset > 0 {
 		t = binQueryAt
 	}
-	size := 8 + 1 + len(g.Owner) + 1
+	size := 8 + 1 + len(g.Owner) + 1 + 16 // envelope, then the largest fixed-size body
 	for _, ct := range g.Req.Sealed {
 		size += 4 + len(ct)
 	}
-	b := make([]byte, 0, size+16)
+	b := slices.Grow(dst, size)
 	b = binfmt.AppendU64(b, g.ID)
 	b = append(b, byte(len(g.Owner)))
 	b = append(b, g.Owner...)
@@ -204,11 +213,11 @@ func (c Codec) EncodeGatewayRequest(g GatewayRequest) ([]byte, error) {
 		}
 	case binQuery, binQueryAt:
 		if g.Req.Query == nil {
-			return nil, fmt.Errorf("wire: query request without query spec")
+			return dst, fmt.Errorf("wire: query request without query spec")
 		}
 		q := g.Req.Query
 		if q.Kind < 0 || q.Kind > 255 {
-			return nil, fmt.Errorf("wire: query kind %d outside binary range", q.Kind)
+			return dst, fmt.Errorf("wire: query kind %d outside binary range", q.Kind)
 		}
 		b = append(b, byte(q.Kind), q.Provider, q.JoinWith)
 		b = binfmt.AppendU16(b, q.Lo)
@@ -287,6 +296,13 @@ func (c Codec) EncodeGatewayResponse(g GatewayResponse) ([]byte, error) {
 	if c != CodecBinary {
 		return nil, fmt.Errorf("wire: encode with unknown codec %d", byte(c))
 	}
+	return AppendGatewayResponse(nil, g)
+}
+
+// AppendGatewayResponse appends the response envelope's binary encoding to
+// dst, with AppendGatewayRequest's growth rule. It has no failing input; the
+// error keeps the two encoders one shape.
+func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 	var flags byte
 	resp := g.Resp
 	if resp.OK {
@@ -313,13 +329,22 @@ func (c Codec) EncodeGatewayResponse(g GatewayResponse) ([]byte, error) {
 	if resp.Stale != nil {
 		flags |= flagStale
 	}
-	b := make([]byte, 0, 64)
+	if len(resp.Error) > math.MaxUint16 {
+		resp.Error = resp.Error[:math.MaxUint16]
+	}
+	// Every fixed-size section at once (they sum to 81 bytes), plus the three
+	// variable ones.
+	size := 96 + len(resp.Error)
+	if resp.Answer != nil {
+		size += 8 * len(resp.Answer.Groups)
+	}
+	if resp.Stats != nil {
+		size += min(len(resp.Stats.Scheme), MaxOwnerLen)
+	}
+	b := slices.Grow(dst, size)
 	b = binfmt.AppendU64(b, g.ID)
 	b = append(b, flags)
 	if flags&flagError != 0 {
-		if len(resp.Error) > math.MaxUint16 {
-			resp.Error = resp.Error[:math.MaxUint16]
-		}
 		b = binfmt.AppendU16(b, uint16(len(resp.Error)))
 		b = append(b, resp.Error...)
 	}

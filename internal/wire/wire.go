@@ -10,6 +10,16 @@
 // protocol it speaks: read-write client, read-only client, or replication
 // (repl.go).
 //
+// After the hello there is one way to move a frame: Conn (conn.go), a
+// buffered frame connection whose reader yields every pipelined frame one
+// socket read brought in and whose writer builds frames in place — the
+// codec's Append encoders write behind a header Conn reserves — and reaches
+// the socket only when its owner flushes or the buffer fills. When to flush
+// is the owner's rule, and every owner's rule is "when nothing more is
+// waiting", never a timer. The package-level ReadFrame and WriteFrame are
+// the unbuffered pair for exact-length exchanges on a raw connection
+// (handshakes, tools, tests).
+//
 // Records cross the wire only as sealed ciphertexts — the owner encrypts
 // locally and the server never sees plaintexts or the real/dummy split. The
 // enclave half of the server (which holds the data key, standing in for an
