@@ -351,7 +351,7 @@ func runReplica(owners, ticks, queryMix, conns, shards int, syncEps float64, see
 	if quick {
 		fmt.Printf("replica ok: %d owners × %d ticks, follower served %d/%d queries at %.0f/sec (%d stale refusals, %d fallbacks to primary)\n",
 			rep.Owners, rep.Ticks, rep.ReplicaServed, rep.Queries, rep.ReplicaQueryQPS, rep.ReplicaStale, rep.ReplicaFallbacks)
-		fmt.Printf("replica plane: %d requests, qcache %d hits / %d misses, %d rebuilds, cursor %d applied\n",
+		fmt.Printf("replica plane: %d requests, qcache %d hits / %d misses, %d materializations from history, cursor %d applied\n",
 			rep.PlaneQueries, rep.PlaneCacheHits, rep.PlaneCacheMisses, rep.PlaneRebuilds, rep.FollowerApplied)
 	} else {
 		enc, err := json.MarshalIndent(rep, "", "  ")

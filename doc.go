@@ -329,13 +329,18 @@
 // follower whose cursor has fallen off the primary's bounded catch-up ring
 // is healed with a per-shard snapshot transfer instead.
 //
-// A follower is always a valid restart image. It serves nobody (every
+// A follower is always a valid restart image. It accepts no write (a sync
 // hello gets a typed wire.ErrNotPrimary refusal, so clients rotate on
 // instead of hanging) and folds the shipped entries into its own store
-// through the same recovery rules a restart would use — so at every
-// instant its directory holds a provable committed prefix of every owner's
-// history, with transcript, clock, and ε ledger describing exactly that
-// prefix.
+// through the same code a restart and a live commit use
+// (store.OwnerState.Apply, all or nothing) — so at every instant its
+// directory holds a provable committed prefix of every owner's history,
+// with transcript, clock, and ε ledger describing exactly that prefix. For
+// an owner analysts read here the follower also keeps the owner's tenant
+// machine (gateway.Tenant: that same state plus backend and answer cache)
+// and the fold that advances the state ingests the shipped batch into it.
+// One lock, the follower's stream lock, orders a frame's fold against a
+// read: a read sees cursor, state and machine from one frame boundary.
 //
 // The failover invariant follows: promotion is recovery. When the lease
 // lapses (the primary is fenced the moment a renewal is refused, before
@@ -377,11 +382,18 @@
 // Follower read plane. PR 7 followers already hold a provable committed
 // prefix of every owner's history; internal/cluster/read.go serves
 // analyst reads from it. A read-only hello ("DPSQ" + codec byte) opens a
-// query/stats-only connection on any node; on a follower, answers are
-// computed by materializing the owner's replicated state into a backend
-// (rebuilt only when the owner's committed clock moves, then cached with
-// its own noise-reuse cache in front). Freshness is explicit rather than
-// assumed: wire.Request.MinOffset carries the minimum replication offset
+// query/stats-only connection on any node; on a follower, an owner's first
+// read replays its tenant machine from the replicated history, once, and
+// the replication stream keeps it current from then on — O(batch) per
+// shipped entry, the answer cache dropped exactly where the replicated
+// clock advances — so a read answers from the resident machine whatever
+// the owner's age. A machine is replayed again only after an incremental
+// ingest failed and it was dropped (never served), and machines are
+// discarded before the replica seals, so promotion stays recovery over the
+// directory. It is the same machine, through the same Ingest, Commit and
+// Read, that the primary's shard workers and recovery drive: a tenant's
+// state advances by one code path on every node. Freshness is explicit
+// rather than assumed: wire.Request.MinOffset carries the minimum replication offset
 // the caller will accept, and a follower behind that bound refuses with
 // the typed wire.ErrStale carrying its cursor (wire.StaleSpec) — never a
 // silently stale answer. Writes on a read connection get the same typed

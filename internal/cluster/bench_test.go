@@ -1,0 +1,145 @@
+package cluster
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"dpsync/internal/gateway"
+	"dpsync/internal/query"
+	"dpsync/internal/wire"
+)
+
+// The follower's two layer rungs, no sockets: one read-plane request
+// (readPlane.serveRequest) and one shipped entry (followerCore.applyFrame),
+// both timed from the caller's side of the stream lock. Run them with a fixed
+// iteration count, e.g. -benchtime=320x: every iteration deepens some owner's
+// history by one batch, so the depth in a benchmark's name is where its
+// owners start.
+
+const (
+	benchWindow    = 16 // depth 80 reads spilled history, depth 8 does not
+	benchSnapEvery = 64
+	benchPool      = 32 // owners an advancing benchmark cycles through
+)
+
+// benchOwners ships depth ticks to each of n owners and returns their names.
+func benchOwners(r *replica, n, depth int) []string {
+	names := make([]string, n)
+	for o := range names {
+		names[o] = fmt.Sprintf("owner-%d", o)
+		for tick := uint64(1); tick <= uint64(depth); tick++ {
+			if err := r.ship(names[o], tick, rigRecords(o, tick), rigEps); err != nil {
+				r.tb.Fatal(err)
+			}
+		}
+	}
+	return names
+}
+
+func mustRead(b *testing.B, r *replica, owner string, req wire.Request) {
+	if resp := r.p.serveRequest(owner, req); !resp.OK {
+		b.Fatalf("%s: %s", owner, resp.Error)
+	}
+}
+
+// evict makes owner non-resident again, so its next read is a first read.
+func (r *replica) evict(owner string) {
+	r.f.smu.Lock()
+	delete(r.f.machines, owner)
+	r.f.smu.Unlock()
+}
+
+// BenchmarkFollowerRead is one Q1 through the read plane: cold (the owner's
+// first read: its machine is replayed from depth batches of history), warm
+// (a repeat at an unchanged clock: an answer-cache hit), and after-advance
+// (the first read after one more batch was folded in: a cache miss on a
+// resident machine, which must not depend on depth).
+func BenchmarkFollowerRead(b *testing.B) {
+	q1 := queryReq(query.Q1())
+	for _, depth := range []int{8, 80} {
+		b.Run(fmt.Sprintf("cold/h=%d", depth), func(b *testing.B) {
+			r := newReplica(b, gateway.Config{HistoryWindow: benchWindow}, benchSnapEvery)
+			owner := benchOwners(r, 1, depth)[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mustRead(b, r, owner, q1)
+				b.StopTimer()
+				r.evict(owner)
+				b.StartTimer()
+			}
+		})
+	}
+	b.Run("warm", func(b *testing.B) {
+		r := newReplica(b, gateway.Config{HistoryWindow: benchWindow}, benchSnapEvery)
+		owner := benchOwners(r, 1, 8)[0]
+		mustRead(b, r, owner, q1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mustRead(b, r, owner, q1)
+		}
+	})
+	for _, depth := range []int{8, 80} {
+		b.Run(fmt.Sprintf("after-advance/h=%d", depth), func(b *testing.B) {
+			r := newReplica(b, gateway.Config{HistoryWindow: benchWindow}, benchSnapEvery)
+			owners := benchOwners(r, benchPool, depth)
+			for _, owner := range owners {
+				mustRead(b, r, owner, q1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				o := i % benchPool
+				tick := uint64(depth + 1 + i/benchPool)
+				if err := r.ship(owners[o], tick, rigRecords(o, tick), rigEps); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				mustRead(b, r, owners[o], q1)
+			}
+		})
+	}
+}
+
+// BenchmarkFollowerApply is one shipped entry through applyFrame — frame
+// check, fold, WAL append, window and rotation upkeep — for an owner nobody
+// reads and for a resident one, whose machine also ingests the batch.
+func BenchmarkFollowerApply(b *testing.B) {
+	for _, resident := range []bool{false, true} {
+		name := "non-resident"
+		if resident {
+			name = "resident"
+		}
+		b.Run(name, func(b *testing.B) {
+			const depth = 8
+			r := newReplica(b, gateway.Config{HistoryWindow: benchWindow}, benchSnapEvery)
+			owners := benchOwners(r, benchPool, depth)
+			if resident {
+				for _, owner := range owners {
+					mustRead(b, r, owner, queryReq(query.Q1()))
+				}
+			}
+			frames := make([]wire.ReplFrame, b.N)
+			for i := range frames {
+				o := i % benchPool
+				tick := uint64(depth + 1 + i/benchPool)
+				r.heads[0]++
+				frames[i] = wire.ReplFrame{
+					Kind: wire.ReplEntry, Offset: r.heads[0],
+					Entry: r.frame(owners[o], tick, rigRecords(o, tick), rigEps),
+				}
+			}
+			now := time.Now()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, fr := range frames {
+				if err := r.f.applyFrame(fr, now); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

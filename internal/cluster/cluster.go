@@ -258,10 +258,10 @@ func Start(cfg Config) (*Node, error) {
 				Help: "replica queries served from the noise-reuse answer cache",
 				Kind: telemetry.KindCounter, Value: float64(rst.CacheHits)})
 			emit(telemetry.Sample{Name: "cluster_read_qcache_misses_total",
-				Help: "replica queries evaluated against the materialized backend",
+				Help: "replica queries evaluated against the owner's resident backend",
 				Kind: telemetry.KindCounter, Value: float64(rst.CacheMisses)})
 			emit(telemetry.Sample{Name: "cluster_read_rebuilds_total",
-				Help: "read-plane backend materializations (first read, or replicated clock advanced)",
+				Help: "read-plane materializations from history (an owner's first read, or after a dropped machine)",
 				Kind: telemetry.KindCounter, Value: float64(rst.Rebuilds)})
 		})
 	}

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"dpsync/internal/dp"
-	"dpsync/internal/leakage"
+	"dpsync/internal/gateway"
 	"dpsync/internal/store"
 	"dpsync/internal/telemetry"
 	"dpsync/internal/wire"
@@ -25,6 +25,12 @@ import (
 // semantics, the follower's directory is at every instant a valid restart
 // image: promotion is nothing more than sealing it and running gateway.New
 // over it.
+//
+// An owner that has been read through the read plane is resident: next to
+// its OwnerState the follower keeps a gateway.Tenant over that same state —
+// backend and answer cache — and the fold that advances the state ingests
+// the shipped batch into it, so a read never re-derives an owner from history
+// because its clock moved.
 //
 // Stream positions: counts[sid] is the shard's applied live-stream offset
 // (== the shard's committed entry count, re-derivable from recovered
@@ -61,8 +67,8 @@ type FollowerStats struct {
 
 // followerCore is the replica state machine. All stream methods run on one
 // goroutine (the tail loop); Stats and the WAL-append completions touch
-// only the mutex-guarded fields. The read plane observes owner state
-// through cut, which synchronizes with the tail loop via smu.
+// only the mutex-guarded fields. The read plane answers under smu, which
+// synchronizes it with the tail loop.
 type followerCore struct {
 	log       *slog.Logger
 	st        *store.Store
@@ -79,11 +85,13 @@ type followerCore struct {
 	// lock-free — a follower replicating within its lag bound is ready.
 	lastContact atomic.Int64
 
-	// smu orders the tail loop's state mutations against read-plane cuts:
-	// applyFrame holds it across each non-heartbeat frame, so a cut sees
-	// owner state and stream cursor from the same frame boundary. WAL-append
-	// completions take only mu, so holding smu across rotate's quiesce
-	// cannot deadlock.
+	// smu orders the tail loop's state mutations against read-plane requests:
+	// applyFrame holds it across each non-heartbeat frame and a read holds it
+	// from its freshness check to its answer, so a read sees stream cursor,
+	// owner state and the owner's machine from the same frame boundary —
+	// never a half-applied batch, never a backend ahead of or behind its
+	// OwnerState. WAL-append completions take only mu, so holding smu across
+	// rotate's quiesce cannot deadlock.
 	smu       sync.Mutex
 	states    []map[string]*store.OwnerState // per shard, per owner
 	counts    []uint64                       // applied live-stream offsets
@@ -92,6 +100,11 @@ type followerCore struct {
 	snapBasis []uint64
 	sinceSnap []int            // WAL appends since last rotation
 	pending   []sync.WaitGroup // in-flight WAL appends per shard
+	// machines holds the resident owners' tenant machines, each over the
+	// owner's entry in states (the same pointer). The read plane adds an
+	// owner at its first read; fold keeps it current and drops it if an
+	// ingest fails; dropMachines empties it (nil) before the replica seals.
+	machines map[string]*gateway.Tenant
 
 	mu        sync.Mutex
 	appendErr error
@@ -116,6 +129,7 @@ func openFollower(dir string, shards, window, snapEvery int, fsync bool, lg *slo
 		snapBasis: make([]uint64, shards),
 		sinceSnap: make([]int, shards),
 		pending:   make([]sync.WaitGroup, shards),
+		machines:  map[string]*gateway.Tenant{},
 	}
 	for sid := range f.states {
 		f.states[sid] = map[string]*store.OwnerState{}
@@ -211,7 +225,7 @@ func (f *followerCore) applyFrame(fr wire.ReplFrame, now time.Time) error {
 	if fr.Kind == wire.ReplHeartbeat {
 		return nil
 	}
-	// One frame is the unit of atomicity the read plane observes: cut waits
+	// One frame is the unit of atomicity the read plane observes: a read waits
 	// out an in-progress fold, never sees a half-applied batch.
 	f.smu.Lock()
 	defer f.smu.Unlock()
@@ -258,9 +272,11 @@ func (f *followerCore) applyFrame(fr wire.ReplFrame, now time.Time) error {
 }
 
 // fold lands one shipped entry: verify its frame (CRC), fold its batch into
-// the owner's state by the recovery rule, append it to the replica's own
-// WAL, and keep the replica's RAM bounded exactly as a live gateway would
-// (history spill past the window, log rotation on cadence).
+// the owner's state by the recovery rule — through the owner's machine when
+// it is resident, which also ingests the batch and drops the answer cache,
+// O(batch) — append it to the replica's own WAL, and keep the replica's RAM
+// bounded exactly as a live gateway would (history spill past the window,
+// log rotation on cadence).
 func (f *followerCore) fold(sid int, fr wire.ReplFrame, live bool, now time.Time) error {
 	e, err := store.DecodeEntryFrame(fr.Entry)
 	if err != nil {
@@ -280,9 +296,25 @@ func (f *followerCore) fold(sid int, fr wire.ReplFrame, live bool, now time.Time
 		f.resync[sid] = true
 		return fmt.Errorf("%w: owner %q tick %d does not extend clock %d", errStreamGap, e.Owner, tick, st.Clock)
 	}
-	if err := st.Apply(e.Batch); err != nil {
+	tn := f.machines[e.Owner]
+	if tn != nil {
+		err = tn.Commit(e.Batch)
+	} else {
+		err = st.Apply(e.Batch)
+	}
+	if err != nil {
 		f.resync[sid] = true
 		return fmt.Errorf("cluster: folding owner %q tick %d: %w", e.Owner, tick, err)
+	}
+	if tn != nil {
+		if err := tn.Ingest(e.Batch.Setup, e.Batch.Sealed); err != nil {
+			// The state is right and the backend is not: a machine that
+			// missed a batch is never served. The owner's next read replays
+			// one from history.
+			delete(f.machines, e.Owner)
+			f.log.Warn("replica ingest failed; dropping the owner's resident machine",
+				"owner_hash", telemetry.OwnerHash(e.Owner), "tick", tick, "err", err)
+		}
 	}
 	f.pending[sid].Add(1)
 	if err := f.st.Append(sid, e, func(werr error) {
@@ -298,7 +330,10 @@ func (f *followerCore) fold(sid int, fr wire.ReplFrame, live bool, now time.Time
 		f.pending[sid].Done()
 		return fmt.Errorf("cluster: replica WAL append: %w", err)
 	}
-	f.spill(sid, st)
+	if err := f.st.EnforceWindow(sid, st, f.window); err != nil {
+		f.log.Warn("replica history spill deferred; batches stay in RAM",
+			"owner_hash", telemetry.OwnerHash(st.Owner), "batches", len(st.Tail), "err", err)
+	}
 	f.sinceSnap[sid]++
 	if f.sinceSnap[sid] >= f.snapEvery {
 		f.rotate(sid)
@@ -317,45 +352,6 @@ func (f *followerCore) fold(sid int, fr wire.ReplFrame, live bool, now time.Time
 		f.tracer.Fragment(fr.TraceID, fr.ParentSpan, "follower-apply", now, time.Now())
 	}
 	return nil
-}
-
-// spill mirrors the gateway's history-window enforcement on the replica:
-// past 2× the window, everything but the last window batches moves to the
-// shard's history segment, coalescing into the owner's previous ref where
-// the store allows. A spill failure is survivable — batches stay in RAM and
-// the next fold retries.
-func (f *followerCore) spill(sid int, st *store.OwnerState) {
-	w := f.window
-	if w <= 0 || len(st.Tail) < 2*w {
-		return
-	}
-	n := len(st.Tail) - w
-	var prev *store.SegmentRef
-	prevCount := 0
-	if len(st.Spilled) > 0 {
-		prev = &st.Spilled[len(st.Spilled)-1]
-		prevCount = int(prev.Count)
-	}
-	refs, extended, err := f.st.Spill(sid, st.Owner, prev, st.Tail[:n])
-	if len(refs) > 0 {
-		done := 0
-		for _, r := range refs {
-			done += int(r.Count)
-		}
-		if extended {
-			done -= prevCount
-			st.Spilled[len(st.Spilled)-1] = refs[0]
-			refs = refs[1:]
-		}
-		st.Spilled = append(st.Spilled, refs...)
-		kept := make([]store.Batch, len(st.Tail)-done)
-		copy(kept, st.Tail[done:])
-		st.Tail = kept
-	}
-	if err != nil {
-		f.log.Warn("replica history spill deferred; batches stay in RAM",
-			"owner_hash", telemetry.OwnerHash(st.Owner), "batches", len(st.Tail), "err", err)
-	}
 }
 
 // rotate snapshots one shard of the replica and truncates its WAL, after
@@ -409,26 +405,11 @@ func (f *followerCore) Stats() FollowerStats {
 	return f.stats
 }
 
-// cut returns a deep copy of one owner's replicated state together with the
-// owning shard's applied stream offset — the freshness cursor a read-plane
-// answer is stamped with. The copy discipline mirrors gateway.OwnerCut:
-// slices and the budget are copied under smu so the caller can stream and
-// fold them while the tail loop keeps applying frames. ok is false when the
-// replica has never seen the owner.
-func (f *followerCore) cut(owner string) (st store.OwnerState, cursor uint64, ok bool) {
-	sid := store.ShardFor(owner, f.shards)
+// dropMachines discards every resident machine and refuses new ones. Called
+// before the replica seals or is killed, so promotion stays "recovery over
+// the directory" and nothing built from the store outlives it.
+func (f *followerCore) dropMachines() {
 	f.smu.Lock()
-	defer f.smu.Unlock()
-	src := f.states[sid][owner]
-	if src == nil {
-		return store.OwnerState{}, f.counts[sid], false
-	}
-	st = *src
-	st.Events = append([]leakage.Event(nil), src.Events...)
-	st.Spilled = append([]store.SegmentRef(nil), src.Spilled...)
-	st.Tail = append([]store.Batch(nil), src.Tail...)
-	if src.Budget != nil {
-		st.Budget = src.Budget.Clone()
-	}
-	return st, f.counts[sid], true
+	f.machines = nil
+	f.smu.Unlock()
 }

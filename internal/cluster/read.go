@@ -12,18 +12,17 @@ import (
 	"time"
 
 	"dpsync/internal/edb"
-	"dpsync/internal/oblidb"
-	"dpsync/internal/qcache"
-	"dpsync/internal/seal"
+	"dpsync/internal/gateway"
 	"dpsync/internal/store"
+	"dpsync/internal/telemetry"
 	"dpsync/internal/wire"
 )
 
 // The follower read plane: a follower is no longer a node that serves
 // nobody. A connection that opens with the read-only hello ("DPSQ") is
-// served queries and stats straight from the replicated store, bounded by
-// the replica's freshness cursor — the shard's applied stream offset that
-// followerCore.cut stamps on every observation.
+// served queries and stats from the replica's resident tenant machines,
+// bounded by the replica's freshness cursor — the shard's applied stream
+// offset, read under the same lock hold that answers.
 //
 // Freshness is the client's choice, not the replica's guess: a query
 // carries Request.MinOffset (0 = any committed prefix is acceptable), and a
@@ -32,11 +31,17 @@ import (
 // The client falls back to the primary, which is trivially fresh.
 //
 // Everything served here is the committed prefix by construction: the tail
-// loop folds only group-committed WAL entries the primary shipped, and cut
-// observes whole frames (followerCore.smu). Queries are pure
+// loop folds only group-committed WAL entries the primary shipped, and a
+// read observes whole frames (followerCore.smu). Queries are pure
 // post-processing of already-released DP state, so the read plane touches
 // no ledger — replica reads spend exactly nothing, same as primary cache
 // hits.
+//
+// An owner's first read makes it resident: its machine (gateway.Tenant) is
+// replayed once from the replicated history, and from then on the tail loop
+// keeps it current, one shipped batch at a time, dropping the owner's answer
+// cache exactly where its replicated clock advances. A later read replays
+// again only if an incremental ingest failed and the machine was dropped.
 
 // readPlaneReadTimeout bounds silence on a read-only connection; analyst
 // dashboards poll, so a quiet read conn is an abandoned one.
@@ -56,82 +61,42 @@ type ReadPlaneStats struct {
 	// counters.
 	CacheHits   int64
 	CacheMisses int64
-	// Rebuilds counts backend materializations — one whenever an owner is
-	// first read or its replicated clock moved since the last read.
+	// Rebuilds counts materializations from history (an owner's first read,
+	// or after a dropped machine).
 	Rebuilds int64
 }
 
-// readTenant is one owner's materialized read-only view: a backend rebuilt
-// from the replicated history at a specific committed clock, plus the
-// replica's own answer cache. The cache needs no invalidation hook — a
-// clock advance discards the whole tenant (cache included) on the next
-// read, which is the same invalidate-at-commit rule the primary enforces,
-// observed lazily.
-type readTenant struct {
-	db     edb.Database
-	sealed sealedIngest // non-nil when the backend ingests ciphertexts directly
-	clock  uint64
-	qc     *qcache.Cache
-}
-
-// sealedIngest mirrors the gateway's sealed-backend fast path (the type is
-// internal to package gateway; the contract is structural).
-type sealedIngest interface {
-	SetupSealed([]seal.Sealed) error
-	UpdateSealed([]seal.Sealed) error
-}
-
-// readPlane serves the read-only protocol on a follower. One mutex orders
-// every request: backends are not concurrency-safe, and replica read load
-// is dashboard-scale, not ingest-scale — correctness wins over parallelism
-// here.
+// readPlane serves the read-only protocol on a follower. Requests are
+// answered under the follower's stream lock: backends are not
+// concurrency-safe, and replica read load is dashboard-scale, not
+// ingest-scale — correctness wins over parallelism here.
 type readPlane struct {
-	log        *slog.Logger
-	fol        *followerCore
-	newBackend func(owner string) (edb.Database, error)
-	sealer     *seal.Sealer
-	qcap       int
+	log     *slog.Logger
+	fol     *followerCore
+	tenants *gateway.Tenants
 
-	mu      sync.Mutex
-	tenants map[string]*readTenant
-	conns   map[net.Conn]struct{}
-	closed  bool
-	wg      sync.WaitGroup
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup
 
 	queries  atomic.Int64
 	stale    atomic.Int64
-	qcHits   atomic.Int64
-	qcMiss   atomic.Int64
 	rebuilds atomic.Int64
+	qcHits   telemetry.Counter
+	qcMiss   telemetry.Counter
 }
 
-// newReadPlane resolves the backend constructor and ingress sealer exactly
-// the way gateway.New does, so a follower materializes byte-identical
-// state to what its own promotion would recover.
+// newReadPlane resolves cfg.Gateway into tenant machines the way gateway.New
+// does (gateway.NewTenants), so a follower's resident machine is
+// byte-identical state to what its own promotion would recover.
 func newReadPlane(cfg Config, fol *followerCore, lg *slog.Logger) (*readPlane, error) {
-	p := &readPlane{
-		log: lg, fol: fol,
-		newBackend: cfg.Gateway.NewBackend,
-		qcap:       cfg.Gateway.QueryCache,
-		tenants:    map[string]*readTenant{},
-		conns:      map[net.Conn]struct{}{},
+	p := &readPlane{log: lg, fol: fol, conns: map[net.Conn]struct{}{}}
+	ts, err := gateway.NewTenants(cfg.Gateway, gateway.CacheMetrics{Hits: &p.qcHits, Misses: &p.qcMiss})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: read plane: %w", err)
 	}
-	if key := cfg.Gateway.Key; len(key) > 0 {
-		s, err := seal.NewSealer(key)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: read plane: %w", err)
-		}
-		p.sealer = s
-	}
-	if p.newBackend == nil {
-		if p.sealer == nil {
-			return nil, fmt.Errorf("cluster: read plane: default ObliDB backend requires Gateway.Key")
-		}
-		key := cfg.Gateway.Key
-		p.newBackend = func(string) (edb.Database, error) {
-			return oblidb.NewWithKey(key)
-		}
-	}
+	p.tenants = ts
 	return p, nil
 }
 
@@ -210,120 +175,45 @@ func (p *readPlane) serveRequest(owner string, req wire.Request) wire.Response {
 	if req.Type == wire.MsgQuery && req.Query == nil {
 		return wire.Response{Error: "query missing"}
 	}
-	// cut is the atom: owner state and stream cursor from one frame
-	// boundary of the tail loop. The freshness check runs against that
-	// cursor whether or not the owner exists here — a client demanding
-	// offsets this replica has not applied gets the typed refusal, never
-	// an answer computed from less history than it asked for.
-	st, cursor, ok := p.fol.cut(owner)
-	if req.MinOffset > 0 && cursor < req.MinOffset {
+	// One smu hold is the atom: stream cursor, owner state and the owner's
+	// machine from one frame boundary of the tail loop. The freshness check
+	// runs against that cursor whether or not the owner exists here — a
+	// client demanding offsets this replica has not applied gets the typed
+	// refusal, never an answer computed from less history than it asked for.
+	f := p.fol
+	sid := store.ShardFor(owner, f.shards)
+	f.smu.Lock()
+	defer f.smu.Unlock()
+	if cursor := f.counts[sid]; req.MinOffset > 0 && cursor < req.MinOffset {
 		p.stale.Add(1)
 		return wire.Response{Error: wire.ErrStale.Error(), Stale: &wire.StaleSpec{Offset: cursor}}
 	}
-	if !ok {
+	st := f.states[sid][owner]
+	if st == nil {
 		// Mirror the primary's unknown-owner semantics: queries fail as an
 		// un-setup database would; stats probes report the backend identity
-		// from a throwaway instance without allocating tenant state.
+		// without allocating tenant state.
 		if req.Type == wire.MsgQuery {
 			return wire.Response{Error: edb.ErrNotSetup.Error()}
 		}
-		db, err := p.newBackend(owner)
-		if err != nil {
-			return wire.Response{Error: fmt.Sprintf("cluster: read plane: backend for %q: %v", owner, err)}
+		return p.tenants.StatsProbe(owner)
+	}
+	tn := f.machines[owner]
+	if tn == nil {
+		if f.machines == nil {
+			return wire.Response{Error: "cluster: read plane shut down"}
 		}
-		return wire.NewStatsResponse(db.Stats(), db.Name(), int(db.Leakage()))
-	}
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return wire.Response{Error: "cluster: read plane shut down"}
-	}
-	tn := p.tenants[owner]
-	if tn == nil || tn.clock != st.Clock {
-		nt, err := p.materialize(&st)
-		if err != nil {
+		// First read of this owner (or its machine was dropped): replay it
+		// from the replicated history, once. It stays resident; fold keeps
+		// it current from here on.
+		p.rebuilds.Add(1)
+		var err error
+		if tn, err = p.tenants.Replay(f.st, sid, st); err != nil {
 			return wire.Response{Error: err.Error()}
 		}
-		tn = nt
-		p.tenants[owner] = tn
+		f.machines[owner] = tn
 	}
-	switch req.Type {
-	case wire.MsgStats:
-		return wire.NewStatsResponse(tn.db.Stats(), tn.db.Name(), int(tn.db.Leakage()))
-	default: // MsgQuery
-		spec := *req.Query
-		if tn.qc != nil {
-			if resp, hit := tn.qc.Get(spec); hit {
-				p.qcHits.Add(1)
-				return resp
-			}
-			p.qcMiss.Add(1)
-		}
-		ans, cost, err := tn.db.Query(spec.ToQuery())
-		if err != nil {
-			return wire.Response{Error: err.Error()}
-		}
-		resp := wire.NewQueryResponse(ans, cost)
-		if tn.qc != nil {
-			tn.qc.Put(spec, resp)
-		}
-		return resp
-	}
-}
-
-// materialize rebuilds one owner's read-only backend by streaming the
-// replicated batch history — spilled runs straight off the replica's
-// history segments, then the in-RAM tail — through the same ingest rules
-// the gateway's recovery uses, at the committed clock the cut observed.
-// The answer cache starts cold: a rebuild IS the invalidation.
-func (p *readPlane) materialize(st *store.OwnerState) (*readTenant, error) {
-	p.rebuilds.Add(1)
-	db, err := p.newBackend(st.Owner)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: read plane: backend for %q: %w", st.Owner, err)
-	}
-	tn := &readTenant{db: db, clock: st.Clock}
-	if p.qcap >= 0 {
-		tn.qc = qcache.New(p.qcap)
-	}
-	if si, isSealed := db.(sealedIngest); isSealed {
-		tn.sealed = si
-	} else if p.sealer == nil {
-		return nil, fmt.Errorf("cluster: read plane: backend %q has no sealed-ingest path and no ingress key is configured", db.Name())
-	}
-	if len(st.Spilled) > 0 {
-		// A ref issued since the shard's last rotation may name bytes still
-		// in the history writer's buffer; StreamHistory reads the segment
-		// files, so push them out first (the hub does the same before a
-		// snapshot transfer).
-		if err := p.fol.st.FlushHistory(store.ShardFor(st.Owner, p.fol.shards)); err != nil {
-			return nil, fmt.Errorf("cluster: read plane: flushing spilled history for owner %q: %w", st.Owner, err)
-		}
-	}
-	if err := p.fol.st.StreamHistory(st, func(bt store.Batch) error {
-		cts := make([]seal.Sealed, len(bt.Sealed))
-		for i, b := range bt.Sealed {
-			cts[i] = seal.Sealed(b)
-		}
-		if tn.sealed != nil {
-			if bt.Setup {
-				return tn.sealed.SetupSealed(cts)
-			}
-			return tn.sealed.UpdateSealed(cts)
-		}
-		rs, err := p.sealer.OpenAll(cts)
-		if err != nil {
-			return err
-		}
-		if bt.Setup {
-			return tn.db.Setup(rs)
-		}
-		return tn.db.Update(rs)
-	}); err != nil {
-		return nil, fmt.Errorf("cluster: read plane: rebuilding owner %q: %w", st.Owner, err)
-	}
-	return tn, nil
+	return tn.Read(req)
 }
 
 // Stats snapshots the plane's counters.
@@ -331,15 +221,16 @@ func (p *readPlane) Stats() ReadPlaneStats {
 	return ReadPlaneStats{
 		Queries:     p.queries.Load(),
 		Stale:       p.stale.Load(),
-		CacheHits:   p.qcHits.Load(),
-		CacheMisses: p.qcMiss.Load(),
+		CacheHits:   p.qcHits.Value(),
+		CacheMisses: p.qcMiss.Value(),
 		Rebuilds:    p.rebuilds.Load(),
 	}
 }
 
-// shutdown severs every read connection and drops the materialized
-// tenants. Called before the follower seals (promotion, graceful close)
-// or is killed — after it returns, no request can touch the store.
+// shutdown severs every read connection, waits out the requests in flight
+// and drops the resident machines. Called before the follower seals
+// (promotion, graceful close) or is killed — after it returns, no request
+// can touch the store.
 func (p *readPlane) shutdown() {
 	p.mu.Lock()
 	if p.closed {
@@ -350,7 +241,7 @@ func (p *readPlane) shutdown() {
 	for conn := range p.conns {
 		conn.Close()
 	}
-	p.tenants = map[string]*readTenant{}
 	p.mu.Unlock()
 	p.wg.Wait()
+	p.fol.dropMachines()
 }

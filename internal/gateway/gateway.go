@@ -57,8 +57,6 @@ import (
 	"dpsync/internal/dp"
 	"dpsync/internal/edb"
 	"dpsync/internal/leakage"
-	"dpsync/internal/oblidb"
-	"dpsync/internal/seal"
 	"dpsync/internal/store"
 	"dpsync/internal/telemetry"
 	"dpsync/internal/wire"
@@ -241,12 +239,12 @@ type replFlusher interface {
 // Gateway is the multi-tenant server. Create with New, drive with Serve,
 // stop with Close.
 type Gateway struct {
-	cfg    Config
-	lis    net.Listener
-	log    *slog.Logger
-	sealer *seal.Sealer // ingress for record-level backends; nil without Key
-	store  *store.Store // durability subsystem; nil without StoreDir
-	tm     gwMetrics    // telemetry handles; zero value no-ops
+	cfg     Config
+	lis     net.Listener
+	log     *slog.Logger
+	tenants *Tenants     // builds tenant machines (backend, ingress sealer, answer cache)
+	store   *store.Store // durability subsystem; nil without StoreDir
+	tm      gwMetrics    // telemetry handles; zero value no-ops
 
 	shards     []*shard
 	quit       chan struct{}
@@ -288,12 +286,8 @@ type gwMetrics struct {
 	// Noise-reuse answer cache counters (fleet aggregates — per-owner cache
 	// behavior is exactly the update/query pattern the aggregate-only
 	// posture suppresses) and the cache-served stage latency.
-	qcHits  *telemetry.Counter
-	qcMiss  *telemetry.Counter
-	qcEvict *telemetry.Counter
-	qcInval *telemetry.Counter
-	qcServe *telemetry.Histogram // shard-worker dequeue → cache-served response
-	unreg   func()
+	cache CacheMetrics
+	unreg func()
 }
 
 // timedResponse is one response queued for a connection writer, carrying its
@@ -358,12 +352,14 @@ func New(addr string, cfg Config) (*Gateway, error) {
 				"response enqueue to frame written on the wire, microseconds", telemetry.LatencyBucketsUs),
 			eps: reg.Distribution("gateway_tenant_eps_spent",
 				"fleet-wide distribution of cumulative per-tenant epsilon spend", telemetry.EpsilonBuckets),
-			qcHits:  reg.Counter("gateway_qcache_hits_total", "queries served from the noise-reuse answer cache (zero additional epsilon)"),
-			qcMiss:  reg.Counter("gateway_qcache_misses_total", "queries evaluated against the backend (cache cold or invalidated)"),
-			qcEvict: reg.Counter("gateway_qcache_evictions_total", "answer-cache entries evicted by the LFU capacity bound"),
-			qcInval: reg.Counter("gateway_qcache_invalidations_total", "answer-cache entries dropped by a committed sync"),
-			qcServe: reg.Histogram("gateway_qcache_serve_us",
-				"cache-hit query service time on the shard worker, microseconds", telemetry.LatencyBucketsUs),
+			cache: CacheMetrics{
+				Hits:          reg.Counter("gateway_qcache_hits_total", "queries served from the noise-reuse answer cache (zero additional epsilon)"),
+				Misses:        reg.Counter("gateway_qcache_misses_total", "queries evaluated against the backend (cache cold or invalidated)"),
+				Evictions:     reg.Counter("gateway_qcache_evictions_total", "answer-cache entries evicted by the LFU capacity bound"),
+				Invalidations: reg.Counter("gateway_qcache_invalidations_total", "answer-cache entries dropped by a committed sync"),
+				Serve: reg.Histogram("gateway_qcache_serve_us",
+					"cache-hit query service time on the shard worker, microseconds", telemetry.LatencyBucketsUs),
+			},
 		}
 		g.tm.unreg = reg.RegisterCollector(func(emit func(telemetry.Sample)) {
 			gauge := func(name, help string, v float64) {
@@ -420,20 +416,9 @@ func New(addr string, cfg Config) (*Gateway, error) {
 			})
 		}
 	}
-	if len(cfg.Key) > 0 {
-		s, err := seal.NewSealer(cfg.Key)
-		if err != nil {
-			return nil, fmt.Errorf("gateway: %w", err)
-		}
-		g.sealer = s
-	}
-	if cfg.NewBackend == nil {
-		if g.sealer == nil {
-			return nil, fmt.Errorf("gateway: default ObliDB backend requires Key")
-		}
-		g.cfg.NewBackend = func(string) (edb.Database, error) {
-			return oblidb.NewWithKey(cfg.Key)
-		}
+	var err error
+	if g.tenants, err = NewTenants(cfg, g.tm.cache); err != nil {
+		return nil, err
 	}
 	g.shards = make([]*shard, cfg.Shards)
 	for i := range g.shards {
@@ -441,7 +426,7 @@ func New(addr string, cfg Config) (*Gateway, error) {
 			id:            i,
 			tasks:         make(chan task, shardQueueLen),
 			completions:   make(chan func(), completionQueueLen),
-			owners:        map[string]*tenant{},
+			owners:        map[string]*Tenant{},
 			snapThreshold: cfg.SnapshotEvery,
 		}
 	}
@@ -490,18 +475,19 @@ func (g *Gateway) openStore() error {
 	}
 	sort.Strings(owners) // deterministic rebuild order
 	for _, owner := range owners {
-		tn, err := g.replayOwner(states[owner])
+		sid := store.ShardFor(owner, g.cfg.Shards)
+		tn, err := g.tenants.Replay(s, sid, states[owner])
 		if err != nil {
 			s.Close()
 			return err
 		}
-		g.shards[store.ShardFor(owner, g.cfg.Shards)].owners[owner] = tn
+		g.shards[sid].owners[owner] = tn
 		g.ownerCount.Add(1)
 	}
 	// Re-derive each shard's rotation threshold from its recovered history
 	// so a mature store does not immediately re-snapshot at the configured
 	// minimum interval. The size is the shards' durable entry counts (the
-	// committed clocks) — never len(tn.history), which is only the in-RAM
+	// committed clocks) — never len(tn.Tail), which is only the in-RAM
 	// tail once history is split between RAM and spill segments and would
 	// double-count (or drop) whatever the window moved.
 	for _, sh := range g.shards {
@@ -512,7 +498,7 @@ func (g *Gateway) openStore() error {
 	if g.tm.on {
 		for _, sh := range g.shards {
 			for _, tn := range sh.owners {
-				tn.epsSpent = tn.budget.Spent()
+				tn.epsSpent = tn.Budget.Spent()
 				g.tm.eps.Add(tn.epsSpent)
 			}
 		}
@@ -696,10 +682,10 @@ type QueryCacheStats struct {
 // load generator reports as the cache hit ratio.
 func (g *Gateway) QueryCacheStats() QueryCacheStats {
 	return QueryCacheStats{
-		Hits:          g.tm.qcHits.Value(),
-		Misses:        g.tm.qcMiss.Value(),
-		Evictions:     g.tm.qcEvict.Value(),
-		Invalidations: g.tm.qcInval.Value(),
+		Hits:          g.tm.cache.Hits.Value(),
+		Misses:        g.tm.cache.Misses.Value(),
+		Evictions:     g.tm.cache.Evictions.Value(),
+		Invalidations: g.tm.cache.Invalidations.Value(),
 	}
 }
 
@@ -720,11 +706,10 @@ func (g *Gateway) shardFor(owner string) *shard {
 // receive below also selects on quit in case the task was never enqueued.
 func (g *Gateway) ObservedPattern(owner string) leakage.Pattern {
 	done := make(chan leakage.Pattern, 1) // buffered: the worker never blocks on it
-	t := task{owner: owner, peek: true, run: func(tn *tenant, _ error) {
+	t := task{owner: owner, peek: true, run: func(tn *Tenant, _ error) {
 		var out leakage.Pattern
 		if tn != nil {
-			out.Events = make([]leakage.Event, len(tn.observed.Events))
-			copy(out.Events, tn.observed.Events)
+			out.Events = append(out.Events, tn.Events...)
 		}
 		done <- out
 	}}
@@ -756,12 +741,12 @@ func (g *Gateway) ObservedPattern(owner string) leakage.Pattern {
 // event, so the ledger always matches the transcript it is read next to.
 func (g *Gateway) ObservedLedger(owner string) *dp.Budget {
 	done := make(chan *dp.Budget, 1)
-	t := task{owner: owner, peek: true, run: func(tn *tenant, _ error) {
+	t := task{owner: owner, peek: true, run: func(tn *Tenant, _ error) {
 		if tn == nil {
 			done <- dp.NewBudget()
 			return
 		}
-		done <- tn.budget.Clone()
+		done <- tn.Budget.Clone()
 	}}
 	sh := g.shardFor(owner)
 	select {
@@ -788,34 +773,19 @@ func (g *Gateway) ObservedLedger(owner string) *dp.Budget {
 // transfer). Because fn runs on the same goroutine that feeds
 // Replicator.Committed, a replication hub can record its stream position and
 // take the cut atomically: every commit is either inside the cut or after
-// the recorded basis, never both, never neither. The copies are safe to
-// read concurrently with the live shard (spill coalescing widens the last
-// SegmentRef in place, so refs are copied; batches are immutable once
-// committed). Returns false if the gateway shut down before fn could run.
+// the recorded basis, never both, never neither. The copies
+// (OwnerState.Clone) are safe to read concurrently with the live shard.
+// Returns false if the gateway shut down before fn could run.
 func (g *Gateway) OwnerCut(sid int, fn func([]store.OwnerState)) bool {
 	sh := g.shards[sid]
 	done := make(chan struct{})
-	t := task{peek: true, run: func(_ *tenant, _ error) {
+	t := task{peek: true, run: func(_ *Tenant, _ error) {
 		defer close(done)
 		states := make([]store.OwnerState, 0, len(sh.owners))
-		for owner, tn := range sh.owners {
-			if tn.ticks == 0 {
-				continue
+		for _, tn := range sh.owners {
+			if tn.Clock != 0 {
+				states = append(states, tn.Clone())
 			}
-			events := make([]leakage.Event, len(tn.observed.Events))
-			copy(events, tn.observed.Events)
-			spilled := make([]store.SegmentRef, len(tn.spilled))
-			copy(spilled, tn.spilled)
-			tail := make([]store.Batch, len(tn.history))
-			copy(tail, tn.history)
-			states = append(states, store.OwnerState{
-				Owner:   owner,
-				Clock:   uint64(tn.ticks),
-				Events:  events,
-				Budget:  tn.budget.Clone(),
-				Spilled: spilled,
-				Tail:    tail,
-			})
 		}
 		fn(states)
 	}}

@@ -3,14 +3,18 @@ package gateway_test
 import (
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"dpsync/internal/client"
 	"dpsync/internal/edb"
 	"dpsync/internal/gateway"
 	"dpsync/internal/query"
 	"dpsync/internal/record"
+	"dpsync/internal/refdb"
 	"dpsync/internal/seal"
+	"dpsync/internal/store"
 	"dpsync/internal/wire"
 )
 
@@ -166,5 +170,63 @@ func TestGatewayHeapBoundedByHistoryWindow(t *testing.T) {
 	if bounded > unbounded/4 {
 		t.Fatalf("windowed heap (%d) is not clearly below unbounded (%d) for %d ingested bytes",
 			bounded, unbounded, totalBytes)
+	}
+}
+
+// TestInMemoryGatewayKeepsNoHistory pins the in-memory commit: a gateway
+// without a store has nothing to rebuild a tenant from, so after a thousand
+// syncs the tenant's history tail holds no batch — while its transcript still
+// matches the single-owner reference event for event and its ledger carries
+// every charge.
+func TestInMemoryGatewayKeepsNoHistory(t *testing.T) {
+	const (
+		owner = "owner-mem"
+		syncs = 1000
+		eps   = 0.25
+	)
+	gw, key := startGateway(t, gateway.Config{Shards: 1, SyncEpsilon: eps})
+	ref, err := refdb.New(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := client.DialGateway(gw.Addr(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	own := conn.Owner(owner)
+	for i := 0; i < syncs; i++ {
+		rs := make([]record.Record, 1+i%3)
+		for j := range rs {
+			rs[j] = yellow(i, uint16(1+(i+j)%record.NumLocations))
+		}
+		upload, refUpload := own.Update, ref.Update
+		if i == 0 {
+			upload, refUpload = own.Setup, ref.Setup
+		}
+		if err := upload(rs); err != nil {
+			t.Fatal(err)
+		}
+		if err := refUpload(rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail := -1
+	gw.OwnerCut(0, func(states []store.OwnerState) {
+		for _, st := range states {
+			if st.Owner == owner {
+				tail = len(st.Tail)
+			}
+		}
+	})
+	if tail != 0 {
+		t.Fatalf("in-memory tenant holds %d batches after %d syncs, want none", tail, syncs)
+	}
+	if got, want := gw.ObservedPattern(owner), ref.ObservedPattern(); !reflect.DeepEqual(got.Events, want.Events) {
+		t.Fatalf("transcript diverged from the reference: %d events against %d", len(got.Events), len(want.Events))
+	}
+	ledger := gw.ObservedLedger(owner)
+	if ledger.Uses("m_setup") != 1 || ledger.Uses("m_update") != syncs-1 || ledger.Spent() != syncs*eps {
+		t.Fatalf("ledger after %d syncs at ε=%v:\n%s", syncs, eps, ledger.Describe())
 	}
 }

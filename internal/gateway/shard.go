@@ -7,10 +7,6 @@ import (
 
 	"dpsync/internal/dp"
 	"dpsync/internal/edb"
-	"dpsync/internal/leakage"
-	"dpsync/internal/qcache"
-	"dpsync/internal/record"
-	"dpsync/internal/seal"
 	"dpsync/internal/store"
 	"dpsync/internal/telemetry"
 	"dpsync/internal/wire"
@@ -35,7 +31,7 @@ type task struct {
 	// closure; run is nil then.
 	req   wire.Request
 	reply replyTo
-	run   func(tn *tenant, err error)
+	run   func(tn *Tenant, err error)
 	// at is the enqueue timestamp (UnixNano; 0 when telemetry and tracing are
 	// both off) — the shard worker observes queue wait at dequeue.
 	at int64
@@ -62,7 +58,7 @@ type shard struct {
 	id          int
 	tasks       chan task
 	completions chan func()
-	owners      map[string]*tenant
+	owners      map[string]*Tenant
 
 	// pendingWAL counts this shard's appended-but-uncommitted entries;
 	// sinceSnap counts appends since the last snapshot; snapWanted asks the
@@ -82,103 +78,6 @@ type shard struct {
 	// enqueuing onto the shard — a scrape must never wait behind tenant work.
 	pendingAtomic   atomic.Int64
 	committedAtomic atomic.Int64
-}
-
-// tenant is one owner's namespace: its private encrypted store, its private
-// update-pattern transcript, its private logical clock, and its private
-// privacy-budget ledger. Nothing in here is shared across owners; the
-// per-owner-transcript isolation invariant is structural.
-type tenant struct {
-	db     edb.Database
-	sealed sealedStore // non-nil when the backend ingests ciphertexts directly
-	// observed is this owner's adversary-view transcript; ticks is the
-	// owner's *committed* server-side logical clock. In durable mode both
-	// advance only when the sync's WAL entry has group-committed — the
-	// sync-observable half of the spend-before-sync invariant. Without a
-	// store they advance at apply time, exactly like the single-owner
-	// reference (the differential test pins the two transcripts
-	// bit-identical either way).
-	observed leakage.Pattern
-	ticks    int
-	// seq is the apply-time upload counter: it assigns each ingest its
-	// logical tick before the WAL entry is built, so pipelined syncs of one
-	// owner get consecutive ticks while earlier commits are still in
-	// flight. seq == ticks whenever the shard is quiesced.
-	seq uint64
-	// budget is the owner's ε ledger. A sync's charge is validated
-	// (CanCharge) before the batch touches the backend and spent at commit
-	// together with the transcript event — the charge rides inside the WAL
-	// entry, so it is durable before the sync is observable, and the
-	// in-memory ledger always equals the committed history's spend.
-	budget *dp.Budget
-	// history is the *hot tail* of the ingest history in tick order,
-	// appended at commit time. With Config.HistoryWindow set, batches past
-	// the window spill to on-disk history segments and only their refs
-	// stay here (spilled); snapshots persist refs + tail, so log
-	// truncation loses nothing and RAM stays bounded by the window. With
-	// window 0 the tail is the whole history. Durable mode only (nil
-	// otherwise).
-	history []store.Batch
-	// spilled references the cold history runs, in tick order, contiguous
-	// from tick 1; history continues where they end.
-	spilled []store.SegmentRef
-	// epsSpent caches budget.Spent() so the commit path can move this
-	// tenant's membership in the fleet ε distribution without re-summing the
-	// ledger per sync. Shard-worker-only, like every other tenant field.
-	epsSpent float64
-	// failed latches after a durable sync's group commit reports an error:
-	// the outcome of that sync is indeterminate (its frame may or may not
-	// have reached disk), so accepting further syncs would let the live
-	// clock run past a possible gap and diverge from what recovery can
-	// prove. A failed tenant refuses syncs until a restart re-derives its
-	// state from the log.
-	failed bool
-	// deferred holds reads (queries, stats) that arrived while this
-	// owner's earlier syncs were applied but not yet committed. The
-	// backend already contains those batches, so answering immediately
-	// would (a) expose state a crash could make unrecoverable and (b) let
-	// the read's response overtake the earlier sync's ack, breaking
-	// per-owner FIFO. Each entry waits for the commit of the syncs that
-	// preceded it (waitSeq) and runs on the shard worker from the commit
-	// completion.
-	deferred []deferredRead
-	// qc is the owner's noise-reuse answer cache: released query responses
-	// keyed by the full QuerySpec, served without touching the backend (a
-	// released DP answer is already noised — re-serving it is pure post-
-	// processing and spends nothing). RAM-only by design: it is invalidated
-	// where ticks advances — at *commit*, never at apply — so a cached
-	// answer cannot outlive the committed state it was computed from, and
-	// recovery always starts cold. Shard-worker-only like every other
-	// tenant field; nil when Config.QueryCache is negative.
-	qc *qcache.Cache
-}
-
-// deferredRead is one parked read: run(false) executes it, run(true)
-// refuses it because the tenant failed while it waited.
-type deferredRead struct {
-	waitSeq uint64
-	run     func(failed bool)
-}
-
-// flushDeferred runs every parked read whose awaited syncs have committed
-// (all of them if the tenant failed — they must still be answered, with
-// the failure). Runs on the shard worker.
-func (tn *tenant) flushDeferred() {
-	for len(tn.deferred) > 0 {
-		d := tn.deferred[0]
-		if !tn.failed && d.waitSeq > uint64(tn.ticks) {
-			return
-		}
-		tn.deferred = tn.deferred[1:]
-		d.run(tn.failed)
-	}
-}
-
-// sealedStore is the optional backend fast path for substrates that accept
-// sealed ciphertexts without opening them (the ObliDB enclave boundary).
-type sealedStore interface {
-	SetupSealed([]seal.Sealed) error
-	UpdateSealed([]seal.Sealed) error
 }
 
 // runShard is the worker loop. Completions (commit callbacks from the WAL
@@ -264,7 +163,7 @@ func (g *Gateway) drainShard(sh *shard, serve func(task)) {
 
 // tenantFor resolves (and unless peeking, creates) the owner's tenant. Runs
 // on the shard worker only.
-func (g *Gateway) tenantFor(sh *shard, owner string, peek bool) (*tenant, error) {
+func (g *Gateway) tenantFor(sh *shard, owner string, peek bool) (*Tenant, error) {
 	if tn, ok := sh.owners[owner]; ok {
 		return tn, nil
 	}
@@ -274,7 +173,7 @@ func (g *Gateway) tenantFor(sh *shard, owner string, peek bool) (*tenant, error)
 	if int(g.ownerCount.Load()) >= g.cfg.MaxOwners {
 		return nil, fmt.Errorf("gateway: owner limit %d reached", g.cfg.MaxOwners)
 	}
-	tn, err := g.newTenant(owner)
+	tn, err := g.tenants.New(owner)
 	if err != nil {
 		return nil, err
 	}
@@ -285,51 +184,6 @@ func (g *Gateway) tenantFor(sh *shard, owner string, peek bool) (*tenant, error)
 	// their replayed spend.
 	g.tm.eps.Add(0)
 	return tn, nil
-}
-
-// newTenant builds a namespace around a fresh backend (shared by live setup
-// and crash recovery).
-func (g *Gateway) newTenant(owner string) (*tenant, error) {
-	db, err := g.cfg.NewBackend(owner)
-	if err != nil {
-		return nil, fmt.Errorf("gateway: backend for %q: %w", owner, err)
-	}
-	tn := &tenant{db: db, budget: dp.NewBudget()}
-	if g.cfg.QueryCache >= 0 {
-		tn.qc = qcache.New(g.cfg.QueryCache)
-	}
-	if ss, ok := db.(sealedStore); ok {
-		tn.sealed = ss
-	} else if g.sealer == nil {
-		return nil, fmt.Errorf("gateway: backend %q has no sealed-ingest path and gateway has no ingress key", db.Name())
-	}
-	return tn, nil
-}
-
-// ingest lands one sealed batch in the tenant's backend: verbatim for
-// enclave-style backends, through the ingress sealer for record-level ones.
-// Shared by live dispatch and recovery replay, so the two paths cannot
-// diverge.
-func (g *Gateway) ingest(tn *tenant, setup bool, cts []seal.Sealed) error {
-	if tn.sealed != nil {
-		// Enclave-style backend: ciphertexts pass through verbatim; the
-		// gateway never opens records destined for an enclave.
-		if setup {
-			return tn.sealed.SetupSealed(cts)
-		}
-		return tn.sealed.UpdateSealed(cts)
-	}
-	// Aggregation-service-style backend: the transport sealing ends here
-	// (the ingress boundary) and the records continue into the substrate,
-	// which applies its own encoding/encryption.
-	rs, err := g.sealer.OpenAll(cts)
-	if err != nil {
-		return err
-	}
-	if setup {
-		return tn.db.Setup(rs)
-	}
-	return tn.db.Update(rs)
 }
 
 // chargeFor names the ledger expenditure one sync incurs. The charge is
@@ -352,7 +206,7 @@ func (g *Gateway) chargeFor(setup bool) store.Charge {
 // answered without materializing the namespace. Stage spans land under the
 // root of reply.tc, and durable syncs thread it through the WAL to the
 // replication hub.
-func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request, reply replyTo) {
+func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request, reply replyTo) {
 	tc := reply.tc
 	if tn == nil {
 		reply.send(g.dispatchUnknown(owner, req))
@@ -369,12 +223,12 @@ func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request
 	case wire.MsgResume:
 		// The reconnect handshake: report the owner's committed clock. The
 		// answer is immediate even while earlier syncs are applied-but-
-		// uncommitted (tn.seq > tn.ticks) — a client replaying from the
+		// uncommitted (tn.seq > tn.Clock) — a client replaying from the
 		// committed clock re-sends those seqs, and the duplicate path below
 		// parks their acks on the original commits, so resume can never
 		// promise more than recovery could prove.
 		g.tm.resumes.Inc()
-		reply.send(wire.Response{OK: true, Resume: &wire.ResumeSpec{Clock: uint64(tn.ticks)}})
+		reply.send(wire.Response{OK: true, Resume: &wire.ResumeSpec{Clock: tn.Clock}})
 
 	case wire.MsgSetup, wire.MsgUpdate:
 		setup := req.Type == wire.MsgSetup
@@ -409,19 +263,15 @@ func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request
 		// both are carried by the WAL entry, so the durable order is still
 		// spend-with-sync-record before observability.
 		charge := g.chargeFor(setup)
-		if err := tn.budget.CanCharge(charge.Name, charge.Eps, charge.Rule); err != nil {
+		if err := tn.Budget.CanCharge(charge.Name, charge.Eps, charge.Rule); err != nil {
 			reply.send(wire.Response{Error: err.Error()})
 			return
-		}
-		cts := make([]seal.Sealed, len(req.Sealed))
-		for i, b := range req.Sealed {
-			cts[i] = seal.Sealed(b)
 		}
 		var applyStart time.Time
 		if g.tm.on || tc.Sampled() {
 			applyStart = time.Now()
 		}
-		if err := g.ingest(tn, setup, cts); err != nil {
+		if err := tn.Ingest(setup, req.Sealed); err != nil {
 			reply.send(wire.Response{Error: err.Error()})
 			return
 		}
@@ -430,26 +280,22 @@ func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request
 			tc.Record("apply", applyStart, time.Now())
 		}
 		tn.seq++
-		tick, volume := tn.seq, len(cts)
-		if g.store == nil {
-			// In-memory mode: commit is immediate.
-			tn.ticks = int(tick)
-			g.invalidateCache(tn)
-			tn.observed.Record(record.Tick(tick), volume, false)
-			if err := tn.budget.Charge(charge.Name, charge.Eps, charge.Rule); err != nil {
-				g.log.Error("ledger charge failed after validation",
-					"owner_hash", telemetry.OwnerHash(owner), "tick", tick, "err", err)
-			}
-			g.commitTelemetry(sh, tn, charge)
-			reply.send(wire.Response{OK: true})
-			return
-		}
 		entry := store.Entry{Owner: owner, Batch: store.Batch{
-			Tick:   tick,
+			Tick:   tn.seq,
 			Setup:  setup,
 			Sealed: req.Sealed,
 			Charge: charge,
 		}}
+		if g.store == nil {
+			// In-memory mode: commit is immediate.
+			if err := g.commit(sh, tn, entry.Batch); err != nil {
+				tn.failed = true
+				reply.send(wire.Response{Error: fmt.Sprintf("gateway: sync failed after ingest: %v", err)})
+				return
+			}
+			reply.send(wire.Response{OK: true})
+			return
+		}
 		sh.pendingWAL++
 		sh.pendingAtomic.Store(int64(sh.pendingWAL))
 		sh.sinceSnap++
@@ -468,6 +314,13 @@ func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request
 			sh.completions <- func() {
 				sh.pendingWAL--
 				sh.pendingAtomic.Store(int64(sh.pendingWAL))
+				var commitUs float64
+				if appendAt != 0 {
+					commitUs = float64(time.Now().UnixNano()-appendAt) / 1e3
+				}
+				if werr == nil && !tn.failed {
+					werr = g.commit(sh, tn, entry.Batch)
+				}
 				if werr != nil || tn.failed {
 					// A commit failure poisons the tenant: this sync's
 					// durability is indeterminate, so recording later
@@ -488,23 +341,9 @@ func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request
 					tn.flushDeferred()
 					return
 				}
-				// Commit: the sync becomes observable — and its charge
-				// spent — only now, so the in-memory ledger, transcript,
-				// clock, and history always describe the same committed
-				// prefix (what snapshots persist and recovery rebuilds).
-				tn.ticks = int(entry.Batch.Tick)
-				g.invalidateCache(tn)
-				tn.observed.Record(record.Tick(entry.Batch.Tick), volume, false)
-				if cerr := tn.budget.Charge(charge.Name, charge.Eps, charge.Rule); cerr != nil {
-					g.log.Error("ledger charge failed after validation",
-						"owner_hash", telemetry.OwnerHash(owner), "tick", entry.Batch.Tick, "err", cerr)
-				}
 				if appendAt != 0 {
-					g.tm.commit.ObserveEx(float64(time.Now().UnixNano()-appendAt)/1e3, tc.TraceID())
+					g.tm.commit.ObserveEx(commitUs, tc.TraceID())
 				}
-				g.commitTelemetry(sh, tn, charge)
-				tn.history = append(tn.history, entry.Batch)
-				g.spillHistory(sh, owner, tn)
 				if g.cfg.Replicator != nil {
 					// Offer the committed entry to the replication hub here —
 					// on the shard worker, after the commit-time mutations —
@@ -546,21 +385,36 @@ func (g *Gateway) dispatch(sh *shard, tn *tenant, owner string, req wire.Request
 	}
 }
 
-// commitTelemetry records one committed sync: the syncs counter, the shard's
-// committed-entries mirror, and the tenant's move up the fleet ε-spent
-// distribution (skipped for free syncs). Runs on the shard worker at commit
-// time — immediately in in-memory mode, from the group-commit completion in
-// durable mode — so tn.epsSpent stays single-goroutine.
-func (g *Gateway) commitTelemetry(sh *shard, tn *tenant, charge store.Charge) {
-	if !g.tm.on {
-		return
+// commit is the live driver's commit step, run on the shard worker —
+// immediately in in-memory mode, from the group-commit completion in durable
+// mode. The machine commits the batch (the ledger refusing a charge it
+// validated before ingest is the only error, and changes nothing). The
+// history tail is brought back inside its bound: with a store it is the
+// durable history's hot end and Config.HistoryWindow bounds it (a spill
+// failure only defers the spill); an in-memory gateway has nothing to rebuild
+// a tenant from, so it keeps no batch at all. And the sync is counted — the
+// syncs counter, the shard's committed-entries mirror, and the tenant's move
+// up the fleet ε-spent distribution (skipped for free syncs).
+func (g *Gateway) commit(sh *shard, tn *Tenant, bt store.Batch) error {
+	if err := tn.Commit(bt); err != nil {
+		return err
 	}
-	g.tm.syncs.Inc()
-	sh.committedAtomic.Add(1)
-	if charge.Eps != 0 {
-		g.tm.eps.Move(tn.epsSpent, tn.epsSpent+charge.Eps)
-		tn.epsSpent += charge.Eps
+	if g.store == nil {
+		clear(tn.Tail)
+		tn.Tail = tn.Tail[:0]
+	} else if err := g.store.EnforceWindow(sh.id, tn.OwnerState, g.cfg.HistoryWindow); err != nil {
+		g.log.Warn("history spill deferred; batches stay in RAM",
+			"owner_hash", telemetry.OwnerHash(tn.Owner), "batches", len(tn.Tail), "err", err)
 	}
+	if g.tm.on {
+		g.tm.syncs.Inc()
+		sh.committedAtomic.Add(1)
+		if eps := bt.Charge.Eps; eps != 0 {
+			g.tm.eps.Move(tn.epsSpent, tn.epsSpent+eps)
+			tn.epsSpent += eps
+		}
+	}
+	return nil
 }
 
 // serveDuplicateAck answers a retransmitted sync the tenant has already
@@ -569,8 +423,8 @@ func (g *Gateway) commitTelemetry(sh *shard, tn *tenant, charge store.Charge) {
 // uncommitted seqs park on the original sync's commit (same machinery as
 // deferred reads), so the retransmit's ack carries exactly the durability
 // the original's would have.
-func (g *Gateway) serveDuplicateAck(tn *tenant, seq uint64, reply replyTo) {
-	if seq <= uint64(tn.ticks) {
+func (g *Gateway) serveDuplicateAck(tn *Tenant, seq uint64, reply replyTo) {
+	if seq <= tn.Clock {
 		reply.send(wire.Response{OK: true})
 		return
 	}
@@ -589,9 +443,9 @@ func (g *Gateway) serveDuplicateAck(tn *tenant, seq uint64, reply replyTo) {
 // applied-but-uncommitted state (which a crash could make unrecoverable)
 // and preserves per-owner FIFO: a pipelined read's response never overtakes
 // the ack of a sync sent before it.
-func (g *Gateway) serveRead(tn *tenant, req wire.Request, reply replyTo) {
-	if g.store == nil || tn.seq == uint64(tn.ticks) {
-		reply.send(g.execRead(tn, req))
+func (g *Gateway) serveRead(tn *Tenant, req wire.Request, reply replyTo) {
+	if g.store == nil || tn.seq == tn.Clock {
+		reply.send(tn.Read(req))
 		return
 	}
 	tn.deferred = append(tn.deferred, deferredRead{waitSeq: tn.seq, run: func(failed bool) {
@@ -599,60 +453,8 @@ func (g *Gateway) serveRead(tn *tenant, req wire.Request, reply replyTo) {
 			reply.send(wire.Response{Error: "gateway: a durable sync failed for this owner; restart to recover"})
 			return
 		}
-		reply.send(g.execRead(tn, req))
+		reply.send(tn.Read(req))
 	}})
-}
-
-// execRead evaluates a stats probe or a query (req.Query non-nil) against
-// the tenant's committed state, the query through the noise-reuse answer
-// cache. serveRead calls it only when the backend holds no uncommitted sync
-// (immediately when seq == ticks, or from the commit completion after
-// flushDeferred) and invalidation happens where ticks advances, so a hit can
-// only re-serve bytes the current committed state would recompute
-// identically — and re-serving a released DP answer spends zero additional ε.
-func (g *Gateway) execRead(tn *tenant, req wire.Request) wire.Response {
-	if req.Type == wire.MsgStats {
-		return wire.NewStatsResponse(tn.db.Stats(), tn.db.Name(), int(tn.db.Leakage()))
-	}
-	spec := *req.Query
-	var start time.Time
-	if g.tm.on {
-		start = time.Now()
-	}
-	if tn.qc != nil {
-		if resp, ok := tn.qc.Get(spec); ok {
-			g.tm.qcHits.Inc()
-			if !start.IsZero() {
-				g.tm.qcServe.ObserveSince(start)
-			}
-			return resp
-		}
-		g.tm.qcMiss.Inc()
-	}
-	ans, cost, err := tn.db.Query(spec.ToQuery())
-	if err != nil {
-		return wire.Response{Error: err.Error()}
-	}
-	resp := wire.NewQueryResponse(ans, cost)
-	if tn.qc != nil {
-		if tn.qc.Put(spec, resp) {
-			g.tm.qcEvict.Inc()
-		}
-	}
-	return resp
-}
-
-// invalidateCache drops the tenant's noise-reuse answer cache. Called at
-// every point where tn.ticks advances — commit time, never apply time — and
-// always before the deferred reads parked behind that commit run, so a
-// cached answer can never outlive the committed state that produced it.
-func (g *Gateway) invalidateCache(tn *tenant) {
-	if tn.qc == nil {
-		return
-	}
-	if n := tn.qc.Invalidate(); n > 0 {
-		g.tm.qcInval.Add(int64(n))
-	}
 }
 
 // dispatchUnknown answers requests addressed to a namespace that does not
@@ -679,63 +481,9 @@ func (g *Gateway) dispatchUnknown(owner string, req wire.Request) wire.Response 
 		}
 		return wire.Response{OK: true, Resume: &wire.ResumeSpec{Clock: clock}}
 	case wire.MsgStats:
-		db, err := g.cfg.NewBackend(owner)
-		if err != nil {
-			return wire.Response{Error: fmt.Sprintf("gateway: backend for %q: %v", owner, err)}
-		}
-		return wire.NewStatsResponse(db.Stats(), db.Name(), int(db.Leakage()))
+		return g.tenants.StatsProbe(owner)
 	default:
 		return wire.Response{Error: fmt.Sprintf("unknown message type %q", req.Type)}
-	}
-}
-
-// spillHistory enforces the tenant's in-RAM history window after a commit:
-// once the tail reaches twice the window, everything past the window moves
-// to the shard's history segment and only SegmentRefs stay in memory. The
-// 2× hysteresis spills ≥window batches at a time, and the store coalesces
-// a run that lands right after the owner's previous ref into that ref —
-// together they keep per-owner ref counts sublinear in history (a naive
-// spill-on-every-commit would mint one 36-byte ref per tick and sneak
-// O(total-ingest) state back into RAM and manifests). A spill failure is
-// survivable — the batches simply stay in RAM (still correct, just not
-// bounded) and the next commit retries; the store latches genuinely lossy
-// writers so a manifest can never reference bytes that failed to land.
-// Runs on the shard worker.
-func (g *Gateway) spillHistory(sh *shard, owner string, tn *tenant) {
-	w := g.cfg.HistoryWindow
-	if w <= 0 || len(tn.history) < 2*w {
-		return
-	}
-	n := len(tn.history) - w
-	var prev *store.SegmentRef
-	prevCount := 0
-	if len(tn.spilled) > 0 {
-		prev = &tn.spilled[len(tn.spilled)-1]
-		prevCount = int(prev.Count)
-	}
-	refs, extended, err := g.store.Spill(sh.id, owner, prev, tn.history[:n])
-	// A partial failure still returns refs for the runs that completed:
-	// keep them (their bytes are written; Rotate refuses to manifest them
-	// unless they flush) and drop exactly the batches they cover, so a
-	// retry never re-spills — and double-counts — an already-written run.
-	if len(refs) > 0 {
-		done := 0
-		for _, r := range refs {
-			done += int(r.Count)
-		}
-		if extended {
-			done -= prevCount // the widened ref re-counts prev's batches
-			tn.spilled[len(tn.spilled)-1] = refs[0]
-			refs = refs[1:]
-		}
-		tn.spilled = append(tn.spilled, refs...)
-		kept := make([]store.Batch, len(tn.history)-done)
-		copy(kept, tn.history[done:])
-		tn.history = kept
-	}
-	if err != nil {
-		g.log.Warn("history spill deferred; batches stay in RAM",
-			"owner_hash", telemetry.OwnerHash(owner), "batches", len(tn.history), "err", err)
 	}
 }
 
@@ -748,7 +496,7 @@ func (g *Gateway) spillHistory(sh *shard, owner string, tn *tenant) {
 func (sh *shard) committedEntries() int {
 	total := 0
 	for _, tn := range sh.owners {
-		total += tn.ticks
+		total += int(tn.Clock)
 	}
 	return total
 }
@@ -777,15 +525,8 @@ func nextSnapThreshold(snapshotEvery, historyWindow, committedEntries int) int {
 // recoverable.
 func (g *Gateway) snapshotShard(sh *shard) {
 	states := make([]store.OwnerState, 0, len(sh.owners))
-	for owner, tn := range sh.owners {
-		states = append(states, store.OwnerState{
-			Owner:   owner,
-			Clock:   uint64(tn.ticks),
-			Events:  tn.observed.Events,
-			Budget:  tn.budget,
-			Spilled: tn.spilled,
-			Tail:    tn.history,
-		})
+	for _, tn := range sh.owners {
+		states = append(states, *tn.OwnerState)
 	}
 	if err := g.store.Rotate(sh.id, states); err != nil {
 		g.log.Error("snapshot rotation failed; doubling threshold", "shard", sh.id, "err", err)
@@ -793,35 +534,4 @@ func (g *Gateway) snapshotShard(sh *shard) {
 		return
 	}
 	sh.snapThreshold = nextSnapThreshold(g.cfg.SnapshotEvery, g.cfg.HistoryWindow, sh.committedEntries())
-}
-
-// replayOwner rebuilds one recovered tenant: the backend is reconstructed
-// by *streaming* the durable batch history through the shared ingest path —
-// spilled runs straight off their history segments, then the inline tail —
-// and the committed transcript, clock, and ledger are installed verbatim.
-// The spilled tier is never materialized; per-batch memory is one frame.
-func (g *Gateway) replayOwner(st *store.OwnerState) (*tenant, error) {
-	tn, err := g.newTenant(st.Owner)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.store.StreamHistory(st, func(bt store.Batch) error {
-		cts := make([]seal.Sealed, len(bt.Sealed))
-		for i, b := range bt.Sealed {
-			cts[i] = seal.Sealed(b)
-		}
-		if err := g.ingest(tn, bt.Setup, cts); err != nil {
-			return fmt.Errorf("tick %d: %w", bt.Tick, err)
-		}
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("gateway: replaying owner %q: %w", st.Owner, err)
-	}
-	tn.ticks = int(st.Clock)
-	tn.seq = st.Clock
-	tn.observed = leakage.Pattern{Events: st.Events}
-	tn.budget = st.Budget
-	tn.history = st.Tail
-	tn.spilled = st.Spilled
-	return tn, nil
 }

@@ -38,15 +38,15 @@ func TestNextSnapThreshold(t *testing.T) {
 // tail under-counts and tail+refs+history double-counts whatever the
 // window moved.
 func TestCommittedEntriesUsesDurableClock(t *testing.T) {
-	sh := &shard{owners: map[string]*tenant{
+	sh := &shard{owners: map[string]*Tenant{
 		// A mature spilled tenant: 100 committed entries, only 4 in RAM.
-		"spilled": {
-			ticks:   100,
-			history: make([]store.Batch, 4),
-			spilled: []store.SegmentRef{{FirstTick: 1, Count: 96}},
-		},
+		"spilled": {OwnerState: &store.OwnerState{
+			Clock:   100,
+			Tail:    make([]store.Batch, 4),
+			Spilled: []store.SegmentRef{{FirstTick: 1, Count: 96}},
+		}},
 		// A legacy tenant: everything inline.
-		"inline": {ticks: 50, history: make([]store.Batch, 50)},
+		"inline": {OwnerState: &store.OwnerState{Clock: 50, Tail: make([]store.Batch, 50)}},
 	}}
 	if got := sh.committedEntries(); got != 150 {
 		t.Fatalf("committedEntries = %d, want 150 (tail-based counting would give %d)", got, 4+50)
@@ -110,14 +110,14 @@ func TestMatureStoreReopensWithDerivedThreshold(t *testing.T) {
 		t.Fatalf("windowed reopen threshold = %d, want the fixed cadence %d", got, every)
 	}
 	tn := gw2.shards[0].owners["o"]
-	if tn == nil || tn.ticks != updates+1 || len(tn.history) > window {
+	if tn == nil || tn.Clock != updates+1 || len(tn.Tail) > window {
 		t.Fatalf("recovered tenant shape wrong: %+v", tn)
 	}
 	// ~96 spilled batches must be covered by a handful of coalesced refs,
 	// not one ref per batch (which would re-grow RAM O(total history)).
-	if len(tn.spilled) > 8 {
+	if len(tn.Spilled) > 8 {
 		t.Fatalf("recovered tenant holds %d segment refs for %d spilled batches — ref coalescing broken",
-			len(tn.spilled), tn.ticks-len(tn.history))
+			len(tn.Spilled), int(tn.Clock)-len(tn.Tail))
 	}
 	if err := gw2.Close(); err != nil {
 		t.Fatal(err)

@@ -150,3 +150,18 @@ func TestRunFailoverSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestRunReplicaRebuildsOncePerOwner pins the follower's read path under
+// load: however many syncs advance an owner between its reads, the follower
+// materializes it from history at most once — its first read.
+func TestRunReplicaRebuildsOncePerOwner(t *testing.T) {
+	const owners = 16
+	rep, err := RunReplica(ReplicaConfig{Owners: owners, Ticks: 30, SyncEpsilon: 0.5, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PlaneRebuilds < 1 || rep.PlaneRebuilds > owners {
+		t.Fatalf("replica_rebuilds = %d for %d owners over %d follower-served queries; want one per owner read, at most",
+			rep.PlaneRebuilds, owners, rep.ReplicaServed)
+	}
+}

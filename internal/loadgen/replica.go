@@ -46,8 +46,8 @@ type ReplicaReport struct {
 	PlaneQueries int64 `json:"replica_plane_queries"`
 	PlaneStale   int64 `json:"replica_plane_stale,omitempty"`
 	// PlaneCacheHits / PlaneCacheMisses are the replica's noise-reuse answer
-	// cache counters; PlaneRebuilds counts backend materializations (one per
-	// owner per replicated-clock advance observed by a read).
+	// cache counters; PlaneRebuilds counts materializations from history (an
+	// owner's first read, or after a dropped machine).
 	PlaneCacheHits   int64 `json:"replica_qcache_hits"`
 	PlaneCacheMisses int64 `json:"replica_qcache_misses"`
 	PlaneRebuilds    int64 `json:"replica_rebuilds"`

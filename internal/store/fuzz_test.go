@@ -211,7 +211,7 @@ func FuzzStreamHistoryRun(f *testing.F) {
 func FuzzDecodeSnapshot(f *testing.F) {
 	st := OwnerState{Owner: "owner-a", Budget: dp.NewBudget()}
 	for tick := uint64(1); tick <= 2; tick++ {
-		if err := applyBatch(&st, Batch{Tick: tick, Setup: tick == 1, Sealed: [][]byte{[]byte("x")},
+		if err := st.Apply(Batch{Tick: tick, Setup: tick == 1, Sealed: [][]byte{[]byte("x")},
 			Charge: Charge{Name: "m_update", Eps: 0.5, Rule: dp.Sequential}}); err != nil {
 			f.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		Spilled: []SegmentRef{{Seg: 3, Off: 5, Len: 96, CRC: 0xDEADBEEF, FirstTick: 1, Count: 2}},
 	}
 	for tick := uint64(3); tick <= 4; tick++ {
-		if err := applyBatch(&tiered, Batch{Tick: tick, Sealed: [][]byte{[]byte("y")},
+		if err := tiered.Apply(Batch{Tick: tick, Sealed: [][]byte{[]byte("y")},
 			Charge: Charge{Name: "m_update", Eps: 0.5, Rule: dp.Sequential}}); err != nil {
 			f.Fatal(err)
 		}

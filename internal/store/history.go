@@ -279,6 +279,49 @@ func (s *Store) Spill(sid int, owner string, prev *SegmentRef, batches []Batch) 
 	return hw.appendHistory(owner, prev, batches)
 }
 
+// EnforceWindow keeps an owner's in-RAM history tail bounded after a commit:
+// once the tail reaches twice the window, everything past the window moves
+// to shard sid's history segment and only SegmentRefs stay in st. The 2×
+// hysteresis spills ≥window batches at a time, and Spill coalesces a run
+// that lands right after the owner's previous ref into that ref — together
+// they keep per-owner ref counts sublinear in history (a spill on every
+// commit would mint one 36-byte ref per tick and sneak O(total-ingest) state
+// back into RAM and manifests). A window ≤ 0 keeps the whole history inline.
+// An error is survivable — the batches it could not move stay in the tail
+// (still correct, just not bounded) and the next commit retries; a partial
+// failure keeps the refs of the runs that completed (their bytes are
+// written; Rotate refuses to manifest them unless they flush) and drops
+// exactly the batches they cover, so a retry never re-spills — and
+// double-counts — a written run. Same single-producer contract as Spill.
+func (s *Store) EnforceWindow(sid int, st *OwnerState, window int) error {
+	if window <= 0 || len(st.Tail) < 2*window {
+		return nil
+	}
+	var prev *SegmentRef
+	prevCount := 0
+	if len(st.Spilled) > 0 {
+		prev = &st.Spilled[len(st.Spilled)-1]
+		prevCount = int(prev.Count)
+	}
+	refs, extended, err := s.Spill(sid, st.Owner, prev, st.Tail[:len(st.Tail)-window])
+	if len(refs) > 0 {
+		done := 0
+		for _, r := range refs {
+			done += int(r.Count)
+		}
+		if extended {
+			done -= prevCount // the widened ref re-counts prev's batches
+			st.Spilled[len(st.Spilled)-1] = refs[0]
+			refs = refs[1:]
+		}
+		st.Spilled = append(st.Spilled, refs...)
+		kept := make([]Batch, len(st.Tail)-done)
+		copy(kept, st.Tail[done:])
+		st.Tail = kept
+	}
+	return err
+}
+
 // FlushHistory pushes shard sid's buffered spill bytes to the OS (and in
 // fsync mode to the platter) without rotating. Rotate does this implicitly
 // before writing a manifest; the replication hub calls it explicitly before

@@ -31,7 +31,7 @@ func driveSpilled(t *testing.T, s *Store, st *OwnerState, window int, fromTick, 
 	for tick := fromTick; tick <= toTick; tick++ {
 		e := testEntry(st.Owner, tick, tick == 1, payload(tick))
 		appendWait(t, s, 0, e)
-		if err := applyBatch(st, e.Batch); err != nil {
+		if err := st.Apply(e.Batch); err != nil {
 			t.Fatal(err)
 		}
 		if window > 0 && len(st.Tail) > window {
@@ -250,7 +250,7 @@ func TestDamagedHistoryFallsBackToOlderSnapshot(t *testing.T) {
 	// Older, intact candidate: inline history, clock 2.
 	oldSt := &OwnerState{Owner: "o", Budget: dp.NewBudget()}
 	for tick := uint64(1); tick <= 2; tick++ {
-		if err := applyBatch(oldSt, testEntry("o", tick, tick == 1, "p").Batch); err != nil {
+		if err := oldSt.Apply(testEntry("o", tick, tick == 1, "p").Batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,7 +269,7 @@ func TestDamagedHistoryFallsBackToOlderSnapshot(t *testing.T) {
 	newSt.Tail = nil
 	// Ticks 1,2 live behind the (missing) segment; 3,4 stay inline.
 	for tick := uint64(3); tick <= 4; tick++ {
-		if err := applyBatch(&newSt, testEntry("o", tick, false, "q").Batch); err != nil {
+		if err := newSt.Apply(testEntry("o", tick, false, "q").Batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -398,7 +398,7 @@ func TestLegacySnapshotUpgrade(t *testing.T) {
 	dir := t.TempDir()
 	st := &OwnerState{Owner: "o", Budget: dp.NewBudget()}
 	for tick := uint64(1); tick <= 6; tick++ {
-		if err := applyBatch(st, testEntry("o", tick, tick == 1, fmt.Sprintf("v1-%d", tick)).Batch); err != nil {
+		if err := st.Apply(testEntry("o", tick, tick == 1, fmt.Sprintf("v1-%d", tick)).Batch); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -199,7 +199,7 @@ func recoverDir(dir string) (map[string]*OwnerState, *recovery, error) {
 			case bt.Tick <= st.Clock:
 				rec.info.SkippedEntries++
 			case bt.Tick == st.Clock+1:
-				if err := applyBatch(st, bt); err != nil {
+				if err := st.Apply(bt); err != nil {
 					return nil, nil, fmt.Errorf("store: replaying owner %q tick %d: %w", owner, bt.Tick, err)
 				}
 				rec.info.Entries++
@@ -226,26 +226,41 @@ func recoverDir(dir string) (map[string]*OwnerState, *recovery, error) {
 // Apply folds one batch into the owner's state under the recovery merge
 // rule's "next tick" case: the caller has already checked bt.Tick ==
 // st.Clock+1 (ticks at or below the clock are duplicates to skip; anything
-// further ahead is a gap). A replication follower folds shipped entries with
-// exactly this function so its materialized state can never diverge from
-// what recovery would reconstruct from its log.
-func (st *OwnerState) Apply(bt Batch) error { return applyBatch(st, bt) }
-
-// applyBatch folds one replayed batch into an owner's state: clock,
-// transcript event, ledger charge, and history tail — the same four
-// mutations the gateway makes at commit time.
-func applyBatch(st *OwnerState, bt Batch) error {
+// further ahead is a gap). It makes the four commit-time mutations — ledger
+// charge, clock, transcript event, history tail — and it is the only code
+// that does: the gateway's commit, recovery's WAL replay and a replication
+// follower's fold all advance an owner through it, so their states cannot
+// diverge. All or nothing: the charge is the one step that can refuse (ε or
+// rule drift against the ledger; Budget.Charge validates before it records),
+// so it goes first, and a refused batch leaves the state exactly as it was —
+// never a clock that counts a tick which is in neither ledger nor tail.
+func (st *OwnerState) Apply(bt Batch) error {
+	if bt.Charge.Name != "" {
+		if err := st.Budget.Charge(bt.Charge.Name, bt.Charge.Eps, bt.Charge.Rule); err != nil {
+			return err
+		}
+	}
 	st.Clock = bt.Tick
 	st.Events = append(st.Events, leakage.Event{
 		Tick:   record.Tick(bt.Tick),
 		Volume: len(bt.Sealed),
 		Flush:  bt.Flush,
 	})
-	if bt.Charge.Name != "" {
-		if err := st.Budget.Charge(bt.Charge.Name, bt.Charge.Eps, bt.Charge.Rule); err != nil {
-			return err
-		}
-	}
 	st.Tail = append(st.Tail, bt)
 	return nil
+}
+
+// Clone returns a deep copy that is safe to read while the original keeps
+// advancing: slices and the ledger are copied (spill coalescing widens the
+// last SegmentRef in place, so refs are copied too); batches are immutable
+// once committed and stay shared.
+func (st *OwnerState) Clone() OwnerState {
+	c := *st
+	c.Events = append([]leakage.Event(nil), st.Events...)
+	c.Spilled = append([]SegmentRef(nil), st.Spilled...)
+	c.Tail = append([]Batch(nil), st.Tail...)
+	if st.Budget != nil {
+		c.Budget = st.Budget.Clone()
+	}
+	return c
 }

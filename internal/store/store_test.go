@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dpsync/internal/dp"
@@ -109,7 +110,7 @@ func TestRotateTruncatesAndRecovers(t *testing.T) {
 	// appends were acknowledged).
 	st := &OwnerState{Owner: "o", Budget: dp.NewBudget()}
 	for _, e := range []Entry{testEntry("o", 1, true, "a"), testEntry("o", 2, false, "b")} {
-		if err := applyBatch(st, e.Batch); err != nil {
+		if err := st.Apply(e.Batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +207,7 @@ func TestDuplicateEntriesSkipped(t *testing.T) {
 	dir := t.TempDir()
 	st := &OwnerState{Owner: "o", Budget: dp.NewBudget()}
 	for tick := uint64(1); tick <= 2; tick++ {
-		if err := applyBatch(st, testEntry("o", tick, tick == 1, "p").Batch); err != nil {
+		if err := st.Apply(testEntry("o", tick, tick == 1, "p").Batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -375,7 +376,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 	a := OwnerState{Owner: "a", Budget: dp.NewBudget()}
 	b := OwnerState{Owner: "b", Budget: dp.NewBudget()}
 	for _, st := range []*OwnerState{&a, &b} {
-		if err := applyBatch(st, testEntry(st.Owner, 1, true, "x").Batch); err != nil {
+		if err := st.Apply(testEntry(st.Owner, 1, true, "x").Batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -455,5 +456,34 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 	if m.AvgAppendUs() <= 0 {
 		t.Fatalf("append latency not measured: %+v", m)
+	}
+}
+
+// TestApplyRefusedChargeChangesNothing pins Apply as all-or-nothing: a batch
+// whose charge the ledger refuses (its ε drifted from the ledger's entry of
+// the same name) leaves clock, transcript, tail and ledger exactly as they
+// were — not a clock counting a tick that is in neither ledger nor tail.
+func TestApplyRefusedChargeChangesNothing(t *testing.T) {
+	st := &OwnerState{Owner: "o", Budget: dp.NewBudget()}
+	for tick := uint64(1); tick <= 3; tick++ {
+		if err := st.Apply(testEntry("o", tick, tick == 1, "p").Batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := st.Clone()
+	bad := testEntry("o", 4, false, "q").Batch
+	bad.Charge.Eps *= 2
+	if err := st.Apply(bad); err == nil {
+		t.Fatal("a charge whose epsilon drifted was applied")
+	}
+	if st.Clock != before.Clock || !reflect.DeepEqual(st.Events, before.Events) ||
+		!reflect.DeepEqual(st.Tail, before.Tail) || st.Budget.Describe() != before.Budget.Describe() {
+		t.Fatalf("refused batch mutated the state:\n got: clock %d events %v tail %d ledger %q\nwant: clock %d events %v tail %d ledger %q",
+			st.Clock, st.Events, len(st.Tail), st.Budget.Describe(),
+			before.Clock, before.Events, len(before.Tail), before.Budget.Describe())
+	}
+	// The refusal is not sticky: the tick it failed to claim still applies.
+	if err := st.Apply(testEntry("o", 4, false, "q").Batch); err != nil || st.Clock != 4 {
+		t.Fatalf("state unusable after a refused batch: clock %d, err %v", st.Clock, err)
 	}
 }
