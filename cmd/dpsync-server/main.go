@@ -63,7 +63,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"dpsync/internal/cluster"
 	"dpsync/internal/gateway"
@@ -80,7 +79,7 @@ func main() {
 		shards    = flag.Int("shards", 0, "gateway shard workers (0: GOMAXPROCS)")
 		storeDir  = flag.String("store", "", "durability directory: WAL + snapshots, open with crash recovery")
 		fsync     = flag.Bool("fsync", false, "fsync every durable group commit (with -store)")
-		snapN     = flag.Int("snapshot-every", 0, "per-shard WAL entries between snapshots (0: default; with -store)")
+		snapN     = flag.Int("snapshot-every", 0, "minimum entries between rotations; the interval grows with the image so checkpoint bytes never exceed log bytes (0: default; with -store)")
 		syncEps   = flag.Float64("sync-epsilon", 0, "epsilon charged to a tenant's ledger per sync (with -store)")
 		histWin   = flag.Int("history-window", 0, "per-tenant in-RAM history batches before spilling to history segments (0: keep all in RAM; with -store)")
 		maxInFl   = flag.Int("max-inflight", 0, "per-connection admitted-request cap before typed backpressure sheds (0: default)")
@@ -194,26 +193,7 @@ func main() {
 			conns, repl := gw.Live()
 			fmt.Fprintf(&b, "role: standalone gateway\naddr: %s\nowners: %d  conns: %d  repl: %d  sheds: %d\n",
 				gw.Addr(), gw.Owners(), conns, repl, gw.Sheds())
-			var ages []time.Duration
-			if st := gw.Store(); st != nil {
-				if st.Healthy() {
-					b.WriteString("store: healthy\n")
-				} else {
-					b.WriteString("store: UNHEALTHY (group commit error latched; affected tenants suspended until restart)\n")
-				}
-				ages = st.SnapshotAges()
-			}
-			for _, ss := range gw.ShardStatuses() {
-				fmt.Fprintf(&b, "shard %d: committed=%d pending_wal=%d", ss.Shard, ss.Committed, ss.PendingWAL)
-				if ss.Shard < len(ages) {
-					if ages[ss.Shard] < 0 {
-						b.WriteString(" last_snapshot=never")
-					} else {
-						fmt.Fprintf(&b, " last_snapshot=%s ago", ages[ss.Shard].Round(time.Millisecond))
-					}
-				}
-				b.WriteString("\n")
-			}
+			b.WriteString(gw.DurableStatusText())
 			return b.String()
 		},
 		ReadyFn: func() (bool, string) {

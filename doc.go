@@ -232,17 +232,23 @@
 // references them; until then the WAL still covers them, so a crash can
 // only orphan a spill, never lose one.
 //
-// Snapshots and truncation. Past a per-shard entry threshold the worker
-// quiesces (drains its in-flight commits), writes all its tenants —
+// Snapshots and truncation. When the store reports a rotation due the
+// worker quiesces (drains its in-flight commits), writes all its tenants —
 // clock, transcript, ledger, and history manifest (segment refs + the
 // inline tail) — as an atomic (tmp+rename, with a directory fsync in fsync
-// mode) snapshot, and truncates the segment. With a history window the
-// snapshot is O(delta since the last rotation) and the cadence stays fixed
-// (which also bounds WAL length, and with it recovery's replay memory);
-// without one the snapshot re-serializes the whole inline history, so the
-// threshold grows geometrically with the committed entry count — derived
-// from the durable clocks, never from the in-RAM tail — to keep rotation
-// I/O amortized. Recovery merges whatever the directory holds: snapshots
+// mode) snapshot, and truncates the segment. A manifest spares the spilled
+// batches, nothing else: every tenant's transcript, refs and tail are
+// written every time, O(owners × (tail + transcript + refs)) however little
+// changed. So the trigger weighs what a rotation costs, in one place for
+// gateway and follower alike (store.RotateDue): at least
+// Config.SnapshotEvery entries and at least as many log bytes as the last
+// image took (the one compaction wrote, after a restart). Each image is
+// paid for by the log written after it, so checkpoint bytes stay within log
+// bytes plus the image still standing; the log between rotations — and
+// recovery's replay — within one image's worth; and with no history window,
+// where the image is the whole inline history, the same comparison spaces
+// rotations geometrically. A failed rotation doubles the bytes the next one
+// waits for. Recovery merges whatever the directory holds: snapshots
 // from any era or shard count (highest clock whose manifest still checks
 // out against the history segments wins per owner), then WAL entries in
 // tick order, applying exactly those past the recovered clock — idempotent

@@ -296,7 +296,7 @@ func Start(cfg Config) (*Node, error) {
 			n.recordLease(st.Holder, false)
 		}
 	}
-	fol, err := openFollower(cfg.StoreDir, n.shardCount(), cfg.Gateway.HistoryWindow, n.snapEvery(), cfg.Gateway.Fsync, n.log.With("node", cfg.NodeID), cfg.Gateway.Tracer)
+	fol, err := openFollower(cfg.StoreDir, n.shardCount(), cfg.Gateway.HistoryWindow, cfg.Gateway.SnapshotEvery, cfg.Gateway.Fsync, n.log.With("node", cfg.NodeID), cfg.Gateway.Tracer)
 	if err != nil {
 		lis.Close()
 		return nil, err
@@ -337,13 +337,6 @@ func (n *Node) shardCount() int {
 		return n.cfg.Gateway.Shards
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (n *Node) snapEvery() int {
-	if n.cfg.Gateway.SnapshotEvery > 0 {
-		return n.cfg.Gateway.SnapshotEvery
-	}
-	return gateway.DefaultSnapshotEvery
 }
 
 // Addr returns the node's bound listen address.
@@ -405,26 +398,7 @@ func (n *Node) StatusText() string {
 	b.WriteString("\n")
 	if gw != nil {
 		fmt.Fprintf(&b, "owners: %d  sheds: %d\n", gw.Owners(), gw.Sheds())
-		var ages []time.Duration
-		if st := gw.Store(); st != nil {
-			if st.Healthy() {
-				b.WriteString("store: healthy\n")
-			} else {
-				b.WriteString("store: UNHEALTHY (group commit error latched; affected tenants suspended until restart)\n")
-			}
-			ages = st.SnapshotAges()
-		}
-		for _, ss := range gw.ShardStatuses() {
-			fmt.Fprintf(&b, "shard %d: committed=%d pending_wal=%d", ss.Shard, ss.Committed, ss.PendingWAL)
-			if ss.Shard < len(ages) {
-				if ages[ss.Shard] < 0 {
-					b.WriteString(" last_snapshot=never")
-				} else {
-					fmt.Fprintf(&b, " last_snapshot=%s ago", ages[ss.Shard].Round(time.Millisecond))
-				}
-			}
-			b.WriteString("\n")
-		}
+		b.WriteString(gw.DurableStatusText())
 	}
 	if hub != nil {
 		hs := hub.Stats()

@@ -70,11 +70,10 @@ type FollowerStats struct {
 // only the mutex-guarded fields. The read plane answers under smu, which
 // synchronizes it with the tail loop.
 type followerCore struct {
-	log       *slog.Logger
-	st        *store.Store
-	shards    int
-	window    int
-	snapEvery int
+	log    *slog.Logger
+	st     *store.Store
+	shards int
+	window int
 	// tracer records follower-apply fragments for traces the primary
 	// propagated in traced entry frames; nil disables (spans are dropped,
 	// frames apply identically).
@@ -98,7 +97,6 @@ type followerCore struct {
 	resync    []bool                         // shard needs a snapshot transfer
 	inSnap    []bool                         // mid snapshot transfer
 	snapBasis []uint64
-	sinceSnap []int            // WAL appends since last rotation
 	pending   []sync.WaitGroup // in-flight WAL appends per shard
 	// machines holds the resident owners' tenant machines, each over the
 	// owner's entry in states (the same pointer). The read plane adds an
@@ -114,20 +112,20 @@ type followerCore struct {
 // openFollower opens (or resumes) a replica image at dir. Whatever a prior
 // process left there — primary or follower alike — is recovered through the
 // standard store recovery, and each shard's stream cursor is re-derived
-// from its owners' committed clocks.
+// from its owners' committed clocks. snapEvery is the store's rotation floor
+// (store.Options.SnapshotEvery), the same one the node's gateway would pass.
 func openFollower(dir string, shards, window, snapEvery int, fsync bool, lg *slog.Logger, tracer *telemetry.Tracer) (*followerCore, error) {
-	st, states, err := store.Open(store.Options{Dir: dir, Shards: shards, Fsync: fsync, HistoryWindow: window})
+	st, states, err := store.Open(store.Options{Dir: dir, Shards: shards, Fsync: fsync, HistoryWindow: window, SnapshotEvery: snapEvery})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: opening replica store: %w", err)
 	}
 	f := &followerCore{
-		log: lg, st: st, shards: shards, window: window, snapEvery: snapEvery, tracer: tracer,
+		log: lg, st: st, shards: shards, window: window, tracer: tracer,
 		states:    make([]map[string]*store.OwnerState, shards),
 		counts:    make([]uint64, shards),
 		resync:    make([]bool, shards),
 		inSnap:    make([]bool, shards),
 		snapBasis: make([]uint64, shards),
-		sinceSnap: make([]int, shards),
 		pending:   make([]sync.WaitGroup, shards),
 		machines:  map[string]*gateway.Tenant{},
 	}
@@ -276,7 +274,7 @@ func (f *followerCore) applyFrame(fr wire.ReplFrame, now time.Time) error {
 // it is resident, which also ingests the batch and drops the answer cache,
 // O(batch) — append it to the replica's own WAL, and keep the replica's RAM
 // bounded exactly as a live gateway would (history spill past the window,
-// log rotation on cadence).
+// log rotation when the store says one is due).
 func (f *followerCore) fold(sid int, fr wire.ReplFrame, live bool, now time.Time) error {
 	e, err := store.DecodeEntryFrame(fr.Entry)
 	if err != nil {
@@ -334,8 +332,7 @@ func (f *followerCore) fold(sid int, fr wire.ReplFrame, live bool, now time.Time
 		f.log.Warn("replica history spill deferred; batches stay in RAM",
 			"owner_hash", telemetry.OwnerHash(st.Owner), "batches", len(st.Tail), "err", err)
 	}
-	f.sinceSnap[sid]++
-	if f.sinceSnap[sid] >= f.snapEvery {
+	if f.st.RotateDue(sid) {
 		f.rotate(sid)
 	}
 	f.mu.Lock()
@@ -356,7 +353,8 @@ func (f *followerCore) fold(sid int, fr wire.ReplFrame, live bool, now time.Time
 
 // rotate snapshots one shard of the replica and truncates its WAL, after
 // draining that shard's in-flight appends (the quiesce the store requires).
-// A failed rotation only means a longer WAL; everything stays recoverable.
+// A failed rotation only means a longer WAL — the store does not report
+// another due until the log has doubled; everything stays recoverable.
 func (f *followerCore) rotate(sid int) {
 	f.pending[sid].Wait()
 	f.mu.Lock()
@@ -371,10 +369,7 @@ func (f *followerCore) rotate(sid int) {
 	}
 	if err := f.st.Rotate(sid, owners); err != nil {
 		f.log.Warn("replica rotation failed", "shard", sid, "err", err)
-		f.sinceSnap[sid] = f.snapEvery / 2 // retry soon, not instantly
-		return
 	}
-	f.sinceSnap[sid] = 0
 }
 
 // seal quiesces the replica and closes its store, leaving the directory a

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"log/slog"
 	"math"
 	"reflect"
 	"strings"
@@ -39,6 +40,13 @@ const rigEps = 0.5
 
 func newReplica(tb testing.TB, gcfg gateway.Config, snapEvery int) *replica {
 	tb.Helper()
+	return newReplicaAt(tb, tb.TempDir(), gcfg, snapEvery, telemetry.Discard())
+}
+
+// newReplicaAt is newReplica over a directory and a logger of the test's
+// choosing.
+func newReplicaAt(tb testing.TB, dir string, gcfg gateway.Config, snapEvery int, lg *slog.Logger) *replica {
+	tb.Helper()
 	key, err := seal.NewRandomKey()
 	if err != nil {
 		tb.Fatal(err)
@@ -47,7 +55,7 @@ func newReplica(tb testing.TB, gcfg gateway.Config, snapEvery int) *replica {
 	if gcfg.Shards == 0 {
 		gcfg.Shards = 1
 	}
-	f, err := openFollower(tb.TempDir(), gcfg.Shards, gcfg.HistoryWindow, snapEvery, false, telemetry.Discard(), nil)
+	f, err := openFollower(dir, gcfg.Shards, gcfg.HistoryWindow, snapEvery, false, lg, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

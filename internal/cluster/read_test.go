@@ -372,10 +372,12 @@ func TestReadPlaneServesSpilledHistory(t *testing.T) {
 	if err := own.Setup([]record.Record{yellow(0, 60)}); err != nil {
 		t.Fatal(err)
 	}
-	// startNode's window is 8 and its rotation cadence 16: the replica
+	// startNode's window is 8 and its rotation floor 16 entries: the replica
 	// spills at this owner's 16th and 24th sync and rotates (flushing the
-	// spill) only at the 16th and 32nd, so after 27 syncs the second spill's
-	// bytes have been referenced but never flushed by a rotation.
+	// spill) at the 16th — a fresh replica has no image for the log to
+	// outweigh, so the floor alone decides — and no earlier than the 32nd
+	// after that, so after 27 syncs the second spill's bytes have been
+	// referenced but never flushed by a rotation.
 	const syncs = 27
 	for i := 1; i < syncs; i++ {
 		if err := own.Update([]record.Record{yellow(i, uint16(50+i%40))}); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Budget serialization: the gateway's durability subsystem (internal/store)
@@ -44,25 +45,36 @@ var ErrBadLedger = errors.New("dp: malformed budget ledger")
 // MarshalBinary implements encoding.BinaryMarshaler with a deterministic
 // byte encoding: equal ledgers (same charges, epsilons, rules, use counts)
 // always produce equal bytes.
-func (b *Budget) MarshalBinary() ([]byte, error) {
-	names := b.Names()
+func (b *Budget) MarshalBinary() ([]byte, error) { return b.AppendBinary(nil) }
+
+// AppendBinary implements encoding.BinaryAppender: it appends exactly the
+// bytes MarshalBinary returns to dst. A snapshot encoder writes every
+// tenant's ledger straight into its image this way; into a buffer with room,
+// a ledger of up to eight charges (real ones hold two or three named
+// mechanisms) allocates nothing.
+func (b *Budget) AppendBinary(dst []byte) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]byte, 0, 5+16*len(names))
-	out = append(out, ledgerVersion)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(names)))
-	for _, n := range names {
-		c := b.charges[n]
+	var few [8]string
+	names := few[:0]
+	for n := range b.charges {
 		if len(n) > math.MaxUint16 {
 			return nil, fmt.Errorf("dp: budget charge name %d bytes exceeds %d", len(n), math.MaxUint16)
 		}
-		out = binary.BigEndian.AppendUint16(out, uint16(len(n)))
-		out = append(out, n...)
-		out = binary.BigEndian.AppendUint64(out, math.Float64bits(c.eps))
-		out = append(out, byte(c.rule))
-		out = binary.BigEndian.AppendUint64(out, uint64(c.uses))
+		names = append(names, n)
 	}
-	return out, nil
+	slices.Sort(names)
+	dst = append(dst, ledgerVersion)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(names)))
+	for _, n := range names {
+		c := b.charges[n]
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(n)))
+		dst = append(dst, n...)
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c.eps))
+		dst = append(dst, byte(c.rule))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(c.uses))
+	}
+	return dst, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. It replaces the

@@ -3,6 +3,7 @@ package dp
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -210,5 +211,44 @@ func TestBudgetCloneAndEqual(t *testing.T) {
 	}
 	if !nilB.Equal(nilB) {
 		t.Fatal("nil/nil comparison")
+	}
+}
+
+// TestBudgetAppendBinary pins the append form the snapshot encoder uses: it
+// leaves what the buffer already held alone and appends exactly
+// MarshalBinary's bytes — for a ledger that fits the encoder's stack array
+// of names and for one that does not — and into a buffer with room it
+// allocates nothing.
+func TestBudgetAppendBinary(t *testing.T) {
+	small, large := ledgerForTest(t), NewBudget()
+	for i := 0; i < 40; i++ {
+		if err := large.Charge(fmt.Sprintf("mech-%02d", (i*7)%40), 0.125, Parallel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range []*Budget{NewBudget(), small, large} {
+		want, err := b.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.AppendBinary([]byte("prefix"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("AppendBinary = %x, want prefix + %x", got, want)
+		}
+		back := NewBudget()
+		if err := back.UnmarshalBinary(got[len("prefix"):]); err != nil || !back.Equal(b) {
+			t.Fatalf("appended ledger does not round-trip: %v", err)
+		}
+	}
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := small.AppendBinary(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("AppendBinary into a sized buffer allocates %v times, want 0", n)
 	}
 }

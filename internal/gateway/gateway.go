@@ -50,6 +50,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,9 +99,6 @@ const (
 	// always drains it (it never blocks on sends), so the WAL writer cannot
 	// deadlock against it; the buffer just decouples commit bursts.
 	completionQueueLen = 256
-	// DefaultSnapshotEvery is the per-shard WAL entry count between
-	// snapshot rotations in durable mode.
-	DefaultSnapshotEvery = 1024
 	// maxErrorLogs bounds per-connection error logging.
 	maxErrorLogs = 3
 )
@@ -166,15 +164,18 @@ type Config struct {
 	// Fsync makes every durable group commit fsync (machine-crash safety);
 	// off, commits are flushed to the OS (process-crash safety).
 	Fsync bool
-	// SnapshotEvery is the per-shard WAL entry count between snapshot
-	// rotations (0 = DefaultSnapshotEvery).
+	// SnapshotEvery is the minimum per-shard WAL entry count between
+	// snapshot rotations (0 = store.DefaultSnapshotEvery), handed to the
+	// store: the interval grows with the snapshot image, so every image is
+	// paid for by the log written after it (store.RotateDue).
 	SnapshotEvery int
 	// HistoryWindow bounds the committed ingest batches each tenant keeps
 	// in RAM (and inlines in snapshots). Past the window, history spills to
 	// sealed on-disk history segments; snapshots reference the spilled runs
-	// by manifest (segment, offset, length, checksum) so rotation I/O is
-	// O(delta), and recovery streams the runs back through the ingest path
-	// without materializing them. 0 keeps the full history in RAM and
+	// by manifest (segment, offset, length, checksum) so a rotation never
+	// rewrites spilled batches — it still writes every tenant's transcript,
+	// refs and tail — and recovery streams the runs back through the ingest
+	// path without materializing them. 0 keeps the full history in RAM and
 	// inline in snapshots (the legacy small-deployment behavior). Durable
 	// mode only.
 	HistoryWindow int
@@ -324,9 +325,6 @@ func New(addr string, cfg Config) (*Gateway, error) {
 	if cfg.DrainTimeout == 0 {
 		cfg.DrainTimeout = DefaultDrainTimeout
 	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = DefaultSnapshotEvery
-	}
 	if cfg.Replicator != nil && cfg.StoreDir == "" {
 		return nil, fmt.Errorf("gateway: Replicator requires StoreDir (replication ships WAL frames)")
 	}
@@ -423,11 +421,10 @@ func New(addr string, cfg Config) (*Gateway, error) {
 	g.shards = make([]*shard, cfg.Shards)
 	for i := range g.shards {
 		g.shards[i] = &shard{
-			id:            i,
-			tasks:         make(chan task, shardQueueLen),
-			completions:   make(chan func(), completionQueueLen),
-			owners:        map[string]*Tenant{},
-			snapThreshold: cfg.SnapshotEvery,
+			id:          i,
+			tasks:       make(chan task, shardQueueLen),
+			completions: make(chan func(), completionQueueLen),
+			owners:      map[string]*Tenant{},
 		}
 	}
 	if cfg.StoreDir != "" {
@@ -463,6 +460,7 @@ func (g *Gateway) openStore() error {
 		Shards:        g.cfg.Shards,
 		Fsync:         g.cfg.Fsync,
 		HistoryWindow: g.cfg.HistoryWindow,
+		SnapshotEvery: g.cfg.SnapshotEvery,
 		Telemetry:     g.cfg.Telemetry,
 	})
 	if err != nil {
@@ -483,17 +481,8 @@ func (g *Gateway) openStore() error {
 		}
 		g.shards[sid].owners[owner] = tn
 		g.ownerCount.Add(1)
-	}
-	// Re-derive each shard's rotation threshold from its recovered history
-	// so a mature store does not immediately re-snapshot at the configured
-	// minimum interval. The size is the shards' durable entry counts (the
-	// committed clocks) — never len(tn.Tail), which is only the in-RAM
-	// tail once history is split between RAM and spill segments and would
-	// double-count (or drop) whatever the window moved.
-	for _, sh := range g.shards {
-		committed := sh.committedEntries()
-		sh.snapThreshold = nextSnapThreshold(g.cfg.SnapshotEvery, g.cfg.HistoryWindow, committed)
-		sh.committedAtomic.Store(int64(committed))
+		// Every tick 1..clock is one committed entry, wherever its bytes live.
+		g.shards[sid].committedAtomic.Add(int64(tn.Clock))
 	}
 	if g.tm.on {
 		for _, sh := range g.shards {
@@ -851,6 +840,39 @@ func (g *Gateway) ShardStatuses() []ShardStatus {
 		}
 	}
 	return out
+}
+
+// DurableStatusText is the /statusz section for the durable path: the
+// store's health line, then one line per shard — committed and pending WAL
+// entries, the age of its last snapshot rotation, and the two sizes the
+// rotation policy compares (the current image against the log written
+// since). Shard aggregates only, and read from atomics: it names no tenant and
+// never enqueues onto a shard.
+func (g *Gateway) DurableStatusText() string {
+	var b strings.Builder
+	var rots []store.RotationStatus
+	if g.store != nil {
+		if g.store.Healthy() {
+			b.WriteString("store: healthy\n")
+		} else {
+			b.WriteString("store: UNHEALTHY (group commit error latched; affected tenants suspended until restart)\n")
+		}
+		rots = g.store.RotationStatuses()
+	}
+	for _, ss := range g.ShardStatuses() {
+		fmt.Fprintf(&b, "shard %d: committed=%d pending_wal=%d", ss.Shard, ss.Committed, ss.PendingWAL)
+		if ss.Shard < len(rots) {
+			r := rots[ss.Shard]
+			if r.Age < 0 {
+				b.WriteString(" last_snapshot=never")
+			} else {
+				fmt.Fprintf(&b, " last_snapshot=%s ago", r.Age.Round(time.Millisecond))
+			}
+			fmt.Fprintf(&b, " image_bytes=%d log_bytes_since=%d", r.ImageBytes, r.LogBytes)
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
 }
 
 // Live reports currently open client and replication connections.

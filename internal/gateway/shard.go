@@ -61,16 +61,10 @@ type shard struct {
 	owners      map[string]*Tenant
 
 	// pendingWAL counts this shard's appended-but-uncommitted entries;
-	// sinceSnap counts appends since the last snapshot; snapWanted asks the
-	// worker to quiesce and rotate. snapThreshold is the rotation trigger:
-	// it starts at Config.SnapshotEvery and grows with the shard's total
-	// history (a snapshot rewrites the whole history, so a fixed interval
-	// would cost O(n²) I/O over a long-lived shard; a geometric interval
-	// keeps the rewrite amortized). Durable mode only.
-	pendingWAL    int
-	sinceSnap     int
-	snapWanted    bool
-	snapThreshold int
+	// snapWanted — set when the store reports a rotation due after an append
+	// — asks the worker to quiesce and rotate. Durable mode only.
+	pendingWAL int
+	snapWanted bool
 
 	// pendingAtomic mirrors pendingWAL and committedAtomic counts committed
 	// entries, both written only by the shard worker. They exist so the
@@ -111,7 +105,7 @@ func (g *Gateway) runShard(sh *shard) {
 	for {
 		if sh.snapWanted && sh.pendingWAL == 0 {
 			g.snapshotShard(sh)
-			sh.snapWanted, sh.sinceSnap = false, 0
+			sh.snapWanted = false
 		}
 		if sh.snapWanted {
 			// Quiesce: only commit completions until in-flight appends
@@ -298,10 +292,6 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 		}
 		sh.pendingWAL++
 		sh.pendingAtomic.Store(int64(sh.pendingWAL))
-		sh.sinceSnap++
-		if sh.sinceSnap >= sh.snapThreshold {
-			sh.snapWanted = true
-		}
 		var appendAt int64
 		if g.tm.on || tc.Sampled() {
 			appendAt = time.Now().UnixNano()
@@ -363,10 +353,11 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 			// arrive for this entry.
 			sh.pendingWAL--
 			sh.pendingAtomic.Store(int64(sh.pendingWAL))
-			sh.sinceSnap--
 			tn.failed = true
 			reply.send(wire.Response{Error: fmt.Sprintf("gateway: durable sync: %v", err)})
 			tn.flushDeferred()
+		} else if g.store.RotateDue(sh.id) {
+			sh.snapWanted = true
 		}
 
 	case wire.MsgQuery:
@@ -487,51 +478,18 @@ func (g *Gateway) dispatchUnknown(owner string, req wire.Request) wire.Response 
 	}
 }
 
-// committedEntries is the shard's total durable history length, derived
-// from the tenants' committed clocks. This is the only correct size once
-// history is split between RAM and spill segments: every tick 1..clock is
-// exactly one committed entry, wherever its bytes live, so the count never
-// double-counts a batch that is both spilled and still referenced, and
-// never shrinks just because the window moved batches out of RAM.
-func (sh *shard) committedEntries() int {
-	total := 0
-	for _, tn := range sh.owners {
-		total += int(tn.Clock)
-	}
-	return total
-}
-
-// nextSnapThreshold picks the shard's next rotation trigger. With a history
-// window, snapshots are manifests — O(refs + window) regardless of total
-// history — so a fixed cadence is right and also bounds the WAL length
-// (which bounds both recovery replay and its RAM). Without a window a
-// snapshot rewrites the whole inline history, so the threshold grows
-// geometrically with the committed entry count to keep total rotation I/O
-// amortized over a long-lived shard.
-func nextSnapThreshold(snapshotEvery, historyWindow, committedEntries int) int {
-	if historyWindow > 0 {
-		return snapshotEvery
-	}
-	return max(snapshotEvery, committedEntries/4)
-}
-
 // snapshotShard rotates the shard's log: its tenants' committed state is
 // written as the shard's snapshot and the segment is truncated. Runs on the
 // shard worker with zero in-flight appends, so clocks, transcripts,
-// ledgers, and histories are mutually consistent. Afterwards the rotation
-// threshold is re-derived (see nextSnapThreshold); a failed rotation
-// doubles the threshold instead, so the shard does not hot-loop a rotation
-// that keeps failing — the WAL keeps growing and keeps everything
-// recoverable.
+// ledgers, and histories are mutually consistent. When the next one is due
+// is the store's decision (store.RotateDue), failed rotations included — the
+// WAL keeps growing and keeps everything recoverable.
 func (g *Gateway) snapshotShard(sh *shard) {
 	states := make([]store.OwnerState, 0, len(sh.owners))
 	for _, tn := range sh.owners {
 		states = append(states, *tn.OwnerState)
 	}
 	if err := g.store.Rotate(sh.id, states); err != nil {
-		g.log.Error("snapshot rotation failed; doubling threshold", "shard", sh.id, "err", err)
-		sh.snapThreshold *= 2
-		return
+		g.log.Error("snapshot rotation failed", "shard", sh.id, "err", err)
 	}
-	sh.snapThreshold = nextSnapThreshold(g.cfg.SnapshotEvery, g.cfg.HistoryWindow, sh.committedEntries())
 }

@@ -62,15 +62,24 @@ func driveTelemetryOwners(t *testing.T, addr string, key []byte, owners []string
 // output — Prometheus text or /varz JSON — may contain a raw owner ID, an
 // owner-hash label, or any per-tenant series. The metrics endpoint is part
 // of the adversary's view; per-tenant update-pattern detail there would be
-// a side channel around the ε the strategies spend to hide it.
+// a side channel around the ε the strategies spend to hide it. The gateway is
+// durable and rotates from its first entry, so the store's series — the
+// rotation instruments among them — and the /statusz shard lines (image and
+// log bytes per shard) are swept with the rest.
 func TestTelemetryAggregateOnlyByDefault(t *testing.T) {
 	reg := telemetry.New()
 	// Trace every request: the tracing plane is part of the adversary's view
 	// too, so the same no-tenant-identity rule is asserted over /tracez.
 	tracer := telemetry.NewTracer(telemetry.TracerConfig{SampleEvery: 1})
-	gw, key := startGateway(t, gateway.Config{Telemetry: reg, SyncEpsilon: 0.25, Tracer: tracer})
+	gw, key := startGateway(t, gateway.Config{
+		Telemetry: reg, SyncEpsilon: 0.25, Tracer: tracer,
+		StoreDir: t.TempDir(), SnapshotEvery: 1,
+	})
 	owners := []string{"owner-alpha", "owner-bravo", "owner-charlie"}
 	driveTelemetryOwners(t, gw.Addr(), key, owners)
+	if m, _ := gw.StoreMetrics(); m.Snapshots == 0 || m.SnapshotBytes == 0 {
+		t.Fatalf("no rotation happened (%+v): the rotation instruments are not exercised", m)
+	}
 
 	prom, varz := scrapeAll(t, reg)
 	var tz, tj bytes.Buffer
@@ -83,7 +92,13 @@ func TestTelemetryAggregateOnlyByDefault(t *testing.T) {
 	if !strings.Contains(tz.String(), "client-admit") {
 		t.Fatalf("tracer captured no traces under SampleEvery=1:\n%s", tz.String())
 	}
-	for _, out := range []string{prom, varz, tz.String(), tj.String()} {
+	statusz := gw.DurableStatusText()
+	for _, field := range []string{"store: healthy", "last_snapshot=", "image_bytes=", "log_bytes_since="} {
+		if !strings.Contains(statusz, field) {
+			t.Errorf("/statusz durable section missing %q:\n%s", field, statusz)
+		}
+	}
+	for _, out := range []string{prom, varz, tz.String(), tj.String(), statusz} {
 		for _, name := range owners {
 			if strings.Contains(out, name) {
 				t.Fatalf("scrape leaks raw owner ID %q:\n%s", name, out)
@@ -109,6 +124,8 @@ func TestTelemetryAggregateOnlyByDefault(t *testing.T) {
 		"gateway_sync_queue_wait_us", "gateway_sync_apply_us", "gateway_sync_ack_us",
 		"gateway_qcache_hits_total", "gateway_qcache_misses_total",
 		"gateway_qcache_invalidations_total", "gateway_qcache_serve_us",
+		"store_wal_bytes_total", "store_snapshots_total",
+		"store_snapshot_bytes_total", "store_rotate_us",
 	} {
 		if !strings.Contains(prom, series) {
 			t.Errorf("aggregate series %q missing from /metrics", series)

@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"dpsync/internal/binfmt"
 	"dpsync/internal/dp"
@@ -109,8 +110,9 @@ type Entry struct {
 
 // SegmentRef names one contiguous run of an owner's batches inside a sealed
 // history segment: snapshots carry these instead of re-serializing spilled
-// history, so rotation I/O is O(delta) and recovery can stream the run back
-// without materializing it. Off/Len bound the exact byte range of the run's
+// history — 36 bytes a run, every rotation, where the batches would be their
+// whole size — and recovery can stream the run back without materializing
+// it. Off/Len bound the exact byte range of the run's
 // frames; CRC is Castagnoli over that whole range (frame headers included),
 // so a manifest that points at the wrong bytes is caught before replay
 // trusts them. FirstTick/Count pin the run's position in the owner's
@@ -223,26 +225,28 @@ func readBatch(r *binfmt.Reader) Batch {
 const entryKindSync = 1
 
 // encodeEntryFrame renders one WAL entry as a complete CRC frame, ready to
-// append to a segment.
+// append to a segment. It runs once per WAL append, per spilled batch and per
+// replication ship, so the frame is built in place: one allocation of exactly
+// the frame's size, the 8-byte header reserved up front and patched once the
+// payload behind it is written.
 func encodeEntryFrame(e Entry) ([]byte, error) {
 	if len(e.Owner) == 0 || len(e.Owner) > maxOwnerLen {
 		return nil, fmt.Errorf("store: owner id length %d outside [1, %d]", len(e.Owner), maxOwnerLen)
 	}
-	payload := make([]byte, 0, 64+batchSealedSize(e.Batch))
-	payload = append(payload, entryKindSync)
-	payload = append(payload, byte(len(e.Owner)))
-	payload = append(payload, e.Owner...)
-	payload, err := appendBatch(payload, e.Batch)
+	size := 2 + len(e.Owner) + batchSize(e.Batch)
+	if size > maxEntrySize {
+		return nil, fmt.Errorf("store: entry payload %d bytes exceeds %d", size, maxEntrySize)
+	}
+	frame := make([]byte, 8, 8+size)
+	frame = append(frame, entryKindSync, byte(len(e.Owner)))
+	frame = append(frame, e.Owner...)
+	frame, err := appendBatch(frame, e.Batch)
 	if err != nil {
 		return nil, err
 	}
-	if len(payload) > maxEntrySize {
-		return nil, fmt.Errorf("store: entry payload %d bytes exceeds %d", len(payload), maxEntrySize)
-	}
-	frame := make([]byte, 0, 8+len(payload))
-	frame = binfmt.AppendU32(frame, uint32(len(payload)))
-	frame = binfmt.AppendU32(frame, crc32.Checksum(payload, crcTable))
-	return append(frame, payload...), nil
+	binary.BigEndian.PutUint32(frame, uint32(size))
+	binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(frame[8:], crcTable))
+	return frame, nil
 }
 
 // EncodeEntryFrame renders one entry as a complete CRC frame — the exact
@@ -274,8 +278,9 @@ func DecodeEntryFrame(frame []byte) (Entry, error) {
 	return decodeEntry(payload)
 }
 
-func batchSealedSize(bt Batch) int {
-	n := 0
+// batchSize is the exact number of bytes appendBatch writes for bt.
+func batchSize(bt Batch) int {
+	n := 8 + 1 + 2 + len(bt.Charge.Name) + 8 + 1 + 4
 	for _, ct := range bt.Sealed {
 		n += 4 + len(ct)
 	}
@@ -422,74 +427,84 @@ func validateHistoryShape(st *OwnerState) error {
 	return nil
 }
 
+// snapHeaderSize is the snapshot file header: magic, version, payload length
+// and payload CRC.
+const snapHeaderSize = 4 + 1 + 4 + 4
+
 // encodeSnapshot renders a shard's tenants as one snapshot file image
-// (header + single CRC frame). Owners are emitted in sorted order so equal
-// states produce equal bytes. History travels as a manifest: segment refs
-// for the spilled tier plus the inline tail — rotation never re-serializes
-// spilled batches.
-func encodeSnapshot(owners []OwnerState) ([]byte, error) {
-	sorted := make([]OwnerState, len(owners))
-	copy(sorted, owners)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Owner < sorted[j].Owner })
-	payload := make([]byte, 0, 1024)
-	payload = binfmt.AppendU32(payload, uint32(len(sorted)))
-	for i := range sorted {
-		st := &sorted[i]
+// (header + single CRC frame) appended to dst[:0] — Rotate hands in the
+// buffer its shard keeps between rotations, so a steady-state image is
+// written in one pass with no growth and no second copy. Owners are emitted
+// in sorted order so equal states produce equal bytes. History travels as a
+// manifest: segment refs for the spilled tier, never the spilled batches —
+// but every owner's clock, ledger, whole transcript, refs and inline tail are
+// written every time, so an image costs O(owners × (tail + transcript +
+// refs)) however little changed since the last one. That is why rotations
+// are spaced by bytes (Store.RotateDue), not by a fixed entry count.
+func encodeSnapshot(dst []byte, owners []OwnerState) ([]byte, error) {
+	sorted := make([]*OwnerState, len(owners))
+	for i := range owners {
+		sorted[i] = &owners[i]
+	}
+	slices.SortFunc(sorted, func(a, b *OwnerState) int { return strings.Compare(a.Owner, b.Owner) })
+	// The header's length and CRC are patched in once the payload is behind it.
+	out := append(dst[:0], snapMagic[:]...)
+	out = append(out, snapVersion, 0, 0, 0, 0, 0, 0, 0, 0)
+	out = binfmt.AppendU32(out, uint32(len(sorted)))
+	for _, st := range sorted {
 		if len(st.Owner) == 0 || len(st.Owner) > maxOwnerLen {
 			return nil, fmt.Errorf("store: owner id length %d outside [1, %d]", len(st.Owner), maxOwnerLen)
 		}
 		if err := validateHistoryShape(st); err != nil {
 			return nil, fmt.Errorf("store: snapshot history for %q: %v", st.Owner, err)
 		}
-		payload = append(payload, byte(len(st.Owner)))
-		payload = append(payload, st.Owner...)
-		payload = binfmt.AppendU64(payload, st.Clock)
+		out = append(out, byte(len(st.Owner)))
+		out = append(out, st.Owner...)
+		out = binfmt.AppendU64(out, st.Clock)
+		ledgerAt := len(out)
+		out = append(out, 0, 0, 0, 0)
 		budget := st.Budget
 		if budget == nil {
 			budget = dp.NewBudget()
 		}
-		ledger, err := budget.MarshalBinary()
-		if err != nil {
+		var err error
+		if out, err = budget.AppendBinary(out); err != nil {
 			return nil, fmt.Errorf("store: snapshot ledger for %q: %w", st.Owner, err)
 		}
-		payload = binfmt.AppendU32(payload, uint32(len(ledger)))
-		payload = append(payload, ledger...)
-		payload = binfmt.AppendU32(payload, uint32(len(st.Events)))
+		binary.BigEndian.PutUint32(out[ledgerAt:], uint32(len(out)-ledgerAt-4))
+		out = binfmt.AppendU32(out, uint32(len(st.Events)))
 		for _, ev := range st.Events {
-			payload = binfmt.AppendU64(payload, uint64(ev.Tick))
-			payload = binfmt.AppendU32(payload, uint32(ev.Volume))
+			out = binfmt.AppendU64(out, uint64(ev.Tick))
+			out = binfmt.AppendU32(out, uint32(ev.Volume))
 			var f byte
 			if ev.Flush {
 				f = 1
 			}
-			payload = append(payload, f)
+			out = append(out, f)
 		}
-		payload = binfmt.AppendU32(payload, uint32(len(st.Spilled)))
+		out = binfmt.AppendU32(out, uint32(len(st.Spilled)))
 		for _, ref := range st.Spilled {
-			payload = binfmt.AppendU64(payload, ref.Seg)
-			payload = binfmt.AppendU64(payload, ref.Off)
-			payload = binfmt.AppendU32(payload, ref.Len)
-			payload = binfmt.AppendU32(payload, ref.CRC)
-			payload = binfmt.AppendU64(payload, ref.FirstTick)
-			payload = binfmt.AppendU32(payload, ref.Count)
+			out = binfmt.AppendU64(out, ref.Seg)
+			out = binfmt.AppendU64(out, ref.Off)
+			out = binfmt.AppendU32(out, ref.Len)
+			out = binfmt.AppendU32(out, ref.CRC)
+			out = binfmt.AppendU64(out, ref.FirstTick)
+			out = binfmt.AppendU32(out, ref.Count)
 		}
-		payload = binfmt.AppendU32(payload, uint32(len(st.Tail)))
+		out = binfmt.AppendU32(out, uint32(len(st.Tail)))
 		for _, bt := range st.Tail {
-			payload, err = appendBatch(payload, bt)
-			if err != nil {
+			if out, err = appendBatch(out, bt); err != nil {
 				return nil, err
 			}
 		}
 	}
+	payload := out[snapHeaderSize:]
 	if len(payload) > maxSnapshotSize {
 		return nil, fmt.Errorf("store: snapshot payload %d bytes exceeds %d", len(payload), maxSnapshotSize)
 	}
-	out := make([]byte, 0, 13+len(payload))
-	out = append(out, snapMagic[:]...)
-	out = append(out, snapVersion)
-	out = binfmt.AppendU32(out, uint32(len(payload)))
-	out = binfmt.AppendU32(out, crc32.Checksum(payload, crcTable))
-	return append(out, payload...), nil
+	binary.BigEndian.PutUint32(out[5:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(out[9:], crc32.Checksum(payload, crcTable))
+	return out, nil
 }
 
 // decodeSnapshot parses a snapshot file image — the current v2 manifest
@@ -501,7 +516,7 @@ func encodeSnapshot(owners []OwnerState) ([]byte, error) {
 // (snapshots are atomic units; a half snapshot must not load as a smaller
 // state).
 func decodeSnapshot(data []byte) ([]OwnerState, error) {
-	if len(data) < 13 {
+	if len(data) < snapHeaderSize {
 		return nil, fmt.Errorf("%w: short snapshot header", ErrCorruptSegment)
 	}
 	if string(data[:4]) != string(snapMagic[:]) {
@@ -512,11 +527,11 @@ func decodeSnapshot(data []byte) ([]OwnerState, error) {
 		return nil, fmt.Errorf("%w: unknown snapshot version %d", ErrCorruptSegment, version)
 	}
 	n := binary.BigEndian.Uint32(data[5:9])
-	crc := binary.BigEndian.Uint32(data[9:13])
-	if int(n) != len(data)-13 {
-		return nil, fmt.Errorf("%w: snapshot claims %d payload bytes, has %d", ErrCorruptSegment, n, len(data)-13)
+	crc := binary.BigEndian.Uint32(data[9:snapHeaderSize])
+	if int(n) != len(data)-snapHeaderSize {
+		return nil, fmt.Errorf("%w: snapshot claims %d payload bytes, has %d", ErrCorruptSegment, n, len(data)-snapHeaderSize)
 	}
-	payload := data[13:]
+	payload := data[snapHeaderSize:]
 	if crc32.Checksum(payload, crcTable) != crc {
 		return nil, fmt.Errorf("%w: snapshot CRC mismatch", ErrCorruptSegment)
 	}

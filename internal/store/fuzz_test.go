@@ -216,7 +216,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	img, err := encodeSnapshot([]OwnerState{st})
+	img, err := encodeSnapshot(nil, []OwnerState{st})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	tieredImg, err := encodeSnapshot([]OwnerState{st, tiered})
+	tieredImg, err := encodeSnapshot(nil, []OwnerState{st, tiered})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 			return
 		}
-		reenc, err := encodeSnapshot(owners)
+		reenc, err := encodeSnapshot(nil, owners)
 		if err != nil {
 			t.Fatalf("accepted snapshot cannot be re-encoded: %v", err)
 		}
@@ -274,7 +274,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil || len(again) != len(owners) {
 			t.Fatalf("v1 canonicalization broke: %d owners, %v", len(again), err)
 		}
-		reenc2, err := encodeSnapshot(again)
+		reenc2, err := encodeSnapshot(nil, again)
 		if err != nil || !bytes.Equal(reenc, reenc2) {
 			t.Fatalf("v1 canonicalization is not a fixed point: %v", err)
 		}

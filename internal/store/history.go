@@ -17,9 +17,11 @@ import (
 // "hist-<seq>.seg" files shared by all shards, globally numbered so
 // manifests stay valid across shard-count changes. A spill appends one
 // contiguous run of an owner's batches and returns SegmentRefs; snapshots
-// persist the refs (plus the inline tail), so rotation I/O stops scaling
-// with total history and recovery streams runs back frame by frame without
-// ever materializing the spilled tier.
+// persist the refs (plus the inline tail), so a rotation never rewrites a
+// spilled batch and recovery streams runs back frame by frame without ever
+// materializing the spilled tier. What a rotation still writes — per owner,
+// the transcript, the refs and up to two windows of tail — is why rotations
+// are spaced by bytes (Store.RotateDue), not by a fixed entry count.
 //
 // Durability contract: spilled bytes are buffered. They are flushed (and in
 // fsync mode fsynced, with the directory) by Rotate *before* the snapshot

@@ -135,9 +135,9 @@ func TestSpillRotateStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestRotationIsDelta pins the O(delta) rotation property: with a
-// window, the snapshot file stays a small manifest while the spilled
-// history grows far past it — rotation never re-serializes the cold tier.
+// TestManifestRotationIsDelta pins what a manifest saves: with a window,
+// the snapshot file stays a small manifest while the spilled history grows
+// far past it — rotation never re-serializes the cold tier.
 func TestManifestRotationIsDelta(t *testing.T) {
 	dir := t.TempDir()
 	const window = 2
@@ -154,7 +154,7 @@ func TestManifestRotationIsDelta(t *testing.T) {
 	}
 	totalSealed := int64(100 * len(blob))
 	if fi.Size() > totalSealed/10 {
-		t.Fatalf("manifest snapshot is %d bytes for %d sealed bytes — rotation is not O(delta)", fi.Size(), totalSealed)
+		t.Fatalf("manifest snapshot is %d bytes for %d sealed bytes — rotation rewrote spilled history", fi.Size(), totalSealed)
 	}
 	// Sanity: the spilled bytes actually exist in the history tier.
 	if m := s.Metrics(); m.SpillBytes < totalSealed {
@@ -254,7 +254,7 @@ func TestDamagedHistoryFallsBackToOlderSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	oldImg, err := encodeSnapshot([]OwnerState{*oldSt})
+	oldImg, err := encodeSnapshot(nil, []OwnerState{*oldSt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestDamagedHistoryFallsBackToOlderSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	newImg, err := encodeSnapshot([]OwnerState{newSt})
+	newImg, err := encodeSnapshot(nil, []OwnerState{newSt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,14 +42,29 @@
 //
 // # Snapshots and truncation
 //
-// When a shard's log grows past the caller's threshold, the caller quiesces
+// A rotation replaces a shard's log with a snapshot: the caller quiesces
 // (waits for its in-flight appends to commit) and calls Rotate with the
-// shard's tenant states: the snapshot is written tmp+rename-atomically and
+// shard's tenant states; the snapshot is written tmp+rename-atomically and
 // the segment is truncated back to its header. Snapshots are *manifests*:
-// segment refs for the spilled tier plus the inline tail — rotation I/O is
-// O(delta since the last rotation), never a rewrite of the whole history.
-// Entries superseded by a snapshot are skipped on replay by the clock rule,
-// so a crash anywhere in the rotate sequence stays recoverable.
+// segment refs for the spilled tier plus the inline tail, so a rotation never
+// rewrites spilled batches — but it does rewrite every owner's clock, ledger,
+// whole transcript, refs and inline tail, changed or not: an image costs
+// O(owners × (tail + transcript + refs)), not O(entries since the last one).
+//
+// When to rotate is therefore decided here, by bytes, and in one place:
+// RotateDue answers true once a shard has appended at least
+// Options.SnapshotEvery entries *and* at least as many log bytes as its last
+// image took (the image Rotate last wrote, or the one compaction wrote at
+// Open). Every image but the latest is thus paid for by log written after
+// it — checkpoint bytes never exceed log bytes plus the image still standing
+// — while the log between rotations, and recovery's replay of it, stay
+// bounded by one image's worth.
+// With no history window the image is the whole inline history, and the same
+// comparison spaces rotations geometrically. A failed rotation doubles the
+// bytes required, so a shard cannot hot-loop one that keeps failing; the WAL
+// keeps growing and keeps everything recoverable. Entries superseded by a
+// snapshot are skipped on replay by the clock rule, so a crash anywhere in
+// the rotate sequence stays recoverable.
 //
 // # Recovery
 //
@@ -97,12 +112,19 @@ type Options struct {
 	// policy. 0 disables compaction re-spill (full history stays inline in
 	// snapshots — the legacy small-deployment mode).
 	HistoryWindow int
+	// SnapshotEvery is the fewest entries a shard appends between two
+	// rotations (0 = DefaultSnapshotEvery). It is a floor, not a cadence:
+	// RotateDue also waits for the log to outweigh the last image.
+	SnapshotEvery int
 	// Telemetry receives the store's runtime metrics (group-commit size and
 	// flush latency histograms on the writer hot path; cumulative counters
 	// exported at scrape time). Nil disables export; the atomic Metrics
 	// counters are maintained either way.
 	Telemetry *telemetry.Registry
 }
+
+// DefaultSnapshotEvery is the default Options.SnapshotEvery.
+const DefaultSnapshotEvery = 1024
 
 // Metrics is the store's cumulative instrumentation.
 type Metrics struct {
@@ -114,8 +136,10 @@ type Metrics struct {
 	Bytes int64
 	// AppendNs is cumulative append→commit latency over all entries.
 	AppendNs int64
-	// Snapshots counts rotate operations.
-	Snapshots int64
+	// Snapshots counts rotate operations and SnapshotBytes the image bytes
+	// they wrote; SnapshotBytes/Bytes is the checkpoint write amplification.
+	Snapshots     int64
+	SnapshotBytes int64
 	// SpillBatches / SpillBytes count committed batches (and their encoded
 	// bytes) moved from RAM to history segments; HistorySegments counts
 	// segment files created. The spill tier is what keeps caller memory
@@ -163,10 +187,11 @@ type RecoveryInfo struct {
 // exactly one goroutine per shard, stop with Close (graceful: flush
 // everything) or Kill (crash simulation: abandon pending work).
 type Store struct {
-	dir    string
-	fsync  bool
-	window int
-	shards []*walShard
+	dir       string
+	fsync     bool
+	window    int
+	snapEvery int64
+	shards    []*walShard
 	// hist holds one history-tier append cursor per shard (the spill
 	// target); histSeq allocates globally unique segment numbers across
 	// shards, compaction, and process restarts.
@@ -184,6 +209,7 @@ type Store struct {
 	bytes        atomic.Int64
 	appendNs     atomic.Int64
 	snapshots    atomic.Int64
+	snapBytes    atomic.Int64
 	spillBatches atomic.Int64
 	spillBytes   atomic.Int64
 	histSegments atomic.Int64
@@ -202,6 +228,7 @@ type Store struct {
 	// so the hot path pays nothing twice.
 	groupSizeHist *telemetry.Histogram
 	flushHist     *telemetry.Histogram
+	rotateHist    *telemetry.Histogram
 	unregister    func()
 
 	mu     sync.Mutex
@@ -224,6 +251,21 @@ type walShard struct {
 	f          *os.File
 	w          *bufio.Writer
 	writerDone chan struct{}
+
+	// The rotation policy's inputs (RotateDue), written only by the shard's
+	// one producer — Append counts, Rotate resets — and atomic only so the
+	// status plane can read them. logEntries and logBytes are what the
+	// segment has taken since its last rotation; imageBytes is the size of
+	// the shard's current snapshot file; dueBytes is the log size the next
+	// rotation waits for: imageBytes, until a failed rotation doubles it.
+	logEntries atomic.Int64
+	logBytes   atomic.Int64
+	imageBytes atomic.Int64
+	dueBytes   int64
+	// snapBuf is the image buffer Rotate encodes into and keeps for the next
+	// rotation. The writer goroutine reads it only while Rotate blocks on the
+	// request, so it is never rewritten under the writer nor shared by shards.
+	snapBuf []byte
 }
 
 type pendingEntry struct {
@@ -274,12 +316,17 @@ func Open(opts Options) (*Store, map[string]*OwnerState, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &Store{dir: opts.Dir, fsync: opts.Fsync, window: opts.HistoryWindow, info: rec.info}
+	if opts.SnapshotEvery <= 0 {
+		opts.SnapshotEvery = DefaultSnapshotEvery
+	}
+	s := &Store{dir: opts.Dir, fsync: opts.Fsync, window: opts.HistoryWindow, snapEvery: int64(opts.SnapshotEvery), info: rec.info}
 	if reg := opts.Telemetry; reg != nil {
 		s.groupSizeHist = reg.Histogram("store_commit_group_size",
 			"WAL entries per group commit (flush/fsync round)", telemetry.GroupSizeBuckets)
 		s.flushHist = reg.Histogram("store_commit_flush_us",
 			"group-commit write+flush(+fsync) latency in microseconds", telemetry.LatencyBucketsUs)
+		s.rotateHist = reg.Histogram("store_rotate_us",
+			"snapshot rotation, image encode start to rotation durable, microseconds", telemetry.LatencyBucketsUs)
 		s.unregister = reg.RegisterCollector(func(emit func(sm telemetry.Sample)) {
 			counter := func(name, help string, v int64) {
 				emit(telemetry.Sample{Name: name, Help: help, Kind: telemetry.KindCounter, Value: float64(v)})
@@ -289,6 +336,7 @@ func Open(opts Options) (*Store, map[string]*OwnerState, error) {
 			counter("store_wal_bytes_total", "segment bytes written", s.bytes.Load())
 			counter("store_wal_append_ns_total", "cumulative append-to-commit latency in nanoseconds", s.appendNs.Load())
 			counter("store_snapshots_total", "snapshot rotations", s.snapshots.Load())
+			counter("store_snapshot_bytes_total", "snapshot image bytes written by rotations", s.snapBytes.Load())
 			counter("store_spill_batches_total", "history batches spilled from RAM to segments", s.spillBatches.Load())
 			counter("store_spill_bytes_total", "encoded bytes spilled to history segments", s.spillBytes.Load())
 			counter("store_history_segments_total", "history segment files created", s.histSegments.Load())
@@ -313,6 +361,13 @@ func Open(opts Options) (*Store, map[string]*OwnerState, error) {
 			path:       segmentPath(opts.Dir, i),
 			store:      s,
 			writerDone: make(chan struct{}),
+		}
+		// The image compaction just wrote for this shard (none for a shard
+		// without owners) is what its log must outweigh before the first
+		// rotation is due.
+		if fi, err := os.Stat(snapshotPath(opts.Dir, i)); err == nil {
+			sh.dueBytes = fi.Size()
+			sh.imageBytes.Store(fi.Size())
 		}
 		sh.cond = sync.NewCond(&sh.mu)
 		if err := sh.openSegment(); err != nil {
@@ -457,7 +512,7 @@ func (s *Store) compact(shards int, states map[string]*OwnerState, rec *recovery
 		if len(owners) == 0 {
 			continue
 		}
-		img, err := encodeSnapshot(owners)
+		img, err := encodeSnapshot(nil, owners)
 		if err != nil {
 			return err
 		}
@@ -638,7 +693,21 @@ func (s *Store) AppendTraced(sid int, e Entry, tc telemetry.TraceContext, done f
 	sh.queue = append(sh.queue, pendingEntry{frame: frame, start: time.Now(), tc: tc, walTC: tc, done: done})
 	sh.cond.Signal()
 	sh.mu.Unlock()
+	sh.logEntries.Add(1)
+	sh.logBytes.Add(int64(len(frame)))
 	return nil
+}
+
+// RotateDue reports whether shard sid's log has grown enough to be worth
+// replacing with a snapshot: at least Options.SnapshotEvery entries and at
+// least the last image's bytes appended since the last rotation (twice that
+// after a rotation failed, and doubling again each time it fails). It is the
+// only rotation trigger: the gateway's shard worker and the follower's fold
+// both ask it after an append, then quiesce and call Rotate. Same
+// single-producer contract as Append.
+func (s *Store) RotateDue(sid int) bool {
+	sh := s.shards[sid]
+	return sh.logEntries.Load() >= s.snapEvery && sh.logBytes.Load() >= sh.dueBytes
 }
 
 // Rotate snapshots shard sid's tenants and truncates its segment. The
@@ -651,10 +720,28 @@ func (s *Store) AppendTraced(sid int, e Entry, tc telemetry.TraceContext, done f
 // fsynced, with the directory) *before* the snapshot manifest is written,
 // so every SegmentRef the manifest carries points at bytes that are at
 // least as durable as the manifest itself.
-func (s *Store) Rotate(sid int, owners []OwnerState) error {
+//
+// Success restarts the shard's RotateDue accounting against the new image;
+// failure doubles the log bytes the next attempt waits for.
+func (s *Store) Rotate(sid int, owners []OwnerState) (err error) {
+	sh := s.shards[sid]
+	start := time.Now()
+	defer func() {
+		if err != nil {
+			sh.dueBytes = 2 * max(sh.dueBytes, sh.logBytes.Load())
+			return
+		}
+		image := int64(len(sh.snapBuf))
+		sh.logEntries.Store(0)
+		sh.logBytes.Store(0)
+		sh.imageBytes.Store(image)
+		sh.dueBytes = image
+		s.snapBytes.Add(image)
+		s.rotateHist.ObserveNs(time.Since(start).Nanoseconds())
+	}()
 	hw := s.hist[sid]
 	hw.mu.Lock()
-	err := hw.flush()
+	err = hw.flush()
 	hw.mu.Unlock()
 	if err != nil {
 		return err
@@ -666,11 +753,11 @@ func (s *Store) Rotate(sid int, owners []OwnerState) error {
 			return err
 		}
 	}
-	img, err := encodeSnapshot(owners)
+	img, err := encodeSnapshot(sh.snapBuf, owners)
 	if err != nil {
 		return err
 	}
-	sh := s.shards[sid]
+	sh.snapBuf = img
 	req := &rotateReq{snap: img, done: make(chan error, 1)}
 	sh.mu.Lock()
 	if sh.closing {
@@ -879,6 +966,7 @@ func (s *Store) Metrics() Metrics {
 		Bytes:           s.bytes.Load(),
 		AppendNs:        s.appendNs.Load(),
 		Snapshots:       s.snapshots.Load(),
+		SnapshotBytes:   s.snapBytes.Load(),
 		SpillBatches:    s.spillBatches.Load(),
 		SpillBytes:      s.spillBytes.Load(),
 		HistorySegments: s.histSegments.Load(),
@@ -904,19 +992,27 @@ func (s *Store) SetCommitFailpoint(on bool) {
 	s.failCommits.Store(on)
 }
 
-// SnapshotAges reports, per shard, the time since its last snapshot rotation
-// in this process; -1 means no rotation since Open (the WAL alone carries
-// the shard so far — normal for a young or lightly loaded shard).
-func (s *Store) SnapshotAges() []time.Duration {
-	out := make([]time.Duration, len(s.snapAtNs))
+// RotationStatus is one shard's checkpoint state for the status plane.
+type RotationStatus struct {
+	// Age is the time since the shard's last rotation in this process; -1
+	// means none since Open (the WAL alone carries the shard so far — normal
+	// for a young or lightly loaded shard).
+	Age time.Duration
+	// ImageBytes is the size of the shard's current snapshot file and
+	// LogBytes what its segment has taken since: the two numbers RotateDue
+	// compares.
+	ImageBytes, LogBytes int64
+}
+
+// RotationStatuses reports every shard's checkpoint state.
+func (s *Store) RotationStatuses() []RotationStatus {
+	out := make([]RotationStatus, len(s.shards))
 	now := time.Now().UnixNano()
-	for i := range s.snapAtNs {
-		at := s.snapAtNs[i].Load()
-		if at == 0 {
-			out[i] = -1
-			continue
+	for i, sh := range s.shards {
+		out[i] = RotationStatus{Age: -1, ImageBytes: sh.imageBytes.Load(), LogBytes: sh.logBytes.Load()}
+		if at := s.snapAtNs[i].Load(); at != 0 {
+			out[i].Age = time.Duration(now - at)
 		}
-		out[i] = time.Duration(now - at)
 	}
 	return out
 }

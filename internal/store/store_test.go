@@ -211,7 +211,7 @@ func TestDuplicateEntriesSkipped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	img, err := encodeSnapshot([]OwnerState{*st})
+	img, err := encodeSnapshot(nil, []OwnerState{*st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,11 +380,11 @@ func TestSnapshotDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	img1, err := encodeSnapshot([]OwnerState{a, b})
+	img1, err := encodeSnapshot(nil, []OwnerState{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	img2, err := encodeSnapshot([]OwnerState{b, a})
+	img2, err := encodeSnapshot(nil, []OwnerState{b, a})
 	if err != nil {
 		t.Fatal(err)
 	}
