@@ -318,8 +318,8 @@ func runFailover(owners, ticks, seeds int, seed uint64, shards int, syncEps floa
 	}
 	if quick {
 		for _, run := range rep.Runs {
-			fmt.Printf("failover ok: seed %d killed primary at tick %d/%d, promoted in %.1fms (replica lag %.2fms, %d applied @ %.0f/sec), transcripts+ledgers continuous\n",
-				run.Seed, run.KillTick, rep.Ticks, run.FailoverMs, run.ReplicationLagMs, run.ReplicaApplied, run.ReplicaSyncsPerSec)
+			fmt.Printf("failover ok: seed %d killed primary at tick %d/%d, promoted in %.1fms — %.2fms of it the promotion itself (replica lag %.2fms, %d applied @ %.0f/sec), transcripts+ledgers continuous\n",
+				run.Seed, run.KillTick, rep.Ticks, run.FailoverMs, run.PromoteMs, run.ReplicationLagMs, run.ReplicaApplied, run.ReplicaSyncsPerSec)
 		}
 	} else {
 		enc, err := json.MarshalIndent(rep, "", "  ")
@@ -351,7 +351,7 @@ func runReplica(owners, ticks, queryMix, conns, shards int, syncEps float64, see
 	if quick {
 		fmt.Printf("replica ok: %d owners × %d ticks, follower served %d/%d queries at %.0f/sec (%d stale refusals, %d fallbacks to primary)\n",
 			rep.Owners, rep.Ticks, rep.ReplicaServed, rep.Queries, rep.ReplicaQueryQPS, rep.ReplicaStale, rep.ReplicaFallbacks)
-		fmt.Printf("replica plane: %d requests, qcache %d hits / %d misses, %d materializations from history, cursor %d applied\n",
+		fmt.Printf("replica plane: %d requests, qcache %d hits / %d misses, %d rebuilds from history, cursor %d applied\n",
 			rep.PlaneQueries, rep.PlaneCacheHits, rep.PlaneCacheMisses, rep.PlaneRebuilds, rep.FollowerApplied)
 	} else {
 		enc, err := json.MarshalIndent(rep, "", "  ")

@@ -34,12 +34,13 @@
 // -store): the nodes elect one primary through a shared lease
 // file (-lease-file, on storage every node sees — each node keeps its own
 // private -store, so the lease must live elsewhere); the primary streams
-// every committed WAL entry to the followers; a follower refuses clients
-// with a typed redirect, tails the primary, and promotes over its
-// replicated prefix when the lease lapses (see internal/cluster). With
-// -replica-of ADDR the node is instead pinned
-// as a permanent standby tailing ADDR: it never campaigns and never
-// promotes. Two-node example on one machine:
+// every committed WAL entry to the followers; a follower runs the same
+// gateway in replica role — it serves read-only connections from its
+// replicated prefix, refuses writers with a typed redirect, tails the
+// primary, and is promoted by a role flip (no recovery pass) when it wins the
+// lapsed lease (see internal/cluster). With -replica-of ADDR the node is
+// instead pinned as a permanent read-serving standby tailing ADDR: it never
+// campaigns and never promotes. Two-node example on one machine:
 //
 //	dpsync-server -cluster -node-id a -store /var/lib/dpsync-a -lease-file /var/lib/dpsync.lease -listen 127.0.0.1:7701 -key-file shared.key
 //	dpsync-server -cluster -node-id b -store /var/lib/dpsync-b -lease-file /var/lib/dpsync.lease -listen 127.0.0.1:7702 -key-file shared.key
@@ -88,7 +89,7 @@ func main() {
 		nodeID    = flag.String("node-id", "", "this node's name to the cluster (default: hostname:listen)")
 		leaseFile = flag.String("lease-file", "", "shared lease file the cluster elects through; must live on storage every node sees (required with -cluster)")
 		leaseTTL  = flag.Duration("lease-ttl", 0, "election lease duration, the failover fencing window (0: default)")
-		replicaOf = flag.String("replica-of", "", "pin this node as a permanent standby tailing ADDR; never campaigns, never promotes (-store only)")
+		replicaOf = flag.String("replica-of", "", "pin this node as a permanent standby tailing ADDR: a replica-role gateway that serves read-only connections from its replicated prefix and refuses writers; never campaigns, never promotes (-store only)")
 		adminAddr = flag.String("admin", "", "admin plane listen address: /metrics (Prometheus), /varz (JSON), /statusz, /tracez, /healthz, /debug/pprof (empty: disabled)")
 		debugTen  = flag.Bool("debug-tenant-metrics", false, "expose per-owner clock/epsilon series (hashed labels) on the admin plane — republishes the update-pattern detail the privacy budget hides; debugging only")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")

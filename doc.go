@@ -155,8 +155,9 @@
 // through the gateway's ingress sealer.
 //
 // One frame connection. After the hello, every connection loop — the
-// gateway's handler, the pipelined client, the follower's read plane and its
-// replication tail, the hub's sender — moves frames through one type,
+// gateway's handler (on a primary and on a follower alike), the pipelined
+// client, the follower's replication tail, the hub's sender — moves frames
+// through one type,
 // wire.Conn. Its read half fills a buffer with one socket read and yields
 // every complete frame already in it; its write half builds each frame in
 // place behind a reserved header (the codec's Append encoders) and reaches
@@ -239,8 +240,8 @@
 // mode) snapshot, and truncates the segment. A manifest spares the spilled
 // batches, nothing else: every tenant's transcript, refs and tail are
 // written every time, O(owners × (tail + transcript + refs)) however little
-// changed. So the trigger weighs what a rotation costs, in one place for
-// gateway and follower alike (store.RotateDue): at least
+// changed. So the trigger weighs what a rotation costs, in one place
+// (store.RotateDue, asked by the shard worker in either role): at least
 // Config.SnapshotEvery entries and at least as many log bytes as the last
 // image took (the one compaction wrote, after a restart). Each image is
 // paid for by the log written after it, so checkpoint bytes stay within log
@@ -305,7 +306,11 @@
 // fairness regression test). Every response write carries a deadline
 // (gateway.Config.WriteTimeout: a peer that stops reading is severed, not
 // waited on), and Gateway.Close severs connections that outlive the drain
-// deadline instead of waiting on them forever.
+// deadline instead of waiting on them forever. A cluster follower is served
+// by this same connection loop (it is a gateway in replica role), so its
+// read-only connections are bounded the same way — malformed-frame limit,
+// in-flight cap and typed shed, write deadline, drain deadline — which the
+// hostile-peer cases re-run against a replica pin.
 //
 // Fault injection. internal/faultnet wraps net.Conn in seeded,
 // deterministic fault schedules — connection resets, torn mid-frame writes,
@@ -335,31 +340,44 @@
 // follower whose cursor has fallen off the primary's bounded catch-up ring
 // is healed with a per-shard snapshot transfer instead.
 //
-// A follower is always a valid restart image. It accepts no write (a sync
-// hello gets a typed wire.ErrNotPrimary refusal, so clients rotate on
-// instead of hanging) and folds the shipped entries into its own store
-// through the same code a restart and a live commit use
-// (store.OwnerState.Apply, all or nothing) — so at every instant its
-// directory holds a provable committed prefix of every owner's history,
-// with transcript, clock, and ε ledger describing exactly that prefix. For
-// an owner analysts read here the follower also keeps the owner's tenant
-// machine (gateway.Tenant: that same state plus backend and answer cache)
-// and the fold that advances the state ingests the shipped batch into it.
-// One lock, the follower's stream lock, orders a frame's fold against a
-// read: a read sees cursor, state and machine from one frame boundary.
+// A follower is a gateway in replica role, and always a valid restart image.
+// The node runs one serving stack, gateway.Gateway, in whichever role it
+// holds: on a follower it serves the node's listener from the start —
+// read-only connections are answered, a sync or replication hello gets a
+// typed wire.ErrNotPrimary refusal, so clients rotate on instead of hanging —
+// and the replication tail hands each shipped entry to the owner's shard
+// worker (Gateway.Replicate), which applies it by the recovery rule through
+// the code a live commit and a restart use (Tenant.Commit, all or nothing;
+// Tenant.Ingest; the append to the replica's own WAL under the shard's
+// pending-append accounting; the history window; store.RotateDue and the
+// worker's quiesce). So at every instant the directory holds a provable
+// committed prefix of every owner's history, with transcript, clock, and ε
+// ledger describing exactly that prefix, and every owner it holds is resident
+// in RAM — exactly the tenants recovery over that directory would build, kept
+// current per entry. There is no eviction: a follower must fit what it may
+// become. A step that cannot extend the replica (offset or tick gap, corrupt
+// frame, refused charge) changes nothing, marks the shard for resync and ends
+// the session; the tail waits for each step's outcome, so nothing of that
+// shard is applied after it until a snapshot transfer heals it.
 //
-// The failover invariant follows: promotion is recovery. When the lease
-// lapses (the primary is fenced the moment a renewal is refused, before
-// anyone else can acquire), a follower seals its replicated prefix and
-// runs gateway recovery over its own directory. Syncs the dead primary
-// committed but never shipped are not lost — each owner's client still
-// holds them in its resync window, discovers the promoted node's lower
-// durable clock through the resume protocol, and re-uploads them verbatim
-// — so every owner's transcript and ε ledger end bit-identical to an
-// uninterrupted single-node run. The failover differential test pins this
-// across randomized kill ticks, connection churn, and replication-link
-// faults; cmd/dpsync-loadgen -failover measures it (failover_ms,
-// replication_lag_ms, replica_syncs_per_sec in the baseline).
+// The failover invariant follows: promotion is a role flip over state
+// recovery would reproduce. When the lease lapses (the primary is fenced the
+// moment a renewal is refused, before anyone else can acquire), a follower
+// that wins it stops its tail, waits out each shard's queue and pending WAL
+// appends, binds a hub at the shards' applied stream offsets and flips its
+// gateway to primary — no pass over the directory, no cold caches, and a
+// promotion time that does not grow with history. The flip == recover ==
+// reference differential pins, at seeded kill points, that what the flipped
+// node serves is what gateway.New over a copy of its directory serves (a
+// replica whose own WAL append failed does not flip; it recovers from the
+// directory). Syncs the dead primary committed but never shipped are not
+// lost — each owner's client still holds them in its resync window,
+// discovers the promoted node's lower durable clock through the resume
+// protocol, and re-uploads them verbatim — so every owner's transcript and ε
+// ledger end bit-identical to an uninterrupted single-node run. The failover
+// differential test pins this across randomized kill ticks, connection churn,
+// and replication-link faults; cmd/dpsync-loadgen -failover measures it
+// (failover_ms, replication_lag_ms, replica_syncs_per_sec in the baseline).
 //
 // # Read-path architecture
 //
@@ -385,25 +403,23 @@
 // fleet-aggregate only — a per-tenant hit rate would fingerprint which
 // tenants repeat which questions.
 //
-// Follower read plane. PR 7 followers already hold a provable committed
-// prefix of every owner's history; internal/cluster/read.go serves
-// analyst reads from it. A read-only hello ("DPSQ" + codec byte) opens a
-// query/stats-only connection on any node; on a follower, an owner's first
-// read replays its tenant machine from the replicated history, once, and
-// the replication stream keeps it current from then on — O(batch) per
-// shipped entry, the answer cache dropped exactly where the replicated
-// clock advances — so a read answers from the resident machine whatever
-// the owner's age. A machine is replayed again only after an incremental
-// ingest failed and it was dropped (never served), and machines are
-// discarded before the replica seals, so promotion stays recovery over the
-// directory. It is the same machine, through the same Ingest, Commit and
-// Read, that the primary's shard workers and recovery drive: a tenant's
-// state advances by one code path on every node. Freshness is explicit
-// rather than assumed: wire.Request.MinOffset carries the minimum replication offset
-// the caller will accept, and a follower behind that bound refuses with
-// the typed wire.ErrStale carrying its cursor (wire.StaleSpec) — never a
+// Follower reads. A read-only hello ("DPSQ" + codec byte) opens a
+// query/stats-only connection on any node, served by the gateway's one
+// connection loop. On a follower the owner's tenant is resident and current —
+// the shard worker that applies the stream is the one that answers, dropping
+// the answer cache exactly where the replicated clock advances — so a read
+// costs what it costs on a primary whatever the owner's age, and a read sees
+// whole batches because one goroutine owns the shard, not because of a lock.
+// A tenant is rebuilt from history only if an incremental ingest erred
+// (cluster_read_rebuilds_total, 0 on a healthy replica), on the worker, before
+// anything can read it. It is the same machine, through the same Ingest,
+// Commit and Read, on every node. Freshness is explicit rather than assumed:
+// wire.Request.MinOffset carries the minimum replication offset the caller
+// will accept, and a follower whose shard has applied less refuses — on that
+// shard's worker, so nothing lands between the check and the answer — with
+// the typed wire.ErrStale carrying its cursor (wire.StaleSpec), never a
 // silently stale answer. Writes on a read connection get the same typed
-// wire.ErrNotPrimary refusal a follower's write plane always gave.
+// wire.ErrNotPrimary refusal a follower's write hello gets.
 // client.WithReadReplica(addr) routes a session's queries to a replica
 // and falls back to the (trivially fresh) primary on any refusal;
 // dpsync-loadgen -query-mix/-replica-addr/-read-replica drive mixed
@@ -434,10 +450,14 @@
 // store's group-commit writer records group size and flush+fsync latency
 // plus WAL, snapshot, and spill counters; the replication hub exports
 // per-follower cursor lag in both entries and milliseconds; the cluster node
-// exports role, lease renewals/losses, and promotion events. Scrape safety
-// is structural — shard workers publish pending/committed counts into
-// atomic mirrors that ShardStatuses and the collectors read without
-// enqueuing onto any shard.
+// exports role, lease renewals/losses, and promotion events. A follower is a
+// gateway in replica role, so its reads carry the same queue-wait, cache-serve
+// and ack instruments and sampled spans, and its /statusz the same per-shard
+// durable lines (plus each shard's applied stream offset) — under the same
+// privacy rule, swept by the same regression. Scrape safety is structural —
+// shard workers publish pending/committed/applied counts into atomic mirrors
+// that ShardStatuses and the collectors read without enqueuing onto any shard,
+// with or without a registry.
 //
 // dpsync-server -admin ADDR serves the plane: Prometheus text on /metrics,
 // the same samples as JSON on /varz, a human statusz (role, lease holder,

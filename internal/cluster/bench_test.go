@@ -10,15 +10,16 @@ import (
 	"dpsync/internal/wire"
 )
 
-// The follower's two layer rungs, no sockets: one read-plane request
-// (readPlane.serveRequest) and one shipped entry (followerCore.applyFrame),
-// both timed from the caller's side of the stream lock. Run them with a fixed
-// iteration count, e.g. -benchtime=320x: every iteration deepens some owner's
-// history by one batch, so the depth in a benchmark's name is where its
-// owners start.
+// The follower's two layer rungs: one read through the replica gateway's
+// request path (a loopback read-only connection: reader → shard worker →
+// writer) and one shipped entry through the follower's frame entry
+// (followerCore.applyFrame: the hand-off to the shard worker, the apply, the
+// WAL append and the wait for its outcome). Run them with a fixed iteration
+// count, e.g. -benchtime=320x: every iteration deepens some owner's history by
+// one batch, so the depth in a benchmark's name is where its owners start.
 
 const (
-	benchWindow    = 16 // depth 80 reads spilled history, depth 8 does not
+	benchWindow    = 16 // depth 80 has spilled history, depth 8 has not
 	benchSnapEvery = 64
 	benchPool      = 32 // owners an advancing benchmark cycles through
 )
@@ -38,36 +39,27 @@ func benchOwners(r *replica, n, depth int) []string {
 }
 
 func mustRead(b *testing.B, r *replica, owner string, req wire.Request) {
-	if resp := r.p.serveRequest(owner, req); !resp.OK {
+	if resp := r.read(owner, req); !resp.OK {
 		b.Fatalf("%s: %s", owner, resp.Error)
 	}
 }
 
-// evict makes owner non-resident again, so its next read is a first read.
-func (r *replica) evict(owner string) {
-	r.f.smu.Lock()
-	delete(r.f.machines, owner)
-	r.f.smu.Unlock()
-}
-
-// BenchmarkFollowerRead is one Q1 through the read plane: cold (the owner's
-// first read: its machine is replayed from depth batches of history), warm
-// (a repeat at an unchanged clock: an answer-cache hit), and after-advance
-// (the first read after one more batch was folded in: a cache miss on a
-// resident machine, which must not depend on depth).
+// BenchmarkFollowerRead is one Q1 through the replica: cold (the owner's
+// first read — every owner is resident from its first entry, so only its
+// answer cache is cold and history depth must not show), warm (a repeat at an
+// unchanged clock: an answer-cache hit), and after-advance (the first read
+// after one more batch was applied: a cache miss, which must not depend on
+// depth either).
 func BenchmarkFollowerRead(b *testing.B) {
 	q1 := queryReq(query.Q1())
 	for _, depth := range []int{8, 80} {
 		b.Run(fmt.Sprintf("cold/h=%d", depth), func(b *testing.B) {
 			r := newReplica(b, gateway.Config{HistoryWindow: benchWindow}, benchSnapEvery)
-			owner := benchOwners(r, 1, depth)[0]
+			owners := benchOwners(r, b.N, depth)
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for _, owner := range owners {
 				mustRead(b, r, owner, q1)
-				b.StopTimer()
-				r.evict(owner)
-				b.StartTimer()
 			}
 		})
 	}
@@ -104,20 +96,21 @@ func BenchmarkFollowerRead(b *testing.B) {
 	}
 }
 
-// BenchmarkFollowerApply is one shipped entry through applyFrame — frame
-// check, fold, WAL append, window and rotation upkeep — for an owner nobody
-// reads and for a resident one, whose machine also ingests the batch.
+// BenchmarkFollowerApply is one shipped entry through applyFrame — the step
+// onto the shard worker, frame check, commit, ingest, WAL append, window and
+// rotation upkeep, and the outcome back — for owners nobody has read and for
+// owners with a populated answer cache to drop.
 func BenchmarkFollowerApply(b *testing.B) {
-	for _, resident := range []bool{false, true} {
-		name := "non-resident"
-		if resident {
-			name = "resident"
+	for _, read := range []bool{false, true} {
+		name := "never-read"
+		if read {
+			name = "read"
 		}
 		b.Run(name, func(b *testing.B) {
 			const depth = 8
 			r := newReplica(b, gateway.Config{HistoryWindow: benchWindow}, benchSnapEvery)
 			owners := benchOwners(r, benchPool, depth)
-			if resident {
+			if read {
 				for _, owner := range owners {
 					mustRead(b, r, owner, queryReq(query.Q1()))
 				}

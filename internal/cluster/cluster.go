@@ -1,9 +1,9 @@
 // Package cluster replicates the multi-tenant DP-Sync gateway across
 // nodes: a primary serves clients and streams every shard's committed WAL
 // entries to followers; a lease-based election keeps exactly one primary;
-// on primary loss a follower seals its replicated prefix and takes over the
-// fleet, with the PR 6 resume protocol letting reconnecting clients
-// discover the promoted node's durable clock and replay the difference.
+// on primary loss a follower takes over the fleet from its replicated
+// prefix, with the PR 6 resume protocol letting reconnecting clients discover
+// the promoted node's durable clock and replay the difference.
 //
 // # Roles
 //
@@ -14,27 +14,35 @@
 //     committed sync entry ships to connected followers in commit order,
 //     tagged with a per-shard stream offset equal to the shard's committed
 //     entry count.
-//   - A follower serves nobody: its listener answers every hello — client
-//     and replication alike — with a typed refusal (wire.ErrNotPrimary), so
-//     a client that dials it moves on to the next address instead of
-//     hanging. Meanwhile it tails the primary and folds the shipped
-//     entries into its own store through the recovery rules, so its
-//     directory is at every instant a valid restart image.
+//   - A follower runs the same gateway in replica role, on the node's own
+//     listener from the start: read-only connections ("DPSQ") are served from
+//     the replicated prefix, bounded by the freshness the client asks for;
+//     writers and would-be followers get a typed refusal (wire.ErrNotPrimary),
+//     so a client that dials it moves on to the next address instead of
+//     hanging. Meanwhile it tails the primary and hands each shipped entry to
+//     the owner's shard worker, which applies it through the recovery rules
+//     and appends it to the replica's own WAL — so its directory is at every
+//     instant a valid restart image, and the tenants in RAM are what recovery
+//     over that directory would build.
 //
 // # Failover invariant
 //
-// Promotion is recovery: the follower seals its replicated prefix (drains
-// its WAL appends and closes its store) and runs gateway.New over its own
-// directory on the listener it was refusing clients on. Everything the
-// promoted node serves is therefore exactly what crash recovery could
-// prove — a committed prefix of every owner's history, with transcript,
-// clock, and ε ledger describing precisely that prefix. Syncs the old
-// primary committed but never shipped are not lost: the owner's client
-// still holds them (its resync window), discovers the promoted node's
-// lower durable clock through the resume protocol, and re-uploads them
-// verbatim, so every owner's transcript and ε ledger end bit-identical to
-// an uninterrupted run. The differential test in this package pins that
-// across randomized kill points, churn, and link faults.
+// Promotion is a role flip over state recovery would reproduce: the follower
+// fences (it holds the lease), stops its tail, waits out each shard's queue
+// and pending WAL appends, binds a hub at the shards' stream heads and flips
+// its gateway to primary — same tenants, same backends, same answer caches, no
+// directory recovery. Everything the promoted node serves is still exactly
+// what crash recovery could prove — a committed prefix of every owner's
+// history, with transcript, clock, and ε ledger describing precisely that
+// prefix — pinned by the flip == recover == reference differential. (A replica
+// whose own WAL append failed holds RAM its directory cannot prove; it does
+// not flip but recovers from the directory, the way a node that starts as
+// primary does.) Syncs the old primary committed but never shipped are not
+// lost: the owner's client still holds them (its resync window), discovers the
+// promoted node's lower durable clock through the resume protocol, and
+// re-uploads them verbatim, so every owner's transcript and ε ledger end
+// bit-identical to an uninterrupted run. The differential test in this package
+// pins that across randomized kill points, churn, and link faults.
 //
 // # Election
 //
@@ -48,17 +56,16 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
 
 	"dpsync/internal/gateway"
 	"dpsync/internal/telemetry"
-	"dpsync/internal/wire"
 )
 
 // Role is a node's current cluster role.
@@ -80,9 +87,6 @@ const (
 	// DefaultLeaseTTL is the election lease duration — the failover fencing
 	// window. Production wants seconds; the failover tests run fractions.
 	DefaultLeaseTTL = 3 * time.Second
-	// refusePollInterval is the follower accept-loop's deadline, which is
-	// what bounds how long promotion waits to reclaim the listener.
-	refusePollInterval = 50 * time.Millisecond
 	// dialTimeout bounds one replication dial attempt.
 	dialTimeout = 3 * time.Second
 )
@@ -90,17 +94,18 @@ const (
 // Config assembles a Node.
 type Config struct {
 	// Addr is the node's listen address (clients and replication share it);
-	// port 0 picks a free port. The listener must be TCP — promotion hands
-	// it from the refusal loop to the gateway via deadline wakeups.
+	// port 0 picks a free port.
 	Addr string
 	// NodeID names this node to the lease arbiter and the primary. Required.
 	NodeID string
 	// StoreDir is this node's private durability directory. Required —
 	// replication ships WAL frames, so every role needs a WAL.
 	StoreDir string
-	// Gateway is the serving configuration the node uses while primary
-	// (key, shards, epsilon, window, timeouts...). StoreDir, Listener, and
-	// Replicator are owned by the node and overwritten.
+	// Gateway is the serving configuration of the node's gateway, in either
+	// role (key, shards, epsilon, window, timeouts...). StoreDir, Listener, and
+	// Replicator are owned by the node and overwritten. A configuration that
+	// cannot build tenants (no key, no backend) fails Start in either role: a
+	// follower must be able to become what it replicates.
 	Gateway gateway.Config
 	// Lease is the election arbiter, shared by the cluster's nodes.
 	// Required unless ReplicaOf pins this node to standby.
@@ -122,7 +127,7 @@ type Config struct {
 	Logger *slog.Logger
 	// Telemetry receives the node's cluster metrics (role, lease renewals and
 	// losses, fence/promotion events) and is threaded into the hub and — when
-	// Gateway.Telemetry is unset — the serving gateway. Nil disables export.
+	// Gateway.Telemetry is unset — the gateway. Nil disables export.
 	Telemetry *telemetry.Registry
 }
 
@@ -131,20 +136,23 @@ type Config struct {
 type Node struct {
 	cfg  Config
 	log  *slog.Logger
-	lis  net.Listener
+	addr string // the bound listen address; the gateway owns the listener
 	quit chan struct{}
 	wg   sync.WaitGroup
 	tm   nodeMetrics
+	// tailDone is closed when the follower role loop has returned: no
+	// Replicate and no promotion can start after it.
+	tailDone chan struct{}
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// gw is the node's one serving stack, in whichever role; hub exists once
+	// the node is primary; fol is the replication tail's state, kept after a
+	// promotion for its counters.
 	role     Role
 	gw       *gateway.Gateway
 	hub      *Hub
 	fol      *followerCore
-	plane    *readPlane
 	tailConn net.Conn
-	lastFol  FollowerStats
-	lastRead ReadPlaneStats
 	closed   bool
 	killed   bool
 	// leaseHolder/leaseRenewed mirror the node's last view of the arbiter:
@@ -152,34 +160,60 @@ type Node struct {
 	// while following). Status and telemetry read them under mu.
 	leaseHolder  string
 	leaseRenewed time.Time
+	// promotion is how long the node's promotion took, lease won to serving
+	// (zero for a node that never followed).
+	promotion time.Duration
 
 	promoted     chan struct{}
 	promotedOnce sync.Once
 }
 
-// nodeMetrics holds the node's telemetry handles; zero value no-ops.
+// nodeMetrics holds the node's own counters and its collector's
+// unregistration. Every cluster_* series is emitted by that one collector, so
+// a node that is gone — closed, or never started — leaves none behind.
 type nodeMetrics struct {
-	renewals   *telemetry.Counter
-	losses     *telemetry.Counter
-	promotions *telemetry.Counter
+	renewals   telemetry.Counter // successful lease acquisitions/renewals
+	losses     telemetry.Counter // refused renewals — each one fences the gateway
+	promotions telemetry.Counter
 	unreg      func()
+}
+
+// ReadPlaneStats snapshots a node's follower-side read counters: what its
+// gateway served while in replica role.
+type ReadPlaneStats struct {
+	// Queries counts read requests (queries + stats) dispatched, refusals
+	// included.
+	Queries int64
+	// Stale counts typed freshness refusals (applied offset < MinOffset).
+	Stale int64
+	// CacheHits/CacheMisses are the gateway's noise-reuse answer cache
+	// counters (zero without Telemetry; they keep counting after a promotion).
+	CacheHits   int64
+	CacheMisses int64
+	// Rebuilds counts tenants re-materialised from history because an
+	// incremental ingest erred — 0 on a healthy replica.
+	Rebuilds int64
 }
 
 // NodeStats snapshots a node's replication counters for metrics reporting.
 type NodeStats struct {
 	Role Role
-	// Follower carries the replica-side counters (the last sealed values
-	// once the node has promoted).
+	// Follower carries the replica-side counters (the last values once the
+	// node has promoted).
 	Follower FollowerStats
 	// Hub carries the primary-side counters (zero while following).
 	Hub HubStats
-	// ReadPlane carries the follower read-plane counters (the last values
-	// before shutdown once the node has promoted or closed).
+	// ReadPlane carries the follower read counters (the last values once the
+	// node has promoted).
 	ReadPlane ReadPlaneStats
+	// Promotion is how long the node's promotion took, from winning the lease
+	// to serving as primary — the part of a failover that is this node's work
+	// rather than the lease's TTL (zero unless the node was promoted).
+	Promotion time.Duration
 }
 
 // Start brings a node up: it binds the address, then either takes the lease
-// and serves as primary, or opens its replica image and follows.
+// and serves as primary, or opens its directory as a replica and follows.
 func Start(cfg Config) (*Node, error) {
 	if cfg.NodeID == "" {
 		return nil, fmt.Errorf("cluster: NodeID required")
@@ -201,119 +235,125 @@ func Start(cfg Config) (*Node, error) {
 			return net.DialTimeout("tcp", addr, dialTimeout)
 		}
 	}
-	n := &Node{cfg: cfg, quit: make(chan struct{}), promoted: make(chan struct{})}
+	n := &Node{cfg: cfg, quit: make(chan struct{}), tailDone: make(chan struct{}), promoted: make(chan struct{})}
 	if cfg.Logger != nil {
 		n.log = cfg.Logger
 	} else {
 		n.log = telemetry.Discard()
 	}
 	if reg := cfg.Telemetry; reg != nil {
-		n.tm = nodeMetrics{
-			renewals: reg.Counter("cluster_lease_renewals_total", "successful lease acquisitions/renewals by this node"),
-			losses: reg.Counter("cluster_lease_losses_total",
-				"refused renewals — each one fences the local gateway"),
-			promotions: reg.Counter("cluster_promotions_total", "follower-to-primary promotions"),
-		}
-		n.tm.unreg = reg.RegisterCollector(func(emit func(telemetry.Sample)) {
-			n.mu.Lock()
-			role, holder, renewed := n.role, n.leaseHolder, n.leaseRenewed
-			fol, last := n.fol, n.lastFol
-			plane, lastRead := n.plane, n.lastRead
-			n.mu.Unlock()
-			var isPrimary, held float64
-			if role == RolePrimary {
-				isPrimary = 1
-			}
-			if holder == cfg.NodeID && !renewed.IsZero() {
-				held = 1
-			}
-			emit(telemetry.Sample{Name: "cluster_role", Help: "1 while this node serves as primary",
-				Kind: telemetry.KindGauge, Value: isPrimary})
-			emit(telemetry.Sample{Name: "cluster_lease_held", Help: "1 while this node holds the lease",
-				Kind: telemetry.KindGauge, Value: held})
-			fst := last
-			if fol != nil {
-				fst = fol.Stats()
-				if lc := fol.lastContact.Load(); lc != 0 {
-					emit(telemetry.Sample{Name: "cluster_repl_last_contact_ms",
-						Help: "milliseconds since the last frame from the primary",
-						Kind: telemetry.KindGauge, Value: float64(time.Now().UnixNano()-lc) / 1e6})
-				}
-			}
-			emit(telemetry.Sample{Name: "cluster_repl_applied_total", Help: "live stream entries folded by this replica",
-				Kind: telemetry.KindCounter, Value: float64(fst.Applied)})
-			emit(telemetry.Sample{Name: "cluster_repl_snapshot_transfers_total", Help: "snapshot transfers applied by this replica",
-				Kind: telemetry.KindCounter, Value: float64(fst.Snapshots)})
-			rst := lastRead
-			if plane != nil {
-				rst = plane.Stats()
-			}
-			emit(telemetry.Sample{Name: "cluster_read_queries_total",
-				Help: "read requests served by the follower read plane (refusals included)",
-				Kind: telemetry.KindCounter, Value: float64(rst.Queries)})
-			emit(telemetry.Sample{Name: "cluster_read_stale_total",
-				Help: "typed freshness refusals (replica cursor below the query's MinOffset)",
-				Kind: telemetry.KindCounter, Value: float64(rst.Stale)})
-			emit(telemetry.Sample{Name: "cluster_read_qcache_hits_total",
-				Help: "replica queries served from the noise-reuse answer cache",
-				Kind: telemetry.KindCounter, Value: float64(rst.CacheHits)})
-			emit(telemetry.Sample{Name: "cluster_read_qcache_misses_total",
-				Help: "replica queries evaluated against the owner's resident backend",
-				Kind: telemetry.KindCounter, Value: float64(rst.CacheMisses)})
-			emit(telemetry.Sample{Name: "cluster_read_rebuilds_total",
-				Help: "read-plane materializations from history (an owner's first read, or after a dropped machine)",
-				Kind: telemetry.KindCounter, Value: float64(rst.Rebuilds)})
-		})
+		n.tm.unreg = reg.RegisterCollector(n.emitTelemetry)
 	}
 	lis, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
+		err = fmt.Errorf("cluster: listen: %w", err)
+	} else {
+		n.addr = lis.Addr().String()
+		if err = n.start(lis); err != nil {
+			lis.Close()
+		}
+	}
+	if err != nil {
+		// Nothing of the node survives a failed Start — its collector least of
+		// all: the registry would keep reporting a node that does not exist.
 		if n.tm.unreg != nil {
 			n.tm.unreg()
 		}
-		return nil, fmt.Errorf("cluster: listen: %w", err)
-	}
-	n.lis = lis
-
-	if cfg.ReplicaOf == "" {
-		if st, won, err := cfg.Lease.Acquire(cfg.NodeID, n.Addr(), cfg.LeaseTTL); err != nil {
-			lis.Close()
-			if n.tm.unreg != nil {
-				n.tm.unreg()
-			}
-			return nil, err
-		} else if won {
-			n.recordLease(cfg.NodeID, true)
-			if err := n.startPrimary(); err != nil {
-				_ = cfg.Lease.Release(cfg.NodeID)
-				lis.Close()
-				if n.tm.unreg != nil {
-					n.tm.unreg()
-				}
-				return nil, err
-			}
-			return n, nil
-		} else {
-			n.recordLease(st.Holder, false)
-		}
-	}
-	fol, err := openFollower(cfg.StoreDir, n.shardCount(), cfg.Gateway.HistoryWindow, cfg.Gateway.SnapshotEvery, cfg.Gateway.Fsync, n.log.With("node", cfg.NodeID), cfg.Gateway.Tracer)
-	if err != nil {
-		lis.Close()
 		return nil, err
 	}
-	n.fol = fol
-	// The follower read plane serves "DPSQ" connections from the replica.
-	// A config the serving gateway could not materialize (no key, no
-	// backend) degrades to the old refuse-everything follower rather than
-	// failing the node — promotion would surface the same problem louder.
-	if plane, perr := newReadPlane(cfg, fol, n.log.With("node", cfg.NodeID)); perr != nil {
-		n.log.Warn("read plane disabled", "node", cfg.NodeID, "err", perr)
-	} else {
-		n.plane = plane
-	}
-	n.wg.Add(1)
-	go n.runFollower()
 	return n, nil
+}
+
+// start takes the node's role on lis: primary if the lease is free, follower
+// otherwise (or always, for a pinned standby).
+func (n *Node) start(lis net.Listener) error {
+	if n.cfg.ReplicaOf == "" {
+		st, won, err := n.cfg.Lease.Acquire(n.cfg.NodeID, n.addr, n.cfg.LeaseTTL)
+		if err != nil {
+			return err
+		}
+		if won {
+			n.recordLease(n.cfg.NodeID, true)
+			close(n.tailDone) // this node never follows
+			if err := n.startPrimary(lis); err != nil {
+				_ = n.cfg.Lease.Release(n.cfg.NodeID)
+				return err
+			}
+			return nil
+		}
+		n.recordLease(st.Holder, false)
+	}
+	gw, err := gateway.NewReplica("", n.gatewayConfig(lis, nil))
+	if err != nil {
+		return fmt.Errorf("cluster: opening replica: %w", err)
+	}
+	n.mu.Lock() // a scrape may already be reading
+	n.gw = gw
+	n.fol = newFollower(gw, n.log.With("node", n.cfg.NodeID), n.cfg.Gateway.Tracer)
+	n.mu.Unlock()
+	n.wg.Add(2)
+	go func() {
+		defer n.wg.Done()
+		_ = gw.Serve()
+	}()
+	go n.runFollower()
+	return nil
+}
+
+// gatewayConfig is the node's serving configuration over its own directory
+// and listener.
+func (n *Node) gatewayConfig(lis net.Listener, repl gateway.Replicator) gateway.Config {
+	cfg := n.cfg.Gateway
+	cfg.StoreDir, cfg.Listener, cfg.Replicator = n.cfg.StoreDir, lis, repl
+	if cfg.Telemetry == nil {
+		cfg.Telemetry = n.cfg.Telemetry
+	}
+	if cfg.Logger == nil {
+		// Hub and gateway events carry the node ID; the node's own log lines
+		// attach it per call, so the shared logger itself stays unadorned.
+		cfg.Logger = n.log.With("node", n.cfg.NodeID)
+	}
+	return cfg
+}
+
+// emitTelemetry is the node's scrape-time collector.
+func (n *Node) emitTelemetry(emit func(telemetry.Sample)) {
+	n.mu.Lock()
+	role, holder, renewed, fol := n.role, n.leaseHolder, n.leaseRenewed, n.fol
+	n.mu.Unlock()
+	st := n.Stats()
+	var isPrimary, held float64
+	if role == RolePrimary {
+		isPrimary = 1
+	}
+	if holder == n.cfg.NodeID && !renewed.IsZero() {
+		held = 1
+	}
+	gauge := func(name, help string, v float64) {
+		emit(telemetry.Sample{Name: name, Help: help, Kind: telemetry.KindGauge, Value: v})
+	}
+	counter := func(name, help string, v float64) {
+		emit(telemetry.Sample{Name: name, Help: help, Kind: telemetry.KindCounter, Value: v})
+	}
+	gauge("cluster_role", "1 while this node serves as primary", isPrimary)
+	gauge("cluster_lease_held", "1 while this node holds the lease", held)
+	counter("cluster_lease_renewals_total", "successful lease acquisitions/renewals by this node", float64(n.tm.renewals.Value()))
+	counter("cluster_lease_losses_total", "refused renewals — each one fences the local gateway", float64(n.tm.losses.Value()))
+	counter("cluster_promotions_total", "follower-to-primary promotions", float64(n.tm.promotions.Value()))
+	if fol != nil && role == RoleFollower {
+		if lc := fol.lastContact.Load(); lc != 0 {
+			gauge("cluster_repl_last_contact_ms", "milliseconds since the last frame from the primary",
+				float64(time.Now().UnixNano()-lc)/1e6)
+		}
+	}
+	counter("cluster_repl_applied_total", "stream entries applied by this replica", float64(st.Follower.Applied))
+	counter("cluster_repl_snapshot_transfers_total", "snapshot transfers applied by this replica", float64(st.Follower.Snapshots))
+	rp := st.ReadPlane
+	counter("cluster_read_queries_total", "read requests served in replica role (refusals included)", float64(rp.Queries))
+	counter("cluster_read_stale_total", "typed freshness refusals (applied offset below the query's MinOffset)", float64(rp.Stale))
+	counter("cluster_read_qcache_hits_total", "queries served from the noise-reuse answer cache", float64(rp.CacheHits))
+	counter("cluster_read_qcache_misses_total", "queries evaluated against the owner's resident backend", float64(rp.CacheMisses))
+	counter("cluster_read_rebuilds_total", "tenants re-materialised from history after a failed replica ingest (0 on a healthy replica)", float64(rp.Rebuilds))
 }
 
 // recordLease notes the arbiter's verdict: who holds the lease, and (when
@@ -330,17 +370,8 @@ func (n *Node) recordLease(holder string, won bool) {
 	}
 }
 
-// shardCount resolves the shard-worker count the same way gateway.New does,
-// so the replica's store layout matches what promotion will recover.
-func (n *Node) shardCount() int {
-	if n.cfg.Gateway.Shards > 0 {
-		return n.cfg.Gateway.Shards
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Addr returns the node's bound listen address.
-func (n *Node) Addr() string { return n.lis.Addr().String() }
+func (n *Node) Addr() string { return n.addr }
 
 // Role returns the node's current role.
 func (n *Node) Role() Role {
@@ -354,6 +385,9 @@ func (n *Node) Role() Role {
 func (n *Node) Gateway() *gateway.Gateway {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.role != RolePrimary {
+		return nil
+	}
 	return n.gw
 }
 
@@ -364,15 +398,14 @@ func (n *Node) Promoted() <-chan struct{} { return n.promoted }
 // Stats snapshots the node's replication counters.
 func (n *Node) Stats() NodeStats {
 	n.mu.Lock()
-	role, fol, hub, last := n.role, n.fol, n.hub, n.lastFol
-	plane, lastRead := n.plane, n.lastRead
+	role, gw, fol, hub, promotion := n.role, n.gw, n.fol, n.hub, n.promotion
 	n.mu.Unlock()
-	st := NodeStats{Role: role, Follower: last, ReadPlane: lastRead}
+	st := NodeStats{Role: role, Promotion: promotion}
 	if fol != nil {
 		st.Follower = fol.Stats()
-	}
-	if plane != nil {
-		st.ReadPlane = plane.Stats()
+		qc := gw.QueryCacheStats()
+		st.ReadPlane = ReadPlaneStats{CacheHits: qc.Hits, CacheMisses: qc.Misses}
+		st.ReadPlane.Queries, st.ReadPlane.Stale, st.ReadPlane.Rebuilds = gw.ReplicaStats()
 	}
 	if hub != nil {
 		st.Hub = hub.Stats()
@@ -381,25 +414,24 @@ func (n *Node) Stats() NodeStats {
 }
 
 // StatusText implements telemetry.Status: the /statusz body — role, lease
-// view, and per-shard durable progress (WAL depth and committed offsets on a
-// primary, follower cursors via the hub; replication counters on a replica).
+// view, the gateway's per-shard durable progress in either role (WAL depth,
+// committed counts, a replica's applied offsets), follower cursors via the hub
+// on a primary, and the replication and read counters of a node that follows
+// or has followed.
 func (n *Node) StatusText() string {
 	n.mu.Lock()
 	role, holder, renewed := n.role, n.leaseHolder, n.leaseRenewed
-	gw, hub, fol, last := n.gw, n.hub, n.fol, n.lastFol
-	plane, lastRead := n.plane, n.lastRead
+	gw, hub, fol := n.gw, n.hub, n.fol
 	n.mu.Unlock()
 	var b strings.Builder
-	fmt.Fprintf(&b, "node: %s\nrole: %s\naddr: %s\n", n.cfg.NodeID, role, n.Addr())
+	fmt.Fprintf(&b, "node: %s\nrole: %s\naddr: %s\n", n.cfg.NodeID, role, n.addr)
 	fmt.Fprintf(&b, "lease holder: %s", holder)
 	if !renewed.IsZero() {
 		fmt.Fprintf(&b, " (renewed %s ago)", time.Since(renewed).Round(time.Millisecond))
 	}
 	b.WriteString("\n")
-	if gw != nil {
-		fmt.Fprintf(&b, "owners: %d  sheds: %d\n", gw.Owners(), gw.Sheds())
-		b.WriteString(gw.DurableStatusText())
-	}
+	fmt.Fprintf(&b, "owners: %d  sheds: %d\n", gw.Owners(), gw.Sheds())
+	b.WriteString(gw.DurableStatusText())
 	if hub != nil {
 		hs := hub.Stats()
 		fmt.Fprintf(&b, "replication: followers=%d shipped=%d snapshots=%d\n", hs.Followers, hs.Shipped, hs.Snapshots)
@@ -408,20 +440,19 @@ func (n *Node) StatusText() string {
 		}
 	}
 	if fol != nil {
-		fst := fol.Stats()
-		fmt.Fprintf(&b, "replica: applied=%d snapshot_transfers=%d\n", fst.Applied, fst.Snapshots)
-		if lc := fol.lastContact.Load(); lc != 0 {
-			fmt.Fprintf(&b, "last primary contact: %.1f ms ago\n", float64(time.Now().UnixNano()-lc)/1e6)
+		st := n.Stats()
+		if role == RoleFollower {
+			fmt.Fprintf(&b, "replica: applied=%d snapshot_transfers=%d\n", st.Follower.Applied, st.Follower.Snapshots)
+			if lc := fol.lastContact.Load(); lc != 0 {
+				fmt.Fprintf(&b, "last primary contact: %.1f ms ago\n", float64(time.Now().UnixNano()-lc)/1e6)
+			}
+		} else {
+			fmt.Fprintf(&b, "replica (promoted in %s): applied=%d snapshot_transfers=%d\n",
+				st.Promotion.Round(time.Microsecond), st.Follower.Applied, st.Follower.Snapshots)
 		}
-	} else if gw == nil {
-		fmt.Fprintf(&b, "replica (sealed): applied=%d snapshot_transfers=%d\n", last.Applied, last.Snapshots)
-	}
-	if plane != nil {
-		lastRead = plane.Stats()
-	}
-	if plane != nil || lastRead != (ReadPlaneStats{}) {
+		rp := st.ReadPlane
 		fmt.Fprintf(&b, "read plane: queries=%d stale=%d cache_hits=%d cache_misses=%d rebuilds=%d\n",
-			lastRead.Queries, lastRead.Stale, lastRead.CacheHits, lastRead.CacheMisses, lastRead.Rebuilds)
+			rp.Queries, rp.Stale, rp.CacheHits, rp.CacheMisses, rp.Rebuilds)
 	}
 	return b.String()
 }
@@ -438,10 +469,10 @@ func (n *Node) Ready() (bool, string) {
 	if closed {
 		return false, "node closed"
 	}
+	if !gw.Store().Healthy() {
+		return false, "WAL writer reported a commit error"
+	}
 	if role == RolePrimary {
-		if gw == nil {
-			return false, "primary without a gateway"
-		}
 		if n.cfg.Lease != nil {
 			if holder != n.cfg.NodeID {
 				return false, fmt.Sprintf("lease held by %q", holder)
@@ -450,13 +481,7 @@ func (n *Node) Ready() (bool, string) {
 				return false, fmt.Sprintf("lease renewal stale by %s", time.Since(renewed).Round(time.Millisecond))
 			}
 		}
-		if st := gw.Store(); st != nil && !st.Healthy() {
-			return false, "WAL writer reported a commit error"
-		}
 		return true, "primary: lease held, WAL healthy"
-	}
-	if fol == nil {
-		return false, "follower not replicating"
 	}
 	bound := 6 * n.cfg.Heartbeat
 	if bound < time.Second {
@@ -472,29 +497,25 @@ func (n *Node) Ready() (bool, string) {
 	return true, "follower: replicating within lag bound"
 }
 
-// startPrimary stands the serving stack up on the node's listener: hub,
-// gateway (recovering whatever the store directory holds), bind, serve,
-// renew. Used by Start (initial primary) and by promotion.
-func (n *Node) startPrimary() error {
-	// Hub and gateway events carry the node ID; the node's own log lines
-	// attach it per call, so the shared logger itself stays unadorned.
-	hub := NewHub(HubConfig{RingSize: n.cfg.RingSize, Heartbeat: n.cfg.Heartbeat,
+// newHub builds the node's replication hub.
+func (n *Node) newHub() *Hub {
+	return NewHub(HubConfig{RingSize: n.cfg.RingSize, Heartbeat: n.cfg.Heartbeat,
 		Logger: n.log.With("node", n.cfg.NodeID), Telemetry: n.cfg.Telemetry})
-	gwCfg := n.cfg.Gateway
-	gwCfg.StoreDir = n.cfg.StoreDir
-	gwCfg.Listener = n.lis
-	gwCfg.Replicator = hub
-	if gwCfg.Telemetry == nil {
-		gwCfg.Telemetry = n.cfg.Telemetry
-	}
-	if gwCfg.Logger == nil {
-		gwCfg.Logger = n.log.With("node", n.cfg.NodeID)
-	}
-	gw, err := gateway.New("", gwCfg)
+}
+
+// startPrimary stands the serving stack up by recovery: hub, gateway.New over
+// whatever the store directory holds, bind, serve, renew. It is how a node
+// that wins the lease at Start comes up, and the fallback of a promotion that
+// cannot flip.
+func (n *Node) startPrimary(lis net.Listener) error {
+	hub := n.newHub()
+	gw, err := gateway.New("", n.gatewayConfig(lis, hub))
 	if err != nil {
+		hub.Close()
 		return err
 	}
 	if err := hub.Bind(gw); err != nil {
+		hub.Close()
 		gw.Kill()
 		return err
 	}
@@ -505,19 +526,26 @@ func (n *Node) startPrimary() error {
 		n.mu.Unlock()
 		hub.Close()
 		gw.Kill()
-		return fmt.Errorf("cluster: node closed during promotion")
+		return errors.New("cluster: node closed during promotion")
 	}
 	n.role, n.gw, n.hub = RolePrimary, gw, hub
 	n.mu.Unlock()
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		_ = gw.Serve()
 	}()
+	n.servePrimary(gw, hub)
+	return nil
+}
+
+// servePrimary starts renewing the lease for the primary-role gateway the
+// node just published and announces the role.
+func (n *Node) servePrimary(gw *gateway.Gateway, hub *Hub) {
+	n.wg.Add(1)
 	go n.renewLoop(gw, hub)
 	n.promotedOnce.Do(func() { close(n.promoted) })
-	n.log.Info("serving as primary", "node", n.cfg.NodeID, "addr", n.Addr())
-	return nil
+	n.log.Info("serving as primary", "node", n.cfg.NodeID, "addr", n.addr)
 }
 
 // renewLoop keeps the primary's lease alive and fences on loss: a refused
@@ -545,7 +573,7 @@ func (n *Node) renewLoop(gw *gateway.Gateway, hub *Hub) {
 			if n.cfg.Lease == nil {
 				continue
 			}
-			st, ok, err := n.cfg.Lease.Acquire(n.cfg.NodeID, n.Addr(), n.cfg.LeaseTTL)
+			st, ok, err := n.cfg.Lease.Acquire(n.cfg.NodeID, n.addr, n.cfg.LeaseTTL)
 			if err != nil {
 				// Arbiter unreachable: keep serving. Nobody else can acquire
 				// through the same arbiter, so the TTL still fences.
@@ -565,14 +593,12 @@ func (n *Node) renewLoop(gw *gateway.Gateway, hub *Hub) {
 	}
 }
 
-// runFollower is the follower role loop: refuse clients on the bound
-// listener, tail whoever holds the lease, campaign when it lapses, and
-// promote on a win.
+// runFollower is the follower role loop: tail whoever holds the lease,
+// campaign when it lapses, and promote on a win. Clients are the gateway's
+// business from the start — it serves readers and refuses writers by role.
 func (n *Node) runFollower() {
 	defer n.wg.Done()
-	stopRefuse := make(chan struct{})
-	refuseDone := make(chan struct{})
-	go n.refuseLoop(stopRefuse, refuseDone)
+	defer close(n.tailDone)
 	readTO := 6 * n.cfg.Heartbeat
 	if readTO < time.Second {
 		readTO = time.Second
@@ -582,15 +608,12 @@ func (n *Node) runFollower() {
 	for {
 		select {
 		case <-n.quit:
-			close(stopRefuse)
-			<-refuseDone
-			n.sealFollower()
 			return
 		default:
 		}
 		primary := n.cfg.ReplicaOf
 		if primary == "" {
-			st, won, err := n.cfg.Lease.Acquire(n.cfg.NodeID, n.Addr(), n.cfg.LeaseTTL)
+			st, won, err := n.cfg.Lease.Acquire(n.cfg.NodeID, n.addr, n.cfg.LeaseTTL)
 			if err != nil {
 				n.log.Warn("campaign error", "node", n.cfg.NodeID, "err", err)
 				n.sleep(backoff)
@@ -598,19 +621,21 @@ func (n *Node) runFollower() {
 			}
 			if won {
 				n.recordLease(n.cfg.NodeID, true)
-				close(stopRefuse)
-				<-refuseDone
+				start := time.Now()
 				if err := n.promote(); err != nil {
 					n.log.Error("promotion failed", "node", n.cfg.NodeID, "err", err)
 					_ = n.cfg.Lease.Release(n.cfg.NodeID)
-					n.lis.Close()
+					return
 				}
+				n.mu.Lock()
+				n.promotion = time.Since(start)
+				n.mu.Unlock()
 				return
 			}
 			n.recordLease(st.Holder, false)
 			primary = st.Addr
 		}
-		if primary == "" || primary == n.Addr() {
+		if primary == "" || primary == n.addr {
 			n.sleep(backoff)
 			continue
 		}
@@ -630,21 +655,17 @@ func (n *Node) runFollower() {
 		// closed here — never left for nobody to close while tail reads a
 		// healthy primary forever.
 		n.mu.Lock()
-		fol, closed := n.fol, n.closed
+		closed := n.closed
 		if !closed {
 			n.tailConn = conn
 		}
 		n.mu.Unlock()
 		if closed {
 			conn.Close()
-			if fol == nil { // Kill: the replica is already gone
-				return
-			}
-			<-n.quit // Close: seal at the top of the loop
-			continue
+			return
 		}
 		start := time.Now()
-		err = fol.tail(conn, n.cfg.NodeID, readTO)
+		err = n.fol.tail(conn, n.cfg.NodeID, readTO)
 		conn.Close()
 		n.mu.Lock()
 		n.tailConn = nil
@@ -668,116 +689,54 @@ func (n *Node) sleep(d time.Duration) {
 	}
 }
 
-// refuseLoop answers hellos on the follower's listener with the typed
-// refusal, so clients and followers probing a non-primary move on instead
-// of hanging. It polls the listener deadline so promotion can reclaim the
-// listener without closing it.
-func (n *Node) refuseLoop(stop, done chan struct{}) {
-	defer close(done)
-	tcp, _ := n.lis.(*net.TCPListener)
-	for {
-		select {
-		case <-stop:
-			if tcp != nil {
-				_ = tcp.SetDeadline(time.Time{})
-			}
-			return
-		default:
-		}
-		if tcp != nil {
-			_ = tcp.SetDeadline(time.Now().Add(refusePollInterval))
-		}
-		conn, err := n.lis.Accept()
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return // listener closed: node shutting down
-		}
-		go func() {
-			defer conn.Close()
-			_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-			kind, _, err := wire.ReadAnyHello(conn)
-			if err != nil {
-				return
-			}
-			if kind == wire.HelloRead {
-				// Read-only hello: hand the connection to the read plane,
-				// which serves queries from the replicated store instead of
-				// refusing. Sync hellos keep the typed refusal below.
-				n.mu.Lock()
-				plane := n.plane
-				n.mu.Unlock()
-				if plane != nil {
-					_ = conn.SetDeadline(time.Time{})
-					plane.serve(conn)
-					return
-				}
-			}
-			_ = wire.WriteHelloRefused(conn)
-		}()
-	}
-}
-
-// promote turns the follower into the primary: seal the replicated prefix
-// (drain replica WAL appends, close the store — everything beyond it lives
-// in clients' resync windows) and recover a serving gateway over the same
-// directory on the same listener.
+// promote turns the follower into the primary, on the role loop's goroutine
+// after its last tail session returned — so the stream is stopped and no
+// replication step is in flight. The node already holds the lease (the fence).
+// A hub is bound at the shards' stream heads and the gateway flips role once
+// its shards have drained: the tenants, backends and answer caches the stream
+// kept current are what the node serves next, with no pass over the directory.
 func (n *Node) promote() error {
-	n.mu.Lock()
-	fol := n.fol
-	plane := n.plane
-	n.plane = nil
-	n.mu.Unlock()
-	if plane != nil {
-		// No read request may touch the store once sealing starts; the
-		// plane's counters survive in lastRead for status continuity.
-		plane.shutdown()
-		n.mu.Lock()
-		n.lastRead = plane.Stats()
-		n.mu.Unlock()
-	}
-	if err := fol.seal(); err != nil {
-		// The directory still holds the longest provable prefix; promote it.
-		n.log.Warn("sealing replica failed; promoting committed prefix", "node", n.cfg.NodeID, "err", err)
-	}
-	n.mu.Lock()
-	n.lastFol = fol.Stats()
-	n.fol = nil
-	n.mu.Unlock()
-	n.log.Info("promoting", "node", n.cfg.NodeID, "addr", n.Addr())
+	n.log.Info("promoting", "node", n.cfg.NodeID, "addr", n.addr)
 	n.tm.promotions.Inc()
-	return n.startPrimary()
-}
-
-// sealFollower closes the replica gracefully (quiesce + store close) at
-// node shutdown.
-func (n *Node) sealFollower() {
-	n.mu.Lock()
-	fol := n.fol
-	plane := n.plane
-	n.fol, n.plane = nil, nil
-	if fol != nil {
-		n.lastFol = fol.Stats()
+	hub := n.newHub()
+	err := hub.Bind(n.gw)
+	if err == nil {
+		err = n.gw.Promote(hub)
 	}
-	n.mu.Unlock()
-	if plane != nil {
-		plane.shutdown()
+	if err == nil {
+		// A Close racing this waits for the role loop to return before it
+		// touches the gateway, so it finds a whole primary to shut down; a Kill
+		// has killed this same gateway already, and the renew loop below winds
+		// the hub down with it.
 		n.mu.Lock()
-		n.lastRead = plane.Stats()
+		n.role, n.hub = RolePrimary, hub
 		n.mu.Unlock()
+		n.servePrimary(n.gw, hub)
+		return nil
 	}
-	if fol == nil {
-		return
+	hub.Close()
+	if !errors.Is(err, gateway.ErrUnhealthyReplica) {
+		return err // the node is shutting down; Close or Kill ends the gateway
 	}
-	if err := fol.seal(); err != nil {
-		n.log.Warn("sealing replica at shutdown failed", "node", n.cfg.NodeID, "err", err)
+	// RAM is ahead of what the directory can prove. Drop it and serve what
+	// recovery proves instead, on the same address.
+	n.log.Warn("replica WAL unhealthy; promoting by recovery", "node", n.cfg.NodeID)
+	n.gw.Kill()
+	lis, err := net.Listen("tcp", n.addr)
+	if err != nil {
+		return fmt.Errorf("cluster: rebinding %s: %w", n.addr, err)
 	}
+	if err := n.startPrimary(lis); err != nil {
+		lis.Close()
+		return err
+	}
+	return nil
 }
 
-// Close shuts the node down gracefully: a primary drains its gateway
-// (bounded by DrainTimeout) and releases the lease; a follower seals its
-// replica. Safe to call in any role and more than once.
+// Close shuts the node down gracefully: the replication tail stops first,
+// then the gateway drains (bounded by DrainTimeout), flushes and closes its
+// store; a primary also flushes its followers and releases the lease. Safe to
+// call in any role and more than once.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -785,22 +744,20 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	gw := n.gw
 	conn := n.tailConn
 	n.mu.Unlock()
 	close(n.quit)
-	var err error
-	if gw != nil {
-		err = gw.Close() // renewLoop releases the lease and closes the hub
-	} else {
-		n.lis.Close()
-		if conn != nil {
-			conn.Close()
-		}
-		if n.cfg.Lease != nil {
-			_ = n.cfg.Lease.Release(n.cfg.NodeID)
-		}
+	if conn != nil {
+		conn.Close()
 	}
+	<-n.tailDone // a promotion in flight has landed, or failed, before this
+	n.mu.Lock()
+	gw, role := n.gw, n.role
+	n.mu.Unlock()
+	if role == RoleFollower && n.cfg.Lease != nil {
+		_ = n.cfg.Lease.Release(n.cfg.NodeID)
+	}
+	err := gw.Close() // a primary's renewLoop releases the lease and closes the hub
 	n.wg.Wait()
 	if n.tm.unreg != nil {
 		n.tm.unreg()
@@ -818,37 +775,16 @@ func (n *Node) Kill() {
 		return
 	}
 	n.closed, n.killed = true, true
-	gw := n.gw
-	hub := n.hub
-	conn := n.tailConn
-	fol := n.fol
-	plane := n.plane
-	n.fol, n.plane = nil, nil
-	if fol != nil {
-		n.lastFol = fol.Stats()
-	}
+	gw, hub, conn := n.gw, n.hub, n.tailConn
 	n.mu.Unlock()
 	close(n.quit)
-	if gw != nil {
-		if hub != nil {
-			hub.Close()
-		}
-		gw.Kill()
-	} else {
-		n.lis.Close()
-		if conn != nil {
-			conn.Close()
-		}
-		if plane != nil {
-			plane.shutdown()
-			n.mu.Lock()
-			n.lastRead = plane.Stats()
-			n.mu.Unlock()
-		}
-		if fol != nil {
-			fol.kill()
-		}
+	if conn != nil {
+		conn.Close()
 	}
+	if hub != nil {
+		hub.Close()
+	}
+	gw.Kill()
 	n.wg.Wait()
 	if n.tm.unreg != nil {
 		n.tm.unreg()

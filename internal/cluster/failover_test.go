@@ -93,6 +93,17 @@ func startNode(t *testing.T, id string, lease cluster.Lease, key []byte, ttl tim
 	return n
 }
 
+// waitFor polls cond until it holds; the test fails if it does not within
+// the bound.
+func waitFor(t *testing.T, within time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(within); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out after %v waiting for %s", within, what)
+		}
+	}
+}
+
 func waitPromoted(t *testing.T, n *cluster.Node, within time.Duration) {
 	t.Helper()
 	select {
@@ -120,13 +131,7 @@ func TestClusterReplicationAndPromotionSmoke(t *testing.T) {
 
 	// Let the follower join before driving load, so every committed entry
 	// ships on the live stream and the catch-up below is exact.
-	deadline := time.Now().Add(5 * time.Second)
-	for a.Stats().Hub.Followers == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("follower never connected to the primary")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, 5*time.Second, "the follower to connect to the primary", func() bool { return a.Stats().Hub.Followers > 0 })
 
 	conn, err := client.DialGateway(a.Addr(), key,
 		client.WithAddrs(b.Addr()), client.WithReconnect(100), client.WithResyncWindow(-1))
@@ -147,12 +152,7 @@ func TestClusterReplicationAndPromotionSmoke(t *testing.T) {
 
 	// Replication is asynchronous; wait until the replica has folded every
 	// committed entry, so the promoted clock provably equals the acked one.
-	for b.Stats().Follower.Applied < preKill+1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica stuck at %+v", b.Stats().Follower)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, 5*time.Second, "the replica to apply every committed entry", func() bool { return b.Stats().Follower.Applied >= preKill+1 })
 
 	a.Kill()
 	waitPromoted(t, b, 10*time.Second)

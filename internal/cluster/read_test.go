@@ -155,13 +155,7 @@ func TestReadPlaneDifferential(t *testing.T) {
 	if a.Role() != cluster.RolePrimary || b.Role() != cluster.RoleFollower {
 		t.Fatalf("roles: a=%v b=%v", a.Role(), b.Role())
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for a.Stats().Hub.Followers == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("follower never connected")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, 10*time.Second, "the follower to connect", func() bool { return a.Stats().Hub.Followers > 0 })
 
 	const owner = "owner-read"
 	wconn, err := client.DialGateway(a.Addr(), key)
@@ -193,12 +187,7 @@ func TestReadPlaneDifferential(t *testing.T) {
 		}
 	}
 	const cursor = updates + 1 // one owner, one shard stream: setup + updates
-	for b.Stats().Follower.Applied < cursor {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica stuck at %+v", b.Stats().Follower)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, 10*time.Second, "the replica to reach the cursor", func() bool { return b.Stats().Follower.Applied >= cursor })
 
 	// Single-owner reference: the same batches through the in-process
 	// single-owner stack.
@@ -327,12 +316,7 @@ func TestReadPlaneDifferential(t *testing.T) {
 	// Heal. The replica catches up and converges: the same query, now served
 	// by the follower at the advanced cursor, matches the primary's bytes.
 	gate.resume()
-	for b.Stats().Follower.Applied < cursor+extra {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never caught up: %+v", b.Stats().Follower)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, 10*time.Second, "the healed replica to catch up", func() bool { return b.Stats().Follower.Applied >= cursor+extra })
 	cAns, cCost, err := rOwn.QueryAt(query.Q1(), cursor+extra)
 	if err != nil {
 		t.Fatal(err)
@@ -384,13 +368,7 @@ func TestReadPlaneServesSpilledHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for b.Stats().Follower.Applied < syncs {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica stuck at %+v", b.Stats().Follower)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, 10*time.Second, "the replica to apply every sync", func() bool { return b.Stats().Follower.Applied >= syncs })
 
 	pconn, err := client.DialGateway(a.Addr(), key)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dpsync/internal/gateway"
+	"dpsync/internal/store"
 )
 
 // TestWindowlessFollowerRotationAmortised pins the replica's rotation cost
@@ -25,12 +26,12 @@ func TestWindowlessFollowerRotationAmortised(t *testing.T) {
 		if err := r.ship("owner-0", tick, rigRecords(0, tick), rigEps); err != nil {
 			t.Fatal(err)
 		}
+		r.settle("owner-0")
 		if first == 0 {
-			first = r.f.st.Metrics().SnapshotBytes
+			first = r.metrics().SnapshotBytes
 		}
 	}
-	r.f.pending[0].Wait()
-	m := r.f.st.Metrics()
+	m := r.metrics()
 	if m.Snapshots < 3 || first == 0 {
 		t.Fatalf("%d rotations over %d entries: the run does not exercise the cadence", m.Snapshots, 8*snapEvery)
 	}
@@ -39,6 +40,12 @@ func TestWindowlessFollowerRotationAmortised(t *testing.T) {
 			m.Snapshots, m.SnapshotBytes, m.Bytes, first)
 	}
 	t.Logf("%d rotations, %d image bytes, %d WAL bytes (%.2f×)", m.Snapshots, m.SnapshotBytes, m.Bytes, float64(m.SnapshotBytes)/float64(m.Bytes))
+}
+
+// metrics are the replica's store counters.
+func (r *replica) metrics() store.Metrics {
+	m, _ := r.gw.StoreMetrics()
+	return m
 }
 
 // warnCounter is a slog handler that counts warnings.
@@ -70,8 +77,9 @@ func TestFollowerFailedRotationWaitsForDoubledLog(t *testing.T) {
 		if err := r.ship("owner-0", tick+1, rigRecords(0, tick+1), rigEps); err != nil {
 			t.Fatal(err)
 		}
+		r.settle("owner-0")
 		if int(warns.n.Load()) > len(failedAt) {
-			failedAt = append(failedAt, r.f.st.RotationStatuses()[0].LogBytes)
+			failedAt = append(failedAt, r.gw.Store().RotationStatuses()[0].LogBytes)
 		}
 	}
 	// Attempts at 8 entries, then at twice and four times that log: 8, 16, 32.
@@ -83,13 +91,13 @@ func TestFollowerFailedRotationWaitsForDoubledLog(t *testing.T) {
 			t.Fatalf("attempt %d came at %d log bytes, the one before failed at %d: want at least double", i, failedAt[i], failedAt[i-1])
 		}
 	}
-	if m := r.f.st.Metrics(); m.Snapshots != 0 {
+	if m := r.metrics(); m.Snapshots != 0 {
 		t.Fatalf("%d rotations succeeded through an occupied temporary path", m.Snapshots)
 	}
 	if err := os.Remove(blocker); err != nil {
 		t.Fatal(err)
 	}
-	for r.f.st.Metrics().Snapshots == 0 {
+	for r.metrics().Snapshots == 0 {
 		tick++
 		if tick > 20*snapEvery {
 			t.Fatal("no rotation after the fault cleared")
@@ -97,8 +105,9 @@ func TestFollowerFailedRotationWaitsForDoubledLog(t *testing.T) {
 		if err := r.ship("owner-0", tick, rigRecords(0, tick), rigEps); err != nil {
 			t.Fatal(err)
 		}
+		r.settle("owner-0")
 	}
-	if got := r.f.st.RotationStatuses()[0]; got.LogBytes != 0 || got.ImageBytes == 0 {
+	if got := r.gw.Store().RotationStatuses()[0]; got.LogBytes != 0 || got.ImageBytes == 0 {
 		t.Fatalf("status after the rotation that succeeded: %+v", got)
 	}
 }

@@ -2,6 +2,8 @@ package cluster_test
 
 import (
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -262,4 +264,51 @@ func findShippedTrace(primary, follower telemetry.TraceDump) (telemetry.TraceSna
 		}
 	}
 	return telemetry.TraceSnap{}, telemetry.SpanSnap{}
+}
+
+// TestStartFailureLeavesNoCollector pins Start's cleanup on every way it can
+// fail after registering its collector — the follower's store failing to open
+// was the path that leaked it: the registry of a node that never came up
+// reports no cluster series (a scraper would read cluster_role for a node that
+// does not exist) and none of a gateway's either.
+func TestStartFailureLeavesNoCollector(t *testing.T) {
+	key, err := seal.NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	notADir := filepath.Join(t.TempDir(), "store")
+	if err := os.WriteFile(notADir, []byte("x"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	held := cluster.NewMemLease(nil)
+	if _, won, err := held.Acquire("someone-else", "127.0.0.1:1", time.Minute); err != nil || !won {
+		t.Fatalf("seeding the lease: won %v, err %v", won, err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  cluster.Config
+	}{
+		{"follower store", cluster.Config{StoreDir: notADir, Lease: held}},
+		{"pinned standby store", cluster.Config{StoreDir: notADir, ReplicaOf: "127.0.0.1:1"}},
+		{"primary store", cluster.Config{StoreDir: notADir, Lease: cluster.NewMemLease(nil)}},
+		{"listen", cluster.Config{StoreDir: t.TempDir(), Lease: held, Addr: "256.0.0.1:0"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.New()
+			cfg := tc.cfg
+			cfg.NodeID, cfg.Telemetry, cfg.Gateway = "node-x", reg, gateway.Config{Key: key, Shards: 1}
+			if cfg.Addr == "" {
+				cfg.Addr = "127.0.0.1:0"
+			}
+			if n, err := cluster.Start(cfg); err == nil {
+				n.Close()
+				t.Fatal("Start succeeded")
+			}
+			for _, s := range reg.Snapshot() {
+				if strings.HasPrefix(s.Name, "cluster_") || s.Name == "gateway_owners" {
+					t.Fatalf("a node that failed to start still reports %s", s.Name)
+				}
+			}
+		})
+	}
 }

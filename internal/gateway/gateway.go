@@ -196,15 +196,17 @@ type Config struct {
 	// it and a crash cannot resurrect a stale entry.
 	QueryCache int
 	// Listener, when non-nil, is a pre-bound listener the gateway adopts
-	// instead of binding addr — how a promoting cluster follower hands the
-	// address it was already refusing clients on to its new gateway without
-	// a bind race. The gateway owns it from New on (Close closes it).
+	// instead of binding addr — how a cluster node gives the address it bound
+	// at Start to the one gateway it runs in either role. The gateway owns it
+	// from New on (Close closes it).
 	Listener net.Listener
 	// Replicator, when non-nil, taps the durable commit stream for WAL
 	// shipping (internal/cluster's primary hub): every committed sync entry
 	// is offered in commit order on its shard worker, and connections whose
 	// hello opens the replication protocol are handed over to it. Requires
-	// StoreDir — replication ships WAL frames, so there must be a WAL.
+	// StoreDir — replication ships WAL frames, so there must be a WAL. A
+	// replica-role gateway (NewReplica) starts without one and is given its
+	// hub by Promote.
 	Replicator Replicator
 }
 
@@ -237,10 +239,21 @@ type replFlusher interface {
 	Flush(timeout time.Duration)
 }
 
-// Gateway is the multi-tenant server. Create with New, drive with Serve,
-// stop with Close.
+// Gateway is the multi-tenant server. Create with New (or NewReplica), drive
+// with Serve, stop with Close.
+//
+// A gateway has a role, set by its constructor and flipped at most once, by
+// Promote. A replica is the same server fed by a replication stream instead
+// of by writers: its shard workers advance their tenants one shipped entry at
+// a time (Replicate), the same connection loop serves it but only read-only
+// connections ("DPSQ"; other hellos are refused so the dialer moves on to the
+// primary), and a read whose freshness bound the shard's applied stream
+// offset has not reached gets the typed wire.ErrStale with that offset —
+// checked on the worker that applies the stream, so a read sees whole batches
+// and is as fresh as its check said by goroutine ownership, not by a lock.
 type Gateway struct {
 	cfg     Config
+	replica atomic.Bool // the role; cleared once, by Promote
 	lis     net.Listener
 	log     *slog.Logger
 	tenants *Tenants     // builds tenant machines (backend, ingress sealer, answer cache)
@@ -254,6 +267,13 @@ type Gateway struct {
 	severed    atomic.Int64 // connections severed as hostile/stalled
 	liveConns  atomic.Int64 // currently open client connections
 	liveRepl   atomic.Int64 // currently open replication connections
+
+	// Replica-role accounting, counted on the shard workers: reads dispatched,
+	// reads refused as stale, and tenants re-materialised from history after a
+	// failed ingest (0 on a healthy replica). They stop moving at Promote.
+	replicaReads atomic.Int64
+	replicaStale atomic.Int64
+	rebuilds     atomic.Int64
 
 	connWG  sync.WaitGroup
 	replWG  sync.WaitGroup // replication handlers, drained separately
@@ -302,8 +322,22 @@ type timedResponse struct {
 	tc   telemetry.TraceContext
 }
 
-// New creates a gateway listening on addr (port 0 picks a free port).
-func New(addr string, cfg Config) (*Gateway, error) {
+// New creates a primary-role gateway listening on addr (port 0 picks a free
+// port).
+func New(addr string, cfg Config) (*Gateway, error) { return newGateway(addr, cfg, false) }
+
+// NewReplica creates a replica-role gateway over cfg.StoreDir: it recovers
+// the directory exactly as New does — every owner resident, because a replica
+// must fit what it may become — and from then on is advanced by Replicate
+// until Promote makes it the primary. cfg.Replicator must be nil.
+func NewReplica(addr string, cfg Config) (*Gateway, error) {
+	if cfg.StoreDir == "" || cfg.Replicator != nil {
+		return nil, fmt.Errorf("gateway: a replica needs StoreDir and takes its Replicator at Promote")
+	}
+	return newGateway(addr, cfg, true)
+}
+
+func newGateway(addr string, cfg Config, replica bool) (*Gateway, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -329,6 +363,7 @@ func New(addr string, cfg Config) (*Gateway, error) {
 		return nil, fmt.Errorf("gateway: Replicator requires StoreDir (replication ships WAL frames)")
 	}
 	g := &Gateway{cfg: cfg, quit: make(chan struct{}), conns: map[net.Conn]struct{}{}, replConns: map[net.Conn]struct{}{}}
+	g.replica.Store(replica)
 	if cfg.Logger != nil {
 		g.log = cfg.Logger
 	} else {
@@ -414,9 +449,21 @@ func New(addr string, cfg Config) (*Gateway, error) {
 			})
 		}
 	}
+	// A gateway that fails to come up leaves nothing behind: not its
+	// collectors (a registry must not report a server that does not exist), not
+	// an open store.
+	fail := func(err error) (*Gateway, error) {
+		if g.store != nil {
+			g.store.Close()
+		}
+		if g.tm.unreg != nil {
+			g.tm.unreg()
+		}
+		return nil, err
+	}
 	var err error
 	if g.tenants, err = NewTenants(cfg, g.tm.cache); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	g.shards = make([]*shard, cfg.Shards)
 	for i := range g.shards {
@@ -429,20 +476,13 @@ func New(addr string, cfg Config) (*Gateway, error) {
 	}
 	if cfg.StoreDir != "" {
 		if err := g.openStore(); err != nil {
-			return nil, err
+			return fail(err)
 		}
 	}
 	if cfg.Listener != nil {
 		g.lis = cfg.Listener
-	} else {
-		lis, err := net.Listen("tcp", addr)
-		if err != nil {
-			if g.store != nil {
-				g.store.Close()
-			}
-			return nil, fmt.Errorf("gateway: listen: %w", err)
-		}
-		g.lis = lis
+	} else if g.lis, err = net.Listen("tcp", addr); err != nil {
+		return fail(fmt.Errorf("gateway: listen: %w", err))
 	}
 	for _, sh := range g.shards {
 		g.shardWG.Add(1)
@@ -476,13 +516,17 @@ func (g *Gateway) openStore() error {
 		sid := store.ShardFor(owner, g.cfg.Shards)
 		tn, err := g.tenants.Replay(s, sid, states[owner])
 		if err != nil {
-			s.Close()
 			return err
 		}
 		g.shards[sid].owners[owner] = tn
 		g.ownerCount.Add(1)
-		// Every tick 1..clock is one committed entry, wherever its bytes live.
+		// Every tick 1..clock is one committed entry, wherever its bytes live
+		// — which is also the shard's position in the replication stream.
 		g.shards[sid].committedAtomic.Add(int64(tn.Clock))
+		g.shards[sid].applied += tn.Clock
+	}
+	for _, sh := range g.shards {
+		sh.appliedAtomic.Store(sh.applied)
 	}
 	if g.tm.on {
 		for _, sh := range g.shards {
@@ -612,7 +656,7 @@ func (g *Gateway) shutdown(abandon bool) error {
 		}
 	}
 	g.connWG.Wait()
-	if !abandon {
+	if !abandon && !g.replica.Load() { // a replica has no followers to hand over to
 		// Clients are drained, so the committed stream is final. Syncs that
 		// committed during the drain window are still in the replication
 		// rings; give connected followers a bounded chance to reach the
@@ -687,39 +731,51 @@ func (g *Gateway) shardFor(owner string) *shard {
 	return g.shards[store.ShardFor(owner, len(g.shards))]
 }
 
-// ObservedPattern returns a copy of one owner's update-pattern transcript —
-// the per-tenant leakage DP-Sync bounds. Unknown owners return an empty
-// pattern. The read executes on the owner's shard worker, ordered with that
-// owner's traffic. Racing a concurrent Close returns an empty pattern
-// rather than blocking: the worker drains its queue on shutdown, and the
-// receive below also selects on quit in case the task was never enqueued.
-func (g *Gateway) ObservedPattern(owner string) leakage.Pattern {
-	done := make(chan leakage.Pattern, 1) // buffered: the worker never blocks on it
+// onShard runs fn on sh's worker — with owner's tenant, nil if it has none —
+// after everything already queued there, and waits for it. It reports false if
+// the gateway shut down before fn ran: the worker drains its queue on
+// shutdown, so a task that made it in is still served, and the waits select on
+// quit in case it never was.
+func (g *Gateway) onShard(sh *shard, owner string, fn func(tn *Tenant)) bool {
+	done := make(chan struct{})
 	t := task{owner: owner, peek: true, run: func(tn *Tenant, _ error) {
-		var out leakage.Pattern
-		if tn != nil {
-			out.Events = append(out.Events, tn.Events...)
-		}
-		done <- out
+		fn(tn)
+		close(done)
 	}}
-	sh := g.shardFor(owner)
 	select {
 	case sh.tasks <- t:
 	case <-g.quit:
-		return leakage.Pattern{}
+		return false
 	}
 	select {
-	case p := <-done:
-		return p
+	case <-done:
+		return true
 	case <-g.quit:
 		// The worker may still drain the task; prefer its answer if so.
 		select {
-		case p := <-done:
-			return p
+		case <-done:
+			return true
 		default:
-			return leakage.Pattern{}
+			return false
 		}
 	}
+}
+
+// ObservedPattern returns a copy of one owner's update-pattern transcript —
+// the per-tenant leakage DP-Sync bounds. Unknown owners return an empty
+// pattern. The read executes on the owner's shard worker, ordered with that
+// owner's traffic. Racing a concurrent Close returns an empty pattern rather
+// than blocking.
+func (g *Gateway) ObservedPattern(owner string) leakage.Pattern {
+	var out leakage.Pattern
+	if !g.onShard(g.shardFor(owner), owner, func(tn *Tenant) {
+		if tn != nil {
+			out.Events = append(out.Events, tn.Events...)
+		}
+	}) {
+		return leakage.Pattern{}
+	}
+	return out
 }
 
 // ObservedLedger returns a copy of one owner's privacy-budget ledger — the
@@ -729,31 +785,15 @@ func (g *Gateway) ObservedPattern(owner string) leakage.Pattern {
 // are spent at commit, in the same completion that records the transcript
 // event, so the ledger always matches the transcript it is read next to.
 func (g *Gateway) ObservedLedger(owner string) *dp.Budget {
-	done := make(chan *dp.Budget, 1)
-	t := task{owner: owner, peek: true, run: func(tn *Tenant, _ error) {
-		if tn == nil {
-			done <- dp.NewBudget()
-			return
+	var out *dp.Budget
+	if !g.onShard(g.shardFor(owner), owner, func(tn *Tenant) {
+		if tn != nil {
+			out = tn.Budget.Clone()
 		}
-		done <- tn.Budget.Clone()
-	}}
-	sh := g.shardFor(owner)
-	select {
-	case sh.tasks <- t:
-	case <-g.quit:
+	}) || out == nil {
 		return dp.NewBudget()
 	}
-	select {
-	case b := <-done:
-		return b
-	case <-g.quit:
-		select {
-		case b := <-done:
-			return b
-		default:
-			return dp.NewBudget()
-		}
-	}
+	return out
 }
 
 // OwnerCut executes fn on shard sid's worker with a commit-consistent copy
@@ -767,9 +807,7 @@ func (g *Gateway) ObservedLedger(owner string) *dp.Budget {
 // Returns false if the gateway shut down before fn could run.
 func (g *Gateway) OwnerCut(sid int, fn func([]store.OwnerState)) bool {
 	sh := g.shards[sid]
-	done := make(chan struct{})
-	t := task{peek: true, run: func(_ *Tenant, _ error) {
-		defer close(done)
+	return g.onShard(sh, "", func(*Tenant) {
 		states := make([]store.OwnerState, 0, len(sh.owners))
 		for _, tn := range sh.owners {
 			if tn.Clock != 0 {
@@ -777,23 +815,7 @@ func (g *Gateway) OwnerCut(sid int, fn func([]store.OwnerState)) bool {
 			}
 		}
 		fn(states)
-	}}
-	select {
-	case sh.tasks <- t:
-	case <-g.quit:
-		return false
-	}
-	select {
-	case <-done:
-		return true
-	case <-g.quit:
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
+	})
 }
 
 // Store exposes the durability subsystem (nil in in-memory mode) so the
@@ -819,12 +841,14 @@ func (g *Gateway) StoreMetrics() (m store.Metrics, ok bool) {
 }
 
 // ShardStatus is one shard worker's durable-progress view for the status
-// plane: WAL entries appended but not yet group-committed, and the shard's
-// committed entry total.
+// plane: WAL entries appended but not yet group-committed, the shard's
+// committed entry total, and — on a replica — the replication stream offset
+// it has applied, which is the cursor its tail rejoins from.
 type ShardStatus struct {
 	Shard      int
 	PendingWAL int64
 	Committed  int64
+	Applied    uint64
 }
 
 // ShardStatuses reports every shard's durable progress. It reads atomic
@@ -837,6 +861,7 @@ func (g *Gateway) ShardStatuses() []ShardStatus {
 			Shard:      i,
 			PendingWAL: sh.pendingAtomic.Load(),
 			Committed:  sh.committedAtomic.Load(),
+			Applied:    sh.appliedAtomic.Load(),
 		}
 	}
 	return out
@@ -861,6 +886,9 @@ func (g *Gateway) DurableStatusText() string {
 	}
 	for _, ss := range g.ShardStatuses() {
 		fmt.Fprintf(&b, "shard %d: committed=%d pending_wal=%d", ss.Shard, ss.Committed, ss.PendingWAL)
+		if g.replica.Load() {
+			fmt.Fprintf(&b, " applied=%d", ss.Applied)
+		}
 		if ss.Shard < len(rots) {
 			r := rots[ss.Shard]
 			if r.Age < 0 {
@@ -873,6 +901,13 @@ func (g *Gateway) DurableStatusText() string {
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// ReplicaStats reports what the gateway did in replica role: read requests
+// dispatched (refusals included), reads refused as stale, and tenants rebuilt
+// from history after a failed ingest. The counters stop at Promote.
+func (g *Gateway) ReplicaStats() (reads, stale, rebuilds int64) {
+	return g.replicaReads.Load(), g.replicaStale.Load(), g.rebuilds.Load()
 }
 
 // Live reports currently open client and replication connections.
@@ -935,6 +970,12 @@ func (g *Gateway) handle(conn net.Conn) {
 	kind, versionByte, err := wire.ReadAnyHello(conn)
 	if err != nil {
 		logf("rejecting connection: %v", err)
+		return
+	}
+	if kind != wire.HelloRead && g.replica.Load() {
+		// A replica serves readers only: a writer or a would-be follower gets
+		// the refusal byte and moves on to whoever holds the lease.
+		_ = wire.WriteHelloRefused(conn)
 		return
 	}
 	if kind == wire.HelloRepl {
@@ -1026,12 +1067,12 @@ func (g *Gateway) handle(conn net.Conn) {
 // their latency.
 type clientConn struct {
 	g *Gateway
-	// readOnly marks a connection opened with the read-only hello ("DPSQ").
-	// A primary serves it from the same path as a full client — it is
-	// trivially fresh, so MinOffset never refuses here — but its write half
-	// is disabled: syncs and resumes get the typed not-primary refusal so a
-	// misrouted writer fails loudly instead of mutating state over a
-	// connection negotiated as read-only.
+	// readOnly marks a connection opened with the read-only hello ("DPSQ"),
+	// the only kind a replica accepts. It is served from the same path as a
+	// full client — on a primary it is trivially fresh, so MinOffset never
+	// refuses there — but its write half is disabled: syncs and resumes get
+	// the typed not-primary refusal so a misrouted writer fails loudly instead
+	// of mutating state over a connection negotiated as read-only.
 	readOnly bool
 	logf     func(format string, args ...any) // the handler's bounded logger; reader goroutine only
 	// respCh carries responses to the writer; inflight is the flow-control

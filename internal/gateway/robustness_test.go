@@ -20,6 +20,7 @@ import (
 	"dpsync/internal/record"
 	"dpsync/internal/refdb"
 	"dpsync/internal/seal"
+	"dpsync/internal/store"
 	"dpsync/internal/strategy"
 	"dpsync/internal/wire"
 )
@@ -191,6 +192,17 @@ func TestFaultMatrixDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// waitUntil polls cond until it holds; the test fails if it does not within
+// the bound.
+func waitUntil(t *testing.T, within time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(within); !cond(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s (waited %v)", what, within)
+		}
 	}
 }
 
@@ -372,19 +384,8 @@ func TestSlowTenantShedNotStall(t *testing.T) {
 		t.Fatalf("victim worst-case sync took %v: slow tenant stalled the shard", worst)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for gw.Sheds() == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if gw.Sheds() == 0 {
-		t.Fatalf("flooding tenant was never shed")
-	}
-	for !hogDead.Load() && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !hogDead.Load() {
-		t.Fatalf("flooding tenant was never severed")
-	}
+	waitUntil(t, 10*time.Second, "flooding tenant was never shed", func() bool { return gw.Sheds() > 0 })
+	waitUntil(t, 10*time.Second, "flooding tenant was never severed", hogDead.Load)
 }
 
 // TestCloseDrainDeadline pins the Gateway.Close regression: with live
@@ -508,16 +509,10 @@ func TestWriteStallSevered(t *testing.T) {
 		for i := 0; i < burst && wire.WriteFrame(conn, req) == nil; i++ {
 		}
 	}()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if conns, _ := gw.Live(); conns == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("gateway never severed a peer that stopped reading responses")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitUntil(t, 30*time.Second, "gateway never severed a peer that stopped reading responses", func() bool {
+		conns, _ := gw.Live()
+		return conns == 0
+	})
 	if n := gw.Sheds(); n != 0 {
 		t.Fatalf("%d backpressure sheds: the in-flight cap, not the write deadline, ended the connection", n)
 	}
@@ -527,5 +522,206 @@ func TestWriteStallSevered(t *testing.T) {
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("Close took %v behind a stalled writer", d)
+	}
+}
+
+// startReplica brings a replica-role gateway up over a fresh directory.
+func startReplica(t *testing.T, cfg gateway.Config) (*gateway.Gateway, []byte) {
+	t.Helper()
+	key, err := seal.NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Key, cfg.StoreDir = key, t.TempDir()
+	gw, err := gateway.NewReplica("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = gw.Serve() }()
+	t.Cleanup(func() { _ = gw.Close() })
+	return gw, key
+}
+
+// replicate ships owner's sync at tick (1 is the setup) to a replica, as the
+// next live entry of a one-shard stream.
+func replicate(t *testing.T, gw *gateway.Gateway, key []byte, owner string, tick uint64, rs ...record.Record) {
+	t.Helper()
+	sealer, err := seal.NewSealer(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts, err := sealer.SealAll(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := make([][]byte, len(cts))
+	for i, ct := range cts {
+		sealed[i] = ct
+	}
+	name := "m_update"
+	if tick == 1 {
+		name = "m_setup"
+	}
+	frame, err := store.EncodeEntryFrame(store.Entry{Owner: owner, Batch: store.Batch{
+		Tick: tick, Setup: tick == 1, Sealed: sealed, Charge: store.Charge{Name: name, Rule: dp.Sequential},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	if !gw.Replicate(0, gw.ShardStatuses()[0].Applied+1, frame, func(_ bool, err error) { done <- err }) {
+		t.Fatal("replica shut down")
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rawReadConn dials addr and completes the read-only ("DPSQ") hello.
+func rawReadConn(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	if err := wire.WriteReadHello(conn, wire.CodecBinary); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ReadHelloAck(conn); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// TestReplicaInheritsDefences runs this file's hostile-peer cases against a
+// replica-role gateway over read-only connections — the only kind it accepts.
+// A follower is served by the connection loop a primary is, so it is bounded
+// the same way: a peer sending malformed frames is hung up on at
+// MaxFrameErrors, a peer past MaxInFlight is shed with typed backpressure and then severed, a peer
+// that stops reading is severed at the write deadline, Close is bounded by
+// DrainTimeout — and a writer or a would-be follower still gets the refusal
+// byte, so client.DialGateway moves on to its next address.
+func TestReplicaInheritsDefences(t *testing.T) {
+	stats, err := wire.CodecBinary.EncodeGatewayRequest(wire.GatewayRequest{
+		ID: 1, Owner: "reader", Req: wire.Request{Type: wire.MsgStats},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name string
+		cfg  gateway.Config
+		run  func(t *testing.T, gw *gateway.Gateway, key []byte)
+	}{
+		{"malformed frames end the connection", gateway.Config{MaxFrameErrors: 3}, func(t *testing.T, gw *gateway.Gateway, _ []byte) {
+			conn := rawReadConn(t, gw.Addr())
+			for i, frame := range [][]byte{[]byte("{garbage"), nil, {0xFF}} {
+				if resp := roundTripRaw(t, conn, frame); resp.Resp.OK || resp.Resp.Error == "" {
+					t.Fatalf("frame %d: expected an error response, got %+v", i, resp.Resp)
+				}
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := wire.ReadFrame(conn); err == nil {
+				t.Fatal("connection still serving after the malformed-frame bound")
+			} else if errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatal("replica kept the flooding connection open")
+			}
+			if resp := roundTripRaw(t, rawReadConn(t, gw.Addr()), stats); !resp.Resp.OK {
+				t.Fatalf("replica unusable after a malformed-frame flood: %+v", resp.Resp)
+			}
+		}},
+		{"requests past the in-flight cap are shed, then severed", gateway.Config{Shards: 1, MaxInFlight: 32}, func(t *testing.T, gw *gateway.Gateway, _ []byte) {
+			hog := rawReadConn(t, gw.Addr())
+			var hogDead atomic.Bool
+			go func() { // floods without ever reading a response
+				for i := 0; i < 1_000_000; i++ {
+					_ = hog.SetWriteDeadline(time.Now().Add(2 * time.Second))
+					if err := wire.WriteFrame(hog, stats); err != nil {
+						hogDead.Store(true)
+						return
+					}
+				}
+			}()
+			bystander := rawReadConn(t, gw.Addr())
+			for i := 0; i < 200; i++ {
+				start := time.Now()
+				if resp := roundTripRaw(t, bystander, stats); !resp.Resp.OK {
+					t.Fatalf("bystander read %d under the flood: %+v", i, resp.Resp)
+				}
+				if d := time.Since(start); d > 2*time.Second {
+					t.Fatalf("bystander read took %v: the flooding reader stalled the shard", d)
+				}
+			}
+			waitUntil(t, 10*time.Second, "flooding reader was never shed", func() bool { return gw.Sheds() > 0 })
+			waitUntil(t, 10*time.Second, "flooding reader was never severed", hogDead.Load)
+		}},
+		{"a stalled reader is severed at the write deadline", gateway.Config{Shards: 1, WriteTimeout: 200 * time.Millisecond, MaxInFlight: 2 * 8192}, func(t *testing.T, gw *gateway.Gateway, key []byte) {
+			replicate(t, gw, key, "staller", 1, yellow(0, 10))
+			spec := wire.FromQuery(query.Q2())
+			req, err := wire.CodecBinary.EncodeGatewayRequest(wire.GatewayRequest{
+				ID: 1, Owner: "staller", Req: wire.Request{Type: wire.MsgQuery, Query: &spec},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn := rawReadConn(t, gw.Addr())
+			go func() { // ~16 MiB of answers owed to a peer that never reads
+				for i := 0; i < 8192 && wire.WriteFrame(conn, req) == nil; i++ {
+				}
+			}()
+			waitUntil(t, 30*time.Second, "replica never severed a peer that stopped reading responses", func() bool {
+				conns, _ := gw.Live()
+				return conns == 0
+			})
+			if n := gw.Sheds(); n != 0 {
+				t.Fatalf("%d backpressure sheds: the in-flight cap, not the write deadline, ended the connection", n)
+			}
+		}},
+		{"Close is bounded by the drain deadline", gateway.Config{DrainTimeout: 200 * time.Millisecond}, func(t *testing.T, gw *gateway.Gateway, _ []byte) {
+			conn := rawReadConn(t, gw.Addr()) // sends nothing, never hangs up
+			start := time.Now()
+			if err := gw.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Fatalf("Close took %v despite the 200ms drain deadline", elapsed)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if _, err := wire.ReadFrame(conn); err == nil {
+				t.Fatal("straggler connection still alive after Close")
+			}
+		}},
+		{"writers and followers are refused by role", gateway.Config{}, func(t *testing.T, gw *gateway.Gateway, key []byte) {
+			conn, err := net.Dial("tcp", gw.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := wire.WriteReplHello(conn, wire.ReplVersion); err != nil {
+				t.Fatal(err)
+			}
+			if err := wire.ReadReplHelloAck(conn); !errors.Is(err, wire.ErrNotPrimary) {
+				t.Fatalf("replication hello to a replica: %v, want the not-primary refusal", err)
+			}
+			// A write hello gets the same byte: the client tries its next address.
+			primary, _ := startGateway(t, gateway.Config{Key: key})
+			wconn, err := client.DialGateway(gw.Addr(), key, client.WithAddrs(primary.Addr()))
+			if err != nil {
+				t.Fatalf("client did not move past the replica: %v", err)
+			}
+			defer wconn.Close()
+			if err := wconn.Owner("writer").Setup([]record.Record{yellow(0, 10)}); err != nil {
+				t.Fatal(err)
+			}
+			if primary.Owners() != 1 || gw.Owners() != 0 {
+				t.Fatalf("the write landed on the wrong node: primary %d owners, replica %d", primary.Owners(), gw.Owners())
+			}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			gw, key := startReplica(t, row.cfg)
+			row.run(t, gw, key)
+		})
 	}
 }

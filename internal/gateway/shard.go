@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -15,9 +16,9 @@ import (
 // task is one unit of shard work, executed on the shard worker goroutine
 // against the owner's resolved tenant: a client request (req, answered
 // through reply) dispatched directly, or — for the gateway's own peeks and
-// cuts — the run closure. Tasks for one owner execute in the order they were
-// enqueued — the shard worker is the serialization point for an owner's
-// state; no tenant lock exists.
+// cuts, and for a replica's replication steps — the run closure. Tasks for
+// one owner execute in the order they were enqueued — the shard worker is the
+// serialization point for an owner's state; no tenant lock exists.
 type task struct {
 	owner string
 	// peek makes tenant resolution non-creating. Everything except the
@@ -66,12 +67,32 @@ type shard struct {
 	pendingWAL int
 	snapWanted bool
 
-	// pendingAtomic mirrors pendingWAL and committedAtomic counts committed
-	// entries, both written only by the shard worker. They exist so the
-	// telemetry collector and ShardStatuses can read durable progress without
-	// enqueuing onto the shard — a scrape must never wait behind tenant work.
+	// applied is the replication stream offset this shard has applied: the
+	// sum of its owners' clocks at recovery, then whatever Replicate's live
+	// entries and transfer ends make it. Replica role only; a replica read's
+	// freshness bound is checked against it on this worker.
+	applied uint64
+
+	// pendingAtomic mirrors pendingWAL, committedAtomic counts committed
+	// entries and appliedAtomic mirrors applied, all written only by the shard
+	// worker. They exist so the telemetry collector, ShardStatuses and a
+	// replica's rejoin can read durable progress without enqueuing onto the
+	// shard — a scrape must never wait behind tenant work.
 	pendingAtomic   atomic.Int64
 	committedAtomic atomic.Int64
+	appliedAtomic   atomic.Uint64
+}
+
+// addPending moves the shard's in-flight WAL append count and its mirror.
+func (sh *shard) addPending(d int) {
+	sh.pendingWAL += d
+	sh.pendingAtomic.Store(int64(sh.pendingWAL))
+}
+
+// setApplied moves the shard's applied stream offset and its mirror.
+func (sh *shard) setApplied(offset uint64) {
+	sh.applied = offset
+	sh.appliedAtomic.Store(offset)
 }
 
 // runShard is the worker loop. Completions (commit callbacks from the WAL
@@ -202,6 +223,18 @@ func (g *Gateway) chargeFor(setup bool) store.Charge {
 // replication hub.
 func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request, reply replyTo) {
 	tc := reply.tc
+	if g.replica.Load() {
+		// Only reads reach a replica's shards (its connections are read-only).
+		// The freshness bound is checked here, on the worker that applies the
+		// stream, whether or not the owner exists: nothing can land between
+		// this check and the answer below.
+		g.replicaReads.Add(1)
+		if req.MinOffset > sh.applied {
+			g.replicaStale.Add(1)
+			reply.send(wire.Response{Error: wire.ErrStale.Error(), Stale: &wire.StaleSpec{Offset: sh.applied}})
+			return
+		}
+	}
 	if tn == nil {
 		reply.send(g.dispatchUnknown(owner, req))
 		return
@@ -290,8 +323,7 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 			reply.send(wire.Response{OK: true})
 			return
 		}
-		sh.pendingWAL++
-		sh.pendingAtomic.Store(int64(sh.pendingWAL))
+		sh.addPending(1)
 		var appendAt int64
 		if g.tm.on || tc.Sampled() {
 			appendAt = time.Now().UnixNano()
@@ -302,8 +334,7 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 			// the entry's WAL-commit span — the parent the replication ship
 			// hangs under.
 			sh.completions <- func() {
-				sh.pendingWAL--
-				sh.pendingAtomic.Store(int64(sh.pendingWAL))
+				sh.addPending(-1)
 				var commitUs float64
 				if appendAt != 0 {
 					commitUs = float64(time.Now().UnixNano()-appendAt) / 1e3
@@ -351,8 +382,7 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 			// already holds the batch, so the tenant is poisoned like any
 			// other post-ingest durability failure; no completion will
 			// arrive for this entry.
-			sh.pendingWAL--
-			sh.pendingAtomic.Store(int64(sh.pendingWAL))
+			sh.addPending(-1)
 			tn.failed = true
 			reply.send(wire.Response{Error: fmt.Sprintf("gateway: durable sync: %v", err)})
 			tn.flushDeferred()
@@ -384,8 +414,9 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 // durable history's hot end and Config.HistoryWindow bounds it (a spill
 // failure only defers the spill); an in-memory gateway has nothing to rebuild
 // a tenant from, so it keeps no batch at all. And the sync is counted — the
-// syncs counter, the shard's committed-entries mirror, and the tenant's move
-// up the fleet ε-spent distribution (skipped for free syncs).
+// shard's committed-entries mirror always (/statusz reads it with or without a
+// registry), the syncs counter and the tenant's move up the fleet ε-spent
+// distribution (skipped for free syncs) when telemetry is on.
 func (g *Gateway) commit(sh *shard, tn *Tenant, bt store.Batch) error {
 	if err := tn.Commit(bt); err != nil {
 		return err
@@ -397,9 +428,9 @@ func (g *Gateway) commit(sh *shard, tn *Tenant, bt store.Batch) error {
 		g.log.Warn("history spill deferred; batches stay in RAM",
 			"owner_hash", telemetry.OwnerHash(tn.Owner), "batches", len(tn.Tail), "err", err)
 	}
+	sh.committedAtomic.Add(1)
 	if g.tm.on {
 		g.tm.syncs.Inc()
-		sh.committedAtomic.Add(1)
 		if eps := bt.Charge.Eps; eps != 0 {
 			g.tm.eps.Move(tn.epsSpent, tn.epsSpent+eps)
 			tn.epsSpent += eps
@@ -492,4 +523,184 @@ func (g *Gateway) snapshotShard(sh *shard) {
 	if err := g.store.Rotate(sh.id, states); err != nil {
 		g.log.Error("snapshot rotation failed", "shard", sh.id, "err", err)
 	}
+}
+
+// ErrStreamGap reports a replication step that does not extend the shard
+// contiguously — a live offset past applied+1, or a tick past the owner's
+// clock+1. Nothing was applied; the stream must be healed by a snapshot
+// transfer before the shard takes another live entry.
+var ErrStreamGap = errors.New("gateway: replication stream gap")
+
+// ErrUnhealthyReplica is Promote's refusal: a WAL append of this replica
+// failed, so its RAM is ahead of what its directory can prove.
+var ErrUnhealthyReplica = errors.New("gateway: a replica WAL append failed; recover from the directory instead of promoting")
+
+// Replicate hands one step of the replication stream to shard sid's worker —
+// the replica role's only write path. frame is a shipped entry
+// (store.EncodeEntryFrame bytes, verified on the worker): with offset > 0 the
+// live entry at that stream offset, with offset 0 a bootstrap entry of a
+// snapshot transfer, ordered by its tick alone. A nil frame is the transfer's
+// end and moves the shard's applied offset to offset. done runs on the worker
+// with the outcome: applied is false for an entry the shard already holds
+// (offset ≤ applied, or tick ≤ the owner's clock); a non-nil err means the
+// step could not extend the replica, which is then exactly as it was. Replicate
+// returns false, and never calls done, if the gateway shut down first.
+func (g *Gateway) Replicate(sid int, offset uint64, frame []byte, done func(applied bool, err error)) bool {
+	sh := g.shards[sid]
+	t := task{peek: true, run: func(*Tenant, error) { done(g.applyShipped(sh, offset, frame)) }}
+	select {
+	case sh.tasks <- t:
+		return true
+	case <-g.quit:
+		return false
+	}
+}
+
+// applyShipped is Replicate's work on the shard worker. Offsets order the
+// transport (skip ≤ applied, apply applied+1, gap otherwise); ticks order the
+// content — the split that lets a snapshot transfer heal a cursor from another
+// primary's stream without ever double-applying a batch. The applied offset
+// moves only once the entry it names is in the replica.
+func (g *Gateway) applyShipped(sh *shard, offset uint64, frame []byte) (applied bool, err error) {
+	if !g.replica.Load() {
+		return false, errors.New("gateway: replication step on a primary")
+	}
+	if frame == nil {
+		sh.setApplied(offset)
+		return false, nil
+	}
+	if offset != 0 {
+		if offset <= sh.applied {
+			return false, nil // duplicate of the applied prefix
+		}
+		if offset != sh.applied+1 {
+			return false, fmt.Errorf("%w: shard %d got offset %d, expected %d", ErrStreamGap, sh.id, offset, sh.applied+1)
+		}
+	}
+	e, err := store.DecodeEntryFrame(frame)
+	if err != nil {
+		return false, fmt.Errorf("gateway: shard %d: corrupt shipped entry: %w", sh.id, err)
+	}
+	if store.ShardFor(e.Owner, len(g.shards)) != sh.id {
+		return false, fmt.Errorf("gateway: shard %d was shipped another shard's owner", sh.id)
+	}
+	tn := sh.owners[e.Owner]
+	var clock uint64
+	if tn != nil {
+		clock = tn.Clock
+	}
+	switch tick := e.Batch.Tick; {
+	case tick <= clock:
+		// Content already in the replica (offset streams overlap after healing).
+	case tick != clock+1:
+		return false, fmt.Errorf("%w: owner %s tick %d does not extend clock %d",
+			ErrStreamGap, telemetry.OwnerHash(e.Owner), tick, clock)
+	default:
+		if err := g.applyEntry(sh, tn, e); err != nil {
+			return false, err
+		}
+		applied = true
+	}
+	if offset != 0 {
+		sh.setApplied(offset)
+	}
+	return applied, nil
+}
+
+// applyEntry advances one owner by one shipped batch, by the recovery rule and
+// through the live path's own steps: commit (the primary committed it, so it
+// is observable at once: clock, transcript, charge, cache drop, window),
+// ingest, then the append to this replica's own WAL under the shard's
+// pending-append accounting — so the directory is a restart image at every
+// instant and a rotation quiesces here exactly as it does on a primary. tn is
+// nil for an owner's first entry.
+func (g *Gateway) applyEntry(sh *shard, tn *Tenant, e store.Entry) (err error) {
+	if tn == nil {
+		if tn, err = g.tenantFor(sh, e.Owner, false); err != nil {
+			return err
+		}
+	}
+	if err := g.commit(sh, tn, e.Batch); err != nil {
+		// A refused charge changes nothing (OwnerState.Apply is all-or-nothing).
+		return fmt.Errorf("gateway: applying owner %s tick %d: %w", telemetry.OwnerHash(e.Owner), e.Batch.Tick, err)
+	}
+	tn.seq = tn.Clock
+	if !tn.failed {
+		if err := tn.Ingest(e.Batch.Setup, e.Batch.Sealed); err != nil {
+			tn = g.rebuild(sh, tn, err)
+		}
+	}
+	sh.addPending(1)
+	if err := g.store.Append(sh.id, e, func(werr error) {
+		sh.completions <- func() {
+			sh.addPending(-1)
+			if werr != nil {
+				// RAM is now ahead of the directory for this owner: never serve
+				// it, and (store.Healthy) never promote over it.
+				g.log.Error("replica WAL append failed, suspending tenant",
+					"owner_hash", telemetry.OwnerHash(e.Owner), "tick", e.Batch.Tick, "err", werr)
+				tn.failed = true
+			}
+		}
+	}); err != nil {
+		sh.addPending(-1)
+		tn.failed = true
+		return fmt.Errorf("gateway: replica WAL append: %w", err)
+	}
+	if g.store.RotateDue(sh.id) {
+		sh.snapWanted = true
+	}
+	return nil
+}
+
+// rebuild replaces a tenant whose backend missed a committed batch (its
+// ingest erred) with one replayed from the history the store holds — the
+// committed state is right, so it carries over. A tenant that cannot be
+// rebuilt is poisoned: either way a backend that is not at its clock is never
+// served.
+func (g *Gateway) rebuild(sh *shard, tn *Tenant, cause error) *Tenant {
+	g.rebuilds.Add(1)
+	fresh, err := g.tenants.Replay(g.store, sh.id, tn.OwnerState)
+	if err != nil {
+		g.log.Error("replica ingest failed and the tenant could not be rebuilt; suspending it",
+			"owner_hash", telemetry.OwnerHash(tn.Owner), "tick", tn.Clock, "ingest_err", cause, "err", err)
+		tn.failed = true
+		return tn
+	}
+	g.log.Warn("replica ingest failed; tenant rebuilt from history",
+		"owner_hash", telemetry.OwnerHash(tn.Owner), "tick", tn.Clock, "err", cause)
+	fresh.epsSpent = tn.epsSpent
+	sh.owners[tn.Owner] = fresh
+	return fresh
+}
+
+// Promote flips a replica to primary. The caller has fenced (it holds the
+// lease) and stopped the stream (no Replicate is in flight or will follow);
+// Promote waits out every shard's queue and pending WAL appends, refuses if
+// one of them failed (ErrUnhealthyReplica), attaches repl — already bound to
+// this gateway's per-shard stream heads — and from then on the connection loop
+// accepts writers and followers. Nothing is recovered and nothing is dropped:
+// the tenants, their backends and their answer caches are the ones the stream
+// kept current, each with seq == Clock.
+func (g *Gateway) Promote(repl Replicator) error {
+	if !g.replica.Load() {
+		return errors.New("gateway: Promote on a primary")
+	}
+	for _, sh := range g.shards {
+		if !g.onShard(sh, "", func(*Tenant) {
+			for sh.pendingWAL > 0 {
+				(<-sh.completions)()
+			}
+		}) {
+			return errors.New("gateway: shut down during promotion")
+		}
+	}
+	if !g.store.Healthy() {
+		return ErrUnhealthyReplica
+	}
+	// Published by the role's atomic store: whoever reads the role as primary
+	// sees the hub.
+	g.cfg.Replicator = repl
+	g.replica.Store(false)
+	return nil
 }

@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"dpsync/internal/client"
+	"dpsync/internal/cluster"
 	"dpsync/internal/gateway"
 	"dpsync/internal/query"
 	"dpsync/internal/record"
+	"dpsync/internal/seal"
 	"dpsync/internal/telemetry"
 )
 
@@ -98,21 +100,7 @@ func TestTelemetryAggregateOnlyByDefault(t *testing.T) {
 			t.Errorf("/statusz durable section missing %q:\n%s", field, statusz)
 		}
 	}
-	for _, out := range []string{prom, varz, tz.String(), tj.String(), statusz} {
-		for _, name := range owners {
-			if strings.Contains(out, name) {
-				t.Fatalf("scrape leaks raw owner ID %q:\n%s", name, out)
-			}
-			if h := telemetry.OwnerHash(name); strings.Contains(out, h) {
-				t.Fatalf("scrape leaks owner hash %q without DebugTenantMetrics:\n%s", h, out)
-			}
-		}
-		for _, series := range []string{"owner_hash", "gateway_tenant_clock", "gateway_tenant_eps{"} {
-			if strings.Contains(out, series) {
-				t.Fatalf("per-tenant series %q present without DebugTenantMetrics:\n%s", series, out)
-			}
-		}
-	}
+	assertNoTenantIdentity(t, owners, prom, varz, tz.String(), tj.String(), statusz)
 
 	// The aggregate view must still be there: totals and the fleet-wide ε
 	// distribution (which is how spend is visible without naming anyone).
@@ -140,6 +128,120 @@ func TestTelemetryAggregateOnlyByDefault(t *testing.T) {
 	if st := gw.QueryCacheStats(); st.Hits < int64(len(owners)) {
 		t.Errorf("cache hits = %d, want at least one per owner (%d)", st.Hits, len(owners))
 	}
+}
+
+// assertNoTenantIdentity sweeps scrape outputs for anything that names a
+// tenant: a raw owner ID, an owner hash, or a per-tenant series.
+func assertNoTenantIdentity(t *testing.T, owners []string, outs ...string) {
+	t.Helper()
+	for _, out := range outs {
+		for _, name := range owners {
+			if strings.Contains(out, name) {
+				t.Fatalf("scrape leaks raw owner ID %q:\n%s", name, out)
+			}
+			if h := telemetry.OwnerHash(name); strings.Contains(out, h) {
+				t.Fatalf("scrape leaks owner hash %q without DebugTenantMetrics:\n%s", h, out)
+			}
+		}
+		for _, series := range []string{"owner_hash", "gateway_tenant_clock", "gateway_tenant_eps{"} {
+			if strings.Contains(out, series) {
+				t.Fatalf("per-tenant series %q present without DebugTenantMetrics:\n%s", series, out)
+			}
+		}
+	}
+}
+
+// TestTelemetryFollowerAggregateOnlyByDefault extends the privacy regression to
+// a cluster follower, which is a gateway in replica role and so publishes the
+// gateway's instruments, sampled read spans and per-shard /statusz lines next
+// to the cluster's own: with DebugTenantMetrics off, nothing a follower's admin
+// plane serves — /metrics, /varz, /tracez, /statusz — names an owner, by ID or
+// by hash, while it applies their syncs and answers their reads.
+func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
+	key, err := seal.NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease := cluster.NewMemLease(nil)
+	regs := [2]*telemetry.Registry{telemetry.New(), telemetry.New()}
+	tracers := [2]*telemetry.Tracer{}
+	nodes := [2]*cluster.Node{}
+	for i, id := range []string{"node-a", "node-b"} {
+		tracers[i] = telemetry.NewTracer(telemetry.TracerConfig{SampleEvery: 1})
+		nodes[i], err = cluster.Start(cluster.Config{
+			Addr: "127.0.0.1:0", NodeID: id, StoreDir: t.TempDir(), Lease: lease,
+			Gateway:   gateway.Config{Key: key, Shards: 2, SyncEpsilon: 0.25, SnapshotEvery: 1, Tracer: tracers[i]},
+			Heartbeat: 20 * time.Millisecond, Telemetry: regs[i],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nodes[i].Close()
+	}
+	primary, follower := nodes[0], nodes[1]
+	if follower.Role() != cluster.RoleFollower {
+		t.Fatalf("node-b role %v", follower.Role())
+	}
+	waitUntil(t, 10*time.Second, "follower never attached", func() bool { return primary.Stats().Hub.Followers == 1 })
+
+	owners := []string{"owner-alpha", "owner-bravo", "owner-charlie"}
+	conn, err := client.DialGateway(primary.Addr(), key, client.WithReadReplica(follower.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i, name := range owners {
+		own := conn.Owner(name)
+		if err := own.Setup([]record.Record{yellow(0, uint16(i+1))}); err != nil {
+			t.Fatal(err)
+		}
+		if err := own.Update([]record.Record{yellow(1, uint16(i+2))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitUntil(t, 10*time.Second, "follower never caught up", func() bool {
+		return follower.Stats().Follower.Applied == uint64(2*len(owners))
+	})
+	for _, name := range owners {
+		for rep := 0; rep < 2; rep++ { // a miss, then a hit
+			if _, _, err := conn.Owner(name).Query(query.Q1()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if served, _, _ := conn.ReplicaStats(); served != int64(2*len(owners)) {
+		t.Fatalf("follower served %d of %d reads: its read path is not what is being swept", served, 2*len(owners))
+	}
+
+	prom, varz := scrapeAll(t, regs[1])
+	var tz, tj bytes.Buffer
+	if err := telemetry.WriteTracez(&tz, tracers[1].Dump()); err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.WriteTraceJSON(&tj, tracers[1].Dump()); err != nil {
+		t.Fatal(err)
+	}
+	statusz := follower.StatusText()
+	// What a follower inherits from the gateway must be there to be swept: the
+	// read's stage instruments and sampled spans, the per-shard durable lines.
+	for _, series := range []string{
+		"gateway_sync_queue_wait_us", "gateway_sync_ack_us", "gateway_qcache_serve_us", "gateway_qcache_hits_total",
+		"gateway_committed_entries_total", "cluster_repl_applied_total 6", "cluster_read_queries_total 6",
+		"cluster_read_qcache_hits_total 3", "cluster_read_rebuilds_total 0", "store_snapshots_total",
+	} {
+		if !strings.Contains(prom, series) {
+			t.Errorf("follower /metrics is missing %q", series)
+		}
+	}
+	if !strings.Contains(tz.String(), "client-admit") || !strings.Contains(tz.String(), "queue-wait") {
+		t.Errorf("follower /tracez has no sampled read spans:\n%s", tz.String())
+	}
+	for _, field := range []string{"role: follower", "store: healthy", "shard 0: committed=", " applied=", "replica: applied=6", "read plane: queries=6"} {
+		if !strings.Contains(statusz, field) {
+			t.Errorf("follower /statusz is missing %q:\n%s", field, statusz)
+		}
+	}
+	assertNoTenantIdentity(t, owners, prom, varz, tz.String(), tj.String(), statusz)
 }
 
 // TestTelemetryDebugTenantSeries checks the explicit opt-in: with
@@ -245,5 +347,30 @@ func TestScrapeBoundedDuringSyncs(t *testing.T) {
 	close(stop)
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStatuszCountsWithoutTelemetry pins the status plane's own counters to
+// the work, not to the registry: on gateways built with Telemetry == nil,
+// /statusz's committed= follows the commits and a replica's applied= follows
+// the stream.
+func TestStatuszCountsWithoutTelemetry(t *testing.T) {
+	gw, key := startGateway(t, gateway.Config{Shards: 1, StoreDir: t.TempDir()})
+	driveTelemetryOwners(t, gw.Addr(), key, []string{"owner-alpha", "owner-bravo"})
+	if got := gw.ShardStatuses()[0].Committed; got != 4 {
+		t.Fatalf("committed = %d after 4 syncs on a gateway without a registry", got)
+	}
+	if text := gw.DurableStatusText(); !strings.Contains(text, "shard 0: committed=4 ") {
+		t.Fatalf("/statusz does not follow the commits:\n%s", text)
+	}
+
+	rep, rkey := startReplica(t, gateway.Config{Shards: 1})
+	replicate(t, rep, rkey, "owner-alpha", 1, yellow(0, 1))
+	replicate(t, rep, rkey, "owner-alpha", 2, yellow(1, 2))
+	if got := rep.ShardStatuses()[0]; got.Applied != 2 || got.Committed != 2 {
+		t.Fatalf("replica shard status %+v after 2 shipped entries without a registry", got)
+	}
+	if text := rep.DurableStatusText(); !strings.Contains(text, "shard 0: committed=2 pending_wal=") || !strings.Contains(text, " applied=2") {
+		t.Fatalf("replica /statusz does not follow the stream:\n%s", text)
 	}
 }

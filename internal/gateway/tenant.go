@@ -31,20 +31,19 @@ import (
 //   - Read answers a stats probe or a query from the backend, the query
 //     through the answer cache.
 //
-// Three drivers sequence them. The live gateway ingests at apply time and
-// commits when the sync's WAL entry has group-committed (immediately without
-// a store), so a sync is observable only once it is durable and the charge is
-// spent with the transcript event, never before. Recovery (Tenants.Replay)
-// installs the recovered OwnerState and ingests its history from
-// Store.StreamHistory. A replication follower keeps every owner's OwnerState
-// and, for an owner that has been read, a resident Tenant over that same
-// OwnerState: each shipped entry is committed, then ingested, in one critical
-// section. Whichever driver runs it, the backend holds exactly the batches
-// the OwnerState counts whenever a Read may run — the live driver parks reads
-// behind uncommitted syncs, the other two never leave the gap open.
+// Three drivers sequence them. The live gateway ingests
+// at apply time and commits when the sync's WAL entry has group-committed
+// (immediately without a store), so a sync is observable only once it is
+// durable and the charge is spent with the transcript event, never before.
+// Recovery (Tenants.Replay) installs the recovered OwnerState and ingests its
+// history from Store.StreamHistory. A replica-role gateway commits, then
+// ingests, each shipped entry in one task (Gateway.Replicate): the primary
+// already committed it. Whichever driver runs it, the backend holds exactly the
+// batches the OwnerState counts whenever a Read may run — the live driver parks
+// reads behind uncommitted syncs, the other two never leave the gap open.
 //
 // A Tenant is not safe for concurrent use: the gateway confines each to its
-// shard worker, a follower to its stream lock.
+// shard worker.
 type Tenant struct {
 	*store.OwnerState
 	env    *Tenants
@@ -58,7 +57,8 @@ type Tenant struct {
 	// and recovery always starts cold. Nil when Config.QueryCache is negative.
 	qc *qcache.Cache
 
-	// The rest is the live driver's alone (zero on a follower).
+	// The rest is the live driver's; a replica keeps seq at Clock and failed
+	// for a tenant it must not serve.
 
 	// seq is the apply-time upload counter: it assigns each ingest its
 	// logical tick before the WAL entry is built, so pipelined syncs of one
@@ -125,9 +125,8 @@ type CacheMetrics struct {
 // Tenants is what all of one node's tenant machines share: how a backend is
 // built, the ingress sealer for record-level backends, and the answer cache's
 // capacity and instruments. NewTenants is the one place a Config's Key,
-// NewBackend and QueryCache are resolved — by New for a serving gateway and
-// by a cluster follower for its resident machines — so a follower's machine
-// is what its own promotion would recover.
+// NewBackend and QueryCache are resolved, in either role — so a replica's
+// machine is what recovery over its directory would build.
 type Tenants struct {
 	newBackend func(owner string) (edb.Database, error)
 	sealer     *seal.Sealer // nil without Key

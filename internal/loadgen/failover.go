@@ -52,6 +52,10 @@ type FailoverRun struct {
 	// acknowledged by the promoted follower. It contains the lease TTL the
 	// successor waits out, so it is dominated by FailoverConfig.LeaseTTL.
 	FailoverMs float64 `json:"failover_ms"`
+	// PromoteMs is the promoted node's own share of that window: lease won →
+	// serving as primary. The rest is the lease TTL the successor waits out,
+	// its campaign, and the clients' redial and resync.
+	PromoteMs float64 `json:"promote_ms"`
 	// ReplicationLagMs is the mean primary-commit → replica-apply latency
 	// over every entry the follower applied before promotion.
 	ReplicationLagMs float64 `json:"replication_lag_ms"`
@@ -397,6 +401,7 @@ func runFailoverSeed(cfg FailoverConfig, seed uint64) (FailoverRun, error) {
 		Seed:             seed,
 		KillTick:         killTick,
 		FailoverMs:       float64(first-timer.killedAt.Load()) / 1e6,
+		PromoteMs:        float64(b.Stats().Promotion) / 1e6,
 		ReplicaApplied:   st.Applied,
 		ReplicaSnapshots: st.Snapshots,
 	}

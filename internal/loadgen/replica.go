@@ -13,7 +13,7 @@ import (
 
 // ReplicaConfig parameterizes the read-replica harness: a two-node cluster
 // (internal/cluster) where the primary ingests the full sync drive and the
-// follower's read plane serves the analyst query mix. The client routes
+// follower's replica-role gateway serves the analyst query mix. The client routes
 // queries to the follower with client.WithReadReplica and falls back to the
 // primary whenever the replica refuses (typed staleness, unknown owner, or
 // a severed link) — the harness measures how much of the read load the
@@ -46,8 +46,8 @@ type ReplicaReport struct {
 	PlaneQueries int64 `json:"replica_plane_queries"`
 	PlaneStale   int64 `json:"replica_plane_stale,omitempty"`
 	// PlaneCacheHits / PlaneCacheMisses are the replica's noise-reuse answer
-	// cache counters; PlaneRebuilds counts materializations from history (an
-	// owner's first read, or after a dropped machine).
+	// cache counters; PlaneRebuilds counts tenants re-materialized from history
+	// after a failed ingest (0 on a healthy replica).
 	PlaneCacheHits   int64 `json:"replica_qcache_hits"`
 	PlaneCacheMisses int64 `json:"replica_qcache_misses"`
 	PlaneRebuilds    int64 `json:"replica_rebuilds"`
