@@ -77,19 +77,44 @@
 // Incremental aggregation. Every consumer of query answers — the ObliDB
 // enclave, the Cryptε aggregation service, and the ground-truth side of the
 // L1 error metric — folds records into a query.Aggregates statistic at
-// ingest (per-provider counts, pickup-location histograms, fare totals,
-// join-key counters) and answers Q1–Q4 from it in O(keys) instead of
-// rescanning the store. This preserves the L-0 leakage semantics exactly:
+// ingest and answers Q1–Q4 from it instead of rescanning the store. The
+// statistic is indexed, not hashed, because a DP-Sync server pays for its
+// privacy guarantee in volume — every sync is padded, every flush a batch —
+// so its cost per uploaded record is the price of the mechanism itself. A
+// pickupID is bounded by record.NumLocations, so each provider keeps one
+// dense array of {count, fare sum} and Observe is two indexed adds; the
+// pickupTime join key arrives near-monotone (an owner uploads in tick
+// order), so it is an append-only slice with a sorted flag and Observe adds
+// an append and one compare. RangeCount and SumFare walk at most
+// NumLocations slots, GroupCount copies them, JoinCount is one merge walk
+// over two sorted slices, O(|L|+|R|). Three inputs fall outside that shape
+// and are handled where they occur, never by a setting. record.Decode
+// validates nothing, so an authenticated record can carry any uint16
+// pickupID: those outside 0..NumLocations live in a small overflow map
+// beside the array, and every range still counts them exactly as the naive
+// plan does. A table's first eight records live in that map too and the
+// ninth allocates the array and moves them in: the array is about 4 KB a
+// provider, a serving gateway holds thousands of tenants, and without this
+// the youngest of them would be the most expensive. And a join key that
+// arrives out of order clears the sorted flag, so the next join sorts once
+// (sort-on-demand rather than sorted insertion, because the common case
+// never pays for it). The only part of the statistic that grows with ingest
+// is the join key, 8 bytes a real record. This preserves the L-0 leakage
+// semantics exactly:
 // obliviousness is a property of the *modeled* engine, whose scan extents,
 // access log, and calibrated QET cost model still charge the full oblivious
 // scan of every resident record, byte-for-byte what the naive full-scan
 // path reported. Only the simulator's answer computation is incremental,
 // and differential tests pin those answers bit-identical to naive plan
-// evaluation (counts and fare sums are integers far below 2^53, so float64
-// accumulation order cannot perturb them). Join counting likewise runs in
-// O(|L|+|R|) off right-side key multiplicities — the O(output) row
-// materialization only ever ran inside the simulator, never in the modeled
-// engine, so eliminating it changes no observable either.
+// evaluation — over out-of-domain IDs, unknown providers and join keys in
+// any order too, and as a fuzz target (counts and fare sums are integers far
+// below 2^53, so float64 accumulation order cannot perturb them). The
+// O(output) join row materialization only ever ran inside the simulator,
+// never in the modeled engine, so eliminating it changes no observable
+// either. The enclave boundary itself allocates nothing in steady state: a
+// batch is opened into enclave-owned scratch (one plaintext buffer through
+// seal.Sealer.AppendOpen, one reused record slice), still all-or-nothing — a
+// ciphertext that fails authentication admits none of its batch.
 //
 // Parallel experiment grid. Grid and sweep cells (sim.RunGrid,
 // sim.SweepEpsilon, sim.SweepPeriod, sim.SweepThreshold) are independent
@@ -219,16 +244,44 @@
 // single-goroutine, and the commit cost amortizes across every entry that
 // arrived during the previous flush (the wal_group_factor baseline key).
 //
+// One encoding per entry. The CRC frame the WAL append builds is the
+// entry's canonical form — on the WAL, in history segments and on the
+// replication stream the bytes are the same — so a store.Batch carries that
+// frame by reference once it exists, and every later writer wraps it
+// (store.Entry.Frame) instead of encoding the batch again. Two places set
+// it: Store.AppendTraced, where the live path encodes a sync for its WAL
+// (the only encode that sync ever gets; the batch's Sealed is re-pointed
+// into the frame there, so the request payload the ciphertexts arrived in is
+// not pinned beside it for as long as the batch sits in the history tail),
+// and the frame decoders (DecodeEntryFrame on a replica, segment scans and
+// StreamHistory in recovery), which have just CRC-verified the bytes they
+// parsed. Three places wrap it: the spill out of the tail, the replication
+// hub's Committed, and a replica's own WAL append of a shipped entry. The
+// carried frame is re-derived rather than trusted whenever it is absent (a
+// hand-built store.Entry, a batch decoded from a snapshot's inline tail) or
+// does not fit the entry it rides on — its length is not exactly what the
+// entry encodes to, or it names another owner or tick — and only that
+// encode can fail. Nothing selects between wrapping and encoding but the
+// batch itself.
+//
 // Tiered history. Gateway memory is independent of ingest history:
 // gateway.Config.HistoryWindow bounds the committed batches a tenant keeps
 // in RAM, and everything older is spilled to append-only, CRC-framed
-// history segments shared by the shard (the same frame layout as the WAL).
+// history segments shared by the shard (the same frames as the WAL). The
+// history tier is the outsourced ciphertext store: the default ObliDB
+// backend keeps a count of the ciphertexts it was handed and the enclave's
+// aggregates, not the ciphertexts (only its ORAM mode, which the serving
+// stack does not turn on, mirrors every block), so a tenant's RAM is its
+// aggregates plus the window — per ingested record, the 8-byte join key and
+// its share of the sync's transcript event.
 // Only a manifest ref — segment id, byte offset, run length, run checksum,
 // tick range — stays in memory per spilled run; spills fire at twice the
 // window and extend the owner's previous ref in place when contiguous, so
 // ref counts stay sublinear in history and RSS scales with the live window
-// while total ingest grows without bound (pinned by a ReadMemStats
-// regression test against a 10×-window ingest). Spilled bytes
+// while total ingest grows without bound (pinned by ReadMemStats regression
+// tests: a 20×-window ingest of large blobs into a backend that retains
+// nothing, and 20,000 real sealed records into the default backend, at most
+// 32 bytes of heap a record). Spilled bytes
 // are flushed (and in fsync mode fsynced) before any snapshot manifest
 // references them; until then the WAL still covers them, so a crash can
 // only orphan a spill, never lose one.

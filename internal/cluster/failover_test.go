@@ -557,6 +557,9 @@ func TestGracefulHandoverUnderDrain(t *testing.T) {
 	}
 	a := mk("node-a")
 	b := mk("node-b")
+	// A follower that has not joined yet has nothing to be handed: the trace
+	// can finish against the primary before the replication session exists.
+	waitFor(t, 5*time.Second, "the follower to connect to the primary", func() bool { return a.Stats().Hub.Followers > 0 })
 
 	conn, err := client.DialGateway(a.Addr(), key,
 		client.WithAddrs(b.Addr()), client.WithReconnect(200), client.WithResyncWindow(-1))

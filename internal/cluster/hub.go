@@ -318,18 +318,20 @@ func (h *Hub) Followers() []FollowerStatus {
 }
 
 // Committed implements gateway.Replicator: one durably committed sync
-// entry, on its shard's worker, in commit order. It encodes the stream
-// frame, appends it to the shard's ring, and nudges idle senders — never
-// blocking: a follower that cannot keep up falls off the ring and is healed
+// entry, on its shard's worker, in commit order. It wraps the entry's frame
+// in a stream frame, appends it to the shard's ring, and nudges idle senders
+// — never blocking: a follower that cannot keep up falls off the ring and is healed
 // by a snapshot transfer, not by stalling the commit path. For a sampled
 // entry (tc carries a trace, positioned at the wal-commit span) it also
 // Allocs the repl-ship span — whose ID crosses the wire as the parent the
 // follower's apply span joins under — and the frame is the traced kind.
 func (h *Hub) Committed(sid int, e store.Entry, tc telemetry.TraceContext) {
-	raw, err := store.EncodeEntryFrame(e)
+	// The gateway's entry carries the frame its WAL append encoded, and wrapping
+	// that cannot fail. Only a hand-built entry is encoded here, and only that
+	// can err; losing the frame would silently desynchronize every follower, so
+	// log loudly.
+	raw, err := e.Frame()
 	if err != nil {
-		// Unreachable for an entry the WAL just committed; losing the frame
-		// would silently desynchronize every follower, so log loudly.
 		h.log.Error("cannot encode committed entry; followers will desynchronize",
 			"shard", sid, "owner_hash", telemetry.OwnerHash(e.Owner), "err", err)
 		return
@@ -642,7 +644,7 @@ func (h *Hub) sendSnapshot(gw *gateway.Gateway, sub *hubSub, sid int, fc *wire.C
 	for i := range states {
 		owner := states[i].Owner
 		err := st.StreamHistory(&states[i], func(bt store.Batch) error {
-			raw, err := store.EncodeEntryFrame(store.Entry{Owner: owner, Batch: bt})
+			raw, err := store.Entry{Owner: owner, Batch: bt}.Frame()
 			if err != nil {
 				return err
 			}

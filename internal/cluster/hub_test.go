@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -187,6 +188,61 @@ func TestHubShipsOneEncodingPerEntry(t *testing.T) {
 		if ships != 1 {
 			t.Errorf("trace %s: %d repl-ship spans, want 1", tr.TraceID, ships)
 		}
+	}
+}
+
+// TestHubWrapsTheEntrysFrame: what the hub ships is the entry's canonical
+// frame — store.EncodeEntryFrame's bytes — whether the entry carries it (the
+// gateway's, after its WAL append; a decoded one) or is hand-built and encoded
+// on the spot, for empty and zero-length ciphertext lists, 1- and 255-byte
+// owners, setup and flush flags. Wrapping a carried frame costs exactly one
+// allocation less than encoding, and an entry that cannot be encoded is
+// dropped without moving the stream.
+func TestHubWrapsTheEntrysFrame(t *testing.T) {
+	hub, _ := startHub(t)
+	charge := store.Charge{Name: "m_update", Eps: 0.1, Rule: dp.Sequential}
+	var want [][]byte
+	for _, owner := range []string{"a", strings.Repeat("z", 255)} {
+		for i, bt := range []store.Batch{
+			{Tick: 1, Setup: true, Sealed: [][]byte{[]byte("ct-0"), []byte("ct-1")}, Charge: charge},
+			{Tick: 2, Charge: charge},
+			{Tick: 3, Flush: true, Sealed: [][]byte{{}, {0xC7}, {}}},
+		} {
+			e := store.Entry{Owner: owner, Batch: bt}
+			frame, err := store.EncodeEntryFrame(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, frame)
+			if i%2 == 0 { // ship the decoded form, which carries frame
+				if e, err = store.DecodeEntryFrame(frame); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hub.Committed(0, e, telemetry.TraceContext{})
+		}
+	}
+	hub.Committed(0, store.Entry{Owner: "", Batch: store.Batch{Tick: 4}}, telemetry.TraceContext{})
+	hub.mu.Lock()
+	r := hub.rings[0]
+	hub.mu.Unlock()
+	if int(r.head) != len(want) {
+		t.Fatalf("ring head %d after %d encodable entries and one that is not", r.head, len(want))
+	}
+	for i := range want {
+		fr, err := wire.DecodeReplFrame(r.at(i).frame)
+		if err != nil || !bytes.Equal(fr.Entry, want[i]) {
+			t.Fatalf("offset %d: shipped entry differs from store.EncodeEntryFrame's bytes (%v)", i+1, err)
+		}
+	}
+
+	built := store.Entry{Owner: "owner-0001", Batch: store.Batch{Tick: 9, Sealed: [][]byte{bytes.Repeat([]byte{1}, 45)}, Charge: charge}}
+	frame, _ := store.EncodeEntryFrame(built)
+	carrying, _ := store.DecodeEntryFrame(frame)
+	encode := testing.AllocsPerRun(100, func() { hub.Committed(0, built, telemetry.TraceContext{}) })
+	wrap := testing.AllocsPerRun(100, func() { hub.Committed(0, carrying, telemetry.TraceContext{}) })
+	if wrap != encode-1 {
+		t.Fatalf("Committed allocates %v times for an entry that carries its frame and %v for one that does not; want one fewer", wrap, encode)
 	}
 }
 

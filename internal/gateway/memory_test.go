@@ -54,20 +54,14 @@ func (s *sinkDB) Stats() edb.StorageStats {
 	return edb.StorageStats{Records: s.records, Updates: s.updates}
 }
 
-// driveSink pushes one owner's setup plus n large sealed updates through a
-// fresh durable gateway over a raw wire connection and returns the
-// gateway-side heap growth between the post-setup and post-drive
-// quiescent points.
-func driveSink(t *testing.T, window, updates, blobBytes int) uint64 {
+// driveHeap pushes one owner's setup plus n sealed updates (batch(0) is the
+// setup's, batch(u) the u-th update's) through a fresh durable gateway built
+// from cfg over a raw wire connection and returns the gateway-side heap growth
+// between the post-setup and post-drive quiescent points.
+func driveHeap(t *testing.T, cfg gateway.Config, updates int, batch func(u int) [][]byte) uint64 {
 	t.Helper()
-	gw, err := gateway.New("127.0.0.1:0", gateway.Config{
-		NewBackend:    func(string) (edb.Database, error) { return &sinkDB{}, nil },
-		Shards:        1,
-		StoreDir:      t.TempDir(),
-		SnapshotEvery: 32,
-		HistoryWindow: window,
-		SyncEpsilon:   0.25,
-	})
+	cfg.Shards, cfg.StoreDir, cfg.SnapshotEvery, cfg.SyncEpsilon = 1, t.TempDir(), 32, 0.25
+	gw, err := gateway.New("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +102,6 @@ func driveSink(t *testing.T, window, updates, blobBytes int) uint64 {
 			t.Fatalf("request %d: %+v", id, resp)
 		}
 	}
-	blob := func(u int) [][]byte {
-		b := make([]byte, blobBytes)
-		for i := range b {
-			b[i] = byte(u + i)
-		}
-		return [][]byte{b}
-	}
 
 	heap := func() uint64 {
 		runtime.GC()
@@ -124,16 +111,32 @@ func driveSink(t *testing.T, window, updates, blobBytes int) uint64 {
 		return ms.HeapAlloc
 	}
 
-	send(1, wire.MsgSetup, blob(0))
+	send(1, wire.MsgSetup, batch(0))
 	before := heap()
 	for u := 1; u <= updates; u++ {
-		send(uint64(u+1), wire.MsgUpdate, blob(u))
+		send(uint64(u+1), wire.MsgUpdate, batch(u))
 	}
 	after := heap()
 	if after <= before {
 		return 0
 	}
 	return after - before
+}
+
+// driveSink is driveHeap over the sink backend: one large opaque blob a sync.
+func driveSink(t *testing.T, window, updates, blobBytes int) uint64 {
+	t.Helper()
+	cfg := gateway.Config{
+		NewBackend:    func(string) (edb.Database, error) { return &sinkDB{}, nil },
+		HistoryWindow: window,
+	}
+	return driveHeap(t, cfg, updates, func(u int) [][]byte {
+		b := make([]byte, blobBytes)
+		for i := range b {
+			b[i] = byte(u + i)
+		}
+		return [][]byte{b}
+	})
 }
 
 // TestGatewayHeapBoundedByHistoryWindow is the memory-bound regression
@@ -170,6 +173,56 @@ func TestGatewayHeapBoundedByHistoryWindow(t *testing.T) {
 	if bounded > unbounded/4 {
 		t.Fatalf("windowed heap (%d) is not clearly below unbounded (%d) for %d ingested bytes",
 			bounded, unbounded, totalBytes)
+	}
+}
+
+// TestDefaultBackendHeapBoundedByHistoryWindow holds the backend that ships —
+// a per-owner ObliDB instance under the gateway's key, fed real sealed records
+// — to the same promise: with a finite history window, the gateway's RAM for a
+// tenant is its aggregates plus the window, not its ingest history. The sink
+// above retains nothing by construction, so it cannot see a backend that keeps
+// every ciphertext it is handed (a slice header for each pins the request
+// payload it arrived in too: 70–100 bytes a record). What
+// may grow is the 8-byte join key of a real record, with slice-growth slack,
+// and the transcript event of a sync.
+func TestDefaultBackendHeapBoundedByHistoryWindow(t *testing.T) {
+	const (
+		window  = 8
+		syncs   = 2500 // 312× the window
+		perSync = 8    // the sync-durable workload's batch: one dummy in eight
+		budget  = 32   // bytes of heap growth per ingested record
+	)
+	key, err := seal.NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealer, err := seal.NewSealer(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grew := driveHeap(t, gateway.Config{Key: key, HistoryWindow: window}, syncs, func(u int) [][]byte {
+		sealed := make([][]byte, perSync)
+		for i := range sealed {
+			r := yellow(u, uint16(1+(u+i)%record.NumLocations))
+			if i%2 == 1 {
+				r.Provider = record.GreenTaxi
+			}
+			if i == perSync-1 {
+				r = record.NewDummy(record.YellowCab)
+			}
+			ct, err := sealer.Seal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealed[i] = ct
+		}
+		return sealed
+	})
+	records := uint64(syncs * perSync)
+	t.Logf("heap grew %d bytes over %d ingested records: %.1f B a record", grew, records, float64(grew)/float64(records))
+	if grew > budget*records {
+		t.Fatalf("default backend: heap grew %d bytes over %d ingested records (%.1f B a record), budget %d B a record",
+			grew, records, float64(grew)/float64(records), budget)
 	}
 }
 

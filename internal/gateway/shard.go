@@ -328,7 +328,7 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 		if g.tm.on || tc.Sampled() {
 			appendAt = time.Now().UnixNano()
 		}
-		err := g.store.AppendTraced(sh.id, entry, tc, func(werr error, walTC telemetry.TraceContext) {
+		err := g.store.AppendTraced(sh.id, &entry, tc, func(werr error, walTC telemetry.TraceContext) {
 			// Runs on the WAL writer; hop back to the shard worker so every
 			// tenant mutation stays single-goroutine. walTC is tc advanced to
 			// the entry's WAL-commit span — the parent the replication ship

@@ -49,6 +49,11 @@ type Tenant struct {
 	env    *Tenants
 	db     edb.Database
 	sealed sealedStore // non-nil when the backend ingests ciphertexts directly
+	// cts is Ingest's scratch for handing a batch to the backend as
+	// []seal.Sealed, reused so a steady-state sync allocates no header copy. It
+	// is cleared after every call, so it pins no ciphertext, and kept only up
+	// to ingestScratch headers, so a bulk setup load leaves nothing behind.
+	cts []seal.Sealed
 	// qc holds released query responses keyed by the full QuerySpec, served
 	// without touching the backend (a released DP answer is already noised —
 	// re-serving it is pure post-processing and spends nothing). RAM-only by
@@ -107,6 +112,11 @@ func (tn *Tenant) flushDeferred() {
 		d.run(tn.failed)
 	}
 }
+
+// ingestScratch bounds the header scratch a tenant keeps between syncs (24
+// bytes each): DP-Timer/ANT syncs are a handful of records, and anything
+// larger is a setup load whose scratch is not worth holding per tenant.
+const ingestScratch = 64
 
 // sealedStore is the optional backend fast path for substrates that accept
 // sealed ciphertexts without opening them (the ObliDB enclave boundary).
@@ -219,10 +229,19 @@ func (ts *Tenants) StatsProbe(owner string) wire.Response {
 // Ingest lands one sealed batch in the backend: verbatim for enclave-style
 // backends, through the ingress sealer for record-level ones.
 func (tn *Tenant) Ingest(setup bool, sealed [][]byte) error {
-	cts := make([]seal.Sealed, len(sealed))
-	for i, b := range sealed {
-		cts[i] = seal.Sealed(b)
+	cts := tn.cts[:0]
+	for _, b := range sealed {
+		cts = append(cts, seal.Sealed(b))
 	}
+	err := tn.ingest(setup, cts)
+	clear(cts)
+	if cap(cts) <= ingestScratch {
+		tn.cts = cts[:0]
+	}
+	return err
+}
+
+func (tn *Tenant) ingest(setup bool, cts []seal.Sealed) error {
 	if tn.sealed != nil {
 		// Enclave-style backend: ciphertexts pass through verbatim; the
 		// gateway never opens records destined for an enclave.

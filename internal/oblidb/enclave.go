@@ -2,7 +2,6 @@ package oblidb
 
 import (
 	"fmt"
-	"sync"
 
 	"dpsync/internal/query"
 	"dpsync/internal/record"
@@ -26,15 +25,18 @@ import (
 //
 // Answers are computed from incrementally maintained aggregates (updated at
 // ingest) rather than by re-evaluating the relational plan over the resident
-// tables on every query — amortized O(1) per ingested record, O(keys) per
-// query. This changes nothing the adversary or the metrics see: the modeled
-// oblivious execution still touches the full scan extent (scanExtent, the
-// access log, and the calibrated cost model are untouched), and the
+// tables on every query — O(1) per ingested record and, per query, a walk of
+// the pickupID domain or a merge of the join keys (see query.Aggregates). This
+// changes nothing the adversary or the metrics see: the modeled oblivious
+// execution still touches the full scan extent (scanExtent, the access log,
+// and the calibrated cost model are untouched), and the
 // incremental answers are bit-identical to the naive plan evaluation, which
 // TestIncrementalMatchesNaive pins. Obliviousness is a property of the
 // *modeled* engine; how the simulator computes the (exact) answer is free.
+//
+// An Enclave has no lock of its own: it is reachable only through its DB,
+// which calls every method under DB.mu.
 type Enclave struct {
-	mu     sync.Mutex
 	sealer *seal.Sealer
 
 	// agg holds the incrementally maintained query aggregates over the
@@ -47,7 +49,19 @@ type Enclave struct {
 	// yellow / green count resident records per table, dummies included —
 	// they drive the scan extent and the join cost model.
 	yellow, green int64
+
+	// Ingest's scratch, reused across batches so a steady-state ingest
+	// allocates nothing: plain receives one record's plaintext at a time, and
+	// opened holds the batch's decoded records until the whole batch has
+	// authenticated. Neither outlives the call that filled it.
+	plain  [record.EncodedSize]byte
+	opened []record.Record
 }
+
+// maxScratchRecords bounds the opened scratch an enclave keeps between
+// batches: a batch larger than this is a setup load or a burst, not the
+// steady state, and its scratch is released rather than held per tenant.
+const maxScratchRecords = 64
 
 // NewEnclave provisions an enclave with the shared data key.
 func NewEnclave(key []byte) (*Enclave, error) {
@@ -62,15 +76,17 @@ func NewEnclave(key []byte) (*Enclave, error) {
 // A failed authentication aborts the whole batch (nothing is admitted), the
 // behaviour of an enclave rejecting forged inputs at the attested boundary.
 func (e *Enclave) Ingest(cts []seal.Sealed) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	opened := make([]record.Record, len(cts))
+	opened := e.opened[:0]
 	for i, ct := range cts {
-		r, err := e.sealer.Open(ct)
+		var r record.Record
+		plain, err := e.sealer.AppendOpen(e.plain[:0], ct)
+		if err == nil {
+			r, err = record.Decode(plain)
+		}
 		if err != nil {
 			return fmt.Errorf("oblidb: ciphertext %d rejected by enclave: %w", i, err)
 		}
-		opened[i] = r
+		opened = append(opened, r)
 	}
 	for _, r := range opened {
 		e.agg.Observe(r)
@@ -80,6 +96,10 @@ func (e *Enclave) Ingest(cts []seal.Sealed) error {
 			e.yellow++
 		}
 	}
+	if cap(opened) > maxScratchRecords {
+		opened = nil
+	}
+	e.opened = opened
 	return nil
 }
 
@@ -90,8 +110,6 @@ func (e *Enclave) Ingest(cts []seal.Sealed) error {
 // over the ingested records (TestIncrementalMatchesNaive keeps a mirror of
 // every upload and pins exactly that).
 func (e *Enclave) Execute(q query.Query) (query.Answer, int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	ans, err := e.agg.AnswerFor(q)
 	if err != nil {
 		return query.Answer{}, 0, err
@@ -102,7 +120,6 @@ func (e *Enclave) Execute(q query.Query) (query.Answer, int, error) {
 
 // scanExtent reports how many resident records the oblivious execution of q
 // reads: the target table for linear queries, both tables for joins.
-// Callers hold e.mu.
 func (e *Enclave) scanExtent(q query.Query) int {
 	switch {
 	case q.Kind == query.JoinCount:
@@ -116,8 +133,4 @@ func (e *Enclave) scanExtent(q query.Query) int {
 
 // tableSizes reports the per-provider resident record counts (dummies
 // included) for the cost model.
-func (e *Enclave) tableSizes() (yellow, green int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.yellow, e.green
-}
+func (e *Enclave) tableSizes() (yellow, green int64) { return e.yellow, e.green }

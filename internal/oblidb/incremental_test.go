@@ -34,21 +34,58 @@ func randomBatch(rng *rand.Rand, n int) []record.Record {
 	return rs
 }
 
+// hostileBatch is what an authenticated upload can carry and Record.Validate
+// would refuse (record.Decode checks nothing but the dummy marker): pickupIDs
+// 0, 266 and 65535, an unknown provider, join keys that repeat, descend and go
+// negative, fares at and above MaxFareCents — interleaved with dummies.
+func hostileBatch(rng *rand.Rand, n int) []record.Record {
+	ids := []uint16{0, 1, 60, record.NumLocations, record.NumLocations + 1, 65535}
+	fares := []uint32{0, record.MaxFareCents, record.MaxFareCents + 1, 1<<32 - 1}
+	provs := []record.Provider{record.YellowCab, record.GreenTaxi, record.YellowCab, record.GreenTaxi, 7}
+	rs := make([]record.Record, 0, n)
+	for i := 0; i < n; i++ {
+		p := provs[rng.IntN(len(provs))]
+		if rng.IntN(7) == 0 {
+			rs = append(rs, record.NewDummy(p))
+			continue
+		}
+		rs = append(rs, record.Record{
+			PickupTime: record.Tick(20 - i%25 - rng.IntN(3)), // descending, repeating, below zero
+			PickupID:   ids[rng.IntN(len(ids))],
+			Provider:   p,
+			FareCents:  fares[rng.IntN(len(fares))],
+		})
+	}
+	return rs
+}
+
 // TestIncrementalMatchesNaive is the enclave's differential pin: after every
 // ingest batch, each query's answer must be bit-identical to re-evaluating
 // the Appendix-B-rewritten plan over a mirror of everything uploaded so far
 // (the enclave itself keeps only aggregates and sizes), while the access
 // log and the modeled cost stay exactly what the full-scan path reports —
-// a function of table sizes alone.
+// a function of table sizes alone. The odd trials upload hostileBatch rows, and
+// every trial asks ranges that straddle the pickupID domain's edge and a
+// self-join, so the enclave's indexed aggregates are held to the naive plan on
+// out-of-domain and out-of-order input too.
 func TestIncrementalMatchesNaive(t *testing.T) {
 	queries := []query.Query{
 		query.Q1(), query.Q2(), query.Q3(), query.Q4(),
 		{Kind: query.GroupCount, Provider: record.GreenTaxi},
 		{Kind: query.JoinCount, Provider: record.GreenTaxi, JoinWith: record.YellowCab},
+		{Kind: query.JoinCount, Provider: record.YellowCab, JoinWith: record.YellowCab},
+		{Kind: query.RangeCount, Provider: record.YellowCab, Lo: 260, Hi: 270},
+		{Kind: query.SumFare, Provider: record.GreenTaxi, Lo: 265, Hi: 266},
+		{Kind: query.RangeCount, Provider: record.GreenTaxi, Lo: 0, Hi: 65535},
+		{Kind: query.SumFare, Provider: record.YellowCab, Lo: 266, Hi: 65535},
 	}
-	for trial := 0; trial < 5; trial++ {
+	for trial := 0; trial < 6; trial++ {
 		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(trial), 0x0b11db))
+			gen := randomBatch
+			if trial%2 == 1 {
+				gen = hostileBatch
+			}
 			db := newDB(t)
 			mirror := query.Tables{}
 			upload := func(rs []record.Record) {
@@ -56,14 +93,14 @@ func TestIncrementalMatchesNaive(t *testing.T) {
 					mirror[r.Provider] = append(mirror[r.Provider], r)
 				}
 			}
-			d0 := randomBatch(rng, 50)
+			d0 := gen(rng, 50)
 			if err := db.Setup(d0); err != nil {
 				t.Fatal(err)
 			}
 			upload(d0)
 			wantLog := []int{}
 			for batch := 0; batch < 6; batch++ {
-				next := randomBatch(rng, rng.IntN(80))
+				next := gen(rng, rng.IntN(80))
 				if err := db.Update(next); err != nil {
 					t.Fatal(err)
 				}

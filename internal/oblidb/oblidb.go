@@ -5,14 +5,19 @@
 //
 // The original runs inside an Intel SGX enclave with ORAM-backed tables.
 // This reproduction keeps the architecture but simulates the enclave
-// boundary in-process: the *server* side stores only AES-GCM ciphertexts and
+// boundary in-process: the *server* side sees only AES-GCM ciphertexts and
 // never holds the data key; the *enclave* side (enclave.go) owns the key,
 // admits ciphertexts into enclave-resident tables (the ORAM stand-in), and
 // executes queries as oblivious scans whose access extent is a deterministic
-// function of table sizes alone — verified by tests. Query-execution time is
-// modeled with calibrated constants (see edb.ObliDBCostModel) because the
-// cost of an oblivious scan depends only on the record count, which the
-// simulation tracks exactly.
+// function of table sizes alone — verified by tests. The server side keeps a
+// count of the ciphertexts it was handed, not the ciphertexts: nothing here
+// ever reads one back, and in the serving stack the outsourced ciphertext
+// store is the gateway's durable history tier (internal/store), so a second
+// copy here would only make per-tenant RAM grow with ingest history. ORAM
+// mode (orambacked.go) is the exception by design — it mirrors every block.
+// Query-execution time is modeled with calibrated constants (see
+// edb.ObliDBCostModel) because the cost of an oblivious scan depends only on
+// the record count, which the simulation tracks exactly.
 package oblidb
 
 import (
@@ -32,21 +37,25 @@ import (
 const BlockBytes = 1024
 
 // DB is the server-visible half of the ObliDB simulator. It satisfies
-// edb.Database. All methods are safe for concurrent use.
+// edb.Database. All methods are safe for concurrent use. Its memory is the
+// enclave's aggregates — of which only the 8-byte join key a real record
+// grows with ingest — plus the access log; no ciphertext is retained unless
+// ORAM mode mirrors it.
 type DB struct {
 	mu      sync.Mutex
-	store   []seal.Sealed // ciphertexts in arrival order, as the server sees them
 	enclave *Enclave
 	model   edb.CostModel
-	stats   edb.StorageStats
-	setup   bool
+	// stats.Records is the count the server keeps of the ciphertexts it was
+	// handed — StoreSize, and the ORAM block index of the next one.
+	stats edb.StorageStats
+	setup bool
 
 	// accessLog records, per query, how many resident records the oblivious
 	// scan touched. Obliviousness means every entry is a function of table
 	// sizes only, never of data or predicates.
 	accessLog []int
 
-	// oram, when non-nil, mirrors the ciphertext store into a Path ORAM so
+	// oram, when non-nil, mirrors every ingested ciphertext into a Path ORAM so
 	// the physical block-access pattern is oblivious too (see orambacked.go).
 	oram *oram.ORAM
 }
@@ -112,15 +121,20 @@ func (db *DB) ingest(rs []record.Record) error {
 	if err != nil {
 		return fmt.Errorf("oblidb: sealing batch: %w", err)
 	}
+	return db.admit(cts, len(rs)-record.CountReal(rs))
+}
+
+// admit hands a batch of ciphertexts to the enclave, mirrors it into the ORAM
+// when that mode is on, and counts it (dummies of them known to be dummy).
+// Callers hold db.mu.
+func (db *DB) admit(cts []seal.Sealed, dummies int) error {
 	if err := db.enclave.Ingest(cts); err != nil {
 		return err
 	}
-	if err := db.mirrorToORAM(cts, len(db.store)); err != nil {
+	if err := db.mirrorToORAM(cts, db.stats.Records); err != nil {
 		return err
 	}
-	db.store = append(db.store, cts...)
-	dummies := len(rs) - record.CountReal(rs)
-	db.stats.Add(len(rs), dummies, BlockBytes)
+	db.stats.Add(len(cts), dummies, BlockBytes)
 	return nil
 }
 
@@ -137,7 +151,7 @@ func (db *DB) SetupSealed(cts []seal.Sealed) error {
 		return edb.ErrAlreadySetup
 	}
 	db.setup = true
-	return db.ingestSealed(cts)
+	return db.admit(cts, 0)
 }
 
 // UpdateSealed appends pre-sealed ciphertexts (see SetupSealed).
@@ -147,19 +161,7 @@ func (db *DB) UpdateSealed(cts []seal.Sealed) error {
 	if !db.setup {
 		return edb.ErrNotSetup
 	}
-	return db.ingestSealed(cts)
-}
-
-func (db *DB) ingestSealed(cts []seal.Sealed) error {
-	if err := db.enclave.Ingest(cts); err != nil {
-		return err
-	}
-	if err := db.mirrorToORAM(cts, len(db.store)); err != nil {
-		return err
-	}
-	db.store = append(db.store, cts...)
-	db.stats.Add(len(cts), 0, BlockBytes)
-	return nil
+	return db.admit(cts, 0)
 }
 
 // Query implements edb.Database: the enclave executes the rewritten plan
@@ -220,7 +222,7 @@ func (db *DB) AccessLog() []int {
 func (db *DB) StoreSize() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return len(db.store)
+	return db.stats.Records
 }
 
 var _ edb.Database = (*DB)(nil)

@@ -7,7 +7,7 @@ import (
 	"dpsync/internal/seal"
 )
 
-// ORAM backing for the ciphertext store. The paper evaluates ObliDB "with
+// ORAM backing for the outsourced ciphertexts. The paper evaluates ObliDB "with
 // ORAM enabled": the enclave's table blocks live in a Path ORAM so that even
 // the *physical* block-access sequence leaks nothing. EnableORAM switches
 // this simulator to that configuration — every ingested ciphertext is also
@@ -27,7 +27,7 @@ func (db *DB) EnableORAM(capacity int) error {
 	if db.setup {
 		return fmt.Errorf("oblidb: EnableORAM must precede Setup")
 	}
-	if len(db.store) > 0 {
+	if db.stats.Records > 0 {
 		return fmt.Errorf("oblidb: store not empty")
 	}
 	o, err := oram.New(capacity)
@@ -77,8 +77,8 @@ func (db *DB) ScanThroughORAM() ([]seal.Sealed, error) {
 	if db.oram == nil {
 		return nil, fmt.Errorf("oblidb: ORAM not enabled")
 	}
-	out := make([]seal.Sealed, len(db.store))
-	for i := range db.store {
+	out := make([]seal.Sealed, db.stats.Records)
+	for i := range out {
 		blk, err := db.oram.Read(uint32(i + 1))
 		if err != nil {
 			return nil, fmt.Errorf("oblidb: oram read %d: %w", i, err)

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 
 	"dpsync/internal/record"
 )
@@ -9,12 +10,29 @@ import (
 // Aggregates is an incrementally maintained sufficient statistic for the
 // bundled evaluation queries: per-provider real-record counts, per-pickupID
 // histograms (Q1 range counts, Q2 group-bys), per-pickupID fare totals (Q4),
-// and per-pickupTime join-key counters (Q3). Feeding every stored record
-// through Observe lets AnswerFor produce answers bit-identical to executing
-// the naive relational plans over the full table — counts and fare sums are
-// integers well below 2^53, so float64 accumulation order cannot perturb
-// them — in O(1) ingest work per record and O(keys) work per query, instead
-// of a full O(n) rescan.
+// and the pickupTime join key of every real record (Q3). Feeding every stored
+// record through Observe lets AnswerFor produce answers bit-identical to
+// executing the naive relational plans over the full table — counts and fare
+// sums are integers well below 2^53, so float64 accumulation order cannot
+// perturb them — without a rescan.
+//
+// The statistic is indexed, not hashed. A pickupID is bounded by
+// record.NumLocations, so each provider's histogram is one dense array and
+// Observe is two indexed adds; the join key arrives near-monotone (an owner
+// uploads in tick order), so it is an append-only slice kept sorted by
+// construction. Three inputs fall outside that shape and are handled where
+// they occur, never by a setting. record.Decode validates nothing, so an
+// authenticated record can carry any uint16 pickupID: those outside the
+// array's domain live in a small map beside it, and every range or group
+// answer still counts them exactly as the naive plan does. A table's first
+// sparseMax records live in that map too — a serving gateway holds thousands
+// of tenants, most of them young, and 4 KB of array for a handful of records
+// would make the youngest tenants the most expensive — and the next record
+// moves them into the array for good. And a join key that arrives out of order
+// clears the sorted flag, so the next join sorts once. Costs: Observe O(1);
+// RangeCount and SumFare a walk of at most NumLocations slots; GroupCount a
+// copy; JoinCount a merge walk of the two key slices, 8 bytes a real record,
+// which is the only part of the statistic that grows.
 //
 // Dummy records are skipped at Observe time, mirroring the Appendix-B
 // rewrite that filters them inside the engine: AnswerFor therefore matches
@@ -22,20 +40,47 @@ import (
 // zero value is not usable; call NewAggregates. Not safe for concurrent use;
 // callers (enclave, owner, simulator) serialize behind their own locks.
 type Aggregates struct {
-	prov map[record.Provider]*providerAgg
+	// prov holds the tables seen so far, in first-seen order: the paper's
+	// workloads have two, so a linear scan beats hashing the provider byte.
+	prov []*providerAgg
 }
+
+// idSlot is one pickupID's statistic: COUNT(*) and SUM(fareCents) side by
+// side, so the two adds of one Observe land on one cache line.
+type idSlot struct{ count, fares int64 }
+
+// sparseMax is how many real records a table holds before its dense array is
+// allocated: what fits the smallest form of a Go map.
+const sparseMax = 8
 
 // providerAgg holds one table's statistics over real records only.
 type providerAgg struct {
-	real  int64                 // COUNT(*)
-	ids   map[uint16]int64      // COUNT(*) GROUP BY pickupID
-	fares map[uint16]int64      // SUM(fareCents) GROUP BY pickupID
-	times map[record.Tick]int64 // COUNT(*) GROUP BY pickupTime (join key)
+	p    record.Provider
+	real int64 // COUNT(*)
+	// dense is indexed by pickupID over 0..NumLocations (0 is not a zone, but a
+	// record may carry it and a range may cover it) and is nil until the table
+	// outgrows sparseMax records. sparse holds every pickupID dense does not:
+	// all of them until then, only the out-of-domain ones after.
+	dense  *[record.NumLocations + 1]idSlot
+	sparse map[uint16]idSlot
+	// times is the join key (pickupTime) of every real record, ascending while
+	// sorted is set. Observe appends and compares with its predecessor;
+	// sortedTimes restores the order when a join needs it.
+	times  []record.Tick
+	sorted bool
 }
 
 // NewAggregates returns an empty statistic.
-func NewAggregates() *Aggregates {
-	return &Aggregates{prov: map[record.Provider]*providerAgg{}}
+func NewAggregates() *Aggregates { return &Aggregates{} }
+
+// agg returns p's table statistic, nil if no real record of p was observed.
+func (a *Aggregates) agg(p record.Provider) *providerAgg {
+	for _, pa := range a.prov {
+		if pa.p == p {
+			return pa
+		}
+	}
+	return nil
 }
 
 // Observe folds one stored record into the statistic. Dummy records are
@@ -44,19 +89,43 @@ func (a *Aggregates) Observe(r record.Record) {
 	if r.Dummy {
 		return
 	}
-	pa := a.prov[r.Provider]
+	pa := a.agg(r.Provider)
 	if pa == nil {
-		pa = &providerAgg{
-			ids:   map[uint16]int64{},
-			fares: map[uint16]int64{},
-			times: map[record.Tick]int64{},
-		}
-		a.prov[r.Provider] = pa
+		pa = &providerAgg{p: r.Provider, sorted: true}
+		a.prov = append(a.prov, pa)
 	}
 	pa.real++
-	pa.ids[r.PickupID]++
-	pa.fares[r.PickupID] += int64(r.FareCents)
-	pa.times[r.PickupTime]++
+	if pa.dense == nil && pa.real > sparseMax {
+		pa.densify()
+	}
+	if pa.dense != nil && int(r.PickupID) < len(pa.dense) {
+		s := &pa.dense[r.PickupID]
+		s.count++
+		s.fares += int64(r.FareCents)
+	} else {
+		if pa.sparse == nil {
+			pa.sparse = map[uint16]idSlot{}
+		}
+		s := pa.sparse[r.PickupID]
+		s.count++
+		s.fares += int64(r.FareCents)
+		pa.sparse[r.PickupID] = s
+	}
+	if n := len(pa.times); n > 0 && r.PickupTime < pa.times[n-1] {
+		pa.sorted = false
+	}
+	pa.times = append(pa.times, r.PickupTime)
+}
+
+// densify allocates the dense array and moves the in-domain pickupIDs into it.
+func (pa *providerAgg) densify() {
+	pa.dense = new([record.NumLocations + 1]idSlot)
+	for id, s := range pa.sparse {
+		if int(id) < len(pa.dense) {
+			pa.dense[id] = s
+			delete(pa.sparse, id)
+		}
+	}
 }
 
 // ObserveAll folds a batch.
@@ -68,7 +137,7 @@ func (a *Aggregates) ObserveAll(rs []record.Record) {
 
 // Real returns the number of real records observed for provider p.
 func (a *Aggregates) Real(p record.Provider) int64 {
-	if pa := a.prov[p]; pa != nil {
+	if pa := a.agg(p); pa != nil {
 		return pa.real
 	}
 	return 0
@@ -88,10 +157,15 @@ func (a *Aggregates) AnswerFor(q Query) (Answer, error) {
 		return Answer{Scalar: float64(a.rangeSum(q.Provider, q.Lo, q.Hi, true))}, nil
 	case GroupCount:
 		groups := make([]float64, record.NumLocations)
-		if pa := a.prov[q.Provider]; pa != nil {
-			for id, c := range pa.ids {
+		if pa := a.agg(q.Provider); pa != nil {
+			if pa.dense != nil {
+				for i := range groups {
+					groups[i] = float64(pa.dense[i+1].count)
+				}
+			}
+			for id, s := range pa.sparse {
 				if id >= 1 && id <= record.NumLocations {
-					groups[id-1] = float64(c)
+					groups[id-1] = float64(s.count)
 				}
 			}
 		}
@@ -103,48 +177,69 @@ func (a *Aggregates) AnswerFor(q Query) (Answer, error) {
 	}
 }
 
-// rangeSum adds the per-pickupID counters (or fare totals) over lo..hi,
-// iterating whichever is smaller: the range or the set of occupied keys.
+// rangeSum adds the per-pickupID counters (or fare totals) over lo..hi: the
+// dense slots the range covers, plus whichever sparse IDs fall in it.
 func (a *Aggregates) rangeSum(p record.Provider, lo, hi uint16, fares bool) int64 {
-	pa := a.prov[p]
+	pa := a.agg(p)
 	if pa == nil {
 		return 0
 	}
-	m := pa.ids
-	if fares {
-		m = pa.fares
-	}
-	var sum int64
-	if int(hi-lo)+1 <= len(m) {
-		for id := int(lo); id <= int(hi); id++ {
-			sum += m[uint16(id)]
+	var sum idSlot
+	if pa.dense != nil && int(lo) < len(pa.dense) {
+		for _, s := range pa.dense[lo:min(int(hi)+1, len(pa.dense))] {
+			sum.count += s.count
+			sum.fares += s.fares
 		}
-		return sum
 	}
-	for id, v := range m {
+	for id, s := range pa.sparse {
 		if id >= lo && id <= hi {
-			sum += v
+			sum.count += s.count
+			sum.fares += s.fares
 		}
 	}
-	return sum
+	if fares {
+		return sum.fares
+	}
+	return sum.count
 }
 
-// joinCount returns |T_left ⋈ T_right| on pickupTime: the sum over join
-// keys of the per-table multiplicity product (for a self-join, small and
-// big alias the same map and the product squares each multiplicity).
+// sortedTimes returns the join keys ascending, sorting them first if an
+// out-of-order arrival since the last join left them otherwise.
+func (pa *providerAgg) sortedTimes() []record.Tick {
+	if !pa.sorted {
+		slices.Sort(pa.times)
+		pa.sorted = true
+	}
+	return pa.times
+}
+
+// joinCount returns |T_left ⋈ T_right| on pickupTime: the sum over join keys
+// of the per-table multiplicity product, by one merge walk over the two
+// sorted key slices (for a self-join both sides are the same slice and the
+// product squares each multiplicity).
 func (a *Aggregates) joinCount(left, right record.Provider) int64 {
-	la, ra := a.prov[left], a.prov[right]
+	la, ra := a.agg(left), a.agg(right)
 	if la == nil || ra == nil {
 		return 0
 	}
-	// Iterate the smaller key set.
-	small, big := la.times, ra.times
-	if len(big) < len(small) {
-		small, big = big, small
-	}
+	l, r := la.sortedTimes(), ra.sortedTimes()
 	var total int64
-	for k, c := range small {
-		total += c * big[k]
+	for i, j := 0, 0; i < len(l) && j < len(r); {
+		switch k := l[i]; {
+		case k < r[j]:
+			i++
+		case k > r[j]:
+			j++
+		default:
+			i0, j0 := i, j
+			for i < len(l) && l[i] == k {
+				i++
+			}
+			for j < len(r) && r[j] == k {
+				j++
+			}
+			total += int64(i-i0) * int64(j-j0)
+		}
 	}
 	return total
 }

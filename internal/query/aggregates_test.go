@@ -197,3 +197,161 @@ func TestJoinCountNoMaterialization(t *testing.T) {
 		t.Errorf("incremental join count = %v, want %v", inc.Scalar, want)
 	}
 }
+
+// hostileRecords are rows record.Decode admits and Record.Validate would
+// refuse — an authenticated ciphertext can carry any of them, so the indexed
+// statistic must count them exactly as the naive plan does: pickupIDs 0, 266
+// and 65535 (outside the dense array's domain or at its unused slot), unknown
+// providers, join keys that repeat, descend and go negative, fares at and
+// above MaxFareCents — interleaved with dummies and well-formed rows.
+func hostileRecords() []record.Record {
+	const unknown = record.Provider(7)
+	rec := func(p record.Provider, t record.Tick, id uint16, fare uint32) record.Record {
+		return record.Record{PickupTime: t, PickupID: id, Provider: p, FareCents: fare}
+	}
+	return []record.Record{
+		rec(record.YellowCab, 100, 60, 1200),
+		rec(record.YellowCab, 100, 0, record.MaxFareCents),
+		record.NewDummy(record.YellowCab),
+		rec(record.GreenTaxi, 100, record.NumLocations+1, record.MaxFareCents+1),
+		rec(record.YellowCab, 90, 65535, 1<<32-1),
+		rec(record.GreenTaxi, 90, 65535, 7),
+		{PickupTime: 80, PickupID: 266, Provider: unknown, Dummy: true, FareCents: 9},
+		rec(unknown, 80, 10, 10),
+		rec(unknown, 80, 266, 11),
+		rec(record.Provider(0), 80, 10, 12), // observable, never queryable
+		rec(record.YellowCab, -5, record.NumLocations, 1),
+		rec(record.GreenTaxi, -5, record.NumLocations, 2),
+		rec(record.YellowCab, -1<<63, 1, 3),
+		rec(record.GreenTaxi, 1<<63-1, 1, 4),
+		rec(record.YellowCab, 100, 60, 0),
+		record.NewDummy(record.GreenTaxi),
+		rec(record.GreenTaxi, 100, 266, 5),
+		rec(record.YellowCab, 70, 265, 6),
+		rec(record.YellowCab, 60, 266, 7),
+		rec(record.YellowCab, 60, 266, 8),
+		rec(record.GreenTaxi, 60, 0, 9),
+	}
+}
+
+// hostileQueries adds, to allQueries, ranges that straddle the dense array's
+// edge at 265, sit wholly outside it or cover the whole uint16 domain, on known
+// and unknown providers, and joins that involve an unknown provider.
+func hostileQueries() []Query {
+	const unknown = record.Provider(7)
+	qs := allQueries()
+	for _, p := range []record.Provider{record.YellowCab, record.GreenTaxi, unknown, record.Provider(200)} {
+		for _, r := range [][2]uint16{{0, 0}, {0, 65535}, {260, 270}, {265, 265}, {265, 266}, {266, 266}, {266, 65535}, {65535, 65535}, {267, 65534}} {
+			qs = append(qs,
+				Query{Kind: RangeCount, Provider: p, Lo: r[0], Hi: r[1]},
+				Query{Kind: SumFare, Provider: p, Lo: r[0], Hi: r[1]})
+		}
+		qs = append(qs,
+			Query{Kind: GroupCount, Provider: p},
+			Query{Kind: JoinCount, Provider: p, JoinWith: p},
+			Query{Kind: JoinCount, Provider: p, JoinWith: unknown},
+			Query{Kind: JoinCount, Provider: record.GreenTaxi, JoinWith: p})
+	}
+	return qs
+}
+
+// checkAgainstNaive observes rs in the given cuts and, after each, holds every
+// query's incremental answer to Evaluate over the rows observed so far — so a
+// join that has sorted its keys is followed by more out-of-order arrivals and
+// asked again.
+func checkAgainstNaive(t *testing.T, rs []record.Record, qs []Query, cuts ...int) {
+	t.Helper()
+	agg := NewAggregates()
+	prev := 0
+	for _, cut := range append(cuts, len(rs)) {
+		if cut < prev || cut > len(rs) {
+			continue
+		}
+		agg.ObserveAll(rs[prev:cut])
+		prev = cut
+		tables := tablesOf(rs[:cut])
+		for _, q := range qs {
+			got, err := agg.AnswerFor(q)
+			if err != nil {
+				t.Fatalf("%+v: %v", q, err)
+			}
+			want, err := Evaluate(q, tables)
+			if err != nil {
+				t.Fatalf("%+v naive: %v", q, err)
+			}
+			if !answersEqual(got, want) {
+				t.Fatalf("after %d rows, %+v: incremental %+v != naive %+v", cut, q, got, want)
+			}
+		}
+		for _, p := range []record.Provider{record.YellowCab, record.GreenTaxi, 7} {
+			if got, want := agg.Real(p), int64(record.CountReal(tables[p])); got != want {
+				t.Fatalf("after %d rows, Real(%v) = %d, want %d", cut, p, got, want)
+			}
+		}
+	}
+}
+
+// TestAggregatesMatchNaiveOutOfDomain is the oracle for the indexed statistic:
+// rows outside the pickupID domain, of unknown providers and with join keys in
+// any order cannot break it, make it panic, or move one answer off the naive
+// plan's — in the order given, reversed, and shuffled, asked at every prefix.
+func TestAggregatesMatchNaiveOutOfDomain(t *testing.T) {
+	rs := hostileRecords()
+	every := make([]int, len(rs))
+	for i := range every {
+		every[i] = i
+	}
+	checkAgainstNaive(t, rs, hostileQueries(), every...)
+
+	rev := append([]record.Record(nil), rs...)
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	checkAgainstNaive(t, rev, hostileQueries(), every...)
+
+	for trial := 0; trial < 10; trial++ {
+		rng := rand.New(rand.NewPCG(uint64(trial), 0x0dd))
+		mixed := append(randomRecords(rng, 200, 0.14), rs...)
+		rng.Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
+		checkAgainstNaive(t, mixed, hostileQueries(), 1, len(mixed)/3, len(mixed)/2)
+	}
+}
+
+// FuzzAggregatesMatchNaive feeds the statistic what an authenticated upload
+// can: any 16 plaintext bytes a record (record.Decode validates nothing but
+// the dummy marker, which is masked into range here), then any range and join
+// over them. Seeds are the out-of-domain rows above.
+func FuzzAggregatesMatchNaive(f *testing.F) {
+	hostile := hostileRecords()
+	f.Add(record.EncodeSlice(hostile), uint16(260), uint16(270), uint8(record.YellowCab), uint8(record.GreenTaxi))
+	f.Add(record.EncodeSlice(hostile), uint16(0), uint16(65535), uint8(7), uint8(7))
+	f.Add(record.EncodeSlice(hostile[:8]), uint16(266), uint16(266), uint8(record.GreenTaxi), uint8(record.GreenTaxi))
+	f.Add([]byte{}, uint16(1), uint16(1), uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, raw []byte, lo, hi uint16, p, with uint8) {
+		if len(raw) > 512*record.EncodedSize {
+			return // the naive join is quadratic in equal keys
+		}
+		var rs []record.Record
+		for ; len(raw) >= record.EncodedSize; raw = raw[record.EncodedSize:] {
+			buf := [record.EncodedSize]byte(raw)
+			buf[11] &= 1
+			r, err := record.Decode(buf[:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs = append(rs, r)
+		}
+		qs := allQueries()
+		for _, q := range []Query{
+			{Kind: RangeCount, Provider: record.Provider(p), Lo: lo, Hi: hi},
+			{Kind: SumFare, Provider: record.Provider(p), Lo: lo, Hi: hi},
+			{Kind: GroupCount, Provider: record.Provider(p)},
+			{Kind: JoinCount, Provider: record.Provider(p), JoinWith: record.Provider(with)},
+		} {
+			if q.Validate() == nil {
+				qs = append(qs, q)
+			}
+		}
+		checkAgainstNaive(t, rs, qs, len(rs)/2)
+	})
+}

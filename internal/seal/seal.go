@@ -101,14 +101,26 @@ func (s *Sealer) SealAll(rs []record.Record) ([]Sealed, error) {
 
 // Open decrypts and authenticates one sealed record.
 func (s *Sealer) Open(ct Sealed) (record.Record, error) {
-	if len(ct) != SealedSize {
-		return record.Record{}, ErrCorrupt
-	}
-	plain, err := s.aead.Open(nil, ct[:nonceSize], ct[nonceSize:], nil)
+	plain, err := s.AppendOpen(nil, ct)
 	if err != nil {
-		return record.Record{}, ErrCorrupt
+		return record.Record{}, err
 	}
 	return record.Decode(plain)
+}
+
+// AppendOpen decrypts and authenticates one sealed record and appends its
+// record.EncodedSize plaintext bytes to dst, returning the extended slice —
+// the allocation-free form of Open for a caller that reuses a buffer. A
+// rejected ciphertext appends nothing.
+func (s *Sealer) AppendOpen(dst []byte, ct Sealed) ([]byte, error) {
+	if len(ct) != SealedSize {
+		return dst, ErrCorrupt
+	}
+	out, err := s.aead.Open(dst, ct[:nonceSize], ct[nonceSize:], nil)
+	if err != nil {
+		return dst, ErrCorrupt
+	}
+	return out, nil
 }
 
 // OpenAll decrypts a batch, preserving order.

@@ -163,6 +163,41 @@ func TestQuickSealRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendOpen pins the append-style open: the plaintext lands behind what
+// dst already holds, a rejected ciphertext appends nothing, and a caller that
+// hands in a buffer with room allocates nothing.
+func TestAppendOpen(t *testing.T) {
+	s := newTestSealer(t)
+	r := record.Record{PickupTime: -3, PickupID: 65535, Provider: record.GreenTaxi, FareCents: 1 << 31}
+	ct, err := s.Seal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.AppendOpen([]byte("pre"), ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := record.Encode(r)
+	if !bytes.Equal(out, append([]byte("pre"), want[:]...)) {
+		t.Fatalf("AppendOpen = %x", out)
+	}
+	bad := append(Sealed(nil), ct...)
+	bad[len(bad)-1] ^= 1
+	for _, forged := range []Sealed{bad, ct[:SealedSize-1], nil} {
+		if out, err := s.AppendOpen([]byte("pre"), forged); err != ErrCorrupt || string(out) != "pre" {
+			t.Fatalf("forged ciphertext: %q, %v", out, err)
+		}
+	}
+	var buf [record.EncodedSize]byte
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := s.AppendOpen(buf[:0], ct); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("AppendOpen into a sized buffer allocates %v times, want 0", n)
+	}
+}
+
 func BenchmarkSeal(b *testing.B) {
 	key, _ := NewRandomKey()
 	s, _ := NewSealer(key)
@@ -182,6 +217,19 @@ func BenchmarkOpen(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Open(ct); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAppendOpen(b *testing.B) {
+	key, _ := NewRandomKey()
+	s, _ := NewSealer(key)
+	ct, _ := s.Seal(record.Record{PickupTime: 1, PickupID: 100, Provider: record.YellowCab})
+	var buf [record.EncodedSize]byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.AppendOpen(buf[:0], ct); err != nil {
 			b.Fatal(err)
 		}
 	}

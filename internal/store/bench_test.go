@@ -14,6 +14,7 @@ import (
 //
 //	go test -run '^$' -bench . -benchmem ./internal/store
 //	go test -run '^$' -bench DurableSteadyState -benchtime 30000x ./internal/store
+//	go test -run '^$' -bench Spill -benchtime 20000x ./internal/store
 //
 // Allocation counts and the reported byte ratios are deterministic; the
 // nanoseconds are the sandbox's.
@@ -167,4 +168,36 @@ func BenchmarkDurableSteadyState(b *testing.B) {
 	m := s.Metrics()
 	b.ReportMetric(float64(m.Snapshots), "rotations")
 	b.ReportMetric(float64(m.SnapshotBytes)/float64(m.Bytes), "snapshot_B/wal_B")
+}
+
+// BenchmarkSpill is one EnforceWindow-sized spill — 16 batches of 8 × 45-byte
+// ciphertexts, one owner's run — as the live path hands it over, each batch
+// carrying the frame its WAL append encoded (the spill wraps it), and as a
+// hand-built batch arrives (the spill encodes it, which every spill did before
+// frames were carried). us/batch divides by the 16. Every iteration appends
+// 7 KB to the history segment, so run it at a fixed count (-benchtime 20000x):
+// left to pick its own, the faster case runs until page-cache writeback is
+// what the clock measures.
+func BenchmarkSpill(b *testing.B) {
+	for _, mode := range []struct {
+		name  string
+		carry bool
+	}{{"carried", true}, {"encoded", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			s, _, err := Open(Options{Dir: b.TempDir(), Shards: 1, HistoryWindow: 16})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			batches := carriedTail(b, mode.carry)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := s.Spill(0, "owner-0001", nil, batches); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e3/float64(len(batches)), "us/batch")
+		})
+	}
 }

@@ -94,18 +94,71 @@ type Charge struct {
 // charge the sync incurred. Batches are the unit of both WAL entries and
 // snapshot history — replaying them in tick order reconstructs the tenant's
 // sealed store, transcript, clock, and ledger.
+//
+// One encoding per entry: the CRC frame encodeEntryFrame builds is an entry's
+// canonical form on the WAL, in history segments and on the replication stream
+// alike, so a batch carries that frame by reference once it exists and every
+// later writer wraps it instead of encoding again (Entry.Frame). Two places
+// set it: AppendTraced, where the live path encodes a sync for its WAL — the
+// only encode that sync ever gets — and the frame decoders (DecodeEntryFrame,
+// segment scans, StreamHistory), which have just CRC-verified the bytes they
+// parsed. In both cases Sealed aliases the frame, so carrying it pins nothing
+// beside it. A hand-built batch, or one decoded from a snapshot's inline tail,
+// carries none and is encoded when first written. A batch
+// is immutable once it carries a frame: derive a different one by building a
+// fresh literal, which carries nothing.
 type Batch struct {
 	Tick   uint64
 	Setup  bool
 	Flush  bool
 	Sealed [][]byte
 	Charge Charge
+
+	frame []byte
 }
 
 // Entry is one WAL record: a batch tagged with its owner namespace.
 type Entry struct {
 	Owner string
 	Batch Batch
+}
+
+// Frame returns e's canonical CRC frame — byte for byte what EncodeEntryFrame
+// renders: the frame its batch carries, wrapped without touching a
+// ciphertext, or a fresh encoding for a batch that carries none. The carried
+// frame is never trusted blindly: unless its length is exactly what e encodes
+// to and it names e's owner and tick, it is ignored and e is encoded. Only an
+// encode can fail.
+func (e Entry) Frame() ([]byte, error) {
+	f, _, err := e.canonical()
+	return f, err
+}
+
+// canonical is Frame, also reporting whether the frame is the carried one.
+func (e Entry) canonical() (frame []byte, carried bool, err error) {
+	f, at := e.Batch.frame, 8+2+len(e.Owner)
+	if len(f) == at+batchSize(e.Batch) && string(f[10:at]) == e.Owner && binary.BigEndian.Uint64(f[at:]) == e.Batch.Tick {
+		return f, true, nil
+	}
+	f, err = encodeEntryFrame(e)
+	return f, false, err
+}
+
+// adopt makes frame — e's encoding, just built from it — the form e's batch
+// carries, and re-points Sealed into it, so the buffers the ciphertexts
+// arrived in (a request payload) are not pinned beside the frame for as long
+// as the batch sits in a history tail. It writes through e.Batch.Sealed, so e
+// must be the caller's alone.
+func (e *Entry) adopt(frame []byte) {
+	// The frame header, the owner and the batch's fixed fields and charge
+	// precede the ciphertexts, each behind its 4-byte length.
+	off := 8 + 2 + len(e.Owner) + batchSize(Batch{Charge: e.Batch.Charge})
+	for i, ct := range e.Batch.Sealed {
+		off += 4
+		e.Batch.Sealed[i] = frame[off : off+len(ct) : off+len(ct)]
+		off += len(ct)
+	}
+	e.Batch.frame = frame
 }
 
 // SegmentRef names one contiguous run of an owner's batches inside a sealed
@@ -225,10 +278,10 @@ func readBatch(r *binfmt.Reader) Batch {
 const entryKindSync = 1
 
 // encodeEntryFrame renders one WAL entry as a complete CRC frame, ready to
-// append to a segment. It runs once per WAL append, per spilled batch and per
-// replication ship, so the frame is built in place: one allocation of exactly
-// the frame's size, the 8-byte header reserved up front and patched once the
-// payload behind it is written.
+// append to a segment. It always encodes — Entry.Frame is the caller-facing
+// form that wraps a carried frame instead — and the frame is built in place:
+// one allocation of exactly the frame's size, the 8-byte header reserved up
+// front and patched once the payload behind it is written.
 func encodeEntryFrame(e Entry) ([]byte, error) {
 	if len(e.Owner) == 0 || len(e.Owner) > maxOwnerLen {
 		return nil, fmt.Errorf("store: owner id length %d outside [1, %d]", len(e.Owner), maxOwnerLen)
@@ -250,15 +303,17 @@ func encodeEntryFrame(e Entry) ([]byte, error) {
 }
 
 // EncodeEntryFrame renders one entry as a complete CRC frame — the exact
-// bytes Append would write to a WAL segment. The replication layer ships
-// these frames verbatim so a follower's log holds byte-identical records.
+// bytes Append would write to a WAL segment, encoded from e's fields whatever
+// its batch carries. The serving stack calls Entry.Frame instead (a CI guard
+// keeps it that way); this is for tools and tests that want an encoding.
 func EncodeEntryFrame(e Entry) ([]byte, error) { return encodeEntryFrame(e) }
 
 // DecodeEntryFrame parses one complete CRC frame ([u32 len][u32 crc]
 // [payload]) back into its entry, rejecting truncated or trailing bytes,
 // CRC mismatches, and malformed payloads with ErrCorruptSegment. It is the
 // receiving half of EncodeEntryFrame: a replication follower verifies every
-// shipped frame with it before appending the same bytes to its own log.
+// shipped frame with it before appending the same bytes to its own log — the
+// returned entry's batch carries frame, so that append wraps it.
 func DecodeEntryFrame(frame []byte) (Entry, error) {
 	if len(frame) < 8 {
 		return Entry{}, fmt.Errorf("%w: short entry frame header", ErrCorruptSegment)
@@ -271,11 +326,10 @@ func DecodeEntryFrame(frame []byte) (Entry, error) {
 	if len(frame) != 8+int(n) {
 		return Entry{}, fmt.Errorf("%w: frame claims %d payload bytes, has %d", ErrCorruptSegment, n, len(frame)-8)
 	}
-	payload := frame[8:]
-	if crc32.Checksum(payload, crcTable) != crc {
+	if crc32.Checksum(frame[8:], crcTable) != crc {
 		return Entry{}, fmt.Errorf("%w: frame CRC mismatch", ErrCorruptSegment)
 	}
-	return decodeEntry(payload)
+	return decodeFramed(frame)
 }
 
 // batchSize is the exact number of bytes appendBatch writes for bt.
@@ -285,6 +339,17 @@ func batchSize(bt Batch) int {
 		n += 4 + len(ct)
 	}
 	return n
+}
+
+// decodeFramed parses one whole frame whose length and CRC the caller has
+// checked; the entry's batch carries frame from then on.
+func decodeFramed(frame []byte) (Entry, error) {
+	e, err := decodeEntry(frame[8:])
+	if err != nil {
+		return Entry{}, err
+	}
+	e.Batch.frame = frame
+	return e, nil
 }
 
 // decodeEntry parses one entry payload. Malformed input returns an error
@@ -332,11 +397,11 @@ func scanFrames(rest []byte) (entries []Entry, err error) {
 		if len(rest) < 8+int(n) {
 			return entries, fmt.Errorf("%w: frame claims %d bytes, %d remain", ErrTornTail, n, len(rest)-8)
 		}
-		payload := rest[8 : 8+int(n)]
-		if crc32.Checksum(payload, crcTable) != crc {
+		frame := rest[: 8+int(n) : 8+int(n)]
+		if crc32.Checksum(frame[8:], crcTable) != crc {
 			return entries, fmt.Errorf("%w: frame CRC mismatch", ErrCorruptSegment)
 		}
-		e, derr := decodeEntry(payload)
+		e, derr := decodeFramed(frame)
 		if derr != nil {
 			return entries, derr
 		}

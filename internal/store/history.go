@@ -184,7 +184,7 @@ func (hw *histWriter) appendHistory(owner string, prev *SegmentRef, batches []Ba
 		var newBytes uint64
 		var newBatches int64
 		for i < len(batches) && runBytes < maxRunBytes {
-			frame, err := encodeEntryFrame(Entry{Owner: owner, Batch: batches[i]})
+			frame, err := Entry{Owner: owner, Batch: batches[i]}.Frame()
 			if err == nil {
 				_, werr := hw.w.Write(frame)
 				if werr != nil {
@@ -317,9 +317,15 @@ func (s *Store) EnforceWindow(sid int, st *OwnerState, window int) error {
 			refs = refs[1:]
 		}
 		st.Spilled = append(st.Spilled, refs...)
-		kept := make([]Batch, len(st.Tail)-done)
-		copy(kept, st.Tail[done:])
-		st.Tail = kept
+		// Shift the kept batches down in place and clear the vacated slots, so
+		// the tail's array is reused from one spill to the next and the spilled
+		// batches' frames are released. Nothing reads a Tail concurrently with
+		// its owner: every reader on another goroutine (a snapshot transfer's
+		// cut, the debug plane) works on an OwnerState.Clone, which copies the
+		// slice, and Rotate encodes its image before the shard worker moves on.
+		kept := copy(st.Tail, st.Tail[done:])
+		clear(st.Tail[kept:])
+		st.Tail = st.Tail[:kept]
 	}
 	return err
 }
@@ -397,14 +403,15 @@ func streamRun(r io.Reader, owner string, ref SegmentRef, fn func(Batch) error) 
 		if n == 0 || n > maxEntrySize || int64(n) > remain-8 {
 			return fmt.Errorf("%w: frame length %d outside run bounds", ErrCorruptSegment, n)
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		frame := make([]byte, 8+n)
+		copy(frame, hdr[:])
+		if _, err := io.ReadFull(r, frame[8:]); err != nil {
 			return fmt.Errorf("%w: reading frame payload: %v", ErrCorruptSegment, err)
 		}
-		if crc32.Checksum(payload, crcTable) != fcrc {
+		if crc32.Checksum(frame[8:], crcTable) != fcrc {
 			return fmt.Errorf("%w: frame CRC mismatch", ErrCorruptSegment)
 		}
-		e, err := decodeEntry(payload)
+		e, err := decodeFramed(frame)
 		if err != nil {
 			return err
 		}
@@ -415,8 +422,7 @@ func streamRun(r io.Reader, owner string, ref SegmentRef, fn func(Batch) error) 
 			return fmt.Errorf("%w: run tick %d, want %d", ErrCorruptSegment, e.Batch.Tick, tick)
 		}
 		tick++
-		runCRC = crc32.Update(runCRC, crcTable, hdr[:])
-		runCRC = crc32.Update(runCRC, crcTable, payload)
+		runCRC = crc32.Update(runCRC, crcTable, frame)
 		remain -= 8 + int64(n)
 		if err := fn(e.Batch); err != nil {
 			return err

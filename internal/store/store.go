@@ -460,6 +460,8 @@ func (s *Store) compact(shards int, states map[string]*OwnerState, rec *recovery
 				refs = refs[1:]
 			}
 			st.Spilled = append(st.Spilled, refs...)
+			// A recovered tail can be many windows long: keep a right-sized
+			// copy rather than the window at the end of that array.
 			kept := make([]Batch, s.window)
 			copy(kept, st.Tail[n:])
 			st.Tail = kept
@@ -665,25 +667,45 @@ func (sh *walShard) openSegment() error {
 // Append enqueues one entry on shard sid. It returns immediately; done is
 // invoked exactly once — from the shard's writer goroutine — after the
 // entry's group commit (nil) or its failure. A non-nil return means the
-// entry was never enqueued and done will not be called.
+// entry was never enqueued and done will not be called. The frame written is
+// e.Frame(): an entry decoded from a frame (a replica's shipped entry) is
+// wrapped, not encoded again.
 //
 // Concurrency contract: one producer goroutine per shard (the gateway's
 // shard worker); done callbacks must not block the writer indefinitely.
 func (s *Store) Append(sid int, e Entry, done func(error)) error {
-	return s.AppendTraced(sid, e, telemetry.TraceContext{},
-		func(err error, _ telemetry.TraceContext) { done(err) })
-}
-
-// AppendTraced is Append carrying a trace context: a sampled entry's group
-// commit records a shared wal-flush span (the flush/fsync round) with one
-// wal-commit child per entry, and done receives the context advanced to that
-// wal-commit span so downstream stages (replication ship) parent under it.
-// Same contract as Append otherwise.
-func (s *Store) AppendTraced(sid int, e Entry, tc telemetry.TraceContext, done func(error, telemetry.TraceContext)) error {
-	frame, err := encodeEntryFrame(e)
+	frame, err := e.Frame()
 	if err != nil {
 		return err
 	}
+	return s.enqueue(sid, frame, telemetry.TraceContext{},
+		func(err error, _ telemetry.TraceContext) { done(err) })
+}
+
+// AppendTraced is Append for the live sync path. It carries a trace context:
+// a sampled entry's group commit records a shared wal-flush span (the
+// flush/fsync round) with one wal-commit child per entry, and done receives
+// the context advanced to that wal-commit span so downstream stages
+// (replication ship) parent under it. And it leaves the frame it encoded in
+// *e — e.Batch carries it and e.Batch.Sealed aliases it (see Batch) — so the
+// commit that puts the batch in the history tail, the spill out of it and the
+// replication hub all reuse this one encoding, and the request payload the
+// ciphertexts arrived in is no longer referenced. e must be the caller's
+// alone. Same contract as Append otherwise.
+func (s *Store) AppendTraced(sid int, e *Entry, tc telemetry.TraceContext, done func(error, telemetry.TraceContext)) error {
+	frame, carried, err := e.canonical()
+	if err != nil {
+		return err
+	}
+	if !carried {
+		e.adopt(frame)
+	}
+	return s.enqueue(sid, frame, tc, done)
+}
+
+// enqueue hands one entry frame to shard sid's writer and counts it toward
+// the shard's next rotation.
+func (s *Store) enqueue(sid int, frame []byte, tc telemetry.TraceContext, done func(error, telemetry.TraceContext)) error {
 	sh := s.shards[sid]
 	sh.mu.Lock()
 	if sh.closing {
