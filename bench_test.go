@@ -286,9 +286,9 @@ func BenchmarkMicroOwnerTick(b *testing.B) {
 // boundary and decrypted through the CRT pipeline. 384-bit keys keep one
 // iteration in the single-digit-seconds range the real pipeline now
 // sustains; the differential tests in internal/crypte pin these answers
-// bit-identical to the clear-text engine. cmd/dpsync-baseline's realAHERun
-// times a similar (intentionally decoupled) scaled-down workload for the
-// recorded perf trajectory.
+// bit-identical to the clear-text engine. One iteration (-benchtime 1x) is
+// the measurement the frozen BENCH_baseline.json sampled, over a similar
+// workload, as real_ahe_seconds.
 func BenchmarkMicroRealAHE(b *testing.B) {
 	pipe, err := crypte.NewAHEPipeline(384)
 	if err != nil {

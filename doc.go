@@ -207,10 +207,29 @@
 // owner's request stream alone — a differential test pins this — so
 // per-owner DP accounting survives multi-tenancy: the operator sees a union
 // of transcripts, each independently carrying its owner's ε guarantee.
-// cmd/dpsync-loadgen drives N owners × T ticks against a live gateway and
-// records sync throughput, p50/p99 sync latency, and bytes per sync into
-// the committed baseline (1,000 owners × 100 ticks complete in well under a
-// second on one core).
+//
+// internal/loadgen (cmd/dpsync-loadgen) is the in-process load driver, and
+// a run has three parts, each written once. A fleet: N full core.Owner
+// stacks (the strategy mix cycles SUR, DP-Timer, DP-ANT) × T ticks over
+// shared pipelined connections, optionally with connection churn, injected
+// faults, open-loop arrivals and a Q1–Q4 query mix; drive(from, to) runs the
+// owners concurrently and returns when every owner's tick `to` is
+// acknowledged. A target: an external gateway, or an in-process topology —
+// one node in memory, one node on a store, or a primary and a follower on
+// stores. At most one disruption, landing on a quiesced tick boundary: a
+// graceful close → reopen after the last tick (-durable), or a kill at a
+// seed-derived tick — Gateway.Kill and recovery from the directory on one
+// node (-crash N), Node.Kill of the primary and the follower's role flip on a
+// cluster (-failover N). And one verification for every in-process
+// combination: the same seeded fleet is driven, without sockets, into one
+// internal/refdb per owner, and one pure function requires each owner's
+// server-observed events to equal the reference's tick for tick and volume
+// for volume, and its ε ledger to hold exactly one m_setup plus one m_update
+// per further event at the configured charge. It reports sync throughput,
+// p50/p99 sync latency and bytes per sync (1,000 owners × 100 ticks complete,
+// verified, in well under a second on one core); the numbers a claim may
+// rest on are go run ./benchmark's sync_per_s, sync_p50_ms/sync_p99_ms and
+// wire_bytes_per_op, measured against a separate pinned server process.
 //
 // # Durability architecture
 //
@@ -242,7 +261,7 @@
 // (+ optional fsync), then hops the completion callbacks back onto the
 // shard worker — acknowledgments and transcript events stay
 // single-goroutine, and the commit cost amortizes across every entry that
-// arrived during the previous flush (the wal_group_factor baseline key).
+// arrived during the previous flush (go run ./benchmark's store.group_size).
 //
 // One encoding per entry. The CRC frame the WAL append builds is the
 // entry's canonical form — on the WAL, in history segments and on the
@@ -320,10 +339,12 @@
 // flush, no drain), restart it from disk, finish the trace, and pin every
 // tenant's transcript bit-identical to an uninterrupted single-owner run —
 // with the recovered ledger equal to the uninterrupted one — across the
-// history-window matrix {disabled, 1, 64}. cmd/dpsync-loadgen -durable
-// measures the layer (wal_append_us, durable_syncs_per_sec, recovery_ms,
-// and with -history-window the spill_* keys in the baseline) and -crash N
-// runs the same kill/restart/verify cycle across N seeds.
+// history-window matrix {disabled, 1, 64}. cmd/dpsync-loadgen -crash N runs
+// the same kill/restart/verify cycle across N seeds, and -durable reports the
+// layer in process (wal_append_us, recovery_ms, the spill_* fields); go run
+// ./benchmark --workload sync-durable measures it (sync_per_s, recovery_ms,
+// disk_bytes_per_user_byte, store.append_commit_us_g*, store.spill_us_per_batch,
+// store.recover_ms_per_1k_entries).
 //
 // # Fleet robustness
 //
@@ -369,13 +390,15 @@
 // deterministic fault schedules — connection resets, torn mid-frame writes,
 // stalls, duplicated frame delivery — injected at protocol frame
 // boundaries, with disruptive faults drawn from a shared budget so runs
-// terminate. internal/loadgen threads it (with connection churn and an
-// open-loop Poisson/bursty arrival model whose latency is measured from
+// terminate. internal/loadgen's fleet threads it (with connection churn and
+// an open-loop Poisson/bursty arrival model whose latency is measured from
 // scheduled arrival times — no coordinated omission) behind
 // cmd/dpsync-loadgen -churn/-faults/-open-loop, and the fault-matrix
 // acceptance test pins per-owner transcripts and ε ledgers bit-identical to
-// an uninterrupted run under the full schedule. The baseline records
-// churn_resume_ms, open_loop_p99_ms, and backpressure_sheds.
+// an uninterrupted run under the full schedule. churn_resume_ms,
+// open_loop_p99_ms and backpressure_sheds are fields of that command's
+// report; go run ./benchmark has no hostile-fleet workload yet (ROADMAP
+// item 5).
 //
 // # Replication architecture
 //
@@ -429,8 +452,11 @@
 // protocol, and re-uploads them verbatim — so every owner's transcript and ε
 // ledger end bit-identical to an uninterrupted single-node run. The failover
 // differential test pins this across randomized kill ticks, connection churn,
-// and replication-link faults; cmd/dpsync-loadgen -failover measures it
-// (failover_ms, replication_lag_ms, replica_syncs_per_sec in the baseline).
+// and replication-link faults; cmd/dpsync-loadgen -failover N runs it over N
+// seeds and reports failover_ms, promote_ms, replication_lag_ms and
+// replica_syncs_per_sec. go run ./benchmark --workload replica-read measures
+// the steady state (cluster.repl_lag_ms, cluster.follower_apply_us,
+// cluster.shipped_per_commit); a failover workload is ROADMAP item 5.
 //
 // # Read-path architecture
 //
@@ -480,9 +506,10 @@
 // contract under -race: every follower-served answer bit-identical to the
 // primary's and to a single-owner reference, a partitioned follower
 // serving exactly its frozen committed prefix while refusing fresher
-// bounds, and convergence after heal. Baseline keys: query_qps (≥10×
-// gateway_syncs_per_sec), qcache_hit_ratio, query_p99_ms,
-// replica_query_qps, replica_served.
+// bounds, and convergence after heal. Measured by go run ./benchmark:
+// query_per_s, query_p50_ms/query_p99_ms and qcache.hit_ratio on mixed-rw,
+// cluster.replica_served_share, cluster.replica_stale_share and
+// cluster.read_rebuilds_per_query on replica-read.
 //
 // # Observability architecture
 //
@@ -539,8 +566,11 @@
 // trees (text, or JSON with ?format=json); /metrics attaches OpenMetrics
 // exemplars linking stage-histogram buckets to the trace IDs that landed
 // in them; and dpsync-loadgen -trace-out writes a drive's span trees to a
-// file. trace_overhead_ns and tracez_render_us price the plane in the
-// baseline.
+// file. BenchmarkTraceSampled (a captured request's span sequence against
+// the same calls through a sampling-disabled tracer) and
+// BenchmarkTracezRender (one /tracez render over full rings) in
+// internal/telemetry price the plane, and go run ./benchmark --trace 1 reports
+// trace.overhead_pct end to end.
 //
 // The privacy posture is part of the design, not an afterthought: the
 // metrics endpoint is part of the adversary's view, so per-tenant series
@@ -555,7 +585,7 @@
 // appears only behind the same debug gate. A regression test scrapes both
 // exposition formats plus the /tracez render and fails on any
 // owner-identifying output in the default configuration. The cost of the
-// plane is priced in the baseline: the gateway_*/durable_* throughput keys
-// are measured telemetry-on, and telemetry_scrape_us records a full
-// /metrics render.
+// plane is priced where everything else is: go run ./benchmark's throughput
+// metrics are measured telemetry-on, BenchmarkSyncOverhead is the per-sync
+// instrument sequence, and BenchmarkScrape a full /metrics render.
 package dpsync

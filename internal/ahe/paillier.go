@@ -199,7 +199,8 @@ func (sk *PrivateKey) Decrypt(ct Ciphertext) (int64, error) {
 
 // DecryptTextbook is the reference decryption m = L(c^λ mod n²)·μ mod n,
 // with L(x) = (x-1)/n. It is retained (and exported) as the differential
-// baseline for Decrypt and for the perf trajectory in BENCH_baseline.json.
+// reference for Decrypt and as the slow side of BenchmarkDecryptTextbook vs
+// BenchmarkDecryptCRT.
 func (sk *PrivateKey) DecryptTextbook(ct Ciphertext) (int64, error) {
 	if err := sk.checkCiphertext(ct); err != nil {
 		return 0, err

@@ -2,6 +2,7 @@ package ahe
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -160,22 +161,54 @@ func TestQuickAdditivity(t *testing.T) {
 	}
 }
 
-func BenchmarkEncrypt(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := testKey.Encrypt(int64(i % 1000)); err != nil {
-			b.Fatal(err)
-		}
+// benchKeys caches one key per benchmarked size; keygen is the slow part and
+// a benchmark body runs several times.
+var benchKeys = map[int]*PrivateKey{512: testKey}
+
+// benchSizes runs one micro-operation at the test key size and at the two
+// production-representative sizes, where the CRT advantage grows with the
+// operand width (at bits=2048 DecryptCRT must beat DecryptTextbook by ≥ 3×).
+// -short keeps bits=512 only: the large keys take seconds to generate.
+func benchSizes(b *testing.B, op func(b *testing.B, key *PrivateKey)) {
+	for _, bits := range []int{512, 1024, 2048} {
+		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+			key := benchKeys[bits]
+			if key == nil {
+				if testing.Short() {
+					b.Skip("large key sizes are skipped under -short")
+				}
+				var err error
+				if key, err = GenerateKey(bits); err != nil {
+					b.Fatal(err)
+				}
+				benchKeys[bits] = key
+			}
+			b.ResetTimer()
+			op(b, key)
+		})
 	}
+}
+
+func BenchmarkEncrypt(b *testing.B) {
+	benchSizes(b, func(b *testing.B, key *PrivateKey) {
+		for i := 0; i < b.N; i++ {
+			if _, err := key.Encrypt(int64(i % 1000)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkEncryptOwner pins the owner-side CRT win for r^n (~2×: the
 // half-width moduli make each of the two exponentiations ~4× cheaper).
 func BenchmarkEncryptOwner(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := testKey.EncryptOwner(int64(i % 1000)); err != nil {
-			b.Fatal(err)
+	benchSizes(b, func(b *testing.B, key *PrivateKey) {
+		for i := 0; i < b.N; i++ {
+			if _, err := key.EncryptOwner(int64(i % 1000)); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkEncryptPooledOnline measures the online half of the
@@ -184,37 +217,43 @@ func BenchmarkEncryptOwner(b *testing.B) {
 // randomizer is reused across iterations — cryptographically forbidden, but
 // exactly the right measurement of the online arithmetic.
 func BenchmarkEncryptPooledOnline(b *testing.B) {
-	rn, err := testKey.EncryptZero()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := testKey.EncryptPrecomputed(int64(i%1000), rn.C); err != nil {
+	benchSizes(b, func(b *testing.B, key *PrivateKey) {
+		rn, err := key.EncryptZero()
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := key.EncryptPrecomputed(int64(i%1000), rn.C); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkDecryptTextbook(b *testing.B) {
-	ct, _ := testKey.Encrypt(123456789)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := testKey.DecryptTextbook(ct); err != nil {
-			b.Fatal(err)
+	benchSizes(b, func(b *testing.B, key *PrivateKey) {
+		ct, _ := key.Encrypt(123456789)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := key.DecryptTextbook(ct); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 func BenchmarkDecryptCRT(b *testing.B) {
-	ct, _ := testKey.Encrypt(123456789)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := testKey.Decrypt(ct); err != nil {
-			b.Fatal(err)
+	benchSizes(b, func(b *testing.B, key *PrivateKey) {
+		ct, _ := key.Encrypt(123456789)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := key.Decrypt(ct); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 func BenchmarkAdd(b *testing.B) {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -261,5 +262,54 @@ func TestTraceRaceHammer(t *testing.T) {
 	scr.Wait()
 	if sampled, _ := tr.Stats(); sampled != workers*iters/2 {
 		t.Fatalf("sampled %d, want %d", sampled, workers*iters/2)
+	}
+}
+
+// durableSyncSpans records the span sequence a durable sync leaves: admit,
+// queue-wait, apply, wal-flush with wal-commit under it, finish.
+func durableSyncSpans(tr *Tracer, now time.Time, step time.Duration) {
+	tc := tr.Admit("client-admit", now)
+	tc.Record("queue-wait", now, now.Add(step))
+	tc.Record("apply", now, now.Add(2*step))
+	flush := tc.Record("wal-flush", now, now.Add(3*step))
+	tc.At(flush).Record("wal-commit", now, now.Add(3*step))
+	tr.Finish(tc, "client-admit")
+}
+
+// BenchmarkTraceSampled prices the tracing plane for a request that IS
+// sampled. "sampled" records, publishes and finishes the durable-sync span
+// sequence through an always-sampling tracer; "disabled" drives the same
+// calls through a sampling-disabled one, whose per-request cost is one atomic
+// add. Their difference is what tracing costs a captured request (the
+// trace_overhead_ns of the frozen baseline).
+func BenchmarkTraceSampled(b *testing.B) {
+	for _, mode := range []struct {
+		name  string
+		every int
+	}{{"sampled", 1}, {"disabled", -1}} {
+		b.Run(mode.name, func(b *testing.B) {
+			tr := NewTracer(TracerConfig{SampleEvery: mode.every})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				durableSyncSpans(tr, time.Now(), 0)
+			}
+		})
+	}
+}
+
+// BenchmarkTracezRender prices one /tracez text render — ring snapshot plus
+// span tree encoding — over a tracer whose rings are full (the
+// tracez_render_us of the frozen baseline).
+func BenchmarkTracezRender(b *testing.B) {
+	tr := NewTracer(TracerConfig{SampleEvery: 1})
+	for i := 0; i < 2*DefaultTraceCapacity; i++ {
+		durableSyncSpans(tr, time.Now(), time.Microsecond)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteTracez(io.Discard, tr.Dump()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
