@@ -166,11 +166,48 @@
 // are serialized without a tenant lock and unrelated owners never contend.
 //
 // One binary codec. Connections open with a hello — protocol magic plus a
-// version byte — and every payload is the binary codec's (length-prefixed
+// version byte — and every payload is the binary codec's (hand-rolled
 // fields, no base64 expansion of sealed ciphertexts; its field primitives
-// are internal/binfmt, shared with the on-disk formats). A hello proposing
-// any other codec byte is acked with the binary one; there is nothing to
-// negotiate down to. Frames are multiplexed envelopes — request ID plus
+// are internal/binfmt, shared with the on-disk formats). The version byte
+// is 3: 2 was a layout of fixed-width integers and 1 a JSON encoding, both
+// retired, and a hello proposing any other codec byte is acked 3; there is
+// nothing to negotiate down to. The layout (uv = minimal-form varint, the
+// 4-byte frame length in front of everything not shown):
+//
+//	request   uv id · u8 ownerLen · owner · u8 type ·
+//	  setup, update   uv seq · uv n · [uv width · n×width ciphertext bytes]
+//	  query           u8 kind · u8 provider · u8 joinWith · u16 lo · u16 hi
+//	  bounded query   the same seven bytes · uv minOffset (> 0)
+//	  stats, resume   —
+//	response  uv id · u8 flags ·
+//	  [error    uv len (> 0) · text]
+//	  [answer   f64 scalar · uv groups · [u8 width ∈ {4,8} · groups×width]]
+//	  [cost     f64 seconds · uv scanned · uv pairs]
+//	  [stats    uv records · uv bytes · uv updates · u8 len · scheme · u8 leakage]
+//	  [resume   uv clock]   [stale  uv offset]
+//
+// DP-Sync buys its guarantee with traffic — dummies and extra syncs — so the
+// bytes a sync and an answer cost are the paper's own performance metric,
+// and the codec spends only what an operation needs: a one-record sync is 66
+// bytes on the wire and its ack 6 (86 and 13 under codec 2), a Q2 answer 1,088
+// (2,169). Two rules keep the saving from becoming a side channel.
+// Uniform width per batch: every ciphertext of a batch has one length,
+// written once — a sealed dummy is a sealed record's size by construction,
+// which is exactly what makes the two indistinguishable, so the encoder
+// refuses a batch that mixes lengths and a frame's length is a function of
+// the record count alone, never of the real/dummy split. Answer width from
+// integrality, never sparse: an answer's groups travel as 4-byte unsigned
+// integers exactly when every group is an integer in [0, 2³²) — all of an
+// exact backend's counts — and as their 8 float bytes otherwise (−0, NaN,
+// ±Inf and noisy fractions bit-exact); the width is one byte for the whole
+// answer, zero groups are written like any other, and no value is ever
+// shortened on its own, so a response's length is a function of the query
+// and the backend, as in oblivious query processing, never of the data.
+// The codec is canonical — padded varints, a width without a batch, an
+// 8-byte block that fits 4, trailing bytes are all wire.ErrBadFrame — so
+// each message has one byte string, the fuzz targets are bijection checks,
+// and TestFrameSizes pins every size against a reference encoder that
+// shares no code with it. Frames are multiplexed envelopes — request ID plus
 // owner namespace — and the pipelined client (client.DialGateway) keeps a
 // window of requests in flight per connection, matching responses by ID
 // with per-owner FIFO ordering, so one connection carries many owners' sync

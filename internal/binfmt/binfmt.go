@@ -1,10 +1,12 @@
 // Package binfmt is the one big-endian field codec under every hand-rolled
 // binary format in the system: the client/gateway frame payloads and the
 // replication stream (internal/wire), and the WAL, history-segment, and
-// snapshot payloads (internal/store). Encoders append fixed-width fields;
-// decoders walk a bounds-checked Reader that wraps every failure in the
-// caller's own sentinel, so errors.Is keeps telling a malformed wire frame
-// (wire.ErrBadFrame) from a corrupt segment (store.ErrCorruptSegment).
+// snapshot payloads (internal/store). Encoders append fixed-width fields,
+// and minimal-form varints where a counter is usually small (the client/
+// gateway payloads only); decoders walk a bounds-checked Reader that wraps
+// every failure in the caller's own sentinel, so errors.Is keeps telling a
+// malformed wire frame (wire.ErrBadFrame) from a corrupt segment
+// (store.ErrCorruptSegment).
 package binfmt
 
 import (
@@ -86,6 +88,35 @@ func (r *Reader) U64(what string) uint64 {
 // F64 reads a float64 stored as its IEEE-754 bits.
 func (r *Reader) F64(what string) float64 { return math.Float64frombits(r.U64(what)) }
 
+// Uvarint reads a base-128 varint (encoding/binary's layout) and accepts
+// only the one shortest encoding of its value: a varint padded with a zero
+// final byte, or one running past 64 bits, is rejected, so a format built on
+// it keeps one byte string per message.
+func (r *Reader) Uvarint(what string) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.b) > 0 && r.b[0] < 0x80 { // one byte, the common case
+		v := r.b[0]
+		r.b = r.b[1:]
+		return uint64(v)
+	}
+	v, n := binary.Uvarint(r.b)
+	switch {
+	case n == 0:
+		r.Fail(what)
+		return 0
+	case n < 0:
+		r.Reject("%s overflows 64 bits", what)
+		return 0
+	case r.b[n-1] == 0: // n > 1 here: a longer spelling of a smaller value
+		r.Reject("%s is a padded varint", what)
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
 // Bytes returns the next n bytes, aliasing the payload (capacity clipped so
 // an append cannot scribble over what follows).
 func (r *Reader) Bytes(n int, what string) []byte {
@@ -125,6 +156,10 @@ func AppendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32
 
 // AppendU64 appends v big-endian.
 func AppendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
+
+// AppendUvarint appends v as a base-128 varint in its shortest form, one to
+// ten bytes (Reader.Uvarint accepts no other).
+func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 
 // AppendF64 appends v as its IEEE-754 bits, big-endian.
 func AppendF64(b []byte, v float64) []byte {

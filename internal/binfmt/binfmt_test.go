@@ -52,3 +52,42 @@ func TestReaderRoundTripAndErrors(t *testing.T) {
 		t.Fatalf("rejected = %v", err)
 	}
 }
+
+// TestUvarintIsMinimalForm pins the varint pair: every value round-trips in
+// one to ten bytes, and the reader accepts only the shortest spelling — the
+// property a canonical format is built on.
+func TestUvarintIsMinimalForm(t *testing.T) {
+	for _, tc := range []struct {
+		v    uint64
+		size int
+	}{{0, 1}, {1, 1}, {127, 1}, {128, 2}, {16383, 2}, {16384, 3}, {1<<32 - 1, 5}, {1 << 32, 5}, {1<<63 - 1, 9}, {1 << 63, 10}, {1<<64 - 1, 10}} {
+		b := append(AppendUvarint(nil, tc.v), 0xAB)
+		if len(b) != tc.size+1 {
+			t.Errorf("%d: %d bytes, want %d", tc.v, len(b)-1, tc.size)
+		}
+		r := NewReader(b, errSentinel)
+		if got := r.Uvarint("v"); got != tc.v || r.Remaining() != 1 || r.Err() != nil {
+			t.Errorf("%d: read %d, %d bytes left, err %v", tc.v, got, r.Remaining(), r.Err())
+		}
+	}
+	ff9 := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
+	for name, tc := range map[string]struct {
+		in   []byte
+		want string
+	}{
+		"empty":              {nil, "truncated count"},
+		"cut mid-value":      {[]byte{0x80}, "truncated count"},
+		"zero in two bytes":  {[]byte{0x80, 0x00}, "count is a padded varint"},
+		"one in three bytes": {[]byte{0x81, 0x80, 0x00}, "count is a padded varint"},
+		"65 bits":            {append(append([]byte{}, ff9...), 0x02), "count overflows 64 bits"},
+		"eleven bytes":       {append(append([]byte{}, ff9...), 0x81, 0x00), "count overflows 64 bits"},
+	} {
+		r := NewReader(tc.in, errSentinel)
+		if got := r.Uvarint("count"); got != 0 || !errors.Is(r.Err(), errSentinel) || r.Err().Error() != "test: bad payload: "+tc.want {
+			t.Errorf("%s: read %d, err %v; want %q", name, got, r.Err(), tc.want)
+		}
+		if r.U8("next") != 0 || r.Err().Error() != "test: bad payload: "+tc.want {
+			t.Errorf("%s: the failure did not latch", name)
+		}
+	}
+}

@@ -534,7 +534,7 @@ func TestGatewayRejectsBadHello(t *testing.T) {
 // codec's — the ack names the one codec this build speaks.
 func TestGatewayAcksUnknownCodecWithBinary(t *testing.T) {
 	gw, _ := startGateway(t, gateway.Config{})
-	for _, proposed := range []wire.Codec{99, 1} {
+	for _, proposed := range []wire.Codec{99, 2, 1} { // 2 and 1: the retired codecs
 		conn, err := net.Dial("tcp", gw.Addr())
 		if err != nil {
 			t.Fatal(err)

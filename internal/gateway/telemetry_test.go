@@ -244,6 +244,102 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 	assertNoTenantIdentity(t, owners, prom, varz, tz.String(), tj.String(), statusz)
 }
 
+// TestFrameLengthsLeakNothingNew is the privacy regression for the wire's
+// other observable, the length of each frame. The compact codec made lengths
+// depend on more than they used to (varint counters, an answer's width), so
+// the two things a length must not tell are pinned over a real gateway and
+// client: (1) a sync of n dummies and a sync of n real records are the same
+// bytes long, request and ack, for n ∈ {0, 1, 8, 33} — a batch travels as
+// one uniform-width block and a sealed dummy is a sealed record's size; (2)
+// Q2's answer is the same length whatever the data: two owners with
+// different pickup distributions and different record counts, and a third
+// whose namespace is mostly dummies, all get the same number of bytes,
+// because the group block's width is a property of the backend (ObliDB's
+// groups are counts), never of the values. What does vary with the outsourced
+// volume is the cost section's scanned-records varint — a number the server
+// holds anyway — so the three owners stay below 128 records, one bracket.
+func TestFrameLengthsLeakNothingNew(t *testing.T) {
+	gw, key := startGateway(t, gateway.Config{})
+	sizes := []int{0, 1, 8, 33}
+
+	// syncLengths runs the four syncs on a fresh connection (so request IDs
+	// and sequence numbers line up between the two owners) and returns each
+	// one's bytes out and bytes in. The first upload also resumes and asks
+	// for the backend's identity; it is warm-up, not measured.
+	syncLengths := func(owner string, rec func(i int) record.Record) (out, in []int64) {
+		conn, err := client.DialGateway(gw.Addr(), key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		own := conn.Owner(owner)
+		if err := own.Setup([]record.Record{rec(0)}); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range sizes {
+			batch := make([]record.Record, n)
+			for i := range batch {
+				batch[i] = rec(i)
+			}
+			out0, in0 := conn.BytesOut(), conn.BytesIn()
+			if err := own.Update(batch); err != nil {
+				t.Fatal(err)
+			}
+			out, in = append(out, conn.BytesOut()-out0), append(in, conn.BytesIn()-in0)
+		}
+		return out, in
+	}
+	realOut, realIn := syncLengths("owner-records", func(i int) record.Record { return yellow(i, uint16(1+i*7%record.NumLocations)) })
+	dummyOut, dummyIn := syncLengths("owner-dummies", func(int) record.Record { return record.NewDummy(record.YellowCab) })
+	for i, n := range sizes {
+		if realOut[i] != dummyOut[i] || realIn[i] != dummyIn[i] {
+			t.Errorf("sync of %d: %d B out / %d B in for real records, %d / %d for dummies", n, realOut[i], realIn[i], dummyOut[i], dummyIn[i])
+		}
+		if realOut[i] < int64(n*seal.SealedSize) || realIn[i] <= 4 {
+			t.Errorf("sync of %d: measured %d B out, %d B in — the counters saw no frame", n, realOut[i], realIn[i])
+		}
+	}
+
+	conn, err := client.DialGateway(gw.Addr(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	q2Length := func(owner string, rs []record.Record) int64 {
+		own := conn.Owner(owner)
+		if err := own.Setup(rs); err != nil {
+			t.Fatal(err)
+		}
+		in0 := conn.BytesIn()
+		ans, _, err := own.Query(query.Q2())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ans.Total(), float64(record.CountReal(rs)); got != want {
+			t.Fatalf("%s: Q2 counts %v records, want %v", owner, got, want)
+		}
+		return conn.BytesIn() - in0
+	}
+	var spread, skewed, padded []record.Record
+	for i := 0; i < 7; i++ {
+		spread = append(spread, yellow(i, uint16(1+i*37)))
+	}
+	for i := 0; i < 90; i++ {
+		skewed = append(skewed, yellow(i, 132))
+	}
+	for i := 0; i < 40; i++ {
+		padded = append(padded, record.NewDummy(record.YellowCab))
+	}
+	padded = append(padded, yellow(0, 5))
+	a, b, c := q2Length("owner-q2-a", spread), q2Length("owner-q2-b", skewed), q2Length("owner-q2-c", padded)
+	if a != b || a != c {
+		t.Errorf("Q2's response is %d B for 7 spread records, %d B for 90 in one zone, %d B for 1 among 40 dummies: its length depends on the data", a, b, c)
+	}
+	if floor := int64(4 * record.NumLocations); a < floor || a >= 2*floor {
+		t.Errorf("Q2's response is %d B, want the 4-byte width's %d ≤ n < %d", a, floor, 2*floor)
+	}
+}
+
 // TestTelemetryDebugTenantSeries checks the explicit opt-in: with
 // DebugTenantMetrics set, per-owner clock and ε series appear — labeled by
 // owner hash, never by raw owner ID.

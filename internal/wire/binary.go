@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -13,10 +14,16 @@ import (
 // exchange carries. This build speaks exactly one.
 type Codec byte
 
-// CodecBinary is the payload encoding: hand-rolled length-prefixed fields,
-// no reflection, no base64 expansion of sealed ciphertexts. Version byte 2
-// (1 was a JSON encoding, retired; the byte is never reused).
-const CodecBinary Codec = 2
+// CodecBinary is the payload encoding: hand-rolled fields, no reflection, no
+// base64 expansion of sealed ciphertexts, and canonical — every message has
+// one encoding and every accepted byte string one message. Counters (request
+// IDs, sequence numbers, counts, offsets) are minimal-form varints; a
+// batch's ciphertexts travel as one uniform-width block; an answer's groups
+// are 4-byte integers when every one of them is one and 8-byte floats
+// otherwise (the layout table is in doc.go, "Serving"). Version byte 3; 2
+// was the fixed-width-integer layout and 1 a JSON encoding, both retired,
+// neither byte ever reused.
+const CodecBinary Codec = 3
 
 // Valid reports whether c names the codec this build speaks.
 func (c Codec) Valid() bool { return c == CodecBinary }
@@ -171,6 +178,13 @@ const (
 	flagStale
 )
 
+// Rejections of a block whose claimed size exceeds its frame are fixed
+// values: a hostile count costs the decoder no allocation at all.
+var (
+	errSealedBlock = fmt.Errorf("%w: sealed block exceeds frame", ErrBadFrame)
+	errGroupBlock  = fmt.Errorf("%w: group block exceeds frame", ErrBadFrame)
+)
+
 // EncodeGatewayRequest serializes the envelope under codec c.
 func (c Codec) EncodeGatewayRequest(g GatewayRequest) ([]byte, error) {
 	if c != CodecBinary {
@@ -179,10 +193,37 @@ func (c Codec) EncodeGatewayRequest(g GatewayRequest) ([]byte, error) {
 	return AppendGatewayRequest(nil, g)
 }
 
+// sealedWidth returns the one length every ciphertext of a batch has (0 for
+// an empty batch). A sealed record and a sealed dummy are the same size by
+// construction, so a batch that mixes lengths — or carries empty
+// ciphertexts, which no sealer produces — is a caller's bug, refused.
+func sealedWidth(cts [][]byte) (int, error) {
+	if len(cts) == 0 {
+		return 0, nil
+	}
+	w := len(cts[0])
+	for _, ct := range cts[1:] {
+		if len(ct) != w {
+			return 0, fmt.Errorf("wire: batch mixes ciphertext lengths %d and %d", w, len(ct))
+		}
+	}
+	if w == 0 {
+		return 0, fmt.Errorf("wire: batch of empty ciphertexts")
+	}
+	return w, nil
+}
+
 // AppendGatewayRequest appends the request envelope's binary encoding to dst
 // — how a frame is built in place behind its header (Conn.BeginFrame). dst
-// grows at most once (the size is computed first), and not at all when its
-// capacity already suffices. On error dst is returned unextended.
+// grows at most once (an upper bound on the size is computed first), and not
+// at all when its capacity already suffices. On error dst is returned
+// unextended.
+//
+//	uvarint id · u8 ownerLen · owner · u8 type ·
+//	  setup, update:  uvarint seq · uvarint n · [uvarint width · n×width bytes]
+//	  query:          u8 kind · u8 provider · u8 joinWith · u16 lo · u16 hi
+//	  bounded query:  the same seven bytes · uvarint minOffset (> 0)
+//	  stats, resume:  nothing
 func AppendGatewayRequest(dst []byte, g GatewayRequest) ([]byte, error) {
 	if len(g.Owner) > MaxOwnerLen {
 		return dst, fmt.Errorf("wire: owner id %d bytes exceeds %d", len(g.Owner), MaxOwnerLen)
@@ -191,25 +232,32 @@ func AppendGatewayRequest(dst []byte, g GatewayRequest) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	if t == binQuery && g.Req.MinOffset > 0 {
+	if g.Req.MinOffset > 0 {
+		if t != binQuery {
+			return dst, fmt.Errorf("wire: freshness bound on a %s request: only a query carries one", g.Req.Type)
+		}
 		t = binQueryAt
 	}
-	size := 8 + 1 + len(g.Owner) + 1 + 16 // envelope, then the largest fixed-size body
-	for _, ct := range g.Req.Sealed {
-		size += 4 + len(ct)
+	width, err := sealedWidth(g.Req.Sealed)
+	if err != nil {
+		return dst, err
 	}
-	b := slices.Grow(dst, size)
-	b = binfmt.AppendU64(b, g.ID)
+	// Envelope and the largest body at their widest (four varints, two
+	// bytes, the owner), then the block.
+	b := slices.Grow(dst, 42+len(g.Owner)+len(g.Req.Sealed)*width)
+	b = binfmt.AppendUvarint(b, g.ID)
 	b = append(b, byte(len(g.Owner)))
 	b = append(b, g.Owner...)
 	b = append(b, t)
 	switch t {
 	case binSetup, binUpdate:
-		b = binfmt.AppendU64(b, g.Req.Seq)
-		b = binfmt.AppendU32(b, uint32(len(g.Req.Sealed)))
-		for _, ct := range g.Req.Sealed {
-			b = binfmt.AppendU32(b, uint32(len(ct)))
-			b = append(b, ct...)
+		b = binfmt.AppendUvarint(b, g.Req.Seq)
+		b = binfmt.AppendUvarint(b, uint64(len(g.Req.Sealed)))
+		if len(g.Req.Sealed) > 0 {
+			b = binfmt.AppendUvarint(b, uint64(width))
+			for _, ct := range g.Req.Sealed {
+				b = append(b, ct...)
+			}
 		}
 	case binQuery, binQueryAt:
 		if g.Req.Query == nil {
@@ -223,16 +271,18 @@ func AppendGatewayRequest(dst []byte, g GatewayRequest) ([]byte, error) {
 		b = binfmt.AppendU16(b, q.Lo)
 		b = binfmt.AppendU16(b, q.Hi)
 		if t == binQueryAt {
-			b = binfmt.AppendU64(b, g.Req.MinOffset)
+			b = binfmt.AppendUvarint(b, g.Req.MinOffset)
 		}
-	case binStats:
 	}
 	return b, nil
 }
 
 // DecodeGatewayRequest parses an envelope under codec c. Malformed input —
-// including zero-length frames — returns an error wrapping ErrBadFrame and
-// never panics or over-allocates, no matter what the bytes claim.
+// including zero-length frames and any second spelling of a message the
+// encoder would have written differently — returns an error wrapping
+// ErrBadFrame and never panics or over-allocates, no matter what the bytes
+// claim. Sealed aliases b: one slice header per ciphertext, cut out of the
+// batch's block after a single bounds check.
 func (c Codec) DecodeGatewayRequest(b []byte) (GatewayRequest, error) {
 	if len(b) == 0 {
 		return GatewayRequest{}, fmt.Errorf("%w: empty gateway request frame", ErrBadFrame)
@@ -242,7 +292,7 @@ func (c Codec) DecodeGatewayRequest(b []byte) (GatewayRequest, error) {
 	}
 	r := binfmt.NewReader(b, ErrBadFrame)
 	var g GatewayRequest
-	g.ID = r.U64("request id")
+	g.ID = r.Uvarint("request id")
 	ownerLen := int(r.U8("owner length"))
 	g.Owner = string(r.Bytes(ownerLen, "owner id"))
 	t := r.U8("message type")
@@ -256,18 +306,25 @@ func (c Codec) DecodeGatewayRequest(b []byte) (GatewayRequest, error) {
 	g.Req.Type = mt
 	switch t {
 	case binSetup, binUpdate:
-		g.Req.Seq = r.U64("sync seq")
-		n := int(r.U32("sealed count"))
-		// Each entry costs at least its 4-byte length prefix: a claimed
-		// count larger than remaining/4 is a lie, reject before allocating.
-		if n > r.Remaining()/4 {
-			return GatewayRequest{}, fmt.Errorf("%w: sealed count %d exceeds frame", ErrBadFrame, n)
-		}
-		if n > 0 {
+		g.Req.Seq = r.Uvarint("sync seq")
+		if n := r.Uvarint("sealed count"); n > 0 {
+			width := r.Uvarint("ciphertext width")
+			if r.Err() != nil {
+				return GatewayRequest{}, r.Err()
+			}
+			if width == 0 {
+				return GatewayRequest{}, fmt.Errorf("%w: %d ciphertexts of width 0", ErrBadFrame, n)
+			}
+			// The whole batch against the frame, once, before allocating; the
+			// division keeps a product past 64 bits from wrapping into range.
+			if n > uint64(r.Remaining())/width {
+				return GatewayRequest{}, errSealedBlock
+			}
+			w := int(width)
+			block := r.Bytes(int(n)*w, "sealed block")
 			g.Req.Sealed = make([][]byte, n)
-			for i := 0; i < n; i++ {
-				ctLen := int(r.U32("ciphertext length"))
-				g.Req.Sealed[i] = r.Bytes(ctLen, "ciphertext")
+			for i := range g.Req.Sealed {
+				g.Req.Sealed[i] = block[i*w : (i+1)*w : (i+1)*w]
 			}
 		}
 	case binQuery, binQueryAt:
@@ -279,7 +336,7 @@ func (c Codec) DecodeGatewayRequest(b []byte) (GatewayRequest, error) {
 		q.Hi = r.U16("query hi")
 		g.Req.Query = &q
 		if t == binQueryAt {
-			g.Req.MinOffset = r.U64("query min offset")
+			g.Req.MinOffset = r.Uvarint("query min offset")
 			if r.Err() == nil && g.Req.MinOffset == 0 {
 				return GatewayRequest{}, fmt.Errorf("%w: freshness-bound query with zero bound", ErrBadFrame)
 			}
@@ -299,9 +356,57 @@ func (c Codec) EncodeGatewayResponse(g GatewayResponse) ([]byte, error) {
 	return AppendGatewayResponse(nil, g)
 }
 
+// asCount reports whether v is an integer in [0, 2³²) — what every exact
+// backend's group count is — and returns it. The comparison is on bits, so
+// −0, NaN, ±Inf, fractions and anything out of range all say no (an
+// out-of-range conversion yields some uint32, which converts back to a
+// float64 inside the range and so never to v).
+func asCount(v float64) (uint32, bool) {
+	u := uint32(v)
+	return u, math.Float64bits(float64(u)) == math.Float64bits(v)
+}
+
+// appendGroups appends an answer's group count and, unless it is zero, the
+// width byte and group block: 4 bytes a group when every group is a count, 8
+// (the float's own bits) otherwise. The width is a property of the whole
+// answer, never of one value, so a response's length is a function of the
+// query and the backend — a sparse or per-value encoding would make it a
+// function of the data. It writes counts until a group turns out not to be
+// one, and only then starts over at the float width: the common answer
+// (every exact backend's) costs one pass.
+func appendGroups(b []byte, groups []float64) []byte {
+	b = binfmt.AppendUvarint(b, uint64(len(groups)))
+	if len(groups) == 0 {
+		return b
+	}
+	start := len(b)
+	b = append(b, 4)
+	for _, v := range groups {
+		u, ok := asCount(v)
+		if !ok {
+			b = append(b[:start], 8)
+			for _, v := range groups {
+				b = binfmt.AppendF64(b, v)
+			}
+			return b
+		}
+		b = binfmt.AppendU32(b, u)
+	}
+	return b
+}
+
 // AppendGatewayResponse appends the response envelope's binary encoding to
 // dst, with AppendGatewayRequest's growth rule. It has no failing input; the
 // error keeps the two encoders one shape.
+//
+//	uvarint id · u8 flags ·
+//	  [error:  uvarint len (> 0) · text]
+//	  [answer: f64 scalar · uvarint groups · [u8 width ∈ {4,8} · groups×width]]
+//	  [cost:   f64 seconds · uvarint scanned · uvarint pairs]
+//	  [stats:  uvarint records · uvarint bytes · uvarint updates ·
+//	           u8 schemeLen · scheme · u8 leakage]
+//	  [resume: uvarint clock]
+//	  [stale:  uvarint offset]
 func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 	var flags byte
 	resp := g.Resp
@@ -332,9 +437,9 @@ func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 	if len(resp.Error) > math.MaxUint16 {
 		resp.Error = resp.Error[:math.MaxUint16]
 	}
-	// Every fixed-size section at once (they sum to 81 bytes), plus the three
-	// variable ones.
-	size := 96 + len(resp.Error)
+	// Every section's fixed part at its widest (they sum to 113 bytes), plus
+	// the three variable ones.
+	size := 113 + len(resp.Error)
 	if resp.Answer != nil {
 		size += 8 * len(resp.Answer.Groups)
 	}
@@ -342,29 +447,26 @@ func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 		size += min(len(resp.Stats.Scheme), MaxOwnerLen)
 	}
 	b := slices.Grow(dst, size)
-	b = binfmt.AppendU64(b, g.ID)
+	b = binfmt.AppendUvarint(b, g.ID)
 	b = append(b, flags)
 	if flags&flagError != 0 {
-		b = binfmt.AppendU16(b, uint16(len(resp.Error)))
+		b = binfmt.AppendUvarint(b, uint64(len(resp.Error)))
 		b = append(b, resp.Error...)
 	}
 	if flags&flagAnswer != 0 {
 		b = binfmt.AppendF64(b, resp.Answer.Scalar)
-		b = binfmt.AppendU32(b, uint32(len(resp.Answer.Groups)))
-		for _, v := range resp.Answer.Groups {
-			b = binfmt.AppendF64(b, v)
-		}
+		b = appendGroups(b, resp.Answer.Groups)
 	}
 	if flags&flagCost != 0 {
 		b = binfmt.AppendF64(b, resp.Cost.Seconds)
-		b = binfmt.AppendU64(b, uint64(resp.Cost.RecordsScanned))
-		b = binfmt.AppendU64(b, uint64(resp.Cost.PairsCompared))
+		b = binfmt.AppendUvarint(b, uint64(resp.Cost.RecordsScanned))
+		b = binfmt.AppendUvarint(b, uint64(resp.Cost.PairsCompared))
 	}
 	if flags&flagStats != 0 {
 		st := resp.Stats
-		b = binfmt.AppendU32(b, uint32(st.Records))
-		b = binfmt.AppendU64(b, uint64(st.Bytes))
-		b = binfmt.AppendU32(b, uint32(st.Updates))
+		b = binfmt.AppendUvarint(b, uint64(st.Records))
+		b = binfmt.AppendUvarint(b, uint64(st.Bytes))
+		b = binfmt.AppendUvarint(b, uint64(st.Updates))
 		scheme := st.Scheme
 		if len(scheme) > MaxOwnerLen {
 			scheme = scheme[:MaxOwnerLen]
@@ -374,16 +476,16 @@ func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 		b = append(b, byte(st.Leakage))
 	}
 	if flags&flagResume != 0 {
-		b = binfmt.AppendU64(b, resp.Resume.Clock)
+		b = binfmt.AppendUvarint(b, resp.Resume.Clock)
 	}
 	if flags&flagStale != 0 {
-		b = binfmt.AppendU64(b, resp.Stale.Offset)
+		b = binfmt.AppendUvarint(b, resp.Stale.Offset)
 	}
 	return b, nil
 }
 
-// DecodeGatewayResponse parses an envelope under codec c (zero-length and
-// malformed input rejected with ErrBadFrame).
+// DecodeGatewayResponse parses an envelope under codec c (zero-length,
+// malformed and non-canonical input rejected with ErrBadFrame).
 func (c Codec) DecodeGatewayResponse(b []byte) (GatewayResponse, error) {
 	if len(b) == 0 {
 		return GatewayResponse{}, fmt.Errorf("%w: empty gateway response frame", ErrBadFrame)
@@ -393,24 +495,47 @@ func (c Codec) DecodeGatewayResponse(b []byte) (GatewayResponse, error) {
 	}
 	r := binfmt.NewReader(b, ErrBadFrame)
 	var g GatewayResponse
-	g.ID = r.U64("response id")
+	g.ID = r.Uvarint("response id")
 	flags := r.U8("response flags")
 	g.Resp.OK = flags&flagOK != 0
 	if flags&flagError != 0 {
-		n := int(r.U16("error length"))
-		g.Resp.Error = string(r.Bytes(n, "error text"))
+		n := r.Uvarint("error length")
+		if r.Err() == nil && (n == 0 || n > math.MaxUint16) {
+			return GatewayResponse{}, fmt.Errorf("%w: error text of %d bytes", ErrBadFrame, n)
+		}
+		g.Resp.Error = string(r.Bytes(int(n), "error text"))
 	}
 	if flags&flagAnswer != 0 {
 		var a AnswerSpec
 		a.Scalar = r.F64("answer scalar")
-		n := int(r.U32("group count"))
-		if n > r.Remaining()/8 {
-			return GatewayResponse{}, fmt.Errorf("%w: group count %d exceeds frame", ErrBadFrame, n)
-		}
-		if n > 0 {
+		if n := r.Uvarint("group count"); n > 0 {
+			width := uint64(r.U8("group width"))
+			if r.Err() != nil {
+				return GatewayResponse{}, r.Err()
+			}
+			if width != 4 && width != 8 {
+				return GatewayResponse{}, fmt.Errorf("%w: group width %d", ErrBadFrame, width)
+			}
+			if n > uint64(r.Remaining())/width {
+				return GatewayResponse{}, errGroupBlock
+			}
+			block := r.Bytes(int(n*width), "group block")
 			a.Groups = make([]float64, n)
-			for i := range a.Groups {
-				a.Groups[i] = r.F64("group value")
+			if width == 4 {
+				for i := range a.Groups {
+					a.Groups[i] = float64(binary.BigEndian.Uint32(block[4*i:]))
+				}
+			} else {
+				allCounts := true
+				for i := range a.Groups {
+					a.Groups[i] = math.Float64frombits(binary.BigEndian.Uint64(block[8*i:]))
+					if allCounts {
+						_, allCounts = asCount(a.Groups[i])
+					}
+				}
+				if allCounts {
+					return GatewayResponse{}, fmt.Errorf("%w: 8-byte group block that fits 4", ErrBadFrame)
+				}
 			}
 		}
 		g.Resp.Answer = &a
@@ -418,25 +543,25 @@ func (c Codec) DecodeGatewayResponse(b []byte) (GatewayResponse, error) {
 	if flags&flagCost != 0 {
 		var cs CostSpec
 		cs.Seconds = r.F64("cost seconds")
-		cs.RecordsScanned = int64(r.U64("cost records"))
-		cs.PairsCompared = int64(r.U64("cost pairs"))
+		cs.RecordsScanned = int64(r.Uvarint("cost records"))
+		cs.PairsCompared = int64(r.Uvarint("cost pairs"))
 		g.Resp.Cost = &cs
 	}
 	if flags&flagStats != 0 {
 		var st StatsSpec
-		st.Records = int(r.U32("stats records"))
-		st.Bytes = int64(r.U64("stats bytes"))
-		st.Updates = int(r.U32("stats updates"))
+		st.Records = int(r.Uvarint("stats records"))
+		st.Bytes = int64(r.Uvarint("stats bytes"))
+		st.Updates = int(r.Uvarint("stats updates"))
 		n := int(r.U8("scheme length"))
 		st.Scheme = string(r.Bytes(n, "scheme"))
 		st.Leakage = int(r.U8("leakage class"))
 		g.Resp.Stats = &st
 	}
 	if flags&flagResume != 0 {
-		g.Resp.Resume = &ResumeSpec{Clock: r.U64("resume clock")}
+		g.Resp.Resume = &ResumeSpec{Clock: r.Uvarint("resume clock")}
 	}
 	if flags&flagStale != 0 {
-		g.Resp.Stale = &StaleSpec{Offset: r.U64("stale offset")}
+		g.Resp.Stale = &StaleSpec{Offset: r.Uvarint("stale offset")}
 	}
 	g.Resp.Backpressure = flags&flagBackpressure != 0
 	if err := r.Done("gateway response"); err != nil {

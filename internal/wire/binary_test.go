@@ -3,13 +3,14 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 )
 
 func sampleRequests() []GatewayRequest {
 	return []GatewayRequest{
-		{ID: 1, Owner: "owner-a", Req: Request{Type: MsgSetup, Sealed: [][]byte{{1, 2, 3}, {}, {0xFF}}}},
+		{ID: 1, Owner: "owner-a", Req: Request{Type: MsgSetup, Sealed: [][]byte{{1, 2, 3}, {4, 5, 6}, {0xFF, 0, 0xFF}}}},
 		{ID: 2, Owner: "o", Req: Request{Type: MsgUpdate, Sealed: [][]byte{{9, 9, 9, 9}}}},
 		{ID: 1 << 60, Owner: "owner-b", Req: Request{Type: MsgUpdate}},
 		{ID: 3, Owner: "q", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 2, Provider: 1, JoinWith: 2, Lo: 7, Hi: 99}}},
@@ -17,6 +18,8 @@ func sampleRequests() []GatewayRequest {
 		{ID: 5, Owner: "owner-c", Req: Request{Type: MsgSetup, Seq: 1, Sealed: [][]byte{{4, 5}}}},
 		{ID: 6, Owner: "owner-c", Req: Request{Type: MsgUpdate, Seq: 1 << 40, Sealed: [][]byte{{6}}}},
 		{ID: 7, Owner: "owner-c", Req: Request{Type: MsgResume}},
+		{ID: 8, Owner: "owner-c", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1, Provider: 2}, MinOffset: 300}},
+		{ID: 1<<64 - 1, Owner: "owner-c", Req: Request{Type: MsgUpdate, Seq: 1<<64 - 1, Sealed: [][]byte{make([]byte, 44), make([]byte, 44)}}},
 	}
 }
 
@@ -31,6 +34,10 @@ func sampleResponses() []GatewayResponse {
 		{ID: 6, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 42}}},
 		{ID: 7, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 0}}},
 		{ID: 8, Resp: Response{Error: "shed", Backpressure: true}},
+		{ID: 9, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{0, 7, 1<<32 - 1}}, Cost: &CostSpec{}}},
+		{ID: 10, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{0, 7, 1 << 32}}}},
+		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: -1, Groups: []float64{2.5, math.Inf(-1), math.Copysign(0, -1)}}}},
+		{ID: 12, Resp: Response{Error: ErrStale.Error(), Stale: &StaleSpec{Offset: 1 << 40}}},
 	}
 }
 
@@ -75,32 +82,93 @@ func TestDecodeRejectsZeroLengthFrames(t *testing.T) {
 	}
 }
 
+// TestBinaryDecodeTypedErrors throws truncated, lying and non-canonical
+// frames at both decoders: every one is ErrBadFrame. The byte strings are
+// written out by hand (the layout is in AppendGatewayRequest's and
+// AppendGatewayResponse's comments); 0x80 0x00 is zero spelled in two bytes.
 func TestBinaryDecodeTypedErrors(t *testing.T) {
 	valid, err := CodecBinary.EncodeGatewayRequest(sampleRequests()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string][]byte{
-		"truncated header":   valid[:5],
-		"truncated sealed":   valid[:len(valid)-2],
-		"trailing bytes":     append(append([]byte{}, valid...), 0xEE),
-		"unknown msg type":   {0, 0, 0, 0, 0, 0, 0, 1, 0, 0xCC},
-		"lying sealed count": {0, 0, 0, 0, 0, 0, 0, 1, 0, binSetup, 0xFF, 0xFF, 0xFF, 0xFF},
+	ff9 := bytes.Repeat([]byte{0xFF}, 9)
+	maxU64 := append(append([]byte{}, ff9...), 0x01)
+	answer := func(tail ...byte) []byte { // id 9, OK|answer, scalar 0, then tail
+		return append([]byte{9, flagOK | flagAnswer, 0, 0, 0, 0, 0, 0, 0, 0}, tail...)
 	}
-	for name, b := range cases {
+	requests := map[string][]byte{
+		"truncated header":          valid[:5],
+		"truncated sealed":          valid[:len(valid)-2],
+		"trailing bytes":            append(append([]byte{}, valid...), 0xEE),
+		"unknown msg type":          {1, 0, 0xCC},
+		"fixed-width id (codec 2)":  {0, 0, 0, 0, 0, 0, 0, 1, 0, binStats},
+		"padded id":                 {0x81, 0x00, 0, binStats},
+		"id past 64 bits":           append(append(append([]byte{}, ff9...), 0x02), 0, binStats),
+		"id past 10 bytes":          append(bytes.Repeat([]byte{0x80}, 10), 0x01, 0, binStats),
+		"padded seq":                {1, 0, binUpdate, 0x80, 0x00, 0},
+		"padded count":              {1, 0, binUpdate, 0, 0x80, 0x00},
+		"padded width":              {1, 0, binUpdate, 0, 1, 0x83, 0x00, 1, 2, 3},
+		"count exceeds frame":       {1, 0, binSetup, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 44},
+		"n×width overflows uint64":  append(append(append([]byte{1, 0, binSetup, 0}, maxU64...), maxU64...), 1, 2, 3),
+		"n×width wraps into range":  append(append([]byte{1, 0, binSetup, 0}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01), 0x02, 7, 7), // 2⁶³ × 2 = 0
+		"block one byte short":      {1, 0, binSetup, 0, 2, 3, 1, 2, 3, 4, 5},
+		"width 0 with n > 0":        {1, 0, binSetup, 0, 5, 0},
+		"width block with n = 0":    {1, 0, binSetup, 0, 0, 44},
+		"bounded query, zero bound": {1, 1, 'a', binQueryAt, 2, 1, 0, 0, 50, 0, 100, 0},
+		"bounded query, padded":     {1, 1, 'a', binQueryAt, 2, 1, 0, 0, 50, 0, 100, 0x85, 0x00},
+		"stats with a bound":        {1, 0, binStats, 5},
+		"retired JSON":              []byte(`{"id":1,"owner":"o","req":{"type":"stats"}}`),
+	}
+	for name, b := range requests {
 		if _, err := CodecBinary.DecodeGatewayRequest(b); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
+			t.Errorf("request %s: err = %v, want ErrBadFrame", name, err)
 		}
 	}
-	if _, err := CodecBinary.DecodeGatewayResponse([]byte{1, 2, 3}); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("short response: err = %v, want ErrBadFrame", err)
+	responses := map[string][]byte{
+		"short":                     {1},
+		"fixed-width id (codec 2)":  {0, 0, 0, 0, 0, 0, 0, 1, flagOK},
+		"padded id":                 {0x81, 0x00, flagOK},
+		"trailing bytes":            {1, flagOK, 0},
+		"empty error text":          {1, flagError, 0},
+		"error text past the cap":   {1, flagError, 0x80, 0x80, 0x04, 'x'},
+		"group count exceeds frame": answer(0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 4),
+		"groups×width overflows":    answer(append(append([]byte{}, maxU64...), 8, 1, 2, 3)...),
+		"group block one short":     answer(2, 4, 0, 0, 0, 1, 0, 0, 0),
+		"group width 0":             answer(1, 0),
+		"group width 2":             answer(1, 2, 0, 7),
+		"group width 16":            answer(1, 16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7),
+		"width byte with no groups": answer(0, 4),
+		"8-byte block that fits 4":  answer(1, 8, 0x40, 0x1C, 0, 0, 0, 0, 0, 0), // 7.0
+		"8-byte block of zeros":     answer(2, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+		"padded group count":        answer(0x81, 0x00, 4, 0, 0, 0, 7),
+		"padded cost":               {1, flagOK | flagCost, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x00, 0},
+		"padded resume clock":       {1, flagOK | flagResume, 0xAA, 0x00},
+		"stale offset past 64 bits": append(append([]byte{1, flagStale}, ff9...), 0x7F),
+		"truncated stats":           {1, flagOK | flagStats, 12, 0x80},
 	}
-	// Claimed group count far beyond the frame must be rejected pre-alloc.
-	huge := []byte{0, 0, 0, 0, 0, 0, 0, 9, flagOK | flagAnswer,
-		0, 0, 0, 0, 0, 0, 0, 0, // scalar
-		0xFF, 0xFF, 0xFF, 0xFF} // group count
-	if _, err := CodecBinary.DecodeGatewayResponse(huge); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("lying group count: err = %v, want ErrBadFrame", err)
+	for name, b := range responses {
+		if _, err := CodecBinary.DecodeGatewayResponse(b); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("response %s: err = %v, want ErrBadFrame", name, err)
+		}
+	}
+	// The one thing the 8-byte width exists for: a group that is not a count.
+	if g, err := CodecBinary.DecodeGatewayResponse(answer(2, 8, 0x40, 0x1C, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0)); err != nil ||
+		g.Resp.Answer.Groups[0] != 7 || !math.Signbit(g.Resp.Answer.Groups[1]) {
+		t.Errorf("7 and -0 at width 8: %+v, %v", g.Resp.Answer, err)
+	}
+
+	// A block that claims more than its frame holds is refused before
+	// anything is allocated for it — not a slice header, not an error string.
+	for name, decode := range map[string]func(){
+		"count exceeds frame":       func() { _, _ = CodecBinary.DecodeGatewayRequest(requests["count exceeds frame"]) },
+		"n×width overflows uint64":  func() { _, _ = CodecBinary.DecodeGatewayRequest(requests["n×width overflows uint64"]) },
+		"n×width wraps into range":  func() { _, _ = CodecBinary.DecodeGatewayRequest(requests["n×width wraps into range"]) },
+		"group count exceeds frame": func() { _, _ = CodecBinary.DecodeGatewayResponse(responses["group count exceeds frame"]) },
+		"groups×width overflows":    func() { _, _ = CodecBinary.DecodeGatewayResponse(responses["groups×width overflows"]) },
+	} {
+		if n := testing.AllocsPerRun(100, decode); n > 1 {
+			t.Errorf("%s: %v allocs/op, want the rejection to come before any allocation", name, n)
+		}
 	}
 }
 
@@ -109,28 +177,36 @@ func TestEncodeGuards(t *testing.T) {
 	for i := range long {
 		long[i] = 'a'
 	}
-	if _, err := CodecBinary.EncodeGatewayRequest(GatewayRequest{Owner: string(long), Req: Request{Type: MsgStats}}); err == nil {
-		t.Error("over-long owner id accepted")
+	ct := func(n int) []byte { return make([]byte, n) }
+	for name, g := range map[string]GatewayRequest{
+		"over-long owner id":        {Owner: string(long), Req: Request{Type: MsgStats}},
+		"unknown message type":      {Req: Request{Type: "bogus"}},
+		"query without spec":        {Req: Request{Type: MsgQuery}},
+		"out-of-range kind":         {Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1000, Provider: 1}}},
+		"stats with a bound":        {Owner: "o", Req: Request{Type: MsgStats, MinOffset: 7}},
+		"resume with a bound":       {Owner: "o", Req: Request{Type: MsgResume, MinOffset: 7}},
+		"sync with a bound":         {Owner: "o", Req: Request{Type: MsgUpdate, Seq: 2, MinOffset: 7}},
+		"mixed-length batch":        {Owner: "o", Req: Request{Type: MsgUpdate, Seq: 2, Sealed: [][]byte{ct(44), ct(44), ct(43)}}},
+		"batch of empty ciphertext": {Owner: "o", Req: Request{Type: MsgSetup, Seq: 1, Sealed: [][]byte{{}, {}}}},
+	} {
+		buf := append(make([]byte, 0, 256), 0xA, 0xB, 0xC)
+		got, err := AppendGatewayRequest(buf, g)
+		if err == nil {
+			t.Errorf("%s: encoded", name)
+		}
+		if !bytes.Equal(got, []byte{0xA, 0xB, 0xC}) {
+			t.Errorf("%s: the refused encode returned %d bytes, want the buffer as it was", name, len(got))
+		}
 	}
-	if _, err := CodecBinary.EncodeGatewayRequest(GatewayRequest{Req: Request{Type: "bogus"}}); err == nil {
-		t.Error("unknown message type encoded")
-	}
-	if _, err := CodecBinary.EncodeGatewayRequest(GatewayRequest{Req: Request{Type: MsgQuery}}); err == nil {
-		t.Error("query without spec encoded")
-	}
-	if _, err := CodecBinary.EncodeGatewayRequest(GatewayRequest{Req: Request{
-		Type: MsgQuery, Query: &QuerySpec{Kind: 1000, Provider: 1},
-	}}); err == nil {
-		t.Error("out-of-range kind encoded")
-	}
-	// Byte 1 was the JSON codec; it names no codec now, and nothing encodes
-	// or decodes under it.
-	retired := Codec(1)
-	if _, err := retired.EncodeGatewayRequest(sampleRequests()[0]); err == nil {
-		t.Error("request encoded under the retired codec byte")
-	}
-	if _, err := retired.DecodeGatewayResponse([]byte{0, 0, 0, 0, 0, 0, 0, 1, flagOK}); err == nil {
-		t.Error("response decoded under the retired codec byte")
+	// Bytes 1 and 2 were the JSON codec and the fixed-width-integer layout;
+	// they name no codec now, and nothing encodes or decodes under them.
+	for _, retired := range []Codec{1, 2} {
+		if _, err := retired.EncodeGatewayRequest(sampleRequests()[0]); err == nil {
+			t.Errorf("request encoded under the retired codec byte %d", retired)
+		}
+		if _, err := retired.DecodeGatewayResponse([]byte{1, flagOK}); err == nil {
+			t.Errorf("response decoded under the retired codec byte %d", retired)
+		}
 	}
 }
 
@@ -146,15 +222,23 @@ func TestHelloNegotiation(t *testing.T) {
 	if got != CodecBinary {
 		t.Errorf("hello codec = %v", got)
 	}
-	// Unknown codec byte passes through ReadHello (the server acks binary).
-	buf.Reset()
-	_ = WriteHello(&buf, Codec(77))
-	got, err = ReadHello(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Valid() {
-		t.Errorf("codec 77 reported valid")
+	// An unknown or retired codec byte passes through ReadHello — the server
+	// acks the one codec it speaks, version byte 3, whatever was proposed
+	// (over a socket: the gateway's TestGatewayAcksUnknownCodecWithBinary).
+	for _, proposed := range []Codec{77, 2, 1} {
+		buf.Reset()
+		_ = WriteHello(&buf, proposed)
+		got, err = ReadHello(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != proposed || got.Valid() {
+			t.Errorf("proposed codec %d: read %d, valid %v", proposed, got, got.Valid())
+		}
+		_ = WriteHelloAck(&buf, CodecBinary) // what the gateway answers any proposal
+		if ack, err := ReadHelloAck(&buf); err != nil || byte(ack) != 3 {
+			t.Errorf("proposed codec %d: acked %d (%v), want 3", proposed, ack, err)
+		}
 	}
 	// Bad magic is a protocol violation.
 	if _, err := ReadHello(bytes.NewReader([]byte("HTTP/1.1 blah"))); !errors.Is(err, ErrBadFrame) {
@@ -168,7 +252,7 @@ func TestHelloNegotiation(t *testing.T) {
 	if got, err := ReadHelloAck(&buf); err != nil || got != CodecBinary {
 		t.Errorf("ack = %v, %v", got, err)
 	}
-	for _, b := range []byte{0x7F, 1} { // 1: the retired JSON codec's byte
+	for _, b := range []byte{0x7F, 1, 2} { // 1, 2: the retired codecs' bytes
 		if _, err := ReadHelloAck(bytes.NewReader([]byte{b})); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("invalid ack %#x: err = %v, want ErrBadFrame", b, err)
 		}

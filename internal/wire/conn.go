@@ -10,9 +10,9 @@ import (
 )
 
 // connBufSize is both the read buffer and the write buffer's flush
-// threshold: a few dozen pipelined sync frames (a one-record sync is ~100
-// bytes, a DP-Timer batch ~600), small enough that thousands of idle
-// connections cost little.
+// threshold: a few hundred pipelined one-record syncs (66 bytes each on the
+// wire) or a few dozen DP-Timer batches (an 8-record sync is 374), small
+// enough that thousands of idle connections cost little.
 const connBufSize = 32 << 10
 
 // Conn is the buffered frame connection every connection loop moves frames

@@ -5,10 +5,18 @@
 // There is one payload codec, the binary one (binary.go): each frame carries
 // a request ID and an owner namespace (GatewayRequest / GatewayResponse)
 // around the EDB message, so one connection can multiplex many owners'
-// pipelined sync batches. A connection opens with a 5-byte hello — magic
-// plus a version byte (WriteHello / ReadAnyHello) — that says which
-// protocol it speaks: read-write client, read-only client, or replication
-// (repl.go).
+// pipelined sync batches. The codec is compact and canonical — counters are
+// minimal-form varints, a batch's ciphertexts one uniform-width block, an
+// answer's groups 4-byte integers when every group is one — so a one-record
+// sync is 66 bytes on the wire and its ack 6, and each message has exactly
+// one byte string (TestFrameSizes pins the sizes, the fuzz targets the
+// bijection). What a frame's length reveals is what the protocol already
+// reveals: how many ciphertexts a sync carries, never how many are dummies,
+// and which query was asked, never what the data answered.
+//
+// A connection opens with a 5-byte hello — magic plus a version byte
+// (WriteHello / ReadAnyHello) — that says which protocol it speaks:
+// read-write client, read-only client, or replication (repl.go).
 //
 // After the hello there is one way to move a frame: Conn (conn.go), a
 // buffered frame connection whose reader yields every pipelined frame one
@@ -132,12 +140,13 @@ type Request struct {
 	// reconnect replay a privacy-safe operation. 0 means unsequenced (the
 	// legacy single-shot behavior: the gateway assigns the next tick).
 	Seq uint64
-	// MinOffset is the freshness bound for MsgQuery/MsgStats on a read-only
-	// (replica) connection: the minimum per-shard replication offset the
-	// answering node must have committed. 0 means "any" — serve whatever
-	// committed prefix the replica holds. A primary ignores it (the primary
-	// is always fresh); a follower behind the bound refuses with
-	// Response.Stale instead of answering.
+	// MinOffset is the freshness bound for MsgQuery on a read-only (replica)
+	// connection: the minimum per-shard replication offset the answering
+	// node must have committed. 0 means "any" — serve whatever committed
+	// prefix the replica holds. A primary ignores it (the primary is always
+	// fresh); a follower behind the bound refuses with Response.Stale
+	// instead of answering. Only a query carries one: the encoder refuses a
+	// bound on any other message type rather than drop it silently.
 	MinOffset uint64
 }
 

@@ -86,8 +86,8 @@ func TestRequestEncodeDecode(t *testing.T) {
 	if got.Type != MsgQuery || got.Query == nil || got.Query.ToQuery() != query.Q3() {
 		t.Errorf("decoded = %+v", got)
 	}
-	got = roundTripRequest(t, Request{Type: MsgUpdate, Seq: 2, Sealed: [][]byte{{1, 2}, {3}}})
-	if len(got.Sealed) != 2 || !bytes.Equal(got.Sealed[0], []byte{1, 2}) {
+	got = roundTripRequest(t, Request{Type: MsgUpdate, Seq: 2, Sealed: [][]byte{{1, 2}, {3, 4}}})
+	if len(got.Sealed) != 2 || !bytes.Equal(got.Sealed[0], []byte{1, 2}) || !bytes.Equal(got.Sealed[1], []byte{3, 4}) {
 		t.Error("sealed payloads corrupted")
 	}
 	if _, err := CodecBinary.DecodeGatewayRequest([]byte("{bad")); !errors.Is(err, ErrBadFrame) {
