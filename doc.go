@@ -169,22 +169,53 @@
 // version byte — and every payload is the binary codec's (hand-rolled
 // fields, no base64 expansion of sealed ciphertexts; its field primitives
 // are internal/binfmt, shared with the on-disk formats). The version byte
-// is 3: 2 was a layout of fixed-width integers and 1 a JSON encoding, both
-// retired, and a hello proposing any other codec byte is acked 3; there is
-// nothing to negotiate down to. The layout (uv = minimal-form varint, the
-// 4-byte frame length in front of everything not shown):
+// is 4: 3 said no with an error text beside two flag bits, 2 was a layout of
+// fixed-width integers and 1 a JSON encoding, all retired, and a hello
+// proposing any other codec byte is acked 4; there is nothing to negotiate
+// down to. The layout (uv = minimal-form varint, the 4-byte frame length in
+// front of everything not shown):
 //
 //	request   uv id · u8 ownerLen · owner · u8 type ·
 //	  setup, update   uv seq · uv n · [uv width · n×width ciphertext bytes]
 //	  query           u8 kind · u8 provider · u8 joinWith · u16 lo · u16 hi
 //	  bounded query   the same seven bytes · uv minOffset (> 0)
 //	  stats, resume   —
-//	response  uv id · u8 flags ·
-//	  [error    uv len (> 0) · text]
+//	response  uv id · u8 flags (OK 1, refused 2, answer 4, cost 8, stats 16, resume 32) ·
+//	  [refusal  u8 code · uv cursor · uv len · detail]
 //	  [answer   f64 scalar · uv groups · [u8 width ∈ {4,8} · groups×width]]
 //	  [cost     f64 seconds · uv scanned · uv pairs]
 //	  [stats    uv records · uv bytes · uv updates · u8 len · scheme · u8 leakage]
-//	  [resume   uv clock]   [stale  uv offset]
+//	  [resume   uv clock]
+//
+// A node says no one way. A response is exactly one of OK and refused, and a
+// refused one is nothing but a wire.Refusal{Code, Cursor, Detail}, built by
+// one constructor (wire.Refuse) and counted by code where every reply passes
+// (gateway_refusals_total{code}). The Refusal is itself the client's error —
+// wrapped, never re-worded — and its Unwrap is the code's one sentinel, so a
+// caller branches with errors.Is, reads the cursor with errors.As, and never
+// compares text: an owner's reaction to "no" is traffic the server observes,
+// and this is what lets a test or an audit assert which no it got. Only codes
+// 8 and 9 carry text, so every other refusal is nine bytes on the wire
+// whatever was refused and whoever asked:
+//
+//	code            sentinel              who decides it                        cursor
+//	1 backpressure  wire.ErrBackpressure  connection reader: in-flight cap      —
+//	2 stale         wire.ErrStale         a replica's shard worker: MinOffset   applied offset
+//	3 not-primary   wire.ErrNotPrimary    reader: a write on a "DPSQ" conn      —
+//	4 not-setup     edb.ErrNotSetup       shard worker: no such namespace       —
+//	5 seq-gap       wire.ErrSeqGap        shard worker: Seq past clock+1        expected seq
+//	6 suspended     wire.ErrSuspended     shard worker: a sync's durability is  —
+//	                                      unknown (the cause is in its log)
+//	7 closing       wire.ErrClosing       reader: the shard workers are gone    —
+//	8 bad-request   wire.ErrBadRequest    reader: malformed frame, no owner,    —
+//	                                      Seq 0 — the fault restated as text
+//	9 failed        wire.ErrFailed        a backend or ledger erred — its text  —
+//
+// (4 is edb.ErrNotSetup because that is what an in-process edb.Database
+// returns; a backend that says so itself is reported as 4, not 9. At the
+// hello, where the ack slot is one byte, 3 is the byte wire.HelloRefused.) A
+// severed connection is no reply at all and is counted on its own
+// (gateway_severed_total).
 //
 // DP-Sync buys its guarantee with traffic — dummies and extra syncs — so the
 // bytes a sync and an answer cost are the paper's own performance metric,
@@ -204,7 +235,9 @@
 // shortened on its own, so a response's length is a function of the query
 // and the backend, as in oblivious query processing, never of the data.
 // The codec is canonical — padded varints, a width without a batch, an
-// 8-byte block that fits 4, trailing bytes are all wire.ErrBadFrame — so
+// 8-byte block that fits 4, a response both OK and refused or neither, a
+// refusal beside another section or with a cursor or text its code does not
+// carry, a retired flag bit, trailing bytes are all wire.ErrBadFrame — so
 // each message has one byte string, the fuzz targets are bijection checks,
 // and TestFrameSizes pins every size against a reference encoder that
 // shares no code with it. Frames are multiplexed envelopes — request ID plus
@@ -393,10 +426,11 @@
 // Three layers make the fleet survivable without touching the accounting:
 //
 // Resume protocol. Every sync carries the owner's next logical-clock value
-// (wire.Request.Seq), and the gateway applies syncs tick-ordered and
-// idempotently: the expected next seq applies, anything at or below the
-// owner's clock is acknowledged as a duplicate — without re-ingesting,
-// re-charging, or re-recording — and a gap is refused with state untouched.
+// (wire.Request.Seq; there is no unsequenced sync — Seq 0 is a bad request),
+// and the gateway applies syncs tick-ordered and idempotently: the expected
+// next seq applies, anything at or below the owner's clock is acknowledged as
+// a duplicate — without re-ingesting, re-charging, or re-recording — and a
+// gap is refused (seq-gap, naming the seq expected) with state untouched.
 // A reconnecting client asks for the durable per-owner clock with a
 // negotiated Resume frame (wire.MsgResume; served from live tenant state,
 // or straight from the store's recovered clocks for owners not yet faulted
@@ -408,9 +442,10 @@
 //
 // Per-tenant flow control. Each gateway connection has an admitted-request
 // cap (gateway.Config.MaxInFlight): past it, requests are shed immediately
-// with a typed backpressure error (wire.ErrBackpressure) that touches no
-// tenant state — shedding is privacy-neutral — and a connection that also
-// stops draining responses is severed at a fixed headroom past the cap.
+// (the backpressure refusal), touching no tenant state — shedding is
+// privacy-neutral, as is every refusal decided before ingest, pinned per
+// code — and a connection that also stops draining responses is severed at
+// a fixed headroom past the cap.
 // Reply queues are sized so a shard worker can always deliver a response
 // without blocking: a slow or dead tenant sheds its own load and an
 // unrelated tenant on the same shard keeps bounded latency (pinned by a
@@ -420,7 +455,7 @@
 // deadline instead of waiting on them forever. A cluster follower is served
 // by this same connection loop (it is a gateway in replica role), so its
 // read-only connections are bounded the same way — malformed-frame limit,
-// in-flight cap and typed shed, write deadline, drain deadline — which the
+// in-flight cap and shed, write deadline, drain deadline — which the
 // hostile-peer cases re-run against a replica pin.
 //
 // Fault injection. internal/faultnet wraps net.Conn in seeded,
@@ -456,8 +491,9 @@
 // A follower is a gateway in replica role, and always a valid restart image.
 // The node runs one serving stack, gateway.Gateway, in whichever role it
 // holds: on a follower it serves the node's listener from the start —
-// read-only connections are answered, a sync or replication hello gets a
-// typed wire.ErrNotPrimary refusal, so clients rotate on instead of hanging —
+// read-only connections are answered, a sync or replication hello gets the
+// refusal byte (not-primary's hello form), so clients rotate on instead of
+// hanging —
 // and the replication tail hands each shipped entry to the owner's shard
 // worker (Gateway.Replicate), which applies it by the recovery rule through
 // the code a live commit and a restart use (Tenant.Commit, all or nothing;
@@ -532,12 +568,14 @@
 // Commit and Read, on every node. Freshness is explicit rather than assumed:
 // wire.Request.MinOffset carries the minimum replication offset the caller
 // will accept, and a follower whose shard has applied less refuses — on that
-// shard's worker, so nothing lands between the check and the answer — with
-// the typed wire.ErrStale carrying its cursor (wire.StaleSpec), never a
-// silently stale answer. Writes on a read connection get the same typed
-// wire.ErrNotPrimary refusal a follower's write hello gets.
-// client.WithReadReplica(addr) routes a session's queries to a replica
-// and falls back to the (trivially fresh) primary on any refusal;
+// shard's worker, so nothing lands between the check and the answer — as
+// stale, carrying the offset it has applied, never a silently stale answer.
+// Writes on a read connection are refused as not-primary, the sentinel a
+// follower's write hello yields. client.WithReadReplica(addr) routes a
+// session's queries to a replica and falls back to the (trivially fresh)
+// primary on any refusal — or on silence: each direction of a replica read is
+// bounded, so a follower that accepts and then says nothing costs a read one
+// deadline, never the caller's answer, and never blocks Close;
 // dpsync-loadgen -query-mix/-replica-addr/-read-replica drive mixed
 // read/write load through both paths. The two-node differential pins the
 // contract under -race: every follower-served answer bit-identical to the

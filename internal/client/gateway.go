@@ -9,6 +9,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -42,7 +43,10 @@ const (
 	reconnectMaxDelay        = time.Second
 	// helloTimeout bounds one dial's hello exchange, so an address whose
 	// listener is up but whose node is wedged cannot hang the rotation —
-	// failover depends on moving to the next address promptly.
+	// failover depends on moving to the next address promptly. It also
+	// bounds each direction of a replica read: a follower that accepts and
+	// then says nothing costs the reader this long, once, and then the
+	// primary answers.
 	helloTimeout = 5 * time.Second
 )
 
@@ -113,14 +117,17 @@ type GatewayConn struct {
 	// connection (synchronous request/response under rmu, no pipelining, no
 	// replay — reads are side-effect free, so on ANY replica trouble the
 	// caller just falls back to the primary). Lazy-dialed on first replica
-	// read, redialed on the next read after a failure.
+	// read, redialed on the next read after a failure. rsock is rconn's
+	// socket, kept under mu rather than rmu so Close can sever a read that is
+	// blocked holding rmu.
 	rmu   sync.Mutex
 	rconn *wire.Conn
+	rsock net.Conn
 	rbuf  []byte // replica response payloads, reused (response decode copies)
 	rid   uint64 // replica request IDs, independent of the primary stream
 
 	replicaServed    atomic.Int64
-	replicaStale     atomic.Int64
+	replicaBehind    atomic.Int64
 	replicaFallbacks atomic.Int64
 }
 
@@ -192,8 +199,8 @@ func WithDialer(dial func(addr string) (net.Conn, error)) GatewayOption {
 }
 
 // WithAddrs adds fallback addresses the client rotates across when the
-// current one is unreachable or answers the hello with a typed refusal
-// (wire.ErrNotPrimary — a cluster follower). The DialGateway address is
+// current one is unreachable or refuses the hello (wire.HelloRefused,
+// wire.ErrNotPrimary — a cluster follower). The DialGateway address is
 // tried first; together they are the cluster's node list, and failover is
 // just the rotation landing on whichever node is serving.
 func WithAddrs(addrs ...string) GatewayOption {
@@ -205,8 +212,8 @@ func WithAddrs(addrs ...string) GatewayOption {
 // answer is served from the follower's committed replicated prefix; when
 // the caller demands fresher state than the replica has applied
 // (OwnerSession.QueryAt with a MinOffset above the replica's cursor), the
-// replica's typed wire.ErrStale refusal — and any other replica failure —
-// falls back to the primary transparently. ReplicaStats reports the split.
+// replica's refusal (wire.ErrStale) — and any other replica failure — falls
+// back to the primary transparently. ReplicaStats reports the split.
 func WithReadReplica(addr string) GatewayOption {
 	return func(o *gatewayOpts) { o.readAddr = addr }
 }
@@ -282,7 +289,7 @@ func (c *GatewayConn) dialTransport() (net.Conn, error) {
 	var lastErr error
 	for i := range c.addrs {
 		idx := (c.addrIdx + i) % len(c.addrs)
-		conn, err := c.dialOne(c.addrs[idx])
+		conn, err := c.dialOne(c.addrs[idx], wire.WriteHello)
 		if err != nil {
 			lastErr = err
 			continue
@@ -293,15 +300,16 @@ func (c *GatewayConn) dialTransport() (net.Conn, error) {
 	return nil, lastErr
 }
 
-// dialOne dials a single address and runs the hello exchange under a
+// dialOne dials a single address and runs the hello exchange — hello is
+// wire.WriteHello, or wire.WriteReadHello for the read-only plane — under a
 // deadline, so one wedged node cannot stall the rotation.
-func (c *GatewayConn) dialOne(addr string) (net.Conn, error) {
+func (c *GatewayConn) dialOne(addr string, hello func(io.Writer, wire.Codec) error) (net.Conn, error) {
 	conn, err := c.dialer(addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial gateway %s: %w", addr, err)
 	}
 	_ = conn.SetDeadline(time.Now().Add(helloTimeout))
-	if err := wire.WriteHello(conn, codec); err != nil {
+	if err := hello(conn, codec); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -315,21 +323,22 @@ func (c *GatewayConn) dialOne(addr string) (net.Conn, error) {
 	return conn, nil
 }
 
+var errClosed = errors.New("client: gateway connection closed")
+
 // Close terminates the connection; in-flight requests fail and no reconnect
 // is attempted — an explicit Close is the user's decision, not an outage.
 func (c *GatewayConn) Close() error {
 	c.mu.Lock()
 	c.closed = true
-	tr := c.tr
+	tr, rsock := c.tr, c.rsock
 	c.mu.Unlock()
-	c.rmu.Lock()
-	if c.rconn != nil {
-		c.rconn.Close()
-		c.rconn = nil
+	if rsock != nil {
+		// Not under rmu: a replica read in flight holds it, and closing the
+		// socket is what ends that read.
+		rsock.Close()
 	}
-	c.rmu.Unlock()
 	err := tr.fc.Close()
-	c.fail(errors.New("client: gateway connection closed"))
+	c.fail(errClosed)
 	return err
 }
 
@@ -363,15 +372,38 @@ func (c *GatewayConn) ReconnectStats() (count int64, total time.Duration) {
 // the replica, typed staleness refusals received from it, and reads that
 // fell back to the primary (staleness included).
 func (c *GatewayConn) ReplicaStats() (served, stale, fallbacks int64) {
-	return c.replicaServed.Load(), c.replicaStale.Load(), c.replicaFallbacks.Load()
+	return c.replicaServed.Load(), c.replicaBehind.Load(), c.replicaFallbacks.Load()
+}
+
+// dialReplica opens the read-replica side channel: the read-only hello, then
+// a frame connection whose every socket read and write is bounded like the
+// hello — a follower that accepts and then goes silent must cost a read a
+// bounded wait, never wedge it. Caller holds rmu.
+func (c *GatewayConn) dialReplica() error {
+	conn, err := c.dialOne(c.readAddr, wire.WriteReadHello)
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		conn.Close()
+		return errClosed
+	}
+	c.rsock = conn
+	c.mu.Unlock()
+	c.rconn = wire.NewConn(conn)
+	c.rconn.ReadTimeout, c.rconn.WriteTimeout = helloTimeout, helloTimeout
+	return nil
 }
 
 // replicaRoundTrip runs one read request against the configured read
 // replica: lazy-dial with the read-only hello, write the frame, wait for
 // the matching response. Synchronous under rmu by design — replica reads
 // are a fallback-friendly side channel, not a second pipelined stream. Any
-// transport error tears the replica connection down (the next read
-// redials) and surfaces to the caller, who falls back to the primary.
+// transport error (a deadline included) tears the replica connection down
+// (the next read redials) and surfaces to the caller, who falls back to the
+// primary.
 func (c *GatewayConn) replicaRoundTrip(owner string, req wire.Request) (wire.Response, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -379,24 +411,12 @@ func (c *GatewayConn) replicaRoundTrip(owner string, req wire.Request) (wire.Res
 	closed := c.closed
 	c.mu.Unlock()
 	if closed {
-		return wire.Response{}, errors.New("client: gateway connection closed")
+		return wire.Response{}, errClosed
 	}
 	if c.rconn == nil {
-		conn, err := c.dialer(c.readAddr)
-		if err != nil {
-			return wire.Response{}, fmt.Errorf("client: dial read replica %s: %w", c.readAddr, err)
-		}
-		_ = conn.SetDeadline(time.Now().Add(helloTimeout))
-		if err := wire.WriteReadHello(conn, codec); err != nil {
-			conn.Close()
+		if err := c.dialReplica(); err != nil {
 			return wire.Response{}, err
 		}
-		if _, err := wire.ReadHelloAck(conn); err != nil {
-			conn.Close()
-			return wire.Response{}, fmt.Errorf("client: replica hello %s: %w", c.readAddr, err)
-		}
-		_ = conn.SetDeadline(time.Time{})
-		c.rconn = wire.NewConn(conn)
 	}
 	c.rid++
 	id := c.rid
@@ -728,21 +748,14 @@ func (c *GatewayConn) roundTrip(owner string, req wire.Request) (wire.Response, 
 	return resp, nil
 }
 
-// respErr maps a non-OK response to its typed client error: backpressure
-// and replica staleness wrap their sentinel errors so callers can branch
-// with errors.Is; everything else is a generic gateway error.
+// respErr maps a refused response to the caller's error: the *wire.Refusal
+// itself, wrapped, so errors.Is finds the code's sentinel (wire.ErrStale,
+// wire.ErrBackpressure, edb.ErrNotSetup, ...) and errors.As the cursor.
 func respErr(resp wire.Response) error {
 	if resp.OK {
 		return nil
 	}
-	if resp.Backpressure {
-		return fmt.Errorf("client: gateway refused request: %w", wire.ErrBackpressure)
-	}
-	if resp.Stale != nil {
-		return fmt.Errorf("client: replica committed offset %d below freshness bound: %w",
-			resp.Stale.Offset, wire.ErrStale)
-	}
-	return fmt.Errorf("client: gateway error: %s", resp.Error)
+	return fmt.Errorf("client: gateway refused request: %w", resp.Refusal)
 }
 
 // Owner returns this owner namespace's database handle on the shared
@@ -1022,7 +1035,7 @@ func (s *OwnerSession) Query(q query.Query) (query.Answer, edb.Cost, error) {
 // QueryAt runs q with an explicit freshness bound: the answer must reflect
 // a committed replication offset of at least minOffset on the serving
 // node. A read replica whose applied cursor is below the bound refuses
-// with the typed wire.ErrStale (carrying its cursor) and the query falls
+// (wire.ErrStale, carrying its cursor) and the query falls
 // back to the primary, which is trivially fresh — so the bound can tighten
 // a replica read without ever failing the caller. minOffset 0 accepts any
 // committed prefix.
@@ -1052,7 +1065,7 @@ func (s *OwnerSession) readRoundTrip(req wire.Request) (wire.Response, error) {
 		return resp, nil
 	}
 	if errors.Is(err, wire.ErrStale) {
-		s.conn.replicaStale.Add(1)
+		s.conn.replicaBehind.Add(1)
 	}
 	s.conn.replicaFallbacks.Add(1)
 	return s.conn.roundTrip(s.owner, req)

@@ -205,7 +205,7 @@ func TestPerOwnerFIFO(t *testing.T) {
 		if i == 1 {
 			typ = wire.MsgSetup
 		}
-		ch, release, err := conn.send(owner, wire.Request{Type: typ, Sealed: raw})
+		ch, release, err := conn.send(owner, wire.Request{Type: typ, Seq: uint64(i), Sealed: raw})
 		if err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
@@ -218,7 +218,7 @@ func TestPerOwnerFIFO(t *testing.T) {
 			t.Fatalf("response %d: connection lost", i+1)
 		}
 		if !resp.OK {
-			t.Fatalf("response %d: %s", i+1, resp.Error)
+			t.Fatalf("response %d: %v", i+1, resp.Refusal)
 		}
 	}
 	// FIFO witness: the transcript's volumes must be exactly 1..50 in order

@@ -40,7 +40,7 @@ func benchOwners(r *replica, n, depth int) []string {
 
 func mustRead(b *testing.B, r *replica, owner string, req wire.Request) {
 	if resp := r.read(owner, req); !resp.OK {
-		b.Fatalf("%s: %s", owner, resp.Error)
+		b.Fatalf("%s: %v", owner, resp.Refusal)
 	}
 }
 

@@ -17,9 +17,10 @@
 //   - A follower runs the same gateway in replica role, on the node's own
 //     listener from the start: read-only connections ("DPSQ") are served from
 //     the replicated prefix, bounded by the freshness the client asks for;
-//     writers and would-be followers get a typed refusal (wire.ErrNotPrimary),
-//     so a client that dials it moves on to the next address instead of
-//     hanging. Meanwhile it tails the primary and hands each shipped entry to
+//     writers and would-be followers are refused at the hello
+//     (wire.ErrNotPrimary), so a client that dials it moves on to the next
+//     address instead of hanging. Meanwhile it tails the primary and hands
+//     each shipped entry to
 //     the owner's shard worker, which applies it through the recovery rules
 //     and appends it to the replica's own WAL — so its directory is at every
 //     instant a valid restart image, and the tenants in RAM are what recovery
@@ -184,7 +185,7 @@ type ReadPlaneStats struct {
 	// Queries counts read requests (queries + stats) dispatched, refusals
 	// included.
 	Queries int64
-	// Stale counts typed freshness refusals (applied offset < MinOffset).
+	// Stale counts freshness refusals, wire.CodeStale (applied offset < MinOffset).
 	Stale int64
 	// CacheHits/CacheMisses are the gateway's noise-reuse answer cache
 	// counters (zero without Telemetry; they keep counting after a promotion).
@@ -350,7 +351,6 @@ func (n *Node) emitTelemetry(emit func(telemetry.Sample)) {
 	counter("cluster_repl_snapshot_transfers_total", "snapshot transfers applied by this replica", float64(st.Follower.Snapshots))
 	rp := st.ReadPlane
 	counter("cluster_read_queries_total", "read requests served in replica role (refusals included)", float64(rp.Queries))
-	counter("cluster_read_stale_total", "typed freshness refusals (applied offset below the query's MinOffset)", float64(rp.Stale))
 	counter("cluster_read_qcache_hits_total", "queries served from the noise-reuse answer cache", float64(rp.CacheHits))
 	counter("cluster_read_qcache_misses_total", "queries evaluated against the owner's resident backend", float64(rp.CacheMisses))
 	counter("cluster_read_rebuilds_total", "tenants re-materialised from history after a failed replica ingest (0 on a healthy replica)", float64(rp.Rebuilds))

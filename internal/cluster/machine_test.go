@@ -120,11 +120,11 @@ func (c *rigConn) read(owner string, req wire.Request) wire.Response {
 		raw, err = c.fc.ReadFrame(nil)
 	}
 	if err != nil {
-		return wire.Response{Error: "rig connection: " + err.Error()}
+		return wire.Refuse(wire.CodeFailed, 0, "rig connection: "+err.Error())
 	}
 	gresp, err := wire.CodecBinary.DecodeGatewayResponse(raw)
 	if err != nil || gresp.ID != c.id {
-		return wire.Response{Error: fmt.Sprintf("rig connection: response %d to request %d: %v", gresp.ID, c.id, err)}
+		return wire.Refuse(wire.CodeFailed, 0, fmt.Sprintf("rig connection: response %d to request %d: %v", gresp.ID, c.id, err))
 	}
 	return gresp.Resp
 }
@@ -269,7 +269,7 @@ func rigRequests() []wire.Request {
 func fingerprint(resp wire.Response) string {
 	switch {
 	case !resp.OK:
-		return "error: " + resp.Error
+		return "refused: " + resp.Refusal.Error()
 	case resp.Stats != nil:
 		return fmt.Sprintf("records=%d|bytes=%d|updates=%d", resp.Stats.Records, resp.Stats.Bytes, resp.Stats.Updates)
 	}
@@ -371,7 +371,7 @@ func TestResidentMachineEqualsReplay(t *testing.T) {
 			// Every owner is read after every apply, so the cache is exercised
 			// across each clock advance.
 			if resp := r.read(names[o], queryReq(query.Q1())); !resp.OK {
-				t.Fatalf("%s tick %d: %s", names[o], tick, resp.Error)
+				t.Fatalf("%s tick %d: %v", names[o], tick, resp.Refusal)
 			}
 			if tick == 1 || tick%4 == 0 {
 				compare(o, tick)
@@ -595,10 +595,10 @@ func TestReadsDuringFoldSeeWholeBatches(t *testing.T) {
 				}
 				resp := analyst.read(names[o], queryReq(query.Q1()))
 				if !resp.OK {
-					if resp.Error == edb.ErrNotSetup.Error() {
+					if resp.Refusal.Code == wire.CodeNotSetup {
 						continue // the setup has not been applied yet
 					}
-					errs <- fmt.Errorf("%s: %s", names[o], resp.Error)
+					errs <- fmt.Errorf("%s: %w", names[o], resp.Refusal)
 					return
 				}
 				clock, ok := q1At[o][fingerprint(resp)]
@@ -626,13 +626,13 @@ func TestReadsDuringFoldSeeWholeBatches(t *testing.T) {
 				req.MinOffset = bound
 				resp := auditor.read(names[o], req)
 				switch {
-				case resp.Stale != nil:
-					if resp.Stale.Offset >= bound {
-						errs <- fmt.Errorf("%s: refused bound %d as stale at cursor %d", names[o], bound, resp.Stale.Offset)
+				case !resp.OK && resp.Refusal.Code == wire.CodeStale:
+					if resp.Refusal.Cursor >= bound {
+						errs <- fmt.Errorf("%s: refused bound %d as stale at cursor %d", names[o], bound, resp.Refusal.Cursor)
 						return
 					}
 				case !resp.OK:
-					errs <- fmt.Errorf("%s: %s", names[o], resp.Error)
+					errs <- fmt.Errorf("%s: %w", names[o], resp.Refusal)
 					return
 				default:
 					held, ok := q1At[o][fingerprint(resp)]

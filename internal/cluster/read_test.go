@@ -234,7 +234,7 @@ func TestReadPlaneDifferential(t *testing.T) {
 	}
 
 	// Freshness bounds. A demand the cursor meets is served; a demand beyond
-	// it gets the typed refusal carrying the cursor on the raw wire — never
+	// it is refused as stale, carrying the cursor, on the raw wire — never
 	// an answer computed from less history than asked.
 	if _, _, err := rOwn.QueryAt(query.Q1(), cursor); err != nil {
 		t.Fatalf("QueryAt(cursor) must be served: %v", err)
@@ -243,11 +243,11 @@ func TestReadPlaneDifferential(t *testing.T) {
 	resp := rawRoundTrip(t, raw, codec, 1, owner, wire.Request{
 		Type: wire.MsgQuery, Query: specPtr(query.Q1()), MinOffset: cursor + 5,
 	})
-	if resp.OK || resp.Error != wire.ErrStale.Error() {
+	if resp.OK || resp.Refusal.Code != wire.CodeStale {
 		t.Fatalf("fresher-than-cursor demand answered: %+v", resp)
 	}
-	if resp.Stale == nil || resp.Stale.Offset != cursor {
-		t.Fatalf("stale refusal carries %+v, want cursor %d", resp.Stale, cursor)
+	if resp.Refusal.Cursor != cursor {
+		t.Fatalf("stale refusal carries %+v, want cursor %d", resp.Refusal, cursor)
 	}
 	// The same demand through the client falls back to the primary, which is
 	// trivially fresh — the caller still gets a correct answer.
@@ -257,16 +257,16 @@ func TestReadPlaneDifferential(t *testing.T) {
 	if _, stale2, fb2 := rconn.ReplicaStats(); stale2 != 1 || fb2 != 1 {
 		t.Fatalf("after freshness fallback: stale %d fallbacks %d, want 1/1", stale2, fb2)
 	}
-	// Writes on a read-only connection are refused with the typed
-	// not-primary error, on the follower and on the primary alike.
+	// Writes on a read-only connection are refused as not-primary, on the
+	// follower and on the primary alike.
 	wresp := rawRoundTrip(t, raw, codec, 2, owner, wire.Request{Type: wire.MsgResume})
-	if wresp.OK || wresp.Error != wire.ErrNotPrimary.Error() {
-		t.Fatalf("resume on read plane = %+v, want typed not-primary refusal", wresp)
+	if wresp.OK || wresp.Refusal.Code != wire.CodeNotPrimary {
+		t.Fatalf("resume on read plane = %+v, want the not-primary refusal", wresp)
 	}
 	praw, pcodec := dialReadPlane(t, a.Addr())
 	presp := rawRoundTrip(t, praw, pcodec, 3, owner, wire.Request{Type: wire.MsgResume})
-	if presp.OK || presp.Error != wire.ErrNotPrimary.Error() {
-		t.Fatalf("resume on primary read conn = %+v, want typed not-primary refusal", presp)
+	if presp.OK || presp.Refusal.Code != wire.CodeNotPrimary {
+		t.Fatalf("resume on primary read conn = %+v, want the not-primary refusal", presp)
 	}
 
 	// Partition: freeze replication, advance the primary. The frozen replica
@@ -300,7 +300,7 @@ func TestReadPlaneDifferential(t *testing.T) {
 	sresp := rawRoundTrip(t, raw, codec, 4, owner, wire.Request{
 		Type: wire.MsgQuery, Query: specPtr(query.Q1()), MinOffset: cursor + extra,
 	})
-	if sresp.OK || sresp.Error != wire.ErrStale.Error() || sresp.Stale == nil || sresp.Stale.Offset != cursor {
+	if sresp.OK || *sresp.Refusal != (wire.Refusal{Code: wire.CodeStale, Cursor: cursor}) {
 		t.Fatalf("partitioned stale refusal = %+v, want cursor %d", sresp, cursor)
 	}
 	// Through the client, the same bound lands on the primary and observes

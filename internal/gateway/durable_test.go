@@ -627,14 +627,14 @@ func TestDurableReadsWaitForCommit(t *testing.T) {
 		return g
 	}
 
-	send(wire.GatewayRequest{ID: 1, Owner: "o", Req: wire.Request{Type: wire.MsgSetup, Sealed: sealOne(yellow(0, 1))}})
+	send(wire.GatewayRequest{ID: 1, Owner: "o", Req: wire.Request{Type: wire.MsgSetup, Seq: 1, Sealed: sealOne(yellow(0, 1))}})
 	if r := recv(); r.ID != 1 || !r.Resp.OK {
 		t.Fatalf("setup response: %+v", r)
 	}
 	// Pipelined: durable update immediately followed by a stats read, no
 	// read in between. The stats response must come second and must count
 	// the update's record.
-	send(wire.GatewayRequest{ID: 2, Owner: "o", Req: wire.Request{Type: wire.MsgUpdate, Sealed: sealOne(yellow(1, 2))}})
+	send(wire.GatewayRequest{ID: 2, Owner: "o", Req: wire.Request{Type: wire.MsgUpdate, Seq: 2, Sealed: sealOne(yellow(1, 2))}})
 	send(wire.GatewayRequest{ID: 3, Owner: "o", Req: wire.Request{Type: wire.MsgStats}})
 	first, second := recv(), recv()
 	if first.ID != 2 || !first.Resp.OK {

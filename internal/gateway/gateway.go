@@ -74,7 +74,7 @@ const (
 	DefaultWriteTimeout = 30 * time.Second
 	// DefaultMaxInFlight is the per-connection in-flight request cap: how
 	// many admitted requests may be awaiting responses before further
-	// frames are refused with a typed backpressure response. It is sized
+	// frames are refused (wire.CodeBackpressure). It is sized
 	// above the client's default pipeline window so well-behaved clients
 	// never see a shed; the response buffer is sized to this cap plus
 	// shedHeadroom, which is what lets shard workers reply without ever
@@ -145,9 +145,9 @@ type Config struct {
 	WriteTimeout   time.Duration
 	MaxFrameErrors int
 	// MaxInFlight caps admitted-but-unanswered requests per connection
-	// (0 = DefaultMaxInFlight). Excess frames get typed backpressure
-	// responses; a connection that accumulates shedHeadroom unanswered
-	// refusals on top of the cap is severed.
+	// (0 = DefaultMaxInFlight). Excess frames are refused
+	// (wire.CodeBackpressure); a connection that accumulates shedHeadroom
+	// unanswered refusals on top of the cap is severed.
 	MaxInFlight int
 	// DrainTimeout bounds Close's graceful wait for in-flight connections
 	// before severing the stragglers (0 = DefaultDrainTimeout, negative =
@@ -248,7 +248,7 @@ type replFlusher interface {
 // a time (Replicate), the same connection loop serves it but only read-only
 // connections ("DPSQ"; other hellos are refused so the dialer moves on to the
 // primary), and a read whose freshness bound the shard's applied stream
-// offset has not reached gets the typed wire.ErrStale with that offset —
+// offset has not reached is refused (wire.CodeStale) with that offset —
 // checked on the worker that applies the stream, so a read sees whole batches
 // and is as fresh as its check said by goroutine ownership, not by a lock.
 type Gateway struct {
@@ -263,16 +263,15 @@ type Gateway struct {
 	shards     []*shard
 	quit       chan struct{}
 	ownerCount atomic.Int64
-	sheds      atomic.Int64 // backpressure refusals across all connections
-	severed    atomic.Int64 // connections severed as hostile/stalled
-	liveConns  atomic.Int64 // currently open client connections
-	liveRepl   atomic.Int64 // currently open replication connections
+	refusals   [wire.MaxRefusalCode + 1]atomic.Int64 // replies that refused, by code
+	severed    atomic.Int64                          // connections severed as hostile/stalled
+	liveConns  atomic.Int64                          // currently open client connections
+	liveRepl   atomic.Int64                          // currently open replication connections
 
-	// Replica-role accounting, counted on the shard workers: reads dispatched,
-	// reads refused as stale, and tenants re-materialised from history after a
-	// failed ingest (0 on a healthy replica). They stop moving at Promote.
+	// Replica-role accounting, counted on the shard workers: reads dispatched
+	// and tenants re-materialised from history after a failed ingest (0 on a
+	// healthy replica). They stop moving at Promote.
 	replicaReads atomic.Int64
-	replicaStale atomic.Int64
 	rebuilds     atomic.Int64
 
 	connWG  sync.WaitGroup
@@ -404,7 +403,10 @@ func newGateway(addr string, cfg Config, replica bool) (*Gateway, error) {
 			gauge("gateway_owners", "established tenant namespaces", float64(g.ownerCount.Load()))
 			gauge("gateway_active_conns", "open client connections", float64(g.liveConns.Load()))
 			gauge("gateway_repl_conns", "open replication connections", float64(g.liveRepl.Load()))
-			counter("gateway_sheds_total", "typed backpressure refusals", g.sheds.Load())
+			for code := wire.RefusalCode(1); code <= wire.MaxRefusalCode; code++ {
+				counter(fmt.Sprintf("gateway_refusals_total{code=%q}", code.String()),
+					"requests refused, by refusal code", g.refusals[code].Load())
+			}
 			counter("gateway_severed_total", "connections severed (stalled writer, spent grace window, drain deadline)", g.severed.Load())
 			var pending, committed int64
 			for _, sh := range g.shards {
@@ -699,7 +701,7 @@ func (g *Gateway) Owners() int { return int(g.ownerCount.Load()) }
 
 // Sheds returns the total number of backpressure refusals issued across all
 // connections — the fleet-health counter the load generator reports.
-func (g *Gateway) Sheds() int64 { return g.sheds.Load() }
+func (g *Gateway) Sheds() int64 { return g.refusals[wire.CodeBackpressure].Load() }
 
 // QueryCacheStats snapshots the noise-reuse answer cache counters across
 // every tenant (zero when Telemetry is disabled — the counters are the
@@ -907,7 +909,7 @@ func (g *Gateway) DurableStatusText() string {
 // dispatched (refusals included), reads refused as stale, and tenants rebuilt
 // from history after a failed ingest. The counters stop at Promote.
 func (g *Gateway) ReplicaStats() (reads, stale, rebuilds int64) {
-	return g.replicaReads.Load(), g.replicaStale.Load(), g.rebuilds.Load()
+	return g.replicaReads.Load(), g.refusals[wire.CodeStale].Load(), g.rebuilds.Load()
 }
 
 // Live reports currently open client and replication connections.
@@ -1058,9 +1060,9 @@ func (g *Gateway) handle(conn net.Conn) {
 // requests share.
 //
 // Flow control invariant: inflight counts every admitted request and every
-// reader-originated reply (errors, sheds) from admission until the writer
-// dequeues its response. Admission stops at MaxInFlight (typed
-// backpressure), and even refusals stop at MaxInFlight + shedHeadroom (the
+// reader-originated refusal from admission until the writer dequeues its
+// response. Admission stops at MaxInFlight (wire.CodeBackpressure), and even
+// refusals stop at MaxInFlight + shedHeadroom (the
 // connection is severed instead). respCh's capacity is that same bound, so a
 // shard worker's reply can NEVER block on a slow connection — the slow
 // tenant sheds its own load while unrelated tenants on the same shard keep
@@ -1070,8 +1072,8 @@ type clientConn struct {
 	// readOnly marks a connection opened with the read-only hello ("DPSQ"),
 	// the only kind a replica accepts. It is served from the same path as a
 	// full client — on a primary it is trivially fresh, so MinOffset never
-	// refuses there — but its write half is disabled: syncs and resumes get
-	// the typed not-primary refusal so a misrouted writer fails loudly instead
+	// refuses there — but its write half is disabled: syncs and resumes are
+	// refused (wire.CodeNotPrimary) so a misrouted writer fails loudly instead
 	// of mutating state over a connection negotiated as read-only.
 	readOnly bool
 	logf     func(format string, args ...any) // the handler's bounded logger; reader goroutine only
@@ -1088,9 +1090,13 @@ type clientConn struct {
 // requests stop at the cap.
 func (c *clientConn) admit() { c.inflight.Add(1); c.pending.Add(1) }
 
-// reply queues one response for the writer. It never blocks: respCh holds
-// every response admit has reserved a slot for.
+// reply queues one response for the writer, and counts it if it is a
+// refusal — every reply passes here, from the reader and from the shards. It
+// never blocks: respCh holds every response admit has reserved a slot for.
 func (c *clientConn) reply(id uint64, resp wire.Response, tc telemetry.TraceContext) {
+	if resp.Refusal != nil {
+		c.g.refusals[resp.Refusal.Code].Add(1)
+	}
 	tr := timedResponse{resp: wire.GatewayResponse{ID: id, Resp: resp}, tc: tc}
 	if c.g.tm.on {
 		tr.enq = time.Now().UnixNano()
@@ -1100,14 +1106,15 @@ func (c *clientConn) reply(id uint64, resp wire.Response, tc telemetry.TraceCont
 }
 
 // refuse answers a frame from the reader, without a shard.
-func (c *clientConn) refuse(id uint64, resp wire.Response) {
+func (c *clientConn) refuse(id uint64, code wire.RefusalCode, detail string) {
 	c.admit()
-	c.reply(id, resp, telemetry.TraceContext{})
+	c.reply(id, wire.Refuse(code, 0, detail), telemetry.TraceContext{})
 }
 
 // admitFrame is the reader's work for one frame: decode it, refuse it here
-// (malformed, ownerless, a write on a read-only connection, over the
-// in-flight cap) or hand it to the owner's shard as a task. It reports
+// (malformed, ownerless, an unsequenced sync, a write on a read-only
+// connection, over the in-flight cap) or hand it to the owner's shard as a
+// task. It reports
 // whether the connection keeps being served.
 func (c *clientConn) admitFrame(payload []byte) bool {
 	g := c.g
@@ -1125,7 +1132,7 @@ func (c *clientConn) admitFrame(payload []byte) bool {
 	if err != nil {
 		c.frameErrs++
 		c.logf("malformed frame (%d/%d): %v", c.frameErrs, g.cfg.MaxFrameErrors, err)
-		c.refuse(greq.ID, wire.Response{Error: err.Error()})
+		c.refuse(greq.ID, wire.CodeBadRequest, err.Error())
 		if c.frameErrs >= g.cfg.MaxFrameErrors {
 			c.logf("closing connection after %d malformed frames", c.frameErrs)
 			return false
@@ -1133,23 +1140,26 @@ func (c *clientConn) admitFrame(payload []byte) bool {
 		return true
 	}
 	if greq.Owner == "" {
-		c.refuse(greq.ID, wire.Response{Error: "gateway: missing owner id"})
+		c.refuse(greq.ID, wire.CodeBadRequest, "gateway: missing owner id")
 		return true
 	}
-	if c.readOnly {
-		switch greq.Req.Type {
-		case wire.MsgSetup, wire.MsgUpdate, wire.MsgResume:
-			c.refuse(greq.ID, wire.Response{Error: wire.ErrNotPrimary.Error()})
-			return true
-		}
+	sync := greq.Req.Type == wire.MsgSetup || greq.Req.Type == wire.MsgUpdate
+	if sync && greq.Req.Seq == 0 {
+		// Every sync claims its tick. Refused here, before the shard's
+		// duplicate rule (0 ≤ any applied seq) could ack it as a retransmit,
+		// and before a setup could allocate a namespace.
+		c.refuse(greq.ID, wire.CodeBadRequest, "gateway: unsequenced sync (seq 0)")
+		return true
+	}
+	if c.readOnly && (sync || greq.Req.Type == wire.MsgResume) {
+		c.refuse(greq.ID, wire.CodeNotPrimary, "")
+		return true
 	}
 	if int(c.inflight.Load()) >= maxInFlight {
-		// Load shed: refuse without touching tenant state. The refusal
-		// is typed so the client can back off and retry — application
-		// state (clock, ledger, transcript) is untouched, which is what
-		// keeps a shed privacy-neutral.
-		g.sheds.Add(1)
-		c.refuse(greq.ID, wire.Response{Error: wire.ErrBackpressure.Error(), Backpressure: true})
+		// Load shed: refuse without touching tenant state, so the client can
+		// back off and retry — application state (clock, ledger, transcript)
+		// is untouched, which is what keeps a shed privacy-neutral.
+		c.refuse(greq.ID, wire.CodeBackpressure, "")
 		return true
 	}
 	c.admit()
@@ -1175,10 +1185,20 @@ func (c *clientConn) admitFrame(payload []byte) bool {
 		owner: greq.Owner, peek: greq.Req.Type != wire.MsgSetup, at: at,
 		req: greq.Req, reply: replyTo{conn: c, id: greq.ID, tc: tc},
 	}
+	// A reader that outlives the shard workers (its accept raced Close's
+	// wait for connections) must not leave a task in a queue nobody serves:
+	// quit is checked first — a nil queue takes nothing — then raced against
+	// a full one.
+	tasks := g.shardFor(greq.Owner).tasks
 	select {
-	case g.shardFor(greq.Owner).tasks <- t:
 	case <-g.quit:
-		t.reply.send(wire.Response{Error: "gateway: shutting down"})
+		tasks = nil
+	default:
+	}
+	select {
+	case tasks <- t:
+	case <-g.quit:
+		t.reply.send(wire.Refuse(wire.CodeClosing, 0, ""))
 	}
 	return true
 }

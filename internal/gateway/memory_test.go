@@ -82,7 +82,7 @@ func driveHeap(t *testing.T, cfg gateway.Config, updates int, batch func(u int) 
 	}
 	send := func(id uint64, typ wire.MsgType, sealed [][]byte) {
 		payload, err := codec.EncodeGatewayRequest(wire.GatewayRequest{
-			ID: id, Owner: "m", Req: wire.Request{Type: typ, Sealed: sealed},
+			ID: id, Owner: "m", Req: wire.Request{Type: typ, Seq: id, Sealed: sealed},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -313,8 +313,34 @@ func TestDuplicateRetransmitNotRecharged(t *testing.T) {
 	}
 	// A gap is refused without touching state.
 	gap := encode(3, wire.MsgUpdate, 9, sealed(yellow(2, 30)))
-	if resp := roundTripRaw(t, conn, gap); resp.Resp.OK || resp.Resp.Error == "" {
-		t.Fatalf("gap sync accepted: %+v", resp.Resp)
+	if resp := roundTripRaw(t, conn, gap); resp.Resp.OK || *resp.Resp.Refusal != (wire.Refusal{Code: wire.CodeSeqGap, Cursor: 3}) {
+		t.Fatalf("gap sync: %+v, want the seq-gap refusal expecting seq 3", resp.Resp)
+	}
+	// An unsequenced sync (seq 0) is a bad request. It is refused before the
+	// duplicate rule — under which 0 ≤ clock would ack it as a retransmit
+	// without applying it — and before a setup could allocate a namespace;
+	// clock, ledger and transcript stay where they were.
+	for _, typ := range []wire.MsgType{wire.MsgUpdate, wire.MsgSetup} {
+		unsequenced := encode(6, typ, 0, sealed(yellow(2, 30)))
+		if resp := roundTripRaw(t, conn, unsequenced); resp.Resp.OK || resp.Resp.Refusal.Code != wire.CodeBadRequest {
+			t.Fatalf("unsequenced %s: %+v, want the bad-request refusal", typ, resp.Resp)
+		}
+	}
+	if frame, err := wire.CodecBinary.EncodeGatewayRequest(wire.GatewayRequest{
+		ID: 7, Owner: "owner-unsequenced", Req: wire.Request{Type: wire.MsgSetup, Sealed: sealed(yellow(0, 10))},
+	}); err != nil {
+		t.Fatal(err)
+	} else if resp := roundTripRaw(t, conn, frame); resp.Resp.OK || gw.Owners() != 1 {
+		t.Fatalf("unsequenced setup of a new owner: %+v, %d namespaces", resp.Resp, gw.Owners())
+	}
+	if ledger, err := gw.ObservedLedger(owner).MarshalBinary(); err != nil || string(ledger) != string(ledgerBefore) {
+		t.Fatalf("an unsequenced sync touched the ε ledger (%v)", err)
+	}
+	if got := gw.ObservedPattern(owner).String(); got != patternBefore {
+		t.Fatalf("an unsequenced sync appended a transcript event:\n got: %s\nwant: %s", got, patternBefore)
+	}
+	if resp := roundTripRaw(t, conn, encode(8, wire.MsgResume, 0, nil)); resp.Resp.Resume == nil || resp.Resp.Resume.Clock != 2 {
+		t.Fatalf("resume after the unsequenced syncs = %+v, want clock 2", resp.Resp)
 	}
 	// The sequence is still open at the right place.
 	next := encode(4, wire.MsgUpdate, 3, sealed(yellow(2, 30)))
@@ -432,11 +458,11 @@ func TestMalformedFrameFloodSevered(t *testing.T) {
 	conn := rawGatewayConn(t, gw.Addr())
 	for i, frame := range [][]byte{[]byte("{garbage"), nil, {0xFF}} {
 		resp := roundTripRaw(t, conn, frame)
-		if resp.Resp.OK || resp.Resp.Error == "" {
-			t.Fatalf("frame %d: expected an error response, got %+v", i, resp.Resp)
+		if resp.Resp.OK || resp.Resp.Refusal.Code != wire.CodeBadRequest {
+			t.Fatalf("frame %d: expected a bad-request refusal, got %+v", i, resp.Resp)
 		}
-		if frame == nil && !strings.Contains(resp.Resp.Error, "empty gateway request frame") {
-			t.Errorf("zero-length frame: error = %q", resp.Resp.Error)
+		if frame == nil && !strings.Contains(resp.Resp.Refusal.Detail, "empty gateway request frame") {
+			t.Errorf("zero-length frame: refusal = %v", resp.Resp.Refusal)
 		}
 	}
 	// The bound is reached: the gateway must now have closed the connection.
@@ -617,8 +643,8 @@ func TestReplicaInheritsDefences(t *testing.T) {
 		{"malformed frames end the connection", gateway.Config{MaxFrameErrors: 3}, func(t *testing.T, gw *gateway.Gateway, _ []byte) {
 			conn := rawReadConn(t, gw.Addr())
 			for i, frame := range [][]byte{[]byte("{garbage"), nil, {0xFF}} {
-				if resp := roundTripRaw(t, conn, frame); resp.Resp.OK || resp.Resp.Error == "" {
-					t.Fatalf("frame %d: expected an error response, got %+v", i, resp.Resp)
+				if resp := roundTripRaw(t, conn, frame); resp.Resp.OK || resp.Resp.Refusal.Code != wire.CodeBadRequest {
+					t.Fatalf("frame %d: expected a bad-request refusal, got %+v", i, resp.Resp)
 				}
 			}
 			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))

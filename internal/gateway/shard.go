@@ -118,7 +118,7 @@ func (g *Gateway) runShard(sh *shard) {
 		case t.run != nil:
 			t.run(tn, err)
 		case err != nil:
-			t.reply.send(wire.Response{Error: err.Error()})
+			t.reply.send(failed(err))
 		default:
 			g.dispatch(sh, tn, t.owner, t.req, t.reply)
 		}
@@ -201,6 +201,30 @@ func (g *Gateway) tenantFor(sh *shard, owner string, peek bool) (*Tenant, error)
 	return tn, nil
 }
 
+// failed is the refusal for an error a backend, a ledger or a tenant
+// constructor returned: not-setup when that is what it said — what an
+// in-process edb.Database returns — and otherwise CodeFailed with its text.
+func failed(err error) wire.Response {
+	if errors.Is(err, edb.ErrNotSetup) {
+		return wire.Refuse(wire.CodeNotSetup, 0, "")
+	}
+	return wire.Refuse(wire.CodeFailed, 0, err.Error())
+}
+
+// suspend freezes tn at its committed prefix — a sync's batch is in the
+// backend and its entry may or may not be durable, so the tenant serves
+// nothing until a restart re-derives it from the log — and returns the
+// refusal that sync, and every later request, gets. The cause goes to the
+// server's log, once; the refusal names none.
+func (g *Gateway) suspend(tn *Tenant, tick uint64, cause error) wire.Response {
+	if cause != nil && !tn.failed {
+		g.log.Error("sync failed after ingest, suspending tenant",
+			"owner_hash", telemetry.OwnerHash(tn.Owner), "tick", tick, "err", cause)
+	}
+	tn.failed = true
+	return wire.Refuse(wire.CodeSuspended, 0, "")
+}
+
 // chargeFor names the ledger expenditure one sync incurs. The charge is
 // carried inside the sync's WAL entry, so recovery re-spends what the
 // original run spent even if the configured epsilon has since changed.
@@ -230,8 +254,7 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 		// this check and the answer below.
 		g.replicaReads.Add(1)
 		if req.MinOffset > sh.applied {
-			g.replicaStale.Add(1)
-			reply.send(wire.Response{Error: wire.ErrStale.Error(), Stale: &wire.StaleSpec{Offset: sh.applied}})
+			reply.send(wire.Refuse(wire.CodeStale, sh.applied, ""))
 			return
 		}
 	}
@@ -243,7 +266,7 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 		// The tenant's backend may hold a batch whose durability is
 		// indeterminate; serving *anything* from it (queries and stats
 		// included) would expose state a restart may not reconstruct.
-		reply.send(wire.Response{Error: "gateway: a durable sync failed for this owner; restart to recover"})
+		reply.send(wire.Refuse(wire.CodeSuspended, 0, ""))
 		return
 	}
 	switch req.Type {
@@ -259,8 +282,8 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 
 	case wire.MsgSetup, wire.MsgUpdate:
 		setup := req.Type == wire.MsgSetup
-		// Tick-ordered idempotent apply. A sequenced sync (req.Seq != 0)
-		// claims a specific logical tick:
+		// Tick-ordered idempotent apply. A sync claims a specific logical tick
+		// (the reader has refused Seq 0):
 		//   - seq == tn.seq+1: the next tick — apply normally below.
 		//   - seq <= tn.seq: already applied. A retransmit (the client lost
 		//     the ack, not the sync) is acknowledged WITHOUT re-ingesting or
@@ -269,19 +292,16 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 		//     commit if it is still in flight, so a duplicate ack is never
 		//     a stronger durability claim than the first would have been.
 		//   - seq > tn.seq+1: a gap — the client skipped a sync. Refuse
-		//     without touching state; applying out of order would let a
-		//     distorted schedule masquerade as the DP-optimized one.
-		// Seq 0 is the legacy single-shot behavior: assign the next tick.
-		if req.Seq != 0 {
-			if req.Seq <= tn.seq {
-				g.serveDuplicateAck(tn, req.Seq, reply)
-				return
-			}
-			if req.Seq != tn.seq+1 {
-				reply.send(wire.Response{Error: fmt.Sprintf(
-					"gateway: sync gap: got seq %d, expected %d", req.Seq, tn.seq+1)})
-				return
-			}
+		//     without touching state, naming the seq expected; applying out
+		//     of order would let a distorted schedule masquerade as the
+		//     DP-optimized one.
+		if req.Seq <= tn.seq {
+			g.serveDuplicateAck(tn, req.Seq, reply)
+			return
+		}
+		if req.Seq != tn.seq+1 {
+			reply.send(wire.Refuse(wire.CodeSeqGap, tn.seq+1, ""))
+			return
 		}
 		// Validate the ledger charge before any irreversible step: a
 		// refused charge (epsilon/rule drift against a recovered ledger)
@@ -291,7 +311,7 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 		// spend-with-sync-record before observability.
 		charge := g.chargeFor(setup)
 		if err := tn.Budget.CanCharge(charge.Name, charge.Eps, charge.Rule); err != nil {
-			reply.send(wire.Response{Error: err.Error()})
+			reply.send(failed(err))
 			return
 		}
 		var applyStart time.Time
@@ -299,7 +319,7 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 			applyStart = time.Now()
 		}
 		if err := tn.Ingest(setup, req.Sealed); err != nil {
-			reply.send(wire.Response{Error: err.Error()})
+			reply.send(failed(err))
 			return
 		}
 		if !applyStart.IsZero() {
@@ -316,8 +336,7 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 		if g.store == nil {
 			// In-memory mode: commit is immediate.
 			if err := g.commit(sh, tn, entry.Batch); err != nil {
-				tn.failed = true
-				reply.send(wire.Response{Error: fmt.Sprintf("gateway: sync failed after ingest: %v", err)})
+				reply.send(g.suspend(tn, entry.Batch.Tick, err))
 				return
 			}
 			reply.send(wire.Response{OK: true})
@@ -350,15 +369,7 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 					// contiguity rule will stop at. Freeze the committed
 					// prefix instead — it is exactly what a restart will
 					// reconstruct.
-					if werr != nil && !tn.failed {
-						g.log.Error("durable sync failed, suspending tenant",
-							"owner_hash", telemetry.OwnerHash(owner), "tick", entry.Batch.Tick, "err", werr)
-					}
-					tn.failed = true
-					if werr == nil {
-						werr = fmt.Errorf("an earlier sync's durability is unknown")
-					}
-					reply.send(wire.Response{Error: fmt.Sprintf("gateway: durable sync failed; restart to recover (%v)", werr)})
+					reply.send(g.suspend(tn, entry.Batch.Tick, werr))
 					tn.flushDeferred()
 					return
 				}
@@ -383,8 +394,7 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 			// other post-ingest durability failure; no completion will
 			// arrive for this entry.
 			sh.addPending(-1)
-			tn.failed = true
-			reply.send(wire.Response{Error: fmt.Sprintf("gateway: durable sync: %v", err)})
+			reply.send(g.suspend(tn, entry.Batch.Tick, err))
 			tn.flushDeferred()
 		} else if g.store.RotateDue(sh.id) {
 			sh.snapWanted = true
@@ -392,7 +402,7 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 
 	case wire.MsgQuery:
 		if req.Query == nil {
-			reply.send(wire.Response{Error: "query missing"})
+			reply.send(wire.Refuse(wire.CodeBadRequest, 0, "gateway: query missing"))
 			return
 		}
 		g.tm.queries.Inc()
@@ -402,7 +412,7 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 		g.serveRead(tn, req, reply)
 
 	default:
-		reply.send(wire.Response{Error: fmt.Sprintf("unknown message type %q", req.Type)})
+		reply.send(wire.Refuse(wire.CodeBadRequest, 0, fmt.Sprintf("gateway: unknown message type %q", req.Type)))
 	}
 }
 
@@ -446,17 +456,12 @@ func (g *Gateway) commit(sh *shard, tn *Tenant, bt store.Batch) error {
 // deferred reads), so the retransmit's ack carries exactly the durability
 // the original's would have.
 func (g *Gateway) serveDuplicateAck(tn *Tenant, seq uint64, reply replyTo) {
+	ack := func() wire.Response { return wire.Response{OK: true} }
 	if seq <= tn.Clock {
-		reply.send(wire.Response{OK: true})
+		reply.send(ack())
 		return
 	}
-	tn.deferred = append(tn.deferred, deferredRead{waitSeq: seq, run: func(failed bool) {
-		if failed {
-			reply.send(wire.Response{Error: "gateway: a durable sync failed for this owner; restart to recover"})
-			return
-		}
-		reply.send(wire.Response{OK: true})
-	}})
+	tn.deferred = append(tn.deferred, deferredRead{waitSeq: seq, reply: reply, run: ack})
 }
 
 // serveRead answers a read (query or stats) immediately when the tenant's
@@ -470,13 +475,7 @@ func (g *Gateway) serveRead(tn *Tenant, req wire.Request, reply replyTo) {
 		reply.send(tn.Read(req))
 		return
 	}
-	tn.deferred = append(tn.deferred, deferredRead{waitSeq: tn.seq, run: func(failed bool) {
-		if failed {
-			reply.send(wire.Response{Error: "gateway: a durable sync failed for this owner; restart to recover"})
-			return
-		}
-		reply.send(tn.Read(req))
-	}})
+	tn.deferred = append(tn.deferred, deferredRead{waitSeq: tn.seq, reply: reply, run: func() wire.Response { return tn.Read(req) }})
 }
 
 // dispatchUnknown answers requests addressed to a namespace that does not
@@ -486,12 +485,8 @@ func (g *Gateway) serveRead(tn *Tenant, req wire.Request, reply replyTo) {
 // they would be talking to — without the probe allocating tenant state.
 func (g *Gateway) dispatchUnknown(owner string, req wire.Request) wire.Response {
 	switch req.Type {
-	case wire.MsgSetup:
-		// Unreachable: setup tasks resolve with peek=false, which creates
-		// the tenant (or reports the creation error) before dispatch.
-		return wire.Response{Error: "gateway: internal: setup routed to unknown-owner path"}
 	case wire.MsgUpdate, wire.MsgQuery:
-		return wire.Response{Error: edb.ErrNotSetup.Error()}
+		return wire.Refuse(wire.CodeNotSetup, 0, "")
 	case wire.MsgResume:
 		// A resume for a namespace this process has not materialized answers
 		// from the durable floor: the store's recovered clock (0 for owners
@@ -505,7 +500,10 @@ func (g *Gateway) dispatchUnknown(owner string, req wire.Request) wire.Response 
 	case wire.MsgStats:
 		return g.tenants.StatsProbe(owner)
 	default:
-		return wire.Response{Error: fmt.Sprintf("unknown message type %q", req.Type)}
+		// Unreachable: the decoder yields no other type, and a setup resolves
+		// with peek=false, which creates the tenant (or reports the creation
+		// error) before dispatch.
+		return wire.Refuse(wire.CodeFailed, 0, fmt.Sprintf("gateway: internal: %s routed to unknown-owner path", req.Type))
 	}
 }
 

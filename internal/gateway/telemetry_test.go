@@ -2,7 +2,9 @@ package gateway_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"dpsync/internal/record"
 	"dpsync/internal/seal"
 	"dpsync/internal/telemetry"
+	"dpsync/internal/wire"
 )
 
 // scrapeAll renders a registry the two ways the admin plane does — the
@@ -67,7 +70,10 @@ func driveTelemetryOwners(t *testing.T, addr string, key []byte, owners []string
 // a side channel around the ε the strategies spend to hide it. The gateway is
 // durable and rotates from its first entry, so the store's series — the
 // rotation instruments among them — and the /statusz shard lines (image and
-// log bytes per shard) are swept with the rest.
+// log bytes per shard) are swept with the rest. So are refusals: one of each
+// code a plain primary answers with is counted before the scrape, the family
+// carries a code label and nothing else, and the text a refusal sent its
+// client (Detail) appears on no admin surface.
 func TestTelemetryAggregateOnlyByDefault(t *testing.T) {
 	reg := telemetry.New()
 	// Trace every request: the tracing plane is part of the adversary's view
@@ -79,6 +85,7 @@ func TestTelemetryAggregateOnlyByDefault(t *testing.T) {
 	})
 	owners := []string{"owner-alpha", "owner-bravo", "owner-charlie"}
 	driveTelemetryOwners(t, gw.Addr(), key, owners)
+	details := provokePlainRefusals(t, rawGatewayConn(t, gw.Addr()), rawReadConn(t, gw.Addr()), owners[0], false)
 	if m, _ := gw.StoreMetrics(); m.Snapshots == 0 || m.SnapshotBytes == 0 {
 		t.Fatalf("no rotation happened (%+v): the rotation instruments are not exercised", m)
 	}
@@ -101,6 +108,10 @@ func TestTelemetryAggregateOnlyByDefault(t *testing.T) {
 		}
 	}
 	assertNoTenantIdentity(t, owners, prom, varz, tz.String(), tj.String(), statusz)
+	assertRefusalsByCodeOnly(t, prom, details, map[string]int{
+		"not-setup": 2, "seq-gap": 1, "bad-request": 2, "failed": 2, "not-primary": 1,
+		"backpressure": 0, "stale": 0, "suspended": 0, "closing": 0,
+	}, varz, tz.String(), tj.String(), statusz)
 
 	// The aggregate view must still be there: totals and the fleet-wide ε
 	// distribution (which is how spend is visible without naming anyone).
@@ -127,6 +138,37 @@ func TestTelemetryAggregateOnlyByDefault(t *testing.T) {
 	// same scrape with the cache populated).
 	if st := gw.QueryCacheStats(); st.Hits < int64(len(owners)) {
 		t.Errorf("cache hits = %d, want at least one per owner (%d)", st.Hits, len(owners))
+	}
+}
+
+// assertRefusalsByCodeOnly holds the refusal family to its one label: every
+// code has a series reading its count, nothing else is in the family, and no
+// output repeats a text a refusal carried to its client.
+func assertRefusalsByCodeOnly(t *testing.T, prom string, details []string, want map[string]int, others ...string) {
+	t.Helper()
+	family := 0
+	for _, line := range strings.Split(prom, "\n") {
+		if strings.HasPrefix(line, "gateway_refusals_total") {
+			family++
+		}
+	}
+	if family != len(want) {
+		t.Errorf("gateway_refusals_total has %d series, want one per code (%d):\n%s", family, len(want), prom)
+	}
+	for code, n := range want {
+		if series := fmt.Sprintf("gateway_refusals_total{code=%q} %d\n", code, n); !strings.Contains(prom, series) {
+			t.Errorf("/metrics is missing %q", series)
+		}
+	}
+	if len(details) == 0 {
+		t.Fatal("no refusal carried a text: the sweep is vacuous")
+	}
+	for _, out := range append(others, prom) {
+		for _, d := range details {
+			if strings.Contains(out, d) {
+				t.Errorf("an admin surface repeats the refusal text %q:\n%s", d, out)
+			}
+		}
 	}
 }
 
@@ -212,6 +254,9 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 	if served, _, _ := conn.ReplicaStats(); served != int64(2*len(owners)) {
 		t.Fatalf("follower served %d of %d reads: its read path is not what is being swept", served, 2*len(owners))
 	}
+	ro := rawReadConn(t, follower.Addr())
+	defer ro.Close() // before the deferred node Close, which would wait out its drain deadline for it
+	details := provokePlainRefusals(t, nil, ro, owners[0], true)
 
 	prom, varz := scrapeAll(t, regs[1])
 	var tz, tj bytes.Buffer
@@ -226,7 +271,7 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 	// read's stage instruments and sampled spans, the per-shard durable lines.
 	for _, series := range []string{
 		"gateway_sync_queue_wait_us", "gateway_sync_ack_us", "gateway_qcache_serve_us", "gateway_qcache_hits_total",
-		"gateway_committed_entries_total", "cluster_repl_applied_total 6", "cluster_read_queries_total 6",
+		"gateway_committed_entries_total", "cluster_repl_applied_total 6", "cluster_read_queries_total 9",
 		"cluster_read_qcache_hits_total 3", "cluster_read_rebuilds_total 0", "store_snapshots_total",
 	} {
 		if !strings.Contains(prom, series) {
@@ -236,12 +281,16 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 	if !strings.Contains(tz.String(), "client-admit") || !strings.Contains(tz.String(), "queue-wait") {
 		t.Errorf("follower /tracez has no sampled read spans:\n%s", tz.String())
 	}
-	for _, field := range []string{"role: follower", "store: healthy", "shard 0: committed=", " applied=", "replica: applied=6", "read plane: queries=6"} {
+	for _, field := range []string{"role: follower", "store: healthy", "shard 0: committed=", " applied=", "replica: applied=6", "read plane: queries=9 stale=1 "} {
 		if !strings.Contains(statusz, field) {
 			t.Errorf("follower /statusz is missing %q:\n%s", field, statusz)
 		}
 	}
 	assertNoTenantIdentity(t, owners, prom, varz, tz.String(), tj.String(), statusz)
+	assertRefusalsByCodeOnly(t, prom, details, map[string]int{
+		"stale": 1, "not-primary": 1, "not-setup": 1, "bad-request": 1, "failed": 1,
+		"backpressure": 0, "seq-gap": 0, "suspended": 0, "closing": 0,
+	}, varz, tz.String(), tj.String(), statusz)
 }
 
 // TestFrameLengthsLeakNothingNew is the privacy regression for the wire's
@@ -258,8 +307,20 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 // groups are counts), never of the values. What does vary with the outsourced
 // volume is the cost section's scanned-records varint — a number the server
 // holds anyway — so the three owners stay below 128 records, one bracket.
+// (3) A refusal's length is its code's: not-setup, seq-gap, backpressure and
+// suspended on this gateway and stale on a replica are the same nine bytes
+// for an owner with one small sync behind it and one with four larger ones
+// (the cursors — a clock, a shard's offset — are numbers the server holds,
+// kept inside one varint bracket here); only bad-request and failed carry a
+// text, and the text is the request's fault restated — the same bytes for
+// both owners, naming no record.
 func TestFrameLengthsLeakNothingNew(t *testing.T) {
-	gw, key := startGateway(t, gateway.Config{})
+	key, err := seal.NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := newGate()
+	gw, _ := startGateway(t, gateway.Config{Key: key, Shards: 1, MaxInFlight: 1, StoreDir: t.TempDir(), NewBackend: hold.backend(key)})
 	sizes := []int{0, 1, 8, 33}
 
 	// syncLengths runs the four syncs on a fresh connection (so request IDs
@@ -337,6 +398,74 @@ func TestFrameLengthsLeakNothingNew(t *testing.T) {
 	}
 	if floor := int64(4 * record.NumLocations); a < floor || a >= 2*floor {
 		t.Errorf("Q2's response is %d B, want the 4-byte width's %d ≤ n < %d", a, floor, 2*floor)
+	}
+
+	// Refusals, for two owners of different volume and history: owner-q2-a (one
+	// sync, 7 records) and owner-records (five syncs, 43 records); on the
+	// replica one shipped sync of 1 record against four of 1, 5, 6 and 7.
+	rep, rkey := startReplica(t, gateway.Config{Shards: 1})
+	replicate(t, rep, rkey, "owner-small", 1, spread[:1]...)
+	for tick, n := range []int{1, 5, 6, 7} {
+		replicate(t, rep, rkey, "owner-large", uint64(tick+1), spread[:n]...)
+	}
+	rw, ro := rawGatewayConn(t, gw.Addr()), rawReadConn(t, rep.Addr())
+	type drawn struct {
+		size   int64
+		detail string
+	}
+	draw := func(c net.Conn, owner string, req wire.Request, code wire.RefusalCode) drawn {
+		size, ref := askRefused(t, c, owner, req)
+		if ref.Code != code {
+			t.Fatalf("%s for %s: refused as %v, want %v", req.Type, owner, ref, code)
+		}
+		return drawn{size, ref.Detail}
+	}
+	shed := func(owner string) drawn {
+		size, err := hold.shed(t, conn, owner)
+		if !errors.Is(err, wire.ErrBackpressure) {
+			t.Fatalf("shed for %s: %v", owner, err)
+		}
+		return drawn{size: size}
+	}
+	suspend := func(owner string) drawn {
+		gw.Store().SetCommitFailpoint(true) // from here on a sync suspends its owner
+		if err := conn.Owner(owner).Update(spread[:1]); !errors.Is(err, wire.ErrSuspended) {
+			t.Fatalf("update of %s through a failing group commit: %v", owner, err)
+		}
+		return draw(rw, owner, wire.Request{Type: wire.MsgStats}, wire.CodeSuspended)
+	}
+	for _, row := range []struct {
+		code         wire.RefusalCode
+		small, large drawn
+		text         bool
+	}{
+		{code: wire.CodeNotSetup,
+			small: draw(rw, "owner-q2-a-never", queryReq(query.Q1(), 0), wire.CodeNotSetup),
+			large: draw(rw, "owner-records-never", wire.Request{Type: wire.MsgUpdate, Seq: 6, Sealed: [][]byte{make([]byte, seal.SealedSize)}}, wire.CodeNotSetup)},
+		{code: wire.CodeSeqGap,
+			small: draw(rw, "owner-q2-a", wire.Request{Type: wire.MsgUpdate, Seq: 100}, wire.CodeSeqGap),
+			large: draw(rw, "owner-records", wire.Request{Type: wire.MsgUpdate, Seq: 100}, wire.CodeSeqGap)},
+		{code: wire.CodeStale,
+			small: draw(ro, "owner-small", queryReq(query.Q1(), 100), wire.CodeStale),
+			large: draw(ro, "owner-large", queryReq(query.Q2(), 1<<40), wire.CodeStale)},
+		{code: wire.CodeBackpressure, small: shed("owner-q2-a"), large: shed("owner-records")},
+		{code: wire.CodeBadRequest, text: true,
+			small: draw(rw, "owner-q2-a", wire.Request{Type: wire.MsgUpdate}, wire.CodeBadRequest),
+			large: draw(rw, "owner-records", wire.Request{Type: wire.MsgUpdate}, wire.CodeBadRequest)},
+		{code: wire.CodeFailed, text: true,
+			small: draw(rw, "owner-q2-a", queryReq(emptyRange, 0), wire.CodeFailed),
+			large: draw(rw, "owner-records", queryReq(emptyRange, 0), wire.CodeFailed)},
+		{code: wire.CodeSuspended, small: suspend("owner-q2-a"), large: suspend("owner-records")},
+	} {
+		if row.small != row.large {
+			t.Errorf("%v: %d B %q for the small owner, %d B %q for the large one", row.code, row.small.size, row.small.detail, row.large.size, row.large.detail)
+		}
+		if !row.text && (row.small.size != 9 || row.small.detail != "") {
+			t.Errorf("%v: %d B with text %q, want the fixed 9", row.code, row.small.size, row.small.detail)
+		}
+		if row.text && (row.small.detail == "" || row.small.size != 9+int64(len(row.small.detail))) {
+			t.Errorf("%v: %d B with text %q", row.code, row.small.size, row.small.detail)
+		}
 	}
 }
 

@@ -92,11 +92,12 @@ type Tenant struct {
 	deferred []deferredRead
 }
 
-// deferredRead is one parked read: run(false) executes it, run(true)
-// refuses it because the tenant failed while it waited.
+// deferredRead is one parked request: run answers it, unless the tenant
+// failed while it waited.
 type deferredRead struct {
 	waitSeq uint64
-	run     func(failed bool)
+	reply   replyTo
+	run     func() wire.Response
 }
 
 // flushDeferred runs every parked read whose awaited syncs have committed
@@ -109,7 +110,11 @@ func (tn *Tenant) flushDeferred() {
 			return
 		}
 		tn.deferred = tn.deferred[1:]
-		d.run(tn.failed)
+		if tn.failed {
+			d.reply.send(wire.Refuse(wire.CodeSuspended, 0, ""))
+		} else {
+			d.reply.send(d.run())
+		}
 	}
 }
 
@@ -221,7 +226,7 @@ func (ts *Tenants) Replay(s *store.Store, sid int, st *store.OwnerState) (*Tenan
 func (ts *Tenants) StatsProbe(owner string) wire.Response {
 	db, err := ts.newBackend(owner)
 	if err != nil {
-		return wire.Response{Error: fmt.Sprintf("gateway: backend for %q: %v", owner, err)}
+		return failed(fmt.Errorf("gateway: backend for %q: %w", owner, err))
 	}
 	return wire.NewStatsResponse(db.Stats(), db.Name(), int(db.Leakage()))
 }
@@ -309,7 +314,7 @@ func (tn *Tenant) Read(req wire.Request) wire.Response {
 	}
 	ans, cost, err := tn.db.Query(spec.ToQuery())
 	if err != nil {
-		return wire.Response{Error: err.Error()}
+		return failed(err)
 	}
 	resp := wire.NewQueryResponse(ans, cost)
 	if tn.qc != nil && tn.qc.Put(spec, resp) {

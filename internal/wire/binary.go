@@ -20,10 +20,11 @@ type Codec byte
 // IDs, sequence numbers, counts, offsets) are minimal-form varints; a
 // batch's ciphertexts travel as one uniform-width block; an answer's groups
 // are 4-byte integers when every one of them is one and 8-byte floats
-// otherwise (the layout table is in doc.go, "Serving"). Version byte 3; 2
-// was the fixed-width-integer layout and 1 a JSON encoding, both retired,
-// neither byte ever reused.
-const CodecBinary Codec = 3
+// otherwise; a refused request is answered with one typed refusal section
+// (the layout table is in doc.go, "Serving"). Version byte 4; 3 said no with
+// an error text beside two flag bits, 2 was the fixed-width-integer layout
+// and 1 a JSON encoding — all retired, no byte ever reused.
+const CodecBinary Codec = 4
 
 // Valid reports whether c names the codec this build speaks.
 func (c Codec) Valid() bool { return c == CodecBinary }
@@ -46,31 +47,20 @@ const MaxOwnerLen = 255
 // misparsed as a frame header.
 var helloMagic = [4]byte{'D', 'P', 'S', 'G'}
 
-// WriteHello sends the 5-byte client hello: magic then the proposed codec
-// version byte.
-func WriteHello(w io.Writer, proposed Codec) error {
-	var buf [5]byte
-	copy(buf[:4], helloMagic[:])
-	buf[4] = byte(proposed)
+// writeHello sends a 5-byte hello: the magic that names the protocol, then
+// its version byte.
+func writeHello(w io.Writer, magic [4]byte, version byte) error {
+	buf := [5]byte{magic[0], magic[1], magic[2], magic[3], version}
 	if _, err := w.Write(buf[:]); err != nil {
-		return fmt.Errorf("wire: hello: %w", err)
+		return fmt.Errorf("wire: %s hello: %w", magic[:], err)
 	}
 	return nil
 }
 
-// ReadHello consumes a client hello and returns the proposed codec. A bad
-// magic is a protocol violation (ErrBadFrame); an unknown codec byte is NOT
-// an error — the server acks with the one codec it speaks (CodecBinary) and
-// the client decides whether it can live with that.
-func ReadHello(r io.Reader) (Codec, error) {
-	var buf [5]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("wire: reading hello: %w", err)
-	}
-	if buf[0] != helloMagic[0] || buf[1] != helloMagic[1] || buf[2] != helloMagic[2] || buf[3] != helloMagic[3] {
-		return 0, fmt.Errorf("%w: bad hello magic %q", ErrBadFrame, buf[:4])
-	}
-	return Codec(buf[4]), nil
+// WriteHello sends the 5-byte client hello: magic then the proposed codec
+// version byte.
+func WriteHello(w io.Writer, proposed Codec) error {
+	return writeHello(w, helloMagic, byte(proposed))
 }
 
 // WriteHelloAck sends the server's 1-byte answer: the codec version the
@@ -82,10 +72,10 @@ func WriteHelloAck(w io.Writer, accepted Codec) error {
 	return nil
 }
 
-// ReadHelloAck consumes the server's answer. A refusal byte means the
-// dialed node is a cluster follower (ErrNotPrimary — the client advances to
-// its next address); any other invalid codec byte means the two ends share
-// no encoding — a hard error.
+// ReadHelloAck consumes the server's answer. The refusal byte means the
+// dialed node is a cluster follower (HelloRefused, ErrNotPrimary — the client
+// advances to its next address); any other invalid codec byte means the two
+// ends share no encoding — a hard error.
 func ReadHelloAck(r io.Reader) (Codec, error) {
 	var buf [1]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
@@ -166,16 +156,17 @@ func msgTypeFromByte(b byte) (MsgType, error) {
 	}
 }
 
-// Response flag bits (binary codec).
+// Response flag bits (binary codec). Exactly one of flagOK and flagRefused is
+// set, and a refused response sets nothing else. Bits 64 and 128 were codec
+// 3's backpressure and stale markers; they are retired and must be clear.
 const (
 	flagOK = 1 << iota
-	flagError
+	flagRefused
 	flagAnswer
 	flagCost
 	flagStats
 	flagResume
-	flagBackpressure
-	flagStale
+	flagsKnown = 1<<iota - 1
 )
 
 // Rejections of a block whose claimed size exceeds its frame are fixed
@@ -396,25 +387,23 @@ func appendGroups(b []byte, groups []float64) []byte {
 }
 
 // AppendGatewayResponse appends the response envelope's binary encoding to
-// dst, with AppendGatewayRequest's growth rule. It has no failing input; the
-// error keeps the two encoders one shape.
+// dst, with AppendGatewayRequest's growth rule. A response that is not
+// exactly one of OK and refused, a refusal beside another section, and a
+// refusal its code does not allow (unknown code, a cursor or a text where the
+// code carries none) are a caller's bug, refused.
 //
 //	uvarint id · u8 flags ·
-//	  [error:  uvarint len (> 0) · text]
-//	  [answer: f64 scalar · uvarint groups · [u8 width ∈ {4,8} · groups×width]]
-//	  [cost:   f64 seconds · uvarint scanned · uvarint pairs]
-//	  [stats:  uvarint records · uvarint bytes · uvarint updates ·
-//	           u8 schemeLen · scheme · u8 leakage]
-//	  [resume: uvarint clock]
-//	  [stale:  uvarint offset]
+//	  [refusal: u8 code · uvarint cursor · uvarint len · detail]
+//	  [answer:  f64 scalar · uvarint groups · [u8 width ∈ {4,8} · groups×width]]
+//	  [cost:    f64 seconds · uvarint scanned · uvarint pairs]
+//	  [stats:   uvarint records · uvarint bytes · uvarint updates ·
+//	            u8 schemeLen · scheme · u8 leakage]
+//	  [resume:  uvarint clock]
 func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 	var flags byte
 	resp := g.Resp
 	if resp.OK {
 		flags |= flagOK
-	}
-	if resp.Error != "" {
-		flags |= flagError
 	}
 	if resp.Answer != nil {
 		flags |= flagAnswer
@@ -428,18 +417,25 @@ func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 	if resp.Resume != nil {
 		flags |= flagResume
 	}
-	if resp.Backpressure {
-		flags |= flagBackpressure
-	}
-	if resp.Stale != nil {
-		flags |= flagStale
-	}
-	if len(resp.Error) > math.MaxUint16 {
-		resp.Error = resp.Error[:math.MaxUint16]
+	var detail string
+	if ref := resp.Refusal; ref != nil {
+		if flags != 0 {
+			return dst, fmt.Errorf("wire: a refusal beside OK or another section (flags %#x)", flags)
+		}
+		if err := ref.check(); err != nil {
+			return dst, fmt.Errorf("wire: %w", err)
+		}
+		flags = flagRefused
+		detail = ref.Detail
+		if len(detail) > math.MaxUint16 {
+			detail = detail[:math.MaxUint16]
+		}
+	} else if !resp.OK {
+		return dst, fmt.Errorf("wire: response neither OK nor refused")
 	}
 	// Every section's fixed part at its widest (they sum to 113 bytes), plus
 	// the three variable ones.
-	size := 113 + len(resp.Error)
+	size := 113 + len(detail)
 	if resp.Answer != nil {
 		size += 8 * len(resp.Answer.Groups)
 	}
@@ -449,9 +445,11 @@ func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 	b := slices.Grow(dst, size)
 	b = binfmt.AppendUvarint(b, g.ID)
 	b = append(b, flags)
-	if flags&flagError != 0 {
-		b = binfmt.AppendUvarint(b, uint64(len(resp.Error)))
-		b = append(b, resp.Error...)
+	if flags&flagRefused != 0 {
+		b = append(b, byte(resp.Refusal.Code))
+		b = binfmt.AppendUvarint(b, resp.Refusal.Cursor)
+		b = binfmt.AppendUvarint(b, uint64(len(detail)))
+		b = append(b, detail...)
 	}
 	if flags&flagAnswer != 0 {
 		b = binfmt.AppendF64(b, resp.Answer.Scalar)
@@ -478,9 +476,6 @@ func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 	if flags&flagResume != 0 {
 		b = binfmt.AppendUvarint(b, resp.Resume.Clock)
 	}
-	if flags&flagStale != 0 {
-		b = binfmt.AppendUvarint(b, resp.Stale.Offset)
-	}
 	return b, nil
 }
 
@@ -497,13 +492,25 @@ func (c Codec) DecodeGatewayResponse(b []byte) (GatewayResponse, error) {
 	var g GatewayResponse
 	g.ID = r.Uvarint("response id")
 	flags := r.U8("response flags")
+	if r.Err() != nil {
+		return GatewayResponse{}, r.Err()
+	}
 	g.Resp.OK = flags&flagOK != 0
-	if flags&flagError != 0 {
-		n := r.Uvarint("error length")
-		if r.Err() == nil && (n == 0 || n > math.MaxUint16) {
-			return GatewayResponse{}, fmt.Errorf("%w: error text of %d bytes", ErrBadFrame, n)
+	refused := flags&flagRefused != 0
+	if flags&^flagsKnown != 0 || g.Resp.OK == refused || (refused && flags != flagRefused) {
+		return GatewayResponse{}, fmt.Errorf("%w: response flags %#x: exactly one of OK and refused, a refusal alone", ErrBadFrame, flags)
+	}
+	if refused {
+		ref := &Refusal{Code: RefusalCode(r.U8("refusal code")), Cursor: r.Uvarint("refusal cursor")}
+		n := r.Uvarint("refusal detail length")
+		if r.Err() == nil && n > math.MaxUint16 {
+			return GatewayResponse{}, fmt.Errorf("%w: refusal text of %d bytes", ErrBadFrame, n)
 		}
-		g.Resp.Error = string(r.Bytes(int(n), "error text"))
+		ref.Detail = string(r.Bytes(int(n), "refusal detail"))
+		if err := ref.check(); r.Err() == nil && err != nil {
+			return GatewayResponse{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		}
+		g.Resp.Refusal = ref
 	}
 	if flags&flagAnswer != 0 {
 		var a AnswerSpec
@@ -560,10 +567,6 @@ func (c Codec) DecodeGatewayResponse(b []byte) (GatewayResponse, error) {
 	if flags&flagResume != 0 {
 		g.Resp.Resume = &ResumeSpec{Clock: r.Uvarint("resume clock")}
 	}
-	if flags&flagStale != 0 {
-		g.Resp.Stale = &StaleSpec{Offset: r.Uvarint("stale offset")}
-	}
-	g.Resp.Backpressure = flags&flagBackpressure != 0
 	if err := r.Done("gateway response"); err != nil {
 		return GatewayResponse{}, err
 	}

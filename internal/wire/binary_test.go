@@ -26,18 +26,22 @@ func sampleRequests() []GatewayRequest {
 func sampleResponses() []GatewayResponse {
 	return []GatewayResponse{
 		{ID: 1, Resp: Response{OK: true}},
-		{ID: 2, Resp: Response{Error: "edb: database not set up"}},
+		{ID: 2, Resp: Refuse(CodeNotSetup, 0, "")},
 		{ID: 3, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: 42.5, Groups: []float64{1, 2, 3}},
 			Cost: &CostSpec{Seconds: 0.25, RecordsScanned: 1000, PairsCompared: -1}}},
 		{ID: 4, Resp: Response{OK: true, Stats: &StatsSpec{Records: 12, Bytes: 12288, Updates: 3, Scheme: "ObliDB", Leakage: 0}}},
 		{ID: 5, Resp: Response{OK: true, Stats: &StatsSpec{Records: 1, Bytes: 6400, Updates: 1, Scheme: "Crypteps", Leakage: 1}}},
 		{ID: 6, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 42}}},
 		{ID: 7, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 0}}},
-		{ID: 8, Resp: Response{Error: "shed", Backpressure: true}},
+		{ID: 8, Resp: Refuse(CodeBackpressure, 0, "")},
 		{ID: 9, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{0, 7, 1<<32 - 1}}, Cost: &CostSpec{}}},
 		{ID: 10, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{0, 7, 1 << 32}}}},
 		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: -1, Groups: []float64{2.5, math.Inf(-1), math.Copysign(0, -1)}}}},
-		{ID: 12, Resp: Response{Error: ErrStale.Error(), Stale: &StaleSpec{Offset: 1 << 40}}},
+		{ID: 12, Resp: Refuse(CodeStale, 1<<40, "")},
+		{ID: 13, Resp: Refuse(CodeSeqGap, 2, "")},
+		{ID: 14, Resp: Refuse(CodeBadRequest, 0, "gateway: missing owner id")},
+		{ID: 15, Resp: Refuse(CodeFailed, 0, "edb: Setup called twice")},
+		{ID: 16, Resp: Refuse(CodeFailed, 0, "")},
 	}
 }
 
@@ -129,8 +133,26 @@ func TestBinaryDecodeTypedErrors(t *testing.T) {
 		"fixed-width id (codec 2)":  {0, 0, 0, 0, 0, 0, 0, 1, flagOK},
 		"padded id":                 {0x81, 0x00, flagOK},
 		"trailing bytes":            {1, flagOK, 0},
-		"empty error text":          {1, flagError, 0},
-		"error text past the cap":   {1, flagError, 0x80, 0x80, 0x04, 'x'},
+		"neither OK nor refused":    {1, 0},
+		"a lone section":            {1, flagResume, 5},
+		"OK and refused":            {1, flagOK | flagRefused, byte(CodeClosing), 0, 0},
+		"refusal beside an answer":  {1, flagRefused | flagAnswer, byte(CodeClosing), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"refusal beside a resume":   {1, flagRefused | flagResume, byte(CodeClosing), 0, 0, 5},
+		"refusal code 0":            {1, flagRefused, 0, 0, 0},
+		"refusal code 10":           {1, flagRefused, 10, 0, 0},
+		"retired bit 64":            {1, flagOK | 64},
+		"retired bit 128":           {1, flagRefused | 128, byte(CodeStale), 16, 0},
+		"codec-3 backpressure":      append([]byte{1, 2 | 64, 42}, ErrBackpressure.Error()...),
+		"codec-3 error frame":       {1, 2, 4, 'b', 'o', 'o', 'm'},
+		"codec-3 not-setup text":    append([]byte{1, 2, 24}, "edb: database not set up"...),
+		"truncated refusal":         {1, flagRefused, byte(CodeStale)},
+		"padded refusal cursor":     {1, flagRefused, byte(CodeStale), 0x90, 0x00, 0},
+		"padded detail length":      {1, flagRefused, byte(CodeFailed), 0, 0x81, 0x00, 'x'},
+		"detail one byte short":     {1, flagRefused, byte(CodeFailed), 0, 4, 'b', 'o', 'o'},
+		"detail past the cap":       {1, flagRefused, byte(CodeFailed), 0, 0x80, 0x80, 0x04, 'x'},
+		"cursor on backpressure":    {1, flagRefused, byte(CodeBackpressure), 7, 0},
+		"text on not-setup":         {1, flagRefused, byte(CodeNotSetup), 0, 1, 'x'},
+		"trailing byte on refusal":  {1, flagRefused, byte(CodeClosing), 0, 0, 0},
 		"group count exceeds frame": answer(0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 4),
 		"groups×width overflows":    answer(append(append([]byte{}, maxU64...), 8, 1, 2, 3)...),
 		"group block one short":     answer(2, 4, 0, 0, 0, 1, 0, 0, 0),
@@ -143,7 +165,7 @@ func TestBinaryDecodeTypedErrors(t *testing.T) {
 		"padded group count":        answer(0x81, 0x00, 4, 0, 0, 0, 7),
 		"padded cost":               {1, flagOK | flagCost, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x00, 0},
 		"padded resume clock":       {1, flagOK | flagResume, 0xAA, 0x00},
-		"stale offset past 64 bits": append(append([]byte{1, flagStale}, ff9...), 0x7F),
+		"stale cursor past 64 bits": append(append([]byte{1, flagRefused, byte(CodeStale)}, ff9...), 0x7F, 0),
 		"truncated stats":           {1, flagOK | flagStats, 12, 0x80},
 	}
 	for name, b := range responses {
@@ -198,9 +220,31 @@ func TestEncodeGuards(t *testing.T) {
 			t.Errorf("%s: the refused encode returned %d bytes, want the buffer as it was", name, len(got))
 		}
 	}
-	// Bytes 1 and 2 were the JSON codec and the fixed-width-integer layout;
-	// they name no codec now, and nothing encodes or decodes under them.
-	for _, retired := range []Codec{1, 2} {
+	// A response is exactly one of OK and refused, a refusal travels alone,
+	// and only the codes that carry a cursor or a text may set one.
+	for name, r := range map[string]Response{
+		"neither OK nor refused":  {},
+		"a lone section":          {Resume: &ResumeSpec{Clock: 5}},
+		"OK and refused":          {OK: true, Refusal: &Refusal{Code: CodeClosing}},
+		"refusal beside a resume": {Refusal: &Refusal{Code: CodeClosing}, Resume: &ResumeSpec{Clock: 5}},
+		"refusal code 0":          {Refusal: &Refusal{}},
+		"refusal code 10":         {Refusal: &Refusal{Code: 10}},
+		"cursor on backpressure":  Refuse(CodeBackpressure, 7, ""),
+		"text on suspended":       Refuse(CodeSuspended, 0, "the disk is full"),
+	} {
+		buf := append(make([]byte, 0, 256), 0xA, 0xB, 0xC)
+		got, err := AppendGatewayResponse(buf, GatewayResponse{ID: 1, Resp: r})
+		if err == nil {
+			t.Errorf("response %s: encoded", name)
+		}
+		if !bytes.Equal(got, []byte{0xA, 0xB, 0xC}) {
+			t.Errorf("response %s: the refused encode returned %d bytes, want the buffer as it was", name, len(got))
+		}
+	}
+	// Bytes 1, 2 and 3 were the JSON codec, the fixed-width-integer layout and
+	// the error-text-beside-flag-bits layout; they name no codec now, and
+	// nothing encodes or decodes under them.
+	for _, retired := range []Codec{1, 2, 3} {
 		if _, err := retired.EncodeGatewayRequest(sampleRequests()[0]); err == nil {
 			t.Errorf("request encoded under the retired codec byte %d", retired)
 		}
@@ -215,36 +259,50 @@ func TestHelloNegotiation(t *testing.T) {
 	if err := WriteHello(&buf, CodecBinary); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadHello(&buf)
+	kind, got, err := ReadAnyHello(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != CodecBinary {
-		t.Errorf("hello codec = %v", got)
+	if kind != HelloClient || Codec(got) != CodecBinary {
+		t.Errorf("hello = kind %v codec %v", kind, got)
 	}
-	// An unknown or retired codec byte passes through ReadHello — the server
-	// acks the one codec it speaks, version byte 3, whatever was proposed
-	// (over a socket: the gateway's TestGatewayAcksUnknownCodecWithBinary).
-	for _, proposed := range []Codec{77, 2, 1} {
+	// An unknown or retired codec byte passes through ReadAnyHello — the
+	// server acks the one codec it speaks, version byte 4, whatever was
+	// proposed (over a socket: the gateway's
+	// TestGatewayAcksUnknownCodecWithBinary).
+	for _, proposed := range []Codec{77, 3, 2, 1} {
 		buf.Reset()
 		_ = WriteHello(&buf, proposed)
-		got, err = ReadHello(&buf)
+		kind, got, err = ReadAnyHello(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != proposed || got.Valid() {
-			t.Errorf("proposed codec %d: read %d, valid %v", proposed, got, got.Valid())
+		if kind != HelloClient || Codec(got) != proposed || proposed.Valid() {
+			t.Errorf("proposed codec %d: read kind %v codec %d, valid %v", proposed, kind, got, proposed.Valid())
 		}
 		_ = WriteHelloAck(&buf, CodecBinary) // what the gateway answers any proposal
-		if ack, err := ReadHelloAck(&buf); err != nil || byte(ack) != 3 {
-			t.Errorf("proposed codec %d: acked %d (%v), want 3", proposed, ack, err)
+		if ack, err := ReadHelloAck(&buf); err != nil || byte(ack) != 4 {
+			t.Errorf("proposed codec %d: acked %d (%v), want 4", proposed, ack, err)
+		}
+	}
+	// The three protocols' hellos differ in the magic alone.
+	for want, write := range map[HelloKind]func() error{
+		HelloRead: func() error { return WriteReadHello(&buf, CodecBinary) },
+		HelloRepl: func() error { return WriteReplHello(&buf, ReplVersion) },
+	} {
+		buf.Reset()
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		if kind, _, err := ReadAnyHello(&buf); err != nil || kind != want {
+			t.Errorf("hello kind = %v (%v), want %v", kind, err, want)
 		}
 	}
 	// Bad magic is a protocol violation.
-	if _, err := ReadHello(bytes.NewReader([]byte("HTTP/1.1 blah"))); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := ReadAnyHello(bytes.NewReader([]byte("HTTP/1.1 blah"))); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("bad magic: err = %v, want ErrBadFrame", err)
 	}
-	// Ack round trip; invalid ack rejected.
+	// Ack round trip; invalid ack rejected; the refusal byte is not-primary.
 	buf.Reset()
 	if err := WriteHelloAck(&buf, CodecBinary); err != nil {
 		t.Fatal(err)
@@ -252,9 +310,12 @@ func TestHelloNegotiation(t *testing.T) {
 	if got, err := ReadHelloAck(&buf); err != nil || got != CodecBinary {
 		t.Errorf("ack = %v, %v", got, err)
 	}
-	for _, b := range []byte{0x7F, 1, 2} { // 1, 2: the retired codecs' bytes
+	for _, b := range []byte{0x7F, 1, 2, 3} { // 1, 2, 3: the retired codecs' bytes
 		if _, err := ReadHelloAck(bytes.NewReader([]byte{b})); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("invalid ack %#x: err = %v, want ErrBadFrame", b, err)
 		}
+	}
+	if _, err := ReadHelloAck(bytes.NewReader([]byte{HelloRefused})); !errors.Is(err, ErrNotPrimary) {
+		t.Errorf("refused ack: err = %v, want ErrNotPrimary", err)
 	}
 }

@@ -180,7 +180,7 @@ func TestAppendEncodersAllocateNothing(t *testing.T) {
 	resps := []GatewayResponse{
 		{ID: 1, Resp: Response{OK: true}},
 		{ID: 2, Resp: NewQueryResponse(query.Answer{Groups: make([]float64, 8)}, edb.Cost{})},
-		{ID: 3, Resp: Response{Error: ErrBackpressure.Error(), Backpressure: true}},
+		{ID: 3, Resp: Refuse(CodeBackpressure, 0, "")},
 	}
 	buf := make([]byte, 0, 4096)
 	for i, g := range reqs {

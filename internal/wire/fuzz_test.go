@@ -92,18 +92,19 @@ func FuzzDecodeGatewayRequest(f *testing.F) {
 
 // FuzzDecodeGatewayResponse mirrors the request fuzzer for the response
 // direction (the client's attack surface), with the same bijection check:
-// an 8-byte group block whose every group is a count, a zero-length error
-// text or a padded counter is a second spelling and must have been refused.
+// an 8-byte group block whose every group is a count, a refusal beside
+// another section or a padded counter is a second spelling and must have been
+// refused.
 func FuzzDecodeGatewayResponse(f *testing.F) {
 	for _, g := range []GatewayResponse{
 		{ID: 1, Resp: Response{OK: true}},
-		{ID: 2, Resp: Response{Error: "boom"}},
+		{ID: 2, Resp: Refuse(CodeFailed, 0, "boom")},
 		{ID: 3, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: 4, Groups: []float64{1, 2}},
 			Cost: &CostSpec{Seconds: 1, RecordsScanned: 2}}},
 		{ID: 4, Resp: Response{OK: true, Stats: &StatsSpec{Records: 5, Scheme: "ObliDB"}}},
 		{ID: 5, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 17}}},
-		{ID: 6, Resp: Response{Error: "shed", Backpressure: true}},
-		{ID: 7, Resp: Response{Error: "replica behind freshness bound", Stale: &StaleSpec{Offset: 99}}},
+		{ID: 6, Resp: Refuse(CodeBackpressure, 0, "")},
+		{ID: 7, Resp: Refuse(CodeStale, 99, "")},
 		{ID: 8, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{1, 2.5, math.NaN()}}}},
 	} {
 		if b, err := codec.EncodeGatewayResponse(g); err == nil {
@@ -123,6 +124,8 @@ func FuzzDecodeGatewayResponse(f *testing.F) {
 		f.Add([]byte(retired))
 	}
 	f.Add([]byte{9, flagOK | flagAnswer, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 4}) // a group count the frame cannot hold
+	f.Add([]byte{2, flagRefused, 4, 'b', 'o', 'o', 'm'})                                           // an error text as codec 3 framed it
+	f.Add([]byte{3, flagOK | flagRefused, byte(CodeClosing), 0, 0})                                // OK and refused at once
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := codec.DecodeGatewayResponse(data)
 		if err != nil {
@@ -139,8 +142,8 @@ func FuzzDecodeGatewayResponse(f *testing.F) {
 }
 
 // FuzzResumeHandshake targets the reconnect handshake specifically: the
-// MsgResume request (no payload beyond the envelope) and the ResumeSpec /
-// Backpressure response bits. Both decode directions run on every input —
+// MsgResume request (no payload beyond the envelope), the ResumeSpec response
+// and the backpressure refusal a resume can meet. Both decode directions run on every input —
 // whatever either accepts must round-trip with the resume fields intact,
 // since a clock silently corrupted in flight would make a reconnecting
 // client replay from the wrong tick.
@@ -152,7 +155,7 @@ func FuzzResumeHandshake(f *testing.F) {
 	resps := []GatewayResponse{
 		{ID: 1, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 0}}},
 		{ID: 2, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 1<<64 - 1}}},
-		{ID: 3, Resp: Response{Error: "in-flight cap exceeded", Backpressure: true}},
+		{ID: 3, Resp: Refuse(CodeBackpressure, 0, "")},
 	}
 	for _, g := range reqs {
 		if b, err := codec.EncodeGatewayRequest(g); err == nil {
@@ -186,7 +189,7 @@ func FuzzResumeHandshake(f *testing.F) {
 				t.Fatalf("resume request round trip changed: %+v vs %+v (%v)", g2, g, err)
 			}
 		}
-		if g, err := codec.DecodeGatewayResponse(data); err == nil && (g.Resp.Resume != nil || g.Resp.Backpressure) {
+		if g, err := codec.DecodeGatewayResponse(data); err == nil && (g.Resp.Resume != nil || g.Resp.Refusal != nil) {
 			reenc, err := codec.EncodeGatewayResponse(g)
 			if err != nil {
 				t.Fatalf("accepted resume response cannot be re-encoded: %v", err)
@@ -195,7 +198,7 @@ func FuzzResumeHandshake(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoded resume response rejected: %v", err)
 			}
-			if g2.Resp.Backpressure != g.Resp.Backpressure ||
+			if !reflect.DeepEqual(g2.Resp.Refusal, g.Resp.Refusal) ||
 				(g.Resp.Resume == nil) != (g2.Resp.Resume == nil) ||
 				(g.Resp.Resume != nil && g2.Resp.Resume.Clock != g.Resp.Resume.Clock) {
 				t.Fatalf("resume response round trip changed: %+v vs %+v", g2, g)
@@ -206,17 +209,17 @@ func FuzzResumeHandshake(f *testing.F) {
 
 // FuzzReadHandshake targets the read-plane surface a follower exposes to
 // untrusted dialers: the "DPSQ" read-only hello and its 1-byte ack, the
-// MinOffset-carrying query envelope (binQueryAt), and the typed staleness
-// refusal (Response.Stale) the client trusts for fallback decisions. Both
-// decode directions run on every input — a
-// MinOffset corrupted in flight would let a replica serve an answer staler
-// than the caller demanded, and a corrupted Stale.Offset would misdirect
-// the client's catch-up arithmetic.
+// MinOffset-carrying query envelope (binQueryAt), and the staleness refusal
+// (CodeStale and its cursor) the client trusts for fallback decisions. Both
+// decode directions run on every input — a MinOffset corrupted in flight
+// would let a replica serve an answer staler than the caller demanded, and a
+// corrupted cursor would misdirect the client's catch-up arithmetic.
 func FuzzReadHandshake(f *testing.F) {
 	var hello bytes.Buffer
 	_ = WriteReadHello(&hello, codec)
 	f.Add(hello.Bytes())
 	f.Add([]byte("DPSQ\x01")) // proposes the retired JSON codec's byte
+	f.Add([]byte("DPSQ\x03")) // proposes the codec retired last
 	f.Add([]byte("DPSQ\xFF"))
 	f.Add([]byte{HelloRefused})
 	reqs := []GatewayRequest{
@@ -225,9 +228,9 @@ func FuzzReadHandshake(f *testing.F) {
 		{ID: 3, Owner: "s", Req: Request{Type: MsgStats}},
 	}
 	resps := []GatewayResponse{
-		{ID: 1, Resp: Response{Error: "wire: replica behind requested offset", Stale: &StaleSpec{Offset: 16}}},
-		{ID: 2, Resp: Response{Error: "stale", Stale: &StaleSpec{Offset: 1<<64 - 1}}},
-		{ID: 3, Resp: Response{Error: "wire: node is not the cluster primary"}},
+		{ID: 1, Resp: Refuse(CodeStale, 16, "")},
+		{ID: 2, Resp: Refuse(CodeStale, 1<<64-1, "")},
+		{ID: 3, Resp: Refuse(CodeNotPrimary, 0, "")},
 	}
 	for _, g := range reqs {
 		if b, err := codec.EncodeGatewayRequest(g); err == nil {
@@ -277,25 +280,25 @@ func FuzzReadHandshake(f *testing.F) {
 				t.Fatalf("freshness bound round trip changed: %+v vs %+v", g2, g)
 			}
 		}
-		if g, err := codec.DecodeGatewayResponse(data); err == nil && g.Resp.Stale != nil {
+		if g, err := codec.DecodeGatewayResponse(data); err == nil && g.Resp.Refusal != nil {
 			reenc, err := codec.EncodeGatewayResponse(g)
 			if err != nil {
-				t.Fatalf("accepted stale refusal cannot be re-encoded: %v", err)
+				t.Fatalf("accepted refusal cannot be re-encoded: %v", err)
 			}
 			g2, err := codec.DecodeGatewayResponse(reenc)
 			if err != nil {
-				t.Fatalf("re-encoded stale refusal rejected: %v", err)
+				t.Fatalf("re-encoded refusal rejected: %v", err)
 			}
-			if g2.Resp.Stale == nil || g2.Resp.Stale.Offset != g.Resp.Stale.Offset ||
-				g2.Resp.Error != g.Resp.Error || g2.Resp.OK != g.Resp.OK {
-				t.Fatalf("stale refusal round trip changed: %+v vs %+v", g2, g)
+			if !reflect.DeepEqual(g2.Resp.Refusal, g.Resp.Refusal) || g2.Resp.OK {
+				t.Fatalf("refusal round trip changed: %+v vs %+v", g2, g)
 			}
 		}
 	})
 }
 
-// FuzzReadHello exercises the hello's version-byte parsing: arbitrary
-// prefixes must never panic, and an accepted hello must round-trip.
+// FuzzReadHello exercises the hello's magic and version-byte parsing:
+// arbitrary prefixes must never panic, and an accepted hello must round-trip
+// through the writer of the protocol it opened.
 func FuzzReadHello(f *testing.F) {
 	var buf bytes.Buffer
 	_ = WriteHello(&buf, CodecBinary)
@@ -304,13 +307,25 @@ func FuzzReadHello(f *testing.F) {
 	f.Add([]byte("DPSG\xFF"))
 	f.Add([]byte("GET / HTTP/1.1"))
 	f.Add([]byte{})
+	f.Add([]byte("DPSG\x03")) // the codec retired last
+	f.Add([]byte("DPSR\x02"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		codec, err := ReadHello(bytes.NewReader(data))
+		kind, v, err := ReadAnyHello(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		var out bytes.Buffer
-		if err := WriteHello(&out, codec); err != nil {
+		switch kind {
+		case HelloClient:
+			err = WriteHello(&out, Codec(v))
+		case HelloRead:
+			err = WriteReadHello(&out, Codec(v))
+		case HelloRepl:
+			err = WriteReplHello(&out, v)
+		default:
+			t.Fatalf("accepted hello of unknown kind %d", kind)
+		}
+		if err != nil {
 			t.Fatalf("accepted hello cannot be rewritten: %v", err)
 		}
 		if !bytes.Equal(out.Bytes(), data[:5]) {

@@ -48,12 +48,15 @@ const ReplVersion = 2
 
 // HelloRefused is the hello-ack byte a non-primary node answers to any
 // hello, client or replication: this node cannot serve you, try another
-// address. It deliberately sits outside every valid codec/version value.
+// address. It is CodeNotPrimary's hello form (the ack slot is one byte), read
+// back as the same sentinel, and deliberately sits outside every valid
+// codec/version value.
 const HelloRefused = 0xFF
 
-// ErrNotPrimary is surfaced when a dialed node refuses the hello because it
-// is not the cluster primary. Clients with an address list treat it as
-// "advance to the next address", not as a failure of the cluster.
+// ErrNotPrimary is CodeNotPrimary's sentinel: a dialed node says so at the
+// hello (HelloRefused), a read-only connection per write request (a
+// Refusal). Clients with an address list treat the hello form as "advance to
+// the next address", not as a failure of the cluster.
 var ErrNotPrimary = errors.New("wire: node is not the cluster primary")
 
 // HelloKind discriminates what protocol a connection's hello opened.
@@ -75,43 +78,32 @@ const (
 // the client protocol (ReadHelloAck): the accepted codec, or HelloRefused
 // from a node that serves no read plane.
 func WriteReadHello(w io.Writer, proposed Codec) error {
-	var buf [5]byte
-	copy(buf[:4], readMagic[:])
-	buf[4] = byte(proposed)
-	if _, err := w.Write(buf[:]); err != nil {
-		return fmt.Errorf("wire: read hello: %w", err)
-	}
-	return nil
+	return writeHello(w, readMagic, byte(proposed))
 }
 
 // WriteReplHello sends the 5-byte replication hello.
 func WriteReplHello(w io.Writer, version byte) error {
-	var buf [5]byte
-	copy(buf[:4], replMagic[:])
-	buf[4] = version
-	if _, err := w.Write(buf[:]); err != nil {
-		return fmt.Errorf("wire: repl hello: %w", err)
-	}
-	return nil
+	return writeHello(w, replMagic, version)
 }
 
 // ReadAnyHello consumes one 5-byte hello and reports which protocol it
-// opens: HelloClient with the proposed codec, or HelloRepl with the proposed
-// replication version. A magic matching no protocol is a violation
-// (ErrBadFrame). Like ReadHello, an unknown codec/version byte is not an
-// error here — the server answers an unknown codec with the one it speaks
-// and an unknown replication version with a refusal.
+// opens: HelloClient or HelloRead with the proposed codec, or HelloRepl with
+// the proposed replication version. A magic matching no protocol is a
+// violation (ErrBadFrame). An unknown codec/version byte is not an error
+// here — the server answers an unknown codec with the one it speaks (the
+// client decides whether it can live with that) and an unknown replication
+// version with a refusal.
 func ReadAnyHello(r io.Reader) (HelloKind, byte, error) {
 	var buf [5]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return 0, 0, fmt.Errorf("wire: reading hello: %w", err)
 	}
-	switch {
-	case buf[0] == helloMagic[0] && buf[1] == helloMagic[1] && buf[2] == helloMagic[2] && buf[3] == helloMagic[3]:
+	switch [4]byte(buf[:4]) {
+	case helloMagic:
 		return HelloClient, buf[4], nil
-	case buf[0] == replMagic[0] && buf[1] == replMagic[1] && buf[2] == replMagic[2] && buf[3] == replMagic[3]:
+	case replMagic:
 		return HelloRepl, buf[4], nil
-	case buf[0] == readMagic[0] && buf[1] == readMagic[1] && buf[2] == readMagic[2] && buf[3] == readMagic[3]:
+	case readMagic:
 		return HelloRead, buf[4], nil
 	default:
 		return 0, 0, fmt.Errorf("%w: bad hello magic %q", ErrBadFrame, buf[:4])

@@ -67,14 +67,17 @@ func refRequest(g GatewayRequest) []byte {
 func refResponse(g GatewayResponse) []byte {
 	r := g.Resp
 	var flags byte
-	for bit, set := range []bool{r.OK, r.Error != "", r.Answer != nil, r.Cost != nil, r.Stats != nil, r.Resume != nil, r.Backpressure, r.Stale != nil} {
+	for bit, set := range []bool{r.OK, r.Refusal != nil, r.Answer != nil, r.Cost != nil, r.Stats != nil, r.Resume != nil} {
 		if set {
 			flags |= 1 << bit
 		}
 	}
 	p := append(refUvarint(nil, g.ID), flags)
-	if r.Error != "" {
-		p = append(refUvarint(p, uint64(len(r.Error))), r.Error...)
+	if r.Refusal != nil {
+		p = append(p, map[RefusalCode]byte{CodeBackpressure: 1, CodeStale: 2, CodeNotPrimary: 3, CodeNotSetup: 4,
+			CodeSeqGap: 5, CodeSuspended: 6, CodeClosing: 7, CodeBadRequest: 8, CodeFailed: 9}[r.Refusal.Code])
+		p = refUvarint(p, r.Refusal.Cursor)
+		p = append(refUvarint(p, uint64(len(r.Refusal.Detail))), r.Refusal.Detail...)
 	}
 	if r.Answer != nil {
 		p = refBigEndian(p, math.Float64bits(r.Answer.Scalar), 8)
@@ -113,9 +116,6 @@ func refResponse(g GatewayResponse) []byte {
 	}
 	if r.Resume != nil {
 		p = refUvarint(p, r.Resume.Clock)
-	}
-	if r.Stale != nil {
-		p = refUvarint(p, r.Stale.Offset)
 	}
 	return append(refBigEndian(nil, uint64(len(p)), 4), p...)
 }
@@ -230,8 +230,18 @@ func TestFrameSizes(t *testing.T) {
 		{"stats", GatewayResponse{ID: 1, Resp: NewStatsResponse(edb.StorageStats{Records: 12, Bytes: 12288, Updates: 3}, "ObliDB", 0)}, 18},
 		{"resume", GatewayResponse{ID: 1, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 42}}}, 7},
 		{"resume at 2^64-1", GatewayResponse{ID: 1, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: maxU64}}}, 16},
-		{"stale", GatewayResponse{ID: 1, Resp: Response{Error: ErrStale.Error(), Stale: &StaleSpec{Offset: 16}}}, 56},
-		{"backpressure", GatewayResponse{ID: 1, Resp: Response{Error: ErrBackpressure.Error(), Backpressure: true}}, 49},
+		// A refusal without a text is nine bytes whatever it refuses (49 and 56
+		// for the first two under codec 3, which sent the sentence along).
+		{"backpressure", GatewayResponse{ID: 1, Resp: Refuse(CodeBackpressure, 0, "")}, 9},
+		{"stale at offset 16", GatewayResponse{ID: 1, Resp: Refuse(CodeStale, 16, "")}, 9},
+		{"stale at offset 2^64-1", GatewayResponse{ID: 1, Resp: Refuse(CodeStale, maxU64, "")}, 18},
+		{"not-primary", GatewayResponse{ID: 1, Resp: Refuse(CodeNotPrimary, 0, "")}, 9},
+		{"not-setup", GatewayResponse{ID: 1, Resp: Refuse(CodeNotSetup, 0, "")}, 9},
+		{"seq-gap expecting 2", GatewayResponse{ID: 1, Resp: Refuse(CodeSeqGap, 2, "")}, 9},
+		{"suspended", GatewayResponse{ID: 1, Resp: Refuse(CodeSuspended, 0, "")}, 9},
+		{"closing", GatewayResponse{ID: 1, Resp: Refuse(CodeClosing, 0, "")}, 9},
+		{"bad-request, 25-byte text", GatewayResponse{ID: 1, Resp: Refuse(CodeBadRequest, 0, "gateway: missing owner id")}, 34},
+		{"failed, 24-byte text", GatewayResponse{ID: 1, Resp: Refuse(CodeFailed, 0, "edb: database not set up")}, 33},
 	}
 	for _, tc := range responses {
 		got, ref := framedResponse(t, tc.g), refResponse(tc.g)
@@ -308,34 +318,41 @@ func TestCodecMatchesReferenceEncoder(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		g := GatewayResponse{ID: counter()}
 		r := &g.Resp
-		r.OK, r.Backpressure = rng.Intn(2) == 0, rng.Intn(8) == 0
-		if rng.Intn(3) == 0 {
-			r.Error = text(200)
-		}
-		if rng.Intn(2) == 0 {
-			r.Answer = &AnswerSpec{Scalar: group()}
-			if n := rng.Intn(300); rng.Intn(3) > 0 && n > 0 {
-				r.Answer.Groups = make([]float64, n)
-				for j := range r.Answer.Groups {
-					r.Answer.Groups[j] = float64(rng.Intn(50))
-				}
-				if rng.Intn(2) == 0 { // one value, anywhere, decides the width of all
-					r.Answer.Groups[rng.Intn(n)] = group()
+		if rng.Intn(4) == 0 {
+			// A refusal travels alone; only the codes that carry a cursor or a
+			// text draw one.
+			ref := &Refusal{Code: RefusalCode(1 + rng.Intn(9))}
+			switch ref.Code {
+			case CodeStale, CodeSeqGap:
+				ref.Cursor = counter()
+			case CodeBadRequest, CodeFailed:
+				ref.Detail = text(200)
+			}
+			r.Refusal = ref
+		} else {
+			r.OK = true
+			if rng.Intn(2) == 0 {
+				r.Answer = &AnswerSpec{Scalar: group()}
+				if n := rng.Intn(300); rng.Intn(3) > 0 && n > 0 {
+					r.Answer.Groups = make([]float64, n)
+					for j := range r.Answer.Groups {
+						r.Answer.Groups[j] = float64(rng.Intn(50))
+					}
+					if rng.Intn(2) == 0 { // one value, anywhere, decides the width of all
+						r.Answer.Groups[rng.Intn(n)] = group()
+					}
 				}
 			}
-		}
-		if rng.Intn(2) == 0 {
-			r.Cost = &CostSpec{Seconds: rng.Float64(), RecordsScanned: int64(counter()), PairsCompared: int64(counter())}
-		}
-		if rng.Intn(4) == 0 {
-			r.Stats = &StatsSpec{Records: int(counter()), Bytes: int64(counter()), Updates: int(counter()),
-				Scheme: text(40), Leakage: rng.Intn(256)}
-		}
-		if rng.Intn(4) == 0 {
-			r.Resume = &ResumeSpec{Clock: counter()}
-		}
-		if rng.Intn(4) == 0 {
-			r.Stale = &StaleSpec{Offset: counter()}
+			if rng.Intn(2) == 0 {
+				r.Cost = &CostSpec{Seconds: rng.Float64(), RecordsScanned: int64(counter()), PairsCompared: int64(counter())}
+			}
+			if rng.Intn(4) == 0 {
+				r.Stats = &StatsSpec{Records: int(counter()), Bytes: int64(counter()), Updates: int(counter()),
+					Scheme: text(40), Leakage: rng.Intn(256)}
+			}
+			if rng.Intn(4) == 0 {
+				r.Resume = &ResumeSpec{Clock: counter()}
+			}
 		}
 		got, ref := framedResponse(t, g), refResponse(g)
 		if !bytes.Equal(got, ref) {

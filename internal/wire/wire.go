@@ -14,6 +14,10 @@
 // reveals: how many ciphertexts a sync carries, never how many are dummies,
 // and which query was asked, never what the data answered.
 //
+// A response is exactly one of OK and refused, and there is one way to
+// refuse: a Refusal (refusal.go), which is also the error the client returns
+// — callers branch on its code's sentinel with errors.Is, never on text.
+//
 // A connection opens with a 5-byte hello — magic plus a version byte
 // (WriteHello / ReadAnyHello) — that says which protocol it speaks:
 // read-write client, read-only client, or replication (repl.go).
@@ -59,22 +63,6 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds limit")
 // tell protocol violations (count them, hang up after a bound) apart from
 // application errors (report them, keep serving).
 var ErrBadFrame = errors.New("wire: malformed frame")
-
-// ErrBackpressure is the typed load-shed error. The gateway sets
-// Response.Backpressure when a connection exceeds its in-flight cap; the
-// client surfaces it as an error wrapping this sentinel so callers can
-// distinguish "slow down and retry" from application failures with
-// errors.Is.
-var ErrBackpressure = errors.New("wire: backpressure: in-flight cap exceeded")
-
-// ErrStale is the typed freshness refusal on the follower read plane. A
-// read-only query carries the client's minimum acceptable per-shard
-// replication offset (Request.MinOffset); a follower whose committed cursor
-// has not reached it refuses with Response.Stale — carrying the cursor it
-// does have — rather than ever serving an answer older than the bound. The
-// client surfaces it wrapping this sentinel so callers can distinguish
-// "retry on the primary" from application failures with errors.Is.
-var ErrStale = errors.New("wire: replica stale: freshness bound not reached")
 
 // WriteFrame writes one length-prefixed frame.
 func WriteFrame(w io.Writer, payload []byte) error {
@@ -137,15 +125,15 @@ type Request struct {
 	// ...). The gateway applies syncs tick-ordered and idempotently — a
 	// retransmitted Seq the owner has already applied is acknowledged
 	// without re-ingesting or re-charging the ε ledger, which is what makes
-	// reconnect replay a privacy-safe operation. 0 means unsequenced (the
-	// legacy single-shot behavior: the gateway assigns the next tick).
+	// reconnect replay a privacy-safe operation. Every sync is sequenced: the
+	// gateway refuses Seq 0 as a bad request.
 	Seq uint64
 	// MinOffset is the freshness bound for MsgQuery on a read-only (replica)
 	// connection: the minimum per-shard replication offset the answering
 	// node must have committed. 0 means "any" — serve whatever committed
 	// prefix the replica holds. A primary ignores it (the primary is always
-	// fresh); a follower behind the bound refuses with Response.Stale
-	// instead of answering. Only a query carries one: the encoder refuses a
+	// fresh); a follower behind the bound refuses (CodeStale) instead of
+	// answering. Only a query carries one: the encoder refuses a
 	// bound on any other message type rather than drop it silently.
 	MinOffset uint64
 }
@@ -181,32 +169,17 @@ func FromQuery(q query.Query) QuerySpec {
 	}
 }
 
-// Response is a server→client message.
+// Response is a server→client message: exactly one of OK and Refusal. An OK
+// response carries the sections its request asks for; a refused one carries
+// nothing but the refusal (refusal.go) — the codec accepts no other shape.
 type Response struct {
-	OK     bool
-	Error  string
-	Answer *AnswerSpec
-	Cost   *CostSpec
-	Stats  *StatsSpec
+	OK      bool
+	Refusal *Refusal
+	Answer  *AnswerSpec
+	Cost    *CostSpec
+	Stats   *StatsSpec
 	// Resume answers a MsgResume handshake (see ResumeSpec).
 	Resume *ResumeSpec
-	// Backpressure marks a load-shed refusal: the connection exceeded its
-	// in-flight cap and the gateway refused the request without touching
-	// tenant state. Typed (not just an error string) so clients can tell
-	// "slow down and retry" apart from application failures.
-	Backpressure bool
-	// Stale marks a freshness refusal from a read replica: the follower's
-	// committed replication cursor has not reached the query's MinOffset.
-	// Typed (not just an error string) so clients can retry on the primary
-	// with errors.Is(err, ErrStale) — and it carries the cursor the replica
-	// does hold, so the caller can see how far behind it is.
-	Stale *StaleSpec
-}
-
-// StaleSpec carries the refusing replica's current committed replication
-// offset for the queried owner's shard (see Response.Stale).
-type StaleSpec struct {
-	Offset uint64
 }
 
 // ResumeSpec is the gateway's answer to a resume handshake: the owner's
