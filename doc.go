@@ -572,11 +572,16 @@
 // stale, carrying the offset it has applied, never a silently stale answer.
 // Writes on a read connection are refused as not-primary, the sentinel a
 // follower's write hello yields. client.WithReadReplica(addr) routes a
-// session's queries to a replica and falls back to the (trivially fresh)
-// primary on any refusal — or on silence: each direction of a replica read is
-// bounded, so a follower that accepts and then says nothing costs a read one
-// deadline, never the caller's answer, and never blocks Close;
-// dpsync-loadgen -query-mix/-replica-addr/-read-replica drive mixed
+// session's queries to a replica over the same pipelined, multiplexed link
+// the primary gets (internal/client has one frame reader and one flusher,
+// and both connections run them), so concurrent readers are in flight on the
+// replica together, and falls back to the (trivially fresh) primary on any
+// refusal — or on silence: the link's one read deadline follows the oldest
+// read in flight, so a follower that accepts and then says nothing costs
+// every read waiting on it the same single bounded wait, not one each, never
+// the caller's answer, and never blocks Close. The replica link does not
+// replay: when it dies each read in flight goes to the primary once and the
+// next read redials. dpsync-loadgen -query-mix/-replica-addr/-read-replica drive mixed
 // read/write load through both paths. The two-node differential pins the
 // contract under -race: every follower-served answer bit-identical to the
 // primary's and to a single-owner reference, a partitioned follower

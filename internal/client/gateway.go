@@ -43,10 +43,10 @@ const (
 	reconnectMaxDelay        = time.Second
 	// helloTimeout bounds one dial's hello exchange, so an address whose
 	// listener is up but whose node is wedged cannot hang the rotation —
-	// failover depends on moving to the next address promptly. It also
-	// bounds each direction of a replica read: a follower that accepts and
-	// then says nothing costs the reader this long, once, and then the
-	// primary answers.
+	// failover depends on moving to the next address promptly. It is also
+	// the replica link's timeout: a follower that accepts and then says
+	// nothing costs the reads in flight on it this long, together, and then
+	// the primary answers them.
 	helloTimeout = 5 * time.Second
 )
 
@@ -63,11 +63,52 @@ const DefaultResyncWindow = 256
 // codec is the one payload encoding the client proposes and speaks.
 const codec = wire.CodecBinary
 
-// GatewayConn is a pipelined, multiplexed connection to a multi-tenant
-// gateway. Many goroutines — and many owners — share one GatewayConn
-// concurrently: each request carries a fresh ID, responses are matched back
-// by ID, and frame writes are serialized so the gateway observes each
-// owner's requests in send order (per-owner FIFO).
+// GatewayConn is a client's connection to a multi-tenant gateway, shared
+// concurrently by many goroutines and many owners. It is one link to the
+// primary — every sync and resume, and every read nobody else answers — and,
+// with WithReadReplica, a second link of the same kind to a follower's read
+// plane. Both are pipelined and multiplexed (see link); what differs between
+// them is set where each is opened and nowhere else.
+//
+// Obtain per-owner edb.Database handles with Owner.
+type GatewayConn struct {
+	sealer    *seal.Sealer
+	addrs     []string // rotation order; addrs[addrIdx] is the last good one
+	addrIdx   int      // touched only by the primary link's single dialing goroutine
+	dialer    func(addr string) (net.Conn, error)
+	resyncWin int
+	window    int    // each link's in-flight cap
+	readAddr  string // read-replica address ("" = reads go to the primary)
+
+	primary *link
+	traffic traffic // frame bytes of both links
+
+	// The replica link: dialed with the read-only hello by the first read
+	// that finds none alive, under rmu — a dial lock, never held across a
+	// round trip, so any number of reads are in flight on the link at once.
+	// It never replays and never reconnects in the background: reads are
+	// side-effect free, so when it dies every read in flight on it fails over
+	// to the primary, once, and the next read redials. Close must not wait for
+	// a dial, so it takes no lock: it sets closed and then closes the link it
+	// finds, the dialer stores its link and then looks at closed, and one of
+	// the two always sees the other.
+	rmu     sync.Mutex
+	replica atomic.Pointer[link]
+	closed  atomic.Bool
+
+	replicaServed    atomic.Int64
+	replicaBehind    atomic.Int64
+	replicaFallbacks atomic.Int64
+}
+
+// traffic counts frame bytes (4-byte length prefixes included) across a
+// GatewayConn's links.
+type traffic struct{ out, in atomic.Int64 }
+
+// link is one pipelined, multiplexed frame connection to a node: each request
+// carries a fresh ID, responses are matched back by ID, and frame writes are
+// serialized so the node observes each owner's requests in send order
+// (per-owner FIFO). IDs are the link's own.
 //
 // Senders do not write to the socket. Each appends its frame to the
 // transport's buffer and kicks the transport's flusher, which yields to the
@@ -75,28 +116,29 @@ const codec = wire.CodecBinary
 // runnable — the callers one batch of responses just woke — gets its frame
 // into the same write, and a lone sender's frame is written as soon as the
 // scheduler returns to the flusher. No timer is involved, so an idle
-// connection never adds latency to coalesce.
+// link never adds latency to coalesce.
 //
-// With WithReconnect, a lost transport is redialed automatically (capped
+// With reconnect, a lost transport is redialed automatically (capped
 // exponential backoff + jitter) and every in-flight request is replayed in
 // ID order on the new connection. Replay is safe because sequenced syncs
 // are idempotent at the gateway (a retransmitted seq the tenant already
 // applied is acked without re-ingesting or re-charging the ε ledger) and
 // reads are side-effect free; callers blocked in roundTrip simply get their
-// response on the new transport.
+// response on the new transport. Without, the first transport failure is
+// permanent: every in-flight request fails with it and the link stays dead.
 //
-// Obtain per-owner edb.Database handles with Owner.
-type GatewayConn struct {
-	sealer      *seal.Sealer
-	addrs       []string // rotation order; addrs[addrIdx] is the last good one
-	addrIdx     int      // touched only by the single dialing goroutine
-	dialer      func(addr string) (net.Conn, error)
+// With timeout, no request waits on the node longer than that: the reader's
+// socket deadline follows the oldest request in flight (watch), so one timer
+// covers every waiter and a node that accepts and then says nothing kills
+// the link — and releases all of them — after one bounded wait.
+type link struct {
+	dial        func() (net.Conn, error) // reaches a serving node, hello included
 	reconnect   bool
 	maxAttempts int
-	resyncWin   int
-	readAddr    string // read-replica address ("" = reads go to the primary)
+	timeout     time.Duration
+	traffic     *traffic
 
-	wmu    sync.Mutex    // serializes frame appends and flushes; append order = gateway arrival order
+	wmu    sync.Mutex    // serializes frame appends and flushes; append order = node arrival order
 	window chan struct{} // in-flight cap (backpressure)
 	nextID atomic.Uint64
 
@@ -105,30 +147,12 @@ type GatewayConn struct {
 	gate         chan struct{} // closed = sends may proceed; replaced while reconnecting
 	reconnecting bool
 	pending      map[uint64]*pendingReq
-	closed       bool  // user called Close; no further reconnects
-	err          error // first permanent failure; latched
+	oldest       uint64 // no pending ID is below it; kept by watch
+	closed       bool   // closed by the user; no further reconnects
+	err          error  // first permanent failure; latched
 
-	bytesOut    atomic.Int64
-	bytesIn     atomic.Int64
 	reconnects  atomic.Int64
 	reconnectNs atomic.Int64
-
-	// The read-replica side channel: a second, deliberately simple
-	// connection (synchronous request/response under rmu, no pipelining, no
-	// replay — reads are side-effect free, so on ANY replica trouble the
-	// caller just falls back to the primary). Lazy-dialed on first replica
-	// read, redialed on the next read after a failure. rsock is rconn's
-	// socket, kept under mu rather than rmu so Close can sever a read that is
-	// blocked holding rmu.
-	rmu   sync.Mutex
-	rconn *wire.Conn
-	rsock net.Conn
-	rbuf  []byte // replica response payloads, reused (response decode copies)
-	rid   uint64 // replica request IDs, independent of the primary stream
-
-	replicaServed    atomic.Int64
-	replicaBehind    atomic.Int64
-	replicaFallbacks atomic.Int64
 }
 
 // transport is one epoch's connection: the buffered frame connection senders
@@ -137,14 +161,20 @@ type GatewayConn struct {
 // stale epoch is ignored.
 type transport struct {
 	fc    *wire.Conn
+	sock  net.Conn // fc's socket, for the read deadline watch moves
 	epoch uint64
 	kick  chan struct{} // capacity 1: frames are waiting in fc's buffer
 	stop  chan struct{} // closed when the epoch is retired; its flusher exits
 	once  sync.Once
 }
 
-func newTransport(conn net.Conn, epoch uint64) *transport {
-	return &transport{fc: wire.NewConn(conn), epoch: epoch, kick: make(chan struct{}, 1), stop: make(chan struct{})}
+// newTransport wraps a connection whose hello is done. A link with a timeout
+// bounds each socket write by it too: a node that stops reading must not
+// wedge the flusher, and with it every sender, behind a full socket buffer.
+func (l *link) newTransport(conn net.Conn, epoch uint64) *transport {
+	t := &transport{fc: wire.NewConn(conn), sock: conn, epoch: epoch, kick: make(chan struct{}, 1), stop: make(chan struct{})}
+	t.fc.WriteTimeout = l.timeout
+	return t
 }
 
 // retire stops the transport's flusher. The epoch is over: lost, or closed.
@@ -156,6 +186,7 @@ type pendingReq struct {
 	owner string
 	req   wire.Request
 	ch    chan wire.Response
+	sent  time.Time // when it was registered; stamped only on a link with a timeout
 }
 
 // GatewayOption tunes a GatewayConn.
@@ -208,12 +239,15 @@ func WithAddrs(addrs ...string) GatewayOption {
 }
 
 // WithReadReplica routes queries and stats probes to a follower's read
-// plane at addr ("DPSQ" hello), keeping syncs on the primary. A replica
-// answer is served from the follower's committed replicated prefix; when
-// the caller demands fresher state than the replica has applied
-// (OwnerSession.QueryAt with a MinOffset above the replica's cursor), the
-// replica's refusal (wire.ErrStale) — and any other replica failure — falls
-// back to the primary transparently. ReplicaStats reports the split.
+// plane at addr ("DPSQ" hello), keeping syncs on the primary. The replica
+// gets the same pipelined link the primary does, so concurrent readers are
+// in flight on it together, up to the window. A replica answer is served
+// from the follower's committed replicated prefix; when the caller demands
+// fresher state than the replica has applied (OwnerSession.QueryAt with a
+// MinOffset above the replica's cursor), the replica's refusal
+// (wire.ErrStale) — and any other replica failure, a reply that does not come
+// within helloTimeout included — falls back to the primary transparently.
+// ReplicaStats reports the split.
 func WithReadReplica(addr string) GatewayOption {
 	return func(o *gatewayOpts) { o.readAddr = addr }
 }
@@ -245,32 +279,40 @@ func DialGateway(addr string, key []byte, opts ...GatewayOption) (*GatewayConn, 
 		return nil, err
 	}
 	c := &GatewayConn{
-		sealer:      s,
-		addrs:       append([]string{addr}, o.addrs...),
-		dialer:      o.dialer,
-		reconnect:   o.reconnect,
-		maxAttempts: o.maxAttempts,
-		resyncWin:   o.resyncWin,
-		readAddr:    o.readAddr,
-		window:      make(chan struct{}, o.window),
-		gate:        closedGate(),
-		pending:     map[uint64]*pendingReq{},
+		sealer:    s,
+		addrs:     append([]string{addr}, o.addrs...),
+		dialer:    o.dialer,
+		resyncWin: o.resyncWin,
+		window:    o.window,
+		readAddr:  o.readAddr,
 	}
-	conn, err := c.dialTransport()
+	c.primary, err = c.openLink(&link{dial: c.dialTransport, reconnect: o.reconnect, maxAttempts: o.maxAttempts})
 	if err != nil {
 		return nil, err
 	}
-	c.tr = newTransport(conn, 1)
-	c.start(c.tr)
 	return c, nil
 }
 
+// openLink dials l's first transport and starts it: l arrives holding what
+// distinguishes it (dial, reconnect, timeout) and leaves ready to send on.
+func (c *GatewayConn) openLink(l *link) (*link, error) {
+	conn, err := l.dial()
+	if err != nil {
+		return nil, err
+	}
+	l.traffic, l.window = &c.traffic, make(chan struct{}, c.window)
+	l.gate, l.pending = closedGate(), map[uint64]*pendingReq{}
+	l.tr = l.newTransport(conn, 1)
+	l.start(l.tr)
+	return l, nil
+}
+
 // start launches a transport's two goroutines. Both end with the epoch: the
-// reader when the connection dies (connLost and Close close it), the flusher
+// reader when the connection dies (connLost and close close it), the flusher
 // when the transport is retired.
-func (c *GatewayConn) start(t *transport) {
-	go c.readLoop(t)
-	go c.flushLoop(t)
+func (l *link) start(t *transport) {
+	go l.readLoop(t)
+	go l.flushLoop(t)
 }
 
 func closedGate() chan struct{} {
@@ -281,10 +323,10 @@ func closedGate() chan struct{} {
 
 // dialTransport finds a serving gateway: it tries the address list starting
 // from the last good entry, skipping nodes that are unreachable or refuse
-// the hello (wire.ErrNotPrimary — a cluster follower). Shared by
-// DialGateway and the reconnect path so the handshake cannot diverge between
-// them; called from one goroutine at a time (init, then the single redial),
-// which is what lets addrIdx go unlocked.
+// the hello (wire.ErrNotPrimary — a cluster follower). It is the primary
+// link's dial, first and on every reconnect, so the handshake cannot diverge
+// between them; called from one goroutine at a time (init, then the single
+// redial), which is what lets addrIdx go unlocked.
 func (c *GatewayConn) dialTransport() (net.Conn, error) {
 	var lastErr error
 	for i := range c.addrs {
@@ -327,45 +369,60 @@ var errClosed = errors.New("client: gateway connection closed")
 
 // Close terminates the connection; in-flight requests fail and no reconnect
 // is attempted — an explicit Close is the user's decision, not an outage.
+// It never waits, not even for a replica dial in progress (see replica), and
+// reads blocked on either link are severed.
 func (c *GatewayConn) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	tr, rsock := c.tr, c.rsock
-	c.mu.Unlock()
-	if rsock != nil {
-		// Not under rmu: a replica read in flight holds it, and closing the
-		// socket is what ends that read.
-		rsock.Close()
+	c.closed.Store(true)
+	if r := c.replica.Load(); r != nil {
+		_ = r.close()
 	}
+	return c.primary.close()
+}
+
+// close fails the link for good: the socket is closed and every waiter
+// released.
+func (l *link) close() error {
+	l.mu.Lock()
+	l.closed = true
+	tr := l.tr
+	l.mu.Unlock()
 	err := tr.fc.Close()
-	c.fail(errClosed)
+	l.fail(errClosed)
 	return err
 }
 
-// Drop severs the underlying transport without closing the logical
+// dead reports whether the link has failed permanently.
+func (l *link) dead() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err != nil
+}
+
+// Drop severs the primary's transport without closing the logical
 // connection — exactly what a mid-pipeline network failure looks like. With
 // reconnect enabled the connection heals itself (redial + replay); without,
 // it fails like any other transport loss. The churn harness's hook.
 func (c *GatewayConn) Drop() {
-	c.mu.Lock()
-	tr := c.tr
-	c.mu.Unlock()
+	l := c.primary
+	l.mu.Lock()
+	tr := l.tr
+	l.mu.Unlock()
 	tr.fc.Close()
 }
 
 // BytesOut and BytesIn report total frame bytes (including the 4-byte
-// length prefixes) sent and received — the load generator's bytes/sync
-// numerator.
-func (c *GatewayConn) BytesOut() int64 { return c.bytesOut.Load() }
+// length prefixes) sent and received, on the primary link and the replica
+// link together — the load generator's bytes/sync numerator.
+func (c *GatewayConn) BytesOut() int64 { return c.traffic.out.Load() }
 
 // BytesIn reports total frame bytes received.
-func (c *GatewayConn) BytesIn() int64 { return c.bytesIn.Load() }
+func (c *GatewayConn) BytesIn() int64 { return c.traffic.in.Load() }
 
-// ReconnectStats reports how many times the transport was re-established
-// and the total wall time spent in outage-to-replay recovery — the load
-// generator's churn_resume_ms numerator.
+// ReconnectStats reports how many times the primary's transport was
+// re-established and the total wall time spent in outage-to-replay recovery
+// — the load generator's churn_resume_ms numerator.
 func (c *GatewayConn) ReconnectStats() (count int64, total time.Duration) {
-	return c.reconnects.Load(), time.Duration(c.reconnectNs.Load())
+	return c.primary.reconnects.Load(), time.Duration(c.primary.reconnectNs.Load())
 }
 
 // ReplicaStats reports the read-replica traffic split: reads answered by
@@ -375,113 +432,77 @@ func (c *GatewayConn) ReplicaStats() (served, stale, fallbacks int64) {
 	return c.replicaServed.Load(), c.replicaBehind.Load(), c.replicaFallbacks.Load()
 }
 
-// dialReplica opens the read-replica side channel: the read-only hello, then
-// a frame connection whose every socket read and write is bounded like the
-// hello — a follower that accepts and then goes silent must cost a read a
-// bounded wait, never wedge it. Caller holds rmu.
-func (c *GatewayConn) dialReplica() error {
-	conn, err := c.dialOne(c.readAddr, wire.WriteReadHello)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		conn.Close()
-		return errClosed
-	}
-	c.rsock = conn
-	c.mu.Unlock()
-	c.rconn = wire.NewConn(conn)
-	c.rconn.ReadTimeout, c.rconn.WriteTimeout = helloTimeout, helloTimeout
-	return nil
-}
-
-// replicaRoundTrip runs one read request against the configured read
-// replica: lazy-dial with the read-only hello, write the frame, wait for
-// the matching response. Synchronous under rmu by design — replica reads
-// are a fallback-friendly side channel, not a second pipelined stream. Any
-// transport error (a deadline included) tears the replica connection down
-// (the next read redials) and surfaces to the caller, who falls back to the
-// primary.
-func (c *GatewayConn) replicaRoundTrip(owner string, req wire.Request) (wire.Response, error) {
+// replicaLink returns the live link to the read replica, opening one — the
+// read-only hello, no reconnect, every wait bounded by helloTimeout — when
+// there is none or the last one died. Readers that arrive during a dial wait
+// for it under rmu and share the link it produced.
+func (c *GatewayConn) replicaLink() (*link, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return wire.Response{}, errClosed
+	if l := c.replica.Load(); l != nil && !l.dead() {
+		return l, nil
 	}
-	if c.rconn == nil {
-		if err := c.dialReplica(); err != nil {
-			return wire.Response{}, err
-		}
+	if c.closed.Load() {
+		return nil, errClosed
 	}
-	c.rid++
-	id := c.rid
-	b, err := wire.AppendGatewayRequest(c.rconn.BeginFrame(), wire.GatewayRequest{ID: id, Owner: owner, Req: req})
+	l, err := c.openLink(&link{
+		dial:    func() (net.Conn, error) { return c.dialOne(c.readAddr, wire.WriteReadHello) },
+		timeout: helloTimeout,
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.replica.Store(l)
+	if c.closed.Load() {
+		// Close ran during the dial and may have looked before the store.
+		_ = l.close()
+		return nil, errClosed
+	}
+	return l, nil
+}
+
+// replicaRoundTrip runs one read request on the replica link. A refusal is
+// the replica's answer and leaves the link up; a link that dies under the
+// request (transport error, undecodable frame, helloTimeout without a reply)
+// fails it, along with every other read in flight there, and is replaced by
+// the next read. Either way the caller falls back to the primary.
+func (c *GatewayConn) replicaRoundTrip(owner string, req wire.Request) (wire.Response, error) {
+	l, err := c.replicaLink()
 	if err != nil {
 		return wire.Response{}, err
 	}
-	sever := func(err error) (wire.Response, error) {
-		c.rconn.Close()
-		c.rconn = nil
-		return wire.Response{}, err
-	}
-	n, err := c.rconn.EndFrame(b)
-	if err == nil {
-		err = c.rconn.Flush()
-	}
-	if err != nil {
-		return sever(fmt.Errorf("client: replica write: %w", err))
-	}
-	c.bytesOut.Add(int64(n))
-	c.rbuf, err = c.rconn.ReadFrame(c.rbuf)
-	if err != nil {
-		return sever(fmt.Errorf("client: replica read: %w", err))
-	}
-	c.bytesIn.Add(int64(len(c.rbuf)) + 4)
-	gr, err := codec.DecodeGatewayResponse(c.rbuf)
-	if err != nil {
-		return sever(err)
-	}
-	if gr.ID != id {
-		return sever(fmt.Errorf("client: replica response id %d for request %d", gr.ID, id))
-	}
-	if err := respErr(gr.Resp); err != nil {
-		return wire.Response{}, err
-	}
-	return gr.Resp, nil
+	return l.roundTrip(owner, req)
 }
 
 // readLoop demultiplexes responses to their waiting senders by request ID.
-// One readLoop runs per transport epoch; a stale epoch's failure is ignored.
-func (c *GatewayConn) readLoop(t *transport) {
+// It is the only place the client reads frames: one readLoop runs per
+// transport epoch of either link, and a stale epoch's failure is ignored.
+func (l *link) readLoop(t *transport) {
 	var payload []byte // reused across frames: response decode copies what it keeps
 	for {
 		var err error
 		payload, err = t.fc.ReadFrame(payload)
 		if err != nil {
-			c.connLost(t.epoch, fmt.Errorf("client: gateway read: %w", err))
+			l.connLost(t.epoch, fmt.Errorf("client: gateway read: %w", err))
 			return
 		}
-		c.bytesIn.Add(int64(len(payload)) + 4)
+		l.traffic.in.Add(int64(len(payload)) + 4)
 		gr, err := codec.DecodeGatewayResponse(payload)
 		if err != nil {
 			// A framing-level lie from the server: the stream can no longer
 			// be trusted to demultiplex correctly.
 			t.fc.Close()
-			c.connLost(t.epoch, err)
+			l.connLost(t.epoch, err)
 			return
 		}
-		c.mu.Lock()
+		l.mu.Lock()
 		var ch chan wire.Response
-		if p := c.pending[gr.ID]; p != nil {
+		if p := l.pending[gr.ID]; p != nil {
 			ch = p.ch
-			delete(c.pending, gr.ID)
+			delete(l.pending, gr.ID)
 		}
-		c.mu.Unlock()
+		l.watch(t)
+		l.mu.Unlock()
 		// Responses with no pending entry are dropped — that is what makes
 		// a duplicated frame (network retransmit, replay overlap) harmless
 		// on the client side.
@@ -491,11 +512,33 @@ func (c *GatewayConn) readLoop(t *transport) {
 	}
 }
 
-// flushLoop is a transport's flusher: each kick means frames are waiting in
-// the transport's buffer. It yields once before writing so that every sender
-// already runnable appends first (see GatewayConn), then flushes under wmu.
-// A flush error ends the epoch the same way a read error does.
-func (c *GatewayConn) flushLoop(t *transport) {
+// watch moves t's read deadline to where the oldest request in flight will
+// have waited l.timeout, and clears it when nothing is in flight: the reader
+// is the one goroutine that waits on the socket, so its deadline is the whole
+// enforcement — no timer per request, and an idle link never expires. IDs are
+// issued in registration order, so the oldest request is the lowest pending
+// ID, found by stepping past the answered ones. A link without a timeout
+// has nothing to watch. Caller holds mu.
+func (l *link) watch(t *transport) {
+	if l.timeout <= 0 {
+		return
+	}
+	for l.oldest < l.nextID.Load() && l.pending[l.oldest] == nil {
+		l.oldest++
+	}
+	var deadline time.Time
+	if p := l.pending[l.oldest]; p != nil {
+		deadline = p.sent.Add(l.timeout)
+	}
+	_ = t.sock.SetReadDeadline(deadline)
+}
+
+// flushLoop is a transport's flusher, the only one the client has: each kick
+// means frames are waiting in the transport's buffer. It yields once before
+// writing so that every sender already runnable appends first (see link),
+// then flushes under wmu. A flush error ends the epoch the same way a read
+// error does.
+func (l *link) flushLoop(t *transport) {
 	for {
 		select {
 		case <-t.kick:
@@ -503,11 +546,11 @@ func (c *GatewayConn) flushLoop(t *transport) {
 			return
 		}
 		runtime.Gosched()
-		c.wmu.Lock()
+		l.wmu.Lock()
 		err := t.fc.Flush()
-		c.wmu.Unlock()
+		l.wmu.Unlock()
 		if err != nil {
-			c.connLost(t.epoch, err)
+			l.connLost(t.epoch, err)
 			return
 		}
 	}
@@ -516,24 +559,27 @@ func (c *GatewayConn) flushLoop(t *transport) {
 // connLost handles a transport failure for the given epoch: permanent
 // failure without reconnect, redial with it. Stale epochs (a reconnect
 // already superseded the transport) are ignored.
-func (c *GatewayConn) connLost(epoch uint64, err error) {
-	c.mu.Lock()
-	if c.closed || c.err != nil || c.tr.epoch != epoch || c.reconnecting {
-		c.mu.Unlock()
+func (l *link) connLost(epoch uint64, err error) {
+	l.mu.Lock()
+	if l.closed || l.err != nil || l.tr.epoch != epoch || l.reconnecting {
+		l.mu.Unlock()
 		return
 	}
-	if !c.reconnect {
-		c.mu.Unlock()
-		c.fail(err)
-		return
+	l.reconnecting = l.reconnect
+	if l.reconnect {
+		l.gate = make(chan struct{}) // block new sends until replay completes
 	}
-	c.reconnecting = true
-	c.gate = make(chan struct{}) // block new sends until replay completes
-	tr := c.tr
-	c.mu.Unlock()
+	tr := l.tr
+	l.mu.Unlock()
+	// Whatever ended the epoch — an expired deadline leaves the socket open —
+	// nothing reads this transport again.
 	tr.fc.Close()
+	if !l.reconnect {
+		l.fail(err)
+		return
+	}
 	tr.retire()
-	go c.redial(err)
+	go l.redial(err)
 }
 
 // redial re-establishes the transport with capped exponential backoff +
@@ -542,26 +588,26 @@ func (c *GatewayConn) connLost(epoch uint64, err error) {
 // send gate. The new epoch's reader and flusher start only after replay — so
 // no failure for the new transport can race the replay itself; a write error
 // mid-replay just burns the attempt and loops.
-func (c *GatewayConn) redial(cause error) {
+func (l *link) redial(cause error) {
 	start := time.Now()
 	lastErr := cause
 	delay := reconnectBaseDelay
 	for attempt := 1; ; attempt++ {
-		if attempt > c.maxAttempts {
-			c.fail(fmt.Errorf("client: reconnect failed after %d attempts: %w", c.maxAttempts, lastErr))
+		if attempt > l.maxAttempts {
+			l.fail(fmt.Errorf("client: reconnect failed after %d attempts: %w", l.maxAttempts, lastErr))
 			return
 		}
 		time.Sleep(delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1)))
 		if delay *= 2; delay > reconnectMaxDelay {
 			delay = reconnectMaxDelay
 		}
-		c.mu.Lock()
-		dead := c.closed || c.err != nil
-		c.mu.Unlock()
+		l.mu.Lock()
+		dead := l.closed || l.err != nil
+		l.mu.Unlock()
 		if dead {
 			return
 		}
-		conn, err := c.dialTransport()
+		conn, err := l.dial()
 		if err != nil {
 			lastErr = err
 			continue
@@ -569,56 +615,56 @@ func (c *GatewayConn) redial(cause error) {
 		// Install the new transport and snapshot the replay set atomically:
 		// every request registered before this point is in the snapshot;
 		// everything after waits at the gate and goes out post-replay.
-		c.mu.Lock()
-		if c.closed || c.err != nil {
-			c.mu.Unlock()
+		l.mu.Lock()
+		if l.closed || l.err != nil {
+			l.mu.Unlock()
 			conn.Close()
 			return
 		}
-		tr := newTransport(conn, c.tr.epoch+1)
-		c.tr = tr
-		ids := make([]uint64, 0, len(c.pending))
-		for id := range c.pending {
+		tr := l.newTransport(conn, l.tr.epoch+1)
+		l.tr = tr
+		ids := make([]uint64, 0, len(l.pending))
+		for id := range l.pending {
 			ids = append(ids, id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		replay := make([]wire.GatewayRequest, len(ids))
 		for i, id := range ids {
-			p := c.pending[id]
+			p := l.pending[id]
 			replay[i] = wire.GatewayRequest{ID: id, Owner: p.owner, Req: p.req}
 		}
-		c.mu.Unlock()
+		l.mu.Unlock()
 
-		if err := c.writeAll(tr, replay); err != nil {
+		if err := l.writeAll(tr, replay); err != nil {
 			lastErr = err
 			conn.Close()
 			continue
 		}
-		c.mu.Lock()
-		if c.closed || c.err != nil {
+		l.mu.Lock()
+		if l.closed || l.err != nil {
 			// Close won the race while the replay was being written: it has
 			// already failed the waiters and opened the gate.
-			c.mu.Unlock()
+			l.mu.Unlock()
 			conn.Close()
 			return
 		}
-		c.reconnecting = false
-		close(c.gate)
-		c.mu.Unlock()
-		c.start(tr)
-		c.reconnects.Add(1)
-		c.reconnectNs.Add(time.Since(start).Nanoseconds())
+		l.reconnecting = false
+		close(l.gate)
+		l.mu.Unlock()
+		l.start(tr)
+		l.reconnects.Add(1)
+		l.reconnectNs.Add(time.Since(start).Nanoseconds())
 		return
 	}
 }
 
 // writeAll replays the given requests in order under the write lock and
 // returns once they are on the socket.
-func (c *GatewayConn) writeAll(t *transport, reqs []wire.GatewayRequest) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
+func (l *link) writeAll(t *transport, reqs []wire.GatewayRequest) error {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
 	for _, greq := range reqs {
-		if encErr, err := c.appendLocked(t, greq); encErr != nil {
+		if encErr, err := l.appendLocked(t, greq); encErr != nil {
 			return encErr
 		} else if err != nil {
 			return err
@@ -630,7 +676,7 @@ func (c *GatewayConn) writeAll(t *transport, reqs []wire.GatewayRequest) error {
 // appendLocked appends one request frame to t's buffer and counts its bytes.
 // encErr says the request itself cannot be framed (nothing was appended);
 // err is the socket's, from the flush a full buffer forces. Caller holds wmu.
-func (c *GatewayConn) appendLocked(t *transport, greq wire.GatewayRequest) (encErr, err error) {
+func (l *link) appendLocked(t *transport, greq wire.GatewayRequest) (encErr, err error) {
 	b, encErr := wire.AppendGatewayRequest(t.fc.BeginFrame(), greq)
 	if encErr != nil {
 		return encErr, nil
@@ -639,104 +685,111 @@ func (c *GatewayConn) appendLocked(t *transport, greq wire.GatewayRequest) (encE
 	if errors.Is(err, wire.ErrFrameTooLarge) {
 		return err, nil
 	}
-	c.bytesOut.Add(int64(n))
+	l.traffic.out.Add(int64(n))
 	return nil, err
 }
 
 // fail latches the first permanent failure, releases every waiter, and
 // opens the send gate so blocked senders observe the error.
-func (c *GatewayConn) fail(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
+func (l *link) fail(err error) {
+	l.mu.Lock()
+	if l.err == nil {
+		l.err = err
 	}
-	for id, p := range c.pending {
+	for id, p := range l.pending {
 		close(p.ch)
-		delete(c.pending, id)
+		delete(l.pending, id)
 	}
-	c.tr.retire()
+	l.tr.retire()
 	select {
-	case <-c.gate:
+	case <-l.gate:
 	default:
-		close(c.gate)
+		close(l.gate)
 	}
-	c.mu.Unlock()
+	l.mu.Unlock()
 }
 
 // send transmits one request without waiting for its response: it acquires
 // a window slot, registers the request ID, appends the frame to the
 // transport's buffer, and kicks the flusher. The returned channel yields the
-// response (or closes on permanent connection failure); release must be
+// response (or closes on permanent link failure); release must be
 // called after the response is consumed to free the window slot. A dying
 // transport is not send's error: the request stays pending, and the reconnect
 // replay delivers it or the permanent failure closes its channel.
 // roundTrip composes send+receive; tests use send directly to pin
 // pipelining semantics.
-func (c *GatewayConn) send(owner string, req wire.Request) (ch <-chan wire.Response, release func(), err error) {
-	c.window <- struct{}{}
-	release = func() { <-c.window }
+func (l *link) send(owner string, req wire.Request) (ch <-chan wire.Response, release func(), err error) {
+	l.window <- struct{}{}
+	release = func() { <-l.window }
 	for {
-		c.mu.Lock()
-		if c.err != nil {
-			err := c.err
-			c.mu.Unlock()
+		l.mu.Lock()
+		if l.err != nil {
+			err := l.err
+			l.mu.Unlock()
 			release()
 			return nil, nil, err
 		}
-		gate := c.gate
+		gate := l.gate
 		select {
 		case <-gate:
 			// Gate open: register while still holding mu, so a concurrent
 			// reconnect either sees this request in its replay snapshot or
 			// has already completed.
 		default:
-			c.mu.Unlock()
+			l.mu.Unlock()
 			<-gate // reconnect in progress; wait for replay to finish
 			continue
 		}
-		id := c.nextID.Add(1)
-		rch := make(chan wire.Response, 1)
-		c.pending[id] = &pendingReq{owner: owner, req: req, ch: rch}
-		tr := c.tr
-		c.mu.Unlock()
+		id := l.nextID.Add(1)
+		p := &pendingReq{owner: owner, req: req, ch: make(chan wire.Response, 1)}
+		l.pending[id] = p
+		tr := l.tr
+		if l.timeout > 0 {
+			p.sent = time.Now()
+			if len(l.pending) == 1 {
+				l.watch(tr) // the first in flight arms the deadline; the reader moves it from here
+			}
+		}
+		l.mu.Unlock()
 
-		c.wmu.Lock()
-		encErr, err := c.appendLocked(tr, wire.GatewayRequest{ID: id, Owner: owner, Req: req})
-		c.wmu.Unlock()
+		l.wmu.Lock()
+		encErr, err := l.appendLocked(tr, wire.GatewayRequest{ID: id, Owner: owner, Req: req})
+		l.wmu.Unlock()
 		if encErr != nil {
-			c.mu.Lock()
-			delete(c.pending, id)
-			c.mu.Unlock()
+			l.mu.Lock()
+			delete(l.pending, id)
+			l.watch(tr)
+			l.mu.Unlock()
 			release()
 			return nil, nil, encErr
 		}
 		if err != nil {
 			// The transport died under the flush a full buffer forced. The
 			// request is registered: the reconnect replay re-sends it, or the
-			// permanent failure closes rch; the caller just waits.
-			c.connLost(tr.epoch, err)
-			return rch, release, nil
+			// permanent failure closes its channel; the caller just waits.
+			l.connLost(tr.epoch, err)
+			return p.ch, release, nil
 		}
 		select {
 		case tr.kick <- struct{}{}:
 		default: // a kick is already pending; that flush carries this frame too
 		}
-		return rch, release, nil
+		return p.ch, release, nil
 	}
 }
 
 // roundTrip sends one request and waits for its response.
-func (c *GatewayConn) roundTrip(owner string, req wire.Request) (wire.Response, error) {
-	ch, release, err := c.send(owner, req)
+func (l *link) roundTrip(owner string, req wire.Request) (wire.Response, error) {
+	ch, release, err := l.send(owner, req)
 	if err != nil {
 		return wire.Response{}, err
 	}
 	defer release()
 	resp, ok := <-ch
 	if !ok {
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
+		l.mu.Lock()
+		err := l.err
+		l.mu.Unlock()
 		if err == nil {
 			err = fmt.Errorf("client: gateway connection lost")
 		}
@@ -818,7 +871,7 @@ func (s *OwnerSession) Resume() error {
 }
 
 func (s *OwnerSession) resumeLocked() error {
-	resp, err := s.conn.roundTrip(s.owner, wire.Request{Type: wire.MsgResume})
+	resp, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: wire.MsgResume})
 	if err != nil {
 		return err
 	}
@@ -882,7 +935,7 @@ func (s *OwnerSession) resyncLocked(clock uint64) error {
 	}
 	for i := len(s.acked) - int(need); i < len(s.acked); i++ {
 		a := s.ackedAt(i)
-		if _, err := s.conn.roundTrip(s.owner, wire.Request{Type: a.typ, Sealed: a.sealed, Seq: a.seq}); err != nil {
+		if _, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: a.typ, Sealed: a.sealed, Seq: a.seq}); err != nil {
 			return fmt.Errorf("client: owner %q: resync of seq %d: %w", s.owner, a.seq, err)
 		}
 	}
@@ -903,7 +956,7 @@ func (s *OwnerSession) info() (scheme string, leak edb.LeakageClass, width int64
 		return s.scheme, s.leak, s.width
 	}
 	s.mu.Unlock()
-	resp, err := s.conn.roundTrip(s.owner, wire.Request{Type: wire.MsgStats})
+	resp, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: wire.MsgStats})
 	if err != nil || resp.Stats == nil {
 		return "remote", edb.L2, obliBlockBytes
 	}
@@ -972,7 +1025,7 @@ func (s *OwnerSession) upload(t wire.MsgType, rs []record.Record) error {
 		}
 	}
 	seq := s.seq + 1
-	if _, err := s.conn.roundTrip(s.owner, wire.Request{Type: t, Sealed: raw, Seq: seq}); err != nil {
+	if _, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: t, Sealed: raw, Seq: seq}); err != nil {
 		// The sync's fate is unproven (a refusal did not advance the clock;
 		// a lost ack may have — and across a failover, the serving node may
 		// have changed under us entirely). Realign once and retry: the
@@ -990,7 +1043,7 @@ func (s *OwnerSession) upload(t wire.MsgType, rs []record.Record) error {
 			// to the bookkeeping — the payload still enters the resync
 			// window, since a later failover may need to re-upload it.
 		case s.seq == seq-1:
-			if _, err2 := s.conn.roundTrip(s.owner, wire.Request{Type: t, Sealed: raw, Seq: seq}); err2 != nil {
+			if _, err2 := s.conn.primary.roundTrip(s.owner, wire.Request{Type: t, Sealed: raw, Seq: seq}); err2 != nil {
 				s.seqDirty = true
 				return err2
 			}
@@ -1057,7 +1110,7 @@ func (s *OwnerSession) QueryAt(q query.Query, minOffset uint64) (query.Answer, e
 // is the contract.
 func (s *OwnerSession) readRoundTrip(req wire.Request) (wire.Response, error) {
 	if s.conn.readAddr == "" {
-		return s.conn.roundTrip(s.owner, req)
+		return s.conn.primary.roundTrip(s.owner, req)
 	}
 	resp, err := s.conn.replicaRoundTrip(s.owner, req)
 	if err == nil {
@@ -1068,7 +1121,7 @@ func (s *OwnerSession) readRoundTrip(req wire.Request) (wire.Response, error) {
 		s.conn.replicaBehind.Add(1)
 	}
 	s.conn.replicaFallbacks.Add(1)
-	return s.conn.roundTrip(s.owner, req)
+	return s.conn.primary.roundTrip(s.owner, req)
 }
 
 // Stats implements edb.Database: the owner-side accounting, which knows the

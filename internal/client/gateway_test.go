@@ -205,7 +205,7 @@ func TestPerOwnerFIFO(t *testing.T) {
 		if i == 1 {
 			typ = wire.MsgSetup
 		}
-		ch, release, err := conn.send(owner, wire.Request{Type: typ, Seq: uint64(i), Sealed: raw})
+		ch, release, err := conn.primary.send(owner, wire.Request{Type: typ, Seq: uint64(i), Sealed: raw})
 		if err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}

@@ -229,7 +229,7 @@ func TestReconnectReplaysUnflushedOutbox(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, release, err := conn.send("owner-outbox", wire.Request{Type: wire.MsgUpdate, Seq: uint64(i + 1), Sealed: [][]byte{cts[0]}})
+		ch, release, err := conn.primary.send("owner-outbox", wire.Request{Type: wire.MsgUpdate, Seq: uint64(i + 1), Sealed: [][]byte{cts[0]}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,110 +15,408 @@ import (
 	"dpsync/internal/wire"
 )
 
-// silentReplica is a follower behind a partition that sends no RST: it
-// accepts, acks the read-only hello, and then neither reads nor writes.
-type silentReplica struct {
+// scriptedReplica is a read-only node whose every answer is the test's: it
+// accepts, acks the read-only hello, reads request frames — counting them and
+// their bytes per accepted connection — and says nothing on its own. A test
+// that never answers has a follower behind a partition that sends no RST.
+// auto, when set, answers for the test: a request it returns a response for
+// is answered at once and never reaches the test.
+type scriptedReplica struct {
 	lis     net.Listener
+	auto    func(wire.GatewayRequest) *wire.Response
 	accepts atomic.Int64
-	mu      sync.Mutex
-	conns   []net.Conn
+	conns   chan *scriptedConn // every accepted connection, hello acked; sized past any test's redials
 }
 
-func startSilentReplica(t *testing.T) *silentReplica {
+// scriptedConn is one accepted connection of a scriptedReplica.
+type scriptedConn struct {
+	nc      net.Conn
+	auto    func(wire.GatewayRequest) *wire.Response
+	reqs    chan wire.GatewayRequest // every frame read, in arrival order; sized past any test's reads
+	frames  atomic.Int64
+	in, out atomic.Int64 // frame bytes read and written, length prefixes included
+}
+
+func startScriptedReplica(t *testing.T, auto func(wire.GatewayRequest) *wire.Response) *scriptedReplica {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &silentReplica{lis: lis}
+	s := &scriptedReplica{lis: lis, auto: auto, conns: make(chan *scriptedConn, 16)}
+	var mu sync.Mutex
+	var open []net.Conn
 	go func() {
 		for {
-			conn, err := lis.Accept()
+			nc, err := lis.Accept()
 			if err != nil {
 				return
 			}
+			mu.Lock()
+			open = append(open, nc)
+			mu.Unlock()
 			var hello [5]byte
-			if _, err := io.ReadFull(conn, hello[:]); err == nil {
-				_ = wire.WriteHelloAck(conn, wire.CodecBinary)
+			if _, err := io.ReadFull(nc, hello[:]); err != nil || wire.WriteHelloAck(nc, wire.CodecBinary) != nil {
+				continue
 			}
-			s.mu.Lock()
-			s.conns = append(s.conns, conn) // held open, never read again
-			s.mu.Unlock()
+			sc := &scriptedConn{nc: nc, auto: auto, reqs: make(chan wire.GatewayRequest, 256)}
+			go sc.read()
 			s.accepts.Add(1)
+			s.conns <- sc
 		}
 	}()
 	t.Cleanup(func() {
 		lis.Close()
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for _, c := range s.conns {
-			c.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, nc := range open {
+			nc.Close()
 		}
 	})
 	return s
 }
 
-// TestSilentReplicaFallsBack pins the side channel's contract against a
-// replica that goes silent after the hello: the read waits one bounded
-// deadline (helloTimeout) and is then answered by the primary, the next read
-// redials, and a Close that races a read blocked on the replica returns at
-// once — it severs the socket instead of queueing behind the read's lock.
+func (c *scriptedConn) read() {
+	for {
+		payload, err := wire.ReadFrame(c.nc)
+		if err != nil {
+			return
+		}
+		req, err := wire.CodecBinary.DecodeGatewayRequest(payload)
+		if err != nil {
+			return
+		}
+		c.in.Add(int64(len(payload)) + 4)
+		c.frames.Add(1)
+		if c.auto != nil {
+			if resp := c.auto(req); resp != nil {
+				if c.write(req.ID, *resp) != nil {
+					return
+				}
+				continue
+			}
+		}
+		c.reqs <- req
+	}
+}
+
+// write sends the response to request id.
+func (c *scriptedConn) write(id uint64, resp wire.Response) error {
+	payload, err := wire.CodecBinary.EncodeGatewayResponse(wire.GatewayResponse{ID: id, Resp: resp})
+	if err == nil {
+		err = wire.WriteFrame(c.nc, payload)
+	}
+	if err == nil {
+		c.out.Add(int64(len(payload)) + 4)
+	}
+	return err
+}
+
+// within bounds every wait of these tests on the client: far above a
+// loopback round trip, below helloTimeout, so a wait that only the replica
+// deadline would end fails the test instead of passing late.
+const within = helloTimeout / 2
+
+// accepted returns the replica's next accepted connection.
+func (s *scriptedReplica) accepted(t *testing.T) *scriptedConn {
+	t.Helper()
+	select {
+	case sc := <-s.conns:
+		return sc
+	case <-time.After(within):
+		t.Fatal("the client did not dial the replica")
+		return nil
+	}
+}
+
+// next returns the next request frame the connection read.
+func (c *scriptedConn) next(t *testing.T) wire.GatewayRequest {
+	t.Helper()
+	select {
+	case req := <-c.reqs:
+		return req
+	case <-time.After(within):
+		t.Fatalf("the replica has read %d frames and no more are coming: a read is queued inside the client", c.frames.Load())
+		return wire.GatewayRequest{}
+	}
+}
+
+// answer is write from the test's goroutine.
+func (c *scriptedConn) answer(t *testing.T, id uint64, resp wire.Response) {
+	t.Helper()
+	if err := c.write(id, resp); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func scalar(v float64) wire.Response {
+	return wire.Response{OK: true, Answer: &wire.AnswerSpec{Scalar: v}, Cost: &wire.CostSpec{}}
+}
+
+// countAt is the range query whose answer over stairs(n) is i, for i up to n:
+// it tells callers' answers apart.
+func countAt(i int) query.Query {
+	return query.Query{Kind: query.RangeCount, Provider: record.YellowCab, Lo: uint16(i), Hi: uint16(i)}
+}
+
+// stairs is a table holding i records at every location i in 1..n.
+func stairs(n int) []record.Record {
+	var rs []record.Record
+	for i := 1; i <= n; i++ {
+		for j := 0; j < i; j++ {
+			rs = append(rs, yellowAt(j, uint16(i)))
+		}
+	}
+	return rs
+}
+
+// readers starts one countAt(i) read per i in 1..n and returns where each
+// one's outcome lands.
+func readers(own *OwnerSession, n int) []chan readResult {
+	out := make([]chan readResult, n+1)
+	for i := 1; i <= n; i++ {
+		out[i] = make(chan readResult, 1)
+		go func() {
+			ans, _, err := own.Query(countAt(i))
+			out[i] <- readResult{ans.Scalar, err}
+		}()
+	}
+	return out
+}
+
+type readResult struct {
+	scalar float64
+	err    error
+}
+
+// want receives one reader's outcome and holds it to the expected answer.
+func want(t *testing.T, what string, ch <-chan readResult, scalar float64, bound time.Duration) {
+	t.Helper()
+	select {
+	case r := <-ch:
+		if r.err != nil || r.scalar != scalar {
+			t.Fatalf("%s: answer %v, %v — want %v", what, r.scalar, r.err, scalar)
+		}
+	case <-time.After(bound):
+		t.Fatalf("%s did not return within %v", what, bound)
+	}
+}
+
+func wantReplicaStats(t *testing.T, conn *GatewayConn, served, stale, fallbacks int64) {
+	t.Helper()
+	if s, b, f := conn.ReplicaStats(); s != served || b != stale || f != fallbacks {
+		t.Fatalf("replica stats = served %d stale %d fallbacks %d, want %d %d %d", s, b, f, served, stale, fallbacks)
+	}
+}
+
+// TestReplicaReadsArePipelined pins that the replica link is multiplexed: N
+// reads from N callers are all on the replica's socket before any of them is
+// answered (the replica withholds every answer until it has read N frames — a
+// client that takes one replica read at a time never gets past the first),
+// and answers released in reverse order reach the callers that asked.
+func TestReplicaReadsArePipelined(t *testing.T) {
+	gw, key := startGateway(t, gateway.Config{})
+	rep := startScriptedReplica(t, nil)
+	conn, err := DialGateway(gw.Addr(), key, WithReadReplica(rep.lis.Addr().String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const n = 8
+	results := readers(conn.Owner("owner-fan-in"), n)
+	sc := rep.accepted(t)
+	var reqs [n]wire.GatewayRequest
+	for i := range reqs {
+		reqs[i] = sc.next(t)
+	}
+	for i := n - 1; i >= 0; i-- {
+		sc.answer(t, reqs[i].ID, scalar(100+float64(reqs[i].Req.Query.Lo)))
+	}
+	for i := 1; i <= n; i++ {
+		want(t, "a pipelined replica read", results[i], 100+float64(i), within)
+	}
+	wantReplicaStats(t, conn, n, 0, 0)
+	if a := rep.accepts.Load(); a != 1 {
+		t.Fatalf("%d replica connections for %d concurrent readers, want the one link", a, n)
+	}
+}
+
+// countedConn counts the raw bytes of one connection; with the hello done
+// they are exactly its frame bytes.
+type countedConn struct {
+	net.Conn
+	read, written *atomic.Int64
+}
+
+func (c countedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.read.Add(int64(n))
+	return n, err
+}
+
+func (c countedConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.written.Add(int64(n))
+	return n, err
+}
+
+// TestReplicaLinkDeathFallsBackOnce kills the replica link with K reads in
+// flight: each is answered by the primary, exactly once (served + fallbacks
+// is the number of reads issued), the next read redials, and the new
+// connection carries that read alone — nothing is replayed to a replica. Over
+// the whole exchange BytesOut and BytesIn are, to the byte, what the replica's
+// two connections and the primary received and sent.
+func TestReplicaLinkDeathFallsBackOnce(t *testing.T) {
+	gw, key := startGateway(t, gateway.Config{})
+	rep := startScriptedReplica(t, nil)
+	var primaryRead, primaryWritten atomic.Int64
+	dial := func(addr string) (net.Conn, error) {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil || addr != gw.Addr() {
+			return nc, err
+		}
+		return countedConn{nc, &primaryRead, &primaryWritten}, nil
+	}
+	conn, err := DialGateway(gw.Addr(), key, WithReadReplica(rep.lis.Addr().String()), WithDialer(dial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const k = 6
+	own := conn.Owner("owner-cut")
+	if err := own.Setup(stairs(k)); err != nil {
+		t.Fatal(err)
+	}
+	out0, in0 := conn.BytesOut()-primaryWritten.Load(), conn.BytesIn()-primaryRead.Load()
+
+	results := readers(own, k)
+	first := rep.accepted(t)
+	for i := 0; i < k; i++ {
+		first.next(t)
+	}
+	first.nc.Close()
+	for i := 1; i <= k; i++ {
+		want(t, "a read in flight on the killed link", results[i], float64(i), within)
+	}
+	wantReplicaStats(t, conn, 0, 0, k)
+
+	again := readers(own, 1)
+	second := rep.accepted(t)
+	req := second.next(t)
+	if req.Req.Query == nil || req.Req.Query.Lo != 1 {
+		t.Fatalf("the redialed replica's first frame is %+v, want the new read: a dead link's request was replayed", req)
+	}
+	second.answer(t, req.ID, scalar(42))
+	want(t, "the read after the redial", again[1], 42, within)
+	wantReplicaStats(t, conn, 1, 0, k)
+	if f1, f2 := first.frames.Load(), second.frames.Load(); f1 != k || f2 != 1 {
+		t.Fatalf("the replica read %d frames on the killed connection and %d on the next, want %d and 1", f1, f2, k)
+	}
+
+	out, in := conn.BytesOut()-primaryWritten.Load()-out0, conn.BytesIn()-primaryRead.Load()-in0
+	if sent, got := first.in.Load()+second.in.Load(), first.out.Load()+second.out.Load(); out != sent || in != got {
+		t.Fatalf("beside the primary's bytes the client counted %d out and %d in; the replica read %d and wrote %d", out, in, sent, got)
+	}
+}
+
+// TestSilentReplicaFallsBack pins the replica link's contract against a
+// replica that goes silent after the hello: the reads in flight on it — four
+// callers, one accepted connection — wait out ONE bounded deadline
+// (helloTimeout) together, not one each, and are then answered by the primary;
+// the next read redials; and a Close that races a read blocked on the replica
+// returns at once, severing the socket under it.
 func TestSilentReplicaFallsBack(t *testing.T) {
 	t.Parallel() // one helloTimeout of waiting
 	gw, key := startGateway(t, gateway.Config{})
-	silent := startSilentReplica(t)
+	silent := startScriptedReplica(t, nil)
 	conn, err := DialGateway(gw.Addr(), key, WithReadReplica(silent.lis.Addr().String()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	own := conn.Owner("owner-partitioned")
-	if err := own.Setup([]record.Record{yellowAt(0, 10), yellowAt(0, 20)}); err != nil {
+	const k = 4
+	if err := own.Setup(stairs(k)); err != nil {
 		t.Fatal(err)
 	}
 
 	start := time.Now()
-	ans, _, err := own.Query(query.Q2())
-	if err != nil || ans.Total() != 2 {
-		t.Fatalf("query behind a silent replica: %+v, %v — want the primary's answer", ans, err)
+	results := readers(own, k)
+	for i := 1; i <= k; i++ {
+		want(t, "a read behind a silent replica", results[i], float64(i), time.Until(start.Add(helloTimeout+3*time.Second)))
 	}
-	if d := time.Since(start); d > helloTimeout+3*time.Second {
-		t.Fatalf("the read took %v, want it bounded by %v", d, helloTimeout)
+	wantReplicaStats(t, conn, 0, 0, k)
+	if a := silent.accepts.Load(); a != 1 {
+		t.Fatalf("%d replica connections for %d concurrent readers, want them to share one", a, k)
 	}
-	if served, stale, fallbacks := conn.ReplicaStats(); served != 0 || stale != 0 || fallbacks != 1 {
-		t.Fatalf("replica stats = served %d stale %d fallbacks %d, want one fallback", served, stale, fallbacks)
-	}
+	silent.accepted(t)
 
 	// The next read redials, and blocks on the second silent connection.
-	blocked := make(chan error, 1)
-	go func() { _, _, err := own.Query(query.Q1()); blocked <- err }()
-	for deadline := time.Now().Add(5 * time.Second); silent.accepts.Load() < 2; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the read after a fallback did not redial the replica")
-		}
-	}
-	time.Sleep(50 * time.Millisecond) // let it reach the blocking read
-	closed := make(chan struct{})
-	go func() { conn.Close(); close(closed) }()
-	for what, ch := range map[string]<-chan struct{}{"Close": closed, "the blocked read": wait(blocked)} {
+	blocked := readers(own, 1)[1]
+	silent.accepted(t).next(t) // its frame is on the replica's socket: it is waiting for the answer
+	closed := make(chan readResult, 1)
+	go func() { closed <- readResult{err: conn.Close()} }()
+	for what, ch := range map[string]<-chan readResult{"Close": closed, "the blocked read": blocked} {
 		select {
-		case <-ch:
-		case <-time.After(helloTimeout / 2):
+		case <-ch: // the read's outcome after a Close is the connection's business, only its return matters
+		case <-time.After(within):
 			t.Fatalf("%s did not return: it is waiting out the silent replica", what)
 		}
 	}
 }
 
-// wait adapts an error channel to a signal: the read's outcome after a Close
-// is the connection's business, only its return matters.
-func wait(errs <-chan error) <-chan struct{} {
-	done := make(chan struct{})
-	go func() { <-errs; close(done) }()
-	return done
+// TestReplicaDeadlineFollowsTheOldestRead pins what the link's one deadline
+// measures: how long the oldest read in flight has waited, not how long the
+// replica has been silent. The replica withholds one answer and keeps
+// answering every other read on the same connection; the withheld read is
+// still handed to the primary after helloTimeout — answers to its neighbours
+// do not extend its wait.
+func TestReplicaDeadlineFollowsTheOldestRead(t *testing.T) {
+	t.Parallel() // one helloTimeout of waiting
+	gw, key := startGateway(t, gateway.Config{})
+	seven := scalar(7)
+	rep := startScriptedReplica(t, func(req wire.GatewayRequest) *wire.Response {
+		if req.Req.Query.Lo == 1 {
+			return nil
+		}
+		return &seven
+	})
+	conn, err := DialGateway(gw.Addr(), key, WithReadReplica(rep.lis.Addr().String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	own := conn.Owner("owner-straggler")
+	if err := own.Setup([]record.Record{yellowAt(0, 1)}); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	withheld := readers(own, 1)[1]
+	rep.accepted(t).next(t) // countAt(1) is on the replica's socket, and stays unanswered
+	for {
+		select {
+		case r := <-withheld:
+			if r.err != nil || r.scalar != 1 {
+				t.Fatalf("the withheld read: answer %v, %v — want the primary's 1", r.scalar, r.err)
+			}
+			if served, _, _ := conn.ReplicaStats(); served < 10 {
+				t.Fatalf("the replica served %d reads beside the withheld one, want a steady flow", served)
+			}
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+		if d := time.Since(start); d > helloTimeout+3*time.Second {
+			t.Fatalf("the withheld read is still waiting after %v: answers to other reads extend its deadline", d)
+		}
+		if ans, _, err := own.Query(countAt(2)); err != nil || ans.Scalar != 7 {
+			t.Fatalf("a read beside the withheld one: %v, %v — want the replica's 7", ans.Scalar, err)
+		}
+	}
 }
 
 // TestReplicaRefusalsReachTheCaller runs the two refusals only a read-only
-// connection draws through the client's replica side channel against a real
+// connection draws through the client's replica link against a real
 // replica-role gateway: the error is the code's sentinel under errors.Is, a
 // *wire.Refusal with the replica's cursor under errors.As, and readRoundTrip
 // counts the stale one on its way to the primary.
@@ -152,7 +450,7 @@ func TestReplicaRefusalsReachTheCaller(t *testing.T) {
 		_, err := conn.replicaRoundTrip("owner-x", tc.req)
 		var ref *wire.Refusal
 		if !errors.Is(err, tc.is) || !errors.As(err, &ref) || *ref != tc.want {
-			t.Errorf("%s on the replica channel: %v (%+v), want %v as %+v", tc.req.Type, err, ref, tc.is, tc.want)
+			t.Errorf("%s on the replica link: %v (%+v), want %v as %+v", tc.req.Type, err, ref, tc.is, tc.want)
 		}
 	}
 	// Through the public surface the stale refusal is the replica's problem:
@@ -160,7 +458,9 @@ func TestReplicaRefusalsReachTheCaller(t *testing.T) {
 	if _, _, err := own.QueryAt(query.Q1(), 7); err != nil {
 		t.Fatalf("QueryAt past the replica's cursor: %v", err)
 	}
-	if served, stale, fallbacks := conn.ReplicaStats(); served != 0 || stale != 1 || fallbacks != 1 {
-		t.Fatalf("replica stats = served %d stale %d fallbacks %d, want the one stale fallback", served, stale, fallbacks)
+	wantReplicaStats(t, conn, 0, 1, 1)
+	// A refusal is an answer, not a failure of the link: all three rode one.
+	if conn.replica.Load().dead() {
+		t.Fatal("a refusal killed the replica link")
 	}
 }

@@ -260,26 +260,81 @@ func BenchmarkPipelinedRoundTrip(b *testing.B) {
 				return server.reads.Load() + server.writes.Load() + cl.reads.Load() + cl.writes.Load()
 			}
 			before := calls()
-			b.ReportAllocs()
-			b.ResetTimer()
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for _, own := range owners {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					rs := []record.Record{yellow(1, 7)}
-					for next.Add(1) <= int64(b.N) {
-						if err := own.Update(rs); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
+			rs := []record.Record{yellow(1, 7)}
+			closedLoop(b, owners, func(own *client.OwnerSession, _ int64) error { return own.Update(rs) })
 			b.ReportMetric(float64(calls()-before)/float64(b.N), "syscalls/op")
+		})
+	}
+}
+
+// closedLoop is a benchmark's timed section: b.N operations, numbered from 1,
+// drawn by one caller per owner, each starting its next as its last returns.
+func closedLoop(b *testing.B, owners []*client.OwnerSession, op func(own *client.OwnerSession, i int64) error) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for _, own := range owners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+				if err := op(own, i); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+}
+
+// BenchmarkReplicaRoundTrip is the read side of BenchmarkPipelinedRoundTrip:
+// Q1–Q4 through one connection's read replica (client.WithReadReplica)
+// against a replica-role gateway holding a few replicated syncs per owner,
+// with 1, 2 and 8 callers in flight. It reports reads per second and the
+// socket calls (reads and writes, both ends of the replica connection) per
+// read; every read must have been answered by the replica.
+func BenchmarkReplicaRoundTrip(b *testing.B) {
+	queries := []query.Query{query.Q1(), query.Q2(), query.Q3(), query.Q4()}
+	for _, inflight := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("inflight=%d", inflight), func(b *testing.B) {
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			server, cl := &callCounter{}, &callCounter{}
+			rep, key := startReplica(b, gateway.Config{Shards: 1, Listener: countedListener{lis, server}})
+			primary, _ := startGateway(b, gateway.Config{Key: key})
+			conn, err := client.DialGateway(primary.Addr(), key, client.WithReadReplica(rep.Addr()), client.WithDialer(cl.dial))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { conn.Close() })
+			owners := make([]*client.OwnerSession, inflight)
+			for i := range owners {
+				owners[i] = conn.Owner(fmt.Sprintf("owner-%d", i))
+				for tick := 1; tick <= 4; tick++ {
+					replicate(b, rep, key, owners[i].OwnerID(), uint64(tick), yellow(tick, uint16(tick)), yellow(tick, uint16(tick+40)))
+				}
+				if _, _, err := owners[i].Query(queries[0]); err != nil { // dials the replica
+					b.Fatal(err)
+				}
+			}
+			calls := func() int64 {
+				return server.reads.Load() + server.writes.Load() + cl.reads.Load() + cl.writes.Load()
+			}
+			before, servedBefore := calls(), int64(inflight)
+			closedLoop(b, owners, func(own *client.OwnerSession, i int64) error {
+				_, _, err := own.Query(queries[i%4])
+				return err
+			})
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "reads/s")
+			b.ReportMetric(float64(calls()-before)/float64(b.N), "syscalls/op")
+			if served, _, fallbacks := conn.ReplicaStats(); served-servedBefore != int64(b.N) || fallbacks != 0 {
+				b.Fatalf("%d reads: the replica served %d and %d fell back to the primary", b.N, served-servedBefore, fallbacks)
+			}
 		})
 	}
 }

@@ -22,7 +22,7 @@ import (
 	"dpsync/internal/wire"
 )
 
-func startGateway(t *testing.T, cfg gateway.Config) (*gateway.Gateway, []byte) {
+func startGateway(t testing.TB, cfg gateway.Config) (*gateway.Gateway, []byte) {
 	t.Helper()
 	key := cfg.Key
 	if key == nil {

@@ -551,8 +551,9 @@ func TestWriteStallSevered(t *testing.T) {
 	}
 }
 
-// startReplica brings a replica-role gateway up over a fresh directory.
-func startReplica(t *testing.T, cfg gateway.Config) (*gateway.Gateway, []byte) {
+// startReplica brings a replica-role gateway up over a fresh directory (on
+// cfg.Listener when the caller brings one).
+func startReplica(t testing.TB, cfg gateway.Config) (*gateway.Gateway, []byte) {
 	t.Helper()
 	key, err := seal.NewRandomKey()
 	if err != nil {
@@ -570,7 +571,7 @@ func startReplica(t *testing.T, cfg gateway.Config) (*gateway.Gateway, []byte) {
 
 // replicate ships owner's sync at tick (1 is the setup) to a replica, as the
 // next live entry of a one-shard stream.
-func replicate(t *testing.T, gw *gateway.Gateway, key []byte, owner string, tick uint64, rs ...record.Record) {
+func replicate(t testing.TB, gw *gateway.Gateway, key []byte, owner string, tick uint64, rs ...record.Record) {
 	t.Helper()
 	sealer, err := seal.NewSealer(key)
 	if err != nil {
