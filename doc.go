@@ -326,26 +326,35 @@
 // the log.
 //
 // Group commit. Each shard worker owns one WAL segment and never blocks on
-// it: appends are enqueued and the shard continues serving while the log
-// writer commits the accumulated batch with one buffered write + flush
-// (+ optional fsync), then hops the completion callbacks back onto the
-// shard worker — acknowledgments and transcript events stay
-// single-goroutine, and the commit cost amortizes across every entry that
-// arrived during the previous flush (go run ./benchmark's store.group_size).
+// it: appends are enqueued (store.AppendAt, no callback per entry) and the
+// shard continues serving while the log writer commits the accumulated batch
+// with one buffered write + flush (+ optional fsync), then reports the group
+// to the shard's commit hook — one store.Group value, {N, Err, Start, End},
+// on one channel send, however many syncs it carried. The worker keeps its
+// appends in flight by value, in append order ({tenant, batch, reply, append
+// time}, primary syncs and a replica's own appends alike), and finishes the
+// group's N oldest on its own goroutine — acknowledgments and transcript
+// events stay single-goroutine, nothing is built per append, the writer's
+// queue keeps its capacity from group to group, and the commit cost
+// amortizes across every entry that arrived during the previous flush (go
+// run ./benchmark's store.group_size).
 //
-// One encoding per entry. The CRC frame the WAL append builds is the
-// entry's canonical form — on the WAL, in history segments and on the
-// replication stream the bytes are the same — so a store.Batch carries that
-// frame by reference once it exists, and every later writer wraps it
-// (store.Entry.Frame) instead of encoding the batch again. Two places set
-// it: Store.AppendTraced, where the live path encodes a sync for its WAL
-// (the only encode that sync ever gets; the batch's Sealed is re-pointed
-// into the frame there, so the request payload the ciphertexts arrived in is
-// not pinned beside it for as long as the batch sits in the history tail),
-// and the frame decoders (DecodeEntryFrame on a replica, segment scans and
-// StreamHistory in recovery), which have just CRC-verified the bytes they
-// parsed. Three places wrap it: the spill out of the tail, the replication
-// hub's Committed, and a replica's own WAL append of a shipped entry. The
+// One encoding per entry. The CRC frame of an entry is its canonical form —
+// on the WAL, in history segments and on the replication stream the bytes
+// are the same — so a store.Batch carries that frame by reference once it
+// exists, and every later writer wraps it (store.Entry.Frame) instead of
+// encoding the batch again. Two places set it: the gateway's connection
+// reader, which decodes a sync straight into the frame its batch will carry
+// (store.SyncEntry: the owner, the sync's Seq as its tick, the setup flag and
+// the charge, the ciphertexts copied out of the request's uniform-width block
+// — the only encode that sync ever gets, its CRC computed off the serial
+// shard worker, and the connection's one read buffer free for the next frame
+// as soon as the sync is decoded), and the frame decoders (DecodeEntryFrame
+// on a replica, segment scans and StreamHistory in recovery), which have
+// just CRC-verified the bytes they parsed. The shard worker uses a sync's
+// frame only when the sync is the tenant's next tick; a duplicate, a gap or a
+// refused charge drops it untouched. Three places wrap it: the WAL append, the
+// spill out of the tail and the replication hub's Committed. The
 // carried frame is re-derived rather than trusted whenever it is absent (a
 // hand-built store.Entry, a batch decoded from a snapshot's inline tail) or
 // does not fit the entry it rides on — its length is not exactly what the
@@ -606,7 +615,14 @@
 // latency into queue-wait / apply / WAL-commit / ack stage histograms (the
 // ack stage, and the client-admit root span, end after the flush that put
 // the response's bytes on the socket — a response that shared a write is
-// still observed once, when that write returns); the
+// still observed once, when that write returns). The stages are contiguous
+// and each boundary is one clock read, shared by the stage it ends and the
+// stage it starts: admission (the reader), dequeue (the shard worker; also
+// apply start), apply end (also the WAL append time), the WAL writer's group
+// commit time (the end of commit and start of ack for every sync in the
+// group), and the connection writer's flush (every response it carried) —
+// three reads per durable sync plus one per group and one per flush, where
+// there were ten; the
 // store's group-commit writer records group size and flush+fsync latency
 // plus WAL, snapshot, and spill counters; the replication hub exports
 // per-follower cursor lag in both entries and milliseconds; the cluster node
@@ -632,7 +648,8 @@
 // recorder (telemetry.Tracer) whose unit of capture is one sync's span tree
 // across every layer it crosses. The taxonomy is fixed — client-admit at
 // the gateway root; queue-wait and apply on the shard worker; wal-flush
-// (one shared span per group commit) with a wal-commit child per entry;
+// (the group commit's write) with the entry's wal-commit under it, both
+// recorded by the shard worker from the group's report;
 // repl-ship on the replication sender; follower-apply on the far node,
 // which joins the same trace through the trace ID and parent span a sampled
 // entry's replication frame carries (the hub frames each entry once: the

@@ -88,17 +88,34 @@ type GatewayConn struct {
 	// round trip, so any number of reads are in flight on the link at once.
 	// It never replays and never reconnects in the background: reads are
 	// side-effect free, so when it dies every read in flight on it fails over
-	// to the primary, once, and the next read redials. Close must not wait for
-	// a dial, so it takes no lock: it sets closed and then closes the link it
-	// finds, the dialer stores its link and then looks at closed, and one of
-	// the two always sees the other.
+	// to the primary, once, and the next read redials; so does every read
+	// that waited for a dial that failed (rdials counts the dials, rerr is the
+	// last one's failure, under rmu). Close must not wait for a dial, so it
+	// takes no lock: it sets closed and then closes the link it finds, the
+	// dialer stores its link and then looks at closed, and one of the two
+	// always sees the other.
 	rmu     sync.Mutex
 	replica atomic.Pointer[link]
+	rdials  atomic.Uint64
+	rerr    error
 	closed  atomic.Bool
 
 	replicaServed    atomic.Int64
 	replicaBehind    atomic.Int64
 	replicaFallbacks atomic.Int64
+
+	// The backend's identity (scheme, §6 leakage class, outsourced record
+	// width): one backend constructor serves every tenant of a node, so the
+	// first stats probe that answers speaks for all of the connection's
+	// owners (see OwnerSession.info).
+	backend atomic.Pointer[backendInfo]
+}
+
+// backendInfo is a node's backend identity as a stats probe reports it.
+type backendInfo struct {
+	scheme string
+	leak   edb.LeakageClass
+	width  int64
 }
 
 // traffic counts frame bytes (4-byte length prefixes included) across a
@@ -435,8 +452,11 @@ func (c *GatewayConn) ReplicaStats() (served, stale, fallbacks int64) {
 // replicaLink returns the live link to the read replica, opening one — the
 // read-only hello, no reconnect, every wait bounded by helloTimeout — when
 // there is none or the last one died. Readers that arrive during a dial wait
-// for it under rmu and share the link it produced.
+// for it under rmu and share its outcome: the link it produced, or its
+// failure — so K readers behind a replica that never acks the hello wait one
+// helloTimeout, not K, and fall back to the primary; the next read redials.
 func (c *GatewayConn) replicaLink() (*link, error) {
+	dials := c.rdials.Load()
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	if l := c.replica.Load(); l != nil && !l.dead() {
@@ -445,10 +465,15 @@ func (c *GatewayConn) replicaLink() (*link, error) {
 	if c.closed.Load() {
 		return nil, errClosed
 	}
+	if c.rdials.Load() != dials && c.rerr != nil {
+		return nil, c.rerr // a dial ended while this read waited, and failed
+	}
 	l, err := c.openLink(&link{
 		dial:    func() (net.Conn, error) { return c.dialOne(c.readAddr, wire.WriteReadHello) },
 		timeout: helloTimeout,
 	})
+	c.rerr = err
+	c.rdials.Add(1)
 	if err != nil {
 		return nil, err
 	}
@@ -849,12 +874,8 @@ type OwnerSession struct {
 	acked      []ackedSync
 	ackedStart int
 
-	mu       sync.Mutex
-	stats    edb.StorageStats
-	infoDone bool
-	scheme   string
-	leak     edb.LeakageClass
-	width    int64
+	mu    sync.Mutex
+	stats edb.StorageStats
 }
 
 // OwnerID returns the owner namespace this session addresses.
@@ -943,34 +964,32 @@ func (s *OwnerSession) resyncLocked(clock uint64) error {
 }
 
 // info returns the backend's identity (scheme name, §6 leakage class,
-// outsourced record width), fetched from the gateway via a stats round
-// trip and cached on first success. A failed fetch is NOT cached — the
-// next call retries — and, failing closed, reports leakage class L2
-// (incompatible): an unidentified backend must never pass the §6 gate as
-// leak-free by default. Concurrent first calls may race to duplicate the
-// round trip; both cache the same answer.
+// outsourced record width), fetched from the gateway via a stats round trip
+// the first time any owner on the connection asks and cached on the
+// connection on first success: every tenant of a node has the same backend,
+// so an owner's attach costs no probe of its own once one has answered. A
+// failed fetch is NOT cached — the next call retries — and, failing closed,
+// reports leakage class L2 (incompatible): an unidentified backend must never
+// pass the §6 gate as leak-free by default. Concurrent first calls may race to
+// duplicate the round trip; the first answer wins.
 func (s *OwnerSession) info() (scheme string, leak edb.LeakageClass, width int64) {
-	s.mu.Lock()
-	if s.infoDone {
-		defer s.mu.Unlock()
-		return s.scheme, s.leak, s.width
+	bi := s.conn.backend.Load()
+	if bi == nil {
+		resp, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: wire.MsgStats})
+		if err != nil || resp.Stats == nil {
+			return "remote", edb.L2, obliBlockBytes
+		}
+		fetched := &backendInfo{scheme: "remote", leak: edb.LeakageClass(resp.Stats.Leakage), width: obliBlockBytes}
+		if resp.Stats.Scheme != "" {
+			fetched.scheme = resp.Stats.Scheme
+		}
+		if w := outsourcedWidth(resp.Stats.Scheme); w > 0 {
+			fetched.width = w
+		}
+		s.conn.backend.CompareAndSwap(nil, fetched)
+		bi = s.conn.backend.Load()
 	}
-	s.mu.Unlock()
-	resp, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: wire.MsgStats})
-	if err != nil || resp.Stats == nil {
-		return "remote", edb.L2, obliBlockBytes
-	}
-	scheme, leak, width = "remote", edb.LeakageClass(resp.Stats.Leakage), obliBlockBytes
-	if resp.Stats.Scheme != "" {
-		scheme = resp.Stats.Scheme
-	}
-	if w := outsourcedWidth(resp.Stats.Scheme); w > 0 {
-		width = w
-	}
-	s.mu.Lock()
-	s.scheme, s.leak, s.width, s.infoDone = scheme, leak, width, true
-	s.mu.Unlock()
-	return scheme, leak, width
+	return bi.scheme, bi.leak, bi.width
 }
 
 // obliBlockBytes mirrors oblidb.BlockBytes; the client mirrors the widths

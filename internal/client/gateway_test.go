@@ -3,10 +3,12 @@ package client
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dpsync/internal/edb"
 	"dpsync/internal/gateway"
+	"dpsync/internal/oblidb"
 	"dpsync/internal/query"
 	"dpsync/internal/record"
 	"dpsync/internal/seal"
@@ -49,6 +51,50 @@ func TestOwnerSessionImplementsDatabase(t *testing.T) {
 	}
 	if own.OwnerID() != "owner-1" {
 		t.Errorf("owner id = %q", own.OwnerID())
+	}
+}
+
+// statsCounted is a backend that counts the stats probes it answers.
+type statsCounted struct {
+	edb.Database
+	n *atomic.Int64
+}
+
+func (s statsCounted) Stats() edb.StorageStats { s.n.Add(1); return s.Database.Stats() }
+
+// TestBackendIdentityProbedOncePerConnection pins that an owner's attach is
+// two round trips (resume, setup), not three: the backend's identity is the
+// node's, so the first stats probe that answers is cached on the connection
+// for every owner on it. A probe that fails is not cached and reports L2.
+func TestBackendIdentityProbedOncePerConnection(t *testing.T) {
+	var probes atomic.Int64
+	var key []byte // startGateway's, set before any request can build a backend
+	gw, key := startGateway(t, gateway.Config{NewBackend: func(owner string) (edb.Database, error) {
+		if owner == "owner-broken" {
+			return nil, fmt.Errorf("no backend for %s", owner)
+		}
+		db, err := oblidb.NewWithKey(key)
+		return statsCounted{db, &probes}, err
+	}})
+	conn, err := DialGateway(gw.Addr(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if leak := conn.Owner("owner-broken").Leakage(); leak != edb.L2 {
+		t.Fatalf("a failed probe reports %v, want L2 (fail closed)", leak)
+	}
+	const n = 8
+	for i := 0; i < n; i++ {
+		if err := conn.Owner(fmt.Sprintf("owner-%d", i)).Setup([]record.Record{yellowAt(i, 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := probes.Load(); got != 1 {
+		t.Fatalf("%d owners' setups on one connection made %d stats probes, want 1", n, got)
+	}
+	if leak := conn.Owner("owner-broken").Leakage(); leak != edb.L0 {
+		t.Fatalf("after a probe answered, the connection reports %v, want the backend's L0", leak)
 	}
 }
 

@@ -365,6 +365,64 @@ func TestSilentReplicaFallsBack(t *testing.T) {
 	}
 }
 
+// TestHelloSilentReplicaFallsBackOnce pins the dial half of the same
+// contract, against a replica that accepts TCP and reads the hello but never
+// acks it: four concurrent reads wait out ONE dial (helloTimeout) together —
+// those queued behind the dial take its failure instead of dialing again —
+// and are answered by the primary, over one accepted connection.
+func TestHelloSilentReplicaFallsBackOnce(t *testing.T) {
+	t.Parallel() // one helloTimeout of waiting
+	gw, key := startGateway(t, gateway.Config{})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepts atomic.Int64
+	var mu sync.Mutex
+	var open []net.Conn
+	go func() {
+		for {
+			nc, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			mu.Lock()
+			open = append(open, nc)
+			mu.Unlock()
+			var hello [5]byte
+			_, _ = io.ReadFull(nc, hello[:]) // and never a word back
+		}
+	}()
+	t.Cleanup(func() {
+		lis.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, nc := range open {
+			nc.Close()
+		}
+	})
+	conn, err := DialGateway(gw.Addr(), key, WithReadReplica(lis.Addr().String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	own := conn.Owner("owner-hello-silent")
+	const k = 4
+	if err := own.Setup(stairs(k)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	results := readers(own, k)
+	for i := 1; i <= k; i++ {
+		want(t, "a read behind a replica that never acks the hello", results[i], float64(i), time.Until(start.Add(helloTimeout+3*time.Second)))
+	}
+	wantReplicaStats(t, conn, 0, 0, k)
+	if a := accepts.Load(); a != 1 {
+		t.Fatalf("%d replica dials for %d concurrent readers, want them to share one", a, k)
+	}
+}
+
 // TestReplicaDeadlineFollowsTheOldestRead pins what the link's one deadline
 // measures: how long the oldest read in flight has waited, not how long the
 // replica has been silent. The replica withholds one answer and keeps

@@ -172,7 +172,7 @@ func TestHubShipsOneEncodingPerEntry(t *testing.T) {
 	// both senders to go idle first.
 	hub.Flush(5 * time.Second)
 	for _, tc := range sampled {
-		tracer.Finish(tc, "client-admit")
+		tracer.Finish(tc, "client-admit", time.Now())
 	}
 	recent := tracer.Dump().Recent
 	if len(recent) != len(sampled) {

@@ -94,13 +94,19 @@ const (
 	// connection readers block on the send — backpressure propagates to the
 	// TCP receive window instead of growing a queue.
 	shardQueueLen = 128
-	// completionQueueLen is the per-shard buffer for WAL commit callbacks
-	// hopping from the log writer back onto the shard worker. The worker
-	// always drains it (it never blocks on sends), so the WAL writer cannot
-	// deadlock against it; the buffer just decouples commit bursts.
-	completionQueueLen = 256
+	// groupQueueLen is the per-shard buffer for group-commit reports hopping
+	// from the log writer back onto the shard worker, one per group. The
+	// worker always drains it (it never blocks on sends), so the WAL writer
+	// cannot deadlock against it; the buffer just decouples commit bursts.
+	groupQueueLen = 256
 	// maxErrorLogs bounds per-connection error logging.
 	maxErrorLogs = 3
+	// maxKeptPayload bounds the read buffer a connection keeps between
+	// frames: a larger frame (a bulk setup) is read into a buffer that is
+	// dropped after it, not pinned for the connection's life.
+	maxKeptPayload = 64 << 10
+	// maxInterned bounds a connection's owner-ID table (clientConn.intern).
+	maxInterned = 4096
 )
 
 // Config assembles a Gateway.
@@ -310,11 +316,11 @@ type gwMetrics struct {
 	unreg func()
 }
 
-// timedResponse is one response queued for a connection writer, carrying its
-// enqueue timestamp (UnixNano; 0 when telemetry is off) so the writer can
-// observe the ack stage — response enqueue to frame on the wire — and the
-// request's trace context so the writer can finish the trace once the frame
-// is actually on the wire.
+// timedResponse is one response queued for a connection writer, carrying the
+// time it was ready (UnixNano; 0 when untimed) so the writer can observe the
+// ack stage — response ready to frame on the wire — and the request's trace
+// context so the writer can finish the trace once the frame is actually on
+// the wire.
 type timedResponse struct {
 	resp wire.GatewayResponse
 	enq  int64
@@ -470,15 +476,18 @@ func newGateway(addr string, cfg Config, replica bool) (*Gateway, error) {
 	g.shards = make([]*shard, cfg.Shards)
 	for i := range g.shards {
 		g.shards[i] = &shard{
-			id:          i,
-			tasks:       make(chan task, shardQueueLen),
-			completions: make(chan func(), completionQueueLen),
-			owners:      map[string]*Tenant{},
+			id:     i,
+			tasks:  make(chan task, shardQueueLen),
+			groups: make(chan store.Group, groupQueueLen),
+			owners: map[string]*Tenant{},
 		}
 	}
 	if cfg.StoreDir != "" {
 		if err := g.openStore(); err != nil {
 			return fail(err)
+		}
+		for _, sh := range g.shards {
+			g.store.OnCommit(sh.id, sh.reportGroup)
 		}
 	}
 	if cfg.Listener != nil {
@@ -579,7 +588,17 @@ func (g *Gateway) Serve() error {
 			return err
 		}
 		delay = 0
+		// The slot is taken under mu, so it is never added while shutdown,
+		// which marks the gateway closed under mu first, waits on connWG. A
+		// connection accepted once shutdown has begun is dropped.
+		g.mu.Lock()
+		if g.closed {
+			g.mu.Unlock()
+			conn.Close()
+			return nil
+		}
 		g.connWG.Add(1)
+		g.mu.Unlock()
 		go g.handle(conn) // handle owns the connWG slot (may trade it for replWG)
 	}
 }
@@ -1030,10 +1049,16 @@ func (g *Gateway) handle(conn net.Conn) {
 		defer close(writerDone)
 		cc.writeLoop(fc, conn)
 	}()
+	// One payload buffer for the connection's every frame: a sync is decoded
+	// into its own entry frame and nothing else a request decodes to points
+	// into the payload, so it is free again once admitFrame returns.
+	var payload []byte
 	for {
-		// A fresh payload per frame: the decoded request's Sealed aliases it
-		// and outlives this loop iteration (backend, WAL, history tail).
-		payload, err := fc.ReadFrame(nil)
+		var err error
+		if cap(payload) > maxKeptPayload {
+			payload = nil
+		}
+		payload, err = fc.ReadFrame(payload)
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				if errors.Is(err, os.ErrDeadlineExceeded) {
@@ -1082,7 +1107,8 @@ type clientConn struct {
 	respCh    chan timedResponse
 	inflight  atomic.Int64
 	pending   sync.WaitGroup
-	frameErrs int // malformed frames so far; reader goroutine only
+	frameErrs int               // malformed frames so far; reader goroutine only
+	owners    map[string]string // intern's table; reader goroutine only
 }
 
 // admit reserves an inflight slot for one response. Reader-side replies
@@ -1093,12 +1119,15 @@ func (c *clientConn) admit() { c.inflight.Add(1); c.pending.Add(1) }
 // reply queues one response for the writer, and counts it if it is a
 // refusal — every reply passes here, from the reader and from the shards. It
 // never blocks: respCh holds every response admit has reserved a slot for.
-func (c *clientConn) reply(id uint64, resp wire.Response, tc telemetry.TraceContext) {
+// at is when the response was ready (UnixNano), the start of its ack stage,
+// if the caller has read the clock already; 0 reads it here when telemetry
+// is on.
+func (c *clientConn) reply(id uint64, resp wire.Response, tc telemetry.TraceContext, at int64) {
 	if resp.Refusal != nil {
 		c.g.refusals[resp.Refusal.Code].Add(1)
 	}
-	tr := timedResponse{resp: wire.GatewayResponse{ID: id, Resp: resp}, tc: tc}
-	if c.g.tm.on {
+	tr := timedResponse{resp: wire.GatewayResponse{ID: id, Resp: resp}, enq: at, tc: tc}
+	if at == 0 && c.g.tm.on {
 		tr.enq = time.Now().UnixNano()
 	}
 	c.respCh <- tr
@@ -1108,13 +1137,34 @@ func (c *clientConn) reply(id uint64, resp wire.Response, tc telemetry.TraceCont
 // refuse answers a frame from the reader, without a shard.
 func (c *clientConn) refuse(id uint64, code wire.RefusalCode, detail string) {
 	c.admit()
-	c.reply(id, wire.Refuse(code, 0, detail), telemetry.TraceContext{})
+	c.reply(id, wire.Refuse(code, 0, detail), telemetry.TraceContext{}, 0)
+}
+
+// intern returns the owner ID b names as a string, allocated only the first
+// time the connection sees it: a pipelined connection carries a fleet's
+// requests, and their owner IDs repeat. The table is bounded (maxInterned),
+// so a peer that invents IDs grows nothing without limit. Reader goroutine
+// only.
+func (c *clientConn) intern(b []byte) string {
+	if s, ok := c.owners[string(b)]; ok {
+		return s
+	}
+	if c.owners == nil {
+		c.owners = make(map[string]string)
+	} else if len(c.owners) >= maxInterned {
+		clear(c.owners)
+	}
+	s := string(b)
+	c.owners[s] = s
+	return s
 }
 
 // admitFrame is the reader's work for one frame: decode it, refuse it here
 // (malformed, ownerless, an unsequenced sync, a write on a read-only
 // connection, over the in-flight cap) or hand it to the owner's shard as a
-// task. It reports
+// task — a sync decoded straight into the entry frame its batch will carry,
+// so the frame's encode and CRC run here rather than on the serial shard
+// worker, and nothing the task holds points into payload. It reports
 // whether the connection keeps being served.
 func (c *clientConn) admitFrame(payload []byte) bool {
 	g := c.g
@@ -1128,68 +1178,76 @@ func (c *clientConn) admitFrame(payload []byte) bool {
 		g.severed.Add(1)
 		return false
 	}
-	greq, err := wire.CodecBinary.DecodeGatewayRequest(payload)
+	f, err := wire.ParseGatewayRequest(payload)
 	if err != nil {
 		c.frameErrs++
 		c.logf("malformed frame (%d/%d): %v", c.frameErrs, g.cfg.MaxFrameErrors, err)
-		c.refuse(greq.ID, wire.CodeBadRequest, err.Error())
+		c.refuse(f.ID, wire.CodeBadRequest, err.Error())
 		if c.frameErrs >= g.cfg.MaxFrameErrors {
 			c.logf("closing connection after %d malformed frames", c.frameErrs)
 			return false
 		}
 		return true
 	}
-	if greq.Owner == "" {
-		c.refuse(greq.ID, wire.CodeBadRequest, "gateway: missing owner id")
+	if len(f.Owner) == 0 {
+		c.refuse(f.ID, wire.CodeBadRequest, "gateway: missing owner id")
 		return true
 	}
-	sync := greq.Req.Type == wire.MsgSetup || greq.Req.Type == wire.MsgUpdate
-	if sync && greq.Req.Seq == 0 {
+	setup := f.Req.Type == wire.MsgSetup
+	sync := setup || f.Req.Type == wire.MsgUpdate
+	if sync && f.Req.Seq == 0 {
 		// Every sync claims its tick. Refused here, before the shard's
 		// duplicate rule (0 ≤ any applied seq) could ack it as a retransmit,
 		// and before a setup could allocate a namespace.
-		c.refuse(greq.ID, wire.CodeBadRequest, "gateway: unsequenced sync (seq 0)")
+		c.refuse(f.ID, wire.CodeBadRequest, "gateway: unsequenced sync (seq 0)")
 		return true
 	}
-	if c.readOnly && (sync || greq.Req.Type == wire.MsgResume) {
-		c.refuse(greq.ID, wire.CodeNotPrimary, "")
+	if c.readOnly && (sync || f.Req.Type == wire.MsgResume) {
+		c.refuse(f.ID, wire.CodeNotPrimary, "")
 		return true
 	}
 	if int(c.inflight.Load()) >= maxInFlight {
 		// Load shed: refuse without touching tenant state, so the client can
 		// back off and retry — application state (clock, ledger, transcript)
 		// is untouched, which is what keeps a shed privacy-neutral.
-		c.refuse(greq.ID, wire.CodeBackpressure, "")
+		c.refuse(f.ID, wire.CodeBackpressure, "")
 		return true
 	}
+	owner := c.intern(f.Owner)
+	// Only the setup protocol creates a namespace (peek otherwise):
+	// queries, updates, resumes, and stats probes against unknown owners
+	// must not let a read-only request stream allocate backend state.
+	t := task{owner: owner, peek: !setup, req: f.Req}
+	if sync {
+		// The entry this sync's batch will carry if the shard applies it:
+		// Seq is its tick. A frame the codec accepted always fits one.
+		e, err := store.SyncEntry(owner, f.Req.Seq, setup, g.chargeFor(setup), f.Width, f.Block)
+		if err != nil {
+			c.refuse(f.ID, wire.CodeBadRequest, err.Error())
+			return true
+		}
+		t.bt = e.Batch
+	}
 	c.admit()
-	// Trace admission: one atomic add decides sampling; the admission
-	// timestamp doubles as the queue-wait stage's start, so tracing and
-	// telemetry share a single clock read.
+	// Admission is the first stage boundary: one clock read starts the
+	// queue-wait stage and the trace, and one atomic add decides sampling.
 	var tc telemetry.TraceContext
-	var at int64
 	if g.tm.on || g.cfg.Tracer != nil {
 		now := time.Now()
-		at = now.UnixNano()
+		t.at = now.UnixNano()
 		tc = g.cfg.Tracer.Admit("client-admit", now)
 		if tc.Sampled() && g.cfg.DebugTenantMetrics {
 			// Tenant identity on a trace only behind the same debug gate
 			// as per-tenant metrics, and only as the owner hash.
-			tc.SetAttr("owner_hash=" + telemetry.OwnerHash(greq.Owner))
+			tc.SetAttr("owner_hash=" + telemetry.OwnerHash(owner))
 		}
 	}
-	// Only the setup protocol creates a namespace (peek otherwise):
-	// queries, updates, resumes, and stats probes against unknown owners
-	// must not let a read-only request stream allocate backend state.
-	t := task{
-		owner: greq.Owner, peek: greq.Req.Type != wire.MsgSetup, at: at,
-		req: greq.Req, reply: replyTo{conn: c, id: greq.ID, tc: tc},
-	}
+	t.reply = replyTo{conn: c, id: f.ID, tc: tc}
 	// A reader that outlives the shard workers (its accept raced Close's
 	// wait for connections) must not leave a task in a queue nobody serves:
 	// quit is checked first — a nil queue takes nothing — then raced against
 	// a full one.
-	tasks := g.shardFor(greq.Owner).tasks
+	tasks := g.shardFor(owner).tasks
 	select {
 	case <-g.quit:
 		tasks = nil
@@ -1258,20 +1316,22 @@ func (c *clientConn) writeLoop(fc *wire.Conn, conn net.Conn) {
 }
 
 // acked ends the ack stage and the trace of every response a flush just put
-// on the wire, and drops the batch's trace records.
+// on the wire, all at the flush's one clock read, and drops the batch's trace
+// records.
 func (c *clientConn) acked(batch []timedResponse) {
 	if len(batch) == 0 {
 		return
 	}
-	now := time.Now().UnixNano()
+	now := time.Now()
+	ns := now.UnixNano()
 	for _, r := range batch {
 		if r.enq != 0 {
-			c.g.tm.ack.ObserveEx(float64(now-r.enq)/1e3, r.tc.TraceID())
+			c.g.tm.ack.ObserveEx(float64(ns-r.enq)/1e3, r.tc.TraceID())
 		}
 		// The request's trace ends here (root span client-admit = admission
 		// → ack written). Unsampled-but-slow syncs are captured by the same
 		// call.
-		c.g.cfg.Tracer.Finish(r.tc, "client-admit")
+		c.g.cfg.Tracer.Finish(r.tc, "client-admit", now)
 	}
 	clear(batch)
 }

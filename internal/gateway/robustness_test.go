@@ -208,7 +208,7 @@ func waitUntil(t *testing.T, within time.Duration, what string, cond func() bool
 
 // rawGatewayConn dials the gateway and completes the binary-codec hello,
 // returning the bare transport for protocol-level tests.
-func rawGatewayConn(t *testing.T, addr string) net.Conn {
+func rawGatewayConn(t testing.TB, addr string) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

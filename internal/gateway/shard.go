@@ -29,20 +29,23 @@ type task struct {
 	peek bool
 	// req and reply are a client request and where its one response goes.
 	// They ride in the task by value, so admitting a request allocates no
-	// closure; run is nil then.
+	// closure; run is nil then. A sync's batch is bt — already in the
+	// canonical entry frame the connection reader decoded it into
+	// (store.SyncEntry) — and req.Sealed is nil.
 	req   wire.Request
+	bt    store.Batch
 	reply replyTo
 	run   func(tn *Tenant, err error)
-	// at is the enqueue timestamp (UnixNano; 0 when telemetry and tracing are
-	// both off) — the shard worker observes queue wait at dequeue.
+	// at is the admission timestamp (UnixNano; 0 when telemetry and tracing
+	// are both off) — the shard worker observes queue wait at dequeue.
 	at int64
 }
 
 // replyTo addresses one request's response: the connection that asked, the
 // request ID the client matches on, and the request's trace context (zero
 // when unsampled) under whose root the shard worker records the queue-wait
-// and apply spans. A reply deferred behind a commit captures it in a closure;
-// every other reply is a direct send.
+// and apply spans. A reply deferred behind a commit rides in the shard's WAL
+// queue or a tenant's parked reads; every other reply is a direct send.
 type replyTo struct {
 	conn *clientConn
 	id   uint64
@@ -50,21 +53,27 @@ type replyTo struct {
 }
 
 // send delivers the request's one response.
-func (r replyTo) send(resp wire.Response) { r.conn.reply(r.id, resp, r.tc) }
+func (r replyTo) send(resp wire.Response) { r.conn.reply(r.id, resp, r.tc, 0) }
 
-// shard is one worker's state: its task queue, its commit-completion queue,
-// and the tenants hashed onto it. owners and the WAL bookkeeping fields are
-// touched only by the shard's goroutine — no lock.
+// sendAt is send when the caller has already read the clock: at (UnixNano)
+// ends the stage before the reply and starts its ack stage.
+func (r replyTo) sendAt(resp wire.Response, at int64) { r.conn.reply(r.id, resp, r.tc, at) }
+
+// shard is one worker's state: its task queue, the group-commit reports the
+// WAL writer sends it, the appends those reports complete, and the tenants
+// hashed onto it. owners and the WAL bookkeeping fields are touched only by
+// the shard's goroutine — no lock.
 type shard struct {
-	id          int
-	tasks       chan task
-	completions chan func()
-	owners      map[string]*Tenant
+	id     int
+	tasks  chan task
+	groups chan store.Group
+	owners map[string]*Tenant
 
-	// pendingWAL counts this shard's appended-but-uncommitted entries;
-	// snapWanted — set when the store reports a rotation due after an append
-	// — asks the worker to quiesce and rotate. Durable mode only.
-	pendingWAL int
+	// wal holds this shard's appended-but-uncommitted entries in append
+	// order — a group's report completes the oldest it counts; snapWanted —
+	// set when the store reports a rotation due after an append — asks the
+	// worker to quiesce and rotate. Durable mode only.
+	wal        []walWait
 	snapWanted bool
 
 	// applied is the replication stream offset this shard has applied: the
@@ -73,7 +82,7 @@ type shard struct {
 	// freshness bound is checked against it on this worker.
 	applied uint64
 
-	// pendingAtomic mirrors pendingWAL, committedAtomic counts committed
+	// pendingAtomic mirrors len(wal), committedAtomic counts committed
 	// entries and appliedAtomic mirrors applied, all written only by the shard
 	// worker. They exist so the telemetry collector, ShardStatuses and a
 	// replica's rejoin can read durable progress without enqueuing onto the
@@ -83,11 +92,27 @@ type shard struct {
 	appliedAtomic   atomic.Uint64
 }
 
-// addPending moves the shard's in-flight WAL append count and its mirror.
-func (sh *shard) addPending(d int) {
-	sh.pendingWAL += d
-	sh.pendingAtomic.Store(int64(sh.pendingWAL))
+// walWait is one append in flight on the shard's WAL, kept by value until the
+// group commit that completes it is reported: the tenant it advances, its
+// batch, and for a live sync the reply its commit answers and its append time
+// (UnixNano; 0 untimed). A replica's append of a shipped entry has no reply.
+type walWait struct {
+	tn    *Tenant
+	bt    store.Batch
+	reply replyTo
+	at    int64
 }
+
+// push queues one append the store has taken.
+func (sh *shard) push(w walWait) {
+	sh.wal = append(sh.wal, w)
+	sh.pendingAtomic.Store(int64(len(sh.wal)))
+}
+
+// reportGroup is the shard's store commit hook: it runs on the WAL writer and
+// hands the group to the shard worker — one send a group, never a closure.
+// The worker always receives, so the writer cannot deadlock against it.
+func (sh *shard) reportGroup(grp store.Group) { sh.groups <- grp }
 
 // setApplied moves the shard's applied stream offset and its mirror.
 func (sh *shard) setApplied(offset uint64) {
@@ -95,11 +120,11 @@ func (sh *shard) setApplied(offset uint64) {
 	sh.appliedAtomic.Store(offset)
 }
 
-// runShard is the worker loop. Completions (commit callbacks from the WAL
-// writer) and tasks are served from one goroutine, so every tenant mutation
-// — apply-time and commit-time alike — stays single-threaded. When a
-// snapshot is due the worker quiesces: it stops taking new tasks, drains
-// its in-flight commits, rotates the log, then resumes.
+// runShard is the worker loop. Group-commit reports from the WAL writer and
+// tasks are served from one goroutine, so every tenant mutation — apply-time
+// and commit-time alike — stays single-threaded. When a snapshot is due the
+// worker quiesces: it stops taking new tasks, drains its in-flight commits,
+// rotates the log, then resumes.
 //
 // The loop exits when the gateway closes; by then every connection has
 // drained (Close waits for handlers before signaling quit), so only
@@ -107,10 +132,13 @@ func (sh *shard) setApplied(offset uint64) {
 // be queued — the drain below serves them instead of stranding the caller.
 func (g *Gateway) runShard(sh *shard) {
 	defer g.shardWG.Done()
-	serve := func(t task) {
+	serve := func(t *task) {
+		// Dequeue ends the queue-wait stage and starts apply: one clock read.
+		var deq int64
 		if t.at != 0 {
 			now := time.Now()
-			g.tm.qwait.ObserveEx(float64(now.UnixNano()-t.at)/1e3, t.reply.tc.TraceID())
+			deq = now.UnixNano()
+			g.tm.qwait.ObserveEx(float64(deq-t.at)/1e3, t.reply.tc.TraceID())
 			t.reply.tc.Record("queue-wait", time.Unix(0, t.at), now)
 		}
 		tn, err := g.tenantFor(sh, t.owner, t.peek)
@@ -120,21 +148,21 @@ func (g *Gateway) runShard(sh *shard) {
 		case err != nil:
 			t.reply.send(failed(err))
 		default:
-			g.dispatch(sh, tn, t.owner, t.req, t.reply)
+			g.dispatch(sh, tn, t, deq)
 		}
 	}
 	for {
-		if sh.snapWanted && sh.pendingWAL == 0 {
+		if sh.snapWanted && len(sh.wal) == 0 {
 			g.snapshotShard(sh)
 			sh.snapWanted = false
 		}
 		if sh.snapWanted {
-			// Quiesce: only commit completions until in-flight appends
-			// drain. New tasks wait in the queue; backpressure propagates
-			// through the bounded channel to the connection readers.
+			// Quiesce: only group commits until in-flight appends drain. New
+			// tasks wait in the queue; backpressure propagates through the
+			// bounded channel to the connection readers.
 			select {
-			case f := <-sh.completions:
-				f()
+			case grp := <-sh.groups:
+				g.commitGroup(sh, grp)
 			case <-g.quit:
 				g.drainShard(sh, serve)
 				return
@@ -142,10 +170,10 @@ func (g *Gateway) runShard(sh *shard) {
 			continue
 		}
 		select {
-		case f := <-sh.completions:
-			f()
+		case grp := <-sh.groups:
+			g.commitGroup(sh, grp)
 		case t := <-sh.tasks:
-			serve(t)
+			serve(&t)
 		case <-g.quit:
 			g.drainShard(sh, serve)
 			return
@@ -157,23 +185,91 @@ func (g *Gateway) runShard(sh *shard) {
 // shard's in-flight WAL commits, so no caller is stranded mid-reply. On the
 // graceful path the queues are already empty (Close waited for every
 // connection, and every connection waited for its replies); on the Kill
-// path the store has already failed the pending entries, so the completions
+// path the store has already failed the pending entries, so their groups
 // arrive promptly with errors.
-func (g *Gateway) drainShard(sh *shard, serve func(task)) {
+func (g *Gateway) drainShard(sh *shard, serve func(*task)) {
 	for {
 		select {
-		case f := <-sh.completions:
-			f()
+		case grp := <-sh.groups:
+			g.commitGroup(sh, grp)
 		case t := <-sh.tasks:
-			serve(t)
+			serve(&t)
 		default:
-			if sh.pendingWAL == 0 {
+			if len(sh.wal) == 0 {
 				return
 			}
-			f := <-sh.completions
-			f()
+			g.commitGroup(sh, <-sh.groups)
 		}
 	}
+}
+
+// commitGroup finishes the appends one group commit completed — the N oldest
+// in flight, in commit order: a live sync is committed and acknowledged, or,
+// when the group failed, its tenant is suspended and the sync refused; a
+// replica's own append that failed poisons its tenant. One report a group,
+// so the worker wakes once however many syncs the group carried.
+func (g *Gateway) commitGroup(sh *shard, grp store.Group) {
+	for i := range sh.wal[:grp.N] {
+		w := &sh.wal[i]
+		if w.reply.conn == nil {
+			if grp.Err != nil {
+				// RAM is now ahead of the directory for this owner: never serve
+				// it, and (store.Healthy) never promote over it.
+				g.log.Error("replica WAL append failed, suspending tenant",
+					"owner_hash", telemetry.OwnerHash(w.tn.Owner), "tick", w.bt.Tick, "err", grp.Err)
+				w.tn.failed = true
+			}
+			continue
+		}
+		g.syncCommitted(sh, w, grp)
+	}
+	n := copy(sh.wal, sh.wal[grp.N:])
+	clear(sh.wal[n:])
+	sh.wal = sh.wal[:n]
+	sh.pendingAtomic.Store(int64(n))
+}
+
+// syncCommitted is a live sync's commit step, once its group commit is
+// reported: the tenant commits the batch, the hub is offered the entry, the
+// sync is acknowledged and reads parked behind it run. The group's commit
+// time ends the sync's commit stage and starts its ack stage, and it is when
+// a sampled sync's wal-flush and wal-commit spans end — no clock read here.
+func (g *Gateway) syncCommitted(sh *shard, w *walWait, grp store.Group) {
+	tn, tc := w.tn, w.reply.tc
+	err := grp.Err
+	if err == nil && !tn.failed {
+		err = g.commit(sh, tn, w.bt)
+	}
+	if err != nil || tn.failed {
+		// A commit failure poisons the tenant: this sync's durability is
+		// indeterminate, so recording later (even successfully committed)
+		// syncs would advance the live clock past a possible gap that
+		// recovery's contiguity rule will stop at. Freeze the committed
+		// prefix instead — it is exactly what a restart will reconstruct.
+		w.reply.send(g.suspend(tn, w.bt.Tick, err))
+		tn.flushDeferred()
+		return
+	}
+	walTC := tc
+	if w.at != 0 {
+		g.tm.commit.ObserveEx(float64(grp.End-w.at)/1e3, tc.TraceID())
+		if tc.Sampled() {
+			end := time.Unix(0, grp.End)
+			fid := tc.Record("wal-flush", time.Unix(0, grp.Start), end)
+			walTC = tc.At(tc.At(fid).Record("wal-commit", time.Unix(0, w.at), end))
+		}
+	}
+	if g.cfg.Replicator != nil {
+		// Offer the committed entry to the replication hub here — on the
+		// shard worker, after the commit-time mutations — so shipping order
+		// is commit order and an OwnerCut taken on this worker is exactly
+		// consistent with the stream. walTC is the sync's trace at its
+		// wal-commit span, the parent the ship hangs under.
+		g.cfg.Replicator.Committed(sh.id, store.Entry{Owner: tn.Owner, Batch: w.bt}, walTC)
+	}
+	w.reply.sendAt(wire.Response{OK: true}, grp.End)
+	// Reads parked behind this sync can answer now.
+	tn.flushDeferred()
 }
 
 // tenantFor resolves (and unless peeking, creates) the owner's tenant. Runs
@@ -225,8 +321,8 @@ func (g *Gateway) suspend(tn *Tenant, tick uint64, cause error) wire.Response {
 	return wire.Refuse(wire.CodeSuspended, 0, "")
 }
 
-// chargeFor names the ledger expenditure one sync incurs. The charge is
-// carried inside the sync's WAL entry, so recovery re-spends what the
+// chargeFor names the ledger expenditure one sync incurs. The connection
+// reader builds it into the sync's WAL entry, so recovery re-spends what the
 // original run spent even if the configured epsilon has since changed.
 func (g *Gateway) chargeFor(setup bool) store.Charge {
 	name := "m_update"
@@ -237,15 +333,17 @@ func (g *Gateway) chargeFor(setup bool) store.Charge {
 }
 
 // dispatch executes one EDB protocol message against a tenant and delivers
-// the response through reply — synchronously for queries, stats, and
+// the response through t.reply — synchronously for queries, stats, and
 // in-memory syncs; deferred to the WAL group commit for durable syncs
 // (spend-before-sync: the charge and the entry are durable before the ack
-// and the transcript event exist). reply.send is invoked exactly once. tn is
+// and the transcript event exist). The reply is sent exactly once. tn is
 // nil for owners that never ran setup (see task.peek); those requests are
-// answered without materializing the namespace. Stage spans land under the
-// root of reply.tc, and durable syncs thread it through the WAL to the
-// replication hub.
-func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request, reply replyTo) {
+// answered without materializing the namespace. deq is the dequeue time
+// (UnixNano; 0 untimed), where a sync's apply stage starts. Stage spans land
+// under the root of the reply's trace context, and a durable sync keeps it
+// in the shard's WAL queue for its commit and the replication hub.
+func (g *Gateway) dispatch(sh *shard, tn *Tenant, t *task, deq int64) {
+	owner, req, reply := t.owner, t.req, t.reply
 	tc := reply.tc
 	if g.replica.Load() {
 		// Only reads reach a replica's shards (its connections are read-only).
@@ -281,10 +379,13 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 		reply.send(wire.Response{OK: true, Resume: &wire.ResumeSpec{Clock: tn.Clock}})
 
 	case wire.MsgSetup, wire.MsgUpdate:
-		setup := req.Type == wire.MsgSetup
+		// The reader built the sync's entry: its tick is the Seq the sync
+		// claims, its charge the one chargeFor names.
+		bt := t.bt
 		// Tick-ordered idempotent apply. A sync claims a specific logical tick
 		// (the reader has refused Seq 0):
-		//   - seq == tn.seq+1: the next tick — apply normally below.
+		//   - seq == tn.seq+1: the next tick — apply the batch the reader
+		//     built; every other case drops it untouched.
 		//   - seq <= tn.seq: already applied. A retransmit (the client lost
 		//     the ack, not the sync) is acknowledged WITHOUT re-ingesting or
 		//     re-charging the ε ledger — this is the invariant that makes
@@ -295,11 +396,11 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 		//     without touching state, naming the seq expected; applying out
 		//     of order would let a distorted schedule masquerade as the
 		//     DP-optimized one.
-		if req.Seq <= tn.seq {
-			g.serveDuplicateAck(tn, req.Seq, reply)
+		if bt.Tick <= tn.seq {
+			g.serveDuplicateAck(tn, bt.Tick, reply)
 			return
 		}
-		if req.Seq != tn.seq+1 {
+		if bt.Tick != tn.seq+1 {
 			reply.send(wire.Refuse(wire.CodeSeqGap, tn.seq+1, ""))
 			return
 		}
@@ -309,94 +410,44 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, owner string, req wire.Request
 		// spend itself happens at commit, alongside the transcript event —
 		// both are carried by the WAL entry, so the durable order is still
 		// spend-with-sync-record before observability.
-		charge := g.chargeFor(setup)
-		if err := tn.Budget.CanCharge(charge.Name, charge.Eps, charge.Rule); err != nil {
+		if err := tn.Budget.CanCharge(bt.Charge.Name, bt.Charge.Eps, bt.Charge.Rule); err != nil {
 			reply.send(failed(err))
 			return
 		}
-		var applyStart time.Time
-		if g.tm.on || tc.Sampled() {
-			applyStart = time.Now()
-		}
-		if err := tn.Ingest(setup, req.Sealed); err != nil {
+		if err := tn.Ingest(bt.Setup, bt.Sealed); err != nil {
 			reply.send(failed(err))
 			return
 		}
-		if !applyStart.IsZero() {
-			g.tm.apply.ObserveSinceEx(applyStart, tc.TraceID())
-			tc.Record("apply", applyStart, time.Now())
+		// The end of apply is the append time: one clock read.
+		var end int64
+		if deq != 0 {
+			end = time.Now().UnixNano()
+			g.tm.apply.ObserveEx(float64(end-deq)/1e3, tc.TraceID())
+			tc.Record("apply", time.Unix(0, deq), time.Unix(0, end))
 		}
 		tn.seq++
-		entry := store.Entry{Owner: owner, Batch: store.Batch{
-			Tick:   tn.seq,
-			Setup:  setup,
-			Sealed: req.Sealed,
-			Charge: charge,
-		}}
 		if g.store == nil {
 			// In-memory mode: commit is immediate.
-			if err := g.commit(sh, tn, entry.Batch); err != nil {
-				reply.send(g.suspend(tn, entry.Batch.Tick, err))
+			if err := g.commit(sh, tn, bt); err != nil {
+				reply.send(g.suspend(tn, bt.Tick, err))
 				return
 			}
-			reply.send(wire.Response{OK: true})
+			reply.sendAt(wire.Response{OK: true}, end)
 			return
 		}
-		sh.addPending(1)
-		var appendAt int64
-		if g.tm.on || tc.Sampled() {
-			appendAt = time.Now().UnixNano()
-		}
-		err := g.store.AppendTraced(sh.id, &entry, tc, func(werr error, walTC telemetry.TraceContext) {
-			// Runs on the WAL writer; hop back to the shard worker so every
-			// tenant mutation stays single-goroutine. walTC is tc advanced to
-			// the entry's WAL-commit span — the parent the replication ship
-			// hangs under.
-			sh.completions <- func() {
-				sh.addPending(-1)
-				var commitUs float64
-				if appendAt != 0 {
-					commitUs = float64(time.Now().UnixNano()-appendAt) / 1e3
-				}
-				if werr == nil && !tn.failed {
-					werr = g.commit(sh, tn, entry.Batch)
-				}
-				if werr != nil || tn.failed {
-					// A commit failure poisons the tenant: this sync's
-					// durability is indeterminate, so recording later
-					// (even successfully committed) syncs would advance
-					// the live clock past a possible gap that recovery's
-					// contiguity rule will stop at. Freeze the committed
-					// prefix instead — it is exactly what a restart will
-					// reconstruct.
-					reply.send(g.suspend(tn, entry.Batch.Tick, werr))
-					tn.flushDeferred()
-					return
-				}
-				if appendAt != 0 {
-					g.tm.commit.ObserveEx(commitUs, tc.TraceID())
-				}
-				if g.cfg.Replicator != nil {
-					// Offer the committed entry to the replication hub here —
-					// on the shard worker, after the commit-time mutations —
-					// so shipping order is commit order and an OwnerCut taken
-					// on this worker is exactly consistent with the stream.
-					g.cfg.Replicator.Committed(sh.id, entry, walTC)
-				}
-				reply.send(wire.Response{OK: true})
-				// Reads parked behind this sync can answer now.
-				tn.flushDeferred()
-			}
-		})
-		if err != nil {
-			// Never enqueued (store closed / unencodable). The backend
-			// already holds the batch, so the tenant is poisoned like any
-			// other post-ingest durability failure; no completion will
-			// arrive for this entry.
-			sh.addPending(-1)
-			reply.send(g.suspend(tn, entry.Batch.Tick, err))
+		// The append wraps the frame the batch carries. Its outcome comes back
+		// with its group (commitGroup); the shard's WAL queue keeps what the
+		// commit needs, by value.
+		if err := g.store.AppendAt(sh.id, store.Entry{Owner: tn.Owner, Batch: bt}, end); err != nil {
+			// Never enqueued (store closed). The backend already holds the
+			// batch, so the tenant is poisoned like any other post-ingest
+			// durability failure.
+			reply.send(g.suspend(tn, bt.Tick, err))
 			tn.flushDeferred()
-		} else if g.store.RotateDue(sh.id) {
+			return
+		}
+		sh.push(walWait{tn: tn, bt: bt, reply: reply, at: end})
+		if g.store.RotateDue(sh.id) {
 			sh.snapWanted = true
 		}
 
@@ -628,23 +679,11 @@ func (g *Gateway) applyEntry(sh *shard, tn *Tenant, e store.Entry) (err error) {
 			tn = g.rebuild(sh, tn, err)
 		}
 	}
-	sh.addPending(1)
-	if err := g.store.Append(sh.id, e, func(werr error) {
-		sh.completions <- func() {
-			sh.addPending(-1)
-			if werr != nil {
-				// RAM is now ahead of the directory for this owner: never serve
-				// it, and (store.Healthy) never promote over it.
-				g.log.Error("replica WAL append failed, suspending tenant",
-					"owner_hash", telemetry.OwnerHash(e.Owner), "tick", e.Batch.Tick, "err", werr)
-				tn.failed = true
-			}
-		}
-	}); err != nil {
-		sh.addPending(-1)
+	if err := g.store.AppendAt(sh.id, e, 0); err != nil {
 		tn.failed = true
 		return fmt.Errorf("gateway: replica WAL append: %w", err)
 	}
+	sh.push(walWait{tn: tn, bt: e.Batch}) // its group's failure poisons tn (commitGroup)
 	if g.store.RotateDue(sh.id) {
 		sh.snapWanted = true
 	}
@@ -686,8 +725,8 @@ func (g *Gateway) Promote(repl Replicator) error {
 	}
 	for _, sh := range g.shards {
 		if !g.onShard(sh, "", func(*Tenant) {
-			for sh.pendingWAL > 0 {
-				(<-sh.completions)()
+			for len(sh.wal) > 0 {
+				g.commitGroup(sh, <-sh.groups)
 			}
 		}) {
 			return errors.New("gateway: shut down during promotion")

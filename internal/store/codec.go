@@ -99,11 +99,12 @@ type Charge struct {
 // canonical form on the WAL, in history segments and on the replication stream
 // alike, so a batch carries that frame by reference once it exists and every
 // later writer wraps it instead of encoding again (Entry.Frame). Two places
-// set it: AppendTraced, where the live path encodes a sync for its WAL — the
-// only encode that sync ever gets — and the frame decoders (DecodeEntryFrame,
-// segment scans, StreamHistory), which have just CRC-verified the bytes they
-// parsed. In both cases Sealed aliases the frame, so carrying it pins nothing
-// beside it. A hand-built batch, or one decoded from a snapshot's inline tail,
+// set it: SyncEntry, where the gateway's connection reader decodes a live
+// sync straight into its frame — the only encode that sync ever gets — and
+// the frame decoders (DecodeEntryFrame, segment scans, StreamHistory), which
+// have just CRC-verified the bytes they parsed. In both cases Sealed aliases
+// the frame, so carrying it pins nothing beside it. A hand-built batch, or
+// one decoded from a snapshot's inline tail,
 // carries none and is encoded when first written. A batch
 // is immutable once it carries a frame: derive a different one by building a
 // fresh literal, which carries nothing.
@@ -142,23 +143,6 @@ func (e Entry) canonical() (frame []byte, carried bool, err error) {
 	}
 	f, err = encodeEntryFrame(e)
 	return f, false, err
-}
-
-// adopt makes frame — e's encoding, just built from it — the form e's batch
-// carries, and re-points Sealed into it, so the buffers the ciphertexts
-// arrived in (a request payload) are not pinned beside the frame for as long
-// as the batch sits in a history tail. It writes through e.Batch.Sealed, so e
-// must be the caller's alone.
-func (e *Entry) adopt(frame []byte) {
-	// The frame header, the owner and the batch's fixed fields and charge
-	// precede the ciphertexts, each behind its 4-byte length.
-	off := 8 + 2 + len(e.Owner) + batchSize(Batch{Charge: e.Batch.Charge})
-	for i, ct := range e.Batch.Sealed {
-		off += 4
-		e.Batch.Sealed[i] = frame[off : off+len(ct) : off+len(ct)]
-		off += len(ct)
-	}
-	e.Batch.frame = frame
 }
 
 // SegmentRef names one contiguous run of an owner's batches inside a sealed
@@ -211,6 +195,21 @@ const (
 
 // appendBatch serializes a batch (shared by entries and snapshots).
 func appendBatch(b []byte, bt Batch) ([]byte, error) {
+	b, err := appendBatchHead(b, bt, len(bt.Sealed))
+	if err != nil {
+		return nil, err
+	}
+	for _, ct := range bt.Sealed {
+		b = binfmt.AppendU32(b, uint32(len(ct)))
+		b = append(b, ct...)
+	}
+	return b, nil
+}
+
+// appendBatchHead serializes everything of a batch that precedes its
+// ciphertexts — tick, flags, charge, and n, the count of ciphertexts that
+// follow, each behind its 4-byte length.
+func appendBatchHead(b []byte, bt Batch, n int) ([]byte, error) {
 	if len(bt.Charge.Name) > math.MaxUint16 {
 		return nil, fmt.Errorf("store: charge name %d bytes exceeds %d", len(bt.Charge.Name), math.MaxUint16)
 	}
@@ -227,12 +226,7 @@ func appendBatch(b []byte, bt Batch) ([]byte, error) {
 	b = append(b, bt.Charge.Name...)
 	b = binfmt.AppendF64(b, bt.Charge.Eps)
 	b = append(b, byte(bt.Charge.Rule))
-	b = binfmt.AppendU32(b, uint32(len(bt.Sealed)))
-	for _, ct := range bt.Sealed {
-		b = binfmt.AppendU32(b, uint32(len(ct)))
-		b = append(b, ct...)
-	}
-	return b, nil
+	return binfmt.AppendU32(b, uint32(n)), nil
 }
 
 func readBatch(r *binfmt.Reader) Batch {
@@ -283,23 +277,76 @@ const entryKindSync = 1
 // one allocation of exactly the frame's size, the 8-byte header reserved up
 // front and patched once the payload behind it is written.
 func encodeEntryFrame(e Entry) ([]byte, error) {
-	if len(e.Owner) == 0 || len(e.Owner) > maxOwnerLen {
-		return nil, fmt.Errorf("store: owner id length %d outside [1, %d]", len(e.Owner), maxOwnerLen)
+	frame, err := beginEntryFrame(e.Owner, batchSize(e.Batch))
+	if err != nil {
+		return nil, err
 	}
-	size := 2 + len(e.Owner) + batchSize(e.Batch)
+	if frame, err = appendBatch(frame, e.Batch); err != nil {
+		return nil, err
+	}
+	return endEntryFrame(frame), nil
+}
+
+// beginEntryFrame allocates the frame of an entry of owner whose batch
+// encodes to batchBytes — exactly its size, the 8-byte header reserved — and
+// writes the entry kind and the owner.
+func beginEntryFrame(owner string, batchBytes int) ([]byte, error) {
+	if len(owner) == 0 || len(owner) > maxOwnerLen {
+		return nil, fmt.Errorf("store: owner id length %d outside [1, %d]", len(owner), maxOwnerLen)
+	}
+	size := 2 + len(owner) + batchBytes
 	if size > maxEntrySize {
 		return nil, fmt.Errorf("store: entry payload %d bytes exceeds %d", size, maxEntrySize)
 	}
 	frame := make([]byte, 8, 8+size)
-	frame = append(frame, entryKindSync, byte(len(e.Owner)))
-	frame = append(frame, e.Owner...)
-	frame, err := appendBatch(frame, e.Batch)
-	if err != nil {
-		return nil, err
-	}
-	binary.BigEndian.PutUint32(frame, uint32(size))
+	frame = append(frame, entryKindSync, byte(len(owner)))
+	return append(frame, owner...), nil
+}
+
+// endEntryFrame patches the header of a frame whose payload is written: its
+// length and its CRC.
+func endEntryFrame(frame []byte) []byte {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-8))
 	binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(frame[8:], crcTable))
-	return frame, nil
+	return frame
+}
+
+// SyncEntry is a live sync's entry, built where the sync is decoded: owner's
+// batch at tick, with its setup flag and charge, holding the ciphertexts
+// block carries back to back, width bytes each (a request's uniform-width
+// block; width 0 and an empty block for a batch of none). The entry's
+// canonical frame is written straight from block — one allocation of exactly
+// the frame's size, and one for the ciphertext headers — and the batch
+// carries it with Sealed pointing into it, so block may be reused once
+// SyncEntry returns and every later writer (the WAL append, the spill, the
+// replication hub) wraps the frame instead of encoding the entry again.
+func SyncEntry(owner string, tick uint64, setup bool, charge Charge, width int, block []byte) (Entry, error) {
+	n := 0
+	if width > 0 {
+		n = len(block) / width
+	}
+	if width < 0 || n*width != len(block) {
+		return Entry{}, fmt.Errorf("store: a %d-byte block is no whole number of %d-byte ciphertexts", len(block), width)
+	}
+	bt := Batch{Tick: tick, Setup: setup, Charge: charge}
+	frame, err := beginEntryFrame(owner, batchSize(bt)+n*(4+width))
+	if err != nil {
+		return Entry{}, err
+	}
+	if frame, err = appendBatchHead(frame, bt, n); err != nil {
+		return Entry{}, err
+	}
+	if n > 0 {
+		bt.Sealed = make([][]byte, n)
+		for i := range bt.Sealed {
+			frame = binfmt.AppendU32(frame, uint32(width))
+			at := len(frame)
+			frame = append(frame, block[i*width:(i+1)*width]...)
+			bt.Sealed[i] = frame[at:len(frame):len(frame)]
+		}
+	}
+	bt.frame = endEntryFrame(frame)
+	return Entry{Owner: owner, Batch: bt}, nil
 }
 
 // EncodeEntryFrame renders one entry as a complete CRC frame — the exact

@@ -236,6 +236,27 @@ func TestEncodersMatchReference(t *testing.T) {
 			}
 		}
 	}
+	// The live path's builder writes the same bytes from a uniform-width block.
+	for round := 0; round < 200; round++ {
+		width, n := 1+rng.Intn(64), rng.Intn(9)
+		block := make([]byte, n*width)
+		rng.Read(block)
+		e := Entry{Owner: randomOwnerName(rng), Batch: Batch{
+			Tick: 1 + uint64(rng.Int63()), Setup: rng.Intn(2) == 0,
+			Charge: Charge{Name: "m_update", Eps: rng.Float64(), Rule: dp.Sequential},
+		}}
+		for i := 0; i < n; i++ {
+			e.Batch.Sealed = append(e.Batch.Sealed, block[i*width:(i+1)*width])
+		}
+		want, err := refEncodeEntryFrame(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := SyncEntry(e.Owner, e.Batch.Tick, e.Batch.Setup, e.Batch.Charge, width, block)
+		if err != nil || !bytes.Equal(got.Batch.frame, want) {
+			t.Fatalf("round %d: SyncEntry's frame differs from the reference encoder's (err %v)", round, err)
+		}
+	}
 	// The refusals agree too: both encoders reject what the other does.
 	for _, e := range []Entry{
 		{Owner: "", Batch: Batch{Tick: 1}},

@@ -7,12 +7,12 @@ import (
 	"testing"
 
 	"dpsync/internal/dp"
-	"dpsync/internal/telemetry"
 )
 
-// One encoding per entry: the frame AppendTraced encodes is what the WAL, the
-// history tier and the replication stream all hold, carried by the batch and
-// wrapped — never encoded again — by every later writer.
+// One encoding per entry: the frame SyncEntry builds where a live sync is
+// decoded is what the WAL, the history tier and the replication stream all
+// hold, carried by the batch and wrapped — never encoded again — by every
+// later writer.
 
 // seededEntries is one owner's tick-contiguous run of the shapes the codec
 // must not confuse: no ciphertexts at all, zero-length ciphertexts, setup and
@@ -29,33 +29,79 @@ func seededEntries(owner string) []Entry {
 	}
 }
 
-func appendTracedWait(t *testing.T, s *Store, sid int, e *Entry) {
-	t.Helper()
-	done := make(chan error, 1)
-	if err := s.AppendTraced(sid, e, telemetry.TraceContext{}, func(err error, _ telemetry.TraceContext) { done <- err }); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+// liveEntries is one owner's tick-contiguous run of the shapes a live sync
+// takes — a setup, no ciphertexts at all, one and several, narrow and wide, a
+// free (unnamed) charge — each batch of one ciphertext width, as the wire
+// carries it.
+func liveEntries(owner string) []Entry {
+	charge := Charge{Name: "m_update", Eps: 0.25, Rule: dp.Sequential}
+	return []Entry{
+		{Owner: owner, Batch: Batch{Tick: 1, Setup: true, Sealed: [][]byte{[]byte("setup-ct-0"), []byte("setup-ct-1")}, Charge: Charge{Name: "m_setup", Eps: 0.25, Rule: dp.Sequential}}},
+		{Owner: owner, Batch: Batch{Tick: 2, Charge: charge}},
+		{Owner: owner, Batch: Batch{Tick: 3, Sealed: [][]byte{[]byte("x"), []byte("y"), []byte("z")}, Charge: charge}},
+		{Owner: owner, Batch: Batch{Tick: 4, Sealed: [][]byte{bytes.Repeat([]byte{0xC7}, 45)}}},
+		{Owner: owner, Batch: Batch{Tick: 5, Charge: Charge{Name: "m_free", Rule: dp.Parallel}}},
+		{Owner: owner, Batch: Batch{Tick: 6, Sealed: [][]byte{[]byte("tail-0"), []byte("tail-1")}, Charge: charge}},
 	}
 }
 
-// TestOneEncodingSameBytes drives the live path's three steps — AppendTraced,
-// Apply, EnforceWindow — for owners with 1-byte and 255-byte names and holds
-// the WAL segment, the history segment the spill wrote, every frame a later
-// writer is handed (Entry.Frame, what the hub ships) and the frame a batch
-// carries to the reference encoder's bytes. The request payload the
-// ciphertexts arrived in is scribbled over as soon as AppendTraced returns:
-// nothing durable may still point into it.
+// syncEntryFrom builds e's live entry the way the gateway's reader does:
+// from its ciphertexts laid back to back in one block, which is scribbled
+// over as soon as SyncEntry returns.
+func syncEntryFrom(t *testing.T, e Entry) Entry {
+	t.Helper()
+	var block []byte
+	width := 0
+	for _, ct := range e.Batch.Sealed {
+		block, width = append(block, ct...), len(ct)
+	}
+	live, err := SyncEntry(e.Owner, e.Batch.Tick, e.Batch.Setup, e.Batch.Charge, width, block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range block {
+		block[i] ^= 0xFF
+	}
+	return live
+}
+
+// commitHook installs a commit hook on shard sid that hands every group to
+// the returned channel.
+func commitHook(s *Store, sid int) <-chan Group {
+	groups := make(chan Group, 64)
+	s.OnCommit(sid, func(g Group) { groups <- g })
+	return groups
+}
+
+// appendAtWait appends e through AppendAt and waits for the group that
+// commits it.
+func appendAtWait(t *testing.T, s *Store, sid int, groups <-chan Group, e Entry) {
+	t.Helper()
+	if err := s.AppendAt(sid, e, 0); err != nil {
+		t.Fatal(err)
+	}
+	if g := <-groups; g.N != 1 || g.Err != nil || g.End < g.Start || g.Start == 0 {
+		t.Fatalf("group %+v, want one durable entry", g)
+	}
+}
+
+// TestOneEncodingSameBytes drives the live path's four steps — SyncEntry,
+// AppendAt, Apply, EnforceWindow — for owners with 1-byte and 255-byte names
+// and holds the frame SyncEntry builds, the WAL segment, the history segment
+// the spill wrote, every frame a later writer is handed (Entry.Frame, what
+// the hub ships) and the frame a batch carries to the reference encoder's
+// bytes. The block the ciphertexts arrived in is scribbled over as soon as
+// SyncEntry returns: nothing durable may still point into it.
 func TestOneEncodingSameBytes(t *testing.T) {
 	const window = 2
 	dir := t.TempDir()
 	s, _ := openStoreWin(t, dir, 1, window)
+	groups := commitHook(s, 0)
 	wantWAL, wantHist := segmentHeader(), historyHeader()
 	for _, owner := range []string{"a", strings.Repeat("z", 255), "owner-0007"} {
 		st := &OwnerState{Owner: owner, Budget: dp.NewBudget()}
 		var want [][]byte
-		for _, seed := range seededEntries(owner) {
+		for _, seed := range liveEntries(owner) {
 			ref, err := refEncodeEntryFrame(seed)
 			if err != nil {
 				t.Fatal(err)
@@ -63,33 +109,22 @@ func TestOneEncodingSameBytes(t *testing.T) {
 			want = append(want, ref)
 			wantWAL = append(wantWAL, ref...)
 
-			// The live entry's ciphertexts alias one request payload.
-			e := seed
-			var payload []byte
-			for _, ct := range seed.Batch.Sealed {
-				payload = append(payload, ct...)
-			}
-			e.Batch.Sealed, payload = nil, append([]byte(nil), payload...)
-			for off, i := 0, 0; i < len(seed.Batch.Sealed); i++ {
-				n := len(seed.Batch.Sealed[i])
-				e.Batch.Sealed = append(e.Batch.Sealed, payload[off:off+n:off+n])
-				off += n
-			}
-			appendTracedWait(t, s, 0, &e)
-			for i := range payload {
-				payload[i] ^= 0xFF
-			}
+			e := syncEntryFrom(t, seed)
 			if !bytes.Equal(e.Batch.frame, ref) {
-				t.Fatalf("owner %d bytes tick %d: AppendTraced left a frame that is not the reference encoding", len(owner), seed.Batch.Tick)
+				t.Fatalf("owner %d bytes tick %d: SyncEntry built a frame that is not the reference encoding", len(owner), seed.Batch.Tick)
+			}
+			if len(e.Batch.Sealed) != len(seed.Batch.Sealed) {
+				t.Fatalf("tick %d: %d ciphertexts, want %d", seed.Batch.Tick, len(e.Batch.Sealed), len(seed.Batch.Sealed))
 			}
 			for i, ct := range e.Batch.Sealed {
 				if !bytes.Equal(ct, seed.Batch.Sealed[i]) {
-					t.Fatalf("tick %d: ciphertext %d still aliases the request payload", seed.Batch.Tick, i)
+					t.Fatalf("tick %d: ciphertext %d still aliases the request block", seed.Batch.Tick, i)
 				}
 			}
 			if got, err := e.Frame(); err != nil || &got[0] != &e.Batch.frame[0] {
 				t.Fatalf("tick %d: Frame() did not wrap the carried frame (err %v)", seed.Batch.Tick, err)
 			}
+			appendAtWait(t, s, 0, groups, e)
 			if err := st.Apply(e.Batch); err != nil {
 				t.Fatal(err)
 			}
@@ -137,6 +172,7 @@ func TestOneEncodingSameBytes(t *testing.T) {
 	// WAL append wraps the bytes it was shipped.
 	dir2 := t.TempDir()
 	s2, _ := openStoreWin(t, dir2, 1, 0)
+	groups2 := commitHook(s2, 0)
 	wantWAL = segmentHeader()
 	for _, seed := range seededEntries("replica-owner") {
 		shipped, _ := refEncodeEntryFrame(seed)
@@ -147,7 +183,7 @@ func TestOneEncodingSameBytes(t *testing.T) {
 		if got, _ := e.Frame(); &got[0] != &shipped[0] {
 			t.Fatalf("tick %d: a decoded entry's Frame() is not the frame it was decoded from", seed.Batch.Tick)
 		}
-		appendWait(t, s2, 0, e)
+		appendAtWait(t, s2, 0, groups2, e)
 		wantWAL = append(wantWAL, shipped...)
 	}
 	if err := s2.Close(); err != nil {
@@ -155,6 +191,29 @@ func TestOneEncodingSameBytes(t *testing.T) {
 	}
 	if got, err := os.ReadFile(segmentPath(dir2, 0)); err != nil || !bytes.Equal(got, wantWAL) {
 		t.Fatalf("replica WAL segment differs from the shipped frames (err %v)", err)
+	}
+}
+
+// TestSyncEntryRefusesWhatNoFrameHolds: a block that is not a whole number of
+// ciphertexts, an owner the format cannot name and a charge name too long
+// for its length field are refused, never framed.
+func TestSyncEntryRefusesWhatNoFrameHolds(t *testing.T) {
+	charge := Charge{Name: "m_update", Rule: dp.Sequential}
+	for name, build := range map[string]func() (Entry, error){
+		"ragged block": func() (Entry, error) { return SyncEntry("o", 2, false, charge, 4, make([]byte, 10)) },
+		"no width":     func() (Entry, error) { return SyncEntry("o", 2, false, charge, 0, make([]byte, 10)) },
+		"width < 0":    func() (Entry, error) { return SyncEntry("o", 2, false, charge, -2, make([]byte, 10)) },
+		"empty owner":  func() (Entry, error) { return SyncEntry("", 2, false, charge, 4, make([]byte, 8)) },
+		"owner too long": func() (Entry, error) {
+			return SyncEntry(strings.Repeat("x", 256), 2, false, charge, 4, make([]byte, 8))
+		},
+		"charge name too long": func() (Entry, error) {
+			return SyncEntry("o", 2, false, Charge{Name: strings.Repeat("n", 1<<16)}, 4, make([]byte, 8))
+		},
+	} {
+		if e, err := build(); err == nil {
+			t.Errorf("%s: framed %d bytes", name, len(e.Batch.frame))
+		}
 	}
 }
 
@@ -222,13 +281,14 @@ func carriedTail(tb testing.TB, carry bool) []Batch {
 	tail := syncDurableShard()[0].Tail[:16]
 	if carry {
 		for i := range tail {
-			e := Entry{Owner: "owner-0001", Batch: tail[i]}
-			e.Batch.Sealed = append([][]byte(nil), e.Batch.Sealed...)
-			frame, err := encodeEntryFrame(e)
+			frame, err := encodeEntryFrame(Entry{Owner: "owner-0001", Batch: tail[i]})
 			if err != nil {
 				tb.Fatal(err)
 			}
-			e.adopt(frame)
+			e, err := DecodeEntryFrame(frame)
+			if err != nil {
+				tb.Fatal(err)
+			}
 			tail[i] = e.Batch
 		}
 	}

@@ -23,9 +23,11 @@
 // the shard worker are enqueued without blocking; the writer drains the
 // queue in batches — one buffered write + flush (+ optional fsync) commits
 // every entry that accumulated while the previous batch was in flight
-// (classic pipelined group commit), then completion callbacks fire. The
-// caller (the gateway shard worker) defers acknowledgment and transcript
-// observation to those callbacks.
+// (classic pipelined group commit), then reports the outcome: to the
+// entry's own callback (Append), or once for the whole group to the shard's
+// commit hook (AppendAt, OnCommit) — the gateway shard worker's path, which
+// builds nothing per append and defers acknowledgment and transcript
+// observation until the hook reports the group.
 //
 // # Tiered history
 //
@@ -244,6 +246,7 @@ type walShard struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   []pendingEntry
+	hook    func(Group) // OnCommit's; nil until installed
 	rotate  *rotateReq
 	closing bool
 	killing bool
@@ -268,17 +271,26 @@ type walShard struct {
 	snapBuf []byte
 }
 
+// pendingEntry is one append waiting for its group commit: the frame to
+// write, when it was appended (UnixNano), and its own callback — nil for an
+// AppendAt entry, which the shard's commit hook reports with its group.
 type pendingEntry struct {
 	frame []byte
-	start time.Time
-	// tc is the sync's trace context at its root span; walTC is the same
-	// context advanced to the entry's wal-commit span once the group commit
-	// records it (it stays == tc for unsampled entries and failed commits).
-	// done receives walTC so the caller can parent downstream spans (the
-	// replication ship) under the commit.
-	tc    telemetry.TraceContext
-	walTC telemetry.TraceContext
-	done  func(error, telemetry.TraceContext)
+	at    int64
+	done  func(error)
+}
+
+// Group is one group commit as a shard's commit hook (OnCommit) sees it.
+type Group struct {
+	// N is how many AppendAt entries the group completes: the shard's N
+	// oldest not yet reported, in append order.
+	N int
+	// Err is nil when they are durable; otherwise they failed together — a
+	// failed write, flush or fsync, the commit failpoint, or Kill.
+	Err error
+	// Start and End bound the group's write (UnixNano): End is when its
+	// entries became durable. Both are 0 when Err is set.
+	Start, End int64
 }
 
 type rotateReq struct {
@@ -668,55 +680,69 @@ func (sh *walShard) openSegment() error {
 // invoked exactly once — from the shard's writer goroutine — after the
 // entry's group commit (nil) or its failure. A non-nil return means the
 // entry was never enqueued and done will not be called. The frame written is
-// e.Frame(): an entry decoded from a frame (a replica's shipped entry) is
-// wrapped, not encoded again.
+// e.Frame(): an entry that carries its frame (a live sync's, a replica's
+// shipped entry) is wrapped, not encoded again.
 //
 // Concurrency contract: one producer goroutine per shard (the gateway's
-// shard worker); done callbacks must not block the writer indefinitely.
+// shard worker); done must be non-nil and must not block the writer
+// indefinitely.
 func (s *Store) Append(sid int, e Entry, done func(error)) error {
 	frame, err := e.Frame()
 	if err != nil {
 		return err
 	}
-	return s.enqueue(sid, frame, telemetry.TraceContext{},
-		func(err error, _ telemetry.TraceContext) { done(err) })
+	return s.enqueue(sid, pendingEntry{frame: frame, at: time.Now().UnixNano(), done: done})
 }
 
-// AppendTraced is Append for the live sync path. It carries a trace context:
-// a sampled entry's group commit records a shared wal-flush span (the
-// flush/fsync round) with one wal-commit child per entry, and done receives
-// the context advanced to that wal-commit span so downstream stages
-// (replication ship) parent under it. And it leaves the frame it encoded in
-// *e — e.Batch carries it and e.Batch.Sealed aliases it (see Batch) — so the
-// commit that puts the batch in the history tail, the spill out of it and the
-// replication hub all reuse this one encoding, and the request payload the
-// ciphertexts arrived in is no longer referenced. e must be the caller's
-// alone. Same contract as Append otherwise.
-func (s *Store) AppendTraced(sid int, e *Entry, tc telemetry.TraceContext, done func(error, telemetry.TraceContext)) error {
-	frame, carried, err := e.canonical()
+// AppendAt is Append for a shard whose outcomes go to its commit hook
+// (OnCommit) rather than to a callback per entry: the entry is reported with
+// its group, so an append builds nothing. at is when the caller appended
+// (UnixNano) — what the store's append-to-commit latency is measured from —
+// or 0 for the store to read the clock. The frame written is e.Frame(), as
+// for Append; a live sync's entry (SyncEntry) carries it. Same contract as
+// Append otherwise.
+func (s *Store) AppendAt(sid int, e Entry, at int64) error {
+	frame, err := e.Frame()
 	if err != nil {
 		return err
 	}
-	if !carried {
-		e.adopt(frame)
+	if at == 0 {
+		at = time.Now().UnixNano()
 	}
-	return s.enqueue(sid, frame, tc, done)
+	return s.enqueue(sid, pendingEntry{frame: frame, at: at})
 }
 
-// enqueue hands one entry frame to shard sid's writer and counts it toward
-// the shard's next rotation.
-func (s *Store) enqueue(sid int, frame []byte, tc telemetry.TraceContext, done func(error, telemetry.TraceContext)) error {
+// OnCommit installs shard sid's commit hook: fn runs on the shard's writer
+// goroutine once per group commit that completes AppendAt entries, after the
+// group is durable or has failed, in commit order — which is append order,
+// so the producer keeps its own queue of what it has in flight and takes a
+// Group's N entries off its head. fn must not block the writer for long.
+// Install it before the shard's first AppendAt.
+func (s *Store) OnCommit(sid int, fn func(Group)) {
 	sh := s.shards[sid]
 	sh.mu.Lock()
-	if sh.closing {
+	sh.hook = fn
+	sh.mu.Unlock()
+}
+
+// enqueue hands one entry to shard sid's writer and counts it toward the
+// shard's next rotation.
+func (s *Store) enqueue(sid int, p pendingEntry) error {
+	sh := s.shards[sid]
+	sh.mu.Lock()
+	switch {
+	case sh.closing:
 		sh.mu.Unlock()
 		return ErrStoreClosed
+	case p.done == nil && sh.hook == nil:
+		sh.mu.Unlock()
+		return fmt.Errorf("store: AppendAt on shard %d, which has no commit hook", sid)
 	}
-	sh.queue = append(sh.queue, pendingEntry{frame: frame, start: time.Now(), tc: tc, walTC: tc, done: done})
+	sh.queue = append(sh.queue, p)
 	sh.cond.Signal()
 	sh.mu.Unlock()
 	sh.logEntries.Add(1)
-	sh.logBytes.Add(int64(len(frame)))
+	sh.logBytes.Add(int64(len(p.frame)))
 	return nil
 }
 
@@ -796,16 +822,19 @@ func (s *Store) Rotate(sid int, owners []OwnerState) (err error) {
 	return <-req.done
 }
 
-// run is the writer loop: batch, commit, notify, repeat.
+// run is the writer loop: batch, commit, notify, repeat. The queue array it
+// drains goes back to the producer emptied, so the queue keeps its capacity
+// from group to group instead of regrowing from nil.
 func (sh *walShard) run() {
 	defer close(sh.writerDone)
+	var spare []pendingEntry
 	for {
 		sh.mu.Lock()
 		for len(sh.queue) == 0 && sh.rotate == nil && !sh.closing {
 			sh.cond.Wait()
 		}
-		batch, rot := sh.queue, sh.rotate
-		sh.queue, sh.rotate = nil, nil
+		batch, rot, hook := sh.queue, sh.rotate, sh.hook
+		sh.queue, sh.rotate = spare, nil
 		closing, killing := sh.closing, sh.killing
 		sh.mu.Unlock()
 
@@ -813,20 +842,17 @@ func (sh *walShard) run() {
 			// Crash simulation: abandon everything un-committed. Entries
 			// already committed were flushed by their own batch; nothing
 			// here reached an acknowledgment.
-			for _, p := range batch {
-				p.done(ErrStoreClosed, p.walTC)
-			}
+			report(batch, hook, Group{Err: ErrStoreClosed})
 			if rot != nil {
 				rot.done <- ErrStoreClosed
 			}
 			return
 		}
 		if len(batch) > 0 {
-			err := sh.commit(batch)
-			for _, p := range batch {
-				p.done(err, p.walTC)
-			}
+			report(batch, hook, sh.commit(batch))
 		}
+		clear(batch)
+		spare = batch[:0]
 		if rot != nil {
 			rot.done <- sh.doRotate(rot.snap)
 		}
@@ -836,67 +862,63 @@ func (sh *walShard) run() {
 	}
 }
 
+// report hands a group's outcome to whoever waits for it: each Append entry
+// to its own callback, then every AppendAt entry, together, to the shard's
+// hook.
+func report(batch []pendingEntry, hook func(Group), g Group) {
+	for _, p := range batch {
+		if p.done != nil {
+			p.done(g.Err)
+		} else {
+			g.N++
+		}
+	}
+	if g.N > 0 {
+		hook(g)
+	}
+}
+
 // commit writes one group of entries and makes them durable: buffered
-// writes, one flush, one optional fsync — the group-commit hot path.
-func (sh *walShard) commit(batch []pendingEntry) error {
+// writes, one flush, one optional fsync — the group-commit hot path. Its two
+// clock reads bound the write, and the second is every entry's commit time.
+func (sh *walShard) commit(batch []pendingEntry) Group {
+	fail := func(err error) Group {
+		sh.store.commitErrs.Add(1)
+		return Group{Err: err}
+	}
 	if sh.store.failCommits.Load() {
 		// Test failpoint: the group fails as if the device had, exercising
 		// the commit-error latch (Healthy, tenant suspension, readiness).
-		sh.store.commitErrs.Add(1)
-		return fmt.Errorf("store: shard %d commit failpoint", sh.id)
+		return fail(fmt.Errorf("store: shard %d commit failpoint", sh.id))
 	}
-	ioStart := time.Now()
+	start := time.Now().UnixNano()
 	var n int64
 	for _, p := range batch {
 		if _, err := sh.w.Write(p.frame); err != nil {
-			sh.store.commitErrs.Add(1)
-			return fmt.Errorf("store: shard %d append: %w", sh.id, err)
+			return fail(fmt.Errorf("store: shard %d append: %w", sh.id, err))
 		}
 		n += int64(len(p.frame))
 	}
 	if err := sh.w.Flush(); err != nil {
-		sh.store.commitErrs.Add(1)
-		return fmt.Errorf("store: shard %d flush: %w", sh.id, err)
+		return fail(fmt.Errorf("store: shard %d flush: %w", sh.id, err))
 	}
 	if sh.store.fsync {
 		if err := sh.f.Sync(); err != nil {
-			sh.store.commitErrs.Add(1)
-			return fmt.Errorf("store: shard %d fsync: %w", sh.id, err)
+			return fail(fmt.Errorf("store: shard %d fsync: %w", sh.id, err))
 		}
 	}
-	now := time.Now()
+	end := time.Now().UnixNano()
 	var lat int64
 	for _, p := range batch {
-		lat += now.Sub(p.start).Nanoseconds()
+		lat += end - p.at
 	}
 	sh.store.appends.Add(int64(len(batch)))
 	sh.store.commits.Add(1)
 	sh.store.bytes.Add(n)
 	sh.store.appendNs.Add(lat)
 	sh.store.groupSizeHist.Observe(float64(len(batch)))
-	sh.store.flushHist.ObserveNs(now.Sub(ioStart).Nanoseconds())
-	// Sampled entries get their WAL spans now that the group is durable: one
-	// wal-flush span per trace covering the flush/fsync round, one wal-commit
-	// child per entry spanning enqueue→durable. Off the unsampled path this
-	// loop touches nothing but the nil-rec check.
-	var flushSpans map[uint64]uint32
-	for i := range batch {
-		p := &batch[i]
-		if !p.tc.Sampled() {
-			continue
-		}
-		if flushSpans == nil {
-			flushSpans = make(map[uint64]uint32, 1)
-		}
-		fid, ok := flushSpans[p.tc.TraceID()]
-		if !ok {
-			fid = p.tc.Record("wal-flush", ioStart, now)
-			flushSpans[p.tc.TraceID()] = fid
-		}
-		wid := p.tc.At(fid).Record("wal-commit", p.start, now)
-		p.walTC = p.tc.At(wid)
-	}
-	return nil
+	sh.store.flushHist.ObserveNs(end - start)
+	return Group{Start: start, End: end}
 }
 
 // doRotate writes the snapshot atomically, then truncates the segment back

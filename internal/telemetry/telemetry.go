@@ -170,14 +170,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(float64(time.Since(start).Nanoseconds()) / 1e3)
 }
 
-// ObserveSinceEx is ObserveSince carrying a trace-ID exemplar.
-func (h *Histogram) ObserveSinceEx(start time.Time, traceID uint64) {
-	if h == nil {
-		return
-	}
-	h.ObserveEx(float64(time.Since(start).Nanoseconds())/1e3, traceID)
-}
-
 // ObserveNs records a duration given in nanoseconds, as microseconds.
 func (h *Histogram) ObserveNs(ns int64) {
 	if h == nil {

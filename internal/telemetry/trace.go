@@ -12,8 +12,8 @@ import (
 
 // Request-scoped tracing: a sampled span recorder whose unit of capture is
 // one sync's span tree — client-admit at the gateway, queue-wait and apply
-// on the shard worker, the WAL group-commit (a shared flush span with one
-// child span per entry in the group), the replication ship, and the
+// on the shard worker, the WAL group commit (its flush span with the entry's
+// commit span under it), the replication ship, and the
 // follower's apply on the far side of the wire. The follower joins the tree
 // by the trace context the replication codec propagates (trace ID + parent
 // span ID), publishing its spans as a fragment keyed by the same trace ID.
@@ -254,12 +254,13 @@ func (t *Tracer) Admit(name string, now time.Time) TraceContext {
 // threshold); an unsampled request that crossed the slow threshold is
 // captured anyway, as a degenerate single-span exemplar minted from the
 // admission timestamp the context carried — the only allocation an
-// unsampled request can ever cause, and only on the slow path.
-func (t *Tracer) Finish(tc TraceContext, name string) {
+// unsampled request can ever cause, and only on the slow path. now is the
+// finish time, which the caller has read — the gateway's writer finishes
+// every response a flush carried at that flush's one clock read.
+func (t *Tracer) Finish(tc TraceContext, name string, now time.Time) {
 	if t == nil || tc.start.IsZero() {
 		return
 	}
-	now := time.Now()
 	if tc.rec == nil {
 		if dNs := now.Sub(tc.start).Nanoseconds(); dNs >= t.slowNs {
 			rec := &TraceRec{TraceID: t.newID(), Start: tc.start,

@@ -21,7 +21,7 @@ func TestTracerSamplingCadence(t *testing.T) {
 		} else if tc.TraceID() != 0 {
 			t.Fatal("unsampled trace has non-zero trace ID")
 		}
-		tr.Finish(tc, "client-admit")
+		tr.Finish(tc, "client-admit", time.Now())
 	}
 	if sampled != 4 {
 		t.Fatalf("SampleEvery=4 over 16 admissions sampled %d, want 4", sampled)
@@ -41,7 +41,7 @@ func TestTracerSamplingDisabled(t *testing.T) {
 		if tc.Sampled() {
 			t.Fatal("negative SampleEvery must disable sampling")
 		}
-		tr.Finish(tc, "client-admit")
+		tr.Finish(tc, "client-admit", time.Now())
 	}
 	if s, _ := tr.Stats(); s != 0 {
 		t.Fatalf("disabled tracer sampled %d", s)
@@ -59,7 +59,7 @@ func TestNilTracerNoOps(t *testing.T) {
 	}
 	tc.RecordSpan(Span{ID: 5})
 	tc.SetAttr("attr")
-	tr.Finish(tc, "x")
+	tr.Finish(tc, "x", time.Now())
 	tr.Fragment(1, 1, "y", time.Now(), time.Now())
 	if d := tr.Dump(); d.Recent != nil || d.Slow != nil {
 		t.Fatal("nil tracer dumped traces")
@@ -72,7 +72,7 @@ func TestNilTracerNoOps(t *testing.T) {
 func TestSlowCaptureUnsampled(t *testing.T) {
 	tr := NewTracer(TracerConfig{SampleEvery: -1, SlowThreshold: time.Nanosecond})
 	tc := tr.Admit("client-admit", time.Now().Add(-time.Millisecond))
-	tr.Finish(tc, "client-admit")
+	tr.Finish(tc, "client-admit", time.Now())
 	d := tr.Dump()
 	if len(d.Slow) != 1 {
 		t.Fatalf("slow ring holds %d exemplars, want 1", len(d.Slow))
@@ -91,7 +91,7 @@ func TestSlowCaptureUnsampled(t *testing.T) {
 func TestSlowSampledAlsoInSlowRing(t *testing.T) {
 	tr := NewTracer(TracerConfig{SampleEvery: 1, SlowThreshold: time.Nanosecond})
 	tc := tr.Admit("client-admit", time.Now().Add(-time.Millisecond))
-	tr.Finish(tc, "client-admit")
+	tr.Finish(tc, "client-admit", time.Now())
 	d := tr.Dump()
 	if len(d.Recent) != 1 || len(d.Slow) != 1 {
 		t.Fatalf("recent=%d slow=%d, want 1/1", len(d.Recent), len(d.Slow))
@@ -116,7 +116,7 @@ func TestSpanTreeAndFragmentJoin(t *testing.T) {
 	flush := tc.Record("wal-flush", now, now.Add(3*time.Microsecond))
 	commit := tc.At(flush).Record("wal-commit", now, now.Add(3*time.Microsecond))
 	ship := tc.At(commit).Alloc()
-	tr.Finish(tc, "client-admit")
+	tr.Finish(tc, "client-admit", time.Now())
 	// The ship span completes after the client ack — the late-append path.
 	tc.At(commit).RecordSpan(Span{ID: ship, Parent: commit, Name: "repl-ship",
 		Start: now, End: now.Add(4 * time.Microsecond)})
@@ -161,7 +161,7 @@ func TestWriteTracezRender(t *testing.T) {
 	tc := tr.Admit("client-admit", now)
 	flush := tc.Record("wal-flush", now, now.Add(time.Microsecond))
 	tc.At(flush).Record("wal-commit", now, now.Add(time.Microsecond))
-	tr.Finish(tc, "client-admit")
+	tr.Finish(tc, "client-admit", time.Now())
 
 	var b strings.Builder
 	if err := WriteTracez(&b, tr.Dump()); err != nil {
@@ -229,7 +229,7 @@ func TestTraceRaceHammer(t *testing.T) {
 				flush := tc.Record("wal-flush", now, now)
 				commit := tc.At(flush).Record("wal-commit", now, now)
 				ship := tc.At(commit).Alloc()
-				tr.Finish(tc, "client-admit")
+				tr.Finish(tc, "client-admit", time.Now())
 				// Late append + fragment after publication, like the
 				// replication sender and the follower.
 				tc.At(commit).RecordSpan(Span{ID: ship, Parent: commit, Name: "repl-ship", Start: now, End: time.Now()})
@@ -273,7 +273,7 @@ func durableSyncSpans(tr *Tracer, now time.Time, step time.Duration) {
 	tc.Record("apply", now, now.Add(2*step))
 	flush := tc.Record("wal-flush", now, now.Add(3*step))
 	tc.At(flush).Record("wal-commit", now, now.Add(3*step))
-	tr.Finish(tc, "client-admit")
+	tr.Finish(tc, "client-admit", time.Now())
 }
 
 // BenchmarkTraceSampled prices the tracing plane for a request that IS

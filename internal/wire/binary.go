@@ -275,48 +275,78 @@ func AppendGatewayRequest(dst []byte, g GatewayRequest) ([]byte, error) {
 // claim. Sealed aliases b: one slice header per ciphertext, cut out of the
 // batch's block after a single bounds check.
 func (c Codec) DecodeGatewayRequest(b []byte) (GatewayRequest, error) {
-	if len(b) == 0 {
-		return GatewayRequest{}, fmt.Errorf("%w: empty gateway request frame", ErrBadFrame)
-	}
 	if c != CodecBinary {
 		return GatewayRequest{}, fmt.Errorf("wire: decode with unknown codec %d", byte(c))
 	}
-	r := binfmt.NewReader(b, ErrBadFrame)
-	var g GatewayRequest
-	g.ID = r.Uvarint("request id")
-	ownerLen := int(r.U8("owner length"))
-	g.Owner = string(r.Bytes(ownerLen, "owner id"))
-	t := r.U8("message type")
-	if r.Err() != nil {
-		return GatewayRequest{}, r.Err()
-	}
-	mt, err := msgTypeFromByte(t)
+	f, err := ParseGatewayRequest(b)
 	if err != nil {
 		return GatewayRequest{}, err
 	}
-	g.Req.Type = mt
+	g := GatewayRequest{ID: f.ID, Owner: string(f.Owner), Req: f.Req}
+	if w := f.Width; w > 0 {
+		g.Req.Sealed = make([][]byte, len(f.Block)/w)
+		for i := range g.Req.Sealed {
+			g.Req.Sealed[i] = f.Block[i*w : (i+1)*w : (i+1)*w]
+		}
+	}
+	return g, nil
+}
+
+// RequestFrame is a request envelope read in place: Owner and, for a sync,
+// Block are slices of the frame it was parsed from, and Req carries
+// everything else — Sealed stays nil, because a sync's ciphertexts are the
+// len(Block)/Width back-to-back Width-byte runs of Block (Width is 0 for a
+// batch of none). A caller that keeps the frame's buffer for the next read
+// copies what it needs first.
+type RequestFrame struct {
+	ID    uint64
+	Owner []byte
+	Req   Request
+	Width int
+	Block []byte
+}
+
+// ParseGatewayRequest is DecodeGatewayRequest's parse, with its rules and its
+// errors, that copies and allocates nothing for a sync: the reader that
+// builds a sync's durable entry straight from its block (store.SyncEntry)
+// calls it. A query's spec is still its own allocation.
+func ParseGatewayRequest(b []byte) (RequestFrame, error) {
+	if len(b) == 0 {
+		return RequestFrame{}, fmt.Errorf("%w: empty gateway request frame", ErrBadFrame)
+	}
+	r := binfmt.NewReader(b, ErrBadFrame)
+	var f RequestFrame
+	f.ID = r.Uvarint("request id")
+	ownerLen := int(r.U8("owner length"))
+	f.Owner = r.Bytes(ownerLen, "owner id")
+	t := r.U8("message type")
+	if r.Err() != nil {
+		return RequestFrame{}, r.Err()
+	}
+	mt, err := msgTypeFromByte(t)
+	if err != nil {
+		return RequestFrame{}, err
+	}
+	f.Req.Type = mt
 	switch t {
 	case binSetup, binUpdate:
-		g.Req.Seq = r.Uvarint("sync seq")
+		f.Req.Seq = r.Uvarint("sync seq")
 		if n := r.Uvarint("sealed count"); n > 0 {
 			width := r.Uvarint("ciphertext width")
 			if r.Err() != nil {
-				return GatewayRequest{}, r.Err()
+				return RequestFrame{}, r.Err()
 			}
 			if width == 0 {
-				return GatewayRequest{}, fmt.Errorf("%w: %d ciphertexts of width 0", ErrBadFrame, n)
+				return RequestFrame{}, fmt.Errorf("%w: %d ciphertexts of width 0", ErrBadFrame, n)
 			}
-			// The whole batch against the frame, once, before allocating; the
-			// division keeps a product past 64 bits from wrapping into range.
+			// The whole batch against the frame, once, before anything is cut
+			// from it; the division keeps a product past 64 bits from wrapping
+			// into range.
 			if n > uint64(r.Remaining())/width {
-				return GatewayRequest{}, errSealedBlock
+				return RequestFrame{}, errSealedBlock
 			}
-			w := int(width)
-			block := r.Bytes(int(n)*w, "sealed block")
-			g.Req.Sealed = make([][]byte, n)
-			for i := range g.Req.Sealed {
-				g.Req.Sealed[i] = block[i*w : (i+1)*w : (i+1)*w]
-			}
+			f.Width = int(width)
+			f.Block = r.Bytes(int(n)*f.Width, "sealed block")
 		}
 	case binQuery, binQueryAt:
 		var q QuerySpec
@@ -325,18 +355,18 @@ func (c Codec) DecodeGatewayRequest(b []byte) (GatewayRequest, error) {
 		q.JoinWith = r.U8("query join table")
 		q.Lo = r.U16("query lo")
 		q.Hi = r.U16("query hi")
-		g.Req.Query = &q
+		f.Req.Query = &q
 		if t == binQueryAt {
-			g.Req.MinOffset = r.Uvarint("query min offset")
-			if r.Err() == nil && g.Req.MinOffset == 0 {
-				return GatewayRequest{}, fmt.Errorf("%w: freshness-bound query with zero bound", ErrBadFrame)
+			f.Req.MinOffset = r.Uvarint("query min offset")
+			if r.Err() == nil && f.Req.MinOffset == 0 {
+				return RequestFrame{}, fmt.Errorf("%w: freshness-bound query with zero bound", ErrBadFrame)
 			}
 		}
 	}
 	if err := r.Done("gateway request"); err != nil {
-		return GatewayRequest{}, err
+		return RequestFrame{}, err
 	}
-	return g, nil
+	return f, nil
 }
 
 // EncodeGatewayResponse serializes the envelope under codec c.
