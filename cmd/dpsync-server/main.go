@@ -31,16 +31,17 @@
 //	dpsync-server -store /var/lib/dpsync -fsync -history-window 64 -listen 127.0.0.1:7701 -key-file shared.key
 //
 // With -cluster the server joins a replicated gateway cluster (requires
-// -store): the nodes elect one primary through a shared lease
-// file (-lease-file, on storage every node sees — each node keeps its own
-// private -store, so the lease must live elsewhere); the primary streams
-// every committed WAL entry to the followers; a follower runs the same
-// gateway in replica role — it serves read-only connections from its
-// replicated prefix, refuses writers with a typed redirect, tails the
-// primary, and is promoted by a role flip (no recovery pass) when it wins the
-// lapsed lease (see internal/cluster). With -replica-of ADDR the node is
-// instead pinned as a permanent read-serving standby tailing ADDR: it never
-// campaigns and never promotes. Two-node example on one machine:
+// -store): the nodes elect one primary through a shared lease file
+// (-lease-file, on storage every node sees — each node keeps its own private
+// -store, so the lease must live elsewhere). Every node opens its -store as a
+// replica-role gateway, then campaigns; the winner becomes primary by a role
+// flip (no second recovery pass) and streams every committed WAL entry to the
+// followers. A follower serves read-only connections from its replicated
+// prefix, refuses writers with a typed redirect, tails the primary, and flips
+// the same way when it wins the lapsed lease (see internal/cluster). With
+// -replica-of ADDR the node is instead pinned as a permanent read-serving
+// standby tailing ADDR: it never campaigns and never promotes. Two-node
+// example on one machine:
 //
 //	dpsync-server -cluster -node-id a -store /var/lib/dpsync-a -lease-file /var/lib/dpsync.lease -listen 127.0.0.1:7701 -key-file shared.key
 //	dpsync-server -cluster -node-id b -store /var/lib/dpsync-b -lease-file /var/lib/dpsync.lease -listen 127.0.0.1:7702 -key-file shared.key

@@ -518,19 +518,21 @@
 // the session; the tail waits for each step's outcome, so nothing of that
 // shard is applied after it until a snapshot transfer heals it.
 //
-// The failover invariant follows: promotion is a role flip over state
-// recovery would reproduce. When the lease lapses (the primary is fenced the
-// moment a renewal is refused, before anyone else can acquire), a follower
-// that wins it stops its tail, waits out each shard's queue and pending WAL
-// appends, binds a hub at the shards' applied stream offsets and flips its
-// gateway to primary — no pass over the directory, no cold caches, and a
-// promotion time that does not grow with history. The flip == recover ==
-// reference differential pins, at seeded kill points, that what the flipped
-// node serves is what gateway.New over a copy of its directory serves (a
-// replica whose own WAL append failed does not flip; it recovers from the
-// directory). Syncs the dead primary committed but never shipped are not
-// lost — each owner's client still holds them in its resync window,
-// discovers the promoted node's lower durable clock through the resume
+// The failover invariant follows: becoming primary is one role flip over
+// state recovery would reproduce. Every node opens its directory as a replica
+// (gateway.NewReplica) before it campaigns; the winner binds a hub at the
+// shards' stream heads and flips its gateway to primary — at start before it
+// serves, or, when the lease lapses (the primary is fenced the moment a
+// renewal is refused, before anyone else can acquire), after it stops its tail
+// and waits out each shard's queue and pending WAL appends: no pass over the
+// directory, no cold caches, a promotion time that does not grow with history.
+// The flip == recover == reference differential pins, at seeded kill points,
+// that the flipped node, gateway.New over a copy of its directory, and that
+// directory restarted as the lease winner serve the same (a replica whose own
+// WAL append failed does not flip; it releases the lease, reopens its
+// directory and campaigns again). Syncs the dead primary committed but never
+// shipped are not lost — each owner's client still holds them in its resync
+// window, discovers the promoted node's lower durable clock through the resume
 // protocol, and re-uploads them verbatim — so every owner's transcript and ε
 // ledger end bit-identical to an uninterrupted single-node run. The failover
 // differential test pins this across randomized kill ticks, connection churn,

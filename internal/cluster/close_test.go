@@ -3,6 +3,7 @@ package cluster
 import (
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,17 +70,51 @@ func TestFollowerCloseDuringDial(t *testing.T) {
 	}
 }
 
-// TestUnhealthyReplicaPromotesByRecovery pins the one promotion that is not a
-// flip: a follower whose own WAL append failed holds tenants its directory
-// cannot prove, so on winning the lease it drops them and serves what
-// gateway.New recovers from the directory instead — on the same address, with
+// recordingLease logs one node's lease calls, in order, over a MemLease.
+type recordingLease struct {
+	*MemLease
+	node  string
+	mu    sync.Mutex
+	calls []string
+}
+
+func (l *recordingLease) Acquire(node, addr string, ttl time.Duration) (LeaseState, bool, error) {
+	st, won, err := l.MemLease.Acquire(node, addr, ttl)
+	if node == l.node && err == nil {
+		call := "Acquire(lost)"
+		if won {
+			call = "Acquire(won)"
+		}
+		l.record(call)
+	}
+	return st, won, err
+}
+
+func (l *recordingLease) Release(node string) error {
+	if node == l.node {
+		l.record("Release")
+	}
+	return l.MemLease.Release(node)
+}
+
+func (l *recordingLease) record(call string) {
+	l.mu.Lock()
+	l.calls = append(l.calls, call)
+	l.mu.Unlock()
+}
+
+// TestUnhealthyReplicaReopensThenFlips pins the one promotion that cannot
+// flip at once: a follower whose own WAL append failed holds tenants its
+// directory cannot prove, so on winning the lease it gives the lease back,
+// drops them, reopens the directory as a fresh replica on the same address,
+// campaigns again and flips that — never recovering under the lease — with
 // the client's resync window filling in what the directory lacks.
-func TestUnhealthyReplicaPromotesByRecovery(t *testing.T) {
+func TestUnhealthyReplicaReopensThenFlips(t *testing.T) {
 	key, err := seal.NewRandomKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease := NewMemLease(nil)
+	lease := &recordingLease{MemLease: NewMemLease(nil), node: "node-b"}
 	start := func(id string) *Node {
 		n, err := Start(Config{
 			Addr: "127.0.0.1:0", NodeID: id, StoreDir: t.TempDir(),
@@ -143,7 +178,7 @@ func TestUnhealthyReplicaPromotesByRecovery(t *testing.T) {
 	}
 	gw := b.Gateway()
 	if gw == nil || gw == replica {
-		t.Fatal("an unhealthy replica was flipped instead of recovered")
+		t.Fatal("an unhealthy replica was flipped instead of reopened")
 	}
 	select {
 	case <-replica.Closed():
@@ -152,6 +187,18 @@ func TestUnhealthyReplicaPromotesByRecovery(t *testing.T) {
 	}
 	if got := gw.ObservedPattern("owner-1").Updates(); got != 1 {
 		t.Fatalf("recovered %d syncs from a directory that holds 1", got)
+	}
+	// The lease was given back before the directory was reopened, and won
+	// again by the fresh replica.
+	lease.mu.Lock()
+	calls := lease.calls
+	lease.mu.Unlock()
+	for len(calls) > 0 && calls[0] == "Acquire(lost)" {
+		calls = calls[1:]
+	}
+	if want := []string{"Acquire(won)", "Release", "Acquire(won)"}; len(calls) < len(want) ||
+		strings.Join(calls[:len(want)], " ") != strings.Join(want, " ") {
+		t.Fatalf("node-b's lease calls after following: %v, want %v first", calls, want)
 	}
 	// The client replays what the directory lacked and goes on.
 	if err := own.Update(rec(2)); err != nil {

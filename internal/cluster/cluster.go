@@ -7,7 +7,9 @@
 //
 // # Roles
 //
-// A Node is either the primary or a follower, never both:
+// A Node is either the primary or a follower, never both. Every node opens its
+// directory as a replica-role gateway (gateway.NewReplica), and only then
+// campaigns for the lease:
 //
 //   - The primary runs the full gateway (internal/gateway) with a
 //     replication Hub tapped into its durable commit stream. Every
@@ -20,25 +22,25 @@
 //     writers and would-be followers are refused at the hello
 //     (wire.ErrNotPrimary), so a client that dials it moves on to the next
 //     address instead of hanging. Meanwhile it tails the primary and hands
-//     each shipped entry to
-//     the owner's shard worker, which applies it through the recovery rules
-//     and appends it to the replica's own WAL — so its directory is at every
-//     instant a valid restart image, and the tenants in RAM are what recovery
-//     over that directory would build.
+//     each shipped entry to the owner's shard worker, which applies it through
+//     the recovery rules and appends it to the replica's own WAL — so its
+//     directory is at every instant a valid restart image, and the tenants in
+//     RAM are what recovery over that directory would build.
 //
 // # Failover invariant
 //
-// Promotion is a role flip over state recovery would reproduce: the follower
-// fences (it holds the lease), stops its tail, waits out each shard's queue
-// and pending WAL appends, binds a hub at the shards' stream heads and flips
-// its gateway to primary — same tenants, same backends, same answer caches, no
-// directory recovery. Everything the promoted node serves is still exactly
+// Becoming primary is one role flip over state recovery would reproduce: the
+// node fences (it holds the lease), stops its tail if it has one, waits out
+// each shard's queue and pending WAL appends, binds a hub at the shards'
+// stream heads and flips its gateway to primary — same tenants, same backends,
+// same answer caches, no directory recovery; a node that wins at Start flips
+// before it serves. Everything a primary serves is still exactly
 // what crash recovery could prove — a committed prefix of every owner's
 // history, with transcript, clock, and ε ledger describing precisely that
 // prefix — pinned by the flip == recover == reference differential. (A replica
 // whose own WAL append failed holds RAM its directory cannot prove; it does
-// not flip but recovers from the directory, the way a node that starts as
-// primary does.) Syncs the old primary committed but never shipped are not
+// not flip but gives the lease back, reopens its directory and campaigns
+// again.) Syncs the old primary committed but never shipped are not
 // lost: the owner's client still holds them (its resync window), discovers the
 // promoted node's lower durable clock through the resume protocol, and
 // re-uploads them verbatim, so every owner's transcript and ε ledger end
@@ -103,10 +105,10 @@ type Config struct {
 	// replication ships WAL frames, so every role needs a WAL.
 	StoreDir string
 	// Gateway is the serving configuration of the node's gateway, in either
-	// role (key, shards, epsilon, window, timeouts...). StoreDir, Listener, and
-	// Replicator are owned by the node and overwritten. A configuration that
-	// cannot build tenants (no key, no backend) fails Start in either role: a
-	// follower must be able to become what it replicates.
+	// role (key, shards, epsilon, window, timeouts...). StoreDir and Listener
+	// are owned by the node and overwritten; Replicator must be nil. A
+	// configuration that cannot build tenants (no key, no backend) fails Start
+	// in either role: a follower must be able to become what it replicates.
 	Gateway gateway.Config
 	// Lease is the election arbiter, shared by the cluster's nodes.
 	// Required unless ReplicaOf pins this node to standby.
@@ -165,8 +167,7 @@ type Node struct {
 	// (zero for a node that never followed).
 	promotion time.Duration
 
-	promoted     chan struct{}
-	promotedOnce sync.Once
+	promoted chan struct{} // closed by the one promote that succeeds
 }
 
 // nodeMetrics holds the node's own counters and its collector's
@@ -213,8 +214,9 @@ type NodeStats struct {
 	Promotion time.Duration
 }
 
-// Start brings a node up: it binds the address, then either takes the lease
-// and serves as primary, or opens its directory as a replica and follows.
+// Start brings a node up: it binds the address, opens its directory as a
+// replica and campaigns once. A winner has flipped to primary and serves when
+// Start returns; anyone else serves as a follower and keeps campaigning.
 func Start(cfg Config) (*Node, error) {
 	if cfg.NodeID == "" {
 		return nil, fmt.Errorf("cluster: NodeID required")
@@ -246,13 +248,11 @@ func Start(cfg Config) (*Node, error) {
 		n.tm.unreg = reg.RegisterCollector(n.emitTelemetry)
 	}
 	lis, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		err = fmt.Errorf("cluster: listen: %w", err)
-	} else {
+	if err == nil {
 		n.addr = lis.Addr().String()
-		if err = n.start(lis); err != nil {
-			lis.Close()
-		}
+		err = n.start(lis)
+	} else {
+		err = fmt.Errorf("cluster: listen: %w", err)
 	}
 	if err != nil {
 		// Nothing of the node survives a failed Start — its collector least of
@@ -265,47 +265,79 @@ func Start(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// start takes the node's role on lis: primary if the lease is free, follower
-// otherwise (or always, for a pinned standby).
+// start takes the node's role on lis: it opens the directory as a replica,
+// then — unless pinned as a standby — campaigns once. A winner flips before
+// its gateway serves, so no client finds it in replica role; anyone else
+// follows, and the role loop campaigns on.
 func (n *Node) start(lis net.Listener) error {
+	gw, err := n.open(lis)
+	if err != nil {
+		return err
+	}
 	if n.cfg.ReplicaOf == "" {
-		st, won, err := n.cfg.Lease.Acquire(n.cfg.NodeID, n.addr, n.cfg.LeaseTTL)
+		won, _, err := n.campaign()
+		if err == nil && won {
+			if err = n.promote(time.Time{}); err == nil {
+				close(n.tailDone) // this node never follows
+				n.serve(gw, false)
+				return nil
+			}
+			_ = n.cfg.Lease.Release(n.cfg.NodeID)
+		}
 		if err != nil {
+			gw.Kill()
 			return err
 		}
-		if won {
-			n.recordLease(n.cfg.NodeID, true)
-			close(n.tailDone) // this node never follows
-			if err := n.startPrimary(lis); err != nil {
-				_ = n.cfg.Lease.Release(n.cfg.NodeID)
-				return err
-			}
-			return nil
-		}
-		n.recordLease(st.Holder, false)
 	}
-	gw, err := gateway.NewReplica("", n.gatewayConfig(lis, nil))
-	if err != nil {
-		return fmt.Errorf("cluster: opening replica: %w", err)
-	}
-	n.mu.Lock() // a scrape may already be reading
-	n.gw = gw
-	n.fol = newFollower(gw, n.log.With("node", n.cfg.NodeID), n.cfg.Gateway.Tracer)
-	n.mu.Unlock()
-	n.wg.Add(2)
-	go func() {
-		defer n.wg.Done()
-		_ = gw.Serve()
-	}()
+	n.serve(gw, true)
+	n.wg.Add(1)
 	go n.runFollower()
 	return nil
 }
 
+// open is how every node opens its directory, at Start and again after a
+// failed promotion: a replica-role gateway over it on lis, published as the
+// node's gateway unless a Close or Kill got there first.
+func (n *Node) open(lis net.Listener) (*gateway.Gateway, error) {
+	gw, err := gateway.NewReplica("", n.gatewayConfig(lis))
+	if err != nil {
+		lis.Close()
+		return nil, fmt.Errorf("cluster: opening replica: %w", err)
+	}
+	n.mu.Lock() // a scrape may already be reading
+	closed := n.closed
+	if !closed {
+		n.gw = gw
+	}
+	n.mu.Unlock()
+	if closed {
+		gw.Kill()
+		return nil, errors.New("cluster: node closed while opening its directory")
+	}
+	return gw, nil
+}
+
+// serve runs gw's connection loop until gw closes — a follower's with a
+// replication tail into gw (readers answered, writers refused by role).
+func (n *Node) serve(gw *gateway.Gateway, follower bool) {
+	if follower {
+		fol := newFollower(gw, n.log.With("node", n.cfg.NodeID), n.cfg.Gateway.Tracer)
+		n.mu.Lock()
+		n.fol = fol
+		n.mu.Unlock()
+	}
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		_ = gw.Serve()
+	}()
+}
+
 // gatewayConfig is the node's serving configuration over its own directory
 // and listener.
-func (n *Node) gatewayConfig(lis net.Listener, repl gateway.Replicator) gateway.Config {
+func (n *Node) gatewayConfig(lis net.Listener) gateway.Config {
 	cfg := n.cfg.Gateway
-	cfg.StoreDir, cfg.Listener, cfg.Replicator = n.cfg.StoreDir, lis, repl
+	cfg.StoreDir, cfg.Listener = n.cfg.StoreDir, lis
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = n.cfg.Telemetry
 	}
@@ -356,6 +388,17 @@ func (n *Node) emitTelemetry(emit func(telemetry.Sample)) {
 	counter("cluster_read_rebuilds_total", "tenants re-materialised from history after a failed replica ingest (0 on a healthy replica)", float64(rp.Rebuilds))
 }
 
+// campaign asks the arbiter for the lease once and records its verdict:
+// whether this node won, and where the holder serves.
+func (n *Node) campaign() (won bool, holderAddr string, err error) {
+	st, won, err := n.cfg.Lease.Acquire(n.cfg.NodeID, n.addr, n.cfg.LeaseTTL)
+	if err != nil {
+		return false, "", err
+	}
+	n.recordLease(st.Holder, won)
+	return won, st.Addr, nil
+}
+
 // recordLease notes the arbiter's verdict: who holds the lease, and (when
 // this node won) a renewals tick and a fresh renewal timestamp.
 func (n *Node) recordLease(holder string, won bool) {
@@ -363,11 +406,9 @@ func (n *Node) recordLease(holder string, won bool) {
 	n.leaseHolder = holder
 	if won {
 		n.leaseRenewed = time.Now()
-	}
-	n.mu.Unlock()
-	if won {
 		n.tm.renewals.Inc()
 	}
+	n.mu.Unlock()
 }
 
 // Addr returns the node's bound listen address.
@@ -497,55 +538,37 @@ func (n *Node) Ready() (bool, string) {
 	return true, "follower: replicating within lag bound"
 }
 
-// newHub builds the node's replication hub.
-func (n *Node) newHub() *Hub {
-	return NewHub(HubConfig{RingSize: n.cfg.RingSize, Heartbeat: n.cfg.Heartbeat,
+// promote is the one way a node becomes primary, a flip: a hub bound at the
+// shards' stream heads, then the gateway's role flip once its shards have
+// drained. The node holds the lease and has no tail session running. wonAt is
+// when a follower won the lease; a node that won at Start passes zero and
+// reports no promotion. On failure only the hub, closed again, has changed.
+func (n *Node) promote(wonAt time.Time) error {
+	hub := NewHub(HubConfig{RingSize: n.cfg.RingSize, Heartbeat: n.cfg.Heartbeat,
 		Logger: n.log.With("node", n.cfg.NodeID), Telemetry: n.cfg.Telemetry})
-}
-
-// startPrimary stands the serving stack up by recovery: hub, gateway.New over
-// whatever the store directory holds, bind, serve, renew. It is how a node
-// that wins the lease at Start comes up, and the fallback of a promotion that
-// cannot flip.
-func (n *Node) startPrimary(lis net.Listener) error {
-	hub := n.newHub()
-	gw, err := gateway.New("", n.gatewayConfig(lis, hub))
+	err := hub.Bind(n.gw)
+	if err == nil {
+		err = n.gw.Promote(hub)
+	}
 	if err != nil {
 		hub.Close()
 		return err
 	}
-	if err := hub.Bind(gw); err != nil {
-		hub.Close()
-		gw.Kill()
-		return err
-	}
+	// A Close racing this waits for the role loop to return before it touches
+	// the gateway, so it finds a whole primary to shut down; a Kill has killed
+	// this same gateway already, and the renew loop winds the hub down with it.
 	n.mu.Lock()
-	if n.closed {
-		// Shutdown raced the promotion: the node must not start serving now.
-		// Kill the just-built stack; the store directory stays a valid image.
-		n.mu.Unlock()
-		hub.Close()
-		gw.Kill()
-		return errors.New("cluster: node closed during promotion")
+	n.role, n.hub = RolePrimary, hub
+	if !wonAt.IsZero() {
+		n.promotion = time.Since(wonAt)
+		n.tm.promotions.Inc()
 	}
-	n.role, n.gw, n.hub = RolePrimary, gw, hub
 	n.mu.Unlock()
 	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		_ = gw.Serve()
-	}()
-	n.servePrimary(gw, hub)
-	return nil
-}
-
-// servePrimary starts renewing the lease for the primary-role gateway the
-// node just published and announces the role.
-func (n *Node) servePrimary(gw *gateway.Gateway, hub *Hub) {
-	n.wg.Add(1)
-	go n.renewLoop(gw, hub)
-	n.promotedOnce.Do(func() { close(n.promoted) })
+	go n.renewLoop(n.gw, hub)
+	close(n.promoted)
 	n.log.Info("serving as primary", "node", n.cfg.NodeID, "addr", n.addr)
+	return nil
 }
 
 // renewLoop keeps the primary's lease alive and fences on loss: a refused
@@ -594,8 +617,9 @@ func (n *Node) renewLoop(gw *gateway.Gateway, hub *Hub) {
 }
 
 // runFollower is the follower role loop: tail whoever holds the lease,
-// campaign when it lapses, and promote on a win. Clients are the gateway's
-// business from the start — it serves readers and refuses writers by role.
+// campaign when it lapses, and promote on a win — or, when the replica's WAL
+// failed, give the lease back, reopen and campaign on. Clients are the
+// gateway's business from the start: it serves readers, refuses writers.
 func (n *Node) runFollower() {
 	defer n.wg.Done()
 	defer close(n.tailDone)
@@ -613,27 +637,27 @@ func (n *Node) runFollower() {
 		}
 		primary := n.cfg.ReplicaOf
 		if primary == "" {
-			st, won, err := n.cfg.Lease.Acquire(n.cfg.NodeID, n.addr, n.cfg.LeaseTTL)
+			won, addr, err := n.campaign()
 			if err != nil {
 				n.log.Warn("campaign error", "node", n.cfg.NodeID, "err", err)
 				n.sleep(backoff)
 				continue
 			}
 			if won {
-				n.recordLease(n.cfg.NodeID, true)
-				start := time.Now()
-				if err := n.promote(); err != nil {
-					n.log.Error("promotion failed", "node", n.cfg.NodeID, "err", err)
-					_ = n.cfg.Lease.Release(n.cfg.NodeID)
+				n.log.Info("promoting", "node", n.cfg.NodeID, "addr", n.addr)
+				if err = n.promote(time.Now()); err == nil {
 					return
 				}
-				n.mu.Lock()
-				n.promotion = time.Since(start)
-				n.mu.Unlock()
-				return
+				_ = n.cfg.Lease.Release(n.cfg.NodeID)
+				if errors.Is(err, gateway.ErrUnhealthyReplica) {
+					if err = n.reopen(); err == nil {
+						continue
+					}
+				}
+				n.log.Error("promotion failed", "node", n.cfg.NodeID, "err", err)
+				return // Close or Kill ends the gateway
 			}
-			n.recordLease(st.Holder, false)
-			primary = st.Addr
+			primary = addr
 		}
 		if primary == "" || primary == n.addr {
 			n.sleep(backoff)
@@ -689,48 +713,21 @@ func (n *Node) sleep(d time.Duration) {
 	}
 }
 
-// promote turns the follower into the primary, on the role loop's goroutine
-// after its last tail session returned — so the stream is stopped and no
-// replication step is in flight. The node already holds the lease (the fence).
-// A hub is bound at the shards' stream heads and the gateway flips role once
-// its shards have drained: the tenants, backends and answer caches the stream
-// kept current are what the node serves next, with no pass over the directory.
-func (n *Node) promote() error {
-	n.log.Info("promoting", "node", n.cfg.NodeID, "addr", n.addr)
-	n.tm.promotions.Inc()
-	hub := n.newHub()
-	err := hub.Bind(n.gw)
-	if err == nil {
-		err = n.gw.Promote(hub)
-	}
-	if err == nil {
-		// A Close racing this waits for the role loop to return before it
-		// touches the gateway, so it finds a whole primary to shut down; a Kill
-		// has killed this same gateway already, and the renew loop below winds
-		// the hub down with it.
-		n.mu.Lock()
-		n.role, n.hub = RolePrimary, hub
-		n.mu.Unlock()
-		n.servePrimary(n.gw, hub)
-		return nil
-	}
-	hub.Close()
-	if !errors.Is(err, gateway.ErrUnhealthyReplica) {
-		return err // the node is shutting down; Close or Kill ends the gateway
-	}
-	// RAM is ahead of what the directory can prove. Drop it and serve what
-	// recovery proves instead, on the same address.
-	n.log.Warn("replica WAL unhealthy; promoting by recovery", "node", n.cfg.NodeID)
+// reopen is a replica whose WAL failed starting over, with the lease given
+// back: its gateway is killed and the directory opened afresh, on the same
+// address, by the open step Start takes, and followed.
+func (n *Node) reopen() error {
+	n.log.Warn("replica WAL unhealthy; reopening the directory", "node", n.cfg.NodeID)
 	n.gw.Kill()
 	lis, err := net.Listen("tcp", n.addr)
 	if err != nil {
 		return fmt.Errorf("cluster: rebinding %s: %w", n.addr, err)
 	}
-	if err := n.startPrimary(lis); err != nil {
-		lis.Close()
-		return err
+	gw, err := n.open(lis)
+	if err == nil {
+		n.serve(gw, true)
 	}
-	return nil
+	return err
 }
 
 // Close shuts the node down gracefully: the replication tail stops first,

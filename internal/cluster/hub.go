@@ -142,9 +142,9 @@ type hubSub struct {
 	busy    bool          // sender holds collected frames it has not flushed yet
 }
 
-// Hub is the primary-side replication fan-out. Create with NewHub, wire it
-// into the gateway via Config.Replicator, then Bind it to the gateway it
-// serves before Serve starts accepting.
+// Hub is the primary-side replication fan-out. Create with NewHub, Bind it to
+// the replica-role gateway about to become primary, then hand it to that
+// gateway's Promote — the one way a hub reaches a gateway in a cluster.
 type Hub struct {
 	cfg   HubConfig
 	log   *slog.Logger
@@ -236,8 +236,8 @@ func (h *Hub) lagLocked(sub *hubSub, nowNs int64) (entries int64, ms float64) {
 // Bind attaches the hub to the gateway it replicates and initializes each
 // shard's stream head to the shard's recovered committed entry count (the
 // sum of its owners' clocks) — so offsets continue the durable stream
-// rather than restarting at zero on every primary. Call after gateway.New
-// and before Serve accepts connections.
+// rather than restarting at zero on every primary. Call on a replica whose
+// stream has stopped, before its Gateway.Promote attaches the hub.
 func (h *Hub) Bind(gw *gateway.Gateway) error {
 	if gw.Store() == nil {
 		return fmt.Errorf("cluster: hub requires a durable gateway (StoreDir)")

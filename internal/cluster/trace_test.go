@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -266,11 +267,23 @@ func findShippedTrace(primary, follower telemetry.TraceDump) (telemetry.TraceSna
 	return telemetry.TraceSnap{}, telemetry.SpanSnap{}
 }
 
+// countingLease counts Acquire calls over a MemLease.
+type countingLease struct {
+	*cluster.MemLease
+	acquires atomic.Int64
+}
+
+func (l *countingLease) Acquire(node, addr string, ttl time.Duration) (cluster.LeaseState, bool, error) {
+	l.acquires.Add(1)
+	return l.MemLease.Acquire(node, addr, ttl)
+}
+
 // TestStartFailureLeavesNoCollector pins Start's cleanup on every way it can
 // fail after registering its collector — the follower's store failing to open
 // was the path that leaked it: the registry of a node that never came up
 // reports no cluster series (a scraper would read cluster_role for a node that
-// does not exist) and none of a gateway's either.
+// does not exist) and none of a gateway's either. And a node whose directory
+// cannot open never campaigns: it opens before it asks for the lease.
 func TestStartFailureLeavesNoCollector(t *testing.T) {
 	key, err := seal.NewRandomKey()
 	if err != nil {
@@ -290,7 +303,7 @@ func TestStartFailureLeavesNoCollector(t *testing.T) {
 	}{
 		{"follower store", cluster.Config{StoreDir: notADir, Lease: held}},
 		{"pinned standby store", cluster.Config{StoreDir: notADir, ReplicaOf: "127.0.0.1:1"}},
-		{"primary store", cluster.Config{StoreDir: notADir, Lease: cluster.NewMemLease(nil)}},
+		{"primary store", cluster.Config{StoreDir: notADir, Lease: &countingLease{MemLease: cluster.NewMemLease(nil)}}},
 		{"listen", cluster.Config{StoreDir: t.TempDir(), Lease: held, Addr: "256.0.0.1:0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -303,6 +316,9 @@ func TestStartFailureLeavesNoCollector(t *testing.T) {
 			if n, err := cluster.Start(cfg); err == nil {
 				n.Close()
 				t.Fatal("Start succeeded")
+			}
+			if l, ok := cfg.Lease.(*countingLease); ok && l.acquires.Load() != 0 {
+				t.Fatalf("Start campaigned %d times over a directory it could not open", l.acquires.Load())
 			}
 			for _, s := range reg.Snapshot() {
 				if strings.HasPrefix(s.Name, "cluster_") || s.Name == "gateway_owners" {

@@ -333,8 +333,9 @@ func New(addr string, cfg Config) (*Gateway, error) { return newGateway(addr, cf
 
 // NewReplica creates a replica-role gateway over cfg.StoreDir: it recovers
 // the directory exactly as New does — every owner resident, because a replica
-// must fit what it may become — and from then on is advanced by Replicate
-// until Promote makes it the primary. cfg.Replicator must be nil.
+// must fit what it may become. Every cluster node opens its directory this
+// way; a follower is then advanced by Replicate, and the lease winner becomes
+// primary by Promote, which brings the hub (cfg.Replicator must be nil).
 func NewReplica(addr string, cfg Config) (*Gateway, error) {
 	if cfg.StoreDir == "" || cfg.Replicator != nil {
 		return nil, fmt.Errorf("gateway: a replica needs StoreDir and takes its Replicator at Promote")

@@ -582,7 +582,7 @@ var ErrStreamGap = errors.New("gateway: replication stream gap")
 
 // ErrUnhealthyReplica is Promote's refusal: a WAL append of this replica
 // failed, so its RAM is ahead of what its directory can prove.
-var ErrUnhealthyReplica = errors.New("gateway: a replica WAL append failed; recover from the directory instead of promoting")
+var ErrUnhealthyReplica = errors.New("gateway: a replica WAL append failed; reopen the directory instead of promoting")
 
 // Replicate hands one step of the replication stream to shard sid's worker —
 // the replica role's only write path. frame is a shipped entry

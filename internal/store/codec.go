@@ -33,16 +33,13 @@ import (
 // length, run CRC) instead of being re-serialized into every snapshot.
 
 const (
-	// walVersion / histVersion / snapVersion are the current on-disk version
-	// bytes. The snapshot format moved to v2 when it became a manifest
-	// (tiered history: segment refs + inline tail) instead of an inline
-	// re-serialization of the whole ingest history; v1 snapshots are still
-	// readable (everything loads as tail) so existing stores upgrade in
-	// place — the first compaction rewrites them as v2.
-	walVersion    = 1
-	histVersion   = 1
-	snapVersion   = 2
-	snapVersionV1 = 1
+	// walVersion / histVersion / snapVersion are the on-disk version bytes.
+	// The snapshot format is v2, a manifest (tiered history: segment refs +
+	// inline tail); v1, the inline re-serialization of the whole ingest
+	// history, was never deployed and is refused like any unknown version.
+	walVersion  = 1
+	histVersion = 1
+	snapVersion = 2
 	// maxEntrySize bounds one WAL entry frame. A sync batch is bounded by
 	// the wire layer's 16 MiB frame cap; the entry adds small metadata.
 	maxEntrySize = 20 << 20
@@ -619,12 +616,10 @@ func encodeSnapshot(dst []byte, owners []OwnerState) ([]byte, error) {
 	return out, nil
 }
 
-// decodeSnapshot parses a snapshot file image — the current v2 manifest
-// format, or the legacy v1 format (no spill tier: the whole history loads
-// as tail, and the next compaction rewrites the file as v2). Any
-// malformation — including a CRC mismatch from a torn snapshot write that
-// escaped the tmp+rename discipline, or a manifest whose history shape
-// could not have been written by a correct run — rejects the whole file
+// decodeSnapshot parses a snapshot file image in the v2 manifest format. Any
+// malformation — another version byte, a CRC mismatch from a torn snapshot
+// write that escaped the tmp+rename discipline, or a manifest whose history
+// shape could not have been written by a correct run — rejects the whole file
 // (snapshots are atomic units; a half snapshot must not load as a smaller
 // state).
 func decodeSnapshot(data []byte) ([]OwnerState, error) {
@@ -634,8 +629,7 @@ func decodeSnapshot(data []byte) ([]OwnerState, error) {
 	if string(data[:4]) != string(snapMagic[:]) {
 		return nil, fmt.Errorf("%w: bad snapshot magic %q", ErrCorruptSegment, data[:4])
 	}
-	version := data[4]
-	if version != snapVersion && version != snapVersionV1 {
+	if version := data[4]; version != snapVersion {
 		return nil, fmt.Errorf("%w: unknown snapshot version %d", ErrCorruptSegment, version)
 	}
 	n := binary.BigEndian.Uint32(data[5:9])
@@ -649,13 +643,8 @@ func decodeSnapshot(data []byte) ([]OwnerState, error) {
 	}
 	r := binfmt.NewReader(payload, ErrCorruptSegment)
 	count := int(r.U32("owner count"))
-	// Each owner costs ≥ 22 bytes (v1) / 26 bytes (v2): lengths + clock +
-	// empty sections.
-	minOwner := 26
-	if version == snapVersionV1 {
-		minOwner = 22
-	}
-	if count > r.Remaining()/minOwner {
+	// Each owner costs ≥ 26 bytes: lengths + clock + empty sections.
+	if count > r.Remaining()/26 {
 		return nil, fmt.Errorf("%w: owner count %d exceeds snapshot", ErrCorruptSegment, count)
 	}
 	out := make([]OwnerState, 0, count)
@@ -687,25 +676,23 @@ func decodeSnapshot(data []byte) ([]OwnerState, error) {
 				}
 			}
 		}
-		if version >= snapVersion {
-			nRefs := int(r.U32("segment ref count"))
-			if nRefs > r.Remaining()/segmentRefSize {
-				r.Fail("segment ref count")
-			}
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			if nRefs > 0 {
-				st.Spilled = make([]SegmentRef, nRefs)
-				for j := range st.Spilled {
-					st.Spilled[j] = SegmentRef{
-						Seg:       r.U64("ref segment"),
-						Off:       r.U64("ref offset"),
-						Len:       r.U32("ref length"),
-						CRC:       r.U32("ref crc"),
-						FirstTick: r.U64("ref first tick"),
-						Count:     r.U32("ref batch count"),
-					}
+		nRefs := int(r.U32("segment ref count"))
+		if nRefs > r.Remaining()/segmentRefSize {
+			r.Fail("segment ref count")
+		}
+		if r.Err() != nil {
+			return nil, r.Err()
+		}
+		if nRefs > 0 {
+			st.Spilled = make([]SegmentRef, nRefs)
+			for j := range st.Spilled {
+				st.Spilled[j] = SegmentRef{
+					Seg:       r.U64("ref segment"),
+					Off:       r.U64("ref offset"),
+					Len:       r.U32("ref length"),
+					CRC:       r.U32("ref crc"),
+					FirstTick: r.U64("ref first tick"),
+					Count:     r.U32("ref batch count"),
 				}
 			}
 		}

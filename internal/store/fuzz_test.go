@@ -246,9 +246,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	tieredBad := append([]byte(nil), tieredImg...)
 	tieredBad[len(tieredBad)-2] ^= 0x10
 	f.Add(tieredBad)
-	// Legacy v1 layout (pre-tiered-history): must decode — the upgrade
-	// path — and canonicalize to v2.
-	f.Add(encodeSnapshotV1(f, []OwnerState{st}))
+	// A retired version byte over an intact payload: refused.
+	retired := append([]byte(nil), img...)
+	retired[4] = 1
+	f.Add(retired)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		owners, err := decodeSnapshot(data)
 		if err != nil {
@@ -257,26 +258,13 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 			return
 		}
+		// One format: every accepted input round-trips bit for bit.
 		reenc, err := encodeSnapshot(nil, owners)
 		if err != nil {
 			t.Fatalf("accepted snapshot cannot be re-encoded: %v", err)
 		}
-		if len(data) >= 5 && data[4] == snapVersion {
-			// Current-format inputs round-trip bit for bit.
-			if !bytes.Equal(reenc, data) {
-				t.Fatal("snapshot round trip changed bytes")
-			}
-			return
-		}
-		// Legacy (v1) inputs canonicalize to v2: re-encoding must be
-		// stable and decode to the same states.
-		again, err := decodeSnapshot(reenc)
-		if err != nil || len(again) != len(owners) {
-			t.Fatalf("v1 canonicalization broke: %d owners, %v", len(again), err)
-		}
-		reenc2, err := encodeSnapshot(nil, again)
-		if err != nil || !bytes.Equal(reenc, reenc2) {
-			t.Fatalf("v1 canonicalization is not a fixed point: %v", err)
+		if !bytes.Equal(reenc, data) {
+			t.Fatal("snapshot round trip changed bytes")
 		}
 	})
 }

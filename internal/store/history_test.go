@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"dpsync/internal/binfmt"
 	"dpsync/internal/dp"
 )
 
@@ -349,133 +347,65 @@ func TestStreamDetectsSegmentDamage(t *testing.T) {
 	}
 }
 
-// encodeSnapshotV1 renders the legacy (PR 4) snapshot layout: no spill
-// tier, the whole history inline. Used to pin the upgrade path.
-func encodeSnapshotV1(t testing.TB, owners []OwnerState) []byte {
-	t.Helper()
-	payload := binfmt.AppendU32(nil, uint32(len(owners)))
-	for _, st := range owners {
-		payload = append(payload, byte(len(st.Owner)))
-		payload = append(payload, st.Owner...)
-		payload = binfmt.AppendU64(payload, st.Clock)
-		ledger, err := st.Budget.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload = binfmt.AppendU32(payload, uint32(len(ledger)))
-		payload = append(payload, ledger...)
-		payload = binfmt.AppendU32(payload, uint32(len(st.Events)))
-		for _, ev := range st.Events {
-			payload = binfmt.AppendU64(payload, uint64(ev.Tick))
-			payload = binfmt.AppendU32(payload, uint32(ev.Volume))
-			var f byte
-			if ev.Flush {
-				f = 1
-			}
-			payload = append(payload, f)
-		}
-		payload = binfmt.AppendU32(payload, uint32(len(st.Tail)))
-		for _, bt := range st.Tail {
-			payload, err = appendBatch(payload, bt)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	out := append(append([]byte(nil), snapMagic[:]...), snapVersionV1)
-	out = binfmt.AppendU32(out, uint32(len(payload)))
-	out = binfmt.AppendU32(out, crc32Of(payload))
-	return append(out, payload...)
-}
-
-func crc32Of(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
-
-// TestLegacySnapshotUpgrade pins the v1 read path: a store whose snapshot
-// was written by the pre-tiered-history code must reopen with its full
-// state — transcript, ledger, history — and come out the other side as a
-// v2 manifest (spilled under the window) without losing a tick.
-func TestLegacySnapshotUpgrade(t *testing.T) {
-	dir := t.TempDir()
-	st := &OwnerState{Owner: "o", Budget: dp.NewBudget()}
-	for tick := uint64(1); tick <= 6; tick++ {
-		if err := st.Apply(testEntry("o", tick, tick == 1, fmt.Sprintf("v1-%d", tick)).Batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(snapshotPath(dir, 0), encodeSnapshotV1(t, []OwnerState{*st}), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, got := openStoreWin(t, dir, 1, 2)
-	o := got["o"]
-	if o == nil || o.Clock != 6 || len(o.Events) != 6 || o.Budget.Uses("m_update") != 5 {
-		t.Fatalf("v1 state not recovered: %+v", o)
-	}
-	if len(o.Tail) != 2 || len(o.Spilled) == 0 {
-		t.Fatalf("v1 history not re-tiered under the window: %d tail, %d refs", len(o.Tail), len(o.Spilled))
-	}
-	batches := collectHistory(t, s, o)
-	if len(batches) != 6 || string(batches[0].Sealed[0]) != "v1-1" || string(batches[5].Sealed[0]) != "v1-6" {
-		t.Fatalf("v1 history bytes lost: %d batches", len(batches))
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The rewritten snapshot must now be v2.
-	img, err := os.ReadFile(snapshotPath(dir, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img[4] != snapVersion {
-		t.Fatalf("compaction left snapshot at version %d", img[4])
-	}
-}
-
 // TestCorruptSnapshotProtectsHistorySegments pins the conservative-GC
 // rule: when a snapshot fails to decode, its manifest's refs are unknown,
 // so compaction must quarantine — never delete — history segments that no
 // fresh manifest references; the quarantined snapshot may be the only
-// thing still naming their bytes.
+// thing still naming their bytes. A torn payload byte and an image in the
+// retired version-1 format are refused the same way.
 func TestCorruptSnapshotProtectsHistorySegments(t *testing.T) {
-	dir := t.TempDir()
-	const window = 1
-	s, _ := openStoreWin(t, dir, 1, window)
-	st := &OwnerState{Owner: "o", Budget: dp.NewBudget()}
-	driveSpilled(t, s, st, window, 1, 5, func(tick uint64) string { return fmt.Sprintf("p%d", tick) })
-	if err := s.Rotate(0, []OwnerState{*st}); err != nil {
-		t.Fatal(err)
-	}
-	segPath := historySegPath(dir, st.Spilled[0].Seg)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Damage the snapshot so its manifest — the only reference to the
-	// spilled segment — cannot be read.
-	snap, err := os.ReadFile(snapshotPath(dir, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap[len(snap)-1] ^= 0xFF
-	if err := os.WriteFile(snapshotPath(dir, 0), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		damage func(img []byte)
+	}{
+		{"torn byte", func(img []byte) { img[len(img)-1] ^= 0xFF }},
+		{"version 1", func(img []byte) { img[4] = 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			const window = 1
+			s, _ := openStoreWin(t, dir, 1, window)
+			st := &OwnerState{Owner: "o", Budget: dp.NewBudget()}
+			driveSpilled(t, s, st, window, 1, 5, func(tick uint64) string { return fmt.Sprintf("p%d", tick) })
+			if err := s.Rotate(0, []OwnerState{*st}); err != nil {
+				t.Fatal(err)
+			}
+			segPath := historySegPath(dir, st.Spilled[0].Seg)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Damage the snapshot so its manifest — the only reference to the
+			// spilled segment — cannot be read.
+			snap, err := os.ReadFile(snapshotPath(dir, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(snap)
+			if _, err := decodeSnapshot(snap); !errors.Is(err, ErrCorruptSegment) {
+				t.Fatalf("damaged snapshot decoded: %v, want ErrCorruptSegment", err)
+			}
+			if err := os.WriteFile(snapshotPath(dir, 0), snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	s2, _ := openStoreWin(t, dir, 1, window)
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The WAL was truncated at rotation, so the spilled batches exist only
-	// in the segment the damaged manifest references: it must survive as a
-	// quarantine, never be deleted.
-	if _, err := os.Stat(segPath); err == nil {
-		t.Fatalf("unreferenced segment left live (fresh manifests cannot be referencing it)")
-	}
-	quarantined, err := filepath.Glob(segPath + ".quarantined*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(quarantined) == 0 {
-		t.Fatalf("history segment deleted while a corrupt snapshot may still name its bytes")
+			s2, _ := openStoreWin(t, dir, 1, window)
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// The WAL was truncated at rotation, so the spilled batches exist
+			// only in the segment the damaged manifest references: it must
+			// survive as a quarantine, never be deleted.
+			if _, err := os.Stat(segPath); err == nil {
+				t.Fatalf("unreferenced segment left live (fresh manifests cannot be referencing it)")
+			}
+			quarantined, err := filepath.Glob(segPath + ".quarantined*")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(quarantined) == 0 {
+				t.Fatalf("history segment deleted while a corrupt snapshot may still name its bytes")
+			}
+		})
 	}
 }
 
