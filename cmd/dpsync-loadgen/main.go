@@ -147,8 +147,8 @@ func printQuick(cfg loadgen.Config, rep loadgen.Report) {
 	case readReplica:
 		fmt.Printf("replica ok: %d owners × %d ticks, follower served %d/%d queries at %.0f/sec (%d stale refusals, %d fallbacks to primary), %d owners' %s\n",
 			rep.Owners, rep.Ticks, rep.ReplicaServed, rep.Queries, rep.ReplicaQueryQPS, rep.ReplicaStale, rep.ReplicaFallbacks, rep.Verified, held)
-		fmt.Printf("replica plane: %d requests, qcache %d hits / %d misses, %d rebuilds from history, cursor %d applied\n",
-			rep.PlaneQueries, rep.PlaneCacheHits, rep.PlaneCacheMisses, rep.PlaneRebuilds, rep.ReplicaApplied)
+		fmt.Printf("replica plane: %d requests, qcache %d hits / %d misses, cursor %d applied\n",
+			rep.PlaneQueries, rep.PlaneCacheHits, rep.PlaneCacheMisses, rep.ReplicaApplied)
 	default:
 		fmt.Printf("ok: %d owners × %d ticks, %d syncs, %.0f syncs/sec, p50 %.2fms p99 %.2fms, %.0f bytes/sync, %d owners' %s\n",
 			rep.Owners, rep.Ticks, rep.Syncs, rep.SyncsPerSec, rep.P50Ms, rep.P99Ms, rep.BytesPerSync, rep.Verified, held)

@@ -410,9 +410,10 @@
 // (verbatim for enclave-style stores, through the ingress sealer for
 // record-level ones) — spilled runs are validated (per-frame CRC, run CRC,
 // owner, tick chain) and re-ingested frame by frame, never materialized —
-// and the directory is compacted under the current shard mapping (tails
-// re-spilled past the window, orphan history segments collected) before
-// serving resumes.
+// and the directory is compacted under the current shard mapping (each tail
+// re-spilled by the live bound, Store.EnforceWindow — the one spill path —
+// and flushed before a manifest names it; orphan history segments collected)
+// before serving resumes.
 //
 // The differential acceptance tests kill a live durable gateway mid-run (no
 // flush, no drain), restart it from disk, finish the trace, and pin every
@@ -441,9 +442,9 @@
 // a duplicate — without re-ingesting, re-charging, or re-recording — and a
 // gap is refused (seq-gap, naming the seq expected) with state untouched.
 // A reconnecting client asks for the durable per-owner clock with a
-// negotiated Resume frame (wire.MsgResume; served from live tenant state,
-// or straight from the store's recovered clocks for owners not yet faulted
-// in) and realigns before its next upload. client.DialGateway with
+// negotiated Resume frame (wire.MsgResume; served from live tenant state —
+// every recovered owner is resident, so an owner without a tenant has clock
+// 0) and realigns before its next upload. client.DialGateway with
 // WithReconnect redials with capped exponential backoff plus jitter,
 // replays unacknowledged in-flight requests in ID order, and resumes from
 // the returned clock — so retransmits, replays, and duplicated frames all
@@ -573,10 +574,12 @@
 // the answer cache exactly where the replicated clock advances — so a read
 // costs what it costs on a primary whatever the owner's age, and a read sees
 // whole batches because one goroutine owns the shard, not because of a lock.
-// A tenant is rebuilt from history only if an incremental ingest erred
-// (cluster_read_rebuilds_total, 0 on a healthy replica), on the worker, before
-// anything can read it. It is the same machine, through the same Ingest,
-// Commit and Read, on every node. Freshness is explicit rather than assumed:
+// A tenant whose incremental ingest erred is suspended, never rebuilt: ingest
+// depends only on the key and the batches the primary already ingested, so a
+// replay would fail the same way; its reads are refused as suspended. A
+// tenant is rebuilt from history in one place, when a gateway opens its
+// directory. It is the same machine, through the same Ingest, Commit and
+// Read, on every node. Freshness is explicit rather than assumed:
 // wire.Request.MinOffset carries the minimum replication offset the caller
 // will accept, and a follower whose shard has applied less refuses — on that
 // shard's worker, so nothing lands between the check and the answer — as
@@ -599,8 +602,8 @@
 // serving exactly its frozen committed prefix while refusing fresher
 // bounds, and convergence after heal. Measured by go run ./benchmark:
 // query_per_s, query_p50_ms/query_p99_ms and qcache.hit_ratio on mixed-rw,
-// cluster.replica_served_share, cluster.replica_stale_share and
-// cluster.read_rebuilds_per_query on replica-read.
+// cluster.replica_served_share and cluster.replica_stale_share on
+// replica-read.
 //
 // # Observability architecture
 //

@@ -192,9 +192,6 @@ type ReadPlaneStats struct {
 	// counters (zero without Telemetry; they keep counting after a promotion).
 	CacheHits   int64
 	CacheMisses int64
-	// Rebuilds counts tenants re-materialised from history because an
-	// incremental ingest erred — 0 on a healthy replica.
-	Rebuilds int64
 }
 
 // NodeStats snapshots a node's replication counters for metrics reporting.
@@ -385,7 +382,6 @@ func (n *Node) emitTelemetry(emit func(telemetry.Sample)) {
 	counter("cluster_read_queries_total", "read requests served in replica role (refusals included)", float64(rp.Queries))
 	counter("cluster_read_qcache_hits_total", "queries served from the noise-reuse answer cache", float64(rp.CacheHits))
 	counter("cluster_read_qcache_misses_total", "queries evaluated against the owner's resident backend", float64(rp.CacheMisses))
-	counter("cluster_read_rebuilds_total", "tenants re-materialised from history after a failed replica ingest (0 on a healthy replica)", float64(rp.Rebuilds))
 }
 
 // campaign asks the arbiter for the lease once and records its verdict:
@@ -446,7 +442,7 @@ func (n *Node) Stats() NodeStats {
 		st.Follower = fol.Stats()
 		qc := gw.QueryCacheStats()
 		st.ReadPlane = ReadPlaneStats{CacheHits: qc.Hits, CacheMisses: qc.Misses}
-		st.ReadPlane.Queries, st.ReadPlane.Stale, st.ReadPlane.Rebuilds = gw.ReplicaStats()
+		st.ReadPlane.Queries, st.ReadPlane.Stale = gw.ReplicaStats()
 	}
 	if hub != nil {
 		st.Hub = hub.Stats()
@@ -492,8 +488,8 @@ func (n *Node) StatusText() string {
 				st.Promotion.Round(time.Microsecond), st.Follower.Applied, st.Follower.Snapshots)
 		}
 		rp := st.ReadPlane
-		fmt.Fprintf(&b, "read plane: queries=%d stale=%d cache_hits=%d cache_misses=%d rebuilds=%d\n",
-			rp.Queries, rp.Stale, rp.CacheHits, rp.CacheMisses, rp.Rebuilds)
+		fmt.Fprintf(&b, "read plane: queries=%d stale=%d cache_hits=%d cache_misses=%d\n",
+			rp.Queries, rp.Stale, rp.CacheHits, rp.CacheMisses)
 	}
 	return b.String()
 }

@@ -559,6 +559,20 @@ func TestDurableSnapshotRotation(t *testing.T) {
 	}
 	go func() { _ = gw2.Serve() }()
 	defer gw2.Close()
+	// A resume is the first request either owner sees after the reopen: the
+	// recovered owner reports its recovered clock, one the directory never
+	// held reports 0.
+	raw := rawGatewayConn(t, gw2.Addr())
+	defer raw.Close()
+	for id, want := range map[string]uint64{"owner-0": updates + 1, "owner-never-seen": 0} {
+		frame, err := wire.CodecBinary.EncodeGatewayRequest(wire.GatewayRequest{ID: 1, Owner: id, Req: wire.Request{Type: wire.MsgResume}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp := roundTripRaw(t, raw, frame); resp.Resp.Resume == nil || resp.Resp.Resume.Clock != want {
+			t.Fatalf("%s: resume after the reopen = %+v, want clock %d", id, resp.Resp, want)
+		}
+	}
 	for oi := 0; oi < owners; oi++ {
 		name := fmt.Sprintf("owner-%d", oi)
 		if got := gw2.ObservedPattern(name).Updates(); got != updates+1 {

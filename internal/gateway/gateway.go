@@ -274,11 +274,9 @@ type Gateway struct {
 	liveConns  atomic.Int64                          // currently open client connections
 	liveRepl   atomic.Int64                          // currently open replication connections
 
-	// Replica-role accounting, counted on the shard workers: reads dispatched
-	// and tenants re-materialised from history after a failed ingest (0 on a
-	// healthy replica). They stop moving at Promote.
+	// replicaReads counts the reads dispatched in replica role, on the shard
+	// workers. It stops moving at Promote.
 	replicaReads atomic.Int64
-	rebuilds     atomic.Int64
 
 	connWG  sync.WaitGroup
 	replWG  sync.WaitGroup // replication handlers, drained separately
@@ -526,7 +524,7 @@ func (g *Gateway) openStore() error {
 	sort.Strings(owners) // deterministic rebuild order
 	for _, owner := range owners {
 		sid := store.ShardFor(owner, g.cfg.Shards)
-		tn, err := g.tenants.Replay(s, sid, states[owner])
+		tn, err := g.tenants.Replay(s, states[owner])
 		if err != nil {
 			return err
 		}
@@ -926,10 +924,10 @@ func (g *Gateway) DurableStatusText() string {
 }
 
 // ReplicaStats reports what the gateway did in replica role: read requests
-// dispatched (refusals included), reads refused as stale, and tenants rebuilt
-// from history after a failed ingest. The counters stop at Promote.
-func (g *Gateway) ReplicaStats() (reads, stale, rebuilds int64) {
-	return g.replicaReads.Load(), g.refusals[wire.CodeStale].Load(), g.rebuilds.Load()
+// dispatched (refusals included) and reads refused as stale. The counters
+// stop at Promote.
+func (g *Gateway) ReplicaStats() (reads, stale int64) {
+	return g.replicaReads.Load(), g.refusals[wire.CodeStale].Load()
 }
 
 // Live reports currently open client and replication connections.

@@ -539,15 +539,9 @@ func (g *Gateway) dispatchUnknown(owner string, req wire.Request) wire.Response 
 	case wire.MsgUpdate, wire.MsgQuery:
 		return wire.Refuse(wire.CodeNotSetup, 0, "")
 	case wire.MsgResume:
-		// A resume for a namespace this process has not materialized answers
-		// from the durable floor: the store's recovered clock (0 for owners
-		// it never saw). In-memory mode has no floor — an unknown owner's
-		// clock is simply 0.
-		var clock uint64
-		if g.store != nil {
-			clock = g.store.Clock(owner)
-		}
-		return wire.Response{OK: true, Resume: &wire.ResumeSpec{Clock: clock}}
+		// Every owner the store recovered is resident, so an owner without a
+		// tenant has committed nothing: its clock is 0.
+		return wire.Response{OK: true, Resume: &wire.ResumeSpec{}}
 	case wire.MsgStats:
 		return g.tenants.StatsProbe(owner)
 	default:
@@ -663,6 +657,12 @@ func (g *Gateway) applyShipped(sh *shard, offset uint64, frame []byte) (applied 
 // pending-append accounting — so the directory is a restart image at every
 // instant and a rotation quiesces here exactly as it does on a primary. tn is
 // nil for an owner's first entry.
+//
+// A failed ingest suspends the tenant: its committed state keeps advancing
+// with the stream, but its backend misses a batch, so it is never served. No
+// rebuild is attempted — the primary ingested the same batch into a backend
+// built the same way, and ingest depends only on the key and the batches, so
+// a replay of the history would fail the same way.
 func (g *Gateway) applyEntry(sh *shard, tn *Tenant, e store.Entry) (err error) {
 	if tn == nil {
 		if tn, err = g.tenantFor(sh, e.Owner, false); err != nil {
@@ -676,7 +676,9 @@ func (g *Gateway) applyEntry(sh *shard, tn *Tenant, e store.Entry) (err error) {
 	tn.seq = tn.Clock
 	if !tn.failed {
 		if err := tn.Ingest(e.Batch.Setup, e.Batch.Sealed); err != nil {
-			tn = g.rebuild(sh, tn, err)
+			g.log.Error("replica ingest failed, suspending tenant",
+				"owner_hash", telemetry.OwnerHash(tn.Owner), "tick", tn.Clock, "err", err)
+			tn.failed = true
 		}
 	}
 	if err := g.store.AppendAt(sh.id, e, 0); err != nil {
@@ -688,27 +690,6 @@ func (g *Gateway) applyEntry(sh *shard, tn *Tenant, e store.Entry) (err error) {
 		sh.snapWanted = true
 	}
 	return nil
-}
-
-// rebuild replaces a tenant whose backend missed a committed batch (its
-// ingest erred) with one replayed from the history the store holds — the
-// committed state is right, so it carries over. A tenant that cannot be
-// rebuilt is poisoned: either way a backend that is not at its clock is never
-// served.
-func (g *Gateway) rebuild(sh *shard, tn *Tenant, cause error) *Tenant {
-	g.rebuilds.Add(1)
-	fresh, err := g.tenants.Replay(g.store, sh.id, tn.OwnerState)
-	if err != nil {
-		g.log.Error("replica ingest failed and the tenant could not be rebuilt; suspending it",
-			"owner_hash", telemetry.OwnerHash(tn.Owner), "tick", tn.Clock, "ingest_err", cause, "err", err)
-		tn.failed = true
-		return tn
-	}
-	g.log.Warn("replica ingest failed; tenant rebuilt from history",
-		"owner_hash", telemetry.OwnerHash(tn.Owner), "tick", tn.Clock, "err", cause)
-	fresh.epsSpent = tn.epsSpent
-	sh.owners[tn.Owner] = fresh
-	return fresh
 }
 
 // Promote flips a replica to primary. The caller has fenced (it holds the

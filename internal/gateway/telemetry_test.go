@@ -272,7 +272,7 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 	for _, series := range []string{
 		"gateway_sync_queue_wait_us", "gateway_sync_ack_us", "gateway_qcache_serve_us", "gateway_qcache_hits_total",
 		"gateway_committed_entries_total", "cluster_repl_applied_total 6", "cluster_read_queries_total 9",
-		"cluster_read_qcache_hits_total 3", "cluster_read_rebuilds_total 0", "store_snapshots_total",
+		"cluster_read_qcache_hits_total 3", "store_snapshots_total",
 	} {
 		if !strings.Contains(prom, series) {
 			t.Errorf("follower /metrics is missing %q", series)

@@ -35,12 +35,15 @@ import (
 // at apply time and commits when the sync's WAL entry has group-committed
 // (immediately without a store), so a sync is observable only once it is
 // durable and the charge is spent with the transcript event, never before.
-// Recovery (Tenants.Replay) installs the recovered OwnerState and ingests its
-// history from Store.StreamHistory. A replica-role gateway commits, then
-// ingests, each shipped entry in one task (Gateway.Replicate): the primary
-// already committed it. Whichever driver runs it, the backend holds exactly the
-// batches the OwnerState counts whenever a Read may run — the live driver parks
-// reads behind uncommitted syncs, the other two never leave the gap open.
+// Recovery (Tenants.Replay, called only when a gateway opens its directory)
+// installs the recovered OwnerState and ingests its history from
+// Store.StreamHistory. A replica-role gateway commits, then ingests, each
+// shipped entry in one task (Gateway.Replicate): the primary already committed
+// it. Whichever driver runs it, the backend holds exactly the batches the
+// OwnerState counts whenever a Read may run — the live driver parks reads
+// behind uncommitted syncs, the other two never leave the gap open, and a
+// tenant whose ingest failed is suspended, never rebuilt (Gateway.applyEntry
+// says why).
 //
 // A Tenant is not safe for concurrent use: the gateway confines each to its
 // shard worker.
@@ -194,20 +197,14 @@ func (ts *Tenants) New(owner string) (*Tenant, error) {
 // spilled runs straight off their history segments, then the inline tail —
 // and st itself, already the committed transcript, clock and ledger, becomes
 // the machine's state. The spilled tier is never materialized; per-batch
-// memory is one frame. sid is the owner's shard in s: a ref issued since that
-// shard's last rotation may name bytes still in the history writer's buffer,
-// and StreamHistory reads the segment files, so they are pushed out first.
-func (ts *Tenants) Replay(s *store.Store, sid int, st *store.OwnerState) (*Tenant, error) {
+// memory is one frame. st must be a state store.Open returned: Open has
+// flushed every spill its compaction made, so each ref names bytes in a file.
+func (ts *Tenants) Replay(s *store.Store, st *store.OwnerState) (*Tenant, error) {
 	tn, err := ts.New(st.Owner)
 	if err != nil {
 		return nil, err
 	}
 	tn.OwnerState, tn.seq = st, st.Clock
-	if len(st.Spilled) > 0 {
-		if err := s.FlushHistory(sid); err != nil {
-			return nil, fmt.Errorf("gateway: flushing spilled history for owner %q: %w", st.Owner, err)
-		}
-	}
 	if err := s.StreamHistory(st, func(bt store.Batch) error {
 		if err := tn.Ingest(bt.Setup, bt.Sealed); err != nil {
 			return fmt.Errorf("tick %d: %w", bt.Tick, err)

@@ -220,8 +220,7 @@ type Report struct {
 	// ReplicationLagMs the mean primary-commit → replica-apply latency;
 	// ReplicaSyncsPerSec its apply throughput up to the kill (or the end).
 	// The Plane* fields are its reads while in replica role: requests served,
-	// typed refusals, answer-cache counters, and tenants rebuilt from history
-	// after a failed ingest (0 on a healthy replica).
+	// stale refusals and answer-cache counters.
 	ReplicaApplied     uint64  `json:"replica_applied,omitempty"`
 	ReplicaSnapshots   uint64  `json:"replica_snapshots,omitempty"`
 	ReplicationLagMs   float64 `json:"replication_lag_ms,omitempty"`
@@ -230,7 +229,6 @@ type Report struct {
 	PlaneStale         int64   `json:"replica_plane_stale,omitempty"`
 	PlaneCacheHits     int64   `json:"replica_qcache_hits,omitempty"`
 	PlaneCacheMisses   int64   `json:"replica_qcache_misses,omitempty"`
-	PlaneRebuilds      int64   `json:"replica_rebuilds"`
 }
 
 // Run executes the load and returns the measurements. With Config.Verify it

@@ -265,7 +265,7 @@ func (t *target) measure(rep *Report) {
 	if st.Follower.Applied > 0 {
 		rep.ReplicationLagMs = float64(st.Follower.LagNs) / float64(st.Follower.Applied) / 1e6
 	}
-	rep.PlaneQueries, rep.PlaneStale, rep.PlaneRebuilds = st.ReadPlane.Queries, st.ReadPlane.Stale, st.ReadPlane.Rebuilds
+	rep.PlaneQueries, rep.PlaneStale = st.ReadPlane.Queries, st.ReadPlane.Stale
 	rep.PlaneCacheHits, rep.PlaneCacheMisses = st.ReadPlane.CacheHits, st.ReadPlane.CacheMisses
 }
 

@@ -362,18 +362,14 @@ func DecodeEntryFrame(frame []byte) (Entry, error) {
 	if len(frame) < 8 {
 		return Entry{}, fmt.Errorf("%w: short entry frame header", ErrCorruptSegment)
 	}
-	n := binary.BigEndian.Uint32(frame)
-	crc := binary.BigEndian.Uint32(frame[4:])
-	if n == 0 || n > maxEntrySize {
-		return Entry{}, fmt.Errorf("%w: frame length %d outside (0, %d]", ErrCorruptSegment, n, maxEntrySize)
+	n, err := payloadLen(frame)
+	if err != nil {
+		return Entry{}, err
 	}
-	if len(frame) != 8+int(n) {
+	if len(frame) != 8+n {
 		return Entry{}, fmt.Errorf("%w: frame claims %d payload bytes, has %d", ErrCorruptSegment, n, len(frame)-8)
 	}
-	if crc32.Checksum(frame[8:], crcTable) != crc {
-		return Entry{}, fmt.Errorf("%w: frame CRC mismatch", ErrCorruptSegment)
-	}
-	return decodeFramed(frame)
+	return decodeFrame(frame)
 }
 
 // batchSize is the exact number of bytes appendBatch writes for bt.
@@ -385,9 +381,25 @@ func batchSize(bt Batch) int {
 	return n
 }
 
-// decodeFramed parses one whole frame whose length and CRC the caller has
-// checked; the entry's batch carries frame from then on.
-func decodeFramed(frame []byte) (Entry, error) {
+// payloadLen is the payload length a frame header ([u32 len][u32 crc])
+// claims, refused unless it is in (0, maxEntrySize]. It is the one length
+// bound every frame reader applies before it trusts the header; decodeFrame
+// is the check after.
+func payloadLen(hdr []byte) (int, error) {
+	n := binary.BigEndian.Uint32(hdr)
+	if n == 0 || n > maxEntrySize {
+		return 0, fmt.Errorf("%w: frame length %d outside (0, %d]", ErrCorruptSegment, n, maxEntrySize)
+	}
+	return int(n), nil
+}
+
+// decodeFrame checks one whole frame (header plus the payload payloadLen
+// sized) against its CRC and parses it; the entry's batch carries frame from
+// then on.
+func decodeFrame(frame []byte) (Entry, error) {
+	if crc32.Checksum(frame[8:], crcTable) != binary.BigEndian.Uint32(frame[4:]) {
+		return Entry{}, fmt.Errorf("%w: frame CRC mismatch", ErrCorruptSegment)
+	}
 	e, err := decodeEntry(frame[8:])
 	if err != nil {
 		return Entry{}, err
@@ -433,24 +445,19 @@ func scanFrames(rest []byte) (entries []Entry, err error) {
 		if len(rest) < 8 {
 			return entries, fmt.Errorf("%w: %d trailing bytes", ErrTornTail, len(rest))
 		}
-		n := binary.BigEndian.Uint32(rest)
-		crc := binary.BigEndian.Uint32(rest[4:])
-		if n == 0 || n > maxEntrySize {
-			return entries, fmt.Errorf("%w: frame length %d outside (0, %d]", ErrCorruptSegment, n, maxEntrySize)
+		n, err := payloadLen(rest)
+		if err != nil {
+			return entries, err
 		}
-		if len(rest) < 8+int(n) {
+		if len(rest) < 8+n {
 			return entries, fmt.Errorf("%w: frame claims %d bytes, %d remain", ErrTornTail, n, len(rest)-8)
 		}
-		frame := rest[: 8+int(n) : 8+int(n)]
-		if crc32.Checksum(frame[8:], crcTable) != crc {
-			return entries, fmt.Errorf("%w: frame CRC mismatch", ErrCorruptSegment)
-		}
-		e, derr := decodeFramed(frame)
-		if derr != nil {
-			return entries, derr
+		e, err := decodeFrame(rest[: 8+n : 8+n])
+		if err != nil {
+			return entries, err
 		}
 		entries = append(entries, e)
-		rest = rest[8+int(n):]
+		rest = rest[8+n:]
 	}
 	return entries, nil
 }

@@ -24,11 +24,11 @@ import (
 // are spaced by bytes (Store.RotateDue), not by a fixed entry count.
 //
 // Durability contract: spilled bytes are buffered. They are flushed (and in
-// fsync mode fsynced, with the directory) by Rotate *before* the snapshot
-// manifest that references them is written — so a manifest on disk never
-// points at bytes a crash could have lost. Between rotations the same
-// batches are still covered by the WAL, so losing an un-manifested spill
-// costs nothing.
+// fsync mode fsynced, with the directory) by Rotate — or, for compaction's
+// spills, by Open — *before* the snapshot manifest that references them is
+// written, so a manifest on disk never points at bytes a crash could have
+// lost. Between rotations the same batches are still covered by the WAL, so
+// losing an un-manifested spill costs nothing.
 
 const (
 	// maxHistSegmentBytes rolls the open history segment once it grows past
@@ -62,10 +62,10 @@ func historySegID(name string) (uint64, bool) {
 	return id, true
 }
 
-// histWriter is one append cursor over the store's history tier. Each shard
-// worker owns one (single-producer, like WAL appends); compaction uses a
-// private one before any worker exists. The mutex only guards against the
-// store's Kill/Close racing a late append — normal operation is
+// histWriter is one append cursor over the store's history tier, one per
+// shard, written only through Store.Spill: by compaction at Open, then by the
+// shard's worker (single-producer, like WAL appends). The mutex only guards
+// against the store's Kill/Close racing a late append — normal operation is
 // uncontended.
 type histWriter struct {
 	store *Store
@@ -289,12 +289,15 @@ func (s *Store) Spill(sid int, owner string, prev *SegmentRef, batches []Batch) 
 // they keep per-owner ref counts sublinear in history (a spill on every
 // commit would mint one 36-byte ref per tick and sneak O(total-ingest) state
 // back into RAM and manifests). A window ≤ 0 keeps the whole history inline.
-// An error is survivable — the batches it could not move stay in the tail
-// (still correct, just not bounded) and the next commit retries; a partial
-// failure keeps the refs of the runs that completed (their bytes are
-// written; Rotate refuses to manifest them unless they flush) and drops
-// exactly the batches they cover, so a retry never re-spills — and
-// double-counts — a written run. Same single-producer contract as Spill.
+// It is the one spill policy: the gateway calls it after every commit, and
+// compaction at Open calls it on every recovered owner, so a recovered tail
+// obeys the bound a live one does. An error is survivable — the batches it
+// could not move stay in the tail (still correct, just not bounded) and the
+// next commit retries; a partial failure keeps the refs of the runs that
+// completed (their bytes are written; Rotate refuses to manifest them unless
+// they flush) and drops exactly the batches they cover, so a retry never
+// re-spills — and double-counts — a written run. Same single-producer
+// contract as Spill.
 func (s *Store) EnforceWindow(sid int, st *OwnerState, window int) error {
 	if window <= 0 || len(st.Tail) < 2*window {
 		return nil
@@ -398,9 +401,11 @@ func streamRun(r io.Reader, owner string, ref SegmentRef, fn func(Batch) error) 
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return fmt.Errorf("%w: reading frame header: %v", ErrCorruptSegment, err)
 		}
-		n := uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3])
-		fcrc := uint32(hdr[4])<<24 | uint32(hdr[5])<<16 | uint32(hdr[6])<<8 | uint32(hdr[7])
-		if n == 0 || n > maxEntrySize || int64(n) > remain-8 {
+		n, err := payloadLen(hdr[:])
+		if err != nil {
+			return err
+		}
+		if int64(n) > remain-8 {
 			return fmt.Errorf("%w: frame length %d outside run bounds", ErrCorruptSegment, n)
 		}
 		frame := make([]byte, 8+n)
@@ -408,10 +413,7 @@ func streamRun(r io.Reader, owner string, ref SegmentRef, fn func(Batch) error) 
 		if _, err := io.ReadFull(r, frame[8:]); err != nil {
 			return fmt.Errorf("%w: reading frame payload: %v", ErrCorruptSegment, err)
 		}
-		if crc32.Checksum(frame[8:], crcTable) != fcrc {
-			return fmt.Errorf("%w: frame CRC mismatch", ErrCorruptSegment)
-		}
-		e, err := decodeFramed(frame)
+		e, err := decodeFrame(frame)
 		if err != nil {
 			return err
 		}

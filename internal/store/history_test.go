@@ -106,8 +106,8 @@ func TestSpillRotateStreamRoundTrip(t *testing.T) {
 		if o == nil || o.Clock != total+1 {
 			t.Fatalf("open %d: recovered %+v", open, o)
 		}
-		if len(o.Tail) > window {
-			t.Fatalf("open %d: tail %d exceeds window %d (compaction did not re-spill)", open, len(o.Tail), window)
+		if len(o.Tail) >= 2*window {
+			t.Fatalf("open %d: tail %d reaches twice the window %d (compaction did not re-spill)", open, len(o.Tail), window)
 		}
 		batches := collectHistory(t, s2, o)
 		if len(batches) != total+1 {
@@ -198,6 +198,47 @@ func TestCompactionReSpillsLegacyTail(t *testing.T) {
 	defer s3.Close()
 	if batches := collectHistory(t, s3, got3["o"]); len(batches) != 8 {
 		t.Fatalf("unwindowed reopen streamed %d batches", len(batches))
+	}
+
+	// Recovered tails obey the live bound: one just past the window stays
+	// inline, one of three windows spills down to exactly the window. Then a
+	// Kill before any rotation: the manifests compaction wrote must name bytes
+	// it flushed, so the reopen streams every owner's whole history.
+	const window = 3
+	clocks := map[string]uint64{"short": window + 1, "long": 3 * window}
+	dir = t.TempDir()
+	s, _ = openStore(t, dir, 1)
+	for owner, clock := range clocks {
+		for tick := uint64(1); tick <= clock; tick++ {
+			appendWait(t, s, 0, testEntry(owner, tick, tick == 1, fmt.Sprintf("%s-%d", owner, tick)))
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s4, got4 := openStoreWin(t, dir, 1, window)
+	if st := got4["short"]; len(st.Tail) != window+1 || len(st.Spilled) != 0 {
+		t.Fatalf("a tail of window+1 was spilled at compaction: %d inline, %d refs", len(st.Tail), len(st.Spilled))
+	}
+	if st := got4["long"]; len(st.Tail) != window || cap(st.Tail) > 2*window || len(st.Spilled) == 0 {
+		t.Fatalf("a tail of 3×window kept %d inline batches (cap %d), %d refs; want exactly the window", len(st.Tail), cap(st.Tail), len(st.Spilled))
+	}
+	s4.Kill()
+	s5, got5 := openStoreWin(t, dir, 1, window)
+	defer s5.Close()
+	if info := s5.Info(); info.DamagedHistory != 0 || info.CorruptSegments != 0 {
+		t.Fatalf("reopen after a Kill found damage: %+v", info)
+	}
+	for owner, clock := range clocks {
+		batches := collectHistory(t, s5, got5[owner])
+		if uint64(len(batches)) != clock {
+			t.Fatalf("%s: streamed %d batches after a Kill, want %d", owner, len(batches), clock)
+		}
+		for i, bt := range batches {
+			if want := fmt.Sprintf("%s-%d", owner, i+1); bt.Tick != uint64(i+1) || string(bt.Sealed[0]) != want {
+				t.Fatalf("%s: batch %d is tick %d %q, want %q", owner, i, bt.Tick, bt.Sealed[0], want)
+			}
+		}
 	}
 }
 

@@ -37,10 +37,11 @@
 // appended to the shard's current history segment as the same CRC frames
 // the WAL uses — and only a SegmentRef (segment id, byte offset, run
 // length, run CRC, tick range) stays in memory. Spilled bytes are made
-// durable by Rotate before any manifest references them; until then the
-// WAL covers every spilled batch, so an un-manifested spill lost to a
-// crash costs nothing. This is what keeps caller RSS proportional to the
-// live window rather than total bytes ever ingested.
+// durable by Rotate (or by Open, for compaction's) before any manifest
+// references them; until then the WAL covers every spilled batch, so an
+// un-manifested spill lost to a crash costs nothing. This is what keeps
+// caller RSS proportional to the live window rather than total bytes ever
+// ingested.
 //
 // # Snapshots and truncation
 //
@@ -73,14 +74,14 @@
 // Open scans the whole directory — all snapshot and segment files, from any
 // previous shard count — merges snapshots per owner (highest clock whose
 // manifest still checks out against the on-disk history segments wins),
-// replays WAL entries in tick order onto the tail, then compacts: tails
-// past the window are re-spilled, fresh manifest snapshots are written
-// under the current shard mapping, superseded files are removed (orphan
-// history segments collected; possibly-salvageable ones quarantined), and
-// new empty segments are opened. The spilled tier is never loaded —
-// StreamHistory hands it to the caller frame by frame. Torn segment tails
-// (the normal post-crash shape) end replay silently; CRC mismatches stop a
-// segment at its longest valid prefix and are reported in RecoveryInfo.
+// replays WAL entries in tick order onto the tail, then compacts: tails are
+// re-spilled by the live bound (EnforceWindow), fresh manifest snapshots are
+// written under the current shard mapping, superseded files are removed
+// (orphan history segments collected; possibly-salvageable ones
+// quarantined), and new empty segments are opened. The spilled tier is never
+// loaded — StreamHistory hands it to the caller frame by frame. Torn segment
+// tails (the normal post-crash shape) end replay silently; CRC mismatches stop
+// a segment at its longest valid prefix and are reported in RecoveryInfo.
 package store
 
 import (
@@ -88,6 +89,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -109,10 +111,10 @@ type Options struct {
 	// against process failure) — the mode benchmarks and tests use.
 	Fsync bool
 	// HistoryWindow bounds the inline ingest-history tail kept per owner:
-	// compaction re-spills any recovered tail past it into history
-	// segments, and callers use the same window for their live spill
-	// policy. 0 disables compaction re-spill (full history stays inline in
-	// snapshots — the legacy small-deployment mode).
+	// compaction brings every recovered tail inside it the way a live commit
+	// does (EnforceWindow), and callers pass the same window to EnforceWindow
+	// after each commit. 0 disables compaction re-spill (full history stays
+	// inline in snapshots — the legacy small-deployment mode).
 	HistoryWindow int
 	// SnapshotEvery is the fewest entries a shard appends between two
 	// rotations (0 = DefaultSnapshotEvery). It is a floor, not a cadence:
@@ -200,11 +202,6 @@ type Store struct {
 	hist    []*histWriter
 	histSeq atomic.Uint64
 	info    RecoveryInfo
-	// clocks is the recovered durable clock per owner, frozen at Open
-	// (immutable thereafter — no lock). It lets the serving layer answer a
-	// resume handshake for a namespace it has not materialized (or has
-	// suspended) with the clock recovery would prove, instead of guessing 0.
-	clocks map[string]uint64
 
 	appends      atomic.Int64
 	commits      atomic.Int64
@@ -358,12 +355,18 @@ func Open(opts Options) (*Store, map[string]*OwnerState, error) {
 	// Segment numbering continues past every file on disk, referenced or
 	// not, so a new spill can never collide with (or resurrect) an old id.
 	s.histSeq.Store(rec.maxHistSeg)
-	if err := s.compact(opts.Shards, states, rec); err != nil {
-		return nil, nil, err
-	}
 	s.hist = make([]*histWriter, opts.Shards)
 	for i := range s.hist {
 		s.hist[i] = &histWriter{store: s}
+	}
+	closeHist := func() {
+		for _, hw := range s.hist {
+			_ = hw.close(true)
+		}
+	}
+	if err := s.compact(states, rec); err != nil {
+		closeHist()
+		return nil, nil, err
 	}
 	s.snapAtNs = make([]atomic.Int64, opts.Shards)
 	s.shards = make([]*walShard, opts.Shards)
@@ -387,6 +390,7 @@ func Open(opts Options) (*Store, map[string]*OwnerState, error) {
 			for j := 0; j < i; j++ {
 				s.shards[j].f.Close()
 			}
+			closeHist()
 			return nil, nil, err
 		}
 		s.shards[i] = sh
@@ -398,24 +402,15 @@ func Open(opts Options) (*Store, map[string]*OwnerState, error) {
 			for _, sh := range s.shards {
 				sh.f.Close()
 			}
+			closeHist()
 			return nil, nil, err
 		}
-	}
-	s.clocks = make(map[string]uint64, len(states))
-	for owner, st := range states {
-		s.clocks[owner] = st.Clock
 	}
 	for _, sh := range s.shards {
 		go sh.run()
 	}
 	return s, states, nil
 }
-
-// Clock returns the owner's durable logical clock as recovered at Open (0
-// for owners the store had never seen). It deliberately does not track
-// live commits — the shard worker's tenant state is the live clock; this is
-// the floor a resume handshake can always honor.
-func (s *Store) Clock(owner string) uint64 { return s.clocks[owner] }
 
 func segmentPath(dir string, id int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d.wal", id))
@@ -433,18 +428,19 @@ func snapshotPath(dir string, id int) string {
 // deleted — a corrupt frame truncates replay at its position, but the
 // bytes after it may hold committed entries an operator can still salvage.
 //
-// Tiered history: recovered tails past Options.HistoryWindow are re-spilled
-// into fresh history segments first (so a mature store reopens within its
-// memory budget), then the fresh snapshots carry the combined manifests.
+// Tiered history: each recovered tail is first brought inside the live bound
+// by the live path, EnforceWindow on its shard's own history writer (so a
+// mature store reopens within its memory budget), and those writers are
+// flushed before the fresh snapshots carry the combined manifests.
 // Compaction never re-reads or rewrites already-spilled runs — its I/O is
 // O(tails + manifests), not O(total history). History segments referenced
 // by no fresh snapshot are orphans (spilled but never manifested — their
 // batches are fully covered by the WAL) and are removed, unless an old
 // decodable snapshot referenced them, in which case they are quarantined
 // like any other possibly-salvageable bytes.
-func (s *Store) compact(shards int, states map[string]*OwnerState, rec *recovery) error {
+func (s *Store) compact(states map[string]*OwnerState, rec *recovery) error {
+	shards := len(s.hist)
 	if s.window > 0 {
-		var spiller *histWriter
 		owners := make([]string, 0, len(states))
 		for owner := range states {
 			owners = append(owners, owner)
@@ -452,41 +448,24 @@ func (s *Store) compact(shards int, states map[string]*OwnerState, rec *recovery
 		sort.Strings(owners) // deterministic spill order
 		for _, owner := range owners {
 			st := states[owner]
-			if len(st.Tail) <= s.window {
-				continue
-			}
-			if spiller == nil {
-				spiller = &histWriter{store: s}
-			}
-			n := len(st.Tail) - s.window
-			var prev *SegmentRef
-			if len(st.Spilled) > 0 {
-				prev = &st.Spilled[len(st.Spilled)-1]
-			}
-			refs, extendedRef, err := spiller.appendHistory(owner, prev, st.Tail[:n])
-			if err != nil {
+			if err := s.EnforceWindow(ShardFor(owner, shards), st, s.window); err != nil {
 				return fmt.Errorf("store: compaction spill for %q: %w", owner, err)
 			}
-			if extendedRef {
-				st.Spilled[len(st.Spilled)-1] = refs[0]
-				refs = refs[1:]
-			}
-			st.Spilled = append(st.Spilled, refs...)
 			// A recovered tail can be many windows long: keep a right-sized
-			// copy rather than the window at the end of that array.
-			kept := make([]Batch, s.window)
-			copy(kept, st.Tail[n:])
-			st.Tail = kept
+			// copy rather than the window at the front of that array.
+			if cap(st.Tail) > 2*s.window {
+				st.Tail = slices.Clone(st.Tail)
+			}
 		}
-		if spiller != nil {
-			// Spilled bytes must be durable before any manifest names them.
-			if err := spiller.close(false); err != nil {
+		// Spilled bytes must be durable before any manifest names them.
+		for sid := range s.hist {
+			if err := s.FlushHistory(sid); err != nil {
 				return err
 			}
-			if s.fsync {
-				if err := syncDir(s.dir); err != nil {
-					return err
-				}
+		}
+		if s.fsync {
+			if err := syncDir(s.dir); err != nil {
+				return err
 			}
 		}
 	}
