@@ -385,10 +385,15 @@
 // only orphan a spill, never lose one.
 //
 // Snapshots and truncation. When the store reports a rotation due the
-// worker quiesces (drains its in-flight commits), writes all its tenants —
-// clock, transcript, ledger, and history manifest (segment refs + the
-// inline tail) — as an atomic (tmp+rename, with a directory fsync in fsync
-// mode) snapshot, and truncates the segment. A manifest spares the spilled
+// worker quiesces (drains its in-flight commits), and the store streams all
+// its tenants — clock, transcript, ledger, and history manifest (segment
+// refs + the inline tail, each batch written straight from the frame it
+// carries) — to a temporary file through one reused 64 KiB buffer, never
+// holding the image in memory, then installs it without renaming over the
+// image standing there: that one is moved aside to shard-NNNN.prev.snap (a
+// name recovery merges like any snapshot), the new one renamed into place
+// and the directory fsynced in fsync mode, and only then is the aside copy
+// unlinked and the segment truncated. A manifest spares the spilled
 // batches, nothing else: every tenant's transcript, refs and tail are
 // written every time, O(owners × (tail + transcript + refs)) however little
 // changed. So the trigger weighs what a rotation costs, in one place

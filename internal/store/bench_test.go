@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 
@@ -61,9 +62,15 @@ func windowlessShard() []OwnerState {
 	return benchShard(60, func(int) int { return 80 }, 80, false)
 }
 
-// BenchmarkRotate is one rotation — encode the image, write it tmp+rename,
-// truncate the segment — at the two shapes the repository benchmark produces.
-// image_B is the image written each time; B/op is what producing it allocated.
+// BenchmarkRotate is one rotation — stream the image, install it, truncate
+// the segment — at the two shapes the repository benchmark produces, warm:
+// the same image again and again. image_B is the image written each time.
+//
+// growing is what a sync-durable repetition's rotations cost a shard: a fresh
+// store rotates six images, each larger than the last (about 0.25, 0.7, 1.3,
+// 2.7, 5.5 and 7.7 MB), the tails and transcripts grown between rotations
+// and every batch carrying the frame its sync arrived in. One op is the whole
+// sequence, the sum store_rotate_us adds up per repetition; ms reports it.
 func BenchmarkRotate(b *testing.B) {
 	for _, shape := range []struct {
 		name   string
@@ -93,6 +100,39 @@ func BenchmarkRotate(b *testing.B) {
 			b.ReportMetric(float64(s.RotationStatuses()[0].ImageBytes), "image_B")
 		})
 	}
+	b.Run("growing", func(b *testing.B) {
+		var images [][]OwnerState
+		for _, tail := range []int{1, 3, 6, 12, 25, 35} {
+			owners := benchShard(500, func(int) int { return tail }, tail, false)
+			carryFrames(b, nil, owners)
+			images = append(images, owners)
+		}
+		var written int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dir := b.TempDir()
+			s, _, err := Open(Options{Dir: dir, Shards: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			for _, owners := range images {
+				if err := s.Rotate(0, owners); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			written = s.Metrics().SnapshotBytes
+			s.Close()
+			os.RemoveAll(dir)
+			b.StartTimer()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "ms")
+		b.ReportMetric(float64(written)/1e6, "images_MB")
+	})
 }
 
 // BenchmarkEncodeEntryFrame is the per-entry encode every WAL append, spilled

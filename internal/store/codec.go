@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"slices"
 	"strings"
@@ -128,18 +130,20 @@ type Entry struct {
 // to and it names e's owner and tick, it is ignored and e is encoded. Only an
 // encode can fail.
 func (e Entry) Frame() ([]byte, error) {
-	f, _, err := e.canonical()
-	return f, err
+	if f := e.carried(); f != nil {
+		return f, nil
+	}
+	return encodeEntryFrame(e)
 }
 
-// canonical is Frame, also reporting whether the frame is the carried one.
-func (e Entry) canonical() (frame []byte, carried bool, err error) {
+// carried returns the frame e's batch carries if it is e's canonical frame —
+// exactly as long as e encodes to, naming e's owner and tick — and nil if not.
+func (e Entry) carried() []byte {
 	f, at := e.Batch.frame, 8+2+len(e.Owner)
 	if len(f) == at+batchSize(e.Batch) && string(f[10:at]) == e.Owner && binary.BigEndian.Uint64(f[at:]) == e.Batch.Tick {
-		return f, true, nil
+		return f
 	}
-	f, err = encodeEntryFrame(e)
-	return f, false, err
+	return nil
 }
 
 // SegmentRef names one contiguous run of an owner's batches inside a sealed
@@ -547,85 +551,137 @@ func validateHistoryShape(st *OwnerState) error {
 // and payload CRC.
 const snapHeaderSize = 4 + 1 + 4 + 4
 
-// encodeSnapshot renders a shard's tenants as one snapshot file image
-// (header + single CRC frame) appended to dst[:0] — Rotate hands in the
-// buffer its shard keeps between rotations, so a steady-state image is
-// written in one pass with no growth and no second copy. Owners are emitted
-// in sorted order so equal states produce equal bytes. History travels as a
-// manifest: segment refs for the spilled tier, never the spilled batches —
-// but every owner's clock, ledger, whole transcript, refs and inline tail are
-// written every time, so an image costs O(owners × (tail + transcript +
-// refs)) however little changed since the last one. That is why rotations
-// are spaced by bytes (Store.RotateDue), not by a fixed entry count.
-func encodeSnapshot(dst []byte, owners []OwnerState) ([]byte, error) {
-	sorted := make([]*OwnerState, len(owners))
+// appendSnapHeader appends the header of a snapshot whose payload is n bytes
+// with checksum crc.
+func appendSnapHeader(b []byte, n int64, crc uint32) []byte {
+	b = append(append(b, snapMagic[:]...), snapVersion)
+	return binfmt.AppendU32(binfmt.AppendU32(b, uint32(n)), crc)
+}
+
+// imageWriter streams a shard's tenants as one snapshot image, owners in
+// sorted order so equal states produce equal bytes. It keeps its 64 KiB
+// buffer, per-owner scratch and owner index from one image to the next, and
+// never holds an image in memory. A shard's writer goroutine owns one.
+type imageWriter struct {
+	bw      *bufio.Writer // drains into the imageWriter's own Write
+	dst     io.Writer
+	n       int64
+	crc     uint32
+	scratch []byte
+	order   []*OwnerState
+}
+
+// Write is where the buffer drains: dst, counted and checksummed on the way.
+func (iw *imageWriter) Write(p []byte) (int, error) {
+	n, err := iw.dst.Write(p)
+	iw.crc = crc32.Update(iw.crc, crcTable, p[:n])
+	iw.n += int64(n)
+	return n, err
+}
+
+// stream writes owners' snapshot payload (all behind the header) to dst and
+// returns its length and CRC; installImage names the file in its errors. A
+// tail batch carrying its canonical frame is written straight from it; any
+// other is encoded.
+func (iw *imageWriter) stream(dst io.Writer, owners []OwnerState) (n int64, crc uint32, err error) {
+	defer clear(iw.order) // pin nothing of the caller's states between images
+	iw.order = iw.order[:0]
 	for i := range owners {
-		sorted[i] = &owners[i]
+		iw.order = append(iw.order, &owners[i])
 	}
-	slices.SortFunc(sorted, func(a, b *OwnerState) int { return strings.Compare(a.Owner, b.Owner) })
-	// The header's length and CRC are patched in once the payload is behind it.
-	out := append(dst[:0], snapMagic[:]...)
-	out = append(out, snapVersion, 0, 0, 0, 0, 0, 0, 0, 0)
-	out = binfmt.AppendU32(out, uint32(len(sorted)))
-	for _, st := range sorted {
-		if len(st.Owner) == 0 || len(st.Owner) > maxOwnerLen {
-			return nil, fmt.Errorf("store: owner id length %d outside [1, %d]", len(st.Owner), maxOwnerLen)
-		}
-		if err := validateHistoryShape(st); err != nil {
-			return nil, fmt.Errorf("store: snapshot history for %q: %v", st.Owner, err)
-		}
-		out = append(out, byte(len(st.Owner)))
-		out = append(out, st.Owner...)
-		out = binfmt.AppendU64(out, st.Clock)
-		ledgerAt := len(out)
-		out = append(out, 0, 0, 0, 0)
-		budget := st.Budget
-		if budget == nil {
-			budget = dp.NewBudget()
-		}
-		var err error
-		if out, err = budget.AppendBinary(out); err != nil {
-			return nil, fmt.Errorf("store: snapshot ledger for %q: %w", st.Owner, err)
-		}
-		binary.BigEndian.PutUint32(out[ledgerAt:], uint32(len(out)-ledgerAt-4))
-		out = binfmt.AppendU32(out, uint32(len(st.Events)))
-		for _, ev := range st.Events {
-			out = binfmt.AppendU64(out, uint64(ev.Tick))
-			out = binfmt.AppendU32(out, uint32(ev.Volume))
-			var f byte
-			if ev.Flush {
-				f = 1
-			}
-			out = append(out, f)
-		}
-		out = binfmt.AppendU32(out, uint32(len(st.Spilled)))
-		for _, ref := range st.Spilled {
-			out = binfmt.AppendU64(out, ref.Seg)
-			out = binfmt.AppendU64(out, ref.Off)
-			out = binfmt.AppendU32(out, ref.Len)
-			out = binfmt.AppendU32(out, ref.CRC)
-			out = binfmt.AppendU64(out, ref.FirstTick)
-			out = binfmt.AppendU32(out, ref.Count)
-		}
-		out = binfmt.AppendU32(out, uint32(len(st.Tail)))
-		for _, bt := range st.Tail {
-			if out, err = appendBatch(out, bt); err != nil {
-				return nil, err
-			}
+	slices.SortFunc(iw.order, func(a, b *OwnerState) int { return strings.Compare(a.Owner, b.Owner) })
+	iw.dst, iw.n, iw.crc = dst, 0, 0
+	if iw.bw == nil {
+		iw.bw = bufio.NewWriterSize(iw, 1<<16)
+	}
+	// A failed write sticks in the buffer until this Reset, so only the final
+	// Flush is checked.
+	iw.bw.Reset(iw)
+	iw.emit(binfmt.AppendU32(iw.scratch[:0], uint32(len(iw.order))))
+	for _, st := range iw.order {
+		if err := iw.owner(st); err != nil {
+			return 0, 0, err
 		}
 	}
-	payload := out[snapHeaderSize:]
-	if len(payload) > maxSnapshotSize {
-		return nil, fmt.Errorf("store: snapshot payload %d bytes exceeds %d", len(payload), maxSnapshotSize)
+	if err := iw.bw.Flush(); err != nil {
+		return 0, 0, err
 	}
-	binary.BigEndian.PutUint32(out[5:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(out[9:], crc32.Checksum(payload, crcTable))
-	return out, nil
+	if iw.n > maxSnapshotSize {
+		return 0, 0, fmt.Errorf("payload %d bytes exceeds %d", iw.n, maxSnapshotSize)
+	}
+	return iw.n, iw.crc, nil
+}
+
+// owner writes one tenant's section of the payload.
+func (iw *imageWriter) owner(st *OwnerState) error {
+	if len(st.Owner) == 0 || len(st.Owner) > maxOwnerLen {
+		return fmt.Errorf("owner id length %d outside [1, %d]", len(st.Owner), maxOwnerLen)
+	}
+	if err := validateHistoryShape(st); err != nil {
+		return fmt.Errorf("history for %q: %v", st.Owner, err)
+	}
+	b := append(append(iw.scratch[:0], byte(len(st.Owner))), st.Owner...)
+	b = binfmt.AppendU64(b, st.Clock)
+	ledgerAt := len(b)
+	b = append(b, 0, 0, 0, 0)
+	budget := st.Budget
+	if budget == nil {
+		budget = dp.NewBudget()
+	}
+	b, err := budget.AppendBinary(b)
+	if err != nil {
+		return fmt.Errorf("ledger for %q: %w", st.Owner, err)
+	}
+	binary.BigEndian.PutUint32(b[ledgerAt:], uint32(len(b)-ledgerAt-4))
+	b = binfmt.AppendU32(b, uint32(len(st.Events)))
+	for _, ev := range st.Events {
+		b = binfmt.AppendU64(b, uint64(ev.Tick))
+		b = binfmt.AppendU32(b, uint32(ev.Volume))
+		var f byte
+		if ev.Flush {
+			f = 1
+		}
+		b = append(b, f)
+	}
+	b = binfmt.AppendU32(b, uint32(len(st.Spilled)))
+	for _, ref := range st.Spilled {
+		b = binfmt.AppendU64(b, ref.Seg)
+		b = binfmt.AppendU64(b, ref.Off)
+		b = binfmt.AppendU32(b, ref.Len)
+		b = binfmt.AppendU32(b, ref.CRC)
+		b = binfmt.AppendU64(b, ref.FirstTick)
+		b = binfmt.AppendU32(b, ref.Count)
+	}
+	iw.emit(binfmt.AppendU32(b, uint32(len(st.Tail))))
+	for _, bt := range st.Tail {
+		if f := (Entry{Owner: st.Owner, Batch: bt}).carried(); f != nil {
+			iw.bw.Write(f[10+len(st.Owner):])
+			continue
+		}
+		// Ciphertexts go from the batch to the buffer, never through scratch.
+		if b, err = appendBatchHead(iw.scratch[:0], bt, len(bt.Sealed)); err != nil {
+			return err
+		}
+		for _, ct := range bt.Sealed {
+			b = iw.emit(binfmt.AppendU32(b, uint32(len(ct))))
+			iw.bw.Write(ct)
+		}
+		iw.emit(b)
+	}
+	return nil
+}
+
+// emit writes b, built on the scratch buffer, and returns the scratch buffer
+// emptied — keeping its growth, if b grew it.
+func (iw *imageWriter) emit(b []byte) []byte {
+	iw.bw.Write(b)
+	iw.scratch = b[:0]
+	return iw.scratch
 }
 
 // decodeSnapshot parses a snapshot file image in the v2 manifest format. Any
 // malformation — another version byte, a CRC mismatch from a torn snapshot
-// write that escaped the tmp+rename discipline, or a manifest whose history
+// write that escaped the tmp+install discipline, or a manifest whose history
 // shape could not have been written by a correct run — rejects the whole file
 // (snapshots are atomic units; a half snapshot must not load as a smaller
 // state).

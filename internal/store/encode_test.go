@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"dpsync/internal/binfmt"
@@ -48,6 +49,22 @@ func batchSealedSize(bt Batch) int {
 		n += 4 + len(ct)
 	}
 	return n
+}
+
+// encodeSnapshot is a snapshot image in memory, from the writer Rotate and
+// compaction stream their files with.
+func encodeSnapshot(owners []OwnerState) ([]byte, error) {
+	var iw imageWriter
+	return iw.encode(owners)
+}
+
+func (iw *imageWriter) encode(owners []OwnerState) ([]byte, error) {
+	var payload bytes.Buffer
+	n, crc, err := iw.stream(&payload, owners)
+	if err != nil {
+		return nil, err
+	}
+	return append(appendSnapHeader(nil, n, crc), payload.Bytes()...), nil
 }
 
 func refEncodeSnapshot(owners []OwnerState) ([]byte, error) {
@@ -194,29 +211,54 @@ func randomShardState(rng *rand.Rand) []OwnerState {
 	return owners
 }
 
+// carryFrames gives every batch of owners' tails that rng picks the frame a
+// live sync's batch carries, as a WAL scan decodes it.
+func carryFrames(tb testing.TB, rng *rand.Rand, owners []OwnerState) {
+	tb.Helper()
+	for i := range owners {
+		for j, bt := range owners[i].Tail {
+			if rng != nil && rng.Intn(2) == 0 {
+				continue
+			}
+			frame, err := encodeEntryFrame(Entry{Owner: owners[i].Owner, Batch: bt})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			e, err := DecodeEntryFrame(frame)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			owners[i].Tail[j] = e.Batch
+		}
+	}
+}
+
 // TestEncodersMatchReference holds the single-pass encoders to the bytes the
-// two-pass ones wrote, over seeded random states, fresh and into a buffer
-// that still holds the previous (differently sized) image.
+// two-pass ones wrote, over seeded random states whose tails mix batches that
+// carry their frames (streamed from them) with hand-built ones (encoded) — by
+// a fresh image writer, and by one that has streamed every earlier round.
 func TestEncodersMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5EED15))
-	var buf []byte
+	var reused imageWriter
 	for round := 0; round < 60; round++ {
 		owners := randomShardState(rng)
+		carryFrames(t, rng, owners)
 		want, err := refEncodeSnapshot(owners)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := encodeSnapshot(nil, owners)
+		fresh, err := encodeSnapshot(owners)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if buf, err = encodeSnapshot(buf, owners); err != nil {
+		again, err := reused.encode(owners)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(fresh, want) || !bytes.Equal(buf, want) {
+		if !bytes.Equal(fresh, want) || !bytes.Equal(again, want) {
 			t.Fatalf("round %d: %d owners: snapshot image differs from the reference encoder's", round, len(owners))
 		}
-		if _, err := decodeSnapshot(buf); err != nil {
+		if _, err := decodeSnapshot(again); err != nil {
 			t.Fatalf("round %d: image does not decode: %v", round, err)
 		}
 		for _, st := range owners {
@@ -271,13 +313,9 @@ func TestEncodersMatchReference(t *testing.T) {
 	}
 }
 
-// rotateAndCheck rotates shard sid to owners and checks that the snapshot
-// file left on disk decodes to exactly those states — compared by re-encoding,
-// since decode turns a nil ledger into an empty one.
-func rotateAndCheck(s *Store, sid int, owners []OwnerState) error {
-	if err := s.Rotate(sid, owners); err != nil {
-		return err
-	}
+// imageOnDisk checks that shard sid's snapshot file decodes to exactly owners
+// — compared by re-encoding, since decode turns a nil ledger into an empty one.
+func imageOnDisk(s *Store, sid int, owners []OwnerState) error {
 	img, err := os.ReadFile(snapshotPath(s.dir, sid))
 	if err != nil {
 		return err
@@ -296,49 +334,74 @@ func rotateAndCheck(s *Store, sid int, owners []OwnerState) error {
 	return nil
 }
 
-// TestRotateBufferReuse is the hazard check for the image buffer a shard
-// keeps between rotations: consecutive rotations of different states — a
-// large image, then a small one, then a large one again — each leave a file
-// holding exactly their own states, and rotations running at once on two
-// shards (each with its own buffer) do not touch each other's. Run under
-// -race in CI.
-func TestRotateBufferReuse(t *testing.T) {
-	s, _ := openStore(t, t.TempDir(), 2)
-	defer s.Close()
-	rng := rand.New(rand.NewSource(0xB0FFE2))
-	big, small := randomShardState(rng), []OwnerState{randomOwnerState(rng, "only")}
-	for len(big) < 10 {
-		big = randomShardState(rng)
-	}
-	for i, owners := range [][]OwnerState{big, small, big, nil, small} {
-		if err := rotateAndCheck(s, 0, owners); err != nil {
-			t.Fatalf("rotation %d: %v", i, err)
+// TestRotateHeapFlat is the heap guard on rotation: the image is streamed to
+// its file, never held in memory, so what one Rotate allocates is the same
+// small constant for 16-batch tails and 80-batch ones, for 45-byte
+// ciphertexts and 1 KiB ones, for batches that carry their frames and batches
+// that do not. The shapes rotate in order of growing image on one shard, each
+// measured on its first rotation, so a buffer that held an image would have
+// to grow and show; each leaves a file holding exactly its own states.
+func TestRotateHeapFlat(t *testing.T) {
+	fat := benchShard(20, func(int) int { return 80 }, 60, true)
+	for i := range fat {
+		for j := range fat[i].Tail {
+			for k := range fat[i].Tail[j].Sealed {
+				fat[i].Tail[j].Sealed[k] = make([]byte, 1024)
+			}
 		}
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for sid := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(sid)))
-			for i := 0; i < 20 && errs[sid] == nil; i++ {
-				errs[sid] = rotateAndCheck(s, sid, randomShardState(rng))
-			}
-		}()
+	carried := benchShard(20, func(int) int { return 80 }, 60, true)
+	carryFrames(t, nil, carried)
+	shapes := []struct {
+		name   string
+		owners []OwnerState
+	}{
+		{"16-batch", benchShard(20, func(int) int { return 16 }, 60, true)},
+		{"80-batch", benchShard(20, func(int) int { return 80 }, 60, true)},
+		{"carried-frames", carried},
+		{"1KiB-ciphertexts", fat},
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	// A shape's cost is its cheapest of several fresh stores, each measured
+	// right after a collection: the runtime allocates a little on its own now
+	// and then (more often mid-cycle), and that only ever adds.
+	allocated := make([]uint64, len(shapes))
+	for i := range allocated {
+		allocated[i] = math.MaxUint64
+	}
+	var ms runtime.MemStats
+	for trial := 0; trial < 4; trial++ {
+		s, _ := openStore(t, t.TempDir(), 1)
+		// The writer's first image sizes what it keeps: a 64 KiB buffer and
+		// the per-owner scratch, for the same 20 owners and transcripts.
+		if err := s.Rotate(0, benchShard(20, func(int) int { return 1 }, 60, true)); err != nil {
 			t.Fatal(err)
+		}
+		for i, shape := range shapes {
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			if err := s.Rotate(0, shape.owners); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			allocated[i] = min(allocated[i], ms.TotalAlloc-before)
+			if err := imageOnDisk(s, 0, shape.owners); err != nil {
+				t.Fatalf("%s: %v", shape.name, err)
+			}
+		}
+		s.Close()
+	}
+	const budget = 4 << 10
+	for i, shape := range shapes {
+		t.Logf("%s: Rotate allocates %d B", shape.name, allocated[i])
+		if allocated[i] != allocated[0] || allocated[i] > budget {
+			t.Fatalf("Rotate allocates %v B for the %s shapes; want one constant under %d B, the image never in memory", allocated, shape.name, budget)
 		}
 	}
 }
 
-// TestEncoderAllocations pins what the single-pass encoders allocate: one
-// exactly-sized frame per entry; and for a snapshot into a warmed buffer, the
-// sorted owner index and nothing else — the same count for 16-batch tails and
-// 80-batch ones, for 45-byte ciphertexts and 1 KiB ones.
+// TestEncoderAllocations pins what the entry encoder allocates: one
+// exactly-sized frame per entry.
 func TestEncoderAllocations(t *testing.T) {
 	e := Entry{Owner: "owner-0001", Batch: syncDurableShard()[1].Tail[0]}
 	if n := testing.AllocsPerRun(100, func() {
@@ -352,39 +415,13 @@ func TestEncoderAllocations(t *testing.T) {
 	if len(frame) != cap(frame) {
 		t.Fatalf("entry frame is %d bytes in a %d-byte allocation, want exact", len(frame), cap(frame))
 	}
-
-	snapshotAllocs := func(owners []OwnerState) float64 {
-		buf, err := encodeSnapshot(nil, owners)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(20, func() {
-			if _, err := encodeSnapshot(buf, owners); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	short := benchShard(20, func(int) int { return 16 }, 60, true)
-	long := benchShard(20, func(int) int { return 80 }, 60, true)
-	fat := benchShard(20, func(int) int { return 80 }, 60, true)
-	for i := range fat {
-		for j := range fat[i].Tail {
-			for k := range fat[i].Tail[j].Sealed {
-				fat[i].Tail[j].Sealed[k] = make([]byte, 1024)
-			}
-		}
-	}
-	a, b, c := snapshotAllocs(short), snapshotAllocs(long), snapshotAllocs(fat)
-	if a != b || b != c || a > 2 {
-		t.Fatalf("warmed-buffer snapshot encode allocates %v / %v / %v times for 16-batch, 80-batch and 1 KiB-ciphertext tails; want one small constant", a, b, c)
-	}
 }
 
 // TestSnapshotEncodeLeavesCallerStatesAlone: the encoder sorts an index, not
 // the caller's slice.
 func TestSnapshotEncodeLeavesCallerStatesAlone(t *testing.T) {
 	owners := []OwnerState{{Owner: "b"}, {Owner: "a"}, {Owner: "c"}}
-	if _, err := encodeSnapshot(nil, owners); err != nil {
+	if _, err := encodeSnapshot(owners); err != nil {
 		t.Fatal(err)
 	}
 	if owners[0].Owner != "b" || owners[1].Owner != "a" || owners[2].Owner != "c" {

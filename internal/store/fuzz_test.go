@@ -216,7 +216,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	img, err := encodeSnapshot(nil, []OwnerState{st})
+	img, err := encodeSnapshot([]OwnerState{st})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	tieredImg, err := encodeSnapshot(nil, []OwnerState{st, tiered})
+	tieredImg, err := encodeSnapshot([]OwnerState{st, tiered})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			return
 		}
 		// One format: every accepted input round-trips bit for bit.
-		reenc, err := encodeSnapshot(nil, owners)
+		reenc, err := encodeSnapshot(owners)
 		if err != nil {
 			t.Fatalf("accepted snapshot cannot be re-encoded: %v", err)
 		}

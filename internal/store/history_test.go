@@ -293,7 +293,7 @@ func TestDamagedHistoryFallsBackToOlderSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	oldImg, err := encodeSnapshot(nil, []OwnerState{*oldSt})
+	oldImg, err := encodeSnapshot([]OwnerState{*oldSt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestDamagedHistoryFallsBackToOlderSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	newImg, err := encodeSnapshot(nil, []OwnerState{newSt})
+	newImg, err := encodeSnapshot([]OwnerState{newSt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,27 +47,19 @@
 //
 // A rotation replaces a shard's log with a snapshot: the caller quiesces
 // (waits for its in-flight appends to commit) and calls Rotate with the
-// shard's tenant states; the snapshot is written tmp+rename-atomically and
-// the segment is truncated back to its header. Snapshots are *manifests*:
-// segment refs for the spilled tier plus the inline tail, so a rotation never
-// rewrites spilled batches — but it does rewrite every owner's clock, ledger,
-// whole transcript, refs and inline tail, changed or not: an image costs
-// O(owners × (tail + transcript + refs)), not O(entries since the last one).
-//
-// When to rotate is therefore decided here, by bytes, and in one place:
-// RotateDue answers true once a shard has appended at least
-// Options.SnapshotEvery entries *and* at least as many log bytes as its last
-// image took (the image Rotate last wrote, or the one compaction wrote at
-// Open). Every image but the latest is thus paid for by log written after
-// it — checkpoint bytes never exceed log bytes plus the image still standing
-// — while the log between rotations, and recovery's replay of it, stay
-// bounded by one image's worth.
-// With no history window the image is the whole inline history, and the same
-// comparison spaces rotations geometrically. A failed rotation doubles the
-// bytes required, so a shard cannot hot-loop one that keeps failing; the WAL
-// keeps growing and keeps everything recoverable. Entries superseded by a
-// snapshot are skipped on replay by the clock rule, so a crash anywhere in
-// the rotate sequence stays recoverable.
+// shard's tenant states; the image is streamed to a file and installed beside
+// the standing one (installImage, shared with compaction), then the segment
+// is truncated. Snapshots are *manifests* — segment refs for the spilled tier
+// plus the inline tail — but every owner's clock, ledger, transcript, refs and
+// tail are rewritten each time, so RotateDue spaces rotations by bytes: at
+// least Options.SnapshotEvery entries and at least as many log bytes as the
+// last image (Rotate's, or compaction's at Open). Every image but the latest
+// is paid for by the log written after it, the log between rotations (and
+// recovery's replay of it) stays within one image, and with no history window
+// the same comparison spaces rotations geometrically. A failed rotation
+// doubles the bytes required, so a shard cannot hot-loop one that keeps
+// failing. Replay skips entries a snapshot covers by the clock rule, so a
+// crash anywhere in the rotate sequence stays recoverable.
 //
 // # Recovery
 //
@@ -86,11 +78,16 @@ package store
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -236,9 +233,10 @@ type Store struct {
 
 // walShard is one segment file plus its writer goroutine.
 type walShard struct {
-	id    int
-	path  string
-	store *Store
+	id       int
+	path     string // the segment
+	snapPath string // the snapshot, named once: a rotation formats no path
+	store    *Store
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -262,10 +260,7 @@ type walShard struct {
 	logBytes   atomic.Int64
 	imageBytes atomic.Int64
 	dueBytes   int64
-	// snapBuf is the image buffer Rotate encodes into and keeps for the next
-	// rotation. The writer goroutine reads it only while Rotate blocks on the
-	// request, so it is never rewritten under the writer nor shared by shards.
-	snapBuf []byte
+	image      imageWriter // the writer goroutine's
 }
 
 // pendingEntry is one append waiting for its group commit: the frame to
@@ -290,9 +285,12 @@ type Group struct {
 	Start, End int64
 }
 
+// rotateReq is a Rotate waiting on the writer goroutine: the states to image,
+// and the size of the image it installed, set before done reports success.
 type rotateReq struct {
-	snap []byte
-	done chan error
+	owners []OwnerState
+	size   int64
+	done   chan error
 }
 
 // ShardFor maps an owner ID onto one of n shards with the FNV-1a hash the
@@ -359,13 +357,21 @@ func Open(opts Options) (*Store, map[string]*OwnerState, error) {
 	for i := range s.hist {
 		s.hist[i] = &histWriter{store: s}
 	}
-	closeHist := func() {
+	opened := false
+	defer func() { // tear down a failed Open
+		if opened {
+			return
+		}
+		for _, sh := range s.shards {
+			if sh != nil {
+				sh.f.Close()
+			}
+		}
 		for _, hw := range s.hist {
 			_ = hw.close(true)
 		}
-	}
+	}()
 	if err := s.compact(states, rec); err != nil {
-		closeHist()
 		return nil, nil, err
 	}
 	s.snapAtNs = make([]atomic.Int64, opts.Shards)
@@ -374,23 +380,19 @@ func Open(opts Options) (*Store, map[string]*OwnerState, error) {
 		sh := &walShard{
 			id:         i,
 			path:       segmentPath(opts.Dir, i),
+			snapPath:   snapshotPath(opts.Dir, i),
 			store:      s,
 			writerDone: make(chan struct{}),
 		}
 		// The image compaction just wrote for this shard (none for a shard
 		// without owners) is what its log must outweigh before the first
 		// rotation is due.
-		if fi, err := os.Stat(snapshotPath(opts.Dir, i)); err == nil {
+		if fi, err := os.Stat(sh.snapPath); err == nil {
 			sh.dueBytes = fi.Size()
 			sh.imageBytes.Store(fi.Size())
 		}
 		sh.cond = sync.NewCond(&sh.mu)
 		if err := sh.openSegment(); err != nil {
-			// Tear down the shards already opened.
-			for j := 0; j < i; j++ {
-				s.shards[j].f.Close()
-			}
-			closeHist()
 			return nil, nil, err
 		}
 		s.shards[i] = sh
@@ -399,16 +401,13 @@ func Open(opts Options) (*Store, map[string]*OwnerState, error) {
 		// The fresh segments' directory entries must survive power loss
 		// before any commit is acknowledged out of them.
 		if err := syncDir(opts.Dir); err != nil {
-			for _, sh := range s.shards {
-				sh.f.Close()
-			}
-			closeHist()
 			return nil, nil, err
 		}
 	}
 	for _, sh := range s.shards {
 		go sh.run()
 	}
+	opened = true
 	return s, states, nil
 }
 
@@ -422,8 +421,8 @@ func snapshotPath(dir string, id int) string {
 
 // compact rewrites the recovered state as fresh snapshots under the current
 // shard mapping and removes every superseded file. Crash-safe by the clock
-// rule: new snapshots land first (tmp+rename), so any old file that
-// survives an interrupted removal only contributes already-covered state.
+// rule: new snapshots are installed first (installImage), so any old file
+// that survives an interrupted removal only contributes already-covered state.
 // Files recovery found damaged are quarantined (renamed aside), never
 // deleted — a corrupt frame truncates replay at its position, but the
 // bytes after it may hold committed entries an operator can still salvage.
@@ -470,20 +469,12 @@ func (s *Store) compact(states map[string]*OwnerState, rec *recovery) error {
 		}
 	}
 	// Preserve damaged and salvage-relevant files aside *before* fresh
-	// snapshots land: under an unchanged shard mapping the fresh snapshot
-	// writes to the same shard-NNNN.snap path, and its tmp+rename would
-	// silently destroy the very bytes the quarantine promises to keep
-	// (the dropped candidate's inline tail, ledger, and the SegmentRef
-	// offsets that make a quarantined history segment interpretable).
+	// snapshots land: an install moves the standing image aside and the sweep
+	// below deletes it — the very bytes the quarantine promises to keep (the
+	// dropped candidate's tail, ledger, and the SegmentRef offsets that make a
+	// quarantined history segment interpretable).
+	maps.Copy(rec.corrupt, rec.salvage) // each file moves once
 	for name := range rec.corrupt {
-		if err := quarantinePath(filepath.Join(s.dir, name)); err != nil {
-			return err
-		}
-	}
-	for name := range rec.salvage {
-		if rec.corrupt[name] {
-			continue // already moved
-		}
 		if err := quarantinePath(filepath.Join(s.dir, name)); err != nil {
 			return err
 		}
@@ -500,22 +491,20 @@ func (s *Store) compact(states map[string]*OwnerState, rec *recovery) error {
 			referenced[ref.Seg] = true
 		}
 	}
+	var image imageWriter
 	for sid, owners := range byShard {
 		path := snapshotPath(s.dir, sid)
 		if len(owners) == 0 {
 			continue
 		}
-		img, err := encodeSnapshot(nil, owners)
-		if err != nil {
-			return err
-		}
-		if err := writeFileAtomic(path, img, s.fsync); err != nil {
+		if _, err := installImage(&image, path, owners, s.fsync); err != nil {
 			return err
 		}
 		written[filepath.Base(path)] = true
 	}
 	// Remove everything the compaction superseded: all WAL segments, any
-	// snapshot (stale shard numbering, previous era) not just written, and
+	// snapshot not just written (the installs' aside copies stay until now:
+	// after a shard-count change one can hold owners of a later shard), and
 	// unreferenced history segments.
 	dirents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -579,44 +568,52 @@ func quarantinePath(path string) error {
 	return nil
 }
 
-// writeFileAtomic writes data via tmp+rename so readers only ever see whole
-// files.
-func writeFileAtomic(path string, data []byte, fsync bool) error {
+// installImage streams owners' image to path+".tmp" — the header reserved,
+// then filled by one WriteAt — and installs it at path without renaming over
+// the standing image (on ext4 that rename flushes the file, a stall a fresh
+// name avoids). The standing image first moves to asidePath(path), which
+// recovery merges like any snapshot, so a crash at any step recovers the same
+// tenants. Files and directory are synced in fsync mode; the caller removes
+// the aside copy. It returns the image's size.
+func installImage(iw *imageWriter, path string, owners []OwnerState, fsync bool) (int64, error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return 0, fmt.Errorf("store: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
+	n, crc, err := iw.stream(io.NewOffsetWriter(f, snapHeaderSize), owners)
+	if err == nil {
+		_, err = f.WriteAt(appendSnapHeader(iw.scratch[:0], n, crc), 0)
 	}
-	if fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("store: %w", err)
+	if err == nil && fsync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		if err = os.Rename(path, asidePath(path)); errors.Is(err, fs.ErrNotExist) {
+			err = nil
 		}
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
+		return 0, fmt.Errorf("store: snapshot %s: %w", filepath.Base(path), err)
 	}
 	if fsync {
-		// The rename itself must be durable before callers rely on the new
-		// file superseding old state (doRotate truncates the segment right
-		// after this; compact removes superseded files): fsync the parent
-		// directory so power loss cannot resurrect the pre-rename view.
 		if err := syncDir(filepath.Dir(path)); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return snapHeaderSize + n, nil
+}
+
+// asidePath is where installImage moves the image standing at path.
+func asidePath(path string) string {
+	return strings.TrimSuffix(path, ".snap") + ".prev.snap"
 }
 
 // syncDir fsyncs a directory, making recent renames/creates in it durable.
@@ -638,20 +635,35 @@ func syncDir(dir string) error {
 
 // openSegment creates a fresh segment with its header.
 func (sh *walShard) openSegment() error {
-	f, err := os.OpenFile(sh.path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(sh.path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	sh.f = f
-	sh.w = bufio.NewWriterSize(f, 1<<16)
-	if _, err := sh.w.Write(segmentHeader()); err != nil {
+	sh.f, sh.w = f, bufio.NewWriterSize(f, 1<<16)
+	if err := sh.startSegment(); err != nil {
 		f.Close()
-		return fmt.Errorf("store: %w", err)
+		return err
 	}
-	if err := sh.w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
+	return nil
+}
+
+// startSegment empties the segment back to its header, synced in fsync mode.
+func (sh *walShard) startSegment() error {
+	hdr := segmentHeader()
+	err := sh.f.Truncate(0)
+	if err == nil {
+		_, err = sh.f.WriteAt(hdr, 0)
 	}
+	if err == nil {
+		_, err = sh.f.Seek(int64(len(hdr)), io.SeekStart)
+	}
+	if err == nil && sh.store.fsync {
+		err = sh.f.Sync()
+	}
+	if err != nil {
+		return fmt.Errorf("store: shard %d segment: %w", sh.id, err)
+	}
+	sh.w.Reset(sh.f)
 	return nil
 }
 
@@ -753,17 +765,17 @@ func (s *Store) RotateDue(sid int) bool {
 func (s *Store) Rotate(sid int, owners []OwnerState) (err error) {
 	sh := s.shards[sid]
 	start := time.Now()
+	req := &rotateReq{owners: owners, done: make(chan error, 1)}
 	defer func() {
 		if err != nil {
 			sh.dueBytes = 2 * max(sh.dueBytes, sh.logBytes.Load())
 			return
 		}
-		image := int64(len(sh.snapBuf))
 		sh.logEntries.Store(0)
 		sh.logBytes.Store(0)
-		sh.imageBytes.Store(image)
-		sh.dueBytes = image
-		s.snapBytes.Add(image)
+		sh.imageBytes.Store(req.size)
+		sh.dueBytes = req.size
+		s.snapBytes.Add(req.size)
 		s.rotateHist.ObserveNs(time.Since(start).Nanoseconds())
 	}()
 	hw := s.hist[sid]
@@ -780,12 +792,6 @@ func (s *Store) Rotate(sid int, owners []OwnerState) (err error) {
 			return err
 		}
 	}
-	img, err := encodeSnapshot(sh.snapBuf, owners)
-	if err != nil {
-		return err
-	}
-	sh.snapBuf = img
-	req := &rotateReq{snap: img, done: make(chan error, 1)}
 	sh.mu.Lock()
 	if sh.closing {
 		sh.mu.Unlock()
@@ -833,7 +839,7 @@ func (sh *walShard) run() {
 		clear(batch)
 		spare = batch[:0]
 		if rot != nil {
-			rot.done <- sh.doRotate(rot.snap)
+			rot.done <- sh.doRotate(rot)
 		}
 		if closing && len(batch) == 0 && rot == nil {
 			return
@@ -900,29 +906,19 @@ func (sh *walShard) commit(batch []pendingEntry) Group {
 	return Group{Start: start, End: end}
 }
 
-// doRotate writes the snapshot atomically, then truncates the segment back
-// to its header. Runs on the writer goroutine, serialized with commits.
-func (sh *walShard) doRotate(img []byte) error {
-	if err := writeFileAtomic(snapshotPath(sh.store.dir, sh.id), img, sh.store.fsync); err != nil {
+// doRotate installs the snapshot, removes the image it replaced, then
+// truncates the segment back to its header. Runs on the writer goroutine,
+// serialized with commits — so once Kill returns, no rotation touches the
+// directory.
+func (sh *walShard) doRotate(req *rotateReq) (err error) {
+	if req.size, err = installImage(&sh.image, sh.snapPath, req.owners, sh.store.fsync); err != nil {
 		return err
 	}
-	if err := sh.f.Truncate(0); err != nil {
-		return fmt.Errorf("store: shard %d truncate: %w", sh.id, err)
+	if err := os.Remove(asidePath(sh.snapPath)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("store: %w", err)
 	}
-	if _, err := sh.f.Seek(0, 0); err != nil {
-		return fmt.Errorf("store: shard %d seek: %w", sh.id, err)
-	}
-	sh.w.Reset(sh.f)
-	if _, err := sh.w.Write(segmentHeader()); err != nil {
-		return fmt.Errorf("store: shard %d header: %w", sh.id, err)
-	}
-	if err := sh.w.Flush(); err != nil {
-		return fmt.Errorf("store: shard %d flush: %w", sh.id, err)
-	}
-	if sh.store.fsync {
-		if err := sh.f.Sync(); err != nil {
-			return fmt.Errorf("store: shard %d fsync: %w", sh.id, err)
-		}
+	if err := sh.startSegment(); err != nil {
+		return err
 	}
 	sh.store.snapshots.Add(1)
 	sh.store.snapAtNs[sh.id].Store(time.Now().UnixNano())
