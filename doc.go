@@ -386,17 +386,18 @@
 //
 // Snapshots and truncation. When the store reports a rotation due the
 // worker quiesces (drains its in-flight commits), and the store streams all
-// its tenants — clock, transcript, ledger, and history manifest (segment
-// refs + the inline tail, each batch written straight from the frame it
-// carries) — to a temporary file through one reused 64 KiB buffer, never
-// holding the image in memory, then installs it without renaming over the
+// its tenants — clock, ledger, and history manifest (segment refs + the
+// inline tail, each batch written straight from the frame it carries), but
+// no transcript, which that history determines — to a temporary file through
+// one reused 64 KiB buffer, never holding the image in memory, then installs
+// it without renaming over the
 // image standing there: that one is moved aside to shard-NNNN.prev.snap (a
 // name recovery merges like any snapshot), the new one renamed into place
 // and the directory fsynced in fsync mode, and only then is the aside copy
 // unlinked and the segment truncated. A manifest spares the spilled
-// batches, nothing else: every tenant's transcript, refs and tail are
-// written every time, O(owners × (tail + transcript + refs)) however little
-// changed. So the trigger weighs what a rotation costs, in one place
+// batches, nothing else: every tenant's refs and tail are written every
+// time, O(owners × (tail + refs)) however little changed, though nothing per
+// sync an owner ever made. So the trigger weighs what a rotation costs, in one place
 // (store.RotateDue, asked by the shard worker in either role): at least
 // Config.SnapshotEvery entries and at least as many log bytes as the last
 // image took (the one compaction wrote, after a restart). Each image is
@@ -415,7 +416,9 @@
 // (verbatim for enclave-style stores, through the ingress sealer for
 // record-level ones) — spilled runs are validated (per-frame CRC, run CRC,
 // owner, tick chain) and re-ingested frame by frame, never materialized —
-// and the directory is compacted under the current shard mapping (each tail
+// and each tenant's transcript is rebuilt together with its backend, one
+// event per streamed batch, at no extra I/O. The directory is also
+// compacted under the current shard mapping (each tail
 // re-spilled by the live bound, Store.EnforceWindow — the one spill path —
 // and flushed before a manifest names it; orphan history segments collected)
 // before serving resumes.

@@ -512,18 +512,18 @@ func TestFoldRefusedChargeChangesNothing(t *testing.T) {
 		}
 	}
 	want := fingerprint(r.read(owner, queryReq(query.Q1())))
-	before := r.state(owner)
+	before, beforePattern := r.state(owner), r.gw.ObservedPattern(owner)
 	if err := r.ship(owner, 4, rigRecords(0, 4), 2*rigEps); err == nil {
 		t.Fatal("a batch whose charge drifted from the ledger was applied")
 	}
 	if !r.f.resync[0] {
 		t.Fatal("refused batch did not mark the shard for resync")
 	}
-	st := r.state(owner)
-	if st.Clock != before.Clock || !reflect.DeepEqual(st.Events, before.Events) ||
+	st, pattern := r.state(owner), r.gw.ObservedPattern(owner)
+	if st.Clock != before.Clock || !reflect.DeepEqual(pattern, beforePattern) ||
 		!reflect.DeepEqual(st.Tail, before.Tail) || st.Budget.Describe() != before.Budget.Describe() {
 		t.Fatalf("refused batch mutated the owner: clock %d→%d, events %d→%d, tail %d→%d, ledger %q→%q",
-			before.Clock, st.Clock, len(before.Events), len(st.Events), len(before.Tail), len(st.Tail),
+			before.Clock, st.Clock, beforePattern.Updates(), pattern.Updates(), len(before.Tail), len(st.Tail),
 			before.Budget.Describe(), st.Budget.Describe())
 	}
 	if got := r.gw.ShardStatuses()[0].Applied; got != 3 {
@@ -538,9 +538,9 @@ func TestFoldRefusedChargeChangesNothing(t *testing.T) {
 		t.Fatalf("live frame after a refused one: %v, want a stream gap", err)
 	}
 	r.transfer(0, 4, [][]byte{r.frame(owner, 4, rigRecords(0, 4), rigEps)})
-	if st := r.state(owner); st.Clock != 4 || len(st.Events) != 4 || st.Budget.Uses("m_update") != 3 {
+	if st, pattern := r.state(owner), r.gw.ObservedPattern(owner); st.Clock != 4 || pattern.Updates() != 4 || st.Budget.Uses("m_update") != 3 {
 		t.Fatalf("healing transfer left clock %d, %d events, %d update charges; tick 4 must be applied, not skipped",
-			st.Clock, len(st.Events), st.Budget.Uses("m_update"))
+			st.Clock, pattern.Updates(), st.Budget.Uses("m_update"))
 	}
 }
 

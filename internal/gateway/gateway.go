@@ -502,8 +502,8 @@ func newGateway(addr string, cfg Config, replica bool) (*Gateway, error) {
 }
 
 // openStore opens the durability directory and rebuilds every recovered
-// tenant — backend (by re-ingesting the batch history), transcript, clock,
-// and ledger — onto its shard, before any worker or connection exists.
+// tenant — backend and transcript (both from the batch history), clock, and
+// ledger — onto its shard, before any worker or connection exists.
 func (g *Gateway) openStore() error {
 	s, states, err := store.Open(store.Options{
 		Dir:           g.cfg.StoreDir,
@@ -790,7 +790,7 @@ func (g *Gateway) ObservedPattern(owner string) leakage.Pattern {
 	var out leakage.Pattern
 	if !g.onShard(g.shardFor(owner), owner, func(tn *Tenant) {
 		if tn != nil {
-			out.Events = append(out.Events, tn.Events...)
+			out.Events = append(out.Events, tn.events...)
 		}
 	}) {
 		return leakage.Pattern{}

@@ -6,8 +6,10 @@ import (
 
 	"dpsync/internal/dp"
 	"dpsync/internal/edb"
+	"dpsync/internal/leakage"
 	"dpsync/internal/oblidb"
 	"dpsync/internal/qcache"
+	"dpsync/internal/record"
 	"dpsync/internal/seal"
 	"dpsync/internal/store"
 	"dpsync/internal/telemetry"
@@ -16,18 +18,18 @@ import (
 
 // Tenant is one owner's namespace, and the one state machine every node
 // advances an owner through: the owner's committed durable state (the
-// embedded store.OwnerState — logical clock, adversary-view transcript, ε
-// ledger, spilled history refs and hot history tail), a private encrypted
-// backend holding the batches of ticks 1..Clock, and a noise-reuse answer
-// cache over that backend. Nothing in here is shared across owners; the
-// per-owner-transcript isolation invariant is structural.
+// embedded store.OwnerState — logical clock, ε ledger, spilled history refs
+// and hot history tail), the adversary-view transcript derived from that
+// history, a private encrypted backend holding the batches of ticks 1..Clock,
+// and a noise-reuse answer cache over that backend. Nothing in here is shared
+// across owners; the per-owner-transcript isolation invariant is structural.
 //
 // The machine has two transitions and one observation:
 //
 //   - Ingest lands a sealed batch in the backend.
 //   - Commit advances the committed state by that batch (OwnerState.Apply:
-//     clock, transcript event, ledger charge, history tail — all or nothing)
-//     and drops the answer cache.
+//     clock, ledger charge, history tail — all or nothing), then records its
+//     transcript event and drops the answer cache.
 //   - Read answers a stats probe or a query from the backend, the query
 //     through the answer cache.
 //
@@ -36,19 +38,22 @@ import (
 // (immediately without a store), so a sync is observable only once it is
 // durable and the charge is spent with the transcript event, never before.
 // Recovery (Tenants.Replay, called only when a gateway opens its directory)
-// installs the recovered OwnerState and ingests its history from
-// Store.StreamHistory. A replica-role gateway commits, then ingests, each
-// shipped entry in one task (Gateway.Replicate): the primary already committed
-// it. Whichever driver runs it, the backend holds exactly the batches the
-// OwnerState counts whenever a Read may run — the live driver parks reads
-// behind uncommitted syncs, the other two never leave the gap open, and a
-// tenant whose ingest failed is suspended, never rebuilt (Gateway.applyEntry
-// says why).
+// installs the recovered OwnerState and ingests its history, and derives the
+// transcript from it, through Store.StreamHistory. A replica-role gateway
+// commits, then ingests, each shipped entry in one task (Gateway.Replicate):
+// the primary already committed it. Whichever driver runs it, the backend
+// holds exactly the batches the OwnerState counts whenever a Read may run —
+// the live driver parks reads behind uncommitted syncs, the other two never
+// leave the gap open, and a tenant whose ingest failed is suspended, never
+// rebuilt (Gateway.applyEntry says why).
 //
 // A Tenant is not safe for concurrent use: the gateway confines each to its
 // shard worker.
 type Tenant struct {
 	*store.OwnerState
+	// events is the update pattern, one event per committed batch: derived
+	// from the history, never persisted. Commit appends, Replay rebuilds.
+	events []leakage.Event
 	env    *Tenants
 	db     edb.Database
 	sealed sealedStore // non-nil when the backend ingests ciphertexts directly
@@ -192,23 +197,26 @@ func (ts *Tenants) New(owner string) (*Tenant, error) {
 	return tn, nil
 }
 
-// Replay rebuilds the machine of one committed state: the backend is
-// reconstructed by *streaming* st's durable batch history through Ingest —
-// spilled runs straight off their history segments, then the inline tail —
-// and st itself, already the committed transcript, clock and ledger, becomes
-// the machine's state. The spilled tier is never materialized; per-batch
-// memory is one frame. st must be a state store.Open returned: Open has
-// flushed every spill its compaction made, so each ref names bytes in a file.
+// Replay rebuilds the machine of one committed state: the backend and the
+// transcript are reconstructed together by *streaming* st's durable batch
+// history — spilled runs straight off their history segments, then the
+// inline tail — each batch through Ingest and into its event, and st itself,
+// already the committed clock, ledger and history, becomes the machine's
+// state. The spilled tier is never materialized; per-batch memory is one
+// frame. st must be a state store.Open returned: Open has flushed every spill
+// its compaction made, so each ref names bytes in a file.
 func (ts *Tenants) Replay(s *store.Store, st *store.OwnerState) (*Tenant, error) {
 	tn, err := ts.New(st.Owner)
 	if err != nil {
 		return nil, err
 	}
 	tn.OwnerState, tn.seq = st, st.Clock
+	tn.events = make([]leakage.Event, 0, st.Clock)
 	if err := s.StreamHistory(st, func(bt store.Batch) error {
 		if err := tn.Ingest(bt.Setup, bt.Sealed); err != nil {
 			return fmt.Errorf("tick %d: %w", bt.Tick, err)
 		}
+		tn.events = append(tn.events, event(bt))
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("gateway: replaying owner %q: %w", st.Owner, err)
@@ -266,21 +274,28 @@ func (tn *Tenant) ingest(setup bool, cts []seal.Sealed) error {
 }
 
 // Commit makes an ingested batch part of the committed state: the sync
-// becomes observable — and its charge spent — only here, so ledger,
-// transcript, clock and history always describe the same committed prefix
-// (what snapshots persist and recovery rebuilds). The answer cache is dropped
-// in the same step, before any read can run against the new clock. A refused
-// charge changes nothing.
+// becomes observable — its transcript event recorded and its charge spent —
+// only here, so ledger, transcript, clock and history always describe the
+// same committed prefix (what snapshots persist and recovery rebuilds). The
+// answer cache is dropped in the same step, before any read can run against
+// the new clock. A refused charge changes nothing and records nothing.
 func (tn *Tenant) Commit(bt store.Batch) error {
 	if err := tn.Apply(bt); err != nil {
 		return err
 	}
+	tn.events = append(tn.events, event(bt))
 	if tn.qc != nil {
 		if n := tn.qc.Invalidate(); n > 0 {
 			tn.env.cm.Invalidations.Add(int64(n))
 		}
 	}
 	return nil
+}
+
+// event is what the adversary observes of one committed batch: its tick and
+// volume (the flush flag only aids metrics).
+func event(bt store.Batch) leakage.Event {
+	return leakage.Event{Tick: record.Tick(bt.Tick), Volume: len(bt.Sealed), Flush: bt.Flush}
 }
 
 // Read evaluates a stats probe or a query (req.Query non-nil) against the

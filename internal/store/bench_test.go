@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"dpsync/internal/dp"
-	"dpsync/internal/leakage"
 )
 
 // The store rungs of the layer ladder (ROADMAP item 1, Phase A):
@@ -21,10 +20,9 @@ import (
 // nanoseconds are the sandbox's.
 
 // benchShard builds a shard's worth of tenants at a benchmark shape: n
-// tenants, the i-th with tail(i) inline batches of 8 × 45-byte ciphertexts,
-// events transcript events each, and (when spilled) one segment ref covering
-// the history before the tail.
-func benchShard(n int, tail func(i int) int, events int, spilled bool) []OwnerState {
+// tenants, the i-th with tail(i) inline batches of 8 × 45-byte ciphertexts
+// and (when spilled) one segment ref covering the history before the tail.
+func benchShard(n int, tail func(i int) int, spilled bool) []OwnerState {
 	out := make([]OwnerState, n)
 	ct := bytes.Repeat([]byte{0xC7}, 45)
 	for i := range out {
@@ -44,7 +42,6 @@ func benchShard(n int, tail func(i int) int, events int, spilled bool) []OwnerSt
 			tick++
 		}
 		st.Clock = tick - 1
-		st.Events = make([]leakage.Event, events)
 		out[i] = st
 	}
 	return out
@@ -52,14 +49,14 @@ func benchShard(n int, tail func(i int) int, events int, spilled bool) []OwnerSt
 
 // syncDurableShard is one shard of the sync-durable workload late in a
 // repetition: 500 owners, tails between the window and twice it (16 and 31
-// batches), 60 events each. windowlessShard is replica-read's: 60 owners with
-// their whole 80-batch history inline.
+// batches). windowlessShard is replica-read's: 60 owners with their whole
+// 80-batch history inline.
 func syncDurableShard() []OwnerState {
-	return benchShard(500, func(i int) int { return 16 + 15*(i%2) }, 60, true)
+	return benchShard(500, func(i int) int { return 16 + 15*(i%2) }, true)
 }
 
 func windowlessShard() []OwnerState {
-	return benchShard(60, func(int) int { return 80 }, 80, false)
+	return benchShard(60, func(int) int { return 80 }, false)
 }
 
 // BenchmarkRotate is one rotation — stream the image, install it, truncate
@@ -67,9 +64,9 @@ func windowlessShard() []OwnerState {
 // the same image again and again. image_B is the image written each time.
 //
 // growing is what a sync-durable repetition's rotations cost a shard: a fresh
-// store rotates six images, each larger than the last (about 0.25, 0.7, 1.3,
-// 2.7, 5.5 and 7.7 MB), the tails and transcripts grown between rotations
-// and every batch carrying the frame its sync arrived in. One op is the whole
+// store rotates six images, each larger than the last (17.6 MB in all, from
+// about 0.25 to 7.7 MB), the tails grown between rotations and every batch
+// carrying the frame its sync arrived in. One op is the whole
 // sequence, the sum store_rotate_us adds up per repetition; ms reports it.
 func BenchmarkRotate(b *testing.B) {
 	for _, shape := range []struct {
@@ -103,7 +100,7 @@ func BenchmarkRotate(b *testing.B) {
 	b.Run("growing", func(b *testing.B) {
 		var images [][]OwnerState
 		for _, tail := range []int{1, 3, 6, 12, 25, 35} {
-			owners := benchShard(500, func(int) int { return tail }, tail, false)
+			owners := benchShard(500, func(int) int { return tail }, false)
 			carryFrames(b, nil, owners)
 			images = append(images, owners)
 		}

@@ -13,8 +13,6 @@ import (
 
 	"dpsync/internal/binfmt"
 	"dpsync/internal/dp"
-	"dpsync/internal/leakage"
-	"dpsync/internal/record"
 )
 
 // On-disk formats. All three file kinds open with a 5-byte header (magic +
@@ -36,12 +34,14 @@ import (
 
 const (
 	// walVersion / histVersion / snapVersion are the on-disk version bytes.
-	// The snapshot format is v2, a manifest (tiered history: segment refs +
-	// inline tail); v1, the inline re-serialization of the whole ingest
-	// history, was never deployed and is refused like any unknown version.
+	// The snapshot format is v3, a manifest (tiered history: segment refs +
+	// inline tail) beside clock and ledger. v1 (the inline re-serialization
+	// of the whole ingest history) and v2 (v3 plus a copy of the transcript,
+	// which the history already determines) were never deployed and are
+	// refused like any unknown version.
 	walVersion  = 1
 	histVersion = 1
-	snapVersion = 2
+	snapVersion = 3
 	// maxEntrySize bounds one WAL entry frame. A sync batch is bounded by
 	// the wire layer's 16 MiB frame cap; the entry adds small metadata.
 	maxEntrySize = 20 << 20
@@ -53,6 +53,10 @@ const (
 	// segmentRefSize is the encoded size of one SegmentRef (seg + off + len
 	// + crc + firstTick + count).
 	segmentRefSize = 8 + 8 + 4 + 4 + 8 + 4
+	// minOwnerSize is the smallest owner section a snapshot can hold: id
+	// length, a one-byte id, clock, ledger length, an empty ledger (version
+	// + charge count), ref count and tail count.
+	minOwnerSize = 1 + 1 + 8 + 4 + 5 + 4 + 4
 )
 
 var (
@@ -167,8 +171,11 @@ type SegmentRef struct {
 // lastTick returns the tick of the run's final batch.
 func (r SegmentRef) lastTick() uint64 { return r.FirstTick + uint64(r.Count) - 1 }
 
-// OwnerState is one tenant's recovered (or snapshot-bound) durable state.
-// The ingest history is tiered: Spilled references runs of committed batches
+// OwnerState is one tenant's recovered (or snapshot-bound) durable state:
+// clock, ledger and ingest history, each fact once. The adversary-view
+// transcript is not stored — it is one event per batch of the history, and
+// whoever needs it derives it from the batches. The ingest history is
+// tiered: Spilled references runs of committed batches
 // living in sealed history segments on disk (tick order, contiguous from
 // tick 1), and Tail holds the most recent batches inline (the in-RAM
 // window). Together they cover ticks 1..Clock exactly; iterate them with
@@ -178,8 +185,6 @@ type OwnerState struct {
 	// Clock is the committed logical clock: the tick of the last applied
 	// batch, equal to the total history length (spilled + tail).
 	Clock uint64
-	// Events is the committed adversary-view transcript.
-	Events []leakage.Event
 	// Budget is the committed privacy ledger.
 	Budget *dp.Budget
 	// Spilled references the cold history runs, in tick order.
@@ -633,16 +638,6 @@ func (iw *imageWriter) owner(st *OwnerState) error {
 		return fmt.Errorf("ledger for %q: %w", st.Owner, err)
 	}
 	binary.BigEndian.PutUint32(b[ledgerAt:], uint32(len(b)-ledgerAt-4))
-	b = binfmt.AppendU32(b, uint32(len(st.Events)))
-	for _, ev := range st.Events {
-		b = binfmt.AppendU64(b, uint64(ev.Tick))
-		b = binfmt.AppendU32(b, uint32(ev.Volume))
-		var f byte
-		if ev.Flush {
-			f = 1
-		}
-		b = append(b, f)
-	}
 	b = binfmt.AppendU32(b, uint32(len(st.Spilled)))
 	for _, ref := range st.Spilled {
 		b = binfmt.AppendU64(b, ref.Seg)
@@ -679,7 +674,7 @@ func (iw *imageWriter) emit(b []byte) []byte {
 	return iw.scratch
 }
 
-// decodeSnapshot parses a snapshot file image in the v2 manifest format. Any
+// decodeSnapshot parses a snapshot file image in the v3 manifest format. Any
 // malformation — another version byte, a CRC mismatch from a torn snapshot
 // write that escaped the tmp+install discipline, or a manifest whose history
 // shape could not have been written by a correct run — rejects the whole file
@@ -706,8 +701,7 @@ func decodeSnapshot(data []byte) ([]OwnerState, error) {
 	}
 	r := binfmt.NewReader(payload, ErrCorruptSegment)
 	count := int(r.U32("owner count"))
-	// Each owner costs ≥ 26 bytes: lengths + clock + empty sections.
-	if count > r.Remaining()/26 {
+	if count > r.Remaining()/minOwnerSize {
 		return nil, fmt.Errorf("%w: owner count %d exceeds snapshot", ErrCorruptSegment, count)
 	}
 	out := make([]OwnerState, 0, count)
@@ -718,26 +712,12 @@ func decodeSnapshot(data []byte) ([]OwnerState, error) {
 		st.Clock = r.U64("owner clock")
 		ledgerLen := int(r.U32("ledger length"))
 		ledger := r.Bytes(ledgerLen, "ledger")
-		nEvents := int(r.U32("event count"))
-		if nEvents > r.Remaining()/13 {
-			r.Fail("event count")
-		}
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
 		st.Budget = dp.NewBudget()
 		if err := st.Budget.UnmarshalBinary(ledger); err != nil {
 			return nil, fmt.Errorf("%w: owner %q ledger: %v", ErrCorruptSegment, st.Owner, err)
-		}
-		if nEvents > 0 {
-			st.Events = make([]leakage.Event, nEvents)
-			for j := range st.Events {
-				st.Events[j] = leakage.Event{
-					Tick:   record.Tick(r.U64("event tick")),
-					Volume: int(r.U32("event volume")),
-					Flush:  r.U8("event flush") != 0,
-				}
-			}
 		}
 		nRefs := int(r.U32("segment ref count"))
 		if nRefs > r.Remaining()/segmentRefSize {

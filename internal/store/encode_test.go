@@ -14,8 +14,6 @@ import (
 
 	"dpsync/internal/binfmt"
 	"dpsync/internal/dp"
-	"dpsync/internal/leakage"
-	"dpsync/internal/record"
 )
 
 // The two-pass encoders the single-pass ones replaced, kept verbatim as the
@@ -94,16 +92,6 @@ func refEncodeSnapshot(owners []OwnerState) ([]byte, error) {
 		}
 		payload = binfmt.AppendU32(payload, uint32(len(ledger)))
 		payload = append(payload, ledger...)
-		payload = binfmt.AppendU32(payload, uint32(len(st.Events)))
-		for _, ev := range st.Events {
-			payload = binfmt.AppendU64(payload, uint64(ev.Tick))
-			payload = binfmt.AppendU32(payload, uint32(ev.Volume))
-			var f byte
-			if ev.Flush {
-				f = 1
-			}
-			payload = append(payload, f)
-		}
 		payload = binfmt.AppendU32(payload, uint32(len(st.Spilled)))
 		for _, ref := range st.Spilled {
 			payload = binfmt.AppendU64(payload, ref.Seg)
@@ -152,8 +140,7 @@ func randomBatch(rng *rand.Rand, tick uint64) Batch {
 
 // randomOwnerState draws a tenant whose history shape is valid: refs chain
 // from tick 1, the tail continues them, the clock closes the chain. The ledger
-// is nil, empty or multi-charge; the transcript is independent of the history
-// (the encoders do not relate them).
+// is nil, empty or multi-charge.
 func randomOwnerState(rng *rand.Rand, owner string) OwnerState {
 	st := OwnerState{Owner: owner}
 	switch rng.Intn(3) {
@@ -166,11 +153,6 @@ func randomOwnerState(rng *rand.Rand, owner string) OwnerState {
 			rule := dp.CompositionRule(len(name) % 2)
 			_ = st.Budget.Charge(name, 0.25, rule)
 		}
-	}
-	for i, n := 0, rng.Intn(301); i < n; i++ {
-		st.Events = append(st.Events, leakage.Event{
-			Tick: record.Tick(rng.Intn(1 << 20)), Volume: rng.Intn(1 << 10), Flush: rng.Intn(5) == 0,
-		})
 	}
 	tick := uint64(1)
 	for i, n := 0, rng.Intn(7); i < n; i++ {
@@ -342,7 +324,7 @@ func imageOnDisk(s *Store, sid int, owners []OwnerState) error {
 // measured on its first rotation, so a buffer that held an image would have
 // to grow and show; each leaves a file holding exactly its own states.
 func TestRotateHeapFlat(t *testing.T) {
-	fat := benchShard(20, func(int) int { return 80 }, 60, true)
+	fat := benchShard(20, func(int) int { return 80 }, true)
 	for i := range fat {
 		for j := range fat[i].Tail {
 			for k := range fat[i].Tail[j].Sealed {
@@ -350,14 +332,14 @@ func TestRotateHeapFlat(t *testing.T) {
 			}
 		}
 	}
-	carried := benchShard(20, func(int) int { return 80 }, 60, true)
+	carried := benchShard(20, func(int) int { return 80 }, true)
 	carryFrames(t, nil, carried)
 	shapes := []struct {
 		name   string
 		owners []OwnerState
 	}{
-		{"16-batch", benchShard(20, func(int) int { return 16 }, 60, true)},
-		{"80-batch", benchShard(20, func(int) int { return 80 }, 60, true)},
+		{"16-batch", benchShard(20, func(int) int { return 16 }, true)},
+		{"80-batch", benchShard(20, func(int) int { return 80 }, true)},
 		{"carried-frames", carried},
 		{"1KiB-ciphertexts", fat},
 	}
@@ -372,8 +354,8 @@ func TestRotateHeapFlat(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		s, _ := openStore(t, t.TempDir(), 1)
 		// The writer's first image sizes what it keeps: a 64 KiB buffer and
-		// the per-owner scratch, for the same 20 owners and transcripts.
-		if err := s.Rotate(0, benchShard(20, func(int) int { return 1 }, 60, true)); err != nil {
+		// the per-owner scratch, for the same 20 owners.
+		if err := s.Rotate(0, benchShard(20, func(int) int { return 1 }, true)); err != nil {
 			t.Fatal(err)
 		}
 		for i, shape := range shapes {
@@ -426,5 +408,23 @@ func TestSnapshotEncodeLeavesCallerStatesAlone(t *testing.T) {
 	}
 	if owners[0].Owner != "b" || owners[1].Owner != "a" || owners[2].Owner != "c" {
 		t.Fatalf("encodeSnapshot reordered the caller's states: %q %q %q", owners[0].Owner, owners[1].Owner, owners[2].Owner)
+	}
+}
+
+// TestMinOwnerSizeIsExact pins the decoder's owner-count guard to the layout:
+// the smallest owner the encoder writes — a one-byte id, clock zero, an empty
+// ledger, no history — takes exactly minOwnerSize bytes and decodes, so the
+// guard refuses no image the encoder can write and nothing looser.
+func TestMinOwnerSizeIsExact(t *testing.T) {
+	owners := []OwnerState{{Owner: "a"}, {Owner: "b"}, {Owner: "c"}}
+	img, err := encodeSnapshot(owners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(img)-snapHeaderSize, 4+len(owners)*minOwnerSize; got != want {
+		t.Fatalf("payload of %d minimal owners is %d bytes, want %d", len(owners), got, want)
+	}
+	if back, err := decodeSnapshot(img); err != nil || len(back) != len(owners) {
+		t.Fatalf("minimal owners decode to %d states: %v", len(back), err)
 	}
 }

@@ -247,9 +247,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	tieredBad[len(tieredBad)-2] ^= 0x10
 	f.Add(tieredBad)
 	// A retired version byte over an intact payload: refused.
-	retired := append([]byte(nil), img...)
-	retired[4] = 1
-	f.Add(retired)
+	for _, v := range []byte{1, 2} {
+		retired := append([]byte(nil), img...)
+		retired[4] = v
+		f.Add(retired)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		owners, err := decodeSnapshot(data)
 		if err != nil {

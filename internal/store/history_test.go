@@ -392,8 +392,9 @@ func TestStreamDetectsSegmentDamage(t *testing.T) {
 // rule: when a snapshot fails to decode, its manifest's refs are unknown,
 // so compaction must quarantine — never delete — history segments that no
 // fresh manifest references; the quarantined snapshot may be the only
-// thing still naming their bytes. A torn payload byte and an image in the
-// retired version-1 format are refused the same way.
+// thing still naming their bytes. A torn payload byte and an image in a
+// retired format (version 1, or version 2 with its transcript section) are
+// refused the same way.
 func TestCorruptSnapshotProtectsHistorySegments(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -401,6 +402,7 @@ func TestCorruptSnapshotProtectsHistorySegments(t *testing.T) {
 	}{
 		{"torn byte", func(img []byte) { img[len(img)-1] ^= 0xFF }},
 		{"version 1", func(img []byte) { img[4] = 1 }},
+		{"version 2", func(img []byte) { img[4] = 2 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -447,6 +449,47 @@ func TestCorruptSnapshotProtectsHistorySegments(t *testing.T) {
 				t.Fatalf("history segment deleted while a corrupt snapshot may still name its bytes")
 			}
 		})
+	}
+}
+
+// TestImageSizeIndependentOfOwnerAge: an image holds an owner's clock,
+// ledger, spilled refs and inline tail, and nothing per sync the owner has
+// ever made. One owner on one shard, window 4, every batch the same size:
+// contiguous spills widen a single ref, so rotated at clock 20 and again at
+// clock 200 — the same tail length both times — the two images are the same
+// number of bytes.
+func TestImageSizeIndependentOfOwnerAge(t *testing.T) {
+	const window = 4
+	dir := t.TempDir()
+	s, _ := openStoreWin(t, dir, 1, window)
+	defer s.Close()
+	st := &OwnerState{Owner: "o", Budget: dp.NewBudget()}
+	size := map[uint64]int64{}
+	for _, clock := range []uint64{20, 200} {
+		for st.Clock < clock {
+			e := testEntry(st.Owner, st.Clock+1, st.Clock == 0, fmt.Sprintf("p%04d", st.Clock+1))
+			appendWait(t, s, 0, e)
+			if err := st.Apply(e.Batch); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.EnforceWindow(0, st, window); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(st.Spilled) != 1 || len(st.Tail) != window {
+			t.Fatalf("clock %d: %d refs and %d tail batches, want 1 and %d", clock, len(st.Spilled), len(st.Tail), window)
+		}
+		if err := s.Rotate(0, []OwnerState{*st}); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(snapshotPath(dir, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		size[clock] = fi.Size()
+	}
+	if size[20] != size[200] {
+		t.Fatalf("the image is %d bytes at clock 20 and %d at clock 200: it grows with the owner's age", size[20], size[200])
 	}
 }
 

@@ -11,11 +11,12 @@ import (
 
 	"dpsync/internal/dp"
 	"dpsync/internal/leakage"
+	"dpsync/internal/record"
 )
 
 // tenantView is what a tenant's durable state answers with: clock, ledger
-// bytes, transcript, and its whole history as the frames StreamHistory
-// yields.
+// bytes, the transcript its history projects to, and that whole history as
+// the frames StreamHistory yields.
 type tenantView struct {
 	Clock   uint64
 	Ledger  []byte
@@ -29,8 +30,9 @@ func viewOf(t *testing.T, s *Store, st *OwnerState) tenantView {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := tenantView{Clock: st.Clock, Ledger: ledger, Events: st.Events}
+	v := tenantView{Clock: st.Clock, Ledger: ledger}
 	for _, bt := range collectHistory(t, s, st) {
+		v.Events = append(v.Events, leakage.Event{Tick: record.Tick(bt.Tick), Volume: len(bt.Sealed), Flush: bt.Flush})
 		frame, err := Entry{Owner: st.Owner, Batch: bt}.Frame()
 		if err != nil {
 			t.Fatal(err)

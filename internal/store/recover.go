@@ -9,8 +9,6 @@ import (
 	"strings"
 
 	"dpsync/internal/dp"
-	"dpsync/internal/leakage"
-	"dpsync/internal/record"
 )
 
 // isSegmentName / isSnapshotName match the store's file naming from any
@@ -226,14 +224,16 @@ func recoverDir(dir string) (map[string]*OwnerState, *recovery, error) {
 // Apply folds one batch into the owner's state under the recovery merge
 // rule's "next tick" case: the caller has already checked bt.Tick ==
 // st.Clock+1 (ticks at or below the clock are duplicates to skip; anything
-// further ahead is a gap). It makes the four commit-time mutations — ledger
-// charge, clock, transcript event, history tail — and it is the only code
-// that does: the gateway's commit, recovery's WAL replay and a replication
-// follower's fold all advance an owner through it, so their states cannot
-// diverge. All or nothing: the charge is the one step that can refuse (ε or
-// rule drift against the ledger; Budget.Charge validates before it records),
-// so it goes first, and a refused batch leaves the state exactly as it was —
-// never a clock that counts a tick which is in neither ledger nor tail.
+// further ahead is a gap). It makes the three commit-time mutations — ledger
+// charge, clock, history tail — and it is the only code that does: the
+// gateway's commit, recovery's WAL replay and a replication follower's fold
+// all advance an owner through it, so their states cannot diverge. The
+// owner's transcript is not among them: it is a projection of the history
+// (one event per batch), which the gateway's tenant derives. All or nothing:
+// the charge is the one step that can refuse (ε or rule drift against the
+// ledger; Budget.Charge validates before it records), so it goes first, and a
+// refused batch leaves the state exactly as it was — never a clock that
+// counts a tick which is in neither ledger nor tail.
 func (st *OwnerState) Apply(bt Batch) error {
 	if bt.Charge.Name != "" {
 		if err := st.Budget.Charge(bt.Charge.Name, bt.Charge.Eps, bt.Charge.Rule); err != nil {
@@ -241,11 +241,6 @@ func (st *OwnerState) Apply(bt Batch) error {
 		}
 	}
 	st.Clock = bt.Tick
-	st.Events = append(st.Events, leakage.Event{
-		Tick:   record.Tick(bt.Tick),
-		Volume: len(bt.Sealed),
-		Flush:  bt.Flush,
-	})
 	st.Tail = append(st.Tail, bt)
 	return nil
 }
@@ -256,7 +251,6 @@ func (st *OwnerState) Apply(bt Batch) error {
 // once committed and stay shared.
 func (st *OwnerState) Clone() OwnerState {
 	c := *st
-	c.Events = append([]leakage.Event(nil), st.Events...)
 	c.Spilled = append([]SegmentRef(nil), st.Spilled...)
 	c.Tail = append([]Batch(nil), st.Tail...)
 	if st.Budget != nil {

@@ -186,10 +186,11 @@ func TestRotationPolicyBounds(t *testing.T) {
 // floor — the rotation waits until the log has reached the compacted image's
 // size. The recovered tenant keeps its shape: a tail under the live bound
 // (twice the window) and a handful of coalesced refs, not one per spilled
-// batch.
+// batch. The window is wide enough that the compacted tail alone outweighs
+// the entry floor's log bytes.
 func TestMatureStoreNotDueUntilLogOutweighsImage(t *testing.T) {
 	const (
-		window = 4
+		window = 16
 		every  = 8
 		syncs  = 100
 	)

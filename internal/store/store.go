@@ -1,8 +1,9 @@
 // Package store is the durability subsystem under the multi-tenant gateway:
 // a per-shard, length-prefixed, CRC-checked write-ahead log with group
 // commit on the hot path, periodic per-shard snapshots with log truncation,
-// and crash recovery that reconstructs every tenant's sealed store, leakage
-// transcript, logical clock, and dp.Budget ledger.
+// and crash recovery that reconstructs every tenant's batch history, logical
+// clock, and dp.Budget ledger — all the gateway needs to rebuild the sealed
+// store and the leakage transcript, which is one event per batch.
 //
 // # Why the WAL guards the privacy guarantee
 //
@@ -10,8 +11,8 @@
 // crash that loses the ledger forgets spend, and a naive replay that
 // re-applies syncs double-spends it and re-emits transcript events that
 // distort the very update pattern the mechanism hides. The store pins the
-// spend-before-sync invariant: a sync's WAL entry — ciphertexts, transcript
-// event, and budget charge together — is appended and group-committed
+// spend-before-sync invariant: a sync's WAL entry — ciphertexts (which fix
+// its transcript event) and budget charge together — is appended and group-committed
 // *before* the sync is acknowledged or becomes observable in the tenant's
 // transcript. Recovery replay is therefore idempotent: every entry carries
 // the owner's upload tick, snapshots carry the committed clock, and replay
@@ -50,8 +51,8 @@
 // shard's tenant states; the image is streamed to a file and installed beside
 // the standing one (installImage, shared with compaction), then the segment
 // is truncated. Snapshots are *manifests* — segment refs for the spilled tier
-// plus the inline tail — but every owner's clock, ledger, transcript, refs and
-// tail are rewritten each time, so RotateDue spaces rotations by bytes: at
+// plus the inline tail — but every owner's clock, ledger, refs and tail are
+// rewritten each time, so RotateDue spaces rotations by bytes: at
 // least Options.SnapshotEvery entries and at least as many log bytes as the
 // last image (Rotate's, or compaction's at Open). Every image but the latest
 // is paid for by the log written after it, the log between rotations (and

@@ -81,11 +81,11 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 		if st == nil {
 			t.Fatalf("owner %s not recovered", owner)
 		}
-		if st.Clock != 2 || len(st.Events) != 2 || len(st.Tail) != 2 {
-			t.Fatalf("%s state = clock %d, %d events, %d batches", owner, st.Clock, len(st.Events), len(st.Tail))
+		if st.Clock != 2 || len(st.Tail) != 2 || st.Tail[0].Tick != 1 || st.Tail[1].Tick != 2 {
+			t.Fatalf("%s state = clock %d, %d batches", owner, st.Clock, len(st.Tail))
 		}
-		if st.Events[0].Volume != 1 || st.Events[1].Volume != 2 {
-			t.Fatalf("%s volumes = %d, %d", owner, st.Events[0].Volume, st.Events[1].Volume)
+		if len(st.Tail[0].Sealed) != 1 || len(st.Tail[1].Sealed) != 2 {
+			t.Fatalf("%s volumes = %d, %d", owner, len(st.Tail[0].Sealed), len(st.Tail[1].Sealed))
 		}
 		if !st.Tail[0].Setup || st.Tail[1].Setup {
 			t.Fatalf("%s setup flags wrong", owner)
@@ -133,7 +133,7 @@ func TestRotateTruncatesAndRecovers(t *testing.T) {
 	s2, got := openStore(t, dir, 1)
 	defer s2.Close()
 	o := got["o"]
-	if o == nil || o.Clock != 3 || len(o.Events) != 3 || len(o.Tail) != 3 {
+	if o == nil || o.Clock != 3 || len(o.Tail) != 3 || len(collectHistory(t, s2, o)) != 3 {
 		t.Fatalf("recovered: %+v", o)
 	}
 	if string(o.Tail[2].Sealed[0]) != "c" {
@@ -178,8 +178,8 @@ func TestRecoveryAcrossResharding(t *testing.T) {
 		t.Fatalf("recovered %d owners, want %d", len(got), owners)
 	}
 	for owner, st := range got {
-		if st.Clock != 2 || len(st.Events) != 2 || st.Budget.Uses("m_update") != 1 {
-			t.Fatalf("%s: clock %d events %d ledger %s", owner, st.Clock, len(st.Events), st.Budget.Describe())
+		if st.Clock != 2 || len(st.Tail) != 2 || st.Budget.Uses("m_update") != 1 {
+			t.Fatalf("%s: clock %d batches %d ledger %s", owner, st.Clock, len(st.Tail), st.Budget.Describe())
 		}
 	}
 	if err := s2.Close(); err != nil {
@@ -233,7 +233,7 @@ func TestDuplicateEntriesSkipped(t *testing.T) {
 	s, got := openStore(t, dir, 1)
 	defer s.Close()
 	o := got["o"]
-	if o == nil || o.Clock != 4 || len(o.Events) != 4 {
+	if o == nil || o.Clock != 4 || len(o.Tail) != 4 {
 		t.Fatalf("recovered: %+v", o)
 	}
 	if uses := o.Budget.Uses("m_update"); uses != 3 {
@@ -266,7 +266,7 @@ func TestTornTailRecoversPrefix(t *testing.T) {
 	s2, got := openStore(t, dir, 1)
 	defer s2.Close()
 	o := got["o"]
-	if o == nil || o.Clock != 1 || len(o.Events) != 1 {
+	if o == nil || o.Clock != 1 || len(o.Tail) != 1 {
 		t.Fatalf("prefix not recovered: %+v", o)
 	}
 	if info := s2.Info(); info.TornTails != 1 {
@@ -367,8 +367,8 @@ func TestKillDropsUncommittedOnly(t *testing.T) {
 	if o == nil || o.Clock < 2 || o.Clock > 4 {
 		t.Fatalf("recovered: %+v", o)
 	}
-	if len(o.Events) != int(o.Clock) {
-		t.Fatalf("events %d vs clock %d", len(o.Events), o.Clock)
+	if n := len(collectHistory(t, s2, o)); n != int(o.Clock) {
+		t.Fatalf("history %d batches vs clock %d", n, o.Clock)
 	}
 }
 
@@ -461,8 +461,8 @@ func TestGroupCommitBatches(t *testing.T) {
 
 // TestApplyRefusedChargeChangesNothing pins Apply as all-or-nothing: a batch
 // whose charge the ledger refuses (its ε drifted from the ledger's entry of
-// the same name) leaves clock, transcript, tail and ledger exactly as they
-// were — not a clock counting a tick that is in neither ledger nor tail.
+// the same name) leaves clock, history and ledger exactly as they were — not
+// a clock counting a tick that is in neither ledger nor tail.
 func TestApplyRefusedChargeChangesNothing(t *testing.T) {
 	st := &OwnerState{Owner: "o", Budget: dp.NewBudget()}
 	for tick := uint64(1); tick <= 3; tick++ {
@@ -476,11 +476,11 @@ func TestApplyRefusedChargeChangesNothing(t *testing.T) {
 	if err := st.Apply(bad); err == nil {
 		t.Fatal("a charge whose epsilon drifted was applied")
 	}
-	if st.Clock != before.Clock || !reflect.DeepEqual(st.Events, before.Events) ||
+	if st.Clock != before.Clock || !reflect.DeepEqual(st.Spilled, before.Spilled) ||
 		!reflect.DeepEqual(st.Tail, before.Tail) || st.Budget.Describe() != before.Budget.Describe() {
-		t.Fatalf("refused batch mutated the state:\n got: clock %d events %v tail %d ledger %q\nwant: clock %d events %v tail %d ledger %q",
-			st.Clock, st.Events, len(st.Tail), st.Budget.Describe(),
-			before.Clock, before.Events, len(before.Tail), before.Budget.Describe())
+		t.Fatalf("refused batch mutated the state:\n got: clock %d refs %v tail %d ledger %q\nwant: clock %d refs %v tail %d ledger %q",
+			st.Clock, st.Spilled, len(st.Tail), st.Budget.Describe(),
+			before.Clock, before.Spilled, len(before.Tail), before.Budget.Describe())
 	}
 	// The refusal is not sticky: the tick it failed to claim still applies.
 	if err := st.Apply(testEntry("o", 4, false, "q").Batch); err != nil || st.Clock != 4 {
