@@ -371,7 +371,14 @@
 // aggregates, not the ciphertexts (only its ORAM mode, which the serving
 // stack does not turn on, mirrors every block), so a tenant's RAM is its
 // aggregates plus the window — per ingested record, the 8-byte join key and
-// its share of the sync's transcript event.
+// its share of the sync's transcript event — plus a fixed part: 584 bytes in
+// 7 heap objects for a new tenant (tenant, committed state, ledger, ObliDB
+// instance, enclave, aggregates), pinned at ≤ 1 KiB in ≤ 10 by
+// TestTenantFixedCost. Nothing a tenant shares with others is in it: every
+// enclave opens with the node's one sealer for its key and every instance
+// reads the one cost model, and what a tenant builds only once it is queried
+// is bounded — an answer cache of at most Config.QueryCache entries (64 by
+// default), an access log of the last 128 scan extents.
 // Only a manifest ref — segment id, byte offset, run length, run checksum,
 // tick range — stays in memory per spilled run; spills fire at twice the
 // window and extend the owner's previous ref in place when contiguous, so
@@ -573,7 +580,11 @@
 // a kill and checks the reopened gateway recomputes from exactly the
 // WAL-committed prefix). Hit/miss/eviction/invalidation counters export
 // fleet-aggregate only — a per-tenant hit rate would fingerprint which
-// tenants repeat which questions.
+// tenants repeat which questions. The cache is built on first use: a tenant
+// that is never queried holds none of it, the first answer allocates a
+// four-entry slice (80 bytes an entry, grown by append and kept across
+// invalidations), a lookup scans the live entries, and invalidation clears
+// only those — O(live), not O(capacity), on every commit.
 //
 // Follower reads. A read-only hello ("DPSQ" + codec byte) opens a
 // query/stats-only connection on any node, served by the gateway's one

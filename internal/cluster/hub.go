@@ -552,6 +552,10 @@ func (h *Hub) runSender(gw *gateway.Gateway, sub *hubSub, node string) {
 	// sheds itself.
 	fc := wire.NewConn(sub.conn)
 	fc.WriteTimeout = replWriteTimeout
+	// One heartbeat timer for the sender's life, re-armed each time the
+	// stream goes idle (Reset discards a stale expiry since Go 1.23).
+	idle := time.NewTimer(h.cfg.Heartbeat)
+	defer idle.Stop()
 	for {
 		for sid := range sub.cursors {
 			h.mu.Lock()
@@ -594,13 +598,14 @@ func (h *Hub) runSender(gw *gateway.Gateway, sub *hubSub, node string) {
 		if resnap {
 			continue
 		}
+		idle.Reset(h.cfg.Heartbeat)
 		select {
 		case <-sub.wake:
 		case <-sub.dead:
 			return
 		case <-h.quit:
 			return
-		case <-time.After(h.cfg.Heartbeat):
+		case <-idle.C:
 			hb, err := wire.EncodeReplFrame(wire.ReplFrame{Kind: wire.ReplHeartbeat, CommitNs: h.cfg.Clock().UnixNano()})
 			if err != nil {
 				return

@@ -21,12 +21,17 @@ func startHub(t *testing.T) (*Hub, *gateway.Gateway) { return startHubRing(t, 0)
 
 // startHubRing is startHub with the catch-up ring's size chosen (0 = default).
 func startHubRing(t *testing.T, ring int) (*Hub, *gateway.Gateway) {
+	return startHubWith(t, HubConfig{RingSize: ring})
+}
+
+// startHubWith is startHub with the hub built from cfg.
+func startHubWith(t *testing.T, cfg HubConfig) (*Hub, *gateway.Gateway) {
 	t.Helper()
 	key, err := seal.NewRandomKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := NewHub(HubConfig{RingSize: ring})
+	hub := NewHub(cfg)
 	gw, err := gateway.New("127.0.0.1:0", gateway.Config{Key: key, Shards: 1, StoreDir: t.TempDir(), Replicator: hub})
 	if err != nil {
 		t.Fatal(err)
@@ -306,5 +311,70 @@ func TestHubRefusesOtherReplVersions(t *testing.T) {
 			t.Errorf("version %d: ack err = %v, want the refusal", v, err)
 		}
 		conn.Close()
+	}
+}
+
+// TestHubHeartbeatsOnlyWhenIdle pins the sender's one heartbeat timer, re-armed
+// each time the stream goes idle: a stream that ships an entry every few
+// milliseconds for ten heartbeat periods carries no heartbeat (a couple are
+// allowed for a descheduled sender), and once it goes idle a heartbeat
+// arrives every period again.
+func TestHubHeartbeatsOnlyWhenIdle(t *testing.T) {
+	const (
+		beat    = 50 * time.Millisecond
+		entries = 100 // one every 5 ms: ten periods of a busy stream
+	)
+	hub, gw := startHubWith(t, HubConfig{Heartbeat: beat})
+	conn := joinRaw(t, gw.Addr(), "f")
+	kinds := make(chan byte, 2*entries)
+	go func() {
+		defer close(kinds)
+		for {
+			payload, err := wire.ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			kinds <- payload[0]
+		}
+	}()
+	next := func() byte {
+		t.Helper()
+		k, ok := <-kinds
+		if !ok {
+			t.Fatal("replication stream ended")
+		}
+		return k
+	}
+
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
+	for i := 1; i <= entries; i++ {
+		<-tick.C
+		hub.Committed(0, store.Entry{Owner: "o", Batch: store.Batch{
+			Tick: uint64(i), Setup: i == 1, Sealed: [][]byte{{byte(i)}},
+			Charge: store.Charge{Name: "m", Eps: 0.1, Rule: dp.Sequential},
+		}}, telemetry.TraceContext{})
+	}
+	busy := 0
+	for seen := 0; seen < entries; {
+		if next() == wire.ReplHeartbeat {
+			busy++
+		} else {
+			seen++
+		}
+	}
+	if busy > 2 {
+		t.Fatalf("%d heartbeats on a stream that shipped an entry every 5 ms (heartbeat %v)", busy, beat)
+	}
+
+	start := time.Now()
+	for beats := 0; beats < 3; {
+		if next() != wire.ReplHeartbeat {
+			t.Fatal("an entry frame on an idle stream")
+		}
+		beats++
+	}
+	if took := time.Since(start); took < 2*beat {
+		t.Fatalf("three idle heartbeats in %v, want one every %v", took, beat)
 	}
 }

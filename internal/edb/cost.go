@@ -67,39 +67,42 @@ func (m CostModel) Join(nl, nr int64) Cost {
 // mean scanned size is ≈ |D|/2 ≈ 9.2k records, giving 5.39 s (Q1),
 // 2.32 s (Q2); the O(N²) join averages ≈ 1.3e8 pairs for 2.77 s; OTO's
 // near-empty store isolates the per-query overhead (0.041/0.071/0.095 s).
-func ObliDBCostModel() CostModel {
-	return CostModel{
-		Base: map[query.Kind]float64{
-			query.RangeCount: 0.041,
-			query.GroupCount: 0.071,
-			query.JoinCount:  0.095,
-			query.SumFare:    0.041,
-		},
-		PerRecord: map[query.Kind]float64{
-			query.RangeCount: 580e-6, // oblivious select writes its result set
-			query.GroupCount: 244e-6, // aggregate-only scan
-			query.JoinCount:  0,      // join cost dominated by the pair term
-			query.SumFare:    244e-6, // aggregate-only, like the group-by scan
-		},
-		PerPair: 20.5e-9,
-	}
+// Every caller gets the same maps, built once per process: read them, never
+// write them.
+func ObliDBCostModel() CostModel { return obliDBCost }
+
+var obliDBCost = CostModel{
+	Base: map[query.Kind]float64{
+		query.RangeCount: 0.041,
+		query.GroupCount: 0.071,
+		query.JoinCount:  0.095,
+		query.SumFare:    0.041,
+	},
+	PerRecord: map[query.Kind]float64{
+		query.RangeCount: 580e-6, // oblivious select writes its result set
+		query.GroupCount: 244e-6, // aggregate-only scan
+		query.JoinCount:  0,      // join cost dominated by the pair term
+		query.SumFare:    244e-6, // aggregate-only, like the group-by scan
+	},
+	PerPair: 20.5e-9,
 }
 
 // CrypteCostModel is calibrated the same way against the Cryptε rows
 // (Q1 20.94 s, Q2 76.34 s at mean size ≈ 9.2k; OTO overheads 0.33/0.72 s).
 // Per-record costs are ~10× ObliDB's: every record is a large homomorphic
-// one-hot encoding rather than a sealed 1 KiB row.
-func CrypteCostModel() CostModel {
-	return CostModel{
-		Base: map[query.Kind]float64{
-			query.RangeCount: 0.33,
-			query.GroupCount: 0.72,
-			query.SumFare:    0.33,
-		},
-		PerRecord: map[query.Kind]float64{
-			query.RangeCount: 2.24e-3,
-			query.GroupCount: 8.21e-3,
-			query.SumFare:    2.24e-3,
-		},
-	}
+// one-hot encoding rather than a sealed 1 KiB row. Shared and read-only like
+// ObliDBCostModel's.
+func CrypteCostModel() CostModel { return crypteCost }
+
+var crypteCost = CostModel{
+	Base: map[query.Kind]float64{
+		query.RangeCount: 0.33,
+		query.GroupCount: 0.72,
+		query.SumFare:    0.33,
+	},
+	PerRecord: map[query.Kind]float64{
+		query.RangeCount: 2.24e-3,
+		query.GroupCount: 8.21e-3,
+		query.SumFare:    2.24e-3,
+	},
 }

@@ -21,8 +21,11 @@ import (
 // embedded store.OwnerState — logical clock, ε ledger, spilled history refs
 // and hot history tail), the adversary-view transcript derived from that
 // history, a private encrypted backend holding the batches of ticks 1..Clock,
-// and a noise-reuse answer cache over that backend. Nothing in here is shared
-// across owners; the per-owner-transcript isolation invariant is structural.
+// and a noise-reuse answer cache over that backend. No owner's state is shared
+// with another's, so the per-owner-transcript isolation invariant is
+// structural; what tenants share is read-only and owner-free — the node's
+// sealer and the cost model, through the backend — so a new tenant costs only
+// what it holds (TestTenantFixedCost).
 //
 // The machine has two transitions and one observation:
 //
@@ -67,8 +70,9 @@ type Tenant struct {
 	// re-serving it is pure post-processing and spends nothing). RAM-only by
 	// design: Commit drops it where Clock advances — never at ingest — so a
 	// cached answer cannot outlive the committed state it was computed from,
-	// and recovery always starts cold. Nil when Config.QueryCache is negative.
-	qc *qcache.Cache
+	// and recovery always starts cold. The zero Cache, which holds nothing,
+	// when Config.QueryCache is negative.
+	qc qcache.Cache
 
 	// The rest is the live driver's; a replica keeps seq at Clock and failed
 	// for a tenant it must not serve.
@@ -158,7 +162,8 @@ type Tenants struct {
 }
 
 // NewTenants resolves cfg's backend constructor (nil means a per-owner ObliDB
-// instance under Key) and ingress sealer.
+// instance whose enclave opens with the ingress sealer) and the ingress
+// sealer, the node's one AEAD for Key.
 func NewTenants(cfg Config, cm CacheMetrics) (*Tenants, error) {
 	ts := &Tenants{newBackend: cfg.NewBackend, qcap: cfg.QueryCache, cm: cm}
 	if len(cfg.Key) > 0 {
@@ -172,8 +177,8 @@ func NewTenants(cfg Config, cm CacheMetrics) (*Tenants, error) {
 		if ts.sealer == nil {
 			return nil, fmt.Errorf("gateway: default ObliDB backend requires Key")
 		}
-		key := cfg.Key
-		ts.newBackend = func(string) (edb.Database, error) { return oblidb.NewWithKey(key) }
+		s := ts.sealer
+		ts.newBackend = func(string) (edb.Database, error) { return oblidb.NewWithSealer(s), nil }
 	}
 	return ts, nil
 }
@@ -284,10 +289,8 @@ func (tn *Tenant) Commit(bt store.Batch) error {
 		return err
 	}
 	tn.events = append(tn.events, event(bt))
-	if tn.qc != nil {
-		if n := tn.qc.Invalidate(); n > 0 {
-			tn.env.cm.Invalidations.Add(int64(n))
-		}
+	if n := tn.qc.Invalidate(); n > 0 {
+		tn.env.cm.Invalidations.Add(int64(n))
 	}
 	return nil
 }
@@ -310,7 +313,7 @@ func (tn *Tenant) Read(req wire.Request) wire.Response {
 	}
 	spec := *req.Query
 	cm := &tn.env.cm
-	if tn.qc != nil {
+	if tn.env.qcap >= 0 {
 		var start time.Time
 		if cm.Serve != nil {
 			start = time.Now()
@@ -329,7 +332,7 @@ func (tn *Tenant) Read(req wire.Request) wire.Response {
 		return failed(err)
 	}
 	resp := wire.NewQueryResponse(ans, cost)
-	if tn.qc != nil && tn.qc.Put(spec, resp) {
+	if tn.qc.Put(spec, resp) {
 		cm.Evictions.Inc()
 	}
 	return resp

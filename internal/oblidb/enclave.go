@@ -8,10 +8,14 @@ import (
 	"dpsync/internal/seal"
 )
 
-// Enclave simulates the SGX-resident half of ObliDB: it owns the data key
+// Enclave simulates the SGX-resident half of ObliDB: it holds the data key
 // and hosts the decrypted tables in enclave-protected memory (ORAM in the
 // real system). Ciphertexts are opened exactly once, when they enter the
 // enclave; queries then execute oblivious scans over the resident tables.
+// The key is held as a seal.Sealer, which is stateless (AES-GCM): a serving
+// node builds one from its key and every tenant's enclave opens ciphertexts
+// with it, so an enclave's own state is its aggregates, its table sizes and
+// its ingest scratch.
 // The simulation preserves the two properties DP-Sync's analysis needs from
 // an L-0 engine:
 //
@@ -63,13 +67,9 @@ type Enclave struct {
 // steady state, and its scratch is released rather than held per tenant.
 const maxScratchRecords = 64
 
-// NewEnclave provisions an enclave with the shared data key.
-func NewEnclave(key []byte) (*Enclave, error) {
-	s, err := seal.NewSealer(key)
-	if err != nil {
-		return nil, err
-	}
-	return &Enclave{sealer: s, agg: query.NewAggregates()}, nil
+// newEnclave provisions an enclave with the data key's sealer.
+func newEnclave(s *seal.Sealer) *Enclave {
+	return &Enclave{sealer: s, agg: query.NewAggregates()}
 }
 
 // Ingest opens a batch of ciphertexts into the enclave-resident tables.

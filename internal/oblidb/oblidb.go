@@ -6,8 +6,10 @@
 // The original runs inside an Intel SGX enclave with ORAM-backed tables.
 // This reproduction keeps the architecture but simulates the enclave
 // boundary in-process: the *server* side sees only AES-GCM ciphertexts and
-// never holds the data key; the *enclave* side (enclave.go) owns the key,
-// admits ciphertexts into enclave-resident tables (the ORAM stand-in), and
+// never holds the data key; the *enclave* side (enclave.go) holds the key as
+// a seal.Sealer — one per serving node, shared by every tenant's enclave
+// (NewWithSealer), since AES-GCM is stateless — opens ciphertexts with it,
+// admits them into enclave-resident tables (the ORAM stand-in), and
 // executes queries as oblivious scans whose access extent is a deterministic
 // function of table sizes alone — verified by tests. The server side keeps a
 // count of the ciphertexts it was handed, not the ciphertexts: nothing here
@@ -17,7 +19,8 @@
 // mode (orambacked.go) is the exception by design — it mirrors every block.
 // Query-execution time is modeled with calibrated constants (see
 // edb.ObliDBCostModel) because the cost of an oblivious scan depends only on
-// the record count, which the simulation tracks exactly.
+// the record count, which the simulation tracks exactly; every DB reads the
+// one process-wide model.
 package oblidb
 
 import (
@@ -39,8 +42,8 @@ const BlockBytes = 1024
 // DB is the server-visible half of the ObliDB simulator. It satisfies
 // edb.Database. All methods are safe for concurrent use. Its memory is the
 // enclave's aggregates — of which only the 8-byte join key a real record
-// grows with ingest — plus the access log; no ciphertext is retained unless
-// ORAM mode mirrors it.
+// grows with ingest — plus an access log of at most accessLogCap extents; no
+// ciphertext is retained unless ORAM mode mirrors it.
 type DB struct {
 	mu      sync.Mutex
 	enclave *Enclave
@@ -52,8 +55,10 @@ type DB struct {
 
 	// accessLog records, per query, how many resident records the oblivious
 	// scan touched. Obliviousness means every entry is a function of table
-	// sizes only, never of data or predicates.
+	// sizes only, never of data or predicates. It holds the last accessLogCap
+	// extents: a ring once full, queries the total logged.
 	accessLog []int
+	queries   int
 
 	// oram, when non-nil, mirrors every ingested ciphertext into a Path ORAM so
 	// the physical block-access pattern is oblivious too (see orambacked.go).
@@ -72,12 +77,25 @@ func New() (*DB, error) {
 // NewWithKey creates an ObliDB instance with the given 32-byte data key
 // (shared with the owner, as in any symmetric outsourced database).
 func NewWithKey(key []byte) (*DB, error) {
-	enc, err := NewEnclave(key)
+	s, err := seal.NewSealer(key)
 	if err != nil {
 		return nil, err
 	}
-	return &DB{enclave: enc, model: edb.ObliDBCostModel()}, nil
+	return NewWithSealer(s), nil
 }
+
+// NewWithSealer creates an ObliDB instance whose enclave opens ciphertexts
+// with s — the serving node's one sealer for its key, shared by every
+// tenant's instance. Answers, stats, access log and modeled cost are those of
+// NewWithKey under the same key.
+func NewWithSealer(s *seal.Sealer) *DB {
+	return &DB{enclave: newEnclave(s), model: edb.ObliDBCostModel()}
+}
+
+// accessLogCap bounds the access log a DB keeps: the extents of its most
+// recent queries, enough for any test's run of them, while a long-lived
+// tenant's log no longer grows with the queries it answers.
+const accessLogCap = 128
 
 // Name implements edb.Database.
 func (db *DB) Name() string { return "ObliDB" }
@@ -180,7 +198,12 @@ func (db *DB) Query(q query.Query) (query.Answer, edb.Cost, error) {
 	if err != nil {
 		return query.Answer{}, edb.Cost{}, err
 	}
-	db.accessLog = append(db.accessLog, touched)
+	if len(db.accessLog) < accessLogCap {
+		db.accessLog = append(db.accessLog, touched)
+	} else {
+		db.accessLog[db.queries%accessLogCap] = touched
+	}
+	db.queries++
 	return ans, db.cost(q), nil
 }
 
@@ -207,15 +230,19 @@ func (db *DB) Stats() edb.StorageStats {
 	return db.stats
 }
 
-// AccessLog returns the per-query touched-record counts. Tests use it to
-// assert obliviousness: every entry must equal the scanned table's size when
-// the query ran, independent of data and predicates.
+// AccessLog returns the per-query touched-record counts of the last
+// accessLogCap queries, oldest first. Tests use it to assert obliviousness:
+// every entry must equal the scanned table's size when the query ran,
+// independent of data and predicates.
 func (db *DB) AccessLog() []int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	out := make([]int, len(db.accessLog))
-	copy(out, db.accessLog)
-	return out
+	oldest := 0
+	if db.queries > accessLogCap {
+		oldest = db.queries % accessLogCap
+	}
+	out := make([]int, 0, len(db.accessLog))
+	return append(append(out, db.accessLog[oldest:]...), db.accessLog[:oldest]...)
 }
 
 // StoreSize returns the number of outsourced ciphertexts (adversary-visible).

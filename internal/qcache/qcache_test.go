@@ -1,7 +1,9 @@
 package qcache
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"dpsync/internal/wire"
 )
@@ -107,5 +109,72 @@ func TestDefaultCapacity(t *testing.T) {
 	}
 	if c.Len() != DefaultCapacity {
 		t.Fatalf("Len = %d, want DefaultCapacity %d", c.Len(), DefaultCapacity)
+	}
+}
+
+var sink Cache
+
+// TestNewAllocatesNothing pins that a cache costs nothing until it holds an
+// answer: a tenant that is never queried carries no entry storage.
+func TestNewAllocatesNothing(t *testing.T) {
+	for _, capacity := range []int{0, 4, DefaultCapacity} {
+		if n := testing.AllocsPerRun(100, func() { sink = New(capacity) }); n != 0 {
+			t.Errorf("New(%d) allocates %.1f objects, want 0", capacity, n)
+		}
+	}
+}
+
+// TestZeroCacheHoldsNothing pins the disabled cache the gateway keeps when
+// its QueryCache is negative: the zero Cache misses every Get and drops
+// every Put.
+func TestZeroCacheHoldsNothing(t *testing.T) {
+	var c Cache
+	if evicted := c.Put(spec(1, 0), resp(1)); evicted {
+		t.Fatal("zero cache reported an eviction")
+	}
+	if _, ok := c.Get(spec(1, 0)); ok || c.Len() != 0 || c.Invalidate() != 0 {
+		t.Fatal("zero cache held an entry")
+	}
+}
+
+// TestInvalidateCostIndependentOfCapacity pins that invalidation is O(live
+// entries): dropping one live entry from a DefaultCapacity cache costs what it
+// costs in a capacity-4 one, and neither allocates — Put after Invalidate
+// reuses the entry slice. (A map preallocated to capacity made the large
+// cache's cycle several times the small one's.)
+func TestInvalidateCostIndependentOfCapacity(t *testing.T) {
+	r := resp(1)
+	cycle := func(capacity int) func() {
+		c := New(capacity)
+		return func() {
+			c.Put(spec(1, 0), r)
+			c.Invalidate()
+		}
+	}
+	for _, capacity := range []int{4, DefaultCapacity} {
+		f := cycle(capacity)
+		f()
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("capacity %d: a Put+Invalidate cycle allocates %.1f objects, want 0", capacity, n)
+		}
+	}
+	// Best of five timed runs each, so one descheduled run cannot fail it.
+	ns := func(capacity int) float64 {
+		const iters = 20_000
+		f := cycle(capacity)
+		best := math.Inf(1)
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			for j := 0; j < iters; j++ {
+				f()
+			}
+			best = min(best, float64(time.Since(start).Nanoseconds())/iters)
+		}
+		return best
+	}
+	small, large := ns(4), ns(DefaultCapacity)
+	t.Logf("one live entry, Put+Invalidate: %.1f ns at capacity 4, %.1f ns at capacity %d", small, large, DefaultCapacity)
+	if large > 1.5*small+10 {
+		t.Fatalf("capacity %d costs %.1f ns against %.1f ns at capacity 4: invalidation is not O(live)", DefaultCapacity, large, small)
 	}
 }
