@@ -21,8 +21,9 @@
 //
 // With -store DIR tenant state is durable: per-shard
 // write-ahead logs and snapshots under DIR carry every namespace's sealed
-// store, update-pattern transcript, logical clock, and ε ledger across
-// restarts — the server opens with crash recovery and SIGINT/SIGTERM drain
+// history, logical clock, and ε ledger across restarts, and recovery derives
+// the update-pattern transcript from that history — the server opens with
+// crash recovery and SIGINT/SIGTERM drain
 // in-flight shard work and flush the WAL before exiting. Add
 // -history-window N to bound each tenant's in-RAM ingest history: older
 // batches spill to history segments under DIR, snapshots reference them by
@@ -82,7 +83,7 @@ func main() {
 		storeDir  = flag.String("store", "", "durability directory: WAL + snapshots, open with crash recovery")
 		fsync     = flag.Bool("fsync", false, "fsync every durable group commit (with -store)")
 		snapN     = flag.Int("snapshot-every", 0, "minimum entries between rotations; the interval grows with the image so checkpoint bytes never exceed log bytes (0: default; with -store)")
-		syncEps   = flag.Float64("sync-epsilon", 0, "epsilon charged to a tenant's ledger per sync (with -store)")
+		syncEps   = flag.Float64("sync-epsilon", 0, "epsilon charged to a tenant's ledger per sync, in memory or with -store")
 		histWin   = flag.Int("history-window", 0, "per-tenant in-RAM history batches before spilling to history segments (0: keep all in RAM; with -store)")
 		maxInFl   = flag.Int("max-inflight", 0, "per-connection admitted-request cap before typed backpressure sheds (0: default)")
 		drainTO   = flag.Duration("drain-timeout", 0, "graceful-close drain deadline before live connections are severed (0: default, negative: wait forever)")

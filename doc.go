@@ -61,8 +61,9 @@
 // # Substrates
 //
 // Two encrypted-database substrates ship with the library, mirroring the
-// paper's evaluation: NewObliDB (an SGX/ORAM-style oblivious engine,
-// leakage class L-0, supports range/group/join counting) and NewCrypteps
+// paper's evaluation: NewObliDB (an SGX/ORAM-style oblivious engine whose
+// ORAM cost is modeled, not simulated block by block; leakage class L-0,
+// supports range/group/join counting) and NewCrypteps
 // (a crypto-assisted DP engine, class L-DP, linear queries with noisy
 // answers). Any store satisfying the Database interface and the §6 leakage
 // constraints can be plugged in.
@@ -366,14 +367,13 @@
 // gateway.Config.HistoryWindow bounds the committed batches a tenant keeps
 // in RAM, and everything older is spilled to append-only, CRC-framed
 // history segments shared by the shard (the same frames as the WAL). The
-// history tier is the outsourced ciphertext store: the default ObliDB
-// backend keeps a count of the ciphertexts it was handed and the enclave's
-// aggregates, not the ciphertexts (only its ORAM mode, which the serving
-// stack does not turn on, mirrors every block), so a tenant's RAM is its
-// aggregates plus the window — per ingested record, the 8-byte join key and
-// its share of the sync's transcript event — plus a fixed part: 584 bytes in
-// 7 heap objects for a new tenant (tenant, committed state, ledger, ObliDB
-// instance, enclave, aggregates), pinned at ≤ 1 KiB in ≤ 10 by
+// history tier is the outsourced ciphertext store: the ObliDB backend keeps
+// a count of the ciphertexts it was handed and the enclave's aggregates,
+// never the ciphertexts, so a tenant's RAM is its aggregates plus the window
+// — per ingested record, the 8-byte join key and its share of the sync's
+// transcript event — plus a fixed part: 568 bytes in 7 heap objects for a
+// new tenant (tenant, committed state, ledger, ObliDB instance, enclave,
+// aggregates), pinned at ≤ 1 KiB in ≤ 10 by
 // TestTenantFixedCost. Nothing a tenant shares with others is in it: every
 // enclave opens with the node's one sealer for its key and every instance
 // reads the one cost model, and what a tenant builds only once it is queried

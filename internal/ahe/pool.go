@@ -134,8 +134,8 @@ func (p *RandomizerPool) EncryptZero() (Ciphertext, error) {
 
 // Rerandomize multiplies ct by a fresh zero encryption, producing a
 // ciphertext of the same plaintext that is unlinkable to ct. This is the
-// operation a release boundary (crypte.Aggregate) spends per published
-// slot.
+// operation a release boundary (the real-AHE crypte DB's query release)
+// spends per published slot.
 func (p *RandomizerPool) Rerandomize(ct Ciphertext) (Ciphertext, error) {
 	z, err := p.EncryptZero()
 	if err != nil {

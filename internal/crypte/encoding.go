@@ -120,37 +120,17 @@ func (p *AHEPipeline) EncodeRecord(r record.Record) ([]ahe.Ciphertext, error) {
 // them — including the degenerate one-record window, where the raw sum
 // would alias the upload outright.
 func Aggregate(pk *ahe.PublicKey, encodings ...[]ahe.Ciphertext) ([]ahe.Ciphertext, error) {
-	return AggregatePooled(pk, nil, encodings...)
-}
-
-// AggregatePooled is Aggregate drawing its release-boundary zero
-// encryptions from a pre-generated pool instead of computing one
-// exponentiation per slot inline — the aggregation service's half of the
-// offline/online split. The pool MUST be built from the public key
-// (pk.NewRandomizerPool): re-randomization happens on the untrusted server,
-// which never holds private-key material, so handing it an owner-side CRT
-// pool would cross the trust boundary the construction is about. A nil pool
-// falls back to inline zero encryptions.
-func AggregatePooled(pk *ahe.PublicKey, pool *ahe.RandomizerPool, encodings ...[]ahe.Ciphertext) ([]ahe.Ciphertext, error) {
 	sum, err := pk.SumVector(encodings...)
 	if err != nil {
 		return nil, err
 	}
 	if err := ahe.ParallelSlotsErr(len(sum), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			if pool != nil {
-				ct, err := pool.Rerandomize(sum[i])
-				if err != nil {
-					return err
-				}
-				sum[i] = ct
-			} else {
-				z, err := pk.EncryptZero()
-				if err != nil {
-					return err
-				}
-				sum[i] = pk.Add(sum[i], z)
+			z, err := pk.EncryptZero()
+			if err != nil {
+				return err
 			}
+			sum[i] = pk.Add(sum[i], z)
 		}
 		return nil
 	}); err != nil {

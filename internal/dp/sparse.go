@@ -14,7 +14,6 @@ import (
 // once with Lap(2/ε1) and each comparison uses fresh Lap(4/ε1), which makes
 // the halting decision ε1-DP (Theorem 11's M'_sparse analysis).
 type SparseVector struct {
-	eps1       float64
 	theta      float64
 	thetaNoisy float64
 	thresh     *Laplace
@@ -39,7 +38,7 @@ func NewSparseVector(eps1, theta float64, src Source) (*SparseVector, error) {
 	if err != nil {
 		return nil, err
 	}
-	sv := &SparseVector{eps1: eps1, theta: theta, thresh: thresh, per: per}
+	sv := &SparseVector{theta: theta, thresh: thresh, per: per}
 	sv.reset()
 	return sv, nil
 }
@@ -68,18 +67,12 @@ func (sv *SparseVector) Above(c int) bool {
 	return false
 }
 
-// Fired reports whether the current window has already crossed the threshold.
-func (sv *SparseVector) Fired() bool { return sv.fired }
-
 // Reset begins a new window: a fresh noisy threshold is drawn and the
 // instance may fire again. DP-ANT calls this right after each sync (Alg 3:13).
 func (sv *SparseVector) Reset() { sv.reset() }
 
 // NoisyThreshold exposes the current θ̃ for tests and audits.
 func (sv *SparseVector) NoisyThreshold() float64 { return sv.thetaNoisy }
-
-// Epsilon1 returns the privacy parameter governing the halting decision.
-func (sv *SparseVector) Epsilon1() float64 { return sv.eps1 }
 
 // ANTGapBound returns the paper's Theorem 8 high-probability bound on the
 // records DP-ANT may hold back beyond the current window's count:

@@ -64,7 +64,7 @@ type Scheme struct {
 func Table3() []Scheme {
 	return []Scheme{
 		{"VLH/AVLH (Kamara-Moataz 19)", L0, "volume-hiding structured encryption"},
-		{"ObliDB*", L0, "SGX enclave + ORAM; implemented in internal/oblidb"},
+		{"ObliDB*", L0, "SGX enclave + ORAM (ORAM cost modeled); implemented in internal/oblidb"},
 		{"SEAL", L0, "adjustable leakage"},
 		{"Opaque", L0, "oblivious distributed analytics"},
 		{"CSAGR19", L0, "controllable leakage"},

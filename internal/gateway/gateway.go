@@ -162,9 +162,10 @@ type Config struct {
 	// MaxOwners bounds distinct namespaces (0 = DefaultMaxOwners).
 	MaxOwners int
 	// StoreDir enables the durability subsystem (internal/store): every
-	// tenant's sealed store, transcript, logical clock, and ε ledger are
-	// carried by per-shard write-ahead logs and snapshots under this
-	// directory, and New recovers whatever a previous process left there.
+	// tenant's sealed history, logical clock, and ε ledger are carried by
+	// per-shard write-ahead logs, snapshots and history segments under this
+	// directory, and New recovers whatever a previous process left there. The
+	// transcript is not stored: recovery derives it from the history.
 	// Empty keeps today's in-memory behavior.
 	StoreDir string
 	// Fsync makes every durable group commit fsync (machine-crash safety);
@@ -179,17 +180,20 @@ type Config struct {
 	// in RAM (and inlines in snapshots). Past the window, history spills to
 	// sealed on-disk history segments; snapshots reference the spilled runs
 	// by manifest (segment, offset, length, checksum) so a rotation never
-	// rewrites spilled batches — it still writes every tenant's transcript,
-	// refs and tail — and recovery streams the runs back through the ingest
-	// path without materializing them. 0 keeps the full history in RAM and
+	// rewrites spilled batches — it writes every tenant's clock, ledger, refs
+	// and tail — and recovery streams the runs back through the ingest path
+	// without materializing them. 0 keeps the full history in RAM and
 	// inline in snapshots (the legacy small-deployment behavior). Durable
 	// mode only.
 	HistoryWindow int
 	// SyncEpsilon is the ε charged to a tenant's ledger per sync (setup or
-	// update), recorded inside the sync's WAL entry so recovery re-spends
-	// exactly what was spent. Changing it against an existing store makes
-	// recovered tenants refuse further syncs (the ledger rejects a charge
-	// whose epsilon drifted) — by design, accounting drift is loud.
+	// update), in memory and durable alike; a durable sync records its charge
+	// inside its WAL entry so recovery re-spends exactly what was spent. The
+	// ledger checks ε per charge name (m_setup, m_update): after a change
+	// against an existing store, a recovered tenant whose ledger holds an
+	// m_update at the old ε refuses every further update, while one whose
+	// ledger holds only its m_setup accepts its first update at the new ε
+	// (and every later one).
 	SyncEpsilon float64
 	// QueryCache is the per-tenant noise-reuse answer cache capacity in
 	// entries (0 = qcache.DefaultCapacity, negative disables). A released DP

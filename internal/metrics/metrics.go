@@ -91,15 +91,6 @@ func (s *Series) Quantile(q float64) float64 {
 	return vals[idx]
 }
 
-// Values returns the raw values in tick order.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Samples))
-	for i, p := range s.Samples {
-		out[i] = p.Value
-	}
-	return out
-}
-
 // Downsample returns a copy keeping every k-th sample (k ≥ 1), for compact
 // plotting output.
 func (s *Series) Downsample(k int) *Series {

@@ -109,7 +109,7 @@ func TestEnclaveIngestAllocs(t *testing.T) {
 		t.Fatal("forged ciphertext admitted")
 	}
 	y2, g2 := db.enclave.tableSizes()
-	if db.Stats() != before || y != y2 || g != g2 || db.StoreSize() != before.Records {
+	if db.Stats() != before || y != y2 || g != g2 {
 		t.Fatalf("a rejected batch changed the backend: stats %+v -> %+v, tables %d/%d -> %d/%d", before, db.Stats(), y, g, y2, g2)
 	}
 }

@@ -9,9 +9,11 @@ import (
 )
 
 // Enclave simulates the SGX-resident half of ObliDB: it holds the data key
-// and hosts the decrypted tables in enclave-protected memory (ORAM in the
-// real system). Ciphertexts are opened exactly once, when they enter the
-// enclave; queries then execute oblivious scans over the resident tables.
+// and keeps what it needs of the decrypted tables in enclave-protected memory
+// (ORAM-backed tables in the real system, whose cost edb.ObliDBCostModel
+// models rather than simulates). Ciphertexts are opened exactly once, when
+// they enter the enclave; queries then execute oblivious scans over the
+// resident tables.
 // The key is held as a seal.Sealer, which is stateless (AES-GCM): a serving
 // node builds one from its key and every tenant's enclave opens ciphertexts
 // with it, so an enclave's own state is its aggregates, its table sizes and

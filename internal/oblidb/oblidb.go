@@ -9,18 +9,19 @@
 // never holds the data key; the *enclave* side (enclave.go) holds the key as
 // a seal.Sealer — one per serving node, shared by every tenant's enclave
 // (NewWithSealer), since AES-GCM is stateless — opens ciphertexts with it,
-// admits them into enclave-resident tables (the ORAM stand-in), and
-// executes queries as oblivious scans whose access extent is a deterministic
-// function of table sizes alone — verified by tests. The server side keeps a
-// count of the ciphertexts it was handed, not the ciphertexts: nothing here
-// ever reads one back, and in the serving stack the outsourced ciphertext
-// store is the gateway's durable history tier (internal/store), so a second
-// copy here would only make per-tenant RAM grow with ingest history. ORAM
-// mode (orambacked.go) is the exception by design — it mirrors every block.
-// Query-execution time is modeled with calibrated constants (see
-// edb.ObliDBCostModel) because the cost of an oblivious scan depends only on
-// the record count, which the simulation tracks exactly; every DB reads the
-// one process-wide model.
+// folds them into enclave-resident aggregates, and executes queries as
+// oblivious scans whose access extent is a deterministic function of table
+// sizes alone — verified by tests. The server side keeps a count of the
+// ciphertexts it was handed, not the ciphertexts: nothing here ever reads
+// one back, and in the serving stack the outsourced ciphertext store is the
+// gateway's durable history tier (internal/store), so a second copy here
+// would only make per-tenant RAM grow with ingest history. The ORAM is not
+// simulated block by block: its cost, like the rest of query-execution time,
+// is modeled with calibrated constants (see edb.ObliDBCostModel), because
+// the cost of an oblivious scan depends only on the record count, which the
+// simulation tracks exactly; every DB reads the one process-wide model.
+// Admitting a sealed batch therefore fails only on a ciphertext the key
+// cannot open or a record that does not decode.
 package oblidb
 
 import (
@@ -28,28 +29,28 @@ import (
 	"sync"
 
 	"dpsync/internal/edb"
-	"dpsync/internal/oram"
 	"dpsync/internal/query"
 	"dpsync/internal/record"
 	"dpsync/internal/seal"
 )
 
-// BlockBytes is the outsourced width of one record: ObliDB pads rows into
-// fixed-size ORAM blocks, so storage accounting charges 1 KiB per record
-// regardless of the 16-byte logical payload.
+// BlockBytes is the outsourced width of one record in the storage model:
+// ObliDB pads rows into fixed-size ORAM blocks, so storage accounting
+// charges 1 KiB per record regardless of the 16-byte logical payload. No
+// block is allocated here; the figure is accounting only.
 const BlockBytes = 1024
 
 // DB is the server-visible half of the ObliDB simulator. It satisfies
 // edb.Database. All methods are safe for concurrent use. Its memory is the
 // enclave's aggregates — of which only the 8-byte join key a real record
 // grows with ingest — plus an access log of at most accessLogCap extents; no
-// ciphertext is retained unless ORAM mode mirrors it.
+// ciphertext is retained.
 type DB struct {
 	mu      sync.Mutex
 	enclave *Enclave
 	model   edb.CostModel
 	// stats.Records is the count the server keeps of the ciphertexts it was
-	// handed — StoreSize, and the ORAM block index of the next one.
+	// handed.
 	stats edb.StorageStats
 	setup bool
 
@@ -59,10 +60,6 @@ type DB struct {
 	// extents: a ring once full, queries the total logged.
 	accessLog []int
 	queries   int
-
-	// oram, when non-nil, mirrors every ingested ciphertext into a Path ORAM so
-	// the physical block-access pattern is oblivious too (see orambacked.go).
-	oram *oram.ORAM
 }
 
 // New creates an ObliDB instance with a fresh random data key.
@@ -142,14 +139,10 @@ func (db *DB) ingest(rs []record.Record) error {
 	return db.admit(cts, len(rs)-record.CountReal(rs))
 }
 
-// admit hands a batch of ciphertexts to the enclave, mirrors it into the ORAM
-// when that mode is on, and counts it (dummies of them known to be dummy).
-// Callers hold db.mu.
+// admit hands a batch of ciphertexts to the enclave and counts it (dummies of
+// them known to be dummy). Callers hold db.mu.
 func (db *DB) admit(cts []seal.Sealed, dummies int) error {
 	if err := db.enclave.Ingest(cts); err != nil {
-		return err
-	}
-	if err := db.mirrorToORAM(cts, db.stats.Records); err != nil {
 		return err
 	}
 	db.stats.Add(len(cts), dummies, BlockBytes)
@@ -207,10 +200,11 @@ func (db *DB) Query(q query.Query) (query.Answer, edb.Cost, error) {
 	return ans, db.cost(q), nil
 }
 
-// cost models QET from the current store composition. Each table is its own
-// ORAM structure, so a linear query scans only its target table (real +
-// dummy ciphertexts tagged with that provider); the join compares every
-// Yellow ciphertext against every Green ciphertext. Callers hold db.mu.
+// cost models QET from the current store composition. In the modeled engine
+// each table is its own ORAM structure, so a linear query scans only its
+// target table (real + dummy ciphertexts tagged with that provider); the
+// join compares every Yellow ciphertext against every Green ciphertext.
+// Callers hold db.mu.
 func (db *DB) cost(q query.Query) edb.Cost {
 	ny, ng := db.enclave.tableSizes()
 	if q.Kind == query.JoinCount {
@@ -243,13 +237,6 @@ func (db *DB) AccessLog() []int {
 	}
 	out := make([]int, 0, len(db.accessLog))
 	return append(append(out, db.accessLog[oldest:]...), db.accessLog[:oldest]...)
-}
-
-// StoreSize returns the number of outsourced ciphertexts (adversary-visible).
-func (db *DB) StoreSize() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.stats.Records
 }
 
 var _ edb.Database = (*DB)(nil)
