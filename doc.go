@@ -454,16 +454,21 @@
 // (wire.Request.Seq; there is no unsequenced sync — Seq 0 is a bad request),
 // and the gateway applies syncs tick-ordered and idempotently: the expected
 // next seq applies, anything at or below the owner's clock is acknowledged as
-// a duplicate — without re-ingesting, re-charging, or re-recording — and a
-// gap is refused (seq-gap, naming the seq expected) with state untouched.
-// A reconnecting client asks for the durable per-owner clock with a
+// a duplicate — without re-ingesting, re-charging, or re-recording, and with
+// the owner's clock on its ack — and a gap is refused (seq-gap, naming the
+// seq expected) with state untouched. A setup is Seq 1 (any other is a bad
+// request), so a fresh session sends its setup at once: a plain ack means it
+// applied, and a duplicate's ack on a setup sent once means the owner was set
+// up before — edb.ErrAlreadySetup, with the session aligned at the ack's
+// clock. A reconnecting client asks for the durable per-owner clock with a
 // negotiated Resume frame (wire.MsgResume; served from live tenant state —
 // every recovered owner is resident, so an owner without a tenant has clock
 // 0) and realigns before its next upload. client.DialGateway with
 // WithReconnect redials with capped exponential backoff plus jitter,
 // replays unacknowledged in-flight requests in ID order, and resumes from
 // the returned clock — so retransmits, replays, and duplicated frames all
-// collapse into at-most-once application.
+// collapse into at-most-once application. A replayed setup acked as a
+// duplicate is taken as the session's own.
 //
 // Per-tenant flow control. Each gateway connection has an admitted-request
 // cap (gateway.Config.MaxInFlight): past it, requests are shed immediately

@@ -139,9 +139,11 @@ type traffic struct{ out, in atomic.Int64 }
 // exponential backoff + jitter) and every in-flight request is replayed in
 // ID order on the new connection. Replay is safe because sequenced syncs
 // are idempotent at the gateway (a retransmitted seq the tenant already
-// applied is acked without re-ingesting or re-charging the ε ledger) and
-// reads are side-effect free; callers blocked in roundTrip simply get their
-// response on the new transport. Without, the first transport failure is
+// applied is acked without re-ingesting or re-charging the ε ledger, and
+// the ack carries the owner's clock) and reads are side-effect free; callers
+// blocked in roundTrip simply get their response on the new transport, told
+// that it answers a replayed copy — a duplicate's ack then may be their own
+// request's second arrival. Without, the first transport failure is
 // permanent: every in-flight request fails with it and the link stays dead.
 //
 // With timeout, no request waits on the node longer than that: the reader's
@@ -200,10 +202,11 @@ func (t *transport) retire() { t.once.Do(func() { close(t.stop) }) }
 // pendingReq is one in-flight request, retained in full (not just its
 // response channel) so a reconnect can replay it verbatim.
 type pendingReq struct {
-	owner string
-	req   wire.Request
-	ch    chan wire.Response
-	sent  time.Time // when it was registered; stamped only on a link with a timeout
+	owner    string
+	req      wire.Request
+	ch       chan wire.Response
+	sent     int64 // when it was registered (UnixNano); stamped only on a link with a timeout
+	replayed bool  // a redial re-sent it; set under mu before its response can arrive
 }
 
 // GatewayOption tunes a GatewayConn.
@@ -496,7 +499,8 @@ func (c *GatewayConn) replicaRoundTrip(owner string, req wire.Request) (wire.Res
 	if err != nil {
 		return wire.Response{}, err
 	}
-	return l.roundTrip(owner, req)
+	resp, _, err := l.roundTrip(owner, req)
+	return resp, err
 }
 
 // readLoop demultiplexes responses to their waiting senders by request ID.
@@ -553,7 +557,7 @@ func (l *link) watch(t *transport) {
 	}
 	var deadline time.Time
 	if p := l.pending[l.oldest]; p != nil {
-		deadline = p.sent.Add(l.timeout)
+		deadline = time.Unix(0, p.sent).Add(l.timeout)
 	}
 	_ = t.sock.SetReadDeadline(deadline)
 }
@@ -656,6 +660,7 @@ func (l *link) redial(cause error) {
 		replay := make([]wire.GatewayRequest, len(ids))
 		for i, id := range ids {
 			p := l.pending[id]
+			p.replayed = true
 			replay[i] = wire.GatewayRequest{ID: id, Owner: p.owner, Req: p.req}
 		}
 		l.mu.Unlock()
@@ -734,16 +739,15 @@ func (l *link) fail(err error) {
 	l.mu.Unlock()
 }
 
-// send transmits one request without waiting for its response: it acquires
+// post transmits one request without waiting for its response: it acquires
 // a window slot, registers the request ID, appends the frame to the
-// transport's buffer, and kicks the flusher. The returned channel yields the
-// response (or closes on permanent link failure); release must be
+// transport's buffer, and kicks the flusher. The returned request's channel
+// yields the response (or closes on permanent link failure); release must be
 // called after the response is consumed to free the window slot. A dying
-// transport is not send's error: the request stays pending, and the reconnect
-// replay delivers it or the permanent failure closes its channel.
-// roundTrip composes send+receive; tests use send directly to pin
-// pipelining semantics.
-func (l *link) send(owner string, req wire.Request) (ch <-chan wire.Response, release func(), err error) {
+// transport is not post's error: the request stays pending, and the
+// reconnect replay delivers it or the permanent failure closes its channel.
+// roundTrip composes post+receive.
+func (l *link) post(owner string, req wire.Request) (p *pendingReq, release func(), err error) {
 	l.window <- struct{}{}
 	release = func() { <-l.window }
 	for {
@@ -770,7 +774,7 @@ func (l *link) send(owner string, req wire.Request) (ch <-chan wire.Response, re
 		l.pending[id] = p
 		tr := l.tr
 		if l.timeout > 0 {
-			p.sent = time.Now()
+			p.sent = time.Now().UnixNano()
 			if len(l.pending) == 1 {
 				l.watch(tr) // the first in flight arms the deadline; the reader moves it from here
 			}
@@ -793,24 +797,27 @@ func (l *link) send(owner string, req wire.Request) (ch <-chan wire.Response, re
 			// request is registered: the reconnect replay re-sends it, or the
 			// permanent failure closes its channel; the caller just waits.
 			l.connLost(tr.epoch, err)
-			return p.ch, release, nil
+			return p, release, nil
 		}
 		select {
 		case tr.kick <- struct{}{}:
 		default: // a kick is already pending; that flush carries this frame too
 		}
-		return p.ch, release, nil
+		return p, release, nil
 	}
 }
 
-// roundTrip sends one request and waits for its response.
-func (l *link) roundTrip(owner string, req wire.Request) (wire.Response, error) {
-	ch, release, err := l.send(owner, req)
+// roundTrip sends one request and waits for its response. replayed reports
+// that a reconnect re-sent the request (see redial), so the node may have
+// received it twice: the answer can be the duplicate's ack for a request
+// whose first copy it applied.
+func (l *link) roundTrip(owner string, req wire.Request) (resp wire.Response, replayed bool, err error) {
+	p, release, err := l.post(owner, req)
 	if err != nil {
-		return wire.Response{}, err
+		return wire.Response{}, false, err
 	}
 	defer release()
-	resp, ok := <-ch
+	resp, ok := <-p.ch
 	if !ok {
 		l.mu.Lock()
 		err := l.err
@@ -818,12 +825,12 @@ func (l *link) roundTrip(owner string, req wire.Request) (wire.Response, error) 
 		if err == nil {
 			err = fmt.Errorf("client: gateway connection lost")
 		}
-		return wire.Response{}, err
+		return wire.Response{}, p.replayed, err
 	}
 	if err := respErr(resp); err != nil {
-		return wire.Response{}, err
+		return wire.Response{}, p.replayed, err
 	}
-	return resp, nil
+	return resp, p.replayed, nil
 }
 
 // respErr maps a refused response to the caller's error: the *wire.Refusal
@@ -847,13 +854,20 @@ func (c *GatewayConn) Owner(name string) *OwnerSession {
 // edb.Database, so core.Owner and the whole strategy stack run unchanged
 // against a shared remote server. Safe for concurrent use.
 //
-// Syncs are sequenced: before its first upload the session runs the resume
-// handshake to learn the owner's committed logical clock, then numbers each
-// sync with the tick it claims. The gateway applies ticks in order and
-// idempotently, which is what makes a session attach-or-reattach safely —
-// a fresh session against a durable namespace continues at the recovered
-// clock instead of colliding with history, and a replayed sync after a
-// reconnect can never double-charge the ε ledger.
+// Syncs are sequenced: each claims the owner's logical tick it would be. The
+// setup is tick 1, so a fresh session's Setup claims it at once and its ack
+// settles the question a resume would have asked: a plain ack means it
+// applied, and a duplicate's ack carries the clock of the owner someone set up
+// before — Setup then fails with edb.ErrAlreadySetup and the session is
+// aligned at that clock. Any other first upload runs the resume handshake to
+// learn the committed clock, then numbers its syncs from there. The gateway
+// applies ticks in order and idempotently, which is what makes a session
+// attach-or-reattach safely — a fresh session against a durable namespace
+// continues at the recovered clock instead of colliding with history, and a
+// replayed sync after a reconnect can never double-charge the ε ledger. One
+// ambiguity remains: a duplicate's ack for a setup the link replayed is taken
+// as the session's own setup, though another session's may have taken tick 1
+// while the transport was down.
 type OwnerSession struct {
 	conn  *GatewayConn
 	owner string
@@ -882,9 +896,10 @@ type OwnerSession struct {
 func (s *OwnerSession) OwnerID() string { return s.owner }
 
 // Resume realigns the session's sync sequence with the gateway's committed
-// clock via the resume handshake. Uploads do this lazily (first use, and
-// after any failed upload); harnesses that hand an existing owner to a new
-// session call it to assert the attachment eagerly.
+// clock via the resume handshake. Uploads do this lazily (a first upload
+// other than a fresh session's Setup, and any upload after a failed one);
+// harnesses that hand an existing owner to a new session call it to assert
+// the attachment eagerly.
 func (s *OwnerSession) Resume() error {
 	s.upMu.Lock()
 	defer s.upMu.Unlock()
@@ -892,7 +907,7 @@ func (s *OwnerSession) Resume() error {
 }
 
 func (s *OwnerSession) resumeLocked() error {
-	resp, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: wire.MsgResume})
+	resp, _, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: wire.MsgResume})
 	if err != nil {
 		return err
 	}
@@ -956,7 +971,7 @@ func (s *OwnerSession) resyncLocked(clock uint64) error {
 	}
 	for i := len(s.acked) - int(need); i < len(s.acked); i++ {
 		a := s.ackedAt(i)
-		if _, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: a.typ, Sealed: a.sealed, Seq: a.seq}); err != nil {
+		if _, _, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: a.typ, Sealed: a.sealed, Seq: a.seq}); err != nil {
 			return fmt.Errorf("client: owner %q: resync of seq %d: %w", s.owner, a.seq, err)
 		}
 	}
@@ -975,7 +990,7 @@ func (s *OwnerSession) resyncLocked(clock uint64) error {
 func (s *OwnerSession) info() (scheme string, leak edb.LeakageClass, width int64) {
 	bi := s.conn.backend.Load()
 	if bi == nil {
-		resp, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: wire.MsgStats})
+		resp, _, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: wire.MsgStats})
 		if err != nil || resp.Stats == nil {
 			return "remote", edb.L2, obliBlockBytes
 		}
@@ -1038,13 +1053,25 @@ func (s *OwnerSession) upload(t wire.MsgType, rs []record.Record) error {
 	}
 	s.upMu.Lock()
 	defer s.upMu.Unlock()
-	if !s.seqInit || s.seqDirty {
+	// A setup applies at tick 1 or nowhere, so a session not yet aligned
+	// sends it without a resume: the ack says which.
+	if s.seqDirty || (!s.seqInit && t != wire.MsgSetup) {
 		if err := s.resumeLocked(); err != nil {
 			return err
 		}
 	}
+	if t == wire.MsgSetup && s.seq >= 1 {
+		return fmt.Errorf("client: owner %q: %w", s.owner, edb.ErrAlreadySetup)
+	}
 	seq := s.seq + 1
-	if _, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: t, Sealed: raw, Seq: seq}); err != nil {
+	resp, replayed, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: t, Sealed: raw, Seq: seq})
+	if err == nil && t == wire.MsgSetup && resp.Resume != nil && !replayed {
+		// A duplicate's ack on a setup sent once: tick 1 was taken before
+		// this request arrived. The ack's clock aligns the session.
+		s.seq, s.seqInit = resp.Resume.Clock, true
+		return fmt.Errorf("client: owner %q: %w", s.owner, edb.ErrAlreadySetup)
+	}
+	if err != nil {
 		// The sync's fate is unproven (a refusal did not advance the clock;
 		// a lost ack may have — and across a failover, the serving node may
 		// have changed under us entirely). Realign once and retry: the
@@ -1062,7 +1089,7 @@ func (s *OwnerSession) upload(t wire.MsgType, rs []record.Record) error {
 			// to the bookkeeping — the payload still enters the resync
 			// window, since a later failover may need to re-upload it.
 		case s.seq == seq-1:
-			if _, err2 := s.conn.primary.roundTrip(s.owner, wire.Request{Type: t, Sealed: raw, Seq: seq}); err2 != nil {
+			if _, _, err2 := s.conn.primary.roundTrip(s.owner, wire.Request{Type: t, Sealed: raw, Seq: seq}); err2 != nil {
 				s.seqDirty = true
 				return err2
 			}
@@ -1073,9 +1100,7 @@ func (s *OwnerSession) upload(t wire.MsgType, rs []record.Record) error {
 			return err
 		}
 	}
-	if s.seq < seq {
-		s.seq = seq
-	}
+	s.seq, s.seqInit = max(s.seq, seq), true
 	if len(s.acked) == 0 || s.ackedAt(len(s.acked)-1).seq+1 == seq {
 		s.recordAcked(seq, t, raw)
 	}
@@ -1128,19 +1153,19 @@ func (s *OwnerSession) QueryAt(q query.Query, minOffset uint64) (query.Answer, e
 // refusal). Replica trouble is never the caller's problem — the fallback
 // is the contract.
 func (s *OwnerSession) readRoundTrip(req wire.Request) (wire.Response, error) {
-	if s.conn.readAddr == "" {
-		return s.conn.primary.roundTrip(s.owner, req)
+	if s.conn.readAddr != "" {
+		resp, err := s.conn.replicaRoundTrip(s.owner, req)
+		if err == nil {
+			s.conn.replicaServed.Add(1)
+			return resp, nil
+		}
+		if errors.Is(err, wire.ErrStale) {
+			s.conn.replicaBehind.Add(1)
+		}
+		s.conn.replicaFallbacks.Add(1)
 	}
-	resp, err := s.conn.replicaRoundTrip(s.owner, req)
-	if err == nil {
-		s.conn.replicaServed.Add(1)
-		return resp, nil
-	}
-	if errors.Is(err, wire.ErrStale) {
-		s.conn.replicaBehind.Add(1)
-	}
-	s.conn.replicaFallbacks.Add(1)
-	return s.conn.primary.roundTrip(s.owner, req)
+	resp, _, err := s.conn.primary.roundTrip(s.owner, req)
+	return resp, err
 }
 
 // Stats implements edb.Database: the owner-side accounting, which knows the

@@ -63,9 +63,9 @@ type statsCounted struct {
 func (s statsCounted) Stats() edb.StorageStats { s.n.Add(1); return s.Database.Stats() }
 
 // TestBackendIdentityProbedOncePerConnection pins that an owner's attach is
-// two round trips (resume, setup), not three: the backend's identity is the
-// node's, so the first stats probe that answers is cached on the connection
-// for every owner on it. A probe that fails is not cached and reports L2.
+// one round trip (its setup), not two: the backend's identity is the node's,
+// so the first stats probe that answers is cached on the connection for
+// every owner on it. A probe that fails is not cached and reports L2.
 func TestBackendIdentityProbedOncePerConnection(t *testing.T) {
 	var probes atomic.Int64
 	var key []byte // startGateway's, set before any request can build a backend
@@ -208,6 +208,16 @@ func TestConcurrentOwnersStress(t *testing.T) {
 	if gw.Owners() != goroutines {
 		t.Errorf("owners = %d, want %d", gw.Owners(), goroutines)
 	}
+}
+
+// send is post for tests that pin pipelining: the request goes out, and the
+// caller holds only its response channel and its window slot.
+func (l *link) send(owner string, req wire.Request) (<-chan wire.Response, func(), error) {
+	p, release, err := l.post(owner, req)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.ch, release, nil
 }
 
 // TestPerOwnerFIFO pins the ordering half of the pipelining contract: many

@@ -1163,12 +1163,12 @@ func (c *clientConn) intern(b []byte) string {
 }
 
 // admitFrame is the reader's work for one frame: decode it, refuse it here
-// (malformed, ownerless, an unsequenced sync, a write on a read-only
-// connection, over the in-flight cap) or hand it to the owner's shard as a
-// task — a sync decoded straight into the entry frame its batch will carry,
-// so the frame's encode and CRC run here rather than on the serial shard
-// worker, and nothing the task holds points into payload. It reports
-// whether the connection keeps being served.
+// (malformed, ownerless, an unsequenced sync, a setup not at tick 1, a write
+// on a read-only connection, over the in-flight cap) or hand it to the
+// owner's shard as a task — a sync decoded straight into the entry frame its
+// batch will carry, so the frame's encode and CRC run here rather than on the
+// serial shard worker, and nothing the task holds points into payload. It
+// reports whether the connection keeps being served.
 func (c *clientConn) admitFrame(payload []byte) bool {
 	g := c.g
 	maxInFlight := g.cfg.MaxInFlight
@@ -1203,6 +1203,13 @@ func (c *clientConn) admitFrame(payload []byte) bool {
 		// duplicate rule (0 ≤ any applied seq) could ack it as a retransmit,
 		// and before a setup could allocate a namespace.
 		c.refuse(f.ID, wire.CodeBadRequest, "gateway: unsequenced sync (seq 0)")
+		return true
+	}
+	if setup && f.Req.Seq != 1 {
+		// A setup is tick 1: the backend refuses a second one, so at any
+		// other tick it can never apply. Refused before it could allocate a
+		// namespace for nothing.
+		c.refuse(f.ID, wire.CodeBadRequest, "gateway: setup not at seq 1")
 		return true
 	}
 	if c.readOnly && (sync || f.Req.Type == wire.MsgResume) {

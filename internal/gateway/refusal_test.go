@@ -224,8 +224,12 @@ func TestRefusalsAreTyped(t *testing.T) {
 			return err
 		})},
 		{wire.CodeBadRequest, wire.ErrBadRequest, 0, 9 + int64(len("gateway: missing owner id")), gw, "owner-a", through(func() error {
-			return conn.Owner("").Setup(nil) // no owner id: refused at the session's resume
+			return conn.Owner("").Update(nil) // no owner id: refused at the session's resume
 		})},
+		// A setup anywhere but tick 1 can never apply: refused by the reader,
+		// before it could create the tenant (state holds the owner count).
+		{wire.CodeBadRequest, wire.ErrBadRequest, 0, 9 + int64(len("gateway: setup not at seq 1")), gw, "owner-new",
+			raw(rw, "owner-new", wire.Request{Type: wire.MsgSetup, Seq: 5, Sealed: [][]byte{make([]byte, seal.SealedSize)}})},
 		{wire.CodeFailed, wire.ErrFailed, 0, 9 + int64(len("query: empty range 9..1")), gw, "owner-a", through(func() error {
 			_, _, err := conn.Owner("owner-a").Query(emptyRange)
 			return err

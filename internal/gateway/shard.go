@@ -505,9 +505,11 @@ func (g *Gateway) commit(sh *shard, tn *Tenant, bt store.Batch) error {
 // question is *when* to ack. Committed seqs ack immediately; applied-but-
 // uncommitted seqs park on the original sync's commit (same machinery as
 // deferred reads), so the retransmit's ack carries exactly the durability
-// the original's would have.
+// the original's would have. The ack carries the committed clock, read when
+// it is sent: it is what tells a setup that tick 1 was already taken, and
+// where its session continues.
 func (g *Gateway) serveDuplicateAck(tn *Tenant, seq uint64, reply replyTo) {
-	ack := func() wire.Response { return wire.Response{OK: true} }
+	ack := func() wire.Response { return wire.Response{OK: true, Resume: &wire.ResumeSpec{Clock: tn.Clock}} }
 	if seq <= tn.Clock {
 		reply.send(ack())
 		return
@@ -541,6 +543,7 @@ func (g *Gateway) dispatchUnknown(owner string, req wire.Request) wire.Response 
 	case wire.MsgResume:
 		// Every owner the store recovered is resident, so an owner without a
 		// tenant has committed nothing: its clock is 0.
+		g.tm.resumes.Inc()
 		return wire.Response{OK: true, Resume: &wire.ResumeSpec{}}
 	case wire.MsgStats:
 		return g.tenants.StatsProbe(owner)

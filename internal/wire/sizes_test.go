@@ -230,6 +230,8 @@ func TestFrameSizes(t *testing.T) {
 		{"stats", GatewayResponse{ID: 1, Resp: NewStatsResponse(edb.StorageStats{Records: 12, Bytes: 12288, Updates: 3}, "ObliDB", 0)}, 18},
 		{"resume", GatewayResponse{ID: 1, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 42}}}, 7},
 		{"resume at 2^64-1", GatewayResponse{ID: 1, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: maxU64}}}, 16},
+		// A duplicate's ack carries the owner's clock: a resume answer's bytes.
+		{"duplicate ack at clock 2", GatewayResponse{ID: 1, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 2}}}, 7},
 		// A refusal without a text is nine bytes whatever it refuses (49 and 56
 		// for the first two under codec 3, which sent the sentence along).
 		{"backpressure", GatewayResponse{ID: 1, Resp: Refuse(CodeBackpressure, 0, "")}, 9},

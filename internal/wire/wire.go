@@ -126,7 +126,7 @@ type Request struct {
 	// retransmitted Seq the owner has already applied is acknowledged
 	// without re-ingesting or re-charging the ε ledger, which is what makes
 	// reconnect replay a privacy-safe operation. Every sync is sequenced: the
-	// gateway refuses Seq 0 as a bad request.
+	// gateway refuses Seq 0, and a setup at any Seq but 1, as a bad request.
 	Seq uint64
 	// MinOffset is the freshness bound for MsgQuery on a read-only (replica)
 	// connection: the minimum per-shard replication offset the answering
@@ -178,7 +178,8 @@ type Response struct {
 	Answer  *AnswerSpec
 	Cost    *CostSpec
 	Stats   *StatsSpec
-	// Resume answers a MsgResume handshake (see ResumeSpec).
+	// Resume answers a MsgResume handshake, and rides on the ack of a
+	// duplicate sync (see ResumeSpec).
 	Resume *ResumeSpec
 }
 
@@ -186,7 +187,10 @@ type Response struct {
 // committed logical clock — how many syncs (setup + updates) have durably
 // landed in this owner's namespace. A reconnecting client replays anything
 // it sent past Clock and skips anything at or below it; the gateway's
-// tick-ordered idempotent apply makes the replay safe either way.
+// tick-ordered idempotent apply makes the replay safe either way. The ack of
+// a duplicate sync carries one too, read when the ack is sent (a plain ack
+// carries none): a setup that finds tick 1 taken learns from it where the
+// owner's clock stands, without a resume.
 type ResumeSpec struct {
 	Clock uint64
 }
