@@ -1,7 +1,8 @@
 // Command dpsync-owner runs the data-owner half of the three-party model:
 // it replays a synthetic taxi trace (or a live stdin feed) against a remote
 // dpsync-server, synchronizing under a chosen strategy. Records are sealed
-// locally; the server sees only ciphertext counts and times. -owner names
+// locally, a sync's batch as one message; the server sees only record counts
+// (the message's length) and times. -owner names
 // the namespace this owner's data lives in on the (multi-tenant) server;
 // analysts pass the same name.
 //
@@ -117,7 +118,7 @@ func main() {
 	fmt.Printf("update pattern:     %d events, %d total volume\n",
 		owner.Pattern().Updates(), owner.Pattern().TotalVolume())
 	st := cl.Stats()
-	fmt.Printf("outsourced:         %d ciphertexts (%d dummies)\n", st.Records, st.DummyRecords)
+	fmt.Printf("outsourced:         %d records (%d dummies)\n", st.Records, st.DummyRecords)
 }
 
 func buildStrategy(name string, eps float64, period int64, theta float64, f int64, s int, seed uint64) (strategy.Strategy, error) {

@@ -113,9 +113,16 @@
 // O(output) join row materialization only ever ran inside the simulator,
 // never in the modeled engine, so eliminating it changes no observable
 // either. The enclave boundary itself allocates nothing in steady state: a
-// batch is opened into enclave-owned scratch (one plaintext buffer through
-// seal.Sealer.AppendOpen, one reused record slice), still all-or-nothing — a
-// ciphertext that fails authentication admits none of its batch.
+// batch is opened into reused scratch (a plaintext buffer of up to 64
+// records through seal.Sealer.AppendOpen, from a pool the enclaves share, and
+// the enclave's one reused record slice), still
+// all-or-nothing — every record of every message is decoded before any is
+// observed, so a message that fails authentication admits none of its batch.
+// An owner seals a batch as one AES-GCM message, nonce ‖ GCM(r₁ ‖ … ‖ rₙ) ‖
+// tag (seal.SealBatch: 16n + 28 bytes, one nonce, one open on the server);
+// the server takes any number of messages a sync, so a batch sealed one
+// message per record (refdb, directories written before) is counted and
+// answered identically.
 //
 // Parallel experiment grid. Grid and sweep cells (sim.RunGrid,
 // sim.SweepEpsilon, sim.SweepPeriod, sim.SweepThreshold) are independent
@@ -178,6 +185,7 @@
 //
 //	request   uv id · u8 ownerLen · owner · u8 type ·
 //	  setup, update   uv seq · uv n · [uv width · n×width ciphertext bytes]
+//	                  (an owner sends n = 1: its batch is one message)
 //	  query           u8 kind · u8 provider · u8 joinWith · u16 lo · u16 hi
 //	  bounded query   the same seven bytes · uv minOffset (> 0)
 //	  stats, resume   —
@@ -224,10 +232,12 @@
 // bytes on the wire and its ack 6 (86 and 13 under codec 2), a Q2 answer 1,088
 // (2,169). Two rules keep the saving from becoming a side channel.
 // Uniform width per batch: every ciphertext of a batch has one length,
-// written once — a sealed dummy is a sealed record's size by construction,
-// which is exactly what makes the two indistinguishable, so the encoder
-// refuses a batch that mixes lengths and a frame's length is a function of
-// the record count alone, never of the real/dummy split. Answer width from
+// written once, and the encoder refuses a batch that mixes lengths. An
+// owner's batch is one message of 16n + 28 bytes (seal.Size) — a sealed
+// dummy is a sealed record's size by construction, which is exactly what
+// makes the two indistinguishable — so a frame's length is a function of the
+// record count alone, never of the real/dummy split: an 8-record sync is 179
+// bytes (374 when every record was a message of its own). Answer width from
 // integrality, never sparse: an answer's groups travel as 4-byte unsigned
 // integers exactly when every group is an integer in [0, 2³²) — all of an
 // exact backend's counts — and as their 8 float bytes otherwise (−0, NaN,
@@ -368,10 +378,10 @@
 // in RAM, and everything older is spilled to append-only, CRC-framed
 // history segments shared by the shard (the same frames as the WAL). The
 // history tier is the outsourced ciphertext store: the ObliDB backend keeps
-// a count of the ciphertexts it was handed and the enclave's aggregates,
+// a count of the records it was handed sealed and the enclave's aggregates,
 // never the ciphertexts, so a tenant's RAM is its aggregates plus the window
 // — per ingested record, the 8-byte join key and its share of the sync's
-// transcript event — plus a fixed part: 568 bytes in 7 heap objects for a
+// transcript event — plus a fixed part: 552 bytes in 7 heap objects for a
 // new tenant (tenant, committed state, ledger, ObliDB instance, enclave,
 // aggregates), pinned at ≤ 1 KiB in ≤ 10 by
 // TestTenantFixedCost. Nothing a tenant shares with others is in it: every

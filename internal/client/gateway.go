@@ -119,8 +119,26 @@ type backendInfo struct {
 }
 
 // traffic counts frame bytes (4-byte length prefixes included) across a
-// GatewayConn's links.
+// GatewayConn's links: out as the sockets accept them, in as frames are read.
 type traffic struct{ out, in atomic.Int64 }
+
+// sentConn counts in out the bytes its socket accepts. A transport's frame
+// connection writes through one, so a frame is counted when a write puts it
+// on the socket — never when it is only queued on a transport that dies
+// first. A write is counted whole before it starts, so no response can
+// arrive ahead of its request's count, and what the socket did not take is
+// taken back when the write returns.
+type sentConn struct {
+	net.Conn
+	out *atomic.Int64
+}
+
+func (c sentConn) Write(p []byte) (int, error) {
+	c.out.Add(int64(len(p)))
+	n, err := c.Conn.Write(p)
+	c.out.Add(int64(n - len(p)))
+	return n, err
+}
 
 // link is one pipelined, multiplexed frame connection to a node: each request
 // carries a fresh ID, responses are matched back by ID, and frame writes are
@@ -191,7 +209,7 @@ type transport struct {
 // bounds each socket write by it too: a node that stops reading must not
 // wedge the flusher, and with it every sender, behind a full socket buffer.
 func (l *link) newTransport(conn net.Conn, epoch uint64) *transport {
-	t := &transport{fc: wire.NewConn(conn), sock: conn, epoch: epoch, kick: make(chan struct{}, 1), stop: make(chan struct{})}
+	t := &transport{fc: wire.NewConn(sentConn{conn, &l.traffic.out}), sock: conn, epoch: epoch, kick: make(chan struct{}, 1), stop: make(chan struct{})}
 	t.fc.WriteTimeout = l.timeout
 	return t
 }
@@ -431,11 +449,15 @@ func (c *GatewayConn) Drop() {
 }
 
 // BytesOut and BytesIn report total frame bytes (including the 4-byte
-// length prefixes) sent and received, on the primary link and the replica
-// link together — the load generator's bytes/sync numerator.
+// length prefixes, excluding the hello) on the primary link and the replica
+// link together — the load generator's bytes/sync numerator. BytesOut counts
+// the bytes the sockets accepted (see sentConn): a frame queued on a
+// transport that dies before writing it is not counted, a reconnect's
+// replay counts what it sends again, and a frame a response has answered is
+// always counted.
 func (c *GatewayConn) BytesOut() int64 { return c.traffic.out.Load() }
 
-// BytesIn reports total frame bytes received.
+// BytesIn reports total frame bytes received, counted as frames are read.
 func (c *GatewayConn) BytesIn() int64 { return c.traffic.in.Load() }
 
 // ReconnectStats reports how many times the primary's transport was
@@ -703,19 +725,17 @@ func (l *link) writeAll(t *transport, reqs []wire.GatewayRequest) error {
 	return t.fc.Flush()
 }
 
-// appendLocked appends one request frame to t's buffer and counts its bytes.
-// encErr says the request itself cannot be framed (nothing was appended);
-// err is the socket's, from the flush a full buffer forces. Caller holds wmu.
+// appendLocked appends one request frame to t's buffer. encErr says the
+// request itself cannot be framed (nothing was appended); err is the
+// socket's, from the flush a full buffer forces. Caller holds wmu.
 func (l *link) appendLocked(t *transport, greq wire.GatewayRequest) (encErr, err error) {
 	b, encErr := wire.AppendGatewayRequest(t.fc.BeginFrame(), greq)
 	if encErr != nil {
 		return encErr, nil
 	}
-	n, err := t.fc.EndFrame(b)
-	if errors.Is(err, wire.ErrFrameTooLarge) {
+	if _, err = t.fc.EndFrame(b); errors.Is(err, wire.ErrFrameTooLarge) {
 		return err, nil
 	}
-	l.traffic.out.Add(int64(n))
 	return nil, err
 }
 
@@ -1043,7 +1063,9 @@ func (s *OwnerSession) Leakage() edb.LeakageClass {
 func (s *OwnerSession) Supports(q query.Query) bool { return q.Validate() == nil }
 
 func (s *OwnerSession) upload(t wire.MsgType, rs []record.Record) error {
-	sealedBatch, err := s.conn.sealer.SealAll(rs)
+	// The batch is one message, 16n + 28 bytes: its length says n and
+	// nothing else. An empty batch carries none.
+	sealedBatch, err := s.conn.sealer.SealBatch(rs)
 	if err != nil {
 		return err
 	}

@@ -241,6 +241,18 @@ func TestReplicaReadsArePipelined(t *testing.T) {
 	}
 }
 
+// quiet waits until no write is under way on any of links. A link writes only
+// under wmu, so once wmu has been free every write has returned: the
+// link's sentConn, which counts a write whole before it starts, has taken
+// back whatever part of it the socket did not accept, however late the
+// writing goroutine was scheduled again.
+func quiet(links ...*link) {
+	for _, l := range links {
+		l.wmu.Lock()
+		l.wmu.Unlock()
+	}
+}
+
 // countedConn counts the raw bytes of one connection; with the hello done
 // they are exactly its frame bytes.
 type countedConn struct {
@@ -265,7 +277,8 @@ func (c countedConn) Write(p []byte) (int, error) {
 // is the number of reads issued), the next read redials, and the new
 // connection carries that read alone — nothing is replayed to a replica. Over
 // the whole exchange BytesOut and BytesIn are, to the byte, what the replica's
-// two connections and the primary received and sent.
+// two connections and the primary received and sent. The counters are read
+// only once every link that wrote is quiet (see quiet).
 func TestReplicaLinkDeathFallsBackOnce(t *testing.T) {
 	gw, key := startGateway(t, gateway.Config{})
 	rep := startScriptedReplica(t, nil)
@@ -287,6 +300,7 @@ func TestReplicaLinkDeathFallsBackOnce(t *testing.T) {
 	if err := own.Setup(stairs(k)); err != nil {
 		t.Fatal(err)
 	}
+	quiet(conn.primary)
 	out0, in0 := conn.BytesOut()-primaryWritten.Load(), conn.BytesIn()-primaryRead.Load()
 
 	results := readers(own, k)
@@ -294,6 +308,7 @@ func TestReplicaLinkDeathFallsBackOnce(t *testing.T) {
 	for i := 0; i < k; i++ {
 		first.next(t)
 	}
+	killed := conn.replica.Load() // every read is on it: the replica read them all
 	first.nc.Close()
 	for i := 1; i <= k; i++ {
 		want(t, "a read in flight on the killed link", results[i], float64(i), within)
@@ -313,6 +328,7 @@ func TestReplicaLinkDeathFallsBackOnce(t *testing.T) {
 		t.Fatalf("the replica read %d frames on the killed connection and %d on the next, want %d and 1", f1, f2, k)
 	}
 
+	quiet(conn.primary, killed, conn.replica.Load())
 	out, in := conn.BytesOut()-primaryWritten.Load()-out0, conn.BytesIn()-primaryRead.Load()-in0
 	if sent, got := first.in.Load()+second.in.Load(), first.out.Load()+second.out.Load(); out != sent || in != got {
 		t.Fatalf("beside the primary's bytes the client counted %d out and %d in; the replica read %d and wrote %d", out, in, sent, got)

@@ -220,7 +220,7 @@ func (db *DB) ingest(rs []record.Record) error {
 			return err
 		}
 	} else {
-		cts, err := db.sealer.SealAll(rs)
+		cts, err := db.sealer.SealBatch(rs)
 		if err != nil {
 			return fmt.Errorf("crypte: sealing batch: %w", err)
 		}

@@ -2,6 +2,7 @@ package gateway_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -299,7 +300,8 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 // the two things a length must not tell are pinned over a real gateway and
 // client: (1) a sync of n dummies and a sync of n real records are the same
 // bytes long, request and ack, for n ∈ {0, 1, 8, 33} — a batch travels as
-// one uniform-width block and a sealed dummy is a sealed record's size; (2)
+// one message of seal.Size(n) bytes, whatever its records are, and the
+// request is pinned to that exact length; (2)
 // Q2's answer is the same length whatever the data: two owners with
 // different pickup distributions and different record counts, and a third
 // whose namespace is mostly dummies, all get the same number of bytes,
@@ -315,6 +317,17 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 // text, and the text is the request's fault restated — the same bytes for
 // both owners, naming no record.
 func TestFrameLengthsLeakNothingNew(t *testing.T) {
+	// syncFrameLen is a sync's exact request frame here: length prefix,
+	// one-byte request ID, owner, type, one-byte seq, the message count and —
+	// for a non-empty batch — one message sealing all n records, its width
+	// first.
+	syncFrameLen := func(ownerLen, n int) int64 {
+		l := 4 + 1 + 1 + ownerLen + 1 + 1 + 1
+		if n > 0 {
+			l += len(binary.AppendUvarint(nil, uint64(seal.Size(n)))) + seal.Size(n)
+		}
+		return int64(l)
+	}
 	key, err := seal.NewRandomKey()
 	if err != nil {
 		t.Fatal(err)
@@ -356,8 +369,8 @@ func TestFrameLengthsLeakNothingNew(t *testing.T) {
 		if realOut[i] != dummyOut[i] || realIn[i] != dummyIn[i] {
 			t.Errorf("sync of %d: %d B out / %d B in for real records, %d / %d for dummies", n, realOut[i], realIn[i], dummyOut[i], dummyIn[i])
 		}
-		if realOut[i] < int64(n*seal.SealedSize) || realIn[i] <= 4 {
-			t.Errorf("sync of %d: measured %d B out, %d B in — the counters saw no frame", n, realOut[i], realIn[i])
+		if want := syncFrameLen(len("owner-records"), n); realOut[i] != want || realIn[i] <= 4 {
+			t.Errorf("sync of %d: measured %d B out, %d B in — want a %d B request frame and an ack", n, realOut[i], realIn[i], want)
 		}
 	}
 

@@ -296,9 +296,14 @@ func (tn *Tenant) Commit(bt store.Batch) error {
 }
 
 // event is what the adversary observes of one committed batch: its tick and
-// volume (the flush flag only aids metrics).
+// volume, the records its messages seal (one message or one per record). The
+// flush flag only aids metrics.
 func event(bt store.Batch) leakage.Event {
-	return leakage.Event{Tick: record.Tick(bt.Tick), Volume: len(bt.Sealed), Flush: bt.Flush}
+	n := 0
+	for _, ct := range bt.Sealed {
+		n += seal.Records(len(ct))
+	}
+	return leakage.Event{Tick: record.Tick(bt.Tick), Volume: n, Flush: bt.Flush}
 }
 
 // Read evaluates a stats probe or a query (req.Query non-nil) against the

@@ -2,6 +2,7 @@ package oblidb
 
 import (
 	"fmt"
+	"sync"
 
 	"dpsync/internal/query"
 	"dpsync/internal/record"
@@ -56,39 +57,54 @@ type Enclave struct {
 	// they drive the scan extent and the join cost model.
 	yellow, green int64
 
-	// Ingest's scratch, reused across batches so a steady-state ingest
-	// allocates nothing: plain receives one record's plaintext at a time, and
-	// opened holds the batch's decoded records until the whole batch has
-	// authenticated. Neither outlives the call that filled it.
-	plain  [record.EncodedSize]byte
+	// opened is Ingest's scratch, reused across batches so a steady-state
+	// ingest allocates nothing: it holds the batch's decoded records until
+	// every message has authenticated, and never outlives the call that
+	// filled it.
 	opened []record.Record
 }
 
-// maxScratchRecords bounds the opened scratch an enclave keeps between
-// batches: a batch larger than this is a setup load or a burst, not the
-// steady state, and its scratch is released rather than held per tenant.
+// maxScratchRecords bounds the scratch between batches: a batch larger than
+// this is a setup load or a burst, not the steady state, and its scratch is
+// released rather than held.
 const maxScratchRecords = 64
+
+// plainScratch holds the buffers Ingest opens a message's plaintext into.
+// A buffer never outlives the call that took it, so the enclaves of a process
+// share them and a tenant holds none between batches; a message of more than
+// maxScratchRecords records opens into a buffer of its own.
+var plainScratch = sync.Pool{New: func() any { return new([maxScratchRecords * record.EncodedSize]byte) }}
 
 // newEnclave provisions an enclave with the data key's sealer.
 func newEnclave(s *seal.Sealer) *Enclave {
 	return &Enclave{sealer: s, agg: query.NewAggregates()}
 }
 
-// Ingest opens a batch of ciphertexts into the enclave-resident tables.
-// A failed authentication aborts the whole batch (nothing is admitted), the
-// behaviour of an enclave rejecting forged inputs at the attested boundary.
-func (e *Enclave) Ingest(cts []seal.Sealed) error {
+// Ingest opens a batch of messages into the enclave-resident tables and
+// returns how many records they sealed. A batch is one message or one per
+// record (seal.SealBatch, seal.SealAll); either way every record of every
+// message is decoded before any is observed, so a failed authentication
+// aborts the whole batch (nothing is admitted), the behaviour of an enclave
+// rejecting forged inputs at the attested boundary.
+func (e *Enclave) Ingest(cts []seal.Sealed) (int, error) {
+	scratch := plainScratch.Get().(*[maxScratchRecords * record.EncodedSize]byte)
+	defer plainScratch.Put(scratch)
 	opened := e.opened[:0]
 	for i, ct := range cts {
-		var r record.Record
-		plain, err := e.sealer.AppendOpen(e.plain[:0], ct)
-		if err == nil {
-			r, err = record.Decode(plain)
+		var buf []byte
+		if seal.Records(len(ct)) <= maxScratchRecords {
+			buf = scratch[:0]
+		}
+		plain, err := e.sealer.AppendOpen(buf, ct)
+		for off := 0; err == nil && off < len(plain); off += record.EncodedSize {
+			var r record.Record
+			if r, err = record.Decode(plain[off : off+record.EncodedSize]); err == nil {
+				opened = append(opened, r)
+			}
 		}
 		if err != nil {
-			return fmt.Errorf("oblidb: ciphertext %d rejected by enclave: %w", i, err)
+			return 0, fmt.Errorf("oblidb: ciphertext %d rejected by enclave: %w", i, err)
 		}
-		opened = append(opened, r)
 	}
 	for _, r := range opened {
 		e.agg.Observe(r)
@@ -98,11 +114,12 @@ func (e *Enclave) Ingest(cts []seal.Sealed) error {
 			e.yellow++
 		}
 	}
+	n := len(opened)
 	if cap(opened) > maxScratchRecords {
 		opened = nil
 	}
 	e.opened = opened
-	return nil
+	return n, nil
 }
 
 // Execute runs q over the resident store and returns the exact answer plus

@@ -12,7 +12,7 @@
 // folds them into enclave-resident aggregates, and executes queries as
 // oblivious scans whose access extent is a deterministic function of table
 // sizes alone — verified by tests. The server side keeps a count of the
-// ciphertexts it was handed, not the ciphertexts: nothing here ever reads
+// records it was handed sealed, not the ciphertexts: nothing here ever reads
 // one back, and in the serving stack the outsourced ciphertext store is the
 // gateway's durable history tier (internal/store), so a second copy here
 // would only make per-tenant RAM grow with ingest history. The ORAM is not
@@ -49,8 +49,8 @@ type DB struct {
 	mu      sync.Mutex
 	enclave *Enclave
 	model   edb.CostModel
-	// stats.Records is the count the server keeps of the ciphertexts it was
-	// handed.
+	// stats.Records is the count the server keeps of the records it was
+	// handed sealed, whatever number of messages sealed them.
 	stats edb.StorageStats
 	setup bool
 
@@ -129,31 +129,32 @@ func (db *DB) Update(rs []record.Record) error {
 	return db.ingest(rs)
 }
 
-// ingest seals the batch (records always cross the owner/server boundary as
-// ciphertexts) and admits it. Callers hold db.mu.
+// ingest seals the batch as one message (records always cross the
+// owner/server boundary as ciphertexts) and admits it. Callers hold db.mu.
 func (db *DB) ingest(rs []record.Record) error {
-	cts, err := db.enclave.sealer.SealAll(rs)
+	cts, err := db.enclave.sealer.SealBatch(rs)
 	if err != nil {
 		return fmt.Errorf("oblidb: sealing batch: %w", err)
 	}
 	return db.admit(cts, len(rs)-record.CountReal(rs))
 }
 
-// admit hands a batch of ciphertexts to the enclave and counts it (dummies of
-// them known to be dummy). Callers hold db.mu.
+// admit hands a batch of messages to the enclave and counts the records they
+// seal (dummies of them known to be dummy). Callers hold db.mu.
 func (db *DB) admit(cts []seal.Sealed, dummies int) error {
-	if err := db.enclave.Ingest(cts); err != nil {
+	n, err := db.enclave.Ingest(cts)
+	if err != nil {
 		return err
 	}
-	db.stats.Add(len(cts), dummies, BlockBytes)
+	db.stats.Add(n, dummies, BlockBytes)
 	return nil
 }
 
-// SetupSealed initializes the store with pre-sealed ciphertexts — the
+// SetupSealed initializes the store with pre-sealed messages — the
 // networked deployment path, where the owner seals client-side and the
 // server receives only opaque blobs. The real/dummy split is invisible at
 // this boundary (that is the point of dummy records), so server-side stats
-// count every ciphertext under Records with DummyRecords = 0; the owner
+// count every sealed record under Records with DummyRecords = 0; the owner
 // keeps the true accounting.
 func (db *DB) SetupSealed(cts []seal.Sealed) error {
 	db.mu.Lock()
@@ -165,7 +166,7 @@ func (db *DB) SetupSealed(cts []seal.Sealed) error {
 	return db.admit(cts, 0)
 }
 
-// UpdateSealed appends pre-sealed ciphertexts (see SetupSealed).
+// UpdateSealed appends pre-sealed messages (see SetupSealed).
 func (db *DB) UpdateSealed(cts []seal.Sealed) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -3,7 +3,13 @@
 // the transport removed. Records are sealed on the owner side of the call,
 // admitted to an ObliDB enclave as opaque ciphertexts, and every upload is
 // logged as the (sequence, volume) event an honest-but-curious server would
-// observe — the update pattern DP-Sync bounds.
+// observe — the update pattern DP-Sync bounds. Its volume is the record
+// count.
+//
+// It deliberately seals one message per record (seal.SealAll), where the
+// serving stack's owner seals a batch as one message (seal.SealBatch): every
+// differential against it therefore also holds the two shapes to the same
+// transcript, stats and answers.
 //
 // It deliberately imports nothing from the gateway, cluster, client, or wire
 // packages: an oracle that shared code with the system under test would
@@ -73,7 +79,7 @@ func (d *DB) upload(rs []record.Record, ingest func([]seal.Sealed) error) error 
 	}
 	// The server has no tick source of its own, so events are indexed by
 	// upload sequence; the volume sequence is the leakage that matters.
-	d.observed.Record(record.Tick(len(d.observed.Events)+1), len(cts), false)
+	d.observed.Record(record.Tick(len(d.observed.Events)+1), len(rs), false)
 	return nil
 }
 

@@ -2,6 +2,10 @@ package seal
 
 import (
 	"bytes"
+	"crypto/rand"
+	"errors"
+	"fmt"
+	"io"
 	"testing"
 	"testing/quick"
 
@@ -198,6 +202,140 @@ func TestAppendOpen(t *testing.T) {
 	}
 }
 
+// mixedBatch is n records, every third a dummy.
+func mixedBatch(n int) []record.Record {
+	rs := make([]record.Record, n)
+	for i := range rs {
+		if i%3 == 0 {
+			rs[i] = record.NewDummy(record.GreenTaxi)
+		} else {
+			rs[i] = record.Record{PickupTime: record.Tick(i), PickupID: uint16(i%record.NumLocations + 1), Provider: record.YellowCab, FareCents: uint32(100 * i)}
+		}
+	}
+	return rs
+}
+
+// sealOne seals a non-empty batch, which must be exactly one message.
+func sealOne(t *testing.T, s *Sealer, rs []record.Record) Sealed {
+	t.Helper()
+	cts, err := s.SealBatch(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cts) != 1 {
+		t.Fatalf("%d records sealed to %d messages, want one", len(rs), len(cts))
+	}
+	return cts[0]
+}
+
+// TestSealBatchLengthIsTheCount pins the batch message's length: n real
+// records and n dummies seal to the same 16n + 28 bytes, Size and Records
+// agree with it, and the message opens to the batch in order.
+func TestSealBatchLengthIsTheCount(t *testing.T) {
+	s := newTestSealer(t)
+	for _, n := range []int{1, 2, 8, 65, 300} {
+		rs, dummies := make([]record.Record, n), make([]record.Record, n)
+		for i := range rs {
+			rs[i] = record.Record{PickupTime: record.Tick(i), PickupID: uint16(i%record.NumLocations + 1), Provider: record.YellowCab}
+			dummies[i] = record.NewDummy(record.YellowCab)
+		}
+		real, dummy := sealOne(t, s, rs), sealOne(t, s, dummies)
+		if len(real) != 16*n+28 || len(dummy) != 16*n+28 || Size(n) != 16*n+28 || Records(16*n+28) != n {
+			t.Fatalf("n=%d: real %d B, dummies %d B, Size %d, Records %d; want %d B", n, len(real), len(dummy), Size(n), Records(16*n+28), 16*n+28)
+		}
+		got, err := s.OpenAll([]Sealed{real})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(rs) {
+			t.Fatalf("n=%d: opened %v, sealed %v", n, got, rs)
+		}
+	}
+	for _, l := range []int{0, 1, 27, 28, 43, 45, 59, 61} {
+		if m := Records(l); m != 0 {
+			t.Errorf("Records(%d) = %d, want 0: no message is %d bytes long", l, m, l)
+		}
+	}
+}
+
+// TestOpenRefusesAnyAlteredMessage flips every byte of an 8-record message
+// in turn, cuts a record's worth off its end and grows it by one: each is
+// ErrCorrupt, from AppendOpen and OpenAll alike, and appends nothing.
+func TestOpenRefusesAnyAlteredMessage(t *testing.T) {
+	s := newTestSealer(t)
+	ct := sealOne(t, s, mixedBatch(8))
+	forged := []Sealed{ct[:len(ct)-16], append(append(Sealed(nil), ct...), make([]byte, 16)...)}
+	for i := range ct {
+		bad := append(Sealed(nil), ct...)
+		bad[i] ^= 0x01
+		forged = append(forged, bad)
+	}
+	for i, f := range forged {
+		if out, err := s.AppendOpen([]byte("pre"), f); err != ErrCorrupt || string(out) != "pre" {
+			t.Fatalf("forgery %d: %q, %v", i, out, err)
+		}
+		if _, err := s.OpenAll([]Sealed{ct, f}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("forgery %d behind a good message: OpenAll gave %v", i, err)
+		}
+	}
+}
+
+// countingReader counts the reads a Sealer makes of its randomness.
+type countingReader struct{ reads int }
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return rand.Read(p)
+}
+
+// TestSealBatchEmptyIsNoMessage: an empty batch seals to nil without drawing
+// a nonce, and a batch of any size draws exactly one.
+func TestSealBatchEmptyIsNoMessage(t *testing.T) {
+	s := newTestSealer(t)
+	var r countingReader
+	s.rand = &r
+	for _, rs := range [][]record.Record{nil, {}} {
+		if cts, err := s.SealBatch(rs); cts != nil || err != nil {
+			t.Fatalf("empty batch sealed to %x, %v", cts, err)
+		}
+	}
+	if r.reads != 0 {
+		t.Fatalf("an empty batch drew %d nonces", r.reads)
+	}
+	if _, err := s.SealBatch(mixedBatch(300)); err != nil || r.reads != 1 {
+		t.Fatalf("a 300-record batch drew %d nonces (%v), want one", r.reads, err)
+	}
+	s.rand = io.LimitReader(nil, 0)
+	if _, err := s.SealBatch(mixedBatch(1)); err == nil {
+		t.Fatal("a batch sealed without a nonce")
+	}
+}
+
+// TestOpenAllBothShapes opens one batch sealed as one message and as one
+// message per record, and a mix of the two, to the same records.
+func TestOpenAllBothShapes(t *testing.T) {
+	s := newTestSealer(t)
+	rs := mixedBatch(20)
+	one, head := sealOne(t, s, rs), sealOne(t, s, rs[:7])
+	each, err := s.SealAll(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cts := range map[string][]Sealed{
+		"one message":            {one},
+		"one message per record": each,
+		"mixed":                  append([]Sealed{head}, each[7:]...),
+	} {
+		got, err := s.OpenAll(cts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(rs) {
+			t.Fatalf("%s: opened %v", name, got)
+		}
+	}
+}
+
 func BenchmarkSeal(b *testing.B) {
 	key, _ := NewRandomKey()
 	s, _ := NewSealer(key)
@@ -222,14 +360,34 @@ func BenchmarkOpen(b *testing.B) {
 	}
 }
 
+// BenchmarkAppendOpen opens one message of 1 and of 8 records — the
+// sync-durable shape's batch, which took eight opens when each record was a
+// message of its own.
 func BenchmarkAppendOpen(b *testing.B) {
 	key, _ := NewRandomKey()
 	s, _ := NewSealer(key)
-	ct, _ := s.Seal(record.Record{PickupTime: 1, PickupID: 100, Provider: record.YellowCab})
-	var buf [record.EncodedSize]byte
+	for _, n := range []int{1, 8} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			cts, _ := s.SealBatch(mixedBatch(n))
+			ct := cts[0]
+			buf := make([]byte, 0, n*record.EncodedSize)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.AppendOpen(buf, ct); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkSealBatch(b *testing.B) {
+	key, _ := NewRandomKey()
+	s, _ := NewSealer(key)
+	rs := mixedBatch(8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.AppendOpen(buf[:0], ct); err != nil {
+		if _, err := s.SealBatch(rs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -145,7 +145,9 @@ func framedResponse(t *testing.T, g GatewayResponse) []byte {
 // TestFrameSizes pins what each message costs on the wire, to the byte,
 // frame header included: these are the numbers `wire_bytes_per_op` is made
 // of, and they are exact — a function of the message, never an estimate. The
-// owner is the benchmark's 12 bytes and a ciphertext seal.SealedSize's 44.
+// owner is the benchmark's 12 bytes. An owner seals a batch of n records as
+// one message of 16n + 28 bytes (seal.Size; one record is 44); a batch of n
+// one-record messages is the shape refdb and older directories still send.
 func TestFrameSizes(t *testing.T) {
 	const owner = "owner-000017"
 	batch := func(n int) [][]byte {
@@ -157,6 +159,10 @@ func TestFrameSizes(t *testing.T) {
 	}
 	sync := func(id, seq uint64, n int) GatewayRequest {
 		return GatewayRequest{ID: id, Owner: owner, Req: Request{Type: MsgUpdate, Seq: seq, Sealed: batch(n)}}
+	}
+	sealed := func(n int) GatewayRequest {
+		ct := bytes.Repeat([]byte{7}, 16*n+28)
+		return GatewayRequest{ID: 1, Owner: owner, Req: Request{Type: MsgUpdate, Seq: 2, Sealed: [][]byte{ct}}}
 	}
 	ask := func(kind int, bound uint64) GatewayRequest {
 		return GatewayRequest{ID: 1, Owner: owner, Req: Request{Type: MsgQuery,
@@ -181,6 +187,9 @@ func TestFrameSizes(t *testing.T) {
 		{"8-record sync", sync(1, 2, 8), 374},
 		{"33-record sync", sync(1, 2, 33), 1474},
 		{"128-record sync", sync(1, 2, 128), 5655}, // the count takes a second byte
+		{"one-record sync, one message", sealed(1), 66},
+		{"8-record sync, one message", sealed(8), 179}, // the width takes a second byte
+		{"33-record sync, one message", sealed(33), 579},
 		{"setup", GatewayRequest{ID: 1, Owner: owner, Req: Request{Type: MsgSetup, Seq: 1, Sealed: batch(1)}}, 66},
 		{"Q1", ask(0, 0), 26},
 		{"Q2", ask(1, 0), 26},

@@ -11,8 +11,9 @@
 // sync is 66 bytes on the wire and its ack 6, and each message has exactly
 // one byte string (TestFrameSizes pins the sizes, the fuzz targets the
 // bijection). What a frame's length reveals is what the protocol already
-// reveals: how many ciphertexts a sync carries, never how many are dummies,
-// and which query was asked, never what the data answered.
+// reveals: how many records a sync carries (an owner seals them as one
+// message, seal.Size(n) bytes), never how many are dummies, and which query
+// was asked, never what the data answered.
 //
 // A response is exactly one of OK and refused, and there is one way to
 // refuse: a Refusal (refusal.go), which is also the error the client returns
