@@ -21,8 +21,9 @@
 //
 // With -store DIR tenant state is durable: per-shard
 // write-ahead logs and snapshots under DIR carry every namespace's sealed
-// history, logical clock, and ε ledger across restarts, and recovery derives
-// the update-pattern transcript from that history — the server opens with
+// history (each sync with its ε charge) and logical clock across restarts,
+// and recovery derives the update-pattern transcript and the ε ledger from
+// that history — the server opens with
 // crash recovery and SIGINT/SIGTERM drain
 // in-flight shard work and flush the WAL before exiting. Add
 // -history-window N to bound each tenant's in-RAM ingest history: older

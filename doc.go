@@ -331,7 +331,11 @@
 // whose charge might be lost and the in-memory ledger always equals the
 // committed history's spend. Each entry carries its charge explicitly, so
 // recovery re-spends exactly what the original run spent, even across
-// configuration changes. A sync whose durability is indeterminate (its
+// configuration changes. That logged charge is the ledger's only record: no
+// snapshot image stores a ledger (image v4). A restart derives it the way a
+// follower and a snapshot transfer do, by spending each batch's charge as
+// gateway.Tenants.Replay streams the history, in the same pass that rebuilds
+// backend and transcript. A sync whose durability is indeterminate (its
 // group commit failed) suspends the whole tenant — syncs, queries, and
 // stats — until a restart re-derives the provable committed prefix from
 // the log.
@@ -401,54 +405,56 @@
 // references them; until then the WAL still covers them, so a crash can
 // only orphan a spill, never lose one.
 //
-// Snapshots and truncation. When the store reports a rotation due the
-// worker quiesces (drains its in-flight commits), and the store streams all
-// its tenants — clock, ledger, and history manifest (segment refs + the
-// inline tail, each batch written straight from the frame it carries), but
-// no transcript, which that history determines — to a temporary file through
-// one reused 64 KiB buffer, never holding the image in memory, then installs
-// it without renaming over the
-// image standing there: that one is moved aside to shard-NNNN.prev.snap (a
-// name recovery merges like any snapshot), the new one renamed into place
-// and the directory fsynced in fsync mode, and only then is the aside copy
-// unlinked and the segment truncated. A manifest spares the spilled
-// batches, nothing else: every tenant's refs and tail are written every
-// time, O(owners × (tail + refs)) however little changed, though nothing per
-// sync an owner ever made. So the trigger weighs what a rotation costs, in one place
-// (store.RotateDue, asked by the shard worker in either role): at least
-// Config.SnapshotEvery entries and at least as many log bytes as the last
-// image took (the one compaction wrote, after a restart). Each image is
-// paid for by the log written after it, so checkpoint bytes stay within log
-// bytes plus the image still standing; the log between rotations — and
-// recovery's replay — within one image's worth; and with no history window,
-// where the image is the whole inline history, the same comparison spaces
-// rotations geometrically. A failed rotation doubles the bytes the next one
-// waits for. Recovery merges whatever the directory holds: snapshots
-// from any era or shard count (highest clock whose manifest still checks
-// out against the history segments wins per owner), then WAL entries in
-// tick order, applying exactly those past the recovered clock — idempotent
-// replay, torn tails treated as the normal crash shape, CRC damage
-// stopping a segment at its longest valid prefix. Backends are rebuilt by
-// *streaming* the logged ciphertext history through the shared ingest path
-// (verbatim for enclave-style stores, through the ingress sealer for
-// record-level ones) — spilled runs are validated (per-frame CRC, run CRC,
-// owner, tick chain) and re-ingested frame by frame, never materialized —
-// and each tenant's transcript is rebuilt together with its backend, one
-// event per streamed batch, at no extra I/O. The directory is also
-// compacted under the current shard mapping (each tail
-// re-spilled by the live bound, Store.EnforceWindow — the one spill path —
-// and flushed before a manifest names it; orphan history segments collected)
-// before serving resumes.
+// Snapshots and truncation. When the store reports a rotation due the worker
+// quiesces (drains its in-flight commits), and the store streams all its
+// tenants — clock and history manifest (segment refs + the inline tail, each
+// batch written straight from the frame it carries), but neither transcript
+// nor ledger, which that history determines (image v4) — to a temporary file
+// through one reused 64 KiB buffer, never holding the image in memory, then
+// installs it without renaming over the image standing there: that one is
+// moved aside to shard-NNNN.prev.snap (a name recovery merges like any
+// snapshot), the new one renamed into place and the directory fsynced in
+// fsync mode, and only then is the aside copy unlinked and the segment
+// truncated. A manifest spares the spilled batches, nothing else: every
+// tenant's refs and tail are written every time, O(owners × (tail + refs))
+// however little changed, though nothing per sync an owner ever made. So the
+// trigger weighs what a rotation costs, in one place (store.RotateDue, asked
+// by the shard worker in either role): at least Config.SnapshotEvery entries
+// and at least as many log bytes as the last image took (the one compaction
+// wrote, after a restart). Each image is paid for by the log written after
+// it, so checkpoint bytes stay within log bytes plus the image still
+// standing; the log between rotations — and recovery's replay — within one
+// image's worth; and with no history window, where the image is the whole
+// inline history, the same comparison spaces rotations geometrically. A
+// failed rotation doubles the bytes the next one waits for. Recovery merges
+// whatever the directory holds: snapshots from any era or shard count
+// (highest clock whose manifest still checks out against the history segments
+// wins per owner), then WAL entries in tick order, applying exactly those
+// past the recovered clock — idempotent replay, torn tails treated as the
+// normal crash shape, CRC damage stopping a segment at its longest valid
+// prefix. Backends are rebuilt by *streaming* the logged ciphertext history
+// through the shared ingest path (verbatim for enclave-style stores, through
+// the ingress sealer for record-level ones) — spilled runs are validated
+// (per-frame CRC, run CRC, owner, tick chain) and re-ingested frame by frame,
+// never materialized — and each tenant's transcript and ledger are rebuilt
+// together with its backend, one event and one charge per streamed batch, at
+// no extra I/O. A snapshot in a retired format (v1–v3) is refused as corrupt
+// and quarantined with the history segments it names. The directory is also
+// compacted under the current shard mapping (each tail re-spilled by the live
+// bound, Store.EnforceWindow — the one spill path — and flushed before a
+// manifest names it; orphan history segments collected) before serving
+// resumes.
 //
 // The differential acceptance tests kill a live durable gateway mid-run (no
 // flush, no drain), restart it from disk, finish the trace, and pin every
 // tenant's transcript bit-identical to an uninterrupted single-owner run —
-// with the recovered ledger equal to the uninterrupted one — across the
-// history-window matrix {disabled, 1, 64}. cmd/dpsync-loadgen -crash N runs
-// the same kill/restart/verify cycle across N seeds, and -durable reports the
-// layer in process (wal_append_us, recovery_ms, the spill_* fields); go run
-// ./benchmark --workload sync-durable measures it (sync_per_s, recovery_ms,
-// disk_bytes_per_user_byte, store.append_commit_us_g*, store.spill_us_per_batch,
+// with the ledger derived at recovery equal to the uninterrupted one — across
+// the history-window matrix {disabled, 1, 64}. cmd/dpsync-loadgen -crash N
+// runs the same kill/restart/verify cycle across N seeds, and -durable
+// reports the layer in process (wal_append_us, recovery_ms, the spill_*
+// fields); go run ./benchmark --workload sync-durable measures it
+// (sync_per_s, recovery_ms, disk_bytes_per_user_byte,
+// store.append_commit_us_g*, store.spill_us_per_batch,
 // store.recover_ms_per_1k_entries).
 //
 // # Fleet robustness

@@ -142,12 +142,12 @@ func main() {
 	fmt.Printf("\noperator's view of %s (SUR, leaks everything): %d upload events\n",
 		tenants[0].name, gw.ObservedPattern(tenants[0].name).Updates())
 	p1 := gw.ObservedPattern(tenants[1].name)
-	fmt.Printf("operator's view of %s (DP-Timer, ε=0.5): %d upload events, first few: ", tenants[1].name, p1.Updates())
+	fmt.Printf("operator's view of %s (DP-Timer, ε=0.5): %d upload events, first few:", tenants[1].name, p1.Updates())
 	for i, e := range p1.Events {
 		if i >= 4 {
 			break
 		}
-		fmt.Printf("(#%d, %d) ", e.Tick, e.Volume)
+		fmt.Printf(" (#%d, %d)", e.Tick, e.Volume)
 	}
 	fmt.Println()
 }

@@ -41,7 +41,7 @@ func main() {
 	}
 
 	fmt.Println("=== Sweep 1: privacy budget eps (T=30 / theta=15 fixed) ===")
-	fmt.Printf("%-8s %-22s %-22s\n", "eps", "DP-Timer err/dummies", "DP-ANT err/dummies")
+	fmt.Printf("%-8s %-22s %s\n", "eps", "DP-Timer err/dummies", "DP-ANT err/dummies")
 	for _, eps := range []float64{0.01, 0.1, 0.5, 2, 10} {
 		tErr, tDum := run(trace, func(seed uint64) (dpsync.Strategy, error) {
 			return dpsync.NewDPTimer(dpsync.TimerConfig{
@@ -55,12 +55,12 @@ func main() {
 				Source: dpsync.SeededNoise(seed + 100),
 			})
 		})
-		fmt.Printf("%-8g %-8.2f/%-13d %-8.2f/%-13d\n", eps, tErr, tDum, aErr, aDum)
+		fmt.Printf("%-8g %-8.2f/%-13d %-8.2f/%d\n", eps, tErr, tDum, aErr, aDum)
 	}
 
 	fmt.Println()
 	fmt.Println("=== Sweep 2: DP-Timer period T (eps=0.5 fixed) ===")
-	fmt.Printf("%-8s %-12s %-10s\n", "T", "mean err", "dummies")
+	fmt.Printf("%-8s %-12s %s\n", "T", "mean err", "dummies")
 	for _, T := range []dpsync.Tick{5, 15, 30, 120, 480} {
 		errV, dum := run(trace, func(seed uint64) (dpsync.Strategy, error) {
 			return dpsync.NewDPTimer(dpsync.TimerConfig{
@@ -68,12 +68,12 @@ func main() {
 				Source: dpsync.SeededNoise(seed + 200),
 			})
 		})
-		fmt.Printf("%-8d %-12.2f %-10d\n", T, errV, dum)
+		fmt.Printf("%-8d %-12.2f %d\n", T, errV, dum)
 	}
 
 	fmt.Println()
 	fmt.Println("=== Sweep 3: DP-ANT threshold theta (eps=0.5 fixed) ===")
-	fmt.Printf("%-8s %-12s %-10s\n", "theta", "mean err", "dummies")
+	fmt.Printf("%-8s %-12s %s\n", "theta", "mean err", "dummies")
 	for _, th := range []float64{2, 8, 15, 60, 240} {
 		errV, dum := run(trace, func(seed uint64) (dpsync.Strategy, error) {
 			return dpsync.NewDPANT(dpsync.ANTConfig{
@@ -81,7 +81,7 @@ func main() {
 				Source: dpsync.SeededNoise(seed + 300),
 			})
 		})
-		fmt.Printf("%-8g %-12.2f %-10d\n", th, errV, dum)
+		fmt.Printf("%-8g %-12.2f %d\n", th, errV, dum)
 	}
 
 	fmt.Println()

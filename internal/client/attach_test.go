@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dpsync/internal/dp"
 	"dpsync/internal/edb"
 	"dpsync/internal/gateway"
 	"dpsync/internal/record"
@@ -164,15 +165,11 @@ func TestSecondSessionSetupIsTyped(t *testing.T) {
 			if err := own.Update([]record.Record{yellowAt(1, 20)}); err != nil {
 				t.Fatal(err)
 			}
-			state := func() string {
-				ledger, err := gw.ObservedLedger(owner).MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
+			state := func() (string, *dp.Budget) {
 				st, err := own.RemoteStats()
-				return fmt.Sprintf("pattern=%v ledger=%x stats=%+v %v", gw.ObservedPattern(owner), ledger, st, err)
+				return fmt.Sprintf("pattern=%v stats=%+v %v", gw.ObservedPattern(owner), st, err), gw.ObservedLedger(owner)
 			}
-			before := state()
+			before, ledger := state()
 
 			var tally frameTally
 			second, err := DialGateway(gw.Addr(), key, WithDialer(tally.dial))
@@ -189,8 +186,9 @@ func TestSecondSessionSetupIsTyped(t *testing.T) {
 					t.Fatalf("setup %d of an existing owner sent %v in all, want %v", i+1, got, sent)
 				}
 			}
-			if after := state(); after != before {
-				t.Fatalf("the refused setup moved the owner:\n before: %s\n after:  %s", before, after)
+			if after, afterLedger := state(); after != before || !afterLedger.Equal(ledger) {
+				t.Fatalf("the refused setup moved the owner:\n before: %s ledger %q\n after:  %s ledger %q",
+					before, ledger.Describe(), after, afterLedger.Describe())
 			}
 
 			if err := late.Update([]record.Record{yellowAt(2, 30)}); err != nil {

@@ -609,7 +609,9 @@ func (l *link) flushLoop(t *transport) {
 
 // connLost handles a transport failure for the given epoch: permanent
 // failure without reconnect, redial with it. Stale epochs (a reconnect
-// already superseded the transport) are ignored.
+// already superseded the transport) are ignored, and so is every failure
+// after the first of an epoch: closing the transport below fails its reader
+// or flusher too, and that is a consequence, not the cause the waiters get.
 func (l *link) connLost(epoch uint64, err error) {
 	l.mu.Lock()
 	if l.closed || l.err != nil || l.tr.epoch != epoch || l.reconnecting {
@@ -619,6 +621,8 @@ func (l *link) connLost(epoch uint64, err error) {
 	l.reconnecting = l.reconnect
 	if l.reconnect {
 		l.gate = make(chan struct{}) // block new sends until replay completes
+	} else {
+		l.err = err // latched before the close; fail releases the waiters
 	}
 	tr := l.tr
 	l.mu.Unlock()
@@ -701,11 +705,13 @@ func (l *link) redial(cause error) {
 			return
 		}
 		l.reconnecting = false
+		// Counted before the gate opens and the reader starts, so no request
+		// completes over the new transport ahead of the reconnect's count.
+		l.reconnects.Add(1)
+		l.reconnectNs.Add(time.Since(start).Nanoseconds())
 		close(l.gate)
 		l.mu.Unlock()
 		l.start(tr)
-		l.reconnects.Add(1)
-		l.reconnectNs.Add(time.Since(start).Nanoseconds())
 		return
 	}
 }

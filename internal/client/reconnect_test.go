@@ -263,16 +263,8 @@ func TestReconnectReplaysUnflushedOutbox(t *testing.T) {
 	if got, want := gw.ObservedPattern("owner-outbox").String(), gw.ObservedPattern("owner-calm").String(); got != want {
 		t.Fatalf("transcript after replaying the buffer:\n got: %s\nwant: %s", got, want)
 	}
-	got, err := gw.ObservedLedger("owner-outbox").MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := gw.ObservedLedger("owner-calm").MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatal("ε ledger after replaying the buffer differs from the undisturbed run's")
+	if got, want := gw.ObservedLedger("owner-outbox"), gw.ObservedLedger("owner-calm"); !got.Equal(want) {
+		t.Fatalf("ε ledger after replaying the buffer differs from the undisturbed run's:\n got: %s\nwant: %s", got.Describe(), want.Describe())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -445,6 +446,13 @@ func TestHelloSilentReplicaFallsBackOnce(t *testing.T) {
 // answering every other read on the same connection; the withheld read is
 // still handed to the primary after helloTimeout — answers to its neighbours
 // do not extend its wait.
+//
+// A neighbour in flight when that deadline kills the link falls back to the
+// primary with the withheld read, as every read on a dying link does, and
+// the primary answers 0. The test accepts that answer only once it has
+// proved the withheld read's deadline is what killed the link
+// (deadlineKilled); any other answer, or a link dead for another reason,
+// fails it.
 func TestReplicaDeadlineFollowsTheOldestRead(t *testing.T) {
 	t.Parallel() // one helloTimeout of waiting
 	gw, key := startGateway(t, gateway.Config{})
@@ -468,6 +476,7 @@ func TestReplicaDeadlineFollowsTheOldestRead(t *testing.T) {
 	start := time.Now()
 	withheld := readers(own, 1)[1]
 	rep.accepted(t).next(t) // countAt(1) is on the replica's socket, and stays unanswered
+	first := conn.replica.Load()
 	for {
 		select {
 		case r := <-withheld:
@@ -483,9 +492,39 @@ func TestReplicaDeadlineFollowsTheOldestRead(t *testing.T) {
 		if d := time.Since(start); d > helloTimeout+3*time.Second {
 			t.Fatalf("the withheld read is still waiting after %v: answers to other reads extend its deadline", d)
 		}
-		if ans, _, err := own.Query(countAt(2)); err != nil || ans.Scalar != 7 {
-			t.Fatalf("a read beside the withheld one: %v, %v — want the replica's 7", ans.Scalar, err)
+		ans, _, err := own.Query(countAt(2))
+		if err != nil {
+			t.Fatalf("a read beside the withheld one: %v", err)
 		}
+		if ans.Scalar != 7 {
+			deadlineKilled(t, conn, first, start, ans.Scalar)
+		}
+	}
+}
+
+// deadlineKilled holds a neighbour's answer other than the replica's 7 to the
+// one way it may arise: the primary's 0 for a read that was on the link the
+// withheld read's deadline killed. That link must be the first and only one
+// dialed (so the neighbour rode it, not a redialed link), it must have died of
+// a read deadline, and the fall-back must come no earlier than helloTimeout
+// after the withheld read was issued at start.
+func deadlineKilled(t *testing.T, conn *GatewayConn, first *link, start time.Time, answer float64) {
+	t.Helper()
+	elapsed := time.Since(start)
+	if answer != 0 {
+		t.Fatalf("a read beside the withheld one: %v — want the replica's 7 (or the primary's 0 once the link died)", answer)
+	}
+	if dials := conn.rdials.Load(); dials != 1 || conn.replica.Load() != first {
+		t.Fatalf("a read beside the withheld one fell back after %d replica dials: it did not ride the withheld read's link", dials)
+	}
+	first.mu.Lock()
+	err := first.err
+	first.mu.Unlock()
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("a read beside the withheld one fell back from a link that died of %v, not of a read deadline", err)
+	}
+	if elapsed < helloTimeout {
+		t.Fatalf("a read beside the withheld one fell back %v after the withheld read, before its %v deadline", elapsed, helloTimeout)
 	}
 }
 

@@ -92,7 +92,6 @@ func agree(t *testing.T, key []byte, o int, name string, nodes ...servedNode) in
 		}
 	}
 	want := ref.ObservedPattern()
-	wl, _ := ledger.MarshalBinary()
 	queries := []query.Query{query.Q1(), query.Q2(), query.Q3(), query.Q4()}
 	wantAns := make([]string, len(queries))
 	for i, q := range queries {
@@ -113,9 +112,8 @@ func agree(t *testing.T, key []byte, o int, name string, nodes ...servedNode) in
 				t.Fatalf("%s event %d: %s %+v, reference %+v", name, i, nd.label, p.Events[i], want.Events[i])
 			}
 		}
-		if l, _ := nd.gw.ObservedLedger(name).MarshalBinary(); string(l) != string(wl) {
-			t.Fatalf("%s ε ledger at clock %d: %s %q, reference %q", name, clock, nd.label,
-				nd.gw.ObservedLedger(name).Describe(), ledger.Describe())
+		if l := nd.gw.ObservedLedger(name); !l.Equal(ledger) {
+			t.Fatalf("%s ε ledger at clock %d: %s %q, reference %q", name, clock, nd.label, l.Describe(), ledger.Describe())
 		}
 		own := nd.conn.Owner(name)
 		for i, q := range queries {

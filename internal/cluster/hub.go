@@ -512,7 +512,7 @@ func (h *Hub) settle(sub *hubSub) {
 	h.mu.Unlock()
 }
 
-// Flush implements the gateway's graceful-close flush hook: it blocks until
+// Flush is the Replicator contract's graceful-close flush: it blocks until
 // every connected follower has consumed the committed stream (cursors at
 // every shard head, no collected-but-unwritten frames), or until timeout.
 // With no followers connected it returns immediately — the drain window's

@@ -25,10 +25,9 @@ type Budget struct {
 }
 
 type charge struct {
-	eps      float64
-	rule     CompositionRule
-	uses     int
-	disjoint bool
+	eps  float64
+	rule CompositionRule
+	uses int
 }
 
 // CompositionRule says how repeated uses of one named charge compose.
@@ -173,6 +172,54 @@ func (b *Budget) Describe() string {
 	for _, n := range names {
 		c := b.charges[n]
 		out += fmt.Sprintf("%s: eps=%g rule=%v uses=%d composed=%g\n", n, c.eps, c.rule, c.uses, c.total())
+	}
+	return out
+}
+
+// Clone returns an independent copy of the ledger.
+func (b *Budget) Clone() *Budget {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := NewBudget()
+	for n, c := range b.charges {
+		cc := *c
+		out.charges[n] = &cc
+	}
+	return out
+}
+
+// Equal reports whether two ledgers record exactly the same charges with the
+// same epsilons, rules, and use counts — the no-double-spend check the
+// crash-recovery differential tests pin. Each ledger is snapshotted under
+// its own lock (never both at once), so Equal is deadlock-free in either
+// call direction.
+func (b *Budget) Equal(o *Budget) bool {
+	if b == nil || o == nil {
+		return b == o
+	}
+	if b == o {
+		return true
+	}
+	bc, oc := b.snapshotCharges(), o.snapshotCharges()
+	if len(bc) != len(oc) {
+		return false
+	}
+	for n, c := range bc {
+		other, ok := oc[n]
+		if !ok || other != c {
+			return false
+		}
+	}
+	return true
+}
+
+// snapshotCharges copies the ledger contents by value under the lock.
+func (b *Budget) snapshotCharges() map[string]charge {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make(map[string]charge, len(b.charges))
+	for n, c := range b.charges {
+		out[n] = *c
 	}
 	return out
 }

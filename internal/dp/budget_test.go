@@ -131,3 +131,104 @@ func TestCompositionRuleString(t *testing.T) {
 		t.Errorf("unknown rule string = %q", got)
 	}
 }
+
+func ledgerForTest(t *testing.T) *Budget {
+	t.Helper()
+	b := NewBudget()
+	for i := 0; i < 5; i++ {
+		if err := b.Charge("m_update", 0.25, Sequential); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Charge("m_setup", 0.25, Sequential); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := b.Charge("m_flush", 0, Parallel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+func TestBudgetCanCharge(t *testing.T) {
+	b := NewBudget()
+	if err := b.CanCharge("m", 0.5, Sequential); err != nil {
+		t.Fatalf("fresh name refused: %v", err)
+	}
+	if b.Uses("m") != 0 {
+		t.Fatal("CanCharge spent")
+	}
+	if err := b.Charge("m", 0.5, Sequential); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.CanCharge("m", 0.5, Sequential); err != nil {
+		t.Fatalf("matching params refused: %v", err)
+	}
+	if err := b.CanCharge("m", 0.7, Sequential); err == nil {
+		t.Fatal("epsilon drift accepted")
+	}
+	if err := b.CanCharge("m", 0.5, Parallel); err == nil {
+		t.Fatal("rule drift accepted")
+	}
+	if err := b.CanCharge("x", math.Inf(1), Sequential); err == nil {
+		t.Fatal("infinite epsilon accepted")
+	}
+	if b.Uses("m") != 1 {
+		t.Fatal("CanCharge mutated the ledger")
+	}
+}
+
+func TestBudgetCloneAndEqual(t *testing.T) {
+	b := ledgerForTest(t)
+	c := b.Clone()
+	if !c.Equal(b) || !b.Equal(c) {
+		t.Fatal("clone not equal to original")
+	}
+	// Diverge the clone; the original must be unaffected.
+	if err := c.Charge("m_update", 0.25, Sequential); err != nil {
+		t.Fatal(err)
+	}
+	if c.Equal(b) {
+		t.Fatal("diverged clone still equal")
+	}
+	if b.Uses("m_update") != 5 {
+		t.Fatal("clone shares state with original")
+	}
+	if !b.Equal(b) {
+		t.Fatal("self-equality failed")
+	}
+	var nilB *Budget
+	if nilB.Equal(b) || b.Equal(nilB) {
+		t.Fatal("nil comparison")
+	}
+	if !nilB.Equal(nilB) {
+		t.Fatal("nil/nil comparison")
+	}
+}
+
+// TestBudgetMarshalDeterministic pins that equal ledgers render and compare
+// equal regardless of charge insertion order: a ledger derived from a
+// replayed history must match the live one bit for bit in its report.
+func TestBudgetMarshalDeterministic(t *testing.T) {
+	x, y := NewBudget(), NewBudget()
+	names := []string{"zeta", "alpha", "m_update", "beta"}
+	for i := range names {
+		if err := x.Charge(names[i], 0.5, Sequential); err != nil {
+			t.Fatal(err)
+		}
+		if err := y.Charge(names[len(names)-1-i], 0.5, Sequential); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !x.Equal(y) || !y.Equal(x) || x.Describe() != y.Describe() {
+		t.Fatalf("insertion order leaked into the ledger:\n%s\n%s", x.Describe(), y.Describe())
+	}
+	if strings.Join(x.Names(), ",") != strings.Join(y.Names(), ",") {
+		t.Fatalf("insertion order leaked into Names: %v vs %v", x.Names(), y.Names())
+	}
+	// And repeated renders of one ledger are stable.
+	if x.Describe() != x.Describe() {
+		t.Fatal("Describe not stable across calls")
+	}
+}

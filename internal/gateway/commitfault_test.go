@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dpsync/internal/dp"
 	"dpsync/internal/gateway"
 	"dpsync/internal/query"
 	"dpsync/internal/record"
@@ -137,15 +138,11 @@ func TestFailedGroupRefusesEveryoneBehindIt(t *testing.T) {
 		}
 	}
 	type committed struct {
-		ledger  []byte
+		ledger  *dp.Budget
 		pattern string
 	}
 	prefix := func(o string) committed {
-		ledger, err := gw.ObservedLedger(o).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return committed{ledger, gw.ObservedPattern(o).String()}
+		return committed{gw.ObservedLedger(o), gw.ObservedPattern(o).String()}
 	}
 	before := map[string]committed{}
 	for _, o := range owners {
@@ -195,8 +192,9 @@ func TestFailedGroupRefusesEveryoneBehindIt(t *testing.T) {
 		t.Fatalf("%v failed group commits, want the one that held all three syncs", failedGroups)
 	}
 	for _, o := range owners {
-		if got := prefix(o); !bytes.Equal(got.ledger, before[o].ledger) || got.pattern != before[o].pattern {
-			t.Fatalf("%s moved past its committed prefix: transcript %s, want %s", o, got.pattern, before[o].pattern)
+		if got := prefix(o); !got.ledger.Equal(before[o].ledger) || got.pattern != before[o].pattern {
+			t.Fatalf("%s moved past its committed prefix: transcript %s ledger %q, want %s ledger %q",
+				o, got.pattern, got.ledger.Describe(), before[o].pattern, before[o].ledger.Describe())
 		}
 	}
 }

@@ -162,11 +162,12 @@ type Config struct {
 	// MaxOwners bounds distinct namespaces (0 = DefaultMaxOwners).
 	MaxOwners int
 	// StoreDir enables the durability subsystem (internal/store): every
-	// tenant's sealed history, logical clock, and ε ledger are carried by
-	// per-shard write-ahead logs, snapshots and history segments under this
-	// directory, and New recovers whatever a previous process left there. The
-	// transcript is not stored: recovery derives it from the history.
-	// Empty keeps today's in-memory behavior.
+	// tenant's sealed history (each batch with its ε charge) and logical
+	// clock are carried by per-shard write-ahead logs, snapshots and history
+	// segments under this directory, and New recovers whatever a previous
+	// process left there. Neither the transcript nor the ledger is stored:
+	// recovery derives both from the history. Empty keeps today's in-memory
+	// behavior.
 	StoreDir string
 	// Fsync makes every durable group commit fsync (machine-crash safety);
 	// off, commits are flushed to the OS (process-crash safety).
@@ -180,8 +181,8 @@ type Config struct {
 	// in RAM (and inlines in snapshots). Past the window, history spills to
 	// sealed on-disk history segments; snapshots reference the spilled runs
 	// by manifest (segment, offset, length, checksum) so a rotation never
-	// rewrites spilled batches — it writes every tenant's clock, ledger, refs
-	// and tail — and recovery streams the runs back through the ingest path
+	// rewrites spilled batches — it writes every tenant's clock, refs and
+	// tail — and recovery streams the runs back through the ingest path
 	// without materializing them. 0 keeps the full history in RAM and
 	// inline in snapshots (the legacy small-deployment behavior). Durable
 	// mode only.
@@ -239,13 +240,10 @@ type Replicator interface {
 	// goroutine and owns the conn until it returns; the gateway severs the
 	// conn to force an exit at shutdown.
 	ServeConn(conn net.Conn, version byte)
-}
-
-// replFlusher is the optional Replicator extension a graceful Close probes
-// for: Flush blocks (bounded by timeout) until connected followers have
-// consumed the committed stream, so syncs committed during the drain window
-// reach the successor instead of surviving only in clients' resync windows.
-type replFlusher interface {
+	// Flush blocks, at most timeout, until connected followers have consumed
+	// the committed stream. A graceful Close calls it once clients are
+	// drained, so syncs committed during the drain window reach the successor
+	// instead of surviving only in clients' resync windows.
 	Flush(timeout time.Duration)
 }
 
@@ -506,8 +504,8 @@ func newGateway(addr string, cfg Config, replica bool) (*Gateway, error) {
 }
 
 // openStore opens the durability directory and rebuilds every recovered
-// tenant — backend and transcript (both from the batch history), clock, and
-// ledger — onto its shard, before any worker or connection exists.
+// tenant — backend, transcript and ledger (all three from the batch history)
+// and clock — onto its shard, before any worker or connection exists.
 func (g *Gateway) openStore() error {
 	s, states, err := store.Open(store.Options{
 		Dir:           g.cfg.StoreDir,
@@ -687,12 +685,12 @@ func (g *Gateway) shutdown(abandon bool) error {
 		// stream head — that is what makes a graceful handover lossless —
 		// then sever the tails (they never finish on their own; a follower
 		// rejoins whoever is primary next from its cursor).
-		if fl, ok := g.cfg.Replicator.(replFlusher); ok {
+		if g.cfg.Replicator != nil {
 			bound := g.cfg.DrainTimeout
 			if bound <= 0 {
 				bound = time.Second
 			}
-			fl.Flush(bound)
+			g.cfg.Replicator.Flush(bound)
 		}
 		g.mu.Lock()
 		repl := make([]net.Conn, 0, len(g.replConns))

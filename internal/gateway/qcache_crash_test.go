@@ -138,10 +138,7 @@ func TestQueryCacheDiscardedByCrash(t *testing.T) {
 	}
 
 	// Zero-spend proof across post-recovery cache hits.
-	ledgerBefore, err := gw2.ObservedLedger(owner).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ledgerBefore := gw2.ObservedLedger(owner)
 	for _, q := range kinds {
 		if _, _, err := own2.Query(q); err != nil {
 			t.Fatal(err)
@@ -150,11 +147,7 @@ func TestQueryCacheDiscardedByCrash(t *testing.T) {
 	if st2 := gw2.QueryCacheStats(); st2.Hits != int64(len(kinds)) {
 		t.Fatalf("repeat round hit %d times, want %d", st2.Hits, len(kinds))
 	}
-	ledgerAfter, err := gw2.ObservedLedger(owner).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ledgerBefore) != string(ledgerAfter) {
-		t.Fatalf("ledger moved across post-recovery cache hits: %x → %x", ledgerBefore, ledgerAfter)
+	if ledgerAfter := gw2.ObservedLedger(owner); !ledgerAfter.Equal(ledgerBefore) {
+		t.Fatalf("ledger moved across post-recovery cache hits:\n before: %s\n after:  %s", ledgerBefore.Describe(), ledgerAfter.Describe())
 	}
 }

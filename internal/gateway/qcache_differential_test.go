@@ -82,10 +82,7 @@ func TestQueryCacheDifferential(t *testing.T) {
 		q    query.Query
 	}{{"Q1", query.Q1()}, {"Q2", query.Q2()}, {"Q3", query.Q3()}, {"Q4", query.Q4()}}
 
-	ledgerBefore, err := cached.ObservedLedger(owner).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ledgerBefore := cached.ObservedLedger(owner)
 	statsBefore := cached.QueryCacheStats()
 	for _, k := range kinds {
 		refAns, refCost, err := rOwn.Query(k.q)
@@ -114,12 +111,8 @@ func TestQueryCacheDifferential(t *testing.T) {
 	}
 	// Zero-spend proof: the ε ledger after 8 cache hits is bit-identical to
 	// the ledger before any query ran — reads, cached or not, charge nothing.
-	ledgerAfter, err := cached.ObservedLedger(owner).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ledgerBefore) != string(ledgerAfter) {
-		t.Fatalf("ledger moved across cached reads: %x → %x", ledgerBefore, ledgerAfter)
+	if ledgerAfter := cached.ObservedLedger(owner); !ledgerAfter.Equal(ledgerBefore) {
+		t.Fatalf("ledger moved across cached reads:\n before: %s\n after:  %s", ledgerBefore.Describe(), ledgerAfter.Describe())
 	}
 
 	// A committed sync invalidates: both gateways ingest one more batch, and

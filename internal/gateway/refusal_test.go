@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dpsync/internal/client"
+	"dpsync/internal/dp"
 	"dpsync/internal/edb"
 	"dpsync/internal/gateway"
 	"dpsync/internal/oblidb"
@@ -182,14 +183,11 @@ func TestRefusalsAreTyped(t *testing.T) {
 			return conn.BytesIn() - in0, err
 		}
 	}
-	// state renders what a refusal must leave alone. On the replica the stored
-	// totals come over the raw read connection; on the primary from a second
-	// client connection (a refused RemoteStats renders as its refusal).
-	state := func(g *gateway.Gateway, owner string) string {
-		ledger, err := g.ObservedLedger(owner).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+	// state renders what a refusal must leave alone, and returns the ledger
+	// beside it. On the replica the stored totals come over the raw read
+	// connection; on the primary from a second client connection (a refused
+	// RemoteStats renders as its refusal).
+	state := func(g *gateway.Gateway, owner string) (string, *dp.Budget) {
 		var stats string
 		if g == rep {
 			stats = fmt.Sprintf("%+v", ask(t, ro, owner, wire.Request{Type: wire.MsgStats}).Stats)
@@ -197,7 +195,7 @@ func TestRefusalsAreTyped(t *testing.T) {
 			st, err := witness.Owner(owner).RemoteStats()
 			stats = fmt.Sprintf("%+v %v", st, err)
 		}
-		return fmt.Sprintf("owners=%d pattern=%s ledger=%x stats=%s", g.Owners(), g.ObservedPattern(owner), ledger, stats)
+		return fmt.Sprintf("owners=%d pattern=%s stats=%s", g.Owners(), g.ObservedPattern(owner), stats), g.ObservedLedger(owner)
 	}
 
 	for _, row := range []struct {
@@ -248,8 +246,9 @@ func TestRefusalsAreTyped(t *testing.T) {
 				r = rreg
 			}
 			var before string
+			var ledger *dp.Budget
 			if row.owner != "" {
-				before = state(row.on, row.owner)
+				before, ledger = state(row.on, row.owner)
 			}
 			counted := refusalCounts(r)
 			size, err := row.provoke()
@@ -273,8 +272,9 @@ func TestRefusalsAreTyped(t *testing.T) {
 				t.Fatalf("error %v carries %+v, want code %v cursor %d", err, ref, row.code, row.cursor)
 			}
 			if row.owner != "" {
-				if after := state(row.on, row.owner); after != before {
-					t.Errorf("the refusal moved the owner's state:\n before: %s\n after:  %s", before, after)
+				if after, afterLedger := state(row.on, row.owner); after != before || !afterLedger.Equal(ledger) {
+					t.Errorf("the refusal moved the owner's state:\n before: %s ledger %q\n after:  %s ledger %q",
+						before, ledger.Describe(), after, afterLedger.Describe())
 				}
 			}
 		})

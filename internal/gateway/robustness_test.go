@@ -126,16 +126,12 @@ func TestFaultMatrixDifferential(t *testing.T) {
 			for i, spec := range specs {
 				drive(t, refConn.Owner(spec.name), spec.mk(), i)
 			}
-			wantLedgers := map[string]string{}
+			wantLedgers := map[string]*dp.Budget{}
 			for _, spec := range specs {
 				if got := refGW.ObservedPattern(spec.name).String(); got != wantPatterns[spec.name] {
 					t.Fatalf("clean gateway reference diverged from single-owner reference for %s", spec.name)
 				}
-				b, err := refGW.ObservedLedger(spec.name).MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantLedgers[spec.name] = string(b)
+				wantLedgers[spec.name] = refGW.ObservedLedger(spec.name)
 			}
 
 			// Subject: the same traces through a gateway whose transport runs
@@ -183,12 +179,9 @@ func TestFaultMatrixDifferential(t *testing.T) {
 					t.Errorf("%s transcript diverged under faults (%d reconnects, faults %+v):\n got: %s\nwant: %s",
 						spec.name, reconnects, inj.Counts(), got, wantPatterns[spec.name])
 				}
-				b, err := gw.ObservedLedger(spec.name).MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(b) != wantLedgers[spec.name] {
-					t.Errorf("%s ε ledger diverged under faults: a retried sync was double-charged or lost", spec.name)
+				if got := gw.ObservedLedger(spec.name); !got.Equal(wantLedgers[spec.name]) {
+					t.Errorf("%s ε ledger diverged under faults: a retried sync was double-charged or lost:\n got: %s\nwant: %s",
+						spec.name, got.Describe(), wantLedgers[spec.name].Describe())
 				}
 			}
 		})
@@ -286,22 +279,15 @@ func TestDuplicateRetransmitNotRecharged(t *testing.T) {
 		t.Fatalf("update refused: %+v", resp.Resp)
 	}
 
-	ledgerBefore, err := gw.ObservedLedger(owner).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ledgerBefore := gw.ObservedLedger(owner)
 	patternBefore := gw.ObservedPattern(owner).String()
 
 	// The duplicated retransmit: same bytes, same seq. Must ack, not apply.
 	if resp := roundTripRaw(t, conn, update); !resp.Resp.OK {
 		t.Fatalf("retransmit of committed sync refused: %+v", resp.Resp)
 	}
-	ledgerAfter, err := gw.ObservedLedger(owner).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ledgerAfter) != string(ledgerBefore) {
-		t.Fatalf("retransmit re-charged the ε ledger")
+	if ledgerAfter := gw.ObservedLedger(owner); !ledgerAfter.Equal(ledgerBefore) {
+		t.Fatalf("retransmit re-charged the ε ledger:\n got: %s\nwant: %s", ledgerAfter.Describe(), ledgerBefore.Describe())
 	}
 	if got := gw.ObservedPattern(owner).String(); got != patternBefore {
 		t.Fatalf("retransmit appended a transcript event:\n got: %s\nwant: %s", got, patternBefore)
@@ -333,8 +319,8 @@ func TestDuplicateRetransmitNotRecharged(t *testing.T) {
 	} else if resp := roundTripRaw(t, conn, frame); resp.Resp.OK || gw.Owners() != 1 {
 		t.Fatalf("unsequenced setup of a new owner: %+v, %d namespaces", resp.Resp, gw.Owners())
 	}
-	if ledger, err := gw.ObservedLedger(owner).MarshalBinary(); err != nil || string(ledger) != string(ledgerBefore) {
-		t.Fatalf("an unsequenced sync touched the ε ledger (%v)", err)
+	if ledger := gw.ObservedLedger(owner); !ledger.Equal(ledgerBefore) {
+		t.Fatalf("an unsequenced sync touched the ε ledger:\n got: %s\nwant: %s", ledger.Describe(), ledgerBefore.Describe())
 	}
 	if got := gw.ObservedPattern(owner).String(); got != patternBefore {
 		t.Fatalf("an unsequenced sync appended a transcript event:\n got: %s\nwant: %s", got, patternBefore)

@@ -36,12 +36,12 @@ import (
 //   - Read answers a stats probe or a query from the backend, the query
 //     through the answer cache.
 //
-// Three drivers sequence them. The live gateway ingests
-// at apply time and commits when the sync's WAL entry has group-committed
-// (immediately without a store), so a sync is observable only once it is
-// durable and the charge is spent with the transcript event, never before.
-// Recovery (Tenants.Replay, called only when a gateway opens its directory)
-// installs the recovered OwnerState and ingests its history, and derives the
+// Three drivers sequence them. The live gateway ingests at apply time and
+// commits when the sync's WAL entry has group-committed (immediately without
+// a store), so a sync is observable only once it is durable and the charge is
+// spent with the transcript event, never before. Recovery (Tenants.Replay,
+// called only when a gateway opens its directory) installs the recovered
+// OwnerState and ingests its history, and derives the ledger and the
 // transcript from it, through Store.StreamHistory. A replica-role gateway
 // commits, then ingests, each shipped entry in one task (Gateway.Replicate):
 // the primary already committed it. Whichever driver runs it, the backend
@@ -202,22 +202,29 @@ func (ts *Tenants) New(owner string) (*Tenant, error) {
 	return tn, nil
 }
 
-// Replay rebuilds the machine of one committed state: the backend and the
-// transcript are reconstructed together by *streaming* st's durable batch
-// history — spilled runs straight off their history segments, then the
-// inline tail — each batch through Ingest and into its event, and st itself,
-// already the committed clock, ledger and history, becomes the machine's
-// state. The spilled tier is never materialized; per-batch memory is one
-// frame. st must be a state store.Open returned: Open has flushed every spill
-// its compaction made, so each ref names bytes in a file.
+// Replay rebuilds the machine of one committed state: the ledger, the backend
+// and the transcript are reconstructed together by *streaming* st's durable
+// batch history — spilled runs straight off their history segments, then the
+// inline tail — each batch's logged charge into a fresh ledger, the batch
+// through Ingest and into its event, and st itself, already the committed
+// clock and history, becomes the machine's state. A restart thus derives its
+// ledger the way a follower and a snapshot transfer do: from the charges the
+// history carries, re-spent once each. The spilled tier is never
+// materialized; per-batch memory is one frame. st must be a state store.Open
+// returned: Open has flushed every spill its compaction made, so each ref
+// names bytes in a file.
 func (ts *Tenants) Replay(s *store.Store, st *store.OwnerState) (*Tenant, error) {
 	tn, err := ts.New(st.Owner)
 	if err != nil {
 		return nil, err
 	}
+	st.Budget = tn.Budget // New's empty ledger
 	tn.OwnerState, tn.seq = st, st.Clock
 	tn.events = make([]leakage.Event, 0, st.Clock)
 	if err := s.StreamHistory(st, func(bt store.Batch) error {
+		if err := bt.Charge.Spend(st.Budget); err != nil {
+			return fmt.Errorf("tick %d: %w", bt.Tick, err)
+		}
 		if err := tn.Ingest(bt.Setup, bt.Sealed); err != nil {
 			return fmt.Errorf("tick %d: %w", bt.Tick, err)
 		}

@@ -26,7 +26,7 @@ func benchShard(n int, tail func(i int) int, spilled bool) []OwnerState {
 	out := make([]OwnerState, n)
 	ct := bytes.Repeat([]byte{0xC7}, 45)
 	for i := range out {
-		st := OwnerState{Owner: fmt.Sprintf("owner-%04d", i), Budget: dp.NewBudget()}
+		st := OwnerState{Owner: fmt.Sprintf("owner-%04d", i)}
 		tick := uint64(1)
 		if spilled {
 			st.Spilled = []SegmentRef{{Seg: 1, Off: 5, Len: 4096, CRC: 1, FirstTick: 1, Count: 29}}
@@ -37,7 +37,6 @@ func benchShard(n int, tail func(i int) int, spilled bool) []OwnerState {
 			for k := 0; k < 8; k++ {
 				bt.Sealed = append(bt.Sealed, ct)
 			}
-			_ = st.Budget.Charge(bt.Charge.Name, bt.Charge.Eps, bt.Charge.Rule)
 			st.Tail = append(st.Tail, bt)
 			tick++
 		}

@@ -34,14 +34,14 @@ import (
 
 const (
 	// walVersion / histVersion / snapVersion are the on-disk version bytes.
-	// The snapshot format is v3, a manifest (tiered history: segment refs +
-	// inline tail) beside clock and ledger. v1 (the inline re-serialization
-	// of the whole ingest history) and v2 (v3 plus a copy of the transcript,
-	// which the history already determines) were never deployed and are
-	// refused like any unknown version.
+	// The snapshot format is v4, a manifest (tiered history: segment refs +
+	// inline tail) beside the clock. v1 (the inline re-serialization of the
+	// whole ingest history), v2 (v3 plus a copy of the transcript) and v3 (v4
+	// plus a copy of the ε ledger) stored what the history already determines;
+	// they were never deployed and are refused like any unknown version.
 	walVersion  = 1
 	histVersion = 1
-	snapVersion = 3
+	snapVersion = 4
 	// maxEntrySize bounds one WAL entry frame. A sync batch is bounded by
 	// the wire layer's 16 MiB frame cap; the entry adds small metadata.
 	maxEntrySize = 20 << 20
@@ -54,9 +54,8 @@ const (
 	// + crc + firstTick + count).
 	segmentRefSize = 8 + 8 + 4 + 4 + 8 + 4
 	// minOwnerSize is the smallest owner section a snapshot can hold: id
-	// length, a one-byte id, clock, ledger length, an empty ledger (version
-	// + charge count), ref count and tail count.
-	minOwnerSize = 1 + 1 + 8 + 4 + 5 + 4 + 4
+	// length, a one-byte id, clock, ref count and tail count.
+	minOwnerSize = 1 + 1 + 8 + 4 + 4
 )
 
 var (
@@ -90,6 +89,16 @@ type Charge struct {
 	Name string
 	Eps  float64
 	Rule dp.CompositionRule
+}
+
+// Spend records c in ledger: one use of the named charge. The zero Charge (a
+// batch that spends nothing) records nothing. Budget.Charge validates before
+// it records, so a refused charge (ε or rule drift) leaves ledger unchanged.
+func (c Charge) Spend(ledger *dp.Budget) error {
+	if c.Name == "" {
+		return nil
+	}
+	return ledger.Charge(c.Name, c.Eps, c.Rule)
 }
 
 // Batch is one durable ingest: the sealed ciphertexts an owner uploaded at
@@ -172,10 +181,11 @@ type SegmentRef struct {
 func (r SegmentRef) lastTick() uint64 { return r.FirstTick + uint64(r.Count) - 1 }
 
 // OwnerState is one tenant's recovered (or snapshot-bound) durable state:
-// clock, ledger and ingest history, each fact once. The adversary-view
-// transcript is not stored — it is one event per batch of the history, and
-// whoever needs it derives it from the batches. The ingest history is
-// tiered: Spilled references runs of committed batches
+// clock and ingest history, each fact once, and the ledger the live tenant
+// keeps beside them. Neither the adversary-view transcript nor the ledger is
+// stored — the one is an event per batch of the history, the other a fold of
+// its charges, and whoever needs them derives them from the batches. The
+// ingest history is tiered: Spilled references runs of committed batches
 // living in sealed history segments on disk (tick order, contiguous from
 // tick 1), and Tail holds the most recent batches inline (the in-RAM
 // window). Together they cover ticks 1..Clock exactly; iterate them with
@@ -185,7 +195,10 @@ type OwnerState struct {
 	// Clock is the committed logical clock: the tick of the last applied
 	// batch, equal to the total history length (spilled + tail).
 	Clock uint64
-	// Budget is the committed privacy ledger.
+	// Budget is the committed privacy ledger, a fold of the history's
+	// charges. No file holds it: the states Open returns leave it nil, and
+	// the gateway's tenant derives it from the history it replays (a live
+	// or replicated owner starts from an empty one and charges at Apply).
 	Budget *dp.Budget
 	// Spilled references the cold history runs, in tick order.
 	Spilled []SegmentRef
@@ -627,17 +640,6 @@ func (iw *imageWriter) owner(st *OwnerState) error {
 	}
 	b := append(append(iw.scratch[:0], byte(len(st.Owner))), st.Owner...)
 	b = binfmt.AppendU64(b, st.Clock)
-	ledgerAt := len(b)
-	b = append(b, 0, 0, 0, 0)
-	budget := st.Budget
-	if budget == nil {
-		budget = dp.NewBudget()
-	}
-	b, err := budget.AppendBinary(b)
-	if err != nil {
-		return fmt.Errorf("ledger for %q: %w", st.Owner, err)
-	}
-	binary.BigEndian.PutUint32(b[ledgerAt:], uint32(len(b)-ledgerAt-4))
 	b = binfmt.AppendU32(b, uint32(len(st.Spilled)))
 	for _, ref := range st.Spilled {
 		b = binfmt.AppendU64(b, ref.Seg)
@@ -654,7 +656,8 @@ func (iw *imageWriter) owner(st *OwnerState) error {
 			continue
 		}
 		// Ciphertexts go from the batch to the buffer, never through scratch.
-		if b, err = appendBatchHead(iw.scratch[:0], bt, len(bt.Sealed)); err != nil {
+		b, err := appendBatchHead(iw.scratch[:0], bt, len(bt.Sealed))
+		if err != nil {
 			return err
 		}
 		for _, ct := range bt.Sealed {
@@ -674,7 +677,7 @@ func (iw *imageWriter) emit(b []byte) []byte {
 	return iw.scratch
 }
 
-// decodeSnapshot parses a snapshot file image in the v3 manifest format. Any
+// decodeSnapshot parses a snapshot file image in the v4 manifest format. Any
 // malformation — another version byte, a CRC mismatch from a torn snapshot
 // write that escaped the tmp+install discipline, or a manifest whose history
 // shape could not have been written by a correct run — rejects the whole file
@@ -710,15 +713,6 @@ func decodeSnapshot(data []byte) ([]OwnerState, error) {
 		ownerLen := int(r.U8("owner length"))
 		st.Owner = string(r.Bytes(ownerLen, "owner id"))
 		st.Clock = r.U64("owner clock")
-		ledgerLen := int(r.U32("ledger length"))
-		ledger := r.Bytes(ledgerLen, "ledger")
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		st.Budget = dp.NewBudget()
-		if err := st.Budget.UnmarshalBinary(ledger); err != nil {
-			return nil, fmt.Errorf("%w: owner %q ledger: %v", ErrCorruptSegment, st.Owner, err)
-		}
 		nRefs := int(r.U32("segment ref count"))
 		if nRefs > r.Remaining()/segmentRefSize {
 			r.Fail("segment ref count")

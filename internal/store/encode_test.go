@@ -82,16 +82,6 @@ func refEncodeSnapshot(owners []OwnerState) ([]byte, error) {
 		payload = append(payload, byte(len(st.Owner)))
 		payload = append(payload, st.Owner...)
 		payload = binfmt.AppendU64(payload, st.Clock)
-		budget := st.Budget
-		if budget == nil {
-			budget = dp.NewBudget()
-		}
-		ledger, err := budget.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("store: snapshot ledger for %q: %w", st.Owner, err)
-		}
-		payload = binfmt.AppendU32(payload, uint32(len(ledger)))
-		payload = append(payload, ledger...)
 		payload = binfmt.AppendU32(payload, uint32(len(st.Spilled)))
 		for _, ref := range st.Spilled {
 			payload = binfmt.AppendU64(payload, ref.Seg)
@@ -103,8 +93,8 @@ func refEncodeSnapshot(owners []OwnerState) ([]byte, error) {
 		}
 		payload = binfmt.AppendU32(payload, uint32(len(st.Tail)))
 		for _, bt := range st.Tail {
-			payload, err = appendBatch(payload, bt)
-			if err != nil {
+			var err error
+			if payload, err = appendBatch(payload, bt); err != nil {
 				return nil, err
 			}
 		}
@@ -121,11 +111,13 @@ func refEncodeSnapshot(owners []OwnerState) ([]byte, error) {
 }
 
 // randomBatch draws a batch at tick: 0–4 ciphertexts of 0–60 bytes, so empty
-// Sealed and zero-length ciphertexts both occur.
+// Sealed and zero-length ciphertexts both occur, and one of four charges, each
+// name with its own ε, so a tail's charges fold into a ledger.
 func randomBatch(rng *rand.Rand, tick uint64) Batch {
+	k := rng.Intn(4)
 	bt := Batch{
 		Tick: tick, Setup: tick == 1, Flush: rng.Intn(8) == 0,
-		Charge: Charge{Name: "m_update", Eps: float64(rng.Intn(4)) / 4, Rule: dp.Sequential},
+		Charge: Charge{Name: fmt.Sprintf("m_update-%d", k), Eps: float64(k) / 4, Rule: dp.Sequential},
 	}
 	if tick == 1 {
 		bt.Charge.Name = "m_setup"
@@ -139,21 +131,9 @@ func randomBatch(rng *rand.Rand, tick uint64) Batch {
 }
 
 // randomOwnerState draws a tenant whose history shape is valid: refs chain
-// from tick 1, the tail continues them, the clock closes the chain. The ledger
-// is nil, empty or multi-charge.
+// from tick 1, the tail continues them, the clock closes the chain.
 func randomOwnerState(rng *rand.Rand, owner string) OwnerState {
 	st := OwnerState{Owner: owner}
-	switch rng.Intn(3) {
-	case 1:
-		st.Budget = dp.NewBudget()
-	case 2:
-		st.Budget = dp.NewBudget()
-		for i, n := 0, 1+rng.Intn(11); i < n; i++ {
-			name := fmt.Sprintf("mech-%d", rng.Intn(12))
-			rule := dp.CompositionRule(len(name) % 2)
-			_ = st.Budget.Charge(name, 0.25, rule)
-		}
-	}
 	tick := uint64(1)
 	for i, n := 0, rng.Intn(7); i < n; i++ {
 		ref := SegmentRef{
@@ -218,7 +198,8 @@ func carryFrames(tb testing.TB, rng *rand.Rand, owners []OwnerState) {
 // TestEncodersMatchReference holds the single-pass encoders to the bytes the
 // two-pass ones wrote, over seeded random states whose tails mix batches that
 // carry their frames (streamed from them) with hand-built ones (encoded) — by
-// a fresh image writer, and by one that has streamed every earlier round.
+// a fresh image writer, and by one that has streamed every earlier round. The
+// image decodes to tails whose charges fold to the ledger the states' own do.
 func TestEncodersMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5EED15))
 	var reused imageWriter
@@ -240,8 +221,12 @@ func TestEncodersMatchReference(t *testing.T) {
 		if !bytes.Equal(fresh, want) || !bytes.Equal(again, want) {
 			t.Fatalf("round %d: %d owners: snapshot image differs from the reference encoder's", round, len(owners))
 		}
-		if _, err := decodeSnapshot(again); err != nil {
+		back, err := decodeSnapshot(again)
+		if err != nil {
 			t.Fatalf("round %d: image does not decode: %v", round, err)
+		}
+		if err := sameLedgers(t, back, owners); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 		for _, st := range owners {
 			for _, bt := range st.Tail {
@@ -295,9 +280,26 @@ func TestEncodersMatchReference(t *testing.T) {
 	}
 }
 
+// sameLedgers checks that every decoded owner's tail folds to the ledger the
+// same owner's tail in want does: the image keeps every charge the history
+// logged, so the ledger derived from it is the one the owner spent.
+func sameLedgers(tb testing.TB, got, want []OwnerState) error {
+	wantLedger := map[string]*dp.Budget{}
+	for i := range want {
+		wantLedger[want[i].Owner] = ledgerOf(tb, want[i].Tail)
+	}
+	for i := range got {
+		if l := ledgerOf(tb, got[i].Tail); !l.Equal(wantLedger[got[i].Owner]) {
+			return fmt.Errorf("owner %q: image's ledger %q, want %q", got[i].Owner, l.Describe(), wantLedger[got[i].Owner].Describe())
+		}
+	}
+	return nil
+}
+
 // imageOnDisk checks that shard sid's snapshot file decodes to exactly owners
-// — compared by re-encoding, since decode turns a nil ledger into an empty one.
-func imageOnDisk(s *Store, sid int, owners []OwnerState) error {
+// — compared by re-encoding, since a decoded tail batch carries no frame —
+// and that their tails fold to the same ledgers.
+func imageOnDisk(tb testing.TB, s *Store, sid int, owners []OwnerState) error {
 	img, err := os.ReadFile(snapshotPath(s.dir, sid))
 	if err != nil {
 		return err
@@ -313,7 +315,7 @@ func imageOnDisk(s *Store, sid int, owners []OwnerState) error {
 	if w, _ := refEncodeSnapshot(owners); !bytes.Equal(g, w) {
 		return fmt.Errorf("shard %d: snapshot file decodes to %d owners that are not the %d rotated", sid, len(got), len(owners))
 	}
-	return nil
+	return sameLedgers(tb, got, owners)
 }
 
 // TestRotateHeapFlat is the heap guard on rotation: the image is streamed to
@@ -367,7 +369,7 @@ func TestRotateHeapFlat(t *testing.T) {
 			}
 			runtime.ReadMemStats(&ms)
 			allocated[i] = min(allocated[i], ms.TotalAlloc-before)
-			if err := imageOnDisk(s, 0, shape.owners); err != nil {
+			if err := imageOnDisk(t, s, 0, shape.owners); err != nil {
 				t.Fatalf("%s: %v", shape.name, err)
 			}
 		}
@@ -412,9 +414,9 @@ func TestSnapshotEncodeLeavesCallerStatesAlone(t *testing.T) {
 }
 
 // TestMinOwnerSizeIsExact pins the decoder's owner-count guard to the layout:
-// the smallest owner the encoder writes — a one-byte id, clock zero, an empty
-// ledger, no history — takes exactly minOwnerSize bytes and decodes, so the
-// guard refuses no image the encoder can write and nothing looser.
+// the smallest owner the encoder writes — a one-byte id, clock zero, no
+// history — takes exactly minOwnerSize bytes and decodes, so the guard refuses
+// no image the encoder can write and nothing looser.
 func TestMinOwnerSizeIsExact(t *testing.T) {
 	owners := []OwnerState{{Owner: "a"}, {Owner: "b"}, {Owner: "c"}}
 	img, err := encodeSnapshot(owners)

@@ -247,7 +247,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	tieredBad[len(tieredBad)-2] ^= 0x10
 	f.Add(tieredBad)
 	// A retired version byte over an intact payload: refused.
-	for _, v := range []byte{1, 2} {
+	for _, v := range []byte{1, 2, 3} {
 		retired := append([]byte(nil), img...)
 		retired[4] = v
 		f.Add(retired)

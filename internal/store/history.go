@@ -20,7 +20,7 @@ import (
 // persist the refs (plus the inline tail), so a rotation never rewrites a
 // spilled batch and recovery streams runs back frame by frame without ever
 // materializing the spilled tier. What a rotation still writes — per owner,
-// clock, ledger, the refs and up to two windows of tail — is why rotations
+// clock, the refs and up to two windows of tail — is why rotations
 // are spaced by bytes (Store.RotateDue), not by a fixed entry count.
 //
 // Durability contract: spilled bytes are buffered. They are flushed (and in

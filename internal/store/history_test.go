@@ -66,6 +66,25 @@ func collectHistory(t *testing.T, s *Store, st *OwnerState) []Batch {
 	return out
 }
 
+// derivedLedger is the ε ledger of st's streamed history, derived the way the
+// gateway derives a recovered owner's (Tenants.Replay).
+func derivedLedger(t *testing.T, s *Store, st *OwnerState) *dp.Budget {
+	t.Helper()
+	return ledgerOf(t, collectHistory(t, s, st))
+}
+
+// ledgerOf spends each batch's logged charge, once, into a fresh ledger.
+func ledgerOf(tb testing.TB, batches []Batch) *dp.Budget {
+	tb.Helper()
+	ledger := dp.NewBudget()
+	for _, bt := range batches {
+		if err := bt.Charge.Spend(ledger); err != nil {
+			tb.Fatalf("tick %d: %v", bt.Tick, err)
+		}
+	}
+	return ledger
+}
+
 // TestSpillRotateStreamRoundTrip is the tiered-history acceptance round
 // trip: batches spill past the window, a rotation persists the manifest, a
 // post-rotation entry lands in the fresh WAL, and a reopen streams the full
@@ -121,8 +140,8 @@ func TestSpillRotateStreamRoundTrip(t *testing.T) {
 				t.Fatalf("open %d: tick %d ciphertext %q", open, bt.Tick, bt.Sealed[0])
 			}
 		}
-		if o.Budget.Uses("m_update") != total {
-			t.Fatalf("open %d: ledger %s", open, o.Budget.Describe())
+		if ledger := ledgerOf(t, batches); ledger.Uses("m_update") != total {
+			t.Fatalf("open %d: ledger %s", open, ledger.Describe())
 		}
 		if info := s2.Info(); info.SpilledRefs == 0 {
 			t.Fatalf("open %d: recovery info %+v", open, info)
@@ -393,8 +412,8 @@ func TestStreamDetectsSegmentDamage(t *testing.T) {
 // so compaction must quarantine — never delete — history segments that no
 // fresh manifest references; the quarantined snapshot may be the only
 // thing still naming their bytes. A torn payload byte and an image in a
-// retired format (version 1, or version 2 with its transcript section) are
-// refused the same way.
+// retired format (version 1, version 2 with its transcript section, or
+// version 3 with its ledger section) are refused the same way.
 func TestCorruptSnapshotProtectsHistorySegments(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -403,6 +422,7 @@ func TestCorruptSnapshotProtectsHistorySegments(t *testing.T) {
 		{"torn byte", func(img []byte) { img[len(img)-1] ^= 0xFF }},
 		{"version 1", func(img []byte) { img[4] = 1 }},
 		{"version 2", func(img []byte) { img[4] = 2 }},
+		{"version 3", func(img []byte) { img[4] = 3 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"dpsync/internal/dp"
 )
 
 // isSegmentName / isSnapshotName match the store's file naming from any
@@ -43,9 +41,8 @@ type recovery struct {
 	// salvage names snapshot files (by base name) that decoded but carried
 	// at least one candidate recovery dropped for damaged history. The
 	// fresh manifests supersede them with *less* state, so compaction must
-	// quarantine them — their inline tails, ledgers, and SegmentRef
-	// offsets are exactly what an operator needs to salvage the
-	// quarantined segments.
+	// quarantine them — their inline tails and SegmentRef offsets are
+	// exactly what an operator needs to salvage the quarantined segments.
 	salvage map[string]bool
 	// histSizes maps history segment id → byte size on disk.
 	histSizes map[uint64]int64
@@ -84,13 +81,15 @@ func (rec *recovery) validRefs(st *OwnerState) bool {
 //  2. Entries: per owner, sorted by tick, applied only while consecutive
 //     from clock+1. A tick at or below the clock is a duplicate already
 //     covered by a snapshot (or an earlier file) and is skipped — this is
-//     what makes replay idempotent and prevents ledger double-spend. A gap
+//     what makes replay idempotent, so no charge enters the history twice
+//     and the ledger derived from it never double-spends. A gap
 //     ends that owner's replay: everything past a hole could reorder the
 //     transcript, so recovery keeps the longest provably-contiguous prefix.
 //
 // Replayed WAL entries extend the owner's inline tail; the spilled tier is
 // never loaded here — only its manifest travels, and Store.StreamHistory
-// streams the runs when the caller rebuilds backends.
+// streams the runs when the caller rebuilds backends. No state gets a
+// ledger: the caller derives it from the same stream.
 func recoverDir(dir string) (map[string]*OwnerState, *recovery, error) {
 	rec := &recovery{
 		corrupt:   map[string]bool{},
@@ -188,7 +187,7 @@ func recoverDir(dir string) (map[string]*OwnerState, *recovery, error) {
 	for owner, batches := range perOwner {
 		st := states[owner]
 		if st == nil {
-			st = &OwnerState{Owner: owner, Budget: dp.NewBudget()}
+			st = &OwnerState{Owner: owner}
 			states[owner] = st
 		}
 		sort.SliceStable(batches, func(i, j int) bool { return batches[i].Tick < batches[j].Tick })
@@ -212,9 +211,6 @@ func recoverDir(dir string) (map[string]*OwnerState, *recovery, error) {
 	}
 
 	for _, st := range states {
-		if st.Budget == nil {
-			st.Budget = dp.NewBudget()
-		}
 		rec.info.SpilledRefs += len(st.Spilled)
 	}
 	rec.info.Owners = len(states)
@@ -229,14 +225,15 @@ func recoverDir(dir string) (map[string]*OwnerState, *recovery, error) {
 // gateway's commit, recovery's WAL replay and a replication follower's fold
 // all advance an owner through it, so their states cannot diverge. The
 // owner's transcript is not among them: it is a projection of the history
-// (one event per batch), which the gateway's tenant derives. All or nothing:
-// the charge is the one step that can refuse (ε or rule drift against the
-// ledger; Budget.Charge validates before it records), so it goes first, and a
+// (one event per batch), which the gateway's tenant derives. A state without
+// a ledger — recovery's, which no file holds — folds clock and tail only, and
+// its ledger is derived from the history later. All or nothing: the charge is
+// the one step that can refuse (Charge.Spend), so it goes first, and a
 // refused batch leaves the state exactly as it was — never a clock that
 // counts a tick which is in neither ledger nor tail.
 func (st *OwnerState) Apply(bt Batch) error {
-	if bt.Charge.Name != "" {
-		if err := st.Budget.Charge(bt.Charge.Name, bt.Charge.Eps, bt.Charge.Rule); err != nil {
+	if st.Budget != nil {
+		if err := bt.Charge.Spend(st.Budget); err != nil {
 			return err
 		}
 	}

@@ -7,8 +7,6 @@ import (
 	"os"
 	"sync"
 	"testing"
-
-	"dpsync/internal/dp"
 )
 
 // policyRig drives one shard the way the gateway's shard worker and the
@@ -43,7 +41,7 @@ func (r *policyRig) append(owner string, payload int) int64 {
 	r.t.Helper()
 	st := r.states[owner]
 	if st == nil {
-		st = &OwnerState{Owner: owner, Budget: dp.NewBudget()}
+		st = &OwnerState{Owner: owner}
 		r.states[owner] = st
 	}
 	e := testEntry(owner, st.Clock+1, st.Clock == 0, string(make([]byte, payload)))
@@ -287,7 +285,11 @@ func TestFailedRotationDoublesBytesRequired(t *testing.T) {
 
 	s, states := openStore(t, dir, 1)
 	defer s.Close()
-	if st := states["o"]; st == nil || st.Clock != want || st.Budget.Uses("m_update") != int(want)-1 {
+	st := states["o"]
+	if st == nil || st.Clock != want {
 		t.Fatalf("recovered %+v after failed rotations, want clock %d", st, want)
+	}
+	if ledger := derivedLedger(t, s, st); ledger.Uses("m_update") != int(want)-1 {
+		t.Fatalf("recovered ledger %s after failed rotations, want %d updates", ledger.Describe(), want-1)
 	}
 }

@@ -1,9 +1,10 @@
 // Package store is the durability subsystem under the multi-tenant gateway:
 // a per-shard, length-prefixed, CRC-checked write-ahead log with group
 // commit on the hot path, periodic per-shard snapshots with log truncation,
-// and crash recovery that reconstructs every tenant's batch history, logical
-// clock, and dp.Budget ledger — all the gateway needs to rebuild the sealed
-// store and the leakage transcript, which is one event per batch.
+// and crash recovery that reconstructs every tenant's batch history and
+// logical clock — all the gateway needs to rebuild the sealed store, the
+// leakage transcript (one event per batch) and the dp.Budget ledger (one
+// charge per batch).
 //
 // # Why the WAL guards the privacy guarantee
 //
@@ -16,7 +17,9 @@
 // *before* the sync is acknowledged or becomes observable in the tenant's
 // transcript. Recovery replay is therefore idempotent: every entry carries
 // the owner's upload tick, snapshots carry the committed clock, and replay
-// applies exactly the entries past the clock, once.
+// applies exactly the entries past the clock, once. The ledger is not stored
+// beside the history: the logged charges are the spend, and the gateway
+// re-spends exactly them as it replays the history (Tenants.Replay).
 //
 // # Write path
 //
@@ -51,7 +54,7 @@
 // shard's tenant states; the image is streamed to a file and installed beside
 // the standing one (installImage, shared with compaction), then the segment
 // is truncated. Snapshots are *manifests* — segment refs for the spilled tier
-// plus the inline tail — but every owner's clock, ledger, refs and tail are
+// plus the inline tail — but every owner's clock, refs and tail are
 // rewritten each time, so RotateDue spaces rotations by bytes: at
 // least Options.SnapshotEvery entries and at least as many log bytes as the
 // last image (Rotate's, or compaction's at Open). Every image but the latest
@@ -307,8 +310,9 @@ func ShardFor(owner string, n int) int {
 }
 
 // Open recovers dir and prepares it for appends: every tenant's durable
-// state is reconstructed (returned for the caller to rebuild backends
-// from), the directory is compacted under the current shard mapping, and
+// state — clock and history — is reconstructed (returned for the caller to
+// rebuild backends from, and to derive the ledger from: no state carries a
+// Budget), the directory is compacted under the current shard mapping, and
 // fresh segments are opened.
 func Open(opts Options) (*Store, map[string]*OwnerState, error) {
 	if opts.Dir == "" {
@@ -472,7 +476,7 @@ func (s *Store) compact(states map[string]*OwnerState, rec *recovery) error {
 	// Preserve damaged and salvage-relevant files aside *before* fresh
 	// snapshots land: an install moves the standing image aside and the sweep
 	// below deletes it — the very bytes the quarantine promises to keep (the
-	// dropped candidate's tail, ledger, and the SegmentRef offsets that make a
+	// dropped candidate's tail and the SegmentRef offsets that make a
 	// quarantined history segment interpretable).
 	maps.Copy(rec.corrupt, rec.salvage) // each file moves once
 	for name := range rec.corrupt {

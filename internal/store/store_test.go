@@ -93,8 +93,8 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 		if string(st.Tail[1].Sealed[0]) != "ct-"+owner+"-1" {
 			t.Fatalf("%s ciphertexts corrupted: %q", owner, st.Tail[1].Sealed[0])
 		}
-		if st.Budget.Uses("m_setup") != 1 || st.Budget.Uses("m_update") != 1 {
-			t.Fatalf("%s ledger = %s", owner, st.Budget.Describe())
+		if ledger := derivedLedger(t, s2, st); ledger.Uses("m_setup") != 1 || ledger.Uses("m_update") != 1 {
+			t.Fatalf("%s ledger = %s", owner, ledger.Describe())
 		}
 	}
 }
@@ -139,8 +139,8 @@ func TestRotateTruncatesAndRecovers(t *testing.T) {
 	if string(o.Tail[2].Sealed[0]) != "c" {
 		t.Fatalf("post-snapshot entry lost: %q", o.Tail[2].Sealed[0])
 	}
-	if o.Budget.Uses("m_update") != 2 {
-		t.Fatalf("ledger = %s", o.Budget.Describe())
+	if ledger := derivedLedger(t, s2, o); ledger.Uses("m_update") != 2 {
+		t.Fatalf("ledger = %s", ledger.Describe())
 	}
 	if info := s2.Info(); info.Snapshots != 1 || info.Entries != 1 {
 		t.Fatalf("recovery info = %+v", info)
@@ -177,9 +177,11 @@ func TestRecoveryAcrossResharding(t *testing.T) {
 	if len(got) != owners {
 		t.Fatalf("recovered %d owners, want %d", len(got), owners)
 	}
+	ledgers := map[string]*dp.Budget{}
 	for owner, st := range got {
-		if st.Clock != 2 || len(st.Tail) != 2 || st.Budget.Uses("m_update") != 1 {
-			t.Fatalf("%s: clock %d batches %d ledger %s", owner, st.Clock, len(st.Tail), st.Budget.Describe())
+		ledgers[owner] = derivedLedger(t, s2, st)
+		if st.Clock != 2 || len(st.Tail) != 2 || ledgers[owner].Uses("m_update") != 1 {
+			t.Fatalf("%s: clock %d batches %d ledger %s", owner, st.Clock, len(st.Tail), ledgers[owner].Describe())
 		}
 	}
 	if err := s2.Close(); err != nil {
@@ -193,8 +195,8 @@ func TestRecoveryAcrossResharding(t *testing.T) {
 		t.Fatalf("third open recovered %d owners", len(again))
 	}
 	for owner, st := range again {
-		if st.Clock != 2 || !st.Budget.Equal(got[owner].Budget) {
-			t.Fatalf("%s diverged on re-recovery", owner)
+		if ledger := derivedLedger(t, s3, st); st.Clock != 2 || !ledger.Equal(ledgers[owner]) {
+			t.Fatalf("%s diverged on re-recovery: clock %d ledger %s, want 2 and %s", owner, st.Clock, ledger.Describe(), ledgers[owner].Describe())
 		}
 	}
 }
@@ -202,7 +204,7 @@ func TestRecoveryAcrossResharding(t *testing.T) {
 // TestDuplicateEntriesSkipped crafts the crash-mid-compaction shape by
 // hand: a snapshot covering ticks 1-2 next to a segment holding ticks 1-4.
 // Replay must skip the covered prefix — apply each tick exactly once — or
-// the ledger double-spends.
+// the ledger derived from the recovered history double-spends.
 func TestDuplicateEntriesSkipped(t *testing.T) {
 	dir := t.TempDir()
 	st := &OwnerState{Owner: "o", Budget: dp.NewBudget()}
@@ -236,8 +238,8 @@ func TestDuplicateEntriesSkipped(t *testing.T) {
 	if o == nil || o.Clock != 4 || len(o.Tail) != 4 {
 		t.Fatalf("recovered: %+v", o)
 	}
-	if uses := o.Budget.Uses("m_update"); uses != 3 {
-		t.Fatalf("double spend: m_update uses = %d, want 3 (%s)", uses, o.Budget.Describe())
+	if ledger := derivedLedger(t, s, o); ledger.Uses("m_update") != 3 {
+		t.Fatalf("double spend: m_update uses = %d, want 3 (%s)", ledger.Uses("m_update"), ledger.Describe())
 	}
 	info := s.Info()
 	if info.SkippedEntries != 2 || info.Entries != 2 {
