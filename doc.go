@@ -177,13 +177,15 @@
 // version byte — and every payload is the binary codec's (hand-rolled
 // fields, no base64 expansion of sealed ciphertexts; its field primitives
 // are internal/binfmt, shared with the on-disk formats). The version byte
-// is 4: 3 said no with an error text beside two flag bits, 2 was a layout of
-// fixed-width integers and 1 a JSON encoding, all retired, and a hello
-// proposing any other codec byte is acked 4; there is nothing to negotiate
-// down to. The layout (uv = minimal-form varint, the 4-byte frame length in
-// front of everything not shown):
+// is 5: 4 named the owner inline in every request, 3 said no with an error
+// text beside two flag bits, 2 was a layout of fixed-width integers and 1 a
+// JSON encoding, all retired, and a hello proposing any other codec byte is
+// acked 5; there is nothing to negotiate down to. The layout (uv =
+// minimal-form varint, the 4-byte frame length in front of everything not
+// shown):
 //
-//	request   uv id · u8 ownerLen · owner · u8 type ·
+//	request   uv id · owner · u8 type ·
+//	  owner           u8 len (1..255) · name, or u8 0 · uv handle (≥ 1)
 //	  setup, update   uv seq · uv n · [uv width · n×width ciphertext bytes]
 //	                  (an owner sends n = 1: its batch is one message)
 //	  query           u8 kind · u8 provider · u8 joinWith · u16 lo · u16 hi
@@ -216,8 +218,8 @@
 //	6 suspended     wire.ErrSuspended     shard worker: a sync's durability is  —
 //	                                      unknown (the cause is in its log)
 //	7 closing       wire.ErrClosing       reader: the shard workers are gone    —
-//	8 bad-request   wire.ErrBadRequest    reader: malformed frame, no owner,    —
-//	                                      Seq 0 — the fault restated as text
+//	8 bad-request   wire.ErrBadRequest    reader: malformed frame, unbound      —
+//	                                      handle, Seq 0 — the fault restated
 //	9 failed        wire.ErrFailed        a backend or ledger erred — its text  —
 //
 // (4 is edb.ErrNotSetup because that is what an in-process edb.Database
@@ -228,16 +230,27 @@
 //
 // DP-Sync buys its guarantee with traffic — dummies and extra syncs — so the
 // bytes a sync and an answer cost are the paper's own performance metric,
-// and the codec spends only what an operation needs: a one-record sync is 66
-// bytes on the wire and its ack 6 (86 and 13 under codec 2), a Q2 answer 1,088
-// (2,169). Two rules keep the saving from becoming a side channel.
+// and the codec spends only what an operation needs: a one-record sync is 55
+// bytes on the wire once its connection has bound the owner (66 naming it
+// inline, 86 under codec 2) and its ack 6 (13), a Q2 request 15 (26 inline)
+// and its answer 1,088 (2,169). An owner is named once per connection: a
+// request's owner field is its name (a length byte, then 1 to 255 bytes) or
+// a handle (a zero byte, then a varint ≥ 1), and both ends apply one rule to
+// every frame that parses — an inline name not yet bound on the connection
+// binds the next handle while fewer than wire.MaxBindings (4,096) are bound,
+// whatever the reader then answers, so a refused or a duplicated frame leaves
+// the two tables equal. A redial starts both tables empty; an owner past the
+// bound is named inline on every frame; a handle the connection never bound
+// is bad-request. The reader resolves a bound owner with one slice index.
+// Two rules keep the saving from becoming a side channel.
 // Uniform width per batch: every ciphertext of a batch has one length,
 // written once, and the encoder refuses a batch that mixes lengths. An
 // owner's batch is one message of 16n + 28 bytes (seal.Size) — a sealed
 // dummy is a sealed record's size by construction, which is exactly what
 // makes the two indistinguishable — so a frame's length is a function of the
-// record count alone, never of the real/dummy split: an 8-record sync is 179
-// bytes (374 when every record was a message of its own). Answer width from
+// record count and the connection's binding state alone, never of the
+// real/dummy split: an 8-record sync is 168 bytes by handle, 179 inline (374
+// when every record was a message of its own). Answer width from
 // integrality, never sparse: an answer's groups travel as 4-byte unsigned
 // integers exactly when every group is an integer in [0, 2³²) — all of an
 // exact backend's counts — and as their 8 float bytes otherwise (−0, NaN,
@@ -252,7 +265,7 @@
 // each message has one byte string, the fuzz targets are bijection checks,
 // and TestFrameSizes pins every size against a reference encoder that
 // shares no code with it. Frames are multiplexed envelopes — request ID plus
-// owner namespace — and the pipelined client (client.DialGateway) keeps a
+// owner namespace, by name or handle — and the pipelined client (client.DialGateway) keeps a
 // window of requests in flight per connection, matching responses by ID
 // with per-owner FIFO ordering, so one connection carries many owners' sync
 // batches. Both substrates serve unchanged behind the gateway: enclave-style

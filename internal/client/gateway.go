@@ -193,12 +193,15 @@ type link struct {
 }
 
 // transport is one epoch's connection: the buffered frame connection senders
-// append to under wmu, and the flusher that puts their frames on the socket.
-// The epoch increments per successful (re)dial; a failure reported for a
-// stale epoch is ignored.
+// append to under wmu, the owner handles its frames have bound, and the
+// flusher that puts their frames on the socket. The epoch increments per
+// successful (re)dial; a failure reported for a stale epoch is ignored. A
+// redialed epoch starts with no bindings, so its replay names each owner
+// inline first, as any fresh connection does.
 type transport struct {
 	fc    *wire.Conn
-	sock  net.Conn // fc's socket, for the read deadline watch moves
+	sock  net.Conn      // fc's socket, for the read deadline watch moves
+	bound wire.Bindings // the connection's owner handles; under wmu
 	epoch uint64
 	kick  chan struct{} // capacity 1: frames are waiting in fc's buffer
 	stop  chan struct{} // closed when the epoch is retired; its flusher exits
@@ -731,16 +734,25 @@ func (l *link) writeAll(t *transport, reqs []wire.GatewayRequest) error {
 	return t.fc.Flush()
 }
 
-// appendLocked appends one request frame to t's buffer. encErr says the
-// request itself cannot be framed (nothing was appended); err is the
-// socket's, from the flush a full buffer forces. Caller holds wmu.
+// appendLocked appends one request frame to t's buffer, naming the owner by
+// its handle on t when it has one and inline otherwise — a frame that goes
+// out inline then binds the owner by the rule the gateway applies to the same
+// frame (wire.MaxBindings). encErr says the request itself cannot be framed
+// (nothing was appended, nothing bound); err is the socket's, from the flush a
+// full buffer forces. Caller holds wmu.
 func (l *link) appendLocked(t *transport, greq wire.GatewayRequest) (encErr, err error) {
+	if h := t.bound.Handle(greq.Owner); h > 0 {
+		greq.Owner, greq.Handle = "", h
+	}
 	b, encErr := wire.AppendGatewayRequest(t.fc.BeginFrame(), greq)
 	if encErr != nil {
 		return encErr, nil
 	}
 	if _, err = t.fc.EndFrame(b); errors.Is(err, wire.ErrFrameTooLarge) {
 		return err, nil
+	}
+	if greq.Handle == 0 {
+		t.bound.Sent(greq.Owner)
 	}
 	return nil, err
 }

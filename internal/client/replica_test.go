@@ -276,9 +276,10 @@ func (c countedConn) Write(p []byte) (int, error) {
 // TestReplicaLinkDeathFallsBackOnce kills the replica link with K reads in
 // flight: each is answered by the primary, exactly once (served + fallbacks
 // is the number of reads issued), the next read redials, and the new
-// connection carries that read alone — nothing is replayed to a replica. Over
-// the whole exchange BytesOut and BytesIn are, to the byte, what the replica's
-// two connections and the primary received and sent. The counters are read
+// connection carries that read alone — nothing is replayed to a replica. Each
+// connection names the owner inline in its first frame and by handle 1 after.
+// Over the whole exchange BytesOut and BytesIn are, to the byte, what the
+// replica's two connections and the primary received and sent. The counters are read
 // only once every link that wrote is quiet (see quiet).
 func TestReplicaLinkDeathFallsBackOnce(t *testing.T) {
 	gw, key := startGateway(t, gateway.Config{})
@@ -307,7 +308,11 @@ func TestReplicaLinkDeathFallsBackOnce(t *testing.T) {
 	results := readers(own, k)
 	first := rep.accepted(t)
 	for i := 0; i < k; i++ {
-		first.next(t)
+		// The link's first frame names the owner inline and binds handle 1;
+		// the others name it by that handle.
+		if req := first.next(t); (i == 0) != (req.Owner == "owner-cut" && req.Handle == 0) || (i > 0 && req.Handle != 1) {
+			t.Fatalf("frame %d on the replica link names %q by handle %d", i, req.Owner, req.Handle)
+		}
 	}
 	killed := conn.replica.Load() // every read is on it: the replica read them all
 	first.nc.Close()
@@ -321,6 +326,9 @@ func TestReplicaLinkDeathFallsBackOnce(t *testing.T) {
 	req := second.next(t)
 	if req.Req.Query == nil || req.Req.Query.Lo != 1 {
 		t.Fatalf("the redialed replica's first frame is %+v, want the new read: a dead link's request was replayed", req)
+	}
+	if req.Owner != "owner-cut" || req.Handle != 0 {
+		t.Fatalf("the redialed replica's first frame names %q by handle %d, want the owner inline: a new link binds afresh", req.Owner, req.Handle)
 	}
 	second.answer(t, req.ID, scalar(42))
 	want(t, "the read after the redial", again[1], 42, within)

@@ -105,8 +105,6 @@ const (
 	// frames: a larger frame (a bulk setup) is read into a buffer that is
 	// dropped after it, not pinned for the connection's life.
 	maxKeptPayload = 64 << 10
-	// maxInterned bounds a connection's owner-ID table (clientConn.intern).
-	maxInterned = 4096
 )
 
 // Config assembles a Gateway.
@@ -1108,8 +1106,19 @@ type clientConn struct {
 	respCh    chan timedResponse
 	inflight  atomic.Int64
 	pending   sync.WaitGroup
-	frameErrs int               // malformed frames so far; reader goroutine only
-	owners    map[string]string // intern's table; reader goroutine only
+	frameErrs int // malformed frames so far; reader goroutine only
+	// bound is the connection's owner bindings (wire.MaxBindings), handle h
+	// at bound[h-1], and handles the name lookup an inline frame needs.
+	// Reader goroutine only.
+	bound   []binding
+	handles map[string]uint64
+}
+
+// binding is what a connection's owner handle names: the owner and the shard
+// that serves it.
+type binding struct {
+	owner string
+	sh    *shard
 }
 
 // admit reserves an inflight slot for one response. Reader-side replies
@@ -1141,28 +1150,39 @@ func (c *clientConn) refuse(id uint64, code wire.RefusalCode, detail string) {
 	c.reply(id, wire.Refuse(code, 0, detail), telemetry.TraceContext{}, 0)
 }
 
-// intern returns the owner ID b names as a string, allocated only the first
-// time the connection sees it: a pipelined connection carries a fleet's
-// requests, and their owner IDs repeat. The table is bounded (maxInterned),
-// so a peer that invents IDs grows nothing without limit. Reader goroutine
-// only.
-func (c *clientConn) intern(b []byte) string {
-	if s, ok := c.owners[string(b)]; ok {
-		return s
+// resolve returns the owner f names and applies the binding rule
+// (wire.MaxBindings) — the client's, applied to the same frames, so the two
+// tables stay equal. It runs for every frame that parses, before anything
+// decides whether to serve it. A bound owner costs one slice index; an inline
+// name costs a map probe, and a string only the first time, or on every frame
+// for an owner past the bound. A handle the connection never bound is false.
+// Reader goroutine only.
+func (c *clientConn) resolve(f *wire.RequestFrame) (binding, bool) {
+	if f.Handle > 0 {
+		if f.Handle > uint64(len(c.bound)) {
+			return binding{}, false
+		}
+		return c.bound[f.Handle-1], true
 	}
-	if c.owners == nil {
-		c.owners = make(map[string]string)
-	} else if len(c.owners) >= maxInterned {
-		clear(c.owners)
+	if h, ok := c.handles[string(f.Owner)]; ok {
+		return c.bound[h-1], true
 	}
-	s := string(b)
-	c.owners[s] = s
-	return s
+	owner := string(f.Owner)
+	b := binding{owner: owner, sh: c.g.shardFor(owner)}
+	if len(c.bound) < wire.MaxBindings {
+		if c.handles == nil {
+			c.handles = make(map[string]uint64)
+		}
+		c.bound = append(c.bound, b)
+		c.handles[owner] = uint64(len(c.bound))
+	}
+	return b, true
 }
 
-// admitFrame is the reader's work for one frame: decode it, refuse it here
-// (malformed, ownerless, an unsequenced sync, a setup not at tick 1, a write
-// on a read-only connection, over the in-flight cap) or hand it to the
+// admitFrame is the reader's work for one frame: decode it, resolve its owner
+// (binding a handle if the frame names one inline), refuse it here
+// (malformed, an unbound handle, an unsequenced sync, a setup not at tick 1,
+// a write on a read-only connection, over the in-flight cap) or hand it to the
 // owner's shard as a task — a sync decoded straight into the entry frame its
 // batch will carry, so the frame's encode and CRC run here rather than on the
 // serial shard worker, and nothing the task holds points into payload. It
@@ -1190,8 +1210,9 @@ func (c *clientConn) admitFrame(payload []byte) bool {
 		}
 		return true
 	}
-	if len(f.Owner) == 0 {
-		c.refuse(f.ID, wire.CodeBadRequest, "gateway: missing owner id")
+	own, ok := c.resolve(&f)
+	if !ok {
+		c.refuse(f.ID, wire.CodeBadRequest, fmt.Sprintf("gateway: unbound handle %d", f.Handle))
 		return true
 	}
 	setup := f.Req.Type == wire.MsgSetup
@@ -1221,7 +1242,7 @@ func (c *clientConn) admitFrame(payload []byte) bool {
 		c.refuse(f.ID, wire.CodeBackpressure, "")
 		return true
 	}
-	owner := c.intern(f.Owner)
+	owner := own.owner
 	// Only the setup protocol creates a namespace (peek otherwise):
 	// queries, updates, resumes, and stats probes against unknown owners
 	// must not let a read-only request stream allocate backend state.
@@ -1255,7 +1276,7 @@ func (c *clientConn) admitFrame(payload []byte) bool {
 	// wait for connections) must not leave a task in a queue nobody serves:
 	// quit is checked first — a nil queue takes nothing — then raced against
 	// a full one.
-	tasks := g.shardFor(owner).tasks
+	tasks := own.sh.tasks
 	select {
 	case <-g.quit:
 		tasks = nil

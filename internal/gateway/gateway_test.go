@@ -560,9 +560,14 @@ func TestGatewayMissingOwnerRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// An empty owner id cannot name a namespace.
-	if err := conn.Owner("").Setup(nil); err == nil || !strings.Contains(err.Error(), "missing owner") {
-		t.Errorf("empty owner: err = %v", err)
+	// An empty owner id cannot name a namespace, and no frame can carry one:
+	// the encoder refuses it before a byte goes out.
+	out0 := conn.BytesOut()
+	if err := conn.Owner("").Setup(nil); err == nil {
+		t.Error("empty owner: set up")
+	}
+	if out := conn.BytesOut() - out0; out != 0 || gw.Owners() != 0 {
+		t.Errorf("empty owner: %d bytes sent, %d owners on the gateway; want none", out, gw.Owners())
 	}
 }
 

@@ -23,7 +23,13 @@ import (
 // ask sends one request over a raw connection and returns its response.
 func ask(t *testing.T, conn net.Conn, owner string, req wire.Request) wire.Response {
 	t.Helper()
-	frame, err := wire.CodecBinary.EncodeGatewayRequest(wire.GatewayRequest{ID: 1, Owner: owner, Req: req})
+	return askAs(t, conn, wire.GatewayRequest{ID: 1, Owner: owner, Req: req})
+}
+
+// askAs is ask for an envelope the test builds: an owner by handle, say.
+func askAs(t *testing.T, conn net.Conn, g wire.GatewayRequest) wire.Response {
+	t.Helper()
+	frame, err := wire.CodecBinary.EncodeGatewayRequest(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +45,18 @@ func askRefused(t *testing.T, conn net.Conn, owner string, req wire.Request) (in
 	if resp.OK {
 		t.Fatalf("%s for %q was served: %+v", req.Type, owner, resp)
 	}
+	return refusalSize(t, resp), resp.Refusal
+}
+
+// refusalSize is the bytes a refusal's frame takes on the wire, request ID 1
+// or 0 (a malformed frame's) alike.
+func refusalSize(t *testing.T, resp wire.Response) int64 {
+	t.Helper()
 	b, err := wire.CodecBinary.EncodeGatewayResponse(wire.GatewayResponse{ID: 1, Resp: resp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return int64(len(b)) + 4, resp.Refusal
+	return int64(len(b)) + 4
 }
 
 func queryReq(q query.Query, minOffset uint64) wire.Request {
@@ -176,6 +189,16 @@ func TestRefusalsAreTyped(t *testing.T) {
 	raw := func(c net.Conn, owner string, req wire.Request) func() (int64, error) {
 		return func() (int64, error) { return askRefused(t, c, owner, req) }
 	}
+	// rawBytes sends a payload no encoder writes and decodes the refusal.
+	rawBytes := func(c net.Conn, payload []byte) func() (int64, error) {
+		return func() (int64, error) {
+			resp := roundTripRaw(t, c, payload).Resp
+			if resp.OK {
+				t.Fatalf("payload %x was served", payload)
+			}
+			return refusalSize(t, resp), resp.Refusal
+		}
+	}
 	through := func(call func() error) func() (int64, error) {
 		return func() (int64, error) {
 			in0 := conn.BytesIn()
@@ -221,13 +244,23 @@ func TestRefusalsAreTyped(t *testing.T) {
 			_, err := conn.Owner("owner-s").RemoteStats()
 			return err
 		})},
-		{wire.CodeBadRequest, wire.ErrBadRequest, 0, 9 + int64(len("gateway: missing owner id")), gw, "owner-a", through(func() error {
-			return conn.Owner("").Update(nil) // no owner id: refused at the session's resume
-		})},
+		// A malformed frame: owner length 0, then handle 0, which no connection
+		// ever binds — the codec's error restated.
+		{wire.CodeBadRequest, wire.ErrBadRequest, 0, 9 + int64(len("wire: malformed frame: owner handle 0")), gw, "owner-a",
+			rawBytes(rw, []byte{1, 0, 0, 4})},
 		// A setup anywhere but tick 1 can never apply: refused by the reader,
 		// before it could create the tenant (state holds the owner count).
 		{wire.CodeBadRequest, wire.ErrBadRequest, 0, 9 + int64(len("gateway: setup not at seq 1")), gw, "owner-new",
 			raw(rw, "owner-new", wire.Request{Type: wire.MsgSetup, Seq: 5, Sealed: [][]byte{make([]byte, seal.SealedSize)}})},
+		// A well-formed frame naming an owner by a handle its connection never
+		// bound: refused by the reader, touching nothing.
+		{wire.CodeBadRequest, wire.ErrBadRequest, 0, 9 + int64(len("gateway: unbound handle 9")), gw, "owner-a", func() (int64, error) {
+			resp := askAs(t, rw, wire.GatewayRequest{ID: 1, Handle: 9, Req: wire.Request{Type: wire.MsgUpdate, Seq: 3}})
+			if resp.OK {
+				t.Fatal("a sync by an unbound handle was served")
+			}
+			return refusalSize(t, resp), resp.Refusal
+		}},
 		{wire.CodeFailed, wire.ErrFailed, 0, 9 + int64(len("query: empty range 9..1")), gw, "owner-a", through(func() error {
 			_, _, err := conn.Owner("owner-a").Query(emptyRange)
 			return err
@@ -310,7 +343,11 @@ func provokePlainRefusals(t *testing.T, rw, ro net.Conn, owner string, replica b
 	}
 	expect(ro, owner, wire.Request{Type: wire.MsgResume}, wire.CodeNotPrimary)
 	expect(ro, "owner-nobody", queryReq(query.Q1(), 0), wire.CodeNotSetup)
-	expect(ro, "", wire.Request{Type: wire.MsgStats}, wire.CodeBadRequest)
+	if resp := askAs(t, ro, wire.GatewayRequest{ID: 1, Handle: wire.MaxBindings, Req: wire.Request{Type: wire.MsgStats}}); resp.OK || resp.Refusal.Code != wire.CodeBadRequest {
+		t.Fatalf("stats by an unbound handle: %+v, want the bad-request refusal", resp)
+	} else {
+		details = append(details, resp.Refusal.Detail)
+	}
 	expect(ro, owner, queryReq(emptyRange, 0), wire.CodeFailed)
 	if replica {
 		expect(ro, owner, queryReq(query.Q1(), 1<<40), wire.CodeStale)

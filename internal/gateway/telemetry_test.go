@@ -301,7 +301,9 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 // client: (1) a sync of n dummies and a sync of n real records are the same
 // bytes long, request and ack, for n ∈ {0, 1, 8, 33} — a batch travels as
 // one message of seal.Size(n) bytes, whatever its records are, and the
-// request is pinned to that exact length; (2)
+// request is pinned to that exact length — a function of the record count
+// and of the connection's binding state (the owner by its handle), never of
+// the data; (2)
 // Q2's answer is the same length whatever the data: two owners with
 // different pickup distributions and different record counts, and a third
 // whose namespace is mostly dummies, all get the same number of bytes,
@@ -318,11 +320,12 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 // both owners, naming no record.
 func TestFrameLengthsLeakNothingNew(t *testing.T) {
 	// syncFrameLen is a sync's exact request frame here: length prefix,
-	// one-byte request ID, owner, type, one-byte seq, the message count and —
-	// for a non-empty batch — one message sealing all n records, its width
-	// first.
-	syncFrameLen := func(ownerLen, n int) int64 {
-		l := 4 + 1 + 1 + ownerLen + 1 + 1 + 1
+	// one-byte request ID, the owner by handle 1 (the setup, the connection's
+	// first frame, named it inline and bound it: a zero length byte and the
+	// handle), type, one-byte seq, the message count and — for a non-empty
+	// batch — one message sealing all n records, its width first.
+	syncFrameLen := func(n int) int64 {
+		l := 4 + 1 + 1 + 1 + 1 + 1 + 1
 		if n > 0 {
 			l += len(binary.AppendUvarint(nil, uint64(seal.Size(n)))) + seal.Size(n)
 		}
@@ -369,7 +372,7 @@ func TestFrameLengthsLeakNothingNew(t *testing.T) {
 		if realOut[i] != dummyOut[i] || realIn[i] != dummyIn[i] {
 			t.Errorf("sync of %d: %d B out / %d B in for real records, %d / %d for dummies", n, realOut[i], realIn[i], dummyOut[i], dummyIn[i])
 		}
-		if want := syncFrameLen(len("owner-records"), n); realOut[i] != want || realIn[i] <= 4 {
+		if want := syncFrameLen(n); realOut[i] != want || realIn[i] <= 4 {
 			t.Errorf("sync of %d: measured %d B out, %d B in — want a %d B request frame and an ack", n, realOut[i], realIn[i], want)
 		}
 	}

@@ -17,8 +17,8 @@ import (
 // resident tables.
 // The key is held as a seal.Sealer, which is stateless (AES-GCM): a serving
 // node builds one from its key and every tenant's enclave opens ciphertexts
-// with it, so an enclave's own state is its aggregates, its table sizes and
-// its ingest scratch.
+// with it, so an enclave's own state is its aggregates and its table sizes —
+// its ingest scratch is the node's too (ingestScratch).
 // The simulation preserves the two properties DP-Sync's analysis needs from
 // an L-0 engine:
 //
@@ -56,24 +56,23 @@ type Enclave struct {
 	// yellow / green count resident records per table, dummies included —
 	// they drive the scan extent and the join cost model.
 	yellow, green int64
-
-	// opened is Ingest's scratch, reused across batches so a steady-state
-	// ingest allocates nothing: it holds the batch's decoded records until
-	// every message has authenticated, and never outlives the call that
-	// filled it.
-	opened []record.Record
 }
 
-// maxScratchRecords bounds the scratch between batches: a batch larger than
-// this is a setup load or a burst, not the steady state, and its scratch is
-// released rather than held.
+// maxScratchRecords bounds what a batch decodes into pooled scratch: a batch
+// larger than this is a setup load or a burst, not the steady state, and
+// opens and decodes into buffers of its own.
 const maxScratchRecords = 64
 
-// plainScratch holds the buffers Ingest opens a message's plaintext into.
-// A buffer never outlives the call that took it, so the enclaves of a process
-// share them and a tenant holds none between batches; a message of more than
-// maxScratchRecords records opens into a buffer of its own.
-var plainScratch = sync.Pool{New: func() any { return new([maxScratchRecords * record.EncodedSize]byte) }}
+// ingestScratch is Ingest's working memory: the plaintext of the message
+// being opened, and the batch's decoded records, held until every message has
+// authenticated. It never outlives the call that took it, so the enclaves of
+// a process share a pool of them and a tenant holds none between batches.
+type ingestScratch struct {
+	plain  [maxScratchRecords * record.EncodedSize]byte
+	opened [maxScratchRecords]record.Record
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 
 // newEnclave provisions an enclave with the data key's sealer.
 func newEnclave(s *seal.Sealer) *Enclave {
@@ -87,13 +86,13 @@ func newEnclave(s *seal.Sealer) *Enclave {
 // aborts the whole batch (nothing is admitted), the behaviour of an enclave
 // rejecting forged inputs at the attested boundary.
 func (e *Enclave) Ingest(cts []seal.Sealed) (int, error) {
-	scratch := plainScratch.Get().(*[maxScratchRecords * record.EncodedSize]byte)
-	defer plainScratch.Put(scratch)
-	opened := e.opened[:0]
+	sc := scratchPool.Get().(*ingestScratch)
+	defer scratchPool.Put(sc)
+	opened := sc.opened[:0]
 	for i, ct := range cts {
 		var buf []byte
 		if seal.Records(len(ct)) <= maxScratchRecords {
-			buf = scratch[:0]
+			buf = sc.plain[:0]
 		}
 		plain, err := e.sealer.AppendOpen(buf, ct)
 		for off := 0; err == nil && off < len(plain); off += record.EncodedSize {
@@ -114,12 +113,7 @@ func (e *Enclave) Ingest(cts []seal.Sealed) (int, error) {
 			e.yellow++
 		}
 	}
-	n := len(opened)
-	if cap(opened) > maxScratchRecords {
-		opened = nil
-	}
-	e.opened = opened
-	return n, nil
+	return len(opened), nil
 }
 
 // Execute runs q over the resident store and returns the exact answer plus

@@ -21,10 +21,12 @@ type Codec byte
 // batch's ciphertexts travel as one uniform-width block; an answer's groups
 // are 4-byte integers when every one of them is one and 8-byte floats
 // otherwise; a refused request is answered with one typed refusal section
-// (the layout table is in doc.go, "Serving"). Version byte 4; 3 said no with
-// an error text beside two flag bits, 2 was the fixed-width-integer layout
-// and 1 a JSON encoding — all retired, no byte ever reused.
-const CodecBinary Codec = 4
+// (the layout table is in doc.go, "Serving"). A request names its owner
+// inline or by a handle its connection bound (MaxBindings). Version byte 5; 4
+// named the owner inline in every request, 3 said no with an error text
+// beside two flag bits, 2 was the fixed-width-integer layout and 1 a JSON
+// encoding — all retired, no byte ever reused.
+const CodecBinary Codec = 5
 
 // Valid reports whether c names the codec this build speaks.
 func (c Codec) Valid() bool { return c == CodecBinary }
@@ -38,9 +40,44 @@ func (c Codec) String() string {
 }
 
 // MaxOwnerLen bounds an owner-namespace identifier. Owner IDs are routing
-// keys, not payload; one byte of length is plenty and keeps the binary
-// header fixed-cost.
+// keys, not payload; one byte of length is plenty, and its zero value is free
+// to mean "a handle follows" (MaxBindings), so a name is 1 to 255 bytes.
 const MaxOwnerLen = 255
+
+// MaxBindings bounds the owner handles one connection binds. A request names
+// its owner inline (u8 len · name) or by a handle (u8 0 · uvarint handle ≥ 1),
+// and both ends of a connection apply one rule to every request frame that
+// parses: an inline name names its owner, and if that name is not yet bound on
+// the connection and fewer than MaxBindings names are, it also binds the next
+// handle — 1 for the first name, 2 for the second. A binding lasts as long as
+// its connection, and takes effect whatever the server then answers, so a
+// refused or duplicated frame leaves both tables the same. An owner past the
+// bound is named inline on every frame. The codec itself is stateless: it
+// writes and reads either form and never checks a handle against a table.
+const MaxBindings = 4096
+
+// Bindings is the sending end's table of a connection's owner handles: the
+// handle each owner it named inline was bound to. The zero value is an empty
+// table; a new connection starts with one.
+type Bindings struct{ handles map[string]uint64 }
+
+// Handle returns owner's handle on the connection, 0 if it has none.
+func (b *Bindings) Handle(owner string) uint64 { return b.handles[owner] }
+
+// Sent applies the binding rule to a frame that named owner inline and went
+// out: owner gets the next handle unless it has one or the table is full.
+func (b *Bindings) Sent(owner string) {
+	if _, ok := b.handles[owner]; ok || len(b.handles) >= MaxBindings {
+		return
+	}
+	if b.handles == nil {
+		b.handles = make(map[string]uint64)
+	}
+	b.handles[owner] = uint64(len(b.handles)) + 1
+}
+
+// Len reports how many owners are bound.
+func (b *Bindings) Len() int { return len(b.handles) }
 
 // helloMagic opens every read-write client connection; a peer speaking
 // anything else is rejected on its first five bytes instead of having them
@@ -94,11 +131,13 @@ func ReadHelloAck(r io.Reader) (Codec, error) {
 // GatewayRequest is the multiplexing envelope for client→gateway messages:
 // the EDB protocol request plus a request ID (responses may come back out of
 // order; the client matches them by ID) and the owner namespace the request
-// targets.
+// targets — by name (Owner) or by the handle the connection bound it to
+// (Handle, see MaxBindings). Exactly one of the two is set.
 type GatewayRequest struct {
-	ID    uint64
-	Owner string
-	Req   Request
+	ID     uint64
+	Owner  string
+	Handle uint64
+	Req    Request
 }
 
 // GatewayResponse is the gateway→client envelope.
@@ -210,7 +249,8 @@ func sealedWidth(cts [][]byte) (int, error) {
 // at all when its capacity already suffices. On error dst is returned
 // unextended.
 //
-//	uvarint id · u8 ownerLen · owner · u8 type ·
+//	uvarint id · owner · u8 type ·
+//	  owner:          u8 len (1..255) · name  |  u8 0 · uvarint handle (≥ 1)
 //	  setup, update:  uvarint seq · uvarint n · [uvarint width · n×width bytes]
 //	  query:          u8 kind · u8 provider · u8 joinWith · u16 lo · u16 hi
 //	  bounded query:  the same seven bytes · uvarint minOffset (> 0)
@@ -218,6 +258,9 @@ func sealedWidth(cts [][]byte) (int, error) {
 func AppendGatewayRequest(dst []byte, g GatewayRequest) ([]byte, error) {
 	if len(g.Owner) > MaxOwnerLen {
 		return dst, fmt.Errorf("wire: owner id %d bytes exceeds %d", len(g.Owner), MaxOwnerLen)
+	}
+	if (g.Owner == "") == (g.Handle == 0) {
+		return dst, fmt.Errorf("wire: a request names its owner by exactly one of name and handle (%d-byte name, handle %d)", len(g.Owner), g.Handle)
 	}
 	t, err := msgTypeByte(g.Req.Type)
 	if err != nil {
@@ -233,11 +276,14 @@ func AppendGatewayRequest(dst []byte, g GatewayRequest) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	// Envelope and the largest body at their widest (four varints, two
-	// bytes, the owner), then the block.
-	b := slices.Grow(dst, 42+len(g.Owner)+len(g.Req.Sealed)*width)
+	// Envelope and the largest body at their widest (five varints, two
+	// bytes, the name), then the block.
+	b := slices.Grow(dst, 52+len(g.Owner)+len(g.Req.Sealed)*width)
 	b = binfmt.AppendUvarint(b, g.ID)
 	b = append(b, byte(len(g.Owner)))
+	if g.Handle > 0 {
+		b = binfmt.AppendUvarint(b, g.Handle)
+	}
 	b = append(b, g.Owner...)
 	b = append(b, t)
 	switch t {
@@ -282,7 +328,7 @@ func (c Codec) DecodeGatewayRequest(b []byte) (GatewayRequest, error) {
 	if err != nil {
 		return GatewayRequest{}, err
 	}
-	g := GatewayRequest{ID: f.ID, Owner: string(f.Owner), Req: f.Req}
+	g := GatewayRequest{ID: f.ID, Owner: string(f.Owner), Handle: f.Handle, Req: f.Req}
 	if w := f.Width; w > 0 {
 		g.Req.Sealed = make([][]byte, len(f.Block)/w)
 		for i := range g.Req.Sealed {
@@ -296,14 +342,15 @@ func (c Codec) DecodeGatewayRequest(b []byte) (GatewayRequest, error) {
 // Block are slices of the frame it was parsed from, and Req carries
 // everything else — Sealed stays nil, because a sync's ciphertexts are the
 // len(Block)/Width back-to-back Width-byte runs of Block (Width is 0 for a
-// batch of none). A caller that keeps the frame's buffer for the next read
-// copies what it needs first.
+// batch of none). Exactly one of Owner and Handle is set. A caller that keeps
+// the frame's buffer for the next read copies what it needs first.
 type RequestFrame struct {
-	ID    uint64
-	Owner []byte
-	Req   Request
-	Width int
-	Block []byte
+	ID     uint64
+	Owner  []byte
+	Handle uint64
+	Req    Request
+	Width  int
+	Block  []byte
 }
 
 // ParseGatewayRequest is DecodeGatewayRequest's parse, with its rules and its
@@ -317,8 +364,11 @@ func ParseGatewayRequest(b []byte) (RequestFrame, error) {
 	r := binfmt.NewReader(b, ErrBadFrame)
 	var f RequestFrame
 	f.ID = r.Uvarint("request id")
-	ownerLen := int(r.U8("owner length"))
-	f.Owner = r.Bytes(ownerLen, "owner id")
+	if ownerLen := int(r.U8("owner length")); ownerLen > 0 {
+		f.Owner = r.Bytes(ownerLen, "owner id")
+	} else if f.Handle = r.Uvarint("owner handle"); r.Err() == nil && f.Handle == 0 {
+		return RequestFrame{}, fmt.Errorf("%w: owner handle 0", ErrBadFrame)
+	}
 	t := r.U8("message type")
 	if r.Err() != nil {
 		return RequestFrame{}, r.Err()

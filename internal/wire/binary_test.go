@@ -14,12 +14,15 @@ func sampleRequests() []GatewayRequest {
 		{ID: 2, Owner: "o", Req: Request{Type: MsgUpdate, Sealed: [][]byte{{9, 9, 9, 9}}}},
 		{ID: 1 << 60, Owner: "owner-b", Req: Request{Type: MsgUpdate}},
 		{ID: 3, Owner: "q", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 2, Provider: 1, JoinWith: 2, Lo: 7, Hi: 99}}},
-		{ID: 4, Owner: "", Req: Request{Type: MsgStats}},
+		{ID: 4, Handle: 1, Req: Request{Type: MsgStats}},
 		{ID: 5, Owner: "owner-c", Req: Request{Type: MsgSetup, Seq: 1, Sealed: [][]byte{{4, 5}}}},
 		{ID: 6, Owner: "owner-c", Req: Request{Type: MsgUpdate, Seq: 1 << 40, Sealed: [][]byte{{6}}}},
 		{ID: 7, Owner: "owner-c", Req: Request{Type: MsgResume}},
 		{ID: 8, Owner: "owner-c", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1, Provider: 2}, MinOffset: 300}},
 		{ID: 1<<64 - 1, Owner: "owner-c", Req: Request{Type: MsgUpdate, Seq: 1<<64 - 1, Sealed: [][]byte{make([]byte, 44), make([]byte, 44)}}},
+		{ID: 9, Handle: 128, Req: Request{Type: MsgUpdate, Seq: 3, Sealed: [][]byte{make([]byte, 44)}}},
+		{ID: 10, Handle: MaxBindings, Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 3}, MinOffset: 1}},
+		{ID: 11, Handle: 1<<64 - 1, Req: Request{Type: MsgResume}},
 	}
 }
 
@@ -39,7 +42,7 @@ func sampleResponses() []GatewayResponse {
 		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: -1, Groups: []float64{2.5, math.Inf(-1), math.Copysign(0, -1)}}}},
 		{ID: 12, Resp: Refuse(CodeStale, 1<<40, "")},
 		{ID: 13, Resp: Refuse(CodeSeqGap, 2, "")},
-		{ID: 14, Resp: Refuse(CodeBadRequest, 0, "gateway: missing owner id")},
+		{ID: 14, Resp: Refuse(CodeBadRequest, 0, "gateway: unbound handle 7")},
 		{ID: 15, Resp: Refuse(CodeFailed, 0, "edb: Setup called twice")},
 		{ID: 16, Resp: Refuse(CodeFailed, 0, "")},
 	}
@@ -89,7 +92,8 @@ func TestDecodeRejectsZeroLengthFrames(t *testing.T) {
 // TestBinaryDecodeTypedErrors throws truncated, lying and non-canonical
 // frames at both decoders: every one is ErrBadFrame. The byte strings are
 // written out by hand (the layout is in AppendGatewayRequest's and
-// AppendGatewayResponse's comments); 0x80 0x00 is zero spelled in two bytes.
+// AppendGatewayResponse's comments); 0x80 0x00 is zero spelled in two bytes,
+// and a request's "0, 1" after its ID names the owner by handle 1.
 func TestBinaryDecodeTypedErrors(t *testing.T) {
 	valid, err := CodecBinary.EncodeGatewayRequest(sampleRequests()[0])
 	if err != nil {
@@ -104,23 +108,28 @@ func TestBinaryDecodeTypedErrors(t *testing.T) {
 		"truncated header":          valid[:5],
 		"truncated sealed":          valid[:len(valid)-2],
 		"trailing bytes":            append(append([]byte{}, valid...), 0xEE),
-		"unknown msg type":          {1, 0, 0xCC},
+		"unknown msg type":          {1, 0, 1, 0xCC},
 		"fixed-width id (codec 2)":  {0, 0, 0, 0, 0, 0, 0, 1, 0, binStats},
-		"padded id":                 {0x81, 0x00, 0, binStats},
-		"id past 64 bits":           append(append(append([]byte{}, ff9...), 0x02), 0, binStats),
-		"id past 10 bytes":          append(bytes.Repeat([]byte{0x80}, 10), 0x01, 0, binStats),
-		"padded seq":                {1, 0, binUpdate, 0x80, 0x00, 0},
-		"padded count":              {1, 0, binUpdate, 0, 0x80, 0x00},
-		"padded width":              {1, 0, binUpdate, 0, 1, 0x83, 0x00, 1, 2, 3},
-		"count exceeds frame":       {1, 0, binSetup, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 44},
-		"n×width overflows uint64":  append(append(append([]byte{1, 0, binSetup, 0}, maxU64...), maxU64...), 1, 2, 3),
-		"n×width wraps into range":  append(append([]byte{1, 0, binSetup, 0}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01), 0x02, 7, 7), // 2⁶³ × 2 = 0
-		"block one byte short":      {1, 0, binSetup, 0, 2, 3, 1, 2, 3, 4, 5},
-		"width 0 with n > 0":        {1, 0, binSetup, 0, 5, 0},
-		"width block with n = 0":    {1, 0, binSetup, 0, 0, 44},
+		"padded id":                 {0x81, 0x00, 0, 1, binStats},
+		"id past 64 bits":           append(append(append([]byte{}, ff9...), 0x02), 0, 1, binStats),
+		"id past 10 bytes":          append(bytes.Repeat([]byte{0x80}, 10), 0x01, 0, 1, binStats),
+		"padded seq":                {1, 0, 1, binUpdate, 0x80, 0x00, 0},
+		"padded count":              {1, 0, 1, binUpdate, 0, 0x80, 0x00},
+		"padded width":              {1, 0, 1, binUpdate, 0, 1, 0x83, 0x00, 1, 2, 3},
+		"count exceeds frame":       {1, 0, 1, binSetup, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 44},
+		"n×width overflows uint64":  append(append(append([]byte{1, 0, 1, binSetup, 0}, maxU64...), maxU64...), 1, 2, 3),
+		"n×width wraps into range":  append(append([]byte{1, 0, 1, binSetup, 0}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01), 0x02, 7, 7), // 2⁶³ × 2 = 0
+		"block one byte short":      {1, 0, 1, binSetup, 0, 2, 3, 1, 2, 3, 4, 5},
+		"width 0 with n > 0":        {1, 0, 1, binSetup, 0, 5, 0},
+		"width block with n = 0":    {1, 0, 1, binSetup, 0, 0, 44},
 		"bounded query, zero bound": {1, 1, 'a', binQueryAt, 2, 1, 0, 0, 50, 0, 100, 0},
 		"bounded query, padded":     {1, 1, 'a', binQueryAt, 2, 1, 0, 0, 50, 0, 100, 0x85, 0x00},
-		"stats with a bound":        {1, 0, binStats, 5},
+		"stats with a bound":        {1, 0, 1, binStats, 5},
+		"owner handle 0":            {1, 0, 0, binStats},
+		"padded owner handle":       {1, 0, 0x81, 0x00, binStats},
+		"owner handle missing":      {1, 0},
+		"owner handle past 64 bits": append(append(append([]byte{1, 0}, ff9...), 0x02), binStats),
+		"name one byte short":       {1, 5, 'o', 'w', 'n', 'e'},
 		"retired JSON":              []byte(`{"id":1,"owner":"o","req":{"type":"stats"}}`),
 	}
 	for name, b := range requests {
@@ -202,9 +211,11 @@ func TestEncodeGuards(t *testing.T) {
 	ct := func(n int) []byte { return make([]byte, n) }
 	for name, g := range map[string]GatewayRequest{
 		"over-long owner id":        {Owner: string(long), Req: Request{Type: MsgStats}},
-		"unknown message type":      {Req: Request{Type: "bogus"}},
-		"query without spec":        {Req: Request{Type: MsgQuery}},
-		"out-of-range kind":         {Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1000, Provider: 1}}},
+		"no owner":                  {Req: Request{Type: MsgStats}},
+		"a name and a handle":       {Owner: "o", Handle: 1, Req: Request{Type: MsgStats}},
+		"unknown message type":      {Owner: "o", Req: Request{Type: "bogus"}},
+		"query without spec":        {Handle: 1, Req: Request{Type: MsgQuery}},
+		"out-of-range kind":         {Handle: 1, Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1000, Provider: 1}}},
 		"stats with a bound":        {Owner: "o", Req: Request{Type: MsgStats, MinOffset: 7}},
 		"resume with a bound":       {Owner: "o", Req: Request{Type: MsgResume, MinOffset: 7}},
 		"sync with a bound":         {Owner: "o", Req: Request{Type: MsgUpdate, Seq: 2, MinOffset: 7}},
@@ -241,10 +252,11 @@ func TestEncodeGuards(t *testing.T) {
 			t.Errorf("response %s: the refused encode returned %d bytes, want the buffer as it was", name, len(got))
 		}
 	}
-	// Bytes 1, 2 and 3 were the JSON codec, the fixed-width-integer layout and
-	// the error-text-beside-flag-bits layout; they name no codec now, and
-	// nothing encodes or decodes under them.
-	for _, retired := range []Codec{1, 2, 3} {
+	// Bytes 1, 2, 3 and 4 were the JSON codec, the fixed-width-integer layout,
+	// the error-text-beside-flag-bits layout and the owner named inline in
+	// every request; they name no codec now, and nothing encodes or decodes
+	// under them.
+	for _, retired := range []Codec{1, 2, 3, 4} {
 		if _, err := retired.EncodeGatewayRequest(sampleRequests()[0]); err == nil {
 			t.Errorf("request encoded under the retired codec byte %d", retired)
 		}
@@ -267,10 +279,10 @@ func TestHelloNegotiation(t *testing.T) {
 		t.Errorf("hello = kind %v codec %v", kind, got)
 	}
 	// An unknown or retired codec byte passes through ReadAnyHello — the
-	// server acks the one codec it speaks, version byte 4, whatever was
+	// server acks the one codec it speaks, version byte 5, whatever was
 	// proposed (over a socket: the gateway's
 	// TestGatewayAcksUnknownCodecWithBinary).
-	for _, proposed := range []Codec{77, 3, 2, 1} {
+	for _, proposed := range []Codec{77, 4, 3, 2, 1} {
 		buf.Reset()
 		_ = WriteHello(&buf, proposed)
 		kind, got, err = ReadAnyHello(&buf)
@@ -281,8 +293,8 @@ func TestHelloNegotiation(t *testing.T) {
 			t.Errorf("proposed codec %d: read kind %v codec %d, valid %v", proposed, kind, got, proposed.Valid())
 		}
 		_ = WriteHelloAck(&buf, CodecBinary) // what the gateway answers any proposal
-		if ack, err := ReadHelloAck(&buf); err != nil || byte(ack) != 4 {
-			t.Errorf("proposed codec %d: acked %d (%v), want 4", proposed, ack, err)
+		if ack, err := ReadHelloAck(&buf); err != nil || byte(ack) != 5 {
+			t.Errorf("proposed codec %d: acked %d (%v), want 5", proposed, ack, err)
 		}
 	}
 	// The three protocols' hellos differ in the magic alone.
@@ -310,7 +322,7 @@ func TestHelloNegotiation(t *testing.T) {
 	if got, err := ReadHelloAck(&buf); err != nil || got != CodecBinary {
 		t.Errorf("ack = %v, %v", got, err)
 	}
-	for _, b := range []byte{0x7F, 1, 2, 3} { // 1, 2, 3: the retired codecs' bytes
+	for _, b := range []byte{0x7F, 1, 2, 3, 4} { // 1, 2, 3, 4: the retired codecs' bytes
 		if _, err := ReadHelloAck(bytes.NewReader([]byte{b})); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("invalid ack %#x: err = %v, want ErrBadFrame", b, err)
 		}

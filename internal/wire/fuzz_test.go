@@ -53,6 +53,8 @@ func FuzzDecodeGatewayRequest(f *testing.F) {
 		{ID: 300, Owner: "u", Req: Request{Type: MsgUpdate, Seq: 16384, Sealed: [][]byte{{7}}}},
 		{ID: 6, Owner: "f", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1}, MinOffset: 42}},
 		{ID: 7, Owner: "f", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 2, Lo: 50, Hi: 100}, MinOffset: 1<<64 - 1}},
+		{ID: 8, Handle: 1, Req: Request{Type: MsgUpdate, Seq: 3, Sealed: [][]byte{{7, 8}}}},
+		{ID: 9, Handle: MaxBindings, Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1}}},
 	} {
 		if b, err := codec.EncodeGatewayRequest(g); err == nil {
 			f.Add(b)
@@ -69,7 +71,8 @@ func FuzzDecodeGatewayRequest(f *testing.F) {
 	} {
 		f.Add([]byte(retired))
 	}
-	f.Add([]byte{1, 0, binSetup, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 44}) // a count the frame cannot hold
+	f.Add([]byte{1, 0, 1, binSetup, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 44}) // a count the frame cannot hold
+	f.Add([]byte{1, 0, 0, binStats})                                      // owner handle 0
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := codec.DecodeGatewayRequest(data)
@@ -150,7 +153,7 @@ func FuzzDecodeGatewayResponse(f *testing.F) {
 func FuzzResumeHandshake(f *testing.F) {
 	reqs := []GatewayRequest{
 		{ID: 1, Owner: "owner-a", Req: Request{Type: MsgResume}},
-		{ID: 1 << 50, Owner: "", Req: Request{Type: MsgResume}},
+		{ID: 1 << 50, Handle: 3, Req: Request{Type: MsgResume}},
 	}
 	resps := []GatewayResponse{
 		{ID: 1, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 0}}},
@@ -176,7 +179,7 @@ func FuzzResumeHandshake(f *testing.F) {
 	} {
 		f.Add([]byte(retired))
 	}
-	f.Add([]byte{1, 0, binResume, 0xEE})              // a resume request with a trailing byte
+	f.Add([]byte{1, 0, 1, binResume, 0xEE})           // a resume request with a trailing byte
 	f.Add([]byte{2, flagOK | flagResume, 0x81, 0x00}) // a resume clock spelled in two bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if g, err := codec.DecodeGatewayRequest(data); err == nil && g.Req.Type == MsgResume {
@@ -185,7 +188,7 @@ func FuzzResumeHandshake(f *testing.F) {
 				t.Fatalf("accepted resume request cannot be re-encoded: %v", err)
 			}
 			g2, err := codec.DecodeGatewayRequest(reenc)
-			if err != nil || g2.ID != g.ID || g2.Owner != g.Owner || g2.Req.Type != MsgResume {
+			if err != nil || g2.ID != g.ID || g2.Owner != g.Owner || g2.Handle != g.Handle || g2.Req.Type != MsgResume {
 				t.Fatalf("resume request round trip changed: %+v vs %+v (%v)", g2, g, err)
 			}
 		}
@@ -226,6 +229,7 @@ func FuzzReadHandshake(f *testing.F) {
 		{ID: 1, Owner: "owner-a", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 2, Provider: 1, Lo: 50, Hi: 100}, MinOffset: 17}},
 		{ID: 2, Owner: "o", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1}, MinOffset: 1<<64 - 1}},
 		{ID: 3, Owner: "s", Req: Request{Type: MsgStats}},
+		{ID: 4, Handle: 2, Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 3}, MinOffset: 9}},
 	}
 	resps := []GatewayResponse{
 		{ID: 1, Resp: Refuse(CodeStale, 16, "")},
@@ -276,7 +280,7 @@ func FuzzReadHandshake(f *testing.F) {
 				t.Fatalf("re-encoded bounded query rejected: %v", err)
 			}
 			if g2.Req.MinOffset != g.Req.MinOffset || g2.ID != g.ID || g2.Owner != g.Owner ||
-				g2.Req.Type != g.Req.Type {
+				g2.Handle != g.Handle || g2.Req.Type != g.Req.Type {
 				t.Fatalf("freshness bound round trip changed: %+v vs %+v", g2, g)
 			}
 		}

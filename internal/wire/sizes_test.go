@@ -34,8 +34,12 @@ func refBigEndian(b []byte, v uint64, width int) []byte {
 // their own); the frame's 4-byte length leads, as on the wire.
 func refRequest(g GatewayRequest) []byte {
 	p := refUvarint(nil, g.ID)
-	p = append(p, byte(len(g.Owner)))
-	p = append(p, g.Owner...)
+	if g.Handle != 0 {
+		p = refUvarint(append(p, 0), g.Handle)
+	} else {
+		p = append(p, byte(len(g.Owner)))
+		p = append(p, g.Owner...)
+	}
 	switch g.Req.Type {
 	case MsgSetup, MsgUpdate:
 		p = append(p, map[MsgType]byte{MsgSetup: 1, MsgUpdate: 2}[g.Req.Type])
@@ -145,9 +149,12 @@ func framedResponse(t *testing.T, g GatewayResponse) []byte {
 // TestFrameSizes pins what each message costs on the wire, to the byte,
 // frame header included: these are the numbers `wire_bytes_per_op` is made
 // of, and they are exact — a function of the message, never an estimate. The
-// owner is the benchmark's 12 bytes. An owner seals a batch of n records as
-// one message of 16n + 28 bytes (seal.Size; one record is 44); a batch of n
-// one-record messages is the shape refdb and older directories still send.
+// owner is the benchmark's 12 bytes, named inline (13 bytes with its length)
+// or by a handle its connection bound (a zero byte and the handle's varint:
+// 2 bytes up to handle 127, 3 up to MaxBindings). An owner seals a batch of n
+// records as one message of 16n + 28 bytes (seal.Size; one record is 44); a
+// batch of n one-record messages is the shape refdb and older directories
+// still send.
 func TestFrameSizes(t *testing.T) {
 	const owner = "owner-000017"
 	batch := func(n int) [][]byte {
@@ -167,6 +174,11 @@ func TestFrameSizes(t *testing.T) {
 	ask := func(kind int, bound uint64) GatewayRequest {
 		return GatewayRequest{ID: 1, Owner: owner, Req: Request{Type: MsgQuery,
 			Query: &QuerySpec{Kind: kind, Provider: 1, JoinWith: 2, Lo: 50, Hi: 100}, MinOffset: bound}}
+	}
+	// byHandle is g as a connection that bound its owner to h sends it.
+	byHandle := func(g GatewayRequest, h uint64) GatewayRequest {
+		g.Owner, g.Handle = "", h
+		return g
 	}
 	cost := &CostSpec{Seconds: 0.004, RecordsScanned: 1000}
 	groups := make([]float64, 265)
@@ -209,6 +221,18 @@ func TestFrameSizes(t *testing.T) {
 		{"sync seq 16383", sync(1, 16383, 1), 67},
 		{"sync seq 16384", sync(1, 16384, 1), 68},
 		{"sync seq 2^64-1", sync(1, maxU64, 1), 75},
+		{"one-record sync, one message, handle 1", byHandle(sealed(1), 1), 55},
+		{"one-record sync, one message, handle 127", byHandle(sealed(1), 127), 55},
+		{"one-record sync, one message, handle 128", byHandle(sealed(1), 128), 56},
+		{"one-record sync, one message, handle 4096", byHandle(sealed(1), MaxBindings), 56},
+		{"one-record sync, one message, handle 2^64-1", byHandle(sealed(1), maxU64), 64},
+		{"8-record sync, one message, handle 1", byHandle(sealed(8), 1), 168},
+		{"setup, handle 1", byHandle(GatewayRequest{ID: 1, Req: Request{Type: MsgSetup, Seq: 1, Sealed: batch(1)}}, 1), 55},
+		{"Q2, handle 1", byHandle(ask(1, 0), 1), 15},
+		{"Q2 bounded at 5, handle 1", byHandle(ask(1, 5), 1), 16},
+		{"Q2, handle 1000", byHandle(ask(1, 0), 1000), 16},
+		{"stats, handle 1", byHandle(GatewayRequest{ID: 1, Req: Request{Type: MsgStats}}, 1), 8},
+		{"resume, handle 1", byHandle(GatewayRequest{ID: 1, Req: Request{Type: MsgResume}}, 1), 8},
 	}
 	for _, tc := range requests {
 		got, ref := framedRequest(t, tc.g), refRequest(tc.g)
@@ -251,7 +275,7 @@ func TestFrameSizes(t *testing.T) {
 		{"seq-gap expecting 2", GatewayResponse{ID: 1, Resp: Refuse(CodeSeqGap, 2, "")}, 9},
 		{"suspended", GatewayResponse{ID: 1, Resp: Refuse(CodeSuspended, 0, "")}, 9},
 		{"closing", GatewayResponse{ID: 1, Resp: Refuse(CodeClosing, 0, "")}, 9},
-		{"bad-request, 25-byte text", GatewayResponse{ID: 1, Resp: Refuse(CodeBadRequest, 0, "gateway: missing owner id")}, 34},
+		{"bad-request, 25-byte text", GatewayResponse{ID: 1, Resp: Refuse(CodeBadRequest, 0, "gateway: unbound handle 7")}, 34},
 		{"failed, 24-byte text", GatewayResponse{ID: 1, Resp: Refuse(CodeFailed, 0, "edb: database not set up")}, 33},
 	}
 	for _, tc := range responses {
@@ -263,8 +287,9 @@ func TestFrameSizes(t *testing.T) {
 }
 
 // TestCodecMatchesReferenceEncoder is the seeded differential: for 10,000
-// generated messages — counters at every varint boundary, batches of every
-// shape, answers that are counts, almost counts and not numbers at all —
+// generated messages — counters at every varint boundary, owners by name and
+// by handle, batches of every shape, answers that are counts, almost counts
+// and not numbers at all —
 // decode(ref(x)) == x == decode(Append(x)) and the two encodings are the
 // same bytes.
 func TestCodecMatchesReferenceEncoder(t *testing.T) {
@@ -293,7 +318,12 @@ func TestCodecMatchesReferenceEncoder(t *testing.T) {
 		return float64(rng.Intn(50))
 	}
 	for i := 0; i < 5000; i++ {
-		g := GatewayRequest{ID: counter(), Owner: text(MaxOwnerLen)}
+		g := GatewayRequest{ID: counter()}
+		if h := counter(); h > 0 && rng.Intn(3) == 0 {
+			g.Handle = h
+		} else {
+			g.Owner = string(rune('a'+rng.Intn(26))) + text(MaxOwnerLen-1)
+		}
 		switch rng.Intn(5) {
 		case 0, 1:
 			g.Req.Type = []MsgType{MsgSetup, MsgUpdate}[rng.Intn(2)]

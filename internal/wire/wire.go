@@ -5,12 +5,14 @@
 // There is one payload codec, the binary one (binary.go): each frame carries
 // a request ID and an owner namespace (GatewayRequest / GatewayResponse)
 // around the EDB message, so one connection can multiplex many owners'
-// pipelined sync batches. The codec is compact and canonical — counters are
+// pipelined sync batches. A request names its owner once per connection —
+// inline the first time, which binds a handle, and by that handle after
+// (MaxBindings). The codec is compact and canonical — counters are
 // minimal-form varints, a batch's ciphertexts one uniform-width block, an
 // answer's groups 4-byte integers when every group is one — so a one-record
-// sync is 66 bytes on the wire and its ack 6, and each message has exactly
-// one byte string (TestFrameSizes pins the sizes, the fuzz targets the
-// bijection). What a frame's length reveals is what the protocol already
+// sync is 55 bytes on the wire by handle (66 inline) and its ack 6, and each
+// message has exactly one byte string (TestFrameSizes pins the sizes, the
+// fuzz targets the bijection). What a frame's length reveals is what the protocol already
 // reveals: how many records a sync carries (an owner seals them as one
 // message, seal.Size(n) bytes), never how many are dummies, and which query
 // was asked, never what the data answered.
