@@ -541,11 +541,28 @@
 // election lease — runs the full gateway; a replication hub taps its
 // durable commit stream and ships every committed WAL entry, in commit
 // order, to connected followers (one replication protocol version; a
-// follower proposing another is refused, not negotiated down), each entry
-// tagged with a per-shard stream offset (the shard's committed entry
-// count). Followers resume from their last applied offset cursor; a
-// follower whose cursor has fallen off the primary's bounded catch-up ring
-// is healed with a per-shard snapshot transfer instead.
+// follower proposing another is refused at the hello by the gateway, not
+// negotiated down), each entry tagged with a per-shard stream offset (the
+// shard's committed entry count). Followers resume from their last applied
+// offset cursor, one per shard in shard order; a follower whose cursor has
+// fallen off the primary's bounded catch-up ring is healed with a per-shard
+// snapshot transfer instead, and one whose shard count differs is sent the
+// primary's count and closed. Replication v3 keeps the client codec's
+// rules — minimal-form varints, each fact once, one encoding per message:
+//
+//	hello ack   u8 version (3) | HelloRefused
+//	join        u8 len · node · uv n · n × uv offset
+//	join ack    uv shards
+//	entry       u8 1 (| 0x80 traced) · uv shard · uv offset
+//	            · [u64 commit ns, live entries only] · [uv trace · uv parent, traced]
+//	            · store entry frame (the rest: its own header states its length)
+//	snap begin  u8 2 · uv shard · uv basis
+//	snap end    u8 3 · uv shard
+//	heartbeat   u8 4
+//
+// An untraced live entry below offset 2²¹ costs at most 13 B before its entry
+// frame, a bootstrap entry 3 B, a heartbeat 1 B; a one-record sync ships in at
+// most 119 B.
 //
 // A follower is a gateway in replica role, and always a valid restart image.
 // The node runs one serving stack, gateway.Gateway, in whichever role it
@@ -710,8 +727,9 @@
 // recorded by the shard worker from the group's report;
 // repl-ship on the replication sender; follower-apply on the far node,
 // which joins the same trace through the trace ID and parent span a sampled
-// entry's replication frame carries (the hub frames each entry once: the
-// traced kind if its sync was sampled, the plain kind otherwise). The
+// entry's replication frame carries (the hub frames each entry once, with
+// the trace context and the traced flag bit if its sync was sampled, without
+// both otherwise). The
 // sampling rule is one atomic add per admitted request — 1 in
 // -trace-sample (default 64) requests record spans, an unsampled request
 // allocates nothing — and any sync crossing the slow threshold (50ms) is

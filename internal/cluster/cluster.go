@@ -625,6 +625,12 @@ func (n *Node) runFollower() {
 	}
 	stagger := campaignStagger(n.cfg.NodeID, n.cfg.LeaseTTL)
 	backoff := 5 * time.Millisecond
+	// pause waits the staggered beat before the next campaign/dial round, so
+	// concurrent campaigners interleave, and doubles it up to a cap.
+	pause := func() {
+		n.sleep(backoff + stagger)
+		backoff = min(2*backoff, 200*time.Millisecond)
+	}
 	for {
 		select {
 		case <-n.quit:
@@ -661,12 +667,7 @@ func (n *Node) runFollower() {
 		}
 		conn, err := n.cfg.Dialer(primary)
 		if err != nil {
-			// Primary gone or partitioned: wait the staggered beat before the
-			// next campaign/dial round so concurrent campaigners interleave.
-			n.sleep(backoff + stagger)
-			if backoff *= 2; backoff > 200*time.Millisecond {
-				backoff = 200 * time.Millisecond
-			}
+			pause() // primary gone or partitioned
 			continue
 		}
 		// Publish the conn and check for shutdown under one lock: Close and
@@ -684,7 +685,7 @@ func (n *Node) runFollower() {
 			conn.Close()
 			return
 		}
-		start := time.Now()
+		start, contact := time.Now(), n.fol.lastContact.Load()
 		err = n.fol.tail(conn, n.cfg.NodeID, readTO)
 		conn.Close()
 		n.mu.Lock()
@@ -697,6 +698,12 @@ func (n *Node) runFollower() {
 		case <-n.quit:
 		default:
 			n.log.Info("replication session ended", "node", n.cfg.NodeID, "err", err)
+		}
+		if n.fol.lastContact.Load() == contact {
+			// The session ended before its first stream frame: refused, a
+			// shard-count mismatch, a handshake that died. Redialing at once
+			// would only be refused again.
+			pause()
 		}
 	}
 }

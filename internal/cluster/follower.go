@@ -43,8 +43,9 @@ import (
 var errGatewayClosed = errors.New("cluster: replica gateway closed")
 
 // errShardMismatch reports a primary whose shard count differs from this
-// node's — a misconfigured cluster, fatal (shard hashing would scatter
-// owners differently on each node).
+// node's — a misconfigured cluster (shard hashing would scatter owners
+// differently on each node). It ends the session, not the node: the role
+// loop redials with backoff, in case the primary it finds next agrees.
 var errShardMismatch = errors.New("cluster: primary shard count differs from local configuration")
 
 // resyncCursor is the join cursor a follower sends for a shard whose
@@ -119,13 +120,12 @@ func (f *followerCore) tail(conn net.Conn, node string, readTO time.Duration) er
 	if err := wire.ReadReplHelloAck(conn); err != nil {
 		return err // wire.ErrNotPrimary passes through typed
 	}
-	cursors := make([]wire.ReplCursor, f.shards)
+	cursors := make([]uint64, f.shards)
 	for sid, ss := range f.gw.ShardStatuses() {
-		off := ss.Applied
+		cursors[sid] = ss.Applied
 		if f.resync[sid] {
-			off = resyncCursor
+			cursors[sid] = resyncCursor
 		}
-		cursors[sid] = wire.ReplCursor{Shard: uint32(sid), Offset: off}
 	}
 	jb, err := wire.EncodeReplJoin(wire.ReplJoin{Node: node, Cursors: cursors})
 	if err != nil {
@@ -145,12 +145,12 @@ func (f *followerCore) tail(conn net.Conn, node string, readTO time.Duration) er
 	if err != nil {
 		return err
 	}
-	ack, err := wire.DecodeReplJoinAck(payload)
+	shards, err := wire.DecodeReplJoinAck(payload)
 	if err != nil {
 		return err
 	}
-	if int(ack.Shards) != f.shards {
-		return fmt.Errorf("%w: primary has %d, this node %d", errShardMismatch, ack.Shards, f.shards)
+	if shards != uint64(f.shards) {
+		return fmt.Errorf("%w: primary has %d, this node %d", errShardMismatch, shards, f.shards)
 	}
 	_ = conn.SetWriteDeadline(time.Time{})
 	// A dropped link mid-transfer leaves inSnap set; the rejoin restarts the
@@ -206,7 +206,7 @@ func (f *followerCore) applyFrame(fr wire.ReplFrame, now time.Time) error {
 		f.stats.Snapshots++
 		f.mu.Unlock()
 		return nil
-	case wire.ReplEntry, wire.ReplEntryTraced:
+	case wire.ReplEntry:
 		if fr.Offset == 0 && !f.inSnap[sid] {
 			return fmt.Errorf("cluster: bootstrap entry outside snapshot transfer on shard %d", sid)
 		}
@@ -224,7 +224,7 @@ func (f *followerCore) applyFrame(fr wire.ReplFrame, now time.Time) error {
 			f.stats.LagNs += now.UnixNano() - fr.CommitNs
 		}
 		f.mu.Unlock()
-		if fr.Kind == wire.ReplEntryTraced {
+		if fr.TraceID != 0 {
 			// The primary sampled this sync: join its trace with a fragment whose
 			// span parents under the propagated repl-ship span ID. The fragment
 			// carries stage timing only — the wire context is trace ID + parent

@@ -92,11 +92,11 @@ type replRing struct {
 	n     int        // buffered slots
 }
 
-// ringSlot is one buffered offset: the one encoded stream frame for it — a
-// ReplEntryTraced frame if the entry's sync was sampled, a ReplEntry frame
-// otherwise — its CommitNs, kept beside it so the lag collector can turn a
-// follower's owed suffix into milliseconds without decoding frames, and the
-// ship-span completion state of a sampled entry (nil otherwise).
+// ringSlot is one buffered offset: the one encoded stream frame for it —
+// carrying a trace context if the entry's sync was sampled — its CommitNs,
+// kept beside it so the lag collector can turn a follower's owed suffix into
+// milliseconds without decoding frames, and the ship-span completion state of
+// a sampled entry (nil otherwise).
 type ringSlot struct {
 	frame    []byte
 	commitNs int64
@@ -324,7 +324,7 @@ func (h *Hub) Followers() []FollowerStatus {
 // by a snapshot transfer, not by stalling the commit path. For a sampled
 // entry (tc carries a trace, positioned at the wal-commit span) it also
 // Allocs the repl-ship span — whose ID crosses the wire as the parent the
-// follower's apply span joins under — and the frame is the traced kind.
+// follower's apply span joins under — and the frame carries the trace.
 func (h *Hub) Committed(sid int, e store.Entry, tc telemetry.TraceContext) {
 	// The gateway's entry carries the frame its WAL append encoded, and wrapping
 	// that cannot fail. Only a hand-built entry is encoded here, and only that
@@ -354,7 +354,7 @@ func (h *Hub) Committed(sid int, e store.Entry, tc telemetry.TraceContext) {
 	if id := tc.TraceID(); id != 0 {
 		ship := tc.Alloc()
 		meta = &shipMeta{tc: tc, ship: ship, start: h.cfg.Clock()}
-		fr.Kind, fr.TraceID, fr.ParentSpan = wire.ReplEntryTraced, id, ship
+		fr.TraceID, fr.ParentSpan = id, ship
 	}
 	payload, err := wire.EncodeReplFrame(fr)
 	if err != nil {
@@ -374,23 +374,15 @@ func (h *Hub) Committed(sid int, e store.Entry, tc telemetry.TraceContext) {
 
 // ServeConn implements gateway.Replicator: the join handshake, then the
 // frame stream, on the connection's handler goroutine until the follower
-// disconnects or the hub/gateway shuts down.
-func (h *Hub) ServeConn(conn net.Conn, version byte) {
+// disconnects or the hub/gateway shuts down. The gateway has acked the
+// hello. A join whose cursor count is not this hub's shard count is answered
+// with the ack — the follower names the mismatch — and closed before a
+// sender exists.
+func (h *Hub) ServeConn(conn net.Conn) {
 	h.mu.Lock()
-	gw, ready := h.gw, !h.closed && h.rings != nil
+	gw, shards := h.gw, len(h.rings)
 	h.mu.Unlock()
-	// No negotiation: a follower on any other replication version is
-	// refused, the same answer a non-primary gives.
-	if !ready || version != wire.ReplVersion {
-		_ = conn.SetWriteDeadline(time.Now().Add(replHandshakeTimeout))
-		_ = wire.WriteHelloRefused(conn)
-		return
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(replHandshakeTimeout))
-	if err := wire.WriteReplHelloAck(conn, wire.ReplVersion); err != nil {
-		return
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(replHandshakeTimeout))
+	_ = conn.SetDeadline(time.Now().Add(replHandshakeTimeout))
 	payload, err := wire.ReadFrame(conn)
 	if err != nil {
 		return
@@ -400,31 +392,17 @@ func (h *Hub) ServeConn(conn net.Conn, version byte) {
 		h.log.Warn("malformed follower join", "conn", conn.RemoteAddr().String(), "err", err)
 		return
 	}
-	shards := len(h.rings)
-	cursors := make([]uint64, shards)
-	for _, c := range join.Cursors {
-		if int(c.Shard) >= shards {
-			h.log.Warn("follower cursor for unknown shard",
-				"follower", join.Node, "shard", c.Shard, "shards", shards)
-			return
-		}
-		cursors[c.Shard] = c.Offset
+	if err := wire.WriteFrame(conn, wire.EncodeReplJoinAck(uint64(shards))); err != nil {
+		return
 	}
-	snap := false
-	h.mu.Lock()
-	for sid := range cursors {
-		if h.needsSnapshotLocked(sid, cursors[sid]) {
-			snap = true
-		}
-	}
-	h.mu.Unlock()
-	_ = conn.SetWriteDeadline(time.Now().Add(replHandshakeTimeout))
-	if err := wire.WriteFrame(conn, wire.EncodeReplJoinAck(wire.ReplJoinAck{Shards: uint32(shards), Snapshot: snap})); err != nil {
+	if len(join.Cursors) != shards {
+		h.log.Warn("follower shard count differs",
+			"follower", join.Node, "cursors", len(join.Cursors), "shards", shards)
 		return
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 
-	sub := &hubSub{conn: conn, node: join.Node, cursors: cursors, wake: make(chan struct{}, 1), dead: make(chan struct{})}
+	sub := &hubSub{conn: conn, node: join.Node, cursors: join.Cursors, wake: make(chan struct{}, 1), dead: make(chan struct{})}
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
@@ -446,7 +424,7 @@ func (h *Hub) ServeConn(conn net.Conn, version byte) {
 		_, _ = conn.Read(buf)
 		close(sub.dead)
 	}()
-	h.log.Info("follower joined", "follower", join.Node, "conn", conn.RemoteAddr().String(), "snapshot", snap)
+	h.log.Info("follower joined", "follower", join.Node, "conn", conn.RemoteAddr().String())
 	h.runSender(gw, sub, join.Node)
 }
 
@@ -606,11 +584,7 @@ func (h *Hub) runSender(gw *gateway.Gateway, sub *hubSub, node string) {
 		case <-h.quit:
 			return
 		case <-idle.C:
-			hb, err := wire.EncodeReplFrame(wire.ReplFrame{Kind: wire.ReplHeartbeat, CommitNs: h.cfg.Clock().UnixNano()})
-			if err != nil {
-				return
-			}
-			if fc.WriteFrame(hb) != nil || fc.Flush() != nil {
+			if fc.WriteFrame([]byte{wire.ReplHeartbeat}) != nil || fc.Flush() != nil {
 				return
 			}
 		}
@@ -653,9 +627,7 @@ func (h *Hub) sendSnapshot(gw *gateway.Gateway, sub *hubSub, sid int, fc *wire.C
 			if err != nil {
 				return err
 			}
-			payload, err := wire.EncodeReplFrame(wire.ReplFrame{
-				Kind: wire.ReplEntry, Shard: uint32(sid), CommitNs: h.cfg.Clock().UnixNano(), Entry: raw,
-			})
+			payload, err := wire.EncodeReplFrame(wire.ReplFrame{Kind: wire.ReplEntry, Shard: uint32(sid), Entry: raw})
 			if err != nil {
 				return err
 			}

@@ -27,12 +27,18 @@ func startHubRing(t *testing.T, ring int) (*Hub, *gateway.Gateway) {
 // startHubWith is startHub with the hub built from cfg.
 func startHubWith(t *testing.T, cfg HubConfig) (*Hub, *gateway.Gateway) {
 	t.Helper()
+	return startHubShards(t, cfg, 1)
+}
+
+// startHubShards is startHubWith over a gateway of the given shard count.
+func startHubShards(t *testing.T, cfg HubConfig, shards int) (*Hub, *gateway.Gateway) {
+	t.Helper()
 	key, err := seal.NewRandomKey()
 	if err != nil {
 		t.Fatal(err)
 	}
 	hub := NewHub(cfg)
-	gw, err := gateway.New("127.0.0.1:0", gateway.Config{Key: key, Shards: 1, StoreDir: t.TempDir(), Replicator: hub})
+	gw, err := gateway.New("127.0.0.1:0", gateway.Config{Key: key, Shards: shards, StoreDir: t.TempDir(), Replicator: hub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,19 +55,26 @@ func startHubWith(t *testing.T, cfg HubConfig) (*Hub, *gateway.Gateway) {
 
 // joinRaw opens a replication stream the way a follower does — hello, join
 // from offset zero on the one shard — and returns the conn positioned at the
-// first stream frame.
+// first stream frame. What the stream starts with is the caller's to check
+// (readEntries does: the first catch-up entry).
 func joinRaw(t *testing.T, addr, node string) net.Conn {
 	t.Helper()
-	conn, snapshot := joinRawAt(t, addr, node, 0)
-	if snapshot {
-		t.Fatal("join from offset zero answered with a snapshot transfer")
+	return joinRawAt(t, addr, node, 0)
+}
+
+// joinRawAt is joinRaw from a chosen cursor.
+func joinRawAt(t *testing.T, addr, node string, cursors ...uint64) net.Conn {
+	t.Helper()
+	conn, shards := joinRawShards(t, addr, node, cursors...)
+	if shards != 1 {
+		t.Fatalf("join ack names %d shards, want 1", shards)
 	}
 	return conn
 }
 
-// joinRawAt is joinRaw from a chosen cursor; it also reports whether the
-// primary answered that the cursor needs a snapshot transfer.
-func joinRawAt(t *testing.T, addr, node string, cursor uint64) (net.Conn, bool) {
+// joinRawShards sends a join with the given cursors, one per shard in order,
+// and returns the conn and the shard count the primary acked.
+func joinRawShards(t *testing.T, addr, node string, cursors ...uint64) (net.Conn, uint64) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -75,7 +88,7 @@ func joinRawAt(t *testing.T, addr, node string, cursor uint64) (net.Conn, bool) 
 	if err := wire.ReadReplHelloAck(conn); err != nil {
 		t.Fatal(err)
 	}
-	jb, err := wire.EncodeReplJoin(wire.ReplJoin{Node: node, Cursors: []wire.ReplCursor{{Shard: 0, Offset: cursor}}})
+	jb, err := wire.EncodeReplJoin(wire.ReplJoin{Node: node, Cursors: cursors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,16 +99,18 @@ func joinRawAt(t *testing.T, addr, node string, cursor uint64) (net.Conn, bool) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack, err := wire.DecodeReplJoinAck(payload)
+	shards, err := wire.DecodeReplJoinAck(payload)
 	if err != nil {
 		t.Fatalf("join ack: %v", err)
 	}
-	return conn, ack.Snapshot
+	return conn, shards
 }
 
 // readEntries reads stream frames until n entry frames have arrived
-// (heartbeats skipped) and returns their raw payloads.
-func readEntries(t *testing.T, conn net.Conn, n int) [][]byte {
+// (heartbeats skipped) and returns their raw payloads. The stream must be the
+// live suffix after cursor: live entries at offsets cursor+1, cursor+2, … —
+// a snapshot transfer, or a gap, fails the test.
+func readEntries(t *testing.T, conn net.Conn, cursor uint64, n int) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for len(out) < n {
@@ -103,16 +118,22 @@ func readEntries(t *testing.T, conn net.Conn, n int) [][]byte {
 		if err != nil {
 			t.Fatalf("after %d entries: %v", len(out), err)
 		}
-		if payload[0] != wire.ReplHeartbeat {
-			out = append(out, payload)
+		if payload[0] == wire.ReplHeartbeat {
+			continue
 		}
+		fr, err := wire.DecodeReplFrame(payload)
+		if want := cursor + uint64(len(out)) + 1; err != nil || fr.Kind != wire.ReplEntry || fr.Offset != want {
+			t.Fatalf("frame %d after cursor %d: kind %d offset %d (%v), want the live entry at offset %d",
+				len(out), cursor, fr.Kind, fr.Offset, err, want)
+		}
+		out = append(out, payload)
 	}
 	return out
 }
 
 // TestHubShipsOneEncodingPerEntry pins the single-payload ring: a sampled
-// entry is framed once, as ReplEntryTraced, and that one frame goes to every
-// follower; an unsampled entry is framed once as ReplEntry; the ring holds
+// entry is framed once, with its trace context, and that one frame goes to
+// every follower; an unsampled entry is framed once without; the ring holds
 // exactly one payload per offset; and however many followers tail, the
 // entry's repl-ship span is recorded once.
 func TestHubShipsOneEncodingPerEntry(t *testing.T) {
@@ -135,7 +156,7 @@ func TestHubShipsOneEncodingPerEntry(t *testing.T) {
 		}}, tc)
 	}
 
-	got := [][][]byte{readEntries(t, followers[0], entries), readEntries(t, followers[1], entries)}
+	got := [][][]byte{readEntries(t, followers[0], 0, entries), readEntries(t, followers[1], 0, entries)}
 	for i := 0; i < entries; i++ {
 		if !bytes.Equal(got[0][i], got[1][i]) {
 			t.Fatalf("offset %d: followers received different bytes", i+1)
@@ -144,15 +165,12 @@ func TestHubShipsOneEncodingPerEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantKind := byte(wire.ReplEntry)
+		var wantTrace uint64
 		if (i+1)%2 == 0 {
-			wantKind = wire.ReplEntryTraced
+			wantTrace = sampled[i/2].TraceID()
 		}
-		if fr.Kind != wantKind || fr.Offset != uint64(i+1) {
-			t.Fatalf("offset %d: frame kind %d offset %d, want kind %d", i+1, fr.Kind, fr.Offset, wantKind)
-		}
-		if wantKind == wire.ReplEntryTraced && fr.TraceID != sampled[i/2].TraceID() {
-			t.Fatalf("offset %d: trace id %x, want %x", i+1, fr.TraceID, sampled[i/2].TraceID())
+		if fr.TraceID != wantTrace {
+			t.Fatalf("offset %d: trace id %x, want %x", i+1, fr.TraceID, wantTrace)
 		}
 	}
 
@@ -167,7 +185,11 @@ func TestHubShipsOneEncodingPerEntry(t *testing.T) {
 		if !bytes.Equal(slot.frame, got[0][i]) {
 			t.Fatalf("offset %d: ring payload differs from what was shipped", i+1)
 		}
-		if traced := slot.frame[0] == wire.ReplEntryTraced; traced != (slot.meta != nil) {
+		fr, err := wire.DecodeReplFrame(slot.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traced := fr.TraceID != 0; traced != (slot.meta != nil) {
 			t.Fatalf("offset %d: traced=%v but ship meta present=%v", i+1, traced, slot.meta != nil)
 		}
 	}
@@ -239,6 +261,22 @@ func TestHubWrapsTheEntrysFrame(t *testing.T) {
 		if err != nil || !bytes.Equal(fr.Entry, want[i]) {
 			t.Fatalf("offset %d: shipped entry differs from store.EncodeEntryFrame's bytes (%v)", i+1, err)
 		}
+		// Kind, shard, offset and commit time before it; nothing states the
+		// entry frame's length a second time.
+		if len(r.at(i).frame) != 1+1+1+8+len(want[i]) {
+			t.Fatalf("offset %d: %d B shipped for a %d B entry frame, want %d", i+1, len(r.at(i).frame), len(want[i]), 11+len(want[i]))
+		}
+	}
+
+	// A one-record sync: its 102 B entry frame ships as a 4 B length and 11 B
+	// of header at an offset below 128 (13 B below 2²¹).
+	sync := store.Entry{Owner: "owner-000017", Batch: store.Batch{Tick: 2, Sealed: [][]byte{make([]byte, 44)}, Charge: charge}}
+	hub.Committed(0, sync, telemetry.TraceContext{})
+	hub.mu.Lock()
+	shipped := 4 + len(hub.rings[0].at(hub.rings[0].n-1).frame)
+	hub.mu.Unlock()
+	if shipped != 4+11+102 {
+		t.Fatalf("a one-record sync ships as %d B, want %d", shipped, 4+11+102)
 	}
 
 	built := store.Entry{Owner: "owner-0001", Batch: store.Batch{Tick: 9, Sealed: [][]byte{bytes.Repeat([]byte{1}, 45)}, Charge: charge}}
@@ -278,27 +316,25 @@ func TestHubRingWraps(t *testing.T) {
 		}
 	}
 
-	if _, snapshot := joinRawAt(t, gw.Addr(), "behind", entries-ring-1); !snapshot {
-		t.Fatal("a cursor behind the ring's oldest frame was not sent to a snapshot transfer")
+	// A cursor behind the ring's oldest frame is sent a snapshot transfer at
+	// the ring's head; one inside it is served the suffix.
+	behind := joinRawAt(t, gw.Addr(), "behind", entries-ring-1)
+	payload, err := wire.ReadFrame(behind)
+	if err != nil {
+		t.Fatal(err)
 	}
-	conn, snapshot := joinRawAt(t, gw.Addr(), "inside", entries-ring+1)
-	if snapshot {
-		t.Fatal("a cursor inside the ring was sent to a snapshot transfer")
+	if fr, err := wire.DecodeReplFrame(payload); err != nil || fr.Kind != wire.ReplSnapBegin || fr.Offset != entries {
+		t.Fatalf("a cursor behind the ring opened with kind %d basis %d (%v), want a snapshot transfer at %d", fr.Kind, fr.Offset, err, entries)
 	}
-	for i, payload := range readEntries(t, conn, ring-1) {
-		fr, err := wire.DecodeReplFrame(payload)
-		if want := uint64(entries - ring + 2 + i); err != nil || fr.Offset != want {
-			t.Fatalf("catch-up frame %d: offset %d (%v), want %d", i, fr.Offset, err, want)
-		}
-	}
+	readEntries(t, joinRawAt(t, gw.Addr(), "inside", entries-ring+1), entries-ring+1, ring-1)
 }
 
 // TestHubRefusesOtherReplVersions pins that the replication version is not
-// negotiated: a hello proposing anything but ReplVersion — the old v1
-// included — gets the refusal byte, not a downgraded stream.
+// negotiated: a hello proposing anything but ReplVersion — the retired v1
+// and v2 included — gets the refusal byte, not a downgraded stream.
 func TestHubRefusesOtherReplVersions(t *testing.T) {
 	_, gw := startHub(t)
-	for _, v := range []byte{0, 1, wire.ReplVersion + 1} {
+	for _, v := range []byte{0, 1, 2, wire.ReplVersion + 1} {
 		conn, err := net.Dial("tcp", gw.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -346,10 +382,19 @@ func TestHubHeartbeatsOnlyWhenIdle(t *testing.T) {
 		return k
 	}
 
+	// A committer descheduled for a heartbeat period or longer leaves the
+	// stream idle, and a heartbeat there is owed: count those periods.
 	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
+	idlePeriods := 0
+	var last time.Time
 	for i := 1; i <= entries; i++ {
 		<-tick.C
+		now := time.Now()
+		if i > 1 {
+			idlePeriods += int(now.Sub(last) / beat)
+		}
+		last = now
 		hub.Committed(0, store.Entry{Owner: "o", Batch: store.Batch{
 			Tick: uint64(i), Setup: i == 1, Sealed: [][]byte{{byte(i)}},
 			Charge: store.Charge{Name: "m", Eps: 0.1, Rule: dp.Sequential},
@@ -357,14 +402,17 @@ func TestHubHeartbeatsOnlyWhenIdle(t *testing.T) {
 	}
 	busy := 0
 	for seen := 0; seen < entries; {
-		if next() == wire.ReplHeartbeat {
+		switch k := next(); k {
+		case wire.ReplHeartbeat:
 			busy++
-		} else {
+		case wire.ReplEntry: // untraced: the kind byte alone
 			seen++
+		default:
+			t.Fatalf("a frame of kind %d on a stream joined at its head", k)
 		}
 	}
-	if busy > 2 {
-		t.Fatalf("%d heartbeats on a stream that shipped an entry every 5 ms (heartbeat %v)", busy, beat)
+	if busy > 2+idlePeriods {
+		t.Fatalf("%d heartbeats on a stream that shipped an entry every 5 ms (heartbeat %v; the committer stalled for %d periods)", busy, beat, idlePeriods)
 	}
 
 	start := time.Now()

@@ -233,11 +233,11 @@ type Replicator interface {
 	// under it and propagates the trace across the wire.
 	Committed(shard int, e store.Entry, tc telemetry.TraceContext)
 	// ServeConn takes over a connection whose hello opened the replication
-	// protocol (the hello itself is consumed; version is its proposed
-	// version byte, not yet acked). Runs on the connection's handler
-	// goroutine and owns the conn until it returns; the gateway severs the
-	// conn to force an exit at shutdown.
-	ServeConn(conn net.Conn, version byte)
+	// protocol at wire.ReplVersion; the gateway has read and acked the
+	// hello. Runs on the connection's handler goroutine and owns the conn
+	// until it returns; the gateway severs the conn to force an exit at
+	// shutdown.
+	ServeConn(conn net.Conn)
 	// Flush blocks, at most timeout, until connected followers have consumed
 	// the committed stream. A graceful Close calls it once clients are
 	// drained, so syncs committed during the drain window reach the successor
@@ -999,11 +999,13 @@ func (g *Gateway) handle(conn net.Conn) {
 		return
 	}
 	if kind == wire.HelloRepl {
-		// A follower asking to tail this node's WAL. Without a hub the
-		// answer is a refusal (this gateway is not a cluster primary); with
-		// one, the connection is handed over whole. Repl conns are tracked
-		// separately so a graceful Close severs rather than drains them.
-		if g.cfg.Replicator == nil {
+		// A follower asking to tail this node's WAL. Without a hub (this
+		// gateway is not a cluster primary), or on any replication version
+		// but this build's (no negotiation), the answer is a refusal; with
+		// one, the hello is acked and the connection handed over whole.
+		// Repl conns are tracked separately so a graceful Close severs rather
+		// than drains them.
+		if g.cfg.Replicator == nil || versionByte != wire.ReplVersion {
 			_ = wire.WriteHelloRefused(conn)
 			return
 		}
@@ -1028,7 +1030,10 @@ func (g *Gateway) handle(conn net.Conn) {
 			g.mu.Unlock()
 		}()
 		_ = conn.SetReadDeadline(time.Time{}) // the hub owns its own deadlines
-		g.cfg.Replicator.ServeConn(conn, versionByte)
+		if err := wire.WriteReplHelloAck(conn, wire.ReplVersion); err != nil {
+			return
+		}
+		g.cfg.Replicator.ServeConn(conn)
 		return
 	}
 	// Whatever codec byte the hello proposed, the ack names the one codec

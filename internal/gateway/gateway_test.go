@@ -1,6 +1,7 @@
 package gateway_test
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -568,6 +569,47 @@ func TestGatewayMissingOwnerRejected(t *testing.T) {
 	}
 	if out := conn.BytesOut() - out0; out != 0 || gw.Owners() != 0 {
 		t.Errorf("empty owner: %d bytes sent, %d owners on the gateway; want none", out, gw.Owners())
+	}
+}
+
+// TestOwnerLimitRefusesTheNextNamespace pins Config.MaxOwners, the bound on
+// hostile namespace creation: at the limit a new owner's setup is refused
+// failed, naming the limit; the established owners keep syncing; and a stats
+// probe for an owner that does not exist is still answered without creating
+// its namespace.
+func TestOwnerLimitRefusesTheNextNamespace(t *testing.T) {
+	gw, key := startGateway(t, gateway.Config{MaxOwners: 2})
+	conn, err := client.DialGateway(gw.Addr(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	a, b := conn.Owner("owner-a"), conn.Owner("owner-b")
+	for _, o := range []*client.OwnerSession{a, b} {
+		if err := o.Setup([]record.Record{yellow(0, 60)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = conn.Owner("owner-c").Setup([]record.Record{yellow(0, 60)})
+	if !errors.Is(err, wire.ErrFailed) || !strings.Contains(err.Error(), "owner limit 2") {
+		t.Fatalf("third owner's setup: %v, want a failed refusal naming the limit", err)
+	}
+	if n := gw.Owners(); n != 2 {
+		t.Fatalf("%d owners after a refused setup, want 2", n)
+	}
+	for i, o := range []*client.OwnerSession{a, b} {
+		if err := o.Update([]record.Record{yellow(1, 70)}); err != nil {
+			t.Fatalf("owner %d at the limit: %v", i, err)
+		}
+	}
+	for _, owner := range []string{"owner-c", "nobody"} {
+		st, err := conn.Owner(owner).RemoteStats()
+		if err != nil || st.Scheme == "" || st.Records != 0 || st.Updates != 0 {
+			t.Fatalf("stats probe for %s: %+v, %v; want the backend's identity and nothing stored", owner, st, err)
+		}
+	}
+	if n := gw.Owners(); n != 2 {
+		t.Fatalf("%d owners after stats probes, want 2", n)
 	}
 }
 

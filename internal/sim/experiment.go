@@ -137,81 +137,52 @@ func runCells[K comparable](keys []K, run func(K) (*Result, error)) (map[K]*Resu
 // workload generation; per-cell seeding is unchanged, so the results are
 // bit-identical to the serial driver's.
 func RunGrid(s System, seed uint64, scale float64) (map[StrategyKind]*Result, error) {
-	traces, err := PaperTraces(s, seed, scale)
-	if err != nil {
-		return nil, err
-	}
-	return runCells(AllStrategies(), func(k StrategyKind) (*Result, error) {
-		cfg, err := paperConfigWithTraces(s, k, seed, scale, traces)
-		if err != nil {
-			return nil, err
-		}
-		res, err := Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %s/%s: %w", s, k, err)
-		}
-		return res, nil
-	})
+	return sweep(s, seed, scale, AllStrategies(), func(k StrategyKind) StrategyKind { return k },
+		func(*Config, StrategyKind) {}, func(k StrategyKind) string { return fmt.Sprintf("%s/%s", s, k) })
 }
 
 // SweepEpsilon reruns a DP strategy across the Figure 5 privacy grid,
 // one concurrent cell per ε over a shared workload generation.
 func SweepEpsilon(s System, k StrategyKind, epsilons []float64, seed uint64, scale float64) (map[float64]*Result, error) {
-	traces, err := PaperTraces(s, seed, scale)
-	if err != nil {
-		return nil, err
-	}
-	return runCells(epsilons, func(eps float64) (*Result, error) {
-		cfg, err := paperConfigWithTraces(s, k, seed, scale, traces)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Params.Epsilon = eps
-		res, err := Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("sim: eps=%v: %w", eps, err)
-		}
-		return res, nil
-	})
+	return sweep(s, seed, scale, epsilons, func(float64) StrategyKind { return k },
+		func(cfg *Config, eps float64) { cfg.Params.Epsilon = eps },
+		func(eps float64) string { return fmt.Sprintf("eps=%v", eps) })
 }
 
 // SweepPeriod reruns DP-Timer across Figure 6's T grid, one concurrent cell
 // per T over a shared workload generation.
 func SweepPeriod(s System, periods []record.Tick, seed uint64, scale float64) (map[record.Tick]*Result, error) {
-	traces, err := PaperTraces(s, seed, scale)
-	if err != nil {
-		return nil, err
-	}
-	return runCells(periods, func(T record.Tick) (*Result, error) {
-		cfg, err := paperConfigWithTraces(s, DPTimer, seed, scale, traces)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Params.Period = T
-		res, err := Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("sim: T=%v: %w", T, err)
-		}
-		return res, nil
-	})
+	return sweep(s, seed, scale, periods, func(record.Tick) StrategyKind { return DPTimer },
+		func(cfg *Config, T record.Tick) { cfg.Params.Period = T },
+		func(T record.Tick) string { return fmt.Sprintf("T=%v", T) })
 }
 
 // SweepThreshold reruns DP-ANT across Figure 6's θ grid, one concurrent
 // cell per θ over a shared workload generation.
 func SweepThreshold(s System, thetas []float64, seed uint64, scale float64) (map[float64]*Result, error) {
+	return sweep(s, seed, scale, thetas, func(float64) StrategyKind { return DPANT },
+		func(cfg *Config, th float64) { cfg.Params.Threshold = th },
+		func(th float64) string { return fmt.Sprintf("theta=%v", th) })
+}
+
+// sweep is the experiment drivers' one body: a cell per key over one shared
+// workload generation, each the paper configuration of strategy(key) with
+// set applied, run by runCells; label names a failed cell.
+func sweep[K comparable](s System, seed uint64, scale float64, keys []K,
+	strategy func(K) StrategyKind, set func(*Config, K), label func(K) string) (map[K]*Result, error) {
 	traces, err := PaperTraces(s, seed, scale)
 	if err != nil {
 		return nil, err
 	}
-	return runCells(thetas, func(th float64) (*Result, error) {
-		cfg, err := paperConfigWithTraces(s, DPANT, seed, scale, traces)
+	return runCells(keys, func(key K) (*Result, error) {
+		cfg, err := paperConfigWithTraces(s, strategy(key), seed, scale, traces)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Params.Threshold = th
+		set(&cfg, key)
 		res, err := Run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("sim: theta=%v: %w", th, err)
+			return nil, fmt.Errorf("sim: %s: %w", label(key), err)
 		}
 		return res, nil
 	})

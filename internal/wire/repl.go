@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"dpsync/internal/binfmt"
 )
@@ -12,8 +14,8 @@ import (
 // same listener the client protocol uses, opening with a 5-byte hello whose
 // magic ("DPSR" instead of the client's "DPSG") routes the connection to the
 // replication handler. After the version ack the follower sends one ReplJoin
-// frame naming its per-shard resume cursors; the primary answers with a
-// ReplJoinAck and then streams ReplFrames — committed WAL entry frames (the
+// frame naming its per-shard resume cursors; the primary answers with its
+// shard count (the join ack) and then streams ReplFrames — committed WAL entry frames (the
 // exact internal/store CRC frame layout, so the follower can re-verify and
 // re-append them verbatim), snapshot-transfer markers for followers too far
 // behind the primary's replication buffer, and idle heartbeats. The stream
@@ -39,12 +41,11 @@ var replMagic = [4]byte{'D', 'P', 'S', 'R'}
 var readMagic = [4]byte{'D', 'P', 'S', 'Q'}
 
 // ReplVersion is the one replication protocol version this build speaks:
-// streams carry ReplEntry frames, and ReplEntryTraced frames for sampled
-// syncs (the trace-context extension — a trace ID and parent span ID — that
-// lets a span tree cross the replication link). There is no negotiation: a
-// primary refuses a hello proposing any other version, and a follower
+// the client codec's rules — minimal-form varints, each fact stated once, one
+// encoding per message. There is no negotiation: a primary refuses a hello
+// proposing any other version (the retired 1 and 2 included), and a follower
 // refuses an ack naming one.
-const ReplVersion = 2
+const ReplVersion = 3
 
 // HelloRefused is the hello-ack byte a non-primary node answers to any
 // hello, client or replication: this node cannot serve you, try another
@@ -148,22 +149,17 @@ func ReadReplHelloAck(r io.Reader) error {
 // MaxNodeLen bounds a cluster node identifier, mirroring MaxOwnerLen.
 const MaxNodeLen = 255
 
-// ReplCursor is a follower's resume position on one shard's replication
-// stream: Offset is the last stream offset the follower has durably applied
-// (0: nothing — stream from the beginning or send a snapshot transfer).
-// Offsets are the primary's per-shard commit sequence, monotone from 1, so
-// the contiguity rule offset == cursor+1 is what guarantees the link never
-// gaps and never re-applies.
-type ReplCursor struct {
-	Shard  uint32
-	Offset uint64
-}
-
 // ReplJoin is the follower's opening frame: who it is and where each shard's
-// stream should resume.
+// stream should resume. Cursors[i] is shard i's position — the last stream
+// offset the follower has durably applied (0: nothing; stream from the
+// beginning or send a snapshot transfer). Offsets are the primary's per-shard
+// commit sequence, monotone from 1, so the contiguity rule offset ==
+// cursor+1 is what guarantees the link never gaps and never re-applies.
+//
+// Layout: u8 len · node · uv n · n × uv offset.
 type ReplJoin struct {
 	Node    string
-	Cursors []ReplCursor
+	Cursors []uint64
 }
 
 // EncodeReplJoin serializes a join frame payload.
@@ -171,13 +167,12 @@ func EncodeReplJoin(j ReplJoin) ([]byte, error) {
 	if len(j.Node) == 0 || len(j.Node) > MaxNodeLen {
 		return nil, fmt.Errorf("wire: node id length %d outside [1, %d]", len(j.Node), MaxNodeLen)
 	}
-	b := make([]byte, 0, 2+len(j.Node)+4+12*len(j.Cursors))
+	b := make([]byte, 0, 1+len(j.Node)+binary.MaxVarintLen64*(1+len(j.Cursors)))
 	b = append(b, byte(len(j.Node)))
 	b = append(b, j.Node...)
-	b = binfmt.AppendU32(b, uint32(len(j.Cursors)))
+	b = binfmt.AppendUvarint(b, uint64(len(j.Cursors)))
 	for _, c := range j.Cursors {
-		b = binfmt.AppendU32(b, c.Shard)
-		b = binfmt.AppendU64(b, c.Offset)
+		b = binfmt.AppendUvarint(b, c)
 	}
 	return b, nil
 }
@@ -185,23 +180,18 @@ func EncodeReplJoin(j ReplJoin) ([]byte, error) {
 // DecodeReplJoin parses a join frame payload (malformed input rejected with
 // ErrBadFrame, never a panic or over-allocation).
 func DecodeReplJoin(b []byte) (ReplJoin, error) {
-	if len(b) == 0 {
-		return ReplJoin{}, fmt.Errorf("%w: empty repl join frame", ErrBadFrame)
-	}
 	r := binfmt.NewReader(b, ErrBadFrame)
 	var j ReplJoin
-	nodeLen := int(r.U8("node length"))
-	j.Node = string(r.Bytes(nodeLen, "node id"))
-	n := int(r.U32("cursor count"))
-	// Each cursor costs 12 bytes; a larger claim is a lie.
-	if n > r.Remaining()/12 {
-		return ReplJoin{}, fmt.Errorf("%w: cursor count %d exceeds frame", ErrBadFrame, n)
+	j.Node = string(r.Bytes(int(r.U8("node length")), "node id"))
+	n := r.Uvarint("cursor count")
+	// Each cursor takes at least a byte; a larger claim is a lie.
+	if n > uint64(r.Remaining()) {
+		r.Reject("cursor count %d exceeds frame", n)
 	}
-	if n > 0 {
-		j.Cursors = make([]ReplCursor, n)
+	if r.Err() == nil && n > 0 {
+		j.Cursors = make([]uint64, n)
 		for i := range j.Cursors {
-			j.Cursors[i].Shard = r.U32("cursor shard")
-			j.Cursors[i].Offset = r.U64("cursor offset")
+			j.Cursors[i] = r.Uvarint("cursor offset")
 		}
 	}
 	if err := r.Done("repl join"); err != nil {
@@ -213,49 +203,22 @@ func DecodeReplJoin(b []byte) (ReplJoin, error) {
 	return j, nil
 }
 
-// ReplJoinAck flag bits.
-const replJoinFlagSnapshot = 1
+// EncodeReplJoinAck serializes the primary's answer to a join: its shard
+// count (uv shards), which the follower checks against its own.
+func EncodeReplJoinAck(shards uint64) []byte { return binfmt.AppendUvarint(nil, shards) }
 
-// ReplJoinAck is the primary's answer to a join: the shard count the stream
-// will carry (the follower sizes its cursors by it) and whether the primary
-// will open with a snapshot transfer because at least one requested cursor
-// has fallen behind its replication buffer.
-type ReplJoinAck struct {
-	Shards   uint32
-	Snapshot bool
-}
-
-// EncodeReplJoinAck serializes a join-ack frame payload.
-func EncodeReplJoinAck(a ReplJoinAck) []byte {
-	b := make([]byte, 0, 5)
-	b = binfmt.AppendU32(b, a.Shards)
-	var flags byte
-	if a.Snapshot {
-		flags |= replJoinFlagSnapshot
-	}
-	return append(b, flags)
-}
-
-// DecodeReplJoinAck parses a join-ack frame payload.
-func DecodeReplJoinAck(b []byte) (ReplJoinAck, error) {
-	if len(b) == 0 {
-		return ReplJoinAck{}, fmt.Errorf("%w: empty repl join ack frame", ErrBadFrame)
-	}
+// DecodeReplJoinAck parses a join-ack frame payload; zero shards is
+// ErrBadFrame.
+func DecodeReplJoinAck(b []byte) (uint64, error) {
 	r := binfmt.NewReader(b, ErrBadFrame)
-	var a ReplJoinAck
-	a.Shards = r.U32("shard count")
-	flags := r.U8("join ack flags")
-	if r.Err() == nil && flags&^byte(replJoinFlagSnapshot) != 0 {
-		return ReplJoinAck{}, fmt.Errorf("%w: unknown join ack flag bits %#x", ErrBadFrame, flags)
-	}
-	a.Snapshot = flags&replJoinFlagSnapshot != 0
+	shards := r.Uvarint("shard count")
 	if err := r.Done("repl join ack"); err != nil {
-		return ReplJoinAck{}, err
+		return 0, err
 	}
-	if a.Shards == 0 {
-		return ReplJoinAck{}, fmt.Errorf("%w: zero shard count", ErrBadFrame)
+	if shards == 0 {
+		return 0, fmt.Errorf("%w: zero shard count", ErrBadFrame)
 	}
-	return a, nil
+	return shards, nil
 }
 
 // ReplFrame kind bytes. 0 is deliberately unused so an all-zero frame cannot
@@ -264,7 +227,8 @@ const (
 	// ReplEntry carries one committed WAL entry frame for a shard. Offset is
 	// the shard's stream position (0 for snapshot-transfer bootstrap entries,
 	// which carry history rather than new commits); CommitNs is the
-	// primary's commit wall clock, the follower's replication-lag probe.
+	// primary's commit wall clock, the follower's replication-lag probe, and
+	// rides only on live entries (Offset > 0).
 	ReplEntry = 1
 	// ReplSnapBegin opens a snapshot transfer on one shard: the bootstrap
 	// entries that follow reconstruct the shard's full owner histories up to
@@ -273,124 +237,121 @@ const (
 	// ReplSnapEnd closes a shard's snapshot transfer: the follower advances
 	// its cursor to the basis and expects the live tail next.
 	ReplSnapEnd = 3
-	// ReplHeartbeat keeps an idle stream alive and carries the primary's
-	// wall clock so followers can bound staleness.
+	// ReplHeartbeat keeps an idle stream alive; it is its kind byte alone.
 	ReplHeartbeat = 4
-	// ReplEntryTraced is a ReplEntry carrying the trace-context extension:
-	// the trace ID of the sampled sync that committed the entry and the
-	// primary-side parent span ID the follower's apply span hangs under.
-	ReplEntryTraced = 5
 )
+
+// replTraced is the flag bit of an entry's kind byte: the entry's sync was
+// sampled, and a trace context — its trace ID and the primary-side parent
+// span ID the follower's apply span hangs under — follows the stream
+// position.
+const replTraced = 0x80
 
 // ReplFrame is one message on the replication stream. Which fields are
 // meaningful depends on Kind (see the kind bytes above); Entry is the raw
 // store WAL frame — [u32 len][u32 crc][payload] — which the follower CRC-
 // verifies and decodes with store.DecodeEntryFrame before applying.
+//
+// Layouts, after the kind byte:
+//
+//	ReplEntry      uv shard · uv offset · [u64 commit ns, offset > 0]
+//	               · [uv trace · uv parent, traced] · entry (the rest)
+//	ReplSnapBegin  uv shard · uv basis
+//	ReplSnapEnd    uv shard
+//	ReplHeartbeat  (nothing)
 type ReplFrame struct {
 	Kind     byte
 	Shard    uint32
 	Offset   uint64
 	CommitNs int64
 	Entry    []byte
-	// TraceID/ParentSpan are the trace-context extension, meaningful only
-	// on ReplEntryTraced frames (TraceID must be non-zero there).
+	// TraceID/ParentSpan are the trace context of a sampled entry: a
+	// non-zero TraceID makes the entry traced.
 	TraceID    uint64
 	ParentSpan uint32
 }
 
 // EncodeReplFrame serializes a stream frame payload.
 func EncodeReplFrame(f ReplFrame) ([]byte, error) {
+	var b []byte
 	switch f.Kind {
 	case ReplEntry:
 		if len(f.Entry) == 0 {
 			return nil, fmt.Errorf("wire: repl entry frame without entry bytes")
 		}
-		b := make([]byte, 0, 1+4+8+8+4+len(f.Entry))
-		b = append(b, ReplEntry)
-		b = binfmt.AppendU32(b, f.Shard)
-		b = binfmt.AppendU64(b, f.Offset)
-		b = binfmt.AppendU64(b, uint64(f.CommitNs))
-		b = binfmt.AppendU32(b, uint32(len(f.Entry)))
-		return append(b, f.Entry...), nil
-	case ReplEntryTraced:
-		if len(f.Entry) == 0 {
-			return nil, fmt.Errorf("wire: repl traced entry frame without entry bytes")
+		b = make([]byte, 0, 1+2*binary.MaxVarintLen64+8+binary.MaxVarintLen64+binary.MaxVarintLen32+len(f.Entry))
+		kind := byte(ReplEntry)
+		if f.TraceID != 0 {
+			kind |= replTraced
 		}
-		if f.TraceID == 0 {
-			return nil, fmt.Errorf("wire: repl traced entry frame without trace ID")
+		b = binfmt.AppendUvarint(append(b, kind), uint64(f.Shard))
+		b = binfmt.AppendUvarint(b, f.Offset)
+		if f.Offset > 0 {
+			b = binfmt.AppendU64(b, uint64(f.CommitNs))
 		}
-		b := make([]byte, 0, 1+4+8+8+8+4+4+len(f.Entry))
-		b = append(b, ReplEntryTraced)
-		b = binfmt.AppendU32(b, f.Shard)
-		b = binfmt.AppendU64(b, f.Offset)
-		b = binfmt.AppendU64(b, uint64(f.CommitNs))
-		b = binfmt.AppendU64(b, f.TraceID)
-		b = binfmt.AppendU32(b, f.ParentSpan)
-		b = binfmt.AppendU32(b, uint32(len(f.Entry)))
+		if f.TraceID != 0 {
+			b = binfmt.AppendUvarint(b, f.TraceID)
+			b = binfmt.AppendUvarint(b, uint64(f.ParentSpan))
+		}
 		return append(b, f.Entry...), nil
 	case ReplSnapBegin:
-		b := make([]byte, 0, 1+4+8)
-		b = append(b, ReplSnapBegin)
-		b = binfmt.AppendU32(b, f.Shard)
-		return binfmt.AppendU64(b, f.Offset), nil
+		b = binfmt.AppendUvarint([]byte{ReplSnapBegin}, uint64(f.Shard))
+		return binfmt.AppendUvarint(b, f.Offset), nil
 	case ReplSnapEnd:
-		b := make([]byte, 0, 1+4)
-		b = append(b, ReplSnapEnd)
-		return binfmt.AppendU32(b, f.Shard), nil
+		return binfmt.AppendUvarint([]byte{ReplSnapEnd}, uint64(f.Shard)), nil
 	case ReplHeartbeat:
-		b := make([]byte, 0, 1+8)
-		b = append(b, ReplHeartbeat)
-		return binfmt.AppendU64(b, uint64(f.CommitNs)), nil
+		return []byte{ReplHeartbeat}, nil
 	default:
 		return nil, fmt.Errorf("wire: unknown repl frame kind %d", f.Kind)
 	}
 }
 
 // DecodeReplFrame parses a stream frame payload (malformed input rejected
-// with ErrBadFrame, never a panic or over-allocation).
+// with ErrBadFrame, never a panic or over-allocation). The entry aliases b.
 func DecodeReplFrame(b []byte) (ReplFrame, error) {
-	if len(b) == 0 {
-		return ReplFrame{}, fmt.Errorf("%w: empty repl frame", ErrBadFrame)
-	}
 	r := binfmt.NewReader(b, ErrBadFrame)
 	var f ReplFrame
 	f.Kind = r.U8("repl frame kind")
+	traced := f.Kind == ReplEntry|replTraced
+	if traced {
+		f.Kind = ReplEntry
+	}
 	switch f.Kind {
 	case ReplEntry:
-		f.Shard = r.U32("repl shard")
-		f.Offset = r.U64("repl offset")
-		f.CommitNs = int64(r.U64("repl commit ns"))
-		n := int(r.U32("repl entry length"))
-		f.Entry = r.Bytes(n, "repl entry bytes")
-		if r.Err() == nil && len(f.Entry) == 0 {
-			return ReplFrame{}, fmt.Errorf("%w: repl entry frame without entry bytes", ErrBadFrame)
+		f.Shard = uvarint32(&r, "repl shard")
+		f.Offset = r.Uvarint("repl offset")
+		if f.Offset > 0 {
+			f.CommitNs = int64(r.U64("repl commit ns"))
 		}
-	case ReplEntryTraced:
-		f.Shard = r.U32("repl shard")
-		f.Offset = r.U64("repl offset")
-		f.CommitNs = int64(r.U64("repl commit ns"))
-		f.TraceID = r.U64("repl trace id")
-		f.ParentSpan = r.U32("repl parent span")
-		n := int(r.U32("repl entry length"))
-		f.Entry = r.Bytes(n, "repl entry bytes")
-		if r.Err() == nil && len(f.Entry) == 0 {
-			return ReplFrame{}, fmt.Errorf("%w: repl traced entry frame without entry bytes", ErrBadFrame)
+		if traced {
+			if f.TraceID = r.Uvarint("repl trace id"); f.TraceID == 0 {
+				r.Reject("traced repl entry with a zero trace id")
+			}
+			f.ParentSpan = uvarint32(&r, "repl parent span")
 		}
-		if r.Err() == nil && f.TraceID == 0 {
-			return ReplFrame{}, fmt.Errorf("%w: repl traced entry frame without trace ID", ErrBadFrame)
+		if f.Entry = r.Bytes(r.Remaining(), "repl entry"); len(f.Entry) == 0 {
+			r.Reject("repl entry frame without entry bytes")
 		}
 	case ReplSnapBegin:
-		f.Shard = r.U32("repl shard")
-		f.Offset = r.U64("repl snapshot basis")
+		f.Shard = uvarint32(&r, "repl shard")
+		f.Offset = r.Uvarint("repl snapshot basis")
 	case ReplSnapEnd:
-		f.Shard = r.U32("repl shard")
+		f.Shard = uvarint32(&r, "repl shard")
 	case ReplHeartbeat:
-		f.CommitNs = int64(r.U64("repl commit ns"))
 	default:
-		return ReplFrame{}, fmt.Errorf("%w: unknown repl frame kind %d", ErrBadFrame, f.Kind)
+		r.Reject("unknown repl frame kind %d", f.Kind)
 	}
 	if err := r.Done("repl frame"); err != nil {
 		return ReplFrame{}, err
 	}
 	return f, nil
+}
+
+// uvarint32 reads a uvarint that must fit 32 bits.
+func uvarint32(r *binfmt.Reader, what string) uint32 {
+	v := r.Uvarint(what)
+	if v > math.MaxUint32 {
+		r.Reject("%s %d overflows 32 bits", what, v)
+	}
+	return uint32(v)
 }
