@@ -177,12 +177,12 @@
 // version byte — and every payload is the binary codec's (hand-rolled
 // fields, no base64 expansion of sealed ciphertexts; its field primitives
 // are internal/binfmt, shared with the on-disk formats). The version byte
-// is 5: 4 named the owner inline in every request, 3 said no with an error
-// text beside two flag bits, 2 was a layout of fixed-width integers and 1 a
-// JSON encoding, all retired, and a hello proposing any other codec byte is
-// acked 5; there is nothing to negotiate down to. The layout (uv =
-// minimal-form varint, the 4-byte frame length in front of everything not
-// shown):
+// is 6: 5 padded every answer to 4-byte groups beside an 8-byte scalar, 4
+// named the owner inline in every request, 3 said no with an error text
+// beside two flag bits, 2 was a layout of fixed-width integers and 1 a JSON
+// encoding, all retired, and a hello proposing any other codec byte is acked
+// 6; there is nothing to negotiate down to. The layout (uv = minimal-form
+// varint, the 4-byte frame length in front of everything not shown):
 //
 //	request   uv id · owner · u8 type ·
 //	  owner           u8 len (1..255) · name, or u8 0 · uv handle (≥ 1)
@@ -191,9 +191,11 @@
 //	  query           u8 kind · u8 provider · u8 joinWith · u16 lo · u16 hi
 //	  bounded query   the same seven bytes · uv minOffset (> 0)
 //	  stats, resume   —
-//	response  uv id · u8 flags (OK 1, refused 2, answer 4, cost 8, stats 16, resume 32) ·
+//	response  uv id · u8 flags (OK 1, refused 2, scalar 4, cost 8, stats 16, resume 32, groups 64) ·
 //	  [refusal  u8 code · uv cursor · uv len · detail]
-//	  [answer   f64 scalar · uv groups · [u8 width ∈ {4,8} · groups×width]]
+//	  [scalar   u8 width · value]
+//	  [groups   u8 width · uv n (≥ 1) · n × value]
+//	            width 1, 2, 4, 8: a big-endian count (8: at most 2⁵³); 0: f64
 //	  [cost     f64 seconds · uv scanned · uv pairs]
 //	  [stats    uv records · uv bytes · uv updates · u8 len · scheme · u8 leakage]
 //	  [resume   uv clock]
@@ -233,7 +235,8 @@
 // and the codec spends only what an operation needs: a one-record sync is 55
 // bytes on the wire once its connection has bound the owner (66 naming it
 // inline, 86 under codec 2) and its ack 6 (13), a Q2 request 15 (26 inline)
-// and its answer 1,088 (2,169). An owner is named once per connection: a
+// and its answer 285 from a store of fewer than 256 records (1,088 under
+// codec 5, 2,169 under codec 2). An owner is named once per connection: a
 // request's owner field is its name (a length byte, then 1 to 255 bytes) or
 // a handle (a zero byte, then a varint ≥ 1), and both ends apply one rule to
 // every frame that parses — an inline name not yet bound on the connection
@@ -250,18 +253,36 @@
 // makes the two indistinguishable — so a frame's length is a function of the
 // record count and the connection's binding state alone, never of the
 // real/dummy split: an 8-record sync is 168 bytes by handle, 179 inline (374
-// when every record was a message of its own). Answer width from
-// integrality, never sparse: an answer's groups travel as 4-byte unsigned
-// integers exactly when every group is an integer in [0, 2³²) — all of an
-// exact backend's counts — and as their 8 float bytes otherwise (−0, NaN,
-// ±Inf and noisy fractions bit-exact); the width is one byte for the whole
-// answer, zero groups are written like any other, and no value is ever
-// shortened on its own, so a response's length is a function of the query
-// and the backend, as in oblivious query processing, never of the data.
-// The codec is canonical — padded varints, a width without a batch, an
-// 8-byte block that fits 4, a response both OK and refused or neither, a
-// refusal beside another section or with a cursor or text its code does not
-// carry, a retired flag bit, trailing bytes are all wire.ErrBadFrame — so
+// when every record was a message of its own). Answer width from the public
+// bound, never from the data: the server already learns each sync's volume,
+// so it knows V, the records an owner's store holds, real and dummy
+// (edb.StorageStats.Records; RemoteStats reports it). V bounds every exact
+// answer — a count of records (Q1, each Q2 group) by V, a join's pairs by
+// V², a fare sum by V·(2³² − 1) — and an answer travels as one scalar or one
+// group vector whose values all take the least of 1, 2, 4 and 8 bytes that
+// holds its kind's bound at V. As in oblivious query processing, which pads
+// an output to the worst case its public input size allows, not to the worst
+// case of any input, an exact backend's response is then a function of
+// (kind, V) alone: Q2 from fewer than 256 records is 265 one-byte groups,
+// and the width steps at V = 256 and 65,536 (a join's at 16, 256 and
+// 65,536). The bound is applied in one place, the gateway tenant's answer
+// path (wire.NewBoundedQueryResponse): a replica's answer is at the V it has
+// applied, and a cached answer keeps its width until the Commit that moves V
+// drops it. An answer with a value that is not an exact count within the
+// bound — a noisy backend's release — travels as 8 float bytes a value (−0,
+// NaN, ±Inf and fractions bit-exact); a release that happens to be a count
+// (Cryptε clamps a negative one to 0) travels at the bound's width, a length
+// that tells no more than its bytes, which carry the released value. The
+// width is one byte for the whole answer, and no value is ever shortened on
+// its own. The width is part of the
+// message, so the codec stays stateless: the encoder refuses a value its
+// width does not hold, and the client refuses an answer whose shape is not
+// its query kind's (GroupCount's record.NumLocations groups, every other
+// kind's scalar). The codec is canonical — padded varints, a width without a
+// batch, a scalar beside groups, an unknown width code, an 8-byte count past
+// 2⁵³, a response both OK and refused or neither, a refusal beside another
+// section or with a cursor or text its code does not carry, a retired flag
+// bit, trailing bytes are all wire.ErrBadFrame — so
 // each message has one byte string, the fuzz targets are bijection checks,
 // and TestFrameSizes pins every size against a reference encoder that
 // shares no code with it. Frames are multiplexed envelopes — request ID plus

@@ -1182,19 +1182,19 @@ func (s *OwnerSession) QueryAt(q query.Query, minOffset uint64) (query.Answer, e
 	if err != nil {
 		return query.Answer{}, edb.Cost{}, err
 	}
-	if resp.Answer == nil || resp.Cost == nil {
-		return query.Answer{}, edb.Cost{}, fmt.Errorf("client: malformed query response")
-	}
 	return resp.Answer.ToAnswer(), resp.Cost.ToCost(), nil
 }
 
 // readRoundTrip routes one side-effect-free read: replica first when one
 // is configured, primary on any replica failure (staleness, transport,
-// refusal). Replica trouble is never the caller's problem — the fallback
-// is the contract.
+// refusal, a response of the wrong shape). Replica trouble is never the
+// caller's problem — the fallback is the contract.
 func (s *OwnerSession) readRoundTrip(req wire.Request) (wire.Response, error) {
 	if s.conn.readAddr != "" {
 		resp, err := s.conn.replicaRoundTrip(s.owner, req)
+		if err == nil {
+			err = wellFormed(req, resp)
+		}
 		if err == nil {
 			s.conn.replicaServed.Add(1)
 			return resp, nil
@@ -1205,7 +1205,34 @@ func (s *OwnerSession) readRoundTrip(req wire.Request) (wire.Response, error) {
 		s.conn.replicaFallbacks.Add(1)
 	}
 	resp, _, err := s.conn.primary.roundTrip(s.owner, req)
+	if err == nil {
+		err = wellFormed(req, resp)
+	}
 	return resp, err
+}
+
+// wellFormed checks that a read's response has the shape its request asks
+// for: a stats section for stats; for a query an answer and a cost, the
+// answer a vector of record.NumLocations groups for GroupCount and a scalar
+// for every other kind. Anything else is a malformed frame.
+func wellFormed(req wire.Request, resp wire.Response) error {
+	if req.Type == wire.MsgStats {
+		if resp.Stats == nil {
+			return fmt.Errorf("client: stats response without stats: %w", wire.ErrBadFrame)
+		}
+		return nil
+	}
+	k, groups := query.Kind(req.Query.Kind), 0
+	if k == query.GroupCount {
+		groups = record.NumLocations
+	}
+	if resp.Answer == nil || resp.Cost == nil {
+		return fmt.Errorf("client: %v response without an answer and a cost: %w", k, wire.ErrBadFrame)
+	}
+	if n := len(resp.Answer.Groups); n != groups {
+		return fmt.Errorf("client: %v answered with %d groups, want %d: %w", k, n, groups, wire.ErrBadFrame)
+	}
+	return nil
 }
 
 // Stats implements edb.Database: the owner-side accounting, which knows the
@@ -1222,9 +1249,6 @@ func (s *OwnerSession) RemoteStats() (wire.StatsSpec, error) {
 	resp, err := s.readRoundTrip(wire.Request{Type: wire.MsgStats})
 	if err != nil {
 		return wire.StatsSpec{}, err
-	}
-	if resp.Stats == nil {
-		return wire.StatsSpec{}, fmt.Errorf("client: malformed stats response")
 	}
 	return *resp.Stats, nil
 }

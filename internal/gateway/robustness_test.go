@@ -468,6 +468,16 @@ func TestMalformedFrameFloodSevered(t *testing.T) {
 	}
 }
 
+// stallerStore is the store of the owner a stalled reader asks Q2 of: 65,536
+// records, the fewest whose answer travels as 4-byte groups.
+func stallerStore() []record.Record {
+	rs := make([]record.Record, 1<<16)
+	for i := range rs {
+		rs[i] = yellow(i, uint16(1+i%record.NumLocations))
+	}
+	return rs
+}
+
 // TestWriteStallSevered pins the write-stall hardening: a peer that sends
 // requests but never reads a response backs the gateway's writes up until
 // one blocks; Config.WriteTimeout must then sever the connection, and Close
@@ -496,16 +506,17 @@ func TestWriteStallSevered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := setup.Owner("staller").Setup([]record.Record{yellow(0, 10)}); err != nil {
+	if err := setup.Owner("staller").Setup(stallerStore()); err != nil {
 		t.Fatal(err)
 	}
 	setup.Close()
 
 	conn := rawGatewayConn(t, gw.Addr())
-	// A group-count answer is ~2 KiB, so the burst owes ~16 MiB of responses:
-	// several times what the kernel buffers for a peer that never reads
-	// (the send buffer's autotuning cap, ~4 MiB), well inside the in-flight
-	// cap. The peer's socket options stay untouched: shrinking its receive
+	// A group-count answer from the staller's 65,536 records is 4-byte
+	// groups, ~1 KiB, so the burst owes ~9 MiB of responses: twice what the
+	// kernel buffers for a peer that never reads (the send buffer's
+	// autotuning cap, ~4 MiB), well inside the in-flight cap. The peer's
+	// socket options stay untouched: shrinking its receive
 	// buffer mid-connection shrinks an already advertised window, after
 	// which it discards the gateway's ACKs as out of window and the request
 	// direction wedges before the burst is delivered.
@@ -670,7 +681,7 @@ func TestReplicaInheritsDefences(t *testing.T) {
 			waitUntil(t, 10*time.Second, "flooding reader was never severed", hogDead.Load)
 		}},
 		{"a stalled reader is severed at the write deadline", gateway.Config{Shards: 1, WriteTimeout: 200 * time.Millisecond, MaxInFlight: 2 * 8192}, func(t *testing.T, gw *gateway.Gateway, key []byte) {
-			replicate(t, gw, key, "staller", 1, yellow(0, 10))
+			replicate(t, gw, key, "staller", 1, stallerStore()...)
 			spec := wire.FromQuery(query.Q2())
 			req, err := wire.CodecBinary.EncodeGatewayRequest(wire.GatewayRequest{
 				ID: 1, Owner: "staller", Req: wire.Request{Type: wire.MsgQuery, Query: &spec},
@@ -679,7 +690,7 @@ func TestReplicaInheritsDefences(t *testing.T) {
 				t.Fatal(err)
 			}
 			conn := rawReadConn(t, gw.Addr())
-			go func() { // ~16 MiB of answers owed to a peer that never reads
+			go func() { // ~9 MiB of answers owed to a peer that never reads
 				for i := 0; i < 8192 && wire.WriteFrame(conn, req) == nil; i++ {
 				}
 			}()

@@ -304,14 +304,17 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 // request is pinned to that exact length — a function of the record count
 // and of the connection's binding state (the owner by its handle), never of
 // the data; (2)
-// Q2's answer is the same length whatever the data: two owners with
-// different pickup distributions and different record counts, and a third
-// whose namespace is mostly dummies, all get the same number of bytes,
-// because the group block's width is a property of the backend (ObliDB's
-// groups are counts), never of the values. What does vary with the outsourced
-// volume is the cost section's scanned-records varint — a number the server
-// holds anyway — so the three owners stay below 128 records, one bracket.
-// (3) A refusal's length is its code's: not-setup, seq-gap, backpressure and
+// every Q1–Q4 answer is exactly the length the width rule gives for its kind
+// and the store's record count V — real and dummy, a number the server holds
+// anyway (RemoteStats reports it): V bounds a count, V² a join, V·(2³² − 1) a
+// fare sum, and each value travels at the least of 1, 2, 4 and 8 bytes that
+// holds the bound. So owners of equal V get equal lengths whatever their
+// zones, fares or real/dummy split; the width steps exactly at V = 256 and
+// V = 65,536 (a join's at V = 16, 256 and 65,536); a replica answers at the V
+// it has applied, and an answer it cached keeps its width until a sync moves
+// V. The three Q2 owners of different distributions and counts (all under
+// 128 records, one bracket of the cost section's scanned-records varint) get
+// the same bytes. (3) A refusal's length is its code's: not-setup, seq-gap, backpressure and
 // suspended on this gateway and stale on a replica are the same nine bytes
 // for an owner with one small sync behind it and one with four larger ones
 // (the cursors — a clock, a shard's offset — are numbers the server holds,
@@ -412,8 +415,69 @@ func TestFrameLengthsLeakNothingNew(t *testing.T) {
 	if a != b || a != c {
 		t.Errorf("Q2's response is %d B for 7 spread records, %d B for 90 in one zone, %d B for 1 among 40 dummies: its length depends on the data", a, b, c)
 	}
-	if floor := int64(4 * record.NumLocations); a < floor || a >= 2*floor {
-		t.Errorf("Q2's response is %d B, want the 4-byte width's %d ≤ n < %d", a, floor, 2*floor)
+	if want := answerLen(query.GroupCount, len(skewed)); a != want {
+		t.Errorf("Q2's response is %d B, want the 1-byte width's %d", a, want)
+	}
+
+	// Every kind, by V alone. Owners of equal V, the data as different as it
+	// gets; then V either side of each width step.
+	kinds := []query.Query{query.Q1(), query.Q2(), query.Q3(), query.Q4()}
+	queryLengths := func(owner string, rs []record.Record) []int64 {
+		own := conn.Owner(owner)
+		if err := own.Setup(rs); err != nil {
+			t.Fatal(err)
+		}
+		var lens []int64
+		for _, q := range kinds {
+			in0 := conn.BytesIn()
+			if _, _, err := own.Query(q); err != nil {
+				t.Fatal(err)
+			}
+			lens = append(lens, conn.BytesIn()-in0)
+		}
+		return lens
+	}
+	store := func(v int, rec func(i int) record.Record) []record.Record {
+		rs := make([]record.Record, v)
+		for i := range rs {
+			rs[i] = rec(i)
+		}
+		return rs
+	}
+	zoned := func(i int) record.Record {
+		r := yellow(i, uint16(1+i*37%record.NumLocations))
+		r.FareCents = uint32(i * 61 % record.MaxFareCents)
+		return r
+	}
+	oneZone := func(i int) record.Record {
+		r := yellow(i, 132)
+		r.FareCents = record.MaxFareCents
+		return r
+	}
+	mostlyDummies := func(i int) record.Record {
+		if i%9 == 0 {
+			return yellow(i, 5)
+		}
+		return record.NewDummy(record.YellowCab)
+	}
+	for _, v := range []int{90, 255, 256, 65535, 65536} {
+		var first []int64
+		for j, rec := range []func(int) record.Record{zoned, oneZone, mostlyDummies} {
+			if v > 256 && j > 0 {
+				break // one owner a step past 256: its data is the rows above's
+			}
+			lens := queryLengths(fmt.Sprintf("owner-v%d-%d", v, j), store(v, rec))
+			for i, q := range kinds {
+				if want := answerLen(q.Kind, v); lens[i] != want {
+					t.Errorf("%v from %d records (data %d): %d B, want %d", q.Kind, v, j, lens[i], want)
+				}
+			}
+			if first == nil {
+				first = lens
+			} else if fmt.Sprint(lens) != fmt.Sprint(first) {
+				t.Errorf("%d records: lengths %v for data %d, %v for data 0", v, lens, j, first)
+			}
+		}
 	}
 
 	// Refusals, for two owners of different volume and history: owner-q2-a (one
@@ -483,6 +547,58 @@ func TestFrameLengthsLeakNothingNew(t *testing.T) {
 			t.Errorf("%v: %d B with text %q", row.code, row.small.size, row.small.detail)
 		}
 	}
+
+	// A replica answers at the V it has applied: 255 records, then the one
+	// shipped sync that makes 256. Each query is asked twice, a miss and a
+	// hit: the cached answer keeps the width it was computed at, and the
+	// sync that moved V dropped it.
+	replicate(t, rep, rkey, "owner-replica", 1, store(255, zoned)...)
+	for _, v := range []int{255, 256} {
+		if v == 256 {
+			replicate(t, rep, rkey, "owner-replica", 2, zoned(255))
+		}
+		for _, q := range kinds {
+			for try := 0; try < 2; try++ {
+				resp := ask(t, ro, "owner-replica", queryReq(q, 0))
+				if !resp.OK {
+					t.Fatalf("%v on the replica: %+v", q.Kind, resp.Refusal)
+				}
+				if got, want := refusalSize(t, resp), answerLen(q.Kind, v); got != want {
+					t.Errorf("%v on a replica that applied %d records (ask %d): %d B, want %d", q.Kind, v, try, got, want)
+				}
+			}
+		}
+	}
+}
+
+// answerLen is the exact frame of an answer to a query of kind k from a
+// store of v Yellow records (so the cost section scans v and compares no
+// pairs), request ID under 128: the width rule written out again — v bounds a
+// count, v² a join, v·(2³² − 1) a fare sum, and the least of 1, 2, 4 and 8
+// bytes that holds the bound carries each value (8 float bytes past 2⁵³).
+func answerLen(k query.Kind, v int) int64 {
+	bound := float64(v)
+	switch k {
+	case query.JoinCount:
+		bound *= float64(v)
+	case query.SumFare:
+		bound *= 1<<32 - 1
+	}
+	w := 8
+	switch {
+	case bound < 1<<8:
+		w = 1
+	case bound < 1<<16:
+		w = 2
+	case bound < 1<<32:
+		w = 4
+	}
+	values := w // a scalar
+	if k == query.GroupCount {
+		values = 2 + record.NumLocations*w // the group count, then the groups
+	}
+	// header, id, flags, width, values, cost: seconds, scanned, pairs
+	return int64(4 + 1 + 1 + 1 + values + 8 + len(binary.AppendUvarint(nil, uint64(v))) + 1)
 }
 
 // TestTelemetryDebugTenantSeries checks the explicit opt-in: with

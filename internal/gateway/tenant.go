@@ -339,11 +339,16 @@ func (tn *Tenant) Read(req wire.Request) wire.Response {
 		}
 		cm.Misses.Inc()
 	}
-	ans, cost, err := tn.db.Query(spec.ToQuery())
+	q := spec.ToQuery()
+	ans, cost, err := tn.db.Query(q)
 	if err != nil {
 		return failed(err)
 	}
-	resp := wire.NewQueryResponse(ans, cost)
+	// The one place an answer's width is bound: by the kind and by the
+	// records this node's store holds — a replica's its applied prefix — so a
+	// cached answer keeps the width it was computed at until Commit, which
+	// moves the count, drops it.
+	resp := wire.NewBoundedQueryResponse(ans, cost, q.Kind, tn.db.Stats().Records)
 	if tn.qc.Put(spec, resp) {
 		cm.Evictions.Inc()
 	}

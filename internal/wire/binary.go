@@ -18,15 +18,17 @@ type Codec byte
 // base64 expansion of sealed ciphertexts, and canonical — every message has
 // one encoding and every accepted byte string one message. Counters (request
 // IDs, sequence numbers, counts, offsets) are minimal-form varints; a
-// batch's ciphertexts travel as one uniform-width block; an answer's groups
-// are 4-byte integers when every one of them is one and 8-byte floats
-// otherwise; a refused request is answered with one typed refusal section
-// (the layout table is in doc.go, "Serving"). A request names its owner
-// inline or by a handle its connection bound (MaxBindings). Version byte 5; 4
-// named the owner inline in every request, 3 said no with an error text
-// beside two flag bits, 2 was the fixed-width-integer layout and 1 a JSON
-// encoding — all retired, no byte ever reused.
-const CodecBinary Codec = 5
+// batch's ciphertexts travel as one uniform-width block; an answer is one
+// scalar or one group vector, its values at one Width — the least that holds
+// the bound the answering store's size puts on them, or floats; a refused
+// request is answered with one typed refusal section (the layout table is in
+// doc.go, "Serving"). A request names its owner inline or by a handle its
+// connection bound (MaxBindings). Version byte 6; 5 padded every answer to
+// 4-byte groups beside an 8-byte scalar, 4 named the owner inline in every
+// request, 3 said no with an error text beside two flag bits, 2 was the
+// fixed-width-integer layout and 1 a JSON encoding — all retired, no byte
+// ever reused.
+const CodecBinary Codec = 6
 
 // Valid reports whether c names the codec this build speaks.
 func (c Codec) Valid() bool { return c == CodecBinary }
@@ -196,15 +198,18 @@ func msgTypeFromByte(b byte) (MsgType, error) {
 }
 
 // Response flag bits (binary codec). Exactly one of flagOK and flagRefused is
-// set, and a refused response sets nothing else. Bits 64 and 128 were codec
-// 3's backpressure and stale markers; they are retired and must be clear.
+// set, a refused response sets nothing else, and an answer is one of
+// flagScalar and flagGroups, never both. Bit 128 was codec 3's stale marker;
+// it is retired and must be clear (its backpressure marker, 64, is codec 6's
+// group vector).
 const (
 	flagOK = 1 << iota
 	flagRefused
-	flagAnswer
+	flagScalar
 	flagCost
 	flagStats
 	flagResume
+	flagGroups
 	flagsKnown = 1<<iota - 1
 )
 
@@ -212,7 +217,7 @@ const (
 // values: a hostile count costs the decoder no allocation at all.
 var (
 	errSealedBlock = fmt.Errorf("%w: sealed block exceeds frame", ErrBadFrame)
-	errGroupBlock  = fmt.Errorf("%w: group block exceeds frame", ErrBadFrame)
+	errAnswerBlock = fmt.Errorf("%w: answer values exceed frame", ErrBadFrame)
 )
 
 // EncodeGatewayRequest serializes the envelope under codec c.
@@ -427,43 +432,78 @@ func (c Codec) EncodeGatewayResponse(g GatewayResponse) ([]byte, error) {
 	return AppendGatewayResponse(nil, g)
 }
 
-// asCount reports whether v is an integer in [0, 2³²) — what every exact
-// backend's group count is — and returns it. The comparison is on bits, so
-// −0, NaN, ±Inf, fractions and anything out of range all say no (an
-// out-of-range conversion yields some uint32, which converts back to a
-// float64 inside the range and so never to v).
-func asCount(v float64) (uint32, bool) {
-	u := uint32(v)
-	return u, math.Float64bits(float64(u)) == math.Float64bits(v)
+// appendValues appends vs at width w, and reports false — appending nothing
+// — when w does not hold one of them. It writes and tests in one pass, into
+// the room it made first: an answer is one width, so the width's case is
+// taken once and its largest count read once.
+func appendValues(b []byte, w Width, vs []float64) ([]byte, bool) {
+	start := len(b)
+	b = slices.Grow(b, len(vs)*w.size())[:start+len(vs)*w.size()]
+	out, limit := b[start:], w.maxCount()
+	ok := true
+	switch w {
+	case WidthFloat:
+		for i, v := range vs {
+			binary.BigEndian.PutUint64(out[8*i:], math.Float64bits(v))
+		}
+	case 1:
+		for i, v := range vs {
+			ok = ok && fits(v, limit)
+			out[i] = byte(v)
+		}
+	case 2:
+		for i, v := range vs {
+			ok = ok && fits(v, limit)
+			binary.BigEndian.PutUint16(out[2*i:], uint16(v))
+		}
+	case 4:
+		for i, v := range vs {
+			ok = ok && fits(v, limit)
+			binary.BigEndian.PutUint32(out[4*i:], uint32(v))
+		}
+	default:
+		for i, v := range vs {
+			ok = ok && fits(v, limit)
+			binary.BigEndian.PutUint64(out[8*i:], uint64(v))
+		}
+	}
+	if !ok {
+		return b[:start], false
+	}
+	return b, true
 }
 
-// appendGroups appends an answer's group count and, unless it is zero, the
-// width byte and group block: 4 bytes a group when every group is a count, 8
-// (the float's own bits) otherwise. The width is a property of the whole
-// answer, never of one value, so a response's length is a function of the
-// query and the backend — a sparse or per-value encoding would make it a
-// function of the data. It writes counts until a group turns out not to be
-// one, and only then starts over at the float width: the common answer
-// (every exact backend's) costs one pass.
-func appendGroups(b []byte, groups []float64) []byte {
-	b = binfmt.AppendUvarint(b, uint64(len(groups)))
-	if len(groups) == 0 {
-		return b
-	}
-	start := len(b)
-	b = append(b, 4)
-	for _, v := range groups {
-		u, ok := asCount(v)
-		if !ok {
-			b = append(b[:start], 8)
-			for _, v := range groups {
-				b = binfmt.AppendF64(b, v)
-			}
-			return b
+// readValues decodes len(vs) values at width w from block, refusing an
+// 8-byte integer past the width's largest count: no float64 holds it, so it
+// has no message.
+func readValues(vs []float64, block []byte, w Width) error {
+	switch w {
+	case 1:
+		for i := range vs {
+			vs[i] = float64(block[i])
 		}
-		b = binfmt.AppendU32(b, u)
+	case 2:
+		for i := range vs {
+			vs[i] = float64(binary.BigEndian.Uint16(block[2*i:]))
+		}
+	case 4:
+		for i := range vs {
+			vs[i] = float64(binary.BigEndian.Uint32(block[4*i:]))
+		}
+	case 8:
+		for i := range vs {
+			u := binary.BigEndian.Uint64(block[8*i:])
+			if u > w.maxCount() {
+				return fmt.Errorf("%w: an answer value over its 8-byte width", ErrBadFrame)
+			}
+			vs[i] = float64(u)
+		}
+	default:
+		for i := range vs {
+			vs[i] = math.Float64frombits(binary.BigEndian.Uint64(block[8*i:]))
+		}
 	}
-	return b
+	return nil
 }
 
 // AppendGatewayResponse appends the response envelope's binary encoding to
@@ -472,9 +512,14 @@ func appendGroups(b []byte, groups []float64) []byte {
 // refusal its code does not allow (unknown code, a cursor or a text where the
 // code carries none) are a caller's bug, refused.
 //
+// An answer whose values its Width does not hold, a scalar beside groups and
+// an unknown width are refused too.
+//
 //	uvarint id · u8 flags ·
 //	  [refusal: u8 code · uvarint cursor · uvarint len · detail]
-//	  [answer:  f64 scalar · uvarint groups · [u8 width ∈ {4,8} · groups×width]]
+//	  [scalar:  u8 width · value]                       (flag 4)
+//	  [groups:  u8 width · uvarint n (≥ 1) · n × value]  (flag 64)
+//	            width 1, 2, 4, 8: a big-endian count; 0: f64
 //	  [cost:    f64 seconds · uvarint scanned · uvarint pairs]
 //	  [stats:   uvarint records · uvarint bytes · uvarint updates ·
 //	            u8 schemeLen · scheme · u8 leakage]
@@ -485,8 +530,17 @@ func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 	if resp.OK {
 		flags |= flagOK
 	}
-	if resp.Answer != nil {
-		flags |= flagAnswer
+	if a := resp.Answer; a != nil {
+		if len(a.Groups) == 0 {
+			flags |= flagScalar
+		} else if math.Float64bits(a.Scalar) != 0 {
+			return dst, fmt.Errorf("wire: a scalar %v beside %d groups", a.Scalar, len(a.Groups))
+		} else {
+			flags |= flagGroups
+		}
+		if a.Width.size() == 0 {
+			return dst, fmt.Errorf("wire: answer width %d", a.Width)
+		}
 	}
 	if resp.Cost != nil {
 		flags |= flagCost
@@ -517,7 +571,7 @@ func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 	// the three variable ones.
 	size := 113 + len(detail)
 	if resp.Answer != nil {
-		size += 8 * len(resp.Answer.Groups)
+		size += resp.Answer.Width.size() * len(resp.Answer.Groups)
 	}
 	if resp.Stats != nil {
 		size += min(len(resp.Stats.Scheme), MaxOwnerLen)
@@ -531,9 +585,18 @@ func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 		b = binfmt.AppendUvarint(b, uint64(len(detail)))
 		b = append(b, detail...)
 	}
-	if flags&flagAnswer != 0 {
-		b = binfmt.AppendF64(b, resp.Answer.Scalar)
-		b = appendGroups(b, resp.Answer.Groups)
+	if a := resp.Answer; a != nil {
+		b = append(b, byte(a.Width))
+		values := a.Groups
+		if flags&flagScalar != 0 {
+			values = []float64{a.Scalar}
+		} else {
+			b = binfmt.AppendUvarint(b, uint64(len(values)))
+		}
+		var ok bool
+		if b, ok = appendValues(b, a.Width, values); !ok {
+			return dst, fmt.Errorf("wire: an answer value its width %d does not hold", a.Width)
+		}
 	}
 	if flags&flagCost != 0 {
 		b = binfmt.AppendF64(b, resp.Cost.Seconds)
@@ -592,39 +655,39 @@ func (c Codec) DecodeGatewayResponse(b []byte) (GatewayResponse, error) {
 		}
 		g.Resp.Refusal = ref
 	}
-	if flags&flagAnswer != 0 {
-		var a AnswerSpec
-		a.Scalar = r.F64("answer scalar")
-		if n := r.Uvarint("group count"); n > 0 {
-			width := uint64(r.U8("group width"))
-			if r.Err() != nil {
-				return GatewayResponse{}, r.Err()
-			}
-			if width != 4 && width != 8 {
-				return GatewayResponse{}, fmt.Errorf("%w: group width %d", ErrBadFrame, width)
-			}
-			if n > uint64(r.Remaining())/width {
-				return GatewayResponse{}, errGroupBlock
-			}
-			block := r.Bytes(int(n*width), "group block")
-			a.Groups = make([]float64, n)
-			if width == 4 {
-				for i := range a.Groups {
-					a.Groups[i] = float64(binary.BigEndian.Uint32(block[4*i:]))
-				}
-			} else {
-				allCounts := true
-				for i := range a.Groups {
-					a.Groups[i] = math.Float64frombits(binary.BigEndian.Uint64(block[8*i:]))
-					if allCounts {
-						_, allCounts = asCount(a.Groups[i])
-					}
-				}
-				if allCounts {
-					return GatewayResponse{}, fmt.Errorf("%w: 8-byte group block that fits 4", ErrBadFrame)
-				}
-			}
+	if flags&(flagScalar|flagGroups) == flagScalar|flagGroups {
+		return GatewayResponse{}, fmt.Errorf("%w: a scalar beside groups", ErrBadFrame)
+	}
+	if flags&(flagScalar|flagGroups) != 0 {
+		a := AnswerSpec{Width: Width(r.U8("answer width"))}
+		size := a.Width.size()
+		n := uint64(1)
+		if flags&flagGroups != 0 {
+			n = r.Uvarint("group count")
 		}
+		if r.Err() != nil {
+			return GatewayResponse{}, r.Err()
+		}
+		if size == 0 {
+			return GatewayResponse{}, fmt.Errorf("%w: answer width %d", ErrBadFrame, a.Width)
+		}
+		if n == 0 {
+			return GatewayResponse{}, fmt.Errorf("%w: a group vector of none", ErrBadFrame)
+		}
+		if n > uint64(r.Remaining()/size) {
+			return GatewayResponse{}, errAnswerBlock
+		}
+		block := r.Bytes(int(n)*size, "answer values")
+		var scalar [1]float64
+		values := scalar[:]
+		if flags&flagGroups != 0 {
+			a.Groups = make([]float64, n)
+			values = a.Groups
+		}
+		if err := readValues(values, block, a.Width); err != nil {
+			return GatewayResponse{}, err
+		}
+		a.Scalar = scalar[0]
 		g.Resp.Answer = &a
 	}
 	if flags&flagCost != 0 {

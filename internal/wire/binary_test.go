@@ -30,16 +30,23 @@ func sampleResponses() []GatewayResponse {
 	return []GatewayResponse{
 		{ID: 1, Resp: Response{OK: true}},
 		{ID: 2, Resp: Refuse(CodeNotSetup, 0, "")},
-		{ID: 3, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: 42.5, Groups: []float64{1, 2, 3}},
+		{ID: 3, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{1, 2, 3}, Width: 1},
 			Cost: &CostSpec{Seconds: 0.25, RecordsScanned: 1000, PairsCompared: -1}}},
+		{ID: 3, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: 42.5}, Cost: &CostSpec{}}},
 		{ID: 4, Resp: Response{OK: true, Stats: &StatsSpec{Records: 12, Bytes: 12288, Updates: 3, Scheme: "ObliDB", Leakage: 0}}},
 		{ID: 5, Resp: Response{OK: true, Stats: &StatsSpec{Records: 1, Bytes: 6400, Updates: 1, Scheme: "Crypteps", Leakage: 1}}},
 		{ID: 6, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 42}}},
 		{ID: 7, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 0}}},
 		{ID: 8, Resp: Refuse(CodeBackpressure, 0, "")},
-		{ID: 9, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{0, 7, 1<<32 - 1}}, Cost: &CostSpec{}}},
+		{ID: 9, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{0, 7, 1<<32 - 1}, Width: 4}, Cost: &CostSpec{}}},
+		{ID: 10, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{0, 7, 1 << 32}, Width: 8}}},
 		{ID: 10, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{0, 7, 1 << 32}}}},
-		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: -1, Groups: []float64{2.5, math.Inf(-1), math.Copysign(0, -1)}}}},
+		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{2.5, math.Inf(-1), math.Copysign(0, -1)}}}},
+		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: -1}}},
+		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: 255, Width: 1}}},
+		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: 65535, Width: 2}}},
+		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: 0, Width: 4}}},
+		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: 1 << 53, Width: 8}}},
 		{ID: 12, Resp: Refuse(CodeStale, 1<<40, "")},
 		{ID: 13, Resp: Refuse(CodeSeqGap, 2, "")},
 		{ID: 14, Resp: Refuse(CodeBadRequest, 0, "gateway: unbound handle 7")},
@@ -101,8 +108,11 @@ func TestBinaryDecodeTypedErrors(t *testing.T) {
 	}
 	ff9 := bytes.Repeat([]byte{0xFF}, 9)
 	maxU64 := append(append([]byte{}, ff9...), 0x01)
-	answer := func(tail ...byte) []byte { // id 9, OK|answer, scalar 0, then tail
-		return append([]byte{9, flagOK | flagAnswer, 0, 0, 0, 0, 0, 0, 0, 0}, tail...)
+	scalar := func(tail ...byte) []byte { // id 9, OK|scalar, then tail: width, value
+		return append([]byte{9, flagOK | flagScalar}, tail...)
+	}
+	groups := func(tail ...byte) []byte { // id 9, OK|groups, then tail: width, count, values
+		return append([]byte{9, flagOK | flagGroups}, tail...)
 	}
 	requests := map[string][]byte{
 		"truncated header":          valid[:5],
@@ -145,11 +155,10 @@ func TestBinaryDecodeTypedErrors(t *testing.T) {
 		"neither OK nor refused":    {1, 0},
 		"a lone section":            {1, flagResume, 5},
 		"OK and refused":            {1, flagOK | flagRefused, byte(CodeClosing), 0, 0},
-		"refusal beside an answer":  {1, flagRefused | flagAnswer, byte(CodeClosing), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"refusal beside an answer":  {1, flagRefused | flagScalar, byte(CodeClosing), 0, 0, 1, 7},
 		"refusal beside a resume":   {1, flagRefused | flagResume, byte(CodeClosing), 0, 0, 5},
 		"refusal code 0":            {1, flagRefused, 0, 0, 0},
 		"refusal code 10":           {1, flagRefused, 10, 0, 0},
-		"retired bit 64":            {1, flagOK | 64},
 		"retired bit 128":           {1, flagRefused | 128, byte(CodeStale), 16, 0},
 		"codec-3 backpressure":      append([]byte{1, 2 | 64, 42}, ErrBackpressure.Error()...),
 		"codec-3 error frame":       {1, 2, 4, 'b', 'o', 'o', 'm'},
@@ -162,16 +171,21 @@ func TestBinaryDecodeTypedErrors(t *testing.T) {
 		"cursor on backpressure":    {1, flagRefused, byte(CodeBackpressure), 7, 0},
 		"text on not-setup":         {1, flagRefused, byte(CodeNotSetup), 0, 1, 'x'},
 		"trailing byte on refusal":  {1, flagRefused, byte(CodeClosing), 0, 0, 0},
-		"group count exceeds frame": answer(0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 4),
-		"groups×width overflows":    answer(append(append([]byte{}, maxU64...), 8, 1, 2, 3)...),
-		"group block one short":     answer(2, 4, 0, 0, 0, 1, 0, 0, 0),
-		"group width 0":             answer(1, 0),
-		"group width 2":             answer(1, 2, 0, 7),
-		"group width 16":            answer(1, 16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7),
-		"width byte with no groups": answer(0, 4),
-		"8-byte block that fits 4":  answer(1, 8, 0x40, 0x1C, 0, 0, 0, 0, 0, 0), // 7.0
-		"8-byte block of zeros":     answer(2, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-		"padded group count":        answer(0x81, 0x00, 4, 0, 0, 0, 7),
+		"group count exceeds frame": groups(4, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F),
+		"groups×width overflows":    groups(append(append([]byte{8}, maxU64...), 1, 2, 3)...),
+		"group block one short":     groups(4, 2, 0, 0, 0, 1, 0, 0, 0),
+		"group flag, no section":    groups(),
+		"a group vector of none":    groups(4, 0),
+		"padded group count":        groups(4, 0x81, 0x00, 0, 0, 0, 7),
+		"a scalar beside groups":    {9, flagOK | flagScalar | flagGroups, 1, 7, 1, 1, 7},
+		"codec-5 group answer":      {9, flagOK | flagScalar, 0, 0, 0, 0, 0, 0, 0, 0, 2, 4, 0, 0, 0, 7, 0, 0, 0, 9}, // f64 0 · 2 groups · width 4
+		"scalar flag, no section":   scalar(),
+		"truncated scalar":          scalar(4, 0, 0, 7),
+		"unknown width code 3":      scalar(3, 0, 0, 7),
+		"unknown width code 16":     groups(16, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7),
+		"unknown width code 0x88":   scalar(0x88, 0x40, 0x1C, 0, 0, 0, 0, 0, 0),
+		"scalar over its width":     scalar(8, 0, 0x20, 0, 0, 0, 0, 0, 1),                                                 // 2⁵³ + 1
+		"group over its width":      groups(8, 2, 0, 0, 0, 0, 0, 0, 0, 7, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF), // 7, 2⁶⁴ − 1
 		"padded cost":               {1, flagOK | flagCost, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x00, 0},
 		"padded resume clock":       {1, flagOK | flagResume, 0xAA, 0x00},
 		"stale cursor past 64 bits": append(append([]byte{1, flagRefused, byte(CodeStale)}, ff9...), 0x7F, 0),
@@ -182,10 +196,14 @@ func TestBinaryDecodeTypedErrors(t *testing.T) {
 			t.Errorf("response %s: err = %v, want ErrBadFrame", name, err)
 		}
 	}
-	// The one thing the 8-byte width exists for: a group that is not a count.
-	if g, err := CodecBinary.DecodeGatewayResponse(answer(2, 8, 0x40, 0x1C, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0)); err != nil ||
+	// The float width carries every value bit-exact, a count and −0 alike;
+	// the 8-byte integer width every count up to 2⁵³.
+	if g, err := CodecBinary.DecodeGatewayResponse(groups(0, 2, 0x40, 0x1C, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0)); err != nil ||
 		g.Resp.Answer.Groups[0] != 7 || !math.Signbit(g.Resp.Answer.Groups[1]) {
-		t.Errorf("7 and -0 at width 8: %+v, %v", g.Resp.Answer, err)
+		t.Errorf("7 and -0 as floats: %+v, %v", g.Resp.Answer, err)
+	}
+	if g, err := CodecBinary.DecodeGatewayResponse(scalar(8, 0, 0x20, 0, 0, 0, 0, 0, 0)); err != nil || g.Resp.Answer.Scalar != 1<<53 {
+		t.Errorf("2⁵³ at width 8: %+v, %v", g.Resp.Answer, err)
 	}
 
 	// A block that claims more than its frame holds is refused before
@@ -242,6 +260,15 @@ func TestEncodeGuards(t *testing.T) {
 		"refusal code 10":         {Refusal: &Refusal{Code: 10}},
 		"cursor on backpressure":  Refuse(CodeBackpressure, 7, ""),
 		"text on suspended":       Refuse(CodeSuspended, 0, "the disk is full"),
+		"a scalar beside groups":  {OK: true, Answer: &AnswerSpec{Scalar: 1, Groups: []float64{1}, Width: 1}},
+		"unknown width 3":         {OK: true, Answer: &AnswerSpec{Scalar: 1, Width: 3}},
+		"a scalar over its width": {OK: true, Answer: &AnswerSpec{Scalar: 256, Width: 1}},
+		"a group over its width":  {OK: true, Answer: &AnswerSpec{Groups: []float64{1, 65536}, Width: 2}},
+		"a fraction at width 4":   {OK: true, Answer: &AnswerSpec{Groups: []float64{1, 2.5}, Width: 4}},
+		"a negative count":        {OK: true, Answer: &AnswerSpec{Scalar: -1, Width: 8}},
+		"−0 at width 1":           {OK: true, Answer: &AnswerSpec{Scalar: math.Copysign(0, -1), Width: 1}},
+		"NaN at width 8":          {OK: true, Answer: &AnswerSpec{Groups: []float64{math.NaN()}, Width: 8}},
+		"2⁵³ + 2 at width 8":      {OK: true, Answer: &AnswerSpec{Scalar: 1<<53 + 2, Width: 8}},
 	} {
 		buf := append(make([]byte, 0, 256), 0xA, 0xB, 0xC)
 		got, err := AppendGatewayResponse(buf, GatewayResponse{ID: 1, Resp: r})
@@ -252,11 +279,11 @@ func TestEncodeGuards(t *testing.T) {
 			t.Errorf("response %s: the refused encode returned %d bytes, want the buffer as it was", name, len(got))
 		}
 	}
-	// Bytes 1, 2, 3 and 4 were the JSON codec, the fixed-width-integer layout,
-	// the error-text-beside-flag-bits layout and the owner named inline in
-	// every request; they name no codec now, and nothing encodes or decodes
-	// under them.
-	for _, retired := range []Codec{1, 2, 3, 4} {
+	// Bytes 1 to 5 were the JSON codec, the fixed-width-integer layout, the
+	// error-text-beside-flag-bits layout, the owner named inline in every
+	// request and every answer at 4-byte groups beside an 8-byte scalar; they
+	// name no codec now, and nothing encodes or decodes under them.
+	for _, retired := range []Codec{1, 2, 3, 4, 5} {
 		if _, err := retired.EncodeGatewayRequest(sampleRequests()[0]); err == nil {
 			t.Errorf("request encoded under the retired codec byte %d", retired)
 		}
@@ -279,10 +306,10 @@ func TestHelloNegotiation(t *testing.T) {
 		t.Errorf("hello = kind %v codec %v", kind, got)
 	}
 	// An unknown or retired codec byte passes through ReadAnyHello — the
-	// server acks the one codec it speaks, version byte 5, whatever was
+	// server acks the one codec it speaks, version byte 6, whatever was
 	// proposed (over a socket: the gateway's
 	// TestGatewayAcksUnknownCodecWithBinary).
-	for _, proposed := range []Codec{77, 4, 3, 2, 1} {
+	for _, proposed := range []Codec{77, 5, 4, 3, 2, 1} {
 		buf.Reset()
 		_ = WriteHello(&buf, proposed)
 		kind, got, err = ReadAnyHello(&buf)
@@ -293,8 +320,8 @@ func TestHelloNegotiation(t *testing.T) {
 			t.Errorf("proposed codec %d: read kind %v codec %d, valid %v", proposed, kind, got, proposed.Valid())
 		}
 		_ = WriteHelloAck(&buf, CodecBinary) // what the gateway answers any proposal
-		if ack, err := ReadHelloAck(&buf); err != nil || byte(ack) != 5 {
-			t.Errorf("proposed codec %d: acked %d (%v), want 5", proposed, ack, err)
+		if ack, err := ReadHelloAck(&buf); err != nil || byte(ack) != 6 {
+			t.Errorf("proposed codec %d: acked %d (%v), want 6", proposed, ack, err)
 		}
 	}
 	// The three protocols' hellos differ in the magic alone.
@@ -322,7 +349,7 @@ func TestHelloNegotiation(t *testing.T) {
 	if got, err := ReadHelloAck(&buf); err != nil || got != CodecBinary {
 		t.Errorf("ack = %v, %v", got, err)
 	}
-	for _, b := range []byte{0x7F, 1, 2, 3, 4} { // 1, 2, 3, 4: the retired codecs' bytes
+	for _, b := range []byte{0x7F, 1, 2, 3, 4, 5} { // 1 to 5: the retired codecs' bytes
 		if _, err := ReadHelloAck(bytes.NewReader([]byte{b})); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("invalid ack %#x: err = %v, want ErrBadFrame", b, err)
 		}

@@ -180,6 +180,8 @@ func TestAppendEncodersAllocateNothing(t *testing.T) {
 	resps := []GatewayResponse{
 		{ID: 1, Resp: Response{OK: true}},
 		{ID: 2, Resp: NewQueryResponse(query.Answer{Groups: make([]float64, 8)}, edb.Cost{})},
+		{ID: 2, Resp: NewBoundedQueryResponse(query.Answer{Groups: make([]float64, 265)}, edb.Cost{}, query.GroupCount, 300)},
+		{ID: 2, Resp: NewBoundedQueryResponse(query.Answer{Scalar: 7}, edb.Cost{}, query.SumFare, 300)},
 		{ID: 3, Resp: Refuse(CodeBackpressure, 0, "")},
 	}
 	buf := make([]byte, 0, 4096)
@@ -333,8 +335,9 @@ var codecSink int
 // BenchmarkCodec times the four messages' encoders — allocating (Encode*)
 // and in place (Append* into a sized buffer) — and their decoders, on a
 // one-record sync, an eight-record sync, their ack, and a grouped query with
-// its answer. wire_B/op is the message's exact size on the wire, frame
-// header included: the number the codec exists to keep small.
+// its answer from a store of 100 records (1-byte groups). wire_B/op is the
+// message's exact size on the wire, frame header included: the number the
+// codec exists to keep small.
 func BenchmarkCodec(b *testing.B) {
 	spec := QuerySpec{Kind: 2, Provider: 1, Lo: 3, Hi: 9}
 	batch := func(n int) [][]byte {
@@ -354,7 +357,7 @@ func BenchmarkCodec(b *testing.B) {
 		{"sync8", GatewayRequest{ID: 1, Owner: "owner-000017", Req: Request{Type: MsgUpdate, Seq: 9, Sealed: batch(8)}},
 			GatewayResponse{ID: 1, Resp: Response{OK: true}}},
 		{"query", GatewayRequest{ID: 2, Owner: "owner-000017", Req: Request{Type: MsgQuery, Query: &spec}},
-			GatewayResponse{ID: 2, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: make([]float64, 265)}, Cost: &CostSpec{}}}},
+			GatewayResponse{ID: 2, Resp: NewBoundedQueryResponse(query.Answer{Groups: make([]float64, 265)}, edb.Cost{}, query.GroupCount, 100)}},
 	}
 	buf := make([]byte, 0, 8192)
 	for _, m := range msgs {

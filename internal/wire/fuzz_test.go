@@ -95,15 +95,18 @@ func FuzzDecodeGatewayRequest(f *testing.F) {
 
 // FuzzDecodeGatewayResponse mirrors the request fuzzer for the response
 // direction (the client's attack surface), with the same bijection check:
-// an 8-byte group block whose every group is a count, a refusal beside
-// another section or a padded counter is a second spelling and must have been
-// refused.
+// a scalar beside groups, an unknown width code, an 8-byte integer past 2⁵³
+// (a float64 would round it, so it would come back as another number), a
+// refusal beside another section or a padded counter has no message and
+// must have been refused. The committed corpus (testdata/fuzz) holds an
+// answer at every width and each of those rejects.
 func FuzzDecodeGatewayResponse(f *testing.F) {
 	for _, g := range []GatewayResponse{
 		{ID: 1, Resp: Response{OK: true}},
 		{ID: 2, Resp: Refuse(CodeFailed, 0, "boom")},
-		{ID: 3, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: 4, Groups: []float64{1, 2}},
+		{ID: 3, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{1, 2}, Width: 1},
 			Cost: &CostSpec{Seconds: 1, RecordsScanned: 2}}},
+		{ID: 3, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: 4, Width: 2}, Cost: &CostSpec{Seconds: 1, RecordsScanned: 2}}},
 		{ID: 4, Resp: Response{OK: true, Stats: &StatsSpec{Records: 5, Scheme: "ObliDB"}}},
 		{ID: 5, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 17}}},
 		{ID: 6, Resp: Refuse(CodeBackpressure, 0, "")},
@@ -126,9 +129,9 @@ func FuzzDecodeGatewayResponse(f *testing.F) {
 	} {
 		f.Add([]byte(retired))
 	}
-	f.Add([]byte{9, flagOK | flagAnswer, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 4}) // a group count the frame cannot hold
-	f.Add([]byte{2, flagRefused, 4, 'b', 'o', 'o', 'm'})                                           // an error text as codec 3 framed it
-	f.Add([]byte{3, flagOK | flagRefused, byte(CodeClosing), 0, 0})                                // OK and refused at once
+	f.Add([]byte{9, flagOK | flagGroups, 4, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // a group count the frame cannot hold
+	f.Add([]byte{2, flagRefused, 4, 'b', 'o', 'o', 'm'})                   // an error text as codec 3 framed it
+	f.Add([]byte{3, flagOK | flagRefused, byte(CodeClosing), 0, 0})        // OK and refused at once
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := codec.DecodeGatewayResponse(data)
 		if err != nil {

@@ -3,17 +3,19 @@ package wire
 import (
 	"bytes"
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"dpsync/internal/edb"
+	"dpsync/internal/query"
 )
 
 // The reference encoder: the layout written out a second time, byte by byte,
 // sharing nothing with binary.go or internal/binfmt — no helper, no constant,
-// not even the way it decides an answer's width. The sizes below and the
-// differential hold the codec to it.
+// not even the rule that gives an answer's width (refWidth). The sizes below
+// and the differential hold the codec to it.
 
 func refUvarint(b []byte, v uint64) []byte {
 	for v > 127 {
@@ -70,8 +72,16 @@ func refRequest(g GatewayRequest) []byte {
 
 func refResponse(g GatewayResponse) []byte {
 	r := g.Resp
+	var values []float64
+	if r.Answer != nil {
+		values = r.Answer.Groups
+		if len(values) == 0 {
+			values = []float64{r.Answer.Scalar}
+		}
+	}
 	var flags byte
-	for bit, set := range []bool{r.OK, r.Refusal != nil, r.Answer != nil, r.Cost != nil, r.Stats != nil, r.Resume != nil} {
+	for bit, set := range []bool{r.OK, r.Refusal != nil, r.Answer != nil && len(r.Answer.Groups) == 0, r.Cost != nil,
+		r.Stats != nil, r.Resume != nil, r.Answer != nil && len(r.Answer.Groups) > 0} {
 		if set {
 			flags |= 1 << bit
 		}
@@ -84,25 +94,16 @@ func refResponse(g GatewayResponse) []byte {
 		p = append(refUvarint(p, uint64(len(r.Refusal.Detail))), r.Refusal.Detail...)
 	}
 	if r.Answer != nil {
-		p = refBigEndian(p, math.Float64bits(r.Answer.Scalar), 8)
-		p = refUvarint(p, uint64(len(r.Answer.Groups)))
-		counts := true
-		for _, v := range r.Answer.Groups {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Signbit(v) || v != math.Floor(v) || v > math.MaxUint32 {
-				counts = false
-			}
+		width := int(r.Answer.Width)
+		p = append(p, byte(width))
+		if len(r.Answer.Groups) > 0 {
+			p = refUvarint(p, uint64(len(values)))
 		}
-		switch {
-		case len(r.Answer.Groups) == 0:
-		case counts:
-			p = append(p, 4)
-			for _, v := range r.Answer.Groups {
-				p = refBigEndian(p, uint64(v), 4)
-			}
-		default:
-			p = append(p, 8)
-			for _, v := range r.Answer.Groups {
+		for _, v := range values {
+			if width == 0 {
 				p = refBigEndian(p, math.Float64bits(v), 8)
+			} else {
+				p = refBigEndian(p, uint64(v), width)
 			}
 		}
 	}
@@ -122,6 +123,31 @@ func refResponse(g GatewayResponse) []byte {
 		p = refUvarint(p, r.Resume.Clock)
 	}
 	return append(refBigEndian(nil, uint64(len(p)), 4), p...)
+}
+
+// refWidth is the width rule written out again, in arbitrary precision: the
+// bound a store of v records puts on every exact answer of kind k — v
+// records, v² pairs, v·(2³² − 1) fare cents — and the least of 1, 2, 4 and 8
+// bytes that holds it (8 bytes hold the counts to 2⁵³), floats past that.
+func refWidth(k query.Kind, v uint64) Width {
+	bound := new(big.Int).SetUint64(v)
+	switch k {
+	case query.JoinCount:
+		bound.Mul(bound, bound)
+	case query.SumFare:
+		bound.Mul(bound, big.NewInt(1<<32-1))
+	}
+	for _, w := range []uint{1, 2, 4, 8} {
+		limit := new(big.Int).Lsh(big.NewInt(1), 8*w)
+		limit.Sub(limit, big.NewInt(1))
+		if w == 8 {
+			limit.Lsh(big.NewInt(1), 53)
+		}
+		if bound.Cmp(limit) <= 0 {
+			return Width(w)
+		}
+	}
+	return 0
 }
 
 // framedRequest and framedResponse are the message as Conn puts it on the
@@ -180,7 +206,7 @@ func TestFrameSizes(t *testing.T) {
 		g.Owner, g.Handle = "", h
 		return g
 	}
-	cost := &CostSpec{Seconds: 0.004, RecordsScanned: 1000}
+	cost := edb.Cost{Seconds: 0.004, RecordsScanned: 1000}
 	groups := make([]float64, 265)
 	for i := range groups {
 		groups[i] = float64(i % 9)
@@ -241,9 +267,16 @@ func TestFrameSizes(t *testing.T) {
 		}
 	}
 
-	answer := func(id uint64, a AnswerSpec) GatewayResponse {
-		return GatewayResponse{ID: id, Resp: Response{OK: true, Answer: &a, Cost: cost}}
+	// bounded is the gateway's answer to a query of kind k from a store of v
+	// records; unbounded an answer no bound was applied to.
+	bounded := func(k query.Kind, v int, ans query.Answer) GatewayResponse {
+		return GatewayResponse{ID: 1, Resp: NewBoundedQueryResponse(ans, cost, k, v)}
 	}
+	unbounded := func(ans query.Answer) GatewayResponse {
+		return GatewayResponse{ID: 1, Resp: NewQueryResponse(ans, cost)}
+	}
+	count := query.Answer{Scalar: 200}
+	q2, q2noisy := query.Answer{Groups: groups}, query.Answer{Groups: noisy}
 	responses := []struct {
 		name string
 		g    GatewayResponse
@@ -255,11 +288,32 @@ func TestFrameSizes(t *testing.T) {
 		{"ack id 16383", GatewayResponse{ID: 16383, Resp: Response{OK: true}}, 7},
 		{"ack id 16384", GatewayResponse{ID: 16384, Resp: Response{OK: true}}, 8},
 		{"ack id 2^64-1", GatewayResponse{ID: maxU64, Resp: Response{OK: true}}, 15},
-		{"Q1 answer", answer(1, AnswerSpec{Scalar: 412}), 26},
-		{"Q3 answer", answer(1, AnswerSpec{Scalar: 1e9}), 26},
-		{"Q4 answer", answer(1, AnswerSpec{Scalar: 0.25}), 26},
-		{"Q2, 265 integer groups", answer(1, AnswerSpec{Groups: groups}), 1088},
-		{"Q2, one non-integer group", answer(1, AnswerSpec{Groups: noisy}), 2148},
+		// An answer: frame header, id, flags, width, [group count], values,
+		// and the cost section (11 bytes here). Its width is the least that
+		// holds the bound the store's size puts on the kind's exact answers.
+		{"Q1 at V=255", bounded(query.RangeCount, 255, count), 19},
+		{"Q1 at V=256", bounded(query.RangeCount, 256, count), 20},
+		{"Q1 at V=65535", bounded(query.RangeCount, 65535, count), 20},
+		{"Q1 at V=65536", bounded(query.RangeCount, 65536, count), 22},
+		{"Q1 at V=2^32", bounded(query.RangeCount, 1<<32, count), 26},
+		{"Q1, a noisy count, at V=255", bounded(query.RangeCount, 255, query.Answer{Scalar: 200.25}), 26},
+		{"Q3 at V=15", bounded(query.JoinCount, 15, count), 19},
+		{"Q3 at V=16", bounded(query.JoinCount, 16, count), 20},
+		{"Q3 at V=256", bounded(query.JoinCount, 256, count), 22},
+		{"Q3 at V=65536", bounded(query.JoinCount, 65536, count), 26},
+		{"Q4 at V=0", bounded(query.SumFare, 0, query.Answer{}), 19},
+		{"Q4 at V=1", bounded(query.SumFare, 1, count), 22},
+		{"Q4 at V=2", bounded(query.SumFare, 2, count), 26},
+		{"Q2 at V=255", bounded(query.GroupCount, 255, q2), 285},
+		{"Q2 at V=256", bounded(query.GroupCount, 256, q2), 550},
+		{"Q2 at V=65536", bounded(query.GroupCount, 65536, q2), 1080},
+		{"Q2 at V=2^32", bounded(query.GroupCount, 1<<32, q2), 2140},
+		{"Q2, one non-integer group, at V=255", bounded(query.GroupCount, 255, q2noisy), 2140},
+		// No bound applied: codec 5's widths, less its zero scalar beside
+		// groups (26, 1,088 and 2,148 bytes under codec 5).
+		{"Q1, no bound", unbounded(count), 26},
+		{"Q2, no bound", unbounded(q2), 1080},
+		{"Q2, one non-integer group, no bound", unbounded(q2noisy), 2140},
 		{"stats", GatewayResponse{ID: 1, Resp: NewStatsResponse(edb.StorageStats{Records: 12, Bytes: 12288, Updates: 3}, "ObliDB", 0)}, 18},
 		{"resume", GatewayResponse{ID: 1, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 42}}}, 7},
 		{"resume at 2^64-1", GatewayResponse{ID: 1, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: maxU64}}}, 16},
@@ -373,15 +427,28 @@ func TestCodecMatchesReferenceEncoder(t *testing.T) {
 		} else {
 			r.OK = true
 			if rng.Intn(2) == 0 {
-				r.Answer = &AnswerSpec{Scalar: group()}
+				// One width for the whole answer: any value for floats, and for
+				// an integer width a count it holds, its edges included.
+				w := []Width{WidthFloat, 1, 2, 4, 8}[rng.Intn(5)]
+				value := func() float64 {
+					switch {
+					case w == WidthFloat:
+						return group()
+					case rng.Intn(4) == 0:
+						return float64(w.maxCount())
+					case rng.Intn(3) == 0:
+						return 0
+					}
+					return float64(rng.Uint64() % (w.maxCount() + 1))
+				}
+				r.Answer = &AnswerSpec{Width: w}
 				if n := rng.Intn(300); rng.Intn(3) > 0 && n > 0 {
 					r.Answer.Groups = make([]float64, n)
 					for j := range r.Answer.Groups {
-						r.Answer.Groups[j] = float64(rng.Intn(50))
+						r.Answer.Groups[j] = value()
 					}
-					if rng.Intn(2) == 0 { // one value, anywhere, decides the width of all
-						r.Answer.Groups[rng.Intn(n)] = group()
-					}
+				} else {
+					r.Answer.Scalar = value()
 				}
 			}
 			if rng.Intn(2) == 0 {
@@ -431,4 +498,63 @@ func floatBits(r Response) (Response, []uint64) {
 		r.Cost = &c
 	}
 	return r, bits
+}
+
+// TestAnswerWidthRule holds the bound's width to refWidth for every kind at
+// every step and either side of it, and pins the fallbacks: an answer with a
+// value that is not an exact count within the bound — a noisy one, or one
+// past the bound — travels as floats, and an answer with no bound applied
+// keeps codec 5's widths (4-byte groups, a float scalar).
+func TestAnswerWidthRule(t *testing.T) {
+	var sizes []uint64
+	for _, step := range []uint64{1, 4, 16, 256, 65536, 1 << 21, 1 << 26, 1 << 32, 1 << 53} {
+		sizes = append(sizes, step-1, step, step+1)
+	}
+	sizes = append(sizes, 0, 94906265, 94906266, 1<<63-1)
+	answer := func(k query.Kind, v float64) query.Answer {
+		if k == query.GroupCount {
+			groups := make([]float64, 265)
+			groups[264] = v
+			return query.Answer{Groups: groups}
+		}
+		return query.Answer{Scalar: v}
+	}
+	for _, k := range []query.Kind{query.RangeCount, query.GroupCount, query.JoinCount, query.SumFare, 9} {
+		for _, v := range sizes {
+			want := refWidth(k, v)
+			if k == 9 {
+				want = WidthFloat
+			}
+			if got := NewBoundedQueryResponse(answer(k, 0), edb.Cost{}, k, int(v)).Answer.Width; got != want {
+				t.Errorf("%v from %d records: width %d, want %d", k, v, got, want)
+			}
+			if want == WidthFloat || v >= 1<<53 {
+				continue
+			}
+			if got := NewBoundedQueryResponse(answer(k, float64(want.maxCount())), edb.Cost{}, k, int(v)).Answer.Width; got != want {
+				t.Errorf("%v from %d records, the width's largest count: width %d, want %d", k, v, got, want)
+			}
+			if got := NewBoundedQueryResponse(answer(k, 0.5), edb.Cost{}, k, int(v)).Answer.Width; got != WidthFloat {
+				t.Errorf("%v from %d records, a noisy value: width %d, want floats", k, v, got)
+			}
+			if want < 8 {
+				if got := NewBoundedQueryResponse(answer(k, float64(want.maxCount()+1)), edb.Cost{}, k, int(v)).Answer.Width; got != WidthFloat {
+					t.Errorf("%v from %d records, a count past the width: width %d, want floats", k, v, got)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		ans  query.Answer
+		want Width
+	}{
+		{query.Answer{Scalar: 7}, WidthFloat},
+		{query.Answer{Groups: []float64{0, 7, 1<<32 - 1}}, 4},
+		{query.Answer{Groups: []float64{0, 7, 1 << 32}}, WidthFloat},
+		{query.Answer{Groups: []float64{0, math.Copysign(0, -1)}}, WidthFloat},
+	} {
+		if got := NewQueryResponse(tc.ans, edb.Cost{}).Answer.Width; got != tc.want {
+			t.Errorf("no bound, %v: width %d, want %d", tc.ans, got, tc.want)
+		}
+	}
 }

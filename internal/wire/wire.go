@@ -9,13 +9,14 @@
 // inline the first time, which binds a handle, and by that handle after
 // (MaxBindings). The codec is compact and canonical — counters are
 // minimal-form varints, a batch's ciphertexts one uniform-width block, an
-// answer's groups 4-byte integers when every group is one — so a one-record
-// sync is 55 bytes on the wire by handle (66 inline) and its ack 6, and each
-// message has exactly one byte string (TestFrameSizes pins the sizes, the
-// fuzz targets the bijection). What a frame's length reveals is what the protocol already
-// reveals: how many records a sync carries (an owner seals them as one
-// message, seal.Size(n) bytes), never how many are dummies, and which query
-// was asked, never what the data answered.
+// answer's values integers of the least width its public bound needs (Width)
+// — so a one-record sync is 55 bytes on the wire by handle (66 inline) and
+// its ack 6, and each message has exactly one byte string (TestFrameSizes
+// pins the sizes, the fuzz targets the bijection). What a frame's length
+// reveals is what the protocol already reveals: how many records a sync
+// carries (an owner seals them as one message, seal.Size(n) bytes), never
+// how many are dummies, and which query was asked of how large a store,
+// never what the data answered.
 //
 // A response is exactly one of OK and refused, and there is one way to
 // refuse: a Refusal (refusal.go), which is also the error the client returns
@@ -46,6 +47,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 
 	"dpsync/internal/edb"
 	"dpsync/internal/query"
@@ -198,10 +201,99 @@ type ResumeSpec struct {
 	Clock uint64
 }
 
-// AnswerSpec is the wire form of query.Answer.
+// AnswerSpec is the wire form of query.Answer: one scalar, or — when Groups
+// is non-empty — one group vector, beside which the scalar is zero and not
+// sent. Width says how every value of it travels.
 type AnswerSpec struct {
 	Scalar float64
 	Groups []float64
+	Width  Width
+}
+
+// Width is how an answer's values travel: as big-endian unsigned integers of
+// 1, 2, 4 or 8 bytes, or — the zero Width, WidthFloat — as the 8 bytes of an
+// IEEE-754 double, which carry any value bit-exact. One width covers a whole
+// answer, never one value, and an integer width holds exactly the counts from
+// 0 to its largest (maxCount); the encoder refuses a value it does not hold,
+// and the decoder an 8-byte integer above it.
+type Width byte
+
+// WidthFloat is the zero Width: 8 float bytes a value.
+const WidthFloat Width = 0
+
+// maxCount returns the largest count w holds: 2^(8w) − 1 for 1, 2 and 4
+// bytes, and 2⁵³ for 8 — past it a float64, an answer's value in memory,
+// skips integers, so a larger one would not decode to the count that was
+// sent. It is 0 for the float width and for an unknown one.
+func (w Width) maxCount() uint64 {
+	switch w {
+	case 1, 2, 4:
+		return 1<<(8*w) - 1
+	case 8:
+		return 1 << 53
+	}
+	return 0
+}
+
+// size returns the bytes one value takes at w, 0 for an unknown width.
+func (w Width) size() int {
+	switch w {
+	case WidthFloat:
+		return 8
+	case 1, 2, 4, 8:
+		return int(w)
+	}
+	return 0
+}
+
+// fits reports whether v is a count of at most limit. The comparison is on
+// bits, so −0, NaN, ±Inf, fractions and anything out of range say no (an
+// out-of-range conversion yields some int64, which is negative, past limit —
+// at most 2⁵³ — or converts back to a float64 other than v).
+func fits(v float64, limit uint64) bool {
+	i := int64(v)
+	return i >= 0 && uint64(i) <= limit && math.Float64bits(float64(i)) == math.Float64bits(v)
+}
+
+// holds reports whether w holds every value of vs: the float width any
+// value, an integer width the counts up to its largest.
+func (w Width) holds(vs []float64) bool {
+	if w == WidthFloat {
+		return true
+	}
+	limit := w.maxCount()
+	for _, v := range vs {
+		if !fits(v, limit) {
+			return false
+		}
+	}
+	return true
+}
+
+// boundWidth returns the least integer width that holds what a store of
+// records records, real and dummy, bounds every exact value of an answer to
+// a query of kind k by — a count of its records (RangeCount, each GroupCount
+// group), of pairs of them (JoinCount), or a sum of at most 2³² − 1 a record
+// (SumFare: FareCents is a uint32) — and WidthFloat when none does: for a
+// bound past 2⁵³, a product past 64 bits, or an unknown kind.
+func boundWidth(k query.Kind, records int) Width {
+	v := uint64(max(records, 0))
+	bound, hi := v, uint64(0)
+	switch k {
+	case query.RangeCount, query.GroupCount:
+	case query.JoinCount:
+		hi, bound = bits.Mul64(v, v)
+	case query.SumFare:
+		hi, bound = bits.Mul64(v, math.MaxUint32)
+	default:
+		return WidthFloat
+	}
+	for _, w := range []Width{1, 2, 4, 8} {
+		if hi == 0 && bound <= w.maxCount() {
+			return w
+		}
+	}
+	return WidthFloat
 }
 
 // ToAnswer converts back to a query.Answer.
@@ -234,13 +326,47 @@ type StatsSpec struct {
 	Leakage int
 }
 
-// NewQueryResponse builds the success response for a query evaluation —
-// shared by the gateway and the follower read plane so the answer/cost wire
-// shape cannot diverge between them.
+// NewBoundedQueryResponse builds the success response for a query of kind k
+// answered from a store of records records (edb.StorageStats.Records — a
+// number the server already holds). Every value travels at the least width
+// that holds the bound the store's size puts on every exact answer of that
+// kind, so an exact backend's response is a function of (k, records) alone,
+// never of the data; an answer with a value that is not an exact count
+// within the bound — a noisy backend's — travels as floats.
+func NewBoundedQueryResponse(ans query.Answer, cost edb.Cost, k query.Kind, records int) Response {
+	return queryResponse(ans, cost, boundWidth(k, records))
+}
+
+// NewQueryResponse builds the success response for an answer with no bound
+// applied, at codec 5's widths: groups as 4-byte counts when every one is a
+// count below 2³², a scalar and any other groups as floats.
 func NewQueryResponse(ans query.Answer, cost edb.Cost) Response {
+	w := WidthFloat
+	if len(ans.Groups) > 0 {
+		w = 4
+	}
+	return queryResponse(ans, cost, w)
+}
+
+// queryResponse builds a query's success response with its values at width
+// w, or as floats when w does not hold one of them. An answer with groups is
+// its groups: they are what query.Answer.Total reads, and the wire carries
+// no scalar beside them.
+func queryResponse(ans query.Answer, cost edb.Cost, w Width) Response {
+	a := &AnswerSpec{Scalar: ans.Scalar, Groups: ans.Groups}
+	values := a.Groups
+	if len(values) > 0 {
+		a.Scalar = 0
+	} else {
+		values = []float64{a.Scalar}
+	}
+	if !w.holds(values) {
+		w = WidthFloat
+	}
+	a.Width = w
 	return Response{
 		OK:     true,
-		Answer: &AnswerSpec{Scalar: ans.Scalar, Groups: ans.Groups},
+		Answer: a,
 		Cost: &CostSpec{
 			Seconds:        cost.Seconds,
 			RecordsScanned: cost.RecordsScanned,

@@ -98,7 +98,7 @@ func TestRequestEncodeDecode(t *testing.T) {
 func TestResponseEncodeDecode(t *testing.T) {
 	resp := Response{
 		OK:     true,
-		Answer: &AnswerSpec{Scalar: 42, Groups: []float64{1, 2}},
+		Answer: &AnswerSpec{Groups: []float64{1, 2}, Width: 1},
 		Cost:   &CostSpec{Seconds: 1.5, RecordsScanned: 10, PairsCompared: 4},
 		Stats:  &StatsSpec{Records: 7, Bytes: 7168, Updates: 2},
 	}
@@ -111,11 +111,11 @@ func TestResponseEncodeDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := env.Resp
-	if !got.OK || got.Answer.Scalar != 42 || got.Cost.Seconds != 1.5 || got.Stats.Records != 7 {
+	if !got.OK || got.Answer.Width != 1 || got.Cost.Seconds != 1.5 || got.Stats.Records != 7 {
 		t.Errorf("decoded = %+v", got)
 	}
 	ans := got.Answer.ToAnswer()
-	if ans.Total() != 3 { // groups dominate scalar
+	if ans.Total() != 3 {
 		t.Errorf("answer total = %v", ans.Total())
 	}
 	cost := got.Cost.ToCost()
