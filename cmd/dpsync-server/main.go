@@ -93,8 +93,8 @@ func main() {
 		leaseFile = flag.String("lease-file", "", "shared lease file the cluster elects through; must live on storage every node sees (required with -cluster)")
 		leaseTTL  = flag.Duration("lease-ttl", 0, "election lease duration, the failover fencing window (0: default)")
 		replicaOf = flag.String("replica-of", "", "pin this node as a permanent standby tailing ADDR: a replica-role gateway that serves read-only connections from its replicated prefix and refuses writers; never campaigns, never promotes (-store only)")
-		adminAddr = flag.String("admin", "", "admin plane listen address: /metrics (Prometheus), /varz (JSON), /statusz, /tracez, /healthz, /debug/pprof (empty: disabled)")
-		debugTen  = flag.Bool("debug-tenant-metrics", false, "expose per-owner clock/epsilon series (hashed labels) on the admin plane — republishes the update-pattern detail the privacy budget hides; debugging only")
+		adminAddr = flag.String("admin", "", "admin plane listen address: /metrics (Prometheus), /varz (JSON), /statusz, /tracez, /healthz; /debug/pprof only with -debug-tenant-metrics (empty: disabled)")
+		debugTen  = flag.Bool("debug-tenant-metrics", false, "expose per-owner clock/epsilon series (hashed labels) and /debug/pprof on the admin plane — republishes the update-pattern detail the privacy budget hides; debugging only")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 		traceN    = flag.Int("trace-sample", 0, "trace 1 in N admitted requests on /tracez (0: default 64; negative: disable sampling — slow syncs are still captured)")
 	)
@@ -118,7 +118,7 @@ func main() {
 		if *adminAddr == "" {
 			return nil
 		}
-		a, err := telemetry.ServeAdmin(*adminAddr, reg, status, tracer)
+		a, err := telemetry.ServeAdmin(*adminAddr, reg, status, tracer, *debugTen)
 		if err != nil {
 			log.Fatalf("dpsync-server: %v", err)
 		}

@@ -736,9 +736,10 @@
 // per-shard WAL depth and committed offsets, follower cursors), a /healthz
 // whose readiness is real (a primary is ready only holding an unexpired
 // lease with a healthy WAL writer; a follower only while replicating within
-// its contact bound), and net/http/pprof. Logging is structured (log/slog)
-// with node, shard, and owner-hash fields; telemetry.Discard silences it in
-// tests.
+// its contact bound), and net/http/pprof only behind the debug gate
+// (-debug-tenant-metrics): a heap profile sizes what each tenant holds, so it
+// shows an owner's record count. Logging is structured (log/slog) with node,
+// shard, and owner-hash fields; telemetry.Discard silences it in tests.
 //
 // Request-scoped tracing sits beside the metrics plane: a sampled span
 // recorder (telemetry.Tracer) whose unit of capture is one sync's span tree

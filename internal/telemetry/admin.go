@@ -9,10 +9,12 @@ import (
 )
 
 // The admin HTTP plane: /metrics (Prometheus text), /varz (JSON snapshot),
-// /statusz (human-readable node state), /healthz (readiness), and
-// net/http/pprof. It binds its own listener — never the serving address —
-// so operator traffic cannot contend with or be confused for tenant
-// traffic, and a deployment can firewall the two planes separately.
+// /statusz (human-readable node state), /healthz (readiness), and, behind the
+// debug gate only, net/http/pprof — a heap profile sizes what each tenant
+// holds, so it shows an owner's record count. It binds its own listener —
+// never the serving address — so operator traffic cannot contend with or be
+// confused for tenant traffic, and a deployment can firewall the two planes
+// separately.
 
 // Status is what a node contributes to /statusz and /healthz beyond the
 // metric registry: a human-readable state dump and a readiness verdict with
@@ -56,7 +58,9 @@ type Admin struct {
 // plane for reg and status in a background goroutine. status may be nil
 // (statusz shows only the registry; healthz always ready). reg may be nil
 // (empty exposition). tracer may be nil (/tracez reports tracing disabled).
-func ServeAdmin(addr string, reg *Registry, status Status, tracer *Tracer) (*Admin, error) {
+// debug is the node's tenant debug gate (gateway.Config.DebugTenantMetrics):
+// /debug/pprof/ is mounted only when it is on.
+func ServeAdmin(addr string, reg *Registry, status Status, tracer *Tracer, debug bool) (*Admin, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: admin listen: %w", err)
@@ -76,7 +80,11 @@ func ServeAdmin(addr string, reg *Registry, status Status, tracer *Tracer) (*Adm
 		if status != nil {
 			fmt.Fprintln(w, status.StatusText())
 		}
-		fmt.Fprintf(w, "\nendpoints: /metrics /varz /healthz /tracez /debug/pprof/\n")
+		fmt.Fprint(w, "\nendpoints: /metrics /varz /healthz /tracez")
+		if debug {
+			fmt.Fprint(w, " /debug/pprof/")
+		}
+		fmt.Fprintln(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		ok, detail := true, "ok"
@@ -104,11 +112,13 @@ func ServeAdmin(addr string, reg *Registry, status Status, tracer *Tracer) (*Adm
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_ = WriteTracez(w, d)
 	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	if debug {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
 
 	a := &Admin{lis: lis, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}}
 	go func() { _ = a.srv.Serve(lis) }()

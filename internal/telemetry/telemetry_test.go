@@ -33,13 +33,22 @@ func TestSnapshotConsistencyUnderRace(t *testing.T) {
 	const perWriter = 20000
 	var stop atomic.Bool
 	var wg sync.WaitGroup
+	// Every writer holds its last write until the reader has finished a
+	// scrape that began once all writers were running, so at least one scrape
+	// lands mid-drive however the scheduler orders the goroutines.
+	var running atomic.Int64
+	overlapped := make(chan struct{})
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			running.Add(1)
 			spent := 0.0
 			d.Add(spent)
 			for i := 0; i < perWriter; i++ {
+				if i == perWriter-1 {
+					<-overlapped
+				}
 				ctr.Inc()
 				g.Add(1)
 				h.Observe(float64((w*31 + i) % 100000))
@@ -55,7 +64,14 @@ func TestSnapshotConsistencyUnderRace(t *testing.T) {
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
+		signalled := false
+		defer func() {
+			if !signalled {
+				close(overlapped)
+			}
+		}()
 		for !stop.Load() {
+			mid := running.Load() == int64(writers)
 			for _, s := range reg.Snapshot() {
 				if s.Hist == nil {
 					continue
@@ -70,6 +86,10 @@ func TestSnapshotConsistencyUnderRace(t *testing.T) {
 				}
 			}
 			scrapes++
+			if mid && !signalled {
+				close(overlapped)
+				signalled = true
+			}
 		}
 	}()
 
@@ -191,12 +211,12 @@ func TestAdminEndpoints(t *testing.T) {
 	a, err := ServeAdmin("127.0.0.1:0", reg, StatusFuncs{
 		Text:    func() string { return "role: primary\nlease: held" },
 		ReadyFn: func() (bool, string) { return ready, "state" },
-	}, nil)
+	}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	get := func(path string) (int, string) {
+	fetch := func(a *Admin, path string) (int, string) {
 		resp, err := http.Get(fmt.Sprintf("http://%s%s", a.Addr(), path))
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
@@ -205,6 +225,7 @@ func TestAdminEndpoints(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(body)
 	}
+	get := func(path string) (int, string) { return fetch(a, path) }
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "admin_test_total 1") {
 		t.Errorf("/metrics = %d %q", code, body)
 	}
@@ -221,8 +242,31 @@ func TestAdminEndpoints(t *testing.T) {
 	if code, _ := get("/healthz"); code != 503 {
 		t.Errorf("/healthz unready = %d, want 503", code)
 	}
-	if code, body := get("/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
-		t.Errorf("/debug/pprof/ = %d", code)
+
+	// A heap profile sizes what each tenant holds, so the profiler is served
+	// behind the debug gate alone, and /statusz lists it only there.
+	pprofPaths := []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol",
+		"/debug/pprof/heap", "/debug/pprof/trace?seconds=0.001", "/debug/pprof/profile"}
+	for _, path := range pprofPaths {
+		if code, _ := get(path); code != 404 {
+			t.Errorf("%s without the debug gate = %d, want 404", path, code)
+		}
+	}
+	if _, body := get("/statusz"); strings.Contains(body, "pprof") {
+		t.Errorf("/statusz lists the profiler without the debug gate: %q", body)
+	}
+	gated, err := ServeAdmin("127.0.0.1:0", reg, nil, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gated.Close()
+	for _, path := range pprofPaths[:5] { // a CPU profile takes at least a second
+		if code, _ := fetch(gated, path); code != 200 {
+			t.Errorf("%s behind the debug gate = %d, want 200", path, code)
+		}
+	}
+	if _, body := fetch(gated, "/statusz"); !strings.Contains(body, " /debug/pprof/") {
+		t.Errorf("/statusz does not list the profiler behind the debug gate: %q", body)
 	}
 }
 

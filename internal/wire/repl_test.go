@@ -46,9 +46,12 @@ func TestHelloRefusal(t *testing.T) {
 	if err := ReadReplHelloAck(&buf); err != nil {
 		t.Fatalf("repl ack: err=%v", err)
 	}
-	// No negotiation: an ack naming any version but ours — the retired 1 and
-	// 2 included — is a hard error.
-	for _, v := range []byte{0, 1, 2, ReplVersion + 1, 99} {
+	// No negotiation: the stream is replication v3, and an ack naming any
+	// other version — the retired 1 and 2 included — is a hard error.
+	if err := ReadReplHelloAck(bytes.NewReader([]byte{3})); err != nil {
+		t.Fatalf("version 3: err=%v", err)
+	}
+	for _, v := range []byte{0, 1, 2, 4, 99} {
 		if err := ReadReplHelloAck(bytes.NewReader([]byte{v})); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("version %d: err=%v, want ErrBadFrame", v, err)
 		}
