@@ -88,19 +88,30 @@
 // order), so it is an append-only slice with a sorted flag and Observe adds
 // an append and one compare. RangeCount and SumFare walk at most
 // NumLocations slots, GroupCount copies them, JoinCount is one merge walk
-// over two sorted slices, O(|L|+|R|). Three inputs fall outside that shape
-// and are handled where they occur, never by a setting. record.Decode
-// validates nothing, so an authenticated record can carry any uint16
-// pickupID: those outside 0..NumLocations live in a small overflow map
-// beside the array, and every range still counts them exactly as the naive
-// plan does. A table's first eight records live in that map too and the
-// ninth allocates the array and moves them in: the array is about 4 KB a
-// provider, a serving gateway holds thousands of tenants, and without this
-// the youngest of them would be the most expensive. And a join key that
-// arrives out of order clears the sorted flag, so the next join sorts once
-// (sort-on-demand rather than sorted insertion, because the common case
-// never pays for it). The only part of the statistic that grows with ingest
-// is the join key, 8 bytes a real record. This preserves the L-0 leakage
+// over two sorted slices, O(|L|+|R|). Every stored record takes that one
+// path: a dummy is a record of weight 0 and a real record one of weight 1,
+// each adds its weight to its slot's count and its weight times its fare to
+// the fare sum, and each takes one join-key slot with its weight beside it —
+// a dummy's repeats the table's last key, so it never unsorts the slice —
+// and a join multiplies the summed weights of each equal-key run. So the
+// statistic is sized by the record count, which the update pattern
+// publishes, and never by the real/dummy split the mechanism spends ε to
+// hide. Three inputs fall outside that shape and are handled where they
+// occur, never by a setting. record.Decode validates nothing, so an
+// authenticated record can carry any uint16 pickupID: those outside
+// 0..NumLocations live in a small overflow map beside the array, and every
+// range still counts them exactly as the naive plan does. A table's first
+// eight records, real or dummy, live in that map too and the ninth allocates
+// the array and moves them in: the array is about 4 KB a provider, a serving
+// gateway holds thousands of tenants, and without this the youngest of them
+// would be the most expensive (mixed-rw's 2,000 seven-record owners would
+// pay some 17 MB of array at setup). The move follows the table's record
+// count, which is public, and a map of at most eight entries has one size
+// whatever its keys. And a real join key that arrives out of order clears
+// the sorted flag, so the next join sorts once (sort-on-demand rather than
+// sorted insertion, because the common case never pays for it). The only
+// part of the statistic that grows with ingest is the join key and its
+// weight, 9 bytes a record, real or dummy. This preserves the L-0 leakage
 // semantics exactly:
 // obliviousness is a property of the *modeled* engine, whose scan extents,
 // access log, and calibrated QET cost model still charge the full oblivious
@@ -418,9 +429,9 @@
 // history tier is the outsourced ciphertext store: the ObliDB backend keeps
 // a count of the records it was handed sealed and the enclave's aggregates,
 // never the ciphertexts, so a tenant's RAM is its aggregates plus the window
-// — per ingested record, the 8-byte join key and its share of the sync's
-// transcript event — plus a fixed part: 552 bytes in 7 heap objects for a
-// new tenant (tenant, committed state, ledger, ObliDB instance, enclave,
+// — per ingested record, real or dummy, the 9-byte join key and weight and
+// its share of the sync's transcript event — plus a fixed part: 552 bytes in
+// 7 heap objects for a new tenant (tenant, committed state, ledger, ObliDB instance, enclave,
 // aggregates), pinned at ≤ 1 KiB in ≤ 10 by
 // TestTenantFixedCost. Nothing a tenant shares with others is in it: every
 // enclave opens with the node's one sealer for its key and every instance

@@ -183,8 +183,8 @@ func TestGatewayHeapBoundedByHistoryWindow(t *testing.T) {
 // above retains nothing by construction, so it cannot see a backend that keeps
 // every ciphertext it is handed (a slice header for each pins the request
 // payload it arrived in too: 70–100 bytes a record). What
-// may grow is the 8-byte join key of a real record, with slice-growth slack,
-// and the transcript event of a sync.
+// may grow is the 8-byte join key and 1-byte weight of every record, dummies
+// included, with slice-growth slack, and the transcript event of a sync.
 func TestDefaultBackendHeapBoundedByHistoryWindow(t *testing.T) {
 	const (
 		window  = 8

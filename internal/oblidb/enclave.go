@@ -28,7 +28,10 @@ import (
 //     nothing.
 //  2. Dummy records are filtered *inside* the enclave via the Appendix-B
 //     query rewrite, so answers are exact over real records while the
-//     real/dummy split never crosses the enclave boundary.
+//     real/dummy split never crosses the enclave boundary. Nor does it show
+//     in the enclave's memory: a dummy is folded in as a record of weight 0,
+//     at the cost of a real one, so what the enclave holds is sized by the
+//     record count (verified by TestFootprintFollowsTheUpdatePattern).
 //
 // Answers are computed from incrementally maintained aggregates (updated at
 // ingest) rather than by re-evaluating the relational plan over the resident
@@ -46,12 +49,12 @@ import (
 type Enclave struct {
 	sealer *seal.Sealer
 
-	// agg holds the incrementally maintained query aggregates over the
-	// resident real records (dummies are filtered at Observe, mirroring the
-	// Appendix-B rewrite). It is the only per-record state the simulated
-	// enclave keeps: the resident table *sizes* below are what drive the
-	// modeled oblivious scans, so retaining decrypted rows would only
-	// duplicate what the aggregates already answer from.
+	// agg holds the incrementally maintained query aggregates over every
+	// resident record, each weighted by whether it is real (a dummy weighs
+	// 0, which is the Appendix-B rewrite). It is the only per-record state
+	// the simulated enclave keeps: the resident table *sizes* below are what
+	// drive the modeled oblivious scans, so retaining decrypted rows would
+	// only duplicate what the aggregates already answer from.
 	agg *query.Aggregates
 	// yellow / green count resident records per table, dummies included —
 	// they drive the scan extent and the join cost model.

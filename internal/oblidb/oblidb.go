@@ -42,9 +42,9 @@ const BlockBytes = 1024
 
 // DB is the server-visible half of the ObliDB simulator. It satisfies
 // edb.Database. All methods are safe for concurrent use. Its memory is the
-// enclave's aggregates — of which only the 8-byte join key a real record
-// grows with ingest — plus an access log of at most accessLogCap extents; no
-// ciphertext is retained.
+// enclave's aggregates — of which only the 9-byte join key and weight of a
+// record, real or dummy, grows with ingest — plus an access log of at most
+// accessLogCap extents; no ciphertext is retained.
 type DB struct {
 	mu      sync.Mutex
 	enclave *Enclave

@@ -92,7 +92,7 @@ func TestAggregatesMatchNaive(t *testing.T) {
 					t.Fatalf("%v: %v", q.Kind, err)
 				}
 				// Evaluate applies the dummy-eliminating rewrite, matching
-				// Observe's dummy skip; on dummy-free stores it coincides
+				// Observe's zero weight for dummies; on dummy-free stores it coincides
 				// with Truth (pinned separately below).
 				want, err := Evaluate(q, tables)
 				if err != nil {
@@ -354,4 +354,37 @@ func FuzzAggregatesMatchNaive(f *testing.F) {
 		}
 		checkAgainstNaive(t, rs, qs, len(rs)/2)
 	})
+}
+
+// TestDummyKeysKeepTheOrder pins that a dummy never unsorts a table's join
+// keys, whatever pickup time its padding carries and wherever it arrives —
+// first in its table included — so whether a join sorts depends on the real
+// keys alone.
+func TestDummyKeysKeepTheOrder(t *testing.T) {
+	agg := NewAggregates()
+	dummy := func(tm record.Tick) record.Record {
+		d := record.NewDummy(record.YellowCab)
+		d.PickupTime = tm
+		return d
+	}
+	real := func(tm record.Tick) record.Record {
+		return record.Record{PickupTime: tm, PickupID: 60, Provider: record.YellowCab}
+	}
+	for _, r := range []record.Record{dummy(1 << 40), real(5), dummy(-7), real(5), dummy(1 << 62), real(6)} {
+		agg.Observe(r)
+		if agg.agg(record.YellowCab).unsorted {
+			t.Fatalf("after %+v the join keys are marked unsorted", r)
+		}
+	}
+	agg.Observe(real(4))
+	if !agg.agg(record.YellowCab).unsorted {
+		t.Fatal("a real key below its predecessor left the keys marked sorted")
+	}
+	ans, err := agg.AnswerFor(Query{Kind: JoinCount, Provider: record.YellowCab, JoinWith: record.YellowCab})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Scalar != 2*2+1+1 { // keys 5, 5, 6, 4 self-joined
+		t.Errorf("self-join = %v, want 6", ans.Scalar)
+	}
 }
