@@ -188,11 +188,12 @@
 // version byte — and every payload is the binary codec's (hand-rolled
 // fields, no base64 expansion of sealed ciphertexts; its field primitives
 // are internal/binfmt, shared with the on-disk formats). The version byte
-// is 6: 5 padded every answer to 4-byte groups beside an 8-byte scalar, 4
-// named the owner inline in every request, 3 said no with an error text
-// beside two flag bits, 2 was a layout of fixed-width integers and 1 a JSON
-// encoding, all retired, and a hello proposing any other codec byte is acked
-// 6; there is nothing to negotiate down to. The layout (uv = minimal-form
+// is 7: 6 sent every group vector one value a group, 5 padded every answer
+// to 4-byte groups beside an 8-byte scalar, 4 named the owner inline in
+// every request, 3 said no with an error text beside two flag bits, 2 was a
+// layout of fixed-width integers and 1 a JSON encoding, all retired, and a
+// hello proposing any other codec byte is acked 7; there is nothing to
+// negotiate down to. The layout (uv = minimal-form
 // varint, the 4-byte frame length in front of everything not shown):
 //
 //	request   uv id · owner · u8 type ·
@@ -207,6 +208,8 @@
 //	  [scalar   u8 width · value]
 //	  [groups   u8 width · uv n (≥ 1) · n × value]
 //	            width 1, 2, 4, 8: a big-endian count (8: at most 2⁵³); 0: f64
+//	          | u8 0x82 · uv n (1..65535) · uv k · k × u16 index
+//	            the counted records' groups, non-decreasing, then n (the pad)
 //	  [cost     f64 seconds · uv scanned · uv pairs]
 //	  [stats    uv records · uv bytes · uv updates · u8 len · scheme · u8 leakage]
 //	  [resume   uv clock]
@@ -246,9 +249,11 @@
 // and the codec spends only what an operation needs: a one-record sync is 55
 // bytes on the wire once its connection has bound the owner (66 naming it
 // inline, 86 under codec 2) and its ack 6 (13), a Q2 request 15 (26 inline)
-// and its answer 285 from a store of fewer than 256 records (1,088 under
-// codec 5, 2,169 under codec 2). An owner is named once per connection: a
-// request's owner field is its name (a length byte, then 1 to 255 bytes) or
+// and its answer 21 + 2V bytes from a store of V ≤ 127 records — 35 at
+// V = 7 — and 285 from one of 132 to 255 (285 at any V under codec 6, 1,088
+// under codec 5, 2,169 under codec 2). An owner is named once per
+// connection: a request's owner field is its name (a length byte, then 1 to
+// 255 bytes) or
 // a handle (a zero byte, then a varint ≥ 1), and both ends apply one rule to
 // every frame that parses — an inline name not yet bound on the connection
 // binds the next handle while fewer than wire.MaxBindings (4,096) are bound,
@@ -271,15 +276,22 @@
 // answer — a count of records (Q1, each Q2 group) by V, a join's pairs by
 // V², a fare sum by V·(2³² − 1) — and an answer travels as one scalar or one
 // group vector whose values all take the least of 1, 2, 4 and 8 bytes that
-// holds its kind's bound at V. As in oblivious query processing, which pads
-// an output to the worst case its public input size allows, not to the worst
-// case of any input, an exact backend's response is then a function of
-// (kind, V) alone: Q2 from fewer than 256 records is 265 one-byte groups,
-// and the width steps at V = 256 and 65,536 (a join's at 16, 256 and
-// 65,536). The bound is applied in one place, the gateway tenant's answer
-// path (wire.NewBoundedQueryResponse): a replica's answer is at the V it has
-// applied, and a cached answer keeps its width until the Commit that moves V
-// drops it. An answer with a value that is not an exact count within the
+// holds its kind's bound at V. A GroupCount vector has a tighter bound: a
+// record falls in at most one group, so its exact counts sum to at most V,
+// and it travels instead as V 2-byte indices — the counted records' groups in
+// non-decreasing order, then the pad, the group count, for the slots left —
+// whenever that is fewer bytes than its groups at the bound's width (V ≤ 131
+// against one byte a group, V = 256 to 263 against two). As in oblivious
+// query processing, which pads an output to the worst case its public input
+// size allows, not to the worst case of any input, an exact backend's
+// response is then a function of (kind, V) alone: Q2 from V ≤ 131 records is
+// V indices, from 132 to 255 it is 265 one-byte groups, and the width steps
+// at V = 256 and 65,536 (a join's at 16, 256 and 65,536). The decoder
+// expands the indices into the groups, refusing them out of order, past the
+// pad, on a scalar or past the frame. The bound is applied in one place, the
+// gateway tenant's answer path (wire.NewBoundedQueryResponse): a replica's
+// answer is at the V it has applied, and a cached answer keeps its layout
+// until the Commit that moves V drops it. An answer with a value that is not an exact count within the
 // bound — a noisy backend's release — travels as 8 float bytes a value (−0,
 // NaN, ±Inf and fractions bit-exact); a release that happens to be a count
 // (Cryptε clamps a negative one to 0) travels at the bound's width, a length

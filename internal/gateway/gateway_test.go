@@ -532,11 +532,11 @@ func TestGatewayRejectsBadHello(t *testing.T) {
 
 // TestGatewayAcksUnknownCodecWithBinary pins the hello contract: whatever
 // codec byte a valid hello proposes — an unassigned one, or a retired
-// codec's — the ack names the one codec this build speaks, 6: a peer still
-// on codec 5 learns at the hello that its answers would not parse.
+// codec's — the ack names the one codec this build speaks, 7: a peer still
+// on codec 6 learns at the hello that its answers would not parse.
 func TestGatewayAcksUnknownCodecWithBinary(t *testing.T) {
 	gw, _ := startGateway(t, gateway.Config{})
-	for _, proposed := range []wire.Codec{99, 5, 4, 2, 1} { // 5 to 1: the retired codecs
+	for _, proposed := range []wire.Codec{99, 6, 5, 4, 2, 1} { // 6 to 1: the retired codecs
 		conn, err := net.Dial("tcp", gw.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -549,8 +549,8 @@ func TestGatewayAcksUnknownCodecWithBinary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != wire.CodecBinary || byte(got) != 6 {
-			t.Errorf("proposed %d: ack = %d, want 6", byte(proposed), byte(got))
+		if got != wire.CodecBinary || byte(got) != 7 {
+			t.Errorf("proposed %d: ack = %d, want 7", byte(proposed), byte(got))
 		}
 	}
 }

@@ -308,13 +308,16 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 // and the store's record count V — real and dummy, a number the server holds
 // anyway (RemoteStats reports it): V bounds a count, V² a join, V·(2³² − 1) a
 // fare sum, and each value travels at the least of 1, 2, 4 and 8 bytes that
-// holds the bound. So owners of equal V get equal lengths whatever their
-// zones, fares or real/dummy split; the width steps exactly at V = 256 and
-// V = 65,536 (a join's at V = 16, 256 and 65,536); a replica answers at the V
-// it has applied, and an answer it cached keeps its width until a sync moves
-// V. The three Q2 owners of different distributions and counts (all under
-// 128 records, one bracket of the cost section's scanned-records varint) get
-// the same bytes. (3) A refusal's length is its code's: not-setup, seq-gap, backpressure and
+// holds the bound, or — a Q2, whose counts sum to at most V — as V 2-byte
+// indices when they are fewer bytes. So owners of equal V get equal lengths
+// whatever their zones, fares or real/dummy split; the width steps exactly at
+// V = 256 and V = 65,536 (a join's at V = 16, 256 and 65,536), a Q2's layout
+// at V = 132, 256 and 264; a replica answers at the V it has applied, and an
+// answer it cached keeps its layout until a sync moves V. At each of V = 7,
+// 41, 131 and 132, three Q2 owners — V records over V zones, V in one zone,
+// one real among V − 1 dummies — get the same bytes, answerLen's: a length is
+// a function of (kind, V), and V is all it tells. (3) A refusal's length is
+// its code's: not-setup, seq-gap, backpressure and
 // suspended on this gateway and stale on a replica are the same nine bytes
 // for an owner with one small sync behind it and one with four larger ones
 // (the cursors — a clock, a shard's offset — are numbers the server holds,
@@ -400,23 +403,30 @@ func TestFrameLengthsLeakNothingNew(t *testing.T) {
 		}
 		return conn.BytesIn() - in0
 	}
-	var spread, skewed, padded []record.Record
-	for i := 0; i < 7; i++ {
-		spread = append(spread, yellow(i, uint16(1+i*37)))
-	}
-	for i := 0; i < 90; i++ {
-		skewed = append(skewed, yellow(i, 132))
-	}
-	for i := 0; i < 40; i++ {
-		padded = append(padded, record.NewDummy(record.YellowCab))
-	}
-	padded = append(padded, yellow(0, 5))
-	a, b, c := q2Length("owner-q2-a", spread), q2Length("owner-q2-b", skewed), q2Length("owner-q2-c", padded)
-	if a != b || a != c {
-		t.Errorf("Q2's response is %d B for 7 spread records, %d B for 90 in one zone, %d B for 1 among 40 dummies: its length depends on the data", a, b, c)
-	}
-	if want := answerLen(query.GroupCount, len(skewed)); a != want {
-		t.Errorf("Q2's response is %d B, want the 1-byte width's %d", a, want)
+	// At each V, three stores as unlike as Q2 can see: V real records over
+	// V zones, V in one zone, and one real record among V − 1 dummies. The
+	// last two V are the index layout's crossover: 131 indices, then 132
+	// one-byte groups.
+	var spread []record.Record
+	for _, v := range []int{7, 41, 131, 132} {
+		var zones, oneZone, padded []record.Record
+		for i := 0; i < v; i++ {
+			zones = append(zones, yellow(i, uint16(1+i*37%record.NumLocations)))
+			oneZone = append(oneZone, yellow(i, 132))
+			padded = append(padded, record.NewDummy(record.YellowCab))
+		}
+		padded[v-1] = yellow(0, 5)
+		if v == 7 {
+			spread = zones // owner-q2-a-7's, the small owner of the refusals below
+		}
+		a, b := q2Length(fmt.Sprintf("owner-q2-a-%d", v), zones), q2Length(fmt.Sprintf("owner-q2-b-%d", v), oneZone)
+		c := q2Length(fmt.Sprintf("owner-q2-c-%d", v), padded)
+		if a != b || a != c {
+			t.Errorf("Q2 from %d records is %d B spread over zones, %d B in one zone, %d B for 1 among dummies: its length depends on the data", v, a, b, c)
+		}
+		if want := answerLen(query.GroupCount, v); a != want {
+			t.Errorf("Q2 from %d records is %d B, want %d", v, a, want)
+		}
 	}
 
 	// Every kind, by V alone. Owners of equal V, the data as different as it
@@ -480,7 +490,7 @@ func TestFrameLengthsLeakNothingNew(t *testing.T) {
 		}
 	}
 
-	// Refusals, for two owners of different volume and history: owner-q2-a (one
+	// Refusals, for two owners of different volume and history: owner-q2-a-7 (one
 	// sync, 7 records) and owner-records (five syncs, 43 records); on the
 	// replica one shipped sync of 1 record against four of 1, 5, 6 and 7.
 	rep, rkey := startReplica(t, gateway.Config{Shards: 1})
@@ -520,22 +530,22 @@ func TestFrameLengthsLeakNothingNew(t *testing.T) {
 		text         bool
 	}{
 		{code: wire.CodeNotSetup,
-			small: draw(rw, "owner-q2-a-never", queryReq(query.Q1(), 0), wire.CodeNotSetup),
+			small: draw(rw, "owner-q2-a-7-never", queryReq(query.Q1(), 0), wire.CodeNotSetup),
 			large: draw(rw, "owner-records-never", wire.Request{Type: wire.MsgUpdate, Seq: 6, Sealed: [][]byte{make([]byte, seal.SealedSize)}}, wire.CodeNotSetup)},
 		{code: wire.CodeSeqGap,
-			small: draw(rw, "owner-q2-a", wire.Request{Type: wire.MsgUpdate, Seq: 100}, wire.CodeSeqGap),
+			small: draw(rw, "owner-q2-a-7", wire.Request{Type: wire.MsgUpdate, Seq: 100}, wire.CodeSeqGap),
 			large: draw(rw, "owner-records", wire.Request{Type: wire.MsgUpdate, Seq: 100}, wire.CodeSeqGap)},
 		{code: wire.CodeStale,
 			small: draw(ro, "owner-small", queryReq(query.Q1(), 100), wire.CodeStale),
 			large: draw(ro, "owner-large", queryReq(query.Q2(), 1<<40), wire.CodeStale)},
-		{code: wire.CodeBackpressure, small: shed("owner-q2-a"), large: shed("owner-records")},
+		{code: wire.CodeBackpressure, small: shed("owner-q2-a-7"), large: shed("owner-records")},
 		{code: wire.CodeBadRequest, text: true,
-			small: draw(rw, "owner-q2-a", wire.Request{Type: wire.MsgUpdate}, wire.CodeBadRequest),
+			small: draw(rw, "owner-q2-a-7", wire.Request{Type: wire.MsgUpdate}, wire.CodeBadRequest),
 			large: draw(rw, "owner-records", wire.Request{Type: wire.MsgUpdate}, wire.CodeBadRequest)},
 		{code: wire.CodeFailed, text: true,
-			small: draw(rw, "owner-q2-a", queryReq(emptyRange, 0), wire.CodeFailed),
+			small: draw(rw, "owner-q2-a-7", queryReq(emptyRange, 0), wire.CodeFailed),
 			large: draw(rw, "owner-records", queryReq(emptyRange, 0), wire.CodeFailed)},
-		{code: wire.CodeSuspended, small: suspend("owner-q2-a"), large: suspend("owner-records")},
+		{code: wire.CodeSuspended, small: suspend("owner-q2-a-7"), large: suspend("owner-records")},
 	} {
 		if row.small != row.large {
 			t.Errorf("%v: %d B %q for the small owner, %d B %q for the large one", row.code, row.small.size, row.small.detail, row.large.size, row.large.detail)
@@ -575,7 +585,9 @@ func TestFrameLengthsLeakNothingNew(t *testing.T) {
 // store of v Yellow records (so the cost section scans v and compares no
 // pairs), request ID under 128: the width rule written out again — v bounds a
 // count, v² a join, v·(2³² − 1) a fare sum, and the least of 1, 2, 4 and 8
-// bytes that holds the bound carries each value (8 float bytes past 2⁵³).
+// bytes that holds the bound carries each value (8 float bytes past 2⁵³) —
+// and the index layout's: a Q2, whose exact counts sum to at most v, travels
+// as v 2-byte indices when they take fewer bytes than its groups.
 func answerLen(k query.Kind, v int) int64 {
 	bound := float64(v)
 	switch k {
@@ -595,7 +607,12 @@ func answerLen(k query.Kind, v int) int64 {
 	}
 	values := w // a scalar
 	if k == query.GroupCount {
-		values = 2 + record.NumLocations*w // the group count, then the groups
+		// The group count, then the groups — or, when fewer bytes, the index
+		// count and one 2-byte index a stored record.
+		values = 2 + record.NumLocations*w
+		if indices := len(binary.AppendUvarint(nil, uint64(v))) + 2*v; indices < record.NumLocations*w {
+			values = 2 + indices
+		}
 	}
 	// header, id, flags, width, values, cost: seconds, scanned, pairs
 	return int64(4 + 1 + 1 + 1 + values + 8 + len(binary.AppendUvarint(nil, uint64(v))) + 1)

@@ -344,10 +344,10 @@ func (tn *Tenant) Read(req wire.Request) wire.Response {
 	if err != nil {
 		return failed(err)
 	}
-	// The one place an answer's width is bound: by the kind and by the
-	// records this node's store holds — a replica's its applied prefix — so a
-	// cached answer keeps the width it was computed at until Commit, which
-	// moves the count, drops it.
+	// The one place an answer's width and layout are bound: by the kind and
+	// by the records this node's store holds — a replica's its applied
+	// prefix — so a cached answer keeps the layout it was computed at until
+	// Commit, which moves the count, drops it.
 	resp := wire.NewBoundedQueryResponse(ans, cost, q.Kind, tn.db.Stats().Records)
 	if tn.qc.Put(spec, resp) {
 		cm.Evictions.Inc()

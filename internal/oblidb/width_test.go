@@ -20,7 +20,10 @@ import (
 // within the bound its kind and the store's record count put on it: it
 // travels at the width an all-zero answer from the same store gets — the
 // rule's, a function of kind and size alone — never as floats, and decodes
-// to itself bit for bit.
+// to itself bit for bit. A GroupCount answer's counts sum to at most the
+// store's V, so from V ≤ 131 records — where V 2-byte indices are fewer
+// bytes than 265 one-byte groups — it travels as V indices, never falling
+// back to the groups.
 func FuzzAnswersFitTheirBound(f *testing.F) {
 	rng := rand.New(rand.NewPCG(40, 0x0b11db))
 	f.Add(record.EncodeSlice(hostileBatch(rng, 40)), uint16(260), uint16(270), uint8(record.YellowCab), uint8(record.GreenTaxi))
@@ -85,6 +88,9 @@ func FuzzAnswersFitTheirBound(f *testing.F) {
 				resp := wire.NewBoundedQueryResponse(ans, cost, q.Kind, v)
 				if w := resp.Answer.Width; w != want || w == wire.WidthFloat {
 					t.Fatalf("%+v over %d records: %+v travels at width %d, want the bound's %d", q, v, ans, w, want)
+				}
+				if a := resp.Answer; q.Kind == query.GroupCount && v <= 131 && (a.Width != wire.WidthIndex || a.Slots != v) {
+					t.Fatalf("%+v over %d records: %+v travels at width %#x in %d slots, want %d indices", q, v, ans, a.Width, a.Slots, v)
 				}
 				b, err := wire.CodecBinary.EncodeGatewayResponse(wire.GatewayResponse{ID: 1, Resp: resp})
 				if err != nil {

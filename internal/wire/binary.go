@@ -20,15 +20,16 @@ type Codec byte
 // IDs, sequence numbers, counts, offsets) are minimal-form varints; a
 // batch's ciphertexts travel as one uniform-width block; an answer is one
 // scalar or one group vector, its values at one Width — the least that holds
-// the bound the answering store's size puts on them, or floats; a refused
-// request is answered with one typed refusal section (the layout table is in
-// doc.go, "Serving"). A request names its owner inline or by a handle its
-// connection bound (MaxBindings). Version byte 6; 5 padded every answer to
-// 4-byte groups beside an 8-byte scalar, 4 named the owner inline in every
-// request, 3 said no with an error text beside two flag bits, 2 was the
-// fixed-width-integer layout and 1 a JSON encoding — all retired, no byte
-// ever reused.
-const CodecBinary Codec = 6
+// the bound the answering store's size puts on them, or floats — or a group
+// vector as one index a stored record (WidthIndex) when that is fewer bytes;
+// a refused request is answered with one typed refusal section (the layout
+// table is in doc.go, "Serving"). A request names its owner inline or by a
+// handle its connection bound (MaxBindings). Version byte 7; 6 sent every
+// group vector one value a group, 5 padded every answer to 4-byte groups
+// beside an 8-byte scalar, 4 named the owner inline in every request, 3 said
+// no with an error text beside two flag bits, 2 was the fixed-width-integer
+// layout and 1 a JSON encoding — all retired, no byte ever reused.
+const CodecBinary Codec = 7
 
 // Valid reports whether c names the codec this build speaks.
 func (c Codec) Valid() bool { return c == CodecBinary }
@@ -200,8 +201,8 @@ func msgTypeFromByte(b byte) (MsgType, error) {
 // Response flag bits (binary codec). Exactly one of flagOK and flagRefused is
 // set, a refused response sets nothing else, and an answer is one of
 // flagScalar and flagGroups, never both. Bit 128 was codec 3's stale marker;
-// it is retired and must be clear (its backpressure marker, 64, is codec 6's
-// group vector).
+// it is retired and must be clear (its backpressure marker, 64, is the
+// group vector since codec 6).
 const (
 	flagOK = 1 << iota
 	flagRefused
@@ -213,11 +214,13 @@ const (
 	flagsKnown = 1<<iota - 1
 )
 
-// Rejections of a block whose claimed size exceeds its frame are fixed
-// values: a hostile count costs the decoder no allocation at all.
+// Rejections of a block whose claimed size exceeds its frame, or of an index
+// layout's vector past what a 2-byte index pads, are fixed values: a hostile
+// count costs the decoder no allocation at all.
 var (
 	errSealedBlock = fmt.Errorf("%w: sealed block exceeds frame", ErrBadFrame)
 	errAnswerBlock = fmt.Errorf("%w: answer values exceed frame", ErrBadFrame)
+	errIndexPad    = fmt.Errorf("%w: more groups than a 2-byte index pads", ErrBadFrame)
 )
 
 // EncodeGatewayRequest serializes the envelope under codec c.
@@ -473,6 +476,53 @@ func appendValues(b []byte, w Width, vs []float64) ([]byte, bool) {
 	return b, true
 }
 
+// appendIndices appends counts as slots 2-byte indices — each group's once
+// per record it counted, in group order, then the pad, len(counts), for the
+// slots left — and reports false, appending nothing, unless they are exact
+// counts that sum to at most slots (0 ≤ slots). Like appendValues it tests
+// and writes in one pass, into the room it made first.
+func appendIndices(b []byte, counts []float64, slots int) ([]byte, bool) {
+	start := len(b)
+	b = slices.Grow(b, 2*slots)[:start+2*slots]
+	out, left := b[start:], uint64(slots)
+	for z, c := range counts {
+		if math.Float64bits(c) == 0 {
+			continue // +0, most groups of a small store's answer
+		}
+		if !fits(c, left) {
+			return b[:start], false
+		}
+		n := uint64(int64(c))
+		for range n {
+			binary.BigEndian.PutUint16(out, uint16(z))
+			out = out[2:]
+		}
+		left -= n
+	}
+	for ; left > 0; left-- {
+		binary.BigEndian.PutUint16(out, uint16(len(counts)))
+		out = out[2:]
+	}
+	return b, true
+}
+
+// readIndices counts an index layout's block into groups, refusing an index
+// below the one before it or past the pad, len(groups).
+func readIndices(groups []float64, block []byte) error {
+	prev := 0
+	for i := 0; i < len(block); i += 2 {
+		z := int(binary.BigEndian.Uint16(block[i:]))
+		if z < prev || z > len(groups) {
+			return fmt.Errorf("%w: answer index %d after %d in a vector of %d groups", ErrBadFrame, z, prev, len(groups))
+		}
+		if z < len(groups) {
+			groups[z]++
+		}
+		prev = z
+	}
+	return nil
+}
+
 // readValues decodes len(vs) values at width w from block, refusing an
 // 8-byte integer past the width's largest count: no float64 holds it, so it
 // has no message.
@@ -513,13 +563,17 @@ func readValues(vs []float64, block []byte, w Width) error {
 // code carries none) are a caller's bug, refused.
 //
 // An answer whose values its Width does not hold, a scalar beside groups and
-// an unknown width are refused too.
+// an unknown width are refused too, and so are indices on a scalar, on more
+// than 65,535 groups or on counts that sum past Slots, and Slots beside
+// any other width.
 //
 //	uvarint id · u8 flags ·
 //	  [refusal: u8 code · uvarint cursor · uvarint len · detail]
 //	  [scalar:  u8 width · value]                       (flag 4)
 //	  [groups:  u8 width · uvarint n (≥ 1) · n × value]  (flag 64)
 //	            width 1, 2, 4, 8: a big-endian count; 0: f64
+//	         |  u8 0x82 · uvarint n (1..65535) · uvarint k · k × u16 index
+//	            the counted records' groups, non-decreasing, then n (the pad)
 //	  [cost:    f64 seconds · uvarint scanned · uvarint pairs]
 //	  [stats:   uvarint records · uvarint bytes · uvarint updates ·
 //	            u8 schemeLen · scheme · u8 leakage]
@@ -538,8 +592,12 @@ func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 		} else {
 			flags |= flagGroups
 		}
-		if a.Width.size() == 0 {
-			return dst, fmt.Errorf("wire: answer width %d", a.Width)
+		if a.Width == WidthIndex {
+			if flags&flagGroups == 0 || len(a.Groups) > maxIndexed || a.Slots < 0 || a.Slots > MaxFrame/2 {
+				return dst, fmt.Errorf("wire: %d groups as %d indices", len(a.Groups), a.Slots)
+			}
+		} else if a.Width.size() == 0 || a.Slots != 0 {
+			return dst, fmt.Errorf("wire: answer width %d with %d index slots", a.Width, a.Slots)
 		}
 	}
 	if resp.Cost != nil {
@@ -570,8 +628,8 @@ func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 	// Every section's fixed part at its widest (they sum to 113 bytes), plus
 	// the three variable ones.
 	size := 113 + len(detail)
-	if resp.Answer != nil {
-		size += resp.Answer.Width.size() * len(resp.Answer.Groups)
+	if a := resp.Answer; a != nil {
+		size += a.Width.size()*len(a.Groups) + 2*a.Slots
 	}
 	if resp.Stats != nil {
 		size += min(len(resp.Stats.Scheme), MaxOwnerLen)
@@ -594,7 +652,11 @@ func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 			b = binfmt.AppendUvarint(b, uint64(len(values)))
 		}
 		var ok bool
-		if b, ok = appendValues(b, a.Width, values); !ok {
+		if a.Width == WidthIndex {
+			if b, ok = appendIndices(binfmt.AppendUvarint(b, uint64(a.Slots)), values, a.Slots); !ok {
+				return dst, fmt.Errorf("wire: %d groups that are not counts within their %d indices", len(values), a.Slots)
+			}
+		} else if b, ok = appendValues(b, a.Width, values); !ok {
 			return dst, fmt.Errorf("wire: an answer value its width %d does not hold", a.Width)
 		}
 	}
@@ -660,10 +722,14 @@ func (c Codec) DecodeGatewayResponse(b []byte) (GatewayResponse, error) {
 	}
 	if flags&(flagScalar|flagGroups) != 0 {
 		a := AnswerSpec{Width: Width(r.U8("answer width"))}
-		size := a.Width.size()
-		n := uint64(1)
+		// n values of size bytes each, or, in the index layout, count indices.
+		size, n := a.Width.size(), uint64(1)
 		if flags&flagGroups != 0 {
 			n = r.Uvarint("group count")
+		}
+		count, indexed := n, a.Width == WidthIndex && flags&flagGroups != 0
+		if indexed {
+			size, count = 2, r.Uvarint("answer index count")
 		}
 		if r.Err() != nil {
 			return GatewayResponse{}, r.Err()
@@ -674,17 +740,26 @@ func (c Codec) DecodeGatewayResponse(b []byte) (GatewayResponse, error) {
 		if n == 0 {
 			return GatewayResponse{}, fmt.Errorf("%w: a group vector of none", ErrBadFrame)
 		}
-		if n > uint64(r.Remaining()/size) {
+		if indexed && n > maxIndexed {
+			return GatewayResponse{}, errIndexPad
+		}
+		if count > uint64(r.Remaining()/size) {
 			return GatewayResponse{}, errAnswerBlock
 		}
-		block := r.Bytes(int(n)*size, "answer values")
+		block := r.Bytes(int(count)*size, "answer values")
 		var scalar [1]float64
 		values := scalar[:]
 		if flags&flagGroups != 0 {
 			a.Groups = make([]float64, n)
 			values = a.Groups
 		}
-		if err := readValues(values, block, a.Width); err != nil {
+		var err error
+		if indexed {
+			a.Slots, err = int(count), readIndices(values, block)
+		} else {
+			err = readValues(values, block, a.Width)
+		}
+		if err != nil {
 			return GatewayResponse{}, err
 		}
 		a.Scalar = scalar[0]

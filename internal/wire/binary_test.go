@@ -47,6 +47,9 @@ func sampleResponses() []GatewayResponse {
 		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: 65535, Width: 2}}},
 		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: 0, Width: 4}}},
 		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: 1 << 53, Width: 8}}},
+		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{0, 2, 0, 1}, Width: WidthIndex, Slots: 5}, Cost: &CostSpec{}}},
+		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{3}, Width: WidthIndex, Slots: 3}}},
+		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: make([]float64, 265), Width: WidthIndex}}},
 		{ID: 12, Resp: Refuse(CodeStale, 1<<40, "")},
 		{ID: 13, Resp: Refuse(CodeSeqGap, 2, "")},
 		{ID: 14, Resp: Refuse(CodeBadRequest, 0, "gateway: unbound handle 7")},
@@ -114,6 +117,9 @@ func TestBinaryDecodeTypedErrors(t *testing.T) {
 	groups := func(tail ...byte) []byte { // id 9, OK|groups, then tail: width, count, values
 		return append([]byte{9, flagOK | flagGroups}, tail...)
 	}
+	indices := func(tail ...byte) []byte { // groups as indices, then tail: count, index count, indices
+		return groups(append([]byte{byte(WidthIndex)}, tail...)...)
+	}
 	requests := map[string][]byte{
 		"truncated header":          valid[:5],
 		"truncated sealed":          valid[:len(valid)-2],
@@ -148,48 +154,59 @@ func TestBinaryDecodeTypedErrors(t *testing.T) {
 		}
 	}
 	responses := map[string][]byte{
-		"short":                     {1},
-		"fixed-width id (codec 2)":  {0, 0, 0, 0, 0, 0, 0, 1, flagOK},
-		"padded id":                 {0x81, 0x00, flagOK},
-		"trailing bytes":            {1, flagOK, 0},
-		"neither OK nor refused":    {1, 0},
-		"a lone section":            {1, flagResume, 5},
-		"OK and refused":            {1, flagOK | flagRefused, byte(CodeClosing), 0, 0},
-		"refusal beside an answer":  {1, flagRefused | flagScalar, byte(CodeClosing), 0, 0, 1, 7},
-		"refusal beside a resume":   {1, flagRefused | flagResume, byte(CodeClosing), 0, 0, 5},
-		"refusal code 0":            {1, flagRefused, 0, 0, 0},
-		"refusal code 10":           {1, flagRefused, 10, 0, 0},
-		"retired bit 128":           {1, flagRefused | 128, byte(CodeStale), 16, 0},
-		"codec-3 backpressure":      append([]byte{1, 2 | 64, 42}, ErrBackpressure.Error()...),
-		"codec-3 error frame":       {1, 2, 4, 'b', 'o', 'o', 'm'},
-		"codec-3 not-setup text":    append([]byte{1, 2, 24}, "edb: database not set up"...),
-		"truncated refusal":         {1, flagRefused, byte(CodeStale)},
-		"padded refusal cursor":     {1, flagRefused, byte(CodeStale), 0x90, 0x00, 0},
-		"padded detail length":      {1, flagRefused, byte(CodeFailed), 0, 0x81, 0x00, 'x'},
-		"detail one byte short":     {1, flagRefused, byte(CodeFailed), 0, 4, 'b', 'o', 'o'},
-		"detail past the cap":       {1, flagRefused, byte(CodeFailed), 0, 0x80, 0x80, 0x04, 'x'},
-		"cursor on backpressure":    {1, flagRefused, byte(CodeBackpressure), 7, 0},
-		"text on not-setup":         {1, flagRefused, byte(CodeNotSetup), 0, 1, 'x'},
-		"trailing byte on refusal":  {1, flagRefused, byte(CodeClosing), 0, 0, 0},
-		"group count exceeds frame": groups(4, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F),
-		"groups×width overflows":    groups(append(append([]byte{8}, maxU64...), 1, 2, 3)...),
-		"group block one short":     groups(4, 2, 0, 0, 0, 1, 0, 0, 0),
-		"group flag, no section":    groups(),
-		"a group vector of none":    groups(4, 0),
-		"padded group count":        groups(4, 0x81, 0x00, 0, 0, 0, 7),
-		"a scalar beside groups":    {9, flagOK | flagScalar | flagGroups, 1, 7, 1, 1, 7},
-		"codec-5 group answer":      {9, flagOK | flagScalar, 0, 0, 0, 0, 0, 0, 0, 0, 2, 4, 0, 0, 0, 7, 0, 0, 0, 9}, // f64 0 · 2 groups · width 4
-		"scalar flag, no section":   scalar(),
-		"truncated scalar":          scalar(4, 0, 0, 7),
-		"unknown width code 3":      scalar(3, 0, 0, 7),
-		"unknown width code 16":     groups(16, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7),
-		"unknown width code 0x88":   scalar(0x88, 0x40, 0x1C, 0, 0, 0, 0, 0, 0),
-		"scalar over its width":     scalar(8, 0, 0x20, 0, 0, 0, 0, 0, 1),                                                 // 2⁵³ + 1
-		"group over its width":      groups(8, 2, 0, 0, 0, 0, 0, 0, 0, 7, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF), // 7, 2⁶⁴ − 1
-		"padded cost":               {1, flagOK | flagCost, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x00, 0},
-		"padded resume clock":       {1, flagOK | flagResume, 0xAA, 0x00},
-		"stale cursor past 64 bits": append(append([]byte{1, flagRefused, byte(CodeStale)}, ff9...), 0x7F, 0),
-		"truncated stats":           {1, flagOK | flagStats, 12, 0x80},
+		"short":                      {1},
+		"fixed-width id (codec 2)":   {0, 0, 0, 0, 0, 0, 0, 1, flagOK},
+		"padded id":                  {0x81, 0x00, flagOK},
+		"trailing bytes":             {1, flagOK, 0},
+		"neither OK nor refused":     {1, 0},
+		"a lone section":             {1, flagResume, 5},
+		"OK and refused":             {1, flagOK | flagRefused, byte(CodeClosing), 0, 0},
+		"refusal beside an answer":   {1, flagRefused | flagScalar, byte(CodeClosing), 0, 0, 1, 7},
+		"refusal beside a resume":    {1, flagRefused | flagResume, byte(CodeClosing), 0, 0, 5},
+		"refusal code 0":             {1, flagRefused, 0, 0, 0},
+		"refusal code 10":            {1, flagRefused, 10, 0, 0},
+		"retired bit 128":            {1, flagRefused | 128, byte(CodeStale), 16, 0},
+		"codec-3 backpressure":       append([]byte{1, 2 | 64, 42}, ErrBackpressure.Error()...),
+		"codec-3 error frame":        {1, 2, 4, 'b', 'o', 'o', 'm'},
+		"codec-3 not-setup text":     append([]byte{1, 2, 24}, "edb: database not set up"...),
+		"truncated refusal":          {1, flagRefused, byte(CodeStale)},
+		"padded refusal cursor":      {1, flagRefused, byte(CodeStale), 0x90, 0x00, 0},
+		"padded detail length":       {1, flagRefused, byte(CodeFailed), 0, 0x81, 0x00, 'x'},
+		"detail one byte short":      {1, flagRefused, byte(CodeFailed), 0, 4, 'b', 'o', 'o'},
+		"detail past the cap":        {1, flagRefused, byte(CodeFailed), 0, 0x80, 0x80, 0x04, 'x'},
+		"cursor on backpressure":     {1, flagRefused, byte(CodeBackpressure), 7, 0},
+		"text on not-setup":          {1, flagRefused, byte(CodeNotSetup), 0, 1, 'x'},
+		"trailing byte on refusal":   {1, flagRefused, byte(CodeClosing), 0, 0, 0},
+		"group count exceeds frame":  groups(4, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F),
+		"groups×width overflows":     groups(append(append([]byte{8}, maxU64...), 1, 2, 3)...),
+		"group block one short":      groups(4, 2, 0, 0, 0, 1, 0, 0, 0),
+		"group flag, no section":     groups(),
+		"a group vector of none":     groups(4, 0),
+		"padded group count":         groups(4, 0x81, 0x00, 0, 0, 0, 7),
+		"a scalar beside groups":     {9, flagOK | flagScalar | flagGroups, 1, 7, 1, 1, 7},
+		"codec-5 group answer":       {9, flagOK | flagScalar, 0, 0, 0, 0, 0, 0, 0, 0, 2, 4, 0, 0, 0, 7, 0, 0, 0, 9}, // f64 0 · 2 groups · width 4
+		"scalar flag, no section":    scalar(),
+		"truncated scalar":           scalar(4, 0, 0, 7),
+		"unknown width code 3":       scalar(3, 0, 0, 7),
+		"unknown width code 16":      groups(16, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7),
+		"unknown width code 0x88":    scalar(0x88, 0x40, 0x1C, 0, 0, 0, 0, 0, 0),
+		"scalar over its width":      scalar(8, 0, 0x20, 0, 0, 0, 0, 0, 1),                                                 // 2⁵³ + 1
+		"group over its width":       groups(8, 2, 0, 0, 0, 0, 0, 0, 0, 7, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF), // 7, 2⁶⁴ − 1
+		"indices descending":         indices(3, 3, 0, 2, 0, 1, 0, 1),
+		"an index past the pad":      indices(3, 2, 0, 1, 0, 4),
+		"a pad before an index":      indices(3, 2, 0, 3, 0, 1),
+		"index count past frame":     indices(3, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 1),
+		"index count past 64 bits":   indices(append(append([]byte{3}, ff9...), 0x02)...),
+		"index block one short":      indices(3, 2, 0, 1, 0),
+		"indices on a scalar":        scalar(byte(WidthIndex), 1, 0, 1),
+		"indices on no groups":       indices(0, 0),
+		"indices on 65,536 groups":   indices(0x80, 0x80, 0x04, 0),
+		"padded index count":         indices(3, 0x81, 0x00, 0, 1),
+		"padded indexed group count": indices(0x83, 0x00, 1, 0, 1),
+		"padded cost":                {1, flagOK | flagCost, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x00, 0},
+		"padded resume clock":        {1, flagOK | flagResume, 0xAA, 0x00},
+		"stale cursor past 64 bits":  append(append([]byte{1, flagRefused, byte(CodeStale)}, ff9...), 0x7F, 0),
+		"truncated stats":            {1, flagOK | flagStats, 12, 0x80},
 	}
 	for name, b := range responses {
 		if _, err := CodecBinary.DecodeGatewayResponse(b); !errors.Is(err, ErrBadFrame) {
@@ -205,6 +222,12 @@ func TestBinaryDecodeTypedErrors(t *testing.T) {
 	if g, err := CodecBinary.DecodeGatewayResponse(scalar(8, 0, 0x20, 0, 0, 0, 0, 0, 0)); err != nil || g.Resp.Answer.Scalar != 1<<53 {
 		t.Errorf("2⁵³ at width 8: %+v, %v", g.Resp.Answer, err)
 	}
+	// Indices count into their groups, and the pads into none: 1, 1, 2 and
+	// a pad in a vector of 3 are the counts 0, 2, 1 in 4 slots.
+	if g, err := CodecBinary.DecodeGatewayResponse(indices(3, 4, 0, 1, 0, 1, 0, 2, 0, 3)); err != nil ||
+		!reflect.DeepEqual(g.Resp.Answer, &AnswerSpec{Groups: []float64{0, 2, 1}, Width: WidthIndex, Slots: 4}) {
+		t.Errorf("indices 1, 1, 2, pad: %+v, %v", g.Resp.Answer, err)
+	}
 
 	// A block that claims more than its frame holds is refused before
 	// anything is allocated for it — not a slice header, not an error string.
@@ -214,6 +237,8 @@ func TestBinaryDecodeTypedErrors(t *testing.T) {
 		"n×width wraps into range":  func() { _, _ = CodecBinary.DecodeGatewayRequest(requests["n×width wraps into range"]) },
 		"group count exceeds frame": func() { _, _ = CodecBinary.DecodeGatewayResponse(responses["group count exceeds frame"]) },
 		"groups×width overflows":    func() { _, _ = CodecBinary.DecodeGatewayResponse(responses["groups×width overflows"]) },
+		"index count past frame":    func() { _, _ = CodecBinary.DecodeGatewayResponse(responses["index count past frame"]) },
+		"indices on 65,536 groups":  func() { _, _ = CodecBinary.DecodeGatewayResponse(responses["indices on 65,536 groups"]) },
 	} {
 		if n := testing.AllocsPerRun(100, decode); n > 1 {
 			t.Errorf("%s: %v allocs/op, want the rejection to come before any allocation", name, n)
@@ -252,23 +277,32 @@ func TestEncodeGuards(t *testing.T) {
 	// A response is exactly one of OK and refused, a refusal travels alone,
 	// and only the codes that carry a cursor or a text may set one.
 	for name, r := range map[string]Response{
-		"neither OK nor refused":  {},
-		"a lone section":          {Resume: &ResumeSpec{Clock: 5}},
-		"OK and refused":          {OK: true, Refusal: &Refusal{Code: CodeClosing}},
-		"refusal beside a resume": {Refusal: &Refusal{Code: CodeClosing}, Resume: &ResumeSpec{Clock: 5}},
-		"refusal code 0":          {Refusal: &Refusal{}},
-		"refusal code 10":         {Refusal: &Refusal{Code: 10}},
-		"cursor on backpressure":  Refuse(CodeBackpressure, 7, ""),
-		"text on suspended":       Refuse(CodeSuspended, 0, "the disk is full"),
-		"a scalar beside groups":  {OK: true, Answer: &AnswerSpec{Scalar: 1, Groups: []float64{1}, Width: 1}},
-		"unknown width 3":         {OK: true, Answer: &AnswerSpec{Scalar: 1, Width: 3}},
-		"a scalar over its width": {OK: true, Answer: &AnswerSpec{Scalar: 256, Width: 1}},
-		"a group over its width":  {OK: true, Answer: &AnswerSpec{Groups: []float64{1, 65536}, Width: 2}},
-		"a fraction at width 4":   {OK: true, Answer: &AnswerSpec{Groups: []float64{1, 2.5}, Width: 4}},
-		"a negative count":        {OK: true, Answer: &AnswerSpec{Scalar: -1, Width: 8}},
-		"−0 at width 1":           {OK: true, Answer: &AnswerSpec{Scalar: math.Copysign(0, -1), Width: 1}},
-		"NaN at width 8":          {OK: true, Answer: &AnswerSpec{Groups: []float64{math.NaN()}, Width: 8}},
-		"2⁵³ + 2 at width 8":      {OK: true, Answer: &AnswerSpec{Scalar: 1<<53 + 2, Width: 8}},
+		"neither OK nor refused":   {},
+		"a lone section":           {Resume: &ResumeSpec{Clock: 5}},
+		"OK and refused":           {OK: true, Refusal: &Refusal{Code: CodeClosing}},
+		"refusal beside a resume":  {Refusal: &Refusal{Code: CodeClosing}, Resume: &ResumeSpec{Clock: 5}},
+		"refusal code 0":           {Refusal: &Refusal{}},
+		"refusal code 10":          {Refusal: &Refusal{Code: 10}},
+		"cursor on backpressure":   Refuse(CodeBackpressure, 7, ""),
+		"text on suspended":        Refuse(CodeSuspended, 0, "the disk is full"),
+		"a scalar beside groups":   {OK: true, Answer: &AnswerSpec{Scalar: 1, Groups: []float64{1}, Width: 1}},
+		"unknown width 3":          {OK: true, Answer: &AnswerSpec{Scalar: 1, Width: 3}},
+		"a scalar over its width":  {OK: true, Answer: &AnswerSpec{Scalar: 256, Width: 1}},
+		"a group over its width":   {OK: true, Answer: &AnswerSpec{Groups: []float64{1, 65536}, Width: 2}},
+		"a fraction at width 4":    {OK: true, Answer: &AnswerSpec{Groups: []float64{1, 2.5}, Width: 4}},
+		"a negative count":         {OK: true, Answer: &AnswerSpec{Scalar: -1, Width: 8}},
+		"−0 at width 1":            {OK: true, Answer: &AnswerSpec{Scalar: math.Copysign(0, -1), Width: 1}},
+		"NaN at width 8":           {OK: true, Answer: &AnswerSpec{Groups: []float64{math.NaN()}, Width: 8}},
+		"2⁵³ + 2 at width 8":       {OK: true, Answer: &AnswerSpec{Scalar: 1<<53 + 2, Width: 8}},
+		"indices on a scalar":      {OK: true, Answer: &AnswerSpec{Scalar: 1, Width: WidthIndex, Slots: 1}},
+		"counts past their slots":  {OK: true, Answer: &AnswerSpec{Groups: []float64{1, 2}, Width: WidthIndex, Slots: 2}},
+		"a fraction as indices":    {OK: true, Answer: &AnswerSpec{Groups: []float64{0.5}, Width: WidthIndex, Slots: 1}},
+		"a negative index count":   {OK: true, Answer: &AnswerSpec{Groups: []float64{-1, 2}, Width: WidthIndex, Slots: 2}},
+		"negative slots":           {OK: true, Answer: &AnswerSpec{Groups: []float64{0}, Width: WidthIndex, Slots: -1}},
+		"slots past any frame":     {OK: true, Answer: &AnswerSpec{Groups: []float64{0}, Width: WidthIndex, Slots: MaxFrame}},
+		"65,536 groups as indices": {OK: true, Answer: &AnswerSpec{Groups: make([]float64, 1<<16), Width: WidthIndex}},
+		"slots beside width 1":     {OK: true, Answer: &AnswerSpec{Groups: []float64{1}, Width: 1, Slots: 1}},
+		"slots beside a scalar":    {OK: true, Answer: &AnswerSpec{Scalar: 1, Width: 1, Slots: 1}},
 	} {
 		buf := append(make([]byte, 0, 256), 0xA, 0xB, 0xC)
 		got, err := AppendGatewayResponse(buf, GatewayResponse{ID: 1, Resp: r})
@@ -279,11 +313,12 @@ func TestEncodeGuards(t *testing.T) {
 			t.Errorf("response %s: the refused encode returned %d bytes, want the buffer as it was", name, len(got))
 		}
 	}
-	// Bytes 1 to 5 were the JSON codec, the fixed-width-integer layout, the
+	// Bytes 1 to 6 were the JSON codec, the fixed-width-integer layout, the
 	// error-text-beside-flag-bits layout, the owner named inline in every
-	// request and every answer at 4-byte groups beside an 8-byte scalar; they
-	// name no codec now, and nothing encodes or decodes under them.
-	for _, retired := range []Codec{1, 2, 3, 4, 5} {
+	// request, every answer at 4-byte groups beside an 8-byte scalar and
+	// every group vector one value a group; they name no codec now, and
+	// nothing encodes or decodes under them.
+	for _, retired := range []Codec{1, 2, 3, 4, 5, 6} {
 		if _, err := retired.EncodeGatewayRequest(sampleRequests()[0]); err == nil {
 			t.Errorf("request encoded under the retired codec byte %d", retired)
 		}
@@ -306,10 +341,10 @@ func TestHelloNegotiation(t *testing.T) {
 		t.Errorf("hello = kind %v codec %v", kind, got)
 	}
 	// An unknown or retired codec byte passes through ReadAnyHello — the
-	// server acks the one codec it speaks, version byte 6, whatever was
+	// server acks the one codec it speaks, version byte 7, whatever was
 	// proposed (over a socket: the gateway's
 	// TestGatewayAcksUnknownCodecWithBinary).
-	for _, proposed := range []Codec{77, 5, 4, 3, 2, 1} {
+	for _, proposed := range []Codec{77, 6, 5, 4, 3, 2, 1} {
 		buf.Reset()
 		_ = WriteHello(&buf, proposed)
 		kind, got, err = ReadAnyHello(&buf)
@@ -320,8 +355,8 @@ func TestHelloNegotiation(t *testing.T) {
 			t.Errorf("proposed codec %d: read kind %v codec %d, valid %v", proposed, kind, got, proposed.Valid())
 		}
 		_ = WriteHelloAck(&buf, CodecBinary) // what the gateway answers any proposal
-		if ack, err := ReadHelloAck(&buf); err != nil || byte(ack) != 6 {
-			t.Errorf("proposed codec %d: acked %d (%v), want 6", proposed, ack, err)
+		if ack, err := ReadHelloAck(&buf); err != nil || byte(ack) != 7 {
+			t.Errorf("proposed codec %d: acked %d (%v), want 7", proposed, ack, err)
 		}
 	}
 	// The three protocols' hellos differ in the magic alone.
@@ -349,7 +384,7 @@ func TestHelloNegotiation(t *testing.T) {
 	if got, err := ReadHelloAck(&buf); err != nil || got != CodecBinary {
 		t.Errorf("ack = %v, %v", got, err)
 	}
-	for _, b := range []byte{0x7F, 1, 2, 3, 4, 5} { // 1 to 5: the retired codecs' bytes
+	for _, b := range []byte{0x7F, 1, 2, 3, 4, 5, 6} { // 1 to 6: the retired codecs' bytes
 		if _, err := ReadHelloAck(bytes.NewReader([]byte{b})); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("invalid ack %#x: err = %v, want ErrBadFrame", b, err)
 		}

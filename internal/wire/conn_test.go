@@ -335,7 +335,7 @@ var codecSink int
 // BenchmarkCodec times the four messages' encoders — allocating (Encode*)
 // and in place (Append* into a sized buffer) — and their decoders, on a
 // one-record sync, an eight-record sync, their ack, and a grouped query with
-// its answer from a store of 100 records (1-byte groups). wire_B/op is the
+// its answer from a store of 100 records (100 indices). wire_B/op is the
 // message's exact size on the wire, frame header included: the number the
 // codec exists to keep small.
 func BenchmarkCodec(b *testing.B) {
@@ -396,5 +396,60 @@ func BenchmarkCodec(b *testing.B) {
 			g, _ := CodecBinary.DecodeGatewayResponse(respBytes)
 			return int(g.ID)
 		})
+	}
+}
+
+// BenchmarkBoundedAnswer times an answer through the gateway's answer path
+// and back: encode is NewBoundedQueryResponse, which picks the layout, and
+// AppendGatewayResponse into a sized buffer; decode is
+// DecodeGatewayResponse. Q2 is a store of V records, a quarter of them
+// dummies and the rest spread over the zones, at V = 7 and 131 (indices),
+// 132 and 255 (one byte a group); Q1 is a count from 7 records. wire_B/op is
+// the answer's frame, header included.
+func BenchmarkBoundedAnswer(b *testing.B) {
+	q2 := func(v int) query.Answer { return spreadQ2(v - v/4) }
+	cost := edb.Cost{Seconds: 0.004, RecordsScanned: 100}
+	buf := make([]byte, 0, 8192)
+	for _, tc := range []struct {
+		name string
+		k    query.Kind
+		v    int
+		ans  query.Answer
+	}{
+		{"Q2/V=7", query.GroupCount, 7, q2(7)},
+		{"Q2/V=131", query.GroupCount, 131, q2(131)},
+		{"Q2/V=132", query.GroupCount, 132, q2(132)},
+		{"Q2/V=255", query.GroupCount, 255, q2(255)},
+		{"Q1/V=7", query.RangeCount, 7, query.Answer{Scalar: 5}},
+	} {
+		encode := func() []byte {
+			out, err := AppendGatewayResponse(buf, GatewayResponse{ID: 2, Resp: NewBoundedQueryResponse(tc.ans, cost, tc.k, tc.v)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return out
+		}
+		frame := append([]byte(nil), encode()...)
+		for _, op := range []struct {
+			name string
+			run  func() int
+		}{
+			{"encode", func() int { return len(encode()) }},
+			{"decode", func() int {
+				g, err := CodecBinary.DecodeGatewayResponse(frame)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return len(g.Resp.Answer.Groups)
+			}},
+		} {
+			b.Run(tc.name+"/"+op.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					codecSink += op.run()
+				}
+				b.ReportMetric(float64(4+len(frame)), "wire_B/op")
+			})
+		}
 	}
 }

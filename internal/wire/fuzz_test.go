@@ -2,8 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -96,10 +101,12 @@ func FuzzDecodeGatewayRequest(f *testing.F) {
 // FuzzDecodeGatewayResponse mirrors the request fuzzer for the response
 // direction (the client's attack surface), with the same bijection check:
 // a scalar beside groups, an unknown width code, an 8-byte integer past 2⁵³
-// (a float64 would round it, so it would come back as another number), a
-// refusal beside another section or a padded counter has no message and
-// must have been refused. The committed corpus (testdata/fuzz) holds an
-// answer at every width and each of those rejects.
+// (a float64 would round it, so it would come back as another number),
+// indices out of order, past their pad or on a scalar, a refusal beside
+// another section or a padded counter has no message and must have been
+// refused. The committed corpus (testdata/fuzz) holds an answer at every
+// width and as indices, and each of those rejects
+// (TestResponseCorpusSaysWhatItHolds).
 func FuzzDecodeGatewayResponse(f *testing.F) {
 	for _, g := range []GatewayResponse{
 		{ID: 1, Resp: Response{OK: true}},
@@ -112,6 +119,7 @@ func FuzzDecodeGatewayResponse(f *testing.F) {
 		{ID: 6, Resp: Refuse(CodeBackpressure, 0, "")},
 		{ID: 7, Resp: Refuse(CodeStale, 99, "")},
 		{ID: 8, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{1, 2.5, math.NaN()}}}},
+		{ID: 9, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{0, 2, 0, 1}, Width: WidthIndex, Slots: 5}}},
 	} {
 		if b, err := codec.EncodeGatewayResponse(g); err == nil {
 			f.Add(b)
@@ -145,6 +153,35 @@ func FuzzDecodeGatewayResponse(f *testing.F) {
 			t.Fatalf("accepted %x, which encodes as %x: two spellings of one message", data, reenc)
 		}
 	})
+}
+
+// TestResponseCorpusSaysWhatItHolds reads FuzzDecodeGatewayResponse's
+// committed corpus: a seed whose name begins "reject-" is refused as
+// ErrBadFrame, and every other seed decodes, so a codec change that starts
+// accepting a reject — or refusing an answer — fails here, not only when
+// the fuzzer happens to check the bijection.
+func TestResponseCorpusSaysWhatItHolds(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeGatewayResponse")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		quoted, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+		data, qerr := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if len(lines) != 2 || lines[0] != "go test fuzz v1" || !ok || qerr != nil {
+			t.Fatalf("%s: not one []byte seed", e.Name())
+		}
+		_, err = codec.DecodeGatewayResponse([]byte(data))
+		if reject := strings.HasPrefix(e.Name(), "reject-"); reject != errors.Is(err, ErrBadFrame) || (!reject && err != nil) {
+			t.Errorf("%s: decoded with err %v", e.Name(), err)
+		}
+	}
 }
 
 // FuzzResumeHandshake targets the reconnect handshake specifically: the

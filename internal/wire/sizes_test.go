@@ -93,7 +93,22 @@ func refResponse(g GatewayResponse) []byte {
 		p = refUvarint(p, r.Refusal.Cursor)
 		p = append(refUvarint(p, uint64(len(r.Refusal.Detail))), r.Refusal.Detail...)
 	}
-	if r.Answer != nil {
+	if r.Answer != nil && r.Answer.Width == 0x82 {
+		// The index layout: one 2-byte index a slot — each group's once per
+		// record it counted, group by group — then the pad, the group count.
+		p = append(p, 0x82)
+		p = refUvarint(refUvarint(p, uint64(len(values))), uint64(r.Answer.Slots))
+		left := r.Answer.Slots
+		for z, v := range values {
+			for j := 0; j < int(v); j++ {
+				p = refBigEndian(p, uint64(z), 2)
+			}
+			left -= int(v)
+		}
+		for ; left > 0; left-- {
+			p = refBigEndian(p, uint64(len(values)), 2)
+		}
+	} else if r.Answer != nil {
 		width := int(r.Answer.Width)
 		p = append(p, byte(width))
 		if len(r.Answer.Groups) > 0 {
@@ -146,6 +161,39 @@ func refWidth(k query.Kind, v uint64) Width {
 		if bound.Cmp(limit) <= 0 {
 			return Width(w)
 		}
+	}
+	return 0
+}
+
+// refIndexed is the index layout's rule written out again: a vector of n
+// exact counts from a store of v records, whose counts sum to at most v,
+// travels as v 2-byte indices behind their count's varint when that is
+// fewer bytes than its n values at the bound's width w — and never on more
+// groups than a 2-byte index can pad.
+func refIndexed(n int, v uint64, w Width, sum float64) bool {
+	if n > 65535 || sum > float64(v) || w == 0 {
+		return false
+	}
+	indices := new(big.Int).SetUint64(v)
+	indices.Mul(indices, big.NewInt(2))
+	indices.Add(indices, big.NewInt(int64(len(refUvarint(nil, v)))))
+	return indices.Cmp(big.NewInt(int64(n)*int64(w))) < 0
+}
+
+// spreadQ2 is a Q2 answer that counts n records spread over the zones.
+func spreadQ2(n int) query.Answer {
+	groups := make([]float64, 265)
+	for i := 0; i < n; i++ {
+		groups[i*37%265]++
+	}
+	return query.Answer{Groups: groups}
+}
+
+// indexSlots is the Slots an answer from a store of v records carries at
+// width w: v indices in the index layout, none at any other width.
+func indexSlots(w Width, v int) int {
+	if w == WidthIndex {
+		return v
 	}
 	return 0
 }
@@ -213,6 +261,9 @@ func TestFrameSizes(t *testing.T) {
 	}
 	noisy := append([]float64{}, groups...)
 	noisy[200] = 3.5
+	// stored is Q2's answer from a store of v records, a quarter of them
+	// dummies.
+	stored := func(v int) query.Answer { return spreadQ2(v - v/4) }
 	const maxU64 = 1<<64 - 1
 
 	requests := []struct {
@@ -309,6 +360,17 @@ func TestFrameSizes(t *testing.T) {
 		{"Q2 at V=65536", bounded(query.GroupCount, 65536, q2), 1080},
 		{"Q2 at V=2^32", bounded(query.GroupCount, 1<<32, q2), 2140},
 		{"Q2, one non-integer group, at V=255", bounded(query.GroupCount, 255, q2noisy), 2140},
+		// Below the crossover a Q2 whose counts sum to at most V travels as
+		// V indices: code, group count, index count, 2 bytes an index.
+		{"Q2 as indices at V=0", bounded(query.GroupCount, 0, stored(0)), 21},
+		{"Q2 as indices at V=1", bounded(query.GroupCount, 1, stored(1)), 23},
+		{"Q2 as indices at V=7", bounded(query.GroupCount, 7, stored(7)), 35},
+		{"Q2 as indices at V=127", bounded(query.GroupCount, 127, stored(127)), 275},
+		{"Q2 as indices at V=128", bounded(query.GroupCount, 128, stored(128)), 278}, // the index count takes a second byte
+		{"Q2 as indices at V=131", bounded(query.GroupCount, 131, stored(131)), 284},
+		{"Q2 at V=132", bounded(query.GroupCount, 132, stored(132)), 285},                        // one byte a group is shorter
+		{"Q2 as indices at V=256", bounded(query.GroupCount, 256, stored(256)), 534},             // shorter than two bytes a group
+		{"Q2 summing past V=7", bounded(query.GroupCount, 7, query.Answer{Groups: groups}), 285}, // no exact answer does
 		// No bound applied: codec 5's widths, less its zero scalar beside
 		// groups (26, 1,088 and 2,148 bytes under codec 5).
 		{"Q1, no bound", unbounded(count), 26},
@@ -426,7 +488,15 @@ func TestCodecMatchesReferenceEncoder(t *testing.T) {
 			r.Refusal = ref
 		} else {
 			r.OK = true
-			if rng.Intn(2) == 0 {
+			if rng.Intn(6) == 0 {
+				// The index layout: counts that sum to at most its slots, the
+				// rest of which are pads.
+				n, slots := 1+rng.Intn(300), rng.Intn(400)
+				r.Answer = &AnswerSpec{Width: WidthIndex, Groups: make([]float64, n), Slots: slots}
+				for j := rng.Intn(slots + 1); j > 0; j-- {
+					r.Answer.Groups[rng.Intn(n)]++
+				}
+			} else if rng.Intn(2) == 0 {
 				// One width for the whole answer: any value for floats, and for
 				// an integer width a count it holds, its edges included.
 				w := []Width{WidthFloat, 1, 2, 4, 8}[rng.Intn(5)]
@@ -500,11 +570,13 @@ func floatBits(r Response) (Response, []uint64) {
 	return r, bits
 }
 
-// TestAnswerWidthRule holds the bound's width to refWidth for every kind at
-// every step and either side of it, and pins the fallbacks: an answer with a
-// value that is not an exact count within the bound — a noisy one, or one
-// past the bound — travels as floats, and an answer with no bound applied
-// keeps codec 5's widths (4-byte groups, a float scalar).
+// TestAnswerWidthRule holds the bound's width to refWidth, and a GroupCount
+// vector's choice of indices to refIndexed, for every kind at every step and
+// either side of it, and pins the fallbacks: an answer with a value that is
+// not an exact count within the bound — a noisy one, or one past the bound —
+// travels as floats, a vector whose counts sum past V at the bound's width,
+// and an answer with no bound applied keeps codec 5's widths (4-byte groups,
+// a float scalar).
 func TestAnswerWidthRule(t *testing.T) {
 	var sizes []uint64
 	for _, step := range []uint64{1, 4, 16, 256, 65536, 1 << 21, 1 << 26, 1 << 32, 1 << 53} {
@@ -525,14 +597,23 @@ func TestAnswerWidthRule(t *testing.T) {
 			if k == 9 {
 				want = WidthFloat
 			}
-			if got := NewBoundedQueryResponse(answer(k, 0), edb.Cost{}, k, int(v)).Answer.Width; got != want {
-				t.Errorf("%v from %d records: width %d, want %d", k, v, got, want)
+			// layout is how an answer whose values sum to sum travels.
+			layout := func(sum float64) Width {
+				if k == query.GroupCount && refIndexed(265, v, want, sum) {
+					return WidthIndex
+				}
+				return want
+			}
+			a := NewBoundedQueryResponse(answer(k, 0), edb.Cost{}, k, int(v)).Answer
+			if a.Width != layout(0) || a.Slots != indexSlots(a.Width, int(v)) {
+				t.Errorf("%v from %d records: width %#x and %d slots, want width %#x", k, v, a.Width, a.Slots, layout(0))
 			}
 			if want == WidthFloat || v >= 1<<53 {
 				continue
 			}
-			if got := NewBoundedQueryResponse(answer(k, float64(want.maxCount())), edb.Cost{}, k, int(v)).Answer.Width; got != want {
-				t.Errorf("%v from %d records, the width's largest count: width %d, want %d", k, v, got, want)
+			top := float64(want.maxCount())
+			if got := NewBoundedQueryResponse(answer(k, top), edb.Cost{}, k, int(v)).Answer.Width; got != layout(top) {
+				t.Errorf("%v from %d records, the width's largest count: width %#x, want %#x", k, v, got, layout(top))
 			}
 			if got := NewBoundedQueryResponse(answer(k, 0.5), edb.Cost{}, k, int(v)).Answer.Width; got != WidthFloat {
 				t.Errorf("%v from %d records, a noisy value: width %d, want floats", k, v, got)
@@ -544,11 +625,46 @@ func TestAnswerWidthRule(t *testing.T) {
 			}
 		}
 	}
+	// The index layout's edges: the crossover both ways — one byte a group
+	// against V indices at V = 131 and 132, two bytes a group against them
+	// at V = 255, 256, 263 and 264 — a vector whose counts sum past V, a
+	// non-integer group, and the scalar kinds, which never take indices, not
+	// even for a vector.
+	noisy := spreadQ2(5)
+	noisy.Groups[3] = 0.5
+	for _, tc := range []struct {
+		name string
+		k    query.Kind
+		v    int
+		ans  query.Answer
+		want Width
+	}{
+		{"at the crossover", query.GroupCount, 131, spreadQ2(131), WidthIndex},
+		{"one past the crossover", query.GroupCount, 132, spreadQ2(132), 1},
+		{"the 1-byte width's last V", query.GroupCount, 255, spreadQ2(200), 1},
+		{"the 2-byte width's first V", query.GroupCount, 256, spreadQ2(256), WidthIndex},
+		{"below the 2-byte crossover", query.GroupCount, 263, spreadQ2(263), WidthIndex},
+		{"past the 2-byte crossover", query.GroupCount, 264, spreadQ2(264), 2},
+		{"counts summing past V", query.GroupCount, 7, spreadQ2(8), 1},
+		{"one non-integer group", query.GroupCount, 7, noisy, WidthFloat},
+		{"Q1", query.RangeCount, 7, query.Answer{Scalar: 7}, 1},
+		{"Q1 from no records", query.RangeCount, 0, query.Answer{}, 1},
+		{"Q3", query.JoinCount, 7, query.Answer{Scalar: 49}, 1},
+		{"Q4", query.SumFare, 1, query.Answer{Scalar: 7}, 4},
+		{"a vector under Q1", query.RangeCount, 7, spreadQ2(7), 1},
+		{"a vector under Q3", query.JoinCount, 7, spreadQ2(7), 1},
+	} {
+		a := NewBoundedQueryResponse(tc.ans, edb.Cost{}, tc.k, tc.v).Answer
+		if a.Width != tc.want || a.Slots != indexSlots(tc.want, tc.v) {
+			t.Errorf("%s (%v from %d records): width %#x with %d slots, want %#x", tc.name, tc.k, tc.v, a.Width, a.Slots, tc.want)
+		}
+	}
 	for _, tc := range []struct {
 		ans  query.Answer
 		want Width
 	}{
 		{query.Answer{Scalar: 7}, WidthFloat},
+		{spreadQ2(7), 4},
 		{query.Answer{Groups: []float64{0, 7, 1<<32 - 1}}, 4},
 		{query.Answer{Groups: []float64{0, 7, 1 << 32}}, WidthFloat},
 		{query.Answer{Groups: []float64{0, math.Copysign(0, -1)}}, WidthFloat},

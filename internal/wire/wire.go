@@ -203,11 +203,13 @@ type ResumeSpec struct {
 
 // AnswerSpec is the wire form of query.Answer: one scalar, or — when Groups
 // is non-empty — one group vector, beside which the scalar is zero and not
-// sent. Width says how every value of it travels.
+// sent. Width says how every value of it travels; for WidthIndex, Slots is
+// the number of indices the vector travels as (0 for every other width).
 type AnswerSpec struct {
 	Scalar float64
 	Groups []float64
 	Width  Width
+	Slots  int
 }
 
 // Width is how an answer's values travel: as big-endian unsigned integers of
@@ -220,6 +222,21 @@ type Width byte
 
 // WidthFloat is the zero Width: 8 float bytes a value.
 const WidthFloat Width = 0
+
+// WidthIndex is a group vector's other layout, for exact counts that sum to
+// at most Slots: not one value a group but one 2-byte index a counted
+// record — Slots of them, the groups of the counted records in non-decreasing
+// order, then the vector's length, the pad, for the rest. A group vector
+// travels this way when a store of V records bounds its counts' sum by V
+// (GroupCount: a record falls in at most one group) and V indices take fewer
+// bytes than the vector at its bound's width. Its code is no width's: the
+// high bit says "indices", the low bits their 2 bytes.
+const WidthIndex Width = 0x82
+
+// maxIndexed bounds the length of a vector that travels as indices: its pad,
+// the length, is a 2-byte index too. It also bounds what an index layout can
+// make the decoder allocate, whatever the frame claims.
+const maxIndexed = 1<<16 - 1
 
 // maxCount returns the largest count w holds: 2^(8w) − 1 for 1, 2 and 4
 // bytes, and 2⁵³ for 8 — past it a float64, an answer's value in memory,
@@ -296,6 +313,30 @@ func boundWidth(k query.Kind, records int) Width {
 	return WidthFloat
 }
 
+// indexCheaper reports whether v indices — 2 bytes each, after their
+// count's varint — take fewer bytes than n values at width w, for a vector
+// of n groups the index layout can carry.
+func indexCheaper(n, v int, w Width) bool {
+	dense, k := uint64(n*w.size()), uint64(max(v, 0))
+	return n <= maxIndexed && k < dense && 2*k+uint64(bits.Len64(k|1)+6)/7 < dense
+}
+
+// countsWithin reports whether counts are exact counts that sum to at most
+// v.
+func countsWithin(counts []float64, v int) bool {
+	left := uint64(max(v, 0))
+	for _, c := range counts {
+		if math.Float64bits(c) == 0 {
+			continue // +0, most groups of a small store's answer
+		}
+		if !fits(c, left) {
+			return false
+		}
+		left -= uint64(int64(c))
+	}
+	return true
+}
+
 // ToAnswer converts back to a query.Answer.
 func (a AnswerSpec) ToAnswer() query.Answer {
 	return query.Answer{Scalar: a.Scalar, Groups: a.Groups}
@@ -330,11 +371,17 @@ type StatsSpec struct {
 // answered from a store of records records (edb.StorageStats.Records — a
 // number the server already holds). Every value travels at the least width
 // that holds the bound the store's size puts on every exact answer of that
-// kind, so an exact backend's response is a function of (k, records) alone,
-// never of the data; an answer with a value that is not an exact count
-// within the bound — a noisy backend's — travels as floats.
+// kind; a GroupCount vector, whose exact counts sum to at most records,
+// travels as records indices (WidthIndex) instead when they are fewer bytes.
+// So an exact backend's response is a function of (k, records) alone, never
+// of the data; an answer with a value that is not an exact count within the
+// bound — a noisy backend's — travels as floats.
 func NewBoundedQueryResponse(ans query.Answer, cost edb.Cost, k query.Kind, records int) Response {
-	return queryResponse(ans, cost, boundWidth(k, records))
+	w := boundWidth(k, records)
+	if k == query.GroupCount && indexCheaper(len(ans.Groups), records, w) && countsWithin(ans.Groups, records) {
+		return answerResponse(&AnswerSpec{Groups: ans.Groups, Width: WidthIndex, Slots: records}, cost)
+	}
+	return queryResponse(ans, cost, w)
 }
 
 // NewQueryResponse builds the success response for an answer with no bound
@@ -364,6 +411,11 @@ func queryResponse(ans query.Answer, cost edb.Cost, w Width) Response {
 		w = WidthFloat
 	}
 	a.Width = w
+	return answerResponse(a, cost)
+}
+
+// answerResponse builds a query's success response around its answer.
+func answerResponse(a *AnswerSpec, cost edb.Cost) Response {
 	return Response{
 		OK:     true,
 		Answer: a,
