@@ -536,12 +536,15 @@
 // clock. A reconnecting client asks for the durable per-owner clock with a
 // negotiated Resume frame (wire.MsgResume; served from live tenant state —
 // every recovered owner is resident, so an owner without a tenant has clock
-// 0) and realigns before its next upload. client.DialGateway with
-// WithReconnect redials with capped exponential backoff plus jitter,
-// replays unacknowledged in-flight requests in ID order, and resumes from
-// the returned clock — so retransmits, replays, and duplicated frames all
-// collapse into at-most-once application. A replayed setup acked as a
-// duplicate is taken as the session's own.
+// 0) and realigns before its next upload. With client.WithReconnect a dead
+// transport is redialed by the next request that needs it (capped
+// exponential backoff plus jitter between dials; the requests waiting for
+// the dial share it), a request lost with the transport is re-sent by its
+// own waiter, and a failed upload resumes from the returned clock — so
+// retransmits, re-sends, and duplicated frames all collapse into
+// at-most-once application; a session keeps one sync in flight, so a re-send
+// cannot overtake its successor. A re-sent setup acked as a duplicate is
+// taken as the session's own.
 //
 // Per-tenant flow control. Each gateway connection has an admitted-request
 // cap (gateway.Config.MaxInFlight): past it, requests are shed immediately
@@ -701,15 +704,16 @@
 // Writes on a read connection are refused as not-primary, the sentinel a
 // follower's write hello yields. client.WithReadReplica(addr) routes a
 // session's queries to a replica over the same pipelined, multiplexed link
-// the primary gets (internal/client has one frame reader and one flusher,
-// and both connections run them), so concurrent readers are in flight on the
+// the primary gets (internal/client has one frame reader, one flusher and
+// one dial site, and both connections run them), so concurrent readers are in flight on the
 // replica together, and falls back to the (trivially fresh) primary on any
 // refusal — or on silence: the link's one read deadline follows the oldest
 // read in flight, so a follower that accepts and then says nothing costs
 // every read waiting on it the same single bounded wait, not one each, never
-// the caller's answer, and never blocks Close. The replica link does not
-// replay: when it dies each read in flight goes to the primary once and the
-// next read redials. dpsync-loadgen -query-mix/-replica-addr/-read-replica drive mixed
+// the caller's answer, and never blocks Close. The replica link lives as the
+// primary's does — a dead transport is redialed by the next read that needs
+// it — but re-sends nothing: when it dies each read in flight goes to the
+// primary once. dpsync-loadgen -query-mix/-replica-addr/-read-replica drive mixed
 // read/write load through both paths. The two-node differential pins the
 // contract under -race: every follower-served answer bit-identical to the
 // primary's and to a single-owner reference, a partitioned follower

@@ -127,6 +127,8 @@ var rules = []struct {
 }{
 	// The client's primary and replica connections share one frame reader.
 	{"one-link", call("", "ReadFrame"), "internal/client/", nil, []string{"internal/client/gateway.go:readLoop"}},
+	// Both links get a transport one way: the link's dial has one caller.
+	{"one-dial", call("", "dial"), "internal/client/", nil, []string{"internal/client/gateway.go:connect"}},
 	// Per-record sealing is the reference's second shape, and the ladder's.
 	{"seal-all-callers", call("", "SealAll"), "", []string{"internal/refdb/", "benchmark/"}, nil},
 	// One tenant machine ingests a sealed batch, and one path spills history.

@@ -7,13 +7,13 @@
 package client
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,38 +67,22 @@ const codec = wire.CodecBinary
 // concurrently by many goroutines and many owners. It is one link to the
 // primary — every sync and resume, and every read nobody else answers — and,
 // with WithReadReplica, a second link of the same kind to a follower's read
-// plane. Both are pipelined and multiplexed (see link); what differs between
-// them is set where each is opened and nowhere else.
+// plane. Both are pipelined and multiplexed, and both redial on demand (see
+// link); what differs between them is set where each is opened and nowhere
+// else.
 //
 // Obtain per-owner edb.Database handles with Owner.
 type GatewayConn struct {
 	sealer    *seal.Sealer
 	addrs     []string // rotation order; addrs[addrIdx] is the last good one
-	addrIdx   int      // touched only by the primary link's single dialing goroutine
+	addrIdx   int      // touched only under the primary link's dial lock
 	dialer    func(addr string) (net.Conn, error)
 	resyncWin int
-	window    int    // each link's in-flight cap
-	readAddr  string // read-replica address ("" = reads go to the primary)
+	window    int // each link's in-flight cap
 
 	primary *link
+	replica *link   // nil without WithReadReplica; its first read dials it
 	traffic traffic // frame bytes of both links
-
-	// The replica link: dialed with the read-only hello by the first read
-	// that finds none alive, under rmu — a dial lock, never held across a
-	// round trip, so any number of reads are in flight on the link at once.
-	// It never replays and never reconnects in the background: reads are
-	// side-effect free, so when it dies every read in flight on it fails over
-	// to the primary, once, and the next read redials; so does every read
-	// that waited for a dial that failed (rdials counts the dials, rerr is the
-	// last one's failure, under rmu). Close must not wait for a dial, so it
-	// takes no lock: it sets closed and then closes the link it finds, the
-	// dialer stores its link and then looks at closed, and one of the two
-	// always sees the other.
-	rmu     sync.Mutex
-	replica atomic.Pointer[link]
-	rdials  atomic.Uint64
-	rerr    error
-	closed  atomic.Bool
 
 	replicaServed    atomic.Int64
 	replicaBehind    atomic.Int64
@@ -153,94 +137,91 @@ func (c sentConn) Write(p []byte) (int, error) {
 // scheduler returns to the flusher. No timer is involved, so an idle
 // link never adds latency to coalesce.
 //
-// With reconnect, a lost transport is redialed automatically (capped
-// exponential backoff + jitter) and every in-flight request is replayed in
-// ID order on the new connection. Replay is safe because sequenced syncs
-// are idempotent at the gateway (a retransmitted seq the tenant already
-// applied is acked without re-ingesting or re-charging the ε ledger, and
-// the ack carries the owner's clock) and reads are side-effect free; callers
-// blocked in roundTrip simply get their response on the new transport, told
-// that it answers a replayed copy — a duplicate's ack then may be their own
-// request's second arrival. Without, the first transport failure is
-// permanent: every in-flight request fails with it and the link stays dead.
+// A link outlives its transports, and both links live the same way. A
+// transport that dies releases every request waiting on it, and the link has
+// none until the next request that needs one redials (connect) under the dial
+// lock; the requests that arrive during the dial wait for it and share its
+// outcome. What is set where a link is opened is how a redial dials and what
+// a lost request becomes. The primary redials with WithReconnect's budget and
+// fails for good once a redial spends it — at once, without reconnect — and a
+// lost request is re-sent by its own waiter (roundTrip). That is safe because
+// sequenced syncs are idempotent at the gateway (a retransmitted seq the
+// tenant already applied is acked without re-ingesting or re-charging the ε
+// ledger, and the ack carries the owner's clock) and reads are side-effect
+// free; per-owner order needs nothing more, since a session has one sync in
+// flight at a time. The replica dials once per redial, never fails for good,
+// and hands a lost read back to its caller, which asks the primary instead.
 //
 // With timeout, no request waits on the node longer than that: the reader's
 // socket deadline follows the oldest request in flight (watch), so one timer
 // covers every waiter and a node that accepts and then says nothing kills
-// the link — and releases all of them — after one bounded wait.
+// the transport — and releases all of them — after one bounded wait.
 type link struct {
-	dial        func() (net.Conn, error) // reaches a serving node, hello included
-	reconnect   bool
-	maxAttempts int
-	timeout     time.Duration
-	traffic     *traffic
+	dial     func() (net.Conn, error) // reaches a serving node, hello included
+	attempts int                      // dials one redial may make; 0 = a lost transport is permanent
+	resend   bool                     // the primary: lost requests are re-sent, a spent redial is permanent
+	timeout  time.Duration
+	traffic  *traffic
 
 	wmu    sync.Mutex    // serializes frame appends and flushes; append order = node arrival order
 	window chan struct{} // in-flight cap (backpressure)
 	nextID atomic.Uint64
+	dmu    sync.Mutex // the dial lock: held across a redial, never across a round trip
 
-	mu           sync.Mutex
-	tr           *transport    // the current epoch's transport
-	gate         chan struct{} // closed = sends may proceed; replaced while reconnecting
-	reconnecting bool
-	pending      map[uint64]*pendingReq
-	oldest       uint64 // no pending ID is below it; kept by watch
-	closed       bool   // closed by the user; no further reconnects
-	err          error  // first permanent failure; latched
+	mu      sync.Mutex
+	tr      *transport // the live transport; nil from a loss until a redial installs the next
+	dials   uint64     // dials ended, first included (see connect)
+	down    error      // why tr is nil: the loss, or the last redial's failure
+	pending map[uint64]*pendingReq
+	oldest  uint64 // no pending ID is below it; kept by watch
+	err     error  // permanent failure: Close, a spent redial; latched
 
 	reconnects  atomic.Int64
 	reconnectNs atomic.Int64
 }
 
-// transport is one epoch's connection: the buffered frame connection senders
-// append to under wmu, the owner handles its frames have bound, and the
-// flusher that puts their frames on the socket. The epoch increments per
-// successful (re)dial; a failure reported for a stale epoch is ignored. A
-// redialed epoch starts with no bindings, so its replay names each owner
-// inline first, as any fresh connection does.
+// transport is one connection of a link: the buffered frame connection
+// senders append to under wmu, the owner handles its frames have bound, and
+// the flusher that puts their frames on the socket. A redialed transport
+// starts with no bindings, so each owner's first frame on it names the owner
+// inline, as on any fresh connection.
 type transport struct {
 	fc    *wire.Conn
 	sock  net.Conn      // fc's socket, for the read deadline watch moves
 	bound wire.Bindings // the connection's owner handles; under wmu
-	epoch uint64
 	kick  chan struct{} // capacity 1: frames are waiting in fc's buffer
-	stop  chan struct{} // closed when the epoch is retired; its flusher exits
-	once  sync.Once
+	stop  chan struct{} // closed when the transport is lost; its flusher exits
 }
 
-// newTransport wraps a connection whose hello is done. A link with a timeout
+// start wraps a connection whose hello is done and launches its reader and
+// flusher, which end with the transport (see lose). A link with a timeout
 // bounds each socket write by it too: a node that stops reading must not
 // wedge the flusher, and with it every sender, behind a full socket buffer.
-func (l *link) newTransport(conn net.Conn, epoch uint64) *transport {
-	t := &transport{fc: wire.NewConn(sentConn{conn, &l.traffic.out}), sock: conn, epoch: epoch, kick: make(chan struct{}, 1), stop: make(chan struct{})}
+func (l *link) start(conn net.Conn) *transport {
+	t := &transport{fc: wire.NewConn(sentConn{conn, &l.traffic.out}), sock: conn, kick: make(chan struct{}, 1), stop: make(chan struct{})}
 	t.fc.WriteTimeout = l.timeout
+	go l.readLoop(t)
+	go l.flushLoop(t)
 	return t
 }
 
-// retire stops the transport's flusher. The epoch is over: lost, or closed.
-func (t *transport) retire() { t.once.Do(func() { close(t.stop) }) }
-
-// pendingReq is one in-flight request, retained in full (not just its
-// response channel) so a reconnect can replay it verbatim.
+// pendingReq is one request in flight: where its response goes, and when it
+// was registered (UnixNano; stamped only on a link with a timeout).
 type pendingReq struct {
-	owner    string
-	req      wire.Request
-	ch       chan wire.Response
-	sent     int64 // when it was registered (UnixNano); stamped only on a link with a timeout
-	replayed bool  // a redial re-sent it; set under mu before its response can arrive
+	ch   chan wire.Response
+	sent int64
 }
 
 // GatewayOption tunes a GatewayConn.
 type GatewayOption func(*gatewayOpts)
 
 type gatewayOpts struct {
-	window      int
-	reconnect   bool
-	maxAttempts int
-	dialer      func(addr string) (net.Conn, error)
-	addrs       []string
-	resyncWin   int
-	readAddr    string
+	window    int
+	attempts  int
+	dialer    func(addr string) (net.Conn, error)
+	addrs     []string
+	resyncWin int
+	readAddr  string
 }
 
 // WithWindow sets the in-flight request window (default DefaultWindow).
@@ -252,14 +233,15 @@ func WithWindow(n int) GatewayOption {
 	}
 }
 
-// WithReconnect enables automatic redial + replay after transport loss.
-// attempts bounds redials per outage (0 = DefaultReconnectAttempts).
+// WithReconnect lets the primary link outlive a transport loss: the next
+// request redials, making up to attempts dials (0 = DefaultReconnectAttempts),
+// and each request the loss cut off is re-sent by its waiter.
 func WithReconnect(attempts int) GatewayOption {
 	return func(o *gatewayOpts) {
-		o.reconnect = true
-		if attempts > 0 {
-			o.maxAttempts = attempts
+		if attempts <= 0 {
+			attempts = DefaultReconnectAttempts
 		}
+		o.attempts = attempts
 	}
 }
 
@@ -306,9 +288,11 @@ func WithResyncWindow(n int) GatewayOption {
 }
 
 // DialGateway connects to a gateway, runs the hello exchange, and starts the
-// demultiplexing reader.
+// demultiplexing reader. The primary's first dial is one attempt, so a
+// gateway that cannot be reached fails the call at once; WithReconnect's
+// budget is for the outages after it. The replica is dialed by its first read.
 func DialGateway(addr string, key []byte, opts ...GatewayOption) (*GatewayConn, error) {
-	o := gatewayOpts{window: DefaultWindow, maxAttempts: DefaultReconnectAttempts, resyncWin: DefaultResyncWindow}
+	o := gatewayOpts{window: DefaultWindow, resyncWin: DefaultResyncWindow}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -325,49 +309,35 @@ func DialGateway(addr string, key []byte, opts ...GatewayOption) (*GatewayConn, 
 		dialer:    o.dialer,
 		resyncWin: o.resyncWin,
 		window:    o.window,
-		readAddr:  o.readAddr,
 	}
-	c.primary, err = c.openLink(&link{dial: c.dialTransport, reconnect: o.reconnect, maxAttempts: o.maxAttempts})
-	if err != nil {
+	c.primary = c.openLink(&link{dial: c.dialTransport, attempts: o.attempts, resend: true})
+	if err := c.primary.connect(0, 1); err != nil {
 		return nil, err
+	}
+	if o.readAddr != "" {
+		c.replica = c.openLink(&link{
+			dial:     func() (net.Conn, error) { return c.dialOne(o.readAddr, wire.WriteReadHello) },
+			attempts: 1,
+			timeout:  helloTimeout,
+		})
 	}
 	return c, nil
 }
 
-// openLink dials l's first transport and starts it: l arrives holding what
-// distinguishes it (dial, reconnect, timeout) and leaves ready to send on.
-func (c *GatewayConn) openLink(l *link) (*link, error) {
-	conn, err := l.dial()
-	if err != nil {
-		return nil, err
-	}
-	l.traffic, l.window = &c.traffic, make(chan struct{}, c.window)
-	l.gate, l.pending = closedGate(), map[uint64]*pendingReq{}
-	l.tr = l.newTransport(conn, 1)
-	l.start(l.tr)
-	return l, nil
-}
-
-// start launches a transport's two goroutines. Both end with the epoch: the
-// reader when the connection dies (connLost and close close it), the flusher
-// when the transport is retired.
-func (l *link) start(t *transport) {
-	go l.readLoop(t)
-	go l.flushLoop(t)
-}
-
-func closedGate() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
+// openLink gives l, which arrives holding what distinguishes it (dial,
+// attempts, resend, timeout), what every link of c shares. It has no
+// transport yet: its first request's connect dials one.
+func (c *GatewayConn) openLink(l *link) *link {
+	l.traffic, l.window, l.pending = &c.traffic, make(chan struct{}, c.window), map[uint64]*pendingReq{}
+	return l
 }
 
 // dialTransport finds a serving gateway: it tries the address list starting
 // from the last good entry, skipping nodes that are unreachable or refuse
 // the hello (wire.ErrNotPrimary — a cluster follower). It is the primary
-// link's dial, first and on every reconnect, so the handshake cannot diverge
-// between them; called from one goroutine at a time (init, then the single
-// redial), which is what lets addrIdx go unlocked.
+// link's dial, first and on every redial, so the handshake cannot diverge
+// between them; connect calls it under the link's dial lock, which is what
+// lets addrIdx go unlocked.
 func (c *GatewayConn) dialTransport() (net.Conn, error) {
 	var lastErr error
 	for i := range c.addrs {
@@ -408,28 +378,26 @@ func (c *GatewayConn) dialOne(addr string, hello func(io.Writer, wire.Codec) err
 
 var errClosed = errors.New("client: gateway connection closed")
 
-// Close terminates the connection; in-flight requests fail and no reconnect
+// Close terminates the connection; in-flight requests fail and no redial
 // is attempted — an explicit Close is the user's decision, not an outage.
-// It never waits, not even for a replica dial in progress (see replica), and
-// reads blocked on either link are severed.
+// It never waits, not even for a dial in progress (that dial's connection is
+// closed as it lands), and reads blocked on either link are severed.
 func (c *GatewayConn) Close() error {
-	c.closed.Store(true)
-	if r := c.replica.Load(); r != nil {
-		_ = r.close()
+	if c.replica != nil {
+		c.replica.close()
 	}
-	return c.primary.close()
+	c.primary.close()
+	return nil
 }
 
 // close fails the link for good: the socket is closed and every waiter
-// released.
-func (l *link) close() error {
+// released. It takes no dial lock, so it never waits for a dial.
+func (l *link) close() {
 	l.mu.Lock()
-	l.closed = true
+	l.err = cmp.Or(l.err, errClosed)
 	tr := l.tr
 	l.mu.Unlock()
-	err := tr.fc.Close()
-	l.fail(errClosed)
-	return err
+	l.lose(tr, errClosed)
 }
 
 // dead reports whether the link has failed permanently.
@@ -440,32 +408,37 @@ func (l *link) dead() bool {
 }
 
 // Drop severs the primary's transport without closing the logical
-// connection — exactly what a mid-pipeline network failure looks like. With
-// reconnect enabled the connection heals itself (redial + replay); without,
-// it fails like any other transport loss. The churn harness's hook.
+// connection — exactly what a mid-pipeline network failure looks like. The
+// requests in flight on it are released; with reconnect enabled each is
+// re-sent by its waiter once a request has redialed, and without, the link
+// fails like any other transport loss. Nothing redials until a request needs
+// the link. The churn harness's hook.
 func (c *GatewayConn) Drop() {
 	l := c.primary
 	l.mu.Lock()
 	tr := l.tr
 	l.mu.Unlock()
-	tr.fc.Close()
+	if tr != nil {
+		tr.fc.Close()
+	}
 }
 
 // BytesOut and BytesIn report total frame bytes (including the 4-byte
 // length prefixes, excluding the hello) on the primary link and the replica
 // link together — the load generator's bytes/sync numerator. BytesOut counts
 // the bytes the sockets accepted (see sentConn): a frame queued on a
-// transport that dies before writing it is not counted, a reconnect's
-// replay counts what it sends again, and a frame a response has answered is
+// transport that dies before writing it is not counted, a re-sent request
+// counts each copy the socket took, and a frame a response has answered is
 // always counted.
 func (c *GatewayConn) BytesOut() int64 { return c.traffic.out.Load() }
 
 // BytesIn reports total frame bytes received, counted as frames are read.
 func (c *GatewayConn) BytesIn() int64 { return c.traffic.in.Load() }
 
-// ReconnectStats reports how many times the primary's transport was
-// re-established and the total wall time spent in outage-to-replay recovery
-// — the load generator's churn_resume_ms numerator.
+// ReconnectStats reports how many times the primary's transport was redialed
+// after a loss — by the next request that needed it — and the total wall time
+// those redials took, backoff included, from the first dial to the new
+// transport's hello: the load generator's churn_resume_ms numerator.
 func (c *GatewayConn) ReconnectStats() (count int64, total time.Duration) {
 	return c.primary.reconnects.Load(), time.Duration(c.primary.reconnectNs.Load())
 }
@@ -477,67 +450,16 @@ func (c *GatewayConn) ReplicaStats() (served, stale, fallbacks int64) {
 	return c.replicaServed.Load(), c.replicaBehind.Load(), c.replicaFallbacks.Load()
 }
 
-// replicaLink returns the live link to the read replica, opening one — the
-// read-only hello, no reconnect, every wait bounded by helloTimeout — when
-// there is none or the last one died. Readers that arrive during a dial wait
-// for it under rmu and share its outcome: the link it produced, or its
-// failure — so K readers behind a replica that never acks the hello wait one
-// helloTimeout, not K, and fall back to the primary; the next read redials.
-func (c *GatewayConn) replicaLink() (*link, error) {
-	dials := c.rdials.Load()
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	if l := c.replica.Load(); l != nil && !l.dead() {
-		return l, nil
-	}
-	if c.closed.Load() {
-		return nil, errClosed
-	}
-	if c.rdials.Load() != dials && c.rerr != nil {
-		return nil, c.rerr // a dial ended while this read waited, and failed
-	}
-	l, err := c.openLink(&link{
-		dial:    func() (net.Conn, error) { return c.dialOne(c.readAddr, wire.WriteReadHello) },
-		timeout: helloTimeout,
-	})
-	c.rerr = err
-	c.rdials.Add(1)
-	if err != nil {
-		return nil, err
-	}
-	c.replica.Store(l)
-	if c.closed.Load() {
-		// Close ran during the dial and may have looked before the store.
-		_ = l.close()
-		return nil, errClosed
-	}
-	return l, nil
-}
-
-// replicaRoundTrip runs one read request on the replica link. A refusal is
-// the replica's answer and leaves the link up; a link that dies under the
-// request (transport error, undecodable frame, helloTimeout without a reply)
-// fails it, along with every other read in flight there, and is replaced by
-// the next read. Either way the caller falls back to the primary.
-func (c *GatewayConn) replicaRoundTrip(owner string, req wire.Request) (wire.Response, error) {
-	l, err := c.replicaLink()
-	if err != nil {
-		return wire.Response{}, err
-	}
-	resp, _, err := l.roundTrip(owner, req)
-	return resp, err
-}
-
 // readLoop demultiplexes responses to their waiting senders by request ID.
 // It is the only place the client reads frames: one readLoop runs per
-// transport epoch of either link, and a stale epoch's failure is ignored.
+// transport of either link, and a lost transport's failure is ignored.
 func (l *link) readLoop(t *transport) {
 	var payload []byte // reused across frames: response decode copies what it keeps
 	for {
 		var err error
 		payload, err = t.fc.ReadFrame(payload)
 		if err != nil {
-			l.connLost(t.epoch, fmt.Errorf("client: gateway read: %w", err))
+			l.lose(t, fmt.Errorf("client: gateway read: %w", err))
 			return
 		}
 		l.traffic.in.Add(int64(len(payload)) + 4)
@@ -545,8 +467,7 @@ func (l *link) readLoop(t *transport) {
 		if err != nil {
 			// A framing-level lie from the server: the stream can no longer
 			// be trusted to demultiplex correctly.
-			t.fc.Close()
-			l.connLost(t.epoch, err)
+			l.lose(t, err)
 			return
 		}
 		l.mu.Lock()
@@ -558,8 +479,8 @@ func (l *link) readLoop(t *transport) {
 		l.watch(t)
 		l.mu.Unlock()
 		// Responses with no pending entry are dropped — that is what makes
-		// a duplicated frame (network retransmit, replay overlap) harmless
-		// on the client side.
+		// a duplicated frame (network retransmit, a lost request's answer)
+		// harmless on the client side.
 		if ch != nil {
 			ch <- gr.Resp
 		}
@@ -590,8 +511,8 @@ func (l *link) watch(t *transport) {
 // flushLoop is a transport's flusher, the only one the client has: each kick
 // means frames are waiting in the transport's buffer. It yields once before
 // writing so that every sender already runnable appends first (see link),
-// then flushes under wmu. A flush error ends the epoch the same way a read
-// error does.
+// then flushes under wmu. A flush error loses the transport the same way a
+// read error does.
 func (l *link) flushLoop(t *transport) {
 	for {
 		select {
@@ -604,134 +525,100 @@ func (l *link) flushLoop(t *transport) {
 		err := t.fc.Flush()
 		l.wmu.Unlock()
 		if err != nil {
-			l.connLost(t.epoch, err)
+			l.lose(t, err)
 			return
 		}
 	}
 }
 
-// connLost handles a transport failure for the given epoch: permanent
-// failure without reconnect, redial with it. Stale epochs (a reconnect
-// already superseded the transport) are ignored, and so is every failure
-// after the first of an epoch: closing the transport below fails its reader
-// or flusher too, and that is a consequence, not the cause the waiters get.
-func (l *link) connLost(epoch uint64, err error) {
+// lose ends t for cause if it is still the link's transport: its socket is
+// closed, its flusher stopped, and every request waiting on the link
+// released, each to find its channel closed (see roundTrip). Only the first
+// failure of a transport counts: closing the socket here fails its reader or
+// flusher too, and that is a consequence, not the cause. A link that may not
+// redial fails for good with the loss.
+func (l *link) lose(t *transport, cause error) {
 	l.mu.Lock()
-	if l.closed || l.err != nil || l.tr.epoch != epoch || l.reconnecting {
+	if t == nil || l.tr != t {
 		l.mu.Unlock()
 		return
 	}
-	l.reconnecting = l.reconnect
-	if l.reconnect {
-		l.gate = make(chan struct{}) // block new sends until replay completes
-	} else {
-		l.err = err // latched before the close; fail releases the waiters
+	l.tr, l.down = nil, cause
+	if l.attempts == 0 {
+		l.err = cmp.Or(l.err, cause)
 	}
-	tr := l.tr
+	close(t.stop)
+	for id, p := range l.pending {
+		close(p.ch)
+		delete(l.pending, id)
+	}
 	l.mu.Unlock()
-	// Whatever ended the epoch — an expired deadline leaves the socket open —
-	// nothing reads this transport again.
-	tr.fc.Close()
-	if !l.reconnect {
-		l.fail(err)
-		return
-	}
-	tr.retire()
-	go l.redial(err)
+	t.fc.Close() // an expired deadline leaves the socket open: nothing reads it again
 }
 
-// redial re-establishes the transport with capped exponential backoff +
-// jitter, then replays every pending request in ID order — appended to the
-// new transport's buffer and flushed synchronously — before reopening the
-// send gate. The new epoch's reader and flusher start only after replay — so
-// no failure for the new transport can race the replay itself; a write error
-// mid-replay just burns the attempt and loops.
-func (l *link) redial(cause error) {
+// connect gives the link a transport when it has none; it is the one place a
+// link dials. It runs under the dial lock, so one request dials for all: a
+// request that waited for the lock while another's redial ran (the count of
+// ended redials moved past gen, the one the request saw when it found no
+// transport) takes that redial's outcome — the transport it installed, or on
+// the replica its failure — rather than dialing again. A redial makes up to
+// attempts dials, each after the first preceded by capped exponential backoff
+// with full jitter, so a fleet that lost one gateway does not redial in
+// lockstep; a redial that spends them fails the primary for good. The
+// primary's first transport comes from here too (gen 0), and is not counted
+// as a reconnect.
+func (l *link) connect(gen uint64, attempts int) error {
+	l.dmu.Lock()
+	defer l.dmu.Unlock()
+	l.mu.Lock()
+	if l.err != nil || l.dials != gen {
+		err := l.err
+		if err == nil && l.tr == nil && !l.resend {
+			err = l.down
+		}
+		l.mu.Unlock()
+		return err
+	}
+	l.mu.Unlock()
+
 	start := time.Now()
-	lastErr := cause
-	delay := reconnectBaseDelay
-	for attempt := 1; ; attempt++ {
-		if attempt > l.maxAttempts {
-			l.fail(fmt.Errorf("client: reconnect failed after %d attempts: %w", l.maxAttempts, lastErr))
-			return
+	var conn net.Conn
+	var err error
+	for try, delay := 1, reconnectBaseDelay; ; try++ {
+		if conn, err = l.dial(); err == nil || try >= attempts {
+			break
 		}
 		time.Sleep(delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1)))
-		if delay *= 2; delay > reconnectMaxDelay {
-			delay = reconnectMaxDelay
-		}
-		l.mu.Lock()
-		dead := l.closed || l.err != nil
-		l.mu.Unlock()
-		if dead {
-			return
-		}
-		conn, err := l.dial()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		// Install the new transport and snapshot the replay set atomically:
-		// every request registered before this point is in the snapshot;
-		// everything after waits at the gate and goes out post-replay.
-		l.mu.Lock()
-		if l.closed || l.err != nil {
-			l.mu.Unlock()
-			conn.Close()
-			return
-		}
-		tr := l.newTransport(conn, l.tr.epoch+1)
-		l.tr = tr
-		ids := make([]uint64, 0, len(l.pending))
-		for id := range l.pending {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		replay := make([]wire.GatewayRequest, len(ids))
-		for i, id := range ids {
-			p := l.pending[id]
-			p.replayed = true
-			replay[i] = wire.GatewayRequest{ID: id, Owner: p.owner, Req: p.req}
-		}
-		l.mu.Unlock()
-
-		if err := l.writeAll(tr, replay); err != nil {
-			lastErr = err
-			conn.Close()
-			continue
-		}
-		l.mu.Lock()
-		if l.closed || l.err != nil {
-			// Close won the race while the replay was being written: it has
-			// already failed the waiters and opened the gate.
-			l.mu.Unlock()
-			conn.Close()
-			return
-		}
-		l.reconnecting = false
-		// Counted before the gate opens and the reader starts, so no request
-		// completes over the new transport ahead of the reconnect's count.
-		l.reconnects.Add(1)
-		l.reconnectNs.Add(time.Since(start).Nanoseconds())
-		close(l.gate)
-		l.mu.Unlock()
-		l.start(tr)
-		return
-	}
-}
-
-// writeAll replays the given requests in order under the write lock and
-// returns once they are on the socket.
-func (l *link) writeAll(t *transport, reqs []wire.GatewayRequest) error {
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	for _, greq := range reqs {
-		if encErr, err := l.appendLocked(t, greq); encErr != nil {
-			return encErr
-		} else if err != nil {
-			return err
+		delay = min(2*delay, reconnectMaxDelay)
+		if l.dead() {
+			break // closed during the backoff
 		}
 	}
-	return t.fc.Flush()
+	l.mu.Lock()
+	l.dials++
+	closed := l.err // Close ran while this dialed
+	switch {
+	case closed != nil:
+	case err != nil:
+		l.down = err
+		if l.resend {
+			l.err = fmt.Errorf("client: reconnect failed after %d attempts: %w", attempts, err)
+		}
+	default:
+		l.tr, l.down = l.start(conn), nil
+		if gen > 0 {
+			l.reconnects.Add(1)
+			l.reconnectNs.Add(time.Since(start).Nanoseconds())
+		}
+	}
+	l.mu.Unlock()
+	if closed != nil {
+		if conn != nil {
+			conn.Close()
+		}
+		return closed
+	}
+	return err
 }
 
 // appendLocked appends one request frame to t's buffer, naming the owner by
@@ -757,118 +644,97 @@ func (l *link) appendLocked(t *transport, greq wire.GatewayRequest) (encErr, err
 	return nil, err
 }
 
-// fail latches the first permanent failure, releases every waiter, and
-// opens the send gate so blocked senders observe the error.
-func (l *link) fail(err error) {
-	l.mu.Lock()
-	if l.err == nil {
-		l.err = err
-	}
-	for id, p := range l.pending {
-		close(p.ch)
-		delete(l.pending, id)
-	}
-	l.tr.retire()
-	select {
-	case <-l.gate:
-	default:
-		close(l.gate)
-	}
-	l.mu.Unlock()
-}
-
 // post transmits one request without waiting for its response: it acquires
-// a window slot, registers the request ID, appends the frame to the
-// transport's buffer, and kicks the flusher. The returned request's channel
-// yields the response (or closes on permanent link failure); release must be
-// called after the response is consumed to free the window slot. A dying
-// transport is not post's error: the request stays pending, and the
-// reconnect replay delivers it or the permanent failure closes its channel.
+// a window slot, redials if the link has no transport (connect), registers
+// the request ID, appends the frame to the transport's buffer, and kicks the
+// flusher. The returned request's channel yields the response, or closes when
+// the transport is lost under it; release must be called after the response
+// is consumed to free the window slot. A dying transport is not post's
+// error: the request stays registered until the loss releases it.
 // roundTrip composes post+receive.
 func (l *link) post(owner string, req wire.Request) (p *pendingReq, release func(), err error) {
 	l.window <- struct{}{}
 	release = func() { <-l.window }
-	for {
-		l.mu.Lock()
-		if l.err != nil {
-			err := l.err
-			l.mu.Unlock()
+	l.mu.Lock()
+	for l.tr == nil && l.err == nil {
+		gen := l.dials
+		l.mu.Unlock()
+		if err := l.connect(gen, l.attempts); err != nil {
 			release()
 			return nil, nil, err
 		}
-		gate := l.gate
-		select {
-		case <-gate:
-			// Gate open: register while still holding mu, so a concurrent
-			// reconnect either sees this request in its replay snapshot or
-			// has already completed.
-		default:
-			l.mu.Unlock()
-			<-gate // reconnect in progress; wait for replay to finish
-			continue
-		}
-		id := l.nextID.Add(1)
-		p := &pendingReq{owner: owner, req: req, ch: make(chan wire.Response, 1)}
-		l.pending[id] = p
-		tr := l.tr
-		if l.timeout > 0 {
-			p.sent = time.Now().UnixNano()
-			if len(l.pending) == 1 {
-				l.watch(tr) // the first in flight arms the deadline; the reader moves it from here
-			}
-		}
+		l.mu.Lock()
+	}
+	if err := l.err; err != nil {
 		l.mu.Unlock()
+		release()
+		return nil, nil, err
+	}
+	// Registered while tr is the link's transport, so the loss of tr
+	// releases this request too.
+	id := l.nextID.Add(1)
+	p = &pendingReq{ch: make(chan wire.Response, 1)}
+	l.pending[id] = p
+	tr := l.tr
+	if l.timeout > 0 {
+		p.sent = time.Now().UnixNano()
+		if len(l.pending) == 1 {
+			l.watch(tr) // the first in flight arms the deadline; the reader moves it from here
+		}
+	}
+	l.mu.Unlock()
 
-		l.wmu.Lock()
-		encErr, err := l.appendLocked(tr, wire.GatewayRequest{ID: id, Owner: owner, Req: req})
-		l.wmu.Unlock()
-		if encErr != nil {
-			l.mu.Lock()
-			delete(l.pending, id)
-			l.watch(tr)
-			l.mu.Unlock()
-			release()
-			return nil, nil, encErr
-		}
-		if err != nil {
-			// The transport died under the flush a full buffer forced. The
-			// request is registered: the reconnect replay re-sends it, or the
-			// permanent failure closes its channel; the caller just waits.
-			l.connLost(tr.epoch, err)
-			return p, release, nil
-		}
-		select {
-		case tr.kick <- struct{}{}:
-		default: // a kick is already pending; that flush carries this frame too
-		}
+	l.wmu.Lock()
+	encErr, err := l.appendLocked(tr, wire.GatewayRequest{ID: id, Owner: owner, Req: req})
+	l.wmu.Unlock()
+	if encErr != nil {
+		l.mu.Lock()
+		delete(l.pending, id)
+		l.watch(tr)
+		l.mu.Unlock()
+		release()
+		return nil, nil, encErr
+	}
+	if err != nil {
+		// The transport died under the flush a full buffer forced; losing it
+		// releases this request with the rest.
+		l.lose(tr, err)
 		return p, release, nil
 	}
+	select {
+	case tr.kick <- struct{}{}:
+	default: // a kick is already pending; that flush carries this frame too
+	}
+	return p, release, nil
 }
 
-// roundTrip sends one request and waits for its response. replayed reports
-// that a reconnect re-sent the request (see redial), so the node may have
-// received it twice: the answer can be the duplicate's ack for a request
-// whose first copy it applied.
-func (l *link) roundTrip(owner string, req wire.Request) (resp wire.Response, replayed bool, err error) {
-	p, release, err := l.post(owner, req)
-	if err != nil {
-		return wire.Response{}, false, err
-	}
-	defer release()
-	resp, ok := <-p.ch
-	if !ok {
-		l.mu.Lock()
-		err := l.err
-		l.mu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("client: gateway connection lost")
+// roundTrip sends one request and waits for its response. On the primary, a
+// request whose transport is lost under it is re-sent here, by its own
+// waiter, over whichever transport the next redial brings; resent reports
+// that it was, so the node may have received it twice: the answer can be the
+// duplicate's ack for a request whose first copy it applied. On the replica
+// the lost request is the caller's error, and the read goes to the primary.
+func (l *link) roundTrip(owner string, req wire.Request) (resp wire.Response, resent bool, err error) {
+	for sends := 1; ; sends++ {
+		p, release, err := l.post(owner, req)
+		if err != nil {
+			return wire.Response{}, sends > 1, err
 		}
-		return wire.Response{}, p.replayed, err
+		resp, ok := <-p.ch
+		release()
+		if ok {
+			if err := respErr(resp); err != nil {
+				return wire.Response{}, sends > 1, err
+			}
+			return resp, sends > 1, nil
+		}
+		if !l.resend {
+			l.mu.Lock()
+			err = cmp.Or(l.err, l.down)
+			l.mu.Unlock()
+			return wire.Response{}, false, fmt.Errorf("client: gateway connection lost: %w", err)
+		}
 	}
-	if err := respErr(resp); err != nil {
-		return wire.Response{}, p.replayed, err
-	}
-	return resp, p.replayed, nil
 }
 
 // respErr maps a refused response to the caller's error: the *wire.Refusal
@@ -902,8 +768,8 @@ func (c *GatewayConn) Owner(name string) *OwnerSession {
 // applies ticks in order and idempotently, which is what makes a session
 // attach-or-reattach safely — a fresh session against a durable namespace
 // continues at the recovered clock instead of colliding with history, and a
-// replayed sync after a reconnect can never double-charge the ε ledger. One
-// ambiguity remains: a duplicate's ack for a setup the link replayed is taken
+// sync re-sent after a reconnect can never double-charge the ε ledger. One
+// ambiguity remains: a duplicate's ack for a setup the link re-sent is taken
 // as the session's own setup, though another session's may have taken tick 1
 // while the transport was down.
 type OwnerSession struct {
@@ -1104,8 +970,8 @@ func (s *OwnerSession) upload(t wire.MsgType, rs []record.Record) error {
 		return fmt.Errorf("client: owner %q: %w", s.owner, edb.ErrAlreadySetup)
 	}
 	seq := s.seq + 1
-	resp, replayed, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: t, Sealed: raw, Seq: seq})
-	if err == nil && t == wire.MsgSetup && resp.Resume != nil && !replayed {
+	resp, resent, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: t, Sealed: raw, Seq: seq})
+	if err == nil && t == wire.MsgSetup && resp.Resume != nil && !resent {
 		// A duplicate's ack on a setup sent once: tick 1 was taken before
 		// this request arrived. The ack's clock aligns the session.
 		s.seq, s.seqInit = resp.Resume.Clock, true
@@ -1190,8 +1056,8 @@ func (s *OwnerSession) QueryAt(q query.Query, minOffset uint64) (query.Answer, e
 // refusal, a response of the wrong shape). Replica trouble is never the
 // caller's problem — the fallback is the contract.
 func (s *OwnerSession) readRoundTrip(req wire.Request) (wire.Response, error) {
-	if s.conn.readAddr != "" {
-		resp, err := s.conn.replicaRoundTrip(s.owner, req)
+	if s.conn.replica != nil {
+		resp, _, err := s.conn.replica.roundTrip(s.owner, req)
 		if err == nil {
 			err = wellFormed(req, resp)
 		}

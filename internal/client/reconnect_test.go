@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"sync/atomic"
@@ -137,38 +138,93 @@ func (h *hookConn) Write(p []byte) (int, error) {
 	return h.Conn.Write(p)
 }
 
-// TestCloseDuringReplay pins Close racing the tail of a reconnect: the
-// caller closes the connection after the redial has snapshotted its replay
-// set and while the replay is being written. Close has then already opened
-// the send gate, so the redial must stand down instead of opening it again
-// (which used to panic the process with "close of closed channel").
-func TestCloseDuringReplay(t *testing.T) {
+// TestCloseDuringRedial pins Close racing a redial: the transport dies under
+// four setups in flight, and the caller closes the connection while the
+// redial their waiters share is dialing. The dial's connection is closed as it
+// lands instead of installed — no reconnect is counted — every waiter gets the
+// closed error, and every goroutine the connection started ends.
+func TestCloseDuringRedial(t *testing.T) {
 	gw, key := startGateway(t, gateway.Config{})
+	base := runtime.NumGoroutine()
 	var conn *GatewayConn
-	dials := 0
+	var dials atomic.Int64
 	dial := func(addr string) (net.Conn, error) {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			return nil, err
 		}
-		dials++
-		if dials == 1 {
+		if dials.Add(1) == 1 {
 			// First transport: die on the first request, leaving it pending.
 			return &hookConn{Conn: nc, onWrite: func() bool { nc.Close(); return false }}, nil
 		}
-		// Redialed transport: the caller closes mid-replay, and the replay
-		// write still "succeeds".
-		return &hookConn{Conn: nc, onWrite: func() bool { conn.Close(); return true }}, nil
+		conn.Close() // the redial: the caller closes while it dials
+		return nc, nil
 	}
 	conn, err := DialGateway(gw.Addr(), key, WithReconnect(0), WithDialer(dial))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Owner("owner-race").Setup(nil); err == nil {
-		t.Fatal("setup succeeded on a connection closed mid-replay")
+	const waiters = 4
+	errs := make(chan error, waiters)
+	for i := range waiters {
+		go func() { errs <- conn.Owner(fmt.Sprintf("owner-race-%d", i)).Setup(nil) }()
+	}
+	for range waiters {
+		if err := <-errs; !errors.Is(err, errClosed) {
+			t.Fatalf("a setup whose transport died and whose redial raced Close: %v, want the closed error", err)
+		}
 	}
 	if n, _ := conn.ReconnectStats(); n != 0 {
 		t.Fatalf("%d reconnects recorded; the closed connection must not come back", n)
+	}
+	if d := dials.Load(); d != 2 {
+		t.Fatalf("%d dials, want the first and the one redial the waiters shared", d)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after Close, %d before the connection: a transport's reader or flusher outlived it", n, base)
+	}
+}
+
+// TestLinkRedialsOnDemand pins when the link redials: not when its transport
+// dies, but when a request next needs it. With nothing in flight a drop
+// dials nothing; the eight reads that then arrive together cause one dial,
+// which they share, and are all answered; and that one redial is the
+// reconnect counted.
+func TestLinkRedialsOnDemand(t *testing.T) {
+	gw, key := startGateway(t, gateway.Config{})
+	var dials atomic.Int64
+	dial := func(addr string) (net.Conn, error) {
+		dials.Add(1)
+		return net.Dial("tcp", addr)
+	}
+	conn, err := DialGateway(gw.Addr(), key, WithReconnect(0), WithDialer(dial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const n = 8
+	own := conn.Owner("owner-on-demand")
+	if err := own.Setup(stairs(n)); err != nil {
+		t.Fatal(err)
+	}
+	conn.Drop()
+	time.Sleep(50 * time.Millisecond)
+	if d := dials.Load() - 1; d != 0 {
+		t.Fatalf("%d dials within 50ms of a drop with nothing in flight: the link redialed before a request needed it", d)
+	}
+	results := readers(own, n)
+	for i := 1; i <= n; i++ {
+		want(t, "a read after the drop", results[i], float64(i), within)
+	}
+	if d := dials.Load() - 1; d != 1 {
+		t.Fatalf("%d dials for %d concurrent reads after the drop, want them to share one", d, n)
+	}
+	if r, _ := conn.ReconnectStats(); r != 1 {
+		t.Fatalf("%d reconnects counted, want the one redial", r)
 	}
 }
 
@@ -191,10 +247,12 @@ func (d *doomedConn) Write(p []byte) (int, error) {
 
 // TestReconnectReplaysUnflushedOutbox pins reconnect against the send
 // buffer: a pipeline of syncs whose frames are all still sitting unflushed in
-// the transport's buffer when the transport dies is replayed whole — every
-// sync lands exactly once, and the owner's transcript and ε ledger equal an
-// undisturbed run's. One scheduler thread makes "still unflushed" exact: the
-// flusher cannot run until the sending goroutine blocks.
+// the transport's buffer when the transport dies is released whole, and each
+// sync's waiter re-sends it — here the test, in seq order, as a session that
+// keeps one sync in flight would. Every sync lands exactly once, over the one
+// redial, and the owner's transcript and ε ledger equal an undisturbed run's.
+// One scheduler thread makes "still unflushed" exact: the flusher cannot run
+// until the sending goroutine blocks.
 func TestReconnectReplaysUnflushedOutbox(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	gw, key := startGateway(t, gateway.Config{SyncEpsilon: 0.25})
@@ -220,6 +278,7 @@ func TestReconnectReplaysUnflushedOutbox(t *testing.T) {
 	}
 	flushed := first.writes.Load()
 	type flight struct {
+		req     wire.Request
 		ch      <-chan wire.Response
 		release func()
 	}
@@ -229,11 +288,12 @@ func TestReconnectReplaysUnflushedOutbox(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, release, err := conn.primary.send("owner-outbox", wire.Request{Type: wire.MsgUpdate, Seq: uint64(i + 1), Sealed: [][]byte{cts[0]}})
+		req := wire.Request{Type: wire.MsgUpdate, Seq: uint64(i + 1), Sealed: [][]byte{cts[0]}}
+		ch, release, err := conn.primary.send("owner-outbox", req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flights = append(flights, flight{ch, release})
+		flights = append(flights, flight{req, ch, release})
 	}
 	if got := first.writes.Load(); got != flushed {
 		t.Fatalf("%d socket writes during the pipeline: the frames were not left sitting in the buffer", got-flushed)
@@ -242,12 +302,15 @@ func TestReconnectReplaysUnflushedOutbox(t *testing.T) {
 	for i, f := range flights {
 		resp, ok := <-f.ch
 		f.release()
-		if !ok || !resp.OK {
-			t.Fatalf("sync %d after the transport died: ok=%v %+v", i+1, ok, resp)
+		if ok {
+			t.Fatalf("sync %d answered over a transport that never sent it: %+v", i+1, resp)
+		}
+		if _, _, err := conn.primary.roundTrip("owner-outbox", f.req); err != nil {
+			t.Fatalf("sync %d re-sent after the transport died: %v", i+1, err)
 		}
 	}
 	if n, _ := conn.ReconnectStats(); n != 1 {
-		t.Fatalf("%d reconnects, want the one that replayed the buffer", n)
+		t.Fatalf("%d reconnects, want the one that carried the re-sent buffer", n)
 	}
 
 	ref := conn.Owner("owner-calm")

@@ -314,8 +314,7 @@ func TestReplicaLinkDeathFallsBackOnce(t *testing.T) {
 			t.Fatalf("frame %d on the replica link names %q by handle %d", i, req.Owner, req.Handle)
 		}
 	}
-	killed := conn.replica.Load() // every read is on it: the replica read them all
-	first.nc.Close()
+	first.nc.Close() // every read is on it: the replica read them all
 	for i := 1; i <= k; i++ {
 		want(t, "a read in flight on the killed link", results[i], float64(i), within)
 	}
@@ -337,7 +336,7 @@ func TestReplicaLinkDeathFallsBackOnce(t *testing.T) {
 		t.Fatalf("the replica read %d frames on the killed connection and %d on the next, want %d and 1", f1, f2, k)
 	}
 
-	quiet(conn.primary, killed, conn.replica.Load())
+	quiet(conn.primary, conn.replica)
 	out, in := conn.BytesOut()-primaryWritten.Load()-out0, conn.BytesIn()-primaryRead.Load()-in0
 	if sent, got := first.in.Load()+second.in.Load(), first.out.Load()+second.out.Load(); out != sent || in != got {
 		t.Fatalf("beside the primary's bytes the client counted %d out and %d in; the replica read %d and wrote %d", out, in, sent, got)
@@ -484,7 +483,6 @@ func TestReplicaDeadlineFollowsTheOldestRead(t *testing.T) {
 	start := time.Now()
 	withheld := readers(own, 1)[1]
 	rep.accepted(t).next(t) // countAt(1) is on the replica's socket, and stays unanswered
-	first := conn.replica.Load()
 	for {
 		select {
 		case r := <-withheld:
@@ -505,29 +503,31 @@ func TestReplicaDeadlineFollowsTheOldestRead(t *testing.T) {
 			t.Fatalf("a read beside the withheld one: %v", err)
 		}
 		if ans.Scalar != 7 {
-			deadlineKilled(t, conn, first, start, ans.Scalar)
+			deadlineKilled(t, conn, rep, start, ans.Scalar)
 		}
 	}
 }
 
 // deadlineKilled holds a neighbour's answer other than the replica's 7 to the
-// one way it may arise: the primary's 0 for a read that was on the link the
-// withheld read's deadline killed. That link must be the first and only one
-// dialed (so the neighbour rode it, not a redialed link), it must have died of
-// a read deadline, and the fall-back must come no earlier than helloTimeout
-// after the withheld read was issued at start.
-func deadlineKilled(t *testing.T, conn *GatewayConn, first *link, start time.Time, answer float64) {
+// one way it may arise: the primary's 0 for a read that was on the transport
+// the withheld read's deadline killed. That transport must be the first and
+// only one the replica accepted (so the neighbour rode it, not a redialed
+// one), the link must have lost it to a read deadline, and the fall-back must
+// come no earlier than helloTimeout after the withheld read was issued at
+// start.
+func deadlineKilled(t *testing.T, conn *GatewayConn, rep *scriptedReplica, start time.Time, answer float64) {
 	t.Helper()
 	elapsed := time.Since(start)
 	if answer != 0 {
 		t.Fatalf("a read beside the withheld one: %v — want the replica's 7 (or the primary's 0 once the link died)", answer)
 	}
-	if dials := conn.rdials.Load(); dials != 1 || conn.replica.Load() != first {
-		t.Fatalf("a read beside the withheld one fell back after %d replica dials: it did not ride the withheld read's link", dials)
+	if dials := rep.accepts.Load(); dials != 1 {
+		t.Fatalf("a read beside the withheld one fell back after %d replica dials: it did not ride the withheld read's transport", dials)
 	}
-	first.mu.Lock()
-	err := first.err
-	first.mu.Unlock()
+	l := conn.replica
+	l.mu.Lock()
+	err := l.down
+	l.mu.Unlock()
 	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("a read beside the withheld one fell back from a link that died of %v, not of a read deadline", err)
 	}
@@ -568,7 +568,7 @@ func TestReplicaRefusalsReachTheCaller(t *testing.T) {
 		{wire.Request{Type: wire.MsgQuery, Query: &spec, MinOffset: 7}, wire.ErrStale, wire.Refusal{Code: wire.CodeStale}},
 		{wire.Request{Type: wire.MsgResume}, wire.ErrNotPrimary, wire.Refusal{Code: wire.CodeNotPrimary}},
 	} {
-		_, err := conn.replicaRoundTrip("owner-x", tc.req)
+		_, _, err := conn.replica.roundTrip("owner-x", tc.req)
 		var ref *wire.Refusal
 		if !errors.Is(err, tc.is) || !errors.As(err, &ref) || *ref != tc.want {
 			t.Errorf("%s on the replica link: %v (%+v), want %v as %+v", tc.req.Type, err, ref, tc.is, tc.want)
@@ -580,8 +580,12 @@ func TestReplicaRefusalsReachTheCaller(t *testing.T) {
 		t.Fatalf("QueryAt past the replica's cursor: %v", err)
 	}
 	wantReplicaStats(t, conn, 0, 1, 1)
-	// A refusal is an answer, not a failure of the link: all three rode one.
-	if conn.replica.Load().dead() {
-		t.Fatal("a refusal killed the replica link")
+	// A refusal is an answer, not a failure of the link: all three rode one
+	// transport.
+	conn.replica.mu.Lock()
+	lost := conn.replica.tr == nil
+	conn.replica.mu.Unlock()
+	if lost {
+		t.Fatal("a refusal lost the replica link's transport")
 	}
 }

@@ -230,8 +230,9 @@ func (f *fleet) dial(t *target) error {
 		opts = append(opts, client.WithDialer(f.inj.Dialer(nil)))
 	}
 	if f.cfg.Churn || f.cfg.Faults || standby != "" {
-		// A lost transport must heal, not fail the run: the healing (redial +
-		// replay + resume) is what is under test.
+		// A lost transport must heal, not fail the run: the healing (the
+		// next request redials, each lost request is re-sent by its waiter)
+		// is what is under test.
 		opts = append(opts, client.WithReconnect(healAttempts))
 	}
 	f.hangup()
@@ -262,8 +263,9 @@ func (f *fleet) hangup() {
 }
 
 // churn drops one random open connection per interval until the returned
-// stop is called; each drop forces a redial, an in-flight replay and a resume
-// on every owner multiplexed over it. Without Config.Churn it does nothing.
+// stop is called; each drop releases every request in flight on it, to be
+// re-sent by its waiter once the next request that needs the connection has
+// redialed it. Without Config.Churn it does nothing.
 func (f *fleet) churn() (stop func()) {
 	if !f.cfg.Churn {
 		return func() {}

@@ -46,7 +46,7 @@ const (
 	meanArrival   = 2 * time.Millisecond
 	leaseTTL      = 250 * time.Millisecond
 	snapshotEvery = 64
-	// healAttempts bounds redials per outage where outages are the point
+	// healAttempts bounds the dials of one redial where outages are the point
 	// (churn, faults, failover): enough to outlast a lease TTL several times.
 	healAttempts = 30
 	// killReserve is how many ticks a kill leaves after it: three guarantee a
@@ -186,11 +186,12 @@ type Report struct {
 	SpillBatches    int64   `json:"spill_batches,omitempty"`
 	SpillBytes      int64   `json:"spill_bytes,omitempty"`
 	SpillSegments   int64   `json:"spill_segments,omitempty"`
-	// Fleet robustness. Reconnects counts transport losses the client layer
-	// healed and ChurnResumeMs their mean outage→resume time; OpenLoopP99Ms
-	// is the per-tick p99 from scheduled arrivals; BackpressureSheds the typed
-	// refusals of the node serving at the end; FaultsInjected every faultnet
-	// injection.
+	// Fleet robustness. Reconnects counts the lost transports the client
+	// layer redialed — each by the next request that needed it, the requests
+	// lost with it re-sent by their waiters — and ChurnResumeMs the mean time
+	// one redial took, backoff included; OpenLoopP99Ms is the per-tick p99
+	// from scheduled arrivals; BackpressureSheds the typed refusals of the
+	// node serving at the end; FaultsInjected every faultnet injection.
 	Reconnects        int64   `json:"reconnects,omitempty"`
 	ChurnResumeMs     float64 `json:"churn_resume_ms"`
 	OpenLoopP99Ms     float64 `json:"open_loop_p99_ms"`
