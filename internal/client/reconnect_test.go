@@ -180,11 +180,7 @@ func TestCloseDuringRedial(t *testing.T) {
 	if d := dials.Load(); d != 2 {
 		t.Fatalf("%d dials, want the first and the one redial the waiters shared", d)
 	}
-	n := runtime.NumGoroutine()
-	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n > base {
+	if n := settled(base); n > base {
 		t.Fatalf("%d goroutines after Close, %d before the connection: a transport's reader or flusher outlived it", n, base)
 	}
 }
@@ -331,8 +327,8 @@ func TestReconnectReplaysUnflushedOutbox(t *testing.T) {
 	}
 }
 
-// TestReconnectLeaksNoGoroutines pins the transport's lifetime: every epoch
-// starts a reader and a flusher, and both must end with it. Across fifty
+// TestReconnectLeaksNoGoroutines pins the transport's lifetime: every
+// transport starts a reader and a flusher, and both must end with it. Across fifty
 // forced reconnects the process's goroutine count returns to where it was —
 // the gateway's handlers for the dead connections included.
 func TestReconnectLeaksNoGoroutines(t *testing.T) {
@@ -359,11 +355,17 @@ func TestReconnectLeaksNoGoroutines(t *testing.T) {
 	if n, _ := conn.ReconnectStats(); n != drops {
 		t.Fatalf("%d reconnects for %d drops", n, drops)
 	}
+	if n := settled(base); n > base {
+		t.Fatalf("%d goroutines after %d reconnects, %d before: a transport's reader or flusher outlived it", n, drops, base)
+	}
+}
+
+// settled gives the process's goroutines up to five seconds to fall to base
+// and returns the count it read last.
+func settled(base int) int {
 	n := runtime.NumGoroutine()
 	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n > base {
-		t.Fatalf("%d goroutines after %d reconnects, %d before: an epoch's reader or flusher outlived it", n, drops, base)
-	}
+	return n
 }
