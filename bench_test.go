@@ -342,8 +342,8 @@ func BenchmarkMicroCostModel(b *testing.B) {
 	m := edb.ObliDBCostModel()
 	var c edb.Cost
 	for i := 0; i < b.N; i++ {
-		c = m.Linear(query.GroupCount, 9214)
+		c = m.Of(query.GroupCount, 9214, 0)
 	}
 	b.ReportMetric(c.Seconds, "modeled_Q2_s")
-	b.ReportMetric(m.Join(9214, 14200).Seconds, "modeled_Q3_s")
+	b.ReportMetric(m.Of(query.JoinCount, 9214+14200, 9214*14200).Seconds, "modeled_Q3_s")
 }

@@ -188,13 +188,18 @@
 // version byte — and every payload is the binary codec's (hand-rolled
 // fields, no base64 expansion of sealed ciphertexts; its field primitives
 // are internal/binfmt, shared with the on-disk formats). The version byte
-// is 7: 6 sent every group vector one value a group, 5 padded every answer
-// to 4-byte groups beside an 8-byte scalar, 4 named the owner inline in
-// every request, 3 said no with an error text beside two flag bits, 2 was a
-// layout of fixed-width integers and 1 a JSON encoding, all retired, and a
-// hello proposing any other codec byte is acked 7; there is nothing to
-// negotiate down to. The layout (uv = minimal-form
-// varint, the 4-byte frame length in front of everything not shown):
+// is 8: 7 led every frame with a 4-byte length and sent an answer's modelled
+// seconds beside the counts they are computed from, 6 sent every group
+// vector one value a group, 5 padded every answer to 4-byte groups beside an
+// 8-byte scalar, 4 named the owner inline in every request, 3 said no with
+// an error text beside two flag bits, 2 was a layout of fixed-width integers
+// and 1 a JSON encoding, all retired, and a hello proposing any other codec
+// byte is acked 8; there is nothing to negotiate down to. Every frame, on
+// every connection, opens with its payload's length as a minimal-form
+// uvarint — 1 byte below 128, 2 below 16 KiB, at most 4 up to wire.MaxFrame
+// — written and parsed in one place, wire.FrameHeader (a padded header, a
+// fifth byte and a length past MaxFrame are refused before anything is
+// allocated). The payload layout (uv = minimal-form varint):
 //
 //	request   uv id · owner · u8 type ·
 //	  owner           u8 len (1..255) · name, or u8 0 · uv handle (≥ 1)
@@ -210,7 +215,7 @@
 //	            width 1, 2, 4, 8: a big-endian count (8: at most 2⁵³); 0: f64
 //	          | u8 0x82 · uv n (1..65535) · uv k · k × u16 index
 //	            the counted records' groups, non-decreasing, then n (the pad)
-//	  [cost     f64 seconds · uv scanned · uv pairs]
+//	  [cost     uv scanned · uv pairs]
 //	  [stats    uv records · uv bytes · uv updates · u8 len · scheme · u8 leakage]
 //	  [resume   uv clock]
 //
@@ -222,7 +227,7 @@
 // caller branches with errors.Is, reads the cursor with errors.As, and never
 // compares text: an owner's reaction to "no" is traffic the server observes,
 // and this is what lets a test or an audit assert which no it got. Only codes
-// 8 and 9 carry text, so every other refusal is nine bytes on the wire
+// 8 and 9 carry text, so every other refusal is six bytes on the wire
 // whatever was refused and whoever asked:
 //
 //	code            sentinel              who decides it                        cursor
@@ -246,12 +251,17 @@
 //
 // DP-Sync buys its guarantee with traffic — dummies and extra syncs — so the
 // bytes a sync and an answer cost are the paper's own performance metric,
-// and the codec spends only what an operation needs: a one-record sync is 55
-// bytes on the wire once its connection has bound the owner (66 naming it
-// inline, 86 under codec 2) and its ack 6 (13), a Q2 request 15 (26 inline)
-// and its answer 21 + 2V bytes from a store of V ≤ 127 records — 35 at
-// V = 7 — and 285 from one of 132 to 255 (285 at any V under codec 6, 1,088
-// under codec 5, 2,169 under codec 2). An owner is named once per
+// and the codec spends only what an operation needs: a one-record sync is 52
+// bytes on the wire once its connection has bound the owner (63 naming it
+// inline, 86 under codec 2) and its ack 3 (13), a Q2 request 12 (23 inline)
+// and its answer 10 + 2V bytes from a store of V ≤ 59 records — 24 at
+// V = 7 — 11 + 2V to V = 127, and 275 from one of 132 to 255 (285 under
+// codec 7 and at any V under codec 6, 1,088 under codec 5, 2,169 under codec
+// 2). An answer's cost travels as its two record counts: a query's modelled
+// QET is a public linear function of them (edb.CostModel.Of — an oblivious
+// operator's cost depends only on its input sizes), so the client derives
+// the seconds from the counts and the backend scheme it learned with its
+// first stats probe, bit for bit the backend's own. An owner is named once per
 // connection: a request's owner field is its name (a length byte, then 1 to
 // 255 bytes) or
 // a handle (a zero byte, then a varint ≥ 1), and both ends apply one rule to
@@ -268,7 +278,7 @@
 // dummy is a sealed record's size by construction, which is exactly what
 // makes the two indistinguishable — so a frame's length is a function of the
 // record count and the connection's binding state alone, never of the
-// real/dummy split: an 8-record sync is 168 bytes by handle, 179 inline (374
+// real/dummy split: an 8-record sync is 166 bytes by handle, 177 inline (372
 // when every record was a message of its own). Answer width from the public
 // bound, never from the data: the server already learns each sync's volume,
 // so it knows V, the records an owner's store holds, real and dummy
@@ -567,10 +577,14 @@
 // Fault injection. internal/faultnet wraps net.Conn in seeded,
 // deterministic fault schedules — connection resets, torn mid-frame writes,
 // stalls, duplicated frame delivery — injected at protocol frame
-// boundaries, with disruptive faults drawn from a shared budget so runs
-// terminate. internal/loadgen's fleet threads it (with connection churn and
-// an open-loop Poisson/bursty arrival model whose latency is measured from
-// scheduled arrival times — no coordinated omission) behind
+// boundaries (split with the codec's own wire.FrameHeader), with disruptive
+// faults drawn from a bounded budget so runs terminate. internal/loadgen's
+// fleet threads it, one schedule and budget a connection slot (with
+// connection churn — each owner drops the connection it rides at ticks its
+// seed draws, so with one owner a connection a seed fixes the reconnects and
+// faults of a run — and an open-loop Poisson/bursty arrival model whose
+// latency is measured from scheduled arrival times — no coordinated
+// omission) behind
 // cmd/dpsync-loadgen -churn/-faults/-open-loop, and the fault-matrix
 // acceptance test pins per-owner transcripts and ε ledgers bit-identical to
 // an uninterrupted run under the full schedule. churn_resume_ms,
@@ -594,10 +608,11 @@
 // offset cursor, one per shard in shard order; a follower whose cursor has
 // fallen off the primary's bounded catch-up ring is healed with a per-shard
 // snapshot transfer instead, and one whose shard count differs is sent the
-// primary's count and closed. Replication v3 keeps the client codec's
-// rules — minimal-form varints, each fact once, one encoding per message:
+// primary's count and closed. Replication v4 keeps the client codec's
+// rules — minimal-form varints, each fact once, one encoding per message —
+// and its uvarint frame length (all that changed from v3, which is refused):
 //
-//	hello ack   u8 version (3) | HelloRefused
+//	hello ack   u8 version (4) | HelloRefused
 //	join        u8 len · node · uv n · n × uv offset
 //	join ack    uv shards
 //	entry       u8 1 (| 0x80 traced) · uv shard · uv offset
@@ -609,7 +624,7 @@
 //
 // An untraced live entry below offset 2²¹ costs at most 13 B before its entry
 // frame, a bootstrap entry 3 B, a heartbeat 1 B; a one-record sync ships in at
-// most 119 B.
+// most 116 B, its frame length one of them.
 //
 // A follower is a gateway in replica role, and always a valid restart image.
 // The node runs one serving stack, gateway.Gateway, in whichever role it
@@ -648,7 +663,10 @@
 // shipped are not lost — each owner's client still holds them in its resync
 // window, discovers the promoted node's lower durable clock through the resume
 // protocol, and re-uploads them verbatim — so every owner's transcript and ε
-// ledger end bit-identical to an uninterrupted single-node run. The failover
+// ledger end bit-identical to an uninterrupted single-node run. A read is
+// healed the same way: a query the promoted node refuses as not set up, from
+// a session holding acknowledged syncs, runs the resume protocol and is asked
+// once more. The failover
 // differential test pins this across randomized kill ticks, connection churn,
 // and replication-link faults; cmd/dpsync-loadgen -failover N runs it over N
 // seeds and reports failover_ms, promote_ms, replication_lag_ms and

@@ -72,14 +72,10 @@ func sites(srcs []src) [][]string {
 			}
 		}
 		for _, d := range s.file.Decls {
-			fn := ""
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				fn = fd.Name.Name
-			}
 			ast.Inspect(d, func(n ast.Node) bool {
 				for _, i := range active {
 					if n != nil && rules[i].match(n) {
-						found[i] = append(found[i], s.path+":"+fn)
+						found[i] = append(found[i], s.path+":"+declName(d))
 					}
 				}
 				return true
@@ -236,7 +232,60 @@ func TestArch(t *testing.T) {
 			}
 		}
 	})
+	// One parser of a frame header: outside the codec, no file that speaks
+	// the wire protocol or handles a connection's bytes reads an integer out
+	// of bytes itself or adds a fixed header length to a payload's — it asks
+	// wire.FrameHeader and wire.FrameLen. (benchmark/'s ladder still adds a
+	// fixed 4; see CHANGES.md.)
+	t.Run("frame-header", func(t *testing.T) {
+		var found []string
+		for _, s := range srcs {
+			if strings.HasPrefix(s.path, "internal/wire/") || strings.HasPrefix(s.path, "benchmark/") ||
+				!slices.ContainsFunc(s.file.Imports, func(im *ast.ImportSpec) bool {
+					return im.Path.Value == `"dpsync/internal/wire"` || im.Path.Value == `"net"`
+				}) {
+				continue
+			}
+			for _, d := range s.file.Decls {
+				ast.Inspect(d, func(n ast.Node) bool {
+					if sizesFrame(n) {
+						found = append(found, s.path+":"+declName(d))
+					}
+					return true
+				})
+			}
+		}
+		if len(found) > 0 {
+			t.Errorf("frame headers sized or parsed outside internal/wire at %q", found)
+		}
+	})
 	t.Run("ci-run-patterns-name-tests", testRunPatterns)
+}
+
+// sizesFrame reports whether n reads or writes a length integer of bytes with
+// encoding/binary, or adds the literal 4 to a len(): what a second frame
+// header parser or sizer is made of.
+func sizesFrame(n ast.Node) bool {
+	if c, ok := n.(*ast.CallExpr); ok {
+		return slices.ContainsFunc([]string{"Uvarint", "ReadUvarint", "PutUvarint", "AppendUvarint", "Uint32", "PutUint32", "AppendUint32"},
+			func(f string) bool { return named(c.Fun, "binary", f) || named(c.Fun, "BigEndian", f) })
+	}
+	b, ok := n.(*ast.BinaryExpr)
+	plus4 := func(lit, other ast.Expr) bool {
+		l, ok := lit.(*ast.BasicLit)
+		hasLen := false
+		ast.Inspect(other, func(n ast.Node) bool { hasLen = hasLen || call("", "len")(n); return true })
+		return ok && l.Value == "4" && hasLen
+	}
+	return ok && b.Op == token.ADD && (plus4(b.X, b.Y) || plus4(b.Y, b.X))
+}
+
+// declName is a top-level declaration's function name, empty outside one.
+func declName(d ast.Decl) string {
+	if fd, ok := d.(*ast.FuncDecl); ok {
+		return fd.Name.Name
+	}
+	return ""
 }
 
 // testRunPatterns requires each alternative of every go test -run pattern

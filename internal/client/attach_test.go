@@ -1,7 +1,6 @@
 package client
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -55,12 +54,16 @@ func (c *tallyConn) Write(p []byte) (int, error) {
 		return c.Conn.Write(p)
 	}
 	c.buf = append(c.buf, p...)
-	for len(c.buf) >= 4 {
-		n := 4 + int(binary.BigEndian.Uint32(c.buf))
-		if len(c.buf) < n {
+	for {
+		h, m, err := wire.FrameHeader(c.buf)
+		if err != nil {
+			panic(fmt.Sprintf("tallyConn: the client wrote a bad frame header: %v", err))
+		}
+		n := h + m
+		if h == 0 || len(c.buf) < n {
 			break
 		}
-		f, err := wire.ParseGatewayRequest(c.buf[4:n])
+		f, err := wire.ParseGatewayRequest(c.buf[h:n])
 		if err != nil {
 			panic(fmt.Sprintf("tallyConn: the client wrote an unparsable frame: %v", err))
 		}

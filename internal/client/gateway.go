@@ -89,21 +89,23 @@ type GatewayConn struct {
 	replicaFallbacks atomic.Int64
 
 	// The backend's identity (scheme, §6 leakage class, outsourced record
-	// width): one backend constructor serves every tenant of a node, so the
-	// first stats probe that answers speaks for all of the connection's
-	// owners (see OwnerSession.info).
+	// width, cost model): one backend constructor serves every tenant of a
+	// node, so the first stats probe that answers speaks for all of the
+	// connection's owners (see OwnerSession.info).
 	backend atomic.Pointer[backendInfo]
 }
 
-// backendInfo is a node's backend identity as a stats probe reports it.
+// backendInfo is a node's backend identity as a stats probe reports it, and
+// what the client mirrors of its scheme.
 type backendInfo struct {
 	scheme string
 	leak   edb.LeakageClass
 	width  int64
+	model  edb.CostModel
 }
 
-// traffic counts frame bytes (4-byte length prefixes included) across a
-// GatewayConn's links: out as the sockets accept them, in as frames are read.
+// traffic counts frame bytes (headers included) across a GatewayConn's links:
+// out as the sockets accept them, in as frames are read.
 type traffic struct{ out, in atomic.Int64 }
 
 // sentConn counts in out the bytes its socket accepts. A transport's frame
@@ -423,8 +425,8 @@ func (c *GatewayConn) Drop() {
 	}
 }
 
-// BytesOut and BytesIn report total frame bytes (including the 4-byte
-// length prefixes, excluding the hello) on the primary link and the replica
+// BytesOut and BytesIn report total frame bytes (including the length
+// headers, excluding the hello) on the primary link and the replica
 // link together — the load generator's bytes/sync numerator. BytesOut counts
 // the bytes the sockets accepted (see sentConn): a frame queued on a
 // transport that dies before writing it is not counted, a re-sent request
@@ -462,7 +464,7 @@ func (l *link) readLoop(t *transport) {
 			l.lose(t, fmt.Errorf("client: gateway read: %w", err))
 			return
 		}
-		l.traffic.in.Add(int64(len(payload)) + 4)
+		l.traffic.in.Add(int64(wire.FrameLen(len(payload))))
 		gr, err := codec.DecodeGatewayResponse(payload)
 		if err != nil {
 			// A framing-level lie from the server: the stream can no longer
@@ -883,62 +885,68 @@ func (s *OwnerSession) resyncLocked(clock uint64) error {
 }
 
 // info returns the backend's identity (scheme name, §6 leakage class,
-// outsourced record width), fetched from the gateway via a stats round trip
-// the first time any owner on the connection asks and cached on the
-// connection on first success: every tenant of a node has the same backend,
-// so an owner's attach costs no probe of its own once one has answered. A
-// failed fetch is NOT cached — the next call retries — and, failing closed,
-// reports leakage class L2 (incompatible): an unidentified backend must never
-// pass the §6 gate as leak-free by default. Concurrent first calls may race to
-// duplicate the round trip; the first answer wins.
-func (s *OwnerSession) info() (scheme string, leak edb.LeakageClass, width int64) {
-	bi := s.conn.backend.Load()
-	if bi == nil {
-		resp, _, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: wire.MsgStats})
-		if err != nil || resp.Stats == nil {
-			return "remote", edb.L2, obliBlockBytes
-		}
-		fetched := &backendInfo{scheme: "remote", leak: edb.LeakageClass(resp.Stats.Leakage), width: obliBlockBytes}
-		if resp.Stats.Scheme != "" {
-			fetched.scheme = resp.Stats.Scheme
-		}
-		if w := outsourcedWidth(resp.Stats.Scheme); w > 0 {
-			fetched.width = w
-		}
-		s.conn.backend.CompareAndSwap(nil, fetched)
-		bi = s.conn.backend.Load()
+// outsourced record width, cost model), fetched from the gateway via a stats
+// round trip the first time any owner on the connection asks and cached on
+// the connection on first success: every tenant of a node has the same
+// backend, so an owner's attach costs no probe of its own once one has
+// answered. A failed fetch is NOT cached — the next call retries — and is
+// returned beside the fail-closed identity: leakage class L2 (incompatible),
+// since an unidentified backend must never pass the §6 gate as leak-free by
+// default, and no cost model. Concurrent first calls may race to duplicate
+// the round trip; the first answer wins.
+func (s *OwnerSession) info() (*backendInfo, error) {
+	if bi := s.conn.backend.Load(); bi != nil {
+		return bi, nil
 	}
-	return bi.scheme, bi.leak, bi.width
+	resp, _, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: wire.MsgStats})
+	if err == nil && resp.Stats == nil {
+		err = fmt.Errorf("client: stats response without stats: %w", wire.ErrBadFrame)
+	}
+	if err != nil {
+		return &unidentified, err
+	}
+	fetched := &backendInfo{scheme: "remote", leak: edb.LeakageClass(resp.Stats.Leakage), width: obliBlockBytes}
+	if resp.Stats.Scheme != "" {
+		fetched.scheme = resp.Stats.Scheme
+	}
+	if known, ok := knownSchemes[resp.Stats.Scheme]; ok {
+		fetched.width, fetched.model = known.width, known.model
+	}
+	s.conn.backend.CompareAndSwap(nil, fetched)
+	return s.conn.backend.Load(), nil
 }
+
+// unidentified is the identity info reports while the gateway is unreachable.
+var unidentified = backendInfo{scheme: "remote", leak: edb.L2, width: obliBlockBytes}
 
 // obliBlockBytes mirrors oblidb.BlockBytes; the client mirrors the widths
 // rather than importing server-side packages.
 const obliBlockBytes = 1024
 
-// outsourcedWidth maps a backend scheme to its per-record outsourced width
-// for owner-side storage accounting (see edb.StorageStats).
-func outsourcedWidth(scheme string) int64 {
-	switch scheme {
-	case "ObliDB":
-		return obliBlockBytes
-	case "Crypteps":
-		return 6400 // crypte.EncodingBytes
-	default:
-		return 0
-	}
+// knownSchemes is what the client mirrors of each backend scheme: its
+// per-record outsourced width, for owner-side storage accounting (see
+// edb.StorageStats), and the calibrated cost model its queries are charged
+// by, from which an answer's modelled seconds are derived (edb.CostModel.Of).
+// A scheme not listed has a width of 1 KiB and no model: its seconds read 0.
+var knownSchemes = map[string]struct {
+	width int64
+	model edb.CostModel
+}{
+	"ObliDB":   {obliBlockBytes, edb.ObliDBCostModel()},
+	"Crypteps": {6400, edb.CrypteCostModel()}, // crypte.EncodingBytes
 }
 
 // Name implements edb.Database.
 func (s *OwnerSession) Name() string {
-	scheme, _, _ := s.info()
-	return scheme + "-gateway"
+	bi, _ := s.info()
+	return bi.scheme + "-gateway"
 }
 
 // Leakage implements edb.Database: the backend's §6 class, reported by the
 // gateway (L2 — fail-closed — while the gateway is unreachable).
 func (s *OwnerSession) Leakage() edb.LeakageClass {
-	_, leak, _ := s.info()
-	return leak
+	bi, _ := s.info()
+	return bi.leak
 }
 
 // Supports implements edb.Database. Structural validity is checked locally;
@@ -1013,10 +1021,10 @@ func (s *OwnerSession) upload(t wire.MsgType, rs []record.Record) error {
 	// Identity is fetched after the first successful upload (the namespace
 	// certainly exists by then), so storage accounting uses the backend's
 	// real outsourced width.
-	_, _, width := s.info()
+	bi, _ := s.info()
 	dummies := len(rs) - record.CountReal(rs)
 	s.mu.Lock()
-	s.stats.Add(len(rs), dummies, width)
+	s.stats.Add(len(rs), dummies, bi.width)
 	s.mu.Unlock()
 	return nil
 }
@@ -1042,13 +1050,23 @@ func (s *OwnerSession) Query(q query.Query) (query.Answer, edb.Cost, error) {
 // back to the primary, which is trivially fresh — so the bound can tighten
 // a replica read without ever failing the caller. minOffset 0 accepts any
 // committed prefix.
+//
+// The answer's cost travels as its two record counts; its modelled seconds
+// are the backend scheme's model applied to them (edb.CostModel.Of), the
+// same arithmetic on the same numbers as the backend's, so they equal its
+// own bit for bit. A connection that has not yet learned its backend's
+// scheme learns it here, once (info).
 func (s *OwnerSession) QueryAt(q query.Query, minOffset uint64) (query.Answer, edb.Cost, error) {
 	spec := wire.FromQuery(q)
 	resp, err := s.readRoundTrip(wire.Request{Type: wire.MsgQuery, Query: &spec, MinOffset: minOffset})
 	if err != nil {
 		return query.Answer{}, edb.Cost{}, err
 	}
-	return resp.Answer.ToAnswer(), resp.Cost.ToCost(), nil
+	bi, err := s.info()
+	if err != nil {
+		return query.Answer{}, edb.Cost{}, fmt.Errorf("client: owner %q: the answer's cost model: %w", s.owner, err)
+	}
+	return resp.Answer.ToAnswer(), bi.model.Of(q.Kind, resp.Cost.RecordsScanned, resp.Cost.PairsCompared), nil
 }
 
 // readRoundTrip routes one side-effect-free read: replica first when one
@@ -1071,10 +1089,25 @@ func (s *OwnerSession) readRoundTrip(req wire.Request) (wire.Response, error) {
 		s.conn.replicaFallbacks.Add(1)
 	}
 	resp, _, err := s.conn.primary.roundTrip(s.owner, req)
+	if errors.Is(err, edb.ErrNotSetup) && s.restore() {
+		resp, _, err = s.conn.primary.roundTrip(s.owner, req)
+	}
 	if err == nil {
 		err = wellFormed(req, resp)
 	}
 	return resp, err
+}
+
+// restore heals a session whose serving node holds nothing of an owner the
+// session has syncs acknowledged for — a failover promoted a node its setup
+// had not reached — with the resume handshake, which re-uploads the missing
+// history from the resync window, as a failed upload's realignment would.
+// It reports whether the session had a history to restore and restored it,
+// so the read that found the gap is asked once more.
+func (s *OwnerSession) restore() bool {
+	s.upMu.Lock()
+	defer s.upMu.Unlock()
+	return s.seqInit && s.seq > 0 && s.resumeLocked() == nil
 }
 
 // wellFormed checks that a read's response has the shape its request asks

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"dpsync/internal/edb"
 	"dpsync/internal/gateway"
+	"dpsync/internal/query"
 	"dpsync/internal/record"
 	"dpsync/internal/wire"
 )
@@ -368,4 +370,43 @@ func settled(base int) int {
 		time.Sleep(5 * time.Millisecond)
 	}
 	return n
+}
+
+// TestReadAfterFailoverRestoresTheSetup: a failover can promote a node that
+// the owner's setup never reached. The session holds that setup acked, so a
+// read the new node refuses as not set up is the gap an upload would have
+// healed: the session resumes — re-uploading its history from the resync
+// window — and the read is asked once more, answered from the restored
+// records. A session with nothing acked gets the refusal as it is.
+func TestReadAfterFailoverRestoresTheSetup(t *testing.T) {
+	a, key := startGateway(t, gateway.Config{})
+	b, err := gateway.New("127.0.0.1:0", gateway.Config{Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = b.Serve() }()
+	t.Cleanup(func() { _ = b.Close() })
+	conn, err := DialGateway(a.Addr(), key, WithAddrs(b.Addr()), WithReconnect(10), WithResyncWindow(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	own := conn.Owner("owner-failover")
+	if err := own.Setup([]record.Record{yellowAt(0, 10), yellowAt(0, 12)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := own.Update([]record.Record{yellowAt(1, 11)}); err != nil {
+		t.Fatal(err)
+	}
+	a.Kill() // b never saw the owner
+	ans, _, err := own.Query(query.Q2())
+	if err != nil {
+		t.Fatalf("read after failover: %v", err)
+	}
+	if ans.Total() != 3 || b.ObservedPattern("owner-failover").Updates() != 2 {
+		t.Fatalf("read after failover counted %v records; the new node holds %d syncs, want 3 and 2", ans.Total(), b.ObservedPattern("owner-failover").Updates())
+	}
+	if _, _, err := conn.Owner("owner-never").Query(query.Q1()); !errors.Is(err, edb.ErrNotSetup) {
+		t.Fatalf("a read by an owner with nothing acked: %v, want edb.ErrNotSetup", err)
+	}
 }

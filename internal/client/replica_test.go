@@ -35,7 +35,7 @@ type scriptedConn struct {
 	auto    func(wire.GatewayRequest) *wire.Response
 	reqs    chan wire.GatewayRequest // every frame read, in arrival order; sized past any test's reads
 	frames  atomic.Int64
-	in, out atomic.Int64 // frame bytes read and written, length prefixes included
+	in, out atomic.Int64 // frame bytes read and written, length headers included
 }
 
 func startScriptedReplica(t *testing.T, auto func(wire.GatewayRequest) *wire.Response) *scriptedReplica {
@@ -87,7 +87,7 @@ func (c *scriptedConn) read() {
 		if err != nil {
 			return
 		}
-		c.in.Add(int64(len(payload)) + 4)
+		c.in.Add(int64(wire.FrameLen(len(payload))))
 		c.frames.Add(1)
 		if c.auto != nil {
 			if resp := c.auto(req); resp != nil {
@@ -108,7 +108,7 @@ func (c *scriptedConn) write(id uint64, resp wire.Response) error {
 		err = wire.WriteFrame(c.nc, payload)
 	}
 	if err == nil {
-		c.out.Add(int64(len(payload)) + 4)
+		c.out.Add(int64(wire.FrameLen(len(payload))))
 	}
 	return err
 }

@@ -268,15 +268,15 @@ func TestHubWrapsTheEntrysFrame(t *testing.T) {
 		}
 	}
 
-	// A one-record sync: its 102 B entry frame ships as a 4 B length and 11 B
+	// A one-record sync: its 102 B entry frame ships as a 1 B length and 11 B
 	// of header at an offset below 128 (13 B below 2²¹).
 	sync := store.Entry{Owner: "owner-000017", Batch: store.Batch{Tick: 2, Sealed: [][]byte{make([]byte, 44)}, Charge: charge}}
 	hub.Committed(0, sync, telemetry.TraceContext{})
 	hub.mu.Lock()
-	shipped := 4 + len(hub.rings[0].at(hub.rings[0].n-1).frame)
+	shipped := wire.FrameLen(len(hub.rings[0].at(hub.rings[0].n - 1).frame))
 	hub.mu.Unlock()
-	if shipped != 4+11+102 {
-		t.Fatalf("a one-record sync ships as %d B, want %d", shipped, 4+11+102)
+	if shipped != 1+11+102 {
+		t.Fatalf("a one-record sync ships as %d B, want %d", shipped, 1+11+102)
 	}
 
 	built := store.Entry{Owner: "owner-0001", Batch: store.Batch{Tick: 9, Sealed: [][]byte{bytes.Repeat([]byte{1}, 45)}, Charge: charge}}
@@ -331,10 +331,10 @@ func TestHubRingWraps(t *testing.T) {
 
 // TestHubRefusesOtherReplVersions pins that the replication version is not
 // negotiated: a hello proposing anything but ReplVersion — the retired v1
-// and v2 included — gets the refusal byte, not a downgraded stream.
+// to v3 included — gets the refusal byte, not a downgraded stream.
 func TestHubRefusesOtherReplVersions(t *testing.T) {
 	_, gw := startHub(t)
-	for _, v := range []byte{0, 1, 2, wire.ReplVersion + 1} {
+	for _, v := range []byte{0, 1, 2, 3, wire.ReplVersion + 1} {
 		conn, err := net.Dial("tcp", gw.Addr())
 		if err != nil {
 			t.Fatal(err)

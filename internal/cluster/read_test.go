@@ -20,15 +20,16 @@ import (
 )
 
 // readFingerprint renders a query result to an exact byte string — IEEE
-// bits of the answer plus the deterministic cost counters. Cost.Seconds is
-// wall-clock and excluded (the one field two evaluations may disagree on).
+// bits of the answer and of the modelled seconds, and the cost counters.
+// Every field is deterministic: the seconds are the backend's cost model
+// applied to the two counts, wherever they are derived.
 func readFingerprint(ans query.Answer, cost edb.Cost) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%016x", math.Float64bits(ans.Scalar))
 	for _, g := range ans.Groups {
 		fmt.Fprintf(&sb, ",%016x", math.Float64bits(g))
 	}
-	fmt.Fprintf(&sb, "|scan=%d|pairs=%d", cost.RecordsScanned, cost.PairsCompared)
+	fmt.Fprintf(&sb, "|s=%016x|scan=%d|pairs=%d", math.Float64bits(cost.Seconds), cost.RecordsScanned, cost.PairsCompared)
 	return sb.String()
 }
 

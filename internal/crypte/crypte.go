@@ -324,7 +324,7 @@ func (db *DB) Query(q query.Query) (query.Answer, edb.Cost, error) {
 	if err := db.spent.Charge("query-release", db.queryEps, dp.Sequential); err != nil {
 		return query.Answer{}, edb.Cost{}, err
 	}
-	cost := db.model.Linear(q.Kind, int64(db.stats.Records))
+	cost := db.model.Of(q.Kind, int64(db.stats.Records), 0)
 	return ans, cost, nil
 }
 

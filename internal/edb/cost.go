@@ -46,20 +46,17 @@ type CostModel struct {
 	PerPair float64
 }
 
-// Linear returns the modeled cost of scanning n records for query kind k.
-func (m CostModel) Linear(k query.Kind, n int64) Cost {
+// Of returns the modeled cost of a query of kind k that scans scanned
+// records and makes pairs oblivious join comparisons: Base[k] +
+// PerRecord[k]·scanned + PerPair·pairs. The counts are public — an oblivious
+// operator's cost depends only on its input sizes — so whoever holds them
+// and the scheme's model derives the same seconds, bit for bit: a backend
+// charging its query, and a client reading the counts off the wire.
+func (m CostModel) Of(k query.Kind, scanned, pairs int64) Cost {
 	return Cost{
-		Seconds:        m.Base[k] + m.PerRecord[k]*float64(n),
-		RecordsScanned: n,
-	}
-}
-
-// Join returns the modeled cost of an oblivious join over nl × nr pairs.
-func (m CostModel) Join(nl, nr int64) Cost {
-	return Cost{
-		Seconds:        m.Base[query.JoinCount] + m.PerPair*float64(nl)*float64(nr),
-		RecordsScanned: nl + nr,
-		PairsCompared:  nl * nr,
+		Seconds:        m.Base[k] + m.PerRecord[k]*float64(scanned) + m.PerPair*float64(pairs),
+		RecordsScanned: scanned,
+		PairsCompared:  pairs,
 	}
 }
 

@@ -108,23 +108,33 @@ func TestStorageStatsAdd(t *testing.T) {
 	}
 }
 
+// TestCostModelLinear: a linear query's cost is the per-query base plus the
+// per-record rate times its scan, exactly the formula the model had before
+// the join's pair term joined it in Of (its zero pairs add +0, which changes
+// no bit).
 func TestCostModelLinear(t *testing.T) {
-	m := ObliDBCostModel()
-	c := m.Linear(query.GroupCount, 10_000)
-	want := 0.071 + 244e-6*10_000
-	if math.Abs(c.Seconds-want) > 1e-9 {
-		t.Errorf("linear cost = %v, want %v", c.Seconds, want)
+	for _, m := range []CostModel{ObliDBCostModel(), CrypteCostModel()} {
+		for _, k := range []query.Kind{query.RangeCount, query.GroupCount, query.SumFare} {
+			for _, n := range []int64{0, 1, 7, 131, 9214, 10_000, 1 << 40} {
+				c := m.Of(k, n, 0)
+				want := m.Base[k] + m.PerRecord[k]*float64(n)
+				if math.Float64bits(c.Seconds) != math.Float64bits(want) || c.RecordsScanned != n || c.PairsCompared != 0 {
+					t.Errorf("%v over %d records: %+v, want %v s", k, n, c, want)
+				}
+			}
+		}
 	}
-	if c.RecordsScanned != 10_000 {
-		t.Errorf("scanned = %d", c.RecordsScanned)
+	c := ObliDBCostModel().Of(query.GroupCount, 10_000, 0)
+	if want := 0.071 + 244e-6*10_000; math.Abs(c.Seconds-want) > 1e-9 {
+		t.Errorf("linear cost = %v, want %v", c.Seconds, want)
 	}
 }
 
 func TestCostModelJoin(t *testing.T) {
 	m := ObliDBCostModel()
-	c := m.Join(1000, 2000)
-	if c.PairsCompared != 2_000_000 {
-		t.Errorf("pairs = %d", c.PairsCompared)
+	c := m.Of(query.JoinCount, 1000+2000, 1000*2000)
+	if c.PairsCompared != 2_000_000 || c.RecordsScanned != 3000 {
+		t.Errorf("pairs = %d, scanned = %d", c.PairsCompared, c.RecordsScanned)
 	}
 	want := 0.095 + 20.5e-9*2e6
 	if math.Abs(c.Seconds-want) > 1e-9 {
@@ -142,11 +152,11 @@ func TestCostModelCalibration(t *testing.T) {
 		got  float64
 		want float64
 	}{
-		{"ObliDB Q1", ob.Linear(query.RangeCount, 9214).Seconds, 5.39},
-		{"ObliDB Q2", ob.Linear(query.GroupCount, 9214).Seconds, 2.32},
-		{"ObliDB Q3", ob.Join(9214, 14200).Seconds, 2.77},
-		{"Crypteps Q1", CrypteCostModel().Linear(query.RangeCount, 9214).Seconds, 20.94},
-		{"Crypteps Q2", CrypteCostModel().Linear(query.GroupCount, 9214).Seconds, 76.34},
+		{"ObliDB Q1", ob.Of(query.RangeCount, 9214, 0).Seconds, 5.39},
+		{"ObliDB Q2", ob.Of(query.GroupCount, 9214, 0).Seconds, 2.32},
+		{"ObliDB Q3", ob.Of(query.JoinCount, 9214+14200, 9214*14200).Seconds, 2.77},
+		{"Crypteps Q1", CrypteCostModel().Of(query.RangeCount, 9214, 0).Seconds, 20.94},
+		{"Crypteps Q2", CrypteCostModel().Of(query.GroupCount, 9214, 0).Seconds, 76.34},
 	}
 	for _, c := range checks {
 		if rel := math.Abs(c.got-c.want) / c.want; rel > 0.15 {

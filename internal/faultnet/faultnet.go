@@ -7,10 +7,11 @@
 //
 //   - The 5-byte connection hello passes through verbatim (a fault there is
 //     just a failed dial, which the reconnect layer already covers).
-//   - Writes are buffered until a complete length-prefixed frame is
-//     assembled, then the schedule decides the frame's fate. Mid-frame
-//     truncation deliberately ships a *partial* frame before severing — the
-//     torn-write case the peer's framing layer must survive.
+//   - Writes are buffered until a complete frame is assembled — split with
+//     wire.FrameHeader, the protocol's own header parser, so the injector
+//     keeps no second one — then the schedule decides the frame's fate.
+//     Mid-frame truncation deliberately ships a *partial* frame before
+//     severing — the torn-write case the peer's framing layer must survive.
 //   - Duplication ships the frame twice, the retransmit-overlap case the
 //     gateway's idempotent tick-ordered apply must absorb without double-
 //     charging the ledger.
@@ -23,24 +24,20 @@
 package faultnet
 
 import (
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dpsync/internal/wire"
 )
 
 // ErrInjected is the typed error returned by writes on a connection the
 // schedule has severed; harnesses match it to tell injected faults from
 // real network failures.
 var ErrInjected = errors.New("faultnet: injected fault")
-
-// maxTrackedFrame bounds the write buffer: a claimed frame length beyond it
-// (nothing in the gateway protocol comes close) flips the connection to
-// transparent passthrough rather than buffering unboundedly.
-const maxTrackedFrame = 64 << 20
 
 // helloLen is the gateway connection preamble (magic + version byte) that
 // passes through un-buffered.
@@ -181,14 +178,25 @@ func (in *Injector) Dialer(dial func(addr string) (net.Conn, error)) func(addr s
 // severed transport, exactly like a real reset).
 type faultConn struct {
 	net.Conn
-	in  *Injector
-	rng *rand.Rand
+	in     *Injector
+	rng    *rand.Rand
+	closed atomic.Bool // Close ran: later writes draw nothing from the schedule
 
 	mu          sync.Mutex
 	hello       int    // preamble bytes still owed verbatim
 	buf         []byte // bytes of the frame being assembled
-	transparent bool   // oversized frame seen; no further tracking
+	transparent bool   // a header wire refuses seen; no further tracking
 	dead        error  // latched injected severance
+}
+
+// Close marks the connection closed before closing it, so a frame written
+// after — by a writer that lost the race with its connection's end — fails
+// without a draw: the faults a connection is dealt follow the frames it
+// carried, never the timing of its close. It takes no lock, so it can always
+// unblock a write stuck in the socket.
+func (c *faultConn) Close() error {
+	c.closed.Store(true)
+	return c.Conn.Close()
 }
 
 func (c *faultConn) Write(p []byte) (int, error) {
@@ -196,6 +204,9 @@ func (c *faultConn) Write(p []byte) (int, error) {
 	defer c.mu.Unlock()
 	if c.dead != nil {
 		return 0, c.dead
+	}
+	if c.closed.Load() {
+		return 0, net.ErrClosed
 	}
 	total := len(p)
 	if c.hello > 0 {
@@ -216,9 +227,9 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		return total, nil
 	}
 	c.buf = append(c.buf, p...)
-	for len(c.buf) >= 4 {
-		frameLen := int(binary.BigEndian.Uint32(c.buf))
-		if frameLen > maxTrackedFrame {
+	for {
+		hdr, n, err := wire.FrameHeader(c.buf)
+		if err != nil {
 			// Not a protocol frame we understand; stop interfering.
 			c.transparent = true
 			if _, err := c.Conn.Write(c.buf); err != nil {
@@ -227,16 +238,14 @@ func (c *faultConn) Write(p []byte) (int, error) {
 			c.buf = nil
 			return total, nil
 		}
-		if len(c.buf) < 4+frameLen {
-			break // frame incomplete; wait for more bytes
+		if hdr == 0 || len(c.buf) < hdr+n {
+			return total, nil // frame incomplete; wait for more bytes
 		}
-		frame := c.buf[:4+frameLen]
-		if err := c.deliver(frame); err != nil {
+		if err := c.deliver(c.buf[:hdr+n]); err != nil {
 			return 0, err
 		}
-		c.buf = c.buf[4+frameLen:]
+		c.buf = c.buf[hdr+n:]
 	}
-	return total, nil
 }
 
 // deliver ships one complete frame under the schedule. Called with mu held.
@@ -253,11 +262,14 @@ func (c *faultConn) deliver(frame []byte) error {
 	case r < cfg.Reset+cfg.Truncate:
 		if c.in.take() {
 			c.in.truncs.Add(1)
-			// A strict prefix — at least the length header must start, at
-			// most one byte short of completion — then sever: the torn
-			// write a crashing network stack leaves behind.
-			cut := 1 + c.rng.Intn(len(frame)-1)
-			_, _ = c.Conn.Write(frame[:cut])
+			// A strict prefix — at least the header's first byte, at most
+			// one byte short of completion — then sever: the torn write a
+			// crashing network stack leaves behind. A one-byte frame (an
+			// empty payload) has no such prefix; it is severed whole.
+			if len(frame) > 1 {
+				cut := 1 + c.rng.Intn(len(frame)-1)
+				_, _ = c.Conn.Write(frame[:cut])
+			}
 			c.sever()
 			return c.dead
 		}

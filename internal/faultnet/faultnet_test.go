@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dpsync/internal/wire"
 )
 
 // sink is a net.Conn that captures writes; reads report EOF.
@@ -45,14 +47,10 @@ func (s *sink) SetDeadline(time.Time) error      { return nil }
 func (s *sink) SetReadDeadline(time.Time) error  { return nil }
 func (s *sink) SetWriteDeadline(time.Time) error { return nil }
 
-// frame builds a length-prefixed frame with the given payload byte repeated.
+// frame builds a frame — its length as a uvarint, then the payload — with
+// the given payload byte repeated.
 func frame(n int, b byte) []byte {
-	out := make([]byte, 4+n)
-	binary.BigEndian.PutUint32(out, uint32(n))
-	for i := 4; i < len(out); i++ {
-		out[i] = b
-	}
-	return out
+	return append(binary.AppendUvarint(nil, uint64(n)), bytes.Repeat([]byte{b}, n)...)
 }
 
 var hello = []byte{'D', 'P', 'S', 'G', 2}
@@ -73,14 +71,18 @@ func TestHelloPassthroughAndDuplicate(t *testing.T) {
 		t.Fatalf("hello not passed through verbatim: %x", got)
 	}
 
-	f := frame(6, 0xAB)
-	if _, err := c.Write(f[:4]); err != nil { // header only: no frame yet
-		t.Fatalf("header write: %v", err)
+	// A frame behind a two-byte header, written a header byte at a time: no
+	// frame yet.
+	f := frame(200, 0xAB)
+	for _, part := range [][]byte{f[:1], f[1:2]} {
+		if _, err := c.Write(part); err != nil {
+			t.Fatalf("header write: %v", err)
+		}
+		if got := s.Bytes(); len(got) != len(hello) {
+			t.Fatalf("partial frame leaked to transport: %d bytes", len(got))
+		}
 	}
-	if got := s.Bytes(); len(got) != len(hello) {
-		t.Fatalf("partial frame leaked to transport: %d bytes", len(got))
-	}
-	if _, err := c.Write(f[4:]); err != nil {
+	if _, err := c.Write(f[2:]); err != nil {
 		t.Fatalf("payload write: %v", err)
 	}
 	want := append(append([]byte(nil), hello...), append(f, f...)...)
@@ -102,7 +104,7 @@ func TestCoalescedWriteFaultsPerFrame(t *testing.T) {
 	s := &sink{}
 	c := in.Wrap(s)
 	a, b, d := frame(3, 0xA1), frame(0, 0), frame(5, 0xD4)
-	burst := append(append(append(append([]byte(nil), hello...), a...), b...), d[:6]...)
+	burst := append(append(append(append([]byte(nil), hello...), a...), b...), d[:3]...)
 	if n, err := c.Write(burst); err != nil || n != len(burst) {
 		t.Fatalf("coalesced write = %d, %v", n, err)
 	}
@@ -110,7 +112,7 @@ func TestCoalescedWriteFaultsPerFrame(t *testing.T) {
 	if got := s.Bytes(); !bytes.Equal(got, want) {
 		t.Fatalf("after the burst:\n got %x\nwant %x", got, want)
 	}
-	if _, err := c.Write(d[6:]); err != nil {
+	if _, err := c.Write(d[3:]); err != nil {
 		t.Fatal(err)
 	}
 	want = append(append(want, d...), d...)
@@ -213,27 +215,75 @@ func TestScheduleDeterminism(t *testing.T) {
 }
 
 // TestOversizedFrameGoesTransparent pins the defensive fallback for
-// non-protocol traffic: a frame header claiming an absurd length flips the
-// connection to passthrough instead of buffering forever.
+// non-protocol traffic: a frame header wire refuses — a length past
+// wire.MaxFrame, a fifth header byte, a padded header — flips the connection
+// to passthrough instead of buffering forever.
 func TestOversizedFrameGoesTransparent(t *testing.T) {
-	in := New(Config{Seed: 9, Duplicate: 1.0})
+	for name, header := range map[string][]byte{
+		"past MaxFrame":    binary.AppendUvarint(nil, wire.MaxFrame+1),
+		"a fifth byte":     binary.AppendUvarint(nil, 1<<30), // claims a 1GiB frame
+		"a padded header":  {0x85, 0x00},
+		"a padded empty 0": {0x80, 0x80, 0x00},
+	} {
+		in := New(Config{Seed: 9, Duplicate: 1.0})
+		s := &sink{}
+		c := in.Wrap(s)
+		_, _ = c.Write(hello)
+		bad := append(header, 1, 2, 3, 4)
+		if _, err := c.Write(bad); err != nil {
+			t.Fatalf("%s: header write: %v", name, err)
+		}
+		more := frame(2, 7)
+		if _, err := c.Write(more); err != nil {
+			t.Fatalf("%s: later write: %v", name, err)
+		}
+		want := append(append(append([]byte(nil), hello...), bad...), more...)
+		if got := s.Bytes(); !bytes.Equal(got, want) {
+			t.Fatalf("%s: transparent mode mangled bytes:\n got %x\nwant %x", name, got, want)
+		}
+		if n := in.Counts().Duplicates; n != 0 {
+			t.Fatalf("%s: transparent mode still injected %d duplicates", name, n)
+		}
+	}
+}
+
+// TestTruncatingAnEmptyFrameSevers: a frame with an empty payload is one
+// header byte, which has no strict non-empty prefix; truncating it ships
+// nothing and severs, where it used to panic drawing a cut from none.
+func TestTruncatingAnEmptyFrameSevers(t *testing.T) {
+	in := New(Config{Seed: 7, Truncate: 1.0, Budget: 1})
 	s := &sink{}
 	c := in.Wrap(s)
 	_, _ = c.Write(hello)
-	huge := make([]byte, 8)
-	binary.BigEndian.PutUint32(huge, 1<<30) // claims a 1GiB frame
-	if _, err := c.Write(huge); err != nil {
-		t.Fatalf("oversized header write: %v", err)
+	if _, err := c.Write(frame(0, 0)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("truncating an empty frame: %v, want ErrInjected", err)
 	}
-	more := []byte{1, 2, 3, 4}
-	if _, err := c.Write(more); err != nil {
-		t.Fatalf("post-oversize write: %v", err)
+	if got := s.Bytes(); !bytes.Equal(got, hello) {
+		t.Fatalf("truncating an empty frame shipped %x after the hello", got[len(hello):])
 	}
-	want := append(append(append([]byte(nil), hello...), huge...), more...)
-	if got := s.Bytes(); !bytes.Equal(got, want) {
-		t.Fatalf("transparent mode mangled bytes:\n got %x\nwant %x", got, want)
+	if n := in.Counts().Truncations; n != 1 {
+		t.Fatalf("Truncations = %d, want 1", n)
 	}
-	if n := in.Counts().Duplicates; n != 0 {
-		t.Fatalf("transparent mode still injected %d duplicates", n)
+}
+
+// TestCloseDrawsNothing: a frame written after Close fails without a draw
+// from the schedule — no fault counted, no budget spent — so what a
+// connection is dealt depends on the frames it carried, not on when a
+// writer noticed it was closed.
+func TestCloseDrawsNothing(t *testing.T) {
+	in := New(Config{Seed: 5, Reset: 0.5, Duplicate: 0.5, Budget: 1})
+	s := &sink{}
+	c := in.Wrap(s)
+	_, _ = c.Write(hello)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := c.Write(frame(3, byte(i))); !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("write %d after Close: %v, want net.ErrClosed", i, err)
+		}
+	}
+	if n := in.Counts(); n.Total() != 0 || !in.take() {
+		t.Fatalf("writes after Close drew faults %+v or spent the budget", n)
 	}
 }

@@ -355,7 +355,7 @@ func TestOwnerPastMaxBindingsGoesInline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return int64(len(b)) + 4
+		return framedLen(len(b))
 	}
 	own := conn.Owner(past)
 	if err := own.Setup([]record.Record{yellow(0, 2)}); err != nil {

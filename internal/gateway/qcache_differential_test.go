@@ -19,16 +19,17 @@ import (
 )
 
 // answerFingerprint renders a query result to an exact byte string: IEEE
-// bits of every answer component plus the deterministic cost counters.
-// Cost.Seconds is deliberately excluded — it is wall-clock, the one field
-// two evaluations of the same query legitimately disagree on.
+// bits of every answer component and of the modelled seconds, and the cost
+// counters. Every field is deterministic: the seconds are the backend's cost
+// model applied to the two counts, by the backend and again by the client
+// that read the counts off the wire.
 func answerFingerprint(ans query.Answer, cost edb.Cost) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%016x", math.Float64bits(ans.Scalar))
 	for _, g := range ans.Groups {
 		fmt.Fprintf(&sb, ",%016x", math.Float64bits(g))
 	}
-	fmt.Fprintf(&sb, "|scan=%d|pairs=%d", cost.RecordsScanned, cost.PairsCompared)
+	fmt.Fprintf(&sb, "|s=%016x|scan=%d|pairs=%d", math.Float64bits(cost.Seconds), cost.RecordsScanned, cost.PairsCompared)
 	return sb.String()
 }
 

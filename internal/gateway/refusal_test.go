@@ -1,6 +1,7 @@
 package gateway_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -56,7 +57,13 @@ func refusalSize(t *testing.T, resp wire.Response) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return int64(len(b)) + 4
+	return framedLen(len(b))
+}
+
+// framedLen is the bytes a frame of an n-byte payload takes on the wire: its
+// length first, as a uvarint in the fewest bytes that hold it.
+func framedLen(n int) int64 {
+	return int64(len(binary.AppendUvarint(nil, uint64(n))) + n)
 }
 
 func queryReq(q query.Query, minOffset uint64) wire.Request {
@@ -230,42 +237,42 @@ func TestRefusalsAreTyped(t *testing.T) {
 		owner   string
 		provoke func() (int64, error)
 	}{
-		{wire.CodeBackpressure, wire.ErrBackpressure, 0, 9, gw, "owner-hog", func() (int64, error) {
+		{wire.CodeBackpressure, wire.ErrBackpressure, 0, 6, gw, "owner-hog", func() (int64, error) {
 			return hold.shed(t, conn, "owner-hog")
 		}},
-		{wire.CodeStale, wire.ErrStale, 1, 9, rep, "owner-r", raw(ro, "owner-r", queryReq(query.Q1(), 9))},
-		{wire.CodeNotPrimary, wire.ErrNotPrimary, 0, 9, rep, "owner-r", raw(ro, "owner-r", wire.Request{Type: wire.MsgResume})},
-		{wire.CodeNotSetup, edb.ErrNotSetup, 0, 9, gw, "owner-nobody", through(func() error {
+		{wire.CodeStale, wire.ErrStale, 1, 6, rep, "owner-r", raw(ro, "owner-r", queryReq(query.Q1(), 9))},
+		{wire.CodeNotPrimary, wire.ErrNotPrimary, 0, 6, rep, "owner-r", raw(ro, "owner-r", wire.Request{Type: wire.MsgResume})},
+		{wire.CodeNotSetup, edb.ErrNotSetup, 0, 6, gw, "owner-nobody", through(func() error {
 			_, _, err := conn.Owner("owner-nobody").Query(query.Q1())
 			return err
 		})},
-		{wire.CodeSeqGap, wire.ErrSeqGap, 3, 9, gw, "owner-a", raw(rw, "owner-a", wire.Request{Type: wire.MsgUpdate, Seq: 9})},
-		{wire.CodeSuspended, wire.ErrSuspended, 0, 9, gw, "owner-s", through(func() error {
+		{wire.CodeSeqGap, wire.ErrSeqGap, 3, 6, gw, "owner-a", raw(rw, "owner-a", wire.Request{Type: wire.MsgUpdate, Seq: 9})},
+		{wire.CodeSuspended, wire.ErrSuspended, 0, 6, gw, "owner-s", through(func() error {
 			_, err := conn.Owner("owner-s").RemoteStats()
 			return err
 		})},
 		// A malformed frame: owner length 0, then handle 0, which no connection
 		// ever binds — the codec's error restated.
-		{wire.CodeBadRequest, wire.ErrBadRequest, 0, 9 + int64(len("wire: malformed frame: owner handle 0")), gw, "owner-a",
+		{wire.CodeBadRequest, wire.ErrBadRequest, 0, 6 + int64(len("wire: malformed frame: owner handle 0")), gw, "owner-a",
 			rawBytes(rw, []byte{1, 0, 0, 4})},
 		// A setup anywhere but tick 1 can never apply: refused by the reader,
 		// before it could create the tenant (state holds the owner count).
-		{wire.CodeBadRequest, wire.ErrBadRequest, 0, 9 + int64(len("gateway: setup not at seq 1")), gw, "owner-new",
+		{wire.CodeBadRequest, wire.ErrBadRequest, 0, 6 + int64(len("gateway: setup not at seq 1")), gw, "owner-new",
 			raw(rw, "owner-new", wire.Request{Type: wire.MsgSetup, Seq: 5, Sealed: [][]byte{make([]byte, seal.SealedSize)}})},
 		// A well-formed frame naming an owner by a handle its connection never
 		// bound: refused by the reader, touching nothing.
-		{wire.CodeBadRequest, wire.ErrBadRequest, 0, 9 + int64(len("gateway: unbound handle 9")), gw, "owner-a", func() (int64, error) {
+		{wire.CodeBadRequest, wire.ErrBadRequest, 0, 6 + int64(len("gateway: unbound handle 9")), gw, "owner-a", func() (int64, error) {
 			resp := askAs(t, rw, wire.GatewayRequest{ID: 1, Handle: 9, Req: wire.Request{Type: wire.MsgUpdate, Seq: 3}})
 			if resp.OK {
 				t.Fatal("a sync by an unbound handle was served")
 			}
 			return refusalSize(t, resp), resp.Refusal
 		}},
-		{wire.CodeFailed, wire.ErrFailed, 0, 9 + int64(len("query: empty range 9..1")), gw, "owner-a", through(func() error {
+		{wire.CodeFailed, wire.ErrFailed, 0, 6 + int64(len("query: empty range 9..1")), gw, "owner-a", through(func() error {
 			_, _, err := conn.Owner("owner-a").Query(emptyRange)
 			return err
 		})},
-		{wire.CodeClosing, wire.ErrClosing, 0, 9, gw, "", through(func() error {
+		{wire.CodeClosing, wire.ErrClosing, 0, 6, gw, "", through(func() error {
 			// The shard workers are gone (see StopShards): nothing can touch a
 			// tenant any more, and nothing can read one either.
 			t.Cleanup(gw.StopShards())

@@ -318,24 +318,24 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 // one real among V − 1 dummies — get the same bytes, answerLen's: a length is
 // a function of (kind, V), and V is all it tells. (3) A refusal's length is
 // its code's: not-setup, seq-gap, backpressure and
-// suspended on this gateway and stale on a replica are the same nine bytes
+// suspended on this gateway and stale on a replica are the same six bytes
 // for an owner with one small sync behind it and one with four larger ones
 // (the cursors — a clock, a shard's offset — are numbers the server holds,
 // kept inside one varint bracket here); only bad-request and failed carry a
 // text, and the text is the request's fault restated — the same bytes for
 // both owners, naming no record.
 func TestFrameLengthsLeakNothingNew(t *testing.T) {
-	// syncFrameLen is a sync's exact request frame here: length prefix,
-	// one-byte request ID, the owner by handle 1 (the setup, the connection's
-	// first frame, named it inline and bound it: a zero length byte and the
-	// handle), type, one-byte seq, the message count and — for a non-empty
-	// batch — one message sealing all n records, its width first.
+	// syncFrameLen is a sync's exact request frame here: length header (a
+	// uvarint), one-byte request ID, the owner by handle 1 (the setup, the
+	// connection's first frame, named it inline and bound it: a zero length
+	// byte and the handle), type, one-byte seq, the message count and — for a
+	// non-empty batch — one message sealing all n records, its width first.
 	syncFrameLen := func(n int) int64 {
-		l := 4 + 1 + 1 + 1 + 1 + 1 + 1
+		l := 1 + 1 + 1 + 1 + 1 + 1
 		if n > 0 {
 			l += len(binary.AppendUvarint(nil, uint64(seal.Size(n)))) + seal.Size(n)
 		}
-		return int64(l)
+		return framedLen(l)
 	}
 	key, err := seal.NewRandomKey()
 	if err != nil {
@@ -378,7 +378,7 @@ func TestFrameLengthsLeakNothingNew(t *testing.T) {
 		if realOut[i] != dummyOut[i] || realIn[i] != dummyIn[i] {
 			t.Errorf("sync of %d: %d B out / %d B in for real records, %d / %d for dummies", n, realOut[i], realIn[i], dummyOut[i], dummyIn[i])
 		}
-		if want := syncFrameLen(n); realOut[i] != want || realIn[i] <= 4 {
+		if want := syncFrameLen(n); realOut[i] != want || realIn[i] <= 1 {
 			t.Errorf("sync of %d: measured %d B out, %d B in — want a %d B request frame and an ack", n, realOut[i], realIn[i], want)
 		}
 	}
@@ -550,10 +550,10 @@ func TestFrameLengthsLeakNothingNew(t *testing.T) {
 		if row.small != row.large {
 			t.Errorf("%v: %d B %q for the small owner, %d B %q for the large one", row.code, row.small.size, row.small.detail, row.large.size, row.large.detail)
 		}
-		if !row.text && (row.small.size != 9 || row.small.detail != "") {
-			t.Errorf("%v: %d B with text %q, want the fixed 9", row.code, row.small.size, row.small.detail)
+		if !row.text && (row.small.size != 6 || row.small.detail != "") {
+			t.Errorf("%v: %d B with text %q, want the fixed 6", row.code, row.small.size, row.small.detail)
 		}
-		if row.text && (row.small.detail == "" || row.small.size != 9+int64(len(row.small.detail))) {
+		if row.text && (row.small.detail == "" || row.small.size != 6+int64(len(row.small.detail))) {
 			t.Errorf("%v: %d B with text %q", row.code, row.small.size, row.small.detail)
 		}
 	}
@@ -614,8 +614,8 @@ func answerLen(k query.Kind, v int) int64 {
 			values = 2 + indices
 		}
 	}
-	// header, id, flags, width, values, cost: seconds, scanned, pairs
-	return int64(4 + 1 + 1 + 1 + values + 8 + len(binary.AppendUvarint(nil, uint64(v))) + 1)
+	// id, flags, width, values, cost: scanned, pairs; the length header first
+	return framedLen(1 + 1 + 1 + values + len(binary.AppendUvarint(nil, uint64(v))) + 1)
 }
 
 // TestTelemetryDebugTenantSeries checks the explicit opt-in: with

@@ -53,10 +53,14 @@ func ownerStrategy(i int, seed uint64) (strategy.Strategy, error) {
 type fleet struct {
 	cfg    Config
 	owners []*fleetOwner
-	inj    *faultnet.Injector
+	// inj holds one fault injector a connection slot (Config.Faults), each
+	// with its own seed and its own share of the disruptive budget, so what a
+	// slot is dealt follows from the frames its connections carried, never
+	// from how the slots' draws interleaved.
+	inj []*faultnet.Injector
 	// conns holds every connection ever dialed (a closed one still reports
 	// its counters); the last live of them are open. mu guards both against
-	// the churn goroutine.
+	// the owners' churn drops.
 	mu    sync.Mutex
 	conns []*client.GatewayConn
 	live  int
@@ -76,6 +80,7 @@ type fleetOwner struct {
 	owner    *core.Owner
 	arrivals *rand.Rand
 	next     time.Time
+	churn    *rand.Rand // draws the ticks the owner drops its connection at (Config.Churn)
 	// Milliseconds: sync round trips, open-loop ticks from their scheduled
 	// arrival, query round trips.
 	syncLat, openLat, queryLat []float64
@@ -88,7 +93,10 @@ func newFleet(cfg Config) *fleet {
 		f.owners[i] = &fleetOwner{i: i, fleet: f}
 	}
 	if cfg.Faults {
-		f.inj = faultnet.New(faultnet.DefaultConfig(int64(cfg.Seed), int64(4*f.connCount())))
+		f.inj = make([]*faultnet.Injector, f.connCount())
+		for i := range f.inj {
+			f.inj[i] = faultnet.New(faultnet.DefaultConfig(int64(cfg.Seed)+int64(i)<<32, faultBudget))
+		}
 	}
 	return f
 }
@@ -145,6 +153,17 @@ func (o *fleetOwner) tick(t int) error {
 		}
 		if d := time.Until(o.next); d > 0 {
 			time.Sleep(d)
+		}
+	}
+	if cfg.Churn {
+		// A drop severs the connection between two of the owner's requests,
+		// releasing any other owner's in flight on it, to be re-sent once the
+		// next request that needs it has redialed.
+		if o.churn == nil {
+			o.churn = rand.New(rand.NewSource(int64(cfg.Seed)*7919 + 17 + int64(o.i)))
+		}
+		if o.churn.Intn(churnEvery) == 0 {
+			o.fleet.drop(o.i)
 		}
 	}
 	var arrived []record.Record
@@ -226,9 +245,6 @@ func (f *fleet) dial(t *target) error {
 		// promoted node may lack any suffix of what the primary acknowledged.
 		opts = append(opts, client.WithAddrs(standby), client.WithResyncWindow(-1))
 	}
-	if f.inj != nil {
-		opts = append(opts, client.WithDialer(f.inj.Dialer(nil)))
-	}
 	if f.cfg.Churn || f.cfg.Faults || standby != "" {
 		// A lost transport must heal, not fail the run: the healing (the
 		// next request redials, each lost request is re-sent by its waiter)
@@ -238,6 +254,10 @@ func (f *fleet) dial(t *target) error {
 	f.hangup()
 	fresh := make([]*client.GatewayConn, f.connCount())
 	for i := range fresh {
+		opts := opts
+		if f.inj != nil {
+			opts = append(opts[:len(opts):len(opts)], client.WithDialer(f.inj[i].Dialer(nil)))
+		}
 		c, err := client.DialGateway(primary, t.key, opts...)
 		if err != nil {
 			return err
@@ -262,35 +282,15 @@ func (f *fleet) hangup() {
 	}
 }
 
-// churn drops one random open connection per interval until the returned
-// stop is called; each drop releases every request in flight on it, to be
-// re-sent by its waiter once the next request that needs the connection has
-// redialed it. Without Config.Churn it does nothing.
-func (f *fleet) churn() (stop func()) {
-	if !f.cfg.Churn {
-		return func() {}
+// drop severs the open connection owner i's requests ride (the fleet's
+// churn): every request in flight on it is released, to be re-sent by its
+// waiter once the next request that needs the connection has redialed it.
+func (f *fleet) drop(i int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.live > 0 {
+		f.conns[len(f.conns)-f.live+i%f.live].Drop()
 	}
-	quit, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		rng := rand.New(rand.NewSource(int64(f.cfg.Seed)*7919 + 17))
-		tick := time.NewTicker(churnInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-quit:
-				return
-			case <-tick.C:
-				f.mu.Lock()
-				if f.live > 0 {
-					f.conns[len(f.conns)-1-rng.Intn(f.live)].Drop()
-				}
-				f.mu.Unlock()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(quit); <-done }) }
 }
 
 // disrupted starts the outage stopwatch; outageMs reads it once a sync has
@@ -380,7 +380,7 @@ func (f *fleet) measure(rep *Report, elapsed time.Duration) {
 	if rep.Reconnects > 0 {
 		rep.ChurnResumeMs = float64(reconnectTotal.Nanoseconds()) / 1e6 / float64(rep.Reconnects)
 	}
-	if f.inj != nil {
-		rep.FaultsInjected = f.inj.Counts().Total()
+	for _, in := range f.inj {
+		rep.FaultsInjected += in.Counts().Total()
 	}
 }

@@ -40,9 +40,13 @@ import (
 // The values no caller ever set differently. syncEpsilon is charged per sync
 // by every in-process gateway; the others pace the fleet.
 const (
-	syncEpsilon   = 0.5
-	maxConns      = 4
-	churnInterval = 25 * time.Millisecond
+	syncEpsilon = 0.5
+	maxConns    = 4
+	// churnEvery: under Config.Churn an owner drops its connection at one
+	// tick in churnEvery, by a seeded draw. faultBudget is each connection
+	// slot's share of the disruptive faults (resets, torn frames).
+	churnEvery    = 64
+	faultBudget   = 4
 	meanArrival   = 2 * time.Millisecond
 	leaseTTL      = 250 * time.Millisecond
 	snapshotEvery = 64
@@ -86,10 +90,12 @@ type Config struct {
 	// its directory and the fleet re-dials; on a Cluster the follower flips to
 	// primary and the clients rotate and resync. It replaces Durable's reopen.
 	Kill bool
-	// Churn drops live connections on a seeded schedule and Faults routes
-	// every connection through internal/faultnet (resets, torn frames, stalls,
-	// duplicated frames); the client's reconnect/resume layer must heal both
-	// invisibly. OpenLoop paces ticks on a seeded Poisson/bursty process and
+	// Churn has each owner drop the connection its requests ride at ticks
+	// its seed draws, and Faults routes every connection through
+	// internal/faultnet (resets, torn frames, stalls, duplicated frames), one
+	// seeded schedule a connection slot; the client's reconnect/resume layer
+	// must heal both invisibly. With one owner a connection, a seed fixes the
+	// reconnects and faults of a run. OpenLoop paces ticks on a seeded Poisson/bursty process and
 	// measures per-tick latency from the scheduled arrival (no coordinated
 	// omission). QueryMix issues that many Q1–Q4 queries per owner per tick.
 	Churn    bool
@@ -264,8 +270,6 @@ func Run(cfg Config) (Report, error) {
 		boundary = 1 + int(cfg.Seed%uint64(cfg.Ticks-killReserve))
 		rep.KillTick = boundary
 	}
-	stopChurn := f.churn()
-	defer stopChurn()
 	start := time.Now()
 	if err := f.drive(0, boundary); err != nil {
 		return Report{}, err
@@ -291,7 +295,6 @@ func Run(cfg Config) (Report, error) {
 		}
 	}
 	elapsed := time.Since(start)
-	stopChurn()
 	if rep.FailoverMs = f.outageMs(); cfg.Kill && rep.FailoverMs == 0 {
 		return Report{}, fmt.Errorf("loadgen: no sync completed after the kill (outage unmeasured)")
 	}

@@ -434,3 +434,29 @@ func TestReferenceIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestChurnFollowsTheSeed: an owner drops its connection at ticks its seed
+// draws, and each connection slot is dealt faults from its own schedule, so
+// two runs at one seed — one owner a connection, so what each connection
+// carries follows from the seed alone — heal the same number of reconnects
+// and are dealt the same number of faults, torn and duplicated frames
+// included.
+func TestChurnFollowsTheSeed(t *testing.T) {
+	cfg := Config{Owners: maxConns, Ticks: 120, Seed: 3, Churn: true, Faults: true, Verify: true}
+	var runs [2]Report
+	for i := range runs {
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = rep
+	}
+	t.Logf("%d reconnects, %d faults", runs[0].Reconnects, runs[0].FaultsInjected)
+	if runs[0].Reconnects == 0 || runs[0].FaultsInjected == 0 {
+		t.Fatalf("%d reconnects, %d faults: the run exercises no churn", runs[0].Reconnects, runs[0].FaultsInjected)
+	}
+	if runs[0].Reconnects != runs[1].Reconnects || runs[0].FaultsInjected != runs[1].FaultsInjected {
+		t.Errorf("one seed, two runs: %d and %d reconnects, %d and %d faults",
+			runs[0].Reconnects, runs[1].Reconnects, runs[0].FaultsInjected, runs[1].FaultsInjected)
+	}
+}

@@ -120,12 +120,12 @@ func TestIncrementalMatchesNaive(t *testing.T) {
 					}
 					// The modeled cost must be what the full oblivious scan
 					// charges, derived from table sizes alone.
-					wantCost := db.model.Linear(q.Kind, ny)
+					wantCost := db.model.Of(q.Kind, ny, 0)
 					switch {
 					case q.Kind == query.JoinCount:
-						wantCost = db.model.Join(ny, ng)
+						wantCost = db.model.Of(q.Kind, ny+ng, ny*ng)
 					case q.Provider == record.GreenTaxi:
-						wantCost = db.model.Linear(q.Kind, ng)
+						wantCost = db.model.Of(q.Kind, ng, 0)
 					}
 					if cost != wantCost {
 						t.Errorf("batch %d %v: cost %+v != full-scan model %+v", batch, q.Kind, cost, wantCost)

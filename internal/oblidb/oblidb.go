@@ -209,13 +209,13 @@ func (db *DB) Query(q query.Query) (query.Answer, edb.Cost, error) {
 func (db *DB) cost(q query.Query) edb.Cost {
 	ny, ng := db.enclave.tableSizes()
 	if q.Kind == query.JoinCount {
-		return db.model.Join(ny, ng)
+		return db.model.Of(q.Kind, ny+ng, ny*ng)
 	}
 	n := ny
 	if q.Provider == record.GreenTaxi {
 		n = ng
 	}
-	return db.model.Linear(q.Kind, n)
+	return db.model.Of(q.Kind, n, 0)
 }
 
 // Stats implements edb.Database.

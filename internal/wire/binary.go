@@ -22,14 +22,18 @@ type Codec byte
 // scalar or one group vector, its values at one Width — the least that holds
 // the bound the answering store's size puts on them, or floats — or a group
 // vector as one index a stored record (WidthIndex) when that is fewer bytes;
-// a refused request is answered with one typed refusal section (the layout
-// table is in doc.go, "Serving"). A request names its owner inline or by a
-// handle its connection bound (MaxBindings). Version byte 7; 6 sent every
-// group vector one value a group, 5 padded every answer to 4-byte groups
-// beside an 8-byte scalar, 4 named the owner inline in every request, 3 said
-// no with an error text beside two flag bits, 2 was the fixed-width-integer
-// layout and 1 a JSON encoding — all retired, no byte ever reused.
-const CodecBinary Codec = 7
+// an answer's cost is its two record counts, the modelled seconds left to
+// the reader, who derives them; a refused request is answered with one typed
+// refusal section (the layout table is in doc.go, "Serving"). A request names
+// its owner inline or by a handle its connection bound (MaxBindings). Every
+// frame opens with its payload's length as a minimal-form uvarint
+// (FrameHeader). Version byte 8; 7 sent a 4-byte length and the cost's
+// seconds, 6 every group vector one value a group, 5 padded every answer to
+// 4-byte groups beside an 8-byte scalar, 4 named the owner inline in every
+// request, 3 said no with an error text beside two flag bits, 2 was the
+// fixed-width-integer layout and 1 a JSON encoding — all retired, no byte
+// ever reused.
+const CodecBinary Codec = 8
 
 // Valid reports whether c names the codec this build speaks.
 func (c Codec) Valid() bool { return c == CodecBinary }
@@ -574,7 +578,7 @@ func readValues(vs []float64, block []byte, w Width) error {
 //	            width 1, 2, 4, 8: a big-endian count; 0: f64
 //	         |  u8 0x82 · uvarint n (1..65535) · uvarint k · k × u16 index
 //	            the counted records' groups, non-decreasing, then n (the pad)
-//	  [cost:    f64 seconds · uvarint scanned · uvarint pairs]
+//	  [cost:    uvarint scanned · uvarint pairs]
 //	  [stats:   uvarint records · uvarint bytes · uvarint updates ·
 //	            u8 schemeLen · scheme · u8 leakage]
 //	  [resume:  uvarint clock]
@@ -625,9 +629,9 @@ func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 	} else if !resp.OK {
 		return dst, fmt.Errorf("wire: response neither OK nor refused")
 	}
-	// Every section's fixed part at its widest (they sum to 113 bytes), plus
+	// Every section's fixed part at its widest (they sum to 105 bytes), plus
 	// the three variable ones.
-	size := 113 + len(detail)
+	size := 105 + len(detail)
 	if a := resp.Answer; a != nil {
 		size += a.Width.size()*len(a.Groups) + 2*a.Slots
 	}
@@ -661,7 +665,6 @@ func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 		}
 	}
 	if flags&flagCost != 0 {
-		b = binfmt.AppendF64(b, resp.Cost.Seconds)
 		b = binfmt.AppendUvarint(b, uint64(resp.Cost.RecordsScanned))
 		b = binfmt.AppendUvarint(b, uint64(resp.Cost.PairsCompared))
 	}
@@ -767,7 +770,6 @@ func (c Codec) DecodeGatewayResponse(b []byte) (GatewayResponse, error) {
 	}
 	if flags&flagCost != 0 {
 		var cs CostSpec
-		cs.Seconds = r.F64("cost seconds")
 		cs.RecordsScanned = int64(r.Uvarint("cost records"))
 		cs.PairsCompared = int64(r.Uvarint("cost pairs"))
 		g.Resp.Cost = &cs

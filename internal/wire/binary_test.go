@@ -31,7 +31,7 @@ func sampleResponses() []GatewayResponse {
 		{ID: 1, Resp: Response{OK: true}},
 		{ID: 2, Resp: Refuse(CodeNotSetup, 0, "")},
 		{ID: 3, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{1, 2, 3}, Width: 1},
-			Cost: &CostSpec{Seconds: 0.25, RecordsScanned: 1000, PairsCompared: -1}}},
+			Cost: &CostSpec{RecordsScanned: 1000, PairsCompared: -1}}},
 		{ID: 3, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: 42.5}, Cost: &CostSpec{}}},
 		{ID: 4, Resp: Response{OK: true, Stats: &StatsSpec{Records: 12, Bytes: 12288, Updates: 3, Scheme: "ObliDB", Leakage: 0}}},
 		{ID: 5, Resp: Response{OK: true, Stats: &StatsSpec{Records: 1, Bytes: 6400, Updates: 1, Scheme: "Crypteps", Leakage: 1}}},
@@ -341,10 +341,10 @@ func TestHelloNegotiation(t *testing.T) {
 		t.Errorf("hello = kind %v codec %v", kind, got)
 	}
 	// An unknown or retired codec byte passes through ReadAnyHello — the
-	// server acks the one codec it speaks, version byte 7, whatever was
+	// server acks the one codec it speaks, version byte 8, whatever was
 	// proposed (over a socket: the gateway's
 	// TestGatewayAcksUnknownCodecWithBinary).
-	for _, proposed := range []Codec{77, 6, 5, 4, 3, 2, 1} {
+	for _, proposed := range []Codec{77, 7, 6, 5, 4, 3, 2, 1} {
 		buf.Reset()
 		_ = WriteHello(&buf, proposed)
 		kind, got, err = ReadAnyHello(&buf)
@@ -355,8 +355,8 @@ func TestHelloNegotiation(t *testing.T) {
 			t.Errorf("proposed codec %d: read kind %v codec %d, valid %v", proposed, kind, got, proposed.Valid())
 		}
 		_ = WriteHelloAck(&buf, CodecBinary) // what the gateway answers any proposal
-		if ack, err := ReadHelloAck(&buf); err != nil || byte(ack) != 7 {
-			t.Errorf("proposed codec %d: acked %d (%v), want 7", proposed, ack, err)
+		if ack, err := ReadHelloAck(&buf); err != nil || byte(ack) != 8 {
+			t.Errorf("proposed codec %d: acked %d (%v), want 8", proposed, ack, err)
 		}
 	}
 	// The three protocols' hellos differ in the magic alone.
@@ -384,7 +384,7 @@ func TestHelloNegotiation(t *testing.T) {
 	if got, err := ReadHelloAck(&buf); err != nil || got != CodecBinary {
 		t.Errorf("ack = %v, %v", got, err)
 	}
-	for _, b := range []byte{0x7F, 1, 2, 3, 4, 5, 6} { // 1 to 6: the retired codecs' bytes
+	for _, b := range []byte{0x7F, 1, 2, 3, 4, 5, 6, 7} { // 1 to 7: the retired codecs' bytes
 		if _, err := ReadHelloAck(bytes.NewReader([]byte{b})); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("invalid ack %#x: err = %v, want ErrBadFrame", b, err)
 		}

@@ -6,12 +6,13 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"time"
 )
 
 // connBufSize is both the read buffer and the write buffer's flush
-// threshold: a few hundred pipelined one-record syncs (55 bytes each on the
-// wire) or a couple of hundred DP-Timer batches (an 8-record sync is 168),
+// threshold: a few hundred pipelined one-record syncs (52 bytes each on the
+// wire) or a couple of hundred DP-Timer batches (an 8-record sync is 166),
 // small enough that thousands of idle connections cost little.
 const connBufSize = 32 << 10
 
@@ -50,35 +51,26 @@ func (c *Conn) Close() error { return c.nc.Close() }
 // frameBuffered reports whether the next frame can be read without blocking.
 func (c *Conn) frameBuffered() bool {
 	have := c.br.Buffered()
-	if have < 4 {
-		return false
-	}
-	hdr, _ := c.br.Peek(4)
-	return uint64(have) >= 4+uint64(binary.BigEndian.Uint32(hdr))
+	p, _ := c.br.Peek(min(have, maxFrameHeader)) // buffered bytes: never blocks
+	h, n, _ := FrameHeader(p)
+	return h > 0 && have >= h+n
 }
 
-// ReadFrame reads one length-prefixed frame. The payload lands in buf when
-// its capacity suffices and in a fresh allocation otherwise, so a caller
-// whose decoder copies passes its previous payload back and a caller whose
-// decoder aliases (request decode: Sealed points into the payload) passes
-// nil. io.EOF passes through bare for a clean shutdown between frames.
+// ReadFrame reads one frame. The payload lands in buf when its capacity
+// suffices and in a fresh allocation otherwise, so a caller whose decoder
+// copies passes its previous payload back and a caller whose decoder aliases
+// (request decode: Sealed points into the payload) passes nil. io.EOF passes
+// through bare for a clean shutdown between frames.
 func (c *Conn) ReadFrame(buf []byte) ([]byte, error) {
 	if c.ReadTimeout > 0 && !c.frameBuffered() {
 		_ = c.nc.SetReadDeadline(time.Now().Add(c.ReadTimeout))
 	}
-	hdr, err := c.br.Peek(4)
+	h, n, err := readHeader(c.br.Peek)
 	if err != nil {
-		if err == io.EOF && len(hdr) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	_, _ = c.br.Discard(4) // cannot fail: Peek just buffered these bytes
-	if uint32(cap(buf)) >= n {
+	_, _ = c.br.Discard(h) // cannot fail: Peek just buffered these bytes
+	if cap(buf) >= n {
 		buf = buf[:n]
 	} else {
 		buf = make([]byte, n)
@@ -89,31 +81,38 @@ func (c *Conn) ReadFrame(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// BeginFrame opens a frame: it returns the write buffer extended by a
-// reserved 4-byte header, for the caller to append the payload to and hand
-// to EndFrame. Nothing is committed until EndFrame, so a caller whose
-// encoder fails simply drops the returned slice.
+// BeginFrame opens a frame: it returns the write buffer extended by one
+// reserved header byte, for the caller to append the payload to and hand to
+// EndFrame. Nothing is committed until EndFrame, so a caller whose encoder
+// fails simply drops the returned slice.
 func (c *Conn) BeginFrame() []byte {
-	return append(c.wbuf, 0, 0, 0, 0)
+	return append(c.wbuf, 0)
 }
 
-// EndFrame commits the frame BeginFrame opened: b is BeginFrame's slice
-// with the payload appended. It returns the frame's size on the wire.
+// EndFrame commits the frame BeginFrame opened: b is BeginFrame's slice with
+// the payload appended. It writes the header into the reserved byte — moving
+// the payload up once, in place, when it is 128 bytes or more and its length
+// needs a wider header — and returns the frame's size on the wire.
 // ErrFrameTooLarge rejects the frame without committing it and is the only
-// error that is about the frame; any other is the socket's, from the flush
-// a full buffer forces.
+// error that is about the frame; any other is the socket's, from the flush a
+// full buffer forces.
 func (c *Conn) EndFrame(b []byte) (int, error) {
-	hdr := len(c.wbuf)
-	n := len(b) - hdr - 4
+	start := len(c.wbuf)
+	n := len(b) - start - 1
 	if n > MaxFrame {
 		return 0, ErrFrameTooLarge
 	}
-	binary.BigEndian.PutUint32(b[hdr:], uint32(n))
+	h := FrameLen(n) - n
+	if h > 1 {
+		b = slices.Grow(b, h-1)[:len(b)+h-1]
+		copy(b[start+h:], b[start+1:])
+	}
+	binary.PutUvarint(b[start:], uint64(n))
 	c.wbuf = b
 	if len(b) >= connBufSize {
-		return n + 4, c.Flush()
+		return h + n, c.Flush()
 	}
-	return n + 4, nil
+	return h + n, nil
 }
 
 // WriteFrame appends one already encoded payload as a frame.

@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,10 +64,11 @@ func framed(payloads ...string) []byte {
 // complete frame it carried, the read deadline is armed only for a frame
 // that is not already buffered, and a payload buffer handed back is reused.
 func TestConnReadCoalesces(t *testing.T) {
-	tail := framed("dd")
+	long := strings.Repeat("c", 200) // behind a two-byte header
+	tail := framed(long)
 	nc := &fakeConn{in: [][]byte{
-		append(framed("a", "bb", "ccc"), tail[:3]...), // three frames and a torn header
-		tail[3:],
+		append(framed("a", "bb", "ccc"), tail[:1]...), // three frames and a torn header
+		tail[1:],
 	}}
 	c := NewConn(nc)
 	c.ReadTimeout = time.Minute
@@ -79,14 +82,15 @@ func TestConnReadCoalesces(t *testing.T) {
 	if nc.reads != 1 || nc.readDL != 1 {
 		t.Fatalf("three pipelined frames cost %d reads and %d deadline arms, want 1 and 1", nc.reads, nc.readDL)
 	}
-	first := &buf[:1][0]
-	if buf, _ = c.ReadFrame(buf); string(buf) != "dd" {
+	if buf, _ = c.ReadFrame(nil); string(buf) != long {
 		t.Fatalf("torn frame = %q", buf)
 	}
 	if nc.reads != 2 || nc.readDL != 2 {
 		t.Fatalf("a torn frame must arm and read once more: %d reads, %d arms", nc.reads, nc.readDL)
 	}
-	if &buf[0] != first {
+	first := &buf[:1][0]
+	nc.in = [][]byte{framed("dd")}
+	if buf, _ = c.ReadFrame(buf); string(buf) != "dd" || &buf[0] != first {
 		t.Fatal("a payload buffer with room was not reused")
 	}
 	if fresh, _ := NewConn(&fakeConn{in: [][]byte{framed("x")}}).ReadFrame(nil); string(fresh) != "x" {
@@ -97,14 +101,104 @@ func TestConnReadCoalesces(t *testing.T) {
 	}
 }
 
+// TestFrameHeader pins the frame header: a payload's length as a
+// minimal-form uvarint — 1 byte below 128, 2 below 16 KiB, 3 below 2 MiB, 4
+// to MaxFrame — held to the reference encoder's bytes as both writers put it
+// on the wire (EndFrame moving a payload of 128 bytes or more up once, in
+// place, behind the one byte BeginFrame reserved), read back by both readers
+// when it arrives a byte a read, and refused on the byte that shows it —
+// padded, a fifth byte, past MaxFrame — without an allocation.
+func TestFrameHeader(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 16383, 16384, 1<<21 - 1, 1 << 21} {
+		payload := bytes.Repeat([]byte{0xA5}, n)
+		want := append(refUvarint(nil, uint64(n)), payload...)
+		hdr, got, err := FrameHeader(want)
+		if err != nil || hdr != len(want)-n || got != n || FrameLen(n) != len(want) {
+			t.Fatalf("%d-byte payload: header %d B for %d (%v), FrameLen %d; want %d B", n, hdr, got, err, FrameLen(n), len(want)-n)
+		}
+		for k := range hdr {
+			if h, _, err := FrameHeader(want[:k]); h != 0 || err != nil {
+				t.Fatalf("%d-byte payload: %d header bytes parse as a %d-byte header (%v)", n, k, h, err)
+			}
+		}
+		var plain bytes.Buffer
+		if err := WriteFrame(&plain, payload); err != nil || !bytes.Equal(plain.Bytes(), want) {
+			t.Fatalf("%d-byte payload: WriteFrame wrote %d B (%v), want the reference's %d", n, plain.Len(), err, len(want))
+		}
+		nc := &fakeConn{}
+		c := NewConn(nc)
+		if m, err := c.EndFrame(append(c.BeginFrame(), payload...)); err != nil || m != len(want) || c.Flush() != nil {
+			t.Fatalf("%d-byte payload: EndFrame = %d, %v", n, m, err)
+		}
+		if out := bytes.Join(nc.writes, nil); !bytes.Equal(out, want) {
+			t.Fatalf("%d-byte payload: Conn wrote %d B, want the reference's %d", n, len(out), len(want))
+		}
+		bytewise := func() *fakeConn {
+			nc := &fakeConn{}
+			for i := range hdr {
+				nc.in = append(nc.in, want[i:i+1])
+			}
+			nc.in = append(nc.in, want[hdr:])
+			return nc
+		}
+		if back, err := NewConn(bytewise()).ReadFrame(nil); err != nil || !bytes.Equal(back, payload) {
+			t.Fatalf("%d-byte payload, header a byte a read: Conn read %d B, %v", n, len(back), err)
+		}
+		if back, err := ReadFrame(bytewise()); err != nil || !bytes.Equal(back, payload) {
+			t.Fatalf("%d-byte payload, header a byte a read: ReadFrame read %d B, %v", n, len(back), err)
+		}
+	}
+	if h, n, err := FrameHeader(refUvarint(nil, MaxFrame)); h != 4 || n != MaxFrame || err != nil {
+		t.Fatalf("MaxFrame: %d-byte header for %d (%v)", h, n, err)
+	}
+	for _, tc := range []struct {
+		hdr  []byte
+		want error
+	}{
+		{refUvarint(nil, MaxFrame+1), ErrFrameTooLarge},
+		{[]byte{0xFF, 0xFF, 0xFF, 0xFF}, ErrBadFrame},
+		{[]byte{0x80, 0x00}, ErrBadFrame},
+		{[]byte{0xFF, 0x80, 0x00}, ErrBadFrame},
+		{[]byte{0x80, 0x80, 0x80, 0x00}, ErrBadFrame},
+	} {
+		if _, _, err := FrameHeader(tc.hdr); !errors.Is(err, tc.want) {
+			t.Errorf("header %x: %v, want %v", tc.hdr, err, tc.want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _, _, _ = FrameHeader(tc.hdr) }); allocs != 0 {
+			t.Errorf("header %x: refused with %v allocations", tc.hdr, allocs)
+		}
+	}
+	// In steady state a frame costs no allocation, its payload moved or not,
+	// and reading one into a buffer with room costs none either.
+	rc := NewConn(&fakeConn{in: [][]byte{bytes.Repeat(framed(strings.Repeat("x", 300)), 200)}})
+	buf := make([]byte, 0, 300)
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = rc.ReadFrame(buf) }); allocs != 0 || string(buf) != strings.Repeat("x", 300) {
+		t.Errorf("reading a frame: %v allocations", allocs)
+	}
+	c := NewConn(&fakeConn{})
+	for _, n := range []int{5, 300} {
+		payload := make([]byte, n)
+		frame := func() {
+			c.wbuf = c.wbuf[:0]
+			_, _ = c.EndFrame(append(c.BeginFrame(), payload...))
+		}
+		frame()
+		if allocs := testing.AllocsPerRun(100, frame); allocs != 0 {
+			t.Errorf("a %d-byte payload's frame: %v allocations", n, allocs)
+		}
+	}
+}
+
 func TestConnReadErrors(t *testing.T) {
 	for name, tc := range map[string]struct {
 		in   []byte
 		want error
 	}{
-		"torn header":  {in: []byte{0, 0}, want: io.ErrUnexpectedEOF},
-		"torn payload": {in: framed("abcdef")[:7], want: io.ErrUnexpectedEOF},
-		"oversized":    {in: []byte{0xFF, 0xFF, 0xFF, 0xFF}, want: ErrFrameTooLarge},
+		"torn header":  {in: []byte{0x85}, want: io.ErrUnexpectedEOF},
+		"torn payload": {in: framed("abcdef")[:5], want: io.ErrUnexpectedEOF},
+		"oversized":    {in: binary.AppendUvarint(nil, MaxFrame+1), want: ErrFrameTooLarge},
+		"fifth byte":   {in: []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x01}, want: ErrBadFrame},
+		"padded":       {in: []byte{0x80, 0x00}, want: ErrBadFrame},
 	} {
 		if _, err := NewConn(&fakeConn{in: [][]byte{tc.in}}).ReadFrame(nil); !errors.Is(err, tc.want) {
 			t.Errorf("%s: %v, want %v", name, err, tc.want)
@@ -131,8 +225,8 @@ func TestConnWriteCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := c.EndFrame(b); err != nil || n != 4+2 {
-		t.Fatalf("EndFrame = %d, %v; want the frame's 6 wire bytes", n, err)
+	if n, err := c.EndFrame(b); err != nil || n != 1+2 {
+		t.Fatalf("EndFrame = %d, %v; want the frame's 3 wire bytes", n, err)
 	}
 	if len(nc.writes) != 0 {
 		t.Fatalf("%d socket writes before Flush", len(nc.writes))
@@ -158,7 +252,7 @@ func TestConnWriteCoalesces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(nc.writes) != 2 || len(nc.writes[1]) != 2*(4+len(big)) {
+	if len(nc.writes) != 2 || len(nc.writes[1]) != 2*(len(refUvarint(nil, uint64(len(big))))+len(big)) {
 		t.Fatalf("full buffer: %d writes", len(nc.writes))
 	}
 
@@ -369,7 +463,7 @@ func BenchmarkCodec(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					codecSink += op()
 				}
-				b.ReportMetric(float64(4+len(wire)), "wire_B/op")
+				b.ReportMetric(float64(FrameLen(len(wire))), "wire_B/op")
 			})
 		}
 		run("encode-request", reqBytes, func() int {
@@ -408,7 +502,7 @@ func BenchmarkCodec(b *testing.B) {
 // the answer's frame, header included.
 func BenchmarkBoundedAnswer(b *testing.B) {
 	q2 := func(v int) query.Answer { return spreadQ2(v - v/4) }
-	cost := edb.Cost{Seconds: 0.004, RecordsScanned: 100}
+	cost := edb.Cost{RecordsScanned: 100}
 	buf := make([]byte, 0, 8192)
 	for _, tc := range []struct {
 		name string
@@ -448,7 +542,7 @@ func BenchmarkBoundedAnswer(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					codecSink += op.run()
 				}
-				b.ReportMetric(float64(4+len(frame)), "wire_B/op")
+				b.ReportMetric(float64(FrameLen(len(frame))), "wire_B/op")
 			})
 		}
 	}

@@ -22,8 +22,8 @@ import (
 // is one-directional after the handshake: the follower never writes again,
 // and detects primary death by read deadline against the heartbeat cadence.
 //
-// Frames travel inside the same 4-byte length-prefixed framing as the client
-// protocol (WriteFrame / ReadFrame), which is also what lets
+// Frames travel inside the same uvarint length-prefixed framing as the client
+// protocol (FrameHeader, Conn), which is also what lets
 // internal/faultnet's frame-boundary write buffering wrap the replication
 // link unchanged.
 
@@ -42,10 +42,11 @@ var readMagic = [4]byte{'D', 'P', 'S', 'Q'}
 
 // ReplVersion is the one replication protocol version this build speaks:
 // the client codec's rules — minimal-form varints, each fact stated once, one
-// encoding per message. There is no negotiation: a primary refuses a hello
-// proposing any other version (the retired 1 and 2 included), and a follower
+// encoding per message — and its uvarint frame length, which is all that 4
+// changed from 3. There is no negotiation: a primary refuses a hello
+// proposing any other version (the retired 1 to 3 included), and a follower
 // refuses an ack naming one.
-const ReplVersion = 3
+const ReplVersion = 4
 
 // HelloRefused is the hello-ack byte a non-primary node answers to any
 // hello, client or replication: this node cannot serve you, try another

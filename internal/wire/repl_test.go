@@ -46,12 +46,12 @@ func TestHelloRefusal(t *testing.T) {
 	if err := ReadReplHelloAck(&buf); err != nil {
 		t.Fatalf("repl ack: err=%v", err)
 	}
-	// No negotiation: the stream is replication v3, and an ack naming any
-	// other version — the retired 1 and 2 included — is a hard error.
-	if err := ReadReplHelloAck(bytes.NewReader([]byte{3})); err != nil {
-		t.Fatalf("version 3: err=%v", err)
+	// No negotiation: the stream is replication v4, and an ack naming any
+	// other version — the retired 1 to 3 included — is a hard error.
+	if err := ReadReplHelloAck(bytes.NewReader([]byte{4})); err != nil {
+		t.Fatalf("version 4: err=%v", err)
 	}
-	for _, v := range []byte{0, 1, 2, 4, 99} {
+	for _, v := range []byte{0, 1, 2, 3, 5, 99} {
 		if err := ReadReplHelloAck(bytes.NewReader([]byte{v})); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("version %d: err=%v, want ErrBadFrame", v, err)
 		}
@@ -183,31 +183,33 @@ func refReplJoin(node string, cursors []uint64) []byte {
 	return p
 }
 
-// TestReplFrameSizes pins replication v3's messages to the byte, against
+// TestReplFrameSizes pins replication v4's messages to the byte, against
 // the reference encoder: each fact is stated once (no length before the
 // entry frame, whose own header states it; a commit time only where the
 // follower measures lag; no heartbeat clock; no snapshot flag in the ack),
-// in minimal-form varints.
+// in minimal-form varints, and so is each frame's length (v3 spent 4 bytes
+// on it).
 func TestReplFrameSizes(t *testing.T) {
 	entry := bytes.Repeat([]byte{0xE7}, 102) // a one-record sync's entry frame, roughly
 	rows := []struct {
 		name   string
 		frame  ReplFrame
 		header int // the payload less the entry frame
+		wire   int // the frame on the wire, its uvarint length first (v3: 4 B more)
 	}{
-		{"live entry, offset 1", ReplFrame{Kind: ReplEntry, Offset: 1, CommitNs: 1 << 60, Entry: entry}, 11},
-		{"live entry, offset 127", ReplFrame{Kind: ReplEntry, Offset: 127, CommitNs: 1 << 60, Entry: entry}, 11},
-		{"live entry, offset 128", ReplFrame{Kind: ReplEntry, Offset: 128, CommitNs: 1 << 60, Entry: entry}, 12},
-		{"live entry, offset 2^21-1", ReplFrame{Kind: ReplEntry, Offset: 1<<21 - 1, CommitNs: 1 << 60, Entry: entry}, 13},
-		{"live entry, offset 2^21", ReplFrame{Kind: ReplEntry, Offset: 1 << 21, CommitNs: 1 << 60, Entry: entry}, 14},
-		{"live entry, shard 127", ReplFrame{Kind: ReplEntry, Shard: 127, Offset: 1, CommitNs: 1, Entry: entry}, 11},
+		{"live entry, offset 1", ReplFrame{Kind: ReplEntry, Offset: 1, CommitNs: 1 << 60, Entry: entry}, 11, 114},
+		{"live entry, offset 127", ReplFrame{Kind: ReplEntry, Offset: 127, CommitNs: 1 << 60, Entry: entry}, 11, 114},
+		{"live entry, offset 128", ReplFrame{Kind: ReplEntry, Offset: 128, CommitNs: 1 << 60, Entry: entry}, 12, 115},
+		{"live entry, offset 2^21-1", ReplFrame{Kind: ReplEntry, Offset: 1<<21 - 1, CommitNs: 1 << 60, Entry: entry}, 13, 116},
+		{"live entry, offset 2^21", ReplFrame{Kind: ReplEntry, Offset: 1 << 21, CommitNs: 1 << 60, Entry: entry}, 14, 117},
+		{"live entry, shard 127", ReplFrame{Kind: ReplEntry, Shard: 127, Offset: 1, CommitNs: 1, Entry: entry}, 11, 114},
 		// A random trace ID takes 9 or 10 B, a small parent span 1.
 		{"traced live entry", ReplFrame{Kind: ReplEntry, Offset: 1 << 20, CommitNs: 1 << 60,
-			TraceID: 0x9E3779B97F4A7C15, ParentSpan: 4, Entry: entry}, 13 + 10 + 1},
-		{"bootstrap entry", ReplFrame{Kind: ReplEntry, Offset: 0, Entry: entry}, 3},
-		{"heartbeat", ReplFrame{Kind: ReplHeartbeat}, 1},
-		{"snapshot begin", ReplFrame{Kind: ReplSnapBegin, Shard: 3, Offset: 4096}, 4},
-		{"snapshot end", ReplFrame{Kind: ReplSnapEnd, Shard: 3}, 2},
+			TraceID: 0x9E3779B97F4A7C15, ParentSpan: 4, Entry: entry}, 13 + 10 + 1, 127},
+		{"bootstrap entry", ReplFrame{Kind: ReplEntry, Offset: 0, Entry: entry}, 3, 106},
+		{"heartbeat", ReplFrame{Kind: ReplHeartbeat}, 1, 2},
+		{"snapshot begin", ReplFrame{Kind: ReplSnapBegin, Shard: 3, Offset: 4096}, 4, 5},
+		{"snapshot end", ReplFrame{Kind: ReplSnapEnd, Shard: 3}, 2, 3},
 	}
 	for _, row := range rows {
 		got, err := EncodeReplFrame(row.frame)
@@ -219,6 +221,10 @@ func TestReplFrameSizes(t *testing.T) {
 		}
 		if header := len(got) - len(row.frame.Entry); header != row.header {
 			t.Errorf("%s: %d B before the entry, want %d", row.name, header, row.header)
+		}
+		c := NewConn(&fakeConn{})
+		if onWire := endFrame(t, c, append(c.BeginFrame(), got...)); !bytes.Equal(onWire, refFrame(got)) || len(onWire) != row.wire {
+			t.Errorf("%s: %d B on the wire (reference %d), want %d", row.name, len(onWire), len(refFrame(got)), row.wire)
 		}
 	}
 

@@ -10,8 +10,8 @@
 // (MaxBindings). The codec is compact and canonical — counters are
 // minimal-form varints, a batch's ciphertexts one uniform-width block, an
 // answer's values integers of the least width its public bound needs (Width)
-// — so a one-record sync is 55 bytes on the wire by handle (66 inline) and
-// its ack 6, and each message has exactly one byte string (TestFrameSizes
+// — so a one-record sync is 52 bytes on the wire by handle (63 inline) and
+// its ack 3, and each message has exactly one byte string (TestFrameSizes
 // pins the sizes, the fuzz targets the bijection). What a frame's length
 // reveals is what the protocol already reveals: how many records a sync
 // carries (an owner seals them as one message, seal.Size(n) bytes), never
@@ -60,6 +60,10 @@ import (
 // the server.
 const MaxFrame = 16 << 20
 
+// maxFrameHeader is the longest frame header: a length up to MaxFrame takes
+// at most four uvarint bytes.
+const maxFrameHeader = 4
+
 // ErrFrameTooLarge is returned for frames exceeding MaxFrame.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds limit")
 
@@ -70,14 +74,55 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds limit")
 // application errors (report them, keep serving).
 var ErrBadFrame = errors.New("wire: malformed frame")
 
-// WriteFrame writes one length-prefixed frame.
+// A frame header that states its length in more bytes than it needs has a
+// second spelling; one that runs past maxFrameHeader states a length past
+// MaxFrame. Both are fixed values, refused on the byte that shows them.
+var (
+	errPaddedHeader = fmt.Errorf("%w: padded frame header", ErrBadFrame)
+	errLongHeader   = fmt.Errorf("%w: frame header past %d bytes", ErrBadFrame, maxFrameHeader)
+)
+
+// FrameHeader parses the frame header at the front of b — the payload's
+// length as a minimal-form uvarint: 1 byte below 128, 2 below 16 KiB, at most
+// 4 up to MaxFrame — and returns the header's length and the payload's. hdr
+// is 0, with a nil error, while b holds a strict prefix of a header. A padded
+// header and a fifth byte are ErrBadFrame and a length past MaxFrame is
+// ErrFrameTooLarge, each refused before anything is allocated. It is the one
+// parser of a frame header: every connection reads through it, and so does a
+// fault injector that splits a byte stream into frames.
+func FrameHeader(b []byte) (hdr, n int, err error) {
+	var v int
+	for i, c := range b[:min(len(b), maxFrameHeader)] {
+		v |= int(c&0x7f) << (7 * i)
+		switch {
+		case c >= 0x80 && i == maxFrameHeader-1:
+			return 0, 0, errLongHeader
+		case c >= 0x80:
+			continue
+		case c == 0 && i > 0:
+			return 0, 0, errPaddedHeader
+		case v > MaxFrame:
+			return 0, 0, ErrFrameTooLarge
+		}
+		return i + 1, v, nil
+	}
+	return 0, 0, nil
+}
+
+// FrameLen returns the bytes a frame of an n-byte payload takes on the wire,
+// its header included.
+func FrameLen(n int) int {
+	return n + (bits.Len64(uint64(n)|1)+6)/7
+}
+
+// WriteFrame writes one frame: its header, then its payload.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	var hdr [maxFrameHeader]byte
+	h := binary.PutUvarint(hdr[:], uint64(len(payload)))
+	if _, err := w.Write(hdr[:h]); err != nil {
 		return fmt.Errorf("wire: header: %w", err)
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -86,15 +131,36 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return nil
 }
 
-// ReadFrame reads one length-prefixed frame.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF passes through for clean shutdown
+// readHeader parses the frame header at the front of a stream, given the
+// stream's first k bytes by first(k): one byte further at a time, so no byte
+// past the header is asked for and a bad header is refused on the byte that
+// shows it. A bare io.EOF before the first byte is a clean end between
+// frames; after it, the header was torn.
+func readHeader(first func(k int) ([]byte, error)) (hdr, n int, err error) {
+	for k := 1; ; k++ {
+		p, err := first(k)
+		if err != nil {
+			if err == io.EOF && k > 1 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, 0, err
+		}
+		if hdr, n, err = FrameHeader(p); err != nil || hdr > 0 {
+			return hdr, n, err
+		}
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
+}
+
+// ReadFrame reads one frame, its header a byte at a time: r is unbuffered,
+// and a byte past the header would be the payload's.
+func ReadFrame(r io.Reader) ([]byte, error) {
+	var hdr [maxFrameHeader]byte
+	_, n, err := readHeader(func(k int) ([]byte, error) {
+		_, err := io.ReadFull(r, hdr[k-1:k])
+		return hdr[:k], err
+	})
+	if err != nil {
+		return nil, err
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -342,16 +408,13 @@ func (a AnswerSpec) ToAnswer() query.Answer {
 	return query.Answer{Scalar: a.Scalar, Groups: a.Groups}
 }
 
-// CostSpec is the wire form of edb.Cost.
+// CostSpec is the wire form of edb.Cost: the two record counts its modelled
+// QET is a function of (edb.CostModel.Of). The seconds are not sent — the
+// reader derives them from the counts and the backend's scheme, bit for bit
+// what the backend computed.
 type CostSpec struct {
-	Seconds        float64
 	RecordsScanned int64
 	PairsCompared  int64
-}
-
-// ToCost converts back to an edb.Cost.
-func (c CostSpec) ToCost() edb.Cost {
-	return edb.Cost{Seconds: c.Seconds, RecordsScanned: c.RecordsScanned, PairsCompared: c.PairsCompared}
 }
 
 // StatsSpec is the wire form of edb.StorageStats (server view: no split).
@@ -419,11 +482,7 @@ func answerResponse(a *AnswerSpec, cost edb.Cost) Response {
 	return Response{
 		OK:     true,
 		Answer: a,
-		Cost: &CostSpec{
-			Seconds:        cost.Seconds,
-			RecordsScanned: cost.RecordsScanned,
-			PairsCompared:  cost.PairsCompared,
-		},
+		Cost:   &CostSpec{RecordsScanned: cost.RecordsScanned, PairsCompared: cost.PairsCompared},
 	}
 }
 
