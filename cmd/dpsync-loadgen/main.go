@@ -13,7 +13,7 @@
 //	-failover N          N seeds on a primary + follower, each killing the primary;
 //	                     the follower flips, the clients rotate and resync
 //	-read-replica        primary + follower, queries served by the follower
-//	-history-window W    any store keeps W batches per tenant in RAM, spills the rest
+//	-history-window W    any store keeps W batches per tenant in RAM (default 16), spills the rest
 //	-churn -faults       seeded connection drops / injected transport faults
 //	-open-loop           Poisson/bursty arrivals, latency from the scheduled arrival
 //	-query-mix Q         Q analyst queries (cycling Q1-Q4) per owner per tick
@@ -54,7 +54,7 @@ func main() {
 	flag.BoolVar(&cfg.Verify, "verify", false, "hold every owner's observed transcript and ε ledger to the refdb reference")
 	flag.BoolVar(&cfg.Durable, "durable", false, "run the in-process gateway on the WAL+snapshot store; close and reopen it after the last tick")
 	flag.StringVar(&cfg.StoreDir, "store", "", "durability directory for -durable (empty: temp dir)")
-	flag.IntVar(&cfg.HistoryWindow, "history-window", 0, "per-tenant in-RAM history batches before spilling to history segments (0: keep all in RAM)")
+	flag.IntVar(&cfg.HistoryWindow, "history-window", 0, "per-tenant in-RAM history batches on any store before spilling to history segments (0: default)")
 	flag.BoolVar(&cfg.Churn, "churn", false, "drop live connections on a seeded schedule; reconnect/resume must heal every outage")
 	flag.BoolVar(&cfg.Faults, "faults", false, "inject seeded transport faults (resets, torn frames, stalls, duplicated frames) on every connection")
 	flag.BoolVar(&cfg.OpenLoop, "open-loop", false, "open-loop Poisson/bursty arrivals with coordinated-omission-free latency")
@@ -177,7 +177,7 @@ func printQuick(cfg loadgen.Config, rep loadgen.Report) {
 		fmt.Printf("durable: wal append %.1fµs (group ×%.1f, %d snapshots), recovery %.1fms for %d owners (transcripts+ledgers verified again after the reopen)\n",
 			rep.WALAppendUs, rep.WALGroupFactor, rep.WALSnapshots, rep.RecoveryMs, rep.RecoveredOwners)
 	}
-	if cfg.HistoryWindow > 0 {
+	if rep.HistoryWindow > 0 {
 		fmt.Printf("spill: window %d, %d batches (%d bytes) across %d history segments\n",
 			rep.HistoryWindow, rep.SpillBatches, rep.SpillBytes, rep.SpillSegments)
 	}

@@ -25,10 +25,10 @@
 // and recovery derives the update-pattern transcript and the ε ledger from
 // that history — the server opens with
 // crash recovery and SIGINT/SIGTERM drain
-// in-flight shard work and flush the WAL before exiting. Add
-// -history-window N to bound each tenant's in-RAM ingest history: older
-// batches spill to history segments under DIR, snapshots reference them by
-// manifest, and server RSS stops growing with total bytes ever ingested:
+// in-flight shard work and flush the WAL before exiting. Each tenant keeps
+// only its last -history-window batches in RAM (default 16): older batches
+// spill to history segments under DIR, snapshots reference them by
+// manifest, and server RSS does not grow with total bytes ever ingested:
 //
 //	dpsync-server -store /var/lib/dpsync -fsync -history-window 64 -listen 127.0.0.1:7701 -key-file shared.key
 //
@@ -85,9 +85,9 @@ func main() {
 		fsync     = flag.Bool("fsync", false, "fsync every durable group commit (with -store)")
 		snapN     = flag.Int("snapshot-every", 0, "minimum entries between rotations; the interval grows with the image so checkpoint bytes never exceed log bytes (0: default; with -store)")
 		syncEps   = flag.Float64("sync-epsilon", 0, "epsilon charged to a tenant's ledger per sync, in memory or with -store")
-		histWin   = flag.Int("history-window", 0, "per-tenant in-RAM history batches before spilling to history segments (0: keep all in RAM; with -store)")
+		histWin   = flag.Int("history-window", 0, "per-tenant in-RAM history batches before spilling to history segments (0: default; with -store)")
 		maxInFl   = flag.Int("max-inflight", 0, "per-connection admitted-request cap before typed backpressure sheds (0: default)")
-		drainTO   = flag.Duration("drain-timeout", 0, "graceful-close drain deadline before live connections are severed (0: default, negative: wait forever)")
+		drainTO   = flag.Duration("drain-timeout", 0, "graceful-close drain deadline before live connections are severed (≤ 0: default)")
 		clustered = flag.Bool("cluster", false, "join a replicated gateway cluster: elect through -lease-file, replicate WAL commits, fail over (-store only)")
 		nodeID    = flag.String("node-id", "", "this node's name to the cluster (default: hostname:listen)")
 		leaseFile = flag.String("lease-file", "", "shared lease file the cluster elects through; must live on storage every node sees (required with -cluster)")
@@ -114,6 +114,14 @@ func main() {
 
 	reg := telemetry.Default
 	tracer := telemetry.NewTracer(telemetry.TracerConfig{SampleEvery: *traceN})
+	// The gateway's serving configuration, one mapping from the flags for
+	// either mode; a cluster node owns its StoreDir and logger.
+	gcfg := gateway.Config{
+		Key: key, Shards: *shards, StoreDir: *storeDir, Fsync: *fsync,
+		SnapshotEvery: *snapN, SyncEpsilon: *syncEps, HistoryWindow: *histWin,
+		MaxInFlight: *maxInFl, DrainTimeout: *drainTO,
+		Telemetry: reg, Tracer: tracer, DebugTenantMetrics: *debugTen,
+	}
 	serveAdmin := func(status telemetry.Status) *telemetry.Admin {
 		if *adminAddr == "" {
 			return nil
@@ -150,18 +158,10 @@ func main() {
 		if *replicaOf == "" {
 			lease = cluster.NewFileLease(*leaseFile, nil)
 		}
-		// The cluster layer attaches the node ID to every event itself; the
-		// logger passed down stays unadorned so the attr appears once.
+		// The cluster layer attaches the node ID to every event itself and
+		// hands the gateway a logger that carries it, so gcfg has none.
 		node, err := cluster.Start(cluster.Config{
-			Addr: *listen, NodeID: id, StoreDir: *storeDir,
-			Gateway: gateway.Config{
-				Key: key, Shards: *shards,
-				Fsync: *fsync, SnapshotEvery: *snapN, SyncEpsilon: *syncEps,
-				HistoryWindow: *histWin,
-				MaxInFlight:   *maxInFl, DrainTimeout: *drainTO,
-				DebugTenantMetrics: *debugTen,
-				Tracer:             tracer,
-			},
+			Addr: *listen, NodeID: id, StoreDir: *storeDir, Gateway: gcfg,
 			Lease: lease, LeaseTTL: *leaseTTL, ReplicaOf: *replicaOf,
 			Logger: logger, Telemetry: reg,
 		})
@@ -181,13 +181,8 @@ func main() {
 		return
 	}
 
-	gw, err := gateway.New(*listen, gateway.Config{
-		Key: key, Shards: *shards, Logger: logger, Telemetry: reg,
-		DebugTenantMetrics: *debugTen, Tracer: tracer,
-		StoreDir: *storeDir, Fsync: *fsync, SnapshotEvery: *snapN, SyncEpsilon: *syncEps,
-		HistoryWindow: *histWin,
-		MaxInFlight:   *maxInFl, DrainTimeout: *drainTO,
-	})
+	gcfg.Logger = logger
+	gw, err := gateway.New(*listen, gcfg)
 	if err != nil {
 		log.Fatalf("dpsync-server: %v", err)
 	}

@@ -444,9 +444,11 @@
 // encode can fail. Nothing selects between wrapping and encoding but the
 // batch itself.
 //
-// Tiered history. Gateway memory is independent of ingest history:
-// gateway.Config.HistoryWindow bounds the committed batches a tenant keeps
-// in RAM, and everything older is spilled to append-only, CRC-framed
+// Tiered history. Gateway memory is independent of ingest history: every
+// durable store bounds the committed batches a tenant keeps in RAM by its
+// history window (gateway.Config.HistoryWindow, handed to the store; 0 is
+// store.DefaultHistoryWindow, 16), applied in one place, Store.EnforceWindow,
+// and everything older is spilled to append-only, CRC-framed
 // history segments shared by the shard (the same frames as the WAL). The
 // history tier is the outsourced ciphertext store: the ObliDB backend keeps
 // a count of the records it was handed sealed and the enclave's aggregates,
@@ -491,8 +493,8 @@
 // wrote, after a restart). Each image is paid for by the log written after
 // it, so checkpoint bytes stay within log bytes plus the image still
 // standing; the log between rotations — and recovery's replay — within one
-// image's worth; and with no history window, where the image is the whole
-// inline history, the same comparison spaces rotations geometrically. A
+// image's worth; and where an image grows with the log (a window wider than
+// an owner's history), the same comparison spaces rotations geometrically. A
 // failed rotation doubles the bytes the next one waits for. Recovery merges
 // whatever the directory holds: snapshots from any era or shard count
 // (highest clock whose manifest still checks out against the history segments
@@ -516,7 +518,7 @@
 // flush, no drain), restart it from disk, finish the trace, and pin every
 // tenant's transcript bit-identical to an uninterrupted single-owner run —
 // with the ledger derived at recovery equal to the uninterrupted one — across
-// the history-window matrix {disabled, 1, 64}. cmd/dpsync-loadgen -crash N
+// the history-window matrix {0 (the default), 1, 64}. cmd/dpsync-loadgen -crash N
 // runs the same kill/restart/verify cycle across N seeds, and -durable
 // reports the layer in process (wal_append_us, recovery_ms, the spill_*
 // fields); go run ./benchmark --workload sync-durable measures it

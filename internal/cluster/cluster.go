@@ -510,13 +510,11 @@ func (n *Node) Ready() (bool, string) {
 		return false, "WAL writer reported a commit error"
 	}
 	if role == RolePrimary {
-		if n.cfg.Lease != nil {
-			if holder != n.cfg.NodeID {
-				return false, fmt.Sprintf("lease held by %q", holder)
-			}
-			if time.Since(renewed) > n.cfg.LeaseTTL {
-				return false, fmt.Sprintf("lease renewal stale by %s", time.Since(renewed).Round(time.Millisecond))
-			}
+		if holder != n.cfg.NodeID {
+			return false, fmt.Sprintf("lease held by %q", holder)
+		}
+		if time.Since(renewed) > n.cfg.LeaseTTL {
+			return false, fmt.Sprintf("lease renewal stale by %s", time.Since(renewed).Round(time.Millisecond))
 		}
 		return true, "primary: lease held, WAL healthy"
 	}
@@ -584,14 +582,11 @@ func (n *Node) renewLoop(gw *gateway.Gateway, hub *Hub) {
 			n.mu.Lock()
 			killed := n.killed
 			n.mu.Unlock()
-			if n.cfg.Lease != nil && !killed {
+			if !killed {
 				_ = n.cfg.Lease.Release(n.cfg.NodeID)
 			}
 			return
 		case <-time.After(interval):
-			if n.cfg.Lease == nil {
-				continue
-			}
 			st, ok, err := n.cfg.Lease.Acquire(n.cfg.NodeID, n.addr, n.cfg.LeaseTTL)
 			if err != nil {
 				// Arbiter unreachable: keep serving. Nobody else can acquire

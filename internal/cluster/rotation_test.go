@@ -12,15 +12,15 @@ import (
 	"dpsync/internal/store"
 )
 
-// TestWindowlessFollowerRotationAmortised pins the replica's rotation cost
-// with no history window — how `-replica-of` without `-history-window` runs —
-// where every image rewrites the whole inline history. Rotating every
-// snapEvery entries, as the follower once did, writes images of 1, 2, … 8
-// times snapEvery entries over this run: 4.5 times the log. Asking the store,
-// the follower rotates when the log has doubled: under twice the log.
-func TestWindowlessFollowerRotationAmortised(t *testing.T) {
+// TestWideWindowFollowerRotationAmortised pins the replica's rotation cost
+// with a history window wider than the run, where nothing spills and every
+// image rewrites the whole inline history. Rotating every snapEvery entries,
+// as the follower once did, writes images of 1, 2, … 8 times snapEvery
+// entries over this run: 4.5 times the log. Asking the store, the follower
+// rotates when the log has doubled: under twice the log.
+func TestWideWindowFollowerRotationAmortised(t *testing.T) {
 	const snapEvery = 16
-	r := newReplica(t, gateway.Config{}, snapEvery)
+	r := newReplica(t, gateway.Config{HistoryWindow: 8 * snapEvery}, snapEvery)
 	var first int64
 	for tick := uint64(1); tick <= 8*snapEvery; tick++ {
 		if err := r.ship("owner-0", tick, rigRecords(0, tick), rigEps); err != nil {
@@ -32,6 +32,9 @@ func TestWindowlessFollowerRotationAmortised(t *testing.T) {
 		}
 	}
 	m := r.metrics()
+	if m.SpillBatches != 0 {
+		t.Fatalf("the wide window spilled %d batches: the images are not the whole history", m.SpillBatches)
+	}
 	if m.Snapshots < 3 || first == 0 {
 		t.Fatalf("%d rotations over %d entries: the run does not exercise the cadence", m.Snapshots, 8*snapEvery)
 	}

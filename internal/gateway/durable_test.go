@@ -18,6 +18,7 @@ import (
 	"dpsync/internal/record"
 	"dpsync/internal/refdb"
 	"dpsync/internal/seal"
+	"dpsync/internal/store"
 	"dpsync/internal/strategy"
 	"dpsync/internal/wire"
 )
@@ -236,9 +237,10 @@ func TestDurableCrashDifferential(t *testing.T) {
 
 // TestDurableCrashMatrixDifferential is the tiered-history acceptance
 // matrix: the same three-strategy owner mix is killed at a seeded-random
-// tick and recovered under each history-window configuration — spill
-// disabled, the pathological window=1 (nearly everything spilled, a spill
-// on almost every commit), and a production-shaped window=64 — and every
+// tick and recovered under each history-window configuration — none set
+// (window=0, the store's default), the pathological window=1 (nearly
+// everything spilled, a spill on almost every commit), and a wide window=64
+// — and every
 // cell must recover by *streaming* whatever history was spilled (recovery
 // never materializes the cold tier) to a per-owner transcript and ε ledger
 // bit-identical to an uninterrupted single-owner reference (internal/refdb)
@@ -354,18 +356,20 @@ func TestDurableCrashMatrixDifferential(t *testing.T) {
 			interleave(1, crashTick)
 			// Spill happens exactly when some owner's committed history
 			// reaches twice the window — assert both directions.
+			bound := window
+			if bound == 0 {
+				bound = store.DefaultHistoryWindow
+			}
 			preMetrics, _ := gw.StoreMetrics()
 			expectSpill := false
 			for _, owner := range owners {
-				if window > 0 && owner.Pattern().Updates() >= 2*window {
+				if owner.Pattern().Updates() >= 2*bound {
 					expectSpill = true
 				}
 			}
-			if expectSpill && preMetrics.SpillBatches == 0 {
-				t.Fatalf("window=%d crashTick=%d: nothing spilled before the crash", window, crashTick)
-			}
-			if window == 0 && preMetrics.SpillBatches != 0 {
-				t.Fatalf("window=0 spilled %d batches", preMetrics.SpillBatches)
+			if expectSpill != (preMetrics.SpillBatches > 0) {
+				t.Fatalf("window=%d crashTick=%d: %d batches spilled before the crash, spill expected: %v",
+					window, crashTick, preMetrics.SpillBatches, expectSpill)
 			}
 
 			// Crash: sever clients, abandon un-flushed state.
@@ -400,18 +404,16 @@ func TestDurableCrashMatrixDifferential(t *testing.T) {
 			interleave(crashTick+1, ticks)
 
 			// By the end of the full trace the busiest owner has crossed
-			// 2× every finite matrix window: the recovered gateway must
-			// have kept spilling.
-			if window > 0 {
-				finalSpill := false
-				for _, owner := range owners {
-					if owner.Pattern().Updates() >= 2*window {
-						finalSpill = true
-					}
+			// 2× every matrix window: the recovered gateway must have kept
+			// spilling.
+			finalSpill := false
+			for _, owner := range owners {
+				if owner.Pattern().Updates() >= 2*bound {
+					finalSpill = true
 				}
-				if m, _ := gw2.StoreMetrics(); finalSpill && m.SpillBatches == 0 {
-					t.Errorf("window=%d: recovered gateway never spilled across the full trace", window)
-				}
+			}
+			if m, _ := gw2.StoreMetrics(); finalSpill && m.SpillBatches == 0 {
+				t.Errorf("window=%d: recovered gateway never spilled across the full trace", window)
 			}
 			for i, spec := range specs {
 				got := gw2.ObservedPattern(spec.name)

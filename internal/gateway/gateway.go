@@ -142,9 +142,8 @@ type Config struct {
 	// span names are stage names, and tenant identity (owner hash only)
 	// appears on a trace only when DebugTenantMetrics is also set.
 	Tracer *telemetry.Tracer
-	// ReadTimeout is the per-connection read deadline (0 = default,
-	// negative = disabled); MaxFrameErrors bounds malformed frames per
-	// connection (0 = default).
+	// ReadTimeout is the per-connection read deadline (≤ 0 = default);
+	// MaxFrameErrors bounds malformed frames per connection (0 = default).
 	ReadTimeout    time.Duration
 	WriteTimeout   time.Duration
 	MaxFrameErrors int
@@ -154,8 +153,7 @@ type Config struct {
 	// unanswered refusals on top of the cap is severed.
 	MaxInFlight int
 	// DrainTimeout bounds Close's graceful wait for in-flight connections
-	// before severing the stragglers (0 = DefaultDrainTimeout, negative =
-	// wait forever, the pre-hardening behavior).
+	// before severing the stragglers (≤ 0 = DefaultDrainTimeout).
 	DrainTimeout time.Duration
 	// MaxOwners bounds distinct namespaces (0 = DefaultMaxOwners).
 	MaxOwners int
@@ -176,14 +174,13 @@ type Config struct {
 	// paid for by the log written after it (store.RotateDue).
 	SnapshotEvery int
 	// HistoryWindow bounds the committed ingest batches each tenant keeps
-	// in RAM (and inlines in snapshots). Past the window, history spills to
-	// sealed on-disk history segments; snapshots reference the spilled runs
-	// by manifest (segment, offset, length, checksum) so a rotation never
+	// in RAM and inlines in snapshots (0 = store.DefaultHistoryWindow); it
+	// is handed to the store, which alone applies it. Past the window,
+	// history spills to sealed on-disk history segments; snapshots reference the spilled runs by
+	// manifest (segment, offset, length, checksum) so a rotation never
 	// rewrites spilled batches — it writes every tenant's clock, refs and
 	// tail — and recovery streams the runs back through the ingest path
-	// without materializing them. 0 keeps the full history in RAM and
-	// inline in snapshots (the legacy small-deployment behavior). Durable
-	// mode only.
+	// without materializing them. Durable mode only.
 	HistoryWindow int
 	// SyncEpsilon is the ε charged to a tenant's ledger per sync (setup or
 	// update), in memory and durable alike; a durable sync records its charge
@@ -345,7 +342,7 @@ func newGateway(addr string, cfg Config, replica bool) (*Gateway, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	if cfg.ReadTimeout == 0 {
+	if cfg.ReadTimeout <= 0 {
 		cfg.ReadTimeout = 2 * time.Minute
 	}
 	if cfg.WriteTimeout <= 0 {
@@ -360,7 +357,7 @@ func newGateway(addr string, cfg Config, replica bool) (*Gateway, error) {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
-	if cfg.DrainTimeout == 0 {
+	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = DefaultDrainTimeout
 	}
 	if cfg.Replicator != nil && cfg.StoreDir == "" {
@@ -646,7 +643,7 @@ func (g *Gateway) shutdown(abandon bool) error {
 			g.store.Kill()
 		}
 	}
-	if !abandon && g.cfg.DrainTimeout > 0 {
+	if !abandon {
 		// Graceful drain is bounded: a peer that neither finishes nor hangs
 		// up (half-open, mid-pipeline stall) must not wedge shutdown. Past
 		// the deadline the stragglers are severed — their handlers see read
@@ -684,11 +681,7 @@ func (g *Gateway) shutdown(abandon bool) error {
 		// then sever the tails (they never finish on their own; a follower
 		// rejoins whoever is primary next from its cursor).
 		if g.cfg.Replicator != nil {
-			bound := g.cfg.DrainTimeout
-			if bound <= 0 {
-				bound = time.Second
-			}
-			g.cfg.Replicator.Flush(bound)
+			g.cfg.Replicator.Flush(g.cfg.DrainTimeout)
 		}
 		g.mu.Lock()
 		repl := make([]net.Conn, 0, len(g.replConns))
@@ -984,9 +977,7 @@ func (g *Gateway) handle(conn net.Conn) {
 		}
 	}
 
-	if g.cfg.ReadTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(g.cfg.ReadTimeout))
-	}
+	_ = conn.SetReadDeadline(time.Now().Add(g.cfg.ReadTimeout))
 	kind, versionByte, err := wire.ReadAnyHello(conn)
 	if err != nil {
 		logf("rejecting connection: %v", err)

@@ -15,6 +15,7 @@ import (
 	"dpsync/internal/refdb"
 	"dpsync/internal/seal"
 	"dpsync/internal/store"
+	"dpsync/internal/telemetry"
 	"dpsync/internal/wire"
 )
 
@@ -144,9 +145,10 @@ func driveSink(t *testing.T, window, updates, blobBytes int) uint64 {
 // constant factor of the window while total ingested bytes grow an order
 // of magnitude past it — the property the tiered history store exists for,
 // and the tripwire against any future reintroduction of O(total-history)
-// state. The windowless run is measured alongside as the control: it MUST
-// retain O(total) (that is what snapshots serialize in legacy mode), which
-// also proves the measurement can see the regression it guards against.
+// state. A run whose window is wider than the syncs it drives is measured
+// alongside as the control: no tail reaches twice that window, so nothing
+// spills and it MUST retain O(total), which proves the measurement can see
+// the regression it guards against.
 func TestGatewayHeapBoundedByHistoryWindow(t *testing.T) {
 	const (
 		window    = 8
@@ -155,7 +157,7 @@ func TestGatewayHeapBoundedByHistoryWindow(t *testing.T) {
 	)
 	totalBytes := uint64(updates) * blobBytes
 
-	unbounded := driveSink(t, 0, updates, blobBytes)
+	unbounded := driveSink(t, updates, updates, blobBytes)
 	bounded := driveSink(t, window, updates, blobBytes)
 
 	// The control must hold roughly the whole history in RAM.
@@ -281,5 +283,79 @@ func TestInMemoryGatewayKeepsNoHistory(t *testing.T) {
 	ledger := gw.ObservedLedger(owner)
 	if ledger.Uses("m_setup") != 1 || ledger.Uses("m_update") != syncs-1 || ledger.Spent() != syncs*eps {
 		t.Fatalf("ledger after %d syncs at ε=%v:\n%s", syncs, eps, ledger.Describe())
+	}
+}
+
+// TestDurableDefaultWindowBoundsTheTail: a durable gateway whose config sets
+// no window bounds every tenant's RAM tail all the same — the store's
+// default window is the one the live commit enforces — and spills the rest
+// to history segments. A restart over the same directory recovers the
+// transcript and ledger the single-owner reference gives.
+func TestDurableDefaultWindowBoundsTheTail(t *testing.T) {
+	const (
+		owner = "owner-tail"
+		syncs = 120
+		eps   = 0.25
+	)
+	reg := telemetry.New()
+	cfg := gateway.Config{Shards: 1, StoreDir: t.TempDir(), SyncEpsilon: eps, Telemetry: reg}
+	gw, key := startGateway(t, cfg)
+	ref, err := refdb.New(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := client.DialGateway(gw.Addr(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	own := conn.Owner(owner)
+	for i := 0; i < syncs; i++ {
+		rs := []record.Record{yellow(i, uint16(1+i%record.NumLocations))}
+		upload, refUpload := own.Update, ref.Update
+		if i == 0 {
+			upload, refUpload = own.Setup, ref.Setup
+		}
+		if err := upload(rs); err != nil {
+			t.Fatal(err)
+		}
+		if err := refUpload(rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail := -1
+	gw.OwnerCut(0, func(states []store.OwnerState) {
+		for _, st := range states {
+			if st.Owner == owner {
+				tail = len(st.Tail)
+			}
+		}
+	})
+	if tail < 0 || tail >= 2*store.DefaultHistoryWindow {
+		t.Fatalf("tenant holds %d batches in RAM after %d syncs, want under twice the default window %d",
+			tail, syncs, store.DefaultHistoryWindow)
+	}
+	spilled := -1.0
+	for _, sm := range reg.Snapshot() {
+		if sm.Name == "store_spill_batches_total" {
+			spilled = sm.Value
+		}
+	}
+	if spilled <= 0 {
+		t.Fatalf("store_spill_batches_total = %v after %d syncs, want some", spilled, syncs)
+	}
+	conn.Close()
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Key, cfg.Telemetry = key, nil
+	gw2, _ := startGateway(t, cfg)
+	if got, want := gw2.ObservedPattern(owner), ref.ObservedPattern(); !reflect.DeepEqual(got.Events, want.Events) {
+		t.Fatalf("recovered transcript diverged from the reference: %d events against %d", len(got.Events), len(want.Events))
+	}
+	ledger := gw2.ObservedLedger(owner)
+	if ledger.Uses("m_setup") != 1 || ledger.Uses("m_update") != syncs-1 || ledger.Spent() != syncs*eps {
+		t.Fatalf("recovered ledger after %d syncs at ε=%v:\n%s", syncs, eps, ledger.Describe())
 	}
 }

@@ -472,7 +472,7 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, t *task, deq int64) {
 // mode. The machine commits the batch (the ledger refusing a charge it
 // validated before ingest is the only error, and changes nothing). The
 // history tail is brought back inside its bound: with a store it is the
-// durable history's hot end and Config.HistoryWindow bounds it (a spill
+// durable history's hot end and the store's window bounds it (a spill
 // failure only defers the spill); an in-memory gateway has nothing to rebuild
 // a tenant from, so it keeps no batch at all. And the sync is counted — the
 // shard's committed-entries mirror always (/statusz reads it with or without a
@@ -485,7 +485,7 @@ func (g *Gateway) commit(sh *shard, tn *Tenant, bt store.Batch) error {
 	if g.store == nil {
 		clear(tn.Tail)
 		tn.Tail = tn.Tail[:0]
-	} else if err := g.store.EnforceWindow(sh.id, tn.OwnerState, g.cfg.HistoryWindow); err != nil {
+	} else if err := g.store.EnforceWindow(sh.id, tn.OwnerState); err != nil {
 		g.log.Warn("history spill deferred; batches stay in RAM",
 			"owner_hash", telemetry.OwnerHash(tn.Owner), "batches", len(tn.Tail), "err", err)
 	}

@@ -147,10 +147,11 @@ func TestNaivePatterns(t *testing.T) {
 	if oto.String() != "{(0, 5)}" {
 		t.Errorf("OTO pattern = %s", oto)
 	}
-	// SUR with empty D0 posts no setup event volume.
+	// SUR with empty D0 still posts its setup, of no records: the server
+	// sees the outsourced structure created.
 	sur0 := MSUR(0, u)
-	if sur0.Updates() != 2 {
-		t.Errorf("SUR empty-D0 updates = %d", sur0.Updates())
+	if sur0.String() != "{(0, 0), (1, 1), (3, 1)}" {
+		t.Errorf("SUR empty-D0 pattern = %s", sur0)
 	}
 }
 

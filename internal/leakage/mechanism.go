@@ -36,7 +36,8 @@ func (a Arrivals) Total() int { return a.Count(0, len(a)) }
 // MTimer is the paper's M_timer (Table 4): the mechanism that simulates the
 // update pattern of the DP-Timer strategy. Running it over an arrival trace
 // produces the exact distribution of patterns the real strategy would emit —
-// tests pin this by comparing against strategy.Timer under a shared seed.
+// core.TestOwnerPatternEqualsMechanism holds it, with MANT, MSUR, MSET and
+// MOTO, to core.Owner under a shared seed, over 1,000 seeds.
 //
 // Noise draw order (must stay in sync with strategy.Timer): one Lap(1/ε) for
 // M_setup, then one Lap(1/ε) per closed window in time order.
@@ -115,12 +116,11 @@ func MANT(d0 int, u Arrivals, eps, theta float64, flushInterval record.Tick, flu
 	return p, nil
 }
 
-// MSUR simulates the (non-private) SUR pattern: it IS the arrival trace.
+// MSUR simulates the (non-private) SUR pattern: the setup upload, observed
+// even when D0 is empty, then the arrival trace itself.
 func MSUR(d0 int, u Arrivals) *Pattern {
 	p := &Pattern{}
-	if d0 > 0 {
-		p.Record(0, d0, false)
-	}
+	p.Record(0, d0, false)
 	for t := record.Tick(1); int(t) <= len(u); t++ {
 		if u[t-1] {
 			p.Record(t, 1, false)

@@ -80,7 +80,7 @@ type Config struct {
 	// measured). Cluster starts a primary and a follower on stores; queries go
 	// to the follower. StoreDir is Durable's directory (empty: a temp dir,
 	// removed when Run returns); HistoryWindow bounds each tenant's in-RAM
-	// batch tail on any store (0: all in RAM).
+	// batch tail on any store (0: store.DefaultHistoryWindow).
 	Durable       bool
 	Cluster       bool
 	StoreDir      string
@@ -262,7 +262,7 @@ func Run(cfg Config) (Report, error) {
 	if err := f.dial(tgt); err != nil {
 		return Report{}, err
 	}
-	rep := Report{Owners: cfg.Owners, Ticks: cfg.Ticks, Seed: cfg.Seed, HistoryWindow: cfg.HistoryWindow}
+	rep := Report{Owners: cfg.Owners, Ticks: cfg.Ticks, Seed: cfg.Seed}
 
 	// The drive: setup is tick 0; a kill splits it at a quiesced boundary.
 	boundary := cfg.Ticks

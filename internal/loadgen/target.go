@@ -255,6 +255,7 @@ func (t *target) measure(rep *Report) {
 			rep.WALGroupFactor = float64(m.Appends) / float64(m.Commits)
 		}
 		rep.WALSnapshots = m.Snapshots
+		rep.HistoryWindow = gw.Store().Window()
 		rep.SpillBatches, rep.SpillBytes, rep.SpillSegments = m.SpillBatches, m.SpillBytes, m.HistorySegments
 	}
 	if t.b == nil {

@@ -63,10 +63,11 @@ func Execute(p *Plan, tables Tables) (Answer, error) {
 
 // cardinality counts the rows p produces without materializing them. pred
 // accumulates filters seen on the way down; at a join it applies to the
-// *left* record, which is sound because join output rows reuse the left
-// record verbatim (see equiJoin). The join itself is counted as
-// Σ_l |{r : key(r) = key(l)}| from a right-side multiplicity map — O(|L|+|R|)
-// instead of the O(output) row materialization the naive path pays.
+// *left* record (a filter above a join reads its left side; no compiled plan
+// puts one there). The join itself is counted as Σ_l |{r : key(r) = key(l)}|
+// from a right-side multiplicity map — O(|L|+|R|), and the only way a join
+// is evaluated: every compiled join sits under a count, so none produces
+// rows.
 func cardinality(p *Plan, tables Tables, pred Predicate) (int64, error) {
 	if p == nil {
 		return 0, fmt.Errorf("query: nil plan node")
@@ -193,48 +194,11 @@ func rows(p *Plan, tables Tables) ([]record.Record, error) {
 		// Projection does not change cardinality; attribute narrowing is a
 		// no-op on the in-memory record representation.
 		return rows(p.Children[0], tables)
-	case OpJoin:
-		if len(p.Children) != 2 {
-			return nil, fmt.Errorf("query: join needs 2 children, has %d", len(p.Children))
-		}
-		left, err := rows(p.Children[0], tables)
-		if err != nil {
-			return nil, err
-		}
-		right, err := rows(p.Children[1], tables)
-		if err != nil {
-			return nil, err
-		}
-		return equiJoin(left, right, p.Attrs)
-	case OpCount, OpGroupBy, OpSum:
+	case OpJoin, OpCount, OpGroupBy, OpSum:
 		return nil, fmt.Errorf("query: %v is not a row producer", p.Op)
 	default:
 		return nil, fmt.Errorf("query: unknown op %v", p.Op)
 	}
-}
-
-// equiJoin hash-joins left and right on the given key attribute. The result
-// rows reuse the left record with the understanding that only cardinality is
-// consumed downstream (all evaluation queries count). Counting consumers
-// never reach this path — Execute's cardinality() counts joins from the
-// right-side multiplicity map without materializing the output — so this
-// O(output) expansion only runs for row-producing plans.
-func equiJoin(left, right []record.Record, attrs []Attr) ([]record.Record, error) {
-	keyOf, err := joinKey(attrs)
-	if err != nil {
-		return nil, err
-	}
-	index := make(map[int64]int, len(right))
-	for _, r := range right {
-		index[keyOf(r)]++
-	}
-	var out []record.Record
-	for _, l := range left {
-		for i := 0; i < index[keyOf(l)]; i++ {
-			out = append(out, l)
-		}
-	}
-	return out, nil
 }
 
 // Truth evaluates q over the logical database tables (which contain no

@@ -48,18 +48,13 @@ func benchShard(n int, tail func(i int) int, spilled bool) []OwnerState {
 
 // syncDurableShard is one shard of the sync-durable workload late in a
 // repetition: 500 owners, tails between the window and twice it (16 and 31
-// batches). windowlessShard is replica-read's: 60 owners with their whole
-// 80-batch history inline.
+// batches).
 func syncDurableShard() []OwnerState {
 	return benchShard(500, func(i int) int { return 16 + 15*(i%2) }, true)
 }
 
-func windowlessShard() []OwnerState {
-	return benchShard(60, func(int) int { return 80 }, false)
-}
-
 // BenchmarkRotate is one rotation — stream the image, install it, truncate
-// the segment — at the two shapes the repository benchmark produces, warm:
+// the segment — at the shape the repository benchmark's stores reach, warm:
 // the same image again and again. image_B is the image written each time.
 //
 // growing is what a sync-durable repetition's rotations cost a shard: a fresh
@@ -68,34 +63,27 @@ func windowlessShard() []OwnerState {
 // carrying the frame its sync arrived in. One op is the whole
 // sequence, the sum store_rotate_us adds up per repetition; ms reports it.
 func BenchmarkRotate(b *testing.B) {
-	for _, shape := range []struct {
-		name   string
-		owners []OwnerState
-	}{
-		{"sync-durable", syncDurableShard()},
-		{"window-0", windowlessShard()},
-	} {
-		b.Run(shape.name, func(b *testing.B) {
-			s, _, err := Open(Options{Dir: b.TempDir(), Shards: 1})
-			if err != nil {
+	b.Run("sync-durable", func(b *testing.B) {
+		owners := syncDurableShard()
+		s, _, err := Open(Options{Dir: b.TempDir(), Shards: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		// One rotation outside the clock: steady state is what repeats.
+		if err := s.Rotate(0, owners); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Rotate(0, owners); err != nil {
 				b.Fatal(err)
 			}
-			defer s.Close()
-			// One rotation outside the clock: steady state is what repeats.
-			if err := s.Rotate(0, shape.owners); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Rotate(0, shape.owners); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(s.RotationStatuses()[0].ImageBytes), "image_B")
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(s.RotationStatuses()[0].ImageBytes), "image_B")
+	})
 	b.Run("growing", func(b *testing.B) {
 		var images [][]OwnerState
 		for _, tail := range []int{1, 3, 6, 12, 25, 35} {
@@ -183,7 +171,7 @@ func BenchmarkDurableSteadyState(b *testing.B) {
 		if err := st.Apply(e.Batch); err != nil {
 			b.Fatal(err)
 		}
-		if err := s.EnforceWindow(0, st, window); err != nil {
+		if err := s.EnforceWindow(0, st); err != nil {
 			b.Fatal(err)
 		}
 		if s.RotateDue(0) {

@@ -128,7 +128,7 @@ func TestOneEncodingSameBytes(t *testing.T) {
 			if err := st.Apply(e.Batch); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.EnforceWindow(0, st, window); err != nil {
+			if err := s.EnforceWindow(0, st); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -316,7 +316,7 @@ func TestEnforceWindowReleasesSpilledBatches(t *testing.T) {
 	defer s.Close()
 	st := &OwnerState{Owner: "owner-0001", Clock: 45, Tail: carriedTail(t, true)}
 	array := &st.Tail[0]
-	if err := s.EnforceWindow(0, st, 6); err != nil {
+	if err := s.EnforceWindow(0, st); err != nil {
 		t.Fatal(err)
 	}
 	if len(st.Tail) != 6 || st.Tail[0].Tick != 40 || &st.Tail[0] != array || len(st.Spilled) != 1 || st.Spilled[0].Count != 10 {

@@ -288,8 +288,8 @@ func (s *Store) Spill(sid int, owner string, prev *SegmentRef, batches []Batch) 
 // that lands right after the owner's previous ref into that ref — together
 // they keep per-owner ref counts sublinear in history (a spill on every
 // commit would mint one 36-byte ref per tick and sneak O(total-ingest) state
-// back into RAM and manifests). A window ≤ 0 keeps the whole history inline.
-// It is the one spill policy: the gateway calls it after every commit, and
+// back into RAM and manifests). The window is the one Open resolved from
+// Options.HistoryWindow. It is the one spill policy: the gateway calls it after every commit, and
 // compaction at Open calls it on every recovered owner, so a recovered tail
 // obeys the bound a live one does. An error is survivable — the batches it
 // could not move stay in the tail (still correct, just not bounded) and the
@@ -298,8 +298,9 @@ func (s *Store) Spill(sid int, owner string, prev *SegmentRef, batches []Batch) 
 // they flush) and drops exactly the batches they cover, so a retry never
 // re-spills — and double-counts — a written run. Same single-producer
 // contract as Spill.
-func (s *Store) EnforceWindow(sid int, st *OwnerState, window int) error {
-	if window <= 0 || len(st.Tail) < 2*window {
+func (s *Store) EnforceWindow(sid int, st *OwnerState) error {
+	window := s.window
+	if len(st.Tail) < 2*window {
 		return nil
 	}
 	var prev *SegmentRef

@@ -32,7 +32,7 @@ func driveSpilled(t *testing.T, s *Store, st *OwnerState, window int, fromTick, 
 		if err := st.Apply(e.Batch); err != nil {
 			t.Fatal(err)
 		}
-		if window > 0 && len(st.Tail) > window {
+		if len(st.Tail) > window {
 			n := len(st.Tail) - window
 			var prev *SegmentRef
 			if len(st.Spilled) > 0 {
@@ -182,8 +182,9 @@ func TestManifestRotationIsDelta(t *testing.T) {
 	}
 }
 
-// TestCompactionReSpillsLegacyTail covers migration: a store written with
-// no window (full inline history) reopened with a window must re-spill the
+// TestCompactionReSpillsLegacyTail covers migration: a store whose tails
+// are wider than the window it is reopened with (a build that kept whole
+// histories inline, or a narrower -history-window) must re-spill the
 // overflow at compaction and still stream the identical history.
 func TestCompactionReSpillsLegacyTail(t *testing.T) {
 	dir := t.TempDir()
@@ -211,12 +212,13 @@ func TestCompactionReSpillsLegacyTail(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// And back to window 0: the spilled tier remains referenced and
-	// streamable — the formats are one tier, not two modes.
+	// And back to the default window, wider than the history: the spilled
+	// tier remains referenced and streamable — the formats are one tier, not
+	// two modes.
 	s3, got3 := openStore(t, dir, 1)
 	defer s3.Close()
 	if batches := collectHistory(t, s3, got3["o"]); len(batches) != 8 {
-		t.Fatalf("unwindowed reopen streamed %d batches", len(batches))
+		t.Fatalf("default-window reopen streamed %d batches", len(batches))
 	}
 
 	// Recovered tails obey the live bound: one just past the window stays
@@ -492,7 +494,7 @@ func TestImageSizeIndependentOfOwnerAge(t *testing.T) {
 			if err := st.Apply(e.Batch); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.EnforceWindow(0, st, window); err != nil {
+			if err := s.EnforceWindow(0, st); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -73,7 +73,7 @@ func TestInstallCrashWindows(t *testing.T) {
 						if err := st.Apply(e.Batch); err != nil {
 							t.Fatal(err)
 						}
-						if err := s.EnforceWindow(0, st, window); err != nil {
+						if err := s.EnforceWindow(0, st); err != nil {
 							t.Fatal(err)
 						}
 					}

@@ -16,7 +16,6 @@ import (
 type policyRig struct {
 	t      *testing.T
 	s      *Store
-	window int
 	states map[string]*OwnerState
 	wg     sync.WaitGroup // in-flight appends
 
@@ -32,7 +31,7 @@ func newPolicyRig(t *testing.T, opts Options) *policyRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &policyRig{t: t, s: s, window: opts.HistoryWindow, states: states}
+	return &policyRig{t: t, s: s, states: states}
 }
 
 // append commits the owner's next sync (payload bytes of ciphertext) and
@@ -61,7 +60,7 @@ func (r *policyRig) append(owner string, payload int) int64 {
 	if err := st.Apply(e.Batch); err != nil {
 		r.t.Fatal(err)
 	}
-	if err := r.s.EnforceWindow(0, st, r.window); err != nil {
+	if err := r.s.EnforceWindow(0, st); err != nil {
 		r.t.Fatal(err)
 	}
 	n := int64(len(frame))
@@ -97,24 +96,28 @@ func (r *policyRig) close() {
 }
 
 // TestRotationPolicyBounds is the policy's property test, over a seeded run of
-// 200 owners with a window of 8 (manifest images) and of one owner with no
-// window (the image is the history). At every append the log since the last
+// 200 owners with a window of 8 (manifest images) and of one owner whose
+// window is wider than the run (nothing spills: the image is the history,
+// and grows with the log). At every append the log since the last
 // rotation is no longer than the larger of SnapshotEvery entries' worth and
 // the last image, plus the frame just appended — the bound on recovery's
 // replay. At every rotation each image written before it has been paid for
 // by log bytes written after it (the log before the first image pays for
 // nothing), so over any run checkpoint bytes never exceed log bytes plus the
-// one image still standing — and with no window, where every image is the
-// whole log so far, they stay under twice the log plus the first image.
+// one image still standing — and with the wide window, where every image is
+// the whole log so far, they stay under twice the log plus the first image.
 func TestRotationPolicyBounds(t *testing.T) {
-	const every = 32
+	const (
+		every       = 32
+		wideAppends = 8*every + every/2
+	)
 	for _, shape := range []struct {
 		name           string
 		owners, window int
 		appends        int
 	}{
 		{"200-owners-window-8", 200, 8, 12000},
-		{"1-owner-window-0", 1, 0, 8*every + every/2},
+		{"1-owner-wide-window", 1, wideAppends, wideAppends},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(0xD0E5))
@@ -167,9 +170,14 @@ func TestRotationPolicyBounds(t *testing.T) {
 			if len(r.images) < 3 {
 				t.Fatalf("only %d rotations: the run does not exercise the policy", len(r.images))
 			}
-			if shape.window == 0 && total > 2*r.walBytes+r.images[0] {
-				t.Fatalf("%d windowless rotations wrote %d image bytes against %d log bytes (first image %d): over twice the log",
-					len(r.images), total, r.walBytes, r.images[0])
+			if shape.window == wideAppends {
+				if m.SpillBatches != 0 {
+					t.Fatalf("the wide window spilled %d batches: the images are not the whole history", m.SpillBatches)
+				}
+				if total > 2*r.walBytes+r.images[0] {
+					t.Fatalf("%d rotations of the whole history wrote %d image bytes against %d log bytes (first image %d): over twice the log",
+						len(r.images), total, r.walBytes, r.images[0])
+				}
 			}
 			t.Logf("%d appends, %d log bytes; %d rotations, %d image bytes (%.2f of the log)",
 				shape.appends, r.walBytes, len(r.images), total, float64(total)/float64(r.walBytes))
@@ -179,8 +187,8 @@ func TestRotationPolicyBounds(t *testing.T) {
 
 // TestMatureStoreNotDueUntilLogOutweighsImage is what reopening a mature
 // directory must do: the image compaction wrote at Open is what the next
-// rotation is measured against, so neither the windowed reopen nor a
-// windowless reopen of the same (spilled) directory rotates at the entry
+// rotation is measured against, so neither a reopen under the same window
+// nor one under a wider window rotates at the entry
 // floor — the rotation waits until the log has reached the compacted image's
 // size. The recovered tenant keeps its shape: a tail under the live bound
 // (twice the window) and a handful of coalesced refs, not one per spilled
@@ -205,13 +213,13 @@ func TestMatureStoreNotDueUntilLogOutweighsImage(t *testing.T) {
 	r.close()
 
 	clock := uint64(syncs)
-	for _, reopen := range []int{window, 0} {
+	for _, reopen := range []int{window, 4 * window} {
 		r := newPolicyRig(t, Options{Dir: dir, HistoryWindow: reopen, SnapshotEvery: every})
 		st := r.states["o"]
 		if st == nil || st.Clock != clock {
 			t.Fatalf("window %d: recovered tenant shape wrong: %+v", reopen, st)
 		}
-		if reopen > 0 && len(st.Tail) >= 2*window {
+		if len(st.Tail) >= 2*reopen {
 			t.Fatalf("window %d: compaction left a %d-batch tail", reopen, len(st.Tail))
 		}
 		if len(st.Spilled) == 0 || len(st.Spilled) > 8 {
@@ -247,10 +255,12 @@ func TestMatureStoreNotDueUntilLogOutweighsImage(t *testing.T) {
 // writer latched, so no manifest may be written) is not retried until the log
 // is twice as long as it was at the failure, and twice that after a second
 // failure; meanwhile the WAL holds every entry and a restart recovers them all.
+// The window is wider than the run, so only the rotation meets the latched
+// writer: no spill does.
 func TestFailedRotationDoublesBytesRequired(t *testing.T) {
-	const every = 8
+	const every, window = 8, 1 << 10
 	dir := t.TempDir()
-	r := newPolicyRig(t, Options{Dir: dir, SnapshotEvery: every})
+	r := newPolicyRig(t, Options{Dir: dir, SnapshotEvery: every, HistoryWindow: window})
 	for !r.s.RotateDue(0) {
 		r.append("o", 30)
 	}

@@ -36,7 +36,7 @@
 // # Tiered history
 //
 // A tenant's ingest history is two tiers: a bounded in-RAM tail (the
-// caller's HistoryWindow) and append-only history segments on disk holding
+// store's history window) and append-only history segments on disk holding
 // everything older. Committed batches past the window are spilled —
 // appended to the shard's current history segment as the same CRC frames
 // the WAL uses — and only a SegmentRef (segment id, byte offset, run
@@ -59,8 +59,7 @@
 // least Options.SnapshotEvery entries and at least as many log bytes as the
 // last image (Rotate's, or compaction's at Open). Every image but the latest
 // is paid for by the log written after it, the log between rotations (and
-// recovery's replay of it) stays within one image, and with no history window
-// the same comparison spaces rotations geometrically. A failed rotation
+// recovery's replay of it) stays within one image. A failed rotation
 // doubles the bytes required, so a shard cannot hot-loop one that keeps
 // failing. Replay skips entries a snapshot covers by the clock rule, so a
 // crash anywhere in the rotate sequence stays recoverable.
@@ -111,11 +110,10 @@ type Options struct {
 	// machine failure). Off, commits are flushed to the OS (crash-safe
 	// against process failure) — the mode benchmarks and tests use.
 	Fsync bool
-	// HistoryWindow bounds the inline ingest-history tail kept per owner:
-	// compaction brings every recovered tail inside it the way a live commit
-	// does (EnforceWindow), and callers pass the same window to EnforceWindow
-	// after each commit. 0 disables compaction re-spill (full history stays
-	// inline in snapshots — the legacy small-deployment mode).
+	// HistoryWindow bounds the inline ingest-history tail kept per owner
+	// (0 = DefaultHistoryWindow; negative is refused). The store is the one
+	// place it lives: EnforceWindow applies it after each live commit, and
+	// compaction brings every recovered tail inside it the same way.
 	HistoryWindow int
 	// SnapshotEvery is the fewest entries a shard appends between two
 	// rotations (0 = DefaultSnapshotEvery). It is a floor, not a cadence:
@@ -130,6 +128,9 @@ type Options struct {
 
 // DefaultSnapshotEvery is the default Options.SnapshotEvery.
 const DefaultSnapshotEvery = 1024
+
+// DefaultHistoryWindow is the default Options.HistoryWindow.
+const DefaultHistoryWindow = 16
 
 // Metrics is the store's cumulative instrumentation.
 type Metrics struct {
@@ -297,6 +298,10 @@ type rotateReq struct {
 	done   chan error
 }
 
+// Window is the history window Open resolved: EnforceWindow keeps this
+// many batches of a tail once it reaches twice as many.
+func (s *Store) Window() int { return s.window }
+
 // ShardFor maps an owner ID onto one of n shards with the FNV-1a hash the
 // gateway routes by. Store and gateway must agree so compaction groups each
 // owner's state with the shard worker that will serve it.
@@ -321,6 +326,9 @@ func Open(opts Options) (*Store, map[string]*OwnerState, error) {
 	if opts.Shards <= 0 {
 		return nil, nil, fmt.Errorf("store: shard count %d must be positive", opts.Shards)
 	}
+	if opts.HistoryWindow < 0 {
+		return nil, nil, fmt.Errorf("store: history window %d must not be negative", opts.HistoryWindow)
+	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
@@ -330,6 +338,9 @@ func Open(opts Options) (*Store, map[string]*OwnerState, error) {
 	}
 	if opts.SnapshotEvery <= 0 {
 		opts.SnapshotEvery = DefaultSnapshotEvery
+	}
+	if opts.HistoryWindow == 0 {
+		opts.HistoryWindow = DefaultHistoryWindow
 	}
 	s := &Store{dir: opts.Dir, fsync: opts.Fsync, window: opts.HistoryWindow, snapEvery: int64(opts.SnapshotEvery), info: rec.info}
 	if reg := opts.Telemetry; reg != nil {
@@ -444,35 +455,34 @@ func snapshotPath(dir string, id int) string {
 // like any other possibly-salvageable bytes.
 func (s *Store) compact(states map[string]*OwnerState, rec *recovery) error {
 	shards := len(s.hist)
-	if s.window > 0 {
-		owners := make([]string, 0, len(states))
-		for owner := range states {
-			owners = append(owners, owner)
+	owners := make([]string, 0, len(states))
+	for owner := range states {
+		owners = append(owners, owner)
+	}
+	sort.Strings(owners) // deterministic spill order
+	for _, owner := range owners {
+		st := states[owner]
+		if err := s.EnforceWindow(ShardFor(owner, shards), st); err != nil {
+			return fmt.Errorf("store: compaction spill for %q: %w", owner, err)
 		}
-		sort.Strings(owners) // deterministic spill order
-		for _, owner := range owners {
-			st := states[owner]
-			if err := s.EnforceWindow(ShardFor(owner, shards), st, s.window); err != nil {
-				return fmt.Errorf("store: compaction spill for %q: %w", owner, err)
-			}
-			// A recovered tail can be many windows long: keep a right-sized
-			// copy rather than the window at the front of that array.
-			if cap(st.Tail) > 2*s.window {
-				st.Tail = slices.Clone(st.Tail)
-			}
-		}
-		// Spilled bytes must be durable before any manifest names them.
-		for sid := range s.hist {
-			if err := s.FlushHistory(sid); err != nil {
-				return err
-			}
-		}
-		if s.fsync {
-			if err := syncDir(s.dir); err != nil {
-				return err
-			}
+		// A recovered tail can be many windows long: keep a right-sized
+		// copy rather than the window at the front of that array.
+		if cap(st.Tail) > 2*s.window {
+			st.Tail = slices.Clone(st.Tail)
 		}
 	}
+	// Spilled bytes must be durable before any manifest names them.
+	for sid := range s.hist {
+		if err := s.FlushHistory(sid); err != nil {
+			return err
+		}
+	}
+	if s.fsync {
+		if err := syncDir(s.dir); err != nil {
+			return err
+		}
+	}
+
 	// Preserve damaged and salvage-relevant files aside *before* fresh
 	// snapshots land: an install moves the standing image aside and the sweep
 	// below deletes it — the very bytes the quarantine promises to keep (the
