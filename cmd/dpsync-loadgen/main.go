@@ -145,8 +145,8 @@ func printQuick(cfg loadgen.Config, rep loadgen.Report) {
 		fmt.Printf("crash ok: seed %d killed at tick %d/%d, recovered %d owners in %.1fms, first ack %.1fms after the kill, %d owners' %s\n",
 			rep.Seed, rep.KillTick, rep.Ticks, rep.RecoveredOwners, rep.RecoveryMs, rep.FailoverMs, rep.Verified, held)
 	case readReplica:
-		fmt.Printf("replica ok: %d owners × %d ticks, follower served %d/%d queries at %.0f/sec (%d stale refusals, %d fallbacks to primary), %d owners' %s\n",
-			rep.Owners, rep.Ticks, rep.ReplicaServed, rep.Queries, rep.ReplicaQueryQPS, rep.ReplicaStale, rep.ReplicaFallbacks, rep.Verified, held)
+		fmt.Printf("replica ok: %d owners × %d ticks, follower served %d/%d queries at %.0f/sec (%d fallbacks to primary), %d owners' %s\n",
+			rep.Owners, rep.Ticks, rep.ReplicaServed, rep.Queries, rep.ReplicaQueryQPS, rep.ReplicaFallbacks, rep.Verified, held)
 		fmt.Printf("replica plane: %d requests, qcache %d hits / %d misses, cursor %d applied\n",
 			rep.PlaneQueries, rep.PlaneCacheHits, rep.PlaneCacheMisses, rep.ReplicaApplied)
 	default:
@@ -170,8 +170,8 @@ func printQuick(cfg loadgen.Config, rep loadgen.Report) {
 		fmt.Printf("queries: %d at %.0f/sec (p99 %.2fms)%s\n", rep.Queries, rep.QueryQPS, rep.QueryP99Ms, cache)
 	}
 	if cfg.ReplicaAddr != "" {
-		fmt.Printf("replica: %d served at %.0f/sec, %d stale refusals, %d fallbacks\n",
-			rep.ReplicaServed, rep.ReplicaQueryQPS, rep.ReplicaStale, rep.ReplicaFallbacks)
+		fmt.Printf("replica: %d served at %.0f/sec, %d fallbacks\n",
+			rep.ReplicaServed, rep.ReplicaQueryQPS, rep.ReplicaFallbacks)
 	}
 	if rep.Durable && !cfg.Kill {
 		fmt.Printf("durable: wal append %.1fµs (group ×%.1f, %d snapshots), recovery %.1fms for %d owners (transcripts+ledgers verified again after the reopen)\n",

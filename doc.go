@@ -188,13 +188,15 @@
 // version byte — and every payload is the binary codec's (hand-rolled
 // fields, no base64 expansion of sealed ciphertexts; its field primitives
 // are internal/binfmt, shared with the on-disk formats). The version byte
-// is 8: 7 led every frame with a 4-byte length and sent an answer's modelled
+// is 9: 8 let a query carry a replica freshness bound (a second query
+// encoding, type 6, and a stale refusal, code 2) that no caller could name,
+// 7 led every frame with a 4-byte length and sent an answer's modelled
 // seconds beside the counts they are computed from, 6 sent every group
 // vector one value a group, 5 padded every answer to 4-byte groups beside an
 // 8-byte scalar, 4 named the owner inline in every request, 3 said no with
 // an error text beside two flag bits, 2 was a layout of fixed-width integers
 // and 1 a JSON encoding, all retired, and a hello proposing any other codec
-// byte is acked 8; there is nothing to negotiate down to. Every frame, on
+// byte is acked 9; there is nothing to negotiate down to. Every frame, on
 // every connection, opens with its payload's length as a minimal-form
 // uvarint — 1 byte below 128, 2 below 16 KiB, at most 4 up to wire.MaxFrame
 // — written and parsed in one place, wire.FrameHeader (a padded header, a
@@ -206,7 +208,6 @@
 //	  setup, update   uv seq · uv n · [uv width · n×width ciphertext bytes]
 //	                  (an owner sends n = 1: its batch is one message)
 //	  query           u8 kind · u8 provider · u8 joinWith · u16 lo · u16 hi
-//	  bounded query   the same seven bytes · uv minOffset (> 0)
 //	  stats, resume   —
 //	response  uv id · u8 flags (OK 1, refused 2, scalar 4, cost 8, stats 16, resume 32, groups 64) ·
 //	  [refusal  u8 code · uv cursor · uv len · detail]
@@ -226,13 +227,14 @@
 // wrapped, never re-worded — and its Unwrap is the code's one sentinel, so a
 // caller branches with errors.Is, reads the cursor with errors.As, and never
 // compares text: an owner's reaction to "no" is traffic the server observes,
-// and this is what lets a test or an audit assert which no it got. Only codes
-// 8 and 9 carry text, so every other refusal is six bytes on the wire
-// whatever was refused and whoever asked:
+// and this is what lets a test or an audit assert which no it got. There are
+// eight codes; 2 is a hole, codec 8's stale refusal, which both codec halves
+// refuse and no code will reuse. Only codes 8 and 9 carry text, so every
+// other refusal is six bytes on the wire whatever was refused and whoever
+// asked:
 //
 //	code            sentinel              who decides it                        cursor
 //	1 backpressure  wire.ErrBackpressure  connection reader: in-flight cap      —
-//	2 stale         wire.ErrStale         a replica's shard worker: MinOffset   applied offset
 //	3 not-primary   wire.ErrNotPrimary    reader: a write on a "DPSQ" conn      —
 //	4 not-setup     edb.ErrNotSetup       shard worker: no such namespace       —
 //	5 seq-gap       wire.ErrSeqGap        shard worker: Seq past clock+1        expected seq
@@ -716,18 +718,16 @@
 // replay would fail the same way; its reads are refused as suspended. A
 // tenant is rebuilt from history in one place, when a gateway opens its
 // directory. It is the same machine, through the same Ingest, Commit and
-// Read, on every node. Freshness is explicit rather than assumed:
-// wire.Request.MinOffset carries the minimum replication offset the caller
-// will accept, and a follower whose shard has applied less refuses — on that
-// shard's worker, so nothing lands between the check and the answer — as
-// stale, carrying the offset it has applied, never a silently stale answer.
-// Writes on a read connection are refused as not-primary, the sentinel a
+// Read, on every node. A follower answers from the prefix its shard has
+// applied, whole batches only, and never from an older prefix than its last
+// answer; how far that lags the owner's data is bounded by the strategy's
+// logical gap (§4.5), not by a cursor the caller names. Writes on a read
+// connection are refused as not-primary, the sentinel a
 // follower's write hello yields. client.WithReadReplica(addr) routes a
 // session's queries to a replica over the same pipelined, multiplexed link
 // the primary gets (internal/client has one frame reader, one flusher and
 // one dial site, and both connections run them), so concurrent readers are in flight on the
-// replica together, and falls back to the (trivially fresh) primary on any
-// refusal — or on silence: the link's one read deadline follows the oldest
+// replica together, and falls back to the primary on any refusal — or on silence: the link's one read deadline follows the oldest
 // read in flight, so a follower that accepts and then says nothing costs
 // every read waiting on it the same single bounded wait, not one each, never
 // the caller's answer, and never blocks Close. The replica link lives as the
@@ -737,11 +737,10 @@
 // read/write load through both paths. The two-node differential pins the
 // contract under -race: every follower-served answer bit-identical to the
 // primary's and to a single-owner reference, a partitioned follower
-// serving exactly its frozen committed prefix while refusing fresher
-// bounds, and convergence after heal. Measured by go run ./benchmark:
-// query_per_s, query_p50_ms/query_p99_ms and qcache.hit_ratio on mixed-rw,
-// cluster.replica_served_share and cluster.replica_stale_share on
-// replica-read.
+// serving exactly its frozen committed prefix, and convergence after heal.
+// Measured by go run ./benchmark: query_per_s, query_p50_ms/query_p99_ms and
+// qcache.hit_ratio on mixed-rw, cluster.replica_served_share on replica-read
+// (cluster.replica_stale_share reads 0 by construction since codec 9).
 //
 // # Observability architecture
 //

@@ -85,7 +85,6 @@ type GatewayConn struct {
 	traffic traffic // frame bytes of both links
 
 	replicaServed    atomic.Int64
-	replicaBehind    atomic.Int64
 	replicaFallbacks atomic.Int64
 
 	// The backend's identity (scheme, §6 leakage class, outsourced record
@@ -267,12 +266,9 @@ func WithAddrs(addrs ...string) GatewayOption {
 // plane at addr ("DPSQ" hello), keeping syncs on the primary. The replica
 // gets the same pipelined link the primary does, so concurrent readers are
 // in flight on it together, up to the window. A replica answer is served
-// from the follower's committed replicated prefix; when the caller demands
-// fresher state than the replica has applied (OwnerSession.QueryAt with a
-// MinOffset above the replica's cursor), the replica's refusal
-// (wire.ErrStale) — and any other replica failure, a reply that does not come
-// within helloTimeout included — falls back to the primary transparently.
-// ReplicaStats reports the split.
+// from the prefix the follower has applied; any replica failure — a refusal,
+// or a reply that does not come within helloTimeout — falls back to the
+// primary transparently. ReplicaStats reports the split.
 func WithReadReplica(addr string) GatewayOption {
 	return func(o *gatewayOpts) { o.readAddr = addr }
 }
@@ -446,10 +442,11 @@ func (c *GatewayConn) ReconnectStats() (count int64, total time.Duration) {
 }
 
 // ReplicaStats reports the read-replica traffic split: reads answered by
-// the replica, typed staleness refusals received from it, and reads that
-// fell back to the primary (staleness included).
+// the replica and reads that fell back to the primary. stale is always 0: no
+// replica refuses a read as stale since codec 9, and the result stays for
+// the callers that report it.
 func (c *GatewayConn) ReplicaStats() (served, stale, fallbacks int64) {
-	return c.replicaServed.Load(), c.replicaBehind.Load(), c.replicaFallbacks.Load()
+	return c.replicaServed.Load(), 0, c.replicaFallbacks.Load()
 }
 
 // readLoop demultiplexes responses to their waiting senders by request ID.
@@ -740,8 +737,8 @@ func (l *link) roundTrip(owner string, req wire.Request) (resp wire.Response, re
 }
 
 // respErr maps a refused response to the caller's error: the *wire.Refusal
-// itself, wrapped, so errors.Is finds the code's sentinel (wire.ErrStale,
-// wire.ErrBackpressure, edb.ErrNotSetup, ...) and errors.As the cursor.
+// itself, wrapped, so errors.Is finds the code's sentinel
+// (wire.ErrBackpressure, edb.ErrNotSetup, ...) and errors.As the cursor.
 func respErr(resp wire.Response) error {
 	if resp.OK {
 		return nil
@@ -1037,28 +1034,17 @@ func (s *OwnerSession) Setup(rs []record.Record) error { return s.upload(wire.Ms
 func (s *OwnerSession) Update(rs []record.Record) error { return s.upload(wire.MsgUpdate, rs) }
 
 // Query implements edb.Database. With WithReadReplica configured the query
-// is served by the replica's read plane at any committed freshness
-// (MinOffset 0); without, it goes to the primary.
-func (s *OwnerSession) Query(q query.Query) (query.Answer, edb.Cost, error) {
-	return s.QueryAt(q, 0)
-}
-
-// QueryAt runs q with an explicit freshness bound: the answer must reflect
-// a committed replication offset of at least minOffset on the serving
-// node. A read replica whose applied cursor is below the bound refuses
-// (wire.ErrStale, carrying its cursor) and the query falls
-// back to the primary, which is trivially fresh — so the bound can tighten
-// a replica read without ever failing the caller. minOffset 0 accepts any
-// committed prefix.
+// is served by the replica's read plane, from the prefix it has applied;
+// without, it goes to the primary.
 //
 // The answer's cost travels as its two record counts; its modelled seconds
 // are the backend scheme's model applied to them (edb.CostModel.Of), the
 // same arithmetic on the same numbers as the backend's, so they equal its
 // own bit for bit. A connection that has not yet learned its backend's
 // scheme learns it here, once (info).
-func (s *OwnerSession) QueryAt(q query.Query, minOffset uint64) (query.Answer, edb.Cost, error) {
+func (s *OwnerSession) Query(q query.Query) (query.Answer, edb.Cost, error) {
 	spec := wire.FromQuery(q)
-	resp, err := s.readRoundTrip(wire.Request{Type: wire.MsgQuery, Query: &spec, MinOffset: minOffset})
+	resp, err := s.readRoundTrip(wire.Request{Type: wire.MsgQuery, Query: &spec})
 	if err != nil {
 		return query.Answer{}, edb.Cost{}, err
 	}
@@ -1070,8 +1056,8 @@ func (s *OwnerSession) QueryAt(q query.Query, minOffset uint64) (query.Answer, e
 }
 
 // readRoundTrip routes one side-effect-free read: replica first when one
-// is configured, primary on any replica failure (staleness, transport,
-// refusal, a response of the wrong shape). Replica trouble is never the
+// is configured, primary on any replica failure (transport, refusal, a
+// response of the wrong shape). Replica trouble is never the
 // caller's problem — the fallback is the contract.
 func (s *OwnerSession) readRoundTrip(req wire.Request) (wire.Response, error) {
 	if s.conn.replica != nil {
@@ -1082,9 +1068,6 @@ func (s *OwnerSession) readRoundTrip(req wire.Request) (wire.Response, error) {
 		if err == nil {
 			s.conn.replicaServed.Add(1)
 			return resp, nil
-		}
-		if errors.Is(err, wire.ErrStale) {
-			s.conn.replicaBehind.Add(1)
 		}
 		s.conn.replicaFallbacks.Add(1)
 	}

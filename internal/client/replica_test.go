@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dpsync/internal/edb"
 	"dpsync/internal/gateway"
 	"dpsync/internal/query"
 	"dpsync/internal/record"
@@ -203,10 +204,10 @@ func want(t *testing.T, what string, ch <-chan readResult, scalar float64, bound
 	}
 }
 
-func wantReplicaStats(t *testing.T, conn *GatewayConn, served, stale, fallbacks int64) {
+func wantReplicaStats(t *testing.T, conn *GatewayConn, served, fallbacks int64) {
 	t.Helper()
-	if s, b, f := conn.ReplicaStats(); s != served || b != stale || f != fallbacks {
-		t.Fatalf("replica stats = served %d stale %d fallbacks %d, want %d %d %d", s, b, f, served, stale, fallbacks)
+	if s, b, f := conn.ReplicaStats(); s != served || b != 0 || f != fallbacks {
+		t.Fatalf("replica stats = served %d stale %d fallbacks %d, want %d 0 %d", s, b, f, served, fallbacks)
 	}
 }
 
@@ -236,7 +237,7 @@ func TestReplicaReadsArePipelined(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		want(t, "a pipelined replica read", results[i], 100+float64(i), within)
 	}
-	wantReplicaStats(t, conn, n, 0, 0)
+	wantReplicaStats(t, conn, n, 0)
 	if a := rep.accepts.Load(); a != 1 {
 		t.Fatalf("%d replica connections for %d concurrent readers, want the one link", a, n)
 	}
@@ -318,7 +319,7 @@ func TestReplicaLinkDeathFallsBackOnce(t *testing.T) {
 	for i := 1; i <= k; i++ {
 		want(t, "a read in flight on the killed link", results[i], float64(i), within)
 	}
-	wantReplicaStats(t, conn, 0, 0, k)
+	wantReplicaStats(t, conn, 0, k)
 
 	again := readers(own, 1)
 	second := rep.accepted(t)
@@ -331,7 +332,7 @@ func TestReplicaLinkDeathFallsBackOnce(t *testing.T) {
 	}
 	second.answer(t, req.ID, scalar(42))
 	want(t, "the read after the redial", again[1], 42, within)
-	wantReplicaStats(t, conn, 1, 0, k)
+	wantReplicaStats(t, conn, 1, k)
 	if f1, f2 := first.frames.Load(), second.frames.Load(); f1 != k || f2 != 1 {
 		t.Fatalf("the replica read %d frames on the killed connection and %d on the next, want %d and 1", f1, f2, k)
 	}
@@ -369,7 +370,7 @@ func TestSilentReplicaFallsBack(t *testing.T) {
 	for i := 1; i <= k; i++ {
 		want(t, "a read behind a silent replica", results[i], float64(i), time.Until(start.Add(helloTimeout+3*time.Second)))
 	}
-	wantReplicaStats(t, conn, 0, 0, k)
+	wantReplicaStats(t, conn, 0, k)
 	if a := silent.accepts.Load(); a != 1 {
 		t.Fatalf("%d replica connections for %d concurrent readers, want them to share one", a, k)
 	}
@@ -441,7 +442,7 @@ func TestHelloSilentReplicaFallsBackOnce(t *testing.T) {
 	for i := 1; i <= k; i++ {
 		want(t, "a read behind a replica that never acks the hello", results[i], float64(i), time.Until(start.Add(helloTimeout+3*time.Second)))
 	}
-	wantReplicaStats(t, conn, 0, 0, k)
+	wantReplicaStats(t, conn, 0, k)
 	if a := accepts.Load(); a != 1 {
 		t.Fatalf("%d replica dials for %d concurrent readers, want them to share one", a, k)
 	}
@@ -536,11 +537,12 @@ func deadlineKilled(t *testing.T, conn *GatewayConn, rep *scriptedReplica, start
 	}
 }
 
-// TestReplicaRefusalsReachTheCaller runs the two refusals only a read-only
-// connection draws through the client's replica link against a real
-// replica-role gateway: the error is the code's sentinel under errors.Is, a
-// *wire.Refusal with the replica's cursor under errors.As, and readRoundTrip
-// counts the stale one on its way to the primary.
+// TestReplicaRefusalsReachTheCaller runs two refusals a replica answers —
+// not-setup for an owner it has not applied, not-primary for a write on its
+// read-only connection — through the client's replica link against a real
+// replica-role gateway: the error is the code's sentinel under errors.Is and
+// a *wire.Refusal under errors.As, and readRoundTrip counts the query's
+// refusal as a fallback on its way to the primary.
 func TestReplicaRefusalsReachTheCaller(t *testing.T) {
 	gw, key := startGateway(t, gateway.Config{})
 	rep, err := gateway.NewReplica("127.0.0.1:0", gateway.Config{Key: key, StoreDir: t.TempDir()})
@@ -565,7 +567,7 @@ func TestReplicaRefusalsReachTheCaller(t *testing.T) {
 		is   error
 		want wire.Refusal
 	}{
-		{wire.Request{Type: wire.MsgQuery, Query: &spec, MinOffset: 7}, wire.ErrStale, wire.Refusal{Code: wire.CodeStale}},
+		{wire.Request{Type: wire.MsgQuery, Query: &spec}, edb.ErrNotSetup, wire.Refusal{Code: wire.CodeNotSetup}},
 		{wire.Request{Type: wire.MsgResume}, wire.ErrNotPrimary, wire.Refusal{Code: wire.CodeNotPrimary}},
 	} {
 		_, _, err := conn.replica.roundTrip("owner-x", tc.req)
@@ -574,12 +576,12 @@ func TestReplicaRefusalsReachTheCaller(t *testing.T) {
 			t.Errorf("%s on the replica link: %v (%+v), want %v as %+v", tc.req.Type, err, ref, tc.is, tc.want)
 		}
 	}
-	// Through the public surface the stale refusal is the replica's problem:
+	// Through the public surface the replica's refusal is its own problem:
 	// counted, and answered by the primary.
-	if _, _, err := own.QueryAt(query.Q1(), 7); err != nil {
-		t.Fatalf("QueryAt past the replica's cursor: %v", err)
+	if _, _, err := own.Query(query.Q1()); err != nil {
+		t.Fatalf("Query of an owner the replica has not applied: %v", err)
 	}
-	wantReplicaStats(t, conn, 0, 1, 1)
+	wantReplicaStats(t, conn, 0, 1)
 	// A refusal is an answer, not a failure of the link: all three rode one
 	// transport.
 	conn.replica.mu.Lock()

@@ -104,6 +104,6 @@ func TestQueryRefusesAnAnswerOfTheWrongShape(t *testing.T) {
 		if (q.Kind == query.GroupCount) != (len(ans.Groups) == record.NumLocations) {
 			t.Errorf("%v behind a replica of the wrong shapes: %d groups", q.Kind, len(ans.Groups))
 		}
-		wantReplicaStats(t, rconn, 0, 0, int64(i+1))
+		wantReplicaStats(t, rconn, 0, int64(i+1))
 	}
 }

@@ -186,8 +186,6 @@ type ReadPlaneStats struct {
 	// Queries counts read requests (queries + stats) dispatched, refusals
 	// included.
 	Queries int64
-	// Stale counts freshness refusals, wire.CodeStale (applied offset < MinOffset).
-	Stale int64
 	// CacheHits/CacheMisses are the gateway's noise-reuse answer cache
 	// counters (zero without Telemetry; they keep counting after a promotion).
 	CacheHits   int64
@@ -441,8 +439,7 @@ func (n *Node) Stats() NodeStats {
 	if fol != nil {
 		st.Follower = fol.Stats()
 		qc := gw.QueryCacheStats()
-		st.ReadPlane = ReadPlaneStats{CacheHits: qc.Hits, CacheMisses: qc.Misses}
-		st.ReadPlane.Queries, st.ReadPlane.Stale = gw.ReplicaStats()
+		st.ReadPlane = ReadPlaneStats{Queries: gw.ReplicaStats(), CacheHits: qc.Hits, CacheMisses: qc.Misses}
 	}
 	if hub != nil {
 		st.Hub = hub.Stats()
@@ -488,8 +485,8 @@ func (n *Node) StatusText() string {
 				st.Promotion.Round(time.Microsecond), st.Follower.Applied, st.Follower.Snapshots)
 		}
 		rp := st.ReadPlane
-		fmt.Fprintf(&b, "read plane: queries=%d stale=%d cache_hits=%d cache_misses=%d\n",
-			rp.Queries, rp.Stale, rp.CacheHits, rp.CacheMisses)
+		fmt.Fprintf(&b, "read plane: queries=%d cache_hits=%d cache_misses=%d\n",
+			rp.Queries, rp.CacheHits, rp.CacheMisses)
 	}
 	return b.String()
 }

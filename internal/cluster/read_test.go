@@ -84,8 +84,8 @@ func (c *gatedConn) Read(p []byte) (int, error) {
 }
 
 // dialReadPlane opens a raw read-only connection to a node: the "DPSQ"
-// hello, codec negotiated. The raw wire view is what lets the test assert
-// the typed staleness refusal itself, beneath the client's fallback.
+// hello, codec negotiated. The raw wire view is what lets the test assert a
+// typed refusal itself, beneath the client's fallback.
 func dialReadPlane(t *testing.T, addr string) (net.Conn, wire.Codec) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -131,12 +131,11 @@ func rawRoundTrip(t *testing.T, conn net.Conn, codec wire.Codec, id uint64, owne
 //   - every answer the follower serves is computed from committed replicated
 //     state only, bit-identical to the primary's answer and to a
 //     single-owner reference EDB fed the same batches;
-//   - a freshness demand the replica's cursor cannot meet gets the typed
-//     wire.ErrStale carrying that cursor — never a silently stale answer —
-//     and the client falls back to the trivially-fresh primary;
+//   - a write on a read-only connection is refused as not-primary, on the
+//     follower and on the primary alike;
 //   - across a replication partition the frozen replica keeps serving its
-//     committed prefix byte-for-byte, refuses fresher bounds, and converges
-//     to the primary once the partition heals.
+//     committed prefix byte-for-byte, and converges to the primary once the
+//     partition heals — every one of those reads follower-served.
 func TestReadPlaneDifferential(t *testing.T) {
 	key, err := seal.NewRandomKey()
 	if err != nil {
@@ -229,37 +228,19 @@ func TestReadPlaneDifferential(t *testing.T) {
 		}
 		replicaAt[q.Kind] = got
 	}
-	served, stale, fallbacks := rconn.ReplicaStats()
-	if served != int64(len(kinds)) || stale != 0 || fallbacks != 0 {
-		t.Fatalf("replica stats = served %d stale %d fallbacks %d; every query must have been follower-served", served, stale, fallbacks)
+	// followerServed fails the test unless every read so far was the
+	// follower's: want of them, none fallen back to the primary.
+	followerServed := func(want int) {
+		t.Helper()
+		if served, _, fallbacks := rconn.ReplicaStats(); served != int64(want) || fallbacks != 0 {
+			t.Fatalf("replica stats = served %d fallbacks %d; all %d queries must have been follower-served", served, fallbacks, want)
+		}
 	}
+	followerServed(len(kinds))
 
-	// Freshness bounds. A demand the cursor meets is served; a demand beyond
-	// it is refused as stale, carrying the cursor, on the raw wire — never
-	// an answer computed from less history than asked.
-	if _, _, err := rOwn.QueryAt(query.Q1(), cursor); err != nil {
-		t.Fatalf("QueryAt(cursor) must be served: %v", err)
-	}
-	raw, codec := dialReadPlane(t, b.Addr())
-	resp := rawRoundTrip(t, raw, codec, 1, owner, wire.Request{
-		Type: wire.MsgQuery, Query: specPtr(query.Q1()), MinOffset: cursor + 5,
-	})
-	if resp.OK || resp.Refusal.Code != wire.CodeStale {
-		t.Fatalf("fresher-than-cursor demand answered: %+v", resp)
-	}
-	if resp.Refusal.Cursor != cursor {
-		t.Fatalf("stale refusal carries %+v, want cursor %d", resp.Refusal, cursor)
-	}
-	// The same demand through the client falls back to the primary, which is
-	// trivially fresh — the caller still gets a correct answer.
-	if _, _, err := rOwn.QueryAt(query.Q1(), cursor+5); err != nil {
-		t.Fatalf("client freshness fallback: %v", err)
-	}
-	if _, stale2, fb2 := rconn.ReplicaStats(); stale2 != 1 || fb2 != 1 {
-		t.Fatalf("after freshness fallback: stale %d fallbacks %d, want 1/1", stale2, fb2)
-	}
 	// Writes on a read-only connection are refused as not-primary, on the
 	// follower and on the primary alike.
+	raw, codec := dialReadPlane(t, b.Addr())
 	wresp := rawRoundTrip(t, raw, codec, 2, owner, wire.Request{Type: wire.MsgResume})
 	if wresp.OK || wresp.Refusal.Code != wire.CodeNotPrimary {
 		t.Fatalf("resume on read plane = %+v, want the not-primary refusal", wresp)
@@ -272,8 +253,7 @@ func TestReadPlaneDifferential(t *testing.T) {
 
 	// Partition: freeze replication, advance the primary. The frozen replica
 	// keeps serving its committed prefix — byte-identical to what it served
-	// before the partition — and keeps refusing fresher bounds with its
-	// unchanged cursor. It must never leak the primary's newer state.
+	// before the partition. It must never leak the primary's newer state.
 	gate.pause()
 	const extra = 3
 	for i := updates + 1; i <= updates+extra; i++ {
@@ -298,35 +278,23 @@ func TestReadPlaneDifferential(t *testing.T) {
 	if fresh == replicaAt[query.RangeCount] {
 		t.Fatal("primary's advanced Q1 equals the frozen replica's — the partition test is vacuous")
 	}
-	sresp := rawRoundTrip(t, raw, codec, 4, owner, wire.Request{
-		Type: wire.MsgQuery, Query: specPtr(query.Q1()), MinOffset: cursor + extra,
-	})
-	if sresp.OK || *sresp.Refusal != (wire.Refusal{Code: wire.CodeStale, Cursor: cursor}) {
-		t.Fatalf("partitioned stale refusal = %+v, want cursor %d", sresp, cursor)
-	}
-	// Through the client, the same bound lands on the primary and observes
-	// the advanced state.
-	fAns, fCost, err := rOwn.QueryAt(query.Q1(), cursor+extra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := readFingerprint(fAns, fCost); got != fresh {
-		t.Fatalf("freshness fallback answer:\n got: %s\nwant: %s", got, fresh)
-	}
+	followerServed(2 * len(kinds))
 
-	// Heal. The replica catches up and converges: the same query, now served
-	// by the follower at the advanced cursor, matches the primary's bytes.
+	// Heal. The replica catches up and converges: the same query, served by
+	// the follower once it has applied the advanced cursor, matches the
+	// primary's bytes.
 	gate.resume()
 	waitFor(t, 10*time.Second, "the healed replica to catch up", func() bool { return b.Stats().Follower.Applied >= cursor+extra })
-	cAns, cCost, err := rOwn.QueryAt(query.Q1(), cursor+extra)
+	cAns, cCost, err := rOwn.Query(query.Q1())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := readFingerprint(cAns, cCost); got != fresh {
 		t.Fatalf("healed replica diverged from primary:\n got: %s\nwant: %s", got, fresh)
 	}
-	if rp := b.Stats().ReadPlane; rp.Queries == 0 || rp.Stale == 0 {
-		t.Fatalf("read-plane counters unmoved: %+v", rp)
+	followerServed(2*len(kinds) + 1)
+	if rp := b.Stats().ReadPlane; rp.Queries != int64(2*len(kinds)+1) {
+		t.Fatalf("read-plane counters = %+v, want %d queries", rp, 2*len(kinds)+1)
 	}
 }
 
@@ -378,7 +346,7 @@ func TestReadPlaneServesSpilledHistory(t *testing.T) {
 	defer pconn.Close()
 	kinds := []query.Query{query.Q1(), query.Q2(), query.Q3(), query.Q4()}
 	for _, q := range kinds {
-		rAns, rCost, err := own.QueryAt(q, syncs)
+		rAns, rCost, err := own.Query(q)
 		if err != nil {
 			t.Fatalf("%v via replica: %v", q.Kind, err)
 		}
@@ -390,14 +358,8 @@ func TestReadPlaneServesSpilledHistory(t *testing.T) {
 			t.Fatalf("%v: replica diverged from primary:\n got: %s\nwant: %s", q.Kind, got, want)
 		}
 	}
-	served, stale, fallbacks := conn.ReplicaStats()
-	if served != int64(len(kinds)) || stale != 0 || fallbacks != 0 {
-		t.Fatalf("replica stats = served %d stale %d fallbacks %d; every read over spilled history must be follower-served",
-			served, stale, fallbacks)
+	if served, _, fallbacks := conn.ReplicaStats(); served != int64(len(kinds)) || fallbacks != 0 {
+		t.Fatalf("replica stats = served %d fallbacks %d; every read over spilled history must be follower-served",
+			served, fallbacks)
 	}
-}
-
-func specPtr(q query.Query) *wire.QuerySpec {
-	spec := wire.FromQuery(q)
-	return &spec
 }

@@ -250,10 +250,9 @@ type Replicator interface {
 // of by writers: its shard workers advance their tenants one shipped entry at
 // a time (Replicate), the same connection loop serves it but only read-only
 // connections ("DPSQ"; other hellos are refused so the dialer moves on to the
-// primary), and a read whose freshness bound the shard's applied stream
-// offset has not reached is refused (wire.CodeStale) with that offset —
-// checked on the worker that applies the stream, so a read sees whole batches
-// and is as fresh as its check said by goroutine ownership, not by a lock.
+// primary), and a read is answered from the prefix the shard has applied —
+// on the worker that applies the stream, so a read sees whole batches and
+// never goes back in time by goroutine ownership, not by a lock.
 type Gateway struct {
 	cfg     Config
 	replica atomic.Bool // the role; cleared once, by Promote
@@ -406,6 +405,9 @@ func newGateway(addr string, cfg Config, replica bool) (*Gateway, error) {
 			gauge("gateway_active_conns", "open client connections", float64(g.liveConns.Load()))
 			gauge("gateway_repl_conns", "open replication connections", float64(g.liveRepl.Load()))
 			for code := wire.RefusalCode(1); code <= wire.MaxRefusalCode; code++ {
+				if !code.Known() {
+					continue
+				}
 				counter(fmt.Sprintf("gateway_refusals_total{code=%q}", code.String()),
 					"requests refused, by refusal code", g.refusals[code].Load())
 			}
@@ -916,12 +918,9 @@ func (g *Gateway) DurableStatusText() string {
 	return b.String()
 }
 
-// ReplicaStats reports what the gateway did in replica role: read requests
-// dispatched (refusals included) and reads refused as stale. The counters
-// stop at Promote.
-func (g *Gateway) ReplicaStats() (reads, stale int64) {
-	return g.replicaReads.Load(), g.refusals[wire.CodeStale].Load()
-}
+// ReplicaStats reports the read requests the gateway dispatched in replica
+// role, refusals included. The count stops at Promote.
+func (g *Gateway) ReplicaStats() int64 { return g.replicaReads.Load() }
 
 // Live reports currently open client and replication connections.
 func (g *Gateway) Live() (conns, repl int64) {
@@ -1091,8 +1090,7 @@ type clientConn struct {
 	g *Gateway
 	// readOnly marks a connection opened with the read-only hello ("DPSQ"),
 	// the only kind a replica accepts. It is served from the same path as a
-	// full client — on a primary it is trivially fresh, so MinOffset never
-	// refuses there — but its write half is disabled: syncs and resumes are
+	// full client, but its write half is disabled: syncs and resumes are
 	// refused (wire.CodeNotPrimary) so a misrouted writer fails loudly instead
 	// of mutating state over a connection negotiated as read-only.
 	readOnly bool

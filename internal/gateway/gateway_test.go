@@ -532,11 +532,11 @@ func TestGatewayRejectsBadHello(t *testing.T) {
 
 // TestGatewayAcksUnknownCodecWithBinary pins the hello contract: whatever
 // codec byte a valid hello proposes — an unassigned one, or a retired
-// codec's — the ack names the one codec this build speaks, 8: a peer still
-// on codec 7 learns at the hello that its frames would not parse.
+// codec's — the ack names the one codec this build speaks, 9: a peer still
+// on codec 8 learns at the hello that its frames would not parse.
 func TestGatewayAcksUnknownCodecWithBinary(t *testing.T) {
 	gw, _ := startGateway(t, gateway.Config{})
-	for _, proposed := range []wire.Codec{99, 7, 6, 5, 4, 2, 1} { // 7 to 1: the retired codecs
+	for _, proposed := range []wire.Codec{99, 8, 7, 6, 5, 4, 2, 1} { // 8 to 1: the retired codecs
 		conn, err := net.Dial("tcp", gw.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -549,8 +549,8 @@ func TestGatewayAcksUnknownCodecWithBinary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != wire.CodecBinary || byte(got) != 8 {
-			t.Errorf("proposed %d: ack = %d, want 8", byte(proposed), byte(got))
+		if got != wire.CodecBinary || byte(got) != 9 {
+			t.Errorf("proposed %d: ack = %d, want 9", byte(proposed), byte(got))
 		}
 	}
 }

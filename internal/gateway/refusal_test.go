@@ -66,9 +66,9 @@ func framedLen(n int) int64 {
 	return int64(len(binary.AppendUvarint(nil, uint64(n))) + n)
 }
 
-func queryReq(q query.Query, minOffset uint64) wire.Request {
+func queryReq(q query.Query) wire.Request {
 	spec := wire.FromQuery(q)
-	return wire.Request{Type: wire.MsgQuery, Query: &spec, MinOffset: minOffset}
+	return wire.Request{Type: wire.MsgQuery, Query: &spec}
 }
 
 // emptyRange is a query every backend fails: its text is what CodeFailed
@@ -240,7 +240,6 @@ func TestRefusalsAreTyped(t *testing.T) {
 		{wire.CodeBackpressure, wire.ErrBackpressure, 0, 6, gw, "owner-hog", func() (int64, error) {
 			return hold.shed(t, conn, "owner-hog")
 		}},
-		{wire.CodeStale, wire.ErrStale, 1, 6, rep, "owner-r", raw(ro, "owner-r", queryReq(query.Q1(), 9))},
 		{wire.CodeNotPrimary, wire.ErrNotPrimary, 0, 6, rep, "owner-r", raw(ro, "owner-r", wire.Request{Type: wire.MsgResume})},
 		{wire.CodeNotSetup, edb.ErrNotSetup, 0, 6, gw, "owner-nobody", through(func() error {
 			_, _, err := conn.Owner("owner-nobody").Query(query.Q1())
@@ -319,18 +318,25 @@ func TestRefusalsAreTyped(t *testing.T) {
 			}
 		})
 	}
-	if len(refusalCounts(reg)) != int(wire.MaxRefusalCode) {
-		t.Errorf("gateway_refusals_total has %d code series, want one per code (%d)", len(refusalCounts(reg)), wire.MaxRefusalCode)
+	// Eight codes, eight series: code 2, codec 8's stale refusal, is retired
+	// and has none.
+	if counts := refusalCounts(reg); len(counts) != 8 {
+		t.Errorf("gateway_refusals_total has %d code series, want one per code (8): %v", len(counts), counts)
+	}
+	for _, r := range []*telemetry.Registry{reg, rreg} {
+		if _, ok := refusalCounts(r)["stale"]; ok {
+			t.Error(`gateway_refusals_total{code="stale"} is still emitted`)
+		}
 	}
 }
 
 // provokePlainRefusals draws, over raw connections, one refusal of each code
 // a node answers without being configured for it: on a read-write connection
 // (nil on a replica, which accepts none) not-setup, seq-gap, bad-request and
-// failed; on a read-only one not-primary, not-setup, bad-request, failed and —
-// from a replica — stale. owner is an established namespace. It returns the
+// failed; on a read-only one not-primary, not-setup, bad-request and failed.
+// owner is an established namespace. It returns the
 // Detail texts that went out, which no admin surface may repeat.
-func provokePlainRefusals(t *testing.T, rw, ro net.Conn, owner string, replica bool) (details []string) {
+func provokePlainRefusals(t *testing.T, rw, ro net.Conn, owner string) (details []string) {
 	t.Helper()
 	expect := func(c net.Conn, owner string, req wire.Request, code wire.RefusalCode) {
 		t.Helper()
@@ -343,21 +349,18 @@ func provokePlainRefusals(t *testing.T, rw, ro net.Conn, owner string, replica b
 		}
 	}
 	if rw != nil {
-		expect(rw, "owner-nobody", queryReq(query.Q1(), 0), wire.CodeNotSetup)
+		expect(rw, "owner-nobody", queryReq(query.Q1()), wire.CodeNotSetup)
 		expect(rw, owner, wire.Request{Type: wire.MsgUpdate, Seq: 99}, wire.CodeSeqGap)
 		expect(rw, owner, wire.Request{Type: wire.MsgUpdate}, wire.CodeBadRequest)
-		expect(rw, owner, queryReq(emptyRange, 0), wire.CodeFailed)
+		expect(rw, owner, queryReq(emptyRange), wire.CodeFailed)
 	}
 	expect(ro, owner, wire.Request{Type: wire.MsgResume}, wire.CodeNotPrimary)
-	expect(ro, "owner-nobody", queryReq(query.Q1(), 0), wire.CodeNotSetup)
+	expect(ro, "owner-nobody", queryReq(query.Q1()), wire.CodeNotSetup)
 	if resp := askAs(t, ro, wire.GatewayRequest{ID: 1, Handle: wire.MaxBindings, Req: wire.Request{Type: wire.MsgStats}}); resp.OK || resp.Refusal.Code != wire.CodeBadRequest {
 		t.Fatalf("stats by an unbound handle: %+v, want the bad-request refusal", resp)
 	} else {
 		details = append(details, resp.Refusal.Detail)
 	}
-	expect(ro, owner, queryReq(emptyRange, 0), wire.CodeFailed)
-	if replica {
-		expect(ro, owner, queryReq(query.Q1(), 1<<40), wire.CodeStale)
-	}
+	expect(ro, owner, queryReq(emptyRange), wire.CodeFailed)
 	return details
 }

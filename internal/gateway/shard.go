@@ -78,8 +78,7 @@ type shard struct {
 
 	// applied is the replication stream offset this shard has applied: the
 	// sum of its owners' clocks at recovery, then whatever Replicate's live
-	// entries and transfer ends make it. Replica role only; a replica read's
-	// freshness bound is checked against it on this worker.
+	// entries and transfer ends make it. Replica role only.
 	applied uint64
 
 	// pendingAtomic mirrors len(wal), committedAtomic counts committed
@@ -346,15 +345,10 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, t *task, deq int64) {
 	owner, req, reply := t.owner, t.req, t.reply
 	tc := reply.tc
 	if g.replica.Load() {
-		// Only reads reach a replica's shards (its connections are read-only).
-		// The freshness bound is checked here, on the worker that applies the
-		// stream, whether or not the owner exists: nothing can land between
-		// this check and the answer below.
+		// Only reads reach a replica's shards (its connections are read-only),
+		// and they run on the worker that applies the stream: a read sees
+		// whole batches, and never an older prefix than the one before it.
 		g.replicaReads.Add(1)
-		if req.MinOffset > sh.applied {
-			reply.send(wire.Refuse(wire.CodeStale, sh.applied, ""))
-			return
-		}
 	}
 	if tn == nil {
 		reply.send(g.dispatchUnknown(owner, req))

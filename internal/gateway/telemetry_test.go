@@ -86,7 +86,7 @@ func TestTelemetryAggregateOnlyByDefault(t *testing.T) {
 	})
 	owners := []string{"owner-alpha", "owner-bravo", "owner-charlie"}
 	driveTelemetryOwners(t, gw.Addr(), key, owners)
-	details := provokePlainRefusals(t, rawGatewayConn(t, gw.Addr()), rawReadConn(t, gw.Addr()), owners[0], false)
+	details := provokePlainRefusals(t, rawGatewayConn(t, gw.Addr()), rawReadConn(t, gw.Addr()), owners[0])
 	if m, _ := gw.StoreMetrics(); m.Snapshots == 0 || m.SnapshotBytes == 0 {
 		t.Fatalf("no rotation happened (%+v): the rotation instruments are not exercised", m)
 	}
@@ -111,7 +111,7 @@ func TestTelemetryAggregateOnlyByDefault(t *testing.T) {
 	assertNoTenantIdentity(t, owners, prom, varz, tz.String(), tj.String(), statusz)
 	assertRefusalsByCodeOnly(t, prom, details, map[string]int{
 		"not-setup": 2, "seq-gap": 1, "bad-request": 2, "failed": 2, "not-primary": 1,
-		"backpressure": 0, "stale": 0, "suspended": 0, "closing": 0,
+		"backpressure": 0, "suspended": 0, "closing": 0,
 	}, varz, tz.String(), tj.String(), statusz)
 
 	// The aggregate view must still be there: totals and the fleet-wide ε
@@ -257,7 +257,7 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 	}
 	ro := rawReadConn(t, follower.Addr())
 	defer ro.Close() // before the deferred node Close, which would wait out its drain deadline for it
-	details := provokePlainRefusals(t, nil, ro, owners[0], true)
+	details := provokePlainRefusals(t, nil, ro, owners[0])
 
 	prom, varz := scrapeAll(t, regs[1])
 	var tz, tj bytes.Buffer
@@ -272,7 +272,7 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 	// read's stage instruments and sampled spans, the per-shard durable lines.
 	for _, series := range []string{
 		"gateway_sync_queue_wait_us", "gateway_sync_ack_us", "gateway_qcache_serve_us", "gateway_qcache_hits_total",
-		"gateway_committed_entries_total", "cluster_repl_applied_total 6", "cluster_read_queries_total 9",
+		"gateway_committed_entries_total", "cluster_repl_applied_total 6", "cluster_read_queries_total 8",
 		"cluster_read_qcache_hits_total 3", "store_snapshots_total",
 	} {
 		if !strings.Contains(prom, series) {
@@ -282,14 +282,14 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 	if !strings.Contains(tz.String(), "client-admit") || !strings.Contains(tz.String(), "queue-wait") {
 		t.Errorf("follower /tracez has no sampled read spans:\n%s", tz.String())
 	}
-	for _, field := range []string{"role: follower", "store: healthy", "shard 0: committed=", " applied=", "replica: applied=6", "read plane: queries=9 stale=1 "} {
+	for _, field := range []string{"role: follower", "store: healthy", "shard 0: committed=", " applied=", "replica: applied=6", "read plane: queries=8 "} {
 		if !strings.Contains(statusz, field) {
 			t.Errorf("follower /statusz is missing %q:\n%s", field, statusz)
 		}
 	}
 	assertNoTenantIdentity(t, owners, prom, varz, tz.String(), tj.String(), statusz)
 	assertRefusalsByCodeOnly(t, prom, details, map[string]int{
-		"stale": 1, "not-primary": 1, "not-setup": 1, "bad-request": 1, "failed": 1,
+		"not-primary": 1, "not-setup": 1, "bad-request": 1, "failed": 1,
 		"backpressure": 0, "seq-gap": 0, "suspended": 0, "closing": 0,
 	}, varz, tz.String(), tj.String(), statusz)
 }
@@ -318,10 +318,10 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 // one real among V − 1 dummies — get the same bytes, answerLen's: a length is
 // a function of (kind, V), and V is all it tells. (3) A refusal's length is
 // its code's: not-setup, seq-gap, backpressure and
-// suspended on this gateway and stale on a replica are the same six bytes
-// for an owner with one small sync behind it and one with four larger ones
-// (the cursors — a clock, a shard's offset — are numbers the server holds,
-// kept inside one varint bracket here); only bad-request and failed carry a
+// suspended on this gateway and not-primary on a replica are the same six
+// bytes for an owner with one small sync behind it and one with four larger
+// ones (the one cursor, a clock, is a number the server holds, kept inside
+// one varint bracket here); only bad-request and failed carry a
 // text, and the text is the request's fault restated — the same bytes for
 // both owners, naming no record.
 func TestFrameLengthsLeakNothingNew(t *testing.T) {
@@ -530,21 +530,21 @@ func TestFrameLengthsLeakNothingNew(t *testing.T) {
 		text         bool
 	}{
 		{code: wire.CodeNotSetup,
-			small: draw(rw, "owner-q2-a-7-never", queryReq(query.Q1(), 0), wire.CodeNotSetup),
+			small: draw(rw, "owner-q2-a-7-never", queryReq(query.Q1()), wire.CodeNotSetup),
 			large: draw(rw, "owner-records-never", wire.Request{Type: wire.MsgUpdate, Seq: 6, Sealed: [][]byte{make([]byte, seal.SealedSize)}}, wire.CodeNotSetup)},
 		{code: wire.CodeSeqGap,
 			small: draw(rw, "owner-q2-a-7", wire.Request{Type: wire.MsgUpdate, Seq: 100}, wire.CodeSeqGap),
 			large: draw(rw, "owner-records", wire.Request{Type: wire.MsgUpdate, Seq: 100}, wire.CodeSeqGap)},
-		{code: wire.CodeStale,
-			small: draw(ro, "owner-small", queryReq(query.Q1(), 100), wire.CodeStale),
-			large: draw(ro, "owner-large", queryReq(query.Q2(), 1<<40), wire.CodeStale)},
+		{code: wire.CodeNotPrimary,
+			small: draw(ro, "owner-small", wire.Request{Type: wire.MsgResume}, wire.CodeNotPrimary),
+			large: draw(ro, "owner-large", wire.Request{Type: wire.MsgResume}, wire.CodeNotPrimary)},
 		{code: wire.CodeBackpressure, small: shed("owner-q2-a-7"), large: shed("owner-records")},
 		{code: wire.CodeBadRequest, text: true,
 			small: draw(rw, "owner-q2-a-7", wire.Request{Type: wire.MsgUpdate}, wire.CodeBadRequest),
 			large: draw(rw, "owner-records", wire.Request{Type: wire.MsgUpdate}, wire.CodeBadRequest)},
 		{code: wire.CodeFailed, text: true,
-			small: draw(rw, "owner-q2-a-7", queryReq(emptyRange, 0), wire.CodeFailed),
-			large: draw(rw, "owner-records", queryReq(emptyRange, 0), wire.CodeFailed)},
+			small: draw(rw, "owner-q2-a-7", queryReq(emptyRange), wire.CodeFailed),
+			large: draw(rw, "owner-records", queryReq(emptyRange), wire.CodeFailed)},
 		{code: wire.CodeSuspended, small: suspend("owner-q2-a-7"), large: suspend("owner-records")},
 	} {
 		if row.small != row.large {
@@ -569,7 +569,7 @@ func TestFrameLengthsLeakNothingNew(t *testing.T) {
 		}
 		for _, q := range kinds {
 			for try := 0; try < 2; try++ {
-				resp := ask(t, ro, "owner-replica", queryReq(q, 0))
+				resp := ask(t, ro, "owner-replica", queryReq(q))
 				if !resp.OK {
 					t.Fatalf("%v on the replica: %+v", q.Kind, resp.Refusal)
 				}

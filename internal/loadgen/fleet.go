@@ -13,6 +13,7 @@ import (
 	"dpsync/internal/dp"
 	"dpsync/internal/edb"
 	"dpsync/internal/faultnet"
+	"dpsync/internal/leakage"
 	"dpsync/internal/metrics"
 	"dpsync/internal/query"
 	"dpsync/internal/record"
@@ -28,6 +29,26 @@ var queryKinds = []query.Query{query.Q1(), query.Q2(), query.Q3(), query.Q4()}
 // ownerName is the canonical namespace ID for owner i.
 func ownerName(i int) string { return fmt.Sprintf("owner-%06d", i) }
 
+// The owner mix's parameters, read by the strategies the owners run and by
+// the mechanisms that check what a server saw of them (ownerMechanism).
+const (
+	mixEpsilon    = 0.5
+	timerPeriod   = 10
+	antThreshold  = 5
+	flushInterval = 60
+	flushSize     = 4
+)
+
+// ownerSource is a fresh noise source at owner i's seed: its strategy draws
+// from one, its mechanism from another.
+func ownerSource(i int, seed uint64) dp.Source {
+	s := seed + uint64(i)*2654435761
+	if i%3 == 2 {
+		s++
+	}
+	return dp.NewSeededSource(s)
+}
+
 // ownerStrategy builds owner i's strategy: the mix cycles the paper's
 // always-on baseline and the two DP strategies, seeded per owner.
 func ownerStrategy(i int, seed uint64) (strategy.Strategy, error) {
@@ -36,16 +57,46 @@ func ownerStrategy(i int, seed uint64) (strategy.Strategy, error) {
 		return strategy.NewSUR(), nil
 	case 1:
 		return strategy.NewTimer(strategy.TimerConfig{
-			Epsilon: 0.5, Period: 10, FlushInterval: 60, FlushSize: 4,
-			Source: dp.NewSeededSource(seed + uint64(i)*2654435761),
+			Epsilon: mixEpsilon, Period: timerPeriod, FlushInterval: flushInterval, FlushSize: flushSize,
+			Source: ownerSource(i, seed),
 		})
 	default:
 		return strategy.NewANT(strategy.ANTConfig{
-			Epsilon: 0.5, Threshold: 5, FlushInterval: 60, FlushSize: 4,
-			Source: dp.NewSeededSource(seed + uint64(i)*2654435761 + 1),
+			Epsilon: mixEpsilon, Threshold: antThreshold, FlushInterval: flushInterval, FlushSize: flushSize,
+			Source: ownerSource(i, seed),
 		})
 	}
 }
+
+// ownerMechanism is the update pattern the paper's mechanism for owner i's
+// strategy (Table 4: M_SUR, M_timer, M_ANT) computes from the owner's data
+// alone — |D0| and the arrival trace of ticks 1 to ticks — at its strategy's
+// parameters and seed. It shares no code with the strategy, so a strategy
+// that leaks more than its mechanism diverges from it even where refdb,
+// driven by the same strategy, agrees.
+func ownerMechanism(i int, seed uint64, ticks int) (*leakage.Pattern, error) {
+	d0 := len(initialRecords(i))
+	u := make(leakage.Arrivals, ticks)
+	for t := 1; t <= ticks; t++ {
+		u[t-1] = arrives(i, t)
+	}
+	switch i % 3 {
+	case 0:
+		return leakage.MSUR(d0, u), nil
+	case 1:
+		return leakage.MTimer(d0, u, mixEpsilon, timerPeriod, flushInterval, flushSize, ownerSource(i, seed))
+	default:
+		return leakage.MANT(d0, u, mixEpsilon, antThreshold, flushInterval, flushSize, ownerSource(i, seed))
+	}
+}
+
+// initialRecords is owner i's D0, uploaded by its setup at tick 0.
+func initialRecords(i int) []record.Record {
+	return []record.Record{{PickupTime: 0, PickupID: uint16(i%record.NumLocations + 1), Provider: record.YellowCab}}
+}
+
+// arrives reports whether one record arrives for owner i at tick t ≥ 1.
+func arrives(i, t int) bool { return (t+i%3)%3 == 0 }
 
 // fleet is a run's client side: the owners, the connections they share, and
 // the stopwatch of the one disruption. The reference is the same fleet with
@@ -134,9 +185,7 @@ func (o *fleetOwner) tick(t int) error {
 		if o.owner, err = core.New(core.Config{Strategy: strat, Database: o}); err != nil {
 			return err
 		}
-		return o.owner.Setup([]record.Record{{
-			PickupTime: 0, PickupID: uint16(o.i%record.NumLocations + 1), Provider: record.YellowCab,
-		}})
+		return o.owner.Setup(initialRecords(o.i))
 	}
 	if cfg.OpenLoop {
 		// A seeded Poisson process with a bursty mixture (one arrival in five
@@ -167,7 +216,7 @@ func (o *fleetOwner) tick(t int) error {
 		}
 	}
 	var arrived []record.Record
-	if (t+o.i%3)%3 == 0 {
+	if arrives(o.i, t) {
 		arrived = []record.Record{{
 			PickupTime: record.Tick(t), PickupID: uint16((o.i+t)%record.NumLocations + 1), Provider: record.YellowCab,
 		}}
@@ -358,9 +407,8 @@ func (f *fleet) measure(rep *Report, elapsed time.Duration) {
 		n, total := c.ReconnectStats()
 		rep.Reconnects += n
 		reconnectTotal += total
-		served, stale, fallbacks := c.ReplicaStats()
+		served, _, fallbacks := c.ReplicaStats()
 		rep.ReplicaServed += served
-		rep.ReplicaStale += stale
 		rep.ReplicaFallbacks += fallbacks
 	}
 	secs := elapsed.Seconds()

@@ -33,7 +33,6 @@ import (
 	"os"
 	"time"
 
-	"dpsync/internal/leakage"
 	"dpsync/internal/telemetry"
 )
 
@@ -205,14 +204,13 @@ type Report struct {
 	FaultsInjected    int64   `json:"faults_injected,omitempty"`
 	// Read path (QueryMix > 0). QcacheHitRatio is hits/(hits+misses) of the
 	// serving node's noise-reuse answer cache. The Replica* fields are the
-	// client's split: queries the replica answered, its typed freshness
-	// refusals, and fallbacks to the primary.
+	// client's split: queries the replica answered and fallbacks to the
+	// primary.
 	Queries          int64   `json:"queries,omitempty"`
 	QueryQPS         float64 `json:"query_qps,omitempty"`
 	QueryP99Ms       float64 `json:"query_p99_ms,omitempty"`
 	QcacheHitRatio   float64 `json:"qcache_hit_ratio,omitempty"`
 	ReplicaServed    int64   `json:"replica_served,omitempty"`
-	ReplicaStale     int64   `json:"replica_stale,omitempty"`
 	ReplicaFallbacks int64   `json:"replica_fallbacks,omitempty"`
 	ReplicaQueryQPS  float64 `json:"replica_query_qps,omitempty"`
 	// Kill. FailoverMs is the client-observed outage: kill → first sync
@@ -226,14 +224,13 @@ type Report struct {
 	// stream entries it applied and the snapshot transfers it needed;
 	// ReplicationLagMs the mean primary-commit → replica-apply latency;
 	// ReplicaSyncsPerSec its apply throughput up to the kill (or the end).
-	// The Plane* fields are its reads while in replica role: requests served,
-	// stale refusals and answer-cache counters.
+	// The Plane* fields are its reads while in replica role: requests served
+	// and answer-cache counters.
 	ReplicaApplied     uint64  `json:"replica_applied,omitempty"`
 	ReplicaSnapshots   uint64  `json:"replica_snapshots,omitempty"`
 	ReplicationLagMs   float64 `json:"replication_lag_ms,omitempty"`
 	ReplicaSyncsPerSec float64 `json:"replica_syncs_per_sec,omitempty"`
 	PlaneQueries       int64   `json:"replica_plane_queries,omitempty"`
-	PlaneStale         int64   `json:"replica_plane_stale,omitempty"`
 	PlaneCacheHits     int64   `json:"replica_qcache_hits,omitempty"`
 	PlaneCacheMisses   int64   `json:"replica_qcache_misses,omitempty"`
 }
@@ -245,7 +242,7 @@ func Run(cfg Config) (Report, error) {
 		return Report{}, err
 	}
 	inProcess := cfg.Addr == ""
-	var ref []leakage.Pattern
+	var ref []expectation
 	if cfg.Verify && inProcess {
 		var err error
 		if ref, err = reference(cfg); err != nil {

@@ -324,21 +324,24 @@ func honest(t *testing.T, ref leakage.Pattern, eps float64) observation {
 
 // TestCheckFailsWhenItShould doctors a correct observation of a real seeded
 // reference in every way the contract forbids; each must be refused with an
-// error naming the owner and the event, and the untouched one must pass.
+// error naming the owner and the event, and the untouched one must pass. A
+// doctoring marked shared is applied to the reference's pattern too — a
+// strategy that leaks more than its mechanism, which refdb, driven by the
+// same strategy, shares — and the mechanism alone must refuse it.
 func TestCheckFailsWhenItShould(t *testing.T) {
 	const eps = syncEpsilon
-	refs, err := reference(Config{Owners: 3, Ticks: 60, Seed: 5})
+	wants, err := reference(Config{Owners: 3, Ticks: 60, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, ref := range refs {
-		if err := check(ownerName(i), ref, honest(t, ref, eps), eps); err != nil {
+	for i, w := range wants {
+		if err := check(ownerName(i), w, honest(t, w.ref, eps), eps); err != nil {
 			t.Fatalf("untouched observation refused: %v", err)
 		}
 	}
 	// Owner 0 is SUR: one event per arrival, plenty of them. Two neighbouring
 	// events of different volume give the swap something to show.
-	ref := refs[0]
+	ref := wants[0].ref
 	n := len(ref.Events)
 	if n < 10 {
 		t.Fatalf("reference has only %d events", n)
@@ -358,35 +361,44 @@ func TestCheckFailsWhenItShould(t *testing.T) {
 	for name, tc := range map[string]struct {
 		doctor func(o *observation)
 		event  int
+		shared bool
 	}{
-		"one volume off by one": {func(o *observation) { o.pattern.Events[7].Volume++ }, 7},
+		"one volume off by one": {func(o *observation) { o.pattern.Events[7].Volume++ }, 7, false},
 		"an extra event": {func(o *observation) {
 			o.pattern.Record(o.pattern.Events[n-1].Tick+1, 1, false)
 			charge(o, "m_update", eps)
-		}, n},
+		}, n, false},
 		"a missing event": {func(o *observation) {
 			*o = honest(t, leakage.Pattern{Events: ref.Events[:n-1]}, eps)
-		}, n - 1},
+		}, n - 1, false},
 		"two events swapped": {func(o *observation) {
 			ev := o.pattern.Events
 			ev[swap], ev[swap+1] = ev[swap+1], ev[swap]
-		}, swap},
-		"a double m_update charge": {func(o *observation) { charge(o, "m_update", eps) }, n},
+		}, swap, false},
+		"an extra event the reference shares": {func(o *observation) {
+			o.pattern.Record(o.pattern.Events[n-1].Tick+1, 1, false)
+			charge(o, "m_update", eps)
+		}, n, true},
+		"a volume the reference shares": {func(o *observation) { o.pattern.Events[7].Volume++ }, 7, true},
+		"a double m_update charge":      {func(o *observation) { charge(o, "m_update", eps) }, n, false},
 		"a missing charge": {func(o *observation) {
 			ledger := honest(t, leakage.Pattern{Events: ref.Events[:n-1]}, eps).ledger
 			o.ledger = ledger
-		}, n - 1},
+		}, n - 1, false},
 		"a charge at the wrong ε": {func(o *observation) {
 			o.ledger = dp.NewBudget()
 			charge(o, "m_setup", eps)
 			for i := 1; i < n; i++ {
 				charge(o, "m_update", eps/2)
 			}
-		}, 1},
+		}, 1, false},
 	} {
-		got := honest(t, ref, eps)
+		got, want := honest(t, ref, eps), wants[0]
 		tc.doctor(&got)
-		err := check(ownerName(0), ref, got, eps)
+		if tc.shared {
+			want.ref = honest(t, got.pattern, eps).pattern
+		}
+		err := check(ownerName(0), want, got, eps)
 		if err == nil {
 			t.Errorf("%s: accepted", name)
 		} else if want := fmt.Sprintf("%s event %d:", ownerName(0), tc.event); !strings.Contains(err.Error(), want) {

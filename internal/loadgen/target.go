@@ -266,8 +266,7 @@ func (t *target) measure(rep *Report) {
 	if st.Follower.Applied > 0 {
 		rep.ReplicationLagMs = float64(st.Follower.LagNs) / float64(st.Follower.Applied) / 1e6
 	}
-	rep.PlaneQueries, rep.PlaneStale = st.ReadPlane.Queries, st.ReadPlane.Stale
-	rep.PlaneCacheHits, rep.PlaneCacheMisses = st.ReadPlane.CacheHits, st.ReadPlane.CacheMisses
+	rep.PlaneQueries, rep.PlaneCacheHits, rep.PlaneCacheMisses = st.ReadPlane.Queries, st.ReadPlane.CacheHits, st.ReadPlane.CacheMisses
 }
 
 // close stops whatever is still running and removes the directories the run

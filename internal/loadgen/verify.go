@@ -30,9 +30,16 @@ func referenceFleet(cfg Config) (*fleet, []*refdb.DB, error) {
 	return f, dbs, nil
 }
 
-// reference is the uninterrupted run: every owner's update pattern as the
-// single-owner reference database observes it.
-func reference(cfg Config) ([]leakage.Pattern, error) {
+// expectation is what a server must have observed of one owner, twice over:
+// the update pattern of the uninterrupted run as the single-owner reference
+// database observed it (ref), and the pattern the paper's mechanism computes
+// from the owner's data alone (mech, ownerMechanism).
+type expectation struct {
+	ref, mech leakage.Pattern
+}
+
+// reference computes every owner's expectation.
+func reference(cfg Config) ([]expectation, error) {
 	f, dbs, err := referenceFleet(cfg)
 	if err != nil {
 		return nil, err
@@ -40,11 +47,15 @@ func reference(cfg Config) ([]leakage.Pattern, error) {
 	if err := f.drive(0, cfg.Ticks); err != nil {
 		return nil, fmt.Errorf("reference: %w", err)
 	}
-	ref := make([]leakage.Pattern, len(dbs))
+	want := make([]expectation, len(dbs))
 	for i, db := range dbs {
-		ref[i] = db.ObservedPattern()
+		mech, err := ownerMechanism(i, cfg.Seed, cfg.Ticks)
+		if err != nil {
+			return nil, fmt.Errorf("reference: %s: %w", ownerName(i), err)
+		}
+		want[i] = expectation{ref: db.ObservedPattern(), mech: *mech}
 	}
-	return ref, nil
+	return want, nil
 }
 
 // observation is what a server holds for one owner: the update pattern it saw
@@ -54,11 +65,11 @@ type observation struct {
 	ledger  *dp.Budget
 }
 
-// verifyObserved holds every owner's observation to the reference (none, for
-// an external target: there is nothing to observe).
-func verifyObserved(ref []leakage.Pattern, observe func(owner string) observation, eps float64) error {
-	for i, want := range ref {
-		if err := check(ownerName(i), want, observe(ownerName(i)), eps); err != nil {
+// verifyObserved holds every owner's observation to its expectation (none,
+// for an external target: there is nothing to observe).
+func verifyObserved(want []expectation, observe func(owner string) observation, eps float64) error {
+	for i, w := range want {
+		if err := check(ownerName(i), w, observe(ownerName(i)), eps); err != nil {
 			return err
 		}
 	}
@@ -66,14 +77,17 @@ func verifyObserved(ref []leakage.Pattern, observe func(owner string) observatio
 }
 
 // check is the one verification: the observed event sequence must equal the
-// reference's, tick for tick and volume for volume, and the ledger must hold
-// exactly one m_setup for event 0 and one m_update for every further event,
-// each at eps. The error names the owner and the first event that is wrong.
-func check(owner string, ref leakage.Pattern, got observation, eps float64) error {
+// reference's, tick for tick and volume for volume, and the mechanism's,
+// volume for volume — a server sees neither the owner's clock nor which sync
+// is a flush, so an event's tick is its upload's sequence number — and the
+// ledger must hold exactly one m_setup for event 0 and one m_update for every
+// further event, each at eps. The error names the owner and the first event
+// that is wrong.
+func check(owner string, want expectation, got observation, eps float64) error {
 	bad := func(event int, format string, args ...any) error {
 		return fmt.Errorf("loadgen: %s event %d: %s", owner, event, fmt.Sprintf(format, args...))
 	}
-	events := got.pattern.Events
+	events, ref := got.pattern.Events, want.ref
 	for i, want := range ref.Events {
 		switch {
 		case i >= len(events):
@@ -87,6 +101,18 @@ func check(owner string, ref leakage.Pattern, got observation, eps float64) erro
 		return bad(len(ref.Events), "observed (%d, %d), the reference ends at %d events",
 			events[len(ref.Events)].Tick, events[len(ref.Events)].Volume, len(ref.Events))
 	}
+	mech := want.mech.Events
+	for i := range max(len(events), len(mech)) {
+		switch {
+		case i >= len(mech):
+			return bad(i, "observed volume %d, the mechanism ends at %d events", events[i].Volume, len(mech))
+		case i >= len(events):
+			return bad(i, "missing: observed %d events, the mechanism has %d", len(events), len(mech))
+		case events[i].Volume != mech[i].Volume:
+			return bad(i, "observed volume %d, the mechanism has %d (tick %d, flush %v)",
+				events[i].Volume, mech[i].Volume, mech[i].Tick, mech[i].Flush)
+		}
+	}
 
 	// A ledger refuses a charge whose ε differs from what it recorded under
 	// that name: that refusal is the drift check.
@@ -95,17 +121,17 @@ func check(owner string, ref leakage.Pattern, got observation, eps float64) erro
 			return bad(i, "charged at the wrong ε: %v", err)
 		}
 	}
-	want := dp.NewBudget()
+	ledger := dp.NewBudget()
 	for i := range events {
 		name := "m_update"
 		if i == 0 {
 			name = "m_setup"
 		}
-		if err := want.Charge(name, eps, dp.Sequential); err != nil {
+		if err := ledger.Charge(name, eps, dp.Sequential); err != nil {
 			return bad(i, "%v", err)
 		}
 	}
-	if got.ledger.Equal(want) {
+	if got.ledger.Equal(ledger) {
 		return nil
 	}
 	charged := got.ledger.Uses("m_setup") + got.ledger.Uses("m_update")

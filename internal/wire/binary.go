@@ -27,13 +27,14 @@ type Codec byte
 // refusal section (the layout table is in doc.go, "Serving"). A request names
 // its owner inline or by a handle its connection bound (MaxBindings). Every
 // frame opens with its payload's length as a minimal-form uvarint
-// (FrameHeader). Version byte 8; 7 sent a 4-byte length and the cost's
-// seconds, 6 every group vector one value a group, 5 padded every answer to
-// 4-byte groups beside an 8-byte scalar, 4 named the owner inline in every
-// request, 3 said no with an error text beside two flag bits, 2 was the
-// fixed-width-integer layout and 1 a JSON encoding — all retired, no byte
-// ever reused.
-const CodecBinary Codec = 8
+// (FrameHeader). Version byte 9; 8 let a query carry a replica freshness
+// bound (a second query encoding, and a stale refusal), 7 sent a 4-byte
+// length and the cost's seconds, 6 every group vector one value a group, 5
+// padded every answer to 4-byte groups beside an 8-byte scalar, 4 named the
+// owner inline in every request, 3 said no with an error text beside two
+// flag bits, 2 was the fixed-width-integer layout and 1 a JSON encoding —
+// all retired, no byte ever reused.
+const CodecBinary Codec = 9
 
 // Valid reports whether c names the codec this build speaks.
 func (c Codec) Valid() bool { return c == CodecBinary }
@@ -161,11 +162,8 @@ const (
 	binQuery  = 3
 	binStats  = 4
 	binResume = 5
-	// binQueryAt is a MsgQuery carrying a freshness bound (Request.MinOffset
-	// > 0) for the follower read plane. A query with MinOffset == 0 encodes
-	// as plain binQuery, and the decoder rejects a binQueryAt claiming bound
-	// zero — so every request has exactly one binary encoding.
-	binQueryAt = 6
+	// 6 was codec 8's bounded query, a MsgQuery carrying a replica freshness
+	// bound; it is retired and decodes as an unknown type, never reused.
 )
 
 func msgTypeByte(t MsgType) (byte, error) {
@@ -191,7 +189,7 @@ func msgTypeFromByte(b byte) (MsgType, error) {
 		return MsgSetup, nil
 	case binUpdate:
 		return MsgUpdate, nil
-	case binQuery, binQueryAt:
+	case binQuery:
 		return MsgQuery, nil
 	case binStats:
 		return MsgStats, nil
@@ -265,7 +263,6 @@ func sealedWidth(cts [][]byte) (int, error) {
 //	  owner:          u8 len (1..255) · name  |  u8 0 · uvarint handle (≥ 1)
 //	  setup, update:  uvarint seq · uvarint n · [uvarint width · n×width bytes]
 //	  query:          u8 kind · u8 provider · u8 joinWith · u16 lo · u16 hi
-//	  bounded query:  the same seven bytes · uvarint minOffset (> 0)
 //	  stats, resume:  nothing
 func AppendGatewayRequest(dst []byte, g GatewayRequest) ([]byte, error) {
 	if len(g.Owner) > MaxOwnerLen {
@@ -277,12 +274,6 @@ func AppendGatewayRequest(dst []byte, g GatewayRequest) ([]byte, error) {
 	t, err := msgTypeByte(g.Req.Type)
 	if err != nil {
 		return dst, err
-	}
-	if g.Req.MinOffset > 0 {
-		if t != binQuery {
-			return dst, fmt.Errorf("wire: freshness bound on a %s request: only a query carries one", g.Req.Type)
-		}
-		t = binQueryAt
 	}
 	width, err := sealedWidth(g.Req.Sealed)
 	if err != nil {
@@ -308,7 +299,7 @@ func AppendGatewayRequest(dst []byte, g GatewayRequest) ([]byte, error) {
 				b = append(b, ct...)
 			}
 		}
-	case binQuery, binQueryAt:
+	case binQuery:
 		if g.Req.Query == nil {
 			return dst, fmt.Errorf("wire: query request without query spec")
 		}
@@ -319,9 +310,6 @@ func AppendGatewayRequest(dst []byte, g GatewayRequest) ([]byte, error) {
 		b = append(b, byte(q.Kind), q.Provider, q.JoinWith)
 		b = binfmt.AppendU16(b, q.Lo)
 		b = binfmt.AppendU16(b, q.Hi)
-		if t == binQueryAt {
-			b = binfmt.AppendUvarint(b, g.Req.MinOffset)
-		}
 	}
 	return b, nil
 }
@@ -410,7 +398,7 @@ func ParseGatewayRequest(b []byte) (RequestFrame, error) {
 			f.Width = int(width)
 			f.Block = r.Bytes(int(n)*f.Width, "sealed block")
 		}
-	case binQuery, binQueryAt:
+	case binQuery:
 		var q QuerySpec
 		q.Kind = int(r.U8("query kind"))
 		q.Provider = r.U8("query provider")
@@ -418,12 +406,6 @@ func ParseGatewayRequest(b []byte) (RequestFrame, error) {
 		q.Lo = r.U16("query lo")
 		q.Hi = r.U16("query hi")
 		f.Req.Query = &q
-		if t == binQueryAt {
-			f.Req.MinOffset = r.Uvarint("query min offset")
-			if r.Err() == nil && f.Req.MinOffset == 0 {
-				return RequestFrame{}, fmt.Errorf("%w: freshness-bound query with zero bound", ErrBadFrame)
-			}
-		}
 	}
 	if err := r.Done("gateway request"); err != nil {
 		return RequestFrame{}, err

@@ -18,10 +18,10 @@ func sampleRequests() []GatewayRequest {
 		{ID: 5, Owner: "owner-c", Req: Request{Type: MsgSetup, Seq: 1, Sealed: [][]byte{{4, 5}}}},
 		{ID: 6, Owner: "owner-c", Req: Request{Type: MsgUpdate, Seq: 1 << 40, Sealed: [][]byte{{6}}}},
 		{ID: 7, Owner: "owner-c", Req: Request{Type: MsgResume}},
-		{ID: 8, Owner: "owner-c", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1, Provider: 2}, MinOffset: 300}},
+		{ID: 8, Owner: "owner-c", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1, Provider: 2}}},
 		{ID: 1<<64 - 1, Owner: "owner-c", Req: Request{Type: MsgUpdate, Seq: 1<<64 - 1, Sealed: [][]byte{make([]byte, 44), make([]byte, 44)}}},
 		{ID: 9, Handle: 128, Req: Request{Type: MsgUpdate, Seq: 3, Sealed: [][]byte{make([]byte, 44)}}},
-		{ID: 10, Handle: MaxBindings, Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 3}, MinOffset: 1}},
+		{ID: 10, Handle: MaxBindings, Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 3}}},
 		{ID: 11, Handle: 1<<64 - 1, Req: Request{Type: MsgResume}},
 	}
 }
@@ -50,7 +50,7 @@ func sampleResponses() []GatewayResponse {
 		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{0, 2, 0, 1}, Width: WidthIndex, Slots: 5}, Cost: &CostSpec{}}},
 		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{3}, Width: WidthIndex, Slots: 3}}},
 		{ID: 11, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: make([]float64, 265), Width: WidthIndex}}},
-		{ID: 12, Resp: Refuse(CodeStale, 1<<40, "")},
+		{ID: 12, Resp: Refuse(CodeSeqGap, 1<<40, "")},
 		{ID: 13, Resp: Refuse(CodeSeqGap, 2, "")},
 		{ID: 14, Resp: Refuse(CodeBadRequest, 0, "gateway: unbound handle 7")},
 		{ID: 15, Resp: Refuse(CodeFailed, 0, "edb: Setup called twice")},
@@ -121,32 +121,31 @@ func TestBinaryDecodeTypedErrors(t *testing.T) {
 		return groups(append([]byte{byte(WidthIndex)}, tail...)...)
 	}
 	requests := map[string][]byte{
-		"truncated header":          valid[:5],
-		"truncated sealed":          valid[:len(valid)-2],
-		"trailing bytes":            append(append([]byte{}, valid...), 0xEE),
-		"unknown msg type":          {1, 0, 1, 0xCC},
-		"fixed-width id (codec 2)":  {0, 0, 0, 0, 0, 0, 0, 1, 0, binStats},
-		"padded id":                 {0x81, 0x00, 0, 1, binStats},
-		"id past 64 bits":           append(append(append([]byte{}, ff9...), 0x02), 0, 1, binStats),
-		"id past 10 bytes":          append(bytes.Repeat([]byte{0x80}, 10), 0x01, 0, 1, binStats),
-		"padded seq":                {1, 0, 1, binUpdate, 0x80, 0x00, 0},
-		"padded count":              {1, 0, 1, binUpdate, 0, 0x80, 0x00},
-		"padded width":              {1, 0, 1, binUpdate, 0, 1, 0x83, 0x00, 1, 2, 3},
-		"count exceeds frame":       {1, 0, 1, binSetup, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 44},
-		"n×width overflows uint64":  append(append(append([]byte{1, 0, 1, binSetup, 0}, maxU64...), maxU64...), 1, 2, 3),
-		"n×width wraps into range":  append(append([]byte{1, 0, 1, binSetup, 0}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01), 0x02, 7, 7), // 2⁶³ × 2 = 0
-		"block one byte short":      {1, 0, 1, binSetup, 0, 2, 3, 1, 2, 3, 4, 5},
-		"width 0 with n > 0":        {1, 0, 1, binSetup, 0, 5, 0},
-		"width block with n = 0":    {1, 0, 1, binSetup, 0, 0, 44},
-		"bounded query, zero bound": {1, 1, 'a', binQueryAt, 2, 1, 0, 0, 50, 0, 100, 0},
-		"bounded query, padded":     {1, 1, 'a', binQueryAt, 2, 1, 0, 0, 50, 0, 100, 0x85, 0x00},
-		"stats with a bound":        {1, 0, 1, binStats, 5},
-		"owner handle 0":            {1, 0, 0, binStats},
-		"padded owner handle":       {1, 0, 0x81, 0x00, binStats},
-		"owner handle missing":      {1, 0},
-		"owner handle past 64 bits": append(append(append([]byte{1, 0}, ff9...), 0x02), binStats),
-		"name one byte short":       {1, 5, 'o', 'w', 'n', 'e'},
-		"retired JSON":              []byte(`{"id":1,"owner":"o","req":{"type":"stats"}}`),
+		"truncated header":           valid[:5],
+		"truncated sealed":           valid[:len(valid)-2],
+		"trailing bytes":             append(append([]byte{}, valid...), 0xEE),
+		"unknown msg type":           {1, 0, 1, 0xCC},
+		"fixed-width id (codec 2)":   {0, 0, 0, 0, 0, 0, 0, 1, 0, binStats},
+		"padded id":                  {0x81, 0x00, 0, 1, binStats},
+		"id past 64 bits":            append(append(append([]byte{}, ff9...), 0x02), 0, 1, binStats),
+		"id past 10 bytes":           append(bytes.Repeat([]byte{0x80}, 10), 0x01, 0, 1, binStats),
+		"padded seq":                 {1, 0, 1, binUpdate, 0x80, 0x00, 0},
+		"padded count":               {1, 0, 1, binUpdate, 0, 0x80, 0x00},
+		"padded width":               {1, 0, 1, binUpdate, 0, 1, 0x83, 0x00, 1, 2, 3},
+		"count exceeds frame":        {1, 0, 1, binSetup, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 44},
+		"n×width overflows uint64":   append(append(append([]byte{1, 0, 1, binSetup, 0}, maxU64...), maxU64...), 1, 2, 3),
+		"n×width wraps into range":   append(append([]byte{1, 0, 1, binSetup, 0}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01), 0x02, 7, 7), // 2⁶³ × 2 = 0
+		"block one byte short":       {1, 0, 1, binSetup, 0, 2, 3, 1, 2, 3, 4, 5},
+		"width 0 with n > 0":         {1, 0, 1, binSetup, 0, 5, 0},
+		"width block with n = 0":     {1, 0, 1, binSetup, 0, 0, 44},
+		"retired type 6 (codec 8)":   {1, 1, 'a', 6, 2, 1, 0, 0, 50, 0, 100, 17},
+		"stats with a trailing byte": {1, 0, 1, binStats, 5},
+		"owner handle 0":             {1, 0, 0, binStats},
+		"padded owner handle":        {1, 0, 0x81, 0x00, binStats},
+		"owner handle missing":       {1, 0},
+		"owner handle past 64 bits":  append(append(append([]byte{1, 0}, ff9...), 0x02), binStats),
+		"name one byte short":        {1, 5, 'o', 'w', 'n', 'e'},
+		"retired JSON":               []byte(`{"id":1,"owner":"o","req":{"type":"stats"}}`),
 	}
 	for name, b := range requests {
 		if _, err := CodecBinary.DecodeGatewayRequest(b); !errors.Is(err, ErrBadFrame) {
@@ -154,59 +153,61 @@ func TestBinaryDecodeTypedErrors(t *testing.T) {
 		}
 	}
 	responses := map[string][]byte{
-		"short":                      {1},
-		"fixed-width id (codec 2)":   {0, 0, 0, 0, 0, 0, 0, 1, flagOK},
-		"padded id":                  {0x81, 0x00, flagOK},
-		"trailing bytes":             {1, flagOK, 0},
-		"neither OK nor refused":     {1, 0},
-		"a lone section":             {1, flagResume, 5},
-		"OK and refused":             {1, flagOK | flagRefused, byte(CodeClosing), 0, 0},
-		"refusal beside an answer":   {1, flagRefused | flagScalar, byte(CodeClosing), 0, 0, 1, 7},
-		"refusal beside a resume":    {1, flagRefused | flagResume, byte(CodeClosing), 0, 0, 5},
-		"refusal code 0":             {1, flagRefused, 0, 0, 0},
-		"refusal code 10":            {1, flagRefused, 10, 0, 0},
-		"retired bit 128":            {1, flagRefused | 128, byte(CodeStale), 16, 0},
-		"codec-3 backpressure":       append([]byte{1, 2 | 64, 42}, ErrBackpressure.Error()...),
-		"codec-3 error frame":        {1, 2, 4, 'b', 'o', 'o', 'm'},
-		"codec-3 not-setup text":     append([]byte{1, 2, 24}, "edb: database not set up"...),
-		"truncated refusal":          {1, flagRefused, byte(CodeStale)},
-		"padded refusal cursor":      {1, flagRefused, byte(CodeStale), 0x90, 0x00, 0},
-		"padded detail length":       {1, flagRefused, byte(CodeFailed), 0, 0x81, 0x00, 'x'},
-		"detail one byte short":      {1, flagRefused, byte(CodeFailed), 0, 4, 'b', 'o', 'o'},
-		"detail past the cap":        {1, flagRefused, byte(CodeFailed), 0, 0x80, 0x80, 0x04, 'x'},
-		"cursor on backpressure":     {1, flagRefused, byte(CodeBackpressure), 7, 0},
-		"text on not-setup":          {1, flagRefused, byte(CodeNotSetup), 0, 1, 'x'},
-		"trailing byte on refusal":   {1, flagRefused, byte(CodeClosing), 0, 0, 0},
-		"group count exceeds frame":  groups(4, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F),
-		"groups×width overflows":     groups(append(append([]byte{8}, maxU64...), 1, 2, 3)...),
-		"group block one short":      groups(4, 2, 0, 0, 0, 1, 0, 0, 0),
-		"group flag, no section":     groups(),
-		"a group vector of none":     groups(4, 0),
-		"padded group count":         groups(4, 0x81, 0x00, 0, 0, 0, 7),
-		"a scalar beside groups":     {9, flagOK | flagScalar | flagGroups, 1, 7, 1, 1, 7},
-		"codec-5 group answer":       {9, flagOK | flagScalar, 0, 0, 0, 0, 0, 0, 0, 0, 2, 4, 0, 0, 0, 7, 0, 0, 0, 9}, // f64 0 · 2 groups · width 4
-		"scalar flag, no section":    scalar(),
-		"truncated scalar":           scalar(4, 0, 0, 7),
-		"unknown width code 3":       scalar(3, 0, 0, 7),
-		"unknown width code 16":      groups(16, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7),
-		"unknown width code 0x88":    scalar(0x88, 0x40, 0x1C, 0, 0, 0, 0, 0, 0),
-		"scalar over its width":      scalar(8, 0, 0x20, 0, 0, 0, 0, 0, 1),                                                 // 2⁵³ + 1
-		"group over its width":       groups(8, 2, 0, 0, 0, 0, 0, 0, 0, 7, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF), // 7, 2⁶⁴ − 1
-		"indices descending":         indices(3, 3, 0, 2, 0, 1, 0, 1),
-		"an index past the pad":      indices(3, 2, 0, 1, 0, 4),
-		"a pad before an index":      indices(3, 2, 0, 3, 0, 1),
-		"index count past frame":     indices(3, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 1),
-		"index count past 64 bits":   indices(append(append([]byte{3}, ff9...), 0x02)...),
-		"index block one short":      indices(3, 2, 0, 1, 0),
-		"indices on a scalar":        scalar(byte(WidthIndex), 1, 0, 1),
-		"indices on no groups":       indices(0, 0),
-		"indices on 65,536 groups":   indices(0x80, 0x80, 0x04, 0),
-		"padded index count":         indices(3, 0x81, 0x00, 0, 1),
-		"padded indexed group count": indices(0x83, 0x00, 1, 0, 1),
-		"padded cost":                {1, flagOK | flagCost, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x00, 0},
-		"padded resume clock":        {1, flagOK | flagResume, 0xAA, 0x00},
-		"stale cursor past 64 bits":  append(append([]byte{1, flagRefused, byte(CodeStale)}, ff9...), 0x7F, 0),
-		"truncated stats":            {1, flagOK | flagStats, 12, 0x80},
+		"short":                       {1},
+		"fixed-width id (codec 2)":    {0, 0, 0, 0, 0, 0, 0, 1, flagOK},
+		"padded id":                   {0x81, 0x00, flagOK},
+		"trailing bytes":              {1, flagOK, 0},
+		"neither OK nor refused":      {1, 0},
+		"a lone section":              {1, flagResume, 5},
+		"OK and refused":              {1, flagOK | flagRefused, byte(CodeClosing), 0, 0},
+		"refusal beside an answer":    {1, flagRefused | flagScalar, byte(CodeClosing), 0, 0, 1, 7},
+		"refusal beside a resume":     {1, flagRefused | flagResume, byte(CodeClosing), 0, 0, 5},
+		"refusal code 0":              {1, flagRefused, 0, 0, 0},
+		"refusal code 10":             {1, flagRefused, 10, 0, 0},
+		"retired bit 128":             {1, flagRefused | 128, byte(CodeSeqGap), 16, 0},
+		"retired code 2 (codec 8)":    {1, flagRefused, 2, 16, 0},
+		"retired code 2, no cursor":   {1, flagRefused, 2, 0, 0},
+		"codec-3 backpressure":        append([]byte{1, 2 | 64, 42}, ErrBackpressure.Error()...),
+		"codec-3 error frame":         {1, 2, 4, 'b', 'o', 'o', 'm'},
+		"codec-3 not-setup text":      append([]byte{1, 2, 24}, "edb: database not set up"...),
+		"truncated refusal":           {1, flagRefused, byte(CodeSeqGap)},
+		"padded refusal cursor":       {1, flagRefused, byte(CodeSeqGap), 0x90, 0x00, 0},
+		"padded detail length":        {1, flagRefused, byte(CodeFailed), 0, 0x81, 0x00, 'x'},
+		"detail one byte short":       {1, flagRefused, byte(CodeFailed), 0, 4, 'b', 'o', 'o'},
+		"detail past the cap":         {1, flagRefused, byte(CodeFailed), 0, 0x80, 0x80, 0x04, 'x'},
+		"cursor on backpressure":      {1, flagRefused, byte(CodeBackpressure), 7, 0},
+		"text on not-setup":           {1, flagRefused, byte(CodeNotSetup), 0, 1, 'x'},
+		"trailing byte on refusal":    {1, flagRefused, byte(CodeClosing), 0, 0, 0},
+		"group count exceeds frame":   groups(4, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F),
+		"groups×width overflows":      groups(append(append([]byte{8}, maxU64...), 1, 2, 3)...),
+		"group block one short":       groups(4, 2, 0, 0, 0, 1, 0, 0, 0),
+		"group flag, no section":      groups(),
+		"a group vector of none":      groups(4, 0),
+		"padded group count":          groups(4, 0x81, 0x00, 0, 0, 0, 7),
+		"a scalar beside groups":      {9, flagOK | flagScalar | flagGroups, 1, 7, 1, 1, 7},
+		"codec-5 group answer":        {9, flagOK | flagScalar, 0, 0, 0, 0, 0, 0, 0, 0, 2, 4, 0, 0, 0, 7, 0, 0, 0, 9}, // f64 0 · 2 groups · width 4
+		"scalar flag, no section":     scalar(),
+		"truncated scalar":            scalar(4, 0, 0, 7),
+		"unknown width code 3":        scalar(3, 0, 0, 7),
+		"unknown width code 16":       groups(16, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7),
+		"unknown width code 0x88":     scalar(0x88, 0x40, 0x1C, 0, 0, 0, 0, 0, 0),
+		"scalar over its width":       scalar(8, 0, 0x20, 0, 0, 0, 0, 0, 1),                                                 // 2⁵³ + 1
+		"group over its width":        groups(8, 2, 0, 0, 0, 0, 0, 0, 0, 7, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF), // 7, 2⁶⁴ − 1
+		"indices descending":          indices(3, 3, 0, 2, 0, 1, 0, 1),
+		"an index past the pad":       indices(3, 2, 0, 1, 0, 4),
+		"a pad before an index":       indices(3, 2, 0, 3, 0, 1),
+		"index count past frame":      indices(3, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 1),
+		"index count past 64 bits":    indices(append(append([]byte{3}, ff9...), 0x02)...),
+		"index block one short":       indices(3, 2, 0, 1, 0),
+		"indices on a scalar":         scalar(byte(WidthIndex), 1, 0, 1),
+		"indices on no groups":        indices(0, 0),
+		"indices on 65,536 groups":    indices(0x80, 0x80, 0x04, 0),
+		"padded index count":          indices(3, 0x81, 0x00, 0, 1),
+		"padded indexed group count":  indices(0x83, 0x00, 1, 0, 1),
+		"padded cost":                 {1, flagOK | flagCost, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x00, 0},
+		"padded resume clock":         {1, flagOK | flagResume, 0xAA, 0x00},
+		"seq-gap cursor past 64 bits": append(append([]byte{1, flagRefused, byte(CodeSeqGap)}, ff9...), 0x7F, 0),
+		"truncated stats":             {1, flagOK | flagStats, 12, 0x80},
 	}
 	for name, b := range responses {
 		if _, err := CodecBinary.DecodeGatewayResponse(b); !errors.Is(err, ErrBadFrame) {
@@ -259,9 +260,6 @@ func TestEncodeGuards(t *testing.T) {
 		"unknown message type":      {Owner: "o", Req: Request{Type: "bogus"}},
 		"query without spec":        {Handle: 1, Req: Request{Type: MsgQuery}},
 		"out-of-range kind":         {Handle: 1, Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1000, Provider: 1}}},
-		"stats with a bound":        {Owner: "o", Req: Request{Type: MsgStats, MinOffset: 7}},
-		"resume with a bound":       {Owner: "o", Req: Request{Type: MsgResume, MinOffset: 7}},
-		"sync with a bound":         {Owner: "o", Req: Request{Type: MsgUpdate, Seq: 2, MinOffset: 7}},
 		"mixed-length batch":        {Owner: "o", Req: Request{Type: MsgUpdate, Seq: 2, Sealed: [][]byte{ct(44), ct(44), ct(43)}}},
 		"batch of empty ciphertext": {Owner: "o", Req: Request{Type: MsgSetup, Seq: 1, Sealed: [][]byte{{}, {}}}},
 	} {
@@ -283,6 +281,8 @@ func TestEncodeGuards(t *testing.T) {
 		"refusal beside a resume":  {Refusal: &Refusal{Code: CodeClosing}, Resume: &ResumeSpec{Clock: 5}},
 		"refusal code 0":           {Refusal: &Refusal{}},
 		"refusal code 10":          {Refusal: &Refusal{Code: 10}},
+		"retired refusal code 2":   Refuse(2, 16, ""),
+		"code 2 with no cursor":    Refuse(2, 0, ""),
 		"cursor on backpressure":   Refuse(CodeBackpressure, 7, ""),
 		"text on suspended":        Refuse(CodeSuspended, 0, "the disk is full"),
 		"a scalar beside groups":   {OK: true, Answer: &AnswerSpec{Scalar: 1, Groups: []float64{1}, Width: 1}},
@@ -313,12 +313,13 @@ func TestEncodeGuards(t *testing.T) {
 			t.Errorf("response %s: the refused encode returned %d bytes, want the buffer as it was", name, len(got))
 		}
 	}
-	// Bytes 1 to 6 were the JSON codec, the fixed-width-integer layout, the
+	// Bytes 1 to 8 were the JSON codec, the fixed-width-integer layout, the
 	// error-text-beside-flag-bits layout, the owner named inline in every
-	// request, every answer at 4-byte groups beside an 8-byte scalar and
-	// every group vector one value a group; they name no codec now, and
-	// nothing encodes or decodes under them.
-	for _, retired := range []Codec{1, 2, 3, 4, 5, 6} {
+	// request, every answer at 4-byte groups beside an 8-byte scalar, every
+	// group vector one value a group, a 4-byte frame length and a query that
+	// could carry a freshness bound; they name no codec now, and nothing
+	// encodes or decodes under them.
+	for _, retired := range []Codec{1, 2, 3, 4, 5, 6, 7, 8} {
 		if _, err := retired.EncodeGatewayRequest(sampleRequests()[0]); err == nil {
 			t.Errorf("request encoded under the retired codec byte %d", retired)
 		}
@@ -341,10 +342,10 @@ func TestHelloNegotiation(t *testing.T) {
 		t.Errorf("hello = kind %v codec %v", kind, got)
 	}
 	// An unknown or retired codec byte passes through ReadAnyHello — the
-	// server acks the one codec it speaks, version byte 8, whatever was
+	// server acks the one codec it speaks, version byte 9, whatever was
 	// proposed (over a socket: the gateway's
 	// TestGatewayAcksUnknownCodecWithBinary).
-	for _, proposed := range []Codec{77, 7, 6, 5, 4, 3, 2, 1} {
+	for _, proposed := range []Codec{77, 8, 7, 6, 5, 4, 3, 2, 1} {
 		buf.Reset()
 		_ = WriteHello(&buf, proposed)
 		kind, got, err = ReadAnyHello(&buf)
@@ -355,8 +356,8 @@ func TestHelloNegotiation(t *testing.T) {
 			t.Errorf("proposed codec %d: read kind %v codec %d, valid %v", proposed, kind, got, proposed.Valid())
 		}
 		_ = WriteHelloAck(&buf, CodecBinary) // what the gateway answers any proposal
-		if ack, err := ReadHelloAck(&buf); err != nil || byte(ack) != 8 {
-			t.Errorf("proposed codec %d: acked %d (%v), want 8", proposed, ack, err)
+		if ack, err := ReadHelloAck(&buf); err != nil || byte(ack) != 9 {
+			t.Errorf("proposed codec %d: acked %d (%v), want 9", proposed, ack, err)
 		}
 	}
 	// The three protocols' hellos differ in the magic alone.
@@ -384,7 +385,7 @@ func TestHelloNegotiation(t *testing.T) {
 	if got, err := ReadHelloAck(&buf); err != nil || got != CodecBinary {
 		t.Errorf("ack = %v, %v", got, err)
 	}
-	for _, b := range []byte{0x7F, 1, 2, 3, 4, 5, 6, 7} { // 1 to 7: the retired codecs' bytes
+	for _, b := range []byte{0x7F, 1, 2, 3, 4, 5, 6, 7, 8} { // 1 to 8: the retired codecs' bytes
 		if _, err := ReadHelloAck(bytes.NewReader([]byte{b})); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("invalid ack %#x: err = %v, want ErrBadFrame", b, err)
 		}

@@ -269,7 +269,7 @@ func TestAppendEncodersAllocateNothing(t *testing.T) {
 	spec := QuerySpec{Kind: 2, Provider: 1, Lo: 3, Hi: 9}
 	reqs := []GatewayRequest{
 		{ID: 1, Owner: "owner-17", Req: Request{Type: MsgUpdate, Seq: 4, Sealed: [][]byte{make([]byte, 60), make([]byte, 60)}}},
-		{ID: 2, Owner: "owner-17", Req: Request{Type: MsgQuery, Query: &spec, MinOffset: 5}},
+		{ID: 2, Owner: "owner-17", Req: Request{Type: MsgQuery, Query: &spec}},
 	}
 	resps := []GatewayResponse{
 		{ID: 1, Resp: Response{OK: true}},

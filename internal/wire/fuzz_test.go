@@ -69,8 +69,7 @@ func FuzzDecodeGatewayRequest(f *testing.F) {
 		{ID: 3, Owner: "s", Req: Request{Type: MsgStats}},
 		{ID: 4, Owner: "r", Req: Request{Type: MsgResume}},
 		{ID: 300, Owner: "u", Req: Request{Type: MsgUpdate, Seq: 16384, Sealed: [][]byte{{7}}}},
-		{ID: 6, Owner: "f", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1}, MinOffset: 42}},
-		{ID: 7, Owner: "f", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 2, Lo: 50, Hi: 100}, MinOffset: 1<<64 - 1}},
+		{ID: 7, Owner: "f", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 2, Lo: 50, Hi: 100}}},
 		{ID: 8, Handle: 1, Req: Request{Type: MsgUpdate, Seq: 3, Sealed: [][]byte{{7, 8}}}},
 		{ID: 9, Handle: MaxBindings, Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1}}},
 	} {
@@ -91,6 +90,7 @@ func FuzzDecodeGatewayRequest(f *testing.F) {
 	}
 	f.Add([]byte{1, 0, 1, binSetup, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 44}) // a count the frame cannot hold
 	f.Add([]byte{1, 0, 0, binStats})                                      // owner handle 0
+	f.Add([]byte{6, 1, 'f', 6, 1, 0, 0, 0, 0, 0, 0, 42})                  // codec 8's bounded query, type 6
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := codec.DecodeGatewayRequest(data)
@@ -130,7 +130,7 @@ func FuzzDecodeGatewayResponse(f *testing.F) {
 		{ID: 4, Resp: Response{OK: true, Stats: &StatsSpec{Records: 5, Scheme: "ObliDB"}}},
 		{ID: 5, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 17}}},
 		{ID: 6, Resp: Refuse(CodeBackpressure, 0, "")},
-		{ID: 7, Resp: Refuse(CodeStale, 99, "")},
+		{ID: 7, Resp: Refuse(CodeSeqGap, 99, "")},
 		{ID: 8, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{1, 2.5, math.NaN()}}}},
 		{ID: 9, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{0, 2, 0, 1}, Width: WidthIndex, Slots: 5}}},
 	} {
@@ -153,6 +153,7 @@ func FuzzDecodeGatewayResponse(f *testing.F) {
 	f.Add([]byte{9, flagOK | flagGroups, 4, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // a group count the frame cannot hold
 	f.Add([]byte{2, flagRefused, 4, 'b', 'o', 'o', 'm'})                   // an error text as codec 3 framed it
 	f.Add([]byte{3, flagOK | flagRefused, byte(CodeClosing), 0, 0})        // OK and refused at once
+	f.Add([]byte{7, flagRefused, 2, 99, 0})                                // codec 8's stale refusal, code 2
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := codec.DecodeGatewayResponse(data)
 		if err != nil {
@@ -264,29 +265,28 @@ func FuzzResumeHandshake(f *testing.F) {
 }
 
 // FuzzReadHandshake targets the read-plane surface a follower exposes to
-// untrusted dialers: the "DPSQ" read-only hello and its 1-byte ack, the
-// MinOffset-carrying query envelope (binQueryAt), and the staleness refusal
-// (CodeStale and its cursor) the client trusts for fallback decisions. Both
-// decode directions run on every input — a MinOffset corrupted in flight
-// would let a replica serve an answer staler than the caller demanded, and a
-// corrupted cursor would misdirect the client's catch-up arithmetic.
+// untrusted dialers: the "DPSQ" read-only hello and its 1-byte ack, the query
+// envelope a replica serves, and the refusals it answers with. Both decode
+// directions run on every input, and whatever either accepts must round-trip.
+// Codec 8's bounded query (type 6) and stale refusal (code 2) seed it as a
+// peer still speaking codec 8 would send them; both are retired.
 func FuzzReadHandshake(f *testing.F) {
 	var hello bytes.Buffer
 	_ = WriteReadHello(&hello, codec)
 	f.Add(hello.Bytes())
 	f.Add([]byte("DPSQ\x01")) // proposes the retired JSON codec's byte
-	f.Add([]byte("DPSQ\x03")) // proposes the codec retired last
+	f.Add([]byte("DPSQ\x08")) // proposes the codec retired last
 	f.Add([]byte("DPSQ\xFF"))
 	f.Add([]byte{HelloRefused})
 	reqs := []GatewayRequest{
-		{ID: 1, Owner: "owner-a", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 2, Provider: 1, Lo: 50, Hi: 100}, MinOffset: 17}},
-		{ID: 2, Owner: "o", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1}, MinOffset: 1<<64 - 1}},
+		{ID: 1, Owner: "owner-a", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 2, Provider: 1, Lo: 50, Hi: 100}}},
+		{ID: 2, Owner: "o", Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 1}}},
 		{ID: 3, Owner: "s", Req: Request{Type: MsgStats}},
-		{ID: 4, Handle: 2, Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 3}, MinOffset: 9}},
+		{ID: 4, Handle: 2, Req: Request{Type: MsgQuery, Query: &QuerySpec{Kind: 3}}},
 	}
 	resps := []GatewayResponse{
-		{ID: 1, Resp: Refuse(CodeStale, 16, "")},
-		{ID: 2, Resp: Refuse(CodeStale, 1<<64-1, "")},
+		{ID: 1, Resp: Refuse(CodeSeqGap, 1<<64-1, "")},
+		{ID: 2, Resp: Refuse(CodeSuspended, 0, "")},
 		{ID: 3, Resp: Refuse(CodeNotPrimary, 0, "")},
 	}
 	for _, g := range reqs {
@@ -309,11 +309,8 @@ func FuzzReadHandshake(f *testing.F) {
 	} {
 		f.Add([]byte(retired))
 	}
-	// Truncated/corrupt binQueryAt frames: bound claimed but bytes missing,
-	// and a binQueryAt claiming bound zero (the decoder must reject it — a
-	// re-encode would silently change the frame type to binQuery).
-	f.Add([]byte{1, 1, 'a', binQueryAt, 2, 1, 0})
-	f.Add([]byte{1, 1, 'a', binQueryAt, 2, 1, 0, 0, 50, 0, 100, 0})
+	f.Add([]byte{1, 1, 'a', 6, 2, 1, 0, 0, 50, 0, 100, 17}) // codec 8's bounded query
+	f.Add([]byte{1, flagRefused, 2, 16, 0})                 // codec 8's stale refusal
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if kind, v, err := ReadAnyHello(bytes.NewReader(data)); err == nil && kind == HelloRead {
 			var out bytes.Buffer
@@ -323,18 +320,9 @@ func FuzzReadHandshake(f *testing.F) {
 			}
 		}
 		_, _ = ReadHelloAck(bytes.NewReader(data)) // refusal byte included; must never panic
-		if g, err := codec.DecodeGatewayRequest(data); err == nil && g.Req.MinOffset > 0 {
-			reenc, err := codec.EncodeGatewayRequest(g)
-			if err != nil {
-				t.Fatalf("accepted bounded query cannot be re-encoded: %v", err)
-			}
-			g2, err := codec.DecodeGatewayRequest(reenc)
-			if err != nil {
-				t.Fatalf("re-encoded bounded query rejected: %v", err)
-			}
-			if g2.Req.MinOffset != g.Req.MinOffset || g2.ID != g.ID || g2.Owner != g.Owner ||
-				g2.Handle != g.Handle || g2.Req.Type != g.Req.Type {
-				t.Fatalf("freshness bound round trip changed: %+v vs %+v", g2, g)
+		if g, err := codec.DecodeGatewayRequest(data); err == nil && g.Req.Type == MsgQuery {
+			if reenc, err := codec.EncodeGatewayRequest(g); err != nil || !bytes.Equal(reenc, data) {
+				t.Fatalf("accepted query %x re-encodes as %x (%v)", data, reenc, err)
 			}
 		}
 		if g, err := codec.DecodeGatewayResponse(data); err == nil && g.Resp.Refusal != nil {
@@ -346,7 +334,7 @@ func FuzzReadHandshake(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoded refusal rejected: %v", err)
 			}
-			if !reflect.DeepEqual(g2.Resp.Refusal, g.Resp.Refusal) || g2.Resp.OK {
+			if !reflect.DeepEqual(g2.Resp.Refusal, g.Resp.Refusal) || g2.Resp.OK || !g.Resp.Refusal.Code.Known() {
 				t.Fatalf("refusal round trip changed: %+v vs %+v", g2, g)
 			}
 		}

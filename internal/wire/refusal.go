@@ -10,12 +10,14 @@ import (
 // RefusalCode names the precondition a node refused a request on: one code
 // per reason the gateway itself decides, plus CodeFailed for what a backend
 // or ledger returned (doc.go, "Serving", says who decides each). 0 is unused:
-// an all-zero refusal section names no code.
+// an all-zero refusal section names no code. 2 was codec 8's stale refusal,
+// a replica behind a query's freshness bound; it is retired, a hole both
+// codec halves refuse, never reused.
 type RefusalCode uint8
 
 const (
 	CodeBackpressure RefusalCode = iota + 1 // the connection exceeded its in-flight cap; nothing was touched
-	CodeStale                               // a replica has not applied the query's MinOffset; Cursor = the offset it has
+	_                                       // 2: retired
 	CodeNotPrimary                          // a write on a read-only connection (at the hello: HelloRefused)
 	CodeNotSetup                            // an update or query for a namespace that never ran setup
 	CodeSeqGap                              // a sync whose Seq skips ahead; Cursor = the seq expected
@@ -35,7 +37,6 @@ const (
 // in-process edb.Database returns for the same condition.
 var (
 	ErrBackpressure = errors.New("wire: backpressure: in-flight cap exceeded")
-	ErrStale        = errors.New("wire: replica stale: freshness bound not reached")
 	ErrSeqGap       = errors.New("wire: sync sequence gap")
 	ErrSuspended    = errors.New("wire: owner suspended, a sync's durability is unknown; restart the node to recover")
 	ErrClosing      = errors.New("wire: node is shutting down")
@@ -56,7 +57,6 @@ type refusalKind struct {
 
 var refusalKinds = [MaxRefusalCode + 1]refusalKind{
 	CodeBackpressure: {name: "backpressure", err: ErrBackpressure},
-	CodeStale:        {name: "stale", err: ErrStale, cursor: "replica applied offset"},
 	CodeNotPrimary:   {name: "not-primary", err: ErrNotPrimary},
 	CodeNotSetup:     {name: "not-setup", err: edb.ErrNotSetup},
 	CodeSeqGap:       {name: "seq-gap", err: ErrSeqGap, cursor: "expected seq"},
@@ -66,19 +66,23 @@ var refusalKinds = [MaxRefusalCode + 1]refusalKind{
 	CodeFailed:       {name: "failed", err: ErrFailed, detail: true},
 }
 
-// kind is c's row of the table; a code outside it is a malformed frame's.
+// kind is c's row of the table; a code outside it, or in its hole, is a
+// malformed frame's.
 func (c RefusalCode) kind() refusalKind {
-	if c < 1 || c > MaxRefusalCode {
+	if c < 1 || c > MaxRefusalCode || refusalKinds[c].err == nil {
 		return refusalKind{name: fmt.Sprintf("RefusalCode(%d)", uint8(c)), err: ErrBadFrame}
 	}
 	return refusalKinds[c]
 }
 
+// Known reports whether c is one of the codes a refusal may carry.
+func (c RefusalCode) Known() bool { return c.kind().err != ErrBadFrame }
+
 // String is the code's label, as in gateway_refusals_total{code="…"}.
 func (c RefusalCode) String() string { return c.kind().name }
 
 // Refusal is the one way a node says no: which precondition failed, the
-// cursor that goes with it (CodeStale, CodeSeqGap) and, for CodeBadRequest
+// cursor that goes with it (CodeSeqGap's) and, for CodeBadRequest
 // and CodeFailed only, a text. It is the error the client returns, wrapped:
 // Unwrap is the code's sentinel, so errors.Is and errors.As work end to end.
 // Neither codec half lets one travel that check refuses.

@@ -58,16 +58,8 @@ func refRequest(g GatewayRequest) []byte {
 			p = append(p, bytes.Join(g.Req.Sealed, nil)...)
 		}
 	case MsgQuery:
-		if g.Req.MinOffset == 0 {
-			p = append(p, 3)
-		} else {
-			p = append(p, 6)
-		}
 		q := g.Req.Query
-		p = append(p, byte(q.Kind), q.Provider, q.JoinWith, byte(q.Lo>>8), byte(q.Lo), byte(q.Hi>>8), byte(q.Hi))
-		if g.Req.MinOffset != 0 {
-			p = refUvarint(p, g.Req.MinOffset)
-		}
+		p = append(p, 3, byte(q.Kind), q.Provider, q.JoinWith, byte(q.Lo>>8), byte(q.Lo), byte(q.Hi>>8), byte(q.Hi))
 	case MsgStats:
 		p = append(p, 4)
 	case MsgResume:
@@ -94,7 +86,7 @@ func refResponse(g GatewayResponse) []byte {
 	}
 	p := append(refUvarint(nil, g.ID), flags)
 	if r.Refusal != nil {
-		p = append(p, map[RefusalCode]byte{CodeBackpressure: 1, CodeStale: 2, CodeNotPrimary: 3, CodeNotSetup: 4,
+		p = append(p, map[RefusalCode]byte{CodeBackpressure: 1, CodeNotPrimary: 3, CodeNotSetup: 4,
 			CodeSeqGap: 5, CodeSuspended: 6, CodeClosing: 7, CodeBadRequest: 8, CodeFailed: 9}[r.Refusal.Code])
 		p = refUvarint(p, r.Refusal.Cursor)
 		p = append(refUvarint(p, uint64(len(r.Refusal.Detail))), r.Refusal.Detail...)
@@ -265,9 +257,9 @@ func TestFrameSizes(t *testing.T) {
 		ct := bytes.Repeat([]byte{7}, 16*n+28)
 		return GatewayRequest{ID: 1, Owner: owner, Req: Request{Type: MsgUpdate, Seq: 2, Sealed: [][]byte{ct}}}
 	}
-	ask := func(kind int, bound uint64) GatewayRequest {
+	ask := func(kind int) GatewayRequest {
 		return GatewayRequest{ID: 1, Owner: owner, Req: Request{Type: MsgQuery,
-			Query: &QuerySpec{Kind: kind, Provider: 1, JoinWith: 2, Lo: 50, Hi: 100}, MinOffset: bound}}
+			Query: &QuerySpec{Kind: kind, Provider: 1, JoinWith: 2, Lo: 50, Hi: 100}}}
 	}
 	// byHandle is g as a connection that bound its owner to h sends it.
 	byHandle := func(g GatewayRequest, h uint64) GatewayRequest {
@@ -300,12 +292,10 @@ func TestFrameSizes(t *testing.T) {
 		{"8-record sync, one message", sealed(8), 177}, // the width and the frame length take a second byte
 		{"33-record sync, one message", sealed(33), 577},
 		{"setup", GatewayRequest{ID: 1, Owner: owner, Req: Request{Type: MsgSetup, Seq: 1, Sealed: batch(1)}}, 63},
-		{"Q1", ask(0, 0), 23},
-		{"Q2", ask(1, 0), 23},
-		{"Q3", ask(2, 0), 23},
-		{"Q4", ask(3, 0), 23},
-		{"Q2 bounded at 5", ask(1, 5), 24},
-		{"Q2 bounded at 2^64-1", ask(1, maxU64), 33},
+		{"Q1", ask(0), 23},
+		{"Q2", ask(1), 23},
+		{"Q3", ask(2), 23},
+		{"Q4", ask(3), 23},
 		{"stats", GatewayRequest{ID: 1, Owner: owner, Req: Request{Type: MsgStats}}, 16},
 		{"resume", GatewayRequest{ID: 1, Owner: owner, Req: Request{Type: MsgResume}}, 16},
 		{"sync id 127", sync(127, 2, 1), 63},
@@ -325,9 +315,8 @@ func TestFrameSizes(t *testing.T) {
 		{"one-record sync, one message, handle 2^64-1", byHandle(sealed(1), maxU64), 61},
 		{"8-record sync, one message, handle 1", byHandle(sealed(8), 1), 166},
 		{"setup, handle 1", byHandle(GatewayRequest{ID: 1, Req: Request{Type: MsgSetup, Seq: 1, Sealed: batch(1)}}, 1), 52},
-		{"Q2, handle 1", byHandle(ask(1, 0), 1), 12},
-		{"Q2 bounded at 5, handle 1", byHandle(ask(1, 5), 1), 13},
-		{"Q2, handle 1000", byHandle(ask(1, 0), 1000), 13},
+		{"Q2, handle 1", byHandle(ask(1), 1), 12},
+		{"Q2, handle 1000", byHandle(ask(1), 1000), 13},
 		{"stats, handle 1", byHandle(GatewayRequest{ID: 1, Req: Request{Type: MsgStats}}, 1), 5},
 		{"resume, handle 1", byHandle(GatewayRequest{ID: 1, Req: Request{Type: MsgResume}}, 1), 5},
 	}
@@ -406,11 +395,10 @@ func TestFrameSizes(t *testing.T) {
 		// A refusal without a text is six bytes whatever it refuses (49 and 56
 		// for the first two under codec 3, which sent the sentence along).
 		{"backpressure", GatewayResponse{ID: 1, Resp: Refuse(CodeBackpressure, 0, "")}, 6},
-		{"stale at offset 16", GatewayResponse{ID: 1, Resp: Refuse(CodeStale, 16, "")}, 6},
-		{"stale at offset 2^64-1", GatewayResponse{ID: 1, Resp: Refuse(CodeStale, maxU64, "")}, 15},
 		{"not-primary", GatewayResponse{ID: 1, Resp: Refuse(CodeNotPrimary, 0, "")}, 6},
 		{"not-setup", GatewayResponse{ID: 1, Resp: Refuse(CodeNotSetup, 0, "")}, 6},
 		{"seq-gap expecting 2", GatewayResponse{ID: 1, Resp: Refuse(CodeSeqGap, 2, "")}, 6},
+		{"seq-gap expecting 2^64-1", GatewayResponse{ID: 1, Resp: Refuse(CodeSeqGap, maxU64, "")}, 15},
 		{"suspended", GatewayResponse{ID: 1, Resp: Refuse(CodeSuspended, 0, "")}, 6},
 		{"closing", GatewayResponse{ID: 1, Resp: Refuse(CodeClosing, 0, "")}, 6},
 		{"bad-request, 25-byte text", GatewayResponse{ID: 1, Resp: Refuse(CodeBadRequest, 0, "gateway: unbound handle 7")}, 31},
@@ -477,9 +465,6 @@ func TestCodecMatchesReferenceEncoder(t *testing.T) {
 			g.Req.Type = MsgQuery
 			g.Req.Query = &QuerySpec{Kind: rng.Intn(256), Provider: uint8(rng.Intn(256)), JoinWith: uint8(rng.Intn(256)),
 				Lo: uint16(rng.Intn(1 << 16)), Hi: uint16(rng.Intn(1 << 16))}
-			if rng.Intn(2) == 0 {
-				g.Req.MinOffset = counter()
-			}
 		case 3:
 			g.Req.Type = MsgStats
 		case 4:
@@ -500,9 +485,10 @@ func TestCodecMatchesReferenceEncoder(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			// A refusal travels alone; only the codes that carry a cursor or a
 			// text draw one.
-			ref := &Refusal{Code: RefusalCode(1 + rng.Intn(9))}
+			ref := &Refusal{Code: []RefusalCode{CodeBackpressure, CodeNotPrimary, CodeNotSetup, CodeSeqGap,
+				CodeSuspended, CodeClosing, CodeBadRequest, CodeFailed}[rng.Intn(8)]}
 			switch ref.Code {
-			case CodeStale, CodeSeqGap:
+			case CodeSeqGap:
 				ref.Cursor = counter()
 			case CodeBadRequest, CodeFailed:
 				ref.Detail = text(200)

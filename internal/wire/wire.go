@@ -200,14 +200,6 @@ type Request struct {
 	// reconnect replay a privacy-safe operation. Every sync is sequenced: the
 	// gateway refuses Seq 0, and a setup at any Seq but 1, as a bad request.
 	Seq uint64
-	// MinOffset is the freshness bound for MsgQuery on a read-only (replica)
-	// connection: the minimum per-shard replication offset the answering
-	// node must have committed. 0 means "any" — serve whatever committed
-	// prefix the replica holds. A primary ignores it (the primary is always
-	// fresh); a follower behind the bound refuses (CodeStale) instead of
-	// answering. Only a query carries one: the encoder refuses a
-	// bound on any other message type rather than drop it silently.
-	MinOffset uint64
 }
 
 // QuerySpec is the wire form of query.Query.
