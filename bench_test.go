@@ -16,8 +16,6 @@ import (
 	"testing"
 
 	"dpsync/internal/core"
-	"dpsync/internal/crypte"
-	"dpsync/internal/dp"
 	"dpsync/internal/edb"
 	"dpsync/internal/oblidb"
 	"dpsync/internal/query"
@@ -275,55 +273,6 @@ func BenchmarkMicroOwnerTick(b *testing.B) {
 		}
 		if terr != nil {
 			b.Fatal(terr)
-		}
-	}
-}
-
-// BenchmarkMicroRealAHE runs the true-crypto Cryptε substrate end-to-end at
-// a scaled-down size: two ingest batches (records become genuine Paillier
-// one-hot encodings, folded into per-provider ciphertext aggregates) and
-// the three linear evaluation queries, each re-randomized at the release
-// boundary and decrypted through the CRT pipeline. 384-bit keys keep one
-// iteration in the single-digit-seconds range the real pipeline now
-// sustains; the differential tests in internal/crypte pin these answers
-// bit-identical to the clear-text engine. One iteration (-benchtime 1x) is
-// the measurement the frozen BENCH_baseline.json sampled, over a similar
-// workload, as real_ahe_seconds.
-func BenchmarkMicroRealAHE(b *testing.B) {
-	pipe, err := crypte.NewAHEPipeline(384)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pipe.Close()
-	batches := make([][]record.Record, 2)
-	for bi := range batches {
-		for i := 0; i < 5; i++ {
-			batches[bi] = append(batches[bi], record.Record{
-				PickupTime: record.Tick(bi*10 + i + 1),
-				PickupID:   uint16((bi*37+i*53)%record.NumLocations + 1),
-				Provider:   record.YellowCab,
-				FareCents:  uint32(100 * (i + 1)),
-			})
-		}
-		batches[bi] = append(batches[bi], record.NewDummy(record.YellowCab))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db, err := crypte.New(crypte.WithRealAHE(pipe), crypte.WithNoiseSource(dp.NewSeededSource(uint64(i)+1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := db.Setup(batches[0]); err != nil {
-			b.Fatal(err)
-		}
-		if err := db.Update(batches[1]); err != nil {
-			b.Fatal(err)
-		}
-		for _, q := range []query.Query{query.Q1(), query.Q2(), query.Q4()} {
-			if _, _, err := db.Query(q); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

@@ -144,29 +144,12 @@
 // cell's own config, parallel results are bit-identical to the serial
 // driver's, which tests pin under -race.
 //
-// Paper-scale Paillier. The Cryptε substrate's cryptographic core
-// (internal/ahe, internal/crypte) runs the standard fast paths rather than
-// textbook arithmetic: decryption works modulo p² and q² and recombines by
-// CRT (~3–4× at production key sizes, pinned bit-identical to the textbook
-// reference); the owner encodes records with factorization-assisted r^n;
-// and encryption is split offline/online — an ahe.RandomizerPool
-// pre-generates randomizer powers in the background so the online cost of
-// a ciphertext is one modular multiplication (two to three orders of
-// magnitude below a full exponentiation). Slot-parallel operations
-// (SumVector, record encoding, histogram decryption) fan out across a
-// shared GOMAXPROCS-bounded worker pool. The re-randomization rule follows
-// the same trust-boundary argument as the SumVector note above: fresh
-// randomness is spent exactly once per *released* slot, never per
-// intermediate sum — the crypte.DB release boundary re-randomizes the
-// slots a query reveals (drawing pre-generated zeros from a
-// public-key-only pool, since that boundary lives on the untrusted
-// aggregation server) and interior homomorphic sums stay deterministic.
-// On top of this, crypte.WithRealAHE switches a Cryptε instance into
-// true-crypto mode: ingest maintains genuine per-provider ciphertext
-// aggregates and queries decrypt through the pipeline, differentially
-// tested bit-identical (pre-noise) to the clear-text incremental engine,
-// with a scaled-down end-to-end pass (BenchmarkMicroRealAHE) completing in
-// well under a second.
+// Cryptε is modelled, not computed. DP-Sync's guarantee is about the update
+// pattern an encrypted database's Setup and Update expose, not about how it
+// encrypts, so the Cryptε substrate (internal/crypte) keeps the paper's data
+// layout and noisy-release interface but evaluates its linear aggregates in
+// the clear and prices the homomorphic work with edb.CrypteCostModel, just
+// as ObliDB's ORAM is priced by edb.ObliDBCostModel.
 //
 // # Serving architecture
 //
@@ -326,8 +309,7 @@
 // with per-owner FIFO ordering, so one connection carries many owners' sync
 // batches. Both substrates serve unchanged behind the gateway: enclave-style
 // backends ingest sealed ciphertexts verbatim, aggregation-service backends
-// (Cryptε, including true-crypto WithRealAHE instances) receive records
-// through the gateway's ingress sealer.
+// (Cryptε) receive records through the gateway's ingress sealer.
 //
 // One frame connection. After the hello, every connection loop — the
 // gateway's handler (on a primary and on a follower alike), the pipelined

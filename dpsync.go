@@ -121,21 +121,6 @@ func WithNoiseSource(src NoiseSource) CryptepsOption { return crypte.WithNoiseSo
 // crypto-assisted DP engine. Supports Q1 and Q2; joins are rejected.
 func NewCrypteps(opts ...CryptepsOption) (Database, error) { return crypte.New(opts...) }
 
-// AHEPipeline is the real Paillier encode→aggregate→decrypt core of the
-// Cryptε substrate (CRT fast paths, background randomizer pool).
-type AHEPipeline = crypte.AHEPipeline
-
-// NewAHEPipeline generates a Paillier key pair and starts its owner-side
-// randomizer pool. Use ≥2048 bits in production; tests use 384–512. Close
-// the pipeline when done.
-func NewAHEPipeline(bits int) (*AHEPipeline, error) { return crypte.NewAHEPipeline(bits) }
-
-// WithRealAHE switches a Cryptε instance into true-crypto mode: ingest
-// maintains genuine Paillier ciphertext aggregates through p and queries
-// decrypt through them, instead of the plaintext fast-path simulation.
-// Differential tests pin the two modes bit-identical pre-noise.
-func WithRealAHE(p *AHEPipeline) CryptepsOption { return crypte.WithRealAHE(p) }
-
 // Q1 is the paper's linear range query: Yellow Cab pickups in zones 50–100.
 func Q1() Query { return query.Q1() }
 

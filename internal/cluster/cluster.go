@@ -18,7 +18,7 @@
 //     entry count.
 //   - A follower runs the same gateway in replica role, on the node's own
 //     listener from the start: read-only connections ("DPSQ") are served from
-//     the replicated prefix, bounded by the freshness the client asks for;
+//     the replicated prefix, in whole batches and never back in time;
 //     writers and would-be followers are refused at the hello
 //     (wire.ErrNotPrimary), so a client that dials it moves on to the next
 //     address instead of hanging. Meanwhile it tails the primary and hands

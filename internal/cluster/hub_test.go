@@ -222,7 +222,7 @@ func TestHubShipsOneEncodingPerEntry(t *testing.T) {
 // frame — store.EncodeEntryFrame's bytes — whether the entry carries it (the
 // gateway's, after its WAL append; a decoded one) or is hand-built and encoded
 // on the spot, for empty and zero-length ciphertext lists, 1- and 255-byte
-// owners, setup and flush flags. Wrapping a carried frame costs exactly one
+// owners, the setup flag. Wrapping a carried frame costs exactly one
 // allocation less than encoding, and an entry that cannot be encoded is
 // dropped without moving the stream.
 func TestHubWrapsTheEntrysFrame(t *testing.T) {
@@ -233,7 +233,7 @@ func TestHubWrapsTheEntrysFrame(t *testing.T) {
 		for i, bt := range []store.Batch{
 			{Tick: 1, Setup: true, Sealed: [][]byte{[]byte("ct-0"), []byte("ct-1")}, Charge: charge},
 			{Tick: 2, Charge: charge},
-			{Tick: 3, Flush: true, Sealed: [][]byte{{}, {0xC7}, {}}},
+			{Tick: 3, Sealed: [][]byte{{}, {0xC7}, {}}},
 		} {
 			e := store.Entry{Owner: owner, Batch: bt}
 			frame, err := store.EncodeEntryFrame(e)

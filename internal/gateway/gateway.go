@@ -35,10 +35,9 @@
 // Tenants are backed by any edb.Database. Backends that ingest sealed
 // ciphertexts directly (the ObliDB enclave: SetupSealed/UpdateSealed) get
 // them verbatim — the gateway never opens records destined for an enclave.
-// Backends without a sealed path (the Cryptε aggregation service, including
-// WithRealAHE true-crypto instances) receive records through the gateway's
-// ingress sealer, standing in for the aggregation service's transport
-// decryption boundary.
+// Backends without a sealed path (the Cryptε aggregation service) receive
+// records through the gateway's ingress sealer, standing in for the
+// aggregation service's transport decryption boundary.
 package gateway
 
 import (

@@ -274,45 +274,6 @@ func TestGatewayCrypteBackend(t *testing.T) {
 	}
 }
 
-// TestGatewayRealAHEBackend runs the true-crypto Cryptε mode behind the
-// gateway: ingest folds genuine Paillier aggregates, queries decrypt
-// through the pipeline — unchanged, per the tentpole requirement.
-func TestGatewayRealAHEBackend(t *testing.T) {
-	key, err := seal.NewRandomKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe, err := crypte.NewAHEPipeline(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pipe.Close()
-	gw, _ := startGateway(t, gateway.Config{
-		Key: key,
-		NewBackend: func(owner string) (edb.Database, error) {
-			return crypte.NewWithKey(key,
-				crypte.WithRealAHE(pipe),
-				crypte.WithNoiseSource(dp.NewSeededSource(11)))
-		},
-	})
-	conn, err := client.DialGateway(gw.Addr(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	own := conn.Owner("real-ahe-owner")
-	if err := own.Setup([]record.Record{yellow(0, 55), yellow(0, 56)}); err != nil {
-		t.Fatal(err)
-	}
-	ans, _, err := own.Query(query.Q1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.Scalar < -5 || ans.Scalar > 10 {
-		t.Errorf("noisy Q1 through real AHE = %v, implausible", ans.Scalar)
-	}
-}
-
 func TestGatewayOwnerIsolation(t *testing.T) {
 	gw, key := startGateway(t, gateway.Config{Shards: 3})
 	conn, err := client.DialGateway(gw.Addr(), key)

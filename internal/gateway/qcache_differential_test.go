@@ -147,36 +147,24 @@ func TestQueryCacheDifferential(t *testing.T) {
 	}
 }
 
-// TestQueryCacheDifferentialRealAHE runs the same pin through the
-// true-crypto Cryptε mode: answers carry genuine Paillier decryptions plus
-// per-evaluation DP noise. The seeded noise sources advance in lockstep
-// across the two gateways as long as each backend evaluates the same query
-// sequence once — which is exactly what the cache guarantees: repeats are
-// served from released bytes, drawing no further noise. A divergence here
-// means the cache let a repeat re-evaluate (burning a noise draw) or
-// corrupted the stored answer.
-func TestQueryCacheDifferentialRealAHE(t *testing.T) {
+// TestQueryCacheDifferentialCrypte runs the same pin through the Cryptε
+// backend, whose answers carry per-evaluation DP noise — the one place
+// noise reuse can show (ObliDB's answers are exact). The seeded noise
+// sources advance in lockstep across the two gateways as long as each
+// backend evaluates the same query sequence once — which is exactly what the
+// cache guarantees: repeats are served from released bytes, drawing no
+// further noise. A divergence here means the cache let a repeat re-evaluate
+// (burning a noise draw) or corrupted the stored answer.
+func TestQueryCacheDifferentialCrypte(t *testing.T) {
 	key, err := seal.NewRandomKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	newBackend := func(t *testing.T) (func(string) (edb.Database, error), func()) {
-		pipe, err := crypte.NewAHEPipeline(256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return func(string) (edb.Database, error) {
-			return crypte.NewWithKey(key,
-				crypte.WithRealAHE(pipe),
-				crypte.WithNoiseSource(dp.NewSeededSource(23)))
-		}, func() { pipe.Close() }
+	newBackend := func(string) (edb.Database, error) {
+		return crypte.NewWithKey(key, crypte.WithNoiseSource(dp.NewSeededSource(23)))
 	}
-	mkCached, closeCached := newBackend(t)
-	defer closeCached()
-	mkRef, closeRef := newBackend(t)
-	defer closeRef()
-	cached, _ := startGateway(t, gateway.Config{Key: key, NewBackend: mkCached, Telemetry: telemetry.New()})
-	ref, _ := startGateway(t, gateway.Config{Key: key, NewBackend: mkRef, QueryCache: -1})
+	cached, _ := startGateway(t, gateway.Config{Key: key, NewBackend: newBackend, Telemetry: telemetry.New()})
+	ref, _ := startGateway(t, gateway.Config{Key: key, NewBackend: newBackend, QueryCache: -1})
 
 	dial := func(gw *gateway.Gateway) *client.OwnerSession {
 		conn, err := client.DialGateway(gw.Addr(), key)
@@ -184,7 +172,7 @@ func TestQueryCacheDifferentialRealAHE(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
-		return conn.Owner("owner-ahe")
+		return conn.Owner("owner-crypte")
 	}
 	cOwn, rOwn := dial(cached), dial(ref)
 	for _, own := range []*client.OwnerSession{cOwn, rOwn} {

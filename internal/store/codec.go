@@ -123,7 +123,6 @@ func (c Charge) Spend(ledger *dp.Budget) error {
 type Batch struct {
 	Tick   uint64
 	Setup  bool
-	Flush  bool
 	Sealed [][]byte
 	Charge Charge
 
@@ -206,11 +205,8 @@ type OwnerState struct {
 	Tail []Batch
 }
 
-// Batch flag bits.
-const (
-	batchFlagSetup = 1 << iota
-	batchFlagFlush
-)
+// batchFlagSetup is the one batch flag bit; the decoder refuses any other.
+const batchFlagSetup = 1
 
 // appendBatch serializes a batch (shared by entries and snapshots).
 func appendBatch(b []byte, bt Batch) ([]byte, error) {
@@ -236,9 +232,6 @@ func appendBatchHead(b []byte, bt Batch, n int) ([]byte, error) {
 	if bt.Setup {
 		flags |= batchFlagSetup
 	}
-	if bt.Flush {
-		flags |= batchFlagFlush
-	}
 	b = binfmt.AppendU64(b, bt.Tick)
 	b = append(b, flags)
 	b = binfmt.AppendU16(b, uint16(len(bt.Charge.Name)))
@@ -252,11 +245,10 @@ func readBatch(r *binfmt.Reader) Batch {
 	var bt Batch
 	bt.Tick = r.U64("batch tick")
 	flags := r.U8("batch flags")
-	if flags&^(batchFlagSetup|batchFlagFlush) != 0 {
+	if flags&^batchFlagSetup != 0 {
 		r.Reject("unknown batch flag bits %#x", flags)
 	}
 	bt.Setup = flags&batchFlagSetup != 0
-	bt.Flush = flags&batchFlagFlush != 0
 	nameLen := int(r.U16("charge name length"))
 	bt.Charge.Name = string(r.Bytes(nameLen, "charge name"))
 	bt.Charge.Eps = r.F64("charge epsilon")

@@ -116,7 +116,7 @@ func refEncodeSnapshot(owners []OwnerState) ([]byte, error) {
 func randomBatch(rng *rand.Rand, tick uint64) Batch {
 	k := rng.Intn(4)
 	bt := Batch{
-		Tick: tick, Setup: tick == 1, Flush: rng.Intn(8) == 0,
+		Tick: tick, Setup: tick == 1,
 		Charge: Charge{Name: fmt.Sprintf("m_update-%d", k), Eps: float64(k) / 4, Rule: dp.Sequential},
 	}
 	if tick == 1 {

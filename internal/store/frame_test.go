@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -15,16 +16,16 @@ import (
 // later writer.
 
 // seededEntries is one owner's tick-contiguous run of the shapes the codec
-// must not confuse: no ciphertexts at all, zero-length ciphertexts, setup and
-// flush flags, a free (unnamed) charge.
+// must not confuse: no ciphertexts at all, zero-length ciphertexts, the setup
+// flag, a free (unnamed) charge.
 func seededEntries(owner string) []Entry {
 	charge := Charge{Name: "m_update", Eps: 0.25, Rule: dp.Sequential}
 	return []Entry{
 		{Owner: owner, Batch: Batch{Tick: 1, Setup: true, Sealed: [][]byte{[]byte("setup-ct-0"), []byte("setup-ct-1")}, Charge: Charge{Name: "m_setup", Eps: 0.25, Rule: dp.Sequential}}},
 		{Owner: owner, Batch: Batch{Tick: 2, Charge: charge}},
-		{Owner: owner, Batch: Batch{Tick: 3, Flush: true, Sealed: [][]byte{{}, []byte("x"), {}}, Charge: charge}},
+		{Owner: owner, Batch: Batch{Tick: 3, Sealed: [][]byte{{}, []byte("x"), {}}, Charge: charge}},
 		{Owner: owner, Batch: Batch{Tick: 4, Sealed: [][]byte{bytes.Repeat([]byte{0xC7}, 45)}}},
-		{Owner: owner, Batch: Batch{Tick: 5, Flush: true, Charge: Charge{Name: "m_flush", Rule: dp.Parallel}}},
+		{Owner: owner, Batch: Batch{Tick: 5, Charge: Charge{Name: "m_flush", Rule: dp.Parallel}}},
 		{Owner: owner, Batch: Batch{Tick: 6, Sealed: [][]byte{[]byte("tail-0"), []byte("tail-1")}, Charge: charge}},
 	}
 }
@@ -213,6 +214,27 @@ func TestSyncEntryRefusesWhatNoFrameHolds(t *testing.T) {
 	} {
 		if e, err := build(); err == nil {
 			t.Errorf("%s: framed %d bytes", name, len(e.Batch.frame))
+		}
+	}
+}
+
+// TestUnknownBatchFlagBitsRefused: setup is the one batch flag, so an entry
+// with any other flag bit set — bit 1 included, the retired flush flag no
+// writer ever set — is corruption, not data.
+func TestUnknownBatchFlagBitsRefused(t *testing.T) {
+	frame, err := encodeEntryFrame(Entry{Owner: "o", Batch: Batch{Tick: 2, Sealed: [][]byte{{1}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flagsAt = 1 + 1 + len("o") + 8 // kind, owner length, owner, tick
+	if _, err := decodeEntry(frame[8:]); err != nil {
+		t.Fatalf("valid entry refused: %v", err)
+	}
+	for bit := 1; bit < 8; bit++ {
+		payload := append([]byte(nil), frame[8:]...)
+		payload[flagsAt] |= 1 << bit
+		if _, err := decodeEntry(payload); !errors.Is(err, ErrCorruptSegment) {
+			t.Errorf("flag bit %d: err = %v, want ErrCorruptSegment", bit, err)
 		}
 	}
 }

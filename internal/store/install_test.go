@@ -35,7 +35,7 @@ func viewOf(t *testing.T, s *Store, st *OwnerState) tenantView {
 	history := collectHistory(t, s, st)
 	v := tenantView{Clock: st.Clock, Ledger: ledgerOf(t, history)}
 	for _, bt := range history {
-		v.Events = append(v.Events, leakage.Event{Tick: record.Tick(bt.Tick), Volume: len(bt.Sealed), Flush: bt.Flush})
+		v.Events = append(v.Events, leakage.Event{Tick: record.Tick(bt.Tick), Volume: len(bt.Sealed)})
 		frame, err := Entry{Owner: st.Owner, Batch: bt}.Frame()
 		if err != nil {
 			t.Fatal(err)
