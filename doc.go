@@ -307,9 +307,9 @@
 // owner namespace, by name or handle — and the pipelined client (client.DialGateway) keeps a
 // window of requests in flight per connection, matching responses by ID
 // with per-owner FIFO ordering, so one connection carries many owners' sync
-// batches. Both substrates serve unchanged behind the gateway: enclave-style
-// backends ingest sealed ciphertexts verbatim, aggregation-service backends
-// (Cryptε) receive records through the gateway's ingress sealer.
+// batches. Both substrates serve unchanged behind the gateway, which hands
+// every batch on sealed: the ObliDB enclave and the Cryptε aggregation
+// service each open it with their own key, and the gateway opens none.
 //
 // One frame connection. After the hello, every connection loop — the
 // gateway's handler (on a primary and on a follower alike), the pipelined
@@ -486,8 +486,7 @@
 // past the recovered clock — idempotent replay, torn tails treated as the
 // normal crash shape, CRC damage stopping a segment at its longest valid
 // prefix. Backends are rebuilt by *streaming* the logged ciphertext history
-// through the shared ingest path (verbatim for enclave-style stores, through
-// the ingress sealer for record-level ones) — spilled runs are validated
+// through the one sealed ingest path, verbatim — spilled runs are validated
 // (per-frame CRC, run CRC, owner, tick chain) and re-ingested frame by frame,
 // never materialized — and each tenant's transcript and ledger are rebuilt
 // together with its backend, one event and one charge per streamed batch, at

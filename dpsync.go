@@ -118,7 +118,8 @@ func WithQueryEpsilon(eps float64) CryptepsOption { return crypte.WithQueryEpsil
 func WithNoiseSource(src NoiseSource) CryptepsOption { return crypte.WithNoiseSource(src) }
 
 // NewCrypteps returns the bundled L-DP substrate: a Cryptε-style
-// crypto-assisted DP engine. Supports Q1 and Q2; joins are rejected.
+// crypto-assisted DP engine. Supports Q1, Q2 and the Q4 fare sum; joins are
+// rejected.
 func NewCrypteps(opts ...CryptepsOption) (Database, error) { return crypte.New(opts...) }
 
 // Q1 is the paper's linear range query: Yellow Cab pickups in zones 50–100.

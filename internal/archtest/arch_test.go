@@ -128,7 +128,13 @@ var rules = []struct {
 	// Per-record sealing is the reference's second shape, and the ladder's.
 	{"seal-all-callers", call("", "SealAll"), "", []string{"internal/refdb/", "benchmark/"}, nil},
 	// One tenant machine ingests a sealed batch, and one path spills history.
-	{"one-ingest", call("", "UpdateSealed"), "internal/", []string{"internal/oblidb/", "internal/crypte/", "internal/refdb/"}, []string{"internal/gateway/tenant.go:ingest"}},
+	{"one-ingest", call("", "UpdateSealed"), "internal/", []string{"internal/oblidb/", "internal/crypte/", "internal/refdb/"}, []string{"internal/gateway/tenant.go:Ingest"}},
+	// A batch is opened only by the backend it is sent to: the gateway hands
+	// it on sealed and opens no ciphertext itself (store.Open opens a directory).
+	{"gateway-never-opens", func(n ast.Node) bool {
+		c, ok := n.(*ast.CallExpr)
+		return ok && (named(c.Fun, "", "Open") && !named(c.Fun, "store", "Open") || named(c.Fun, "", "OpenAll") || named(c.Fun, "", "AppendOpen"))
+	}, "internal/gateway/", nil, nil},
 	{"one-spill", call("", "Spill"), "internal/", []string{"internal/oblidb/", "internal/crypte/", "internal/refdb/"}, []string{"internal/store/history.go:EnforceWindow"}},
 	{"history-writer", call("", "appendHistory"), "internal/", nil, []string{"internal/store/history.go:Spill"}},
 	// A snapshot is installed without renaming over the standing one.

@@ -56,11 +56,11 @@ func TestOwnerSessionImplementsDatabase(t *testing.T) {
 
 // statsCounted is a backend that counts the stats probes it answers.
 type statsCounted struct {
-	edb.Database
+	*oblidb.DB
 	n *atomic.Int64
 }
 
-func (s statsCounted) Stats() edb.StorageStats { s.n.Add(1); return s.Database.Stats() }
+func (s statsCounted) Stats() edb.StorageStats { s.n.Add(1); return s.DB.Stats() }
 
 // TestBackendIdentityProbedOncePerConnection pins that an owner's attach is
 // one round trip (its setup), not two: the backend's identity is the node's,

@@ -14,8 +14,14 @@
 // simulated aggregation service and pricing its cryptography with
 // edb.CrypteCostModel: Cryptε is modelled here, not computed.
 //
-// Cryptε supports linear queries only: range counts and group-by counts.
-// Joins are rejected, exactly as in the paper's evaluation (Q3 is ObliDB-only).
+// Records reach the aggregation service two ways: in process (Setup/Update),
+// already inside it, or sealed (SetupSealed/UpdateSealed), the served path,
+// where the service opens the owner's batch with its own key — its transport
+// boundary — so nothing in front of it ever does.
+//
+// Cryptε supports linear queries only: range counts, group-by counts and the
+// Q4 fare sum. Joins are rejected, exactly as in the paper's evaluation (Q3 is
+// ObliDB-only).
 package crypte
 
 import (
@@ -42,7 +48,7 @@ const DefaultQueryEpsilon = 3.0
 // concurrent use.
 type DB struct {
 	mu     sync.Mutex
-	sealer *seal.Sealer
+	sealer *seal.Sealer // opens sealed batches: the transport boundary
 	// agg is the aggregation service's incrementally maintained view: each
 	// ingested record folds its one-hot encodings into the running linear
 	// aggregates (dummies encode all-zero vectors, so Observe skips them).
@@ -124,9 +130,6 @@ func (db *DB) Supports(q query.Query) bool {
 	return q.Validate() == nil && q.Kind != query.JoinCount
 }
 
-// Sealer exposes the shared record sealer for the owner side.
-func (db *DB) Sealer() *seal.Sealer { return db.sealer }
-
 // Setup implements edb.Database.
 func (db *DB) Setup(rs []record.Record) error {
 	db.mu.Lock()
@@ -135,7 +138,8 @@ func (db *DB) Setup(rs []record.Record) error {
 		return edb.ErrAlreadySetup
 	}
 	db.setup = true
-	return db.ingest(rs)
+	db.ingest(rs, len(rs)-record.CountReal(rs))
+	return nil
 }
 
 // Update implements edb.Database.
@@ -145,26 +149,52 @@ func (db *DB) Update(rs []record.Record) error {
 	if !db.setup {
 		return edb.ErrNotSetup
 	}
-	return db.ingest(rs)
+	db.ingest(rs, len(rs)-record.CountReal(rs))
+	return nil
 }
 
-// ingest runs the encode-encrypt-upload path: records round-trip through
-// the sealer (as they would over the wire) and fold into the incremental
-// aggregates; the storage accounting charges each one its full encoding
-// width, and edb.CrypteCostModel prices the answers.
-func (db *DB) ingest(rs []record.Record) error {
-	cts, err := db.sealer.SealBatch(rs)
-	if err != nil {
-		return fmt.Errorf("crypte: sealing batch: %w", err)
+// SetupSealed initializes the store with sealed messages, opened with the
+// key the DB was built with. As at ObliDB's sealed boundary, the real/dummy
+// split is not the server's to count: every sealed record counts under
+// Records, with DummyRecords = 0.
+func (db *DB) SetupSealed(cts []seal.Sealed) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.setup {
+		return edb.ErrAlreadySetup
 	}
-	opened, err := db.sealer.OpenAll(cts)
+	db.setup = true
+	return db.ingestSealed(cts)
+}
+
+// UpdateSealed appends sealed messages (see SetupSealed).
+func (db *DB) UpdateSealed(cts []seal.Sealed) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if !db.setup {
+		return edb.ErrNotSetup
+	}
+	return db.ingestSealed(cts)
+}
+
+// ingestSealed opens a batch whole — one message that does not authenticate
+// admits none of it — and ingests its records. Callers hold db.mu.
+func (db *DB) ingestSealed(cts []seal.Sealed) error {
+	rs, err := db.sealer.OpenAll(cts)
 	if err != nil {
 		return fmt.Errorf("crypte: ingest: %w", err)
 	}
-	db.agg.ObserveAll(opened)
-	dummies := len(rs) - record.CountReal(rs)
-	db.stats.Add(len(rs), dummies, EncodingBytes)
+	db.ingest(rs, 0)
 	return nil
+}
+
+// ingest folds a batch into the incremental aggregates, dummies of its
+// records counted as dummy; the storage accounting charges each record its
+// full encoding width, and edb.CrypteCostModel prices the answers. Callers
+// hold db.mu.
+func (db *DB) ingest(rs []record.Record, dummies int) {
+	db.agg.ObserveAll(rs)
+	db.stats.Add(len(rs), dummies, EncodingBytes)
 }
 
 // Query implements edb.Database. Linear queries aggregate the one-hot

@@ -664,12 +664,12 @@ func TestDurableReadsWaitForCommit(t *testing.T) {
 	}
 }
 
-// TestDurableCrypteBackendRecovery covers the ingress-sealer replay path:
-// record-level backends (Cryptε) are rebuilt by re-opening the logged
-// ciphertexts through the gateway's ingress boundary. HistoryWindow 1
+// TestDurableCrypteSealedReplay covers Cryptε's own sealed ingest on
+// replay: a Cryptε backend is rebuilt by handing it the logged ciphertexts
+// verbatim, which it opens with its own key, as it did live. HistoryWindow 1
 // forces part of that history through the spill tier, so the recovery
-// stream exercises sealed-run decoding *and* the ingress sealer together.
-func TestDurableCrypteBackendRecovery(t *testing.T) {
+// stream exercises sealed-run decoding *and* Cryptε's opening together.
+func TestDurableCrypteSealedReplay(t *testing.T) {
 	key, err := seal.NewRandomKey()
 	if err != nil {
 		t.Fatal(err)

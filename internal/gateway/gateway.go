@@ -32,12 +32,10 @@
 //
 // # Substrates
 //
-// Tenants are backed by any edb.Database. Backends that ingest sealed
-// ciphertexts directly (the ObliDB enclave: SetupSealed/UpdateSealed) get
-// them verbatim — the gateway never opens records destined for an enclave.
-// Backends without a sealed path (the Cryptε aggregation service) receive
-// records through the gateway's ingress sealer, standing in for the
-// aggregation service's transport decryption boundary.
+// Tenants are backed by any edb.Database that ingests sealed batches itself
+// (SetupSealed/UpdateSealed): the ObliDB enclave, or the Cryptε aggregation
+// service at its transport boundary. Every batch reaches the backend
+// verbatim — the gateway never opens a record.
 package gateway
 
 import (
@@ -109,14 +107,15 @@ const (
 // Config assembles a Gateway.
 type Config struct {
 	// Key is the 32-byte shared data key (the attestation/provisioning
-	// stand-in) used by the default ObliDB backend and by the ingress
-	// sealer for record-level backends. Required unless NewBackend is set
-	// AND every backend ingests sealed ciphertexts.
+	// stand-in) the default ObliDB backend's enclaves open batches with.
+	// Required exactly when NewBackend is nil.
 	Key []byte
 	// Shards is the number of shard workers; 0 means GOMAXPROCS.
 	Shards int
 	// NewBackend constructs the encrypted database for a new owner
-	// namespace. Nil means a per-owner ObliDB instance under Key.
+	// namespace; it must ingest sealed batches (SetupSealed/UpdateSealed),
+	// or the namespace is refused. Nil means a per-owner ObliDB instance
+	// under Key.
 	NewBackend func(owner string) (edb.Database, error)
 	// Logger receives bounded per-connection diagnostics; nil discards.
 	Logger *slog.Logger
@@ -257,7 +256,7 @@ type Gateway struct {
 	replica atomic.Bool // the role; cleared once, by Promote
 	lis     net.Listener
 	log     *slog.Logger
-	tenants *Tenants     // builds tenant machines (backend, ingress sealer, answer cache)
+	tenants *Tenants     // builds tenant machines (backend, answer cache)
 	store   *store.Store // durability subsystem; nil without StoreDir
 	tm      gwMetrics    // telemetry handles; zero value no-ops
 

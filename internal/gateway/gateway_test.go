@@ -274,6 +274,91 @@ func TestGatewayCrypteBackend(t *testing.T) {
 	}
 }
 
+// TestServedCrypteCountsNoDummies: a served Cryptε tenant is handed its
+// owner's batches sealed and opens them itself, so, as at ObliDB's enclave
+// boundary, its server-side stats count every sealed record as a record and
+// none as a dummy — the real/dummy split stays the owner's.
+func TestServedCrypteCountsNoDummies(t *testing.T) {
+	key, err := seal.NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var built []*crypte.DB // the tenant's backend and any stats probe's
+	gw, _ := startGateway(t, gateway.Config{
+		Key: key,
+		NewBackend: func(string) (edb.Database, error) {
+			db, err := crypte.NewWithKey(key)
+			mu.Lock()
+			built = append(built, db)
+			mu.Unlock()
+			return db, err
+		},
+	})
+	conn, err := client.DialGateway(gw.Addr(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	own := conn.Owner("crypte-owner")
+	if err := own.Setup([]record.Record{yellow(0, 60), yellow(0, 61)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := own.Update([]record.Record{yellow(1, 62), record.NewDummy(record.YellowCab)}); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	records := 0
+	for _, db := range built {
+		st := db.Stats()
+		if st.DummyRecords != 0 {
+			t.Errorf("served Cryptε stats = %+v: the server counted dummies it cannot tell apart", st)
+		}
+		records += st.Records
+	}
+	if records != 4 {
+		t.Errorf("served Cryptε backends hold %d records, want the 4 sealed", records)
+	}
+}
+
+// recordLevel hides its database's sealed ingest: a backend that takes
+// records only, which the gateway would have to open a batch to feed.
+type recordLevel struct{ edb.Database }
+
+// TestBackendWithoutSealedIngestRefused: a NewBackend whose database cannot
+// ingest a sealed batch is refused at the namespace's first sync, as failed,
+// before any tenant state exists — no namespace is allocated.
+func TestBackendWithoutSealedIngestRefused(t *testing.T) {
+	key, err := seal.NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, _ := startGateway(t, gateway.Config{
+		Key: key,
+		NewBackend: func(string) (edb.Database, error) {
+			db, err := crypte.NewWithKey(key)
+			return recordLevel{db}, err
+		},
+	})
+	conn, err := client.DialGateway(gw.Addr(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	before := gw.Owners()
+	err = conn.Owner("owner-plain").Setup([]record.Record{yellow(0, 60)})
+	if !errors.Is(err, wire.ErrFailed) || !strings.Contains(err.Error(), "no sealed ingest") {
+		t.Fatalf("setup over a record-level backend: %v, want the failed refusal", err)
+	}
+	if got := gw.Owners(); got != before {
+		t.Fatalf("owners = %d after the refused setup, want %d", got, before)
+	}
+	if gw.Refused(wire.CodeFailed) == 0 {
+		t.Fatal("the refusal was not counted as failed")
+	}
+}
+
 func TestGatewayOwnerIsolation(t *testing.T) {
 	gw, key := startGateway(t, gateway.Config{Shards: 3})
 	conn, err := client.DialGateway(gw.Addr(), key)

@@ -58,8 +58,7 @@ type Tenant struct {
 	// from the history, never persisted. Commit appends, Replay rebuilds.
 	events []leakage.Event
 	env    *Tenants
-	db     edb.Database
-	sealed sealedStore // non-nil when the backend ingests ciphertexts directly
+	db     backend
 	// cts is Ingest's scratch for handing a batch to the backend as
 	// []seal.Sealed, reused so a steady-state sync allocates no header copy. It
 	// is cleared after every call, so it pins no ciphertext, and kept only up
@@ -135,9 +134,12 @@ func (tn *Tenant) flushDeferred() {
 // larger is a setup load whose scratch is not worth holding per tenant.
 const ingestScratch = 64
 
-// sealedStore is the optional backend fast path for substrates that accept
-// sealed ciphertexts without opening them (the ObliDB enclave boundary).
-type sealedStore interface {
+// backend is what a tenant needs of its encrypted database: an edb.Database
+// that ingests a sealed batch itself, so a batch is opened only behind the
+// backend's own boundary (the ObliDB enclave, the Cryptε aggregation
+// service), never by the gateway.
+type backend interface {
+	edb.Database
 	SetupSealed([]seal.Sealed) error
 	UpdateSealed([]seal.Sealed) error
 }
@@ -150,54 +152,55 @@ type CacheMetrics struct {
 }
 
 // Tenants is what all of one node's tenant machines share: how a backend is
-// built, the ingress sealer for record-level backends, and the answer cache's
-// capacity and instruments. NewTenants is the one place a Config's Key,
-// NewBackend and QueryCache are resolved, in either role — so a replica's
-// machine is what recovery over its directory would build.
+// built, and the answer cache's capacity and instruments. NewTenants is the
+// one place a Config's Key, NewBackend and QueryCache are resolved, in either
+// role — so a replica's machine is what recovery over its directory would
+// build.
 type Tenants struct {
 	newBackend func(owner string) (edb.Database, error)
-	sealer     *seal.Sealer // nil without Key
 	qcap       int
 	cm         CacheMetrics
 }
 
-// NewTenants resolves cfg's backend constructor (nil means a per-owner ObliDB
-// instance whose enclave opens with the ingress sealer) and the ingress
-// sealer, the node's one AEAD for Key.
+// NewTenants resolves cfg's backend constructor. Nil means a per-owner ObliDB
+// instance whose enclave opens with the node's one sealer for Key, which is
+// then required; a NewBackend's backends hold their own keys.
 func NewTenants(cfg Config, cm CacheMetrics) (*Tenants, error) {
 	ts := &Tenants{newBackend: cfg.NewBackend, qcap: cfg.QueryCache, cm: cm}
-	if len(cfg.Key) > 0 {
+	if ts.newBackend == nil {
 		s, err := seal.NewSealer(cfg.Key)
 		if err != nil {
-			return nil, fmt.Errorf("gateway: %w", err)
+			return nil, fmt.Errorf("gateway: default ObliDB backend: %w", err)
 		}
-		ts.sealer = s
-	}
-	if ts.newBackend == nil {
-		if ts.sealer == nil {
-			return nil, fmt.Errorf("gateway: default ObliDB backend requires Key")
-		}
-		s := ts.sealer
 		ts.newBackend = func(string) (edb.Database, error) { return oblidb.NewWithSealer(s), nil }
 	}
 	return ts, nil
 }
 
-// New builds an empty machine — clock zero, empty ledger — over a fresh
-// backend.
-func (ts *Tenants) New(owner string) (*Tenant, error) {
+// backend builds owner's backend, refusing one that cannot ingest a sealed
+// batch.
+func (ts *Tenants) backend(owner string) (backend, error) {
 	db, err := ts.newBackend(owner)
 	if err != nil {
 		return nil, fmt.Errorf("gateway: backend for %q: %w", owner, err)
 	}
+	b, ok := db.(backend)
+	if !ok {
+		return nil, fmt.Errorf("gateway: backend %q has no sealed ingest", db.Name())
+	}
+	return b, nil
+}
+
+// New builds an empty machine — clock zero, empty ledger — over a fresh
+// backend.
+func (ts *Tenants) New(owner string) (*Tenant, error) {
+	db, err := ts.backend(owner)
+	if err != nil {
+		return nil, err
+	}
 	tn := &Tenant{OwnerState: &store.OwnerState{Owner: owner, Budget: dp.NewBudget()}, env: ts, db: db}
 	if ts.qcap >= 0 {
 		tn.qc = qcache.New(ts.qcap)
-	}
-	if ss, ok := db.(sealedStore); ok {
-		tn.sealed = ss
-	} else if ts.sealer == nil {
-		return nil, fmt.Errorf("gateway: backend %q has no sealed-ingest path and gateway has no ingress key", db.Name())
 	}
 	return tn, nil
 }
@@ -241,48 +244,31 @@ func (ts *Tenants) Replay(s *store.Store, st *store.OwnerState) (*Tenant, error)
 // throwaway instance, so clients can learn what they would be talking to
 // without the probe allocating tenant state.
 func (ts *Tenants) StatsProbe(owner string) wire.Response {
-	db, err := ts.newBackend(owner)
+	db, err := ts.backend(owner)
 	if err != nil {
-		return failed(fmt.Errorf("gateway: backend for %q: %w", owner, err))
+		return failed(err)
 	}
 	return wire.NewStatsResponse(db.Stats(), db.Name(), int(db.Leakage()))
 }
 
-// Ingest lands one sealed batch in the backend: verbatim for enclave-style
-// backends, through the ingress sealer for record-level ones.
+// Ingest hands one sealed batch to the backend verbatim: the backend alone
+// opens it.
 func (tn *Tenant) Ingest(setup bool, sealed [][]byte) error {
 	cts := tn.cts[:0]
 	for _, b := range sealed {
 		cts = append(cts, seal.Sealed(b))
 	}
-	err := tn.ingest(setup, cts)
+	var err error
+	if setup {
+		err = tn.db.SetupSealed(cts)
+	} else {
+		err = tn.db.UpdateSealed(cts)
+	}
 	clear(cts)
 	if cap(cts) <= ingestScratch {
 		tn.cts = cts[:0]
 	}
 	return err
-}
-
-func (tn *Tenant) ingest(setup bool, cts []seal.Sealed) error {
-	if tn.sealed != nil {
-		// Enclave-style backend: ciphertexts pass through verbatim; the
-		// gateway never opens records destined for an enclave.
-		if setup {
-			return tn.sealed.SetupSealed(cts)
-		}
-		return tn.sealed.UpdateSealed(cts)
-	}
-	// Aggregation-service-style backend: the transport sealing ends here
-	// (the ingress boundary) and the records continue into the substrate,
-	// which applies its own encoding/encryption.
-	rs, err := tn.env.sealer.OpenAll(cts)
-	if err != nil {
-		return err
-	}
-	if setup {
-		return tn.db.Setup(rs)
-	}
-	return tn.db.Update(rs)
 }
 
 // Commit makes an ingested batch part of the committed state: the sync

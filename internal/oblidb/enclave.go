@@ -108,7 +108,14 @@ func (e *Enclave) Ingest(cts []seal.Sealed) (int, error) {
 			return 0, fmt.Errorf("oblidb: ciphertext %d rejected by enclave: %w", i, err)
 		}
 	}
-	for _, r := range opened {
+	e.observe(opened)
+	return len(opened), nil
+}
+
+// observe folds opened records into the enclave-resident tables: the
+// aggregates, and the table sizes the modelled scans read.
+func (e *Enclave) observe(rs []record.Record) {
+	for _, r := range rs {
 		e.agg.Observe(r)
 		if r.Provider == record.GreenTaxi {
 			e.green++
@@ -116,7 +123,6 @@ func (e *Enclave) Ingest(cts []seal.Sealed) (int, error) {
 			e.yellow++
 		}
 	}
-	return len(opened), nil
 }
 
 // Execute runs q over the resident store and returns the exact answer plus

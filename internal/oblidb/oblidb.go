@@ -25,7 +25,6 @@
 package oblidb
 
 import (
-	"fmt"
 	"sync"
 
 	"dpsync/internal/edb"
@@ -116,7 +115,8 @@ func (db *DB) Setup(rs []record.Record) error {
 		return edb.ErrAlreadySetup
 	}
 	db.setup = true
-	return db.ingest(rs)
+	db.ingest(rs)
+	return nil
 }
 
 // Update implements edb.Database.
@@ -126,27 +126,27 @@ func (db *DB) Update(rs []record.Record) error {
 	if !db.setup {
 		return edb.ErrNotSetup
 	}
-	return db.ingest(rs)
+	db.ingest(rs)
+	return nil
 }
 
-// ingest seals the batch as one message (records always cross the
-// owner/server boundary as ciphertexts) and admits it. Callers hold db.mu.
-func (db *DB) ingest(rs []record.Record) error {
-	cts, err := db.enclave.sealer.SealBatch(rs)
-	if err != nil {
-		return fmt.Errorf("oblidb: sealing batch: %w", err)
-	}
-	return db.admit(cts, len(rs)-record.CountReal(rs))
+// ingest folds an in-process batch — records already on the enclave's side
+// of the boundary — into the enclave by the step Enclave.Ingest takes after
+// it opens a sealed one, and counts its records, dummies of them known to be
+// dummy. Callers hold db.mu.
+func (db *DB) ingest(rs []record.Record) {
+	db.enclave.observe(rs)
+	db.stats.Add(len(rs), len(rs)-record.CountReal(rs), BlockBytes)
 }
 
 // admit hands a batch of messages to the enclave and counts the records they
-// seal (dummies of them known to be dummy). Callers hold db.mu.
-func (db *DB) admit(cts []seal.Sealed, dummies int) error {
+// seal. Callers hold db.mu.
+func (db *DB) admit(cts []seal.Sealed) error {
 	n, err := db.enclave.Ingest(cts)
 	if err != nil {
 		return err
 	}
-	db.stats.Add(n, dummies, BlockBytes)
+	db.stats.Add(n, 0, BlockBytes)
 	return nil
 }
 
@@ -163,7 +163,7 @@ func (db *DB) SetupSealed(cts []seal.Sealed) error {
 		return edb.ErrAlreadySetup
 	}
 	db.setup = true
-	return db.admit(cts, 0)
+	return db.admit(cts)
 }
 
 // UpdateSealed appends pre-sealed messages (see SetupSealed).
@@ -173,7 +173,7 @@ func (db *DB) UpdateSealed(cts []seal.Sealed) error {
 	if !db.setup {
 		return edb.ErrNotSetup
 	}
-	return db.admit(cts, 0)
+	return db.admit(cts)
 }
 
 // Query implements edb.Database: the enclave executes the rewritten plan

@@ -1,7 +1,8 @@
 // Package telemetry is the runtime metrics and observability layer: lock-
-// free counters, gauges, and fixed-bucket histograms behind a registry, a
-// Prometheus/JSON/statusz admin HTTP plane (ServeAdmin), and the structured
-// logging helpers the serving stack shares.
+// free counters and fixed-bucket histograms behind a registry, scrape-time
+// collectors for gauges and labelled series, a Prometheus/JSON/statusz admin
+// HTTP plane (ServeAdmin), and the structured logging helpers the serving
+// stack shares.
 //
 // # Hot-path contract
 //
@@ -72,41 +73,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an atomic float64 gauge. A nil *Gauge no-ops.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add adds delta (CAS loop; rarely contended — gauges are set from slow
-// paths or incremented on connection open/close).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // Histogram is a fixed-bucket histogram: bounds are the bucket upper bounds
@@ -288,7 +254,6 @@ type regEntry struct {
 	help string
 	kind Kind
 	c    *Counter
-	g    *Gauge
 	h    *Histogram
 	d    *Distribution
 }
@@ -333,18 +298,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 		e.c = &Counter{}
 	}
 	return e.c
-}
-
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	e := r.lookup(name, help, KindGauge)
-	if e == nil {
-		return nil
-	}
-	if e.g == nil {
-		e.g = &Gauge{}
-	}
-	return e.g
 }
 
 // Histogram returns (creating if needed) the named histogram. bounds is
@@ -422,8 +375,6 @@ func (r *Registry) Snapshot() []Sample {
 		switch {
 		case e.c != nil:
 			s.Value = float64(e.c.Value())
-		case e.g != nil:
-			s.Value = e.g.Value()
 		case e.h != nil:
 			s.Hist = e.h.snapshot()
 		case e.d != nil:

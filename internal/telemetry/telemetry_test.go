@@ -22,7 +22,6 @@ import (
 func TestSnapshotConsistencyUnderRace(t *testing.T) {
 	reg := New()
 	ctr := reg.Counter("test_ops_total", "ops")
-	g := reg.Gauge("test_inflight", "inflight")
 	h := reg.Histogram("test_latency_us", "latency", LatencyBucketsUs)
 	d := reg.Distribution("test_eps", "eps", EpsilonBuckets)
 
@@ -50,12 +49,10 @@ func TestSnapshotConsistencyUnderRace(t *testing.T) {
 					<-overlapped
 				}
 				ctr.Inc()
-				g.Add(1)
 				h.Observe(float64((w*31 + i) % 100000))
 				next := spent + 0.5
 				d.Move(spent, next)
 				spent = next
-				g.Add(-1)
 			}
 		}(w)
 	}
@@ -104,9 +101,6 @@ func TestSnapshotConsistencyUnderRace(t *testing.T) {
 	if got := ctr.Value(); got != total {
 		t.Errorf("counter = %d, want %d", got, total)
 	}
-	if got := g.Value(); got != 0 {
-		t.Errorf("gauge = %v, want 0 after balanced adds", got)
-	}
 	hs := h.snapshot()
 	if hs.Count != total {
 		t.Errorf("histogram count = %d, want %d", hs.Count, total)
@@ -124,12 +118,12 @@ func TestSnapshotConsistencyUnderRace(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	reg := New()
 	reg.Counter("a_total", "a counter").Add(3)
-	reg.Gauge("b", "a gauge").Set(1.5)
 	h := reg.Histogram("lat_us", "a histogram", []float64{1, 10, 100})
 	h.Observe(0.5)
 	h.Observe(5)
 	h.Observe(5000)
 	reg.RegisterCollector(func(emit func(Sample)) {
+		emit(Sample{Name: "b", Help: "a gauge", Kind: KindGauge, Value: 1.5})
 		emit(Sample{Name: `lag{follower="b"}`, Help: "per-follower lag", Kind: KindGauge, Value: 7})
 	})
 
@@ -186,13 +180,10 @@ func TestCollectorUnregister(t *testing.T) {
 
 func TestNilHandlesNoOp(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	var d *Distribution
 	c.Inc()
 	c.Add(2)
-	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
 	h.ObserveSince(time.Now())
 	h.ObserveNs(100)
