@@ -10,16 +10,15 @@
 package main
 
 import (
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 	"time"
 
 	"dpsync/internal/client"
 	"dpsync/internal/query"
+	"dpsync/internal/seal"
 )
 
 func main() {
@@ -33,7 +32,7 @@ func main() {
 	)
 	flag.Parse()
 
-	key, err := loadKey(*keyFile)
+	key, err := seal.ReadKeyFile(*keyFile)
 	if err != nil {
 		log.Fatalf("dpsync-analyst: %v", err)
 	}
@@ -119,12 +118,4 @@ func printTop(groups []float64, n int) {
 		zs[k], zs[best] = zs[best], zs[k]
 		fmt.Printf("    zone %-4d %.0f pickups\n", zs[k].id, zs[k].count)
 	}
-}
-
-func loadKey(path string) ([]byte, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading key file: %w", err)
-	}
-	return hex.DecodeString(strings.TrimSpace(string(raw)))
 }

@@ -33,14 +33,13 @@
 package main
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"dpsync/internal/loadgen"
+	"dpsync/internal/seal"
 	"dpsync/internal/telemetry"
 )
 
@@ -97,12 +96,9 @@ func main() {
 		cfg.Logger = telemetry.NewLogger(os.Stderr, lvl)
 	}
 	if *keyFile != "" {
-		raw, err := os.ReadFile(*keyFile)
-		if err != nil {
+		var err error
+		if cfg.Key, err = seal.ReadKeyFile(*keyFile); err != nil {
 			fatal(err)
-		}
-		if cfg.Key, err = hex.DecodeString(strings.TrimSpace(string(raw))); err != nil {
-			fatal(fmt.Errorf("decoding key file: %w", err))
 		}
 	}
 

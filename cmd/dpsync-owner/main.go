@@ -16,11 +16,9 @@
 package main
 
 import (
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 	"time"
 
@@ -28,6 +26,7 @@ import (
 	"dpsync/internal/core"
 	"dpsync/internal/dp"
 	"dpsync/internal/record"
+	"dpsync/internal/seal"
 	"dpsync/internal/strategy"
 	"dpsync/internal/workload"
 )
@@ -50,7 +49,7 @@ func main() {
 	)
 	flag.Parse()
 
-	key, err := loadKey(*keyFile)
+	key, err := seal.ReadKeyFile(*keyFile)
 	if err != nil {
 		log.Fatalf("dpsync-owner: %v", err)
 	}
@@ -143,12 +142,4 @@ func buildStrategy(name string, eps float64, period int64, theta float64, f int6
 	default:
 		return nil, fmt.Errorf("unknown strategy %q", name)
 	}
-}
-
-func loadKey(path string) ([]byte, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading key file: %w", err)
-	}
-	return hex.DecodeString(strings.TrimSpace(string(raw)))
 }

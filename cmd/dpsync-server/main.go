@@ -59,9 +59,10 @@
 package main
 
 import (
-	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"os"
 	"os/signal"
@@ -113,7 +114,7 @@ func main() {
 	signal.Notify(done, os.Interrupt, syscall.SIGTERM)
 
 	reg := telemetry.Default
-	tracer := telemetry.NewTracer(telemetry.TracerConfig{SampleEvery: *traceN})
+	tracer := telemetry.NewTracer(*traceN)
 	// The gateway's serving configuration, one mapping from the flags for
 	// either mode; a cluster node owns its StoreDir and logger.
 	gcfg := gateway.Config{
@@ -241,18 +242,11 @@ func loadOrGenKey(path string, gen bool) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := os.WriteFile(path, []byte(hex.EncodeToString(key)+"\n"), 0o600); err != nil {
-			return nil, fmt.Errorf("writing key file: %w", err)
-		}
-		return key, nil
+		return key, seal.WriteKeyFile(path, key)
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading key file (use -gen-key to create one): %w", err)
+	key, err := seal.ReadKeyFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		err = fmt.Errorf("%w (use -gen-key to create one)", err)
 	}
-	key, err := hex.DecodeString(strings.TrimSpace(string(raw)))
-	if err != nil {
-		return nil, fmt.Errorf("decoding key file: %w", err)
-	}
-	return key, nil
+	return key, err
 }

@@ -113,9 +113,9 @@
 // part of the statistic that grows with ingest is the join key and its
 // weight, 9 bytes a record, real or dummy. This preserves the L-0 leakage
 // semantics exactly:
-// obliviousness is a property of the *modeled* engine, whose scan extents,
-// access log, and calibrated QET cost model still charge the full oblivious
-// scan of every resident record, byte-for-byte what the naive full-scan
+// obliviousness is a property of the *modeled* engine, whose calibrated QET
+// cost model, with the scan extent it reports, still charges the full
+// oblivious scan of every resident record, byte-for-byte what the naive full-scan
 // path reported. Only the simulator's answer computation is incremental,
 // and differential tests pin those answers bit-identical to naive plan
 // evaluation — over out-of-domain IDs, unknown providers and join keys in
@@ -438,14 +438,14 @@
 // a count of the records it was handed sealed and the enclave's aggregates,
 // never the ciphertexts, so a tenant's RAM is its aggregates plus the window
 // — per ingested record, real or dummy, the 9-byte join key and weight and
-// its share of the sync's transcript event — plus a fixed part: 552 bytes in
+// its share of the sync's transcript event — plus a fixed part: 472 bytes in
 // 7 heap objects for a new tenant (tenant, committed state, ledger, ObliDB instance, enclave,
 // aggregates), pinned at ≤ 1 KiB in ≤ 10 by
 // TestTenantFixedCost. Nothing a tenant shares with others is in it: every
 // enclave opens with the node's one sealer for its key and every instance
 // reads the one cost model, and what a tenant builds only once it is queried
 // is bounded — an answer cache of at most Config.QueryCache entries (64 by
-// default), an access log of the last 128 scan extents.
+// default); the enclave keeps nothing per query.
 // Only a manifest ref — segment id, byte offset, run length, run checksum,
 // tick range — stays in memory per spilled run; spills fire at twice the
 // window and extend the owner's previous ref in place when contiguous, so

@@ -78,7 +78,7 @@ const (
 )
 
 // New builds a data owner from cfg. The database's leakage class must be
-// DP-Sync compatible (L-0 or L-DP) unless cfg.AllowIncompatible is set.
+// DP-Sync compatible (L-0 or L-DP).
 func New(cfg Config) (*Owner, error) { return core.New(cfg) }
 
 // NewSUR returns the synchronize-upon-receipt baseline (no privacy).

@@ -25,12 +25,14 @@ var testFunc = regexp.MustCompile(`^(Test|Fuzz|Example)`)
 type src struct {
 	path string // slash-separated, relative to the module root
 	file *ast.File
+	fset *token.FileSet // one per load, shared by the files it parsed
 }
 
 // load parses, in parallel, every Go file under the module root, outside
 // testdata and dot directories, that is a test file or not as tests says.
 func load(t *testing.T, tests bool) []src {
 	var out []src
+	fset := token.NewFileSet()
 	err := filepath.Walk(root, func(p string, fi os.FileInfo, err error) error {
 		switch {
 		case err != nil:
@@ -38,7 +40,7 @@ func load(t *testing.T, tests bool) []src {
 		case fi.IsDir() && p != root && (fi.Name() == "testdata" || fi.Name()[0] == '.'):
 			return filepath.SkipDir
 		case !fi.IsDir() && strings.HasSuffix(p, ".go") && strings.HasSuffix(p, "_test.go") == tests:
-			out = append(out, src{path: strings.TrimPrefix(filepath.ToSlash(p), root+"/")})
+			out = append(out, src{path: strings.TrimPrefix(filepath.ToSlash(p), root+"/"), fset: fset})
 		}
 		return nil
 	})
@@ -48,7 +50,7 @@ func load(t *testing.T, tests bool) []src {
 		go func() {
 			defer wg.Done()
 			var err error
-			if out[i].file, err = parser.ParseFile(token.NewFileSet(), filepath.Join(root, out[i].path), nil, parser.SkipObjectResolution); err != nil {
+			if out[i].file, err = parser.ParseFile(fset, filepath.Join(root, out[i].path), nil, parser.SkipObjectResolution); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -266,6 +268,7 @@ func TestArch(t *testing.T) {
 		}
 	})
 	t.Run("ci-run-patterns-name-tests", testRunPatterns)
+	t.Run("every-option-has-a-caller", func(t *testing.T) { testOptionCallers(t, srcs) })
 }
 
 // sizesFrame reports whether n reads or writes a length integer of bytes with

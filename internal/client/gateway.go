@@ -25,10 +25,10 @@ import (
 	"dpsync/internal/wire"
 )
 
-// DefaultWindow is the default in-flight request window per gateway
-// connection: how many requests may be awaiting responses before senders
-// block. It is the client-side backpressure valve — a saturated gateway
-// slows its clients instead of accumulating unbounded in-flight state.
+// DefaultWindow is the in-flight request window of each gateway link: how
+// many requests may be awaiting responses before senders block. It is the
+// client-side backpressure valve — a saturated gateway slows its clients
+// instead of accumulating unbounded in-flight state.
 const DefaultWindow = 64
 
 // Reconnect tuning. Backoff is capped exponential with full jitter: each
@@ -78,7 +78,6 @@ type GatewayConn struct {
 	addrIdx   int      // touched only under the primary link's dial lock
 	dialer    func(addr string) (net.Conn, error)
 	resyncWin int
-	window    int // each link's in-flight cap
 
 	primary *link
 	replica *link   // nil without WithReadReplica; its first read dials it
@@ -217,21 +216,11 @@ type pendingReq struct {
 type GatewayOption func(*gatewayOpts)
 
 type gatewayOpts struct {
-	window    int
 	attempts  int
 	dialer    func(addr string) (net.Conn, error)
 	addrs     []string
 	resyncWin int
 	readAddr  string
-}
-
-// WithWindow sets the in-flight request window (default DefaultWindow).
-func WithWindow(n int) GatewayOption {
-	return func(o *gatewayOpts) {
-		if n > 0 {
-			o.window = n
-		}
-	}
 }
 
 // WithReconnect lets the primary link outlive a transport loss: the next
@@ -290,7 +279,7 @@ func WithResyncWindow(n int) GatewayOption {
 // gateway that cannot be reached fails the call at once; WithReconnect's
 // budget is for the outages after it. The replica is dialed by its first read.
 func DialGateway(addr string, key []byte, opts ...GatewayOption) (*GatewayConn, error) {
-	o := gatewayOpts{window: DefaultWindow, resyncWin: DefaultResyncWindow}
+	o := gatewayOpts{resyncWin: DefaultResyncWindow}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -306,7 +295,6 @@ func DialGateway(addr string, key []byte, opts ...GatewayOption) (*GatewayConn, 
 		addrs:     append([]string{addr}, o.addrs...),
 		dialer:    o.dialer,
 		resyncWin: o.resyncWin,
-		window:    o.window,
 	}
 	c.primary = c.openLink(&link{dial: c.dialTransport, attempts: o.attempts, resend: true})
 	if err := c.primary.connect(0, 1); err != nil {
@@ -326,7 +314,7 @@ func DialGateway(addr string, key []byte, opts ...GatewayOption) (*GatewayConn, 
 // attempts, resend, timeout), what every link of c shares. It has no
 // transport yet: its first request's connect dials one.
 func (c *GatewayConn) openLink(l *link) *link {
-	l.traffic, l.window, l.pending = &c.traffic, make(chan struct{}, c.window), map[uint64]*pendingReq{}
+	l.traffic, l.window, l.pending = &c.traffic, make(chan struct{}, DefaultWindow), map[uint64]*pendingReq{}
 	return l
 }
 

@@ -102,11 +102,11 @@ func TestBackendIdentityProbedOncePerConnection(t *testing.T) {
 // goroutines share one connection and one owner, each asking a different
 // range query; every goroutine must get *its* answer, not a neighbor's.
 // Before the pipelined client, the mutex serialized these silently; now
-// they are genuinely in flight together (window 32), so a matching bug
+// they are genuinely in flight together (up to DefaultWindow), so a matching bug
 // would cross answers immediately. Run under -race.
 func TestPipelinedResponseMatching(t *testing.T) {
 	gw, key := startGateway(t, gateway.Config{Shards: 4})
-	conn, err := DialGateway(gw.Addr(), key, WithWindow(32))
+	conn, err := DialGateway(gw.Addr(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPipelinedResponseMatching(t *testing.T) {
 // side stats stay per-session.
 func TestConcurrentOwnersStress(t *testing.T) {
 	gw, key := startGateway(t, gateway.Config{Shards: 4})
-	conn, err := DialGateway(gw.Addr(), key, WithWindow(48))
+	conn, err := DialGateway(gw.Addr(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func (l *link) send(owner string, req wire.Request) (<-chan wire.Response, func(
 // transcript's volume sequence is the witness.
 func TestPerOwnerFIFO(t *testing.T) {
 	gw, key := startGateway(t, gateway.Config{Shards: 2})
-	conn, err := DialGateway(gw.Addr(), key, WithWindow(64))
+	conn, err := DialGateway(gw.Addr(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +291,12 @@ func TestPerOwnerFIFO(t *testing.T) {
 	}
 }
 
-// TestWindowBackpressure pins that a tiny in-flight window still drains
-// correctly under many concurrent senders (no deadlock, no lost slots).
+// TestWindowBackpressure pins that the in-flight window still drains
+// correctly under more concurrent senders than it has slots (no deadlock, no
+// lost slots).
 func TestWindowBackpressure(t *testing.T) {
 	gw, key := startGateway(t, gateway.Config{})
-	conn, err := DialGateway(gw.Addr(), key, WithWindow(1))
+	conn, err := DialGateway(gw.Addr(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,9 +305,10 @@ func TestWindowBackpressure(t *testing.T) {
 	if err := own.Setup(nil); err != nil {
 		t.Fatal(err)
 	}
+	const senders = 4 * DefaultWindow
 	var wg sync.WaitGroup
-	errs := make(chan error, 10)
-	for g := 0; g < 10; g++ {
+	errs := make(chan error, senders)
+	for g := 0; g < senders; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

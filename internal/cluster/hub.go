@@ -58,10 +58,6 @@ type HubConfig struct {
 	RingSize int
 	// Heartbeat is the idle-stream heartbeat interval (0 = DefaultHeartbeat).
 	Heartbeat time.Duration
-	// Clock stamps CommitNs on shipped frames (nil = time.Now); the
-	// follower's replication-lag metric is the difference against its own
-	// clock, so tests inject a shared fake.
-	Clock func() time.Time
 	// Logger receives bounded diagnostics; nil discards.
 	Logger *slog.Logger
 	// Telemetry receives the hub's replication metrics (frames shipped,
@@ -168,9 +164,6 @@ func NewHub(cfg HubConfig) *Hub {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = DefaultHeartbeat
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
 	h := &Hub{cfg: cfg, quit: make(chan struct{}), subs: map[*hubSub]struct{}{}}
 	if cfg.Logger != nil {
 		h.log = cfg.Logger
@@ -196,7 +189,7 @@ func (h *Hub) emitTelemetry(emit func(telemetry.Sample)) {
 		Kind: telemetry.KindCounter, Value: float64(h.shipped)})
 	emit(telemetry.Sample{Name: "repl_snapshots_total", Help: "per-shard snapshot transfers served",
 		Kind: telemetry.KindCounter, Value: float64(h.snapshots)})
-	now := h.cfg.Clock().UnixNano()
+	now := time.Now().UnixNano()
 	for sub := range h.subs {
 		lagE, lagMs := h.lagLocked(sub, now)
 		emit(telemetry.Sample{
@@ -306,7 +299,7 @@ type FollowerStatus struct {
 func (h *Hub) Followers() []FollowerStatus {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	now := h.cfg.Clock().UnixNano()
+	now := time.Now().UnixNano()
 	out := make([]FollowerStatus, 0, len(h.subs))
 	for sub := range h.subs {
 		lagE, lagMs := h.lagLocked(sub, now)
@@ -342,7 +335,7 @@ func (h *Hub) Committed(sid int, e store.Entry, tc telemetry.TraceContext) {
 		return
 	}
 	r := &h.rings[sid]
-	commitNs := h.cfg.Clock().UnixNano()
+	commitNs := time.Now().UnixNano()
 	fr := wire.ReplFrame{
 		Kind:     wire.ReplEntry,
 		Shard:    uint32(sid),
@@ -353,7 +346,7 @@ func (h *Hub) Committed(sid int, e store.Entry, tc telemetry.TraceContext) {
 	var meta *shipMeta
 	if id := tc.TraceID(); id != 0 {
 		ship := tc.Alloc()
-		meta = &shipMeta{tc: tc, ship: ship, start: h.cfg.Clock()}
+		meta = &shipMeta{tc: tc, ship: ship, start: time.Now()}
 		fr.TraceID, fr.ParentSpan = id, ship
 	}
 	payload, err := wire.EncodeReplFrame(fr)

@@ -142,7 +142,7 @@ func TestHubShipsOneEncodingPerEntry(t *testing.T) {
 
 	// Commit six entries straight into the hub, every other one sampled.
 	const entries = 6
-	tracer := telemetry.NewTracer(telemetry.TracerConfig{SampleEvery: 1})
+	tracer := telemetry.NewTracer(1)
 	var sampled []telemetry.TraceContext
 	for i := 1; i <= entries; i++ {
 		var tc telemetry.TraceContext

@@ -155,8 +155,8 @@ func TestClusterTraceSpanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	lease := cluster.NewMemLease(nil)
-	trA := telemetry.NewTracer(telemetry.TracerConfig{SampleEvery: 1})
-	trB := telemetry.NewTracer(telemetry.TracerConfig{SampleEvery: 1})
+	trA := telemetry.NewTracer(1)
+	trB := telemetry.NewTracer(1)
 	a := startTracedNode(t, "node-a", lease, key, trA, "", nil)
 	b := startTracedNode(t, "node-b", lease, key, trB, "", nil)
 

@@ -29,17 +29,13 @@ type Config struct {
 	// Strategy is the synchronization policy (required).
 	Strategy strategy.Strategy
 	// Database is the encrypted database (required). It must be DP-Sync
-	// compatible (leakage class L-0 or L-DP) unless AllowIncompatible is
-	// set, mirroring the paper's §6 constraint.
+	// compatible (leakage class L-0 or L-DP), the paper's §6 constraint.
 	Database edb.Database
 	// Order is the local cache discipline; FIFO (default) is required for
 	// the strong eventual-consistency property P3.
 	Order cache.Order
 	// DummyProvider tags padding records; defaults to YellowCab.
 	DummyProvider record.Provider
-	// AllowIncompatible skips the §6 leakage-class check. For experiments
-	// that deliberately pair DP-Sync with leaky schemes.
-	AllowIncompatible bool
 	// Attach marks this owner as a secondary table owner on a shared EDB:
 	// another owner already ran the setup protocol, so this owner's initial
 	// upload goes through the update protocol instead. Used by the Q3 join
@@ -84,10 +80,8 @@ func New(cfg Config) (*Owner, error) {
 	if cfg.Database == nil {
 		return nil, fmt.Errorf("core: nil database")
 	}
-	if !cfg.AllowIncompatible {
-		if err := edb.CheckCompatibility(cfg.Database); err != nil {
-			return nil, err
-		}
+	if err := edb.CheckCompatibility(cfg.Database); err != nil {
+		return nil, err
 	}
 	dummyProvider := cfg.DummyProvider
 	if dummyProvider == 0 {

@@ -41,20 +41,27 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// leakyDB pretends to be an L-2 scheme to exercise the §6 compatibility gate.
-type leakyDB struct{ edb.Database }
+// leakyDB pretends to be a scheme of another leakage class to exercise the
+// §6 compatibility gate.
+type leakyDB struct {
+	edb.Database
+	class edb.LeakageClass
+}
 
-func (leakyDB) Name() string              { return "CryptDB-ish" }
-func (leakyDB) Leakage() edb.LeakageClass { return edb.L2 }
+func (leakyDB) Name() string                { return "CryptDB-ish" }
+func (d leakyDB) Leakage() edb.LeakageClass { return d.class }
 
 func TestCompatibilityGate(t *testing.T) {
 	inner, _ := oblidb.New()
-	db := leakyDB{inner}
-	if _, err := New(Config{Strategy: strategy.NewSUR(), Database: db}); err == nil {
-		t.Error("L-2 scheme accepted without AllowIncompatible")
+	for _, c := range []edb.LeakageClass{edb.L1, edb.L2} {
+		if _, err := New(Config{Strategy: strategy.NewSUR(), Database: leakyDB{inner, c}}); err == nil {
+			t.Errorf("%v scheme accepted", c)
+		}
 	}
-	if _, err := New(Config{Strategy: strategy.NewSUR(), Database: db, AllowIncompatible: true}); err != nil {
-		t.Errorf("AllowIncompatible did not bypass the gate: %v", err)
+	for _, c := range []edb.LeakageClass{edb.L0, edb.LDP} {
+		if _, err := New(Config{Strategy: strategy.NewSUR(), Database: leakyDB{inner, c}}); err != nil {
+			t.Errorf("%v scheme refused: %v", c, err)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ func TestAdmitAllocations(t *testing.T) {
 	const runs = 100
 	sh := &shard{tasks: make(chan task, runs+1)} // AllocsPerRun makes one warm-up call
 	g := &Gateway{
-		cfg:    Config{MaxInFlight: 4 * runs, MaxFrameErrors: 1},
+		cfg:    Config{MaxInFlight: 4 * runs},
 		log:    telemetry.Discard(),
 		shards: []*shard{sh},
 		quit:   make(chan struct{}),

@@ -125,8 +125,8 @@ func setupOwners(tb testing.TB, conn *client.GatewayConn, n int) []*client.Owner
 // pin to a number.
 func TestBurstCoalescesSocketWrites(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const n = 64
-	conn, server, cl := startCounted(t, gateway.Config{Shards: 1}, client.WithWindow(n))
+	const n = client.DefaultWindow
+	conn, server, cl := startCounted(t, gateway.Config{Shards: 1})
 	owners := setupOwners(t, conn, n)
 
 	sw, cw := server.writes.Load(), cl.writes.Load()

@@ -2,6 +2,10 @@ package gateway
 
 import "dpsync/internal/wire"
 
+// MaxFrameErrors is the malformed-frame bound after which a connection is
+// severed.
+const MaxFrameErrors = maxFrameErrors
+
 // Refused reports how many replies refused with code, counted where every
 // reply passes (clientConn.reply) — readable after Kill, when the telemetry
 // collector that exports the same counters is gone.

@@ -96,9 +96,9 @@ func BenchmarkTenantNew(b *testing.B) {
 
 // TestServedTenantHeapFlatOverQueries pins that answering queries costs a
 // tenant no RAM that lasts: 10,000 queries through Tenant.Read with the answer
-// cache off, so every one reaches the enclave and lands in its access log,
-// leave the heap where the first few hundred left it. The access log keeps a
-// bounded ring of recent extents; it used to grow 8 B a query forever.
+// cache off, so every one reaches the enclave, leave the heap where the first
+// few hundred left it. The enclave keeps nothing per query; an access log of
+// scan extents once grew 8 B a query.
 func TestServedTenantHeapFlatOverQueries(t *testing.T) {
 	const queries = 10_000
 	key, err := seal.NewRandomKey()

@@ -96,6 +96,9 @@ const (
 	// worker always drains it (it never blocks on sends), so the WAL writer
 	// cannot deadlock against it; the buffer just decouples commit bursts.
 	groupQueueLen = 256
+	// maxFrameErrors is how many malformed frames a connection may send,
+	// each refused, before the gateway hangs up on it.
+	maxFrameErrors = 8
 	// maxErrorLogs bounds per-connection error logging.
 	maxErrorLogs = 3
 	// maxKeptPayload bounds the read buffer a connection keeps between
@@ -140,11 +143,9 @@ type Config struct {
 	// span names are stage names, and tenant identity (owner hash only)
 	// appears on a trace only when DebugTenantMetrics is also set.
 	Tracer *telemetry.Tracer
-	// ReadTimeout is the per-connection read deadline (≤ 0 = default);
-	// MaxFrameErrors bounds malformed frames per connection (0 = default).
-	ReadTimeout    time.Duration
-	WriteTimeout   time.Duration
-	MaxFrameErrors int
+	// ReadTimeout is the per-connection read deadline (≤ 0 = default).
+	ReadTimeout  time.Duration
+	WriteTimeout time.Duration
 	// MaxInFlight caps admitted-but-unanswered requests per connection
 	// (0 = DefaultMaxInFlight). Excess frames are refused
 	// (wire.CodeBackpressure); a connection that accumulates shedHeadroom
@@ -344,9 +345,6 @@ func newGateway(addr string, cfg Config, replica bool) (*Gateway, error) {
 	}
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = DefaultWriteTimeout
-	}
-	if cfg.MaxFrameErrors <= 0 {
-		cfg.MaxFrameErrors = 8
 	}
 	if cfg.MaxOwners <= 0 {
 		cfg.MaxOwners = DefaultMaxOwners
@@ -1194,9 +1192,9 @@ func (c *clientConn) admitFrame(payload []byte) bool {
 	f, err := wire.ParseGatewayRequest(payload)
 	if err != nil {
 		c.frameErrs++
-		c.logf("malformed frame (%d/%d): %v", c.frameErrs, g.cfg.MaxFrameErrors, err)
+		c.logf("malformed frame (%d/%d): %v", c.frameErrs, maxFrameErrors, err)
 		c.refuse(f.ID, wire.CodeBadRequest, err.Error())
-		if c.frameErrs >= g.cfg.MaxFrameErrors {
+		if c.frameErrs >= maxFrameErrors {
 			c.logf("closing connection after %d malformed frames", c.frameErrs)
 			return false
 		}

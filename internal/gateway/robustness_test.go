@@ -436,13 +436,13 @@ func TestCloseDrainDeadline(t *testing.T) {
 
 // TestMalformedFrameFloodSevered pins the bounded handling of protocol
 // violations: every malformed frame — a zero-length one included — is
-// answered with its own error response, and at Config.MaxFrameErrors the
+// answered with its own error response, and at the MaxFrameErrors-th the
 // gateway hangs up instead of serving the peer forever. Other clients are
 // unaffected throughout.
 func TestMalformedFrameFloodSevered(t *testing.T) {
-	gw, key := startGateway(t, gateway.Config{MaxFrameErrors: 3})
+	gw, key := startGateway(t, gateway.Config{})
 	conn := rawGatewayConn(t, gw.Addr())
-	for i, frame := range [][]byte{[]byte("{garbage"), nil, {0xFF}} {
+	for i, frame := range malformedFrames() {
 		resp := roundTripRaw(t, conn, frame)
 		if resp.Resp.OK || resp.Resp.Refusal.Code != wire.CodeBadRequest {
 			t.Fatalf("frame %d: expected a bad-request refusal, got %+v", i, resp.Resp)
@@ -466,6 +466,17 @@ func TestMalformedFrameFloodSevered(t *testing.T) {
 	if err := good.Owner("bystander").Setup(nil); err != nil {
 		t.Fatalf("gateway unusable after a malformed-frame flood: %v", err)
 	}
+}
+
+// malformedFrames is gateway.MaxFrameErrors frames no codec parses,
+// cycling through garbage, a zero-length frame and a lone 0xFF.
+func malformedFrames() [][]byte {
+	kinds := [][]byte{[]byte("{garbage"), nil, {0xFF}}
+	frames := make([][]byte, gateway.MaxFrameErrors)
+	for i := range frames {
+		frames[i] = kinds[i%len(kinds)]
+	}
+	return frames
 }
 
 // stallerStore is the store of the owner a stalled reader asks Q2 of: 65,536
@@ -638,9 +649,9 @@ func TestReplicaInheritsDefences(t *testing.T) {
 		cfg  gateway.Config
 		run  func(t *testing.T, gw *gateway.Gateway, key []byte)
 	}{
-		{"malformed frames end the connection", gateway.Config{MaxFrameErrors: 3}, func(t *testing.T, gw *gateway.Gateway, _ []byte) {
+		{"malformed frames end the connection", gateway.Config{}, func(t *testing.T, gw *gateway.Gateway, _ []byte) {
 			conn := rawReadConn(t, gw.Addr())
-			for i, frame := range [][]byte{[]byte("{garbage"), nil, {0xFF}} {
+			for i, frame := range malformedFrames() {
 				if resp := roundTripRaw(t, conn, frame); resp.Resp.OK || resp.Resp.Refusal.Code != wire.CodeBadRequest {
 					t.Fatalf("frame %d: expected a bad-request refusal, got %+v", i, resp.Resp)
 				}

@@ -79,7 +79,7 @@ func TestTelemetryAggregateOnlyByDefault(t *testing.T) {
 	reg := telemetry.New()
 	// Trace every request: the tracing plane is part of the adversary's view
 	// too, so the same no-tenant-identity rule is asserted over /tracez.
-	tracer := telemetry.NewTracer(telemetry.TracerConfig{SampleEvery: 1})
+	tracer := telemetry.NewTracer(1)
 	gw, key := startGateway(t, gateway.Config{
 		Telemetry: reg, SyncEpsilon: 0.25, Tracer: tracer,
 		StoreDir: t.TempDir(), SnapshotEvery: 1,
@@ -210,7 +210,7 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 	tracers := [2]*telemetry.Tracer{}
 	nodes := [2]*cluster.Node{}
 	for i, id := range []string{"node-a", "node-b"} {
-		tracers[i] = telemetry.NewTracer(telemetry.TracerConfig{SampleEvery: 1})
+		tracers[i] = telemetry.NewTracer(1)
 		nodes[i], err = cluster.Start(cluster.Config{
 			Addr: "127.0.0.1:0", NodeID: id, StoreDir: t.TempDir(), Lease: lease,
 			Gateway:   gateway.Config{Key: key, Shards: 2, SyncEpsilon: 0.25, SnapshotEvery: 1, Tracer: tracers[i]},
@@ -623,7 +623,7 @@ func answerLen(k query.Kind, v int) int64 {
 // owner hash, never by raw owner ID.
 func TestTelemetryDebugTenantSeries(t *testing.T) {
 	reg := telemetry.New()
-	tracer := telemetry.NewTracer(telemetry.TracerConfig{SampleEvery: 1})
+	tracer := telemetry.NewTracer(1)
 	gw, key := startGateway(t, gateway.Config{
 		Telemetry: reg, DebugTenantMetrics: true,
 		StoreDir: t.TempDir(), SyncEpsilon: 0.5, Tracer: tracer,

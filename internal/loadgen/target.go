@@ -118,7 +118,7 @@ func (t *target) open() (time.Duration, error) {
 	t.reg = telemetry.New()
 	gc.Telemetry = t.reg
 	if t.cfg.TraceOut != "" {
-		t.tracer = telemetry.NewTracer(telemetry.TracerConfig{SampleEvery: t.cfg.TraceSample})
+		t.tracer = telemetry.NewTracer(t.cfg.TraceSample)
 		gc.Tracer = t.tracer
 	}
 	if len(t.dirs) > 0 {

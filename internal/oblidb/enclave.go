@@ -38,9 +38,9 @@ import (
 // tables on every query — O(1) per ingested record and, per query, a walk of
 // the pickupID domain or a merge of the join keys (see query.Aggregates). This
 // changes nothing the adversary or the metrics see: the modeled oblivious
-// execution still touches the full scan extent (scanExtent, the access log,
-// and the calibrated cost model are untouched), and the
-// incremental answers are bit-identical to the naive plan evaluation, which
+// execution still touches the full scan extent (the calibrated cost model,
+// whose RecordsScanned is that extent, is untouched), and the incremental
+// answers are bit-identical to the naive plan evaluation, which
 // TestIncrementalMatchesNaive pins. Obliviousness is a property of the
 // *modeled* engine; how the simulator computes the (exact) answer is free.
 //
@@ -125,32 +125,13 @@ func (e *Enclave) observe(rs []record.Record) {
 	}
 }
 
-// Execute runs q over the resident store and returns the exact answer plus
-// the number of records the oblivious scan touched — the full target
-// table(s), independent of data and predicates. The answer comes from the
-// ingest-time aggregates and equals the Appendix-B-rewritten plan evaluated
-// over the ingested records (TestIncrementalMatchesNaive keeps a mirror of
-// every upload and pins exactly that).
-func (e *Enclave) Execute(q query.Query) (query.Answer, int, error) {
-	ans, err := e.agg.AnswerFor(q)
-	if err != nil {
-		return query.Answer{}, 0, err
-	}
-	touched := e.scanExtent(q)
-	return ans, touched, nil
-}
-
-// scanExtent reports how many resident records the oblivious execution of q
-// reads: the target table for linear queries, both tables for joins.
-func (e *Enclave) scanExtent(q query.Query) int {
-	switch {
-	case q.Kind == query.JoinCount:
-		return int(e.yellow + e.green)
-	case q.Provider == record.GreenTaxi:
-		return int(e.green)
-	default:
-		return int(e.yellow)
-	}
+// Execute runs q over the resident store and returns the exact answer. The
+// answer comes from the ingest-time aggregates and equals the
+// Appendix-B-rewritten plan evaluated over the ingested records
+// (TestIncrementalMatchesNaive keeps a mirror of every upload and pins exactly
+// that).
+func (e *Enclave) Execute(q query.Query) (query.Answer, error) {
+	return e.agg.AnswerFor(q)
 }
 
 // tableSizes reports the per-provider resident record counts (dummies

@@ -42,8 +42,8 @@ const BlockBytes = 1024
 // DB is the server-visible half of the ObliDB simulator. It satisfies
 // edb.Database. All methods are safe for concurrent use. Its memory is the
 // enclave's aggregates — of which only the 9-byte join key and weight of a
-// record, real or dummy, grows with ingest — plus an access log of at most
-// accessLogCap extents; no ciphertext is retained.
+// record, real or dummy, grows with ingest; no ciphertext is retained, and
+// nothing is kept per query.
 type DB struct {
 	mu      sync.Mutex
 	enclave *Enclave
@@ -52,13 +52,6 @@ type DB struct {
 	// handed sealed, whatever number of messages sealed them.
 	stats edb.StorageStats
 	setup bool
-
-	// accessLog records, per query, how many resident records the oblivious
-	// scan touched. Obliviousness means every entry is a function of table
-	// sizes only, never of data or predicates. It holds the last accessLogCap
-	// extents: a ring once full, queries the total logged.
-	accessLog []int
-	queries   int
 }
 
 // New creates an ObliDB instance with a fresh random data key.
@@ -82,16 +75,11 @@ func NewWithKey(key []byte) (*DB, error) {
 
 // NewWithSealer creates an ObliDB instance whose enclave opens ciphertexts
 // with s — the serving node's one sealer for its key, shared by every
-// tenant's instance. Answers, stats, access log and modeled cost are those of
-// NewWithKey under the same key.
+// tenant's instance. Answers, stats and modeled cost are those of NewWithKey
+// under the same key.
 func NewWithSealer(s *seal.Sealer) *DB {
 	return &DB{enclave: newEnclave(s), model: edb.ObliDBCostModel()}
 }
-
-// accessLogCap bounds the access log a DB keeps: the extents of its most
-// recent queries, enough for any test's run of them, while a long-lived
-// tenant's log no longer grows with the queries it answers.
-const accessLogCap = 128
 
 // Name implements edb.Database.
 func (db *DB) Name() string { return "ObliDB" }
@@ -178,7 +166,9 @@ func (db *DB) UpdateSealed(cts []seal.Sealed) error {
 
 // Query implements edb.Database: the enclave executes the rewritten plan
 // obliviously over its resident tables and returns the exact answer. The
-// returned cost follows the calibrated model.
+// returned cost follows the calibrated model, and its RecordsScanned is the
+// scan's extent: the full target table(s), a function of table sizes alone,
+// never of data or predicates.
 func (db *DB) Query(q query.Query) (query.Answer, edb.Cost, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -188,16 +178,10 @@ func (db *DB) Query(q query.Query) (query.Answer, edb.Cost, error) {
 	if err := q.Validate(); err != nil {
 		return query.Answer{}, edb.Cost{}, err
 	}
-	ans, touched, err := db.enclave.Execute(q)
+	ans, err := db.enclave.Execute(q)
 	if err != nil {
 		return query.Answer{}, edb.Cost{}, err
 	}
-	if len(db.accessLog) < accessLogCap {
-		db.accessLog = append(db.accessLog, touched)
-	} else {
-		db.accessLog[db.queries%accessLogCap] = touched
-	}
-	db.queries++
 	return ans, db.cost(q), nil
 }
 
@@ -223,21 +207,6 @@ func (db *DB) Stats() edb.StorageStats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.stats
-}
-
-// AccessLog returns the per-query touched-record counts of the last
-// accessLogCap queries, oldest first. Tests use it to assert obliviousness:
-// every entry must equal the scanned table's size when the query ran,
-// independent of data and predicates.
-func (db *DB) AccessLog() []int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	oldest := 0
-	if db.queries > accessLogCap {
-		oldest = db.queries % accessLogCap
-	}
-	out := make([]int, 0, len(db.accessLog))
-	return append(append(out, db.accessLog[oldest:]...), db.accessLog[:oldest]...)
 }
 
 var _ edb.Database = (*DB)(nil)

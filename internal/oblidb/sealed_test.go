@@ -80,8 +80,4 @@ func TestGreenTableScanExtent(t *testing.T) {
 	if cost.RecordsScanned != 3 {
 		t.Errorf("green scan = %d records, want 3", cost.RecordsScanned)
 	}
-	log := db.AccessLog()
-	if log[len(log)-1] != 3 {
-		t.Errorf("access log = %v, want last entry 3", log)
-	}
 }

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"dpsync/internal/edb"
 	"dpsync/internal/query"
 	"dpsync/internal/record"
 	"dpsync/internal/seal"
@@ -15,8 +17,8 @@ import (
 // TestSharedSealerMatchesPrivateKeys is the enclave-sharing differential: N
 // instances whose enclaves open with one shared sealer, against N that each
 // expanded the same key themselves (NewWithKey), fed the same sealed batches
-// interleaved across owners, give bit-identical answers, costs, Stats and
-// access logs after every batch. A batch sealed under another key is
+// interleaved across owners, give bit-identical answers, costs and Stats
+// after every batch. A batch sealed under another key is
 // rejected whole by the instance that receives it, and leaves it and its
 // neighbours exactly as their private-key twins.
 func TestSharedSealerMatchesPrivateKeys(t *testing.T) {
@@ -58,9 +60,6 @@ func TestSharedSealerMatchesPrivateKeys(t *testing.T) {
 		}
 		if a.Stats() != b.Stats() {
 			t.Fatalf("%s, owner %d: Stats %+v != %+v", when, i, a.Stats(), b.Stats())
-		}
-		if la, lb := a.AccessLog(), b.AccessLog(); !reflect.DeepEqual(la, lb) {
-			t.Fatalf("%s, owner %d: access log %v != %v", when, i, la, lb)
 		}
 	}
 	rng := rand.New(rand.NewPCG(7, 0x5eed))
@@ -151,22 +150,28 @@ func TestSharedSealerConcurrentTenants(t *testing.T) {
 			sent[i] = append(sent[i], cts)
 		}
 	}
-	feed := func(db *DB, batches [][]seal.Sealed) error {
+	// feed applies batches to db, querying after each, and returns the costs
+	// those queries were charged.
+	feed := func(db *DB, batches [][]seal.Sealed) ([]edb.Cost, error) {
+		var costs []edb.Cost
 		for b, cts := range batches {
 			apply := db.UpdateSealed
 			if b == 0 {
 				apply = db.SetupSealed
 			}
 			if err := apply(cts); err != nil {
-				return err
+				return nil, err
 			}
-			if _, _, err := db.Query(query.Query{Kind: query.Kind(b % 4), Provider: record.YellowCab, JoinWith: record.GreenTaxi, Lo: 1, Hi: 200}); err != nil {
-				return err
+			_, c, err := db.Query(query.Query{Kind: query.Kind(b % 4), Provider: record.YellowCab, JoinWith: record.GreenTaxi, Lo: 1, Hi: 200})
+			if err != nil {
+				return nil, err
 			}
+			costs = append(costs, c)
 		}
-		return nil
+		return costs, nil
 	}
 	shared := make([]*DB, owners)
+	costs := make([][]edb.Cost, owners)
 	errs := make([]error, owners)
 	var wg sync.WaitGroup
 	for i := range shared {
@@ -174,7 +179,7 @@ func TestSharedSealerConcurrentTenants(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = feed(shared[i], sent[i])
+			costs[i], errs[i] = feed(shared[i], sent[i])
 		}()
 	}
 	wg.Wait()
@@ -186,7 +191,8 @@ func TestSharedSealerConcurrentTenants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := feed(twin, sent[i]); err != nil {
+		twinCosts, err := feed(twin, sent[i])
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, q := range []query.Query{query.Q1(), query.Q2(), query.Q3(), query.Q4()} {
@@ -196,37 +202,8 @@ func TestSharedSealerConcurrentTenants(t *testing.T) {
 				t.Fatalf("owner %d, %v: concurrent shared-sealer tenant (%+v, %+v) != private twin (%+v, %+v)", i, q.Kind, a, ca, b, cb)
 			}
 		}
-		if db.Stats() != twin.Stats() || !reflect.DeepEqual(db.AccessLog(), twin.AccessLog()) {
-			t.Fatalf("owner %d: stats or access log differ from the private twin", i)
+		if db.Stats() != twin.Stats() || !slices.Equal(costs[i], twinCosts) {
+			t.Fatalf("owner %d: stats or the costs charged along the way differ from the private twin", i)
 		}
-	}
-}
-
-// TestAccessLogKeepsTheRecentExtents pins the access log's bound: past
-// accessLogCap queries it holds exactly the extents of the most recent
-// accessLogCap, oldest first, and its storage stops growing.
-func TestAccessLogKeepsTheRecentExtents(t *testing.T) {
-	db := newDB(t)
-	if err := db.Setup(nil); err != nil {
-		t.Fatal(err)
-	}
-	var want []int
-	for i := 0; i < 3*accessLogCap+17; i++ {
-		// Grow the yellow table by one record a query, so every extent differs.
-		if err := db.Update([]record.Record{yellow(i, 1)}); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := db.Query(query.Q1()); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, i+1)
-		got := db.AccessLog()
-		tail := want[max(0, len(want)-accessLogCap):]
-		if !reflect.DeepEqual(got, tail) {
-			t.Fatalf("after %d queries the access log is %v, want the last %d extents %v", i+1, got, len(tail), tail)
-		}
-	}
-	if c := cap(db.accessLog); c > accessLogCap {
-		t.Fatalf("access log capacity %d, want at most %d", c, accessLogCap)
 	}
 }

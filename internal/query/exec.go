@@ -212,8 +212,9 @@ func Truth(q Query, tables Tables) (Answer, error) {
 	return Execute(p, tables)
 }
 
-// Evaluate compiles q, applies the Appendix-B rewrite, and executes over
-// dummy-bearing tables. This is what the substrates' "enclaves" run.
+// Evaluate compiles q, applies the Appendix-B rewrite, and executes the naive
+// plan over dummy-bearing tables: the oracle the substrates' incremental
+// answers (query.Aggregates) are tested against. No substrate runs it.
 func Evaluate(q Query, tables Tables) (Answer, error) {
 	p, err := Compile(q)
 	if err != nil {

@@ -62,19 +62,3 @@ func Decode(buf []byte) (Record, error) {
 	}
 	return r, nil
 }
-
-// DecodeSlice parses a buffer of back-to-back fixed-width records.
-func DecodeSlice(buf []byte) ([]Record, error) {
-	if len(buf)%EncodedSize != 0 {
-		return nil, fmt.Errorf("record: buffer length %d not a multiple of %d", len(buf), EncodedSize)
-	}
-	out := make([]Record, 0, len(buf)/EncodedSize)
-	for off := 0; off < len(buf); off += EncodedSize {
-		r, err := Decode(buf[off : off+EncodedSize])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -25,23 +25,3 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeSlice checks the batch decoder never panics and conserves
-// record counts.
-func FuzzDecodeSlice(f *testing.F) {
-	batch := EncodeSlice([]Record{
-		{PickupTime: 1, PickupID: 2, Provider: GreenTaxi},
-		NewDummy(YellowCab),
-	})
-	f.Add(batch)
-	f.Add([]byte{1, 2, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rs, err := DecodeSlice(data)
-		if err != nil {
-			return
-		}
-		if len(rs) != len(data)/EncodedSize {
-			t.Fatalf("decoded %d records from %d bytes", len(rs), len(data))
-		}
-	})
-}

@@ -111,15 +111,3 @@ func CountReal(rs []Record) int {
 	}
 	return n
 }
-
-// SplitReal partitions rs into real and dummy records, preserving order.
-func SplitReal(rs []Record) (real, dummies []Record) {
-	for _, r := range rs {
-		if r.Dummy {
-			dummies = append(dummies, r)
-		} else {
-			real = append(real, r)
-		}
-	}
-	return real, dummies
-}

@@ -60,12 +60,8 @@ func TestCountRealAndSplit(t *testing.T) {
 	if got := CountReal(rs); got != 2 {
 		t.Errorf("CountReal = %d, want 2", got)
 	}
-	real, dummies := SplitReal(rs)
-	if len(real) != 2 || len(dummies) != 3 {
-		t.Fatalf("SplitReal sizes = %d, %d; want 2, 3", len(real), len(dummies))
-	}
-	if real[0].PickupTime != 1 || real[1].PickupTime != 3 {
-		t.Error("SplitReal did not preserve order of real records")
+	if got := CountReal(rs[1:2]); got != 0 {
+		t.Errorf("CountReal of one dummy = %d, want 0", got)
 	}
 }
 
@@ -99,6 +95,8 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestEncodeSliceDecodeSlice pins EncodeSlice as the records' Encode forms
+// back to back: the slice decodes, EncodedSize bytes at a time, to rs.
 func TestEncodeSliceDecodeSlice(t *testing.T) {
 	rs := []Record{
 		{PickupTime: 1, PickupID: 10, Provider: YellowCab},
@@ -109,20 +107,14 @@ func TestEncodeSliceDecodeSlice(t *testing.T) {
 	if len(buf) != 3*EncodedSize {
 		t.Fatalf("buffer length = %d, want %d", len(buf), 3*EncodedSize)
 	}
-	got, err := DecodeSlice(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(rs) {
-		t.Fatalf("decoded %d records, want %d", len(got), len(rs))
-	}
 	for i := range rs {
-		if got[i] != rs[i] {
-			t.Errorf("record %d mismatch: %+v != %+v", i, got[i], rs[i])
+		got, err := Decode(buf[i*EncodedSize : (i+1)*EncodedSize])
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
 		}
-	}
-	if _, err := DecodeSlice(buf[:len(buf)-3]); err == nil {
-		t.Error("ragged buffer accepted")
+		if got != rs[i] {
+			t.Errorf("record %d mismatch: %+v != %+v", i, got, rs[i])
+		}
 	}
 }
 
@@ -152,15 +144,18 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: CountReal(rs) + len(dummies from SplitReal) == len(rs).
+// Property: CountReal(rs) real records and the rest dummies make up rs.
 func TestQuickSplitConservation(t *testing.T) {
 	f := func(flags []bool) bool {
 		rs := make([]Record, len(flags))
+		dummies := 0
 		for i, d := range flags {
 			rs[i] = Record{PickupTime: Tick(i), PickupID: 1, Provider: YellowCab, Dummy: d}
+			if d {
+				dummies++
+			}
 		}
-		real, dummies := SplitReal(rs)
-		return len(real)+len(dummies) == len(rs) && CountReal(rs) == len(real)
+		return CountReal(rs)+dummies == len(rs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)

@@ -17,9 +17,12 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"strings"
 
 	"dpsync/internal/record"
 )
@@ -89,6 +92,29 @@ func NewRandomKey() ([]byte, error) {
 	key := make([]byte, KeySize)
 	if _, err := rand.Read(key); err != nil {
 		return nil, fmt.Errorf("seal: generating key: %w", err)
+	}
+	return key, nil
+}
+
+// WriteKeyFile writes key to path as one line of hex, readable by its owner
+// only: the file the three parties share the data key through.
+func WriteKeyFile(path string, key []byte) error {
+	if err := os.WriteFile(path, []byte(hex.EncodeToString(key)+"\n"), 0o600); err != nil {
+		return fmt.Errorf("writing key file: %w", err)
+	}
+	return nil
+}
+
+// ReadKeyFile reads the hex key WriteKeyFile wrote, surrounding whitespace
+// ignored.
+func ReadKeyFile(path string) ([]byte, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("reading key file: %w", err)
+	}
+	key, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		return nil, fmt.Errorf("decoding key file: %w", err)
 	}
 	return key, nil
 }

@@ -6,11 +6,48 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
 	"dpsync/internal/record"
 )
+
+// TestKeyFileRoundTrip pins the shared key file: WriteKeyFile's file reads
+// back as the same key, owner-only, and ReadKeyFile takes a hand-written
+// file with surrounding whitespace but refuses one that is not hex.
+func TestKeyFileRoundTrip(t *testing.T) {
+	key, err := NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "shared.key")
+	if err := WriteKeyFile(path, key); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o600 {
+		t.Fatalf("key file mode %v (%v), want 0600", fi.Mode().Perm(), err)
+	}
+	if got, err := ReadKeyFile(path); err != nil || !bytes.Equal(got, key) {
+		t.Fatalf("read back %x (%v), want %x", got, err, key)
+	}
+	if err := os.WriteFile(path, []byte("  0102ff\n\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadKeyFile(path); err != nil || !bytes.Equal(got, []byte{1, 2, 0xff}) {
+		t.Fatalf("padded file read as %x (%v)", got, err)
+	}
+	if err := os.WriteFile(path, []byte("not hex"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadKeyFile(path); err == nil {
+		t.Fatal("a key file that is not hex was accepted")
+	}
+	if _, err := ReadKeyFile(filepath.Join(t.TempDir(), "missing")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing key file: %v, want ErrNotExist", err)
+	}
+}
 
 func newTestSealer(t *testing.T) *Sealer {
 	t.Helper()

@@ -61,8 +61,6 @@ type Params struct {
 	// FlushInterval (f) and FlushSize (s).
 	FlushInterval record.Tick
 	FlushSize     int
-	// QueryEpsilon is Cryptε's per-release analyst budget.
-	QueryEpsilon float64
 }
 
 // DefaultParams returns the §8 defaults.
@@ -73,7 +71,6 @@ func DefaultParams() Params {
 		Threshold:     15,
 		FlushInterval: 2000,
 		FlushSize:     15,
-		QueryEpsilon:  crypte.DefaultQueryEpsilon,
 	}
 }
 
@@ -85,13 +82,10 @@ type Config struct {
 	// Traces are the datasets; one owner is spawned per trace. The first
 	// trace's owner performs EDB setup, later ones attach.
 	Traces []*workload.Trace
-	// Queries are posed every QueryEvery ticks (paper: every 360).
+	// Queries are posed, and storage sizes sampled, every QueryEvery ticks
+	// (paper: every 360). The run lasts the longest trace's horizon.
 	Queries    []query.Query
 	QueryEvery record.Tick
-	// StorageEvery samples storage sizes (default: QueryEvery).
-	StorageEvery record.Tick
-	// Horizon overrides the trace horizon (0 = longest trace horizon).
-	Horizon record.Tick
 	// Seed drives every noise source in the run.
 	Seed uint64
 }
@@ -150,19 +144,12 @@ func NewStrategy(kind StrategyKind, p Params, src dp.Source) (strategy.Strategy,
 }
 
 // newSystem constructs the named substrate with deterministic noise.
-func newSystem(s System, p Params, seed uint64) (edb.Database, error) {
+func newSystem(s System, seed uint64) (edb.Database, error) {
 	switch s {
 	case ObliDB:
 		return oblidb.New()
 	case Crypteps:
-		qe := p.QueryEpsilon
-		if qe <= 0 {
-			qe = crypte.DefaultQueryEpsilon
-		}
-		return crypte.New(
-			crypte.WithQueryEpsilon(qe),
-			crypte.WithNoiseSource(dp.NewSeededSource(seed^0xc0ffee)),
-		)
+		return crypte.New(crypte.WithNoiseSource(dp.NewSeededSource(seed ^ 0xc0ffee)))
 	default:
 		return nil, fmt.Errorf("sim: unknown system %q", s)
 	}
@@ -176,20 +163,15 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.QueryEvery <= 0 {
 		cfg.QueryEvery = 360
 	}
-	if cfg.StorageEvery <= 0 {
-		cfg.StorageEvery = cfg.QueryEvery
-	}
-	horizon := cfg.Horizon
+	var horizon record.Tick
 	for _, tr := range cfg.Traces {
-		if tr.Horizon > horizon && cfg.Horizon == 0 {
-			horizon = tr.Horizon
-		}
+		horizon = max(horizon, tr.Horizon)
 	}
 	if horizon <= 0 {
 		return nil, fmt.Errorf("sim: zero horizon")
 	}
 
-	db, err := newSystem(cfg.System, cfg.Params, cfg.Seed)
+	db, err := newSystem(cfg.System, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -255,8 +237,6 @@ func Run(cfg Config) (*Result, error) {
 				}
 				col.RecordQuery(t, q.Kind, got.L1(want), cost.Seconds)
 			}
-		}
-		if t%cfg.StorageEvery == 0 {
 			s := db.Stats()
 			col.RecordStorage(t, s.Bytes, s.DummyBytes)
 		}

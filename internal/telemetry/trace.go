@@ -164,20 +164,10 @@ func (tc TraceContext) SetAttr(attr string) {
 	}
 }
 
-// TracerConfig sizes a Tracer; zero values take the defaults above. A
-// negative SampleEvery disables sampling entirely (slow capture remains).
-type TracerConfig struct {
-	SampleEvery   int
-	SlowThreshold time.Duration
-	Capacity      int
-	SlowCapacity  int
-}
-
 // Tracer is the span recorder. A nil *Tracer no-ops everywhere, so tracing
 // is optional at every call site without branches.
 type Tracer struct {
 	sampleEvery uint64
-	slowNs      int64
 	seq         atomic.Uint64
 	idSeq       atomic.Uint64
 	sampled     atomic.Int64
@@ -189,29 +179,22 @@ type Tracer struct {
 	slowHead atomic.Uint64
 }
 
-// NewTracer builds a tracer from cfg.
-func NewTracer(cfg TracerConfig) *Tracer {
-	t := &Tracer{}
+// NewTracer builds a tracer that samples 1 in sampleEvery admitted requests:
+// 0 takes DefaultSampleEvery, and a negative value disables sampling (slow
+// capture remains).
+func NewTracer(sampleEvery int) *Tracer {
+	t := &Tracer{
+		ring: make([]atomic.Pointer[TraceRec], DefaultTraceCapacity),
+		slow: make([]atomic.Pointer[TraceRec], DefaultSlowCapacity),
+	}
 	switch {
-	case cfg.SampleEvery < 0:
+	case sampleEvery < 0:
 		t.sampleEvery = 0
-	case cfg.SampleEvery == 0:
+	case sampleEvery == 0:
 		t.sampleEvery = DefaultSampleEvery
 	default:
-		t.sampleEvery = uint64(cfg.SampleEvery)
+		t.sampleEvery = uint64(sampleEvery)
 	}
-	if cfg.SlowThreshold <= 0 {
-		cfg.SlowThreshold = DefaultSlowThreshold
-	}
-	t.slowNs = cfg.SlowThreshold.Nanoseconds()
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultTraceCapacity
-	}
-	if cfg.SlowCapacity <= 0 {
-		cfg.SlowCapacity = DefaultSlowCapacity
-	}
-	t.ring = make([]atomic.Pointer[TraceRec], cfg.Capacity)
-	t.slow = make([]atomic.Pointer[TraceRec], cfg.SlowCapacity)
 	// Trace IDs are splitmix64 over a time-seeded counter: unique within a
 	// process and unlikely to collide across the cluster's nodes.
 	t.idSeq.Store(uint64(time.Now().UnixNano()))
@@ -262,7 +245,7 @@ func (t *Tracer) Finish(tc TraceContext, name string, now time.Time) {
 		return
 	}
 	if tc.rec == nil {
-		if dNs := now.Sub(tc.start).Nanoseconds(); dNs >= t.slowNs {
+		if now.Sub(tc.start) >= DefaultSlowThreshold {
 			rec := &TraceRec{TraceID: t.newID(), Start: tc.start,
 				spans: []Span{{ID: 1, Name: name, Start: tc.start, End: now}}}
 			rec.nextID.Store(1)
@@ -278,7 +261,7 @@ func (t *Tracer) Finish(tc TraceContext, name string, now time.Time) {
 	rec.mu.Unlock()
 	rec.endNs.Store(now.UnixNano())
 	publish(t.ring, &t.ringHead, rec)
-	if now.Sub(rec.Start).Nanoseconds() >= t.slowNs {
+	if now.Sub(rec.Start) >= DefaultSlowThreshold {
 		t.slowTaken.Add(1)
 		publish(t.slow, &t.slowHead, rec)
 	}

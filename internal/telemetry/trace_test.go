@@ -9,7 +9,7 @@ import (
 )
 
 func TestTracerSamplingCadence(t *testing.T) {
-	tr := NewTracer(TracerConfig{SampleEvery: 4})
+	tr := NewTracer(4)
 	sampled := 0
 	for i := 0; i < 16; i++ {
 		tc := tr.Admit("client-admit", time.Now())
@@ -35,7 +35,7 @@ func TestTracerSamplingCadence(t *testing.T) {
 }
 
 func TestTracerSamplingDisabled(t *testing.T) {
-	tr := NewTracer(TracerConfig{SampleEvery: -1})
+	tr := NewTracer(-1)
 	for i := 0; i < 100; i++ {
 		tc := tr.Admit("client-admit", time.Now())
 		if tc.Sampled() {
@@ -70,9 +70,10 @@ func TestNilTracerNoOps(t *testing.T) {
 // passed by still lands in the slow ring (as a degenerate single-span
 // exemplar) when it crosses the threshold.
 func TestSlowCaptureUnsampled(t *testing.T) {
-	tr := NewTracer(TracerConfig{SampleEvery: -1, SlowThreshold: time.Nanosecond})
-	tc := tr.Admit("client-admit", time.Now().Add(-time.Millisecond))
-	tr.Finish(tc, "client-admit", time.Now())
+	tr := NewTracer(-1)
+	now := time.Now()
+	tc := tr.Admit("client-admit", now)
+	tr.Finish(tc, "client-admit", now.Add(DefaultSlowThreshold))
 	d := tr.Dump()
 	if len(d.Slow) != 1 {
 		t.Fatalf("slow ring holds %d exemplars, want 1", len(d.Slow))
@@ -89,9 +90,10 @@ func TestSlowCaptureUnsampled(t *testing.T) {
 // TestSlowSampledAlsoInSlowRing: a sampled trace past the threshold appears
 // in both rings — once as recent, once as a slow exemplar.
 func TestSlowSampledAlsoInSlowRing(t *testing.T) {
-	tr := NewTracer(TracerConfig{SampleEvery: 1, SlowThreshold: time.Nanosecond})
-	tc := tr.Admit("client-admit", time.Now().Add(-time.Millisecond))
-	tr.Finish(tc, "client-admit", time.Now())
+	tr := NewTracer(1)
+	now := time.Now()
+	tc := tr.Admit("client-admit", now)
+	tr.Finish(tc, "client-admit", now.Add(DefaultSlowThreshold))
 	d := tr.Dump()
 	if len(d.Recent) != 1 || len(d.Slow) != 1 {
 		t.Fatalf("recent=%d slow=%d, want 1/1", len(d.Recent), len(d.Slow))
@@ -105,7 +107,7 @@ func TestSlowSampledAlsoInSlowRing(t *testing.T) {
 // clustered sync records, plus a follower fragment joined by the propagated
 // context, and checks the parentage end to end.
 func TestSpanTreeAndFragmentJoin(t *testing.T) {
-	tr := NewTracer(TracerConfig{SampleEvery: 1})
+	tr := NewTracer(1)
 	now := time.Now()
 	tc := tr.Admit("client-admit", now)
 	if !tc.Sampled() || tc.Span() != 1 {
@@ -156,7 +158,7 @@ func TestSpanTreeAndFragmentJoin(t *testing.T) {
 }
 
 func TestWriteTracezRender(t *testing.T) {
-	tr := NewTracer(TracerConfig{SampleEvery: 1})
+	tr := NewTracer(1)
 	now := time.Now()
 	tc := tr.Admit("client-admit", now)
 	flush := tc.Record("wal-flush", now, now.Add(time.Microsecond))
@@ -213,9 +215,10 @@ func TestHistogramExemplar(t *testing.T) {
 }
 
 // TestTraceRaceHammer is the CI -race target: recorders, late appenders,
-// fragment publishers, and scrapers all hitting one tracer concurrently.
+// fragment publishers, and scrapers all hitting one tracer concurrently,
+// with both rings wrapping many times over.
 func TestTraceRaceHammer(t *testing.T) {
-	tr := NewTracer(TracerConfig{SampleEvery: 2, Capacity: 8, SlowCapacity: 4})
+	tr := NewTracer(2)
 	const workers = 8
 	const iters = 400
 	var wg sync.WaitGroup
@@ -229,7 +232,11 @@ func TestTraceRaceHammer(t *testing.T) {
 				flush := tc.Record("wal-flush", now, now)
 				commit := tc.At(flush).Record("wal-commit", now, now)
 				ship := tc.At(commit).Alloc()
-				tr.Finish(tc, "client-admit", time.Now())
+				end := now
+				if i%8 == 0 {
+					end = now.Add(DefaultSlowThreshold)
+				}
+				tr.Finish(tc, "client-admit", end)
 				// Late append + fragment after publication, like the
 				// replication sender and the follower.
 				tc.At(commit).RecordSpan(Span{ID: ship, Parent: commit, Name: "repl-ship", Start: now, End: time.Now()})
@@ -260,8 +267,11 @@ func TestTraceRaceHammer(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	scr.Wait()
-	if sampled, _ := tr.Stats(); sampled != workers*iters/2 {
-		t.Fatalf("sampled %d, want %d", sampled, workers*iters/2)
+	if sampled, slow := tr.Stats(); sampled != workers*iters/2 || slow != workers*iters/8 {
+		t.Fatalf("sampled %d, slow %d, want %d, %d", sampled, slow, workers*iters/2, workers*iters/8)
+	}
+	if d := tr.Dump(); len(d.Recent) != DefaultTraceCapacity || len(d.Slow) != DefaultSlowCapacity {
+		t.Fatalf("rings hold %d recent, %d slow, want full at %d, %d", len(d.Recent), len(d.Slow), DefaultTraceCapacity, DefaultSlowCapacity)
 	}
 }
 
@@ -288,7 +298,7 @@ func BenchmarkTraceSampled(b *testing.B) {
 		every int
 	}{{"sampled", 1}, {"disabled", -1}} {
 		b.Run(mode.name, func(b *testing.B) {
-			tr := NewTracer(TracerConfig{SampleEvery: mode.every})
+			tr := NewTracer(mode.every)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				durableSyncSpans(tr, time.Now(), 0)
@@ -301,7 +311,7 @@ func BenchmarkTraceSampled(b *testing.B) {
 // span tree encoding — over a tracer whose rings are full (the
 // tracez_render_us of the frozen baseline).
 func BenchmarkTracezRender(b *testing.B) {
-	tr := NewTracer(TracerConfig{SampleEvery: 1})
+	tr := NewTracer(1)
 	for i := 0; i < 2*DefaultTraceCapacity; i++ {
 		durableSyncSpans(tr, time.Now(), time.Microsecond)
 	}

@@ -33,6 +33,9 @@ const (
 	YellowRecords = 18_429
 	// GreenRecords is the post-dedup June 2020 Green Boro record count.
 	GreenRecords = 21_300
+	// zoneSkew is the Zipf exponent of the pickup-location marginal: about 1
+	// matches taxi-zone concentration.
+	zoneSkew = 1.0
 )
 
 // Config parameterizes trace generation.
@@ -45,9 +48,6 @@ type Config struct {
 	Records int
 	// Seed drives the deterministic generator.
 	Seed uint64
-	// Skew is the Zipf-like exponent of the pickup-location marginal;
-	// 0 means uniform, around 1 matches taxi-zone concentration.
-	Skew float64
 }
 
 // Trace is one dataset's arrival sequence: at most one record per tick,
@@ -81,12 +81,6 @@ func Generate(cfg Config) (*Trace, error) {
 	if cfg.Records > int(cfg.Horizon) {
 		return nil, fmt.Errorf("workload: %d records cannot fit in %d ticks at one per tick", cfg.Records, cfg.Horizon)
 	}
-	if cfg.Skew < 0 {
-		return nil, fmt.Errorf("workload: negative skew")
-	}
-	if cfg.Skew == 0 {
-		cfg.Skew = 1.0
-	}
 	rng := mrand.New(mrand.NewPCG(cfg.Seed, cfg.Seed^0xda7a5e7))
 
 	// Weighted sampling without replacement: key_i = u^(1/w_i), keep the
@@ -108,7 +102,7 @@ func Generate(cfg Config) (*Trace, error) {
 	chosen := keys[:cfg.Records]
 	sort.Slice(chosen, func(a, b int) bool { return chosen[a].tick < chosen[b].tick })
 
-	zones := newZipfZones(cfg.Skew, rng)
+	zones := newZipfZones(rng)
 	tr := &Trace{Provider: cfg.Provider, Horizon: cfg.Horizon}
 	tr.Records = make([]record.Record, cfg.Records)
 	for i, k := range chosen {
@@ -200,21 +194,21 @@ func (tr *Trace) CountUpTo(t record.Tick) int {
 	})
 }
 
-// zipfZones samples pickup-location IDs with a Zipf(s) marginal over a
+// zipfZones samples pickup-location IDs with a Zipf(zoneSkew) marginal over a
 // seed-shuffled zone permutation (so the "busy" zones differ per seed).
 type zipfZones struct {
 	cdf  []float64
 	perm []uint16
 }
 
-func newZipfZones(s float64, rng *mrand.Rand) *zipfZones {
+func newZipfZones(rng *mrand.Rand) *zipfZones {
 	z := &zipfZones{
 		cdf:  make([]float64, record.NumLocations),
 		perm: make([]uint16, record.NumLocations),
 	}
 	total := 0.0
 	for i := 0; i < record.NumLocations; i++ {
-		total += 1 / math.Pow(float64(i+1), s)
+		total += 1 / math.Pow(float64(i+1), zoneSkew)
 		z.cdf[i] = total
 	}
 	for i := range z.cdf {

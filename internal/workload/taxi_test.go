@@ -186,9 +186,6 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(Config{Provider: record.YellowCab, Horizon: 10, Records: 11}); err == nil {
 		t.Error("oversubscribed horizon accepted")
 	}
-	if _, err := Generate(Config{Provider: record.YellowCab, Skew: -1}); err == nil {
-		t.Error("negative skew accepted")
-	}
 }
 
 func TestSmallCustomTrace(t *testing.T) {
