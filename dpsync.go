@@ -108,19 +108,11 @@ func DefaultANTConfig() ANTConfig { return strategy.DefaultANTConfig() }
 // enclave engine over AES-GCM-sealed records. Supports Q1, Q2 and Q3.
 func NewObliDB() (Database, error) { return oblidb.New() }
 
-// CryptepsOption configures NewCrypteps.
-type CryptepsOption = crypte.Option
-
-// WithQueryEpsilon sets Cryptε's per-release analyst budget (default 3).
-func WithQueryEpsilon(eps float64) CryptepsOption { return crypte.WithQueryEpsilon(eps) }
-
-// WithNoiseSource plugs a deterministic noise source into Cryptε.
-func WithNoiseSource(src NoiseSource) CryptepsOption { return crypte.WithNoiseSource(src) }
-
 // NewCrypteps returns the bundled L-DP substrate: a Cryptε-style
-// crypto-assisted DP engine. Supports Q1, Q2 and the Q4 fare sum; joins are
+// crypto-assisted DP engine, each release at the paper's analyst budget
+// ε = 3 under crypto noise. Supports Q1, Q2 and the Q4 fare sum; joins are
 // rejected.
-func NewCrypteps(opts ...CryptepsOption) (Database, error) { return crypte.New(opts...) }
+func NewCrypteps() (Database, error) { return crypte.New() }
 
 // Q1 is the paper's linear range query: Yellow Cab pickups in zones 50–100.
 func Q1() Query { return query.Q1() }

@@ -58,10 +58,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 func TestPublicAPICrypteps(t *testing.T) {
-	db, err := dpsync.NewCrypteps(
-		dpsync.WithQueryEpsilon(5),
-		dpsync.WithNoiseSource(dpsync.SeededNoise(2)),
-	)
+	db, err := dpsync.NewCrypteps()
 	if err != nil {
 		t.Fatal(err)
 	}

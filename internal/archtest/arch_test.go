@@ -127,6 +127,12 @@ var rules = []struct {
 	{"one-link", call("", "ReadFrame"), "internal/client/", nil, []string{"internal/client/gateway.go:readLoop"}},
 	// Both links get a transport one way: the link's dial has one caller.
 	{"one-dial", call("", "dial"), "internal/client/", nil, []string{"internal/client/gateway.go:connect"}},
+	// The node's backend comes with the hello: the client asks for stats only
+	// when its caller does.
+	{"one-stats-request", func(n ast.Node) bool {
+		kv, ok := n.(*ast.KeyValueExpr)
+		return ok && named(kv.Key, "", "Type") && named(kv.Value, "wire", "MsgStats")
+	}, "internal/client/", nil, []string{"internal/client/gateway.go:RemoteStats"}},
 	// Per-record sealing is the reference's second shape, and the ladder's.
 	{"seal-all-callers", call("", "SealAll"), "", []string{"internal/refdb/", "benchmark/"}, nil},
 	// One tenant machine ingests a sealed batch, and one path spills history.

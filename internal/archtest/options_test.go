@@ -34,8 +34,9 @@ var keptKnobs = map[string]string{
 var withOption = regexp.MustCompile(`^With[A-Z]`)
 
 // options lists each exported field of an exported *Config, *Options or
-// *Params struct of internal/, and each exported With* function there; and,
-// keptKnobs included, the ones no non-test file sets. A field is set by a key
+// *Params struct of internal/, and each exported With* function there and in
+// the root package, the library's facade; and, keptKnobs included, the ones
+// no non-test file sets. A field is set by a key
 // of a composite literal of its struct, or by an assignment to it or its
 // address taken (flag.IntVar(&cfg.F, …)) — except, in its own package, a
 // default: one under an if whose condition reads the field. A With* option
@@ -44,7 +45,11 @@ func options(srcs []src) (all, unset []string) {
 	info, pkgOf := typeCheck(srcs)
 	knobs := map[types.Object]string{}
 	for _, obj := range info.Defs {
-		if obj == nil || obj.Pkg() == nil || !obj.Exported() || obj.Parent() != obj.Pkg().Scope() || !strings.HasPrefix(obj.Pkg().Path(), "dpsync/internal/") {
+		if obj == nil || obj.Pkg() == nil || !obj.Exported() || obj.Parent() != obj.Pkg().Scope() {
+			continue
+		}
+		internal := strings.HasPrefix(obj.Pkg().Path(), "dpsync/internal/")
+		if !internal && obj.Pkg().Path() != "dpsync" {
 			continue
 		}
 		name := obj.Pkg().Name() + "." + obj.Name()
@@ -54,6 +59,9 @@ func options(srcs []src) (all, unset []string) {
 				knobs[obj] = name
 			}
 		case *types.TypeName:
+			if !internal {
+				continue // the facade's Config types are internal/'s, by alias
+			}
 			st, ok := obj.Type().Underlying().(*types.Struct)
 			if !ok || !strings.HasSuffix(obj.Name(), "Config") && !strings.HasSuffix(obj.Name(), "Options") && !strings.HasSuffix(obj.Name(), "Params") {
 				continue

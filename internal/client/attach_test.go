@@ -89,8 +89,8 @@ func counter(reg *telemetry.Registry, name string) float64 {
 }
 
 // TestFreshSetupIsOneFrame pins a fresh owner's attach at one request frame —
-// its Setup, claiming tick 1, with no resume before it — plus the one stats
-// probe a connection makes for all its owners. gateway_resumes_total counts
+// its Setup, claiming tick 1, with no resume before it, and nothing else: the
+// backend came with the connection's hello. gateway_resumes_total counts
 // every resume it answered: none for that fleet, and one per owner for a
 // fleet that resumes explicitly, unknown owners included.
 func TestFreshSetupIsOneFrame(t *testing.T) {
@@ -108,7 +108,7 @@ func TestFreshSetupIsOneFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := map[wire.MsgType]int{wire.MsgSetup: owners, wire.MsgStats: 1}
+	want := map[wire.MsgType]int{wire.MsgSetup: owners}
 	if got := tally.counts(); !maps.Equal(got, want) {
 		t.Fatalf("%d fresh setups sent %v, want %v", owners, got, want)
 	}
@@ -201,9 +201,8 @@ func TestSecondSessionSetupIsTyped(t *testing.T) {
 			if len(ev) != 3 || ev[2].Tick != 3 {
 				t.Fatalf("transcript after the late session's update: %+v, want its third event at tick 3", ev)
 			}
-			// The stats probe is the connection's one backend identity probe,
-			// made after its first upload that applied.
-			if got, want := tally.counts(), map[wire.MsgType]int{wire.MsgSetup: 1, wire.MsgUpdate: 1, wire.MsgStats: 1}; !maps.Equal(got, want) {
+			// The backend came with the hello: no frame asks for it.
+			if got, want := tally.counts(), map[wire.MsgType]int{wire.MsgSetup: 1, wire.MsgUpdate: 1}; !maps.Equal(got, want) {
 				t.Fatalf("the late session sent %v in all, want %v", got, want)
 			}
 

@@ -86,20 +86,13 @@ type GatewayConn struct {
 	replicaServed    atomic.Int64
 	replicaFallbacks atomic.Int64
 
-	// The backend's identity (scheme, §6 leakage class, outsourced record
-	// width, cost model): one backend constructor serves every tenant of a
-	// node, so the first stats probe that answers speaks for all of the
-	// connection's owners (see OwnerSession.info).
-	backend atomic.Pointer[backendInfo]
-}
-
-// backendInfo is a node's backend identity as a stats probe reports it, and
-// what the client mirrors of its scheme.
-type backendInfo struct {
-	scheme string
-	leak   edb.LeakageClass
-	width  int64
-	model  edb.CostModel
+	// backend is the node's backend as the connection's first hello stated
+	// it, and mirror what the client mirrors of its scheme: one backend
+	// constructor serves every tenant of a node, so one hello speaks for all
+	// of the connection's owners. Both are set by DialGateway's first dial,
+	// before the connection escapes, and only read after.
+	backend wire.Backend
+	mirror  scheme
 }
 
 // traffic counts frame bytes (headers included) across a GatewayConn's links:
@@ -251,7 +244,7 @@ func WithAddrs(addrs ...string) GatewayOption {
 	return func(o *gatewayOpts) { o.addrs = append(o.addrs, addrs...) }
 }
 
-// WithReadReplica routes queries and stats probes to a follower's read
+// WithReadReplica routes queries and stats requests to a follower's read
 // plane at addr ("DPSQ" hello), keeping syncs on the primary. The replica
 // gets the same pipelined link the primary does, so concurrent readers are
 // in flight on it together, up to the window. A replica answer is served
@@ -339,9 +332,16 @@ func (c *GatewayConn) dialTransport() (net.Conn, error) {
 	return nil, lastErr
 }
 
+// errOtherBackend fails a dial whose hello states another backend than the
+// connection's first: its node is not one this connection's owners were
+// admitted to (core.New's §6 gate read the first).
+var errOtherBackend = errors.New("client: node serves another backend")
+
 // dialOne dials a single address and runs the hello exchange — hello is
 // wire.WriteHello, or wire.WriteReadHello for the read-only plane — under a
-// deadline, so one wedged node cannot stall the rotation.
+// deadline, so one wedged node cannot stall the rotation. The first hello
+// the connection completes sets its backend; a later one, on a redial or on
+// the replica link, that states another fails its dial.
 func (c *GatewayConn) dialOne(addr string, hello func(io.Writer, wire.Codec) error) (net.Conn, error) {
 	conn, err := c.dialer(addr)
 	if err != nil {
@@ -354,9 +354,16 @@ func (c *GatewayConn) dialOne(addr string, hello func(io.Writer, wire.Codec) err
 	}
 	// Any ack but the codec proposed is an error: there is nothing to
 	// negotiate down to.
-	if _, err := wire.ReadHelloAck(conn); err != nil {
+	be, err := wire.ReadHelloAck(conn)
+	if err == nil && c.backend != (wire.Backend{}) && be != c.backend {
+		err = fmt.Errorf("%w: %v, the connection's is %v", errOtherBackend, be, c.backend)
+	}
+	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("client: gateway hello %s: %w", addr, err)
+	}
+	if c.backend == (wire.Backend{}) {
+		c.backend, c.mirror = be, mirrorOf(be.Scheme)
 	}
 	_ = conn.SetDeadline(time.Time{})
 	return conn, nil
@@ -869,70 +876,40 @@ func (s *OwnerSession) resyncLocked(clock uint64) error {
 	return nil
 }
 
-// info returns the backend's identity (scheme name, §6 leakage class,
-// outsourced record width, cost model), fetched from the gateway via a stats
-// round trip the first time any owner on the connection asks and cached on
-// the connection on first success: every tenant of a node has the same
-// backend, so an owner's attach costs no probe of its own once one has
-// answered. A failed fetch is NOT cached — the next call retries — and is
-// returned beside the fail-closed identity: leakage class L2 (incompatible),
-// since an unidentified backend must never pass the §6 gate as leak-free by
-// default, and no cost model. Concurrent first calls may race to duplicate
-// the round trip; the first answer wins.
-func (s *OwnerSession) info() (*backendInfo, error) {
-	if bi := s.conn.backend.Load(); bi != nil {
-		return bi, nil
-	}
-	resp, _, err := s.conn.primary.roundTrip(s.owner, wire.Request{Type: wire.MsgStats})
-	if err == nil && resp.Stats == nil {
-		err = fmt.Errorf("client: stats response without stats: %w", wire.ErrBadFrame)
-	}
-	if err != nil {
-		return &unidentified, err
-	}
-	fetched := &backendInfo{scheme: "remote", leak: edb.LeakageClass(resp.Stats.Leakage), width: obliBlockBytes}
-	if resp.Stats.Scheme != "" {
-		fetched.scheme = resp.Stats.Scheme
-	}
-	if known, ok := knownSchemes[resp.Stats.Scheme]; ok {
-		fetched.width, fetched.model = known.width, known.model
-	}
-	s.conn.backend.CompareAndSwap(nil, fetched)
-	return s.conn.backend.Load(), nil
-}
-
-// unidentified is the identity info reports while the gateway is unreachable.
-var unidentified = backendInfo{scheme: "remote", leak: edb.L2, width: obliBlockBytes}
-
 // obliBlockBytes mirrors oblidb.BlockBytes; the client mirrors the widths
 // rather than importing server-side packages.
 const obliBlockBytes = 1024
 
-// knownSchemes is what the client mirrors of each backend scheme: its
-// per-record outsourced width, for owner-side storage accounting (see
+// scheme is what the client mirrors of a backend scheme: its per-record
+// outsourced width, for owner-side storage accounting (see
 // edb.StorageStats), and the calibrated cost model its queries are charged
 // by, from which an answer's modelled seconds are derived (edb.CostModel.Of).
-// A scheme not listed has a width of 1 KiB and no model: its seconds read 0.
-var knownSchemes = map[string]struct {
+type scheme struct {
 	width int64
 	model edb.CostModel
-}{
+}
+
+// knownSchemes mirrors each backend scheme the client knows.
+var knownSchemes = map[string]scheme{
 	"ObliDB":   {obliBlockBytes, edb.ObliDBCostModel()},
 	"Crypteps": {6400, edb.CrypteCostModel()}, // crypte.EncodingBytes
 }
 
-// Name implements edb.Database.
-func (s *OwnerSession) Name() string {
-	bi, _ := s.info()
-	return bi.scheme + "-gateway"
+// mirrorOf returns what the client mirrors of the named scheme: a scheme not
+// known has a width of 1 KiB and no model, so its seconds read 0.
+func mirrorOf(name string) scheme {
+	if m, ok := knownSchemes[name]; ok {
+		return m
+	}
+	return scheme{width: obliBlockBytes}
 }
 
-// Leakage implements edb.Database: the backend's §6 class, reported by the
-// gateway (L2 — fail-closed — while the gateway is unreachable).
-func (s *OwnerSession) Leakage() edb.LeakageClass {
-	bi, _ := s.info()
-	return bi.leak
-}
+// Name implements edb.Database: the node's scheme, as its hello stated it.
+func (s *OwnerSession) Name() string { return s.conn.backend.Scheme + "-gateway" }
+
+// Leakage implements edb.Database: the backend's §6 class, as the node's
+// hello stated it.
+func (s *OwnerSession) Leakage() edb.LeakageClass { return s.conn.backend.Leakage }
 
 // Supports implements edb.Database. Structural validity is checked locally;
 // backend-specific operator gaps (Cryptε has no join) surface as server
@@ -1003,13 +980,9 @@ func (s *OwnerSession) upload(t wire.MsgType, rs []record.Record) error {
 	if len(s.acked) == 0 || s.ackedAt(len(s.acked)-1).seq+1 == seq {
 		s.recordAcked(seq, t, raw)
 	}
-	// Identity is fetched after the first successful upload (the namespace
-	// certainly exists by then), so storage accounting uses the backend's
-	// real outsourced width.
-	bi, _ := s.info()
 	dummies := len(rs) - record.CountReal(rs)
 	s.mu.Lock()
-	s.stats.Add(len(rs), dummies, bi.width)
+	s.stats.Add(len(rs), dummies, s.conn.mirror.width)
 	s.mu.Unlock()
 	return nil
 }
@@ -1028,19 +1001,14 @@ func (s *OwnerSession) Update(rs []record.Record) error { return s.upload(wire.M
 // The answer's cost travels as its two record counts; its modelled seconds
 // are the backend scheme's model applied to them (edb.CostModel.Of), the
 // same arithmetic on the same numbers as the backend's, so they equal its
-// own bit for bit. A connection that has not yet learned its backend's
-// scheme learns it here, once (info).
+// own bit for bit.
 func (s *OwnerSession) Query(q query.Query) (query.Answer, edb.Cost, error) {
 	spec := wire.FromQuery(q)
 	resp, err := s.readRoundTrip(wire.Request{Type: wire.MsgQuery, Query: &spec})
 	if err != nil {
 		return query.Answer{}, edb.Cost{}, err
 	}
-	bi, err := s.info()
-	if err != nil {
-		return query.Answer{}, edb.Cost{}, fmt.Errorf("client: owner %q: the answer's cost model: %w", s.owner, err)
-	}
-	return resp.Answer.ToAnswer(), bi.model.Of(q.Kind, resp.Cost.RecordsScanned, resp.Cost.PairsCompared), nil
+	return resp.Answer.ToAnswer(), s.conn.mirror.model.Of(q.Kind, resp.Cost.RecordsScanned, resp.Cost.PairsCompared), nil
 }
 
 // readRoundTrip routes one side-effect-free read: replica first when one

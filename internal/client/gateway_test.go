@@ -1,17 +1,22 @@
 package client
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"dpsync/internal/core"
+	"dpsync/internal/crypte"
 	"dpsync/internal/edb"
 	"dpsync/internal/gateway"
-	"dpsync/internal/oblidb"
 	"dpsync/internal/query"
 	"dpsync/internal/record"
 	"dpsync/internal/seal"
+	"dpsync/internal/strategy"
 	"dpsync/internal/wire"
 )
 
@@ -54,48 +59,119 @@ func TestOwnerSessionImplementsDatabase(t *testing.T) {
 	}
 }
 
-// statsCounted is a backend that counts the stats probes it answers.
-type statsCounted struct {
-	*oblidb.DB
-	n *atomic.Int64
-}
+// obliDB is the backend a default gateway states in its hello ack, and so
+// what a scripted node standing in for one of its replicas states.
+var obliDB = wire.Backend{Scheme: "ObliDB", Leakage: edb.L0}
 
-func (s statsCounted) Stats() edb.StorageStats { s.n.Add(1); return s.DB.Stats() }
-
-// TestBackendIdentityProbedOncePerConnection pins that an owner's attach is
-// one round trip (its setup), not two: the backend's identity is the node's,
-// so the first stats probe that answers is cached on the connection for
-// every owner on it. A probe that fails is not cached and reports L2.
-func TestBackendIdentityProbedOncePerConnection(t *testing.T) {
-	var probes atomic.Int64
-	var key []byte // startGateway's, set before any request can build a backend
-	gw, key := startGateway(t, gateway.Config{NewBackend: func(owner string) (edb.Database, error) {
-		if owner == "owner-broken" {
-			return nil, fmt.Errorf("no backend for %s", owner)
-		}
-		db, err := oblidb.NewWithKey(key)
-		return statsCounted{db, &probes}, err
-	}})
-	conn, err := DialGateway(gw.Addr(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if leak := conn.Owner("owner-broken").Leakage(); leak != edb.L2 {
-		t.Fatalf("a failed probe reports %v, want L2 (fail closed)", leak)
-	}
-	const n = 8
-	for i := 0; i < n; i++ {
-		if err := conn.Owner(fmt.Sprintf("owner-%d", i)).Setup([]record.Record{yellowAt(i, 1)}); err != nil {
+// TestNewOverAFreshSessionWritesNoFrame pins that the §6 gate reads what the
+// hello said: core.New over a fresh session sends nothing, and reports the
+// node's class — L-0 for ObliDB, L-DP for Cryptε, and L2, which the gate
+// refuses, for a node whose backend constructor builds none without an owner.
+func TestNewOverAFreshSessionWritesNoFrame(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		newBackend func(string) (edb.Database, error)
+		want       wire.Backend
+	}{
+		{"ObliDB", nil, obliDB},
+		{"Crypteps", func(string) (edb.Database, error) { return crypte.New() }, wire.Backend{Scheme: "Crypteps", Leakage: edb.LDP}},
+		{"unidentified", func(owner string) (edb.Database, error) {
+			if owner == "" {
+				return nil, fmt.Errorf("no backend without an owner")
+			}
+			return crypte.New()
+		}, wire.Backend{Scheme: "unidentified", Leakage: edb.L2}},
+	} {
+		gw, key := startGateway(t, gateway.Config{NewBackend: tc.newBackend})
+		conn, err := DialGateway(gw.Addr(), key)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer conn.Close()
+		own := conn.Owner("owner-1")
+		out0 := conn.BytesOut()
+		_, err = core.New(core.Config{Database: own, Strategy: strategy.NewSUR()})
+		if compatible := tc.want.Leakage.Compatible(); compatible != (err == nil) {
+			t.Errorf("%s: core.New = %v, want it to pass the §6 gate: %v", tc.name, err, compatible)
+		}
+		if out := conn.BytesOut() - out0; out != 0 {
+			t.Errorf("%s: core.New sent %d bytes, want none", tc.name, out)
+		}
+		if own.Name() != tc.want.Scheme+"-gateway" || own.Leakage() != tc.want.Leakage {
+			t.Errorf("%s: session is %q at %v, want the node's %v", tc.name, own.Name(), own.Leakage(), tc.want)
+		}
 	}
-	if got := probes.Load(); got != 1 {
-		t.Fatalf("%d owners' setups on one connection made %d stats probes, want 1", n, got)
-	}
-	if leak := conn.Owner("owner-broken").Leakage(); leak != edb.L0 {
-		t.Fatalf("after a probe answered, the connection reports %v, want the backend's L0", leak)
-	}
+}
+
+// TestHelloNamingAnotherBackendFailsTheDial: a connection's owners passed the
+// §6 gate on the backend its first hello stated, so a node that states
+// another is not one of the connection's. A redial that reaches only such a
+// node fails, having sent it nothing; a replica that states another fails
+// its dial, and the read falls back to the primary.
+func TestHelloNamingAnotherBackendFailsTheDial(t *testing.T) {
+	t.Run("redial", func(t *testing.T) {
+		gw, key := startGateway(t, gateway.Config{})
+		other, _ := startGateway(t, gateway.Config{NewBackend: func(string) (edb.Database, error) { return crypte.New() }})
+		conn, err := DialGateway(gw.Addr(), key, WithAddrs(other.Addr()), WithReconnect(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		own := conn.Owner("owner-redial")
+		if err := own.Setup(stairs(2)); err != nil {
+			t.Fatal(err)
+		}
+		_ = gw.Close()
+		if err := own.Update(stairs(1)); !errors.Is(err, errOtherBackend) {
+			t.Fatalf("update after the only node left serves Cryptε: %v, want errOtherBackend", err)
+		}
+		if n := other.Owners(); n != 0 {
+			t.Fatalf("the other backend's node holds %d owners, want none", n)
+		}
+	})
+	t.Run("replica", func(t *testing.T) {
+		gw, key := startGateway(t, gateway.Config{})
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lis.Close()
+		var accepts, read atomic.Int64
+		go func() {
+			for {
+				nc, err := lis.Accept()
+				if err != nil {
+					return
+				}
+				accepts.Add(1)
+				var hello [5]byte
+				if _, err := io.ReadFull(nc, hello[:]); err == nil && wire.WriteHelloAck(nc, wire.Backend{Scheme: "Crypteps", Leakage: edb.LDP}) == nil {
+					n, _ := io.Copy(io.Discard, nc) // until the client hangs up
+					read.Add(n)
+				}
+				nc.Close()
+			}
+		}()
+		conn, err := DialGateway(gw.Addr(), key, WithReadReplica(lis.Addr().String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		own := conn.Owner("owner-replica")
+		if err := own.Setup(stairs(3)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 2; i++ {
+			if ans, _, err := own.Query(countAt(3)); err != nil || ans.Scalar != 3 {
+				t.Fatalf("read %d behind a Cryptε replica: %v, %v; want the primary's 3", i, ans.Scalar, err)
+			}
+			wantReplicaStats(t, conn, 0, int64(i))
+		}
+		conn.Close()
+		if accepts.Load() != 2 || read.Load() != 0 {
+			t.Fatalf("the replica accepted %d dials and read %d bytes after their hellos; want 2 and none", accepts.Load(), read.Load())
+		}
+	})
 }
 
 // TestPipelinedResponseMatching pins the request-ID demultiplexing: 100

@@ -58,7 +58,7 @@ func startScriptedReplica(t *testing.T, auto func(wire.GatewayRequest) *wire.Res
 			open = append(open, nc)
 			mu.Unlock()
 			var hello [5]byte
-			if _, err := io.ReadFull(nc, hello[:]); err != nil || wire.WriteHelloAck(nc, wire.CodecBinary) != nil {
+			if _, err := io.ReadFull(nc, hello[:]); err != nil || wire.WriteHelloAck(nc, obliDB) != nil {
 				continue
 			}
 			sc := &scriptedConn{nc: nc, auto: auto, reqs: make(chan wire.GatewayRequest, 256)}

@@ -32,16 +32,7 @@ func TestQueryRefusesAnAnswerOfTheWrongShape(t *testing.T) {
 	noCost := scalar(3)
 	noCost.Cost = nil
 	var next atomic.Pointer[wire.Response]
-	// The stats probe a connection makes to learn its backend's scheme (the
-	// cost model its answers' seconds are derived from) is answered as a
-	// gateway would; every other request gets the scripted response.
-	server := startScriptedReplica(t, func(req wire.GatewayRequest) *wire.Response {
-		if req.Req.Type == wire.MsgStats {
-			r := wire.NewStatsResponse(edb.StorageStats{}, "ObliDB", 0)
-			return &r
-		}
-		return next.Load()
-	})
+	server := startScriptedReplica(t, func(wire.GatewayRequest) *wire.Response { return next.Load() })
 	key, err := seal.NewRandomKey()
 	if err != nil {
 		t.Fatal(err)

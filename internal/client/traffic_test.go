@@ -40,7 +40,7 @@ func TestTrafficCountsTheHeadersFramesHad(t *testing.T) {
 		}
 		defer nc.Close()
 		var hello [5]byte
-		if _, err := io.ReadFull(nc, hello[:]); err != nil || wire.WriteHelloAck(nc, wire.CodecBinary) != nil {
+		if _, err := io.ReadFull(nc, hello[:]); err != nil || wire.WriteHelloAck(nc, obliDB) != nil {
 			done <- err
 			return
 		}
@@ -65,7 +65,7 @@ func TestTrafficCountsTheHeadersFramesHad(t *testing.T) {
 			resp := wire.Response{OK: true}
 			switch req.Req.Type {
 			case wire.MsgStats:
-				resp = wire.NewStatsResponse(edb.StorageStats{Records: 9}, "ObliDB", 0)
+				resp = wire.NewStatsResponse(edb.StorageStats{Records: 9})
 			case wire.MsgQuery:
 				if query.Kind(req.Req.Query.Kind) == query.GroupCount {
 					resp = wire.NewBoundedQueryResponse(query.Answer{Groups: make([]float64, record.NumLocations)}, edb.Cost{RecordsScanned: 9}, query.GroupCount, 200)

@@ -26,7 +26,7 @@ func TestFollowerCloseDuringDial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease := NewMemLease(nil)
+	lease := tempLease(t)
 	start := func(id string, dialer func(string) (net.Conn, error)) *Node {
 		n, err := Start(Config{
 			Addr: "127.0.0.1:0", NodeID: id, StoreDir: t.TempDir(),
@@ -70,16 +70,16 @@ func TestFollowerCloseDuringDial(t *testing.T) {
 	}
 }
 
-// recordingLease logs one node's lease calls, in order, over a MemLease.
+// recordingLease logs one node's lease calls, in order, over a lease file.
 type recordingLease struct {
-	*MemLease
+	*FileLease
 	node  string
 	mu    sync.Mutex
 	calls []string
 }
 
 func (l *recordingLease) Acquire(node, addr string, ttl time.Duration) (LeaseState, bool, error) {
-	st, won, err := l.MemLease.Acquire(node, addr, ttl)
+	st, won, err := l.FileLease.Acquire(node, addr, ttl)
 	if node == l.node && err == nil {
 		call := "Acquire(lost)"
 		if won {
@@ -94,7 +94,7 @@ func (l *recordingLease) Release(node string) error {
 	if node == l.node {
 		l.record("Release")
 	}
-	return l.MemLease.Release(node)
+	return l.FileLease.Release(node)
 }
 
 func (l *recordingLease) record(call string) {
@@ -114,7 +114,7 @@ func TestUnhealthyReplicaReopensThenFlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease := &recordingLease{MemLease: NewMemLease(nil), node: "node-b"}
+	lease := &recordingLease{FileLease: tempLease(t), node: "node-b"}
 	start := func(id string) *Node {
 		n, err := Start(Config{
 			Addr: "127.0.0.1:0", NodeID: id, StoreDir: t.TempDir(),

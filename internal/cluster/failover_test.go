@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,6 +67,12 @@ func ownerSpecs(t *testing.T) []struct {
 	}
 }
 
+// tempLease is a lease file of the test's own, the arbiter the nodes of one
+// test share.
+func tempLease(t testing.TB) *cluster.FileLease {
+	return cluster.NewFileLease(filepath.Join(t.TempDir(), "cluster.lease"), nil)
+}
+
 // startNode brings one cluster node up with the test's serving shape: few
 // shards, small snapshot/history windows so a 300-tick trace crosses
 // rotations and spills on both the primary and the replica.
@@ -122,7 +129,7 @@ func TestClusterReplicationAndPromotionSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease := cluster.NewMemLease(nil)
+	lease := tempLease(t)
 	a := startNode(t, "node-a", lease, key, failoverTTL, nil)
 	b := startNode(t, "node-b", lease, key, failoverTTL, nil)
 	if a.Role() != cluster.RolePrimary || b.Role() != cluster.RoleFollower {
@@ -255,7 +262,7 @@ func TestClusterFailoverDifferential(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			lease := cluster.NewMemLease(nil)
+			lease := tempLease(t)
 			// Satellite faults: the replication tail dials through a fault
 			// injector (resets, truncations, stalls, duplicated frames), and
 			// so do the clients. Budgets bound the chaos so the trace always
@@ -387,7 +394,7 @@ func TestReplicationResumeAcrossLinkFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease := cluster.NewMemLease(nil)
+	lease := tempLease(t)
 	rng := rand.New(rand.NewSource(7))
 	var sessions atomic.Int64
 	var severing atomic.Bool
@@ -485,7 +492,7 @@ func TestFollowerClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease := cluster.NewMemLease(nil)
+	lease := tempLease(t)
 	a := startNode(t, "node-a", lease, key, failoverTTL, nil)
 	b := startNode(t, "node-b", lease, key, failoverTTL, nil)
 
@@ -537,7 +544,7 @@ func TestGracefulHandoverUnderDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease := cluster.NewMemLease(nil)
+	lease := tempLease(t)
 	mk := func(id string) *cluster.Node {
 		n, err := cluster.Start(cluster.Config{
 			Addr: "127.0.0.1:0", NodeID: id, StoreDir: t.TempDir(),
@@ -637,7 +644,7 @@ func TestFollowerCloseDuringFailover(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lease := cluster.NewMemLease(nil)
+			lease := tempLease(t)
 			ttl := 100 * time.Millisecond
 			a := startNode(t, "node-a", lease, key, ttl, nil)
 			b := startNode(t, "node-b", lease, key, ttl, nil)

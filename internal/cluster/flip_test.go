@@ -169,7 +169,7 @@ func TestPromotionByFlipEqualsRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(seed))
-			lease := cluster.NewMemLease(nil)
+			lease := tempLease(t)
 			dirB, regB := t.TempDir(), telemetry.New()
 			a := startFlipNode(t, "node-a", t.TempDir(), key, lease, "", nil)
 			b := startFlipNode(t, "node-b", dirB, key, lease, "", regB)

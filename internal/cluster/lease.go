@@ -14,9 +14,9 @@ import (
 // Lease-based election. Exactly one node may hold the cluster lease at a
 // time; the holder is the primary. The holder renews well before expiry;
 // everyone else campaigns after expiry. Election is deliberately *not*
-// consensus — the lease store (in-process for tests, a shared file for the
-// CLI) is the single arbiter, standing in for the small coordination
-// service (etcd, a managed lock) a production fleet would use. What the
+// consensus — the lease store (a shared file, FileLease) is the single
+// arbiter, standing in for the small coordination service (etcd, a managed
+// lock) a production fleet would use. What the
 // design guarantees is what failover needs: a node that cannot renew stops
 // serving before anyone else can acquire (the TTL is the fencing window),
 // and every decision is a pure function of (state, node, now) so tests can
@@ -43,8 +43,8 @@ type Lease interface {
 	Release(node string) error
 }
 
-// grantable is the election decision, shared by every arbiter and pure so
-// tests can pin it against a table: a lease is up for grabs when nobody
+// grantable is the election decision, pure so tests can pin it against a
+// table: a lease is up for grabs when nobody
 // holds it, when the claim has lapsed, or when the asker already holds it
 // (renewal).
 func grantable(st LeaseState, node string, now time.Time) bool {
@@ -63,55 +63,6 @@ func campaignStagger(node string, ttl time.Duration) time.Duration {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(node))
 	return time.Duration(uint64(ttl) / 4 * uint64(h.Sum32()%16) / 16)
-}
-
-// MemLease is the in-process arbiter: a mutex and an injectable clock. It
-// is what the failover harness and the unit tests share a cluster through.
-type MemLease struct {
-	now func() time.Time
-	mu  sync.Mutex
-	st  LeaseState
-}
-
-// NewMemLease builds an in-process lease arbiter. now is the clock (nil:
-// time.Now); tests inject a manual clock to drive elections tick by tick.
-func NewMemLease(now func() time.Time) *MemLease {
-	if now == nil {
-		now = time.Now
-	}
-	return &MemLease{now: now}
-}
-
-// Acquire implements Lease.
-func (l *MemLease) Acquire(node, addr string, ttl time.Duration) (LeaseState, bool, error) {
-	if node == "" {
-		return LeaseState{}, false, fmt.Errorf("cluster: empty node id")
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	now := l.now()
-	if !grantable(l.st, node, now) {
-		return l.st, false, nil
-	}
-	l.st = LeaseState{Holder: node, Addr: addr, Expires: now.Add(ttl)}
-	return l.st, true, nil
-}
-
-// State implements Lease.
-func (l *MemLease) State() (LeaseState, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.st, nil
-}
-
-// Release implements Lease.
-func (l *MemLease) Release(node string) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.st.Holder == node {
-		l.st = LeaseState{}
-	}
-	return nil
 }
 
 // leaseMagic is the first line of a lease file; versioned like every other
@@ -174,9 +125,10 @@ func ParseLease(data []byte) (LeaseState, error) {
 	return st, nil
 }
 
-// FileLease is the shared-file arbiter for cmd/dpsync-server: nodes on one
-// machine (or one shared filesystem) elect through an atomically-renamed
-// lease file. Rename-last-wins means two simultaneous campaigns can both
+// FileLease is the shared-file arbiter: the nodes of cmd/dpsync-server on one
+// machine (or one shared filesystem), of loadgen's in-process cluster and of
+// the tests elect through an atomically-renamed lease file, on an injectable
+// clock. Rename-last-wins means two simultaneous campaigns can both
 // believe they won for one write cycle; the deterministic campaign stagger
 // makes that window practically unreachable, and the TTL bounds the damage
 // — this is the operational stand-in, not a consensus protocol (the

@@ -14,6 +14,11 @@ type manualClock struct{ t time.Time }
 func (c *manualClock) now() time.Time          { return c.t }
 func (c *manualClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
+// tempLease is a lease file of the test's own, on the real clock.
+func tempLease(t testing.TB) *FileLease {
+	return NewFileLease(filepath.Join(t.TempDir(), "cluster.lease"), nil)
+}
+
 func TestGrantable(t *testing.T) {
 	base := time.Unix(1000, 0)
 	cases := []struct {
@@ -58,12 +63,12 @@ func TestCampaignStagger(t *testing.T) {
 	}
 }
 
-// TestMemLeaseElection drives a full election cycle on an injected clock:
-// grant, denial, renewal, expiry takeover, fencing of the old holder, and
-// graceful release.
-func TestMemLeaseElection(t *testing.T) {
+// TestLeaseElection drives a full election cycle through a lease file on an
+// injected clock: grant, denial, renewal, expiry takeover, fencing of the old
+// holder, and graceful release.
+func TestLeaseElection(t *testing.T) {
 	clk := &manualClock{t: time.Unix(5000, 0)}
-	l := NewMemLease(clk.now)
+	l := NewFileLease(filepath.Join(t.TempDir(), "cluster.lease"), clk.now)
 	const ttl = time.Second
 
 	st, won, err := l.Acquire("a", "addr-a", ttl)

@@ -294,7 +294,7 @@ func refFingerprints(tb testing.TB, ref *refdb.DB) []string {
 		}
 		out = append(out, fingerprint(wire.NewQueryResponse(ans, cost)))
 	}
-	return append(out, fingerprint(wire.NewStatsResponse(ref.Stats(), "", 0)))
+	return append(out, fingerprint(wire.NewStatsResponse(ref.Stats())))
 }
 
 // rigRecords is owner o's batch at tick: every record lands in Q1's 50–100

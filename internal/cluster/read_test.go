@@ -96,11 +96,10 @@ func dialReadPlane(t *testing.T, addr string) (net.Conn, wire.Codec) {
 	if err := wire.WriteReadHello(conn, wire.CodecBinary); err != nil {
 		t.Fatal(err)
 	}
-	codec, err := wire.ReadHelloAck(conn)
-	if err != nil {
+	if _, err := wire.ReadHelloAck(conn); err != nil {
 		t.Fatalf("read hello refused: %v", err)
 	}
-	return conn, codec
+	return conn, wire.CodecBinary
 }
 
 func rawRoundTrip(t *testing.T, conn net.Conn, codec wire.Codec, id uint64, owner string, req wire.Request) wire.Response {
@@ -141,7 +140,7 @@ func TestReadPlaneDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease := cluster.NewMemLease(nil)
+	lease := tempLease(t)
 	gate := &replGate{}
 	gatedDialer := func(addr string) (net.Conn, error) {
 		c, err := net.Dial("tcp", addr)
@@ -309,7 +308,7 @@ func TestReadPlaneServesSpilledHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease := cluster.NewMemLease(nil)
+	lease := tempLease(t)
 	a := startNode(t, "node-sa", lease, key, failoverTTL, nil)
 	b := startNode(t, "node-sb", lease, key, failoverTTL, nil)
 	if a.Role() != cluster.RolePrimary || b.Role() != cluster.RoleFollower {

@@ -68,7 +68,7 @@ func TestFailedSessionsBackOff(t *testing.T) {
 			ReplicaOf: replicaOf, Heartbeat: 20 * time.Millisecond,
 		}
 		if replicaOf == "" {
-			cfg.Lease = NewMemLease(nil)
+			cfg.Lease = tempLease(t)
 		}
 		if dials != nil {
 			cfg.Dialer = func(addr string) (net.Conn, error) {

@@ -68,7 +68,7 @@ func TestPrimaryUnreadyOnCommitLatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := startTracedNode(t, "node-a", cluster.NewMemLease(nil), key, nil, "", nil)
+	a := startTracedNode(t, "node-a", tempLease(t), key, nil, "", nil)
 	if ok, reason := a.Ready(); !ok {
 		t.Fatalf("fresh primary unready: %s", reason)
 	}
@@ -113,7 +113,7 @@ func TestFollowerReadinessTracksPrimaryContact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := startTracedNode(t, "node-a", cluster.NewMemLease(nil), key, nil, "", nil)
+	a := startTracedNode(t, "node-a", tempLease(t), key, nil, "", nil)
 
 	// The standby's dial is gated: until released it provably has had no
 	// primary contact, making the before-contact assertion deterministic.
@@ -154,7 +154,7 @@ func TestClusterTraceSpanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease := cluster.NewMemLease(nil)
+	lease := tempLease(t)
 	trA := telemetry.NewTracer(1)
 	trB := telemetry.NewTracer(1)
 	a := startTracedNode(t, "node-a", lease, key, trA, "", nil)
@@ -267,15 +267,15 @@ func findShippedTrace(primary, follower telemetry.TraceDump) (telemetry.TraceSna
 	return telemetry.TraceSnap{}, telemetry.SpanSnap{}
 }
 
-// countingLease counts Acquire calls over a MemLease.
+// countingLease counts Acquire calls over a lease file.
 type countingLease struct {
-	*cluster.MemLease
+	*cluster.FileLease
 	acquires atomic.Int64
 }
 
 func (l *countingLease) Acquire(node, addr string, ttl time.Duration) (cluster.LeaseState, bool, error) {
 	l.acquires.Add(1)
-	return l.MemLease.Acquire(node, addr, ttl)
+	return l.FileLease.Acquire(node, addr, ttl)
 }
 
 // TestStartFailureLeavesNoCollector pins Start's cleanup on every way it can
@@ -293,7 +293,7 @@ func TestStartFailureLeavesNoCollector(t *testing.T) {
 	if err := os.WriteFile(notADir, []byte("x"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	held := cluster.NewMemLease(nil)
+	held := tempLease(t)
 	if _, won, err := held.Acquire("someone-else", "127.0.0.1:1", time.Minute); err != nil || !won {
 		t.Fatalf("seeding the lease: won %v, err %v", won, err)
 	}
@@ -303,7 +303,7 @@ func TestStartFailureLeavesNoCollector(t *testing.T) {
 	}{
 		{"follower store", cluster.Config{StoreDir: notADir, Lease: held}},
 		{"pinned standby store", cluster.Config{StoreDir: notADir, ReplicaOf: "127.0.0.1:1"}},
-		{"primary store", cluster.Config{StoreDir: notADir, Lease: &countingLease{MemLease: cluster.NewMemLease(nil)}}},
+		{"primary store", cluster.Config{StoreDir: notADir, Lease: &countingLease{FileLease: tempLease(t)}}},
 		{"listen", cluster.Config{StoreDir: t.TempDir(), Lease: held, Addr: "256.0.0.1:0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

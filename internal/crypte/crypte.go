@@ -41,7 +41,8 @@ import (
 const EncodingBytes = 6400
 
 // DefaultQueryEpsilon is the analyst-side privacy budget spent on each query
-// release, the paper's §8 setting ("privacy budget of Cryptε as 3").
+// release, the paper's §8 setting ("privacy budget of Cryptε as 3"): every
+// release is charged it.
 const DefaultQueryEpsilon = 3.0
 
 // DB is the Cryptε simulator. It satisfies edb.Database and is safe for
@@ -60,28 +61,25 @@ type DB struct {
 	model edb.CostModel
 	setup bool
 
-	queryEps float64
-	noise    *dp.Mechanism
-	spent    *dp.Budget
+	noise *dp.Mechanism
+	spent *dp.Budget
 }
 
 // Option configures a DB.
 type Option func(*DB)
 
-// WithQueryEpsilon overrides the per-query release budget.
-func WithQueryEpsilon(eps float64) Option {
-	return func(db *DB) { db.queryEps = eps }
-}
-
 // WithNoiseSource plugs a deterministic noise source in (experiments/tests).
 func WithNoiseSource(src dp.Source) Option {
-	return func(db *DB) {
-		m, err := dp.NewMechanism(db.queryEps, src)
-		if err != nil {
-			panic(fmt.Sprintf("crypte: invalid query epsilon %v: %v", db.queryEps, err))
-		}
-		db.noise = m
+	return func(db *DB) { db.noise = newMechanism(src) }
+}
+
+// newMechanism is the release mechanism at DefaultQueryEpsilon over src.
+func newMechanism(src dp.Source) *dp.Mechanism {
+	m, err := dp.NewMechanism(DefaultQueryEpsilon, src)
+	if err != nil {
+		panic(fmt.Sprintf("crypte: query epsilon %v: %v", DefaultQueryEpsilon, err))
 	}
+	return m
 }
 
 // New creates a Cryptε instance with a fresh random key.
@@ -100,21 +98,16 @@ func NewWithKey(key []byte, opts ...Option) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		sealer:   s,
-		agg:      query.NewAggregates(),
-		model:    edb.CrypteCostModel(),
-		queryEps: DefaultQueryEpsilon,
-		spent:    dp.NewBudget(),
+		sealer: s,
+		agg:    query.NewAggregates(),
+		model:  edb.CrypteCostModel(),
+		spent:  dp.NewBudget(),
 	}
 	for _, o := range opts {
 		o(db)
 	}
 	if db.noise == nil {
-		m, err := dp.NewMechanism(db.queryEps, dp.CryptoSource{})
-		if err != nil {
-			return nil, fmt.Errorf("crypte: query epsilon: %w", err)
-		}
-		db.noise = m
+		db.noise = newMechanism(dp.CryptoSource{})
 	}
 	return db, nil
 }
@@ -216,7 +209,7 @@ func (db *DB) Query(q query.Query) (query.Answer, edb.Cost, error) {
 		return query.Answer{}, edb.Cost{}, err
 	}
 	ans := db.perturb(q, exact)
-	if err := db.spent.Charge("query-release", db.queryEps, dp.Sequential); err != nil {
+	if err := db.spent.Charge("query-release", DefaultQueryEpsilon, dp.Sequential); err != nil {
 		return query.Answer{}, edb.Cost{}, err
 	}
 	cost := db.model.Of(q.Kind, int64(db.stats.Records), 0)
@@ -248,9 +241,6 @@ func (db *DB) perturb(q query.Query, a query.Answer) query.Answer {
 	}
 	return out
 }
-
-// QueryEpsilon returns the per-release analyst budget.
-func (db *DB) QueryEpsilon() float64 { return db.queryEps }
 
 // ReleasesSoFar returns how many noisy releases the engine has produced.
 func (db *DB) ReleasesSoFar() int { return db.spent.Uses("query-release") }

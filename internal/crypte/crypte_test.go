@@ -172,32 +172,38 @@ func TestDummiesInflateCostAndStorage(t *testing.T) {
 	}
 }
 
-func TestWithQueryEpsilon(t *testing.T) {
-	db := newDB(t, WithQueryEpsilon(10), WithNoiseSource(dp.NewSeededSource(9)))
-	if db.QueryEpsilon() != 10 {
-		t.Errorf("eps = %v", db.QueryEpsilon())
-	}
+// TestReleaseEpsilonIsThePapers: every release is charged the paper's
+// analyst budget, ε = 3, and carries Lap(1/3) noise: over 400 Q1s of a
+// one-record table the mean deviation is about 1/3 and none is past 3 (each
+// draw is past 3 with probability e⁻⁹).
+func TestReleaseEpsilonIsThePapers(t *testing.T) {
+	const releases = 400
+	db := newDB(t, WithNoiseSource(dp.NewSeededSource(9)))
 	if err := db.Setup([]record.Record{yellow(0, 75)}); err != nil {
 		t.Fatal(err)
 	}
-	// With eps=10 the noise is tiny; answers hug the truth.
-	var worst float64
-	for i := 0; i < 100; i++ {
+	var worst, sum float64
+	for i := 0; i < releases; i++ {
 		ans, _, err := db.Query(query.Q1())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := math.Abs(ans.Scalar - 1); d > worst {
-			worst = d
-		}
+		d := math.Abs(ans.Scalar - 1)
+		sum += d
+		worst = max(worst, d)
 	}
-	if worst > 2 {
-		t.Errorf("eps=10 noise too large: worst dev %v", worst)
+	if spent := db.spent.Spent(); spent != releases*DefaultQueryEpsilon || db.ReleasesSoFar() != releases {
+		t.Errorf("%d releases spent ε = %v, want %v", db.ReleasesSoFar(), spent, releases*DefaultQueryEpsilon)
+	}
+	if mean := sum / releases; mean < 0.25 || mean > 0.42 || worst > 3 {
+		t.Errorf("mean deviation %v, worst %v; want about 1/3 and at most 3", mean, worst)
 	}
 }
 
+// TestScalarClampedAtZero: a release of an empty table's count would be
+// negative half the time; none is.
 func TestScalarClampedAtZero(t *testing.T) {
-	db := newDB(t, WithQueryEpsilon(0.05), WithNoiseSource(dp.NewSeededSource(10)))
+	db := newDB(t, WithNoiseSource(dp.NewSeededSource(10)))
 	if err := db.Setup(nil); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // Lap(MaxFareCents/eps_q) noise — orders of magnitude wider than count
 // noise, matching the L1 sensitivity of a bounded-fare SUM.
 func TestSumFareNoiseScaledToSensitivity(t *testing.T) {
-	db, err := New(WithQueryEpsilon(1), WithNoiseSource(dp.NewSeededSource(42)))
+	db, err := New(WithNoiseSource(dp.NewSeededSource(42)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +43,10 @@ func TestSumFareNoiseScaledToSensitivity(t *testing.T) {
 		sum += ans.Scalar
 	}
 	meanAbs := absErr / trials
-	// E|Lap(5000/1)| = 5000; far beyond count noise, far below the answer.
-	if meanAbs < 1000 || meanAbs > 12000 {
-		t.Errorf("mean |noise| = %v, want ≈ 5000 (sensitivity-scaled)", meanAbs)
+	// E|Lap(5000/3)| ≈ 1667; far beyond count noise (1/3), far below the
+	// answer.
+	if scale := record.MaxFareCents / DefaultQueryEpsilon; meanAbs < 0.8*scale || meanAbs > 1.25*scale {
+		t.Errorf("mean |noise| = %v, want ≈ %v (sensitivity-scaled)", meanAbs, scale)
 	}
 	if mean := sum / trials; math.Abs(mean-truth)/truth > 0.05 {
 		t.Errorf("mean answer %v drifted from truth %v", mean, truth)

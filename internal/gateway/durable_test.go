@@ -717,7 +717,7 @@ func TestDurableCrypteSealedReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if remote.Scheme != "Crypteps" || remote.Records != 4 || remote.Updates != 2 {
+	if own2.Name() != "Crypteps-gateway" || remote.Records != 4 || remote.Updates != 2 {
 		t.Fatalf("recovered crypte stats = %+v", remote)
 	}
 	// The join refusal still crosses the wire after recovery.

@@ -47,33 +47,24 @@ func fixedCost(f func()) (allocs, bytes float64) {
 
 // TestTenantFixedCost pins what a tenant costs before it holds any data — the
 // cost every owner's Setup pays and a node's fleet size is a multiple of: a
-// new tenant over the default backend, and the stats probe a client sends
-// before its owner exists, each allocate at most 1 KiB in at most 10 heap
-// objects. The node's sealer (AES key schedule and GCM tables) and the cost
+// new tenant over the default backend allocates at most 1 KiB in at most 10
+// heap objects. The node's sealer (AES key schedule and GCM tables) and the cost
 // model are shared, and the answer cache allocates nothing until its first
 // Put; before that a tenant cost 5,808 B in 19 objects.
 func TestTenantFixedCost(t *testing.T) {
 	const maxAllocs, maxBytes = 10, 1024
 	ts := newTenants(t, gateway.Config{})
-	var sink any
-	for _, c := range []struct {
-		name string
-		f    func()
-	}{
-		{"Tenants.New", func() {
-			tn, err := ts.New("owner-000001")
-			if err != nil {
-				t.Fatal(err)
-			}
-			sink = tn
-		}},
-		{"StatsProbe", func() { sink = ts.StatsProbe("nobody") }},
-	} {
-		allocs, bytes := fixedCost(c.f)
-		t.Logf("%s: %.1f allocations, %.0f B", c.name, allocs, bytes)
-		if allocs > maxAllocs || bytes > maxBytes {
-			t.Errorf("%s allocates %.1f objects, %.0f B; want at most %d and %d B", c.name, allocs, bytes, maxAllocs, maxBytes)
+	var sink *gateway.Tenant
+	allocs, bytes := fixedCost(func() {
+		tn, err := ts.New("owner-000001")
+		if err != nil {
+			t.Fatal(err)
 		}
+		sink = tn
+	})
+	t.Logf("Tenants.New: %.1f allocations, %.0f B", allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("Tenants.New allocates %.1f objects, %.0f B; want at most %d and %d B", allocs, bytes, maxAllocs, maxBytes)
 	}
 	_ = sink
 }

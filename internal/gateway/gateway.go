@@ -1023,8 +1023,9 @@ func (g *Gateway) handle(conn net.Conn) {
 		return
 	}
 	// Whatever codec byte the hello proposed, the ack names the one codec
-	// this build speaks; a client that cannot speak it hangs up.
-	if err := wire.WriteHelloAck(conn, wire.CodecBinary); err != nil {
+	// this build speaks, and the node's backend; a client that cannot speak
+	// it, or that knows this node's address by another backend, hangs up.
+	if err := wire.WriteHelloAck(conn, g.tenants.identity); err != nil {
 		return
 	}
 
@@ -1234,7 +1235,7 @@ func (c *clientConn) admitFrame(payload []byte) bool {
 	}
 	owner := own.owner
 	// Only the setup protocol creates a namespace (peek otherwise):
-	// queries, updates, resumes, and stats probes against unknown owners
+	// queries, updates, resumes, and stats requests against unknown owners
 	// must not let a read-only request stream allocate backend state.
 	t := task{owner: owner, peek: !setup, req: f.Req}
 	if sync {

@@ -1,11 +1,14 @@
 package gateway_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +18,7 @@ import (
 	"dpsync/internal/dp"
 	"dpsync/internal/edb"
 	"dpsync/internal/gateway"
+	"dpsync/internal/oblidb"
 	"dpsync/internal/query"
 	"dpsync/internal/record"
 	"dpsync/internal/refdb"
@@ -79,7 +83,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if remote.Records != 4 || remote.Scheme != "ObliDB" {
+	if remote.Records != 4 {
 		t.Errorf("remote stats = %+v", remote)
 	}
 	if own.Name() != "ObliDB-gateway" || own.Leakage() != edb.L0 {
@@ -269,7 +273,7 @@ func TestGatewayCrypteBackend(t *testing.T) {
 	if st := own.Stats(); st.Bytes != 4*6400 {
 		t.Errorf("owner bytes = %d, want 4 encodings", st.Bytes)
 	}
-	if remote, err := own.RemoteStats(); err != nil || remote.Scheme != "Crypteps" {
+	if remote, err := own.RemoteStats(); err != nil || remote.Records != 4 {
 		t.Errorf("remote = %+v, %v", remote, err)
 	}
 }
@@ -284,7 +288,7 @@ func TestServedCrypteCountsNoDummies(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	var built []*crypte.DB // the tenant's backend and any stats probe's
+	var built []*crypte.DB // the tenant's backend and the node's identity
 	gw, _ := startGateway(t, gateway.Config{
 		Key: key,
 		NewBackend: func(string) (edb.Database, error) {
@@ -487,36 +491,43 @@ func TestGatewayManyOwnersConcurrent(t *testing.T) {
 }
 
 // TestReadOnlyRequestsAllocateNoNamespace pins the hostile-allocation
-// bound: stats probes and queries against never-setup owners must not
-// materialize tenant state, while still reporting the backend identity a
-// client needs before its first upload.
+// bound: stats requests, queries and updates against never-setup owners are
+// refused not-setup, as an un-setup store would refuse them, and neither
+// materialize tenant state nor build a backend — the node built its one
+// identity backend at start, and the hello ack already told the client what
+// it states.
 func TestReadOnlyRequestsAllocateNoNamespace(t *testing.T) {
-	gw, key := startGateway(t, gateway.Config{})
+	key, err := seal.NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var built atomic.Int64
+	gw, _ := startGateway(t, gateway.Config{Key: key, NewBackend: func(string) (edb.Database, error) {
+		built.Add(1)
+		return oblidb.NewWithKey(key)
+	}})
 	conn, err := client.DialGateway(gw.Addr(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	if n := built.Load(); n != 1 {
+		t.Fatalf("%d backends built at start, want the identity's one", n)
+	}
 	for i := 0; i < 50; i++ {
 		own := conn.Owner(fmt.Sprintf("probe-%d", i))
-		remote, err := own.RemoteStats()
-		if err != nil {
-			t.Fatal(err)
+		if st, err := own.RemoteStats(); !errors.Is(err, edb.ErrNotSetup) {
+			t.Fatalf("stats on unknown owner: %+v, %v; want not-setup", st, err)
 		}
-		// Identity is reported from a throwaway backend instance...
-		if remote.Scheme != "ObliDB" || remote.Records != 0 {
-			t.Fatalf("probe stats = %+v", remote)
-		}
-		// ...and queries/updates fail exactly as an un-setup store would.
-		if _, _, err := own.Query(query.Q1()); err == nil || !strings.Contains(err.Error(), "not set up") {
+		if _, _, err := own.Query(query.Q1()); !errors.Is(err, edb.ErrNotSetup) {
 			t.Fatalf("query on unknown owner: err = %v", err)
 		}
-		if err := own.Update([]record.Record{yellow(1, 1)}); err == nil || !strings.Contains(err.Error(), "not set up") {
+		if err := own.Update([]record.Record{yellow(1, 1)}); !errors.Is(err, edb.ErrNotSetup) {
 			t.Fatalf("update on unknown owner: err = %v", err)
 		}
 	}
-	if gw.Owners() != 0 {
-		t.Fatalf("read-only probes allocated %d namespaces", gw.Owners())
+	if gw.Owners() != 0 || built.Load() != 1 {
+		t.Fatalf("read-only requests allocated %d namespaces and built %d backends", gw.Owners(), built.Load()-1)
 	}
 	// Setup still creates exactly one.
 	if err := conn.Owner("probe-0").Setup(nil); err != nil {
@@ -578,11 +589,12 @@ func TestGatewayRejectsBadHello(t *testing.T) {
 
 // TestGatewayAcksUnknownCodecWithBinary pins the hello contract: whatever
 // codec byte a valid hello proposes — an unassigned one, or a retired
-// codec's — the ack names the one codec this build speaks, 9: a peer still
-// on codec 8 learns at the hello that its frames would not parse.
+// codec's — the ack names the one codec this build speaks, 10, and the
+// node's backend: a peer still on codec 9 learns at the hello that its
+// frames would not parse.
 func TestGatewayAcksUnknownCodecWithBinary(t *testing.T) {
 	gw, _ := startGateway(t, gateway.Config{})
-	for _, proposed := range []wire.Codec{99, 8, 7, 6, 5, 4, 2, 1} { // 8 to 1: the retired codecs
+	for _, proposed := range []wire.Codec{99, 9, 8, 7, 6, 5, 4, 2, 1} { // 9 to 1: the retired codecs
 		conn, err := net.Dial("tcp", gw.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -591,12 +603,13 @@ func TestGatewayAcksUnknownCodecWithBinary(t *testing.T) {
 		if err := wire.WriteHello(conn, proposed); err != nil {
 			t.Fatal(err)
 		}
-		got, err := wire.ReadHelloAck(conn)
-		if err != nil {
-			t.Fatal(err)
+		var ack [1]byte
+		if _, err := io.ReadFull(conn, ack[:]); err != nil || ack[0] != 10 {
+			t.Errorf("proposed %d: ack's codec = %d (%v), want 10", byte(proposed), ack[0], err)
 		}
-		if got != wire.CodecBinary || byte(got) != 9 {
-			t.Errorf("proposed %d: ack = %d, want 9", byte(proposed), byte(got))
+		got, err := wire.ReadHelloAck(io.MultiReader(bytes.NewReader(ack[:]), conn))
+		if want := (wire.Backend{Scheme: "ObliDB", Leakage: edb.L0}); err != nil || got != want {
+			t.Errorf("proposed %d: ack = %v (%v), want %v", byte(proposed), got, err, want)
 		}
 	}
 }
@@ -622,8 +635,8 @@ func TestGatewayMissingOwnerRejected(t *testing.T) {
 // TestOwnerLimitRefusesTheNextNamespace pins Config.MaxOwners, the bound on
 // hostile namespace creation: at the limit a new owner's setup is refused
 // failed, naming the limit; the established owners keep syncing; and a stats
-// probe for an owner that does not exist is still answered without creating
-// its namespace.
+// request for an owner that does not exist is refused not-setup without
+// creating its namespace.
 func TestOwnerLimitRefusesTheNextNamespace(t *testing.T) {
 	gw, key := startGateway(t, gateway.Config{MaxOwners: 2})
 	conn, err := client.DialGateway(gw.Addr(), key)
@@ -650,13 +663,12 @@ func TestOwnerLimitRefusesTheNextNamespace(t *testing.T) {
 		}
 	}
 	for _, owner := range []string{"owner-c", "nobody"} {
-		st, err := conn.Owner(owner).RemoteStats()
-		if err != nil || st.Scheme == "" || st.Records != 0 || st.Updates != 0 {
-			t.Fatalf("stats probe for %s: %+v, %v; want the backend's identity and nothing stored", owner, st, err)
+		if st, err := conn.Owner(owner).RemoteStats(); !errors.Is(err, edb.ErrNotSetup) {
+			t.Fatalf("stats for %s: %+v, %v; want not-setup", owner, st, err)
 		}
 	}
 	if n := gw.Owners(); n != 2 {
-		t.Fatalf("%d owners after stats probes, want 2", n)
+		t.Fatalf("%d owners after stats requests, want 2", n)
 	}
 }
 

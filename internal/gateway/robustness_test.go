@@ -636,7 +636,8 @@ func rawReadConn(t *testing.T, addr string) net.Conn {
 // MaxFrameErrors, a peer past MaxInFlight is shed with typed backpressure and then severed, a peer
 // that stops reading is severed at the write deadline, Close is bounded by
 // DrainTimeout — and a writer or a would-be follower still gets the refusal
-// byte, so client.DialGateway moves on to its next address.
+// byte, so client.DialGateway moves on to its next address. The benign
+// request is a stats read of an owner the replica applied a setup of.
 func TestReplicaInheritsDefences(t *testing.T) {
 	stats, err := wire.CodecBinary.EncodeGatewayRequest(wire.GatewayRequest{
 		ID: 1, Owner: "reader", Req: wire.Request{Type: wire.MsgStats},
@@ -649,7 +650,8 @@ func TestReplicaInheritsDefences(t *testing.T) {
 		cfg  gateway.Config
 		run  func(t *testing.T, gw *gateway.Gateway, key []byte)
 	}{
-		{"malformed frames end the connection", gateway.Config{}, func(t *testing.T, gw *gateway.Gateway, _ []byte) {
+		{"malformed frames end the connection", gateway.Config{}, func(t *testing.T, gw *gateway.Gateway, key []byte) {
+			replicate(t, gw, key, "reader", 1, yellow(0, 60))
 			conn := rawReadConn(t, gw.Addr())
 			for i, frame := range malformedFrames() {
 				if resp := roundTripRaw(t, conn, frame); resp.Resp.OK || resp.Resp.Refusal.Code != wire.CodeBadRequest {
@@ -666,7 +668,8 @@ func TestReplicaInheritsDefences(t *testing.T) {
 				t.Fatalf("replica unusable after a malformed-frame flood: %+v", resp.Resp)
 			}
 		}},
-		{"requests past the in-flight cap are shed, then severed", gateway.Config{Shards: 1, MaxInFlight: 32}, func(t *testing.T, gw *gateway.Gateway, _ []byte) {
+		{"requests past the in-flight cap are shed, then severed", gateway.Config{Shards: 1, MaxInFlight: 32}, func(t *testing.T, gw *gateway.Gateway, key []byte) {
+			replicate(t, gw, key, "reader", 1, yellow(0, 60))
 			hog := rawReadConn(t, gw.Addr())
 			var hogDead atomic.Bool
 			go func() { // floods without ever reading a response

@@ -23,7 +23,7 @@ type task struct {
 	owner string
 	// peek makes tenant resolution non-creating. Everything except the
 	// setup protocol peeks: transcript reads, queries, updates, and stats
-	// probes must not allocate a namespace for an owner that never ran
+	// requests must not allocate a namespace for an owner that never ran
 	// setup (MaxOwners bounds *established* tenants, and a hostile
 	// read-only request stream must not be able to reach it).
 	peek bool
@@ -342,7 +342,7 @@ func (g *Gateway) chargeFor(setup bool) store.Charge {
 // under the root of the reply's trace context, and a durable sync keeps it
 // in the shard's WAL queue for its commit and the replication hub.
 func (g *Gateway) dispatch(sh *shard, tn *Tenant, t *task, deq int64) {
-	owner, req, reply := t.owner, t.req, t.reply
+	req, reply := t.req, t.reply
 	tc := reply.tc
 	if g.replica.Load() {
 		// Only reads reach a replica's shards (its connections are read-only),
@@ -351,7 +351,7 @@ func (g *Gateway) dispatch(sh *shard, tn *Tenant, t *task, deq int64) {
 		g.replicaReads.Add(1)
 	}
 	if tn == nil {
-		reply.send(g.dispatchUnknown(owner, req))
+		reply.send(g.dispatchUnknown(req))
 		return
 	}
 	if tn.failed {
@@ -526,21 +526,18 @@ func (g *Gateway) serveRead(tn *Tenant, req wire.Request, reply replyTo) {
 }
 
 // dispatchUnknown answers requests addressed to a namespace that does not
-// exist yet. Updates and queries fail exactly as an un-setup database
-// would; stats probes report the backend's identity (scheme, leakage
-// class, zero storage) from a throwaway instance so clients can learn what
-// they would be talking to — without the probe allocating tenant state.
-func (g *Gateway) dispatchUnknown(owner string, req wire.Request) wire.Response {
+// exist yet. Updates, queries and stats fail exactly as an un-setup database
+// would, and allocate nothing: the backend a client would be talking to is
+// the node's, stated in the hello ack.
+func (g *Gateway) dispatchUnknown(req wire.Request) wire.Response {
 	switch req.Type {
-	case wire.MsgUpdate, wire.MsgQuery:
+	case wire.MsgUpdate, wire.MsgQuery, wire.MsgStats:
 		return wire.Refuse(wire.CodeNotSetup, 0, "")
 	case wire.MsgResume:
 		// Every owner the store recovered is resident, so an owner without a
 		// tenant has committed nothing: its clock is 0.
 		g.tm.resumes.Inc()
 		return wire.Response{OK: true, Resume: &wire.ResumeSpec{}}
-	case wire.MsgStats:
-		return g.tenants.StatsProbe(owner)
 	default:
 		// Unreachable: the decoder yields no other type, and a setup resolves
 		// with peek=false, which creates the tenant (or reports the creation

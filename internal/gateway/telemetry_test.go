@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -205,7 +206,7 @@ func TestTelemetryFollowerAggregateOnlyByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease := cluster.NewMemLease(nil)
+	lease := cluster.NewFileLease(filepath.Join(t.TempDir(), "cluster.lease"), nil)
 	regs := [2]*telemetry.Registry{telemetry.New(), telemetry.New()}
 	tracers := [2]*telemetry.Tracer{}
 	nodes := [2]*cluster.Node{}

@@ -33,7 +33,7 @@ import (
 //   - Commit advances the committed state by that batch (OwnerState.Apply:
 //     clock, ledger charge, history tail — all or nothing), then records its
 //     transcript event and drops the answer cache.
-//   - Read answers a stats probe or a query from the backend, the query
+//   - Read answers a stats request or a query from the backend, the query
 //     through the answer cache.
 //
 // Three drivers sequence them. The live gateway ingests at apply time and
@@ -152,19 +152,24 @@ type CacheMetrics struct {
 }
 
 // Tenants is what all of one node's tenant machines share: how a backend is
-// built, and the answer cache's capacity and instruments. NewTenants is the
-// one place a Config's Key, NewBackend and QueryCache are resolved, in either
-// role — so a replica's machine is what recovery over its directory would
-// build.
+// built, the backend the node states in its hello ack, and the answer cache's
+// capacity and instruments. NewTenants is the one place a Config's Key,
+// NewBackend and QueryCache are resolved, in either role — so a replica's
+// machine is what recovery over its directory would build.
 type Tenants struct {
 	newBackend func(owner string) (edb.Database, error)
+	identity   wire.Backend
 	qcap       int
 	cm         CacheMetrics
 }
 
 // NewTenants resolves cfg's backend constructor. Nil means a per-owner ObliDB
 // instance whose enclave opens with the node's one sealer for Key, which is
-// then required; a NewBackend's backends hold their own keys.
+// then required; a NewBackend's backends hold their own keys. The node's
+// backend is read once, here, from one built for no owner. A constructor may
+// refuse a name it does not serve, that one included (a stub that builds only
+// the namespaces of its workload, say); such a node states the class L2,
+// which no §6 gate passes, under the scheme "unidentified".
 func NewTenants(cfg Config, cm CacheMetrics) (*Tenants, error) {
 	ts := &Tenants{newBackend: cfg.NewBackend, qcap: cfg.QueryCache, cm: cm}
 	if ts.newBackend == nil {
@@ -173,6 +178,10 @@ func NewTenants(cfg Config, cm CacheMetrics) (*Tenants, error) {
 			return nil, fmt.Errorf("gateway: default ObliDB backend: %w", err)
 		}
 		ts.newBackend = func(string) (edb.Database, error) { return oblidb.NewWithSealer(s), nil }
+	}
+	ts.identity = wire.Backend{Scheme: "unidentified", Leakage: edb.L2}
+	if db, err := ts.newBackend(""); err == nil {
+		ts.identity = wire.Backend{Scheme: db.Name(), Leakage: db.Leakage()}
 	}
 	return ts, nil
 }
@@ -239,18 +248,6 @@ func (ts *Tenants) Replay(s *store.Store, st *store.OwnerState) (*Tenant, error)
 	return tn, nil
 }
 
-// StatsProbe answers a stats request for a namespace that does not exist:
-// the backend's identity (scheme, leakage class, zero storage) from a
-// throwaway instance, so clients can learn what they would be talking to
-// without the probe allocating tenant state.
-func (ts *Tenants) StatsProbe(owner string) wire.Response {
-	db, err := ts.backend(owner)
-	if err != nil {
-		return failed(err)
-	}
-	return wire.NewStatsResponse(db.Stats(), db.Name(), int(db.Leakage()))
-}
-
 // Ingest hands one sealed batch to the backend verbatim: the backend alone
 // opens it.
 func (tn *Tenant) Ingest(setup bool, sealed [][]byte) error {
@@ -298,7 +295,7 @@ func event(bt store.Batch) leakage.Event {
 	return leakage.Event{Tick: record.Tick(bt.Tick), Volume: n}
 }
 
-// Read evaluates a stats probe or a query (req.Query non-nil) against the
+// Read evaluates a stats request or a query (req.Query non-nil) against the
 // backend, the query through the answer cache. Drivers call it only while
 // the backend holds exactly the committed batches, and Commit drops the cache
 // where Clock advances, so a hit can only re-serve bytes the current
@@ -306,7 +303,7 @@ func event(bt store.Batch) leakage.Event {
 // answer spends zero additional ε.
 func (tn *Tenant) Read(req wire.Request) wire.Response {
 	if req.Type == wire.MsgStats {
-		return wire.NewStatsResponse(tn.db.Stats(), tn.db.Name(), int(tn.db.Leakage()))
+		return wire.NewStatsResponse(tn.db.Stats())
 	}
 	spec := *req.Query
 	cm := &tn.env.cm

@@ -18,7 +18,8 @@ type target struct {
 	cfg Config
 	key []byte
 	// dirs are the store directories, one per node: Config.StoreDir, or temp
-	// directories the run removes.
+	// directories the run removes — with, for a cluster, the directory of
+	// the lease file its nodes share.
 	dirs []string
 	gw   *gateway.Gateway
 	a, b *cluster.Node
@@ -72,7 +73,12 @@ func (t *target) start() (err error) {
 		_, err := t.open()
 		return err
 	}
-	lease := cluster.NewMemLease(nil)
+	leaseDir, err := os.MkdirTemp("", "dpsync-loadgen-lease-*")
+	if err != nil {
+		return err
+	}
+	t.dirs = append(t.dirs, leaseDir)
+	lease := cluster.NewFileLease(cluster.LeasePathInDir(leaseDir), nil)
 	node := func(id string, dir string) (*cluster.Node, error) {
 		// Each node gets its own registry: both run in this process, and
 		// shared series would merge the primary's counters with the follower's.

@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"dpsync/internal/binfmt"
+	"dpsync/internal/edb"
 )
 
 // Codec identifies a frame-payload encoding by the version byte the hello
@@ -27,14 +28,16 @@ type Codec byte
 // refusal section (the layout table is in doc.go, "Serving"). A request names
 // its owner inline or by a handle its connection bound (MaxBindings). Every
 // frame opens with its payload's length as a minimal-form uvarint
-// (FrameHeader). Version byte 9; 8 let a query carry a replica freshness
+// (FrameHeader). The hello ack names the node's backend (Backend), and no
+// other frame does. Version byte 10; 9 repeated the backend's scheme and
+// class in every stats answer, 8 let a query carry a replica freshness
 // bound (a second query encoding, and a stale refusal), 7 sent a 4-byte
 // length and the cost's seconds, 6 every group vector one value a group, 5
 // padded every answer to 4-byte groups beside an 8-byte scalar, 4 named the
 // owner inline in every request, 3 said no with an error text beside two
 // flag bits, 2 was the fixed-width-integer layout and 1 a JSON encoding —
 // all retired, no byte ever reused.
-const CodecBinary Codec = 9
+const CodecBinary Codec = 10
 
 // Valid reports whether c names the codec this build speaks.
 func (c Codec) Valid() bool { return c == CodecBinary }
@@ -108,32 +111,80 @@ func WriteHello(w io.Writer, proposed Codec) error {
 	return writeHello(w, helloMagic, byte(proposed))
 }
 
-// WriteHelloAck sends the server's 1-byte answer: the codec version the
-// connection will speak.
-func WriteHelloAck(w io.Writer, accepted Codec) error {
-	if _, err := w.Write([]byte{byte(accepted)}); err != nil {
+// Backend is a node's backend as its hello ack states it: the scheme that
+// builds every tenant's encrypted database (edb.Database.Name) and that
+// scheme's §6 leakage class. One constructor serves every tenant of a node,
+// so this is a fact of the connection, stated once, and no later frame
+// repeats it.
+type Backend struct {
+	Scheme  string
+	Leakage edb.LeakageClass
+}
+
+func (b Backend) String() string { return fmt.Sprintf("%s (%v)", b.Scheme, b.Leakage) }
+
+// check refuses what no ack carries: a class edb does not define, or a
+// scheme that is not 1 to MaxOwnerLen bytes of printable ASCII.
+func (b Backend) check() error {
+	if b.Leakage < edb.L0 || b.Leakage > edb.L2 {
+		return fmt.Errorf("unknown leakage class %d", int(b.Leakage))
+	}
+	if len(b.Scheme) == 0 || len(b.Scheme) > MaxOwnerLen {
+		return fmt.Errorf("a scheme name of %d bytes", len(b.Scheme))
+	}
+	for i := 0; i < len(b.Scheme); i++ {
+		if c := b.Scheme[i]; c <= ' ' || c > '~' {
+			return fmt.Errorf("scheme name %q", b.Scheme)
+		}
+	}
+	return nil
+}
+
+// WriteHelloAck sends the server's answer to a client or read-only hello:
+// the one codec the connection will speak, whatever was proposed, and the
+// node's backend.
+//
+//	u8 codec · u8 class · u8 len · scheme
+func WriteHelloAck(w io.Writer, be Backend) error {
+	if err := be.check(); err != nil {
+		return fmt.Errorf("wire: hello ack: %w", err)
+	}
+	b := append(make([]byte, 0, 3+len(be.Scheme)), byte(CodecBinary), byte(be.Leakage), byte(len(be.Scheme)))
+	if _, err := w.Write(append(b, be.Scheme...)); err != nil {
 		return fmt.Errorf("wire: hello ack: %w", err)
 	}
 	return nil
 }
 
-// ReadHelloAck consumes the server's answer. The refusal byte means the
-// dialed node is a cluster follower (HelloRefused, ErrNotPrimary — the client
-// advances to its next address); any other invalid codec byte means the two
-// ends share no encoding — a hard error.
-func ReadHelloAck(r io.Reader) (Codec, error) {
-	var buf [1]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("wire: reading hello ack: %w", err)
+// ReadHelloAck consumes the server's answer and returns the node's backend.
+// The refusal byte, alone, means the dialed node is a cluster follower
+// (HelloRefused, ErrNotPrimary — the client advances to its next address);
+// any other codec byte but this build's means the two ends share no encoding,
+// and an unknown class or a malformed scheme a peer that does not speak it:
+// ErrBadFrame, a hard error.
+func ReadHelloAck(r io.Reader) (Backend, error) {
+	var head [3]byte
+	if _, err := io.ReadFull(r, head[:1]); err != nil {
+		return Backend{}, fmt.Errorf("wire: reading hello ack: %w", err)
 	}
-	if buf[0] == HelloRefused {
-		return 0, ErrNotPrimary
+	if head[0] == HelloRefused {
+		return Backend{}, ErrNotPrimary
 	}
-	c := Codec(buf[0])
-	if !c.Valid() {
-		return 0, fmt.Errorf("%w: server accepted unknown codec %d", ErrBadFrame, buf[0])
+	if c := Codec(head[0]); !c.Valid() {
+		return Backend{}, fmt.Errorf("%w: server accepted unknown codec %d", ErrBadFrame, head[0])
 	}
-	return c, nil
+	if _, err := io.ReadFull(r, head[1:]); err != nil {
+		return Backend{}, fmt.Errorf("wire: reading hello ack: %w", err)
+	}
+	scheme := make([]byte, head[2])
+	if _, err := io.ReadFull(r, scheme); err != nil {
+		return Backend{}, fmt.Errorf("wire: reading hello ack: %w", err)
+	}
+	be := Backend{Scheme: string(scheme), Leakage: edb.LeakageClass(head[1])}
+	if err := be.check(); err != nil {
+		return Backend{}, fmt.Errorf("%w: hello ack: %v", ErrBadFrame, err)
+	}
+	return be, nil
 }
 
 // GatewayRequest is the multiplexing envelope for client→gateway messages:
@@ -561,8 +612,7 @@ func readValues(vs []float64, block []byte, w Width) error {
 //	         |  u8 0x82 · uvarint n (1..65535) · uvarint k · k × u16 index
 //	            the counted records' groups, non-decreasing, then n (the pad)
 //	  [cost:    uvarint scanned · uvarint pairs]
-//	  [stats:   uvarint records · uvarint bytes · uvarint updates ·
-//	            u8 schemeLen · scheme · u8 leakage]
+//	  [stats:   uvarint records · uvarint bytes · uvarint updates]
 //	  [resume:  uvarint clock]
 func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 	var flags byte
@@ -611,14 +661,11 @@ func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 	} else if !resp.OK {
 		return dst, fmt.Errorf("wire: response neither OK nor refused")
 	}
-	// Every section's fixed part at its widest (they sum to 105 bytes), plus
-	// the three variable ones.
-	size := 105 + len(detail)
+	// Every section's fixed part at its widest (they sum to 103 bytes), plus
+	// the two variable ones.
+	size := 103 + len(detail)
 	if a := resp.Answer; a != nil {
 		size += a.Width.size()*len(a.Groups) + 2*a.Slots
-	}
-	if resp.Stats != nil {
-		size += min(len(resp.Stats.Scheme), MaxOwnerLen)
 	}
 	b := slices.Grow(dst, size)
 	b = binfmt.AppendUvarint(b, g.ID)
@@ -655,13 +702,6 @@ func AppendGatewayResponse(dst []byte, g GatewayResponse) ([]byte, error) {
 		b = binfmt.AppendUvarint(b, uint64(st.Records))
 		b = binfmt.AppendUvarint(b, uint64(st.Bytes))
 		b = binfmt.AppendUvarint(b, uint64(st.Updates))
-		scheme := st.Scheme
-		if len(scheme) > MaxOwnerLen {
-			scheme = scheme[:MaxOwnerLen]
-		}
-		b = append(b, byte(len(scheme)))
-		b = append(b, scheme...)
-		b = append(b, byte(st.Leakage))
 	}
 	if flags&flagResume != 0 {
 		b = binfmt.AppendUvarint(b, resp.Resume.Clock)
@@ -761,9 +801,6 @@ func (c Codec) DecodeGatewayResponse(b []byte) (GatewayResponse, error) {
 		st.Records = int(r.Uvarint("stats records"))
 		st.Bytes = int64(r.Uvarint("stats bytes"))
 		st.Updates = int(r.Uvarint("stats updates"))
-		n := int(r.U8("scheme length"))
-		st.Scheme = string(r.Bytes(n, "scheme"))
-		st.Leakage = int(r.U8("leakage class"))
 		g.Resp.Stats = &st
 	}
 	if flags&flagResume != 0 {

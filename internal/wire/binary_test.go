@@ -6,6 +6,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"dpsync/internal/edb"
 )
 
 func sampleRequests() []GatewayRequest {
@@ -33,8 +35,8 @@ func sampleResponses() []GatewayResponse {
 		{ID: 3, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{1, 2, 3}, Width: 1},
 			Cost: &CostSpec{RecordsScanned: 1000, PairsCompared: -1}}},
 		{ID: 3, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: 42.5}, Cost: &CostSpec{}}},
-		{ID: 4, Resp: Response{OK: true, Stats: &StatsSpec{Records: 12, Bytes: 12288, Updates: 3, Scheme: "ObliDB", Leakage: 0}}},
-		{ID: 5, Resp: Response{OK: true, Stats: &StatsSpec{Records: 1, Bytes: 6400, Updates: 1, Scheme: "Crypteps", Leakage: 1}}},
+		{ID: 4, Resp: Response{OK: true, Stats: &StatsSpec{Records: 12, Bytes: 12288, Updates: 3}}},
+		{ID: 5, Resp: Response{OK: true, Stats: &StatsSpec{Records: 1, Bytes: 6400, Updates: 1}}},
 		{ID: 6, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 42}}},
 		{ID: 7, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 0}}},
 		{ID: 8, Resp: Refuse(CodeBackpressure, 0, "")},
@@ -342,10 +344,11 @@ func TestHelloNegotiation(t *testing.T) {
 		t.Errorf("hello = kind %v codec %v", kind, got)
 	}
 	// An unknown or retired codec byte passes through ReadAnyHello — the
-	// server acks the one codec it speaks, version byte 9, whatever was
+	// server acks the one codec it speaks, version byte 10, whatever was
 	// proposed (over a socket: the gateway's
 	// TestGatewayAcksUnknownCodecWithBinary).
-	for _, proposed := range []Codec{77, 8, 7, 6, 5, 4, 3, 2, 1} {
+	obli := Backend{Scheme: "ObliDB", Leakage: edb.L0}
+	for _, proposed := range []Codec{77, 9, 8, 7, 6, 5, 4, 3, 2, 1} {
 		buf.Reset()
 		_ = WriteHello(&buf, proposed)
 		kind, got, err = ReadAnyHello(&buf)
@@ -355,9 +358,12 @@ func TestHelloNegotiation(t *testing.T) {
 		if kind != HelloClient || Codec(got) != proposed || proposed.Valid() {
 			t.Errorf("proposed codec %d: read kind %v codec %d, valid %v", proposed, kind, got, proposed.Valid())
 		}
-		_ = WriteHelloAck(&buf, CodecBinary) // what the gateway answers any proposal
-		if ack, err := ReadHelloAck(&buf); err != nil || byte(ack) != 9 {
-			t.Errorf("proposed codec %d: acked %d (%v), want 9", proposed, ack, err)
+		_ = WriteHelloAck(&buf, obli) // what the gateway answers any proposal
+		if ack := buf.Bytes(); len(ack) == 0 || ack[0] != 10 {
+			t.Errorf("proposed codec %d: acked % x, want codec 10", proposed, ack)
+		}
+		if be, err := ReadHelloAck(&buf); err != nil || be != obli {
+			t.Errorf("proposed codec %d: acked %v (%v), want %v", proposed, be, err, obli)
 		}
 	}
 	// The three protocols' hellos differ in the magic alone.
@@ -378,16 +384,44 @@ func TestHelloNegotiation(t *testing.T) {
 		t.Errorf("bad magic: err = %v, want ErrBadFrame", err)
 	}
 	// Ack round trip; invalid ack rejected; the refusal byte is not-primary.
-	buf.Reset()
-	if err := WriteHelloAck(&buf, CodecBinary); err != nil {
-		t.Fatal(err)
+	for _, be := range []Backend{obli, {Scheme: "Crypteps", Leakage: edb.LDP}, {Scheme: "unidentified", Leakage: edb.L2}} {
+		buf.Reset()
+		if err := WriteHelloAck(&buf, be); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ReadHelloAck(&buf); err != nil || got != be {
+			t.Errorf("ack = %v, %v; want %v", got, err, be)
+		}
 	}
-	if got, err := ReadHelloAck(&buf); err != nil || got != CodecBinary {
-		t.Errorf("ack = %v, %v", got, err)
-	}
-	for _, b := range []byte{0x7F, 1, 2, 3, 4, 5, 6, 7, 8} { // 1 to 8: the retired codecs' bytes
-		if _, err := ReadHelloAck(bytes.NewReader([]byte{b})); !errors.Is(err, ErrBadFrame) {
+	for _, b := range []byte{0x7F, 1, 2, 3, 4, 5, 6, 7, 8, 9} { // 1 to 9: the retired codecs' bytes
+		if _, err := ReadHelloAck(bytes.NewReader([]byte{b, 0, 6, 'O', 'b', 'l', 'i', 'D', 'B'})); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("invalid ack %#x: err = %v, want ErrBadFrame", b, err)
+		}
+	}
+	// An ack stating what no backend is — a class edb does not define, no
+	// scheme name, one with a byte no name has — is refused whole, and
+	// neither end writes one; one cut short is an error.
+	for name, ack := range map[string][]byte{
+		"class 4":             {10, 4, 6, 'O', 'b', 'l', 'i', 'D', 'B'},
+		"class 255":           {10, 255, 6, 'O', 'b', 'l', 'i', 'D', 'B'},
+		"empty scheme":        {10, 0, 0},
+		"a space in a scheme": {10, 0, 2, 'O', ' '},
+		"a control byte":      {10, 0, 2, 'O', '\n'},
+		"a byte past ASCII":   {10, 0, 2, 'O', 0xC3},
+	} {
+		if be, err := ReadHelloAck(bytes.NewReader(ack)); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: read %v, %v; want ErrBadFrame", name, be, err)
+		}
+	}
+	for _, be := range []Backend{{Scheme: "ObliDB", Leakage: 4}, {Scheme: ""}, {Scheme: "a b"}, {Scheme: string(bytes.Repeat([]byte{'x'}, 256))}} {
+		buf.Reset()
+		if err := WriteHelloAck(&buf, be); err == nil || buf.Len() != 0 {
+			t.Errorf("ack of %q class %d written: % x", be.Scheme, int(be.Leakage), buf.Bytes())
+		}
+	}
+	for _, short := range [][]byte{{}, {10}, {10, 0}, {10, 0, 6, 'O', 'b', 'l'}} {
+		if _, err := ReadHelloAck(bytes.NewReader(short)); err == nil {
+			t.Errorf("ack % x cut short: read without an error", short)
 		}
 	}
 	if _, err := ReadHelloAck(bytes.NewReader([]byte{HelloRefused})); !errors.Is(err, ErrNotPrimary) {

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"dpsync/internal/edb"
 )
 
 // codec is the one payload encoding the fuzzers exercise.
@@ -127,7 +129,7 @@ func FuzzDecodeGatewayResponse(f *testing.F) {
 		{ID: 3, Resp: Response{OK: true, Answer: &AnswerSpec{Groups: []float64{1, 2}, Width: 1},
 			Cost: &CostSpec{RecordsScanned: 2}}},
 		{ID: 3, Resp: Response{OK: true, Answer: &AnswerSpec{Scalar: 4, Width: 2}, Cost: &CostSpec{RecordsScanned: 2}}},
-		{ID: 4, Resp: Response{OK: true, Stats: &StatsSpec{Records: 5, Scheme: "ObliDB"}}},
+		{ID: 4, Resp: Response{OK: true, Stats: &StatsSpec{Records: 5}}},
 		{ID: 5, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 17}}},
 		{ID: 6, Resp: Refuse(CodeBackpressure, 0, "")},
 		{ID: 7, Resp: Refuse(CodeSeqGap, 99, "")},
@@ -154,6 +156,8 @@ func FuzzDecodeGatewayResponse(f *testing.F) {
 	f.Add([]byte{2, flagRefused, 4, 'b', 'o', 'o', 'm'})                   // an error text as codec 3 framed it
 	f.Add([]byte{3, flagOK | flagRefused, byte(CodeClosing), 0, 0})        // OK and refused at once
 	f.Add([]byte{7, flagRefused, 2, 99, 0})                                // codec 8's stale refusal, code 2
+	// Codec 9's stats answer, naming the scheme and class after the counts.
+	f.Add([]byte{4, flagOK | flagStats, 5, 0, 0, 6, 'O', 'b', 'l', 'i', 'D', 'B', 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := codec.DecodeGatewayResponse(data)
 		if err != nil {
@@ -337,6 +341,43 @@ func FuzzReadHandshake(f *testing.F) {
 			if !reflect.DeepEqual(g2.Resp.Refusal, g.Resp.Refusal) || g2.Resp.OK || !g.Resp.Refusal.Code.Known() {
 				t.Fatalf("refusal round trip changed: %+v vs %+v", g2, g)
 			}
+		}
+	})
+}
+
+// FuzzReadHelloAck: whatever bytes a dialed node answers a hello with, the
+// reader never panics, an ack it accepts is one the writer spells the same
+// way byte for byte (the bytes after it are the stream's, not the ack's),
+// and the refusal byte leading them means ErrNotPrimary, whatever follows.
+func FuzzReadHelloAck(f *testing.F) {
+	for _, be := range []Backend{{Scheme: "ObliDB", Leakage: edb.L0}, {Scheme: "Crypteps", Leakage: edb.LDP}, {Scheme: "unidentified", Leakage: edb.L2}} {
+		var buf bytes.Buffer
+		_ = WriteHelloAck(&buf, be)
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte{HelloRefused})
+	f.Add([]byte{HelloRefused, 10, 0, 6, 'O', 'b', 'l', 'i', 'D', 'B'})
+	f.Add([]byte{9})                                      // codec 9's one-byte ack
+	f.Add([]byte{10, 4, 6, 'O', 'b', 'l', 'i', 'D', 'B'}) // a class edb does not define
+	f.Add([]byte{10, 0, 0})                               // no scheme name
+	f.Add([]byte{10, 0, 7, 'O', 'b', 'l', 'i', 'D', 'B'}) // a name cut short
+	f.Fuzz(func(t *testing.T, data []byte) {
+		be, err := ReadHelloAck(bytes.NewReader(data))
+		if len(data) > 0 && data[0] == HelloRefused {
+			if !errors.Is(err, ErrNotPrimary) {
+				t.Fatalf("refusal byte read as %v, %v; want ErrNotPrimary", be, err)
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteHelloAck(&out, be); err != nil {
+			t.Fatalf("accepted ack %v cannot be rewritten: %v", be, err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("accepted % x, which the writer spells % x", data, out.Bytes())
 		}
 	})
 }

@@ -76,9 +76,9 @@ const (
 )
 
 // WriteReadHello sends the 5-byte read-only hello: readMagic then the
-// proposed codec version byte. The answer is the same 1-byte hello ack as
-// the client protocol (ReadHelloAck): the accepted codec, or HelloRefused
-// from a node that serves no read plane.
+// proposed codec version byte. The answer is the client protocol's hello ack
+// (ReadHelloAck): the accepted codec and the node's backend, or HelloRefused
+// alone from a node that serves no read plane.
 func WriteReadHello(w io.Writer, proposed Codec) error {
 	return writeHello(w, readMagic, byte(proposed))
 }

@@ -128,8 +128,6 @@ func refResponse(g GatewayResponse) []byte {
 		p = refUvarint(p, uint64(r.Stats.Records))
 		p = refUvarint(p, uint64(r.Stats.Bytes))
 		p = refUvarint(p, uint64(r.Stats.Updates))
-		p = append(append(p, byte(len(r.Stats.Scheme))), r.Stats.Scheme...)
-		p = append(p, byte(r.Stats.Leakage))
 	}
 	if r.Resume != nil {
 		p = refUvarint(p, r.Resume.Clock)
@@ -387,7 +385,9 @@ func TestFrameSizes(t *testing.T) {
 		{"Q1, no bound", unbounded(count), 15},
 		{"Q2, no bound", unbounded(q2), 1070},
 		{"Q2, one non-integer group, no bound", unbounded(q2noisy), 2130},
-		{"stats", GatewayResponse{ID: 1, Resp: NewStatsResponse(edb.StorageStats{Records: 12, Bytes: 12288, Updates: 3}, "ObliDB", 0)}, 15},
+		// Storage alone (15 under codec 9, which named the scheme and class
+		// in every stats answer; the hello ack states them once).
+		{"stats", GatewayResponse{ID: 1, Resp: NewStatsResponse(edb.StorageStats{Records: 12, Bytes: 12288, Updates: 3})}, 7},
 		{"resume", GatewayResponse{ID: 1, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: 42}}}, 4},
 		{"resume at 2^64-1", GatewayResponse{ID: 1, Resp: Response{OK: true, Resume: &ResumeSpec{Clock: maxU64}}}, 13},
 		// A duplicate's ack carries the owner's clock: a resume answer's bytes.
@@ -408,6 +408,28 @@ func TestFrameSizes(t *testing.T) {
 		got, ref := framedResponse(t, tc.g), refFrame(refResponse(tc.g))
 		if len(got) != tc.want || !bytes.Equal(got, ref) {
 			t.Errorf("response %s: %d bytes on the wire (reference %d), want %d", tc.name, len(got), len(ref), tc.want)
+		}
+	}
+
+	// The hello ack, unframed: codec, class, the scheme's length, its name
+	// (one byte, the codec's alone, before codec 10).
+	acks := []struct {
+		name string
+		be   Backend
+		want int
+	}{
+		{"ObliDB", Backend{Scheme: "ObliDB", Leakage: edb.L0}, 9},
+		{"Crypteps", Backend{Scheme: "Crypteps", Leakage: edb.LDP}, 11},
+		{"unidentified", Backend{Scheme: "unidentified", Leakage: edb.L2}, 15},
+	}
+	for _, tc := range acks {
+		var got bytes.Buffer
+		if err := WriteHelloAck(&got, tc.be); err != nil {
+			t.Fatal(err)
+		}
+		ref := append([]byte{10, byte(tc.be.Leakage), byte(len(tc.be.Scheme))}, tc.be.Scheme...)
+		if got.Len() != tc.want || !bytes.Equal(got.Bytes(), ref) {
+			t.Errorf("hello ack %s: % x (reference % x), want %d bytes", tc.name, got.Bytes(), ref, tc.want)
 		}
 	}
 }
@@ -533,8 +555,7 @@ func TestCodecMatchesReferenceEncoder(t *testing.T) {
 				r.Cost = &CostSpec{RecordsScanned: int64(counter()), PairsCompared: int64(counter())}
 			}
 			if rng.Intn(4) == 0 {
-				r.Stats = &StatsSpec{Records: int(counter()), Bytes: int64(counter()), Updates: int(counter()),
-					Scheme: text(40), Leakage: rng.Intn(256)}
+				r.Stats = &StatsSpec{Records: int(counter()), Bytes: int64(counter()), Updates: int(counter())}
 			}
 			if rng.Intn(4) == 0 {
 				r.Resume = &ResumeSpec{Clock: counter()}

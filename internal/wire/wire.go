@@ -410,16 +410,12 @@ type CostSpec struct {
 }
 
 // StatsSpec is the wire form of edb.StorageStats (server view: no split).
-// Scheme and Leakage let a remote owner session report its backend's
-// identity and §6 leakage class without a dedicated info message.
+// It carries storage alone: the backend that holds it is the connection's,
+// stated by the hello ack (Backend).
 type StatsSpec struct {
 	Records int
 	Bytes   int64
 	Updates int
-	// Scheme is the backend's edb.Database Name ("ObliDB", "Crypteps", ...).
-	Scheme string
-	// Leakage is the backend's edb.LeakageClass as an int.
-	Leakage int
 }
 
 // NewBoundedQueryResponse builds the success response for a query of kind k
@@ -480,10 +476,6 @@ func answerResponse(a *AnswerSpec, cost edb.Cost) Response {
 
 // NewStatsResponse builds the success response for a stats request (the
 // server view: record/byte/update totals, never the real/dummy split).
-// scheme and leakage identify the backend.
-func NewStatsResponse(st edb.StorageStats, scheme string, leakage int) Response {
-	return Response{OK: true, Stats: &StatsSpec{
-		Records: st.Records, Bytes: st.Bytes, Updates: st.Updates,
-		Scheme: scheme, Leakage: leakage,
-	}}
+func NewStatsResponse(st edb.StorageStats) Response {
+	return Response{OK: true, Stats: &StatsSpec{Records: st.Records, Bytes: st.Bytes, Updates: st.Updates}}
 }
