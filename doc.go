@@ -171,7 +171,8 @@
 // version byte — and every payload is the binary codec's (hand-rolled
 // fields, no base64 expansion of sealed ciphertexts; its field primitives
 // are internal/binfmt, shared with the on-disk formats). The version byte
-// is 9: 8 let a query carry a replica freshness bound (a second query
+// is 10: 9 repeated the backend's scheme and leakage class in every stats
+// answer, 8 let a query carry a replica freshness bound (a second query
 // encoding, type 6, and a stale refusal, code 2) that no caller could name,
 // 7 led every frame with a 4-byte length and sent an answer's modelled
 // seconds beside the counts they are computed from, 6 sent every group
@@ -179,7 +180,14 @@
 // 8-byte scalar, 4 named the owner inline in every request, 3 said no with
 // an error text beside two flag bits, 2 was a layout of fixed-width integers
 // and 1 a JSON encoding, all retired, and a hello proposing any other codec
-// byte is acked 9; there is nothing to negotiate down to. Every frame, on
+// byte is acked 10; there is nothing to negotiate down to. The ack states
+// the node's backend once for the connection — u8 codec · u8 leakage class ·
+// u8 len · scheme, 9 bytes from an ObliDB node — and nothing after it
+// repeats it: one backend constructor serves every tenant of a node, the
+// gateway reads the scheme and class from one backend at start, and the
+// client keeps what its first hello said, so the §6 gate (Name, Leakage)
+// does no I/O and a redial or a replica that states another backend fails
+// its dial. A refused hello is the one byte wire.HelloRefused. Every frame, on
 // every connection, opens with its payload's length as a minimal-form
 // uvarint — 1 byte below 128, 2 below 16 KiB, at most 4 up to wire.MaxFrame
 // — written and parsed in one place, wire.FrameHeader (a padded header, a
@@ -200,7 +208,7 @@
 //	          | u8 0x82 · uv n (1..65535) · uv k · k × u16 index
 //	            the counted records' groups, non-decreasing, then n (the pad)
 //	  [cost     uv scanned · uv pairs]
-//	  [stats    uv records · uv bytes · uv updates · u8 len · scheme · u8 leakage]
+//	  [stats    uv records · uv bytes · uv updates]
 //	  [resume   uv clock]
 //
 // A node says no one way. A response is exactly one of OK and refused, and a
@@ -245,8 +253,8 @@
 // 2). An answer's cost travels as its two record counts: a query's modelled
 // QET is a public linear function of them (edb.CostModel.Of — an oblivious
 // operator's cost depends only on its input sizes), so the client derives
-// the seconds from the counts and the backend scheme it learned with its
-// first stats probe, bit for bit the backend's own. An owner is named once per
+// the seconds from the counts and the backend scheme it learned from its
+// handshake, bit for bit the backend's own. An owner is named once per
 // connection: a request's owner field is its name (a length byte, then 1 to
 // 255 bytes) or
 // a handle (a zero byte, then a varint ≥ 1), and both ends apply one rule to
