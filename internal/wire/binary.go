@@ -121,8 +121,6 @@ type Backend struct {
 	Leakage edb.LeakageClass
 }
 
-func (b Backend) String() string { return fmt.Sprintf("%s (%v)", b.Scheme, b.Leakage) }
-
 // check refuses what no ack carries: a class edb does not define, or a
 // scheme that is not 1 to MaxOwnerLen bytes of printable ASCII.
 func (b Backend) check() error {
