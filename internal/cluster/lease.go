@@ -16,11 +16,11 @@ import (
 // everyone else campaigns after expiry. Election is deliberately *not*
 // consensus — the lease store (a shared file, FileLease) is the single
 // arbiter, standing in for the small coordination service (etcd, a managed
-// lock) a production fleet would use. What the
-// design guarantees is what failover needs: a node that cannot renew stops
-// serving before anyone else can acquire (the TTL is the fencing window),
-// and every decision is a pure function of (state, node, now) so tests can
-// drive elections with an injected clock, deterministically.
+// lock) a production fleet would use. What the design guarantees is what
+// failover needs: a node that cannot renew stops serving before anyone else
+// can acquire (the TTL is the fencing window), and every decision is a pure
+// function of (state, node, now) so tests can drive elections with an
+// injected clock, deterministically.
 
 // LeaseState is the arbiter's current view: who holds the lease, where that
 // node serves, and when the claim lapses.
@@ -44,9 +44,8 @@ type Lease interface {
 }
 
 // grantable is the election decision, pure so tests can pin it against a
-// table: a lease is up for grabs when nobody
-// holds it, when the claim has lapsed, or when the asker already holds it
-// (renewal).
+// table: a lease is up for grabs when nobody holds it, when the claim has
+// lapsed, or when the asker already holds it (renewal).
 func grantable(st LeaseState, node string, now time.Time) bool {
 	return st.Holder == "" || st.Holder == node || !now.Before(st.Expires)
 }
